@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench tables chaos fuzz api-golden bench-twophase bench-planner bench-readahead bench-critpath bench-pipeline chaos-twophase chaos-readahead chaos-tenants chaos-planner chaos-pipeline bench-alloc alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full
+.PHONY: build test vet race check bench tables chaos fuzz api-golden bench-twophase bench-planner bench-readahead bench-critpath bench-pipeline chaos-twophase chaos-readahead chaos-tenants chaos-planner chaos-pipeline bench-alloc alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full bench-wall
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,19 @@ bench-scale:
 bench-scale-full:
 	$(GO) run ./cmd/dstream-bench -scale -scale-json BENCH_scale.json
 
+# The wall-clock benchmark (BENCHMARK.json): every workload through
+# benchmark/run.sh, a short measured stretch each. The program checks what
+# it reads back on every cycle and exits non-zero when any cycle fails, which
+# fails the target; the numbers are for reading, not gated here (compare two
+# commits with `go run ./benchmark -compare a.json b.json`, see
+# benchmark/README.md).
+BENCH_WALL_SECONDS ?= 2
+
+bench-wall:
+	for w in ckpt_small ckpt_large restart_redist pipe_chan daemon_ckpt; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds $(BENCH_WALL_SECONDS) --trace 0 || exit 1; \
+	done
+
 # The allocation benchmark: real allocs/op on the pooled hot paths, emitted
 # as BENCH_alloc.json. `make alloc-check` re-measures and fails on a >10%
 # regression against the committed BENCH_alloc_baseline.json — the CI gate
@@ -94,7 +107,7 @@ alloc-check:
 # a retained alias written after Put panics at the next Get instead of
 # corrupting a record silently.
 race-pooldebug:
-	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/
+	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/
 
 # Regenerate the public API surface golden after an intentional API change.
 # `make check` diffs the façade against testdata/api_surface.golden.

@@ -14,19 +14,21 @@ import (
 // The allocation pins: exact committed budgets for the four hot paths,
 // enforced on every test run (not just when the bench-alloc gate diffs
 // BENCH_alloc_baseline.json). The budgets are the measured steady state
-// with the buffer pool in place, plus scheduler headroom for the
-// machine-level cycles; before pooling they sat at 4 (enc), 3 (sendrecv),
-// ~139 (funnel cycle) and ~210 (two-phase cycle). Raising a budget is a
-// deliberate act — it means a hot path got slower for every caller.
+// (funnel 23.8, two-phase 86.0, read 48.6 allocs per whole-machine cycle)
+// plus about a tenth of scheduler headroom; before pooling they sat at 4
+// (enc), 3 (sendrecv), ~139 (funnel cycle) and ~210 (two-phase cycle). The
+// gate is a ratchet: a budget goes down when a path gets cheaper and up
+// only with the reason written in CHANGES.md — raising one means a hot path
+// got slower for every caller.
 const (
-	encRoundTripBudget    = 0   // allocs/op, reused Buffer+Reader
-	inprocSendRecvBudget  = 1   // allocs/op, 1 KiB payload, receiver Puts
-	ringRawSendRecvBudget = 1   // allocs/op, raw ring path, 256 B eager payload
-	tracedSendRecvBudget  = 4   // same path with spans+flow edges recorded
-	funnelCycleBudget     = 40  // whole-machine allocs per insert+write cycle, 4 ranks
-	twoPhaseCycleBudget   = 125 // same, with the aggregation shuffle
-	readCycleBudget       = 110 // whole-machine allocs per read+extract cycle, 4 ranks
-	funnelCycleByteBudget = 20 << 10
+	encRoundTripBudget    = 0  // allocs/op, reused Buffer+Reader
+	inprocSendRecvBudget  = 1  // allocs/op, 1 KiB payload, receiver Puts
+	ringRawSendRecvBudget = 1  // allocs/op, raw ring path, 256 B eager payload
+	tracedSendRecvBudget  = 4  // same path with spans+flow edges recorded
+	funnelCycleBudget     = 27 // whole-machine allocs per insert+write cycle, 4 ranks
+	twoPhaseCycleBudget   = 95 // same, with the aggregation shuffle
+	readCycleBudget       = 54 // whole-machine allocs per read+extract cycle, 4 ranks
+	funnelCycleByteBudget = 15 << 10
 )
 
 func TestEncRoundTripAllocPin(t *testing.T) {

@@ -206,7 +206,7 @@ func (c *Comm) Barrier() error {
 		rel := c.releaseTime(n-1, 8)
 		payload := c.timeFrame(rel)
 		for r := 1; r < n; r++ {
-			if err := c.ep.Send(r, tag(kindBarrier, seq, 1), payload); err != nil {
+			if err := c.ep.SendOnce(r, tag(kindBarrier, seq, 1), payload); err != nil {
 				return fmt.Errorf("collective: barrier release: %w", err)
 			}
 			rec.FlowOut(trace.FlowKey{Kind: "barrier-release", A: 0, B: r, Tag: tag(kindBarrier, seq, 1)}, sid)
@@ -214,7 +214,7 @@ func (c *Comm) Barrier() error {
 		c.ep.Clock().SyncTo(rel)
 		return nil
 	}
-	if err := c.ep.Send(0, tag(kindBarrier, seq, 0), nil); err != nil {
+	if err := c.ep.SendOnce(0, tag(kindBarrier, seq, 0), nil); err != nil {
 		return fmt.Errorf("collective: barrier arrive: %w", err)
 	}
 	rec.FlowOut(trace.FlowKey{Kind: "barrier-arrive", A: me, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
@@ -255,7 +255,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 			if r == root {
 				continue
 			}
-			if err := c.ep.Send(r, tag(kindBcast, seq, 0), payload); err != nil {
+			if err := c.ep.SendOnce(r, tag(kindBcast, seq, 0), payload); err != nil {
 				bufpool.Put(payload)
 				return nil, fmt.Errorf("collective: bcast send: %w", err)
 			}
@@ -289,7 +289,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		return c.gatherKary(seq, root, data)
 	}
 	if c.Rank() != root {
-		if err := c.ep.Send(root, tag(kindGather, seq, 0), data); err != nil {
+		if err := c.ep.SendOnce(root, tag(kindGather, seq, 0), data); err != nil {
 			return nil, fmt.Errorf("collective: gather send: %w", err)
 		}
 		return nil, nil
@@ -361,7 +361,7 @@ func (c *Comm) Scatterv(root int, parts [][]byte) ([]byte, error) {
 			if r == root {
 				continue
 			}
-			if err := c.ep.Send(r, tag(kindGather, seq, 1), parts[r]); err != nil {
+			if err := c.ep.SendOnce(r, tag(kindGather, seq, 1), parts[r]); err != nil {
 				return nil, fmt.Errorf("collective: scatterv send to %d: %w", r, err)
 			}
 		}
@@ -409,7 +409,7 @@ func (c *Comm) vecChunk(total int) int {
 // configured message bound.
 func (c *Comm) sendVec(to int, seq uint64, data []byte) error {
 	if c.maxMsg <= 0 {
-		return c.ep.Send(to, tag(kindAlltoall, seq, 0), data)
+		return c.ep.SendOnce(to, tag(kindAlltoall, seq, 0), data)
 	}
 	chunk := c.vecChunk(len(data))
 	first := len(data)
@@ -419,7 +419,7 @@ func (c *Comm) sendVec(to int, seq uint64, data []byte) error {
 	frame := bufpool.Get(4 + first)
 	binary.LittleEndian.PutUint32(frame, uint32(len(data)))
 	copy(frame[4:], data[:first])
-	err := c.ep.Send(to, tag(kindAlltoall, seq, 0), frame)
+	err := c.ep.SendOnce(to, tag(kindAlltoall, seq, 0), frame)
 	bufpool.Put(frame)
 	if err != nil {
 		return err
@@ -429,7 +429,7 @@ func (c *Comm) sendVec(to int, seq uint64, data []byte) error {
 		if end > len(data) {
 			end = len(data)
 		}
-		if err := c.ep.Send(to, tag(kindAlltoall, seq, sub), data[off:end]); err != nil {
+		if err := c.ep.SendOnce(to, tag(kindAlltoall, seq, sub), data[off:end]); err != nil {
 			return err
 		}
 		off = end
@@ -562,7 +562,7 @@ func (c *Comm) Reduce(root int, v float64, op ReduceOp) (float64, error) {
 		return c.reduceTree(seq, root, v, op)
 	}
 	if c.Rank() != root {
-		if err := c.ep.Send(root, tag(kindReduce, seq, 0), c.timeFrame(v)); err != nil {
+		if err := c.ep.SendOnce(root, tag(kindReduce, seq, 0), c.timeFrame(v)); err != nil {
 			return 0, fmt.Errorf("collective: reduce send: %w", err)
 		}
 		return 0, nil

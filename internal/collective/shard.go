@@ -81,7 +81,7 @@ func (c *Comm) barrierKary(seq uint64) error {
 	}
 	if v != 0 {
 		parent := prank(kparent(v, k), 0, n)
-		if err := c.ep.Send(parent, tag(kindBarrier, seq, 0), nil); err != nil {
+		if err := c.ep.SendOnce(parent, tag(kindBarrier, seq, 0), nil); err != nil {
 			return fmt.Errorf("collective: sharded barrier arrive: %w", err)
 		}
 		if _, err := c.ep.Recv(parent, tag(kindBarrier, seq, 1)); err != nil {
@@ -93,7 +93,7 @@ func (c *Comm) barrierKary(seq uint64) error {
 		if ch < 0 {
 			break
 		}
-		if err := c.ep.Send(prank(ch, 0, n), tag(kindBarrier, seq, 1), nil); err != nil {
+		if err := c.ep.SendOnce(prank(ch, 0, n), tag(kindBarrier, seq, 1), nil); err != nil {
 			return fmt.Errorf("collective: sharded barrier release: %w", err)
 		}
 	}
@@ -117,7 +117,7 @@ func (c *Comm) bcastKary(seq uint64, root int, data []byte) ([]byte, error) {
 		if ch < 0 {
 			break
 		}
-		if err := c.ep.Send(prank(ch, root, n), tag(kindBcast, seq, 0), data); err != nil {
+		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindBcast, seq, 0), data); err != nil {
 			return nil, fmt.Errorf("collective: sharded bcast send: %w", err)
 		}
 	}
@@ -145,7 +145,7 @@ func (c *Comm) reduceKary(seq uint64, root int, val float64, op ReduceOp) (float
 	}
 	if v != 0 {
 		parent := prank(kparent(v, k), root, n)
-		if err := c.ep.Send(parent, tag(kindReduce, seq, 0), c.timeFrame(acc)); err != nil {
+		if err := c.ep.SendOnce(parent, tag(kindReduce, seq, 0), c.timeFrame(acc)); err != nil {
 			return 0, fmt.Errorf("collective: sharded reduce send: %w", err)
 		}
 		return 0, nil
@@ -193,7 +193,7 @@ func (c *Comm) gatherKary(seq uint64, root int, data []byte) ([][]byte, error) {
 	}
 	if v != 0 {
 		parent := prank(kparent(v, k), root, n)
-		if err := c.ep.Send(parent, tag(kindGather, seq, 0), pack.b); err != nil {
+		if err := c.ep.SendOnce(parent, tag(kindGather, seq, 0), pack.b); err != nil {
 			return nil, fmt.Errorf("collective: sharded gather send: %w", err)
 		}
 		return nil, nil
@@ -297,7 +297,7 @@ func (c *Comm) scattervKary(seq uint64, root int, parts [][]byte) ([]byte, error
 		if ch < 0 {
 			break
 		}
-		if err := c.ep.Send(prank(ch, root, n), tag(kindGather, seq, 1), packs[i].b); err != nil {
+		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindGather, seq, 1), packs[i].b); err != nil {
 			bufpool.Put(own)
 			return nil, fmt.Errorf("collective: sharded scatterv send: %w", err)
 		}

@@ -75,7 +75,7 @@ func (c *Comm) bcastTree(seq uint64, root int, data []byte) ([]byte, error) {
 		if child >= n {
 			continue
 		}
-		if err := c.ep.Send(prank(child, root, n), tag(kindBcast, seq, bitIndex(mask)), data); err != nil {
+		if err := c.ep.SendOnce(prank(child, root, n), tag(kindBcast, seq, bitIndex(mask)), data); err != nil {
 			return nil, fmt.Errorf("collective: tree bcast send: %w", err)
 		}
 	}
@@ -91,7 +91,7 @@ func (c *Comm) reduceTree(seq uint64, root int, val float64, op ReduceOp) (float
 		if v&mask != 0 {
 			// Send partial up and leave.
 			parent := prank(v&^mask, root, n)
-			if err := c.ep.Send(parent, tag(kindReduce, seq, bitIndex(mask)), c.timeFrame(acc)); err != nil {
+			if err := c.ep.SendOnce(parent, tag(kindReduce, seq, bitIndex(mask)), c.timeFrame(acc)); err != nil {
 				return 0, fmt.Errorf("collective: tree reduce send: %w", err)
 			}
 			return 0, nil
@@ -134,7 +134,7 @@ func (c *Comm) allgatherRD(seq uint64, mine []byte) ([][]byte, error) {
 			pack.u32(uint32(len(b)))
 			pack.raw(b)
 		}
-		if err := c.ep.Send(partner, tag(kindGather, seq, k), pack.b); err != nil {
+		if err := c.ep.SendOnce(partner, tag(kindGather, seq, k), pack.b); err != nil {
 			return nil, fmt.Errorf("collective: rd allgather send: %w", err)
 		}
 		d, err := c.ep.Recv(partner, tag(kindGather, seq, k))
@@ -187,7 +187,7 @@ func (c *Comm) barrierDissemination(seq uint64) error {
 	for k, mask := 0, 1; mask < n; k, mask = k+1, mask<<1 {
 		to := (me + mask) % n
 		from := (me - mask + n) % n
-		if err := c.ep.Send(to, tag(kindBarrier, seq, k), nil); err != nil {
+		if err := c.ep.SendOnce(to, tag(kindBarrier, seq, k), nil); err != nil {
 			return fmt.Errorf("collective: dissemination send: %w", err)
 		}
 		if _, err := c.ep.Recv(from, tag(kindBarrier, seq, k)); err != nil {

@@ -33,7 +33,8 @@ import (
 // discarded) and reassembled in order (a receiver waiting on the stream is
 // not handed seq n+1 while seq n is still in flight). Seq 0 messages bypass
 // both mechanisms and behave exactly as before — raw Transport users that
-// never face duplication need no sequencing.
+// never face duplication need no sequencing. SeqOnce marks the only message
+// its stream will ever carry (see Endpoint.SendOnce).
 type Message struct {
 	From, To int
 	Tag      uint64
@@ -41,6 +42,14 @@ type Message struct {
 	Time     float64
 	Data     []byte
 }
+
+// SeqOnce is the sequence number of a one-shot message: the single message
+// of a (from, to, tag) stream whose tag is never used again. It is
+// deduplicated like any sequenced message, but neither end keeps a cursor
+// for its stream afterwards — a program that mints a fresh tag per
+// operation (every collective does) would otherwise grow one map entry per
+// message on both ends for as long as the machine lives.
+const SeqOnce = ^uint64(0)
 
 // Transport delivers messages between ranks. Implementations must preserve
 // per-(sender, tag) FIFO order and must match receives by exact (from, tag).
@@ -130,6 +139,14 @@ type streamID struct {
 // match refuses to hand out seq n+1 while seq n is still in flight — so a
 // transport wrapped in delay, duplication, or retransmission still
 // presents exactly-once, in-order streams.
+//
+// The stage holds state only for streams with something staged or a cursor
+// to keep: a list that empties leaves the pending map (its backing array
+// goes to a small free list), and one-shot streams (SeqOnce) never enter
+// next — the last onceWindow of them delivered are remembered instead, which
+// is what suppressing a duplicate takes. A duplicate that arrives later
+// than that is staged and never matched (nobody receives on a one-shot tag
+// twice) until close reaps it.
 type mailbox struct {
 	size    int
 	ringCap int
@@ -156,10 +173,25 @@ type mailbox struct {
 	// Matching and reassembly state, guarded by mu. In steady state only
 	// the rank's receiver goroutine takes it; a blocked producer assisting
 	// its own inbox (see putBlocking) is the other drainer.
-	mu      sync.Mutex
-	pending map[streamID][]Message // staged messages per stream, arrival order
-	next    map[streamID]uint64    // next seq to deliver; absent means 1
+	mu       sync.Mutex
+	pending  map[streamID][]Message // staged messages per stream, arrival order; no empty lists
+	next     map[streamID]uint64    // next seq to deliver; absent means 1
+	listFree [][]Message            // emptied pending lists, at most maxListFree
+	once     map[streamID]struct{}  // one-shot streams delivered, the latest onceWindow
+	onceRing []streamID             // the same, oldest at onceHead once full
+	onceHead int
 }
+
+const (
+	// maxListFree bounds the free list of pending-list backing arrays: a
+	// receiver rarely has more streams staged at once than it has peers in
+	// one collective step.
+	maxListFree = 32
+	// onceWindow is how many delivered one-shot streams a mailbox remembers
+	// for duplicate suppression. Duplicates are made by a retry or a faulty
+	// link and trail their original by a few messages, not hundreds.
+	onceWindow = 256
+)
 
 func newMailbox(size int, ctr *ringCounters) *mailbox {
 	return &mailbox{
@@ -170,6 +202,7 @@ func newMailbox(size int, ctr *ringCounters) *mailbox {
 		ctr:         ctr,
 		pending:     make(map[streamID][]Message),
 		next:        make(map[streamID]uint64),
+		once:        make(map[streamID]struct{}),
 	}
 }
 
@@ -420,41 +453,79 @@ func (mb *mailbox) drainAllLocked() int {
 // numbers. Callers hold mb.mu.
 func (mb *mailbox) stageLocked(m Message) {
 	mb.ctr.takes.Add(1)
-	if m.Seq != 0 {
-		k := streamID{m.From, m.Tag}
+	k := streamID{m.From, m.Tag}
+	list, staged := mb.pending[k]
+	switch {
+	case m.Seq == SeqOnce:
+		if _, done := mb.once[k]; done || staged {
+			bufpool.Put(m.Data) // duplicate of the stream's one message
+			return
+		}
+	case m.Seq != 0:
 		if m.Seq < mb.nextSeqLocked(k) {
 			bufpool.Put(m.Data) // duplicate of an already-delivered message
 			return
 		}
-		for _, q := range mb.pending[k] {
+		for _, q := range list {
 			if q.Seq == m.Seq {
 				bufpool.Put(m.Data) // duplicate of an already-staged message
 				return
 			}
 		}
 	}
-	k := streamID{m.From, m.Tag}
-	mb.pending[k] = append(mb.pending[k], m)
+	if f := len(mb.listFree); !staged && f > 0 {
+		list = mb.listFree[f-1]
+		mb.listFree = mb.listFree[:f-1]
+	}
+	mb.pending[k] = append(list, m)
 }
 
 // matchLocked delivers the first deliverable staged message of stream k:
-// any Seq 0 message, or the sequenced message the stream's cursor is
-// waiting for (a gap holds later sequence numbers back). Callers hold
-// mb.mu. Emptied lists stay in the map so their capacity is reused —
-// steady-state delivery allocates nothing.
+// any Seq 0 or one-shot message, or the sequenced message the stream's
+// cursor is waiting for (a gap holds later sequence numbers back). Callers
+// hold mb.mu. The vacated slot is zeroed — the list must not keep the
+// delivered payload alive — and a list that empties is recycled through
+// listFree, so steady-state delivery allocates nothing and the map holds
+// only streams with something staged.
 func (mb *mailbox) matchLocked(k streamID) (Message, bool) {
 	list := mb.pending[k]
 	for i, m := range list {
-		if m.Seq != 0 {
+		switch {
+		case m.Seq == SeqOnce:
+			mb.markOnceLocked(k)
+		case m.Seq != 0:
 			if m.Seq != mb.nextSeqLocked(k) {
 				continue // a gap precedes this one; wait for the in-flight message
 			}
 			mb.next[k] = m.Seq + 1
 		}
-		mb.pending[k] = append(list[:i], list[i+1:]...)
+		last := len(list) - 1
+		copy(list[i:], list[i+1:])
+		list[last] = Message{}
+		if list = list[:last]; last > 0 {
+			mb.pending[k] = list
+		} else {
+			delete(mb.pending, k)
+			if len(mb.listFree) < maxListFree {
+				mb.listFree = append(mb.listFree, list)
+			}
+		}
 		return m, true
 	}
 	return Message{}, false
+}
+
+// markOnceLocked remembers that one-shot stream k has delivered, forgetting
+// the oldest such stream once onceWindow are held. Callers hold mb.mu.
+func (mb *mailbox) markOnceLocked(k streamID) {
+	if len(mb.onceRing) < onceWindow {
+		mb.onceRing = append(mb.onceRing, k)
+	} else {
+		delete(mb.once, mb.onceRing[mb.onceHead])
+		mb.onceRing[mb.onceHead] = k
+		mb.onceHead = (mb.onceHead + 1) % onceWindow
+	}
+	mb.once[k] = struct{}{}
 }
 
 func (mb *mailbox) get(from int, tag uint64) (Message, error) {
@@ -685,17 +756,17 @@ type Endpoint struct {
 	sentByPeer, recvByPeer   []int
 
 	// Observability (nil handles are no-ops).
-	mon         *dsmon.Monitor
-	mSent       *dsmon.Counter
-	mRecv       *dsmon.Counter
-	mBytesOut   *dsmon.Counter
-	mBytesIn    *dsmon.Counter
-	mTransient  *dsmon.Counter
-	mSendRetry  *dsmon.Counter
-	mRecvRetry  *dsmon.Counter
-	mExhausted  *dsmon.Counter
-	hMsgSize    *dsmon.Histogram
-	hRecvWait   *dsmon.Histogram
+	mon        *dsmon.Monitor
+	mSent      *dsmon.Counter
+	mRecv      *dsmon.Counter
+	mBytesOut  *dsmon.Counter
+	mBytesIn   *dsmon.Counter
+	mTransient *dsmon.Counter
+	mSendRetry *dsmon.Counter
+	mRecvRetry *dsmon.Counter
+	mExhausted *dsmon.Counter
+	hMsgSize   *dsmon.Histogram
+	hRecvWait  *dsmon.Histogram
 }
 
 // NewEndpoint binds rank's endpoint onto tr.
@@ -772,11 +843,24 @@ func (e *Endpoint) Profile() vtime.Profile { return e.prof }
 // the receiver. Fatal errors, and transient ones that outlast the retry
 // budget, are returned to the caller.
 func (e *Endpoint) Send(to int, tag uint64, data []byte) error {
-	start := e.clock.Now()
-	e.clock.Advance(e.prof.SendOverhead)
 	k := streamID{to, tag}
 	e.seqs[k]++
-	m := Message{From: e.rank, To: to, Tag: tag, Seq: e.seqs[k], Data: data}
+	return e.send(to, tag, e.seqs[k], data)
+}
+
+// SendOnce is Send for a stream that carries this one message and whose tag
+// is never used again, as when the caller mints a fresh tag per operation.
+// Delivery, retry and duplicate suppression are Send's; what differs is
+// that neither end keeps per-stream state once the message is delivered
+// (see SeqOnce). The receiver uses Recv as for any other message.
+func (e *Endpoint) SendOnce(to int, tag uint64, data []byte) error {
+	return e.send(to, tag, SeqOnce, data)
+}
+
+func (e *Endpoint) send(to int, tag, seq uint64, data []byte) error {
+	start := e.clock.Now()
+	e.clock.Advance(e.prof.SendOverhead)
+	m := Message{From: e.rank, To: to, Tag: tag, Seq: seq, Data: data}
 	backoff := e.retry.Backoff
 	var err error
 	for attempt := 1; ; attempt++ {

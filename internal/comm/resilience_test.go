@@ -46,6 +46,39 @@ func TestMailboxDropsDuplicates(t *testing.T) {
 	}
 }
 
+// TestMailboxForgetsWhatItDelivered: a delivered message is not kept alive
+// by the slot it vacated, and a stream with nothing staged is not in the
+// pending map at all — its list waits on the free list for the next stream.
+func TestMailboxForgetsWhatItDelivered(t *testing.T) {
+	mb := newMailbox(2, new(ringCounters))
+	k := streamID{0, 1}
+	for _, d := range []string{"a", "b", "c"} {
+		mb.put(Message{From: 0, Tag: 1, Data: []byte(d)})
+	}
+	if m, _ := mb.get(0, 1); string(m.Data) != "a" {
+		t.Fatalf("first delivery = %q", m.Data)
+	}
+	list := mb.pending[k]
+	if len(list) != 2 {
+		t.Fatalf("%d messages staged after one of three was delivered", len(list))
+	}
+	for _, q := range list[len(list):cap(list)] {
+		if q.Data != nil {
+			t.Fatalf("vacated slot still references payload %q", q.Data)
+		}
+	}
+	mb.get(0, 1)
+	mb.get(0, 1)
+	if _, staged := mb.pending[k]; staged || len(mb.listFree) != 1 {
+		t.Fatalf("drained stream: in the pending map %v, %d lists free; want gone and 1", staged, len(mb.listFree))
+	}
+	// The next stream takes the recycled list.
+	mb.put(Message{From: 1, Tag: 9, Data: []byte("d")})
+	if m, _ := mb.get(1, 9); string(m.Data) != "d" || len(mb.listFree) != 1 || len(mb.pending) != 0 {
+		t.Fatalf("delivery %q, %d lists free, %d streams pending", m.Data, len(mb.listFree), len(mb.pending))
+	}
+}
+
 func TestMailboxStreamsAreIndependent(t *testing.T) {
 	mb := newMailbox(2, new(ringCounters))
 	// A gap on one (from, tag) stream must not block a different stream.

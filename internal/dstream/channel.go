@@ -74,12 +74,24 @@ const chanFlagEOF = 1 << 0
 // element count.
 const chanFrameHeaderLen = 12
 
+// chanGenStride spreads a name's generations over the tag space (the
+// 64-bit golden-ratio constant: odd, so successive generations never
+// collide).
+const chanGenStride = 0x9E3779B97F4A7C15
+
 // chanTags derives the channel's two wire tags from its name, the way
-// streamTag keys a file stream's causal edges: every rank of the machine
-// computes the identical tags with no communication. Data and credit flow
-// on distinct tags so a blocked credit wait never consumes a data frame.
-func chanTags(name string) (data, credit uint64) {
-	return streamTag("dstream.chan.data:" + name), streamTag("dstream.chan.credit:" + name)
+// streamTag keys a file stream's causal edges, and from how many times this
+// end of the name has been opened on this node before. Every rank of the
+// machine computes the identical tags with no communication, because every
+// rank of a group opens a name the same number of times; and what an
+// earlier channel of the name left in a mailbox — a consumer's last credits
+// reach a producer that has already closed — cannot be taken by the next
+// one for its own. Data and credit flow on distinct tags so a blocked
+// credit wait never consumes a data frame.
+func chanTags(node *machine.Node, end, name string) (data, credit uint64) {
+	gen := node.Generation("dstream.chan." + end + ":" + name)
+	return streamTag("dstream.chan.data:"+name) + gen*chanGenStride,
+		streamTag("dstream.chan.credit:"+name) + gen*chanGenStride
 }
 
 // chanMetrics is the dsmon handle set of the channel layer, get-or-create
@@ -164,17 +176,13 @@ type OChannel struct {
 	open    bool
 	eofSent bool
 
-	group      [][][]byte
-	groupBytes int64
-	wrote      int
+	grp   insertGroup
+	wrote int
 
 	dests    []chanDest
 	elemDest []int // local element → index into dests
 
-	encScratch  Encoder
-	arrFree     [][][]byte
-	insertSpans []trace.SpanID
-	cmet        *chanMetrics
+	cmet *chanMetrics
 }
 
 // OpenChannel opens the producer end of the channel called name. d is the
@@ -207,7 +215,8 @@ func OpenChannel(node *machine.Node, d, peer *distr.Distribution, name string, o
 	if s.window <= 0 {
 		s.window = DefaultChannelWindow
 	}
-	s.dataTag, s.credTag = chanTags(name)
+	s.grp = newInsertGroup(&s.stream, "ochannel.Insert ")
+	s.dataTag, s.credTag = chanTags(node, "out", name)
 	s.buildRouting()
 	return s, nil
 }
@@ -262,7 +271,7 @@ func (s *OChannel) checkOpen() error {
 func (s *OChannel) LocalLen() int { return s.dist.LocalCount(s.grpRank) }
 
 // Pending returns the number of inserts in the current interleave group.
-func (s *OChannel) Pending() int { return len(s.group) }
+func (s *OChannel) Pending() int { return len(s.grp.inserts) }
 
 // Records returns the number of records written so far.
 func (s *OChannel) Records() int { return s.wrote }
@@ -281,35 +290,7 @@ func (s *OChannel) InsertFunc(fill func(local int, e *Encoder)) error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
-	start := s.node.Clock().Now()
-	n := s.LocalLen()
-	var arr [][]byte
-	if f := len(s.arrFree); f > 0 && cap(s.arrFree[f-1]) >= n {
-		arr = s.arrFree[f-1][:n]
-		s.arrFree = s.arrFree[:f-1]
-	} else {
-		arr = make([][]byte, n)
-	}
-	e := &s.encScratch
-	var arrBytes int64
-	for l := 0; l < n; l++ {
-		e.Reset()
-		fill(l, e)
-		p := bufpool.Get(e.Len())
-		copy(p, e.Bytes())
-		arr[l] = p
-		arrBytes += int64(len(p))
-	}
-	s.group = append(s.group, arr)
-	s.groupBytes += arrBytes
-	s.met.inserts.Inc()
-	s.met.fill.Add(float64(arrBytes))
-	s.node.Compute(float64(n) * s.node.Profile().PerElemCost)
-	if rec := s.met.mon.Recorder(); rec != nil {
-		id := rec.AddSpan(s.node.Rank(), "dstream", "ochannel.Insert "+s.name, start, s.node.Clock().Now())
-		s.insertSpans = append(s.insertSpans, id)
-	}
-	return nil
+	return s.grp.insert(s.LocalLen(), fill)
 }
 
 // Write flushes the current interleave group as one record: the group's
@@ -321,7 +302,7 @@ func (s *OChannel) Write() error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
-	if len(s.group) == 0 {
+	if len(s.grp.inserts) == 0 {
 		return s.fail(fmt.Errorf("%w: write with no pending inserts", ErrOrder))
 	}
 	start := s.node.Clock().Now()
@@ -329,13 +310,15 @@ func (s *OChannel) Write() error {
 	var writeSpan trace.SpanID
 	if rec != nil {
 		writeSpan = rec.NewSpanID()
-		for _, id := range s.insertSpans {
-			rec.AddFlow(id, writeSpan, "encode")
-		}
-		s.insertSpans = s.insertSpans[:0]
+		s.grp.linkSpans(rec, writeSpan)
 	}
-	nArrays := len(s.group)
+	nArrays := len(s.grp.inserts)
 	nLocal := s.LocalLen()
+	sizes, total, err := s.grp.sizeTable()
+	if err != nil {
+		return err
+	}
+	localBytes := int64(total)
 
 	for i := range s.dests {
 		d := &s.dests[i]
@@ -344,31 +327,16 @@ func (s *OChannel) Write() error {
 		d.frame.Uint32(uint32(nArrays))
 		d.frame.Uint32(uint32(d.count))
 	}
-	var localBytes int64
 	for l := 0; l < nLocal; l++ {
 		f := &s.dests[s.elemDest[l]].frame
-		var sz int
-		for _, arr := range s.group {
-			sz += len(arr[l])
-		}
 		f.Uint32(uint32(s.dist.GlobalIndex(s.grpRank, l)))
-		f.Uint32(uint32(sz))
-		for _, arr := range s.group {
-			f.Raw(arr[l])
+		f.Uint32(sizes[l])
+		for i := range s.grp.inserts {
+			f.Raw(s.grp.inserts[i].elem(l))
 		}
-		localBytes += int64(sz)
 	}
-	for _, arr := range s.group {
-		for l, p := range arr {
-			bufpool.Put(p)
-			arr[l] = nil
-		}
-		s.arrFree = append(s.arrFree, arr)
-	}
+	s.grp.release()
 	s.node.CopyCost(localBytes + int64(8*nLocal))
-	s.group = s.group[:0]
-	s.met.fill.Add(-float64(s.groupBytes))
-	s.groupBytes = 0
 
 	ep := s.node.Comm().Endpoint()
 	seq := uint64(s.wrote) + 1
@@ -448,8 +416,7 @@ func (s *OChannel) closeSend() error {
 	}
 	s.eofSent = true
 	ep := s.node.Comm().Endpoint()
-	e := &s.encScratch
-	e.Reset()
+	var e enc.Buffer
 	e.Uint32(chanFlagEOF)
 	e.Uint32(0)
 	e.Uint32(0)
@@ -486,18 +453,11 @@ func (s *OChannel) Close() error {
 			d.outstanding = 0
 		}
 	}
-	if len(s.group) > 0 {
+	if n := len(s.grp.inserts); n > 0 {
 		if err == nil {
-			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, len(s.group))
+			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, n)
 		}
-		for _, arr := range s.group {
-			for _, p := range arr {
-				bufpool.Put(p)
-			}
-		}
-		s.group = nil
-		s.met.fill.Add(-float64(s.groupBytes))
-		s.groupBytes = 0
+		s.grp.release()
 	}
 	return err
 }
@@ -561,7 +521,7 @@ func OpenChannelInput(node *machine.Node, d, peer *distr.Distribution, name stri
 		cmet:    newChanMetrics(node.Monitor()),
 		open:    true,
 	}
-	r.dataTag, r.credTag = chanTags(name)
+	r.dataTag, r.credTag = chanTags(node, "in", name)
 	r.buildRouting()
 	return r, nil
 }

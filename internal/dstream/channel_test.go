@@ -423,3 +423,79 @@ func TestChannelUseAfterClose(t *testing.T) {
 		return nil
 	})
 }
+
+// TestChannelNameReuse: a name can carry one channel after another inside
+// one machine run. The consumer acknowledges a record's frames when its next
+// Read or its Close retires them, so the last credits of every channel reach
+// a producer that has already closed and stay in its mailbox; the next
+// channel of the name runs on tags of its own generation and never sees
+// them. (Before generations it took them for its own and failed
+// "over-credited" at its first credit wait.)
+func TestChannelNameReuse(t *testing.T) {
+	const rounds, records = 4, 6
+	chanRun(t, 2, nil, func(n *machine.Node) error {
+		d, err := distr.New(8, 1, distr.Block, 0)
+		if err != nil {
+			return err
+		}
+		for round := 0; round < rounds; round++ {
+			if n.Rank() == 0 {
+				// A window below one frame: every Write after the first
+				// waits for the previous record's credit.
+				s, err := OpenChannel(n, d, d, "again", WithChannelWindow(64))
+				if err != nil {
+					return err
+				}
+				for rec := 0; rec < records; rec++ {
+					// Frames grow with the record, so the credit a channel
+					// leaves behind is larger than the first frame of the next.
+					err := s.InsertFunc(func(l int, e *Encoder) {
+						for i := 0; i <= rec; i++ {
+							e.Int64(int64(round*1000 + rec*10 + l))
+						}
+					})
+					if err != nil {
+						return err
+					}
+					if err := s.Write(); err != nil {
+						return fmt.Errorf("round %d record %d: %w", round, rec, err)
+					}
+				}
+				if err := s.Close(); err != nil {
+					return err
+				}
+				continue
+			}
+			r, err := OpenChannelInput(n, d, d, "again")
+			if err != nil {
+				return err
+			}
+			for rec := 0; rec < records; rec++ {
+				if err := r.Read(); err != nil {
+					return fmt.Errorf("round %d record %d: %w", round, rec, err)
+				}
+				var bad error
+				err := r.ExtractFunc(func(l int, dec *Decoder) {
+					for i := 0; i <= rec; i++ {
+						if got, want := dec.Int64(), int64(round*1000+rec*10+l); got != want && bad == nil {
+							bad = fmt.Errorf("round %d record %d element %d: got %d, want %d", round, rec, l, got, want)
+						}
+					}
+				})
+				if err != nil {
+					return err
+				}
+				if bad != nil {
+					return bad
+				}
+			}
+			if err := r.Read(); !errors.Is(err, ErrEOS) {
+				return fmt.Errorf("round %d: read past the last record: %v, want ErrEOS", round, err)
+			}
+			if err := r.Close(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}

@@ -1,6 +1,7 @@
 package dstream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -44,6 +45,15 @@ type IStream struct {
 	preFree [][]byte
 	starts  []int
 
+	// The writer's distribution as the latest record's header described it,
+	// with the header fields and descriptor bytes it was built from: records
+	// of one file nearly always repeat them, and building a distribution
+	// walks all N elements. wOrder is its fileOrder, built on first need.
+	wdist    *distr.Distribution
+	wdistHdr enc.RecordHeader
+	wdistRaw []byte
+	wOrder   []int
+
 	// Cost-model planner state (nil planner = the static heuristic).
 	// planDepth is the effective read-ahead depth — the planner's choice
 	// under full auto, Options.ReadAhead when set explicitly;
@@ -57,13 +67,13 @@ type IStream struct {
 	planStart float64
 }
 
-// recordMeta is the decoded front matter of one record: header, raw
-// distribution descriptor, and the prefix-summed element payload offsets
-// within the data section (len NElems+1).
+// recordMeta is the decoded front matter of one record: header, the
+// writer's distribution it describes, and the prefix-summed element payload
+// offsets within the data section (len NElems+1).
 type recordMeta struct {
-	h    enc.RecordHeader
-	desc []byte
-	offs []int64
+	h     enc.RecordHeader
+	wdist *distr.Distribution
+	offs  []int64
 }
 
 // prefetched is one read-ahead record: decoded metadata plus this rank's
@@ -274,11 +284,7 @@ func (s *IStream) read(sorted bool) error {
 		}
 	}
 
-	wdist, err := distFromHeader(m.h, m.desc)
-	if err != nil {
-		return s.fail(err)
-	}
-
+	wdist := m.wdist
 	offs := m.offs
 	dataStart := s.cursor + enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes()
 
@@ -294,6 +300,7 @@ func (s *IStream) read(sorted bool) error {
 	// was planned when its fetch was issued; a synchronous one is planned
 	// here.
 	var chunk []byte
+	var err error
 	switch {
 	case hit:
 		if e.chunk != nil {
@@ -344,8 +351,7 @@ func (s *IStream) read(sorted bool) error {
 		// matched case; in arbitrary-but-counted order otherwise).
 		bufs = payloads
 	} else {
-		order := fileOrder(wdist)
-		bufs, err = s.redistribute(order[lo:hi], payloads)
+		bufs, err = s.redistribute(s.orderOf(wdist)[lo:hi], payloads)
 		if err != nil {
 			return s.fail(fmt.Errorf("%w: redistribute: %w", ErrIO, err))
 		}
@@ -425,7 +431,8 @@ func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
 	if err != nil {
 		return m, err
 	}
-	if _, err := distFromHeader(h, desc); err != nil {
+	wdist, err := s.writerDist(h, desc)
+	if err != nil {
 		return m, err
 	}
 
@@ -439,7 +446,35 @@ func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
 	if uint64(offs[n]) != h.DataBytes {
 		return m, fmt.Errorf("dstream: size table sums to %d but record claims %d data bytes", offs[n], h.DataBytes)
 	}
-	return recordMeta{h: h, desc: desc, offs: offs}, nil
+	return recordMeta{h: h, wdist: wdist, offs: offs}, nil
+}
+
+// writerDist returns the distribution a record's header and descriptor
+// describe: the previous record's when they describe the same one, a newly
+// built one otherwise.
+func (s *IStream) writerDist(h enc.RecordHeader, desc []byte) (*distr.Distribution, error) {
+	h.NArrays, h.DataBytes = 0, 0 // a distribution depends on neither
+	if s.wdist != nil && h == s.wdistHdr && bytes.Equal(desc, s.wdistRaw) {
+		return s.wdist, nil
+	}
+	d, err := distFromHeader(h, desc)
+	if err != nil {
+		return nil, err
+	}
+	s.wdist, s.wdistHdr, s.wdistRaw, s.wOrder = d, h, desc, nil
+	return d, nil
+}
+
+// orderOf returns fileOrder(wdist), kept for as long as wdist is the cached
+// distribution (a prefetched record may carry one the cache has moved past).
+func (s *IStream) orderOf(wdist *distr.Distribution) []int {
+	if wdist != s.wdist {
+		return fileOrder(wdist)
+	}
+	if s.wOrder == nil {
+		s.wOrder = fileOrder(wdist)
+	}
+	return s.wOrder
 }
 
 // rankStarts returns (caching across records — the reader's distribution

@@ -19,32 +19,18 @@ import (
 type OStream struct {
 	stream
 	opts Options
-	// group is the current interleave group: one entry per insert since
-	// the last write; each entry holds the encoded payload of every local
-	// element, in local order.
-	group [][][]byte
-	// groupBytes tracks the encoded payload bytes buffered in group — the
-	// buffer fill level the dstream_buffer_fill_bytes gauge reports.
-	groupBytes int64
-	wrote      int // records written
+	// grp is the current interleave group: the inserts since the last
+	// write, each encoded into one arena.
+	grp   insertGroup
+	wrote int // records written
 	// pending is the completion time of the latest asynchronous write; the
 	// clock must reach it before the stream's data is durable.
 	pending float64
 
-	// Steady-state scratch: the element encoder reused across inserts, the
-	// per-insert payload-slice arrays recycled between flushes (their pooled
-	// payloads are released at each Write), and the local size table reused
-	// across flushes.
-	encScratch  Encoder
-	arrFree     [][][]byte
-	sizeScratch []uint32
-
-	// Causal-graph state, all zero when the run is not tracing: the span
-	// IDs of the inserts encoded into the record being flushed (each gets
-	// an encode→write edge), the record flush span (reserved before the
-	// strategy runs so the shuffle can link to it), and the async disk
-	// spans the next Drain will wait on.
-	insertSpans  []trace.SpanID
+	// Causal-graph state, all zero when the run is not tracing: the record
+	// flush span (reserved before the strategy runs so the encode edges and
+	// the shuffle can link to it), and the async disk spans the next Drain
+	// will wait on.
 	writeSpan    trace.SpanID
 	pendingSpans []trace.SpanID
 
@@ -81,6 +67,7 @@ func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Opt
 		stream: stream{node: node, dist: d, f: f, name: name, met: newStreamMetrics(node.Monitor()), tag: streamTag(name)},
 		opts:   opts,
 	}
+	s.grp = newInsertGroup(&s.stream, "ostream.Insert ")
 	if opts.plannerEnabled() {
 		s.planner = s.newStreamPlanner()
 		s.planMet = newPlanMetrics(s.met, node.Rank())
@@ -129,7 +116,7 @@ func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Opt
 func (s *OStream) LocalLen() int { return s.dist.LocalCount(s.node.Rank()) }
 
 // Pending returns the number of inserts in the current interleave group.
-func (s *OStream) Pending() int { return len(s.group) }
+func (s *OStream) Pending() int { return len(s.grp.inserts) }
 
 // Records returns the number of records written so far.
 func (s *OStream) Records() int { return s.wrote }
@@ -153,35 +140,7 @@ func (s *OStream) InsertFunc(fill func(local int, e *Encoder)) error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
-	start := s.node.Clock().Now()
-	n := s.LocalLen()
-	var arr [][]byte
-	if f := len(s.arrFree); f > 0 && cap(s.arrFree[f-1]) >= n {
-		arr = s.arrFree[f-1][:n]
-		s.arrFree = s.arrFree[:f-1]
-	} else {
-		arr = make([][]byte, n)
-	}
-	e := &s.encScratch
-	var arrBytes int64
-	for l := 0; l < n; l++ {
-		e.Reset()
-		fill(l, e)
-		p := bufpool.Get(e.Len())
-		copy(p, e.Bytes())
-		arr[l] = p
-		arrBytes += int64(len(p))
-	}
-	s.group = append(s.group, arr)
-	s.groupBytes += arrBytes
-	s.met.inserts.Inc()
-	s.met.fill.Add(float64(arrBytes))
-	s.node.Compute(float64(n) * s.node.Profile().PerElemCost)
-	if rec := s.met.mon.Recorder(); rec != nil {
-		id := rec.AddSpan(s.node.Rank(), "dstream", "ostream.Insert "+s.name, start, s.node.Clock().Now())
-		s.insertSpans = append(s.insertSpans, id)
-	}
-	return nil
+	return s.grp.insert(s.LocalLen(), fill)
 }
 
 // Write flushes the current interleave group as one record (§4.1): the
@@ -194,11 +153,11 @@ func (s *OStream) Write() error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
-	if len(s.group) == 0 {
+	if len(s.grp.inserts) == 0 {
 		return s.fail(fmt.Errorf("%w: write with no pending inserts", ErrOrder))
 	}
 	start := s.node.Clock().Now()
-	nArrays := len(s.group)
+	nArrays := len(s.grp.inserts)
 	nLocal := s.LocalLen()
 	rec := s.met.mon.Recorder()
 	if rec != nil {
@@ -206,48 +165,18 @@ func (s *OStream) Write() error {
 		// two-phase shuffle's stripe-write edges reference it before the
 		// span's end time is known.
 		s.writeSpan = rec.NewSpanID()
-		for _, id := range s.insertSpans {
-			rec.AddFlow(id, s.writeSpan, "encode")
-		}
-		s.insertSpans = s.insertSpans[:0]
+		s.grp.linkSpans(rec, s.writeSpan)
 	}
 
-	// Per-element sizes (local order) with the group's arrays interleaved.
-	if cap(s.sizeScratch) < nLocal {
-		s.sizeScratch = make([]uint32, nLocal)
+	// Per-element sizes (local order) with the group's arrays interleaved,
+	// then the per-node data buffer: a group of one insert hands over its
+	// arena, a longer one is packed element-major.
+	localSizes, localBytes, err := s.grp.sizeTable()
+	if err != nil {
+		return err
 	}
-	localSizes := s.sizeScratch[:nLocal]
-	for l := range localSizes {
-		localSizes[l] = 0
-	}
-	var localBytes int
-	for _, arr := range s.group {
-		for l, p := range arr {
-			localSizes[l] += uint32(len(p))
-			localBytes += len(p)
-		}
-	}
-	// Pack the per-node data buffer: element-major, interleaving the
-	// group's arrays (Figure 4's pointer-list traversal). The pooled element
-	// payloads are released as soon as their bytes are packed; the emptied
-	// per-insert arrays are recycled for the next group.
-	data := bufpool.GetCap(localBytes)
-	for l := 0; l < nLocal; l++ {
-		for _, arr := range s.group {
-			data = append(data, arr[l]...)
-		}
-	}
-	for _, arr := range s.group {
-		for l, p := range arr {
-			bufpool.Put(p)
-			arr[l] = nil
-		}
-		s.arrFree = append(s.arrFree, arr)
-	}
+	data := s.grp.pack()
 	s.node.CopyCost(int64(localBytes) + int64(4*nLocal))
-	s.group = s.group[:0]
-	s.met.fill.Add(-float64(s.groupBytes))
-	s.groupBytes = 0
 
 	var werr error
 	strat := s.opts.strategy(s.dist.N)
@@ -458,11 +387,12 @@ func (s *OStream) Close() error {
 	s.Drain()
 	err := s.f.Close()
 	s.f = nil
-	if len(s.group) > 0 {
+	if n := len(s.grp.inserts); n > 0 {
 		// Data inserted but never written is lost; surface it.
 		if err == nil {
-			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, len(s.group))
+			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, n)
 		}
+		s.grp.release()
 	}
 	return err
 }

@@ -12,29 +12,131 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+
+	"pcxxstreams/internal/bufpool"
 )
 
-// Buffer is an append-only typed encoder. The zero value is ready to use.
+// Buffer is an append-only typed encoder. The zero value is ready to use
+// and grows like any appended slice.
+//
+// A Buffer can also encode a run of elements back to back into one pooled
+// arena: Adopt points it at a bufpool buffer, Mark closes each element and
+// reports where the next one starts, and Detach hands the arena back. While
+// an arena is adopted, Bytes, Len and Reset see only the element being
+// encoded, and an append that outgrows the arena moves it up one pool class
+// (copying what is there, releasing the old buffer) instead of leaving the
+// pool for the allocator.
 type Buffer struct {
 	b []byte
+	// base is where the current element starts; zero outside Adopt…Detach.
+	base int
+	// lim is the length past which a fixed-size appender must ask for room
+	// before it appends: cap(b)-fixedMax for an adopted arena, so that what
+	// it appends always fits; out of reach once a Buffer without one has
+	// asked (its appends grow it themselves). One comparison against a field
+	// is what keeps those appenders within the compiler's inlining budget.
+	lim int
+	// pooled marks b as a bufpool buffer this Buffer owns.
+	pooled bool
 }
 
-// Bytes returns the encoded bytes (aliasing the internal buffer).
-func (e *Buffer) Bytes() []byte { return e.b }
+// fixedMax is the most bytes a fixed-size appender appends.
+const fixedMax = 8
 
-// Len returns the number of encoded bytes.
-func (e *Buffer) Len() int { return len(e.b) }
+// Adopt makes p, a buffer obtained from bufpool, the backing store; anything
+// already in p stays in front of the first element. The Buffer owns p until
+// Detach.
+func (e *Buffer) Adopt(p []byte) {
+	*e = Buffer{b: p, base: len(p), lim: cap(p) - fixedMax, pooled: true}
+}
 
-// Reset clears the buffer, retaining capacity.
-func (e *Buffer) Reset() { e.b = e.b[:0] }
+// Mark closes the current element and returns the offset, from the start of
+// the backing store, at which the next one begins.
+func (e *Buffer) Mark() int {
+	e.base = len(e.b)
+	return e.base
+}
+
+// Detach returns the backing store with every element encoded since Adopt,
+// transferring its ownership to the caller, and resets e to the zero value.
+func (e *Buffer) Detach() []byte {
+	p := e.b
+	*e = Buffer{}
+	return p
+}
+
+// Reserve makes room for n more bytes in an adopted arena, so that a caller
+// who can estimate what is coming pays for one move instead of one per
+// class. It does nothing on a Buffer that has adopted none. (Not inlined:
+// Raw stays inlinable by calling it.)
+//
+//go:noinline
+func (e *Buffer) Reserve(n int) {
+	if e.pooled && cap(e.b)-len(e.b) < n {
+		e.grow(n)
+	}
+}
+
+// room is where a fixed-size appender lands when len(b) > lim.
+//
+//go:noinline
+func (e *Buffer) room() {
+	if e.pooled {
+		e.grow(fixedMax)
+	} else {
+		e.lim = math.MaxInt
+	}
+}
+
+// makeRoom gives b capacity for n more bytes, for the encoders that fill
+// their bytes in place instead of appending them.
+func (e *Buffer) makeRoom(n int) {
+	if e.pooled {
+		e.grow(n)
+	} else {
+		e.b = slices.Grow(e.b, n)
+	}
+}
+
+// grow moves an adopted arena to a pool class with room for n more bytes:
+// at least the next class up, so a run of appends costs amortized one copy
+// per byte. Past bufpool.MaxClass the pool falls through to the allocator
+// and this is ordinary doubling.
+func (e *Buffer) grow(n int) {
+	need := len(e.b) + n
+	if next := 2 * cap(e.b); need < next {
+		need = next
+	}
+	nb := append(bufpool.GetCap(need), e.b...)
+	bufpool.Put(e.b)
+	e.b, e.lim = nb, cap(nb)-fixedMax
+}
+
+// Bytes returns the bytes of the current element — everything encoded, when
+// no arena is adopted. The slice aliases the internal buffer and is valid
+// only until the next append.
+func (e *Buffer) Bytes() []byte { return e.b[e.base:] }
+
+// Len returns the number of bytes Bytes would return.
+func (e *Buffer) Len() int { return len(e.b) - e.base }
+
+// Reset discards the current element, retaining capacity.
+func (e *Buffer) Reset() { e.b = e.b[:e.base] }
 
 // Uint32 appends v.
 func (e *Buffer) Uint32(v uint32) {
+	if len(e.b) > e.lim {
+		e.room()
+	}
 	e.b = binary.LittleEndian.AppendUint32(e.b, v)
 }
 
 // Uint64 appends v.
 func (e *Buffer) Uint64(v uint64) {
+	if len(e.b) > e.lim {
+		e.room()
+	}
 	e.b = binary.LittleEndian.AppendUint64(e.b, v)
 }
 
@@ -46,21 +148,40 @@ func (e *Buffer) Int64(v int64) { e.Uint64(uint64(v)) }
 
 // Bool appends v as one byte.
 func (e *Buffer) Bool(v bool) {
+	var x byte
 	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
+		x = 1
 	}
+	if len(e.b) > e.lim {
+		e.room()
+	}
+	e.b = append(e.b, x)
 }
 
-// Float64 appends v.
-func (e *Buffer) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
+// Float64 appends v. (Spelled out, like Float32, rather than calling Uint64:
+// two levels of inlining would put it over the budget.)
+func (e *Buffer) Float64(v float64) {
+	if len(e.b) > e.lim {
+		e.room()
+	}
+	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
+}
 
 // Float32 appends v.
-func (e *Buffer) Float32(v float32) { e.Uint32(math.Float32bits(v)) }
+func (e *Buffer) Float32(v float32) {
+	if len(e.b) > e.lim {
+		e.room()
+	}
+	e.b = binary.LittleEndian.AppendUint32(e.b, math.Float32bits(v))
+}
 
 // Raw appends p verbatim.
-func (e *Buffer) Raw(p []byte) { e.b = append(e.b, p...) }
+func (e *Buffer) Raw(p []byte) {
+	if cap(e.b)-len(e.b) < len(p) {
+		e.Reserve(len(p))
+	}
+	e.b = append(e.b, p...)
+}
 
 // Bytes32 appends p with a u32 length prefix.
 func (e *Buffer) Bytes32(p []byte) {
@@ -70,23 +191,40 @@ func (e *Buffer) Bytes32(p []byte) {
 
 // String appends s with a u32 length prefix.
 func (e *Buffer) String(s string) {
+	e.Reserve(4 + len(s))
 	e.Uint32(uint32(len(s)))
 	e.b = append(e.b, s...)
 }
 
 // Float64Slice appends a u32 length prefix followed by the values.
 func (e *Buffer) Float64Slice(v []float64) {
-	e.Uint32(uint32(len(v)))
-	for _, x := range v {
-		e.Float64(x)
+	n := 4 + 8*len(v)
+	if cap(e.b)-len(e.b) < n {
+		e.makeRoom(n)
+	}
+	at := len(e.b)
+	e.b = e.b[:at+n]
+	p := e.b[at:]
+	binary.LittleEndian.PutUint32(p, uint32(len(v)))
+	p = p[4:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(x))
 	}
 }
 
 // Int64Slice appends a u32 length prefix followed by the values.
 func (e *Buffer) Int64Slice(v []int64) {
-	e.Uint32(uint32(len(v)))
-	for _, x := range v {
-		e.Int64(x)
+	n := 4 + 8*len(v)
+	if cap(e.b)-len(e.b) < n {
+		e.makeRoom(n)
+	}
+	at := len(e.b)
+	e.b = e.b[:at+n]
+	p := e.b[at:]
+	binary.LittleEndian.PutUint32(p, uint32(len(v)))
+	p = p[4:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], uint64(x))
 	}
 }
 

@@ -95,6 +95,22 @@ type Node struct {
 	fs    *pfs.FileSystem
 	prof  vtime.Profile
 	mon   *dsmon.Monitor
+	gens  map[string]uint64
+}
+
+// Generation counts this node's uses of key: 0 on the first call, 1 on the
+// second, and so on. A layer that derives wire tags from a name takes a
+// generation per use of the name, so that a later use never matches what an
+// earlier one left in flight. Nothing is communicated: ranks that make the
+// matching calls in the same order count the same generations. Like every
+// Node method, for the owning goroutine only.
+func (n *Node) Generation(key string) uint64 {
+	if n.gens == nil {
+		n.gens = make(map[string]uint64)
+	}
+	g := n.gens[key]
+	n.gens[key] = g + 1
+	return g
 }
 
 // Rank returns this node's rank in [0, Size()).
