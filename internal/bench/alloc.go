@@ -44,46 +44,44 @@ func AllocTable() ([]AllocCell, error) {
 		benchToCell("comm_ring_raw_sendrecv", benchRingRawSendRecv),
 		benchToCell("comm_ring_bulk_sendrecv", benchRingBulkSendRecv),
 	}
-	funnel, err := machineCycleAllocs(dstream.StrategyFunnel)
-	if err != nil {
-		return nil, fmt.Errorf("bench: funnel alloc cycle: %w", err)
+	machineCells := []struct {
+		name    string
+		measure func() (allocs, bytes float64, err error)
+	}{
+		{"dstream_funnel_write", func() (float64, float64, error) { return writeCycleAllocs(vtime.Paragon(), dstream.StrategyFunnel) }},
+		{"dstream_twophase_write", func() (float64, float64, error) {
+			return writeCycleAllocs(vtime.Paragon(), dstream.StrategyTwoPhase)
+		}},
+		// Full-auto: the cost-model planner picks the strategy per record.
+		// Its bookkeeping must ride the cycle allocation-free.
+		{"dstream_auto_write", func() (float64, float64, error) { return writeCycleAllocs(vtime.Paragon(), dstream.StrategyAuto) }},
+		{"dstream_parallel_read", func() (float64, float64, error) {
+			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic, allocElems)
+		}},
+		{"dstream_readahead_read", func() (float64, float64, error) {
+			return readCycleAllocs(dstream.StrategyParallel, 2, distr.Cyclic, allocElems)
+		}},
+		// Full-auto: the planner owns both the strategy and the prefetch
+		// depth, so this cell covers the planner-driven pipeline.
+		{"dstream_auto_read", func() (float64, float64, error) {
+			return readCycleAllocs(dstream.StrategyAuto, 0, distr.Cyclic, allocElems)
+		}},
+		// The cells above reopen with the writer's layout; this one reads the
+		// CYCLIC file into BLOCK, so every record is redistributed.
+		{"dstream_redist_read", func() (float64, float64, error) {
+			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Block, allocElems)
+		}},
+		{"dstream_chan_send", func() (float64, float64, error) { return channelCycleAllocs(false) }},
+		{"dstream_chan_recv", func() (float64, float64, error) { return channelCycleAllocs(true) }},
 	}
-	cells = append(cells, funnel)
-	twophase, err := machineCycleAllocs(dstream.StrategyTwoPhase)
-	if err != nil {
-		return nil, fmt.Errorf("bench: two-phase alloc cycle: %w", err)
+	for _, c := range machineCells {
+		allocs, bytes, err := c.measure()
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s alloc cycle: %w", c.name, err)
+		}
+		cells = append(cells, AllocCell{Name: c.name, AllocsPerOp: allocs, BytesPerOp: bytes})
 	}
-	cells = append(cells, twophase)
-	auto, err := machineCycleAllocs(dstream.StrategyAuto)
-	if err != nil {
-		return nil, fmt.Errorf("bench: planner alloc cycle: %w", err)
-	}
-	cells = append(cells, auto)
-	read, err := machineReadCycleAllocs(dstream.StrategyParallel, 0)
-	if err != nil {
-		return nil, fmt.Errorf("bench: parallel read alloc cycle: %w", err)
-	}
-	cells = append(cells, read)
-	ahead, err := machineReadCycleAllocs(dstream.StrategyParallel, 2)
-	if err != nil {
-		return nil, fmt.Errorf("bench: read-ahead alloc cycle: %w", err)
-	}
-	cells = append(cells, ahead)
-	autoRead, err := machineReadCycleAllocs(dstream.StrategyAuto, 0)
-	if err != nil {
-		return nil, fmt.Errorf("bench: planner read alloc cycle: %w", err)
-	}
-	cells = append(cells, autoRead)
-	chanSend, err := channelCycleAllocs(false)
-	if err != nil {
-		return nil, fmt.Errorf("bench: channel send alloc cycle: %w", err)
-	}
-	cells = append(cells, chanSend)
-	chanRecv, err := channelCycleAllocs(true)
-	if err != nil {
-		return nil, fmt.Errorf("bench: channel recv alloc cycle: %w", err)
-	}
-	return append(cells, chanRecv), nil
+	return cells, nil
 }
 
 func benchToCell(name string, f func(b *testing.B)) AllocCell {
@@ -204,33 +202,68 @@ const (
 	allocElemSize = 64
 	allocWarmup   = 8
 	allocCycles   = 64
+	// allocChanWindows is how many windows the channel cells measure.
+	allocChanWindows = 3
 )
 
-// machineCycleAllocs runs a 4-node machine performing steady-state
-// insert+write cycles under the given strategy and returns the whole-machine
-// allocations per cycle. The Go heap counters are global, so the cycle cost
-// includes all four ranks' work — the number a training loop would feel.
-func machineCycleAllocs(strat dstream.Strategy) (AllocCell, error) {
-	name := "dstream_funnel_write"
-	switch strat {
-	case dstream.StrategyTwoPhase:
-		name = "dstream_twophase_write"
-	case dstream.StrategyAuto:
-		// Full-auto: the cost-model planner picks the strategy per record.
-		// Its bookkeeping must ride the cycle allocation-free.
-		name = "dstream_auto_write"
+// measureCycles is the measured part of every machine-level cell, run by all
+// ranks together: allocWarmup calls of cycle, then `windows` windows of
+// allocCycles calls each, with all ranks idle and the collector off while
+// rank 0 reads the heap counters around each window. Rank 0 stores in
+// *allocs and *bytes the lowest allocations and the lowest bytes per call
+// that any window saw. The Go heap counters are global, so a call's cost
+// includes every rank's work — the number a training loop would feel.
+func measureCycles(n *machine.Node, windows int, cycle func() error, allocs, bytes *float64) error {
+	for i := 0; i < allocWarmup; i++ {
+		if err := cycle(); err != nil {
+			return err
+		}
 	}
-	allocs, bytes, err := writeCycleAllocs(vtime.Paragon(), strat)
-	if err != nil {
-		return AllocCell{}, err
+	for w := 0; w < windows; w++ {
+		// Quiesce: all ranks idle while rank 0 snapshots the heap counters.
+		if err := n.Comm().Barrier(); err != nil {
+			return err
+		}
+		var before runtime.MemStats
+		var gcPct int
+		if n.Rank() == 0 {
+			gcPct = debug.SetGCPercent(-1) // no GC inside the window
+			runtime.ReadMemStats(&before)
+		}
+		if err := n.Comm().Barrier(); err != nil {
+			return err
+		}
+		for i := 0; i < allocCycles; i++ {
+			if err := cycle(); err != nil {
+				return err
+			}
+		}
+		if err := n.Comm().Barrier(); err != nil {
+			return err
+		}
+		if n.Rank() == 0 {
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gcPct)
+			a := float64(after.Mallocs-before.Mallocs) / allocCycles
+			b := float64(after.TotalAlloc-before.TotalAlloc) / allocCycles
+			if w == 0 || a < *allocs {
+				*allocs = a
+			}
+			if w == 0 || b < *bytes {
+				*bytes = b
+			}
+		}
 	}
-	return AllocCell{Name: name, AllocsPerOp: allocs, BytesPerOp: bytes}, nil
+	return nil
 }
 
-// writeCycleAllocs is the profile-parameterized core of machineCycleAllocs.
-// The planner reads its cost model from the platform profile, so a test can
-// hand this a profile shaped to force a particular strategy pick and compare
-// the full-auto cycle against the same cycle with that pick hard-coded.
+// writeCycleAllocs runs a 4-node machine performing steady-state
+// insert+write cycles under the given strategy and returns the whole-machine
+// allocations and bytes per cycle. The planner reads its cost model from the
+// platform profile, so a test can hand this a profile shaped to force a
+// particular strategy pick and compare the full-auto cycle against the same
+// cycle with that pick hard-coded.
 func writeCycleAllocs(prof vtime.Profile, strat dstream.Strategy) (float64, float64, error) {
 	var allocs, bytes float64
 	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(allocNProcs, 1<<14))
@@ -255,60 +288,21 @@ func writeCycleAllocs(prof vtime.Profile, strat dstream.Strategy) (float64, floa
 			}
 			return s.Write()
 		}
-		for i := 0; i < allocWarmup; i++ {
-			if err := cycle(); err != nil {
-				return err
-			}
-		}
-		// Quiesce: all ranks idle while rank 0 snapshots the heap counters.
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		var before runtime.MemStats
-		var gcPct int
-		if n.Rank() == 0 {
-			gcPct = debug.SetGCPercent(-1) // no GC inside the window
-			runtime.ReadMemStats(&before)
-		}
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		for i := 0; i < allocCycles; i++ {
-			if err := cycle(); err != nil {
-				return err
-			}
-		}
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		if n.Rank() == 0 {
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			debug.SetGCPercent(gcPct)
-			allocs = float64(after.Mallocs-before.Mallocs) / allocCycles
-			bytes = float64(after.TotalAlloc-before.TotalAlloc) / allocCycles
-		}
-		return nil
+		return measureCycles(n, 1, cycle, &allocs, &bytes)
 	})
 	return allocs, bytes, err
 }
 
-// machineReadCycleAllocs is the input-side mirror of machineCycleAllocs: the
-// machine first writes allocWarmup+allocCycles records, then re-opens the
-// file for input and measures the steady-state read+extract cycle — with the
-// prefetch pipeline off (depth 0) or on. Read-ahead recycles its buffers
-// through the stream's free list, so its cycle must not out-allocate the
-// synchronous path.
-func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error) {
-	name := "dstream_parallel_read"
-	if depth > 0 {
-		name = "dstream_readahead_read"
-	}
-	if strat == dstream.StrategyAuto {
-		// Full-auto: the planner owns both the strategy and the prefetch
-		// depth, so this cell covers the planner-driven pipeline.
-		name = "dstream_auto_read"
-	}
+// readCycleAllocs is the input-side mirror of writeCycleAllocs: the machine
+// first writes allocWarmup+allocCycles CYCLIC records of elems elements
+// (allocElems in every table cell), then re-opens the file
+// for input — in the layout rmode, so anything but CYCLIC makes every Read a
+// redistributing one — and measures the steady-state read+extract cycle,
+// with the prefetch pipeline off (depth 0) or on. Read-ahead recycles its
+// buffers through the stream's free list, so its cycle must not out-allocate
+// the synchronous path; a redistributing read holds and returns pooled
+// frames, so neither must it.
+func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, elems int) (float64, float64, error) {
 	const records = allocWarmup + allocCycles
 	var allocs, bytes float64
 	fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(allocNProcs, 1<<14))
@@ -317,7 +311,7 @@ func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error
 		Profile: vtime.Paragon(),
 		FS:      fs,
 	}, func(n *machine.Node) error {
-		d, err := distr.New(allocElems, allocNProcs, distr.Cyclic, 0)
+		d, err := distr.New(elems, allocNProcs, distr.Cyclic, 0)
 		if err != nil {
 			return err
 		}
@@ -342,7 +336,11 @@ func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error
 		if depth > 0 {
 			opts = append(opts, dstream.WithReadAhead(depth))
 		}
-		in, err := dstream.OpenInput(n, d, "alloc-bench-read", opts...)
+		rd, err := distr.New(elems, allocNProcs, rmode, 0)
+		if err != nil {
+			return err
+		}
+		in, err := dstream.OpenInput(n, rd, "alloc-bench-read", opts...)
 		if err != nil {
 			return err
 		}
@@ -353,45 +351,9 @@ func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error
 			}
 			return in.ExtractFunc(func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) })
 		}
-		for i := 0; i < allocWarmup; i++ {
-			if err := cycle(); err != nil {
-				return err
-			}
-		}
-		// Quiesce: all ranks idle while rank 0 snapshots the heap counters.
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		var before runtime.MemStats
-		var gcPct int
-		if n.Rank() == 0 {
-			gcPct = debug.SetGCPercent(-1) // no GC inside the window
-			runtime.ReadMemStats(&before)
-		}
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		for i := 0; i < allocCycles; i++ {
-			if err := cycle(); err != nil {
-				return err
-			}
-		}
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		if n.Rank() == 0 {
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			debug.SetGCPercent(gcPct)
-			allocs = float64(after.Mallocs-before.Mallocs) / allocCycles
-			bytes = float64(after.TotalAlloc-before.TotalAlloc) / allocCycles
-		}
-		return nil
+		return measureCycles(n, 1, cycle, &allocs, &bytes)
 	})
-	if err != nil {
-		return AllocCell{}, err
-	}
-	return AllocCell{Name: name, AllocsPerOp: allocs, BytesPerOp: bytes}, nil
+	return allocs, bytes, err
 }
 
 // channelCycleAllocs measures the stream-to-stream channel's steady state:
@@ -401,12 +363,11 @@ func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error
 // hand-off like the other machine-level cells. The send cell stops the
 // consumers at Read (frame arrival, validation, and retirement — the
 // producer-facing steady state); the recv cell adds the full per-element
-// extraction, so the pair brackets both ends of the pipeline.
-func channelCycleAllocs(extract bool) (AllocCell, error) {
-	name := "dstream_chan_send"
-	if extract {
-		name = "dstream_chan_recv"
-	}
+// extraction, so the pair brackets both ends of the pipeline. Both cells are
+// the lowest of allocChanWindows windows: the producers' unread credit lists
+// regrow at moments of their own choosing, and one window in a few carries a
+// regrowth the others do not.
+func channelCycleAllocs(extract bool) (float64, float64, error) {
 	const producers, consumers = 2, 2
 	var allocs, bytes float64
 	prof := vtime.Paragon()
@@ -453,45 +414,9 @@ func channelCycleAllocs(extract bool) (AllocCell, error) {
 				return r.ExtractFunc(func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) })
 			}
 		}
-		for i := 0; i < allocWarmup; i++ {
-			if err := cycle(); err != nil {
-				return err
-			}
-		}
-		// Quiesce: all ranks idle while rank 0 snapshots the heap counters.
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		var before runtime.MemStats
-		var gcPct int
-		if n.Rank() == 0 {
-			gcPct = debug.SetGCPercent(-1) // no GC inside the window
-			runtime.ReadMemStats(&before)
-		}
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		for i := 0; i < allocCycles; i++ {
-			if err := cycle(); err != nil {
-				return err
-			}
-		}
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		if n.Rank() == 0 {
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			debug.SetGCPercent(gcPct)
-			allocs = float64(after.Mallocs-before.Mallocs) / allocCycles
-			bytes = float64(after.TotalAlloc-before.TotalAlloc) / allocCycles
-		}
-		return nil
+		return measureCycles(n, allocChanWindows, cycle, &allocs, &bytes)
 	})
-	if err != nil {
-		return AllocCell{}, err
-	}
-	return AllocCell{Name: name, AllocsPerOp: allocs, BytesPerOp: bytes}, nil
+	return allocs, bytes, err
 }
 
 // WriteAllocTable prints the table human-readably.

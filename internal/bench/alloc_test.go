@@ -5,6 +5,7 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/comm"
+	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/enc"
@@ -27,7 +28,10 @@ const (
 	tracedSendRecvBudget  = 4  // same path with spans+flow edges recorded
 	funnelCycleBudget     = 27 // whole-machine allocs per insert+write cycle, 4 ranks
 	twoPhaseCycleBudget   = 95 // same, with the aggregation shuffle
-	readCycleBudget       = 54 // whole-machine allocs per read+extract cycle, 4 ranks
+	readCycleBudget       = 50 // whole-machine allocs per read+extract cycle, 4 ranks
+	// redistExchangeBudget is what a sorted read into another layout may add
+	// to that cycle, whatever the element count: one alltoallv, 4 ranks.
+	redistExchangeBudget  = 24
 	funnelCycleByteBudget = 15 << 10
 )
 
@@ -180,16 +184,16 @@ func TestFunnelWriteCycleAllocPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
-	cell, err := machineCycleAllocs(dstream.StrategyFunnel)
+	allocs, bytes, err := writeCycleAllocs(vtime.Paragon(), dstream.StrategyFunnel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("funnel cycle: %.1f allocs, %.1f B", cell.AllocsPerOp, cell.BytesPerOp)
-	if cell.AllocsPerOp > funnelCycleBudget {
-		t.Errorf("funnel insert+write cycle: %.1f allocs, budget %d", cell.AllocsPerOp, funnelCycleBudget)
+	t.Logf("funnel cycle: %.1f allocs, %.1f B", allocs, bytes)
+	if allocs > funnelCycleBudget {
+		t.Errorf("funnel insert+write cycle: %.1f allocs, budget %d", allocs, funnelCycleBudget)
 	}
-	if cell.BytesPerOp > funnelCycleByteBudget {
-		t.Errorf("funnel insert+write cycle: %.1f B, budget %d", cell.BytesPerOp, funnelCycleByteBudget)
+	if bytes > funnelCycleByteBudget {
+		t.Errorf("funnel insert+write cycle: %.1f B, budget %d", bytes, funnelCycleByteBudget)
 	}
 }
 
@@ -200,13 +204,13 @@ func TestTwoPhaseWriteCycleAllocPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
-	cell, err := machineCycleAllocs(dstream.StrategyTwoPhase)
+	allocs, bytes, err := writeCycleAllocs(vtime.Paragon(), dstream.StrategyTwoPhase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("two-phase cycle: %.1f allocs, %.1f B", cell.AllocsPerOp, cell.BytesPerOp)
-	if cell.AllocsPerOp > twoPhaseCycleBudget {
-		t.Errorf("two-phase insert+write cycle: %.1f allocs, budget %d", cell.AllocsPerOp, twoPhaseCycleBudget)
+	t.Logf("two-phase cycle: %.1f allocs, %.1f B", allocs, bytes)
+	if allocs > twoPhaseCycleBudget {
+		t.Errorf("two-phase insert+write cycle: %.1f allocs, budget %d", allocs, twoPhaseCycleBudget)
 	}
 }
 
@@ -223,13 +227,43 @@ func TestReadCycleAllocPin(t *testing.T) {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
 	for _, depth := range []int{0, 2} {
-		cell, err := machineReadCycleAllocs(dstream.StrategyParallel, depth)
+		allocs, bytes, err := readCycleAllocs(dstream.StrategyParallel, depth, distr.Cyclic, allocElems)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %.1f allocs, %.1f B", cell.Name, cell.AllocsPerOp, cell.BytesPerOp)
-		if cell.AllocsPerOp > readCycleBudget {
-			t.Errorf("%s cycle: %.1f allocs, budget %d", cell.Name, cell.AllocsPerOp, readCycleBudget)
+		t.Logf("read cycle, depth %d: %.1f allocs, %.1f B", depth, allocs, bytes)
+		if allocs > readCycleBudget {
+			t.Errorf("read cycle, depth %d: %.1f allocs, budget %d", depth, allocs, readCycleBudget)
+		}
+	}
+}
+
+// TestRedistReadCycleAllocPin pins the sorted read into another layout. It
+// sends from its share, decodes inside the received frames and returns them
+// to the pool, so what it adds to the same-layout cycle is one exchange per
+// record — the alltoallv's result slice and the channels its receives and
+// closing barrier park on, about five allocations a rank — and nothing per
+// element: with four times the elements the exchange must cost the same.
+func TestRedistReadCycleAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins stand down under -race")
+	}
+	if testing.Short() {
+		t.Skip("machine-level pin skipped in -short mode")
+	}
+	measure := func(rmode distr.Mode, elems int) float64 {
+		allocs, bytes, err := readCycleAllocs(dstream.StrategyParallel, 0, rmode, elems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("CYCLIC→%v, %d elements: %.1f allocs, %.1f B", rmode, elems, allocs, bytes)
+		return allocs
+	}
+	for _, elems := range []int{allocElems, 4 * allocElems} {
+		same, redist := measure(distr.Cyclic, elems), measure(distr.Block, elems)
+		if redist > same+redistExchangeBudget {
+			t.Errorf("%d elements: redistributing read %.1f allocs per record, same-layout read %.1f, budget for the exchange %d",
+				elems, redist, same, redistExchangeBudget)
 		}
 	}
 }
@@ -246,17 +280,17 @@ func TestChannelCycleAllocPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
-	for _, extract := range []bool{false, true} {
-		cell, err := channelCycleAllocs(extract)
+	for name, extract := range map[string]bool{"dstream_chan_send": false, "dstream_chan_recv": true} {
+		allocs, bytes, err := channelCycleAllocs(extract)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %.1f allocs, %.1f B", cell.Name, cell.AllocsPerOp, cell.BytesPerOp)
-		if cell.AllocsPerOp > funnelCycleBudget {
-			t.Errorf("%s cycle: %.1f allocs, budget %d (funnel-or-better)", cell.Name, cell.AllocsPerOp, funnelCycleBudget)
+		t.Logf("%s: %.1f allocs, %.1f B", name, allocs, bytes)
+		if allocs > funnelCycleBudget {
+			t.Errorf("%s cycle: %.1f allocs, budget %d (funnel-or-better)", name, allocs, funnelCycleBudget)
 		}
-		if cell.BytesPerOp > funnelCycleByteBudget {
-			t.Errorf("%s cycle: %.1f B, budget %d", cell.Name, cell.BytesPerOp, funnelCycleByteBudget)
+		if bytes > funnelCycleByteBudget {
+			t.Errorf("%s cycle: %.1f B, budget %d", name, bytes, funnelCycleByteBudget)
 		}
 	}
 }

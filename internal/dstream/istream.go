@@ -17,6 +17,12 @@ import (
 // IStream is an input d/stream. Records are consumed in the order they were
 // written; each Read (or UnsortedRead) loads one record into the per-node
 // buffers, after which Extract calls drain it array by array.
+//
+// Element decoders alias pooled buffers the stream recycles: the refill
+// buffer holding this node's share of the record and, after a sorted Read
+// across layouts, the frames the other nodes sent. Bytes obtained with
+// Decoder.Raw are therefore valid only until the next Read, UnsortedRead,
+// Skip or Close, wherever the element came from; copy them out to keep them.
 type IStream struct {
 	stream
 	opts   Options
@@ -48,11 +54,20 @@ type IStream struct {
 	// The writer's distribution as the latest record's header described it,
 	// with the header fields and descriptor bytes it was built from: records
 	// of one file nearly always repeat them, and building a distribution
-	// walks all N elements. wOrder is its fileOrder, built on first need.
+	// walks all N elements. wOrder is its fileOrder and wPlan the plan for
+	// redistributing it into dist, each built on first need.
 	wdist    *distr.Distribution
 	wdistHdr enc.RecordHeader
 	wdistRaw []byte
 	wOrder   []int
+	wPlan    *redistPlan
+
+	// Sorted-read redistribution state: frames holds what the other ranks
+	// sent for the current record (element decoders alias them, with
+	// refill's lifetime); sendBufs and packed are per-record scratch.
+	frames   [][]byte
+	sendBufs [][]byte
+	packed   [][]byte
 
 	// Cost-model planner state (nil planner = the static heuristic).
 	// planDepth is the effective read-ahead depth — the planner's choice
@@ -257,6 +272,7 @@ func (s *IStream) read(sorted bool) error {
 		return s.fail(fmt.Errorf("%w: read past last record", ErrOrder))
 	}
 	start := s.node.Clock().Now()
+	s.releaseFrames()
 
 	// Steps 1–2: record front matter — served from the prefetch queue when
 	// the pipeline has it, read synchronously (node 0 reads, broadcasts)
@@ -338,36 +354,23 @@ func (s *IStream) read(sorted bool) error {
 		s.planner.ObserveConsumed(int64(m.h.DataBytes))
 	}
 
-	// Slice the chunk into per-position payloads.
-	payloads := make([][]byte, hi-lo)
-	for p := lo; p < hi; p++ {
-		payloads[p-lo] = chunk[offs[p]-offs[lo] : offs[p+1]-offs[lo]]
+	// Point one decoder per local element at its payload.
+	if len(s.elemBufs) != hi-lo {
+		ds := make([]Decoder, hi-lo)
+		s.elemBufs = make([]*Decoder, hi-lo)
+		for i := range ds {
+			s.elemBufs[i] = &ds[i]
+		}
 	}
-
-	var bufs [][]byte
 	if !sorted || s.dist.SameLayout(wdist) {
 		// unsortedRead, or the layouts agree: the contiguous chunk already
 		// holds exactly this node's elements (in writer order for the
 		// matched case; in arbitrary-but-counted order otherwise).
-		bufs = payloads
-	} else {
-		bufs, err = s.redistribute(s.orderOf(wdist)[lo:hi], payloads)
-		if err != nil {
-			return s.fail(fmt.Errorf("%w: redistribute: %w", ErrIO, err))
+		for p := lo; p < hi; p++ {
+			s.elemBufs[p-lo].Reset(chunk[offs[p]-offs[lo] : offs[p+1]-offs[lo]])
 		}
-	}
-
-	if len(s.elemBufs) == len(bufs) {
-		for i, b := range bufs {
-			s.elemBufs[i].Reset(b)
-		}
-	} else {
-		s.elemBufs = make([]*Decoder, len(bufs))
-		for i, b := range bufs {
-			d := new(Decoder)
-			d.Reset(b)
-			s.elemBufs[i] = d
-		}
+	} else if err := s.redistribute(s.planFor(wdist), chunk, offs, lo); err != nil {
+		return s.fail(fmt.Errorf("%w: redistribute: %w", ErrIO, err))
 	}
 	s.hdr = m.h
 	s.haveRec = true
@@ -461,7 +464,7 @@ func (s *IStream) writerDist(h enc.RecordHeader, desc []byte) (*distr.Distributi
 	if err != nil {
 		return nil, err
 	}
-	s.wdist, s.wdistHdr, s.wdistRaw, s.wOrder = d, h, desc, nil
+	s.wdist, s.wdistHdr, s.wdistRaw, s.wOrder, s.wPlan = d, h, desc, nil, nil
 	return d, nil
 }
 
@@ -671,68 +674,6 @@ func (s *IStream) bcastBytes(off int64, n int) ([]byte, error) {
 	return frame[1:], nil
 }
 
-// redistribute is phase two of the sorted read: each element read from disk
-// is routed to the node that owns it under the reader's distribution, and
-// placed at its local index. globals[i] is the global element index of
-// payloads[i].
-func (s *IStream) redistribute(globals []int, payloads [][]byte) ([][]byte, error) {
-	me := s.node.Rank()
-	nprocs := s.dist.NProcs
-	out := make([][]byte, s.dist.LocalCount(me))
-
-	// Pack one buffer per destination: (u32 global, u32 len, payload)*.
-	var sendBytes int64
-	outBufs := make([]enc.Buffer, nprocs)
-	for i, g := range globals {
-		owner := s.dist.Owner(g)
-		if owner == me {
-			out[s.dist.LocalIndex(g)] = payloads[i]
-			continue
-		}
-		outBufs[owner].Uint32(uint32(g))
-		outBufs[owner].Bytes32(payloads[i])
-		sendBytes += int64(8 + len(payloads[i]))
-	}
-	s.node.CopyCost(sendBytes)
-
-	bufs := make([][]byte, nprocs)
-	for r := range bufs {
-		bufs[r] = outBufs[r].Bytes()
-	}
-	recv, err := s.node.Comm().Alltoallv(bufs)
-	if err != nil {
-		return nil, fmt.Errorf("dstream: redistribute: %w", err)
-	}
-	var d enc.Reader
-	for r, b := range recv {
-		if r == me {
-			bufpool.Put(b) // own elements were placed directly
-			continue
-		}
-		d.Reset(b)
-		for d.Remaining() > 0 {
-			g := int(d.Uint32())
-			p := d.Bytes32()
-			if d.Err() != nil {
-				return nil, fmt.Errorf("dstream: redistribute decode from %d: %w", r, d.Err())
-			}
-			if s.dist.Owner(g) != me {
-				return nil, fmt.Errorf("dstream: element %d misrouted to rank %d", g, me)
-			}
-			out[s.dist.LocalIndex(g)] = p
-		}
-		// Bytes32 copies each payload out, so the frame can go back.
-		bufpool.Put(b)
-	}
-	for l, b := range out {
-		if b == nil {
-			return nil, fmt.Errorf("dstream: local slot %d (global %d) never arrived",
-				l, s.dist.GlobalIndex(me, l))
-		}
-	}
-	return out, nil
-}
-
 // Skip advances past the next record without loading its data. It enables
 // the paper's multiple-streams-per-file pattern ("Multiple d/streams may be
 // set up and connected to the same file if collections with differing
@@ -749,6 +690,7 @@ func (s *IStream) Skip() error {
 	if !s.More() {
 		return s.fail(fmt.Errorf("%w: skip past last record", ErrOrder))
 	}
+	s.releaseFrames()
 	if e, ok := s.takePrefetched(); ok {
 		// Already fetched: no I/O to do, but the prefetched data dies
 		// unread.
@@ -884,6 +826,7 @@ func (s *IStream) Close() error {
 	s.f = nil
 	bufpool.Put(s.refill)
 	s.refill = nil
+	s.releaseFrames()
 	s.elemBufs = nil
 	if err == nil && s.opts.Strict && s.haveRec && s.extracts < int(s.hdr.NArrays) {
 		err = fmt.Errorf("%w: close with %d of %d arrays unextracted (Strict)",

@@ -337,39 +337,43 @@ func (d *Reader) String() string {
 
 // Float64Slice decodes a u32-length-prefixed []float64.
 func (d *Reader) Float64Slice() []float64 {
-	n := int(d.Uint32())
-	if d.err != nil {
+	p := d.takeWords()
+	if p == nil {
 		return nil
 	}
-	out := make([]float64, 0, min(n, 1<<16))
-	for i := 0; i < n; i++ {
-		out = append(out, d.Float64())
-		if d.err != nil {
-			return nil
-		}
+	out := make([]float64, len(p)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
 
 // Int64Slice decodes a u32-length-prefixed []int64.
 func (d *Reader) Int64Slice() []int64 {
-	n := int(d.Uint32())
-	if d.err != nil {
+	p := d.takeWords()
+	if p == nil {
 		return nil
 	}
-	out := make([]int64, 0, min(n, 1<<16))
-	for i := 0; i < n; i++ {
-		out = append(out, d.Int64())
-		if d.err != nil {
-			return nil
-		}
+	out := make([]int64, len(p)/8)
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// takeWords reads a u32 count and takes that many 8-byte words in one step,
+// so a count the buffer cannot back is ErrShort before the caller allocates
+// anything. The byte length is compared in int64: 8 × a u32 would overflow a
+// 32-bit int. The result is nil on error and non-nil (possibly empty)
+// otherwise.
+func (d *Reader) takeWords() []byte {
+	n := d.Uint32()
+	if d.err != nil {
+		return nil
 	}
-	return b
+	if 8*int64(n) > int64(len(d.b)-d.off) {
+		d.err = fmt.Errorf("%w: need %d 8-byte words at offset %d of %d", ErrShort, n, d.off, len(d.b))
+		return nil
+	}
+	return d.take(8 * int(n))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -73,8 +74,8 @@ func TestSliceRoundTrip(t *testing.T) {
 	if got := d.Int64Slice(); !reflect.DeepEqual(got, i) {
 		t.Fatalf("Int64Slice = %v", got)
 	}
-	if got := d.Float64Slice(); len(got) != 0 {
-		t.Fatalf("empty slice = %v", got)
+	if got := d.Float64Slice(); got == nil || len(got) != 0 {
+		t.Fatalf("empty slice = %#v, want non-nil and empty", got)
 	}
 	if d.Err() != nil {
 		t.Fatal(d.Err())
@@ -111,6 +112,28 @@ func TestReaderShortSlices(t *testing.T) {
 	d2 := NewReader(e2.Bytes())
 	if got := d2.Bytes32(); got != nil {
 		t.Fatal("oversized Bytes32 succeeded")
+	}
+	// The slice decoders check the claimed count against the buffer before
+	// they allocate: 8 × a u32 count does not fit a 32-bit int, and 1<<24
+	// floats would be 128 MiB.
+	for _, count := range []uint32{math.MaxUint32, 1 << 29, 1 << 24} {
+		var e Buffer
+		e.Uint32(count)
+		e.Uint64(7) // one word where count are claimed
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		df, di := NewReader(e.Bytes()), NewReader(e.Bytes())
+		f, i := df.Float64Slice(), di.Int64Slice()
+		runtime.ReadMemStats(&after)
+		if f != nil || i != nil {
+			t.Fatalf("count %d over 8 bytes decoded: %d floats, %d ints", count, len(f), len(i))
+		}
+		if !errors.Is(df.Err(), ErrShort) || !errors.Is(di.Err(), ErrShort) {
+			t.Fatalf("count %d: Err = %v / %v, want ErrShort", count, df.Err(), di.Err())
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("count %d: %d bytes allocated before the short buffer was noticed", count, got)
+		}
 	}
 }
 
