@@ -133,6 +133,12 @@ func TestCLIBench(t *testing.T) {
 	if !strings.Contains(out, "node  0 |") {
 		t.Fatalf("gantt output:\n%s", out)
 	}
+	// A misspelt variant is rejected with the valid names, not measured as
+	// the unbuffered baseline under the misspelt header.
+	bad, err := exec.Command(filepath.Join(buildTools(t), "dstream-bench"), "-gantt", "-variant", "stream").CombinedOutput()
+	if err == nil || !strings.Contains(string(bad), `unknown variant "stream" (want unbuffered|manual|streams)`) {
+		t.Fatalf("dstream-bench -variant stream: err %v, output:\n%s", err, bad)
+	}
 }
 
 // TestCLIStreamgenGenerate runs the generator over a scratch file and

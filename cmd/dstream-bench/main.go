@@ -108,10 +108,14 @@ func main() {
 		fatal(err)
 	}
 
+	v, ok := map[string]bench.Variant{
+		"unbuffered": bench.Unbuffered, "manual": bench.ManualBuf, "streams": bench.Streams,
+	}[*variant]
+	if !ok {
+		fatal(fmt.Errorf("unknown variant %q (want unbuffered|manual|streams)", *variant))
+	}
+
 	if *traceOut != "" || *gantt || *metrics || *metricsJS != "" || *serve != "" {
-		v := map[string]bench.Variant{
-			"unbuffered": bench.Unbuffered, "manual": bench.ManualBuf, "streams": bench.Streams,
-		}[*variant]
 		// A tracing monitor gives one timeline (io + comm + collective +
 		// dstream spans) and the full metric registry from the same run.
 		mon := pcxx.NewTracingMonitor()

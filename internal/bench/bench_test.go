@@ -155,14 +155,14 @@ func TestAblationTransportVirtualTimesEqual(t *testing.T) {
 	}
 }
 
-// TestStreamOptsPlumbed: explicit metadata policies produce a working run.
+// TestStreamOptsPlumbed: explicit strategies produce a working run.
 func TestStreamOptsPlumbed(t *testing.T) {
-	for _, pol := range []dstream.MetaPolicy{dstream.MetaAuto, dstream.MetaFunnel, dstream.MetaParallel} {
+	for _, strat := range []dstream.Strategy{dstream.StrategyAuto, dstream.StrategyFunnel, dstream.StrategyParallel} {
 		if _, err := Seconds(Run{
 			Profile: vtime.Challenge(), NProcs: 2, Segments: 16,
-			Variant: Streams, StreamOpts: dstream.Options{Meta: pol}, Verify: true,
+			Variant: Streams, StreamOpts: dstream.Options{Strategy: strat}, Verify: true,
 		}); err != nil {
-			t.Fatalf("policy %d: %v", pol, err)
+			t.Fatalf("strategy %v: %v", strat, err)
 		}
 	}
 }

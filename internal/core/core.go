@@ -31,10 +31,6 @@ type (
 	Option = dstream.Option
 	// Strategy selects the collective data path of a stream.
 	Strategy = dstream.Strategy
-	// MetaPolicy selects the metadata write path.
-	//
-	// Deprecated: use Strategy instead.
-	MetaPolicy = dstream.MetaPolicy
 	// OChannel is the sending end of a stream-to-stream channel.
 	OChannel = dstream.OChannel
 	// IChannel is the receiving end of a stream-to-stream channel.
@@ -43,7 +39,8 @@ type (
 
 // Stream strategies.
 const (
-	// StrategyAuto picks funnel or parallel per record by collection size.
+	// StrategyAuto lets the cost-model planner pick funnel, parallel or
+	// two-phase (with its aggregator count and read-ahead depth) per record.
 	StrategyAuto = dstream.StrategyAuto
 	// StrategyFunnel routes metadata and data through node 0's block.
 	StrategyFunnel = dstream.StrategyFunnel

@@ -120,60 +120,99 @@ func failingFactory(okOps int) pfs.BackendFactory {
 }
 
 // TestArenaReleasedOnFailedWriteAndClose: whatever happens to a group — its
-// Write fails in the file system, or the stream is closed with inserts still
-// pending — its arenas go back to the pool.
+// Write fails in the file system, under any strategy, or the stream is closed
+// with inserts still pending — its arenas, and every pooled buffer the
+// strategy took on the way (size tables, gathered parts, the two-phase
+// extent, the head block), go back to the pool.
 func TestArenaReleasedOnFailedWriteAndClose(t *testing.T) {
-	for _, shape := range []int{1, 3} {
-		t.Run(fmt.Sprintf("inserts=%d", shape), func(t *testing.T) {
-			// The file header is operation one; the record's append fails.
-			fs := pfs.NewFileSystem(vtime.Challenge(), failingFactory(1))
-			run(t, 1, fs, func(n *machine.Node) error {
-				d, err := distr.New(16, 1, distr.Block, 0)
-				if err != nil {
-					return err
-				}
-				base := bufpool.Stats().Outstanding
-				s, err := Open(n, d, "fail")
-				if err != nil {
-					return err
-				}
-				insert := func() error {
-					return s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, 100)) })
-				}
-				for i := 0; i < shape; i++ {
-					if err := insert(); err != nil {
+	for _, strat := range []Strategy{StrategyAuto, StrategyFunnel, StrategyParallel, StrategyTwoPhase} {
+		for _, shape := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v/inserts=%d", strat, shape), func(t *testing.T) {
+				// The file header is operation one; the record's append fails.
+				fs := pfs.NewFileSystem(vtime.Challenge(), failingFactory(1))
+				run(t, 1, fs, func(n *machine.Node) error {
+					d, err := distr.New(16, 1, distr.Block, 0)
+					if err != nil {
 						return err
 					}
-				}
-				if got := bufpool.Stats().Outstanding; got != base+int64(shape) {
-					return fmt.Errorf("%d pooled buffers held for %d inserts", got-base, shape)
-				}
-				if err := s.Write(); !errors.Is(err, ErrIO) {
-					return fmt.Errorf("Write on a failing backend: %v, want ErrIO", err)
-				}
-				if got := bufpool.Stats().Outstanding; got != base {
-					return fmt.Errorf("%d pooled buffers still held after the failed Write", got-base)
-				}
-				s.Close()
+					base := bufpool.Stats().Outstanding
+					s, err := Open(n, d, "fail", WithStrategy(strat))
+					if err != nil {
+						return err
+					}
+					insert := func() error {
+						return s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, 100)) })
+					}
+					for i := 0; i < shape; i++ {
+						if err := insert(); err != nil {
+							return err
+						}
+					}
+					if got := bufpool.Stats().Outstanding; got != base+int64(shape) {
+						return fmt.Errorf("%d pooled buffers held for %d inserts", got-base, shape)
+					}
+					if err := s.Write(); !errors.Is(err, ErrIO) {
+						return fmt.Errorf("Write on a failing backend: %v, want ErrIO", err)
+					}
+					if got := bufpool.Stats().Outstanding; got != base {
+						return fmt.Errorf("%d pooled buffers still held after the failed Write", got-base)
+					}
+					s.Close()
 
-				// Close with pending inserts, on a stream that works.
-				s, err = Open(n, d, "pending", WithFileSystem(pfs.NewMemFS(vtime.Challenge())))
-				if err != nil {
-					return err
-				}
-				for i := 0; i < shape; i++ {
-					if err := insert(); err != nil {
+					// Close with pending inserts, on a stream that works.
+					s, err = Open(n, d, "pending", WithStrategy(strat), WithFileSystem(pfs.NewMemFS(vtime.Challenge())))
+					if err != nil {
 						return err
 					}
-				}
-				if err := s.Close(); !errors.Is(err, ErrOrder) {
-					return fmt.Errorf("Close with pending inserts: %v, want ErrOrder", err)
-				}
-				if got := bufpool.Stats().Outstanding; got != base {
-					return fmt.Errorf("%d pooled buffers still held after Close with pending inserts", got-base)
-				}
-				return nil
+					for i := 0; i < shape; i++ {
+						if err := insert(); err != nil {
+							return err
+						}
+					}
+					if err := s.Close(); !errors.Is(err, ErrOrder) {
+						return fmt.Errorf("Close with pending inserts: %v, want ErrOrder", err)
+					}
+					if got := bufpool.Stats().Outstanding; got != base {
+						return fmt.Errorf("%d pooled buffers still held after Close with pending inserts", got-base)
+					}
+					return nil
+				})
 			})
+		}
+		// The same account across ranks, where the strategies differ: three
+		// nodes (two of them aggregators under two-phase) gather, shuffle and
+		// append, and the append fails on every rank through the rendezvous.
+		// The collectives keep a few received frames out of the pool whatever
+		// the outcome, so the measure is a run whose Write succeeds: a failed
+		// one leaves no more out than that.
+		t.Run(fmt.Sprintf("%v/ranks=3", strat), func(t *testing.T) {
+			held := func(fs *pfs.FileSystem, wantErr bool) int64 {
+				base := bufpool.Stats().Outstanding
+				run(t, 3, fs, func(n *machine.Node) error {
+					d, err := distr.New(16, 3, distr.Cyclic, 0)
+					if err != nil {
+						return err
+					}
+					s, err := Open(n, d, "f", WithStrategy(strat), WithAggregators(2))
+					if err != nil {
+						return err
+					}
+					defer s.Close()
+					if err := s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, 100)) }); err != nil {
+						return err
+					}
+					if err := s.Write(); errors.Is(err, ErrIO) != wantErr {
+						return fmt.Errorf("Write: %v, want ErrIO: %v", err, wantErr)
+					}
+					return nil
+				})
+				return bufpool.Stats().Outstanding - base
+			}
+			ok := held(pfs.NewMemFS(vtime.Challenge()), false)
+			failed := held(pfs.NewFileSystem(vtime.Challenge(), failingFactory(1)), true)
+			if failed != ok {
+				t.Fatalf("%d pooled buffers out after a failed Write on 3 ranks, %d after one that succeeds", failed, ok)
+			}
 		})
 	}
 }
@@ -247,7 +286,7 @@ func TestSizeOverflowIsAnError(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		s.grp.maxBytes = 1000
+		s.maxBytes = 1000
 		if err := insert(s, 300); !errors.Is(err, ErrOrder) {
 			return fmt.Errorf("oversize insert: %v, want ErrOrder", err)
 		}
@@ -261,7 +300,7 @@ func TestSizeOverflowIsAnError(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		s.grp.maxBytes = 1000
+		s.maxBytes = 1000
 		for i := 0; i < 5; i++ {
 			if err := insert(s, 240); err != nil { // 960 B an insert, 1200 B an element
 				return err

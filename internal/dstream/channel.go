@@ -161,23 +161,16 @@ type chanSrc struct {
 }
 
 // OChannel is the producer end of a stream-to-stream channel: an OStream
-// whose records leave over the interconnect instead of landing in a file.
-// Insert fills the interleave group exactly as on a file stream; Write
-// routes it to the consumers as one frame per destination.
+// whose records leave over the interconnect instead of landing in a file. In
+// the record pipeline (DESIGN.md) it is the assembler — Insert fills the
+// interleave group exactly as on a file stream — plus the frame sink: Write
+// routes the group to the consumers as one frame per destination.
 type OChannel struct {
-	stream
-	opts    Options
+	assembler
 	peer    *distr.Distribution // consumer layout
-	grpRank int                 // rank within the producer group
 	window  int64
 	dataTag uint64
 	credTag uint64
-
-	open    bool
-	eofSent bool
-
-	grp   insertGroup
-	wrote int
 
 	dests    []chanDest
 	elemDest []int // local element → index into dests
@@ -204,18 +197,14 @@ func OpenChannel(node *machine.Node, d, peer *distr.Distribution, name string, o
 			node.Rank(), d.NProcs)
 	}
 	s := &OChannel{
-		stream:  stream{node: node, dist: d, name: name, met: newStreamMetrics(node.Monitor()), tag: streamTag(name)},
-		opts:    o,
-		peer:    peer,
-		grpRank: node.Rank(),
-		window:  int64(o.ChannelWindow),
-		cmet:    newChanMetrics(node.Monitor()),
-		open:    true,
+		assembler: newAssembler(newStream(node, d, node.Rank(), nil, name), "ochannel"),
+		peer:      peer,
+		window:    int64(o.ChannelWindow),
+		cmet:      newChanMetrics(node.Monitor()),
 	}
 	if s.window <= 0 {
 		s.window = DefaultChannelWindow
 	}
-	s.grp = newInsertGroup(&s.stream, "ochannel.Insert ")
 	s.dataTag, s.credTag = chanTags(node, "out", name)
 	s.buildRouting()
 	return s, nil
@@ -229,14 +218,14 @@ func OpenChannel(node *machine.Node, d, peer *distr.Distribution, name string, o
 // arrives.
 func (s *OChannel) buildRouting() {
 	consBase := s.node.Size() - s.peer.NProcs
-	nLocal := s.dist.LocalCount(s.grpRank)
+	nLocal := s.LocalLen()
 	s.elemDest = make([]int, nLocal)
 	idx := make([]int, s.peer.NProcs)
 	for c := range idx {
 		idx[c] = -1
 	}
 	for l := 0; l < nLocal; l++ {
-		g := s.dist.GlobalIndex(s.grpRank, l)
+		g := s.dist.GlobalIndex(s.rank, l)
 		c := s.peer.Owner(g)
 		if idx[c] < 0 {
 			idx[c] = len(s.dests)
@@ -245,7 +234,7 @@ func (s *OChannel) buildRouting() {
 		s.dests[idx[c]].count++
 		s.elemDest[l] = idx[c]
 	}
-	if s.grpRank == 0 {
+	if s.rank == 0 {
 		for c := 0; c < s.peer.NProcs; c++ {
 			if s.peer.LocalCount(c) == 0 {
 				s.dests = append(s.dests, chanDest{cons: c, rank: consBase + c})
@@ -254,89 +243,40 @@ func (s *OChannel) buildRouting() {
 	}
 }
 
-// checkOpen shadows the embedded stream's file-based check: a channel has
-// no file, it has an open flag.
-func (s *OChannel) checkOpen() error {
-	if s.err != nil {
-		return s.err
-	}
-	if !s.open {
-		return ErrClosed
-	}
-	return nil
-}
-
-// LocalLen returns the number of elements this producer contributes per
-// insert — its share of the producer distribution.
-func (s *OChannel) LocalLen() int { return s.dist.LocalCount(s.grpRank) }
-
-// Pending returns the number of inserts in the current interleave group.
-func (s *OChannel) Pending() int { return len(s.grp.inserts) }
-
-// Records returns the number of records written so far.
-func (s *OChannel) Records() int { return s.wrote }
-
-// Node returns the owning node.
-func (s *OChannel) Node() *machine.Node { return s.node }
-
-// Dist returns the producer group's distribution.
-func (s *OChannel) Dist() *distr.Distribution { return s.dist }
-
-// InsertFunc is the channel's low-level insert primitive, identical in
-// contract to OStream.InsertFunc: fill is called once per locally owned
-// element, in local order, appending that element's payload to the
-// encoder.
-func (s *OChannel) InsertFunc(fill func(local int, e *Encoder)) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	return s.grp.insert(s.LocalLen(), fill)
-}
-
 // Write flushes the current interleave group as one record: the group's
 // arrays are interleaved element-major (as on disk, so extractors see the
 // same layout), each element is routed to the consumer that owns it, and
 // one frame per destination goes out over the mailbox rings, gated by the
 // credit window.
 func (s *OChannel) Write() error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if len(s.grp.inserts) == 0 {
-		return s.fail(fmt.Errorf("%w: write with no pending inserts", ErrOrder))
-	}
-	start := s.node.Clock().Now()
-	rec := s.met.mon.Recorder()
-	var writeSpan trace.SpanID
-	if rec != nil {
-		writeSpan = rec.NewSpanID()
-		s.grp.linkSpans(rec, writeSpan)
-	}
-	nArrays := len(s.grp.inserts)
-	nLocal := s.LocalLen()
-	sizes, total, err := s.grp.sizeTable()
+	w, err := s.beginWrite()
 	if err != nil {
 		return err
 	}
-	localBytes := int64(total)
+	return s.endWrite(w, s.sendFrames(w))
+}
 
+// sendFrames is the frame sink: the group routed element by element into one
+// frame per destination, then each frame sent once its consumer's window has
+// room for it.
+func (s *OChannel) sendFrames(w flush) error {
 	for i := range s.dests {
 		d := &s.dests[i]
 		d.frame.Reset()
 		d.frame.Uint32(0)
-		d.frame.Uint32(uint32(nArrays))
+		d.frame.Uint32(uint32(w.arrays))
 		d.frame.Uint32(uint32(d.count))
 	}
-	for l := 0; l < nLocal; l++ {
+	for l, sz := range w.sizes {
 		f := &s.dests[s.elemDest[l]].frame
-		f.Uint32(uint32(s.dist.GlobalIndex(s.grpRank, l)))
-		f.Uint32(sizes[l])
-		for i := range s.grp.inserts {
-			f.Raw(s.grp.inserts[i].elem(l))
+		f.Uint32(uint32(s.dist.GlobalIndex(s.rank, l)))
+		f.Uint32(sz)
+		for i := range s.inserts {
+			f.Raw(s.inserts[i].elem(l))
 		}
 	}
-	s.grp.release()
-	s.node.CopyCost(localBytes + int64(8*nLocal))
+	s.release()
+	s.node.CopyCost(int64(w.bytes) + int64(8*len(w.sizes)))
 
 	ep := s.node.Comm().Endpoint()
 	seq := uint64(s.wrote) + 1
@@ -344,13 +284,13 @@ func (s *OChannel) Write() error {
 		d := &s.dests[i]
 		frameLen := int64(d.frame.Len())
 		if err := s.awaitCredit(d, frameLen); err != nil {
-			return s.fail(fmt.Errorf("%w: channel credit from consumer %d: %w", ErrIO, d.cons, err))
+			return fmt.Errorf("channel credit from consumer %d: %w", d.cons, err)
 		}
-		if rec != nil {
-			rec.FlowOut(trace.FlowKey{Kind: "chan", A: s.node.Rank(), B: d.rank, Tag: s.tag, Seq: seq}, writeSpan)
+		if w.rec != nil {
+			w.rec.FlowOut(trace.FlowKey{Kind: "chan", A: s.node.Rank(), B: d.rank, Tag: s.tag, Seq: seq}, s.writeSpan)
 		}
 		if err := ep.Send(d.rank, s.dataTag, d.frame.Bytes()); err != nil {
-			return s.fail(fmt.Errorf("%w: channel send to consumer %d: %w", ErrIO, d.cons, err))
+			return fmt.Errorf("channel send to consumer %d: %w", d.cons, err)
 		}
 		d.outstanding += frameLen
 		s.cmet.credits.Add(float64(frameLen))
@@ -359,14 +299,6 @@ func (s *OChannel) Write() error {
 		if d.rank != s.node.Rank() {
 			s.cmet.redist.Add(frameLen)
 		}
-	}
-	s.wrote++
-	end := s.node.Clock().Now()
-	s.met.writes.Inc()
-	s.met.flushBytes.Observe(float64(localBytes))
-	s.met.flushStall.Observe(end - start)
-	if rec != nil {
-		rec.AddSpanID(writeSpan, s.node.Rank(), "dstream", "ochannel.Write "+s.name, start, end)
 	}
 	return nil
 }
@@ -411,10 +343,6 @@ func (s *OChannel) awaitCredit(d *chanDest, frameLen int64) error {
 // to every destination. EOF frames are small, ride the eager path, and are
 // not credit-accounted.
 func (s *OChannel) closeSend() error {
-	if s.eofSent {
-		return nil
-	}
-	s.eofSent = true
 	ep := s.node.Comm().Endpoint()
 	var e enc.Buffer
 	e.Uint32(chanFlagEOF)
@@ -429,9 +357,9 @@ func (s *OChannel) closeSend() error {
 	return nil
 }
 
-// Close sends the end-of-stream marker (once) and releases the producer
-// end. Idempotent and safe to defer, like the file streams' Close; data
-// inserted but never written is surfaced as an order error.
+// Close sends the end-of-stream marker and releases the producer end.
+// Idempotent and safe to defer, like the file streams' Close; data inserted
+// but never written is surfaced as an order error.
 func (s *OChannel) Close() error {
 	if !s.open {
 		return nil
@@ -453,29 +381,22 @@ func (s *OChannel) Close() error {
 			d.outstanding = 0
 		}
 	}
-	if n := len(s.grp.inserts); n > 0 {
-		if err == nil {
-			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, n)
-		}
-		s.grp.release()
-	}
-	return err
+	return s.closeGroup(err)
 }
 
 // IChannel is the consumer end of a stream-to-stream channel: an IStream
-// whose records arrive over the interconnect. Each Read assembles one
-// record from one frame per producer; Extract calls drain it exactly as on
-// a file stream. Read returns ErrEOS once every producer has closed.
+// whose records arrive over the interconnect. In the record pipeline
+// (DESIGN.md) it is the frame source — each Read assembles one record from
+// one frame per producer — in front of the record view, which Extract calls
+// drain exactly as on a file stream. Read returns ErrEOS once every producer
+// has closed.
 type IChannel struct {
-	stream
-	opts    Options
+	recordView
 	peer    *distr.Distribution // producer layout
-	grpRank int                 // rank within the consumer group
 	dataTag uint64
 	credTag uint64
 
-	open bool
-	eos  bool
+	eos bool
 
 	srcs   []chanSrc
 	srcEOF []bool
@@ -486,12 +407,7 @@ type IChannel struct {
 	frames [][]byte
 	out    [][]byte // per local element payload, aliasing frames
 
-	nArrays  int
-	haveRec  bool
-	extracts int
-	readRecs int
-
-	elemBufs  []*Decoder
+	readRecs  int
 	credFrame enc.Buffer
 	cmet      *chanMetrics
 }
@@ -514,12 +430,9 @@ func OpenChannelInput(node *machine.Node, d, peer *distr.Distribution, name stri
 			node.Rank(), consBase, node.Size())
 	}
 	r := &IChannel{
-		stream:  stream{node: node, dist: d, name: name, met: newStreamMetrics(node.Monitor()), tag: streamTag(name)},
-		opts:    o,
-		peer:    peer,
-		grpRank: node.Rank() - consBase,
-		cmet:    newChanMetrics(node.Monitor()),
-		open:    true,
+		recordView: recordView{stream: newStream(node, d, node.Rank()-consBase, nil, name), strict: o.Strict},
+		peer:       peer,
+		cmet:       newChanMetrics(node.Monitor()),
 	}
 	r.dataTag, r.credTag = chanTags(node, "in", name)
 	r.buildRouting()
@@ -532,10 +445,9 @@ func OpenChannelInput(node *machine.Node, d, peer *distr.Distribution, name stri
 // pacing marker), so its Read keeps cadence and sees EOF.
 func (r *IChannel) buildRouting() {
 	counts := make([]int, r.peer.NProcs)
-	nLocal := r.dist.LocalCount(r.grpRank)
+	nLocal := r.LocalLen()
 	for l := 0; l < nLocal; l++ {
-		g := r.dist.GlobalIndex(r.grpRank, l)
-		counts[r.peer.Owner(g)]++
+		counts[r.peer.Owner(r.dist.GlobalIndex(r.rank, l))]++
 	}
 	for p, c := range counts {
 		if c > 0 {
@@ -550,79 +462,35 @@ func (r *IChannel) buildRouting() {
 	r.out = make([][]byte, nLocal)
 }
 
-// checkOpen shadows the embedded stream's file-based check.
-func (r *IChannel) checkOpen() error {
-	if r.err != nil {
-		return r.err
-	}
-	if !r.open {
-		return ErrClosed
-	}
-	return nil
-}
-
-// LocalLen returns the number of elements this consumer receives per
-// record — its share of the consumer distribution.
-func (r *IChannel) LocalLen() int { return r.dist.LocalCount(r.grpRank) }
-
-// Arrays returns the number of arrays in the current record (0 before the
-// first read).
-func (r *IChannel) Arrays() int {
-	if !r.haveRec {
-		return 0
-	}
-	return r.nArrays
-}
-
-// Extracted returns how many arrays of the current record have been
-// extracted.
-func (r *IChannel) Extracted() int { return r.extracts }
-
 // Records returns the number of records read so far.
 func (r *IChannel) Records() int { return r.readRecs }
 
 // EOF reports whether every producer has closed the channel.
 func (r *IChannel) EOF() bool { return r.eos }
 
-// Node returns the owning node.
-func (r *IChannel) Node() *machine.Node { return r.node }
-
-// Dist returns the consumer group's distribution.
-func (r *IChannel) Dist() *distr.Distribution { return r.dist }
-
-// checkFullyExtracted enforces Strict mode, as on file input streams.
-func (r *IChannel) checkFullyExtracted(op string) error {
-	if !r.opts.Strict || !r.haveRec {
-		return nil
-	}
-	if r.extracts < r.nArrays {
-		return r.fail(fmt.Errorf("%w: %s with %d of %d arrays unextracted (Strict)",
-			ErrOrder, op, r.nArrays-r.extracts, r.nArrays))
+// credit acknowledges frame b from src — its byte length flows back to its
+// producer as an 8-byte eager credit frame, reopening that pair's window —
+// and returns it to the buffer pool.
+func (r *IChannel) credit(src *chanSrc, b []byte) error {
+	r.credFrame.Reset()
+	r.credFrame.Uint64(uint64(len(b)))
+	err := r.node.Comm().Endpoint().Send(src.rank, r.credTag, r.credFrame.Bytes())
+	bufpool.Put(b)
+	if err != nil {
+		return r.fail(fmt.Errorf("%w: channel credit to producer %d: %w", ErrIO, src.prod, err))
 	}
 	return nil
 }
 
-// retire acknowledges and releases the previous record's frames: each goes
-// back to the buffer pool and its byte length flows back to its producer
-// as an 8-byte eager credit frame, reopening that pair's window.
+// retire acknowledges and releases the previous record's frames.
 func (r *IChannel) retire() {
-	ep := r.node.Comm().Endpoint()
 	for i, b := range r.frames {
-		if b == nil {
-			continue
+		if b != nil {
+			_ = r.credit(&r.srcs[i], b) // a failure sticks: the callers look at r.err
+			r.frames[i] = nil
 		}
-		src := &r.srcs[i]
-		r.credFrame.Reset()
-		r.credFrame.Uint64(uint64(len(b)))
-		if err := ep.Send(src.rank, r.credTag, r.credFrame.Bytes()); err != nil {
-			r.fail(fmt.Errorf("%w: channel credit to producer %d: %w", ErrIO, src.prod, err))
-		}
-		bufpool.Put(b)
-		r.frames[i] = nil
 	}
-	for i := range r.out {
-		r.out[i] = nil
-	}
+	clear(r.out)
 }
 
 // Read assembles the next record: the previous record's frames are retired
@@ -693,8 +561,8 @@ func (r *IChannel) Read() error {
 			if d.Err() != nil {
 				return r.fail(fmt.Errorf("%w: channel frame from producer %d: truncated element", ErrIO, src.prod))
 			}
-			if g < 0 || g >= r.dist.N || r.dist.Owner(g) != r.grpRank {
-				return r.fail(fmt.Errorf("%w: element %d misrouted to consumer %d", ErrIO, g, r.grpRank))
+			if g < 0 || g >= r.dist.N || r.dist.Owner(g) != r.rank {
+				return r.fail(fmt.Errorf("%w: element %d misrouted to consumer %d", ErrIO, g, r.rank))
 			}
 			li := r.dist.LocalIndex(g)
 			if r.out[li] != nil {
@@ -725,59 +593,20 @@ func (r *IChannel) Read() error {
 	for l, b := range r.out {
 		if b == nil {
 			return r.fail(fmt.Errorf("dstream: local slot %d (global %d) never arrived",
-				l, r.dist.GlobalIndex(r.grpRank, l)))
+				l, r.dist.GlobalIndex(r.rank, l)))
 		}
 	}
-	if len(r.elemBufs) == len(r.out) {
-		for i, b := range r.out {
-			r.elemBufs[i].Reset(b)
-		}
-	} else {
-		r.elemBufs = make([]*Decoder, len(r.out))
-		for i, b := range r.out {
-			d := new(Decoder)
-			d.Reset(b)
-			r.elemBufs[i] = d
-		}
+	decs := r.decoders(len(r.out))
+	for l, b := range r.out {
+		decs[l].Reset(b)
 	}
 	r.node.CopyCost(total)
-	r.nArrays = nArrays
-	r.haveRec = true
-	r.extracts = 0
 	r.readRecs++
-	end := r.node.Clock().Now()
-	r.met.reads.Inc()
-	r.met.refillBytes.Observe(float64(total))
-	r.met.refillStall.Observe(end - start)
+	end := r.loaded(nArrays, total, start)
 	r.cmet.recvStall.Observe(end - start)
 	if rec != nil {
 		rec.AddSpanID(readSpan, r.node.Rank(), "dstream", "ichannel.Read "+r.name, start, end)
 	}
-	return nil
-}
-
-// ExtractFunc is the channel's low-level extract primitive, identical in
-// contract to IStream.ExtractFunc.
-func (r *IChannel) ExtractFunc(take func(local int, d *Decoder)) error {
-	if err := r.checkOpen(); err != nil {
-		return err
-	}
-	if !r.haveRec {
-		return r.fail(fmt.Errorf("%w: extract before read", ErrOrder))
-	}
-	if r.extracts >= r.nArrays {
-		return r.fail(fmt.Errorf("%w: record has %d arrays, extract #%d requested",
-			ErrOrder, r.nArrays, r.extracts+1))
-	}
-	for l, d := range r.elemBufs {
-		take(l, d)
-		if err := d.Err(); err != nil {
-			return r.fail(fmt.Errorf("dstream: extract element (local %d): %w", l, err))
-		}
-	}
-	r.extracts++
-	r.met.extracts.Inc()
-	r.node.Compute(float64(len(r.elemBufs)) * r.node.Profile().PerElemCost)
 	return nil
 }
 
@@ -824,13 +653,9 @@ func (r *IChannel) drain() error {
 				continue
 			}
 			drained += int64(len(b))
-			r.credFrame.Reset()
-			r.credFrame.Uint64(uint64(len(b)))
-			if err := ep.Send(src.rank, r.credTag, r.credFrame.Bytes()); err != nil {
-				bufpool.Put(b)
-				return r.fail(fmt.Errorf("%w: channel credit to producer %d: %w", ErrIO, src.prod, err))
+			if err := r.credit(src, b); err != nil {
+				return err
 			}
-			bufpool.Put(b)
 		}
 	}
 	r.cmet.drained.Add(drained)
@@ -846,15 +671,9 @@ func (r *IChannel) Close() error {
 		return nil
 	}
 	r.open = false
-	var err error
-	if r.opts.Strict && r.haveRec && r.extracts < r.nArrays {
-		err = fmt.Errorf("%w: close with %d of %d arrays unextracted (Strict)",
-			ErrOrder, r.nArrays-r.extracts, r.nArrays)
-	}
-	r.haveRec = false
-	if derr := r.drain(); derr != nil && err == nil {
+	err := r.closeView(nil)
+	if derr := r.drain(); err == nil {
 		err = derr
 	}
-	r.elemBufs = nil
 	return err
 }

@@ -284,71 +284,22 @@ func TestChannelLoopback(t *testing.T) {
 	})
 }
 
-// TestChannelStrict: the Figure 2 contract on the consumer end — moving on
-// with unextracted arrays fails under WithStrict.
-func TestChannelStrict(t *testing.T) {
-	const m, n, nElems = 1, 1, 8
-	chanRun(t, m+n, nil, func(node *machine.Node) error {
-		wd, _ := distr.New(nElems, m, distr.Block, 0)
-		rd, _ := distr.New(nElems, n, distr.Block, 0)
-		if node.Rank() == 0 {
-			return chanProduce(node, wd, rd, 2)
-		}
-		r, err := OpenChannelInput(node, rd, wd, "pipe", WithStrict())
-		if err != nil {
-			return err
-		}
-		buf := make([]plist, r.LocalLen())
-		if err := r.Read(); err != nil {
-			return err
-		}
-		if err := ExtractElems[plist](r, buf); err != nil {
-			return err
-		}
-		// One of two arrays extracted: the next read must refuse.
-		if err := r.Read(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("strict read with unextracted array = %v, want ErrOrder", err)
-		}
-		// The stream is now sticky-failed; Close must not hang on a drain.
-		r.Close()
-		return nil
-	})
-}
-
-// TestChannelOrderErrors: the channel rejects out-of-order primitives with
-// the file streams' errors.
-func TestChannelOrderErrors(t *testing.T) {
-	const m, n, nElems = 1, 1, 8
-	chanRun(t, m+n, nil, func(node *machine.Node) error {
-		wd, _ := distr.New(nElems, m, distr.Block, 0)
-		rd, _ := distr.New(nElems, n, distr.Block, 0)
-		if node.Rank() == 0 {
-			// No consumer attaches to "solo": the failed primitives below
-			// never reach the wire.
-			s, err := OpenChannel(node, wd, rd, "solo")
-			if err != nil {
-				return err
-			}
-			if err := s.Write(); !errors.Is(err, ErrOrder) {
-				return fmt.Errorf("write with no inserts = %v, want ErrOrder", err)
-			}
-			s2, err := OpenChannel(node, wd, rd, "solo2")
-			if err != nil {
-				return err
-			}
-			short := make([]plist, 1)
-			if err := InsertElems[plist](s2, short); !errors.Is(err, ErrNotAligned) {
-				return fmt.Errorf("short InsertElems = %v, want ErrNotAligned", err)
-			}
+// TestChannelInsertElemsLength: InsertElems takes exactly the producer's
+// share. (The order errors a channel shares with the file streams — and
+// Strict, and use after close — are rows of TestFigure2Table.)
+func TestChannelInsertElemsLength(t *testing.T) {
+	chanRun(t, 2, nil, func(node *machine.Node) error {
+		if node.Rank() != 0 {
 			return nil
 		}
-		r, err := OpenChannelInput(node, rd, wd, "solo3")
+		d, _ := distr.New(8, 1, distr.Block, 0)
+		// No consumer attaches: the failed insert never reaches the wire.
+		s, err := OpenChannel(node, d, d, "solo")
 		if err != nil {
 			return err
 		}
-		buf := make([]plist, r.LocalLen())
-		if err := ExtractElems[plist](r, buf); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("extract before read = %v, want ErrOrder", err)
+		if err := InsertElems[plist](s, make([]plist, 1)); !errors.Is(err, ErrNotAligned) {
+			return fmt.Errorf("short InsertElems = %v, want ErrNotAligned", err)
 		}
 		return nil
 	})
@@ -379,46 +330,6 @@ func TestChannelOpenErrors(t *testing.T) {
 				!strings.Contains(err.Error(), "outside the channel's consumer group") {
 				return fmt.Errorf("rank outside consumer group: err = %v", err)
 			}
-		}
-		return nil
-	})
-}
-
-// TestChannelUseAfterClose: closed ends return ErrClosed, and Close stays
-// idempotent.
-func TestChannelUseAfterClose(t *testing.T) {
-	const m, n, nElems = 1, 1, 8
-	chanRun(t, m+n, nil, func(node *machine.Node) error {
-		wd, _ := distr.New(nElems, m, distr.Block, 0)
-		rd, _ := distr.New(nElems, n, distr.Block, 0)
-		if node.Rank() == 0 {
-			s, err := OpenChannel(node, wd, rd, "pipe")
-			if err != nil {
-				return err
-			}
-			if err := s.Close(); err != nil {
-				return err
-			}
-			if err := s.Close(); err != nil {
-				return fmt.Errorf("second close = %v, want nil", err)
-			}
-			if err := s.InsertFunc(func(int, *Encoder) {}); !errors.Is(err, ErrClosed) {
-				return fmt.Errorf("insert after close = %v, want ErrClosed", err)
-			}
-			return nil
-		}
-		r, err := OpenChannelInput(node, rd, wd, "pipe")
-		if err != nil {
-			return err
-		}
-		if err := r.Read(); !errors.Is(err, ErrEOS) {
-			return fmt.Errorf("read = %v, want ErrEOS (producer closed immediately)", err)
-		}
-		if err := r.Close(); err != nil {
-			return err
-		}
-		if err := r.Read(); !errors.Is(err, ErrClosed) {
-			return fmt.Errorf("read after close = %v, want ErrClosed", err)
 		}
 		return nil
 	})

@@ -70,44 +70,18 @@ type Extractor interface {
 	StreamExtract(d *Decoder)
 }
 
-// MetaPolicy selects how a record's metadata (header + size table) reaches
-// the file (§4.1 step 1).
-type MetaPolicy uint8
-
-const (
-	// MetaAuto funnels metadata through node 0 for small collections and
-	// writes it in parallel for large ones (the paper's heuristic).
-	MetaAuto MetaPolicy = iota
-	// MetaFunnel always gathers the size table to node 0, which writes it
-	// at the head of its per-node buffer — one parallel write total.
-	MetaFunnel
-	// MetaParallel always writes the metadata with its own parallel write.
-	MetaParallel
-)
-
-// DefaultFunnelThreshold is the element count below which MetaAuto funnels
-// metadata through node 0.
-const DefaultFunnelThreshold = 4096
-
-// Options tune a stream; the zero value gives the paper's defaults.
-// Prefer building them through Open/OpenInput's functional options; the
-// struct remains exported for WithOptions (wholesale migration of a
-// pre-built value) and for tools that enumerate settings.
+// Options tune a stream; the zero value gives the defaults. Prefer building
+// them through the open calls' functional options; the struct remains
+// exported for WithOptions (a pre-built value applied wholesale) and for
+// tools that enumerate settings.
 type Options struct {
 	// Strategy selects the collective data path. StrategyAuto (the zero
-	// value) defers to the legacy Meta policy and the funnel-threshold
-	// heuristic; an explicit strategy overrides both.
+	// value) hands the choice to the cost-model planner, record by record;
+	// an explicit strategy is used as given and switches the planner off.
 	Strategy Strategy
-	// Aggregators overrides the two-phase aggregator count; zero derives K
-	// from the file's stripe factor.
+	// Aggregators overrides the two-phase aggregator count; zero takes the
+	// planner's K on a planned stream and the file's stripe factor otherwise.
 	Aggregators int
-
-	// Meta is the legacy metadata-path policy, honored only under
-	// StrategyAuto.
-	//
-	// Deprecated: use Strategy (WithStrategy) instead.
-	Meta            MetaPolicy
-	FunnelThreshold int // 0 means DefaultFunnelThreshold
 	// Strict enforces the full Figure 2 contract on input streams: every
 	// array of a record must be extracted before the next read or skip, and
 	// before close ("every extract must have a corresponding insert" in
@@ -151,13 +125,6 @@ type Options struct {
 	ChannelWindow int
 }
 
-func (o Options) funnelThreshold() int {
-	if o.FunnelThreshold <= 0 {
-		return DefaultFunnelThreshold
-	}
-	return o.FunnelThreshold
-}
-
 // Common errors.
 var (
 	// ErrClosed reports use of a closed stream.
@@ -174,11 +141,16 @@ var (
 	ErrIO = errors.New("dstream: I/O failed")
 )
 
-// stream holds the state shared by both directions.
+// stream holds the state every end of the record pipeline shares, whichever
+// direction it moves records in and whether a file or a channel is attached.
 type stream struct {
 	node *machine.Node
 	dist *distr.Distribution
-	f    *pfs.File
+	// rank is this node's rank in dist: the machine rank, except on a
+	// channel's consumer group, which sits at the top of the machine.
+	rank int
+	f    *pfs.File // nil on a channel, and after Close
+	open bool
 	name string
 	err  error // sticky
 	met  *streamMetrics
@@ -187,6 +159,11 @@ type stream struct {
 	// the same logical stream computes the identical tag with no
 	// communication.
 	tag uint64
+}
+
+func newStream(node *machine.Node, d *distr.Distribution, rank int, f *pfs.File, name string) stream {
+	return stream{node: node, dist: d, rank: rank, f: f, open: true, name: name,
+		met: newStreamMetrics(node.Monitor()), tag: streamTag(name)}
 }
 
 // streamTag hashes a stream name into the causal-edge rendezvous tag.
@@ -297,11 +274,22 @@ func (s *stream) checkOpen() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.f == nil {
+	if !s.open {
 		return ErrClosed
 	}
 	return nil
 }
+
+// Node returns the owning node.
+func (s *stream) Node() *machine.Node { return s.node }
+
+// Dist returns the distribution the stream was opened with: the layout of
+// the collections this end inserts from or extracts into.
+func (s *stream) Dist() *distr.Distribution { return s.dist }
+
+// LocalLen returns the number of elements this node holds per array — its
+// share of the stream's distribution.
+func (s *stream) LocalLen() int { return s.dist.LocalCount(s.rank) }
 
 // headerFor renders the record header (and descriptor section, for
 // EXPLICIT distributions) for this stream's distribution.

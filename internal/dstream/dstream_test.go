@@ -351,20 +351,20 @@ func TestInterleaving(t *testing.T) {
 // TestFunnelAndParallelMetaIdenticalFiles: both metadata paths must produce
 // byte-identical file images (§4.1 step 1 is a performance choice only).
 func TestFunnelAndParallelMetaIdenticalFiles(t *testing.T) {
-	images := map[MetaPolicy][]byte{}
-	for _, pol := range []MetaPolicy{MetaFunnel, MetaParallel} {
+	images := map[Strategy][]byte{}
+	for _, strat := range []Strategy{StrategyFunnel, StrategyParallel} {
 		fs := pfs.NewMemFS(vtime.Challenge())
 		run(t, 3, fs, func(n *machine.Node) error {
 			d := mustLocal(t, 11, 3, distr.Cyclic, 0)
-			return writePlists(n, d, "f", Options{Meta: pol})
+			return writePlists(n, d, "f", Options{Strategy: strat})
 		})
 		img, err := fs.Image("f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		images[pol] = img
+		images[strat] = img
 	}
-	if !bytes.Equal(images[MetaFunnel], images[MetaParallel]) {
+	if !bytes.Equal(images[StrategyFunnel], images[StrategyParallel]) {
 		t.Fatal("funnel and parallel metadata paths produced different file images")
 	}
 }
@@ -438,159 +438,10 @@ func TestMultipleRecords(t *testing.T) {
 	})
 }
 
-// --- Figure 2 state machine enforcement ---
-
-func TestWriteWithoutInsertRejected(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		s, err := Open(n, d, "f")
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.Write(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("Write with no inserts: %v, want ErrOrder", err)
-		}
-		return nil
-	})
-}
-
-func TestExtractBeforeReadRejected(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		if err := writePlists(n, d, "f", Options{}); err != nil {
-			return err
-		}
-		s, err := OpenInput(n, d, "f")
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.ExtractFunc(func(int, *Decoder) {}); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("extract before read: %v, want ErrOrder", err)
-		}
-		return nil
-	})
-}
-
-func TestTooManyExtractsRejected(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		if err := writePlists(n, d, "f", Options{}); err != nil {
-			return err
-		}
-		c, err := collection.New[plist](n, d)
-		if err != nil {
-			return err
-		}
-		s, err := OpenInput(n, d, "f")
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.UnsortedRead(); err != nil {
-			return err
-		}
-		if err := Extract[plist](s, c); err != nil {
-			return err
-		}
-		if err := Extract[plist](s, c); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("second extract of 1-array record: %v, want ErrOrder", err)
-		}
-		return nil
-	})
-}
-
-func TestReadPastEndRejected(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		if err := writePlists(n, d, "f", Options{}); err != nil {
-			return err
-		}
-		s, err := OpenInput(n, d, "f")
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.Read(); err != nil {
-			return err
-		}
-		if s.More() {
-			return fmt.Errorf("More() true after last record")
-		}
-		if err := s.Read(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("read past end: %v, want ErrOrder", err)
-		}
-		return nil
-	})
-}
-
-func TestCloseWithUnwrittenInserts(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		s, err := Open(n, d, "f")
-		if err != nil {
-			return err
-		}
-		if err := s.InsertFunc(func(int, *Encoder) {}); err != nil {
-			return err
-		}
-		if err := s.Close(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("close with pending inserts: %v, want ErrOrder", err)
-		}
-		// Idempotent second close.
-		if err := s.Close(); err != nil {
-			return fmt.Errorf("second close: %v", err)
-		}
-		return nil
-	})
-}
-
-func TestUseAfterCloseRejected(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		s, err := Open(n, d, "f")
-		if err != nil {
-			return err
-		}
-		if err := s.InsertFunc(func(int, *Encoder) {}); err != nil {
-			return err
-		}
-		if err := s.Write(); err != nil {
-			return err
-		}
-		s.Close()
-		if err := s.InsertFunc(func(int, *Encoder) {}); !errors.Is(err, ErrClosed) {
-			return fmt.Errorf("insert after close: %v, want ErrClosed", err)
-		}
-		return nil
-	})
-}
-
-func TestStickyError(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		s, err := Open(n, d, "f")
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.Write(); err == nil { // no inserts → error, now sticky
-			return fmt.Errorf("expected error")
-		}
-		if err := s.InsertFunc(func(int, *Encoder) {}); err == nil {
-			return fmt.Errorf("stream not sticky after error")
-		}
-		return nil
-	})
-}
+// The Figure 2 state machine enforcement — write with nothing inserted,
+// extract before read, one extract too many, read past the end, close with
+// unwritten inserts, use after close, sticky errors — is TestFigure2Table's,
+// which drives it over the file ends and the channel ends alike.
 
 // --- open-time validation ---
 

@@ -255,16 +255,16 @@ func TestFuzzUnsortedConsumesExactBytes(t *testing.T) {
 }
 
 // TestFuzzOptionCombos drives random records through every combination of
-// the stream options (metadata policy × async × strict × append), checking
-// content after each phase.
+// the stream options (strategy × async × strict × append), checking content
+// after each phase.
 func TestFuzzOptionCombos(t *testing.T) {
 	seed := int64(0)
-	for _, meta := range []MetaPolicy{MetaAuto, MetaFunnel, MetaParallel} {
+	for _, strat := range []Strategy{StrategyAuto, StrategyFunnel, StrategyParallel, StrategyTwoPhase} {
 		for _, async := range []bool{false, true} {
 			for _, strict := range []bool{false, true} {
 				seed++
-				meta, async, strict, seed := meta, async, strict, seed
-				t.Run(fmt.Sprintf("meta=%d async=%v strict=%v", meta, async, strict), func(t *testing.T) {
+				strat, async, strict, seed := strat, async, strict, seed
+				t.Run(fmt.Sprintf("strategy=%v async=%v strict=%v", strat, async, strict), func(t *testing.T) {
 					fs := pfs.NewMemFS(vtime.Challenge())
 					rng := rand.New(rand.NewSource(seed))
 					n := rng.Intn(20) + 1
@@ -279,7 +279,7 @@ func TestFuzzOptionCombos(t *testing.T) {
 									return err
 								}
 								s, err := Open(nd, d, "combo", WithOptions(Options{
-									Meta: meta, Async: async, Append: phase == 1,
+									Strategy: strat, Async: async, Append: phase == 1,
 								}))
 								if err != nil {
 									return err

@@ -18,21 +18,26 @@ type arena struct {
 
 func (a *arena) elem(l int) []byte { return a.buf[a.offs[l]:a.offs[l+1]] }
 
-// insertGroup is the interleave group of an output end, file or channel:
-// the inserts made since the last write, one arena each. The stream's
-// encoder writes every element straight into the arena, so an inserted byte
-// is copied once on the way in and — for the common group of one insert,
+// assembler is the output half of the record pipeline, the left side of
+// Figure 2: the interleave group — the inserts made since the last write,
+// one arena each — and everything about insert → write → close that does not
+// depend on where a record goes. An output end is an assembler plus a sink:
+// OStream's packs the group and appends it to a file, OChannel's routes it
+// into frames and sends them.
+//
+// The encoder writes every element straight into the arena, so an inserted
+// byte is copied once on the way in and — for the common group of one insert,
 // whose arena already is the packed per-node buffer — not again before the
-// write strategy takes it.
+// file sink's strategy takes it.
 //
 // Arenas come from bufpool and are sized without a knob: from what the
 // previous group's insert at the same position took, or, on a stream's first
 // group, from LocalLen × the first element once that is encoded. An
 // underestimate moves the arena up one pool class at a time.
-type insertGroup struct {
-	st *stream
-	// spanName prefixes the insert spans ("ostream.Insert " / "ochannel.Insert ").
-	spanName string
+type assembler struct {
+	stream
+	// kind prefixes the end's spans: "ostream" or "ochannel".
+	kind string
 
 	enc     Encoder
 	inserts []arena
@@ -45,31 +50,48 @@ type insertGroup struct {
 	// maxBytes caps an arena and an element's interleaved payload: what the
 	// record format's u32 size-table entry can say. Tests lower it.
 	maxBytes uint64
+
+	wrote int // records written
+	// writeSpan is the current record's flush span (zero when the run is not
+	// tracing), reserved when Write begins so that the encode edges and the
+	// sink's own edges can name it before its end time is known.
+	writeSpan trace.SpanID
 }
 
-func newInsertGroup(st *stream, spanName string) insertGroup {
-	return insertGroup{st: st, spanName: spanName, maxBytes: math.MaxUint32}
+func newAssembler(st stream, kind string) assembler {
+	return assembler{stream: st, kind: kind, maxBytes: math.MaxUint32}
 }
 
-// insert encodes one array: fill is called once per local element, in local
-// order, appending that element's payload to the encoder. It charges the
-// per-element pointer-list traversal cost of Figure 4.
-func (g *insertGroup) insert(n int, fill func(local int, e *Encoder)) error {
-	st := g.st
-	start := st.node.Clock().Now()
-	pos := len(g.inserts)
-	if pos == len(g.hints) {
-		g.hints = append(g.hints, 0)
+// Pending returns the number of inserts in the current interleave group.
+func (a *assembler) Pending() int { return len(a.inserts) }
+
+// Records returns the number of records written so far.
+func (a *assembler) Records() int { return a.wrote }
+
+// InsertFunc is the low-level insert primitive: fill is called once per
+// locally owned element, in local order, and appends that element's payload
+// to the encoder. The generic helpers (Insert, InsertField, InsertElems, …)
+// are built on it. Inserting charges the per-element pointer-list traversal
+// cost of Figure 4.
+func (a *assembler) InsertFunc(fill func(local int, e *Encoder)) error {
+	if err := a.checkOpen(); err != nil {
+		return err
 	}
-	hint := g.hints[pos]
+	n := a.LocalLen()
+	start := a.node.Clock().Now()
+	pos := len(a.inserts)
+	if pos == len(a.hints) {
+		a.hints = append(a.hints, 0)
+	}
+	hint := a.hints[pos]
 	var offs []uint32
-	if f := len(g.offFree); f > 0 && cap(g.offFree[f-1]) > n {
-		offs = g.offFree[f-1][:n+1]
-		g.offFree = g.offFree[:f-1]
+	if f := len(a.offFree); f > 0 && cap(a.offFree[f-1]) > n {
+		offs = a.offFree[f-1][:n+1]
+		a.offFree = a.offFree[:f-1]
 	} else {
 		offs = make([]uint32, n+1)
 	}
-	e := &g.enc
+	e := &a.enc
 	e.Adopt(bufpool.GetCap(hint))
 	for l := 0; l < n; l++ {
 		fill(l, e)
@@ -82,91 +104,146 @@ func (g *insertGroup) insert(n int, fill func(local int, e *Encoder)) error {
 		offs[l+1] = uint32(end) // checked as a whole below: ends only grow
 	}
 	buf := e.Detach()
-	if uint64(len(buf)) > g.maxBytes {
+	if uint64(len(buf)) > a.maxBytes {
 		bufpool.Put(buf)
-		g.offFree = append(g.offFree, offs)
-		return st.fail(fmt.Errorf("%w: insert of %d bytes on one node exceeds the record format's %d-byte sizes",
-			ErrOrder, len(buf), g.maxBytes))
+		a.offFree = append(a.offFree, offs)
+		return a.fail(fmt.Errorf("%w: insert of %d bytes on one node exceeds the record format's %d-byte sizes",
+			ErrOrder, len(buf), a.maxBytes))
 	}
-	g.hints[pos] = len(buf)
-	g.inserts = append(g.inserts, arena{buf: buf, offs: offs})
-	g.bytes += int64(len(buf))
-	st.met.inserts.Inc()
-	st.met.fill.Add(float64(len(buf)))
-	st.node.Compute(float64(n) * st.node.Profile().PerElemCost)
-	if rec := st.met.mon.Recorder(); rec != nil {
-		id := rec.AddSpan(st.node.Rank(), "dstream", g.spanName+st.name, start, st.node.Clock().Now())
-		g.spans = append(g.spans, id)
+	a.hints[pos] = len(buf)
+	a.inserts = append(a.inserts, arena{buf: buf, offs: offs})
+	a.bytes += int64(len(buf))
+	a.met.inserts.Inc()
+	a.met.fill.Add(float64(len(buf)))
+	a.node.Compute(float64(n) * a.node.Profile().PerElemCost)
+	if rec := a.met.mon.Recorder(); rec != nil {
+		id := rec.AddSpan(a.node.Rank(), "dstream", a.kind+".Insert "+a.name, start, a.node.Clock().Now())
+		a.spans = append(a.spans, id)
 	}
 	return nil
 }
 
-// linkSpans draws the encode edges from the group's insert spans to the
-// flush span that consumes them.
-func (g *insertGroup) linkSpans(rec *trace.Recorder, flush trace.SpanID) {
-	for _, id := range g.spans {
-		rec.AddFlow(id, flush, "encode")
+// flush is one Write between beginWrite and endWrite: what the sink needs to
+// know about the group, and what the epilogue needs to settle the accounts.
+type flush struct {
+	start  float64
+	arrays int      // inserts in the group
+	sizes  []uint32 // per local element, the group's inserts interleaved
+	bytes  int      // their sum
+	rec    *trace.Recorder
+}
+
+// beginWrite is Write's prologue on every output end: the open and order
+// checks, the flush span reserved and linked to the group's insert spans,
+// and the local size table. The sink then takes the group (pack, or elem by
+// elem and release) and endWrite closes the record.
+func (a *assembler) beginWrite() (flush, error) {
+	if err := a.checkOpen(); err != nil {
+		return flush{}, err
 	}
-	g.spans = g.spans[:0]
+	if len(a.inserts) == 0 {
+		return flush{}, a.fail(fmt.Errorf("%w: write with no pending inserts", ErrOrder))
+	}
+	w := flush{start: a.node.Clock().Now(), arrays: len(a.inserts), rec: a.met.mon.Recorder()}
+	if w.rec != nil {
+		a.writeSpan = w.rec.NewSpanID()
+		for _, id := range a.spans {
+			w.rec.AddFlow(id, a.writeSpan, "encode")
+		}
+		a.spans = a.spans[:0]
+	}
+	var err error
+	w.sizes, w.bytes, err = a.sizeTable()
+	return w, err
+}
+
+// endWrite is Write's epilogue: a sink failure sticks the stream in its
+// error state; a record that left counts, and its stall and span are cut.
+func (a *assembler) endWrite(w flush, err error) error {
+	if err != nil {
+		return a.fail(fmt.Errorf("%w: %w", ErrIO, err))
+	}
+	a.wrote++
+	end := a.node.Clock().Now()
+	a.met.writes.Inc()
+	a.met.flushBytes.Observe(float64(w.bytes))
+	a.met.flushStall.Observe(end - w.start)
+	if w.rec != nil {
+		w.rec.AddSpanID(a.writeSpan, a.node.Rank(), "dstream", a.kind+".Write "+a.name, w.start, end)
+	}
+	return nil
+}
+
+// closeGroup is the tail of an output end's Close. Data inserted but never
+// written is lost; that is surfaced unless err, what closing the sink
+// returned, already reports something.
+func (a *assembler) closeGroup(err error) error {
+	if n := len(a.inserts); n > 0 {
+		if err == nil {
+			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, n)
+		}
+		a.release()
+	}
+	return err
 }
 
 // sizeTable returns each local element's payload size with the group's
 // inserts interleaved — offset differences, summed across inserts — and
 // their total. The table is valid until the next call. An element too large
 // for the record format empties the group and fails the stream.
-func (g *insertGroup) sizeTable() ([]uint32, int, error) {
-	n := len(g.inserts[0].offs) - 1
-	if cap(g.sizes) < n {
-		g.sizes = make([]uint32, n)
+func (a *assembler) sizeTable() ([]uint32, int, error) {
+	n := len(a.inserts[0].offs) - 1
+	if cap(a.sizes) < n {
+		a.sizes = make([]uint32, n)
 	}
-	sizes := g.sizes[:n]
-	first := g.inserts[0].offs
+	sizes := a.sizes[:n]
+	first := a.inserts[0].offs
 	for l := range sizes {
 		sizes[l] = first[l+1] - first[l]
 	}
-	for _, a := range g.inserts[1:] {
+	for _, in := range a.inserts[1:] {
 		for l := range sizes {
-			sz := uint64(sizes[l]) + uint64(a.offs[l+1]-a.offs[l])
-			if sz > g.maxBytes {
-				g.release()
-				return nil, 0, g.st.fail(fmt.Errorf("%w: local element %d takes %d bytes across the group's inserts, over the record format's %d-byte sizes",
-					ErrOrder, l, sz, g.maxBytes))
+			sz := uint64(sizes[l]) + uint64(in.offs[l+1]-in.offs[l])
+			if sz > a.maxBytes {
+				a.release()
+				return nil, 0, a.fail(fmt.Errorf("%w: local element %d takes %d bytes across the group's inserts, over the record format's %d-byte sizes",
+					ErrOrder, l, sz, a.maxBytes))
 			}
 			sizes[l] = uint32(sz)
 		}
 	}
-	return sizes, int(g.bytes), nil
+	return sizes, int(a.bytes), nil
 }
 
 // pack empties the group into the per-node data buffer: element-major, the
 // inserts interleaved (Figure 4's pointer-list traversal). One insert's
 // arena is that buffer as it stands. The caller owns the result and
 // releases it to bufpool.
-func (g *insertGroup) pack() []byte {
+func (a *assembler) pack() []byte {
 	var data []byte
-	if len(g.inserts) == 1 {
-		data, g.inserts[0].buf = g.inserts[0].buf, nil
+	if len(a.inserts) == 1 {
+		data, a.inserts[0].buf = a.inserts[0].buf, nil
 	} else {
-		data = bufpool.GetCap(int(g.bytes))
-		for l, n := 0, len(g.inserts[0].offs)-1; l < n; l++ {
-			for i := range g.inserts {
-				data = append(data, g.inserts[i].elem(l)...)
+		data = bufpool.GetCap(int(a.bytes))
+		for l, n := 0, len(a.inserts[0].offs)-1; l < n; l++ {
+			for i := range a.inserts {
+				data = append(data, a.inserts[i].elem(l)...)
 			}
 		}
 	}
-	g.release()
+	a.release()
 	return data
 }
 
 // release empties the group, returning its arenas to the pool.
-func (g *insertGroup) release() {
-	for i := range g.inserts {
-		a := &g.inserts[i]
-		bufpool.Put(a.buf)
-		g.offFree = append(g.offFree, a.offs)
-		*a = arena{}
+func (a *assembler) release() {
+	for i := range a.inserts {
+		in := &a.inserts[i]
+		bufpool.Put(in.buf)
+		a.offFree = append(a.offFree, in.offs)
+		*in = arena{}
 	}
-	g.inserts = g.inserts[:0]
-	g.st.met.fill.Add(-float64(g.bytes))
-	g.bytes = 0
+	a.inserts = a.inserts[:0]
+	a.met.fill.Add(-float64(a.bytes))
+	a.bytes = 0
 }

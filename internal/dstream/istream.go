@@ -23,16 +23,15 @@ import (
 // across layouts, the frames the other nodes sent. Bytes obtained with
 // Decoder.Raw are therefore valid only until the next Read, UnsortedRead,
 // Skip or Close, wherever the element came from; copy them out to keep them.
+//
+// In the record pipeline (DESIGN.md) it is the file source — prefetch queue,
+// two-phase refill or direct read, then same-layout placement or the planned
+// redistribution — in front of the record view.
 type IStream struct {
-	stream
+	recordView
+	planState
 	opts   Options
 	cursor int64 // file offset of the next record
-
-	// Current record state.
-	hdr      enc.RecordHeader
-	haveRec  bool
-	elemBufs []*Decoder // one per local element, in local order
-	extracts int
 
 	// Steady-state scratch, reused across records: refill holds the node's
 	// share of the current record's data section (element decoders alias it,
@@ -69,17 +68,9 @@ type IStream struct {
 	sendBufs [][]byte
 	packed   [][]byte
 
-	// Cost-model planner state (nil planner = the static heuristic).
-	// planDepth is the effective read-ahead depth — the planner's choice
-	// under full auto, Options.ReadAhead when set explicitly;
-	// planStart/planStrat/planEst feed the per-record observation back.
-	planner   *plan.Planner
-	planMet   *planMetrics
+	// planDepth is a planned stream's effective read-ahead depth — the
+	// planner's choice, or Options.ReadAhead when that is set explicitly.
 	planDepth int
-	planK     int
-	planStrat plan.Strategy
-	planEst   float64
-	planStart float64
 }
 
 // recordMeta is the decoded front matter of one record: header, the
@@ -145,8 +136,8 @@ func openInput(node *machine.Node, d *distr.Distribution, name string, opts Opti
 		return nil, fmt.Errorf("dstream: open input %q: %w", name, err)
 	}
 	s := &IStream{
-		stream: stream{node: node, dist: d, f: f, name: name, met: newStreamMetrics(node.Monitor()), tag: streamTag(name)},
-		opts:   opts,
+		recordView: recordView{stream: newStream(node, d, node.Rank(), f, name), strict: opts.Strict},
+		opts:       opts,
 	}
 	// Node 0 validates the file header and broadcasts the verdict.
 	verdict := []byte{1}
@@ -174,8 +165,7 @@ func openInput(node *machine.Node, d *distr.Distribution, name string, opts Opti
 		return nil, s.fail(fmt.Errorf("dstream: open sync: %w", err))
 	}
 	if opts.plannerEnabled() {
-		s.planner = s.newStreamPlanner()
-		s.planMet = newPlanMetrics(s.met, node.Rank())
+		s.planState = s.newPlanState()
 		// Depth starts at the explicit override (0 under full auto — the
 		// first record is read synchronously, its broadcast geometry seeds
 		// the planner, and the pipeline starts from the second record).
@@ -199,43 +189,21 @@ func (s *IStream) aheadDepth() int {
 
 // planRead plans the record described by m and reports whether the
 // two-phase refill should serve it. All inputs come from the broadcast
-// metadata, so every rank plans identically; the broadcast also equalized
-// the group's clocks, making planStart a common origin for the
-// observation that follows the data movement.
+// metadata, so every rank plans identically.
 func (s *IStream) planRead(m recordMeta) bool {
 	if s.planner == nil {
-		return s.opts.strategy(int(m.h.NElems)) == StrategyTwoPhase
+		return s.opts.Strategy == StrategyTwoPhase
 	}
-	g := plan.Geometry{
+	d := s.planner.PlanRead(plan.Geometry{
 		NProcs:    s.dist.NProcs,
 		NElems:    int(m.h.NElems),
 		DataBytes: int64(m.h.DataBytes),
 		MetaBytes: enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes(),
-	}
-	d := s.planner.PlanRead(g, s.opts.Aggregators, s.opts.ReadAhead)
-	s.planK = d.Aggregators
+	}, s.opts.Aggregators, s.opts.ReadAhead)
+	s.decided(&s.stream, d)
 	s.planDepth = d.ReadAhead
-	s.planStrat = d.Strategy
-	s.planEst = d.RawEstimate
-	s.planStart = s.node.Clock().Now()
-	s.planMet.note(s.planner, d)
 	s.planMet.depth.Set(float64(d.ReadAhead))
-	if d.Switched {
-		s.planSwitchSpan(d)
-	}
 	return d.Strategy == plan.TwoPhase
-}
-
-// observePlanned feeds one planned record's observed virtual cost back to
-// the planner. end must be a rank-identical instant (a synchronous
-// refill's closing rendezvous, or an asynchronous transfer's completion).
-func (s *IStream) observePlanned(end float64) {
-	if s.planner == nil {
-		return
-	}
-	obs := end - s.planStart
-	s.planner.Observe(s.planStrat, s.planEst, obs)
-	s.planMet.observed.Observe(obs)
 }
 
 // More reports whether another record remains in the file.
@@ -274,79 +242,37 @@ func (s *IStream) read(sorted bool) error {
 	start := s.node.Clock().Now()
 	s.releaseFrames()
 
-	// Steps 1–2: record front matter — served from the prefetch queue when
-	// the pipeline has it, read synchronously (node 0 reads, broadcasts)
-	// otherwise.
+	// Steps 1–3: the record's front matter and this node's contiguous share
+	// of its data section — from the prefetch queue when the pipeline has
+	// them (planned when the fetch was issued, the share already in memory),
+	// read synchronously otherwise (node 0 reads the front matter and
+	// broadcasts it; fetch plans the record and moves the share).
 	e, hit := s.takePrefetched()
-	var m recordMeta
+	m := e.meta
+	var chunk []byte
 	if hit {
 		// The data transfer was issued in the background; stall only for
 		// its un-overlapped remainder.
 		s.node.Clock().SyncTo(e.completion)
-		overlap := start - e.issued
-		if lag := e.completion - e.issued; overlap > lag {
-			overlap = lag
-		}
-		if overlap < 0 {
-			overlap = 0
-		}
+		overlap := max(0, min(start, e.completion)-e.issued)
 		s.met.prefetchHits.Inc()
 		s.met.prefetchOverlap.Observe(overlap)
-		m = e.meta
-	} else {
-		var err error
-		if m, err = s.loadMeta(s.cursor); err != nil {
-			return s.fail(err)
-		}
-	}
-
-	wdist := m.wdist
-	offs := m.offs
-	dataStart := s.cursor + enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes()
-
-	me := s.node.Rank()
-	starts := s.rankStarts()
-	lo, hi := starts[me], starts[me+1]
-
-	// Step 3: move this node's contiguous share of the data section out of
-	// the file — a prefetched share already sits in memory; otherwise one
-	// direct parallel read (conforming to the layout on disk), or, under
-	// the two-phase strategy, aggregators that refill stripe-aligned
-	// extents once and scatter slices to consumers. A prefetched record
-	// was planned when its fetch was issued; a synchronous one is planned
-	// here.
-	var chunk []byte
-	var err error
-	switch {
-	case hit:
 		if e.chunk != nil {
 			s.retireBuf(s.refill)
 			s.refill = e.chunk
 		}
 		chunk = e.chunk
-	case s.planRead(m):
-		c, _, err := s.refillTwoPhase(dataStart, offs, starts, s.refill, false)
-		s.refill = c
-		chunk = c
+	} else {
+		var err error
+		if m, err = s.loadMeta(s.cursor); err != nil {
+			return s.fail(err)
+		}
+		chunk, _, err = s.fetch(s.cursor, m, s.refill, false)
+		s.refill = chunk
 		if err != nil {
 			return s.fail(fmt.Errorf("%w: parallel read: %w", ErrIO, err))
 		}
-		s.observePlanned(s.node.Clock().Now())
-	default:
-		rg := pfs.Range{Off: dataStart + offs[lo], Len: int(offs[hi] - offs[lo])}
-		old := s.refill
-		chunk, err = s.f.ParallelReadInto(rg, old[:0])
-		if err != nil {
-			return s.fail(fmt.Errorf("%w: parallel read: %w", ErrIO, err))
-		}
-		if rg.Len > 0 {
-			if cap(old) < rg.Len {
-				// Outgrown: the read came back in a fresh pooled buffer.
-				bufpool.Put(old)
-			}
-			s.refill = chunk
-		}
-		s.observePlanned(s.node.Clock().Now())
+		s.observe(s.node.Clock().Now())
 	}
 	s.node.CopyCost(int64(len(chunk)))
 	if s.planner != nil {
@@ -355,39 +281,29 @@ func (s *IStream) read(sorted bool) error {
 	}
 
 	// Point one decoder per local element at its payload.
-	if len(s.elemBufs) != hi-lo {
-		ds := make([]Decoder, hi-lo)
-		s.elemBufs = make([]*Decoder, hi-lo)
-		for i := range ds {
-			s.elemBufs[i] = &ds[i]
-		}
-	}
-	if !sorted || s.dist.SameLayout(wdist) {
+	starts := s.rankStarts()
+	lo, hi := starts[s.rank], starts[s.rank+1]
+	decs, offs := s.decoders(hi-lo), m.offs
+	if !sorted || s.dist.SameLayout(m.wdist) {
 		// unsortedRead, or the layouts agree: the contiguous chunk already
 		// holds exactly this node's elements (in writer order for the
 		// matched case; in arbitrary-but-counted order otherwise).
 		for p := lo; p < hi; p++ {
-			s.elemBufs[p-lo].Reset(chunk[offs[p]-offs[lo] : offs[p+1]-offs[lo]])
+			decs[p-lo].Reset(chunk[offs[p]-offs[lo] : offs[p+1]-offs[lo]])
 		}
-	} else if err := s.redistribute(s.planFor(wdist), chunk, offs, lo); err != nil {
+	} else if err := s.redistribute(s.planFor(m.wdist), chunk, offs, lo); err != nil {
 		return s.fail(fmt.Errorf("%w: redistribute: %w", ErrIO, err))
 	}
-	s.hdr = m.h
-	s.haveRec = true
-	s.extracts = 0
 	s.cursor += m.h.TotalBytes()
-	end := s.node.Clock().Now()
-	s.met.reads.Inc()
-	s.met.refillBytes.Observe(float64(len(chunk)))
-	s.met.refillStall.Observe(end - start)
+	end := s.loaded(int(m.h.NArrays), int64(len(chunk)), start)
 	// Top up the pipeline after the stall metric is cut, so issuing the
 	// next prefetches never counts against this read's stall.
 	s.topUpPrefetch()
-	op := "istream.Read "
-	if !sorted {
-		op = "istream.UnsortedRead "
-	}
 	if rec := s.met.mon.Recorder(); rec != nil {
+		op := "istream.Read "
+		if !sorted {
+			op = "istream.UnsortedRead "
+		}
 		rid := rec.AddSpan(s.node.Rank(), "dstream", op+s.name, start, end)
 		if hit {
 			// Close the pipeline chain: issue → background disk transfer →
@@ -396,6 +312,37 @@ func (s *IStream) read(sorted bool) error {
 		}
 	}
 	return nil
+}
+
+// fetch moves this node's contiguous share of the record m at cursor out of
+// the file, into dst when that is large enough: the record is planned, and
+// then either aggregators refill stripe-aligned extents once and scatter
+// slices to the consumers (two-phase), or every node reads its own share with
+// one direct parallel read, conforming to the layout on disk. async issues
+// the transfer in the background and returns the virtual instant it lands.
+// Whatever happens, the returned buffer is the one the caller owns afterwards
+// in place of dst — dst itself on a failed or empty direct read.
+func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async bool) (chunk []byte, completion float64, err error) {
+	dataStart := cursor + enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes()
+	starts := s.rankStarts()
+	if s.planRead(m) {
+		return s.refillTwoPhase(dataStart, m.offs, starts, dst, async)
+	}
+	lo, hi := starts[s.rank], starts[s.rank+1]
+	rg := pfs.Range{Off: dataStart + m.offs[lo], Len: int(m.offs[hi] - m.offs[lo])}
+	if async {
+		chunk, completion, err = s.f.ParallelReadIntoAsync(rg, dst[:0])
+	} else {
+		chunk, err = s.f.ParallelReadInto(rg, dst[:0])
+	}
+	if err != nil || rg.Len == 0 {
+		return dst[:0], completion, err
+	}
+	if cap(dst) < rg.Len {
+		// Outgrown: the read came back in a fresh pooled buffer.
+		bufpool.Put(dst)
+	}
+	return chunk, completion, nil
 }
 
 // loadMeta reads and validates the front matter of the record at cursor —
@@ -501,7 +448,7 @@ func (s *IStream) rankStarts() []int {
 // rank at once and re-surface through the consumer's own synchronous read;
 // transport failures fail the stream (see commError).
 func (s *IStream) topUpPrefetch() {
-	if s.aheadDepth() <= 0 || s.err != nil || s.f == nil {
+	if s.aheadDepth() <= 0 || s.checkOpen() != nil {
 		return
 	}
 	next := s.cursor
@@ -531,48 +478,29 @@ func (s *IStream) prefetchOne(cursor int64) (prefetched, bool) {
 		}
 		return e, false
 	}
-	e.meta = m
-	e.next = cursor + m.h.TotalBytes()
-	dataStart := cursor + enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes()
-	starts := s.rankStarts()
-	dst := s.takeFreeBuf()
-	if s.planRead(m) {
-		chunk, completion, err := s.refillTwoPhase(dataStart, m.offs, starts, dst, true)
-		if err != nil {
-			s.retireBuf(chunk)
-			if isCommErr(err) {
-				s.fail(fmt.Errorf("%w: parallel read: %w", ErrIO, err))
-			}
-			return e, false
+	chunk, completion, err := s.fetch(cursor, m, s.takeFreeBuf(), true)
+	if err != nil {
+		// PFS errors reach every rank through the rendezvous, so abandoning
+		// on one is collective — benign. A transport failure is not.
+		s.retireBuf(chunk)
+		if isCommErr(err) {
+			s.fail(fmt.Errorf("%w: parallel read: %w", ErrIO, err))
 		}
-		e.chunk, e.completion = chunk, completion
-		e.span = s.f.LastAsyncSpan()
-	} else {
-		me := s.node.Rank()
-		lo, hi := starts[me], starts[me+1]
-		rg := pfs.Range{Off: dataStart + m.offs[lo], Len: int(m.offs[hi] - m.offs[lo])}
-		chunk, completion, err := s.f.ParallelReadIntoAsync(rg, dst)
-		if err != nil {
-			// PFS errors reach every rank through the rendezvous, so the
-			// abandon is collective — benign.
-			s.retireBuf(dst)
-			return e, false
-		}
-		if rg.Len == 0 {
-			s.retireBuf(dst)
-			chunk = nil
-		} else if cap(dst) < rg.Len {
-			// Outgrown: the read came back in a fresh pooled buffer.
-			bufpool.Put(dst)
-		}
-		e.chunk, e.completion = chunk, completion
-		e.span = s.f.LastAsyncSpan()
+		return e, false
 	}
+	if len(chunk) == 0 {
+		// The queue holds an empty share as a nil chunk; its destination
+		// goes back for the next prefetch.
+		s.retireBuf(chunk)
+		chunk = nil
+	}
+	e.meta, e.next = m, cursor+m.h.TotalBytes()
+	e.chunk, e.completion, e.span = chunk, completion, s.f.LastAsyncSpan()
 	// The async transfer's completion is the same instant on every rank;
 	// its distance from the planned start is the record's observed cost,
 	// fed back at issue time (ranks run the pipeline in lockstep, so the
 	// planner sees observations in the same order everywhere).
-	s.observePlanned(e.completion)
+	s.observe(completion)
 	return e, true
 }
 
@@ -674,6 +602,20 @@ func (s *IStream) bcastBytes(off int64, n int) ([]byte, error) {
 	return frame[1:], nil
 }
 
+// peekHeader has node 0 read the next record's header and broadcast it; op
+// names the caller in the error, which sticks the stream.
+func (s *IStream) peekHeader(op string) (enc.RecordHeader, error) {
+	hdr, err := s.bcastBytes(s.cursor, enc.RecordHeaderLen)
+	if err != nil {
+		return enc.RecordHeader{}, s.fail(fmt.Errorf("dstream: %s record header: %w", op, err))
+	}
+	h, err := enc.DecodeRecordHeader(hdr)
+	if err != nil {
+		return enc.RecordHeader{}, s.fail(err)
+	}
+	return h, nil
+}
+
 // Skip advances past the next record without loading its data. It enables
 // the paper's multiple-streams-per-file pattern ("Multiple d/streams may be
 // set up and connected to the same file if collections with differing
@@ -703,23 +645,14 @@ func (s *IStream) Skip() error {
 		}
 		s.retireBuf(e.chunk)
 		s.cursor = e.next
-		s.haveRec = false
-		s.elemBufs = nil
-		s.met.skips.Inc()
-		s.topUpPrefetch()
-		return nil
+	} else {
+		h, err := s.peekHeader("skip")
+		if err != nil {
+			return err
+		}
+		s.cursor += h.TotalBytes()
 	}
-	hdr, err := s.bcastBytes(s.cursor, enc.RecordHeaderLen)
-	if err != nil {
-		return s.fail(fmt.Errorf("dstream: skip record header: %w", err))
-	}
-	h, err := enc.DecodeRecordHeader(hdr)
-	if err != nil {
-		return s.fail(err)
-	}
-	s.cursor += h.TotalBytes()
 	s.haveRec = false
-	s.elemBufs = nil
 	s.met.skips.Inc()
 	s.topUpPrefetch()
 	return nil
@@ -741,79 +674,17 @@ func (s *IStream) NextElems() (int, error) {
 		// collective-consistent).
 		return int(s.pre[0].meta.h.NElems), nil
 	}
-	hdr, err := s.bcastBytes(s.cursor, enc.RecordHeaderLen)
-	if err != nil {
-		return 0, s.fail(fmt.Errorf("dstream: peek record header: %w", err))
-	}
-	h, err := enc.DecodeRecordHeader(hdr)
-	if err != nil {
-		return 0, s.fail(err)
-	}
-	return int(h.NElems), nil
-}
-
-// ExtractFunc is the low-level extract primitive: take is called once per
-// locally owned element, in local order, with that element's decoder
-// positioned at the next array of the record. Each call to ExtractFunc
-// consumes one insert's worth of data, in insertion order.
-func (s *IStream) ExtractFunc(take func(local int, d *Decoder)) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if !s.haveRec {
-		return s.fail(fmt.Errorf("%w: extract before read", ErrOrder))
-	}
-	if s.extracts >= int(s.hdr.NArrays) {
-		return s.fail(fmt.Errorf("%w: record has %d arrays, extract #%d requested",
-			ErrOrder, s.hdr.NArrays, s.extracts+1))
-	}
-	for l, d := range s.elemBufs {
-		take(l, d)
-		if err := d.Err(); err != nil {
-			return s.fail(fmt.Errorf("dstream: extract element (local %d): %w", l, err))
-		}
-	}
-	s.extracts++
-	s.met.extracts.Inc()
-	s.node.Compute(float64(len(s.elemBufs)) * s.node.Profile().PerElemCost)
-	return nil
-}
-
-// Arrays returns the number of arrays in the current record (0 before the
-// first read).
-func (s *IStream) Arrays() int {
-	if !s.haveRec {
-		return 0
-	}
-	return int(s.hdr.NArrays)
-}
-
-// Extracted returns how many arrays of the current record have been
-// extracted.
-func (s *IStream) Extracted() int { return s.extracts }
-
-// LocalLen returns the number of elements this node receives per record.
-func (s *IStream) LocalLen() int { return s.dist.LocalCount(s.node.Rank()) }
-
-// checkFullyExtracted enforces Strict mode: the current record must be
-// fully drained before moving on.
-func (s *IStream) checkFullyExtracted(op string) error {
-	if !s.opts.Strict || !s.haveRec {
-		return nil
-	}
-	if s.extracts < int(s.hdr.NArrays) {
-		return s.fail(fmt.Errorf("%w: %s with %d of %d arrays unextracted (Strict)",
-			ErrOrder, op, int(s.hdr.NArrays)-s.extracts, s.hdr.NArrays))
-	}
-	return nil
+	h, err := s.peekHeader("peek")
+	return int(h.NElems), err
 }
 
 // Close releases the stream (idempotent). In Strict mode, closing with a
 // partially extracted record is an error.
 func (s *IStream) Close() error {
-	if s.f == nil {
+	if !s.open {
 		return nil
 	}
+	s.open = false
 	// Release the pipeline first: queued prefetches die unread (counted
 	// wasted) and the recycled destinations go back to the shared pool.
 	s.dropPrefetched()
@@ -827,16 +698,5 @@ func (s *IStream) Close() error {
 	bufpool.Put(s.refill)
 	s.refill = nil
 	s.releaseFrames()
-	s.elemBufs = nil
-	if err == nil && s.opts.Strict && s.haveRec && s.extracts < int(s.hdr.NArrays) {
-		err = fmt.Errorf("%w: close with %d of %d arrays unextracted (Strict)",
-			ErrOrder, int(s.hdr.NArrays)-s.extracts, s.hdr.NArrays)
-	}
-	return err
+	return s.closeView(err)
 }
-
-// Node returns the owning node.
-func (s *IStream) Node() *machine.Node { return s.node }
-
-// Dist returns the reader's distribution.
-func (s *IStream) Dist() *distr.Distribution { return s.dist }

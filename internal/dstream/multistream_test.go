@@ -1,7 +1,6 @@
 package dstream
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -315,90 +314,6 @@ func TestFullPipelineOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestStrictMode enforces the full Figure 2 contract: in Strict mode a
-// record must be completely extracted before the next read, skip, or close.
-func TestStrictMode(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		// Two records, two arrays each.
-		s, err := Open(n, d, "strict")
-		if err != nil {
-			return err
-		}
-		for rec := 0; rec < 2; rec++ {
-			for a := 0; a < 2; a++ {
-				if err := s.InsertFunc(func(l int, e *Encoder) { e.Int64(int64(rec*10 + a)) }); err != nil {
-					return err
-				}
-			}
-			if err := s.Write(); err != nil {
-				return err
-			}
-		}
-		if err := s.Close(); err != nil {
-			return err
-		}
-
-		in, err := OpenInput(n, d, "strict", WithStrict())
-		if err != nil {
-			return err
-		}
-		if err := in.Read(); err != nil {
-			return err
-		}
-		// Only one of two arrays extracted.
-		if err := in.ExtractFunc(func(int, *Decoder) {}); err != nil {
-			return err
-		}
-		if err := in.Read(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("strict read with pending arrays: %v, want ErrOrder", err)
-		}
-		return nil
-	})
-
-	// Close path.
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		in, err := OpenInput(n, d, "strict", WithStrict())
-		if err != nil {
-			return err
-		}
-		if err := in.Read(); err != nil {
-			return err
-		}
-		if err := in.Close(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("strict close with pending arrays: %v, want ErrOrder", err)
-		}
-		return nil
-	})
-
-	// Fully extracted: strict mode is satisfied.
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		in, err := OpenInput(n, d, "strict", WithStrict())
-		if err != nil {
-			return err
-		}
-		for rec := 0; rec < 2; rec++ {
-			if err := in.Read(); err != nil {
-				return err
-			}
-			for a := 0; a < 2; a++ {
-				rec, a := rec, a
-				if err := in.ExtractFunc(func(l int, dec *Decoder) {
-					if got := dec.Int64(); got != int64(rec*10+a) {
-						panic(fmt.Sprintf("rec %d arr %d: got %d", rec, a, got))
-					}
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		return in.Close()
-	})
 }
 
 // TestAsyncWriteCorrectness: write-behind streams produce byte-identical

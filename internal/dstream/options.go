@@ -16,9 +16,11 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyAuto picks per record: funnelled for small collections,
-	// parallel for large ones — the paper's heuristic (never two-phase, so
-	// existing workloads keep their exact cost profile unless they opt in).
+	// StrategyAuto hands the choice to the cost-model planner (internal/plan):
+	// per record it prices funnel, parallel and two-phase on the node's
+	// platform profile and the file's stripe layout, picks the cheapest with
+	// its aggregator count and read-ahead depth, and re-plans when observed
+	// cost diverges from the estimate.
 	StrategyAuto Strategy = iota
 	// StrategyFunnel routes metadata and data through node 0's per-node
 	// block: one parallel append total.
@@ -64,28 +66,8 @@ func ParseStrategy(name string) (Strategy, error) {
 	return StrategyAuto, fmt.Errorf("dstream: unknown strategy %q (want auto|funnel|parallel|twophase)", name)
 }
 
-// strategy resolves the effective strategy for a record over nElems
-// elements: an explicit Strategy wins; otherwise the legacy MetaPolicy is
-// honored; otherwise the paper's size heuristic decides.
-func (o Options) strategy(nElems int) Strategy {
-	if o.Strategy != StrategyAuto {
-		return o.Strategy
-	}
-	switch o.Meta {
-	case MetaFunnel:
-		return StrategyFunnel
-	case MetaParallel:
-		return StrategyParallel
-	}
-	if nElems < o.funnelThreshold() {
-		return StrategyFunnel
-	}
-	return StrategyParallel
-}
-
-// Option is one functional setting for Open/OpenInput — the composable
-// replacement for the Options struct literal (which the deprecated
-// OutputOpts/InputOpts constructors still accept).
+// Option is one functional setting for Open, OpenInput, OpenChannel and
+// OpenChannelInput; each open validates the settings against its direction.
 type Option func(*Options)
 
 // WithStrategy selects the collective data path (write side: funnel,
@@ -121,14 +103,9 @@ func WithStrict() Option {
 	return func(o *Options) { o.Strict = true }
 }
 
-// WithFunnelThreshold overrides the element count below which the Auto
-// strategy funnels (DefaultFunnelThreshold otherwise).
-func WithFunnelThreshold(n int) Option {
-	return func(o *Options) { o.FunnelThreshold = n }
-}
-
 // WithAggregators overrides the aggregator count of the two-phase strategy.
-// Zero (the default) derives K from the file's stripe factor.
+// Zero (the default) takes the planner's K under StrategyAuto and the file's
+// stripe factor otherwise.
 func WithAggregators(k int) Option {
 	return func(o *Options) { o.Aggregators = k }
 }
@@ -141,8 +118,8 @@ func WithChannelWindow(n int) Option {
 	return func(o *Options) { o.ChannelWindow = n }
 }
 
-// WithOptions merges a pre-built Options value, for callers migrating from
-// the struct-literal constructors.
+// WithOptions applies a pre-built Options value wholesale, replacing whatever
+// the options before it set.
 func WithOptions(opts Options) Option {
 	return func(o *Options) { *o = opts }
 }

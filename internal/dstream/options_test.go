@@ -12,12 +12,12 @@ import (
 
 // TestOptionValidation: option values the open primitives used to misread
 // silently now fail at open time with a clear error, per direction.
-// Negative values (a negative threshold fell back to the default, a
-// negative aggregator count to the stripe factor, a negative depth to
-// synchronous reads) fail everywhere; direction-inapplicable options
-// (read-ahead on an output stream, append or write-behind on an input
-// stream, any file-path setting on a channel) fail on exactly the
-// directions they don't apply to, and still open on the ones they do.
+// Negative values (a negative aggregator count fell back to the stripe
+// factor, a negative depth to synchronous reads) fail everywhere;
+// direction-inapplicable options (read-ahead on an output stream, append or
+// write-behind on an input stream, any file-path setting on a channel) fail
+// on exactly the directions they don't apply to, and still open on the ones
+// they do.
 func TestOptionValidation(t *testing.T) {
 	const inapplicable = "does not apply to"
 	cases := []struct {
@@ -28,8 +28,6 @@ func TestOptionValidation(t *testing.T) {
 		wantOut, wantIn, wantCS, wantCR string
 	}{
 		{"defaults", nil, "", "", "", ""},
-		{"zero threshold", []Option{WithFunnelThreshold(0)}, "", "", "", ""},
-		{"positive threshold", []Option{WithFunnelThreshold(512)}, "", "", inapplicable, inapplicable},
 		{"positive aggregators", []Option{WithAggregators(2)}, "", "", inapplicable, inapplicable},
 		{"explicit strategy", []Option{WithStrategy(StrategyTwoPhase)}, "", "", inapplicable, inapplicable},
 		{"positive read-ahead", []Option{WithReadAhead(3)}, inapplicable, "", inapplicable, inapplicable},
@@ -37,8 +35,6 @@ func TestOptionValidation(t *testing.T) {
 		{"append", []Option{WithAppend()}, "", inapplicable, inapplicable, inapplicable},
 		{"async", []Option{WithAsync()}, "", inapplicable, inapplicable, inapplicable},
 		{"channel window", []Option{WithChannelWindow(1 << 16)}, inapplicable, inapplicable, "", ""},
-		{"negative threshold", []Option{WithFunnelThreshold(-1)},
-			"negative funnel threshold", "negative funnel threshold", "negative funnel threshold", "negative funnel threshold"},
 		{"negative aggregators", []Option{WithAggregators(-2)},
 			"negative aggregator count", "negative aggregator count", "negative aggregator count", "negative aggregator count"},
 		{"negative read-ahead", []Option{WithReadAhead(-4)},
@@ -132,9 +128,8 @@ func hasAppend(opts []Option) bool {
 }
 
 // TestPlannerEnabledGate pins which configurations hand the strategy choice
-// to the cost-model planner: only the full-auto zero configuration. Any
-// explicit strategy, legacy metadata policy, or threshold override keeps
-// the paper's static heuristic and its exact cost profile.
+// to the cost-model planner: StrategyAuto, whatever else is set. An explicit
+// strategy is used as given and keeps its exact cost profile.
 func TestPlannerEnabledGate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -147,8 +142,7 @@ func TestPlannerEnabledGate(t *testing.T) {
 		{"aggregators only", Options{Aggregators: 2}, true},
 		{"explicit strategy", Options{Strategy: StrategyFunnel}, false},
 		{"explicit twophase", Options{Strategy: StrategyTwoPhase}, false},
-		{"meta policy", Options{Meta: MetaFunnel}, false},
-		{"funnel threshold", Options{FunnelThreshold: 100}, false},
+		{"explicit parallel", Options{Strategy: StrategyParallel}, false},
 	}
 	for _, tc := range cases {
 		if got := tc.o.plannerEnabled(); got != tc.want {

@@ -15,39 +15,24 @@ import (
 // OStream is an output d/stream: a per-node buffer bound to a file, into
 // which aligned collections are inserted and then written with one parallel
 // operation per record. Declare one per distribution/alignment, as in the
-// paper: `oStream s(&d, &a, "wholeGridFile")`.
+// paper: `oStream s(&d, &a, "wholeGridFile")`. In the record pipeline
+// (DESIGN.md) it is the assembler plus the file sink: pack the group, pick a
+// strategy, append.
 type OStream struct {
-	stream
+	assembler
+	planState
 	opts Options
-	// grp is the current interleave group: the inserts since the last
-	// write, each encoded into one arena.
-	grp   insertGroup
-	wrote int // records written
-	// pending is the completion time of the latest asynchronous write; the
-	// clock must reach it before the stream's data is durable.
-	pending float64
-
-	// Causal-graph state, all zero when the run is not tracing: the record
-	// flush span (reserved before the strategy runs so the encode edges and
-	// the shuffle can link to it), and the async disk spans the next Drain
-	// will wait on.
-	writeSpan    trace.SpanID
-	pendingSpans []trace.SpanID
-
-	// Cost-model planner state (nil planner = the paper's static
-	// heuristic). descLen caches the descriptor section's byte length (it
-	// never changes between records); planTotal carries the record's
-	// agreed total data bytes from the plan agreement to writeParallel,
-	// which then skips its own Allreduce; planStart/planStrat/planEst
-	// feed the post-flush observation back to the planner.
-	planner   *plan.Planner
-	planMet   *planMetrics
-	descLen   int
-	planK     int
+	// metaLen is the byte length of a record's front matter — header,
+	// descriptor, size table — which the distribution fixes for every record.
+	metaLen int64
+	// planTotal carries a planned record's agreed total data bytes from the
+	// plan agreement to writeParallel, which then skips its own Allreduce.
 	planTotal int64
-	planStrat plan.Strategy
-	planEst   float64
-	planStart float64
+	// pending is the completion time of the latest asynchronous write; the
+	// clock must reach it before the stream's data is durable. pendingSpans
+	// are the async disk spans the next Drain will wait on (tracing only).
+	pending      float64
+	pendingSpans []trace.SpanID
 }
 
 // openOutput is the collective open every output constructor funnels into.
@@ -64,15 +49,13 @@ func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Opt
 		return nil, fmt.Errorf("dstream: open output %q: %w", name, err)
 	}
 	s := &OStream{
-		stream: stream{node: node, dist: d, f: f, name: name, met: newStreamMetrics(node.Monitor()), tag: streamTag(name)},
-		opts:   opts,
+		assembler: newAssembler(newStream(node, d, node.Rank(), f, name), "ostream"),
+		opts:      opts,
 	}
-	s.grp = newInsertGroup(&s.stream, "ostream.Insert ")
+	_, desc := headerFor(d, 1, 0)
+	s.metaLen = enc.RecordHeaderLen + int64(len(desc)) + int64(4*d.N)
 	if opts.plannerEnabled() {
-		s.planner = s.newStreamPlanner()
-		s.planMet = newPlanMetrics(s.met, node.Rank())
-		_, desc := headerFor(d, 1, 0)
-		s.descLen = len(desc)
+		s.planState = s.newPlanState()
 	}
 	// Node 0 stamps (or, in append mode, validates) the file header; the
 	// control sync both orders that before any parallel append and models
@@ -112,15 +95,6 @@ func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Opt
 	return s, nil
 }
 
-// LocalLen returns the number of elements this node contributes per insert.
-func (s *OStream) LocalLen() int { return s.dist.LocalCount(s.node.Rank()) }
-
-// Pending returns the number of inserts in the current interleave group.
-func (s *OStream) Pending() int { return len(s.grp.inserts) }
-
-// Records returns the number of records written so far.
-func (s *OStream) Records() int { return s.wrote }
-
 // FileSize returns the current byte length of the underlying file image
 // (header plus all committed records). Checkpoint managers use it to seal
 // commit markers.
@@ -131,92 +105,52 @@ func (s *OStream) FileSize() int64 {
 	return s.f.Size()
 }
 
-// InsertFunc is the low-level insert primitive: fill is called once per
-// locally owned element, in local order, and appends that element's payload
-// to the encoder. The generic helpers (Insert, InsertField, …) are built on
-// it. Inserting charges the per-element pointer-list traversal cost of
-// Figure 4.
-func (s *OStream) InsertFunc(fill func(local int, e *Encoder)) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	return s.grp.insert(s.LocalLen(), fill)
-}
-
 // Write flushes the current interleave group as one record (§4.1): the
 // per-element pointer lists are traversed, data is packed into the per-node
 // buffer, the metadata (distribution descriptor and per-element sizes) is
-// placed ahead of the data — through node 0 for small collections, with a
-// parallel write for large ones — and the data is written with one parallel
+// placed ahead of the data — through node 0 or with a parallel write of its
+// own, as the strategy has it — and the data is written with one parallel
 // operation in node order.
 func (s *OStream) Write() error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if len(s.grp.inserts) == 0 {
-		return s.fail(fmt.Errorf("%w: write with no pending inserts", ErrOrder))
-	}
-	start := s.node.Clock().Now()
-	nArrays := len(s.grp.inserts)
-	nLocal := s.LocalLen()
-	rec := s.met.mon.Recorder()
-	if rec != nil {
-		// Reserve the flush span up front: the encode edges below and the
-		// two-phase shuffle's stripe-write edges reference it before the
-		// span's end time is known.
-		s.writeSpan = rec.NewSpanID()
-		s.grp.linkSpans(rec, s.writeSpan)
-	}
-
-	// Per-element sizes (local order) with the group's arrays interleaved,
-	// then the per-node data buffer: a group of one insert hands over its
-	// arena, a longer one is packed element-major.
-	localSizes, localBytes, err := s.grp.sizeTable()
+	w, err := s.beginWrite()
 	if err != nil {
 		return err
 	}
-	data := s.grp.pack()
-	s.node.CopyCost(int64(localBytes) + int64(4*nLocal))
+	return s.endWrite(w, s.appendRecord(w))
+}
 
-	var werr error
-	strat := s.opts.strategy(s.dist.N)
+// appendRecord is the file sink: the group packed into the per-node data
+// buffer — one insert hands over its arena, a longer group is packed
+// element-major — and moved to the file by the record's strategy.
+func (s *OStream) appendRecord(w flush) error {
+	data := s.pack()
+	s.node.CopyCost(int64(w.bytes) + int64(4*len(w.sizes)))
+
+	strat := s.opts.Strategy
+	var err error
 	if s.planner != nil {
-		strat, werr = s.planRecord(localBytes)
+		strat, err = s.planRecord(w.bytes)
 	}
-	if werr == nil {
+	if err == nil {
 		switch strat {
 		case StrategyFunnel:
-			werr = s.writeFunnel(nArrays, localSizes, data)
+			err = s.writeFunnel(w.arrays, w.sizes, data)
 		case StrategyTwoPhase:
-			werr = s.writeTwoPhase(nArrays, localSizes, data)
+			err = s.writeTwoPhase(w.arrays, w.sizes, data)
 		default:
-			werr = s.writeParallel(nArrays, localSizes, data)
+			err = s.writeParallel(w.arrays, w.sizes, data)
 		}
 	}
 	// Every strategy's bytes are on the wire or in the file by the time it
 	// returns (parallel appends complete inside the rendezvous, transports
 	// copy on send), so the packed buffer can be released even on failure.
 	bufpool.Put(data)
-	if werr != nil {
-		return s.fail(fmt.Errorf("%w: %w", ErrIO, werr))
-	}
-	s.wrote++
-	end := s.node.Clock().Now()
-	if s.planner != nil {
+	if err == nil {
 		// The strategy's closing rendezvous left every rank's clock at the
-		// same instant, and planStart was equalized by the plan agreement:
-		// the delta is a rank-identical observation, fed back for free.
-		obs := end - s.planStart
-		s.planner.Observe(s.planStrat, s.planEst, obs)
-		s.planMet.observed.Observe(obs)
+		// same instant: a rank-identical observation, fed back for free.
+		s.observe(s.node.Clock().Now())
 	}
-	s.met.writes.Inc()
-	s.met.flushBytes.Observe(float64(localBytes))
-	s.met.flushStall.Observe(end - start)
-	if rec != nil {
-		rec.AddSpanID(s.writeSpan, s.node.Rank(), "dstream", "ostream.Write "+s.name, start, end)
-	}
-	return nil
+	return err
 }
 
 // planRecord agrees on the record's total data bytes — one 8-byte
@@ -232,21 +166,13 @@ func (s *OStream) planRecord(localBytes int) (Strategy, error) {
 		return StrategyAuto, fmt.Errorf("dstream: plan agreement: %w", err)
 	}
 	s.planTotal = int64(total)
-	g := plan.Geometry{
+	d := s.planner.PlanWrite(plan.Geometry{
 		NProcs:    s.dist.NProcs,
 		NElems:    s.dist.N,
 		DataBytes: s.planTotal,
-		MetaBytes: s.metaBytesFor(s.descLen),
-	}
-	d := s.planner.PlanWrite(g, s.opts.Aggregators)
-	s.planK = d.Aggregators
-	s.planStrat = d.Strategy
-	s.planEst = d.RawEstimate
-	s.planStart = s.node.Clock().Now()
-	s.planMet.note(s.planner, d)
-	if d.Switched {
-		s.planSwitchSpan(d)
-	}
+		MetaBytes: s.metaLen,
+	}, s.opts.Aggregators)
+	s.decided(&s.stream, d)
 	return fromPlanStrategy(d.Strategy), nil
 }
 
@@ -381,24 +307,12 @@ func (s *OStream) writeParallel(nArrays int, localSizes []uint32, data []byte) e
 // Close releases the stream. As in pC++/streams, where close lives in the
 // d/stream destructor, Close is idempotent and safe to defer.
 func (s *OStream) Close() error {
-	if s.f == nil {
+	if !s.open {
 		return nil
 	}
+	s.open = false
 	s.Drain()
 	err := s.f.Close()
 	s.f = nil
-	if n := len(s.grp.inserts); n > 0 {
-		// Data inserted but never written is lost; surface it.
-		if err == nil {
-			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, n)
-		}
-		s.grp.release()
-	}
-	return err
+	return s.closeGroup(err)
 }
-
-// Node returns the owning node.
-func (s *OStream) Node() *machine.Node { return s.node }
-
-// Dist returns the stream's distribution.
-func (s *OStream) Dist() *distr.Distribution { return s.dist }

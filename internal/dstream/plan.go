@@ -5,16 +5,15 @@ import (
 	"strconv"
 
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/enc"
+	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/plan"
 )
 
-// Planner integration. Under the full-auto configuration (no explicit
-// strategy, no legacy Meta policy, no funnel-threshold override) a stream
-// carries a plan.Planner: a closed-form cost model over the node's
-// platform profile and the file's stripe layout that picks strategy,
-// aggregator fan-in, and read-ahead depth per record, re-planning online
-// when observed cost diverges from the estimate.
+// Planner integration. A stream opened with StrategyAuto carries a
+// plan.Planner: a closed-form cost model over the node's platform profile
+// and the file's stripe layout that picks strategy, aggregator fan-in, and
+// read-ahead depth per record, re-planning online when observed cost
+// diverges from the estimate.
 //
 // Collective-consistency contract: every planner input is rank-identical —
 // the record geometry comes from an Allreduce (writes) or node 0's
@@ -25,12 +24,9 @@ import (
 // harnesses can verify no switch ever split the group.
 
 // plannerEnabled reports whether the cost-model planner owns the strategy
-// choice. Any explicit setting — a fixed Strategy, the deprecated Meta
-// policy, or a FunnelThreshold override — keeps the paper's static
-// heuristic, so opted-in configurations keep their exact cost profile.
-func (o Options) plannerEnabled() bool {
-	return o.Strategy == StrategyAuto && o.Meta == MetaAuto && o.FunnelThreshold == 0
-}
+// choice: it does under StrategyAuto, and an explicit Strategy is used as
+// given, so a pinned configuration keeps its exact cost profile.
+func (o Options) plannerEnabled() bool { return o.Strategy == StrategyAuto }
 
 // streamDir names the open primitive an Options value is validated for, so
 // direction-inapplicable settings fail loudly instead of passing silently.
@@ -59,15 +55,12 @@ func (d streamDir) String() string {
 
 // validateFor rejects option values the named open primitive would
 // otherwise misread silently: negative values indistinguishable from the
-// zero value (a negative threshold used to fall back to the default, a
-// negative aggregator count to the stripe factor, a negative read-ahead to
-// synchronous reads), and options that belong to the other direction
+// zero value (a negative aggregator count used to fall back to the stripe
+// factor, a negative read-ahead to synchronous reads), and options that
+// belong to the other direction
 // entirely (read-ahead on an output stream, append or write-behind on an
 // input stream, any file-path setting on an interconnect-only channel).
 func (o Options) validateFor(dir streamDir) error {
-	if o.FunnelThreshold < 0 {
-		return fmt.Errorf("dstream: negative funnel threshold %d", o.FunnelThreshold)
-	}
 	if o.Aggregators < 0 {
 		return fmt.Errorf("dstream: negative aggregator count %d", o.Aggregators)
 	}
@@ -118,12 +111,6 @@ func (o Options) validateFor(dir streamDir) error {
 		}
 		if o.Aggregators > 0 {
 			return reject("WithAggregators")
-		}
-		if o.FunnelThreshold > 0 {
-			return reject("WithFunnelThreshold")
-		}
-		if o.Meta != MetaAuto {
-			return reject("a MetaPolicy")
 		}
 		if o.FS != nil {
 			return reject("WithFileSystem")
@@ -179,71 +166,94 @@ func newPlanMetrics(met *streamMetrics, rank int) *planMetrics {
 	return pm
 }
 
-// note records one decision into the plan metric families.
-func (pm *planMetrics) note(p *plan.Planner, d plan.Decision) {
-	pm.records[d.Strategy].Inc()
-	pm.estimate.Observe(d.Estimate)
-	if d.Switched {
-		pm.switches.Inc()
-	}
-	pm.sig.Set(float64(uint32(p.Signature())))
+// planState is the planner half of a file end, the same on both: the
+// planner and its metric handles, and the latest decision, kept until the
+// record it was made for has moved and its cost is observed. The zero value
+// (nil planner) is a stream opened with an explicit strategy.
+type planState struct {
+	planner   *plan.Planner
+	planMet   *planMetrics
+	planK     int
+	planStrat plan.Strategy
+	planEst   float64
+	planStart float64
 }
 
-// planSwitchSpan drops a zero-length marker span at a plan switch so
-// critical-path attribution sees the re-planning event on the timeline.
-func (s *stream) planSwitchSpan(d plan.Decision) {
+// newPlanState builds what a StrategyAuto stream carries: the cost model is
+// the node's platform profile crossed with the stream file's stripe layout.
+func (s *stream) newPlanState() planState {
+	return planState{
+		planner: plan.New(plan.Model{Prof: s.node.Profile(), Layout: s.f.Layout()}),
+		planMet: newPlanMetrics(s.met, s.node.Rank()),
+	}
+}
+
+// decided books one decision. The caller has just come out of the
+// collective that supplied the planner's rank-identical inputs, so the
+// group's clocks are equal and planStart is a common origin for the
+// observation that follows the data movement. A switch leaves a zero-length
+// marker span, so critical-path attribution sees the re-planning event.
+func (p *planState) decided(s *stream, d plan.Decision) {
+	p.planK, p.planStrat, p.planEst = d.Aggregators, d.Strategy, d.RawEstimate
+	p.planStart = s.node.Clock().Now()
+	p.planMet.records[d.Strategy].Inc()
+	p.planMet.estimate.Observe(d.Estimate)
+	p.planMet.sig.Set(float64(uint32(p.planner.Signature())))
+	if !d.Switched {
+		return
+	}
+	p.planMet.switches.Inc()
 	if rec := s.met.mon.Recorder(); rec != nil {
-		now := s.node.Clock().Now()
-		rec.AddSpan(s.node.Rank(), "dstream", "plan.switch "+s.name+" -> "+d.Strategy.String(), now, now)
+		rec.AddSpan(s.node.Rank(), "dstream", "plan.switch "+s.name+" -> "+d.Strategy.String(), p.planStart, p.planStart)
 	}
 }
 
-// newStreamPlanner builds the planner a full-auto stream carries: the cost
-// model is the node's platform profile crossed with the stream file's
-// stripe layout.
-func (s *stream) newStreamPlanner() *plan.Planner {
-	return plan.New(plan.Model{Prof: s.node.Profile(), Layout: s.f.Layout()})
+// observe feeds the planned record's observed virtual cost back to the
+// planner. end must be a rank-identical instant: a strategy's closing
+// rendezvous, or an asynchronous transfer's completion. A no-op on a stream
+// that is not planned.
+func (p *planState) observe(end float64) {
+	if p.planner == nil {
+		return
+	}
+	obs := end - p.planStart
+	p.planner.Observe(p.planStrat, p.planEst, obs)
+	p.planMet.observed.Observe(obs)
 }
 
-// metaBytesFor is the record front-matter size of this stream's
-// distribution: header, descriptor (cached — it never changes between
-// records), and size table.
-func (s *stream) metaBytesFor(descLen int) int64 {
-	return enc.RecordHeaderLen + int64(descLen) + int64(4*s.dist.N)
+// aggregators returns the two-phase fan-in K on a file laid out as l: the
+// planner's choice on a planned stream (rank-identical, like every planner
+// output), else override (Options.Aggregators), else the file's stripe
+// factor, clamped to [1, nprocs]. Aggregators are ranks 0..K-1. K changes
+// the rank→extent assignment but not a byte of the record, so re-planning
+// it is always safe.
+func (p *planState) aggregators(override int, l pfs.Layout, nprocs int) int {
+	k := override
+	if p.planK > 0 {
+		k = p.planK
+	}
+	if k <= 0 {
+		k = l.StripeFactor
+	}
+	return max(1, min(k, nprocs))
 }
 
 // PlanSignature returns the FNV-1a hash of the planner's decision chain on
 // this rank (0 when the planner is off). All ranks of one stream must
 // agree on it at any record boundary; a mismatch means a plan switch broke
 // collective consistency.
-func (s *OStream) PlanSignature() uint64 {
-	if s.planner == nil {
+func (p *planState) PlanSignature() uint64 {
+	if p.planner == nil {
 		return 0
 	}
-	return s.planner.Signature()
+	return p.planner.Signature()
 }
 
 // PlanSwitches returns how many records re-planned onto a different
 // strategy (0 when the planner is off).
-func (s *OStream) PlanSwitches() int64 {
-	if s.planner == nil {
+func (p *planState) PlanSwitches() int64 {
+	if p.planner == nil {
 		return 0
 	}
-	return s.planner.Switches()
-}
-
-// PlanSignature is the input-side mirror of OStream.PlanSignature.
-func (s *IStream) PlanSignature() uint64 {
-	if s.planner == nil {
-		return 0
-	}
-	return s.planner.Signature()
-}
-
-// PlanSwitches is the input-side mirror of OStream.PlanSwitches.
-func (s *IStream) PlanSwitches() int64 {
-	if s.planner == nil {
-		return 0
-	}
-	return s.planner.Switches()
+	return p.planner.Switches()
 }

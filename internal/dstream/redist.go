@@ -100,7 +100,7 @@ func (s *IStream) planFor(wdist *distr.Distribution) *redistPlan {
 
 // redistribute is phase two of the sorted read: every element of chunk — this
 // rank's share, file positions from lo on, payload offsets offs — is routed
-// to the rank that owns it under the reader's distribution, and s.elemBufs[l]
+// to the rank that owns it under the reader's distribution, and s.decs[l]
 // is pointed at local slot l's payload. Payloads from this rank stay in
 // chunk; the others alias the received frames, which the stream holds until
 // releaseFrames.
@@ -169,7 +169,7 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, offs []int64, lo in
 		slots := pl.slot[pl.recvStart[r]:pl.recvStart[r+1]]
 		if r == me {
 			for i, p := range pos {
-				s.elemBufs[slots[i]].Reset(payload(p, p))
+				s.decs[slots[i]].Reset(payload(p, p))
 			}
 			continue
 		}
@@ -180,7 +180,7 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, offs []int64, lo in
 			if n > len(frame)-off {
 				return fmt.Errorf("dstream: frame from rank %d is %d bytes, short of the plan's at position %d", r, len(frame), p)
 			}
-			s.elemBufs[slots[i]].Reset(frame[off : off+n : off+n])
+			s.decs[slots[i]].Reset(frame[off : off+n : off+n])
 			off += n
 		}
 		if off != len(frame) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pcxxstreams/internal/bufpool"
-	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/trace"
 )
@@ -18,23 +17,6 @@ import (
 // one stripe device — the server-side data reorganization of the
 // ViPIOS/MPI-IO collective-I/O line of work, grafted onto the paper's
 // d/stream record format without changing a byte of it.
-
-// twoPhaseAggregators returns the aggregator count K: the explicit
-// Options.Aggregators override, else the file's stripe factor, clamped to
-// [1, nprocs]. Aggregators are ranks 0..K-1.
-func twoPhaseAggregators(o Options, l pfs.Layout, nprocs int) int {
-	k := o.Aggregators
-	if k <= 0 {
-		k = l.StripeFactor
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > nprocs {
-		k = nprocs
-	}
-	return k
-}
 
 // stripeCuts partitions the [0, total) byte span of a data section that
 // will occupy file offsets [base, base+total) into k contiguous extents.
@@ -64,11 +46,14 @@ func stripeCuts(base, total int64, k int, unit int64) []int64 {
 	return cuts
 }
 
-// writeTwoPhase is the two-phase record flush. The record's bytes are
-// identical to writeFunnel's: metadata funnels through node 0 and rides the
-// same single parallel append as the data; only the rank→block assignment
-// of the data section changes, from "every rank appends its own elements"
-// to "K aggregators append stripe-aligned extents".
+// writeTwoPhase is the two-phase record flush: a shuffle in front of the
+// funnel. The record's bytes are identical to writeFunnel's — metadata
+// funnels through node 0 and rides the same single parallel append as the
+// data — and only the rank→block assignment of the data section changes,
+// from "every rank appends its own elements" to "K aggregators append
+// stripe-aligned extents". So this function owns the shuffle and nothing
+// else: it trades each rank's data for that rank's extent (empty off the
+// aggregators) and hands the extent to writeFunnel.
 func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) error {
 	comm := s.node.Comm()
 	me := s.node.Rank()
@@ -90,36 +75,12 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 		}
 		rankOff[r+1] = rankOff[r] + int64(binary.LittleEndian.Uint64(p))
 	}
-	total := rankOff[nprocs]
-
-	// The size table funnels through node 0 as in writeFunnel, placed at
-	// the head of its block so metadata and data move in one operation.
-	st := enc.AppendSizeTable(bufpool.GetCap(4*len(localSizes)), localSizes)
-	parts, err := comm.Gather(0, st)
-	if err != nil {
-		bufpool.Put(st)
-		return fmt.Errorf("dstream: gather sizes: %w", err)
-	}
-	if me != 0 {
-		// The transport copied st on send; rank 0 releases its own copy
-		// below, after flattening (Gather aliases the root's contribution).
-		bufpool.Put(st)
-	}
 
 	// Aggregation plan: the data section will start metaLen bytes past the
-	// current end of file; cut it into K extents at stripe boundaries. A
-	// planned stream uses the cost model's fan-in (rank-identical, like
-	// every planner output); K changes the rank→extent assignment but not
-	// a byte of the record, so re-planning K is always safe.
+	// current end of file; cut it into K extents at stripe boundaries.
 	layout := s.f.Layout()
-	k := twoPhaseAggregators(s.opts, layout, nprocs)
-	if s.planner != nil && s.planK > 0 {
-		k = s.planK
-	}
-	h, desc := headerFor(s.dist, nArrays, uint64(total))
-	metaLen := enc.RecordHeaderLen + int64(len(desc)) + int64(4*s.dist.N)
-	base := s.f.Size() + metaLen
-	cuts := stripeCuts(base, total, k, layout.StripeUnit)
+	k := s.aggregators(s.opts.Aggregators, layout, nprocs)
+	cuts := stripeCuts(s.f.Size()+s.metaLen, rankOff[nprocs], k, layout.StripeUnit)
 
 	// Shuffle: each rank slices its contiguous payload [lo, hi) of the data
 	// section by the extent cuts and sends each aggregator its overlap.
@@ -143,29 +104,27 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 		return fmt.Errorf("dstream: two-phase shuffle: %w", err)
 	}
 
-	// Aggregators assemble their extent; every other rank contributes an
-	// empty block to the closing append. The received pieces (all owned by
-	// this rank per the Alltoallv contract) are released as they are packed.
-	var block []byte
-	blockPooled := false
+	// Aggregators assemble their extent; every other rank receives nothing
+	// and contributes an empty block to the closing append. The received
+	// pieces (all owned by this rank per the Alltoallv contract) are
+	// released as they are packed, the extent when the funnel is done with it.
+	var ext []byte
+	var want int64
 	if me < k {
-		extLen := cuts[me+1] - cuts[me]
-		ext := bufpool.GetCap(int(extLen))
-		for _, p := range recv {
-			ext = append(ext, p...)
-			bufpool.Put(p)
-		}
-		if int64(len(ext)) != extLen {
-			return fmt.Errorf("dstream: extent %d assembled %d of %d bytes", me, len(ext), extLen)
-		}
-		s.node.CopyCost(int64(len(ext)))
-		s.met.extentBytes.Observe(float64(len(ext)))
-		block = ext
-		blockPooled = true
-	} else {
-		for _, p := range recv {
-			bufpool.Put(p)
-		}
+		want = cuts[me+1] - cuts[me]
+		ext = bufpool.GetCap(int(want))
+	}
+	for _, p := range recv {
+		ext = append(ext, p...)
+		bufpool.Put(p)
+	}
+	defer bufpool.Put(ext)
+	if int64(len(ext)) != want {
+		return fmt.Errorf("dstream: extent %d assembled %d of %d bytes", me, len(ext), want)
+	}
+	if me < k {
+		s.node.CopyCost(want)
+		s.met.extentBytes.Observe(float64(want))
 	}
 	shuffleEnd := s.node.Clock().Now()
 	s.met.shuffleBytes.Observe(float64(sent))
@@ -178,7 +137,7 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 		// both sides derive who overlaps whom from the identical aggregation
 		// plan (rankOff × cuts), so the keys rendezvous without extra
 		// communication. The aggregator's stripe write is part of its record
-		// flush span (reserved in Write before the strategy ran).
+		// flush span (reserved when Write began, before the strategy ran).
 		seq := uint64(s.wrote)
 		for j := 0; j < k; j++ {
 			if max(lo, cuts[j]) < min(hi, cuts[j+1]) {
@@ -193,39 +152,7 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 			}
 		}
 	}
-
-	if me == 0 {
-		allSizes := bufpool.GetCap(4 * s.dist.N)
-		for _, p := range parts {
-			allSizes = append(allSizes, p...)
-		}
-		for r, p := range parts {
-			if r != 0 {
-				bufpool.Put(p)
-			}
-		}
-		bufpool.Put(st)
-		if len(allSizes) != 4*s.dist.N {
-			bufpool.Put(allSizes)
-			return fmt.Errorf("dstream: reassembled size table is %d bytes, want %d", len(allSizes), 4*s.dist.N)
-		}
-		full := bufpool.GetCap(int(metaLen) + len(block))
-		full = h.AppendTo(full)
-		full = append(full, desc...)
-		full = append(full, allSizes...)
-		full = append(full, block...)
-		bufpool.Put(allSizes)
-		if blockPooled {
-			bufpool.Put(block)
-		}
-		block = full
-		blockPooled = true
-	}
-	err = s.appendRecordBlock(block, "two-phase append")
-	if blockPooled {
-		bufpool.Put(block)
-	}
-	return err
+	return s.writeFunnel(nArrays, localSizes, ext)
 }
 
 // refillTwoPhase is the read-side mirror: K aggregators refill
@@ -251,10 +178,7 @@ func (s *IStream) refillTwoPhase(dataStart int64, offs []int64, starts []int, ds
 	shuffleStart := s.node.Clock().Now()
 
 	layout := s.f.Layout()
-	k := twoPhaseAggregators(s.opts, layout, nprocs)
-	if s.planner != nil && s.planK > 0 {
-		k = s.planK
-	}
+	k := s.aggregators(s.opts.Aggregators, layout, nprocs)
 	cuts := stripeCuts(dataStart, total, k, layout.StripeUnit)
 
 	// Phase one: aggregators read their extent; other ranks contribute an

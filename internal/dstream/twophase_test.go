@@ -237,19 +237,19 @@ func TestTwoPhaseFlatBackend(t *testing.T) {
 	})
 }
 
-// TestOpenMatchesLegacyConstructors: the functional-options constructors
-// and the deprecated struct-literal ones configure identical streams.
+// TestOpenMatchesLegacyConstructors: a pre-built Options value applied with
+// WithOptions and the same settings given as functional options configure
+// identical streams.
 func TestOpenMatchesLegacyConstructors(t *testing.T) {
 	fs1 := pfs.NewMemFS(vtime.Challenge())
 	fs2 := pfs.NewMemFS(vtime.Challenge())
-	legacy := Options{Meta: MetaParallel, Async: true, FunnelThreshold: 9}
 	run(t, 4, fs1, func(n *machine.Node) error {
 		d := mustDist(t, 23, 4, distr.Block, 0)
-		return writePlists(n, d, "f", legacy)
+		return writePlists(n, d, "f", Options{Strategy: StrategyParallel, Async: true})
 	})
 	run(t, 4, fs2, func(n *machine.Node) error {
 		d := mustDist(t, 23, 4, distr.Block, 0)
-		s, err := Open(n, d, "f", WithOptions(legacy))
+		s, err := Open(n, d, "f", WithStrategy(StrategyParallel), WithAsync())
 		if err != nil {
 			return err
 		}
@@ -273,6 +273,6 @@ func TestOpenMatchesLegacyConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(img1, img2) {
-		t.Fatal("Open(WithOptions(legacy)) and OutputOpts(legacy) produced different images")
+		t.Fatal("Open(WithOptions(o)) and Open(With…) produced different images")
 	}
 }

@@ -222,12 +222,8 @@ type (
 	// StreamOption is one functional stream setting for Open/OpenInput.
 	StreamOption = dstream.Option
 	// Strategy selects the collective data path of a stream (funnel,
-	// parallel, two-phase, or the auto heuristic).
+	// parallel, two-phase, or the planner's choice per record).
 	Strategy = dstream.Strategy
-	// MetaPolicy selects the metadata path of §4.1 step 1.
-	//
-	// Deprecated: use Strategy (WithStrategy) instead.
-	MetaPolicy = dstream.MetaPolicy
 	// OChannel is the sending end of a stream-to-stream channel (declare
 	// with OpenChannel): the d/stream record model over the interconnect,
 	// skipping the file system.
@@ -243,7 +239,8 @@ const DefaultChannelWindow = dstream.DefaultChannelWindow
 
 // Stream strategies.
 const (
-	// StrategyAuto picks funnel or parallel per record by collection size.
+	// StrategyAuto lets the cost-model planner pick funnel, parallel or
+	// two-phase (with its aggregator count and read-ahead depth) per record.
 	StrategyAuto = dstream.StrategyAuto
 	// StrategyFunnel routes metadata and data through node 0's block.
 	StrategyFunnel = dstream.StrategyFunnel
@@ -251,16 +248,6 @@ const (
 	StrategyParallel = dstream.StrategyParallel
 	// StrategyTwoPhase shuffles to stripe-aligned aggregators first.
 	StrategyTwoPhase = dstream.StrategyTwoPhase
-)
-
-// Metadata policies.
-const (
-	// MetaAuto applies the paper's small-collection heuristic.
-	MetaAuto = dstream.MetaAuto
-	// MetaFunnel always funnels metadata through node 0.
-	MetaFunnel = dstream.MetaFunnel
-	// MetaParallel always writes metadata with its own parallel write.
-	MetaParallel = dstream.MetaParallel
 )
 
 // Open opens an output d/stream with functional options:
@@ -323,8 +310,6 @@ var (
 	WithAppend = dstream.WithAppend
 	// WithStrict enforces full extraction on input streams.
 	WithStrict = dstream.WithStrict
-	// WithFunnelThreshold overrides the Auto funnel cutoff.
-	WithFunnelThreshold = dstream.WithFunnelThreshold
 	// WithAggregators overrides the two-phase aggregator count.
 	WithAggregators = dstream.WithAggregators
 	// WithReadAhead enables the input stream's prefetch pipeline: up to n
