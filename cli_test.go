@@ -139,6 +139,12 @@ func TestCLIBench(t *testing.T) {
 	if err == nil || !strings.Contains(string(bad), `unknown variant "stream" (want unbuffered|manual|streams)`) {
 		t.Fatalf("dstream-bench -variant stream: err %v, output:\n%s", err, bad)
 	}
+	// So is an unknown sweep: the names come from the table, not the flag's
+	// help text.
+	bad, err = exec.Command(filepath.Join(buildTools(t), "dstream-bench"), "-sweep", "nosuch").CombinedOutput()
+	if err == nil || !strings.Contains(string(bad), `unknown sweep "nosuch" (want twophase|planner|readahead|critpath|pipeline|scale|alloc)`) {
+		t.Fatalf("dstream-bench -sweep nosuch: err %v, output:\n%s", err, bad)
+	}
 }
 
 // TestCLIStreamgenGenerate runs the generator over a scratch file and

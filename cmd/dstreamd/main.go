@@ -246,15 +246,12 @@ func smokeRun(addr, tenant string, seed int) error {
 		if err != nil {
 			return err
 		}
-		c.Apply(func(g int, s *scf.Segment) { s.Fill(g+seed, scf.DefaultParticles) })
+		rec := scf.Records{N: 1, Particles: scf.DefaultParticles, Base: seed}
 		s, err := sess.Open(n, d, "data", pcxx.WithStrategy(pcxx.StrategyTwoPhase))
 		if err != nil {
 			return err
 		}
-		if err := pcxx.Insert[scf.Segment](s, c); err != nil {
-			return err
-		}
-		if err := s.Write(); err != nil {
+		if err := rec.Write(s, c); err != nil {
 			return err
 		}
 		if err := s.Close(); err != nil {
@@ -270,21 +267,7 @@ func smokeRun(addr, tenant string, seed int) error {
 		if err != nil {
 			return err
 		}
-		if err := in.Read(); err != nil {
-			return err
-		}
-		if err := pcxx.Extract[scf.Segment](in, got); err != nil {
-			return err
-		}
-		var mismatch error
-		got.Apply(func(g int, have *scf.Segment) {
-			var want scf.Segment
-			want.Fill(g+seed, scf.DefaultParticles)
-			if !have.Equal(&want) && mismatch == nil {
-				mismatch = fmt.Errorf("element %d differs from its seeded fill", g)
-			}
-		})
-		return mismatch
+		return rec.Read(in, got, nil)
 	})
 	return err
 }

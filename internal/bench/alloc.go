@@ -427,14 +427,7 @@ func WriteAllocTable(w io.Writer, cells []AllocCell) {
 	}
 }
 
-// WriteAllocJSON emits the table as JSON (the BENCH_alloc.json artifact).
-func WriteAllocJSON(w io.Writer, cells []AllocCell) error {
-	e := json.NewEncoder(w)
-	e.SetIndent("", "  ")
-	return e.Encode(cells)
-}
-
-// ReadAllocJSON loads a table emitted by WriteAllocJSON.
+// ReadAllocJSON loads a table written by `dstream-bench -sweep alloc -json`.
 func ReadAllocJSON(path string) ([]AllocCell, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
 
-	"pcxxstreams/internal/collection"
-	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dsmon/critpath"
 	"pcxxstreams/internal/dstream"
@@ -43,18 +42,28 @@ type CritPathPoint struct {
 	Categories       map[string]float64 `json:"category_seconds"`
 }
 
-// agrees reports |a-b| ≤ 5% of max(|a|,|b|) (both-zero agrees).
+const (
+	// CritPathMinNamed is the least fraction of any rank's wall time the
+	// analyzer must attribute to named categories.
+	CritPathMinNamed = 0.9
+	// CritPathAgreement is how far a span-graph stall sum may sit from the
+	// stall histogram observing the same intervals, relative to the larger.
+	CritPathAgreement = 0.05
+)
+
+// agrees reports |a-b| ≤ CritPathAgreement of max(|a|,|b|) (both-zero
+// agrees).
 func agrees(a, b float64) bool {
 	m := math.Max(math.Abs(a), math.Abs(b))
 	if m == 0 {
 		return true
 	}
-	return math.Abs(a-b) <= 0.05*m
+	return math.Abs(a-b) <= CritPathAgreement*m
 }
 
 // Pass applies the cell's acceptance gates.
 func (pt CritPathPoint) Pass() bool {
-	if pt.NamedFractionMin < 0.9 {
+	if pt.NamedFractionMin < CritPathMinNamed {
 		return false
 	}
 	if !agrees(pt.RefillSpan, pt.RefillMetric) {
@@ -78,75 +87,12 @@ func MeasureCritPath(prof vtime.Profile, nprocs, segments, particles, records in
 	}
 	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(stripeFactor, unit))
 	mon := dsmon.NewTracing()
+	recs := scf.Records{N: records, Particles: particles}
 	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs, Monitor: mon}, func(n *machine.Node) error {
-		dw, err := distr.New(segments, nprocs, distr.Cyclic, 0)
-		if err != nil {
+		if err := writeSCF(n, segments, recs, strat); err != nil {
 			return err
 		}
-		out, err := dstream.Open(n, dw, "scf", dstream.WithStrategy(strat))
-		if err != nil {
-			return err
-		}
-		cw, err := collection.New[scf.Segment](n, dw)
-		if err != nil {
-			return err
-		}
-		for rec := 0; rec < records; rec++ {
-			rec := rec
-			cw.Apply(func(g int, sg *scf.Segment) { sg.Fill(g+1000*rec, particles) })
-			if err := dstream.Insert[scf.Segment](out, cw); err != nil {
-				return err
-			}
-			if err := out.Write(); err != nil {
-				return err
-			}
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-
-		dr, err := distr.New(segments, nprocs, distr.Block, 0)
-		if err != nil {
-			return err
-		}
-		opts := []dstream.Option{dstream.WithStrategy(strat)}
-		if depth > 0 {
-			opts = append(opts, dstream.WithReadAhead(depth))
-		}
-		in, err := dstream.OpenInput(n, dr, "scf", opts...)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		cr, err := collection.New[scf.Segment](n, dr)
-		if err != nil {
-			return err
-		}
-		var ref scf.Segment
-		for rec := 0; rec < records; rec++ {
-			if err := in.Read(); err != nil {
-				return err
-			}
-			if err := dstream.Extract[scf.Segment](in, cr); err != nil {
-				return err
-			}
-			var bad error
-			rec := rec
-			cr.Apply(func(g int, sg *scf.Segment) {
-				if bad != nil {
-					return
-				}
-				ref.Fill(g+1000*rec, particles)
-				if !sg.Equal(&ref) {
-					bad = fmt.Errorf("record %d segment %d differs from generator", rec, g)
-				}
-			})
-			if bad != nil {
-				return bad
-			}
-			n.Compute(compute)
-		}
-		return in.Close()
+		return readSCF(n, segments, recs, compute, dstream.WithStrategy(strat), dstream.WithReadAhead(depth))
 	})
 	if err != nil {
 		return pt, nil, fmt.Errorf("bench: critpath cell: %w", err)
@@ -192,4 +138,34 @@ func CritPathSweep() ([]CritPathPoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// CheckCritPath is the acceptance gate for the analyzer: every rank's wall
+// time is attributed to named categories, and the span-graph stall sums
+// agree with the independently-observed stall histograms.
+func CheckCritPath(pts []CritPathPoint) (string, error) {
+	for _, p := range pts {
+		if p.NamedFractionMin < CritPathMinNamed {
+			return "", fmt.Errorf("bench: critpath cell %s/%s depth %d attributes only %.1f%% of a rank's wall time",
+				p.Platform, p.Strategy, p.Depth, 100*p.NamedFractionMin)
+		}
+		if !p.Pass() {
+			return "", fmt.Errorf("bench: critpath cell %s/%s depth %d: span stalls (refill %.4f, shuffle %.4f) disagree with metric sums (refill %.4f, shuffle %.4f) by >%.0f%%",
+				p.Platform, p.Strategy, p.Depth, p.RefillSpan, p.ShuffleSpan, p.RefillMetric, p.ShuffleMetric, 100*CritPathAgreement)
+		}
+	}
+	return fmt.Sprintf("critpath attribution complete and metric-consistent on all %d grid cells", len(pts)), nil
+}
+
+func formatCritPath(w io.Writer, pts []CritPathPoint) {
+	fmt.Fprintln(w, "Critical-path attribution sweep (virtual seconds, SCF write+read pipeline)")
+	fmt.Fprintln(w, "--------------------------------------------------------------------------")
+	fmt.Fprintf(w, "%-10s %-9s %5s %9s %6s %6s %8s %12s %12s %12s\n",
+		"platform", "strategy", "depth", "makespan", "spans", "flows", "named%", "refill", "shuffle", "pfs wait")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%-10s %-9s %5d %9.4f %6d %6d %7.1f%% %12.4f %12.4f %12.4f\n",
+			p.Platform, p.Strategy, p.Depth, p.Makespan, p.Spans, p.Flows,
+			100*p.NamedFractionMin, p.RefillSpan, p.ShuffleSpan, p.Categories["pfs wait"])
+	}
+	fmt.Fprintln(w)
 }

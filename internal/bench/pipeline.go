@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 
 	"pcxxstreams/internal/collection"
 	"pcxxstreams/internal/distr"
@@ -309,14 +310,14 @@ func PipelineSweep() ([]PipelinePoint, error) {
 // CheckPipeline is the acceptance gate for the channel subsystem: the
 // consumed bytes must be identical to the file path in every cell, and the
 // pipeline must beat write-then-read on at least half the grid.
-func CheckPipeline(pts []PipelinePoint) error {
+func CheckPipeline(pts []PipelinePoint) (string, error) {
 	if len(pts) == 0 {
-		return fmt.Errorf("bench: empty pipeline grid")
+		return "", fmt.Errorf("bench: empty pipeline grid")
 	}
 	wins := 0
 	for _, p := range pts {
 		if !p.BytesMatch {
-			return fmt.Errorf("bench: pipeline cell %dx%d/%dB/compute=%.3f consumed different bytes than the file path",
+			return "", fmt.Errorf("bench: pipeline cell %dx%d/%dB/compute=%.3f consumed different bytes than the file path",
 				p.Producers, p.Consumers, p.ElemBytes, p.ComputePerRecord)
 		}
 		if p.PipelineSeconds < p.FileSeconds {
@@ -324,7 +325,20 @@ func CheckPipeline(pts []PipelinePoint) error {
 		}
 	}
 	if 2*wins < len(pts) {
-		return fmt.Errorf("bench: pipeline beat write-then-read on only %d of %d grid cells", wins, len(pts))
+		return "", fmt.Errorf("bench: pipeline beat write-then-read on only %d of %d grid cells", wins, len(pts))
 	}
-	return nil
+	return fmt.Sprintf("pipeline beats write-then-read on %d of %d grid cells, all byte-identical", wins, len(pts)), nil
+}
+
+func formatPipeline(w io.Writer, pts []PipelinePoint) {
+	fmt.Fprintln(w, "Pipeline-vs-file grid (virtual seconds, stream-to-stream channel against write-then-read)")
+	fmt.Fprintln(w, "------------------------------------------------------------------------------------------")
+	fmt.Fprintf(w, "%-10s %5s %5s %6s %9s %8s %9s %10s %10s %8s %6s\n",
+		"platform", "prod", "cons", "elems", "elem B", "records", "compute", "pipeline", "file", "speedup", "bytes")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%-10s %5d %5d %6d %9d %8d %9.3f %10.4f %10.4f %7.2fx %6v\n",
+			p.Platform, p.Producers, p.Consumers, p.Elems, p.ElemBytes, p.Records,
+			p.ComputePerRecord, p.PipelineSeconds, p.FileSeconds, p.Speedup, p.BytesMatch)
+	}
+	fmt.Fprintln(w)
 }

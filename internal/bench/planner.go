@@ -3,9 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 
-	"pcxxstreams/internal/collection"
-	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/machine"
@@ -190,91 +189,21 @@ func MeasurePlannerWrite(prof vtime.Profile, nprocs, segments, particles, stripe
 	return pt, nil
 }
 
-// plannerReadCycle writes `records` records (cyclic layout, explicit
-// parallel strategy — the write side is held constant so only the read
-// plan varies), then times the block-layout read-back with `compute`
-// virtual seconds between records, verifying every segment against the
-// generator. auto=false uses the explicit (strategy, depth) pair.
+// plannerReadCycle runs writeSCF with the explicit parallel strategy (the
+// write side is held constant so only the read plan varies), then times
+// readSCF on a second machine over the same store. No opts is the planner.
 func plannerReadCycle(prof vtime.Profile, nprocs, segments, particles, records int,
-	compute float64, stripe int, unit int64,
-	auto bool, strat dstream.Strategy, depth int, mon *dsmon.Monitor) (float64, error) {
+	compute float64, stripe int, unit int64, mon *dsmon.Monitor, opts ...dstream.Option) (float64, error) {
 	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(stripe, unit))
+	recs := scf.Records{N: records, Particles: particles}
 	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs}, func(n *machine.Node) error {
-		d, err := distr.New(segments, nprocs, distr.Cyclic, 0)
-		if err != nil {
-			return err
-		}
-		s, err := dstream.Open(n, d, "scf", dstream.WithStrategy(dstream.StrategyParallel))
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		c, err := collection.New[scf.Segment](n, d)
-		if err != nil {
-			return err
-		}
-		for rec := 0; rec < records; rec++ {
-			rec := rec
-			c.Apply(func(g int, sg *scf.Segment) { sg.Fill(g+1000*rec, particles) })
-			if err := dstream.Insert[scf.Segment](s, c); err != nil {
-				return err
-			}
-			if err := s.Write(); err != nil {
-				return err
-			}
-		}
-		return s.Close()
+		return writeSCF(n, segments, recs, dstream.StrategyParallel)
 	})
 	if err != nil {
 		return 0, fmt.Errorf("bench: planner read grid write phase: %w", err)
 	}
-
 	mres, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs, Monitor: mon}, func(n *machine.Node) error {
-		d, err := distr.New(segments, nprocs, distr.Block, 0)
-		if err != nil {
-			return err
-		}
-		var opts []dstream.Option
-		if !auto {
-			opts = append(opts, dstream.WithStrategy(strat))
-			if depth > 0 {
-				opts = append(opts, dstream.WithReadAhead(depth))
-			}
-		}
-		s, err := dstream.OpenInput(n, d, "scf", opts...)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		c, err := collection.New[scf.Segment](n, d)
-		if err != nil {
-			return err
-		}
-		var ref scf.Segment
-		for rec := 0; rec < records; rec++ {
-			if err := s.Read(); err != nil {
-				return err
-			}
-			if err := dstream.Extract[scf.Segment](s, c); err != nil {
-				return err
-			}
-			var bad error
-			rec := rec
-			c.Apply(func(g int, sg *scf.Segment) {
-				if bad != nil {
-					return
-				}
-				ref.Fill(g+1000*rec, particles)
-				if !sg.Equal(&ref) {
-					bad = fmt.Errorf("record %d segment %d differs from generator", rec, g)
-				}
-			})
-			if bad != nil {
-				return bad
-			}
-			n.Compute(compute)
-		}
-		return s.Close()
+		return readSCF(n, segments, recs, compute, opts...)
 	})
 	if err != nil {
 		return 0, fmt.Errorf("bench: planner read grid input phase: %w", err)
@@ -309,7 +238,7 @@ func MeasurePlannerRead(prof vtime.Profile, nprocs, segments, particles, records
 	}
 	for _, c := range cands {
 		sec, err := plannerReadCycle(prof, nprocs, segments, particles, records,
-			compute, stripe, unit, false, c.strat, c.depth, nil)
+			compute, stripe, unit, nil, dstream.WithStrategy(c.strat), dstream.WithReadAhead(c.depth))
 		if err != nil {
 			return pt, fmt.Errorf("bench: planner read cell %s/%s: %w", prof.Name, c.name, err)
 		}
@@ -317,7 +246,7 @@ func MeasurePlannerRead(prof vtime.Profile, nprocs, segments, particles, records
 	}
 	mon := dsmon.New()
 	autoSec, err := plannerReadCycle(prof, nprocs, segments, particles, records,
-		compute, stripe, unit, true, dstream.StrategyAuto, 0, mon)
+		compute, stripe, unit, mon)
 	if err != nil {
 		return pt, fmt.Errorf("bench: planner read cell %s/auto: %w", prof.Name, err)
 	}
@@ -369,11 +298,11 @@ func PlannerSweep() (PlannerGrid, error) {
 // CheckPlanner is the regression gate over a planner grid: byte identity
 // in every cell, and the matched fraction at or above min (the ≥90%
 // within-10% acceptance bar when called with the package constants).
-func CheckPlanner(g PlannerGrid, tol, min float64) error {
+func CheckPlanner(g PlannerGrid, tol, min float64) (string, error) {
 	cells, matched := 0, 0
 	for _, pt := range g.Write {
 		if !pt.Identical {
-			return fmt.Errorf("bench: planner write cell %s/%dp/%dB/sf%d: auto image differs from %s image",
+			return "", fmt.Errorf("bench: planner write cell %s/%dp/%dB/sf%d: auto image differs from %s image",
 				pt.Platform, pt.NProcs, pt.Particles, pt.StripeFactor, pt.BestStrategy)
 		}
 		cells++
@@ -383,7 +312,7 @@ func CheckPlanner(g PlannerGrid, tol, min float64) error {
 	}
 	for _, pt := range g.Read {
 		if !pt.Identical {
-			return fmt.Errorf("bench: planner read cell %s/%dB/%.3fs: segments differ from generator",
+			return "", fmt.Errorf("bench: planner read cell %s/%dB/%.3fs: segments differ from generator",
 				pt.Platform, pt.Particles, pt.ComputePerRecord)
 		}
 		cells++
@@ -392,11 +321,32 @@ func CheckPlanner(g PlannerGrid, tol, min float64) error {
 		}
 	}
 	if cells == 0 {
-		return fmt.Errorf("bench: planner grid is empty")
+		return "", fmt.Errorf("bench: planner grid is empty")
 	}
 	if frac := float64(matched) / float64(cells); frac < min {
-		return fmt.Errorf("bench: planner matched the static oracle on %d/%d cells (%.0f%%), need ≥%.0f%%",
+		return "", fmt.Errorf("bench: planner matched the static oracle on %d/%d cells (%.0f%%), need ≥%.0f%%",
 			matched, cells, 100*frac, 100*min)
 	}
-	return nil
+	return fmt.Sprintf("planner matched the static oracle on %d of %d grid cells, all byte-identical", matched, cells), nil
+}
+
+func formatPlanner(w io.Writer, g PlannerGrid) {
+	fmt.Fprintln(w, "Planner-vs-oracle grid: StrategyAuto against the best static choice per cell")
+	fmt.Fprintln(w, "-----------------------------------------------------------------------------")
+	fmt.Fprintf(w, "%-10s %6s %9s %7s %10s %10s %-9s %-9s %7s %5s\n",
+		"platform", "procs", "particles", "stripe", "auto", "best", "oracle", "pick", "ratio", "ok")
+	for _, p := range g.Write {
+		fmt.Fprintf(w, "%-10s %6d %9d %7d %10.4f %10.4f %-9s %-9s %7.3f %5v\n",
+			p.Platform, p.NProcs, p.Particles, p.StripeFactor,
+			p.Auto, p.Best, p.BestStrategy, p.AutoPick, p.AutoOverBest, p.Matched)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-10s %9s %9s %10s %10s %-15s %7s %5s\n",
+		"platform", "particles", "compute", "auto", "best", "oracle", "ratio", "ok")
+	for _, p := range g.Read {
+		fmt.Fprintf(w, "%-10s %9d %9.3f %10.4f %10.4f %-15s %7.3f %5v\n",
+			p.Platform, p.Particles, p.ComputePerRecord,
+			p.Auto, p.Best, p.BestChoice, p.AutoOverBest, p.Matched)
+	}
+	fmt.Fprintln(w)
 }

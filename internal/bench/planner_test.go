@@ -39,7 +39,7 @@ func TestPlannerGrid(t *testing.T) {
 	}
 	t.Logf("planner matched the oracle on %d/%d write and %d/%d read cells",
 		wm, len(g.Write), rm, len(g.Read))
-	if err := CheckPlanner(g, PlannerTolerance, PlannerMinFraction); err != nil {
+	if _, err := CheckPlanner(g, PlannerTolerance, PlannerMinFraction); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,16 +75,16 @@ func TestCheckPlannerGate(t *testing.T) {
 	slow := PlannerWritePoint{Platform: "p", Auto: 2.0, Best: 1.0, Identical: true}
 	bad := PlannerWritePoint{Platform: "p", Auto: 1.0, Best: 1.0, Identical: false}
 
-	if err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{ok, ok}}, 0.10, 0.90); err != nil {
+	if _, err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{ok, ok}}, 0.10, 0.90); err != nil {
 		t.Errorf("healthy grid failed: %v", err)
 	}
-	if err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{ok, bad}}, 0.10, 0.0); err == nil {
+	if _, err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{ok, bad}}, 0.10, 0.0); err == nil {
 		t.Error("byte mismatch passed the gate")
 	}
-	if err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{ok, slow, slow, slow}}, 0.10, 0.90); err == nil {
+	if _, err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{ok, slow, slow, slow}}, 0.10, 0.90); err == nil {
 		t.Error("25% matched fraction passed a 90% gate")
 	}
-	if err := CheckPlanner(PlannerGrid{}, 0.10, 0.90); err == nil {
+	if _, err := CheckPlanner(PlannerGrid{}, 0.10, 0.90); err == nil {
 		t.Error("empty grid passed the gate")
 	}
 }

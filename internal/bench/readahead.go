@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"pcxxstreams/internal/collection"
 	"pcxxstreams/internal/distr"
@@ -37,39 +38,62 @@ type ReadAheadPoint struct {
 	Identical        bool    `json:"identical"`
 }
 
-// readAheadStall writes `records` records of SCF segments (cyclic layout),
-// then reads them back under a block layout (forcing the sorted-read
-// redistribution) with `compute` virtual seconds of work after each
-// record, verifying every segment against the deterministic generator. It
-// returns the input side's summed refill stall and prefetch hit count.
+// scfFile is the file the multi-record SCF grids write and read back.
+const scfFile = "scf"
+
+// writeSCF is the output half of the multi-record SCF grids: a cyclic
+// collection written as recs.N records with the given strategy.
+func writeSCF(n *machine.Node, segments int, recs scf.Records, strat dstream.Strategy) error {
+	d, err := distr.New(segments, n.Size(), distr.Cyclic, 0)
+	if err != nil {
+		return err
+	}
+	s, err := dstream.Open(n, d, scfFile, dstream.WithStrategy(strat))
+	if err != nil {
+		return err
+	}
+	c, err := collection.New[scf.Segment](n, d)
+	if err != nil {
+		return err
+	}
+	if err := recs.Write(s, c); err != nil {
+		return err
+	}
+	return s.Close()
+}
+
+// readSCF is the input half: the records read back under a block layout
+// (forcing the sorted-read redistribution) with `compute` virtual seconds
+// of work after each record, every segment verified against the generator.
+// No opts is a full-auto stream.
+func readSCF(n *machine.Node, segments int, recs scf.Records, compute float64, opts ...dstream.Option) error {
+	d, err := distr.New(segments, n.Size(), distr.Block, 0)
+	if err != nil {
+		return err
+	}
+	s, err := dstream.OpenInput(n, d, scfFile, opts...)
+	if err != nil {
+		return err
+	}
+	c, err := collection.New[scf.Segment](n, d)
+	if err != nil {
+		return err
+	}
+	if err := recs.Read(s, c, func(int) error { n.Compute(compute); return nil }); err != nil {
+		return err
+	}
+	return s.Close()
+}
+
+// readAheadStall runs writeSCF and then, on a second machine over the same
+// store, readSCF at the given depth. It returns the input side's summed
+// refill stall and prefetch hit count.
 func readAheadStall(prof vtime.Profile, nprocs, segments, particles, records int,
 	strat dstream.Strategy, depth int, compute float64, stripeFactor int, unit int64) (float64, int64, error) {
 	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(stripeFactor, unit))
+	recs := scf.Records{N: records, Particles: particles}
 	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs}, func(n *machine.Node) error {
-		d, err := distr.New(segments, nprocs, distr.Cyclic, 0)
-		if err != nil {
-			return err
-		}
-		s, err := dstream.Open(n, d, "scf", dstream.WithStrategy(strat))
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		c, err := collection.New[scf.Segment](n, d)
-		if err != nil {
-			return err
-		}
-		for rec := 0; rec < records; rec++ {
-			rec := rec
-			c.Apply(func(g int, sg *scf.Segment) { sg.Fill(g+1000*rec, particles) })
-			if err := dstream.Insert[scf.Segment](s, c); err != nil {
-				return err
-			}
-			if err := s.Write(); err != nil {
-				return err
-			}
-		}
-		return s.Close()
+		return writeSCF(n, segments, recs, strat)
 	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("bench: read-ahead write phase: %w", err)
@@ -77,48 +101,7 @@ func readAheadStall(prof vtime.Profile, nprocs, segments, particles, records int
 
 	mon := dsmon.New()
 	_, err = machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs, Monitor: mon}, func(n *machine.Node) error {
-		d, err := distr.New(segments, nprocs, distr.Block, 0)
-		if err != nil {
-			return err
-		}
-		opts := []dstream.Option{dstream.WithStrategy(strat)}
-		if depth > 0 {
-			opts = append(opts, dstream.WithReadAhead(depth))
-		}
-		s, err := dstream.OpenInput(n, d, "scf", opts...)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		c, err := collection.New[scf.Segment](n, d)
-		if err != nil {
-			return err
-		}
-		var ref scf.Segment
-		for rec := 0; rec < records; rec++ {
-			if err := s.Read(); err != nil {
-				return err
-			}
-			if err := dstream.Extract[scf.Segment](s, c); err != nil {
-				return err
-			}
-			var bad error
-			rec := rec
-			c.Apply(func(g int, sg *scf.Segment) {
-				if bad != nil {
-					return
-				}
-				ref.Fill(g+1000*rec, particles)
-				if !sg.Equal(&ref) {
-					bad = fmt.Errorf("record %d segment %d differs from generator", rec, g)
-				}
-			})
-			if bad != nil {
-				return bad
-			}
-			n.Compute(compute)
-		}
-		return s.Close()
+		return readSCF(n, segments, recs, compute, dstream.WithStrategy(strat), dstream.WithReadAhead(depth))
 	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("bench: read-ahead input phase (depth %d): %w", depth, err)
@@ -177,4 +160,36 @@ func ReadAheadSweep() ([]ReadAheadPoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// CheckReadAhead is the acceptance gate for the prefetch pipeline: both runs
+// of every cell delivered the generator's bytes, and read-ahead lowers the
+// refill stall on at least half the grid.
+func CheckReadAhead(pts []ReadAheadPoint) (string, error) {
+	wins := 0
+	for _, p := range pts {
+		if !p.Identical {
+			return "", fmt.Errorf("bench: read-ahead cell %s/%s depth %d delivered wrong bytes", p.Platform, p.Strategy, p.Depth)
+		}
+		if p.StallAhead < p.StallSync {
+			wins++
+		}
+	}
+	if 2*wins < len(pts) {
+		return "", fmt.Errorf("bench: read-ahead lowered the refill stall on only %d of %d grid cells — the prefetch is not overlapping", wins, len(pts))
+	}
+	return fmt.Sprintf("read-ahead lowers the refill stall on %d of %d grid cells", wins, len(pts)), nil
+}
+
+func formatReadAhead(w io.Writer, pts []ReadAheadPoint) {
+	fmt.Fprintln(w, "Read-ahead prefetch ablation (summed refill stall, virtual seconds, SCF input)")
+	fmt.Fprintln(w, "------------------------------------------------------------------------------")
+	fmt.Fprintf(w, "%-10s %-9s %5s %6s %8s %8s %12s %12s %6s\n",
+		"platform", "strategy", "depth", "procs", "records", "stripe", "stall(sync)", "stall(ahead)", "hits")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%-10s %-9s %5d %6d %8d %8d %12.4f %12.4f %6d\n",
+			p.Platform, p.Strategy, p.Depth, p.NProcs, p.Records, p.StripeFactor,
+			p.StallSync, p.StallAhead, p.PrefetchHits)
+	}
+	fmt.Fprintln(w)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"pcxxstreams/internal/bufpool"
@@ -146,7 +147,7 @@ func ScaleSweep(maxProcs int) ([]ScalePoint, error) {
 // the baseline are reported but not gated: their message counts are small
 // enough that the fixed machine setup dominates the quotient, and the gate
 // guards scaling up, not down.
-func CheckScaleCurve(pts []ScalePoint, maxRatio float64) error {
+func CheckScaleCurve(pts []ScalePoint, maxRatio float64) (string, error) {
 	var base float64
 	for _, p := range pts {
 		if p.NProcs == 8 {
@@ -154,16 +155,29 @@ func CheckScaleCurve(pts []ScalePoint, maxRatio float64) error {
 		}
 	}
 	if base == 0 {
-		return fmt.Errorf("bench: scale curve has no 8-rank baseline cell")
+		return "", fmt.Errorf("bench: scale curve has no 8-rank baseline cell")
 	}
 	for _, p := range pts {
 		if p.NProcs < 8 {
 			continue
 		}
 		if ratio := p.PerMsgMicros / base; ratio > maxRatio {
-			return fmt.Errorf("bench: scale cell %d ranks: %.3f µs/msg is %.2fx the 8-rank cost (%.3f µs/msg), budget %.2fx",
+			return "", fmt.Errorf("bench: scale cell %d ranks: %.3f µs/msg is %.2fx the 8-rank cost (%.3f µs/msg), budget %.2fx",
 				p.NProcs, p.PerMsgMicros, ratio, base, maxRatio)
 		}
 	}
-	return nil
+	return fmt.Sprintf("per-message cost within %.1fx of the 8-rank baseline across all %d cells", maxRatio, len(pts)), nil
+}
+
+func formatScale(w io.Writer, pts []ScalePoint) {
+	fmt.Fprintln(w, "Runtime scale curve (wall-clock per-message cost, neighbor train + sharded collectives)")
+	fmt.Fprintln(w, "---------------------------------------------------------------------------------------")
+	fmt.Fprintf(w, "%6s %9s %10s %10s %10s %8s %8s %8s\n",
+		"nprocs", "messages", "wall (s)", "µs/msg", "ringputs", "spills", "stalls", "parks")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%6d %9d %10.4f %10.3f %10d %8d %8d %8d\n",
+			p.NProcs, p.Messages, p.WallSeconds, p.PerMsgMicros,
+			p.RingPuts, p.Spills, p.FullStalls, p.ConsumerParks)
+	}
+	fmt.Fprintln(w)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/vtime"
@@ -91,4 +92,36 @@ func TwoPhaseSweep() ([]StrategyPoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// TwoPhaseMinWins is the acceptance bar for the strategy: at least this many
+// configurations where aggregation beats both classic paths outright.
+const TwoPhaseMinWins = 1
+
+// CheckTwoPhase is the regression gate over the two-phase ablation grid.
+func CheckTwoPhase(pts []StrategyPoint) (string, error) {
+	wins := 0
+	for _, p := range pts {
+		if p.TwoPhase < p.Funnel && p.TwoPhase < p.Parallel {
+			wins++
+		}
+	}
+	if wins < TwoPhaseMinWins {
+		return "", fmt.Errorf("bench: two-phase beat both funnel and parallel on %d of %d grid cells, need ≥%d — aggregation is not paying for its shuffle",
+			wins, len(pts), TwoPhaseMinWins)
+	}
+	return fmt.Sprintf("two-phase wins %d of %d grid cells outright", wins, len(pts)), nil
+}
+
+func formatTwoPhase(w io.Writer, pts []StrategyPoint) {
+	fmt.Fprintln(w, "Two-phase collective buffering ablation (virtual seconds, SCF write+read)")
+	fmt.Fprintln(w, "--------------------------------------------------------------------------")
+	fmt.Fprintf(w, "%-10s %6s %8s %9s %7s %10s %10s %10s   %s\n",
+		"platform", "procs", "segments", "particles", "stripe", "funnel", "parallel", "twophase", "winner")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%-10s %6d %8d %9d %7d %10.4f %10.4f %10.4f   %s\n",
+			p.Platform, p.NProcs, p.Segments, p.Particles, p.StripeFactor,
+			p.Funnel, p.Parallel, p.TwoPhase, p.Winner)
+	}
+	fmt.Fprintln(w)
 }

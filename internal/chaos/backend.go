@@ -32,11 +32,7 @@ type pfsInjects struct {
 }
 
 func newPFSInjects(mon *dsmon.Monitor) pfsInjects {
-	reg := mon.Registry()
-	k := func(kind string) *dsmon.Counter {
-		return reg.Counter("chaos_pfs_inject_total",
-			"storage faults injected by the chaos layer", "kind", kind)
-	}
+	k := func(kind string) *dsmon.Counter { return pfsPlane.counter(mon, kind) }
 	return pfsInjects{
 		readErr: k("read_err"), writeErr: k("write_err"),
 		shortRead: k("short_read"), shortWrite: k("short_write"),

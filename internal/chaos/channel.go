@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -42,11 +41,9 @@ type ChannelConfig struct {
 	// Stall is the real-time length of the seeded mid-stream consumer stall
 	// (default 20ms). The stalled rank and record are derived from the seed.
 	Stall time.Duration
-	// Rates is the transport fault schedule (DefaultRates() when zero).
-	Rates Rates
-	// Watchdog and RecvDeadline as in Config.
-	Watchdog     time.Duration
-	RecvDeadline time.Duration
+	// Budget's Rates are transport faults only: a channel never touches
+	// storage.
+	Budget
 }
 
 func (c ChannelConfig) withDefaults() ChannelConfig {
@@ -75,16 +72,13 @@ func (c ChannelConfig) withDefaults() ChannelConfig {
 	if c.Stall <= 0 {
 		c.Stall = 20 * time.Millisecond
 	}
-	if c.Rates == (Rates{}) {
-		c.Rates = DefaultRates()
-	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 60 * time.Second
-	}
-	if c.RecvDeadline <= 0 {
-		c.RecvDeadline = 5 * time.Second
-	}
+	c.Budget = c.Budget.withDefaults(60 * time.Second)
 	return c
+}
+
+// records is the generator both paths fill from and verify against.
+func (c ChannelConfig) records() scf.Records {
+	return scf.Records{N: c.Records, Particles: c.Particles}
 }
 
 func (c ChannelConfig) dists() (dProd, dCons *distr.Distribution, err error) {
@@ -113,19 +107,6 @@ func foldSegments(sum uint64, rec int, d *distr.Distribution, slot int, local []
 		f.Write(scratch.Bytes())
 	}
 	return sum*1099511628211 ^ f.Sum64()
-}
-
-// verifySegments checks one consumed record against the deterministic fill.
-func verifySegments(rec int, d *distr.Distribution, slot int, local []scf.Segment, particles int) error {
-	var want scf.Segment
-	for l := range local {
-		g := d.GlobalIndex(slot, l)
-		want.Fill(g+1000*rec, particles)
-		if !local[l].Equal(&want) {
-			return fmt.Errorf("%w: record %d global %d", errCorrupt, rec, g)
-		}
-	}
-	return nil
 }
 
 // ChannelReference runs the write-then-read file path fault-free on the same
@@ -167,15 +148,8 @@ func ChannelReference(cfg ChannelConfig) ([]uint64, error) {
 		if err != nil {
 			return err
 		}
-		for rec := 0; rec < cfg.Records; rec++ {
-			rec := rec
-			c.Apply(func(g int, sg *scf.Segment) { sg.Fill(g+1000*rec, cfg.Particles) })
-			if err := dstream.Insert[scf.Segment](s, c); err != nil {
-				return err
-			}
-			if err := s.Write(); err != nil {
-				return err
-			}
+		if err := cfg.records().Write(s, c); err != nil {
+			return err
 		}
 		if err := s.Close(); err != nil {
 			return err
@@ -189,25 +163,20 @@ func ChannelReference(cfg ChannelConfig) ([]uint64, error) {
 		if err != nil {
 			return err
 		}
-		rank := n.Rank()
-		slot := rank - (p - cfg.Consumers)
+		// dR gives consumer slot k (machine rank p-Consumers+k) exactly
+		// dCons's elements of slot k, in the same local order.
+		slot := n.Rank() - (p - cfg.Consumers)
 		var sum uint64
 		var scratch dstream.Encoder
-		for rec := 0; rec < cfg.Records; rec++ {
-			if err := r.Read(); err != nil {
-				return err
-			}
-			if err := dstream.Extract[scf.Segment](r, back); err != nil {
-				return err
-			}
-			if rank >= p-cfg.Consumers {
-				if err := verifySegments(rec, dCons, slot, back.Local(), cfg.Particles); err != nil {
-					return err
-				}
+		if err := cfg.records().Read(r, back, func(rec int) error {
+			if slot >= 0 {
 				sum = foldSegments(sum, rec, dCons, slot, back.Local(), &scratch)
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
-		if rank >= p-cfg.Consumers {
+		if slot >= 0 {
 			digests[slot] = sum
 		}
 		return r.Close()
@@ -225,6 +194,7 @@ func channelPipeline(cfg ChannelConfig, seed int64, digests []uint64) func(*mach
 	p := cfg.Producers + cfg.Consumers
 	stallSlot := int(uint64(seed) % uint64(cfg.Consumers))
 	stallRec := int((uint64(seed) >> 3) % uint64(cfg.Records))
+	recs := cfg.records()
 	return func(n *machine.Node) error {
 		dProd, dCons, err := cfg.dists()
 		if err != nil {
@@ -239,9 +209,7 @@ func channelPipeline(cfg ChannelConfig, seed int64, digests []uint64) func(*mach
 			}
 			local := make([]scf.Segment, s.LocalLen())
 			for rec := 0; rec < cfg.Records; rec++ {
-				for l := range local {
-					local[l].Fill(dProd.GlobalIndex(rank, l)+1000*rec, cfg.Particles)
-				}
+				recs.Fill(local, dProd, rank, rec)
 				if err := dstream.InsertElems[scf.Segment](s, local); err != nil {
 					return err
 				}
@@ -268,7 +236,7 @@ func channelPipeline(cfg ChannelConfig, seed int64, digests []uint64) func(*mach
 			if err := dstream.ExtractElems[scf.Segment](r, local); err != nil {
 				return err
 			}
-			if err := verifySegments(rec, dCons, slot, local, cfg.Particles); err != nil {
+			if err := recs.Verify(local, dCons, slot, rec); err != nil {
 				return err
 			}
 			sum = foldSegments(sum, rec, dCons, slot, local, &scratch)
@@ -284,80 +252,45 @@ func channelPipeline(cfg ChannelConfig, seed int64, digests []uint64) func(*mach
 	}
 }
 
-// RunChannelSeed executes the channel pipeline under one seeded transport
-// fault schedule (plus the seed's consumer stall) and classifies the outcome
-// against refDigests (from ChannelReference): the consumed bytes must be
-// exactly what the write-then-read file path delivers, or the run must fail
-// cleanly on every rank — never hang, never corrupt.
-func RunChannelSeed(cfg ChannelConfig, seed int64, refDigests []uint64) SeedResult {
-	cfg = cfg.withDefaults()
-	p := cfg.Producers + cfg.Consumers
-	mon := dsmon.New()
-	digests := make([]uint64, cfg.Consumers)
-
-	res := SeedResult{Seed: seed}
-	done := make(chan error, 1)
-	go func() {
-		_, err := machine.Run(machine.Config{
-			NProcs:  p,
-			Profile: vtime.Paragon(),
-			FS:      pfs.NewMemFS(vtime.Paragon()),
-			Monitor: mon,
-			WrapTransport: func(tr comm.Transport) comm.Transport {
-				return NewTransport(tr, p, seed, cfg.Rates, mon)
-			},
-			RecvDeadline: cfg.RecvDeadline,
-		}, channelPipeline(cfg, seed, digests))
-		done <- err
-	}()
-
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(cfg.Watchdog):
-		res.Outcome = OutcomeHang
-		res.Err = fmt.Errorf("chaos: channel seed %d outlived the %v watchdog", seed, cfg.Watchdog)
-		res.Injects = injectCounts(mon)
-		return res
-	}
-	res.Injects = injectCounts(mon)
-
-	switch {
-	case err == nil:
-		res.Outcome = OutcomeOK
-		for slot, d := range digests {
-			if d != refDigests[slot] {
-				res.Outcome = OutcomeCorrupt
-				res.Err = fmt.Errorf("chaos: seed %d consumer %d consumed %016x, file path delivers %016x",
-					seed, slot, d, refDigests[slot])
-				break
-			}
-		}
-	case errors.Is(err, errCorrupt):
-		res.Outcome = OutcomeCorrupt
-		res.Err = err
-	default:
-		res.Outcome = OutcomeCleanError
-		res.Err = err
-	}
-	return res
+// channelScenario is ChannelConfig as a Scenario: one part, compared by
+// consumed-bytes digest.
+type channelScenario struct {
+	cfg ChannelConfig
+	ref []uint64
 }
 
-// RunChannelSeeds runs seeds [first, first+n) of the channel oracle and
-// aggregates the verdicts, stopping early on the first hang.
-func RunChannelSeeds(cfg ChannelConfig, first int64, n int) (Report, error) {
-	cfg = cfg.withDefaults()
-	ref, err := ChannelReference(cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	var rep Report
-	for i := 0; i < n; i++ {
-		sr := RunChannelSeed(cfg, first+int64(i), ref)
-		rep.Add(sr)
-		if sr.Outcome == OutcomeHang {
-			break
+// Scenario returns the channel campaign over cfg: the consumed bytes must be
+// exactly what the write-then-read file path delivers, or the run must fail
+// cleanly on every rank — never hang, never corrupt.
+func (c ChannelConfig) Scenario() Scenario { return &channelScenario{cfg: c.withDefaults()} }
+
+func (s *channelScenario) Parts() int              { return 1 }
+func (s *channelScenario) Watchdog() time.Duration { return s.cfg.Watchdog }
+
+func (s *channelScenario) Reference() (err error) {
+	s.ref, err = ChannelReference(s.cfg)
+	return err
+}
+
+func (s *channelScenario) Run(seed int64, mon *dsmon.Monitor) []error {
+	cfg := s.cfg
+	p := cfg.Producers + cfg.Consumers
+	digests := make([]uint64, cfg.Consumers)
+	_, err := machine.Run(machine.Config{
+		NProcs:  p,
+		Profile: vtime.Paragon(),
+		FS:      pfs.NewMemFS(vtime.Paragon()),
+		Monitor: mon,
+		WrapTransport: func(tr comm.Transport) comm.Transport {
+			return NewTransport(tr, p, seed, cfg.Rates, mon)
+		},
+		RecvDeadline: cfg.RecvDeadline,
+	}, channelPipeline(cfg, seed, digests))
+	for slot, d := range digests {
+		if err == nil && d != s.ref[slot] {
+			err = fmt.Errorf("%w: consumer %d consumed %016x, file path delivers %016x",
+				errCorrupt, slot, d, s.ref[slot])
 		}
 	}
-	return rep, nil
+	return []error{err}
 }

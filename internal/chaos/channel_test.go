@@ -35,18 +35,9 @@ func TestChannelReferenceDeterministic(t *testing.T) {
 // asymmetric 3→2 shape keeps per-pair redistribution and the uneven-rank
 // paths under fire too.
 func TestChaosPipeline(t *testing.T) {
-	rep, err := RunChannelSeeds(ChannelConfig{Producers: 3, Consumers: 2}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
-	for _, k := range commKinds {
-		if rep.Injects["comm:"+k] == 0 {
-			t.Errorf("no seed injected comm fault %q — campaign does not cover the fault space", k)
-		}
-	}
+	rep := campaign(t, ChannelConfig{Producers: 3, Consumers: 2}.Scenario(), *chaosN)
+	requireInjected(t, rep, commPlane)
 	if rep.OK == 0 {
 		t.Error("no channel seed completed successfully — default rates should mostly be survivable")
 	}
-	t.Logf("injections: %v", rep.Injects)
 }

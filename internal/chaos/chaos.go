@@ -1,11 +1,12 @@
 // Package chaos is the deterministic fault-injection layer of the d/stream
 // stack: seeded per-message transport faults (chaos.Transport) and
-// per-operation storage faults (chaos.Backend), plus an end-to-end oracle
-// harness (harness.go) that runs the full SCF write→read pipeline under
-// hundreds of seeded fault schedules and asserts the stack's resilience
-// contract — every run either produces bytes identical to a fault-free run,
-// or fails with a clean error on every rank; it never hangs and never
-// silently corrupts data.
+// per-operation storage faults (chaos.Backend), plus an end-to-end oracle:
+// one campaign runner (runner.go) that drives a Scenario — the flat SCF
+// write→read pipeline (harness.go), the M→N channel (channel.go), the
+// multi-tenant daemon (tenants.go) — under hundreds of seeded fault
+// schedules and asserts the stack's resilience contract: every run either
+// produces bytes identical to a fault-free run, or fails with a clean error
+// on every rank; it never hangs and never silently corrupts data.
 //
 // The injected faults are *transient*: every one of them wraps
 // comm.ErrTransient or pfs.ErrTransient, so the retry machinery in the
@@ -74,6 +75,35 @@ func DefaultRates() Rates {
 		MaxDelay:    2 * time.Millisecond,
 		ReorderFuse: 2 * time.Millisecond,
 	}
+}
+
+// Budget is what every campaign configuration shares: the fault schedule
+// and the two real-time bounds that turn a lost rank into a verdict.
+type Budget struct {
+	// Rates is the fault schedule (DefaultRates() when zero — detected by
+	// an all-zero struct).
+	Rates Rates
+	// Watchdog bounds one seed's real run time; exceeding it is the
+	// forbidden outcome, OutcomeHang (default 60s; 120s for the daemon
+	// campaign, whose seeds pay for a TCP server and three machines).
+	Watchdog time.Duration
+	// RecvDeadline bounds each blocking receive in real time (default 5s);
+	// with the endpoint retry budget it is the in-stack hang backstop, one
+	// level below the watchdog.
+	RecvDeadline time.Duration
+}
+
+func (b Budget) withDefaults(watchdog time.Duration) Budget {
+	if b.Rates == (Rates{}) {
+		b.Rates = DefaultRates()
+	}
+	if b.Watchdog <= 0 {
+		b.Watchdog = watchdog
+	}
+	if b.RecvDeadline <= 0 {
+		b.RecvDeadline = 5 * time.Second
+	}
+	return b
 }
 
 // mix is splitmix64: it turns (seed, salt) into an independent PRNG seed,

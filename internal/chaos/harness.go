@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"time"
 
@@ -14,148 +13,106 @@ import (
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/scf"
+	"pcxxstreams/internal/session"
 	"pcxxstreams/internal/vtime"
 )
 
-// Config describes one oracle pipeline: an SCF collection written through a
-// d/stream under chaos and read back (with a different distribution, so the
-// read side's redistribution traffic is also exposed to the fault schedule).
-type Config struct {
-	// NProcs is the machine size (default 4).
+// Pipeline is the shape the flat and the daemon campaigns share: an SCF
+// collection written through a d/stream under chaos and read back with a
+// different distribution, so the read side's redistribution traffic is also
+// exposed to the fault schedule.
+type Pipeline struct {
+	// NProcs is the machine size (default 4; 2 per tenant machine).
 	NProcs int
 	// Segments is the SCF collection length (default 2·NProcs+1, so block
 	// and cyclic layouts disagree and at least one rank is uneven).
 	Segments int
-	// Particles per segment (default 16).
+	// Particles per segment (default 16; 8 per tenant).
 	Particles int
 	// Records is how many insert+write rounds the writer performs
 	// (default 2).
 	Records int
+	// Strategy selects the d/stream collective data path for both the write
+	// and read sides of the pipeline (StrategyAuto by default), so the
+	// two-phase shuffle/scatter traffic is exposed to the fault schedule
+	// like every other path.
+	Strategy dstream.Strategy
+	// StripeFactor stripes the chaotic store over this many fault-injected
+	// child backends, so the concurrent fan-out faces faults on every leg
+	// (0 = one flat backend; the daemon's store is always striped, default
+	// 2). StripeUnit is the cell size (default 4096 when striped).
+	StripeFactor int
+	StripeUnit   int64
+}
+
+func (p Pipeline) withDefaults(nprocs, particles int) Pipeline {
+	if p.NProcs <= 0 {
+		p.NProcs = nprocs
+	}
+	if p.Segments <= 0 {
+		p.Segments = 2*p.NProcs + 1
+	}
+	if p.Particles <= 0 {
+		p.Particles = particles
+	}
+	if p.Records <= 0 {
+		p.Records = 2
+	}
+	if p.StripeFactor > 0 && p.StripeUnit <= 0 {
+		p.StripeUnit = 4096
+	}
+	return p
+}
+
+// Config describes the flat oracle campaign: one Pipeline on one machine
+// over a fault-injected store and transport.
+type Config struct {
+	Pipeline
+	Budget
 	// Transport selects the underlying transport (chan by default).
 	Transport machine.TransportKind
 	// Fanout, when >= 2, shards the funnel collectives onto a k-ary tree
 	// (machine.Config.Fanout) — the configuration large-rank cells run, so
 	// the sharded trees face the fault schedule too.
 	Fanout int
-	// Strategy selects the d/stream collective data path for both the write
-	// and read sides of the pipeline (StrategyAuto by default), so the
-	// two-phase shuffle/scatter traffic is exposed to the fault schedule
-	// like every other path.
-	Strategy dstream.Strategy
 	// ReadAhead enables the input stream's prefetch pipeline at the given
 	// depth (0 = synchronous reads), exposing the background refills and
 	// their abandon-on-failure paths to the fault schedule.
 	ReadAhead int
-	// StripeFactor stripes the chaotic store over this many fault-injected
-	// child backends (0 = one flat backend), so the concurrent fan-out
-	// faces faults on every leg. StripeUnit is the cell size (default 4096
-	// when striped).
-	StripeFactor int
-	StripeUnit   int64
-	// Rates is the fault schedule (DefaultRates() when zero — detected by
-	// an all-zero struct).
-	Rates Rates
-	// PlanSigs, when non-nil, receives each rank's plan-decision-chain
-	// signatures as the pipeline passes the write and read stages. Only
-	// meaningful when the cost-model planner is active (full-auto streams);
-	// the planner oracle uses it to assert every rank planned the identical
-	// chain even when faults skewed the cost observations mid-stream.
-	PlanSigs *PlanSignatures
-	// Watchdog bounds one seed's real run time; exceeding it is the
-	// forbidden outcome, OutcomeHang (default 60s).
-	Watchdog time.Duration
-	// RecvDeadline bounds each blocking receive in real time (default 5s);
-	// with the endpoint retry budget it is the in-stack hang backstop, one
-	// level below the watchdog.
-	RecvDeadline time.Duration
+	// CheckPlans makes rank-identical plan-decision chains part of the
+	// verdict: a seed that completes with the ranks' chains differing on
+	// either stream direction is OutcomeCorrupt (it succeeded wrongly — a
+	// divergent plan is a hang or wrong bytes waiting to happen). Only
+	// meaningful when the cost-model planner is active (full-auto streams).
+	CheckPlans bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.NProcs <= 0 {
-		c.NProcs = 4
-	}
-	if c.Segments <= 0 {
-		c.Segments = 2*c.NProcs + 1
-	}
-	if c.Particles <= 0 {
-		c.Particles = 16
-	}
-	if c.Records <= 0 {
-		c.Records = 2
-	}
-	if c.Rates == (Rates{}) {
-		c.Rates = DefaultRates()
-	}
-	if c.StripeFactor > 0 && c.StripeUnit <= 0 {
-		c.StripeUnit = 4096
-	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 60 * time.Second
-	}
-	if c.RecvDeadline <= 0 {
-		c.RecvDeadline = 5 * time.Second
-	}
+	c.Pipeline = c.Pipeline.withDefaults(4, 16)
+	c.Budget = c.Budget.withDefaults(60 * time.Second)
 	return c
 }
 
-// Outcome classifies one seeded run against the resilience trichotomy.
-type Outcome int
-
-const (
-	// OutcomeOK: the pipeline completed and every byte — the file image and
-	// every extracted segment — matched the fault-free reference.
-	OutcomeOK Outcome = iota
-	// OutcomeCleanError: the pipeline failed, but with an error on every
-	// rank (machine.Run returned; nobody hung) and no corruption was
-	// observed. Permitted: retry budgets are finite.
-	OutcomeCleanError
-	// OutcomeCorrupt: the pipeline "succeeded" but produced wrong bytes —
-	// the failure mode the d/stream transparency guarantee forbids.
-	OutcomeCorrupt
-	// OutcomeHang: the pipeline outlived the watchdog — the other
-	// forbidden failure mode.
-	OutcomeHang
-)
-
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeOK:
-		return "ok"
-	case OutcomeCleanError:
-		return "clean-error"
-	case OutcomeCorrupt:
-		return "CORRUPT"
-	case OutcomeHang:
-		return "HANG"
-	default:
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-}
-
-// errCorrupt marks in-band corruption detected by the pipeline body (an
-// extracted segment differing from what was written).
-var errCorrupt = errors.New("chaos: extracted data differs from inserted data")
-
-// PlanSignatures collects per-rank planner decision-chain hashes from one
+// planSignatures collects per-rank planner decision-chain hashes from one
 // pipeline run. Slices are indexed by rank and each rank writes only its own
 // slot, so the SPMD body needs no locking; read them only after machine.Run
 // returns.
-type PlanSignatures struct {
+type planSignatures struct {
 	Write []uint64
 	Read  []uint64
 }
 
-// NewPlanSignatures sizes a collector for an nprocs-rank pipeline.
-func NewPlanSignatures(nprocs int) *PlanSignatures {
-	return &PlanSignatures{Write: make([]uint64, nprocs), Read: make([]uint64, nprocs)}
+// newPlanSignatures sizes a collector for an nprocs-rank pipeline.
+func newPlanSignatures(nprocs int) *planSignatures {
+	return &planSignatures{Write: make([]uint64, nprocs), Read: make([]uint64, nprocs)}
 }
 
-// Agree returns nil when every rank recorded the same nonzero signature on
+// agree returns nil when every rank recorded the same nonzero signature on
 // both stream directions — the planner made byte-for-byte identical decision
 // chains everywhere, so every re-plan happened on the same record boundary
 // on every rank. Call it only for runs that completed successfully; a run
 // that failed mid-record legitimately leaves ranks at different points.
-func (ps *PlanSignatures) Agree() error {
+func (ps *planSignatures) agree() error {
 	check := func(side string, sigs []uint64) error {
 		for r, s := range sigs {
 			if s == 0 {
@@ -176,13 +133,15 @@ func (ps *PlanSignatures) Agree() error {
 
 const harnessFile = "chaos-scf"
 
-// pipeline is the SPMD body of one oracle run: fill an SCF collection
-// (cyclic layout), write Records records through an output d/stream, read
-// them back on a block layout (forcing redistribution), and verify every
-// extracted segment against the deterministic fill.
-func pipeline(cfg Config) func(*machine.Node) error {
+// body is the SPMD body of one pipeline run: write Records records of an
+// SCF collection (cyclic layout, generator offset base) to file through
+// sess, read them back on a block layout (forcing redistribution), and
+// verify every extracted segment against the generator. sigs, when non-nil,
+// receives each rank's plan-decision-chain signatures.
+func (p Pipeline) body(sess *session.Session, file string, base, readAhead int, sigs *planSignatures) func(*machine.Node) error {
+	recs := scf.Records{N: p.Records, Particles: p.Particles, Base: base}
 	return func(n *machine.Node) error {
-		dw, err := distr.New(cfg.Segments, cfg.NProcs, distr.Cyclic, 0)
+		dw, err := distr.New(p.Segments, p.NProcs, distr.Cyclic, 0)
 		if err != nil {
 			return err
 		}
@@ -190,28 +149,21 @@ func pipeline(cfg Config) func(*machine.Node) error {
 		if err != nil {
 			return err
 		}
-		src.Apply(func(g int, s *scf.Segment) { s.Fill(g, cfg.Particles) })
-
-		out, err := dstream.Open(n, dw, harnessFile, dstream.WithStrategy(cfg.Strategy))
+		out, err := sess.Open(n, dw, file, dstream.WithStrategy(p.Strategy))
 		if err != nil {
 			return err
 		}
-		for rec := 0; rec < cfg.Records; rec++ {
-			if err := dstream.Insert[scf.Segment](out, src); err != nil {
-				return err
-			}
-			if err := out.Write(); err != nil {
-				return err
-			}
+		if err := recs.Write(out, src); err != nil {
+			return err
 		}
-		if cfg.PlanSigs != nil {
-			cfg.PlanSigs.Write[n.Rank()] = out.PlanSignature()
+		if sigs != nil {
+			sigs.Write[n.Rank()] = out.PlanSignature()
 		}
 		if err := out.Close(); err != nil {
 			return err
 		}
 
-		dr, err := distr.New(cfg.Segments, cfg.NProcs, distr.Block, 0)
+		dr, err := distr.New(p.Segments, p.NProcs, distr.Block, 0)
 		if err != nil {
 			return err
 		}
@@ -219,200 +171,102 @@ func pipeline(cfg Config) func(*machine.Node) error {
 		if err != nil {
 			return err
 		}
-		iopts := []dstream.Option{dstream.WithStrategy(cfg.Strategy)}
-		if cfg.ReadAhead > 0 {
-			iopts = append(iopts, dstream.WithReadAhead(cfg.ReadAhead))
-		}
-		in, err := dstream.OpenInput(n, dr, harnessFile, iopts...)
+		in, err := sess.OpenInput(n, dr, file, dstream.WithStrategy(p.Strategy), dstream.WithReadAhead(readAhead))
 		if err != nil {
 			return err
 		}
-		for rec := 0; rec < cfg.Records; rec++ {
-			if err := in.Read(); err != nil {
-				return err
-			}
-			if err := dstream.Extract[scf.Segment](in, back); err != nil {
-				return err
-			}
-			var bad error
-			back.Apply(func(g int, s *scf.Segment) {
-				var want scf.Segment
-				want.Fill(g, cfg.Particles)
-				if !s.Equal(&want) && bad == nil {
-					bad = fmt.Errorf("%w: record %d global %d on rank %d", errCorrupt, rec, g, n.Rank())
-				}
-			})
-			if bad != nil {
-				return bad
-			}
+		if err := recs.Read(in, back, nil); err != nil {
+			return err
 		}
-		if cfg.PlanSigs != nil {
-			cfg.PlanSigs.Read[n.Rank()] = in.PlanSignature()
+		if sigs != nil {
+			sigs.Read[n.Rank()] = in.PlanSignature()
 		}
 		return in.Close()
 	}
 }
 
+// referenceImage runs body fault-free on mc over an in-memory store and
+// returns the image of file — the byte-identity baseline of a campaign.
+func referenceImage(mc machine.Config, body func(*machine.Node) error, file string) ([]byte, error) {
+	fs := pfs.NewMemFS(vtime.Paragon())
+	mc.Profile, mc.FS = vtime.Paragon(), fs
+	if _, err := machine.Run(mc, body); err != nil {
+		return nil, fmt.Errorf("chaos: fault-free reference run failed: %w", err)
+	}
+	return fs.Image(file)
+}
+
+// checkImage compares a completed run's stored image with the reference: a
+// difference is corruption, an unreadable image a clean error.
+func checkImage(fs *pfs.FileSystem, file string, ref []byte) error {
+	img, err := fs.Image(file)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(img, ref) {
+		return fmt.Errorf("%w: %s image differs from fault-free reference (%d vs %d bytes)",
+			errCorrupt, file, len(img), len(ref))
+	}
+	return nil
+}
+
 // Reference runs the pipeline fault-free and returns the resulting file
-// image — the byte-identity baseline every chaotic run is compared to. It
-// errors if the fault-free pipeline itself fails (a broken stack, not a
-// chaos finding).
+// image.
 func Reference(cfg Config) ([]byte, error) {
 	cfg = cfg.withDefaults()
-	fs := pfs.NewMemFS(vtime.Paragon())
+	return referenceImage(machine.Config{NProcs: cfg.NProcs, Transport: cfg.Transport, Fanout: cfg.Fanout},
+		cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, nil), harnessFile)
+}
+
+// flatScenario is Config as a Scenario: one part.
+type flatScenario struct {
+	cfg Config
+	ref []byte
+}
+
+// Scenario returns the flat campaign over cfg.
+func (c Config) Scenario() Scenario { return &flatScenario{cfg: c.withDefaults()} }
+
+func (s *flatScenario) Parts() int              { return 1 }
+func (s *flatScenario) Watchdog() time.Duration { return s.cfg.Watchdog }
+
+func (s *flatScenario) Reference() (err error) {
+	s.ref, err = Reference(s.cfg)
+	return err
+}
+
+func (s *flatScenario) Run(seed int64, mon *dsmon.Monitor) []error {
+	cfg := s.cfg
+	factory := WrapFactory(pfs.MemFactory(), seed, cfg.Rates, mon)
+	if cfg.StripeFactor > 0 {
+		factory = StripedChaosFactory(cfg.StripeFactor, cfg.StripeUnit, seed, cfg.Rates, mon)
+	}
+	fs := pfs.NewFileSystem(vtime.Paragon(), factory)
+	var sigs *planSignatures
+	if cfg.CheckPlans {
+		sigs = newPlanSignatures(cfg.NProcs)
+	}
 	_, err := machine.Run(machine.Config{
 		NProcs:    cfg.NProcs,
 		Profile:   vtime.Paragon(),
 		Transport: cfg.Transport,
 		Fanout:    cfg.Fanout,
 		FS:        fs,
-	}, pipeline(cfg))
-	if err != nil {
-		return nil, fmt.Errorf("chaos: fault-free reference run failed: %w", err)
+		Monitor:   mon,
+		WrapTransport: func(tr comm.Transport) comm.Transport {
+			return NewTransport(tr, cfg.NProcs, seed, cfg.Rates, mon)
+		},
+		RecvDeadline: cfg.RecvDeadline,
+	}, cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, sigs))
+	if err == nil {
+		err = checkImage(fs, harnessFile, s.ref)
 	}
-	return fs.Image(harnessFile)
-}
-
-// SeedResult is one seeded schedule's verdict.
-type SeedResult struct {
-	Seed    int64
-	Outcome Outcome
-	// Err is the pipeline error for OutcomeCleanError / OutcomeCorrupt.
-	Err error
-	// Injects maps "comm:<kind>" and "pfs:<kind>" to the number of faults
-	// the schedule actually injected.
-	Injects map[string]int64
-}
-
-var commKinds = []string{"drop", "send_err", "duplicate", "delay", "reorder", "recv_err"}
-var pfsKinds = []string{"read_err", "write_err", "short_read", "short_write"}
-
-// injectCounts reads the chaos injection counters back out of the run's
-// registry (get-or-create returns the same handles the injectors bumped).
-func injectCounts(mon *dsmon.Monitor) map[string]int64 {
-	reg := mon.Registry()
-	out := make(map[string]int64, len(commKinds)+len(pfsKinds))
-	for _, k := range commKinds {
-		out["comm:"+k] = reg.Counter("chaos_comm_inject_total",
-			"transport faults injected by the chaos layer", "kind", k).Value()
-	}
-	for _, k := range pfsKinds {
-		out["pfs:"+k] = reg.Counter("chaos_pfs_inject_total",
-			"storage faults injected by the chaos layer", "kind", k).Value()
-	}
-	return out
-}
-
-// RunSeed executes the pipeline under one seeded fault schedule and
-// classifies the outcome against refImage (from Reference). On OutcomeHang
-// the run's goroutines are abandoned — callers should treat a hang as
-// fatal, not continue a long campaign around leaked machinery.
-func RunSeed(cfg Config, seed int64, refImage []byte) SeedResult {
-	cfg = cfg.withDefaults()
-	mon := dsmon.New()
-	factory := WrapFactory(pfs.MemFactory(), seed, cfg.Rates, mon)
-	if cfg.StripeFactor > 0 {
-		factory = StripedChaosFactory(cfg.StripeFactor, cfg.StripeUnit, seed, cfg.Rates, mon)
-	}
-	fs := pfs.NewFileSystem(vtime.Paragon(), factory)
-
-	res := SeedResult{Seed: seed}
-	done := make(chan error, 1)
-	go func() {
-		_, err := machine.Run(machine.Config{
-			NProcs:    cfg.NProcs,
-			Profile:   vtime.Paragon(),
-			Transport: cfg.Transport,
-			Fanout:    cfg.Fanout,
-			FS:        fs,
-			Monitor:   mon,
-			WrapTransport: func(tr comm.Transport) comm.Transport {
-				return NewTransport(tr, cfg.NProcs, seed, cfg.Rates, mon)
-			},
-			RecvDeadline: cfg.RecvDeadline,
-		}, pipeline(cfg))
-		done <- err
-	}()
-
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(cfg.Watchdog):
-		res.Outcome = OutcomeHang
-		res.Err = fmt.Errorf("chaos: seed %d outlived the %v watchdog", seed, cfg.Watchdog)
-		res.Injects = injectCounts(mon)
-		return res
-	}
-	res.Injects = injectCounts(mon)
-
-	switch {
-	case err == nil:
-		img, ierr := fs.Image(harnessFile)
-		if ierr != nil {
-			res.Outcome = OutcomeCleanError
-			res.Err = ierr
-		} else if !bytes.Equal(img, refImage) {
-			res.Outcome = OutcomeCorrupt
-			res.Err = fmt.Errorf("chaos: seed %d file image differs from fault-free reference (%d vs %d bytes)",
-				seed, len(img), len(refImage))
-		} else {
-			res.Outcome = OutcomeOK
-		}
-	case errors.Is(err, errCorrupt):
-		res.Outcome = OutcomeCorrupt
-		res.Err = err
-	default:
-		res.Outcome = OutcomeCleanError
-		res.Err = err
-	}
-	return res
-}
-
-// Report aggregates a seed campaign.
-type Report struct {
-	Results                             []SeedResult
-	OK, CleanErrors, Corruptions, Hangs int
-	// Injects sums each fault kind's injections over the whole campaign.
-	Injects map[string]int64
-}
-
-// Add folds one seed's result into the report.
-func (r *Report) Add(sr SeedResult) {
-	r.Results = append(r.Results, sr)
-	switch sr.Outcome {
-	case OutcomeOK:
-		r.OK++
-	case OutcomeCleanError:
-		r.CleanErrors++
-	case OutcomeCorrupt:
-		r.Corruptions++
-	case OutcomeHang:
-		r.Hangs++
-	}
-	if r.Injects == nil {
-		r.Injects = make(map[string]int64)
-	}
-	for k, v := range sr.Injects {
-		r.Injects[k] += v
-	}
-}
-
-// RunSeeds runs seeds [first, first+n) and aggregates the verdicts. It
-// stops early on the first hang (the machinery behind a hang is leaked, so
-// continuing would stack leaks).
-func RunSeeds(cfg Config, first int64, n int) (Report, error) {
-	cfg = cfg.withDefaults()
-	ref, err := Reference(cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	var rep Report
-	for i := 0; i < n; i++ {
-		sr := RunSeed(cfg, first+int64(i), ref)
-		rep.Add(sr)
-		if sr.Outcome == OutcomeHang {
-			break
+	// Only completed runs have every rank's chain; a clean error
+	// legitimately leaves ranks at different records.
+	if err == nil && sigs != nil {
+		if perr := sigs.agree(); perr != nil {
+			err = fmt.Errorf("%w: %v", errCorrupt, perr)
 		}
 	}
-	return rep, nil
+	return []error{err}
 }

@@ -15,41 +15,51 @@ var (
 	chaosN    = flag.Int("chaos.n", 200, "number of seeded schedules the chaos oracle runs")
 )
 
-// reportFailures logs every non-OK seed and fails the test on any forbidden
-// outcome (hang or corruption). Clean errors are permitted — retry budgets
-// are finite — but logged so a noisy schedule is visible.
+// reportFailures logs every non-OK part of every seed and fails the test on
+// any forbidden outcome (hang or corruption — for the daemon campaign
+// corruption includes reading another tenant's bytes, which cannot reproduce
+// the tenant's seeded fill). Clean errors are permitted — retry and
+// reconnect budgets are finite — but logged so a noisy schedule is visible.
 func reportFailures(t *testing.T, rep Report) {
 	t.Helper()
 	for _, sr := range rep.Results {
-		if sr.Outcome != OutcomeOK {
-			t.Logf("seed %d: %s: %v", sr.Seed, sr.Outcome, sr.Err)
+		for i, o := range sr.Outcomes {
+			if o != OutcomeOK {
+				t.Logf("seed %d part %d: %s: %v", sr.Seed, i, o, sr.Errs[i])
+			}
 		}
 	}
-	t.Logf("campaign: %d ok, %d clean errors, %d corruptions, %d hangs over %d seeds",
-		rep.OK, rep.CleanErrors, rep.Corruptions, rep.Hangs, len(rep.Results))
+	t.Logf("campaign: %d ok, %d clean errors, %d corruptions, %d hangs over %d seeds (%d all-OK); injections: %v",
+		rep.OK, rep.CleanErrors, rep.Corruptions, rep.Hangs, len(rep.Results), rep.SeedsAllOK, rep.Injects)
 	if rep.Hangs != 0 {
-		t.Fatalf("%d seed(s) hung — the stack lost progress under transient faults", rep.Hangs)
+		t.Fatalf("%d part(s) hung — the stack lost progress under faults", rep.Hangs)
 	}
 	if rep.Corruptions != 0 {
-		t.Fatalf("%d seed(s) silently corrupted data", rep.Corruptions)
+		t.Fatalf("%d part(s) silently corrupted data", rep.Corruptions)
 	}
 }
 
-// requireAllKinds asserts the campaign provably exercised every fault kind,
-// via the dsmon injection counters the chaos layers bump.
-func requireAllKinds(t *testing.T, rep Report) {
+// requireInjected asserts the campaign provably exercised every fault kind
+// of one plane, via the dsmon injection counters the chaos layers bump.
+func requireInjected(t *testing.T, rep Report, plane faultPlane) {
 	t.Helper()
-	for _, k := range commKinds {
-		if rep.Injects["comm:"+k] == 0 {
-			t.Errorf("no seed injected comm fault %q — campaign does not cover the fault space", k)
+	for _, k := range plane.kinds {
+		if rep.Injects[plane.name+":"+k] == 0 {
+			t.Errorf("no seed injected %s fault %q — campaign does not cover the fault space", plane.name, k)
 		}
 	}
-	for _, k := range pfsKinds {
-		if rep.Injects["pfs:"+k] == 0 {
-			t.Errorf("no seed injected pfs fault %q — campaign does not cover the fault space", k)
-		}
+}
+
+// campaign runs n seeds of sc from -chaos.seed and applies the verdict every
+// campaign shares: no hang, no corruption.
+func campaign(t *testing.T, sc Scenario, n int) Report {
+	t.Helper()
+	rep, err := RunSeeds(sc, *chaosSeed, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("injections: %v", rep.Injects)
+	reportFailures(t, rep)
+	return rep
 }
 
 // TestChaosOracle is the tentpole acceptance test: the full SCF write→read
@@ -59,12 +69,9 @@ func requireAllKinds(t *testing.T, rep Report) {
 // hangs and silent corruption fail the suite, and the campaign as a whole
 // must have injected every fault kind at least once.
 func TestChaosOracle(t *testing.T) {
-	rep, err := RunSeeds(Config{}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
-	requireAllKinds(t, rep)
+	rep := campaign(t, Config{}.Scenario(), *chaosN)
+	requireInjected(t, rep, commPlane)
+	requireInjected(t, rep, pfsPlane)
 	if rep.OK == 0 {
 		t.Error("no seed completed successfully — default rates should mostly be survivable")
 	}
@@ -75,11 +82,7 @@ func TestChaosOracle(t *testing.T) {
 // shuffle, extent assembly, and scatter traffic face the same fault
 // schedules as the classic paths — with the same trichotomy verdict.
 func TestChaosOracleTwoPhase(t *testing.T) {
-	rep, err := RunSeeds(Config{Strategy: dstream.StrategyTwoPhase}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
+	rep := campaign(t, Config{Pipeline: Pipeline{Strategy: dstream.StrategyTwoPhase}}.Scenario(), *chaosN)
 	if rep.OK == 0 {
 		t.Error("no two-phase seed completed successfully — default rates should mostly be survivable")
 	}
@@ -91,11 +94,7 @@ func TestChaosOracleTwoPhase(t *testing.T) {
 // that resurfaced a recycled buffer would show up here as a corruption
 // verdict (and, under -tags pooldebug, as a poison panic at the exact Get).
 func TestChaosOracleParallel(t *testing.T) {
-	rep, err := RunSeeds(Config{Strategy: dstream.StrategyParallel}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
+	rep := campaign(t, Config{Pipeline: Pipeline{Strategy: dstream.StrategyParallel}}.Scenario(), *chaosN)
 	if rep.OK == 0 {
 		t.Error("no parallel-strategy seed completed successfully — default rates should mostly be survivable")
 	}
@@ -109,26 +108,15 @@ func TestChaosOracleParallel(t *testing.T) {
 // its stream, leaks a pooled buffer into a wedged rendezvous, or applies a
 // stale speculative refill shows up here as a hang or a corruption.
 func TestChaosOracleReadAhead(t *testing.T) {
-	rep, err := RunSeeds(Config{
-		ReadAhead:    2,
-		Records:      3,
-		StripeFactor: 3,
-		StripeUnit:   1 << 12,
-	}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
+	rep := campaign(t, Config{
+		Pipeline:  Pipeline{Records: 3, StripeFactor: 3, StripeUnit: 1 << 12},
+		ReadAhead: 2,
+	}.Scenario(), *chaosN)
 	if rep.OK == 0 {
 		t.Error("no read-ahead seed completed successfully — default rates should mostly be survivable")
 	}
 	// The striped factory must actually have put faults under the fan-out.
-	for _, k := range pfsKinds {
-		if rep.Injects["pfs:"+k] == 0 {
-			t.Errorf("no seed injected pfs fault %q under the stripe", k)
-		}
-	}
-	t.Logf("injections: %v", rep.Injects)
+	requireInjected(t, rep, pfsPlane)
 }
 
 // TestChaosOraclePlanner runs the campaign with the cost-model planner
@@ -144,41 +132,16 @@ func TestChaosOracleReadAhead(t *testing.T) {
 // (FNV-1a over every record's strategy, aggregator count, and depth) are
 // bit-identical across ranks on both the write and read side.
 func TestChaosOraclePlanner(t *testing.T) {
-	cfg := Config{
-		Records:      3,
-		StripeFactor: 3,
-		StripeUnit:   1 << 12,
-	}.withDefaults()
-	ref, err := Reference(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	agreed := 0
-	for i := 0; i < *chaosN; i++ {
-		seed := *chaosSeed + int64(i)
-		c := cfg
-		c.PlanSigs = NewPlanSignatures(cfg.NProcs)
-		sr := RunSeed(c, seed, ref)
-		rep.Add(sr)
-		if sr.Outcome == OutcomeHang {
-			break
-		}
-		// Only completed runs have every rank's chain; a clean error
-		// legitimately leaves ranks at different records.
-		if sr.Outcome == OutcomeOK {
-			if err := c.PlanSigs.Agree(); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			} else {
-				agreed++
-			}
-		}
-	}
-	reportFailures(t, rep)
+	rep := campaign(t, Config{
+		Pipeline:   Pipeline{Records: 3, StripeFactor: 3, StripeUnit: 1 << 12},
+		CheckPlans: true,
+	}.Scenario(), *chaosN)
 	if rep.OK == 0 {
 		t.Error("no planner seed completed successfully — default rates should mostly be survivable")
 	}
-	t.Logf("plan-decision chains rank-identical on all %d successful seeds", agreed)
+	// A divergent chain on a completed seed is a corruption verdict, which
+	// campaign has already failed on.
+	t.Logf("plan-decision chains rank-identical on all %d successful seeds", rep.OK)
 }
 
 // TestReferenceStrategyIdentity: the fault-free pipeline writes the same
@@ -191,7 +154,7 @@ func TestReferenceStrategyIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []dstream.Strategy{dstream.StrategyFunnel, dstream.StrategyParallel, dstream.StrategyTwoPhase} {
-		img, err := Reference(Config{Strategy: s})
+		img, err := Reference(Config{Pipeline: Pipeline{Strategy: s}})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -213,11 +176,7 @@ func TestChaosOracleTCP(t *testing.T) {
 	if n < 10 {
 		n = 10
 	}
-	rep, err := RunSeeds(Config{Transport: machine.TransportTCP}, *chaosSeed, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
+	campaign(t, Config{Transport: machine.TransportTCP}.Scenario(), n)
 }
 
 // TestChaosOracleScale is the scale cell of the campaign: the full
@@ -236,11 +195,7 @@ func TestChaosOracleScale(t *testing.T) {
 	if n < 8 {
 		n = 8
 	}
-	rep, err := RunSeeds(Config{NProcs: 64, Fanout: 8, Records: 1}, *chaosSeed, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
+	rep := campaign(t, Config{Pipeline: Pipeline{NProcs: 64, Records: 1}, Fanout: 8}.Scenario(), n)
 	if rep.OK == 0 {
 		t.Error("no 64-rank seed completed successfully — default rates should mostly be survivable")
 	}
@@ -253,18 +208,7 @@ func TestChaosOracleScale(t *testing.T) {
 func TestChaosBrutalRatesFailCleanly(t *testing.T) {
 	rates := DefaultRates()
 	rates.Drop = 0.45
-	rep, err := RunSeeds(Config{Rates: rates, Watchdog: 2 * time.Minute}, *chaosSeed, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("brutal campaign: %d ok, %d clean errors, %d corruptions, %d hangs",
-		rep.OK, rep.CleanErrors, rep.Corruptions, rep.Hangs)
-	if rep.Hangs != 0 {
-		t.Fatalf("%d seed(s) hung under brutal rates", rep.Hangs)
-	}
-	if rep.Corruptions != 0 {
-		t.Fatalf("%d seed(s) corrupted data under brutal rates", rep.Corruptions)
-	}
+	rep := campaign(t, Config{Budget: Budget{Rates: rates, Watchdog: 2 * time.Minute}}.Scenario(), 25)
 	if rep.CleanErrors == 0 {
 		t.Error("a 45% drop rate never exhausted a retry budget — exhaustion path untested")
 	}
@@ -287,5 +231,24 @@ func TestReferenceDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("reference image is empty")
+	}
+}
+
+// TestPlanSignaturesAgree pins the planner scenario's extra verdict: equal
+// nonzero chains on both directions agree; a diverging rank or a rank that
+// recorded nothing does not.
+func TestPlanSignaturesAgree(t *testing.T) {
+	same := &planSignatures{Write: []uint64{7, 7, 7}, Read: []uint64{9, 9, 9}}
+	if err := same.agree(); err != nil {
+		t.Errorf("identical chains disagree: %v", err)
+	}
+	for name, ps := range map[string]*planSignatures{
+		"write side diverged": {Write: []uint64{7, 8, 7}, Read: []uint64{9, 9, 9}},
+		"read side diverged":  {Write: []uint64{7, 7, 7}, Read: []uint64{9, 9, 1}},
+		"rank recorded none":  {Write: []uint64{7, 7, 7}, Read: []uint64{9, 0, 9}},
+	} {
+		if ps.agree() == nil {
+			t.Errorf("%s: chains agree", name)
+		}
 	}
 }

@@ -1,21 +1,15 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
-	"pcxxstreams/internal/collection"
 	"pcxxstreams/internal/comm"
-	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/server"
 	"pcxxstreams/internal/session"
 	"pcxxstreams/internal/vtime"
@@ -28,62 +22,30 @@ import (
 type TenantsConfig struct {
 	// Tenants is the number of concurrent tenant programs (default 3).
 	Tenants int
-	// NProcs is each tenant machine's rank count (default 2).
-	NProcs int
-	// Segments, Particles, Records shape each tenant's SCF pipeline
-	// (defaults 2·NProcs+1, 8, 2).
-	Segments  int
-	Particles int
-	Records   int
-	// Strategy selects each tenant's collective data path.
-	Strategy dstream.Strategy
-	// Rates is the fault schedule, applied both to the daemon's storage
-	// backends and to every tenant machine's transport (DefaultRates()
-	// when zero).
-	Rates Rates
-	// StripeFactor/StripeUnit shape the daemon's chaotic striped store
-	// (defaults 2 × 4096).
-	StripeFactor int
-	StripeUnit   int64
+	// Pipeline shapes each tenant's program (defaults: 2 ranks, 2·NProcs+1
+	// segments of 8 particles, 2 records) and the daemon's chaotic striped
+	// store (default 2 × 4096).
+	Pipeline
+	// Budget's Rates apply both to the daemon's storage backends and to
+	// every tenant machine's transport; its Watchdog bounds the whole seed.
+	Budget
 	// Disconnects is how many times the chopper severs every client
 	// connection mid-run (default 3); the moments are seeded.
 	Disconnects int
 	// ReconnectBudget bounds each session's redial window — exhausting it
 	// must yield a clean error, never a hang (default 10s).
 	ReconnectBudget time.Duration
-	// Watchdog bounds the whole seed in real time; exceeding it is
-	// OutcomeHang (default 120s).
-	Watchdog time.Duration
-	// RecvDeadline bounds each blocking receive inside tenant machines
-	// (default 5s).
-	RecvDeadline time.Duration
 }
 
 func (c TenantsConfig) withDefaults() TenantsConfig {
 	if c.Tenants <= 0 {
 		c.Tenants = 3
 	}
-	if c.NProcs <= 0 {
-		c.NProcs = 2
-	}
-	if c.Segments <= 0 {
-		c.Segments = 2*c.NProcs + 1
-	}
-	if c.Particles <= 0 {
-		c.Particles = 8
-	}
-	if c.Records <= 0 {
-		c.Records = 2
-	}
-	if c.Rates == (Rates{}) {
-		c.Rates = DefaultRates()
-	}
 	if c.StripeFactor <= 0 {
 		c.StripeFactor = 2
 	}
-	if c.StripeUnit <= 0 {
-		c.StripeUnit = 4096
-	}
+	c.Pipeline = c.Pipeline.withDefaults(2, 8)
+	c.Budget = c.Budget.withDefaults(120 * time.Second)
 	if c.Disconnects < 0 {
 		c.Disconnects = 0
 	} else if c.Disconnects == 0 {
@@ -91,12 +53,6 @@ func (c TenantsConfig) withDefaults() TenantsConfig {
 	}
 	if c.ReconnectBudget <= 0 {
 		c.ReconnectBudget = 10 * time.Second
-	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 120 * time.Second
-	}
-	if c.RecvDeadline <= 0 {
-		c.RecvDeadline = 5 * time.Second
 	}
 	return c
 }
@@ -115,72 +71,6 @@ func tenantSeedBase(i int) int { return 100_000 * (i + 1) }
 // their bytes apart.
 const tenantFile = "data"
 
-// tenantPipeline is one tenant's SPMD body: fill with the tenant's seeded
-// pattern, write Records records, read back on a different layout, verify
-// every segment in-band.
-func tenantPipeline(cfg TenantsConfig, sess *session.Session, base int) func(*machine.Node) error {
-	return func(n *machine.Node) error {
-		dw, err := distr.New(cfg.Segments, cfg.NProcs, distr.Cyclic, 0)
-		if err != nil {
-			return err
-		}
-		src, err := collection.New[scf.Segment](n, dw)
-		if err != nil {
-			return err
-		}
-		src.Apply(func(g int, s *scf.Segment) { s.Fill(g+base, cfg.Particles) })
-
-		out, err := sess.Open(n, dw, tenantFile, dstream.WithStrategy(cfg.Strategy))
-		if err != nil {
-			return err
-		}
-		for rec := 0; rec < cfg.Records; rec++ {
-			if err := dstream.Insert[scf.Segment](out, src); err != nil {
-				return err
-			}
-			if err := out.Write(); err != nil {
-				return err
-			}
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-
-		dr, err := distr.New(cfg.Segments, cfg.NProcs, distr.Block, 0)
-		if err != nil {
-			return err
-		}
-		back, err := collection.New[scf.Segment](n, dr)
-		if err != nil {
-			return err
-		}
-		in, err := sess.OpenInput(n, dr, tenantFile, dstream.WithStrategy(cfg.Strategy))
-		if err != nil {
-			return err
-		}
-		for rec := 0; rec < cfg.Records; rec++ {
-			if err := in.Read(); err != nil {
-				return err
-			}
-			if err := dstream.Extract[scf.Segment](in, back); err != nil {
-				return err
-			}
-			var bad error
-			back.Apply(func(g int, s *scf.Segment) {
-				var want scf.Segment
-				want.Fill(g+base, cfg.Particles)
-				if !s.Equal(&want) && bad == nil {
-					bad = fmt.Errorf("%w: record %d global %d on rank %d", errCorrupt, rec, g, n.Rank())
-				}
-			})
-			if bad != nil {
-				return bad
-			}
-		}
-		return in.Close()
-	}
-}
-
 // TenantsReference runs every tenant's pipeline fault-free against a local
 // file system and returns the per-tenant file images — the byte-identity
 // baseline for OK runs (data content is additionally verified in-band every
@@ -189,63 +79,41 @@ func TenantsReference(cfg TenantsConfig) ([][]byte, error) {
 	cfg = cfg.withDefaults()
 	refs := make([][]byte, cfg.Tenants)
 	for i := range refs {
-		fs := pfs.NewMemFS(vtime.Paragon())
-		sess := session.Local()
-		_, err := machine.Run(machine.Config{
-			NProcs:  cfg.NProcs,
-			Profile: vtime.Paragon(),
-			FS:      fs,
-		}, tenantPipeline(cfg, sess, tenantSeedBase(i)))
-		if err != nil {
-			return nil, fmt.Errorf("chaos: fault-free tenant reference failed: %w", err)
-		}
-		img, err := fs.Image(tenantFile)
+		var err error
+		refs[i], err = referenceImage(machine.Config{NProcs: cfg.NProcs},
+			cfg.body(session.Local(), tenantFile, tenantSeedBase(i), 0, nil), tenantFile)
 		if err != nil {
 			return nil, err
 		}
-		refs[i] = img
 	}
 	return refs, nil
 }
 
-// TenantsSeedResult is one seeded multi-tenant schedule's verdict.
-type TenantsSeedResult struct {
-	Seed int64
-	// Outcomes and Errs are per tenant, index-aligned with tenant names.
-	Outcomes []Outcome
-	Errs     []error
-	// Worst aggregates: the most severe per-tenant outcome, or OutcomeHang
-	// if the whole seed outlived the watchdog.
-	Worst Outcome
-	// Disconnects is how many connection cuts the chopper actually landed.
-	Disconnects int
-	// Injects maps fault kinds to injection counts, as in SeedResult.
-	Injects map[string]int64
+// tenantsScenario is TenantsConfig as a Scenario: one part per tenant.
+type tenantsScenario struct {
+	cfg  TenantsConfig
+	refs [][]byte
 }
 
-func worseOf(a, b Outcome) Outcome {
-	// Severity order: OK < CleanError < Corrupt < Hang.
-	if b > a {
-		return b
-	}
-	return a
-}
-
-// RunTenantsSeed executes one seeded multi-tenant schedule: a daemon over
+// Scenario returns the multi-tenant campaign over cfg: a daemon over
 // fault-injected striped storage, cfg.Tenants concurrent tenant machines
 // with fault-injected transports, and seeded mid-run connection cuts. Every
 // tenant must end byte-identical (in-band verification, plus file image
-// equality against refs for OK outcomes) or with a clean error; a hang or a
+// equality against its reference) or with a clean error; a hang or a
 // cross-tenant byte leak is a forbidden outcome.
-func RunTenantsSeed(cfg TenantsConfig, seed int64, refs [][]byte) TenantsSeedResult {
-	cfg = cfg.withDefaults()
-	mon := dsmon.New()
-	res := TenantsSeedResult{
-		Seed:     seed,
-		Outcomes: make([]Outcome, cfg.Tenants),
-		Errs:     make([]error, cfg.Tenants),
-	}
+func (c TenantsConfig) Scenario() Scenario { return &tenantsScenario{cfg: c.withDefaults()} }
 
+func (s *tenantsScenario) Parts() int              { return s.cfg.Tenants }
+func (s *tenantsScenario) Watchdog() time.Duration { return s.cfg.Watchdog }
+
+func (s *tenantsScenario) Reference() (err error) {
+	s.refs, err = TenantsReference(s.cfg)
+	return err
+}
+
+func (s *tenantsScenario) Run(seed int64, mon *dsmon.Monitor) []error {
+	cfg := s.cfg
+	errs := make([]error, cfg.Tenants)
 	tenants := make([]server.Tenant, cfg.Tenants)
 	for i := range tenants {
 		tenants[i] = server.Tenant{Name: tenantName(i)}
@@ -259,19 +127,17 @@ func RunTenantsSeed(cfg TenantsConfig, seed int64, refs [][]byte) TenantsSeedRes
 		Monitor: mon,
 	})
 	if err != nil {
-		for i := range res.Outcomes {
-			res.Outcomes[i] = OutcomeCleanError
-			res.Errs[i] = err
+		for i := range errs {
+			errs[i] = err
 		}
-		res.Worst = OutcomeCleanError
-		return res
+		return errs
 	}
 	defer srv.Close()
 
 	// The chopper: at seeded moments, sever every client connection. The
 	// sessions must resume (within grace and budget) or fail cleanly.
 	stop := make(chan struct{})
-	var chopped int
+	cuts := connPlane.counter(mon, "cut")
 	var chopWG sync.WaitGroup
 	chopWG.Add(1)
 	go func() {
@@ -286,55 +152,23 @@ func RunTenantsSeed(cfg TenantsConfig, seed int64, refs [][]byte) TenantsSeedRes
 			case <-stop:
 				return
 			case <-time.After(delay):
-				chopped += srv.KillConnections()
+				cuts.Add(int64(srv.KillConnections()))
 			}
 		}
 	}()
 
-	// Tenant goroutines write into a private slice; it is copied into the
-	// result only on clean completion, so goroutines leaked by a hang cannot
-	// race the caller's reads.
-	errs := make([]error, cfg.Tenants)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Tenants; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = runOneTenant(cfg, srv.Addr(), i, seed, refs, mon)
+			errs[i] = runOneTenant(cfg, srv.Addr(), i, seed, s.refs[i], mon)
 		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	select {
-	case <-done:
-	case <-time.After(cfg.Watchdog):
-		close(stop)
-		res.Worst = OutcomeHang
-		for i := range res.Outcomes {
-			res.Outcomes[i] = OutcomeHang
-		}
-		res.Injects = injectCounts(mon)
-		return res
-	}
+	wg.Wait()
 	close(stop)
 	chopWG.Wait()
-	copy(res.Errs, errs)
-	res.Disconnects = chopped
-	res.Injects = injectCounts(mon)
-
-	for i, err := range res.Errs {
-		switch {
-		case err == nil:
-			res.Outcomes[i] = OutcomeOK
-		case errors.Is(err, errCorrupt):
-			res.Outcomes[i] = OutcomeCorrupt
-		default:
-			res.Outcomes[i] = OutcomeCleanError
-		}
-		res.Worst = worseOf(res.Worst, res.Outcomes[i])
-	}
-	return res
+	return errs
 }
 
 // runOneTenant connects one tenant session, runs its pipeline under a
@@ -343,7 +177,7 @@ func RunTenantsSeed(cfg TenantsConfig, seed int64, refs [][]byte) TenantsSeedRes
 // Transport injections are counted on the shared run monitor so the
 // campaign's fault-space coverage check sees them alongside the daemon's
 // storage faults.
-func runOneTenant(cfg TenantsConfig, addr string, i int, seed int64, refs [][]byte, mon *dsmon.Monitor) error {
+func runOneTenant(cfg TenantsConfig, addr string, i int, seed int64, ref []byte, mon *dsmon.Monitor) error {
 	// The client's reconnect budget covers established sessions; a chopper
 	// cut landing during the initial hello surfaces as a Connect error.
 	// Retry it within the same budget, as a real client would.
@@ -376,79 +210,11 @@ func runOneTenant(cfg TenantsConfig, addr string, i int, seed int64, refs [][]by
 			return NewTransport(tr, cfg.NProcs, tseed, cfg.Rates, mon)
 		},
 		RecvDeadline: cfg.RecvDeadline,
-	}, tenantPipeline(cfg, sess, tenantSeedBase(i)))
+	}, cfg.body(sess, tenantFile, tenantSeedBase(i), 0, nil))
 	if err != nil {
 		return err
 	}
 	// The run verified content in-band; for a completed run the stored
 	// image must also be byte-identical to the fault-free reference.
-	img, err := sess.FS(vtime.Paragon()).Image(tenantFile)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(img, refs[i]) {
-		return fmt.Errorf("%w: tenant %d image differs from fault-free reference (%d vs %d bytes)",
-			errCorrupt, i, len(img), len(refs[i]))
-	}
-	return nil
-}
-
-// TenantsReport aggregates a multi-tenant seed campaign.
-type TenantsReport struct {
-	Results                             []TenantsSeedResult
-	OK, CleanErrors, Corruptions, Hangs int // per-tenant counts
-	SeedsAllOK                          int
-	Disconnects                         int
-	Injects                             map[string]int64
-}
-
-// Add folds one seed's result into the report.
-func (r *TenantsReport) Add(sr TenantsSeedResult) {
-	r.Results = append(r.Results, sr)
-	allOK := true
-	for _, o := range sr.Outcomes {
-		switch o {
-		case OutcomeOK:
-			r.OK++
-		case OutcomeCleanError:
-			r.CleanErrors++
-			allOK = false
-		case OutcomeCorrupt:
-			r.Corruptions++
-			allOK = false
-		case OutcomeHang:
-			r.Hangs++
-			allOK = false
-		}
-	}
-	if allOK {
-		r.SeedsAllOK++
-	}
-	r.Disconnects += sr.Disconnects
-	if r.Injects == nil {
-		r.Injects = make(map[string]int64)
-	}
-	for k, v := range sr.Injects {
-		r.Injects[k] += v
-	}
-}
-
-// RunTenantsSeeds runs seeds [first, first+n) of the multi-tenant oracle
-// and aggregates the verdicts, stopping early on the first hang (the
-// machinery behind a hang is leaked).
-func RunTenantsSeeds(cfg TenantsConfig, first int64, n int) (TenantsReport, error) {
-	cfg = cfg.withDefaults()
-	refs, err := TenantsReference(cfg)
-	if err != nil {
-		return TenantsReport{}, err
-	}
-	var rep TenantsReport
-	for i := 0; i < n; i++ {
-		sr := RunTenantsSeed(cfg, first+int64(i), refs)
-		rep.Add(sr)
-		if sr.Worst == OutcomeHang {
-			break
-		}
-	}
-	return rep, nil
+	return checkImage(sess.FS(vtime.Paragon()), tenantFile, ref)
 }

@@ -5,36 +5,6 @@ import (
 	"time"
 )
 
-// reportTenantFailures logs every non-OK tenant verdict and fails the test
-// on any forbidden outcome (hang or corruption — corruption includes reading
-// another tenant's bytes, which cannot reproduce the tenant's seeded fill).
-// Clean errors are permitted: reconnect and retry budgets are finite.
-func reportTenantFailures(t *testing.T, rep TenantsReport) {
-	t.Helper()
-	for _, sr := range rep.Results {
-		if sr.Worst == OutcomeOK {
-			continue
-		}
-		for i, o := range sr.Outcomes {
-			if o != OutcomeOK {
-				var err error
-				if sr.Errs != nil {
-					err = sr.Errs[i]
-				}
-				t.Logf("seed %d tenant %d: %s: %v", sr.Seed, i, o, err)
-			}
-		}
-	}
-	t.Logf("campaign: %d ok, %d clean errors, %d corruptions, %d hangs over %d seeds (%d all-OK); %d connection cuts",
-		rep.OK, rep.CleanErrors, rep.Corruptions, rep.Hangs, len(rep.Results), rep.SeedsAllOK, rep.Disconnects)
-	if rep.Hangs != 0 {
-		t.Fatalf("%d tenant run(s) hung — the daemon lost progress under faults and disconnects", rep.Hangs)
-	}
-	if rep.Corruptions != 0 {
-		t.Fatalf("%d tenant run(s) read corrupt or foreign bytes", rep.Corruptions)
-	}
-}
-
 // TestTenantChaosOracle is the multi-tenant acceptance campaign: at least
 // three tenant programs concurrently write and read streams through one
 // dstreamd whose storage and transports run seeded fault schedules, while a
@@ -55,32 +25,23 @@ func TestTenantChaosOracle(t *testing.T) {
 	if testing.Short() {
 		n = 20
 	}
-	rep, err := RunTenantsSeeds(TenantsConfig{}, *chaosSeed, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportTenantFailures(t, rep)
+	rep := campaign(t, TenantsConfig{}.Scenario(), n)
 	if rep.SeedsAllOK == 0 {
 		t.Error("no seed completed with every tenant OK — default rates should mostly be survivable")
 	}
-	if rep.Disconnects == 0 {
-		t.Error("the chopper never landed a connection cut — reconnect path untested")
-	}
+	// The chopper must have landed at least one connection cut — the
+	// reconnect path is what this campaign is for.
+	requireInjected(t, rep, connPlane)
 	// The campaign must provably have exercised both fault planes: storage
 	// faults under the daemon and transport faults inside tenant machines.
-	for _, k := range pfsKinds {
-		if rep.Injects["pfs:"+k] == 0 {
-			t.Errorf("no seed injected pfs fault %q under the daemon", k)
-		}
-	}
+	requireInjected(t, rep, pfsPlane)
 	var comm int64
-	for _, k := range commKinds {
+	for _, k := range commPlane.kinds {
 		comm += rep.Injects["comm:"+k]
 	}
 	if comm == 0 {
 		t.Error("no seed injected any transport fault inside a tenant machine")
 	}
-	t.Logf("injections: %v", rep.Injects)
 }
 
 // TestTenantChaosDisconnectStorm cranks the chopper: many seeded cuts per
@@ -91,17 +52,11 @@ func TestTenantChaosDisconnectStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("disconnect storm skipped in -short mode")
 	}
-	rep, err := RunTenantsSeeds(TenantsConfig{
+	rep := campaign(t, TenantsConfig{
 		Disconnects:     12,
 		ReconnectBudget: 2 * time.Second,
-	}, *chaosSeed, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportTenantFailures(t, rep)
-	if rep.Disconnects == 0 {
-		t.Error("storm campaign landed no connection cuts")
-	}
+	}.Scenario(), 25)
+	requireInjected(t, rep, connPlane)
 }
 
 // TestTenantsReferenceDistinct: the per-tenant fault-free references are

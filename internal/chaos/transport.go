@@ -43,11 +43,7 @@ type commInjects struct {
 }
 
 func newCommInjects(mon *dsmon.Monitor) commInjects {
-	reg := mon.Registry()
-	k := func(kind string) *dsmon.Counter {
-		return reg.Counter("chaos_comm_inject_total",
-			"transport faults injected by the chaos layer", "kind", kind)
-	}
+	k := func(kind string) *dsmon.Counter { return commPlane.counter(mon, kind) }
 	return commInjects{
 		drop: k("drop"), sendErr: k("send_err"), dup: k("duplicate"),
 		delay: k("delay"), reorder: k("reorder"), recvErr: k("recv_err"),

@@ -133,9 +133,16 @@ func (b RankBreakdown) Named() float64 {
 	if b.Total == 0 {
 		return 0
 	}
+	// Sorted-key order: float addition is not associative, and a map's
+	// iteration order would move the last ulp from run to run.
+	cats := make([]string, 0, len(b.Seconds))
+	for c := range b.Seconds {
+		cats = append(cats, c)
+	}
+	sort.Strings(cats)
 	var sum float64
-	for _, v := range b.Seconds {
-		sum += v
+	for _, c := range cats {
+		sum += b.Seconds[c]
 	}
 	return sum / b.Total
 }

@@ -122,3 +122,17 @@ func TestPublish(t *testing.T) {
 		t.Fatalf("critpath_seconds{category=compute} = %v, want 1", got)
 	}
 }
+
+// TestNamedIsOrderIndependent pins Named() to one summation order: with
+// values whose sum depends on the order they are added in (1e16 + 1 - 1e16
+// is 0 or 1), a map-iteration-order sum flips between calls; the sorted-key
+// sum cannot. BENCH_critpath.json's named_fraction_min depends on it.
+func TestNamedIsOrderIndependent(t *testing.T) {
+	b := RankBreakdown{Total: 1, Seconds: map[string]float64{"a": 1e16, "b": 1, "c": -1e16}}
+	first := b.Named()
+	for i := 0; i < 200; i++ {
+		if got := b.Named(); got != first {
+			t.Fatalf("call %d: Named() = %v, first call returned %v", i, got, first)
+		}
+	}
+}
