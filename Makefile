@@ -89,9 +89,11 @@ alloc-check:
 
 # The race suite again with pooldebug poisoning on the pool-heavy packages:
 # a retained alias written after Put panics at the next Get instead of
-# corrupting a record silently.
+# corrupting a record silently. The daemon moves every chunk through a pooled
+# buffer an I/O rank releases, so its package and the session layer over it
+# are on the list.
 race-pooldebug:
-	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/
+	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/ ./internal/server/ ./internal/session/
 
 # Regenerate the public API surface golden after an intentional API change.
 # `make check` diffs the façade against testdata/api_surface.golden.
@@ -125,8 +127,9 @@ CHAOS_N    ?= 200
 chaos:
 	$(GO) test ./internal/chaos/ -v -run '$(CHAOS_RUN)' -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
 
-# Short fuzz pass over the wire codec and the schema decoder (the committed
-# corpora under testdata/fuzz replay in every plain `go test` run).
+# Short fuzz pass over the wire codec, the schema decoder, the planner and
+# the daemon's two frame decoders (the committed corpora under testdata/fuzz
+# replay in every plain `go test` run).
 fuzz:
 	$(GO) test ./internal/enc/ -fuzz FuzzRoundTrip -fuzztime 30s
 	$(GO) test ./internal/enc/ -fuzz FuzzReaderNeverPanics -fuzztime 30s
@@ -136,3 +139,5 @@ fuzz:
 	$(GO) test ./internal/dschema/ -fuzz FuzzSchemaRoundTrip -fuzztime 30s
 	$(GO) test ./internal/plan/ -fuzz FuzzCostModel -fuzztime 30s
 	$(GO) test ./internal/plan/ -fuzz FuzzPlannerChain -fuzztime 30s
+	$(GO) test ./internal/server/ -fuzz FuzzServerConn -fuzztime 30s
+	$(GO) test ./internal/server/ -fuzz FuzzClientReply -fuzztime 30s

@@ -1,8 +1,9 @@
 package bench
 
 // The allocation benchmark: steady-state allocations per operation on the
-// four hot paths the buffer-pool layer exists for — the enc round trip, the
-// in-process message path, and the funnel and two-phase record flushes.
+// hot paths the buffer-pool layer exists for — the enc round trip, the
+// in-process message path, the funnel and two-phase record flushes, and a
+// 1 MiB chunk through the dstreamd daemon.
 // Unlike the virtual-time tables, these numbers measure the *real* machine:
 // the Go allocator traffic per operation, the quantity that turns into GC
 // pressure when a d/stream program scales up. `dstream-bench -alloc` prints
@@ -26,6 +27,7 @@ import (
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
+	"pcxxstreams/internal/server"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -73,6 +75,11 @@ func AllocTable() ([]AllocCell, error) {
 		}},
 		{"dstream_chan_send", func() (float64, float64, error) { return channelCycleAllocs(false) }},
 		{"dstream_chan_recv", func() (float64, float64, error) { return channelCycleAllocs(true) }},
+		// The daemon's data path borrows the caller's buffer on the client and
+		// a pooled one on the server; a copy regrown on either side shows here
+		// as a megabyte per op.
+		{"daemon_write_1MiB", func() (float64, float64, error) { return daemonChunkAllocs(false) }},
+		{"daemon_read_1MiB", func() (float64, float64, error) { return daemonChunkAllocs(true) }},
 	}
 	for _, c := range machineCells {
 		allocs, bytes, err := c.measure()
@@ -202,8 +209,10 @@ const (
 	allocElemSize = 64
 	allocWarmup   = 8
 	allocCycles   = 64
-	// allocChanWindows is how many windows the channel cells measure.
-	allocChanWindows = 3
+	// allocWindows is how many windows the channel and daemon cells measure,
+	// keeping the lowest: both have goroutines whose work is not in step
+	// with the measured cycle.
+	allocWindows = 3
 )
 
 // measureCycles is the measured part of every machine-level cell, run by all
@@ -245,17 +254,24 @@ func measureCycles(n *machine.Node, windows int, cycle func() error, allocs, byt
 			var after runtime.MemStats
 			runtime.ReadMemStats(&after)
 			debug.SetGCPercent(gcPct)
-			a := float64(after.Mallocs-before.Mallocs) / allocCycles
-			b := float64(after.TotalAlloc-before.TotalAlloc) / allocCycles
-			if w == 0 || a < *allocs {
-				*allocs = a
-			}
-			if w == 0 || b < *bytes {
-				*bytes = b
-			}
+			keepLowest(w, &before, &after, allocs, bytes)
 		}
 	}
 	return nil
+}
+
+// keepLowest turns the heap counters around window w of allocCycles calls
+// into allocations and bytes per call, and keeps in *allocs and *bytes the
+// lowest of each that any window so far has seen.
+func keepLowest(w int, before, after *runtime.MemStats, allocs, bytes *float64) {
+	a := float64(after.Mallocs-before.Mallocs) / allocCycles
+	b := float64(after.TotalAlloc-before.TotalAlloc) / allocCycles
+	if w == 0 || a < *allocs {
+		*allocs = a
+	}
+	if w == 0 || b < *bytes {
+		*bytes = b
+	}
 }
 
 // writeCycleAllocs runs a 4-node machine performing steady-state
@@ -364,7 +380,7 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, elems 
 // consumers at Read (frame arrival, validation, and retirement — the
 // producer-facing steady state); the recv cell adds the full per-element
 // extraction, so the pair brackets both ends of the pipeline. Both cells are
-// the lowest of allocChanWindows windows: the producers' unread credit lists
+// the lowest of allocWindows windows: the producers' unread credit lists
 // regrow at moments of their own choosing, and one window in a few carries a
 // regrowth the others do not.
 func channelCycleAllocs(extract bool) (float64, float64, error) {
@@ -414,9 +430,64 @@ func channelCycleAllocs(extract bool) (float64, float64, error) {
 				return r.ExtractFunc(func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) })
 			}
 		}
-		return measureCycles(n, allocChanWindows, cycle, &allocs, &bytes)
+		return measureCycles(n, allocWindows, cycle, &allocs, &bytes)
 	})
 	return allocs, bytes, err
+}
+
+// daemonChunkAllocs measures the daemon data path's steady state: one client
+// writing (or reading) 1 MiB chunks against a loopback dstreamd at its
+// default geometry, counted process-wide — the client, the connection handler
+// and the I/O ranks together — per chunk, after warm-up, with the collector
+// off, the lowest of allocWindows windows. What is left per chunk is the
+// call, its reply channel, the frame heads on both sides and the striped
+// store's fan-out.
+func daemonChunkAllocs(read bool) (allocs, bytes float64, err error) {
+	d, err := server.Start("127.0.0.1:0", server.Config{Tenants: []server.Tenant{{Name: "alloc"}}})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer d.Close()
+	cli, err := server.Dial(d.Addr(), server.ClientConfig{Tenant: "alloc"})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer cli.Close()
+	b, err := cli.OpenBackend("alloc-bench")
+	if err != nil {
+		return 0, 0, err
+	}
+	const chunk = 1 << 20
+	buf := make([]byte, chunk)
+	// The same few chunks over and over, so that the store stops growing
+	// with the warm-up and the reads have something to read.
+	op := func(i int, read bool) error {
+		off := int64(i%allocWarmup) * chunk
+		if read {
+			_, err := b.ReadAt(buf, off)
+			return err
+		}
+		_, err := b.WriteAt(buf, off)
+		return err
+	}
+	for i := 0; i < 2*allocWarmup; i++ {
+		if err := op(i, read && i >= allocWarmup); err != nil {
+			return 0, 0, err
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for w := 0; w < allocWindows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < allocCycles; i++ {
+			if err := op(i, read); err != nil {
+				return 0, 0, err
+			}
+		}
+		runtime.ReadMemStats(&after)
+		keepLowest(w, &before, &after, &allocs, &bytes)
+	}
+	return allocs, bytes, nil
 }
 
 // WriteAllocTable prints the table human-readably.

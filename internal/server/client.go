@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -50,17 +52,22 @@ func (e *statusError) Is(target error) bool {
 	return false
 }
 
-// call is one in-flight request: the full frame payload (kept for an
-// idempotent resend after reconnect) and the reply channel.
+// call is one in-flight request: its frame, kept for an idempotent resend
+// after reconnect, and the reply channel. The frame is head and, for a write,
+// the caller's own buffer behind it; a read's reply lands in the caller's
+// buffer too. Both are borrowed — see Ownership in the package doc.
 type call struct {
-	req  []byte
-	done chan reply
+	head    []byte // prefix, id, op and every field but a write's data
+	payload []byte // write: the caller's p, sent behind head; nil otherwise
+	into    []byte // read: the caller's p, filled by readLoop; nil otherwise
+	done    chan reply
 }
 
 type reply struct {
 	status uint8
-	rd     *reader
-	err    error // client-side failure (session broken); status invalid
+	n      int     // read, statusOK or statusEOF: bytes readLoop put in call.into
+	rd     *reader // every other reply: the body after the status
+	err    error   // client-side failure (session broken); status invalid
 }
 
 // Client is one tenant session with a dstreamd daemon: it multiplexes
@@ -127,21 +134,22 @@ func (c *Client) dialOnce() (net.Conn, error) {
 	c.mu.Lock()
 	tok := c.token
 	c.mu.Unlock()
-	req := putU8(putU64(nil, 0), opHello)
-	req = putStr(req, c.cfg.Tenant)
-	req = putStr(req, tok)
-	if err := writeFrame(conn, req); err != nil {
+	req := putStr(putStr(newFrame(0, opHello), c.cfg.Tenant), tok)
+	if err := writeFrame(conn, req, nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	frame, err := readFrame(conn)
+	// Straight off the socket, not a buffered reader that could swallow the
+	// start of the next frame: readLoop brings its own.
+	_, status, rest, err := readFrameHead(conn)
+	var r *reader
+	if err == nil {
+		r, err = readBody(conn, rest)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	r := &reader{b: frame}
-	r.u64() // id 0
-	status := r.u8()
 	if status != statusOK {
 		msg := r.str()
 		conn.Close()
@@ -204,7 +212,7 @@ func (c *Client) Close() error {
 		// without waiting out the grace window); ignore failures — the
 		// janitor reclaims the slot eventually either way.
 		c.wmu.Lock()
-		writeFrame(conn, putU8(putU64(nil, id), opBye)) //nolint:errcheck
+		writeFrame(conn, newFrame(id, opBye), nil) //nolint:errcheck
 		c.wmu.Unlock()
 		conn.Close()
 	}
@@ -227,30 +235,86 @@ func (c *Client) takeCallsLocked() []*call {
 	return calls
 }
 
+// readBody reads the rest bytes that finish a frame whose head has been read
+// and returns a cursor over them. Control replies only: a few fields, or a
+// message (a transient reply carries its partial progress behind the message).
+func readBody(r io.Reader, rest int) (*reader, error) {
+	body := make([]byte, rest)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return &reader{b: body}, nil
+}
+
 // readLoop delivers responses for one connection generation; on connection
-// failure it hands off to reconnect.
+// failure it hands off to reconnect. It is the one reply decoder: a read's
+// data goes from the socket into the buffer its caller passed to ReadAt,
+// every other body into a cursor the caller decodes.
 func (c *Client) readLoop(conn net.Conn, gen int) {
+	br := bufio.NewReader(conn)
 	for {
-		frame, err := readFrame(conn)
+		id, status, rest, err := readFrameHead(br)
 		if err != nil {
 			c.reconnect(conn, gen)
 			return
 		}
-		r := &reader{b: frame}
-		id := r.u64()
-		status := r.u8()
-		if r.err != nil {
-			c.reconnect(conn, gen)
-			return
-		}
+		// Out of pending, the call is this goroutine's: Close and fail cannot
+		// release its caller while the body below lands in the caller's buffer.
 		c.mu.Lock()
 		cl := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if cl != nil {
-			cl.done <- reply{status: status, rd: r}
+		if cl == nil {
+			// A request answered on an earlier connection and again on this one.
+			if _, err := br.Discard(rest); err != nil {
+				c.reconnect(conn, gen)
+				return
+			}
+			continue
 		}
+		rep := reply{status: status}
+		if cl.into != nil && (status == statusOK || status == statusEOF) {
+			rep.n, err = readData(br, rest, cl.into)
+		} else {
+			rep.rd, err = readBody(br, rest)
+		}
+		if err != nil {
+			// Torn or corrupt inside the body: the request is still owed an
+			// answer, so it goes back to be resent — the same bytes will land
+			// at the same offsets — unless the session is already over.
+			c.mu.Lock()
+			broken := c.broken
+			if broken == nil {
+				c.pending[id] = cl
+			}
+			c.mu.Unlock()
+			if broken != nil {
+				cl.done <- reply{err: broken}
+			}
+			c.reconnect(conn, gen)
+			return
+		}
+		cl.done <- rep
 	}
+}
+
+// readData reads the body of a successful read reply — data(u32 length,
+// bytes), rest bytes in all — straight into p. A length that disagrees with
+// the frame's or exceeds what was asked for is a corrupt stream.
+func readData(r io.Reader, rest int, p []byte) (int, error) {
+	var lb [4]byte
+	if rest < len(lb) {
+		return 0, fmt.Errorf("dstreamd: truncated frame")
+	}
+	if _, err := io.ReadFull(r, lb[:]); err != nil {
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(lb[:])
+	if int64(n) != int64(rest-len(lb)) || int64(n) > int64(len(p)) {
+		return 0, fmt.Errorf("dstreamd: read reply declares %d data bytes in a frame with %d left, %d asked for",
+			n, rest-len(lb), len(p))
+	}
+	return io.ReadFull(r, p[:n])
 }
 
 // reconnect redials within the budget, resumes the session by token, and
@@ -288,10 +352,18 @@ func (c *Client) reconnect(dead net.Conn, gen int) {
 			go c.readLoop(conn, newGen)
 			// Resend in-flight requests; they are idempotent (same bytes,
 			// same offsets, same names), so a request the server already
-			// executed just executes again to the same effect.
+			// executed just executes again to the same effect. A payload is
+			// its caller's buffer, valid only while the caller is parked:
+			// Close and fail set broken before they release anyone, and a
+			// released caller waits for wmu before it returns, so checking
+			// broken under wmu before each frame keeps this loop off a
+			// buffer that has gone back to its owner.
 			c.wmu.Lock()
 			for _, cl := range resend {
-				if writeFrame(conn, cl.req) != nil {
+				c.mu.Lock()
+				broken := c.broken
+				c.mu.Unlock()
+				if broken != nil || writeFrame(conn, cl.head, cl.payload) != nil {
 					break // next readLoop generation will reconnect again
 				}
 			}
@@ -330,8 +402,17 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// roundTrip sends one request (op + body) and waits for its response.
+// roundTrip sends one control request and waits for its response; body
+// appends the op's fields to the frame head.
 func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) {
+	return c.transfer(op, body, nil, nil)
+}
+
+// transfer is roundTrip for the two data ops: a write's payload is sent
+// behind the head body builds (whose last field must be the payload's
+// length), a read's data is delivered into into. Neither is copied, and both
+// are the caller's again when transfer returns.
+func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []byte) (reply, error) {
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
@@ -340,14 +421,13 @@ func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) 
 	}
 	id := c.nextID
 	c.nextID++
-	req := body(putU8(putU64(nil, id), op))
-	cl := &call{req: req, done: make(chan reply, 1)}
+	cl := &call{head: body(newFrame(id, op)), payload: payload, into: into, done: make(chan reply, 1)}
 	c.pending[id] = cl
 	conn := c.conn
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := writeFrame(conn, req)
+	err := writeFrame(conn, cl.head, payload)
 	c.wmu.Unlock()
 	if err != nil {
 		// Kick the readLoop into reconnecting; the request stays pending and
@@ -356,6 +436,12 @@ func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) 
 	}
 	rep := <-cl.done
 	if rep.err != nil {
+		if payload != nil {
+			// Close or fail released this call, and a resend begun before
+			// that may still be reading payload: it holds wmu while it does.
+			c.wmu.Lock()
+			c.wmu.Unlock() //nolint:staticcheck // empty critical section: a barrier, not a guard
+		}
 		return reply{}, rep.err
 	}
 	return rep, nil
@@ -486,17 +572,17 @@ func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *remoteFile) readChunk(p []byte, off int64) (int, error) {
-	rep, err := f.c.roundTrip(opRead, func(b []byte) []byte {
+	rep, err := f.c.transfer(opRead, func(b []byte) []byte {
 		return putU32(putI64(putStr(b, f.name), off), uint32(len(p)))
-	})
+	}, nil, p)
 	if err != nil {
 		return 0, err
 	}
 	switch rep.status {
 	case statusOK:
-		return copy(p, rep.rd.bytes()), rep.rd.err
+		return rep.n, nil
 	case statusEOF:
-		return copy(p, rep.rd.bytes()), io.EOF
+		return rep.n, io.EOF
 	case statusTransient:
 		msg := rep.rd.str()
 		return copy(p, rep.rd.bytes()), fmt.Errorf("%w: %s", pfs.ErrTransient, msg)
@@ -542,9 +628,9 @@ func (f *remoteFile) writeChunk(p []byte, off int64) (int, error) {
 		}
 		defer f.c.window.release(int64(len(p)))
 	}
-	rep, err := f.c.roundTrip(opWrite, func(b []byte) []byte {
-		return putBytes(putI64(putStr(b, f.name), off), p)
-	})
+	rep, err := f.c.transfer(opWrite, func(b []byte) []byte {
+		return putU32(putI64(putStr(b, f.name), off), uint32(len(p)))
+	}, p, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -1,16 +1,20 @@
 package server
 
 import (
+	"bufio"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
 )
@@ -441,29 +445,41 @@ type connWriter struct {
 	c  net.Conn
 }
 
-func (w *connWriter) reply(payload []byte) {
+// reply writes one response frame: head from newFrame, and behind it the
+// data a read returns (nil for every other reply).
+func (w *connWriter) reply(head, data []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// A dead connection just drops the response; the client will resend the
 	// request on its next connection.
-	writeFrame(w.c, payload) //nolint:errcheck
+	writeFrame(w.c, head, data) //nolint:errcheck
 }
 
-func errPayload(id uint64, status uint8, msg string) []byte {
-	return putStr(putU8(putU64(nil, id), status), msg)
+// fail replies with a non-OK status and its message.
+func (w *connWriter) fail(id uint64, status uint8, msg string) {
+	w.reply(putStr(newFrame(id, status), msg), nil)
 }
 
-// handleConn owns one client connection: hello, then the request loop.
+// handleConn owns one client connection: hello, then the request loop — the
+// one request decoder. Frames are read through one buffered reader whose
+// buffer doubles as the scratch every head is decoded from, so serving a
+// request allocates for neither; a write's data goes around it (recvWrite).
+//
+// A frame it can delimit but not serve (a body that decodes short, a head
+// above maxHead, a transfer above chunkBytes) is skipped and answered with
+// statusErr, so the refusal reaches the caller instead of a hang-up that the
+// client would answer by resending the same frame; it hangs up only where
+// the stream cannot be re-synchronized.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(c)
 	w := &connWriter{c: c}
+	br := bufio.NewReaderSize(c, maxHead)
 
-	sess, err := s.hello(c, w)
+	sess, err := s.hello(br, w)
 	if err != nil {
 		return
 	}
-	ten := sess.ten
 	defer func() {
 		// Detach: the session stays resumable for the grace window, then a
 		// timer releases its admission slot.
@@ -475,99 +491,165 @@ func (s *Server) handleConn(c net.Conn) {
 	}()
 
 	for {
-		frame, err := readFrame(c)
+		id, op, rest, err := readFrameHead(br)
 		if err != nil {
 			return
 		}
-		r := &reader{b: frame}
-		id := r.u64()
-		op := r.u8()
-		ten.met.requests.Inc()
-		switch op {
-		case opBye:
-			w.reply(putU8(putU64(nil, id), statusOK))
-			// An explicit goodbye ends the session immediately: no grace,
-			// the admission slot frees now.
-			sess.mu.Lock()
-			sess.attached = false
-			sess.detached = time.Time{}
-			sess.mu.Unlock()
-			s.remove(sess)
-			return
-		case opOpen:
-			name := r.str()
-			if r.err != nil {
-				return
-			}
-			s.doOpen(ten, w, id, name)
-		case opSize:
-			name := r.str()
-			if r.err != nil {
-				return
-			}
-			f, err := s.lookup(ten, name)
-			if err != nil {
-				w.reply(errPayload(id, statusErr, err.Error()))
-				continue
-			}
-			w.reply(putI64(putU8(putU64(nil, id), statusOK), f.b.Size()))
-		case opTrunc:
-			name := r.str()
-			size := r.i64()
-			if r.err != nil {
-				return
-			}
-			s.doTrunc(ten, w, id, name, size)
-		case opUsage:
-			ten.mu.Lock()
-			used, quota := ten.usage, ten.cfg.QuotaBytes
-			ten.mu.Unlock()
-			w.reply(putI64(putI64(putU8(putU64(nil, id), statusOK), used), quota))
-		case opRead:
-			name := r.str()
-			off := r.i64()
-			n := r.u32()
-			if r.err != nil || n > chunkBytes {
-				return
-			}
-			s.submitRead(ten, w, id, name, off, int(n))
-		case opWrite:
-			name := r.str()
-			off := r.i64()
-			data := r.bytes()
-			if r.err != nil {
-				return
-			}
-			// The frame buffer is re-read per iteration, so data may be
-			// retained by the I/O rank without copying.
-			s.submitWrite(ten, w, id, name, off, data)
+		sess.ten.met.requests.Inc()
+		bye := false
+		switch {
+		case op == opWrite:
+			err = s.recvWrite(sess.ten, br, w, id, rest)
+		case rest > maxHead:
+			err = skipAndFail(br, w, id, rest, fmt.Sprintf("dstreamd: %s request of %d bytes exceeds the %d limit",
+				opName(op), rest, maxHead))
 		default:
-			w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op))))
+			var body []byte
+			if body, err = br.Peek(rest); err == nil {
+				bye = s.serve(sess, w, id, op, &reader{b: body})
+				_, err = br.Discard(rest)
+			}
+		}
+		if err != nil || bye {
+			return
 		}
 	}
 }
 
+// skipAndFail refuses a request whose frame has left bytes unread: it skips
+// them, so the connection stays in frame, and replies statusErr. The error is
+// the socket's: hang up.
+func skipAndFail(br *bufio.Reader, w *connWriter, id uint64, left int, msg string) error {
+	if _, err := br.Discard(left); err != nil {
+		return err
+	}
+	w.fail(id, statusErr, msg)
+	return nil
+}
+
+// serve answers one request other than a write, decoding its body from r —
+// which aliases the connection's read buffer, so nothing of it outlives the
+// call. It reports whether the request was the session's goodbye.
+func (s *Server) serve(sess *session, w *connWriter, id uint64, op uint8, r *reader) (bye bool) {
+	ten := sess.ten
+	switch op {
+	case opBye:
+		w.reply(newFrame(id, statusOK), nil)
+		// An explicit goodbye ends the session immediately: no grace, the
+		// admission slot frees now.
+		sess.mu.Lock()
+		sess.attached = false
+		sess.detached = time.Time{}
+		sess.mu.Unlock()
+		s.remove(sess)
+		return true
+	case opOpen:
+		if name := r.str(); r.err == nil {
+			s.doOpen(ten, w, id, name)
+		}
+	case opSize:
+		name := r.str()
+		if r.err != nil {
+			break
+		}
+		if f, err := s.lookup(ten, name); err != nil {
+			w.fail(id, statusErr, err.Error())
+		} else {
+			w.reply(putI64(newFrame(id, statusOK), f.b.Size()), nil)
+		}
+	case opTrunc:
+		name := r.str()
+		if size := r.i64(); r.err == nil {
+			s.doTrunc(ten, w, id, name, size)
+		}
+	case opUsage:
+		ten.mu.Lock()
+		used, quota := ten.usage, ten.cfg.QuotaBytes
+		ten.mu.Unlock()
+		w.reply(putI64(putI64(newFrame(id, statusOK), used), quota), nil)
+	case opRead:
+		name := r.str()
+		off := r.i64()
+		if n := r.u32(); r.err == nil {
+			s.submitRead(ten, w, id, name, off, n)
+		}
+	default:
+		w.fail(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op)))
+	}
+	if r.err != nil {
+		w.fail(id, statusErr, fmt.Sprintf("dstreamd: malformed %s request: %v", opName(op), r.err))
+	}
+	return false
+}
+
+// recvWrite takes one write request off the connection — rest bytes of its
+// frame are unread: the name and offset out of the read buffer, the data
+// from the socket into one pooled buffer sized for it alone, which
+// submitWrite then owns. A request refused here is skipped, never buffered.
+// The error is the socket's: hang up.
+func (s *Server) recvWrite(t *tenantState, br *bufio.Reader, w *connWriter, id uint64, rest int) error {
+	refuse := func(left int, msg string) error { return skipAndFail(br, w, id, left, msg) }
+	// name(u32 length, bytes) off(i64), then the data's own u32 length.
+	head := int64(4 + 8 + 4)
+	if int64(rest) >= head {
+		b, err := br.Peek(4)
+		if err != nil {
+			return err
+		}
+		head += int64(binary.LittleEndian.Uint32(b))
+	}
+	if head > int64(rest) {
+		return refuse(rest, "dstreamd: malformed write request: truncated frame")
+	}
+	if head > maxHead {
+		return refuse(rest, fmt.Sprintf("dstreamd: write request head of %d bytes exceeds the %d limit", head, maxHead))
+	}
+	b, err := br.Peek(int(head))
+	if err != nil {
+		return err
+	}
+	r := reader{b: b}
+	name, off, n := r.str(), r.i64(), int64(r.u32())
+	br.Discard(int(head)) //nolint:errcheck // peeked above: it is all buffered
+	switch left := int64(rest) - head; {
+	case n != left:
+		return refuse(int(left), fmt.Sprintf("dstreamd: write request declares %d data bytes in a frame with %d left", n, left))
+	case n > chunkBytes:
+		return refuse(int(left), fmt.Sprintf("dstreamd: write of %d bytes exceeds the %d chunk limit", n, chunkBytes))
+	}
+	data := bufpool.Get(int(n))
+	if _, err := io.ReadFull(br, data); err != nil {
+		bufpool.Put(data)
+		return err
+	}
+	s.submitWrite(t, w, id, name, off, data)
+	return nil
+}
+
 // hello performs the handshake: authenticate the tenant, admit or resume
 // the session, grant the write window.
-func (s *Server) hello(c net.Conn, w *connWriter) (*session, error) {
-	frame, err := readFrame(c)
+func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
+	id, op, rest, err := readFrameHead(br)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: frame}
-	id := r.u64()
-	op := r.u8()
+	body, err := br.Peek(min(rest, maxHead))
+	if err != nil {
+		return nil, err
+	}
+	r := reader{b: body}
 	tenant := r.str()
 	token := r.str()
-	if r.err != nil || op != opHello {
-		w.reply(errPayload(id, statusErr, "dstreamd: expected hello"))
+	if rest > maxHead || r.err != nil || op != opHello {
+		w.fail(id, statusErr, "dstreamd: expected hello")
 		return nil, fmt.Errorf("bad hello")
 	}
+	br.Discard(rest) //nolint:errcheck // peeked above: it is all buffered
 	s.mu.Lock()
 	ten := s.tenants[tenant]
 	if ten == nil {
 		s.mu.Unlock()
-		w.reply(errPayload(id, statusAuth, fmt.Sprintf("%v: %q", ErrUnknownTenant, tenant)))
+		w.fail(id, statusAuth, fmt.Sprintf("%v: %q", ErrUnknownTenant, tenant))
 		return nil, ErrUnknownTenant
 	}
 	resumed := false
@@ -583,8 +665,8 @@ func (s *Server) hello(c net.Conn, w *connWriter) (*session, error) {
 		if ten.cfg.MaxSessions > 0 && ten.sessions >= ten.cfg.MaxSessions {
 			ten.mu.Unlock()
 			s.mu.Unlock()
-			w.reply(errPayload(id, statusBusy,
-				fmt.Sprintf("%v: %d active", ErrBusy, ten.cfg.MaxSessions)))
+			w.fail(id, statusBusy,
+				fmt.Sprintf("%v: %d active", ErrBusy, ten.cfg.MaxSessions))
 			return nil, ErrBusy
 		}
 		ten.sessions++
@@ -605,8 +687,7 @@ func (s *Server) hello(c net.Conn, w *connWriter) (*session, error) {
 	ten.mu.Lock()
 	used, quota := ten.usage, ten.cfg.QuotaBytes
 	ten.mu.Unlock()
-	out := putU8(putU64(nil, id), statusOK)
-	out = putStr(out, sess.token)
+	out := putStr(newFrame(id, statusOK), sess.token)
 	out = putI64(out, s.cfg.WindowBytes)
 	out = putI64(out, quota)
 	out = putI64(out, used)
@@ -616,7 +697,7 @@ func (s *Server) hello(c net.Conn, w *connWriter) (*session, error) {
 		out = putU8(out, 0)
 	}
 	out = putU32(out, uint32(s.cfg.EagerBytes))
-	w.reply(out)
+	w.reply(out, nil)
 	return sess, nil
 }
 
@@ -672,7 +753,7 @@ func (s *Server) doOpen(t *tenantState, w *connWriter, id uint64, name string) {
 		b, err := s.cfg.Factory(t.cfg.Name + "/" + name)
 		if err != nil {
 			t.mu.Unlock()
-			w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: open %q: %v", name, err)))
+			w.fail(id, statusErr, fmt.Sprintf("dstreamd: open %q: %v", name, err))
 			return
 		}
 		f = &srvFile{b: b, resEnd: b.Size()}
@@ -691,21 +772,21 @@ func (s *Server) doOpen(t *tenantState, w *connWriter, id uint64, name string) {
 	size := f.b.Size()
 	layout := f.layout
 	t.mu.Unlock()
-	out := putI64(putU8(putU64(nil, id), statusOK), size)
+	out := putI64(newFrame(id, statusOK), size)
 	out = putI64(out, layout.StripeUnit)
 	out = putU32(out, uint32(layout.StripeFactor))
-	w.reply(out)
+	w.reply(out, nil)
 }
 
 // doTrunc resizes a tenant file, adjusting the quota reservation.
 func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, size int64) {
 	if size < 0 {
-		w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: negative truncate %d", size)))
+		w.fail(id, statusErr, fmt.Sprintf("dstreamd: negative truncate %d", size))
 		return
 	}
 	f, err := s.lookup(t, name)
 	if err != nil {
-		w.reply(errPayload(id, statusErr, err.Error()))
+		w.fail(id, statusErr, err.Error())
 		return
 	}
 	t.mu.Lock()
@@ -718,8 +799,8 @@ func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, 
 		if t.cfg.QuotaBytes > 0 && t.usage+delta > t.cfg.QuotaBytes {
 			t.mu.Unlock()
 			t.met.quotaRejects.Inc()
-			w.reply(errPayload(id, statusQuota, fmt.Sprintf("%v: truncate to %d needs %d over %d",
-				ErrQuota, size, delta, t.cfg.QuotaBytes)))
+			w.fail(id, statusQuota, fmt.Sprintf("%v: truncate to %d needs %d over %d",
+				ErrQuota, size, delta, t.cfg.QuotaBytes))
 			return
 		}
 		t.usage += delta
@@ -729,10 +810,10 @@ func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, 
 	t.mu.Unlock()
 	t.met.quotaUsed.Set(float64(usage))
 	if err := f.b.Truncate(size); err != nil {
-		w.reply(errPayload(id, statusErr, err.Error()))
+		w.fail(id, statusErr, err.Error())
 		return
 	}
-	w.reply(putU8(putU64(nil, id), statusOK))
+	w.reply(newFrame(id, statusOK), nil)
 }
 
 // rankFor routes one request to its dedicated I/O rank: the same (tenant,
@@ -768,51 +849,72 @@ func (s *Server) admit(t *tenantState, n int) (func(), error) {
 	return func() { once.Do(func() { t.window.release(grab) }) }, nil
 }
 
-// submitRead admits and enqueues one read on its I/O rank.
-func (s *Server) submitRead(t *tenantState, w *connWriter, id uint64, name string, off int64, n int) {
-	f, err := s.lookup(t, name)
-	if err != nil {
-		w.reply(errPayload(id, statusErr, err.Error()))
+// submitRead admits and enqueues one read on its I/O rank. The rank reads
+// into a pooled buffer and replies with it as the frame's second iovec.
+func (s *Server) submitRead(t *tenantState, w *connWriter, id uint64, name string, off int64, n uint32) {
+	if n > chunkBytes {
+		w.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes exceeds the %d chunk limit", n, chunkBytes))
 		return
 	}
-	release, err := s.admit(t, n)
+	f, err := s.lookup(t, name)
 	if err != nil {
-		w.reply(errPayload(id, statusErr, err.Error()))
+		w.fail(id, statusErr, err.Error())
+		return
+	}
+	if off < 0 || off > math.MaxInt64-int64(n) {
+		w.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes at offset %d is out of range", n, off))
+		return
+	}
+	release, err := s.admit(t, int(n))
+	if err != nil {
+		w.fail(id, statusErr, err.Error())
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
 		defer release()
-		buf := make([]byte, n)
+		buf := bufpool.Get(int(n))
+		defer bufpool.Put(buf)
 		got, err := f.b.ReadAt(buf, off)
 		if got < 0 {
 			got = 0
 		}
 		t.met.bytesOut.Add(int64(got))
-		out := putU64(nil, id)
 		switch {
 		case err == nil:
-			out = putBytes(putU8(out, statusOK), buf[:got])
+			w.reply(putU32(newFrame(id, statusOK), uint32(got)), buf[:got])
 		case errors.Is(err, io.EOF):
-			out = putBytes(putU8(out, statusEOF), buf[:got])
+			w.reply(putU32(newFrame(id, statusEOF), uint32(got)), buf[:got])
 		case pfs.IsTransient(err):
 			t.met.transients.Inc()
-			out = putBytes(putStr(putU8(out, statusTransient), err.Error()), buf[:got])
+			w.reply(putU32(putStr(newFrame(id, statusTransient), err.Error()), uint32(got)), buf[:got])
 		default:
-			out = putStr(putU8(out, statusErr), err.Error())
+			w.fail(id, statusErr, err.Error())
 		}
-		w.reply(out)
 	}
 }
 
-// submitWrite checks the quota, admits, and enqueues one write.
+// submitWrite checks the quota, admits, and enqueues one write. It owns
+// data, a pooled buffer, and releases it on every path: at a refusal, or on
+// the I/O rank once the store has returned from WriteAt (a striped store
+// hands slices of it to several children at once, so not before).
 func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name string, off int64, data []byte) {
+	refuse := func(status uint8, msg string) {
+		bufpool.Put(data)
+		w.fail(id, status, msg)
+	}
 	f, err := s.lookup(t, name)
 	if err != nil {
-		w.reply(errPayload(id, statusErr, err.Error()))
+		refuse(statusErr, err.Error())
 		return
 	}
 	if off < 0 {
-		w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: negative offset %d", off)))
+		refuse(statusErr, fmt.Sprintf("dstreamd: negative offset %d", off))
+		return
+	}
+	if off > math.MaxInt64-int64(len(data)) {
+		// The end would wrap negative, pass the quota check below and reach
+		// a store that writes nothing and reports success.
+		refuse(statusErr, fmt.Sprintf("dstreamd: write of %d bytes at offset %d is out of range", len(data), off))
 		return
 	}
 	// Quota: reserve growth up front, under the tenant lock, so concurrent
@@ -827,9 +929,9 @@ func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name stri
 			used := t.usage
 			t.mu.Unlock()
 			t.met.quotaRejects.Inc()
-			w.reply(errPayload(id, statusQuota, fmt.Sprintf(
+			refuse(statusQuota, fmt.Sprintf(
 				"%v: write to %d needs %d more with %d of %d used",
-				ErrQuota, end, delta, used, t.cfg.QuotaBytes)))
+				ErrQuota, end, delta, used, t.cfg.QuotaBytes))
 			return
 		}
 		t.usage += delta
@@ -842,25 +944,24 @@ func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name stri
 
 	release, err := s.admit(t, len(data))
 	if err != nil {
-		w.reply(errPayload(id, statusErr, err.Error()))
+		refuse(statusErr, err.Error())
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
 		defer release()
 		n, err := f.b.WriteAt(data, off)
+		bufpool.Put(data)
 		if n < 0 {
 			n = 0
 		}
-		out := putU64(nil, id)
 		switch {
 		case err == nil:
-			out = putU32(putU8(out, statusOK), uint32(n))
+			w.reply(putU32(newFrame(id, statusOK), uint32(n)), nil)
 		case pfs.IsTransient(err):
 			t.met.transients.Inc()
-			out = putU32(putStr(putU8(out, statusTransient), err.Error()), uint32(n))
+			w.reply(putU32(putStr(newFrame(id, statusTransient), err.Error()), uint32(n)), nil)
 		default:
-			out = putStr(putU8(out, statusErr), err.Error())
+			w.fail(id, statusErr, err.Error())
 		}
-		w.reply(out)
 	}
 }

@@ -38,12 +38,60 @@
 // absorbs them exactly as it does for local storage. Quota breaches,
 // unknown tenants, and admission rejections are permanent statuses and
 // surface as clean errors.
+//
+// Every frame leaves as one write: the prefix and the head in one small
+// buffer, and a data payload — a write's bytes, a read reply's — behind it as
+// the second iovec of the same vectored write. Each side has one decode
+// loop, which reads the prefix, id and op or status and then sends the rest
+// of the frame where it belongs, with no frame-sized buffer in between.
+//
+// # Ownership
+//
+// A chunk crosses the daemon without being copied between buffers: out of
+// the caller's slice into the socket, off the socket into one pooled buffer,
+// into the store; and back the same way. Nothing owns a payload by holding a
+// copy of it, so who may touch which bytes, and when, is a rule:
+//
+//   - The caller's p. WriteAt's p is the frame's second iovec and ReadAt's p
+//     is where readLoop puts the reply's data; the call borrows it from the
+//     moment the caller enters until the caller returns, and no longer. The
+//     caller's own first send completes before it parks. After that only a
+//     resend (reconnect) reads a write's p, and only while the caller is
+//     still parked: Close and fail set broken before they release any
+//     caller, the resend loop checks broken — holding wmu — before each
+//     frame, and a caller released with an error passes through wmu before
+//     it returns, so a resend already inside a frame finishes first.
+//   - A call. It is in pending, where Close, fail and the next reconnect find
+//     it, or it belongs to readLoop, which took it out to deliver its reply.
+//     While readLoop fills p nobody else can release the caller. If the
+//     connection tears inside the body the call goes back into pending, to
+//     be resent on the next connection — the same bytes land at the same
+//     offsets — unless the session is already broken, in which case it is
+//     failed with that error. It is never dropped: a dropped call is a hung
+//     rank. A read reply whose data length disagrees with its frame, or
+//     exceeds len(p), is a corrupt stream and goes the way of a torn one.
+//   - The daemon's pooled payload. A write's data is read off the socket into
+//     one bufpool buffer sized for the data alone (the head stays in the
+//     connection's read buffer, so a 1 MiB chunk takes the 1 MiB class);
+//     submitWrite owns it and puts it back exactly once — at a refusal
+//     (unopened file, offset out of range, quota, admission closed by
+//     shutdown) or on the I/O rank after the store's WriteAt has returned,
+//     not before: a striped store hands slices of it to several children at
+//     once. A read's buffer is taken and put back by the I/O rank, around
+//     the ReadAt and the reply. The daemon refuses data above chunkBytes, so
+//     it never asks the pool for more than that class.
+//
+// Replies other than a read's data — control replies, and every transient
+// reply, which carries a message and then its partial data or count — are
+// read whole into a small buffer of their own and decoded by the caller;
+// partial progress reaches the pfs retry layer that way.
 package server
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Protocol limits.
@@ -53,8 +101,15 @@ const (
 	maxFrame = 16 << 20
 	// chunkBytes is the client-side transfer granularity: larger reads and
 	// writes are split so no single frame monopolizes the connection and
-	// credit accounting stays fine-grained.
+	// credit accounting stays fine-grained. The daemon refuses a larger data
+	// payload, so the pooled buffer it moves a chunk through is never above
+	// this class.
 	chunkBytes = 1 << 20
+	// maxHead bounds what a frame carries besides a data payload — a control
+	// body, a write's name and offset — and sizes the connection's read
+	// buffer, which the daemon decodes those from in place. Names are paths;
+	// this is two PATH_MAX.
+	maxHead = 8 << 10
 )
 
 // Request opcodes.
@@ -102,32 +157,48 @@ func opName(op uint8) string {
 	return fmt.Sprintf("op(%d)", op)
 }
 
-// writeFrame writes one length-prefixed frame. The caller serializes writers.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// newFrame starts a frame: four bytes reserved for the length prefix, then
+// the id and the op or status. The put* encoders append the rest of its head.
+func newFrame(id uint64, tag uint8) []byte {
+	return putU8(putU64(make([]byte, 4, 64), id), tag)
+}
+
+// writeFrame sends one frame as one write: head is a buffer begun by
+// newFrame, whose length prefix is filled in here, and tail — a bulk payload
+// the head's last field announces, or nil — rides behind it as the second
+// iovec of the same write. The caller serializes writers; a head may be
+// written again (the client's resend) and reads back the same.
+func writeFrame(w io.Writer, head, tail []byte) error {
+	binary.LittleEndian.PutUint32(head, uint32(len(head)-4+len(tail)))
+	if len(tail) == 0 {
+		_, err := w.Write(head)
 		return err
 	}
-	_, err := w.Write(payload)
+	bufs := net.Buffers{head, tail}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+// Every frame opens with its prefix, id and op or status; minFrame is the
+// least a prefix can declare.
+const (
+	minFrame       = 8 + 1
+	frameHeadBytes = 4 + minFrame
+)
+
+// readFrameHead reads a frame's prefix, id and op or status; rest is how many
+// bytes of the frame are still on r. A length no frame can have is an error:
+// the stream cannot be re-synchronized past it.
+func readFrameHead(r io.Reader) (id uint64, tag uint8, rest int, err error) {
+	var hdr [frameHeadBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, 0, 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("dstreamd: frame of %d bytes exceeds the %d limit", n, maxFrame)
+	if n < minFrame || n > maxFrame {
+		return 0, 0, 0, fmt.Errorf("dstreamd: frame of %d bytes is outside %d..%d", n, minFrame, maxFrame)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return binary.LittleEndian.Uint64(hdr[4:]), hdr[12], int(n) - minFrame, nil
 }
 
 // --- append-style encoders ---
@@ -137,7 +208,6 @@ func putU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32
 func putU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func putI64(b []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
 func putStr(b []byte, s string) []byte { return append(putU32(b, uint32(len(s))), s...) }
-func putBytes(b, p []byte) []byte      { return append(putU32(b, uint32(len(p))), p...) }
 
 // reader is a cursor over one frame payload; decoding errors are sticky.
 type reader struct {
