@@ -58,20 +58,27 @@ func AllocTable() ([]AllocCell, error) {
 		// Its bookkeeping must ride the cycle allocation-free.
 		{"dstream_auto_write", func() (float64, float64, error) { return writeCycleAllocs(vtime.Paragon(), dstream.StrategyAuto) }},
 		{"dstream_parallel_read", func() (float64, float64, error) {
-			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic, allocElems)
+			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic, rawElems(allocElems))
 		}},
 		{"dstream_readahead_read", func() (float64, float64, error) {
-			return readCycleAllocs(dstream.StrategyParallel, 2, distr.Cyclic, allocElems)
+			return readCycleAllocs(dstream.StrategyParallel, 2, distr.Cyclic, rawElems(allocElems))
 		}},
 		// Full-auto: the planner owns both the strategy and the prefetch
 		// depth, so this cell covers the planner-driven pipeline.
 		{"dstream_auto_read", func() (float64, float64, error) {
-			return readCycleAllocs(dstream.StrategyAuto, 0, distr.Cyclic, allocElems)
+			return readCycleAllocs(dstream.StrategyAuto, 0, distr.Cyclic, rawElems(allocElems))
 		}},
 		// The cells above reopen with the writer's layout; this one reads the
 		// CYCLIC file into BLOCK, so every record is redistributed.
 		{"dstream_redist_read", func() (float64, float64, error) {
-			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Block, allocElems)
+			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Block, rawElems(allocElems))
+		}},
+		// Many tiny elements, each with a short []int64, read back in the
+		// writer's layout: what a record costs per element — the front matter
+		// every rank works through and the slices an extractor keeps — with
+		// hardly a byte to move.
+		{"dstream_small_read", func() (float64, float64, error) {
+			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic, smallElems)
 		}},
 		{"dstream_chan_send", func() (float64, float64, error) { return channelCycleAllocs(false) }},
 		{"dstream_chan_recv", func() (float64, float64, error) { return channelCycleAllocs(true) }},
@@ -309,16 +316,50 @@ func writeCycleAllocs(prof vtime.Profile, strat dstream.Strategy) (float64, floa
 	return allocs, bytes, err
 }
 
+// cycleElems is what a read cell's records are made of: how many elements,
+// and how one is inserted and extracted.
+type cycleElems struct {
+	n       int
+	insert  func(l int, e *dstream.Encoder)
+	extract func(l int, d *dstream.Decoder)
+}
+
+// rawElems are the machine-level cells' elements: n opaque payloads of
+// allocElemSize bytes, extracted as the bytes they arrived in.
+func rawElems(n int) cycleElems {
+	payload := make([]byte, allocElemSize)
+	return cycleElems{
+		n:       n,
+		insert:  func(l int, e *dstream.Encoder) { e.Raw(payload) },
+		extract: func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) },
+	}
+}
+
+// smallElems are 4096 elements of a stamp and one to four tags, 20 to 44
+// encoded bytes each. A decoded slice is heap memory whether or not the
+// extractor keeps it, so this one does not.
+var smallElems = cycleElems{
+	n: 4096,
+	insert: func(l int, e *dstream.Encoder) {
+		e.Int64(int64(l))
+		e.Int64Slice([]int64{1, 2, 3, 4}[:1+l%4])
+	},
+	extract: func(l int, d *dstream.Decoder) {
+		d.Int64()
+		d.Int64Slice()
+	},
+}
+
 // readCycleAllocs is the input-side mirror of writeCycleAllocs: the machine
-// first writes allocWarmup+allocCycles CYCLIC records of elems elements
-// (allocElems in every table cell), then re-opens the file
+// first writes allocWarmup+allocCycles CYCLIC records of the elements el
+// (allocElems raw payloads in every table cell but one), then re-opens the file
 // for input — in the layout rmode, so anything but CYCLIC makes every Read a
 // redistributing one — and measures the steady-state read+extract cycle,
 // with the prefetch pipeline off (depth 0) or on. Read-ahead recycles its
 // buffers through the stream's free list, so its cycle must not out-allocate
 // the synchronous path; a redistributing read holds and returns pooled
 // frames, so neither must it.
-func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, elems int) (float64, float64, error) {
+func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, el cycleElems) (float64, float64, error) {
 	const records = allocWarmup + allocCycles
 	var allocs, bytes float64
 	fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(allocNProcs, 1<<14))
@@ -327,7 +368,7 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, elems 
 		Profile: vtime.Paragon(),
 		FS:      fs,
 	}, func(n *machine.Node) error {
-		d, err := distr.New(elems, allocNProcs, distr.Cyclic, 0)
+		d, err := distr.New(el.n, allocNProcs, distr.Cyclic, 0)
 		if err != nil {
 			return err
 		}
@@ -335,9 +376,8 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, elems 
 		if err != nil {
 			return err
 		}
-		payload := make([]byte, allocElemSize)
 		for i := 0; i < records; i++ {
-			if err := s.InsertFunc(func(l int, e *dstream.Encoder) { e.Raw(payload) }); err != nil {
+			if err := s.InsertFunc(el.insert); err != nil {
 				return err
 			}
 			if err := s.Write(); err != nil {
@@ -352,7 +392,7 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, elems 
 		if depth > 0 {
 			opts = append(opts, dstream.WithReadAhead(depth))
 		}
-		rd, err := distr.New(elems, allocNProcs, rmode, 0)
+		rd, err := distr.New(el.n, allocNProcs, rmode, 0)
 		if err != nil {
 			return err
 		}
@@ -365,7 +405,7 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, elems 
 			if err := in.Read(); err != nil {
 				return err
 			}
-			return in.ExtractFunc(func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) })
+			return in.ExtractFunc(el.extract)
 		}
 		return measureCycles(n, 1, cycle, &allocs, &bytes)
 	})

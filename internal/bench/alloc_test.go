@@ -227,7 +227,7 @@ func TestReadCycleAllocPin(t *testing.T) {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
 	for _, depth := range []int{0, 2} {
-		allocs, bytes, err := readCycleAllocs(dstream.StrategyParallel, depth, distr.Cyclic, allocElems)
+		allocs, bytes, err := readCycleAllocs(dstream.StrategyParallel, depth, distr.Cyclic, rawElems(allocElems))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestRedistReadCycleAllocPin(t *testing.T) {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
 	measure := func(rmode distr.Mode, elems int) float64 {
-		allocs, bytes, err := readCycleAllocs(dstream.StrategyParallel, 0, rmode, elems)
+		allocs, bytes, err := readCycleAllocs(dstream.StrategyParallel, 0, rmode, rawElems(elems))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,9 @@ import (
 // across layouts, the frames the other nodes sent. Bytes obtained with
 // Decoder.Raw are therefore valid only until the next Read, UnsortedRead,
 // Skip or Close, wherever the element came from; copy them out to keep them.
+// Everything else a Decoder returns — scalars, strings, Bytes32, and the
+// slices of Int64Slice and Float64Slice, carved from the record view's word
+// slab — is the program's to keep for as long as it likes.
 //
 // In the record pipeline (DESIGN.md) it is the file source — prefetch queue,
 // two-phase refill or direct read, then same-layout placement or the planned
@@ -63,23 +66,29 @@ type IStream struct {
 
 	// Sorted-read redistribution state: frames holds what the other ranks
 	// sent for the current record (element decoders alias them, with
-	// refill's lifetime); sendBufs and packed are per-record scratch.
+	// refill's lifetime); sendBufs, packed and offs (where each position of
+	// this rank's share starts in it) are per-record scratch.
 	frames   [][]byte
 	sendBufs [][]byte
 	packed   [][]byte
+	offs     []int
 
 	// planDepth is a planned stream's effective read-ahead depth — the
 	// planner's choice, or Options.ReadAhead when that is set explicitly.
 	planDepth int
 }
 
-// recordMeta is the decoded front matter of one record: header, the
-// writer's distribution it describes, and the prefix-summed element payload
-// offsets within the data section (len NElems+1).
+// recordMeta is the front matter of one record as a reader needs it: the
+// header, the writer's distribution it describes, the size table as it was
+// broadcast — raw, one u32 per file position, read in place — and the byte
+// offsets within the data section at which the ranks' shares begin under the
+// reader's split (rankOff[r] is where position rankStarts()[r] starts, len
+// NProcs+1, the last the data section's length).
 type recordMeta struct {
-	h     enc.RecordHeader
-	wdist *distr.Distribution
-	offs  []int64
+	h       enc.RecordHeader
+	wdist   *distr.Distribution
+	table   []byte
+	rankOff []int64
 }
 
 // prefetched is one read-ahead record: decoded metadata plus this rank's
@@ -283,15 +292,19 @@ func (s *IStream) read(sorted bool) error {
 	// Point one decoder per local element at its payload.
 	starts := s.rankStarts()
 	lo, hi := starts[s.rank], starts[s.rank+1]
-	decs, offs := s.decoders(hi-lo), m.offs
+	decs := s.decoders(hi - lo)
 	if !sorted || s.dist.SameLayout(m.wdist) {
 		// unsortedRead, or the layouts agree: the contiguous chunk already
 		// holds exactly this node's elements (in writer order for the
-		// matched case; in arbitrary-but-counted order otherwise).
+		// matched case; in arbitrary-but-counted order otherwise), each as
+		// long as the table says.
+		off := 0
 		for p := lo; p < hi; p++ {
-			decs[p-lo].Reset(chunk[offs[p]-offs[lo] : offs[p+1]-offs[lo]])
+			n := enc.SizeAt(m.table, p)
+			decs[p-lo].Reset(chunk[off : off+n])
+			off += n
 		}
-	} else if err := s.redistribute(s.planFor(m.wdist), chunk, offs, lo); err != nil {
+	} else if err := s.redistribute(s.planFor(m.wdist), chunk, m.table, lo, hi); err != nil {
 		return s.fail(fmt.Errorf("%w: redistribute: %w", ErrIO, err))
 	}
 	s.cursor += m.h.TotalBytes()
@@ -324,12 +337,11 @@ func (s *IStream) read(sorted bool) error {
 // in place of dst — dst itself on a failed or empty direct read.
 func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async bool) (chunk []byte, completion float64, err error) {
 	dataStart := cursor + enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes()
-	starts := s.rankStarts()
 	if s.planRead(m) {
-		return s.refillTwoPhase(dataStart, m.offs, starts, dst, async)
+		return s.refillTwoPhase(dataStart, m.rankOff, dst, async)
 	}
-	lo, hi := starts[s.rank], starts[s.rank+1]
-	rg := pfs.Range{Off: dataStart + m.offs[lo], Len: int(m.offs[hi] - m.offs[lo])}
+	lo, hi := m.rankOff[s.rank], m.rankOff[s.rank+1]
+	rg := pfs.Range{Off: dataStart + lo, Len: int(hi - lo)}
 	if async {
 		chunk, completion, err = s.f.ParallelReadIntoAsync(rg, dst[:0])
 	} else {
@@ -347,17 +359,18 @@ func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async bool) (chu
 
 // loadMeta reads and validates the front matter of the record at cursor —
 // header, distribution descriptor, and size table, each read by node 0 and
-// broadcast — and returns the decoded header, the raw descriptor, and the
-// prefix-summed payload offsets within the data section (length NElems+1).
-// Collective; the caller surfaces the error through s.fail where that is
-// warranted.
+// broadcast. Of the table a rank keeps the bytes and one pass over them: the
+// length, the sum against the header's DataBytes, and the offsets of the
+// ranks' shares; an element's own offset is worked out by the rank that
+// decodes it, when it does. Collective; the caller surfaces the error through
+// s.fail where that is warranted.
 func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
 	var m recordMeta
 	hdr, err := s.bcastBytes(cursor, enc.RecordHeaderLen)
 	if err != nil {
 		return m, fmt.Errorf("%w: read record header: %w", ErrIO, err)
 	}
-	h, err := enc.DecodeRecordHeader(hdr)
+	h, err := s.decodeHeader(hdr, cursor)
 	if err != nil {
 		return m, err
 	}
@@ -373,30 +386,45 @@ func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
 			return m, fmt.Errorf("%w: read distribution descriptor: %w", ErrIO, err)
 		}
 	}
-	tableRaw, err := s.bcastBytes(cursor+enc.RecordHeaderLen+int64(h.DescBytes), int(h.SizeTableBytes()))
+	table, err := s.bcastBytes(cursor+enc.RecordHeaderLen+int64(h.DescBytes), int(h.SizeTableBytes()))
 	if err != nil {
 		return m, fmt.Errorf("%w: read size table: %w", ErrIO, err)
 	}
-	sizes, err := enc.DecodeSizeTable(tableRaw, int(h.NElems))
-	if err != nil {
+	rankOff := make([]int64, s.dist.NProcs+1)
+	if err := enc.SizeTableOffsets(table, s.dist.N, s.rankStarts(), rankOff); err != nil {
 		return m, err
+	}
+	if total := rankOff[s.dist.NProcs]; uint64(total) != h.DataBytes {
+		return m, fmt.Errorf("dstream: size table sums to %d but record claims %d data bytes", total, h.DataBytes)
 	}
 	wdist, err := s.writerDist(h, desc)
 	if err != nil {
 		return m, err
 	}
+	return recordMeta{h: h, wdist: wdist, table: table, rankOff: rankOff}, nil
+}
 
-	// File-order bookkeeping: offsets of each element payload within the
-	// data section.
-	n := int(h.NElems)
-	offs := make([]int64, n+1)
-	for i, sz := range sizes {
-		offs[i+1] = offs[i] + int64(sz)
+// decodeHeader parses the record header read at cursor and holds it to what
+// every rank can check before anything else is read or sized by it: the
+// record ends inside the file, and the descriptor section is as long as the
+// distribution mode says — an owner per element for EXPLICIT, nothing
+// otherwise.
+func (s *IStream) decodeHeader(hdr []byte, cursor int64) (enc.RecordHeader, error) {
+	h, err := enc.DecodeRecordHeader(hdr)
+	if err != nil {
+		return h, err
 	}
-	if uint64(offs[n]) != h.DataBytes {
-		return m, fmt.Errorf("dstream: size table sums to %d but record claims %d data bytes", offs[n], h.DataBytes)
+	if end, size := cursor+h.TotalBytes(), s.f.Size(); end > size {
+		return h, fmt.Errorf("dstream: record at offset %d runs to %d, past the end of the file (%d bytes)", cursor, end, size)
 	}
-	return recordMeta{h: h, wdist: wdist, offs: offs}, nil
+	want := int64(0)
+	if distr.Mode(h.Mode) == distr.Explicit {
+		want = 4 * int64(h.NElems)
+	}
+	if int64(h.DescBytes) != want {
+		return h, fmt.Errorf("dstream: record header has a %d-byte descriptor, its distribution takes %d", h.DescBytes, want)
+	}
+	return h, nil
 }
 
 // writerDist returns the distribution a record's header and descriptor
@@ -609,7 +637,7 @@ func (s *IStream) peekHeader(op string) (enc.RecordHeader, error) {
 	if err != nil {
 		return enc.RecordHeader{}, s.fail(fmt.Errorf("dstream: %s record header: %w", op, err))
 	}
-	h, err := enc.DecodeRecordHeader(hdr)
+	h, err := s.decodeHeader(hdr, s.cursor)
 	if err != nil {
 		return enc.RecordHeader{}, s.fail(err)
 	}

@@ -2,9 +2,11 @@ package dstream
 
 import (
 	"fmt"
+	"slices"
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/distr"
+	"pcxxstreams/internal/enc"
 )
 
 // redistPlan is phase two of the sorted read (§4.1) worked out before a data
@@ -99,17 +101,19 @@ func (s *IStream) planFor(wdist *distr.Distribution) *redistPlan {
 }
 
 // redistribute is phase two of the sorted read: every element of chunk — this
-// rank's share, file positions from lo on, payload offsets offs — is routed
-// to the rank that owns it under the reader's distribution, and s.decs[l]
-// is pointed at local slot l's payload. Payloads from this rank stay in
-// chunk; the others alias the received frames, which the stream holds until
-// releaseFrames.
-func (s *IStream) redistribute(pl *redistPlan, chunk []byte, offs []int64, lo int) error {
+// rank's share, file positions [lo, hi), sized by the record's raw size table
+// — is routed to the rank that owns it under the reader's distribution, and
+// s.decs[l] is pointed at local slot l's payload. Payloads from this rank
+// stay in chunk; the others alias the received frames, which the stream holds
+// until releaseFrames.
+func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, hi int) error {
 	me := s.node.Rank()
 	nprocs := s.dist.NProcs
-	base := offs[lo]
+	// The share is sent from in any order, so its positions need offsets.
+	s.offs = shareOffsets(s.offs, table, lo, hi)
+	offs := s.offs
 	payload := func(from, to int) []byte { // positions [from, to] of the share
-		return chunk[offs[from]-base : offs[to+1]-base]
+		return chunk[offs[from-lo]:offs[to+1-lo]]
 	}
 
 	if len(s.sendBufs) != nprocs {
@@ -131,11 +135,11 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, offs []int64, lo in
 			sendBytes += int64(len(bufs[d]))
 			continue
 		}
-		var n int64
+		n := 0
 		for _, p := range pos {
-			n += offs[p+1] - offs[p]
+			n += offs[p+1-lo] - offs[p-lo]
 		}
-		b := bufpool.GetCap(int(n))
+		b := bufpool.GetCap(n)
 		for i := 0; i < len(pos); {
 			j := i + 1
 			for j < len(pos) && pos[j] == pos[j-1]+1 {
@@ -146,7 +150,7 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, offs []int64, lo in
 		}
 		bufs[d] = b
 		packed = append(packed, b)
-		sendBytes += n
+		sendBytes += int64(n)
 	}
 	s.node.CopyCost(sendBytes)
 
@@ -173,10 +177,11 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, offs []int64, lo in
 			}
 			continue
 		}
-		// The plan fixes the frame's length: the sizes of pos, summed.
+		// The plan fixes the frame's length: the sizes of pos, summed. They
+		// are another rank's positions, read from the table where they stand.
 		off := 0
 		for i, p := range pos {
-			n := int(offs[p+1] - offs[p])
+			n := enc.SizeAt(table, p)
 			if n > len(frame)-off {
 				return fmt.Errorf("dstream: frame from rank %d is %d bytes, short of the plan's at position %d", r, len(frame), p)
 			}
@@ -188,6 +193,19 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, offs []int64, lo in
 		}
 	}
 	return nil
+}
+
+// shareOffsets is the prefix sum of one rank's part of a raw size table and no
+// more: offs[i] is where file position lo+i starts in the share [lo, hi),
+// offs[hi-lo] the share's length. The result reuses scratch when it is large
+// enough.
+func shareOffsets(scratch []int, table []byte, lo, hi int) []int {
+	offs := slices.Grow(scratch[:0], hi-lo+1)[:hi-lo+1]
+	offs[0] = 0
+	for p := lo; p < hi; p++ {
+		offs[p-lo+1] = offs[p-lo] + enc.SizeAt(table, p)
+	}
+	return offs
 }
 
 // releaseFrames returns the frames the current record's redistributed

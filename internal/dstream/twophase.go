@@ -158,7 +158,7 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 // refillTwoPhase is the read-side mirror: K aggregators refill
 // stripe-aligned extents of the record's data section with one large
 // parallel read each, then scatter to every rank the overlap with its
-// contiguous share [offs[starts[me]], offs[starts[me+1]]). The share is
+// contiguous share [rankOff[me], rankOff[me+1]) of the data section. The share is
 // assembled into dst (grown through the pool when the record outgrows it)
 // and is byte-identical to what the direct ParallelRead path yields.
 //
@@ -170,11 +170,11 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 // leaves the clock fully advanced. On error the returned buffer is
 // whatever the caller now owns (possibly dst itself); transport failures
 // carry the commError tag.
-func (s *IStream) refillTwoPhase(dataStart int64, offs []int64, starts []int, dst []byte, async bool) ([]byte, float64, error) {
+func (s *IStream) refillTwoPhase(dataStart int64, rankOff []int64, dst []byte, async bool) ([]byte, float64, error) {
 	comm := s.node.Comm()
 	me := s.node.Rank()
 	nprocs := s.node.Size()
-	total := offs[len(offs)-1]
+	total := rankOff[nprocs]
 	shuffleStart := s.node.Clock().Now()
 
 	layout := s.f.Layout()
@@ -202,12 +202,6 @@ func (s *IStream) refillTwoPhase(dataStart int64, offs []int64, starts []int, ds
 	}
 	if me < k {
 		s.met.extentBytes.Observe(float64(len(ext)))
-	}
-
-	// Per-rank byte ranges of the data section under the reader split.
-	rankOff := make([]int64, nprocs+1)
-	for r := 0; r <= nprocs; r++ {
-		rankOff[r] = offs[starts[r]]
 	}
 
 	// Phase two: scatter. Aggregator j sends rank r the overlap of its

@@ -1,6 +1,10 @@
 package dstream
 
-import "fmt"
+import (
+	"fmt"
+
+	"pcxxstreams/internal/enc"
+)
 
 // recordView is the input half of the record pipeline, the right side of
 // Figure 2 and the mirror of assembler: the current record as one decoder per
@@ -15,8 +19,12 @@ type recordView struct {
 	// skip, or by close — only with every array extracted.
 	strict bool
 
-	decs     []Decoder // one per local element, in local order
-	arrays   int       // arrays in the current record
+	decs []Decoder // one per local element, in local order
+	// slab is where every decoder of the view carves the slices it decodes
+	// (DESIGN.md "Extract path"): what an extractor keeps is never the
+	// source's pooled bytes, and outlives the record, the stream and Close.
+	slab     enc.Slab
+	arrays   int // arrays in the current record
 	haveRec  bool
 	extracts int
 }
@@ -26,6 +34,9 @@ type recordView struct {
 func (v *recordView) decoders(n int) []Decoder {
 	if len(v.decs) != n {
 		v.decs = make([]Decoder, n)
+		for i := range v.decs {
+			v.slab.Attach(&v.decs[i])
+		}
 	}
 	return v.decs
 }
@@ -36,6 +47,13 @@ func (v *recordView) decoders(n int) []Decoder {
 // the source's span.
 func (v *recordView) loaded(arrays int, bytes int64, start float64) float64 {
 	v.arrays, v.haveRec, v.extracts = arrays, true, 0
+	// The slab sizes its chunks by what is left to decode: the whole words
+	// of the payloads the decoders now hold.
+	words := 0
+	for i := range v.decs {
+		words += v.decs[i].Remaining() / 8
+	}
+	v.slab.Limit(words)
 	end := v.node.Clock().Now()
 	v.met.reads.Inc()
 	v.met.refillBytes.Observe(float64(bytes))

@@ -237,23 +237,45 @@ var ErrShort = errors.New("enc: short buffer")
 type Reader struct {
 	b   []byte
 	off int
+	// end is len(b) while the reader is error-free, so that off+n > end is
+	// the one test a fixed-width get makes: it covers "bytes left" and "no
+	// error yet" at once, and keeps those gets within the compiler's inlining
+	// budget (the decode mirror of Buffer.lim). A get that fails stores -n
+	// there: every later test fails too, and Err formats the ErrShort from it
+	// when it is asked — off and len(b) do not move after a failure.
+	end int
 	err error
+	// slab, when the reader was handed out by a record view, is where
+	// Int64Slice and Float64Slice carve their results. Reset leaves it alone.
+	slab *Slab
 }
 
 // NewReader decodes from b.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
+func NewReader(b []byte) *Reader { return &Reader{b: b, end: len(b)} }
 
 // Reset repoints the reader at b, clearing position and error state, so a
 // single Reader can decode a stream of records without per-record
 // allocation.
 func (d *Reader) Reset(b []byte) {
-	d.b = b
-	d.off = 0
-	d.err = nil
+	d.b, d.off, d.end, d.err = b, 0, len(b), nil
 }
 
 // Err returns the first decode error, if any.
-func (d *Reader) Err() error { return d.err }
+func (d *Reader) Err() error {
+	if d.end >= 0 {
+		return nil
+	}
+	return d.failure()
+}
+
+// failure is the out-of-line half of Err: the error a failed get left to be
+// formatted, or the one takeWords formatted itself.
+func (d *Reader) failure() error {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrShort, -d.end, d.off, len(d.b))
+	}
+	return d.err
+}
 
 // Remaining returns the number of undecoded bytes.
 func (d *Reader) Remaining() int { return len(d.b) - d.off }
@@ -261,35 +283,43 @@ func (d *Reader) Remaining() int { return len(d.b) - d.off }
 // Offset returns the current read position.
 func (d *Reader) Offset() int { return d.off }
 
+// take is the variable-width get: n bytes, or nil once the reader has failed.
 func (d *Reader) take(n int) []byte {
-	if d.err != nil {
+	o := d.off
+	if o+n > d.end {
+		if d.end >= 0 {
+			d.end = -n
+		}
 		return nil
 	}
-	if d.off+n > len(d.b) {
-		d.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrShort, n, d.off, len(d.b))
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
+	d.off = o + n
+	return d.b[o : o+n]
 }
 
 // Uint32 decodes a u32.
 func (d *Reader) Uint32() uint32 {
-	p := d.take(4)
-	if p == nil {
+	o := d.off
+	if o+4 > d.end {
+		if d.end >= 0 {
+			d.end = -4
+		}
 		return 0
 	}
-	return binary.LittleEndian.Uint32(p)
+	d.off = o + 4
+	return binary.LittleEndian.Uint32(d.b[o:])
 }
 
 // Uint64 decodes a u64.
 func (d *Reader) Uint64() uint64 {
-	p := d.take(8)
-	if p == nil {
+	o := d.off
+	if o+8 > d.end {
+		if d.end >= 0 {
+			d.end = -8
+		}
 		return 0
 	}
-	return binary.LittleEndian.Uint64(p)
+	d.off = o + 8
+	return binary.LittleEndian.Uint64(d.b[o:])
 }
 
 // Int32 decodes an i32.
@@ -335,26 +365,32 @@ func (d *Reader) String() string {
 	return string(p)
 }
 
-// Float64Slice decodes a u32-length-prefixed []float64.
+// Float64Slice decodes a u32-length-prefixed []float64. The result is the
+// caller's to keep and to append to, whatever becomes of the reader and the
+// buffer it decoded from: len == cap, and it shares memory with no other
+// decoded slice. On a reader a record view handed out it is carved from the
+// view's word slab (see Slab for what keeping one pins); otherwise it is
+// allocated.
 func (d *Reader) Float64Slice() []float64 {
 	p := d.takeWords()
 	if p == nil {
 		return nil
 	}
-	out := make([]float64, len(p)/8)
+	out := wordSlice[float64](d.slab, len(p)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
 
-// Int64Slice decodes a u32-length-prefixed []int64.
+// Int64Slice decodes a u32-length-prefixed []int64, owned like Float64Slice's
+// result.
 func (d *Reader) Int64Slice() []int64 {
 	p := d.takeWords()
 	if p == nil {
 		return nil
 	}
-	out := make([]int64, len(p)/8)
+	out := wordSlice[int64](d.slab, len(p)/8)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 	}
@@ -368,11 +404,12 @@ func (d *Reader) Int64Slice() []int64 {
 // otherwise.
 func (d *Reader) takeWords() []byte {
 	n := d.Uint32()
-	if d.err != nil {
+	if d.end < 0 {
 		return nil
 	}
 	if 8*int64(n) > int64(len(d.b)-d.off) {
 		d.err = fmt.Errorf("%w: need %d 8-byte words at offset %d of %d", ErrShort, n, d.off, len(d.b))
+		d.end = -1
 		return nil
 	}
 	return d.take(8 * int(n))

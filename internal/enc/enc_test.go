@@ -213,19 +213,26 @@ func TestRecordHeaderRoundTrip(t *testing.T) {
 }
 
 func TestRecordHeaderRejects(t *testing.T) {
-	if _, err := DecodeRecordHeader([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated record header accepted")
+	valid := RecordHeader{NElems: 1, NProcs: 1, Mode: 1}
+	if _, err := DecodeRecordHeader(valid.Encode()); err != nil {
+		t.Fatalf("the header the rows below break: %v", err)
 	}
-	h := RecordHeader{NElems: 1, NProcs: 1}
-	b := h.Encode()
-	b[0] ^= 0xFF
-	if _, err := DecodeRecordHeader(b); err == nil {
-		t.Fatal("bad record magic accepted")
-	}
-	zeroHdr := RecordHeader{NElems: 1}
-	zero := zeroHdr.Encode()
-	if _, err := DecodeRecordHeader(zero); err == nil {
-		t.Fatal("zero-proc record header accepted")
+	for _, row := range []struct {
+		name  string
+		bytes func(b []byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:3] }},
+		{"one byte short", func(b []byte) []byte { return b[:RecordHeaderLen-1] }},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
+		{"zero writer procs", func(b []byte) []byte { copy(b[12:16], []byte{0, 0, 0, 0}); return b }},
+		// The mode is one byte in a four-byte field: 0x0101 is not mode 1.
+		{"mode past one byte", func(b []byte) []byte { b[17] = 1; return b }},
+		{"mode high bytes only", func(b []byte) []byte { b[19] = 0x80; return b }},
+		{"2^57 data bytes", func(b []byte) []byte { b[47] = 2; return b }},
+	} {
+		if h, err := DecodeRecordHeader(row.bytes(valid.Encode())); err == nil {
+			t.Errorf("%s: accepted as %+v", row.name, h)
+		}
 	}
 }
 

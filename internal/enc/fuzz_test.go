@@ -3,6 +3,7 @@ package enc
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -36,59 +37,75 @@ func FuzzRoundTrip(f *testing.F) {
 		e.Float64Slice(fslice)
 		e.Int64Slice(islice)
 
-		d := NewReader(e.Bytes())
-		if got := d.Bool(); got != b {
-			t.Fatalf("Bool = %v, want %v", got, b)
-		}
-		if got := d.Uint32(); got != u32 {
-			t.Fatalf("Uint32 = %d, want %d", got, u32)
-		}
-		if got := d.Uint64(); got != u64 {
-			t.Fatalf("Uint64 = %d, want %d", got, u64)
-		}
-		if got := d.Int32(); got != int32(u32) {
-			t.Fatalf("Int32 = %d, want %d", got, int32(u32))
-		}
-		if got := d.Int64(); got != int64(u64) {
-			t.Fatalf("Int64 = %d, want %d", got, int64(u64))
-		}
-		if got := d.Float64(); math.Float64bits(got) != math.Float64bits(f64) {
-			t.Fatalf("Float64 = %v, want %v", got, f64)
-		}
-		if got := d.Float32(); math.Float32bits(got) != math.Float32bits(float32(f64)) {
-			t.Fatalf("Float32 = %v, want %v", got, float32(f64))
-		}
-		if got := d.String(); got != s {
-			t.Fatalf("String = %q, want %q", got, s)
-		}
-		if got := d.Bytes32(); !bytes.Equal(got, raw) {
-			t.Fatalf("Bytes32 = %q, want %q", got, raw)
-		}
-		gf := d.Float64Slice()
-		if len(gf) != len(fslice) {
-			t.Fatalf("Float64Slice len = %d, want %d", len(gf), len(fslice))
-		}
-		for i := range gf {
-			if math.Float64bits(gf[i]) != math.Float64bits(fslice[i]) {
-				t.Fatalf("Float64Slice[%d] = %v, want %v", i, gf[i], fslice[i])
-			}
-		}
-		gi := d.Int64Slice()
-		if len(gi) != len(islice) {
-			t.Fatalf("Int64Slice len = %d, want %d", len(gi), len(islice))
-		}
-		for i := range gi {
-			if gi[i] != islice[i] {
-				t.Fatalf("Int64Slice[%d] = %d, want %d", i, gi[i], islice[i])
-			}
-		}
-		if err := d.Err(); err != nil {
-			t.Fatalf("reader error after clean round trip: %v", err)
-		}
-		if d.Remaining() != 0 {
-			t.Fatalf("%d bytes left over after round trip", d.Remaining())
+		// Once bare and once carving from a slab: the same values either way.
+		for _, d := range []*Reader{NewReader(e.Bytes()), slabReader(e.Bytes())} {
+			checkRoundTrip(t, d, b, u32, u64, f64, s, raw, fslice, islice)
 		}
 	})
+}
+
+func checkRoundTrip(t *testing.T, d *Reader, b bool, u32 uint32, u64 uint64, f64 float64, s string, raw []byte, fslice []float64, islice []int64) {
+	t.Helper()
+	if got := d.Bool(); got != b {
+		t.Fatalf("Bool = %v, want %v", got, b)
+	}
+	if got := d.Uint32(); got != u32 {
+		t.Fatalf("Uint32 = %d, want %d", got, u32)
+	}
+	if got := d.Uint64(); got != u64 {
+		t.Fatalf("Uint64 = %d, want %d", got, u64)
+	}
+	if got := d.Int32(); got != int32(u32) {
+		t.Fatalf("Int32 = %d, want %d", got, int32(u32))
+	}
+	if got := d.Int64(); got != int64(u64) {
+		t.Fatalf("Int64 = %d, want %d", got, int64(u64))
+	}
+	if got := d.Float64(); math.Float64bits(got) != math.Float64bits(f64) {
+		t.Fatalf("Float64 = %v, want %v", got, f64)
+	}
+	if got := d.Float32(); math.Float32bits(got) != math.Float32bits(float32(f64)) {
+		t.Fatalf("Float32 = %v, want %v", got, float32(f64))
+	}
+	if got := d.String(); got != s {
+		t.Fatalf("String = %q, want %q", got, s)
+	}
+	if got := d.Bytes32(); !bytes.Equal(got, raw) {
+		t.Fatalf("Bytes32 = %q, want %q", got, raw)
+	}
+	gf := d.Float64Slice()
+	if len(gf) != len(fslice) {
+		t.Fatalf("Float64Slice len = %d, want %d", len(gf), len(fslice))
+	}
+	for i := range gf {
+		if math.Float64bits(gf[i]) != math.Float64bits(fslice[i]) {
+			t.Fatalf("Float64Slice[%d] = %v, want %v", i, gf[i], fslice[i])
+		}
+	}
+	gi := d.Int64Slice()
+	if len(gi) != len(islice) {
+		t.Fatalf("Int64Slice len = %d, want %d", len(gi), len(islice))
+	}
+	for i := range gi {
+		if gi[i] != islice[i] {
+			t.Fatalf("Int64Slice[%d] = %d, want %d", i, gi[i], islice[i])
+		}
+	}
+	if err := d.Err(); err != nil {
+		t.Fatalf("reader error after clean round trip: %v", err)
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("%d bytes left over after round trip", d.Remaining())
+	}
+}
+
+// slabReader decodes from b with a slab attached that b's words fit.
+func slabReader(b []byte) *Reader {
+	var s Slab
+	s.Limit(len(b) / 8)
+	d := NewReader(b)
+	s.Attach(d)
+	return d
 }
 
 // FuzzReaderNeverPanics drives a Reader over arbitrary bytes with an
@@ -99,32 +116,20 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{9, 9, 10, 10})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
-		d := NewReader(data)
+		// Two readers in step, one carving from a slab: what they return, what
+		// they report and where they stand must never differ.
+		d, ds := NewReader(data), slabReader(data)
 		for _, op := range script {
 			hadErr := d.Err() != nil
-			switch op % 11 {
-			case 0:
-				d.Bool()
-			case 1:
-				d.Uint32()
-			case 2:
-				d.Uint64()
-			case 3:
-				d.Int32()
-			case 4:
-				d.Int64()
-			case 5:
-				d.Float32()
-			case 6:
-				d.Float64()
-			case 7:
-				_ = d.String()
-			case 8:
-				d.Bytes32()
-			case 9:
-				d.Float64Slice()
-			case 10:
-				d.Int64Slice()
+			got, gotSlab := fuzzStep(d, op), fuzzStep(ds, op)
+			if !reflect.DeepEqual(got, gotSlab) {
+				t.Fatalf("op %d decoded %v bare and %v from a slab", op%11, got, gotSlab)
+			}
+			if (d.Err() == nil) != (ds.Err() == nil) || d.Err() != nil && d.Err().Error() != ds.Err().Error() {
+				t.Fatalf("op %d: Err %v bare, %v from a slab", op%11, d.Err(), ds.Err())
+			}
+			if d.Offset() != ds.Offset() || d.Remaining() != ds.Remaining() {
+				t.Fatalf("op %d: at %d (%d left) bare, %d (%d left) from a slab", op%11, d.Offset(), d.Remaining(), ds.Offset(), ds.Remaining())
 			}
 			if hadErr && d.Err() == nil {
 				t.Fatal("reader error un-stuck itself")
@@ -139,6 +144,44 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	})
 }
 
+// fuzzStep runs one scripted decode and returns what it yielded in a form
+// DeepEqual can compare: floats as their bits (NaN payloads included), a nil
+// slice apart from an empty one.
+func fuzzStep(d *Reader, op byte) any {
+	switch op % 11 {
+	case 0:
+		return d.Bool()
+	case 1:
+		return d.Uint32()
+	case 2:
+		return d.Uint64()
+	case 3:
+		return d.Int32()
+	case 4:
+		return d.Int64()
+	case 5:
+		return math.Float32bits(d.Float32())
+	case 6:
+		return math.Float64bits(d.Float64())
+	case 7:
+		return d.String()
+	case 8:
+		return d.Bytes32()
+	case 9:
+		v := d.Float64Slice()
+		if v == nil {
+			return nil
+		}
+		bits := make([]uint64, len(v))
+		for i, x := range v {
+			bits[i] = math.Float64bits(x)
+		}
+		return bits
+	default:
+		return d.Int64Slice()
+	}
+}
+
 // FuzzRecordHeader: arbitrary bytes never panic the record-header decoder,
 // and any header it accepts is a fixed point of encode∘decode.
 func FuzzRecordHeader(f *testing.F) {
@@ -147,6 +190,16 @@ func FuzzRecordHeader(f *testing.F) {
 	h := RecordHeader{NArrays: 2, NElems: 9, NProcs: 4, Mode: 1, DataBytes: 1 << 20}
 	f.Add(h.Encode())
 	f.Add(h.Encode()[:RecordHeaderLen-1])
+	// A mode past its byte (0x0101 is not mode 1), and descriptor lengths no
+	// distribution takes: the decoder refuses the first; a stream refuses the
+	// others against the file it is reading (dstream.TestCorruptHeaderBounded).
+	wide := h.Encode()
+	wide[17] = 1
+	f.Add(wide)
+	h.DescBytes = 0x7ffffff0
+	f.Add(h.Encode())
+	h.Mode, h.DescBytes = 3, 4*h.NElems+4
+	f.Add(h.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := DecodeRecordHeader(data)
 		if err != nil {

@@ -1,7 +1,9 @@
 package enc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // File and record framing of the d/stream on-disk format:
@@ -142,7 +144,8 @@ func DecodeRecordHeader(b []byte) (RecordHeader, error) {
 	h.NArrays = d.Uint32()
 	h.NElems = d.Uint32()
 	h.NProcs = d.Uint32()
-	h.Mode = uint8(d.Uint32())
+	mode := d.Uint32()
+	h.Mode = uint8(mode)
 	h.BlockSize = d.Uint32()
 	h.AlignOffset = d.Int32()
 	h.AlignStride = d.Int32()
@@ -155,6 +158,9 @@ func DecodeRecordHeader(b []byte) (RecordHeader, error) {
 	}
 	if h.NProcs == 0 {
 		return h, fmt.Errorf("enc: record header has zero writer procs")
+	}
+	if mode > 0xff {
+		return h, fmt.Errorf("enc: record header has distribution mode %#x, past one byte", mode)
 	}
 	// Bound the declared data section: readers size buffers and skip records
 	// with TotalBytes, so a corrupt header claiming ~2^64 payload bytes must
@@ -193,7 +199,40 @@ func SumSizeTable(b []byte, n int) (uint64, error) {
 	return total, nil
 }
 
-// DecodeSizeTable parses a size table of n entries.
+// SizeAt returns entry i of the raw size table b.
+func SizeAt(b []byte, i int) int {
+	return int(binary.LittleEndian.Uint32(b[4*i:]))
+}
+
+// SizeTableOffsets validates that b is a size table of exactly n entries and
+// samples its prefix sum: offs[k] becomes the byte offset, within the data
+// section, of the payload at position cuts[k], for cuts ascending from 0 to n
+// — so the last is the sum of every entry. It is what a reader needs of the
+// table before the data moves, without materializing the other n offsets.
+func SizeTableOffsets(b []byte, n int, cuts []int, offs []int64) error {
+	if len(b) != 4*n {
+		return fmt.Errorf("enc: size table is %d bytes, want %d for %d entries", len(b), 4*n, n)
+	}
+	var sum uint64
+	at := 0
+	for k, c := range cuts {
+		seg := b[at : 4*c]
+		at = 4 * c
+		// Two entries a load: every rank walks the whole table once a record.
+		for ; len(seg) >= 8; seg = seg[8:] {
+			v := binary.LittleEndian.Uint64(seg)
+			sum += v&math.MaxUint32 + v>>32
+		}
+		if len(seg) >= 4 {
+			sum += uint64(binary.LittleEndian.Uint32(seg))
+		}
+		offs[k] = int64(sum)
+	}
+	return nil
+}
+
+// DecodeSizeTable parses a size table of n entries into a slice of its own
+// (for tools that list a record; a stream reads the raw table in place).
 func DecodeSizeTable(b []byte, n int) ([]uint32, error) {
 	if len(b) < 4*n {
 		return nil, fmt.Errorf("enc: size table truncated: %d bytes for %d entries", len(b), n)
