@@ -80,8 +80,11 @@ func AllocTable() ([]AllocCell, error) {
 		{"dstream_small_read", func() (float64, float64, error) {
 			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic, smallElems)
 		}},
-		{"dstream_chan_send", func() (float64, float64, error) { return channelCycleAllocs(false) }},
-		{"dstream_chan_recv", func() (float64, float64, error) { return channelCycleAllocs(true) }},
+		{"dstream_chan_send", func() (float64, float64, error) { return channelCycleAllocs(allocElemSize, false, false) }},
+		{"dstream_chan_recv", func() (float64, float64, error) { return channelCycleAllocs(allocElemSize, false, true) }},
+		// A channel opened for one record of 1 MiB per destination and closed
+		// again: what an open costs beyond the records it carries.
+		{"dstream_chan_open_write", func() (float64, float64, error) { return channelCycleAllocs(64<<10, true, false) }},
 		// The daemon's data path borrows the caller's buffer on the client and
 		// a pooled one on the server; a copy regrown on either side shows here
 		// as a megabyte per op.
@@ -419,11 +422,15 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, el cyc
 // hand-off like the other machine-level cells. The send cell stops the
 // consumers at Read (frame arrival, validation, and retirement — the
 // producer-facing steady state); the recv cell adds the full per-element
-// extraction, so the pair brackets both ends of the pipeline. Both cells are
+// extraction, so the pair brackets both ends of the pipeline. With reopen, a
+// cycle is a whole channel — both ends open, one record, both ends close — so
+// whatever an end builds per open and drops at close is counted every time:
+// at elemSize 64 KiB a frame is 1 MiB per destination, and a frame buffer
+// grown from nothing shows as several times that in garbage. All cells are
 // the lowest of allocWindows windows: the producers' unread credit lists
 // regrow at moments of their own choosing, and one window in a few carries a
 // regrowth the others do not.
-func channelCycleAllocs(extract bool) (float64, float64, error) {
+func channelCycleAllocs(elemSize int, reopen, extract bool) (float64, float64, error) {
 	const producers, consumers = 2, 2
 	var allocs, bytes float64
 	prof := vtime.Paragon()
@@ -440,35 +447,60 @@ func channelCycleAllocs(extract bool) (float64, float64, error) {
 		if err != nil {
 			return err
 		}
-		var cycle func() error
+		// An end is opened once for the whole measurement, or by every cycle.
+		type end interface{ Close() error }
+		var open func() (end, func() error, error)
 		if n.Rank() < producers {
-			s, err := dstream.OpenChannel(n, dProd, dCons, "alloc-chan")
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			payload := make([]byte, allocElemSize)
-			cycle = func() error {
-				if err := s.InsertFunc(func(l int, e *dstream.Encoder) { e.Raw(payload) }); err != nil {
-					return err
-				}
-				return s.Write()
+			payload := make([]byte, elemSize)
+			open = func() (end, func() error, error) {
+				s, err := dstream.OpenChannel(n, dProd, dCons, "alloc-chan")
+				return s, func() error {
+					if err := s.InsertFunc(func(l int, e *dstream.Encoder) { e.Raw(payload) }); err != nil {
+						return err
+					}
+					return s.Write()
+				}, err
 			}
 		} else {
-			r, err := dstream.OpenChannelInput(n, dCons, dProd, "alloc-chan")
+			open = func() (end, func() error, error) {
+				r, err := dstream.OpenChannelInput(n, dCons, dProd, "alloc-chan")
+				return r, func() error {
+					if err := r.Read(); err != nil {
+						return err
+					}
+					if !extract {
+						return nil
+					}
+					return r.ExtractFunc(func(l int, d *dstream.Decoder) { d.Raw(elemSize) })
+				}, err
+			}
+		}
+		cycle := func() error {
+			e, record, err := open()
 			if err != nil {
 				return err
 			}
-			defer r.Close()
-			cycle = func() error {
-				if err := r.Read(); err != nil {
-					return err
-				}
-				if !extract {
-					return nil
-				}
-				return r.ExtractFunc(func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) })
+			if err := record(); err != nil {
+				e.Close()
+				return err
 			}
+			if err := e.Close(); err != nil {
+				return err
+			}
+			// Nothing but ring capacity stops a producer opening the next
+			// channel while this one's frames sit unread, and every frame it
+			// runs ahead by is a pool miss: hold the ranks in step, so the cell
+			// counts what a channel costs and not how far the scheduler let one
+			// end lead.
+			return n.Comm().Barrier()
+		}
+		if !reopen {
+			e, record, err := open()
+			if err != nil {
+				return err
+			}
+			defer e.Close()
+			cycle = record
 		}
 		return measureCycles(n, allocWindows, cycle, &allocs, &bytes)
 	})

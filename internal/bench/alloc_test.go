@@ -281,7 +281,7 @@ func TestChannelCycleAllocPin(t *testing.T) {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
 	for name, extract := range map[string]bool{"dstream_chan_send": false, "dstream_chan_recv": true} {
-		allocs, bytes, err := channelCycleAllocs(extract)
+		allocs, bytes, err := channelCycleAllocs(allocElemSize, false, extract)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,3 +41,38 @@ func TestChaosPipeline(t *testing.T) {
 		t.Error("no channel seed completed successfully — default rates should mostly be survivable")
 	}
 }
+
+// TestChaosPipelineOwnedFrames puts each fault the ownership rule exists for
+// on the channel alone, at a rate no default schedule reaches. A producer
+// gives every data frame up to the transport (an owned send); a send error
+// delivers the frame and has the endpoint send it again, a duplicate delivers
+// it twice, a delay or a reorder delivers it after Send has returned. If any
+// of those paths handed the receiver the producer's buffer, the resend or the
+// second delivery would carry bytes the consumer had already released —
+// caught here as a digest that differs from the file path's, and under
+// -tags pooldebug as a poisoned frame or a panic at the pool's next Get.
+func TestChaosPipelineOwnedFrames(t *testing.T) {
+	const seeds = 12
+	for _, row := range []struct {
+		kind  string
+		rates Rates
+	}{
+		{"send_err", Rates{SendErr: 0.3}},
+		{"duplicate", Rates{Duplicate: 0.3}},
+		{"delay", Rates{Delay: 0.3}},
+		{"reorder", Rates{Reorder: 0.3}},
+	} {
+		t.Run(row.kind, func(t *testing.T) {
+			cfg := ChannelConfig{Producers: 3, Consumers: 2, Budget: Budget{Rates: row.rates}}
+			rep := campaign(t, cfg.Scenario(), seeds)
+			if rep.Injects["comm:"+row.kind] == 0 {
+				t.Fatalf("no %s fault was injected", row.kind)
+			}
+			// None of the four loses a message, and six attempts absorb a 0.3
+			// send error all but once in a thousand sends.
+			if rep.OK < seeds-1 {
+				t.Errorf("%d of %d seeds ended byte-identical to the file path (%d clean errors)", rep.OK, seeds, rep.CleanErrors)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
 )
@@ -79,7 +80,25 @@ func copyMsg(m comm.Message) comm.Message {
 }
 
 // Send implements comm.Transport, injecting at most one fault per message.
+//
+// An owned message (comm.Message.Owned) is sent as a borrowed one and
+// released here once Send has succeeded. The faults are why: a delayed or
+// reordered delivery outlives the call, a duplicate is two deliveries, and a
+// send error delivers the message and tells the sender to send it again — a
+// buffer handed to the receiver on any of those paths would have two owners.
+// Every path below copies what it delivers, so the caller's buffer is still
+// whole on an error return and nobody's on a nil one.
 func (t *Transport) Send(m comm.Message) error {
+	owned := m.Owned
+	m.Owned = false
+	err := t.send(m)
+	if err == nil && owned {
+		bufpool.Put(m.Data)
+	}
+	return err
+}
+
+func (t *Transport) send(m comm.Message) error {
 	if m.From < 0 || m.From >= len(t.sendLanes) {
 		return t.inner.Send(m) // let the inner transport report the bad rank
 	}

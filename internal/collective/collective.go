@@ -248,19 +248,29 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	}
 	if c.Rank() == root {
 		// 8-byte equalization prefix + payload, assembled in a pooled frame
-		// released once every copy is on the wire.
+		// every peer but the last is sent a copy of; the last is given the
+		// frame itself.
 		rel := c.releaseTime(n-1, 8+len(data))
 		payload := append(appendTime(bufpool.GetCap(8+len(data)), rel), data...)
+		last := n - 1
+		if last == root {
+			last--
+		}
 		for r := 0; r < n; r++ {
 			if r == root {
 				continue
 			}
-			if err := c.ep.SendOnce(r, tag(kindBcast, seq, 0), payload); err != nil {
+			var err error
+			if r == last {
+				err = c.ep.SendOnceOwned(r, tag(kindBcast, seq, 0), payload)
+			} else {
+				err = c.ep.SendOnce(r, tag(kindBcast, seq, 0), payload)
+			}
+			if err != nil {
 				bufpool.Put(payload)
 				return nil, fmt.Errorf("collective: bcast send: %w", err)
 			}
 		}
-		bufpool.Put(payload)
 		c.ep.Clock().SyncTo(rel)
 		return data, nil
 	}
@@ -419,9 +429,8 @@ func (c *Comm) sendVec(to int, seq uint64, data []byte) error {
 	frame := bufpool.Get(4 + first)
 	binary.LittleEndian.PutUint32(frame, uint32(len(data)))
 	copy(frame[4:], data[:first])
-	err := c.ep.SendOnce(to, tag(kindAlltoall, seq, 0), frame)
-	bufpool.Put(frame)
-	if err != nil {
+	if err := c.ep.SendOnceOwned(to, tag(kindAlltoall, seq, 0), frame); err != nil {
+		bufpool.Put(frame)
 		return err
 	}
 	for sub, off := 1, first; off < len(data); sub++ {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/vtime"
 )
@@ -548,4 +549,65 @@ func TestCollectivesOverTCP(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestOwnedFramesAccount: the two senders that build a pooled frame only to
+// send it — a chunked alltoallv's header frame and the linear broadcast root's
+// last copy — give it to the transport. The pool's account says nobody lost
+// one and nobody released one twice: once every rank has released what
+// Alltoallv returned, as many buffers are out as before; each broadcast
+// leaves out the frames its receivers keep (they return a sub-slice, which
+// the pool will not take) and nothing more; and a send that fails leaves the
+// frame with the sender, who releases it.
+func TestOwnedFramesAccount(t *testing.T) {
+	const n, rounds = 4, 3
+	base := bufpool.Stats().Outstanding
+	spmd(t, n, func(c *Comm) error {
+		c.SetMaxMsgBytes(64)
+		me := c.Rank()
+		for round := 0; round < rounds; round++ {
+			bufs := make([][]byte, n)
+			for j := range bufs {
+				bufs[j] = bytes.Repeat([]byte{byte(16*me + j + round)}, 70+90*j) // two chunks and more: the header frame is copied out and released
+			}
+			got, err := c.Alltoallv(bufs)
+			if err != nil {
+				return err
+			}
+			for r, p := range got {
+				if want := bytes.Repeat([]byte{byte(16*r + me + round)}, 70+90*me); !bytes.Equal(p, want) {
+					return fmt.Errorf("round %d: rank %d from %d: wrong bytes", round, me, r)
+				}
+				bufpool.Put(p)
+			}
+			root := round % n
+			data := bytes.Repeat([]byte{byte(round + 1)}, 5000)
+			d, err := c.Bcast(root, data)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(d, bytes.Repeat([]byte{byte(round + 1)}, 5000)) {
+				return fmt.Errorf("round %d: rank %d: wrong broadcast", round, me)
+			}
+		}
+		return nil
+	})
+	if got, want := bufpool.Stats().Outstanding-base, int64(rounds*(n-1)); got != want {
+		t.Errorf("%d pooled buffers out after %d rounds, want the %d broadcast frames the receivers kept", got, rounds, want)
+	}
+
+	base = bufpool.Stats().Outstanding
+	tr := comm.NewChanTransport(2)
+	tr.Close()
+	var clock vtime.Clock
+	c := New(comm.NewEndpoint(0, 2, tr, &clock, vtime.Paragon())).SetMaxMsgBytes(64)
+	if _, err := c.Alltoallv([][]byte{nil, make([]byte, 300)}); err == nil {
+		t.Fatal("Alltoallv over a closed transport succeeded")
+	}
+	if _, err := c.Bcast(0, make([]byte, 300)); err == nil {
+		t.Fatal("Bcast over a closed transport succeeded")
+	}
+	if got := bufpool.Stats().Outstanding - base; got != 0 {
+		t.Errorf("%d pooled buffers out after the failed sends", got)
+	}
 }

@@ -35,12 +35,21 @@ import (
 // both mechanisms and behave exactly as before — raw Transport users that
 // never face duplication need no sequencing. SeqOnce marks the only message
 // its stream will ever carry (see Endpoint.SendOnce).
+//
+// Owned marks Data as a bufpool buffer the sender gives up with the message
+// (see Endpoint.SendOwned): a Send that returns nil has taken it — delivered
+// it as it is, or copied it and released it — and a Send that returns an
+// error has left it with the caller, untouched. A wrapper that passes the
+// Message on by value carries the flag with it; one that may deliver late,
+// twice, or deliver and still report failure cannot honour it through those
+// paths and follows the rule in DESIGN.md "Ownership on the wire".
 type Message struct {
 	From, To int
 	Tag      uint64
 	Seq      uint64
 	Time     float64
 	Data     []byte
+	Owned    bool
 }
 
 // SeqOnce is the sequence number of a one-shot message: the single message
@@ -673,14 +682,20 @@ func NewChanTransport(n int) *ChanTransport {
 // (backpressure, never loss); while blocked, the sender services its own
 // inbox so mutually saturated ranks free each other. Small messages are
 // eager: a full ring spills them to the overflow and Send returns at once.
+//
+// The payload is copied into a pooled buffer, so the sender may reuse its own
+// the moment Send returns, exactly as with a real wire transport, and the
+// receiver owns (and may bufpool.Put) the delivered copy. An owned message
+// (m.Owned) is the exception the copy exists to avoid: its Data is enqueued
+// as it is and the receiver is handed the very slice — on a nil return; a
+// failed Send leaves it with the caller.
 func (t *ChanTransport) Send(m Message) error {
 	if m.To < 0 || m.To >= len(t.boxes) {
 		return fmt.Errorf("comm: send to invalid rank %d (size %d)", m.To, len(t.boxes))
 	}
-	// Copy the payload into a pooled buffer: senders are free to reuse their
-	// buffers the moment Send returns, exactly as with a real wire transport,
-	// and the receiver owns (and may bufpool.Put) the delivered copy.
-	if m.Data != nil {
+	owned := m.Owned
+	m.Owned = false // the flag is the sender's word to the transport, not the receiver's
+	if m.Data != nil && !owned {
 		d := bufpool.Get(len(m.Data))
 		copy(d, m.Data)
 		m.Data = d
@@ -690,7 +705,9 @@ func (t *ChanTransport) Send(m Message) error {
 		own = t.boxes[m.From]
 	}
 	if err := t.boxes[m.To].putBlocking(m, own); err != nil {
-		bufpool.Put(m.Data)
+		if !owned {
+			bufpool.Put(m.Data)
+		}
 		return err
 	}
 	return nil
@@ -843,9 +860,24 @@ func (e *Endpoint) Profile() vtime.Profile { return e.prof }
 // the receiver. Fatal errors, and transient ones that outlast the retry
 // budget, are returned to the caller.
 func (e *Endpoint) Send(to int, tag uint64, data []byte) error {
+	return e.send(to, tag, e.nextSeq(to, tag), data, false)
+}
+
+// SendOwned is Send for a buffer the caller built only to send: buf came from
+// bufpool and the caller gives it up. On a nil return it is gone — the
+// in-process transport hands the receiver that very slice, a wire transport
+// copies it into its frame and releases it — and the caller must not touch
+// it again. On an error it is still the caller's, contents intact, to release
+// or to send again; that is also what lets the retry loop resend it after a
+// transient fault.
+func (e *Endpoint) SendOwned(to int, tag uint64, buf []byte) error {
+	return e.send(to, tag, e.nextSeq(to, tag), buf, true)
+}
+
+func (e *Endpoint) nextSeq(to int, tag uint64) uint64 {
 	k := streamID{to, tag}
 	e.seqs[k]++
-	return e.send(to, tag, e.seqs[k], data)
+	return e.seqs[k]
 }
 
 // SendOnce is Send for a stream that carries this one message and whose tag
@@ -854,13 +886,18 @@ func (e *Endpoint) Send(to int, tag uint64, data []byte) error {
 // that neither end keeps per-stream state once the message is delivered
 // (see SeqOnce). The receiver uses Recv as for any other message.
 func (e *Endpoint) SendOnce(to int, tag uint64, data []byte) error {
-	return e.send(to, tag, SeqOnce, data)
+	return e.send(to, tag, SeqOnce, data, false)
 }
 
-func (e *Endpoint) send(to int, tag, seq uint64, data []byte) error {
+// SendOnceOwned is SendOnce giving up buf as SendOwned does.
+func (e *Endpoint) SendOnceOwned(to int, tag uint64, buf []byte) error {
+	return e.send(to, tag, SeqOnce, buf, true)
+}
+
+func (e *Endpoint) send(to int, tag, seq uint64, data []byte, owned bool) error {
 	start := e.clock.Now()
 	e.clock.Advance(e.prof.SendOverhead)
-	m := Message{From: e.rank, To: to, Tag: tag, Seq: seq, Data: data}
+	m := Message{From: e.rank, To: to, Tag: tag, Seq: seq, Data: data, Owned: owned}
 	backoff := e.retry.Backoff
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -929,10 +966,11 @@ func (e *Endpoint) recvOnce(from int, tag uint64) (Message, error) {
 // faults (injected receive errors, deadline expiries) are retried with
 // exponential virtual-time backoff before a clean error is surfaced.
 //
-// The returned payload is owned by the caller: it never aliases the sender's
-// buffer, may be retained indefinitely, and may be released with bufpool.Put
-// once fully consumed (releasing is optional — the GC reclaims it either
-// way).
+// The returned payload is owned by the caller: it aliases nothing the sender
+// still holds (it is the transport's copy of a Send, or the buffer a
+// SendOwned gave up), may be retained indefinitely, and may be released with
+// bufpool.Put once fully consumed (releasing is optional — the GC reclaims
+// it either way).
 func (e *Endpoint) Recv(from int, tag uint64) ([]byte, error) {
 	start := e.clock.Now()
 	var m Message

@@ -186,7 +186,9 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 // Send implements Transport by encoding m into a pooled frame and queueing
 // it on the sender's connection for the writer to coalesce. The payload is
 // fully copied before Send returns, so callers may reuse their buffers
-// immediately, exactly as with the old synchronous write path. A write
+// immediately, exactly as with the old synchronous write path; an owned
+// payload (m.Owned) is copied the same way and then released to bufpool, once
+// the frame is queued — a Send that fails leaves it with the caller. A write
 // failure surfaces on the next Send from that rank (fast and fatal — a
 // partial frame may be on the wire, so the stream cannot be trusted).
 func (t *TCPTransport) Send(m Message) error {
@@ -224,6 +226,9 @@ func (t *TCPTransport) Send(m Message) error {
 	tc.queued += len(frame)
 	tc.mu.Unlock()
 	tc.cond.Broadcast()
+	if m.Owned {
+		bufpool.Put(m.Data)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package dstream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -147,7 +148,11 @@ type chanDest struct {
 	cons  int // consumer group rank
 	rank  int // machine rank
 	count int // elements routed there per record (0 = pacing-marker destination)
-	frame enc.Buffer
+	// frame is this consumer's frame of the record Write is sending: a pooled
+	// buffer of exactly the frame's length, filled up to at. It is nil between
+	// writes — a frame that was sent is the consumer's.
+	frame []byte
+	at    int
 	// outstanding is the frame bytes sent and not yet credited back — the
 	// producer side of the credit window.
 	outstanding int64
@@ -256,23 +261,34 @@ func (s *OChannel) Write() error {
 	return s.endWrite(w, s.sendFrames(w))
 }
 
-// sendFrames is the frame sink: the group routed element by element into one
-// frame per destination, then each frame sent once its consumer's window has
-// room for it.
+// sendFrames is the frame sink: every frame sized from the size table, the
+// group routed element by element into one exactly-sized pooled buffer per
+// destination, then each buffer given to the transport (an owned send: the
+// consumer releases it) once its consumer's window has room for it. A frame a
+// failed Write did not send goes back to the pool here.
 func (s *OChannel) sendFrames(w flush) error {
+	// at adds up each frame's length first, and is its write cursor after.
 	for i := range s.dests {
-		d := &s.dests[i]
-		d.frame.Reset()
-		d.frame.Uint32(0)
-		d.frame.Uint32(uint32(w.arrays))
-		d.frame.Uint32(uint32(d.count))
+		s.dests[i].at = chanFrameHeaderLen
 	}
 	for l, sz := range w.sizes {
-		f := &s.dests[s.elemDest[l]].frame
-		f.Uint32(uint32(s.dist.GlobalIndex(s.rank, l)))
-		f.Uint32(sz)
+		s.dests[s.elemDest[l]].at += 8 + int(sz)
+	}
+	for i := range s.dests {
+		d := &s.dests[i]
+		d.frame = bufpool.Get(d.at)
+		binary.LittleEndian.PutUint32(d.frame[0:], 0)
+		binary.LittleEndian.PutUint32(d.frame[4:], uint32(w.arrays))
+		binary.LittleEndian.PutUint32(d.frame[8:], uint32(d.count))
+		d.at = chanFrameHeaderLen
+	}
+	for l, sz := range w.sizes {
+		d := &s.dests[s.elemDest[l]]
+		binary.LittleEndian.PutUint32(d.frame[d.at:], uint32(s.dist.GlobalIndex(s.rank, l)))
+		binary.LittleEndian.PutUint32(d.frame[d.at+4:], sz)
+		d.at += 8
 		for i := range s.inserts {
-			f.Raw(s.inserts[i].elem(l))
+			d.at += copy(d.frame[d.at:], s.inserts[i].elem(l))
 		}
 	}
 	s.release()
@@ -282,16 +298,19 @@ func (s *OChannel) sendFrames(w flush) error {
 	seq := uint64(s.wrote) + 1
 	for i := range s.dests {
 		d := &s.dests[i]
-		frameLen := int64(d.frame.Len())
+		frameLen := int64(len(d.frame))
 		if err := s.awaitCredit(d, frameLen); err != nil {
+			s.dropFrames()
 			return fmt.Errorf("channel credit from consumer %d: %w", d.cons, err)
 		}
 		if w.rec != nil {
 			w.rec.FlowOut(trace.FlowKey{Kind: "chan", A: s.node.Rank(), B: d.rank, Tag: s.tag, Seq: seq}, s.writeSpan)
 		}
-		if err := ep.Send(d.rank, s.dataTag, d.frame.Bytes()); err != nil {
+		if err := ep.SendOwned(d.rank, s.dataTag, d.frame); err != nil {
+			s.dropFrames() // a send that failed left its frame here too
 			return fmt.Errorf("channel send to consumer %d: %w", d.cons, err)
 		}
+		d.frame = nil
 		d.outstanding += frameLen
 		s.cmet.credits.Add(float64(frameLen))
 		s.cmet.frames.Inc()
@@ -301,6 +320,14 @@ func (s *OChannel) sendFrames(w flush) error {
 		}
 	}
 	return nil
+}
+
+// dropFrames releases the frames still held: built, and not sent.
+func (s *OChannel) dropFrames() {
+	for i := range s.dests {
+		bufpool.Put(s.dests[i].frame)
+		s.dests[i].frame = nil
+	}
 }
 
 // awaitCredit blocks until sending frameLen more bytes to d fits the

@@ -9,9 +9,9 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
+	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
@@ -20,13 +20,15 @@ import (
 
 // The golden images pin the stored file bytes and the channel frame bytes to
 // what the commit before the arena change produced for the same program
-// (the per-element-buffer interleave group of PR 12's HEAD). This file uses
-// nothing that commit lacks, so the images are regenerated by running it
-// there:
+// (the per-element-buffer interleave group of PR 12's HEAD). The channel
+// frames are taken where they are the contract — on the wire, by a transport
+// tap — so the entries pin what a consumer is sent, not a field of the
+// producer. The images must never be regenerated to make a failing change
+// pass:
 //
 //	go test ./internal/dstream -run 'TestGolden' -update-golden
 //
-// and must never be regenerated to make a failing change pass.
+// is for a deliberate format change only.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/insert_group.golden from this build's output")
 
 const (
@@ -109,12 +111,24 @@ func goldenImage(t *testing.T, kind string, shape int, strat Strategy) []byte {
 
 // goldenFrames pushes the same records through a 2→2 channel (BLOCK to
 // CYCLIC, so every frame is a redistribution) and returns every data frame
-// the producers built, keyed by producer, record and destination.
+// the producers put on the wire — a copy taken as it is handed to the
+// transport, whatever the producer does with its buffers before or after —
+// keyed by producer, record and destination.
 func goldenFrames(t *testing.T, shape int) map[string][]byte {
 	t.Helper()
-	var mu sync.Mutex
+	const prods = 2
+	recs := map[[2]int]int{} // (from, to) → data frames seen
 	frames := map[string][]byte{}
-	chanRun(t, 4, nil, func(n *machine.Node) error {
+	tap := &sendTap{each: func(m comm.Message) error {
+		if m.From < prods && m.To >= prods && isDataFrame(m) {
+			pair := [2]int{m.From, m.To}
+			key := fmt.Sprintf("chan/%d/p%d/r%d/c%d", shape, m.From, recs[pair], m.To-prods)
+			recs[pair]++
+			frames[key] = append([]byte(nil), m.Data...)
+		}
+		return nil
+	}}
+	tappedRun(t, 4, tap, func(n *machine.Node) error {
 		wd, err := goldenDist("block", 2)
 		if err != nil {
 			return err
@@ -151,12 +165,6 @@ func goldenFrames(t *testing.T, shape int) map[string][]byte {
 			if err := s.Write(); err != nil {
 				return err
 			}
-			mu.Lock()
-			for di := range s.dests {
-				key := fmt.Sprintf("chan/%d/p%d/r%d/c%d", shape, n.Rank(), rec, s.dests[di].cons)
-				frames[key] = append([]byte(nil), s.dests[di].frame.Bytes()...)
-			}
-			mu.Unlock()
 		}
 		return s.Close()
 	})

@@ -14,6 +14,12 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(false, uint32(1), uint64(1<<63), -1.5, "hello", []byte{1, 2, 3}, uint8(3))
 	f.Add(true, uint32(0xffffffff), uint64(0xffffffffffffffff), math.Inf(1), "κ…\x00", []byte{0}, uint8(17))
 	f.Add(false, uint32(42), uint64(7), math.NaN(), "nan payload", []byte("bytes"), uint8(255))
+	// Slices of 8 and 3 words behind 1-, 2- and 3-byte strings, so the words
+	// start at every residue a u32 prefix can leave them; a NaN with payload
+	// bits and −0 as what they carry, math.MinInt64 at the head of the ints.
+	f.Add(true, uint32(1), uint64(1<<63), math.Float64frombits(0x7ff8000000abcdef), "a", []byte(nil), uint8(8))
+	f.Add(true, uint32(2), uint64(1<<63), math.Copysign(0, -1), "ab", []byte{7}, uint8(8))
+	f.Add(false, uint32(3), uint64(1<<63), math.Inf(-1), "abc", []byte{7, 7}, uint8(44))
 	f.Fuzz(func(t *testing.T, b bool, u32 uint32, u64 uint64, f64 float64, s string, raw []byte, n uint8) {
 		fslice := make([]float64, int(n)%9)
 		islice := make([]int64, int(n)%5)
@@ -24,23 +30,33 @@ func FuzzRoundTrip(f *testing.F) {
 			islice[i] = int64(u64) - int64(i)
 		}
 
-		var e Buffer
-		e.Bool(b)
-		e.Uint32(u32)
-		e.Uint64(u64)
-		e.Int32(int32(u32))
-		e.Int64(int64(u64))
-		e.Float64(f64)
-		e.Float32(float32(f64))
-		e.String(s)
-		e.Bytes32(raw)
-		e.Float64Slice(fslice)
-		e.Int64Slice(islice)
-
-		// Once bare and once carving from a slab: the same values either way.
-		for _, d := range []*Reader{NewReader(e.Bytes()), slabReader(e.Bytes())} {
-			checkRoundTrip(t, d, b, u32, u64, f64, s, raw, fslice, islice)
+		// Encoded as the host would and portably: the same bytes. Each image
+		// is then decoded on both paths, once bare and once carving from a
+		// slab: the same values every way.
+		var img [][]byte
+		eitherPath(func(string) {
+			var e Buffer
+			e.Bool(b)
+			e.Uint32(u32)
+			e.Uint64(u64)
+			e.Int32(int32(u32))
+			e.Int64(int64(u64))
+			e.Float64(f64)
+			e.Float32(float32(f64))
+			e.String(s)
+			e.Bytes32(raw)
+			e.Float64Slice(fslice)
+			e.Int64Slice(islice)
+			img = append(img, e.Bytes())
+		})
+		if !bytes.Equal(img[0], img[1]) {
+			t.Fatalf("the memmove path encoded %x, the portable loop %x", img[0], img[1])
 		}
+		eitherPath(func(string) {
+			for _, d := range []*Reader{NewReader(img[0]), slabReader(img[0])} {
+				checkRoundTrip(t, d, b, u32, u64, f64, s, raw, fslice, islice)
+			}
+		})
 	})
 }
 
@@ -115,21 +131,48 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte(nil), []byte(nil))
 	f.Add([]byte{1, 2, 3}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{9, 9, 10, 10})
+	// Two well-formed slices of two words, the second a NaN payload and
+	// math.MinInt64, read whole, read one byte in (so the words are as
+	// unaligned as they get), and read with a count the bytes cannot back.
+	words := []byte{2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0xef, 0xcd, 0xab, 0, 0, 0, 0xf8, 0x7f,
+		2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	f.Add(words, []byte{9, 10})
+	f.Add(words, []byte{10, 9})
+	f.Add(append([]byte{1}, words...), []byte{0, 9, 10})
+	f.Add(words[:len(words)-1], []byte{9, 10, 10})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
-		// Two readers in step, one carving from a slab: what they return, what
-		// they report and where they stand must never differ.
-		d, ds := NewReader(data), slabReader(data)
+		// Four readers in step — bare and carving from a slab, on the host's
+		// path and on the portable one: what they return, what they report and
+		// where they stand must never differ.
+		d := NewReader(data)
+		others := []struct {
+			name     string
+			d        *Reader
+			portable bool
+		}{
+			{"from a slab", slabReader(data), false},
+			{"portably", NewReader(data), true},
+			{"portably from a slab", slabReader(data), true},
+		}
 		for _, op := range script {
 			hadErr := d.Err() != nil
-			got, gotSlab := fuzzStep(d, op), fuzzStep(ds, op)
-			if !reflect.DeepEqual(got, gotSlab) {
-				t.Fatalf("op %d decoded %v bare and %v from a slab", op%11, got, gotSlab)
-			}
-			if (d.Err() == nil) != (ds.Err() == nil) || d.Err() != nil && d.Err().Error() != ds.Err().Error() {
-				t.Fatalf("op %d: Err %v bare, %v from a slab", op%11, d.Err(), ds.Err())
-			}
-			if d.Offset() != ds.Offset() || d.Remaining() != ds.Remaining() {
-				t.Fatalf("op %d: at %d (%d left) bare, %d (%d left) from a slab", op%11, d.Offset(), d.Remaining(), ds.Offset(), ds.Remaining())
+			got := fuzzStep(d, op)
+			for _, o := range others {
+				var gotO any
+				if o.portable {
+					portable(func() { gotO = fuzzStep(o.d, op) })
+				} else {
+					gotO = fuzzStep(o.d, op)
+				}
+				if !reflect.DeepEqual(got, gotO) {
+					t.Fatalf("op %d decoded %v bare and %v %s", op%11, got, gotO, o.name)
+				}
+				if (d.Err() == nil) != (o.d.Err() == nil) || d.Err() != nil && d.Err().Error() != o.d.Err().Error() {
+					t.Fatalf("op %d: Err %v bare, %v %s", op%11, d.Err(), o.d.Err(), o.name)
+				}
+				if d.Offset() != o.d.Offset() || d.Remaining() != o.d.Remaining() {
+					t.Fatalf("op %d: at %d (%d left) bare, %d (%d left) %s", op%11, d.Offset(), d.Remaining(), o.d.Offset(), o.d.Remaining(), o.name)
+				}
 			}
 			if hadErr && d.Err() == nil {
 				t.Fatal("reader error un-stuck itself")

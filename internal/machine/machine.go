@@ -169,8 +169,11 @@ type Result struct {
 
 // Run executes body on every node of a machine described by cfg and waits
 // for all nodes to finish. The first node error (or panic, converted to an
-// error) aborts the run's result; remaining goroutines are still waited for
-// so no node leaks.
+// error) aborts the run and is the error returned — first in time, not in
+// rank: a node that fails takes the transport and the file system's
+// rendezvous down with it so that its peers cannot hang, and what they then
+// fail with is its doing, not the cause. Remaining goroutines are still
+// waited for so no node leaks.
 func Run(cfg Config, body func(*Node) error) (Result, error) {
 	if cfg.NProcs <= 0 {
 		return Result{}, fmt.Errorf("machine: NProcs must be positive, got %d", cfg.NProcs)
@@ -234,6 +237,11 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 
 	nodes := make([]*Node, cfg.NProcs)
 	errs := make([]error, cfg.NProcs)
+	var first struct {
+		sync.Mutex
+		rank int
+		err  error
+	}
 	var wg sync.WaitGroup
 	for r := 0; r < cfg.NProcs; r++ {
 		n := &Node{rank: r, size: cfg.NProcs, fs: fs, prof: cfg.Profile, mon: cfg.Monitor}
@@ -257,6 +265,11 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 					errs[r] = fmt.Errorf("machine: node %d panicked: %v\n%s", r, p, debug.Stack())
 				}
 				if errs[r] != nil {
+					first.Lock()
+					if first.err == nil {
+						first.rank, first.err = r, errs[r]
+					}
+					first.Unlock()
 					// Unblock peers stuck in message receives or in file
 					// system rendezvous waiting for this rank.
 					fs.Abort(errs[r])
@@ -278,10 +291,8 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 		res.MessagesSent += st.Sent
 		res.BytesSent += st.BytesSent
 	}
-	for r, err := range errs {
-		if err != nil {
-			return res, fmt.Errorf("machine: node %d: %w", r, err)
-		}
+	if first.err != nil {
+		return res, fmt.Errorf("machine: node %d: %w", first.rank, first.err)
 	}
 	return res, nil
 }

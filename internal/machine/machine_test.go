@@ -115,6 +115,25 @@ func TestFailedNodeDoesNotDeadlockMessaging(t *testing.T) {
 	}
 }
 
+// TestRunReportsTheCauseNotTheCollateral: when a node fails, the machine
+// closes the transport under its peers so they cannot hang, and a peer that
+// was mid-receive fails with that closure. The run's error is the failure
+// that came first — the cause — whichever rank it was on, not the
+// lowest-ranked casualty of the shutdown it triggered.
+func TestRunReportsTheCauseNotTheCollateral(t *testing.T) {
+	cause := errors.New("rank 2 found a bad record")
+	_, err := Run(cfg(3), func(n *Node) error {
+		if n.Rank() == 2 {
+			return cause
+		}
+		_, rerr := n.Comm().Endpoint().Recv(2, 7) // never sent: fails when the machine shuts the transport
+		return rerr
+	})
+	if !errors.Is(err, cause) || !strings.Contains(err.Error(), "node 2") {
+		t.Fatalf("err = %v, want node 2's", err)
+	}
+}
+
 func TestNodeCollectivesWired(t *testing.T) {
 	res, err := Run(cfg(5), func(n *Node) error {
 		sum, err := n.Comm().Allreduce(1, 0 /* OpSum */)
