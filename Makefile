@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench tables chaos fuzz api-golden alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full bench-wall
+.PHONY: build test vet race check bench tables chaos fuzz api-golden alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full bench-wall count
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,15 @@ alloc-check:
 # are on the list.
 race-pooldebug:
 	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/ ./internal/server/ ./internal/session/
+
+# Counted non-test lines, per package and in all: lines of non-test .go files
+# that are neither blank nor only a // comment. The figure a simplicity PR
+# reports before and after in CHANGES.md.
+count:
+	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
+		ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l | tr '\n' ' '; \
+		echo .$${d#$(CURDIR)}; \
+	done | awk '{ printf "%6d %s\n", $$1, $$2; n += $$1 } END { printf "%6d total\n", n }'
 
 # Regenerate the public API surface golden after an intentional API change.
 # `make check` diffs the façade against testdata/api_surface.golden.

@@ -42,7 +42,7 @@ func main() {
 		scaleMax   = flag.Int("scale-max", 1024, "largest rank count of -sweep scale (CI smokes 128)")
 		serve      = flag.String("serve", "", "serve live telemetry (/metrics /trace /critpath /healthz) on this address during the -trace/-gantt/-metrics run, and keep serving after it until Ctrl-C")
 		platforms  = flag.Bool("platforms", false, "sweep all platforms incl. the CM-5 (extension)")
-		scaling    = flag.Bool("scaling", false, "strong-scaling sweep to 64 nodes with linear vs tree collectives (extension)")
+		scaling    = flag.Bool("scaling", false, "strong-scaling sweep to 64 nodes, with the collective fan-out each size ran (extension)")
 		verify     = flag.Bool("verify", false, "verify data integrity after every input phase")
 		check      = flag.Bool("check", true, "fail if a table violates the paper's shape criteria")
 		allocCheck = flag.String("alloc-check", "", "gate -sweep alloc against this baseline JSON; fail on >10% regression")

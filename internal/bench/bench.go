@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"pcxxstreams/internal/collection"
-	"pcxxstreams/internal/collective"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dstream"
@@ -85,8 +84,6 @@ type Run struct {
 	// Monitor, when non-nil, collects dsmon metrics (and, if the monitor
 	// traces, spans) for the whole run.
 	Monitor *dsmon.Monitor
-	// Collectives selects the collective algorithm (Linear default).
-	Collectives collective.Algorithm
 }
 
 // Measurement is one benchmark run's outcome: the paper's metric (virtual
@@ -96,6 +93,8 @@ type Measurement struct {
 	IO           pfs.IOStats
 	MessagesSent int
 	BytesSent    int64
+	// Fanout is the shape the run's collectives had (machine.Result.Fanout).
+	Fanout int
 }
 
 // Seconds executes the measurement and returns the virtual makespan of the
@@ -123,13 +122,12 @@ func Measure(r Run) (Measurement, error) {
 		}
 	}
 	mres, err := machine.Run(machine.Config{
-		NProcs:      r.NProcs,
-		Profile:     r.Profile,
-		Transport:   r.Transport,
-		FS:          fs,
-		Trace:       r.Trace,
-		Monitor:     r.Monitor,
-		Collectives: r.Collectives,
+		NProcs:    r.NProcs,
+		Profile:   r.Profile,
+		Transport: r.Transport,
+		FS:        fs,
+		Trace:     r.Trace,
+		Monitor:   r.Monitor,
 	}, func(n *machine.Node) error {
 		// Figure 3 declares the benchmark collection CYCLIC.
 		d, err := distr.New(r.Segments, r.NProcs, distr.Cyclic, 0)
@@ -200,6 +198,7 @@ func Measure(r Run) (Measurement, error) {
 		IO:           mres.IO,
 		MessagesSent: mres.MessagesSent,
 		BytesSent:    mres.BytesSent,
+		Fanout:       mres.Fanout,
 	}, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pcxxstreams/internal/collective"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/vtime"
@@ -304,36 +303,43 @@ func TestAblationAsyncOverlap(t *testing.T) {
 	}
 }
 
-// TestScalingSweep: the extension strong-scaling sweep runs and shows
-// speedup from 1 to 4 nodes; the tree collectives never lose to linear by
-// a meaningful margin at any point.
+// TestScalingSweep: the extension strong-scaling sweep runs, shows speedup
+// from 1 to 4 nodes, and reports the shape each size ran: flat through 16
+// nodes, the tree at 32 — which, on this I/O-bound workload, must not cost a
+// meaningful margin over the flat 16-node point beside it.
 func TestScalingSweep(t *testing.T) {
-	pts, err := RunScalingSweep(vtime.Challenge(), 1024, []int{1, 4, 16})
+	pts, err := RunScalingSweep(vtime.Challenge(), 1024, []int{1, 4, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
+	if len(pts) != 4 {
 		t.Fatalf("got %d points", len(pts))
 	}
-	if pts[1].Linear >= pts[0].Linear {
-		t.Fatalf("no speedup 1→4 nodes: %v → %v", pts[0].Linear, pts[1].Linear)
+	if pts[1].Seconds >= pts[0].Seconds {
+		t.Fatalf("no speedup 1→4 nodes: %v → %v", pts[0].Seconds, pts[1].Seconds)
 	}
 	for _, p := range pts {
-		if p.Tree > p.Linear*1.1 {
-			t.Fatalf("tree collectives regressed at %d nodes: %v vs %v", p.NProcs, p.Tree, p.Linear)
+		if (p.Fanout != 0) != (p.NProcs > 16) {
+			t.Fatalf("%d nodes report fan-out %d", p.NProcs, p.Fanout)
 		}
+	}
+	if pts[3].Seconds > pts[2].Seconds*1.25 {
+		t.Fatalf("tree collectives at 32 nodes (%v) far off the flat 16-node point (%v)", pts[3].Seconds, pts[2].Seconds)
 	}
 }
 
 // TestTreeCollectivesFullPipeline: the whole streams pipeline works (and
-// verifies) under tree collectives.
+// verifies) at a size whose collectives take the tree shape.
 func TestTreeCollectivesFullPipeline(t *testing.T) {
-	if _, err := Seconds(Run{
-		Profile: vtime.Paragon(), NProcs: 8, Segments: 64,
+	m, err := Measure(Run{
+		Profile: vtime.Paragon(), NProcs: 24, Segments: 96,
 		Variant: StreamsSorted, Verify: true,
-		Collectives: collective.Tree,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if m.Fanout == 0 {
+		t.Fatal("24 nodes ran the flat collectives")
 	}
 }
 
@@ -347,8 +353,8 @@ func TestWeakScalingSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4x the data on 4x the nodes: time should grow far less than 4x.
-	if pts[1].Linear > pts[0].Linear*2.5 {
+	if pts[1].Seconds > pts[0].Seconds*2.5 {
 		t.Fatalf("weak scaling broke down: 1 node %v, 4 nodes (4x data) %v",
-			pts[0].Linear, pts[1].Linear)
+			pts[0].Seconds, pts[1].Seconds)
 	}
 }

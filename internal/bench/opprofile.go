@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pcxxstreams/internal/collective"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -64,15 +63,15 @@ func RunPlatformSweep(nprocs, segments int) ([]PlatformResult, error) {
 
 // ScalingPoint is one node-count measurement of the scaling sweep.
 type ScalingPoint struct {
-	NProcs int
-	Linear float64 // seconds with linear collectives
-	Tree   float64 // seconds with tree collectives
+	NProcs  int
+	Seconds float64
+	Fanout  int // the collectives' shape at this size (Measurement.Fanout)
 }
 
 // RunScalingSweep measures the streams variant at fixed problem size over a
-// range of node counts, under both collective algorithms — the extension
-// "figure" beyond the paper's 8-processor ceiling. The benchmark is
-// strong-scaling: total data stays constant.
+// range of node counts — the extension "figure" beyond the paper's
+// 8-processor ceiling. The benchmark is strong-scaling: total data stays
+// constant.
 func RunScalingSweep(prof vtime.Profile, segments int, procCounts []int) ([]ScalingPoint, error) {
 	return runScaling(prof, procCounts, func(int) int { return segments })
 }
@@ -86,33 +85,22 @@ func RunWeakScalingSweep(prof vtime.Profile, segmentsPerProc int, procCounts []i
 func runScaling(prof vtime.Profile, procCounts []int, segsFor func(p int) int) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	for _, p := range procCounts {
-		pt := ScalingPoint{NProcs: p}
-		for _, alg := range []collective.Algorithm{collective.Linear, collective.Tree} {
-			secs, err := Seconds(Run{
-				Profile: prof, NProcs: p, Segments: segsFor(p),
-				Variant: Streams, Collectives: alg,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: scaling p=%d alg=%v: %w", p, alg, err)
-			}
-			if alg == collective.Linear {
-				pt.Linear = secs
-			} else {
-				pt.Tree = secs
-			}
+		m, err := Measure(Run{Profile: prof, NProcs: p, Segments: segsFor(p), Variant: Streams})
+		if err != nil {
+			return nil, fmt.Errorf("bench: scaling p=%d: %w", p, err)
 		}
-		out = append(out, pt)
+		out = append(out, ScalingPoint{NProcs: p, Seconds: m.Seconds, Fanout: m.Fanout})
 	}
 	return out, nil
 }
 
 // FormatScalingSweep renders the sweep.
 func FormatScalingSweep(w io.Writer, prof vtime.Profile, segments int, pts []ScalingPoint) {
-	fmt.Fprintf(w, "Strong scaling (extension) — %s, %d segments, streams variant (virtual seconds):\n",
+	fmt.Fprintf(w, "Strong scaling (extension) — %s, %d segments, streams variant (virtual seconds; fan-out 0 = flat collectives):\n",
 		prof.Name, segments)
-	fmt.Fprintf(w, "%8s %14s %14s\n", "procs", "linear-coll", "tree-coll")
+	fmt.Fprintf(w, "%8s %14s %8s\n", "procs", "seconds", "fan-out")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%8d %14.3f %14.3f\n", p.NProcs, p.Linear, p.Tree)
+		fmt.Fprintf(w, "%8d %14.3f %8d\n", p.NProcs, p.Seconds, p.Fanout)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // The scale curve measures the real (wall-clock) per-message cost of the
 // comm stack as the simulated machine grows from 4 to 1024 ranks — the
 // number the lock-free mailbox rings exist to keep flat. Every rank runs
-// the same fixed workload (a neighbor-ring send/recv train plus sharded
+// the same fixed workload (a neighbor-ring send/recv train plus
 // collectives), so the total message count grows linearly with the rank
 // count while the per-rank work stays constant; on a fixed host, perfect
 // runtime scalability therefore means wall time per message stays flat.
@@ -30,7 +30,8 @@ type ScalePoint struct {
 	NProcs     int `json:"nprocs"`
 	P2PPerRank int `json:"p2p_per_rank"`
 	Rounds     int `json:"rounds"`
-	Fanout     int `json:"fanout"`
+	// Fanout is the shape the collectives had at this size (machine.Result.Fanout).
+	Fanout int `json:"fanout"`
 	// Messages is the total point-to-point message count of one rep
 	// (collective traffic included — collectives are built from messages).
 	Messages int `json:"messages"`
@@ -53,7 +54,7 @@ const scaleTag uint64 = 0x5CA1E
 
 // scaleWorkload is the fixed per-rank body: rounds × (p2p messages to the
 // right neighbor interleaved with receives from the left, then one
-// Allreduce and one Barrier over the sharded trees).
+// Allreduce and one Barrier).
 func scaleWorkload(p2p, rounds int) func(n *machine.Node) error {
 	return func(n *machine.Node) error {
 		me, size := n.Rank(), n.Size()
@@ -87,14 +88,13 @@ func scaleWorkload(p2p, rounds int) func(n *machine.Node) error {
 // best (minimum) wall time across reps — the rep least disturbed by the
 // host's scheduler, which is the machine-dependent noise the curve must
 // reject.
-func MeasureScale(nprocs, p2p, rounds, fanout, reps int) (ScalePoint, error) {
-	pt := ScalePoint{NProcs: nprocs, P2PPerRank: p2p, Rounds: rounds, Fanout: fanout}
+func MeasureScale(nprocs, p2p, rounds, reps int) (ScalePoint, error) {
+	pt := ScalePoint{NProcs: nprocs, P2PPerRank: p2p, Rounds: rounds}
 	for rep := 0; rep < reps; rep++ {
 		var tr *comm.ChanTransport
 		cfg := machine.Config{
 			NProcs:  nprocs,
 			Profile: vtime.Paragon(),
-			Fanout:  fanout,
 			WrapTransport: func(t comm.Transport) comm.Transport {
 				tr, _ = t.(*comm.ChanTransport)
 				return t
@@ -106,6 +106,7 @@ func MeasureScale(nprocs, p2p, rounds, fanout, reps int) (ScalePoint, error) {
 		if err != nil {
 			return pt, fmt.Errorf("bench: scale cell %d ranks: %w", nprocs, err)
 		}
+		pt.Fanout = res.Fanout
 		if rep == 0 || wall < pt.WallSeconds {
 			pt.WallSeconds = wall
 			pt.Messages = res.MessagesSent
@@ -126,12 +127,11 @@ func ScaleSweep(maxProcs int) ([]ScalePoint, error) {
 	const (
 		p2p    = 64
 		rounds = 4
-		fanout = 8
 		reps   = 3
 	)
 	var out []ScalePoint
 	for n := 4; n <= maxProcs; n *= 2 {
-		pt, err := MeasureScale(n, p2p, rounds, fanout, reps)
+		pt, err := MeasureScale(n, p2p, rounds, reps)
 		if err != nil {
 			return nil, err
 		}
@@ -170,8 +170,8 @@ func CheckScaleCurve(pts []ScalePoint, maxRatio float64) (string, error) {
 }
 
 func formatScale(w io.Writer, pts []ScalePoint) {
-	fmt.Fprintln(w, "Runtime scale curve (wall-clock per-message cost, neighbor train + sharded collectives)")
-	fmt.Fprintln(w, "---------------------------------------------------------------------------------------")
+	fmt.Fprintln(w, "Runtime scale curve (wall-clock per-message cost, neighbor train + collectives)")
+	fmt.Fprintln(w, "-------------------------------------------------------------------------------")
 	fmt.Fprintf(w, "%6s %9s %10s %10s %10s %8s %8s %8s\n",
 		"nprocs", "messages", "wall (s)", "µs/msg", "ringputs", "spills", "stalls", "parks")
 	for _, p := range pts {

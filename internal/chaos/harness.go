@@ -71,10 +71,6 @@ type Config struct {
 	Budget
 	// Transport selects the underlying transport (chan by default).
 	Transport machine.TransportKind
-	// Fanout, when >= 2, shards the funnel collectives onto a k-ary tree
-	// (machine.Config.Fanout) — the configuration large-rank cells run, so
-	// the sharded trees face the fault schedule too.
-	Fanout int
 	// ReadAhead enables the input stream's prefetch pipeline at the given
 	// depth (0 = synchronous reads), exposing the background refills and
 	// their abandon-on-failure paths to the fault schedule.
@@ -214,7 +210,7 @@ func checkImage(fs *pfs.FileSystem, file string, ref []byte) error {
 // image.
 func Reference(cfg Config) ([]byte, error) {
 	cfg = cfg.withDefaults()
-	return referenceImage(machine.Config{NProcs: cfg.NProcs, Transport: cfg.Transport, Fanout: cfg.Fanout},
+	return referenceImage(machine.Config{NProcs: cfg.NProcs, Transport: cfg.Transport},
 		cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, nil), harnessFile)
 }
 
@@ -250,7 +246,6 @@ func (s *flatScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 		NProcs:    cfg.NProcs,
 		Profile:   vtime.Paragon(),
 		Transport: cfg.Transport,
-		Fanout:    cfg.Fanout,
 		FS:        fs,
 		Monitor:   mon,
 		WrapTransport: func(tr comm.Transport) comm.Transport {

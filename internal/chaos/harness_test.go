@@ -180,9 +180,9 @@ func TestChaosOracleTCP(t *testing.T) {
 }
 
 // TestChaosOracleScale is the scale cell of the campaign: the full
-// pipeline across 64 simulated ranks with the fan-out-sharded collectives
-// — the configuration the runtime scale curve runs — under seeded fault
-// schedules. This is where a mailbox-ring bug that only shows under many
+// pipeline across 64 simulated ranks, where the collectives take the tree
+// shape — the configuration the runtime scale curve runs — under seeded
+// fault schedules. This is where a mailbox-ring bug that only shows under many
 // concurrent producers (a missed wakeup on a contended gate, a stale
 // overflow count, a close racing hundreds of enqueues) graduates from
 // torture-suite theory to a hang or corruption verdict. Fewer seeds: one
@@ -195,7 +195,7 @@ func TestChaosOracleScale(t *testing.T) {
 	if n < 8 {
 		n = 8
 	}
-	rep := campaign(t, Config{Pipeline: Pipeline{NProcs: 64, Records: 1}, Fanout: 8}.Scenario(), n)
+	rep := campaign(t, Config{Pipeline: Pipeline{NProcs: 64, Records: 1}}.Scenario(), n)
 	if rep.OK == 0 {
 		t.Error("no 64-rank seed completed successfully — default rates should mostly be survivable")
 	}

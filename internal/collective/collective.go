@@ -10,9 +10,13 @@
 // never cross-talk with each other or with user point-to-point traffic.
 //
 // Synchronizing operations (Barrier, Bcast, Allgather, Allreduce, Alltoallv)
-// equalize virtual clocks across the group: every participant leaves at the
-// same virtual time, the deterministic completion time of the slowest
-// participant plus the operation's communication cost.
+// equalize virtual clocks across the group: every participant that is
+// waiting when the root releases the group leaves at the same virtual time,
+// bit for bit — the deterministic completion time of the slowest participant
+// plus the operation's communication cost. (Bcast alone is one-way: a rank
+// that enters it after that instant leaves when it entered.) A communicator
+// has one shape, fixed by New from the group size (see flatMax); both shapes
+// keep this contract.
 package collective
 
 import (
@@ -44,14 +48,10 @@ func tag(kind, seq uint64, sub int) uint64 {
 type Comm struct {
 	ep  *comm.Endpoint
 	seq uint64
-	alg Algorithm
-	// fanout, when >= 2, reshapes the funnel operations onto a k-ary tree
-	// (see shard.go). Must be set identically on every rank.
+	// fanout is the communicator's shape: zero is the flat exchange, k >= 2
+	// the k-ary tree of shard.go. New sets it once from the group size, which
+	// every rank sees alike.
 	fanout int
-	// maxMsg, when positive, bounds one point-to-point payload inside the
-	// large-vector collectives (Alltoallv): bigger contributions travel as a
-	// framed chunk train. Must be set identically on every rank.
-	maxMsg int
 
 	// Observability. mon is inherited from the endpoint; ops caches the
 	// per-operation metric handles. Like every Comm field, ops is touched
@@ -71,12 +71,26 @@ type opMetrics struct {
 	lat   *dsmon.Histogram
 }
 
+// The shape of a communicator follows from its size. Up to flatMax ranks
+// (the paper's 4-16 node machines) the root exchanges with every rank
+// directly; beyond it the funnel operations run on a treeFanout-ary tree,
+// which the cost model favours from 20 ranks up. DESIGN.md "Collective
+// shape" has the measurements behind both numbers.
+const (
+	flatMax    = 16
+	treeFanout = 8
+)
+
 // New wraps an endpoint in a collective communicator. If the endpoint
 // carries a dsmon.Monitor, collective operations are timed into
 // collective_latency_seconds{op=…} and recorded as collective-category
 // spans.
 func New(ep *comm.Endpoint) *Comm {
-	return &Comm{ep: ep, mon: ep.Monitor(), ops: make(map[string]opMetrics)}
+	c := &Comm{ep: ep, mon: ep.Monitor(), ops: make(map[string]opMetrics)}
+	if ep.Size() > flatMax {
+		c.fanout = treeFanout
+	}
+	return c
 }
 
 // instrument begins timing one collective operation; the returned func
@@ -152,30 +166,41 @@ func decodeTime(b []byte) float64 {
 }
 
 // releaseTime computes the equalized exit timestamp for a root about to
-// send n sequential release messages of size bytes each: the latest arrival
-// time any receiver will compute. The loop replicates, operation for
-// operation, the floating-point arithmetic performed by Endpoint.Send
+// release the group with a message of size bytes: the latest arrival time
+// any receiver will compute, the root's direct peers on the flat shape,
+// every node of the tree its children forward the release down otherwise.
+func (c *Comm) releaseTime(size int) float64 {
+	k := c.fanout
+	if k == 0 {
+		k = c.Size() - 1 // the flat exchange is the tree one level deep
+	}
+	p := c.ep.Profile()
+	return lastArrival(&p, 0, k, c.Size(), c.ep.Clock().Now(), vtime.TransferTime(int64(size), p.MsgBW))
+}
+
+// lastArrival returns the latest instant at which a message that virtual
+// rank v of the k-ary tree over n ranks holds at instant t, and forwards to
+// its children at once, has reached all of v's subtree. The loop replicates, operation
+// for operation, the floating-point arithmetic performed by Endpoint.Send
 // (repeated Advance) and Endpoint.Recv (arrival = sendTime + latency +
 // transfer), so that the timestamp carried in the release payload is exactly
 // the maximum of the receivers' locally computed arrival times — bit-equal
 // clock equalization, not merely approximate.
-func (c *Comm) releaseTime(n int, size int) float64 {
-	p := c.ep.Profile()
-	t := c.ep.Clock().Now()
-	transfer := vtime.TransferTime(int64(size), p.MsgBW)
-	rel := t
-	for i := 0; i < n; i++ {
-		t += p.SendOverhead
-		if arrival := t + p.MsgLatency + transfer; arrival > rel {
-			rel = arrival
+func lastArrival(p *vtime.Profile, v, k, n int, t, transfer float64) float64 {
+	last := t
+	for i := 0; i < k; i++ {
+		ch := kchild(v, i, k, n)
+		if ch < 0 {
+			break
 		}
+		t += p.SendOverhead
+		last = max(last, lastArrival(p, ch, k, n, t+p.MsgLatency+transfer, transfer))
 	}
-	return rel
+	return last
 }
 
-// Barrier blocks until all ranks arrive. Under the Linear algorithm every
-// rank leaves at the same virtual time; the Tree (dissemination) variant
-// releases ranks within O(log P) message latencies of each other.
+// Barrier blocks until all ranks arrive. Every rank leaves at the same
+// virtual time.
 func (c *Comm) Barrier() error {
 	done, sid := c.instrumentSpan("barrier")
 	defer done()
@@ -186,9 +211,6 @@ func (c *Comm) Barrier() error {
 	}
 	if c.sharded() {
 		return c.barrierKary(seq)
-	}
-	if c.alg == Tree {
-		return c.barrierDissemination(seq)
 	}
 	me := c.Rank()
 	// Span-level fan-in/fan-out: each rank's barrier span is linked to the
@@ -203,7 +225,7 @@ func (c *Comm) Barrier() error {
 			}
 			rec.FlowIn(trace.FlowKey{Kind: "barrier-arrive", A: r, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
 		}
-		rel := c.releaseTime(n-1, 8)
+		rel := c.releaseTime(8)
 		payload := c.timeFrame(rel)
 		for r := 1; r < n; r++ {
 			if err := c.ep.SendOnce(r, tag(kindBarrier, seq, 1), payload); err != nil {
@@ -229,28 +251,34 @@ func (c *Comm) Barrier() error {
 }
 
 // Bcast distributes root's data to every rank and returns it (the root
-// returns its own slice). All ranks leave at the same virtual time.
+// returns its own slice). All ranks that were waiting for it leave at the
+// same virtual time.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
+	d, _, err := c.bcastFrame(root, data)
+	return d, err
+}
+
+// bcastFrame is Bcast, returning beside the payload the pooled frame it lives
+// in (nil where the payload is the caller's own data), so that a caller which
+// copies the payload out can give the frame back.
+func (c *Comm) bcastFrame(root int, data []byte) (payload, frame []byte, err error) {
 	defer c.instrument("bcast")()
 	seq := c.next()
 	n := c.Size()
 	if root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: bcast root %d out of range", root)
+		return nil, nil, fmt.Errorf("collective: bcast root %d out of range", root)
 	}
 	if n == 1 {
-		return data, nil
+		return data, nil, nil
 	}
 	if c.sharded() {
 		return c.bcastKary(seq, root, data)
-	}
-	if c.alg == Tree {
-		return c.bcastTree(seq, root, data)
 	}
 	if c.Rank() == root {
 		// 8-byte equalization prefix + payload, assembled in a pooled frame
 		// every peer but the last is sent a copy of; the last is given the
 		// frame itself.
-		rel := c.releaseTime(n-1, 8+len(data))
+		rel := c.releaseTime(8 + len(data))
 		payload := append(appendTime(bufpool.GetCap(8+len(data)), rel), data...)
 		last := n - 1
 		if last == root {
@@ -268,21 +296,22 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 			}
 			if err != nil {
 				bufpool.Put(payload)
-				return nil, fmt.Errorf("collective: bcast send: %w", err)
+				return nil, nil, fmt.Errorf("collective: bcast send: %w", err)
 			}
 		}
 		c.ep.Clock().SyncTo(rel)
-		return data, nil
+		return data, nil, nil
 	}
 	d, err := c.ep.Recv(root, tag(kindBcast, seq, 0))
 	if err != nil {
-		return nil, fmt.Errorf("collective: bcast recv: %w", err)
+		return nil, nil, fmt.Errorf("collective: bcast recv: %w", err)
 	}
 	if len(d) < 8 {
-		return nil, fmt.Errorf("collective: bcast short frame (%d bytes)", len(d))
+		bufpool.Put(d)
+		return nil, nil, fmt.Errorf("collective: bcast short frame (%d bytes)", len(d))
 	}
 	c.ep.Clock().SyncTo(decodeTime(d[:8]))
-	return d[8:], nil
+	return d[8:], d, nil
 }
 
 // Gather collects each rank's data at root. At root the result has Size()
@@ -319,16 +348,10 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Allgather collects every rank's data on every rank. The Linear algorithm
-// gathers at rank 0 and broadcasts the concatenation (synchronizing
-// everyone); the Tree algorithm uses recursive doubling for power-of-two
-// group sizes — log P exchange rounds, no root bottleneck — and falls back
-// to gather+tree-broadcast otherwise.
+// Allgather collects every rank's data on every rank: a gather at rank 0 and
+// a broadcast of the concatenation, which synchronizes everyone.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	defer c.instrument("allgather")()
-	if c.alg == Tree && c.Size()&(c.Size()-1) == 0 && c.Size() > 1 {
-		return c.allgatherRD(c.next(), data)
-	}
 	parts, err := c.Gather(0, data)
 	if err != nil {
 		return nil, err
@@ -386,113 +409,10 @@ func (c *Comm) Scatterv(root int, parts [][]byte) ([]byte, error) {
 	return d, nil
 }
 
-// SetMaxMsgBytes bounds one point-to-point payload inside the large-vector
-// collectives; contributions larger than n are framed into a chunk train of
-// at most n data bytes per message. Zero (the default) disables chunking.
-// Every rank of the group must use the same setting — the framing is part
-// of the wire protocol.
-func (c *Comm) SetMaxMsgBytes(n int) *Comm {
-	c.maxMsg = n
-	return c
-}
-
-// MaxMsgBytes reports the active chunking bound (0 = unchunked).
-func (c *Comm) MaxMsgBytes() int { return c.maxMsg }
-
-// vecChunk returns the chunk size used for a payload of total bytes: at
-// least maxMsg, raised so the chunk count fits the 16-bit sub-index space of
-// the tag layout. Deterministic from (maxMsg, total), so sender and receiver
-// agree without negotiation.
-func (c *Comm) vecChunk(total int) int {
-	chunk := c.maxMsg
-	const maxChunks = 1 << 15 // sub 0 is the header frame; keep headroom
-	if need := (total + maxChunks - 1) / maxChunks; chunk < need {
-		chunk = need
-	}
-	return chunk
-}
-
-// sendVec sends one alltoallv contribution. Unchunked mode (maxMsg == 0)
-// sends the payload as a single message. Chunked mode frames it: sub 0
-// carries a u32 total length plus the first chunk; subsequent chunks ride
-// sub 1, 2, … — so arbitrarily large contributions never exceed the
-// configured message bound.
-func (c *Comm) sendVec(to int, seq uint64, data []byte) error {
-	if c.maxMsg <= 0 {
-		return c.ep.SendOnce(to, tag(kindAlltoall, seq, 0), data)
-	}
-	chunk := c.vecChunk(len(data))
-	first := len(data)
-	if first > chunk {
-		first = chunk
-	}
-	frame := bufpool.Get(4 + first)
-	binary.LittleEndian.PutUint32(frame, uint32(len(data)))
-	copy(frame[4:], data[:first])
-	if err := c.ep.SendOnceOwned(to, tag(kindAlltoall, seq, 0), frame); err != nil {
-		bufpool.Put(frame)
-		return err
-	}
-	for sub, off := 1, first; off < len(data); sub++ {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := c.ep.SendOnce(to, tag(kindAlltoall, seq, sub), data[off:end]); err != nil {
-			return err
-		}
-		off = end
-	}
-	return nil
-}
-
-// recvVec receives one alltoallv contribution, reassembling the chunk train
-// when chunking is on.
-func (c *Comm) recvVec(from int, seq uint64) ([]byte, error) {
-	d, err := c.ep.Recv(from, tag(kindAlltoall, seq, 0))
-	if err != nil {
-		return nil, err
-	}
-	if c.maxMsg <= 0 {
-		return d, nil
-	}
-	if len(d) < 4 {
-		return nil, fmt.Errorf("collective: alltoallv header frame too short (%d bytes)", len(d))
-	}
-	total := int(binary.LittleEndian.Uint32(d))
-	out := d[4:]
-	if len(out) > total {
-		return nil, fmt.Errorf("collective: alltoallv first chunk overruns total (%d > %d)", len(out), total)
-	}
-	if len(out) < total {
-		// Reassemble into one pooled buffer, releasing the header frame and
-		// each consumed chunk as soon as its bytes are copied out.
-		buf := append(bufpool.GetCap(total), out...)
-		bufpool.Put(d)
-		out = buf
-		for sub := 1; len(out) < total; sub++ {
-			d, err := c.ep.Recv(from, tag(kindAlltoall, seq, sub))
-			if err != nil {
-				bufpool.Put(out)
-				return nil, err
-			}
-			if len(out)+len(d) > total {
-				bufpool.Put(d)
-				bufpool.Put(out)
-				return nil, fmt.Errorf("collective: alltoallv chunk %d overruns total", sub)
-			}
-			out = append(out, d...)
-			bufpool.Put(d)
-		}
-	}
-	return out, nil
-}
-
 // Alltoallv delivers bufs[j] from each rank to rank j; the result holds, in
 // rank order, what every rank sent to the caller. len(bufs) must equal
 // Size(). All ranks leave synchronized (a barrier closes the exchange, as
-// with a synchronized NX exchange). Contributions larger than the configured
-// message bound (SetMaxMsgBytes) are chunked transparently.
+// with a synchronized NX exchange).
 func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	defer c.instrument("alltoallv")()
 	n := c.Size()
@@ -505,7 +425,7 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 		if r == me {
 			continue
 		}
-		if err := c.sendVec(r, seq, bufs[r]); err != nil {
+		if err := c.ep.SendOnce(r, tag(kindAlltoall, seq, 0), bufs[r]); err != nil {
 			return nil, fmt.Errorf("collective: alltoallv send to %d: %w", r, err)
 		}
 	}
@@ -519,7 +439,7 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 		if r == me {
 			continue
 		}
-		d, err := c.recvVec(r, seq)
+		d, err := c.ep.Recv(r, tag(kindAlltoall, seq, 0))
 		if err != nil {
 			return nil, fmt.Errorf("collective: alltoallv recv from %d: %w", r, err)
 		}
@@ -567,9 +487,6 @@ func (c *Comm) Reduce(root int, v float64, op ReduceOp) (float64, error) {
 	if c.sharded() {
 		return c.reduceKary(seq, root, v, op)
 	}
-	if c.alg == Tree {
-		return c.reduceTree(seq, root, v, op)
-	}
 	if c.Rank() != root {
 		if err := c.ep.SendOnce(root, tag(kindReduce, seq, 0), c.timeFrame(v)); err != nil {
 			return 0, fmt.Errorf("collective: reduce send: %w", err)
@@ -603,11 +520,13 @@ func (c *Comm) Allreduce(v float64, op ReduceOp) (float64, error) {
 	if c.Rank() == 0 {
 		payload = c.timeFrame(acc)
 	}
-	payload, err = c.Bcast(0, payload)
+	payload, frame, err := c.bcastFrame(0, payload)
 	if err != nil {
 		return 0, err
 	}
-	return decodeTime(payload), nil
+	acc = decodeTime(payload)
+	bufpool.Put(frame)
+	return acc, nil
 }
 
 // flatten encodes parts as [u32 count][u32 len_i]*[bytes_i]*.

@@ -3,6 +3,7 @@ package collective
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,9 +14,14 @@ import (
 
 // spmd runs body on n ranks over a fresh channel transport and returns the
 // final virtual clock of every rank. Errors inside body fail the test.
-func spmd(t *testing.T, n int, body func(c *Comm) error) []float64 {
+func spmd(t testing.TB, n int, body func(c *Comm) error) []float64 {
 	t.Helper()
-	tr := comm.NewChanTransport(n)
+	return spmdOver(t, n, comm.NewChanTransport(n), body)
+}
+
+// spmdOver is spmd on the caller's transport, which it closes.
+func spmdOver(t testing.TB, n int, tr comm.Transport, body func(c *Comm) error) []float64 {
+	t.Helper()
 	defer tr.Close()
 	clocks := make([]vtime.Clock, n)
 	var wg sync.WaitGroup
@@ -42,19 +48,115 @@ func spmd(t *testing.T, n int, body func(c *Comm) error) []float64 {
 	return out
 }
 
+// peerLog is a transport that notes, for every rank, which ranks it sent to
+// or received from.
+type peerLog struct {
+	comm.Transport
+	mu    sync.Mutex
+	peers []map[int]bool
+}
+
+func (p *peerLog) note(rank, peer int) {
+	p.mu.Lock()
+	p.peers[rank][peer] = true
+	p.mu.Unlock()
+}
+
+func (p *peerLog) Send(m comm.Message) error {
+	p.note(m.From, m.To)
+	return p.Transport.Send(m)
+}
+
+func (p *peerLog) Recv(to, from int, tag uint64) (comm.Message, error) {
+	p.note(to, from)
+	return p.Transport.Recv(to, from, tag)
+}
+
+// TestBarrierEqualizesClocks is the shape table: New picks the flat exchange
+// up to flatMax ranks and the treeFanout-ary tree beyond, from nothing but
+// the size. On both, every synchronizing operation releases ranks that came
+// in skewed at one bit-equal instant, no earlier than the slowest arrived.
+// Flat, the root talks to everyone; on the tree no rank talks to more than
+// its parent and treeFanout children in any funnel operation.
 func TestBarrierEqualizesClocks(t *testing.T) {
-	times := spmd(t, 6, func(c *Comm) error {
-		// Skew the clocks first.
-		c.Endpoint().Clock().Advance(float64(c.Rank()) * 0.5)
-		return c.Barrier()
-	})
-	for r, tm := range times {
-		if tm != times[0] {
-			t.Fatalf("rank %d clock %v != rank 0 clock %v after barrier", r, tm, times[0])
-		}
+	anyRank := func(int) bool { return true }
+	ops := []struct {
+		name   string
+		funnel bool // composed of rooted operations only
+		// Which ranks may come in late and still leave with everyone: all of
+		// them where the root hears from each before it releases any, the
+		// root alone for the one-way Bcast, nobody for the operations that do
+		// not synchronize.
+		late func(rank int) bool
+		run  func(c *Comm) error
+	}{
+		{"barrier", true, anyRank, func(c *Comm) error { return c.Barrier() }},
+		{"bcast", true, func(rank int) bool { return rank == 0 }, func(c *Comm) error {
+			_, err := c.Bcast(0, []byte("shape"))
+			return err
+		}},
+		{"allreduce", true, anyRank, func(c *Comm) error {
+			_, err := c.Allreduce(float64(c.Rank()), OpMax)
+			return err
+		}},
+		{"alltoallv", false, anyRank, func(c *Comm) error {
+			_, err := c.Alltoallv(make([][]byte, c.Size()))
+			return err
+		}},
+		{"allgather", true, anyRank, func(c *Comm) error {
+			_, err := c.Allgather([]byte{byte(c.Rank())})
+			return err
+		}},
+		{"gather+scatterv", true, nil, func(c *Comm) error {
+			parts, err := c.Gather(0, []byte{byte(c.Rank())})
+			if err != nil {
+				return err
+			}
+			_, err = c.Scatterv(0, parts)
+			return err
+		}},
 	}
-	if times[0] < 2.5 {
-		t.Fatalf("barrier exit %v earlier than slowest participant (2.5)", times[0])
+	for _, n := range []int{1, 2, 9, 16, 17, 64} {
+		wantFanout := 0
+		if n > flatMax {
+			wantFanout = treeFanout
+		}
+		for _, op := range ops {
+			log := &peerLog{Transport: comm.NewChanTransport(n), peers: make([]map[int]bool, n)}
+			for r := range log.peers {
+				log.peers[r] = map[int]bool{}
+			}
+			var slowest float64
+			for r := 0; r < n; r++ {
+				if op.late != nil && op.late(r) {
+					slowest = float64(r+1) * 0.5
+				}
+			}
+			times := spmdOver(t, n, log, func(c *Comm) error {
+				if c.Fanout() != wantFanout {
+					return fmt.Errorf("fan-out %d at %d ranks, want %d", c.Fanout(), n, wantFanout)
+				}
+				if op.late != nil && op.late(c.Rank()) {
+					c.Endpoint().Clock().Advance(float64(c.Rank()+1) * 0.5)
+				}
+				return op.run(c)
+			})
+			most := 0
+			for _, p := range log.peers {
+				most = max(most, len(p))
+			}
+			if wantFanout == 0 && most != n-1 {
+				t.Errorf("n=%d %s: busiest rank has %d peers, the flat exchange gives its root %d", n, op.name, most, n-1)
+			}
+			if wantFanout != 0 && op.funnel && most > treeFanout+1 {
+				t.Errorf("n=%d %s: a rank exchanged with %d peers, the tree allows %d", n, op.name, most, treeFanout+1)
+			}
+			for r, tm := range times {
+				if op.late != nil && (tm != times[0] || tm < slowest) {
+					t.Errorf("n=%d %s: rank %d left at %v, rank 0 at %v, slowest arrival %v", n, op.name, r, tm, times[0], slowest)
+				}
+			}
+		}
 	}
 }
 
@@ -87,15 +189,41 @@ func TestBcast(t *testing.T) {
 	}
 }
 
+// TestBcastInvalidRoot: every rooted operation refuses a root outside the
+// group, on both shapes, before it sends anything.
 func TestBcastInvalidRoot(t *testing.T) {
+	for _, n := range []int{2, 17} {
+		spmd(t, n, func(c *Comm) error {
+			for _, root := range []int{-1, n} {
+				_, bcast := c.Bcast(root, nil)
+				_, gather := c.Gather(root, nil)
+				_, scatterv := c.Scatterv(root, nil)
+				_, reduce := c.Reduce(root, 1, OpSum)
+				for op, err := range map[string]error{"bcast": bcast, "gather": gather, "scatterv": scatterv, "reduce": reduce} {
+					if err == nil {
+						return fmt.Errorf("n=%d: %s accepted root %d", n, op, root)
+					}
+				}
+			}
+			// Each failed call bumped seq before validating, identically on
+			// all ranks, so the group is still aligned. Verify with a real
+			// collective.
+			return c.Barrier()
+		})
+	}
+}
+
+// TestBcastShortFrame: a flat broadcast frame too short to hold the release
+// instant is refused, not sliced.
+func TestBcastShortFrame(t *testing.T) {
 	spmd(t, 2, func(c *Comm) error {
-		if _, err := c.Bcast(5, nil); err == nil {
-			return fmt.Errorf("invalid root accepted")
+		if c.Rank() == 0 {
+			return c.ep.SendOnce(1, tag(kindBcast, c.next(), 0), []byte{1, 2, 3})
 		}
-		// Consume the wasted sequence number identically on all ranks: the
-		// failed call bumped seq before validating, so the group is still
-		// aligned. Verify with a real collective.
-		return c.Barrier()
+		if _, err := c.Bcast(0, nil); err == nil || !strings.Contains(err.Error(), "short frame") {
+			return fmt.Errorf("got %v, want a short-frame error", err)
+		}
+		return nil
 	})
 }
 
@@ -195,67 +323,6 @@ func TestAlltoallvSelfCopyIsolation(t *testing.T) {
 		bufs[c.Rank()][0] = 'X'
 		if got[c.Rank()][0] == 'X' {
 			return fmt.Errorf("self delivery aliases sender buffer")
-		}
-		return nil
-	})
-}
-
-func TestAlltoallvChunked(t *testing.T) {
-	// With a message bound far below the payload sizes, contributions travel
-	// as framed chunk trains; the result must be identical to the unchunked
-	// exchange, including empty and sub-chunk-size payloads.
-	const n = 4
-	spmd(t, n, func(c *Comm) error {
-		c.SetMaxMsgBytes(64)
-		me := c.Rank()
-		bufs := make([][]byte, n)
-		for j := 0; j < n; j++ {
-			switch {
-			case me == 1 && j == 2:
-				bufs[j] = nil // empty contribution
-			case me == 2 && j == 1:
-				bufs[j] = []byte{0xAB} // smaller than one chunk
-			default:
-				bufs[j] = bytes.Repeat([]byte{byte(10*me + j)}, 500+13*me+j)
-			}
-		}
-		got, err := c.Alltoallv(bufs)
-		if err != nil {
-			return err
-		}
-		for r, p := range got {
-			var want []byte
-			switch {
-			case r == 1 && me == 2:
-				want = nil
-			case r == 2 && me == 1:
-				want = []byte{0xAB}
-			default:
-				want = bytes.Repeat([]byte{byte(10*r + me)}, 500+13*r+me)
-			}
-			if !bytes.Equal(p, want) {
-				return fmt.Errorf("rank %d from %d: got %d bytes, want %d", me, r, len(p), len(want))
-			}
-		}
-		return nil
-	})
-}
-
-func TestAlltoallvChunkAutoRaise(t *testing.T) {
-	// A pathologically small bound must still move a payload whose chunk
-	// count would overflow the 16-bit sub-index space: the chunk size is
-	// raised deterministically instead.
-	spmd(t, 2, func(c *Comm) error {
-		c.SetMaxMsgBytes(1)
-		me := c.Rank()
-		big := bytes.Repeat([]byte{byte(me + 1)}, 1<<16) // 64Ki payload, bound 1
-		got, err := c.Alltoallv([][]byte{big, big})
-		if err != nil {
-			return err
-		}
-		want := bytes.Repeat([]byte{byte(2 - me)}, 1<<16)
-		if !bytes.Equal(got[1-me], want) {
-			return fmt.Errorf("rank %d: chunked payload corrupted", me)
 		}
 		return nil
 	})
@@ -474,25 +541,7 @@ func spmdTCP(t *testing.T, n int, body func(c *Comm) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	clocks := make([]vtime.Clock, n)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for r := 0; r < n; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep := comm.NewEndpoint(r, n, tr, &clocks[r], vtime.Paragon())
-			errs[r] = body(New(ep))
-		}()
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
+	spmdOver(t, n, tr, body)
 }
 
 // TestCollectivesOverTCP exercises every collective over real sockets.
@@ -551,24 +600,23 @@ func TestCollectivesOverTCP(t *testing.T) {
 	})
 }
 
-// TestOwnedFramesAccount: the two senders that build a pooled frame only to
-// send it — a chunked alltoallv's header frame and the linear broadcast root's
-// last copy — give it to the transport. The pool's account says nobody lost
-// one and nobody released one twice: once every rank has released what
-// Alltoallv returned, as many buffers are out as before; each broadcast
-// leaves out the frames its receivers keep (they return a sub-slice, which
-// the pool will not take) and nothing more; and a send that fails leaves the
-// frame with the sender, who releases it.
+// TestOwnedFramesAccount: the flat broadcast root builds a pooled frame only
+// to send it, and gives its last copy to the transport. The pool's account
+// says nobody lost one and nobody released one twice: once every rank has
+// released what Alltoallv returned, as many buffers are out as before; an
+// Allreduce, which copies its eight bytes out of the broadcast frame, leaves
+// none out; each Bcast leaves out the frames its receivers keep (they return a
+// sub-slice, which the pool will not take) and nothing more; and a send that
+// fails leaves the frame with the sender, who releases it.
 func TestOwnedFramesAccount(t *testing.T) {
 	const n, rounds = 4, 3
 	base := bufpool.Stats().Outstanding
 	spmd(t, n, func(c *Comm) error {
-		c.SetMaxMsgBytes(64)
 		me := c.Rank()
 		for round := 0; round < rounds; round++ {
 			bufs := make([][]byte, n)
 			for j := range bufs {
-				bufs[j] = bytes.Repeat([]byte{byte(16*me + j + round)}, 70+90*j) // two chunks and more: the header frame is copied out and released
+				bufs[j] = bytes.Repeat([]byte{byte(16*me + j + round)}, 70+90*j)
 			}
 			got, err := c.Alltoallv(bufs)
 			if err != nil {
@@ -579,6 +627,9 @@ func TestOwnedFramesAccount(t *testing.T) {
 					return fmt.Errorf("round %d: rank %d from %d: wrong bytes", round, me, r)
 				}
 				bufpool.Put(p)
+			}
+			if sum, err := c.Allreduce(1, OpSum); err != nil || sum != n {
+				return fmt.Errorf("round %d: allreduce = %v, %v", round, sum, err)
 			}
 			root := round % n
 			data := bytes.Repeat([]byte{byte(round + 1)}, 5000)
@@ -600,14 +651,11 @@ func TestOwnedFramesAccount(t *testing.T) {
 	tr := comm.NewChanTransport(2)
 	tr.Close()
 	var clock vtime.Clock
-	c := New(comm.NewEndpoint(0, 2, tr, &clock, vtime.Paragon())).SetMaxMsgBytes(64)
-	if _, err := c.Alltoallv([][]byte{nil, make([]byte, 300)}); err == nil {
-		t.Fatal("Alltoallv over a closed transport succeeded")
-	}
+	c := New(comm.NewEndpoint(0, 2, tr, &clock, vtime.Paragon()))
 	if _, err := c.Bcast(0, make([]byte, 300)); err == nil {
 		t.Fatal("Bcast over a closed transport succeeded")
 	}
 	if got := bufpool.Stats().Outstanding - base; got != 0 {
-		t.Errorf("%d pooled buffers out after the failed sends", got)
+		t.Errorf("%d pooled buffers out after the failed send", got)
 	}
 }

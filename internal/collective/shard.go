@@ -1,45 +1,38 @@
 package collective
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"pcxxstreams/internal/bufpool"
 )
 
-// Fan-out sharding: the Linear algorithm funnels every collective through
-// the root — P-1 sends or receives on one goroutine — which is exactly the
-// bottleneck that flattens the scale curve past a few dozen ranks. Setting
-// a fan-out k reshapes the funnel ops (Barrier, Bcast, Gather, Scatterv,
-// Reduce, and everything composed from them) onto a k-ary tree over
-// virtual ranks: no node touches more than k+1 messages per operation, and
-// the depth is log_k P. Gather and Scatterv shard the payloads too — each
-// tree edge carries one packed frame of (u32 rank, u32 len, bytes)*
-// entries for the whole subtree below it, so the root handles k frames
-// instead of P-1 messages.
+// The tree shape. The flat exchange funnels every collective through the
+// root — P-1 sends or receives on one goroutine — which is what flattens the
+// scale curve past a few dozen ranks. On a communicator with a fan-out k the
+// funnel operations (Barrier, Bcast, Gather, Scatterv, Reduce, and everything
+// composed from them) run on a k-ary tree over virtual ranks: no node
+// touches more than k+1 messages per operation, and the depth is log_k P.
+// Gather and Scatterv shard the payloads too — each tree edge carries one
+// packed frame of (u32 rank, u32 len, bytes)* entries for the whole subtree
+// below it, so the root handles k frames instead of P-1 messages.
 //
-// Fan-out takes precedence over SetAlgorithm for the operations it
-// implements: it is an explicit opt-in, set identically on every rank.
-// Like the Tree algorithm (and unlike Linear), the sharded operations
-// release ranks within O(log_k P) message latencies of each other rather
-// than at one bit-equal virtual instant.
+// The tree releases the group as the flat exchange does, at one bit-equal
+// virtual instant: the root works out when the last copy of the release will
+// have arrived (releaseTime) and sends that instant down with it.
 
-// SetFanout selects the k-ary sharded collectives with fan-out k (k >= 2);
-// zero restores the algorithm chosen by SetAlgorithm. Every rank of the
-// group must use the same setting — the tree shape is part of the wire
-// protocol. Returns the communicator for chaining.
-func (c *Comm) SetFanout(k int) *Comm {
-	if k == 1 {
-		k = 2 // a 1-ary "tree" is a P-deep chain; never what anyone wants
-	}
-	c.fanout = k
-	return c
-}
-
-// Fanout reports the active fan-out (0 = sharding off).
+// Fanout reports the tree's fan-out (0 = the flat exchange).
 func (c *Comm) Fanout() int { return c.fanout }
 
-// sharded reports whether the k-ary paths are active for this group size.
-func (c *Comm) sharded() bool { return c.fanout >= 2 && c.Size() > 2 }
+// sharded reports whether the communicator has the tree shape.
+func (c *Comm) sharded() bool { return c.fanout != 0 }
+
+// vrank remaps ranks so the root is virtual rank 0.
+func vrank(rank, root, n int) int { return (rank - root + n) % n }
+
+// prank inverts vrank.
+func prank(v, root, n int) int { return (v + root) % n }
 
 // kparent returns the virtual rank of v's parent in the k-ary heap layout.
 func kparent(v, k int) int { return (v - 1) / k }
@@ -65,7 +58,8 @@ func kroute(v, u, k int) int {
 }
 
 // barrierKary runs the barrier over the k-ary tree: arrivals fan in to the
-// root, releases fan back out, and no rank handles more than fanout+1
+// root, the release — the instant its last copy will arrive, which everyone
+// leaves at — fans back out, and no rank handles more than fanout+1
 // messages.
 func (c *Comm) barrierKary(seq uint64) error {
 	n, k := c.Size(), c.fanout
@@ -79,49 +73,67 @@ func (c *Comm) barrierKary(seq uint64) error {
 			return fmt.Errorf("collective: sharded barrier gather: %w", err)
 		}
 	}
-	if v != 0 {
+	var release []byte
+	if v == 0 {
+		release = c.timeFrame(c.releaseTime(8))
+	} else {
 		parent := prank(kparent(v, k), 0, n)
 		if err := c.ep.SendOnce(parent, tag(kindBarrier, seq, 0), nil); err != nil {
 			return fmt.Errorf("collective: sharded barrier arrive: %w", err)
 		}
-		if _, err := c.ep.Recv(parent, tag(kindBarrier, seq, 1)); err != nil {
+		var err error
+		if release, err = c.ep.Recv(parent, tag(kindBarrier, seq, 1)); err != nil {
 			return fmt.Errorf("collective: sharded barrier release: %w", err)
 		}
+		defer bufpool.Put(release)
 	}
 	for i := 0; i < k; i++ {
 		ch := kchild(v, i, k, n)
 		if ch < 0 {
 			break
 		}
-		if err := c.ep.SendOnce(prank(ch, 0, n), tag(kindBarrier, seq, 1), nil); err != nil {
+		if err := c.ep.SendOnce(prank(ch, 0, n), tag(kindBarrier, seq, 1), release); err != nil {
 			return fmt.Errorf("collective: sharded barrier release: %w", err)
 		}
 	}
+	c.ep.Clock().SyncTo(decodeTime(release))
 	return nil
 }
 
-// bcastKary forwards root's payload down the k-ary tree. Non-root callers
-// receive a pooled buffer they own, matching the Tree algorithm's contract.
-func (c *Comm) bcastKary(seq uint64, root int, data []byte) ([]byte, error) {
+// bcastKary forwards root's payload down the k-ary tree behind the 8-byte
+// release instant, as the flat broadcast frames it; a non-root caller gets
+// the payload and the pooled frame it is a part of.
+func (c *Comm) bcastKary(seq uint64, root int, data []byte) (payload, frame []byte, err error) {
 	n, k := c.Size(), c.fanout
 	v := vrank(c.Rank(), root, n)
-	if v != 0 {
-		d, err := c.ep.Recv(prank(kparent(v, k), root, n), tag(kindBcast, seq, 0))
+	if v == 0 {
+		rel := c.releaseTime(8 + len(data))
+		frame = append(appendTime(bufpool.GetCap(8+len(data)), rel), data...)
+		defer bufpool.Put(frame) // the root keeps data; every child is sent a copy
+	} else {
+		frame, err = c.ep.Recv(prank(kparent(v, k), root, n), tag(kindBcast, seq, 0))
 		if err != nil {
-			return nil, fmt.Errorf("collective: sharded bcast recv: %w", err)
+			return nil, nil, fmt.Errorf("collective: sharded bcast recv: %w", err)
 		}
-		data = d
+		if len(frame) < 8 {
+			bufpool.Put(frame)
+			return nil, nil, fmt.Errorf("collective: bcast short frame (%d bytes)", len(frame))
+		}
 	}
 	for i := 0; i < k; i++ {
 		ch := kchild(v, i, k, n)
 		if ch < 0 {
 			break
 		}
-		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindBcast, seq, 0), data); err != nil {
-			return nil, fmt.Errorf("collective: sharded bcast send: %w", err)
+		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindBcast, seq, 0), frame); err != nil {
+			return nil, nil, fmt.Errorf("collective: sharded bcast send: %w", err)
 		}
 	}
-	return data, nil
+	c.ep.Clock().SyncTo(decodeTime(frame))
+	if v == 0 {
+		return data, nil, nil
+	}
+	return frame[8:], frame, nil
 }
 
 // reduceKary folds values up the k-ary tree onto the root. Children are
@@ -153,24 +165,49 @@ func (c *Comm) reduceKary(seq uint64, root int, val float64, op ReduceOp) (float
 	return acc, nil
 }
 
+// appendEntry appends one (u32 rank, u32 len, bytes) entry to a packed frame.
+func appendEntry(dst []byte, rank int, p []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rank))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
+	return append(dst, p...)
+}
+
+// walkEntries calls visit for every entry of a packed (u32 rank, u32 len,
+// bytes)* frame of an n-rank group, in frame order; p aliases d. A frame
+// that ends inside an entry, or names a rank outside the group, stops the
+// walk with an error.
+func walkEntries(d []byte, n int, visit func(rank int, p []byte)) error {
+	for len(d) > 0 {
+		if len(d) < 8 {
+			return errors.New("frame truncated")
+		}
+		r, l := binary.LittleEndian.Uint32(d), binary.LittleEndian.Uint32(d[4:])
+		d = d[8:]
+		if uint64(r) >= uint64(n) || uint64(l) > uint64(len(d)) {
+			return errors.New("frame corrupt")
+		}
+		visit(int(r), d[:l])
+		d = d[l:]
+	}
+	return nil
+}
+
 // gatherKary funnels contributions up the k-ary tree. Each internal node
 // packs its own entry plus its children's (already packed) subtree frames
 // into one frame for its parent; the root unpacks k frames into the
-// rank-indexed result. Entry layout: (u32 rank, u32 len, bytes)*.
+// rank-indexed result, each payload copied into a pooled buffer the caller
+// owns.
 func (c *Comm) gatherKary(seq uint64, root int, data []byte) ([][]byte, error) {
 	n, k := c.Size(), c.fanout
 	v := vrank(c.Rank(), root, n)
 
 	var out [][]byte
-	var pack Buffer2
+	var pack []byte
 	if v == 0 {
 		out = make([][]byte, n)
 		out[root] = data
 	} else {
-		pack.b = pack.b[:0]
-		pack.u32(uint32(c.Rank()))
-		pack.u32(uint32(len(data)))
-		pack.raw(data)
+		pack = appendEntry(nil, c.Rank(), data)
 	}
 	for i := 0; i < k; i++ {
 		ch := kchild(v, i, k, n)
@@ -182,18 +219,20 @@ func (c *Comm) gatherKary(seq uint64, root int, data []byte) ([][]byte, error) {
 			return nil, fmt.Errorf("collective: sharded gather recv: %w", err)
 		}
 		if v == 0 {
-			err = unpackEntries(d, out)
+			err = walkEntries(d, n, func(r int, p []byte) {
+				out[r] = append(bufpool.GetCap(len(p)), p...)
+			})
 		} else {
-			pack.raw(d)
+			pack = append(pack, d...)
 		}
 		bufpool.Put(d)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("collective: sharded gather: %w", err)
 		}
 	}
 	if v != 0 {
 		parent := prank(kparent(v, k), root, n)
-		if err := c.ep.SendOnce(parent, tag(kindGather, seq, 0), pack.b); err != nil {
+		if err := c.ep.SendOnce(parent, tag(kindGather, seq, 0), pack); err != nil {
 			return nil, fmt.Errorf("collective: sharded gather send: %w", err)
 		}
 		return nil, nil
@@ -206,29 +245,6 @@ func (c *Comm) gatherKary(seq uint64, root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// unpackEntries parses a packed (u32 rank, u32 len, bytes)* frame into the
-// rank-indexed slice, copying each payload into a pooled buffer the caller
-// owns.
-func unpackEntries(d []byte, out [][]byte) error {
-	n := len(out)
-	for off := 0; off < len(d); {
-		if off+8 > len(d) {
-			return fmt.Errorf("collective: sharded gather frame truncated")
-		}
-		r := int(le32(d[off:]))
-		l := int(le32(d[off+4:]))
-		off += 8
-		if r < 0 || r >= n || off+l > len(d) {
-			return fmt.Errorf("collective: sharded gather frame corrupt")
-		}
-		blk := bufpool.Get(l)
-		copy(blk, d[off:off+l])
-		out[r] = blk
-		off += l
-	}
-	return nil
-}
-
 // scattervKary distributes parts down the k-ary tree: the root packs one
 // frame per child holding every entry destined for that child's subtree;
 // each child extracts its own part and repacks the remainder for the next
@@ -239,57 +255,38 @@ func (c *Comm) scattervKary(seq uint64, root int, parts [][]byte) ([]byte, error
 	v := vrank(c.Rank(), root, n)
 
 	var own []byte
-	packs := make([]Buffer2, k)
+	packs := make([][]byte, k)
+	// route files rank r's part under the child of v whose subtree holds r
+	// (v's children occupy virtual ranks v*k+1 … v*k+k), or keeps it when r
+	// is the caller.
+	route := func(r int, p []byte) {
+		if r == c.Rank() {
+			own = append(bufpool.GetCap(len(p)), p...)
+			return
+		}
+		i := kroute(v, vrank(r, root, n), k) - 1 - v*k
+		packs[i] = appendEntry(packs[i], r, p)
+	}
 	if v == 0 {
 		if len(parts) != n {
 			return nil, fmt.Errorf("collective: scatterv got %d parts for %d ranks", len(parts), n)
 		}
-		own = bufpool.Get(len(parts[root]))
-		copy(own, parts[root])
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			u := vrank(r, root, n)
-			p := &packs[kroute(0, u, k)-1] // child i occupies virtual rank i+1
-			p.u32(uint32(r))
-			p.u32(uint32(len(parts[r])))
-			p.raw(parts[r])
+		for r, p := range parts {
+			route(r, p)
 		}
 	} else {
-		parent := prank(kparent(v, k), root, n)
-		d, err := c.ep.Recv(parent, tag(kindGather, seq, 1))
+		d, err := c.ep.Recv(prank(kparent(v, k), root, n), tag(kindGather, seq, 1))
 		if err != nil {
 			return nil, fmt.Errorf("collective: sharded scatterv recv: %w", err)
 		}
-		me := c.Rank()
-		for off := 0; off < len(d); {
-			if off+8 > len(d) {
-				bufpool.Put(d)
-				return nil, fmt.Errorf("collective: sharded scatterv frame truncated")
-			}
-			r := int(le32(d[off:]))
-			l := int(le32(d[off+4:]))
-			off += 8
-			if r < 0 || r >= n || off+l > len(d) {
-				bufpool.Put(d)
-				return nil, fmt.Errorf("collective: sharded scatterv frame corrupt")
-			}
-			if r == me {
-				own = bufpool.Get(l)
-				copy(own, d[off:off+l])
-			} else {
-				u := vrank(r, root, n)
-				p := &packs[kroute(v, u, k)-1-v*k] // child index within v's block
-				p.u32(uint32(r))
-				p.u32(uint32(l))
-				p.raw(d[off : off+l])
-			}
-			off += l
-		}
+		err = walkEntries(d, n, route)
 		bufpool.Put(d)
-		if own == nil {
-			return nil, fmt.Errorf("collective: sharded scatterv frame missing own part")
+		if err == nil && own == nil {
+			err = errors.New("frame missing own part")
+		}
+		if err != nil {
+			bufpool.Put(own)
+			return nil, fmt.Errorf("collective: sharded scatterv: %w", err)
 		}
 	}
 	for i := 0; i < k; i++ {
@@ -297,7 +294,7 @@ func (c *Comm) scattervKary(seq uint64, root int, parts [][]byte) ([]byte, error
 		if ch < 0 {
 			break
 		}
-		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindGather, seq, 1), packs[i].b); err != nil {
+		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindGather, seq, 1), packs[i]); err != nil {
 			bufpool.Put(own)
 			return nil, fmt.Errorf("collective: sharded scatterv send: %w", err)
 		}

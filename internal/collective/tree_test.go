@@ -5,14 +5,18 @@ import (
 	"fmt"
 	"testing"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/vtime"
 )
 
-// spmdAlg runs body over the channel transport with the given algorithm.
-func spmdAlg(t *testing.T, n int, alg Algorithm, body func(c *Comm) error) []float64 {
+// spmdShape runs body over the channel transport on communicators forced to
+// one shape — fanout 0 is the flat exchange, k >= 2 the k-ary tree —
+// whatever New chose for the size: the way to compare the two shapes at one
+// size, and to drive the tree code at sizes New keeps flat.
+func spmdShape(t testing.TB, n, fanout int, body func(c *Comm) error) []float64 {
 	t.Helper()
 	return spmd(t, n, func(c *Comm) error {
-		c.SetAlgorithm(alg)
+		c.fanout = fanout
 		return body(c)
 	})
 }
@@ -22,7 +26,7 @@ func TestTreeBcastAllSizes(t *testing.T) {
 		for _, root := range []int{0, n - 1, n / 2} {
 			n, root := n, root
 			t.Run(fmt.Sprintf("n=%d root=%d", n, root), func(t *testing.T) {
-				spmdAlg(t, n, Tree, func(c *Comm) error {
+				spmdShape(t, n, treeFanout, func(c *Comm) error {
 					var data []byte
 					if c.Rank() == root {
 						data = []byte(fmt.Sprintf("payload-%d-%d", n, root))
@@ -46,7 +50,7 @@ func TestTreeReduceAllSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 6, 9, 16} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			spmdAlg(t, n, Tree, func(c *Comm) error {
+			spmdShape(t, n, treeFanout, func(c *Comm) error {
 				// Integer-valued floats: exact under any association order.
 				sum, err := c.Reduce(0, float64(c.Rank()+1), OpSum)
 				if err != nil {
@@ -69,27 +73,30 @@ func TestTreeReduceAllSizes(t *testing.T) {
 	}
 }
 
+// The sizes below are past flatMax: the tree is the shape New gives them.
+
 func TestTreeBarrierOrdering(t *testing.T) {
-	// The dissemination barrier must not release anyone before the slowest
-	// participant arrived.
-	times := spmdAlg(t, 8, Tree, func(c *Comm) error {
+	// The tree must not release anyone before the slowest participant
+	// arrived.
+	const n = 24
+	times := spmd(t, n, func(c *Comm) error {
 		c.Endpoint().Clock().Advance(float64(c.Rank()))
 		return c.Barrier()
 	})
 	for r, tm := range times {
-		if tm < 7 {
-			t.Fatalf("rank %d left the barrier at %v, before the slowest arrival (7)", r, tm)
+		if tm < n-1 {
+			t.Fatalf("rank %d left the barrier at %v, before the slowest arrival (%d)", r, tm, n-1)
 		}
 	}
 }
 
 func TestTreeAllreduce(t *testing.T) {
-	spmdAlg(t, 12, Tree, func(c *Comm) error {
+	spmd(t, 24, func(c *Comm) error {
 		got, err := c.Allreduce(1, OpSum)
 		if err != nil {
 			return err
 		}
-		if got != 12 {
+		if got != 24 {
 			return fmt.Errorf("allreduce = %v", got)
 		}
 		return nil
@@ -97,17 +104,19 @@ func TestTreeAllreduce(t *testing.T) {
 }
 
 func TestTreeCollectivesSequence(t *testing.T) {
-	spmdAlg(t, 5, Tree, func(c *Comm) error {
+	const n = 19
+	spmd(t, n, func(c *Comm) error {
 		for i := 0; i < 5; i++ {
 			if err := c.Barrier(); err != nil {
 				return err
 			}
+			root := i * 4 % n
 			msg := []byte{byte(i)}
 			var in []byte
-			if c.Rank() == i%5 {
+			if c.Rank() == root {
 				in = msg
 			}
-			got, err := c.Bcast(i%5, in)
+			got, err := c.Bcast(root, in)
 			if err != nil {
 				return err
 			}
@@ -119,11 +128,11 @@ func TestTreeCollectivesSequence(t *testing.T) {
 	})
 }
 
-// TestTreeScalesLogarithmically: at 64 nodes, tree broadcast completes in
-// far less virtual time than linear broadcast.
+// TestTreeScalesLogarithmically: at 256 nodes the tree broadcast completes
+// in far less virtual time than the flat one.
 func TestTreeScalesLogarithmically(t *testing.T) {
-	elapsed := func(n int, alg Algorithm) float64 {
-		times := spmdAlg(t, n, alg, func(c *Comm) error {
+	elapsed := func(n, fanout int) float64 {
+		times := spmdShape(t, n, fanout, func(c *Comm) error {
 			var data []byte
 			if c.Rank() == 0 {
 				data = make([]byte, 1024)
@@ -133,33 +142,27 @@ func TestTreeScalesLogarithmically(t *testing.T) {
 		})
 		return vtime.MaxOf(times)
 	}
-	lin, tree := elapsed(256, Linear), elapsed(256, Tree)
-	if tree >= lin/3 {
-		t.Fatalf("tree bcast (%v) not ≥3x faster than linear (%v) at 256 nodes", tree, lin)
+	flat, tree := elapsed(256, 0), elapsed(256, treeFanout)
+	if tree >= flat/3 {
+		t.Fatalf("tree bcast (%v) not ≥3x faster than flat (%v) at 256 nodes", tree, flat)
 	}
-	// At the paper's scale the two are comparable; linear is not broken.
-	lin8, tree8 := elapsed(8, Linear), elapsed(8, Tree)
-	if lin8 > 3*tree8 {
-		t.Fatalf("linear (%v) unexpectedly poor at 8 nodes vs tree (%v)", lin8, tree8)
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if Linear.String() != "linear" || Tree.String() != "tree" {
-		t.Fatal("algorithm names wrong")
+	// At the paper's scale the two are comparable; flat is not broken.
+	flat8, tree8 := elapsed(8, 0), elapsed(8, treeFanout)
+	if flat8 > 3*tree8 {
+		t.Fatalf("flat (%v) unexpectedly poor at 8 nodes vs tree (%v)", flat8, tree8)
 	}
 }
 
-// TestAlgorithmsAgreeOnResults: for exact-representable inputs, the linear
-// and tree algorithms compute identical collective results across random
-// group sizes and roots.
+// TestAlgorithmsAgreeOnResults: for exact-representable inputs, the flat
+// exchange and the tree compute identical collective results on either side
+// of flatMax.
 func TestAlgorithmsAgreeOnResults(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8, 11} {
+	for _, n := range []int{2, 3, 5, 8, 11, 17, 64} {
 		n := n
-		results := map[Algorithm][]float64{}
-		for _, alg := range []Algorithm{Linear, Tree} {
+		results := map[int][]float64{}
+		for _, fanout := range []int{0, treeFanout} {
 			sums := make([]float64, n)
-			spmdAlg(t, n, alg, func(c *Comm) error {
+			spmdShape(t, n, fanout, func(c *Comm) error {
 				s, err := c.Allreduce(float64(c.Rank()*3+1), OpSum)
 				if err != nil {
 					return err
@@ -167,43 +170,46 @@ func TestAlgorithmsAgreeOnResults(t *testing.T) {
 				sums[c.Rank()] = s
 				return nil
 			})
-			results[alg] = sums
+			results[fanout] = sums
 		}
 		for r := 0; r < n; r++ {
-			if results[Linear][r] != results[Tree][r] {
-				t.Fatalf("n=%d rank %d: linear %v != tree %v",
-					n, r, results[Linear][r], results[Tree][r])
+			if results[0][r] != results[treeFanout][r] {
+				t.Fatalf("n=%d rank %d: flat %v != tree %v",
+					n, r, results[0][r], results[treeFanout][r])
 			}
 		}
 	}
 }
 
-// TestGatherScattervInverse: Scatterv undoes Gather.
+// TestGatherScattervInverse: Scatterv undoes Gather, on both shapes.
 func TestGatherScattervInverse(t *testing.T) {
-	spmd(t, 5, func(c *Comm) error {
-		mine := []byte(fmt.Sprintf("rank-%d-data", c.Rank()))
-		parts, err := c.Gather(0, mine)
-		if err != nil {
-			return err
-		}
-		got, err := c.Scatterv(0, parts)
-		if err != nil {
-			return err
-		}
-		if string(got) != string(mine) {
-			return fmt.Errorf("rank %d: scatter(gather(x)) = %q, want %q", c.Rank(), got, mine)
-		}
-		return nil
-	})
+	for _, n := range []int{5, 20} {
+		spmd(t, n, func(c *Comm) error {
+			mine := []byte(fmt.Sprintf("rank-%d-data", c.Rank()))
+			parts, err := c.Gather(0, mine)
+			if err != nil {
+				return err
+			}
+			got, err := c.Scatterv(0, parts)
+			if err != nil {
+				return err
+			}
+			if string(got) != string(mine) {
+				return fmt.Errorf("n=%d rank %d: scatter(gather(x)) = %q, want %q", n, c.Rank(), got, mine)
+			}
+			return nil
+		})
+	}
 }
 
-// TestRecursiveDoublingAllgather: correct contents at power-of-two sizes,
-// fallback at others, and a latency win over the rooted linear version.
+// TestRecursiveDoublingAllgather is the allgather contents check at the
+// sizes the recursive-doubling exchange split into power-of-two and fallback
+// cases; they are one path now, run here on the tree.
 func TestRecursiveDoublingAllgather(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16, 3, 6} { // incl. non-powers (fallback)
+	for _, n := range []int{2, 4, 8, 16, 3, 6} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			spmdAlg(t, n, Tree, func(c *Comm) error {
+			spmdShape(t, n, 2, func(c *Comm) error {
 				mine := bytes.Repeat([]byte{byte('A' + c.Rank())}, c.Rank()+1)
 				parts, err := c.Allgather(mine)
 				if err != nil {
@@ -224,35 +230,81 @@ func TestRecursiveDoublingAllgather(t *testing.T) {
 	}
 }
 
-// TestRDAllgatherBufferIsolation: the returned own-part must not alias the
-// caller's buffer.
-func TestRDAllgatherBufferIsolation(t *testing.T) {
-	spmdAlg(t, 4, Tree, func(c *Comm) error {
-		mine := []byte{byte(c.Rank()), 99}
-		parts, err := c.Allgather(mine)
-		if err != nil {
-			return err
-		}
-		mine[1] = 0
-		if parts[c.Rank()][1] != 99 {
-			return fmt.Errorf("allgather aliased input buffer")
-		}
-		return nil
-	})
+// TestAllgatherBufferIsolation: the returned own-part must not alias the
+// caller's buffer, on either shape.
+func TestAllgatherBufferIsolation(t *testing.T) {
+	for _, n := range []int{4, 20} {
+		spmd(t, n, func(c *Comm) error {
+			mine := []byte{byte(c.Rank()), 99}
+			parts, err := c.Allgather(mine)
+			if err != nil {
+				return err
+			}
+			mine[1] = 0
+			if parts[c.Rank()][1] != 99 {
+				return fmt.Errorf("n=%d: allgather aliased input buffer", n)
+			}
+			return nil
+		})
+	}
 }
 
-// TestRDAllgatherFasterAtScale: at 128 nodes the log-round exchange beats
-// the rooted gather+bcast in virtual time.
-func TestRDAllgatherFasterAtScale(t *testing.T) {
-	elapsed := func(alg Algorithm) float64 {
-		times := spmdAlg(t, 128, alg, func(c *Comm) error {
+// TestTreeAllgatherFasterAtScale: at 128 nodes gather+bcast over the tree
+// beats the same pair through one root in virtual time.
+func TestTreeAllgatherFasterAtScale(t *testing.T) {
+	elapsed := func(fanout int) float64 {
+		times := spmdShape(t, 128, fanout, func(c *Comm) error {
 			_, err := c.Allgather(make([]byte, 32))
 			return err
 		})
 		return vtime.MaxOf(times)
 	}
-	lin, tree := elapsed(Linear), elapsed(Tree)
-	if tree >= lin/2 {
-		t.Fatalf("rd allgather (%v) not ≥2x faster than linear (%v) at 128 nodes", tree, lin)
+	flat, tree := elapsed(0), elapsed(treeFanout)
+	if tree >= flat/2 {
+		t.Fatalf("tree allgather (%v) not ≥2x faster than flat (%v) at 128 nodes", tree, flat)
+	}
+}
+
+// BenchmarkShapes is the wall-clock side of DESIGN.md "Collective shape":
+// real time per message of the flat exchange against the tree at one size,
+// on the runtime scale curve's workload (64 neighbour messages, an Allreduce
+// and a Barrier a round) and on its two collectives alone. One iteration is
+// one round on every rank; run with a fixed -benchtime=Nx, best of several
+// -count.
+func BenchmarkShapes(b *testing.B) {
+	const scaleTag = 0x5CA1E // high byte zero: never a collective's tag
+	for _, n := range []int{8, 16, 32, 128, 512, 1024} {
+		for _, p2p := range []int{64, 0} {
+			for _, fanout := range []int{0, treeFanout} {
+				b.Run(fmt.Sprintf("P=%d/p2p=%d/fanout=%d", n, p2p, fanout), func(b *testing.B) {
+					payload := make([]byte, 256)
+					spmdShape(b, n, fanout, func(c *Comm) error {
+						right, left := (c.Rank()+1)%n, (c.Rank()+n-1)%n
+						for round := 0; round < b.N; round++ {
+							for i := 0; i < p2p; i++ {
+								if err := c.ep.Send(right, scaleTag, payload); err != nil {
+									return err
+								}
+								d, err := c.ep.Recv(left, scaleTag)
+								if err != nil {
+									return err
+								}
+								bufpool.Put(d)
+							}
+							if _, err := c.Allreduce(float64(c.Rank()), OpMax); err != nil {
+								return err
+							}
+							if err := c.Barrier(); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+					// Either shape moves 4(n-1) messages for the two collectives.
+					msgs := float64(b.N) * float64(p2p*n+4*(n-1))
+					b.ReportMetric(b.Elapsed().Seconds()*1e6/msgs, "µs/msg")
+				})
+			}
+		}
 	}
 }

@@ -157,9 +157,10 @@ func (s *OStream) appendRecord(w flush) error {
 // Allreduce, the same agreement writeParallel performs anyway, hoisted
 // ahead of the strategy choice — and asks the planner for this record's
 // plan. The Allreduce both supplies a rank-identical geometry and
-// equalizes the group's virtual clocks, so every rank picks the same
-// strategy with no further communication and the post-flush clock delta
-// is a common observation.
+// equalizes the group's virtual clocks — its root hears from every rank
+// before it releases any, and all of them leave at the one instant it sends
+// with the result — so every rank picks the same strategy with no further
+// communication and the post-flush clock delta is a common observation.
 func (s *OStream) planRecord(localBytes int) (Strategy, error) {
 	total, err := s.node.Comm().Allreduce(float64(localBytes), collective.OpSum)
 	if err != nil {

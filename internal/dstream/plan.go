@@ -189,10 +189,14 @@ func (s *stream) newPlanState() planState {
 }
 
 // decided books one decision. The caller has just come out of the
-// collective that supplied the planner's rank-identical inputs, so the
-// group's clocks are equal and planStart is a common origin for the
-// observation that follows the data movement. A switch leaves a zero-length
-// marker span, so critical-path attribution sees the re-planning event.
+// collective that supplied the planner's rank-identical inputs. Every rank
+// that was waiting in it when its root released the group — all of them after
+// an Allreduce, all but a rank the root's broadcast finds still busy after a
+// Bcast — left at the release instant the root sent along (collective's
+// releaseTime, on either shape), so their clocks are equal to the bit and
+// planStart is a common origin for the observation that follows the data
+// movement. A switch leaves a zero-length marker span, so critical-path
+// attribution sees the re-planning event.
 func (p *planState) decided(s *stream, d plan.Decision) {
 	p.planK, p.planStrat, p.planEst = d.Aggregators, d.Strategy, d.RawEstimate
 	p.planStart = s.node.Clock().Now()

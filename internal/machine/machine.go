@@ -48,20 +48,6 @@ type Config struct {
 	// metrics — plus comm/collective/dstream spans on the monitor's
 	// recorder (or on Trace, when both are set).
 	Monitor *dsmon.Monitor
-	// Collectives selects the collective algorithm (Linear by default;
-	// Tree scales to large node counts).
-	Collectives collective.Algorithm
-	// MaxMsgBytes, when positive, bounds one point-to-point payload inside
-	// the large-vector collectives (Alltoallv); larger contributions are
-	// chunked transparently. Applied uniformly across the group, as the
-	// framing is part of the wire protocol.
-	MaxMsgBytes int
-	// Fanout, when >= 2, shards the funnel collectives (barrier, bcast,
-	// gather, scatterv, reduce) onto a k-ary tree so no rank handles more
-	// than Fanout+1 messages per operation — the root-funnel fix for runs
-	// past a few dozen ranks. Takes precedence over Collectives for the
-	// operations it covers. Applied uniformly across the group.
-	Fanout int
 	// WrapTransport, when non-nil, wraps the run's transport before any
 	// endpoint binds to it — the hook the chaos layer uses to inject
 	// per-message faults between the endpoints and the real transport.
@@ -165,6 +151,9 @@ type Result struct {
 	// that a shared FileSystem accumulates across runs; use the FileSystem's
 	// ResetStats between phases for per-phase numbers.
 	IO pfs.IOStats
+	// Fanout is the shape the run's collectives had, which follows from
+	// NProcs alone: 0 for the flat exchange, else the tree's fan-out.
+	Fanout int
 }
 
 // Run executes body on every node of a machine described by cfg and waits
@@ -252,7 +241,7 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 		if cfg.RecvDeadline > 0 {
 			n.ep.SetRecvDeadline(cfg.RecvDeadline)
 		}
-		n.coll = collective.New(n.ep).SetAlgorithm(cfg.Collectives).SetMaxMsgBytes(cfg.MaxMsgBytes).SetFanout(cfg.Fanout)
+		n.coll = collective.New(n.ep)
 		nodes[r] = n
 	}
 	for r := 0; r < cfg.NProcs; r++ {
@@ -281,7 +270,7 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 	}
 	wg.Wait()
 
-	res := Result{NodeTimes: make([]float64, cfg.NProcs), IO: fs.Stats()}
+	res := Result{NodeTimes: make([]float64, cfg.NProcs), IO: fs.Stats(), Fanout: nodes[0].coll.Fanout()}
 	for r, n := range nodes {
 		res.NodeTimes[r] = n.clock.Now()
 		if res.NodeTimes[r] > res.Elapsed {

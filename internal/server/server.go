@@ -77,11 +77,6 @@ type Config struct {
 	// Default: 2 × StripeFactor × StripeUnit — roughly the store's natural
 	// concurrency, so one tenant cannot bury the stripe under a backlog.
 	TenantWindowBytes int64
-	// EagerBytes is the eager/rendezvous split reused from the comm layer:
-	// requests whose payload is at most this many bytes bypass the
-	// admission window (control traffic must not deadlock behind bulk
-	// data), larger ones reserve window credits first. Default 4 KiB.
-	EagerBytes int
 	// Grace is how long a disconnected session stays resumable (and keeps
 	// counting against MaxSessions). Default 30 s.
 	Grace time.Duration
@@ -89,6 +84,12 @@ type Config struct {
 	// unmonitored.
 	Monitor *dsmon.Monitor
 }
+
+// eagerBytes is the eager/rendezvous split reused from the comm layer:
+// requests whose payload is at most this many bytes bypass the admission
+// window (control traffic must not deadlock behind bulk data), larger ones
+// reserve window credits first. The hello reply carries it to the client.
+const eagerBytes = 4 << 10
 
 func (c Config) withDefaults() Config {
 	if c.StripeFactor <= 0 {
@@ -108,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantWindowBytes <= 0 {
 		c.TenantWindowBytes = 2 * int64(c.StripeFactor) * c.StripeUnit
-	}
-	if c.EagerBytes <= 0 {
-		c.EagerBytes = 4 << 10
 	}
 	if c.Grace <= 0 {
 		c.Grace = 30 * time.Second
@@ -696,7 +694,7 @@ func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
 	} else {
 		out = putU8(out, 0)
 	}
-	out = putU32(out, uint32(s.cfg.EagerBytes))
+	out = putU32(out, eagerBytes)
 	w.reply(out, nil)
 	return sess, nil
 }
@@ -833,7 +831,7 @@ func (s *Server) rankFor(tenant, name string, off int64) chan func() {
 // pass straight through, like eager sends in the comm layer). The returned
 // release func is nil-safe to call once.
 func (s *Server) admit(t *tenantState, n int) (func(), error) {
-	if n <= s.cfg.EagerBytes {
+	if n <= eagerBytes {
 		return func() {}, nil
 	}
 	grab := int64(n)

@@ -26,7 +26,6 @@ package pcxxstreams
 import (
 	"pcxxstreams/internal/ckpt"
 	"pcxxstreams/internal/collection"
-	"pcxxstreams/internal/collective"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dsmon/critpath"
@@ -64,16 +63,6 @@ const (
 	TransportChan = machine.TransportChan
 	// TransportTCP exchanges messages over loopback TCP sockets.
 	TransportTCP = machine.TransportTCP
-)
-
-// Collective algorithms (Config.Collectives).
-const (
-	// LinearCollectives is the root-exchanges-with-all default, right at
-	// the paper's 4-16 node scale.
-	LinearCollectives = collective.Linear
-	// TreeCollectives uses binomial trees and a dissemination barrier:
-	// O(log P) depth for large simulated machines.
-	TreeCollectives = collective.Tree
 )
 
 // TraceRecorder records per-operation virtual-time intervals of a run

@@ -201,12 +201,13 @@ func TestProfileByName(t *testing.T) {
 }
 
 // TestFacadeGridAndTraceAndTree: the extension surface is reachable through
-// the façade: 3-D grids, tree collectives, and tracing.
+// the façade: 3-D grids, tracing, and — at 27 nodes, past the flat
+// exchange's 16 — the tree collectives.
 func TestFacadeGridAndTraceAndTree(t *testing.T) {
 	rec := NewTraceRecorder()
-	cfg := Config{NProcs: 8, Profile: Challenge(), Trace: rec, Collectives: TreeCollectives}
-	_, err := Run(cfg, func(n *Node) error {
-		g3, err := NewGrid3D(4, 4, 4, 2, 2, 2, Block, Block, Block, 0, 0, 0)
+	cfg := Config{NProcs: 27, Profile: Challenge(), Trace: rec}
+	res, err := Run(cfg, func(n *Node) error {
+		g3, err := NewGrid3D(6, 6, 6, 3, 3, 3, Block, Block, Block, 0, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -229,7 +230,7 @@ func TestFacadeGridAndTraceAndTree(t *testing.T) {
 			return err
 		}
 		// Read back on a flat BLOCK layout.
-		d, err := NewDistribution(64, 8, Block, 0)
+		d, err := NewDistribution(216, 27, Block, 0)
 		if err != nil {
 			return err
 		}
@@ -261,6 +262,9 @@ func TestFacadeGridAndTraceAndTree(t *testing.T) {
 	}
 	if rec.Len() == 0 {
 		t.Fatal("trace recorded nothing")
+	}
+	if res.Fanout == 0 {
+		t.Fatal("27 nodes ran the flat collectives")
 	}
 }
 
