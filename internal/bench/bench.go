@@ -20,7 +20,6 @@ import (
 	"pcxxstreams/internal/manualbuf"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/scf"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/unbuffered"
 	"pcxxstreams/internal/vtime"
 )
@@ -79,8 +78,6 @@ type Run struct {
 	// Verify re-checks every element after the input phase (on by default
 	// in tests; adds no virtual time).
 	Verify bool
-	// Trace, when non-nil, records every I/O operation's virtual interval.
-	Trace *trace.Recorder
 	// Monitor, when non-nil, collects dsmon metrics (and, if the monitor
 	// traces, spans) for the whole run.
 	Monitor *dsmon.Monitor
@@ -126,7 +123,6 @@ func Measure(r Run) (Measurement, error) {
 		Profile:   r.Profile,
 		Transport: r.Transport,
 		FS:        fs,
-		Trace:     r.Trace,
 		Monitor:   r.Monitor,
 	}, func(n *machine.Node) error {
 		// Figure 3 declares the benchmark collection CYCLIC.

@@ -6,7 +6,6 @@ import (
 
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -64,13 +63,13 @@ func TestSendRecvFlowUnderFaults(t *testing.T) {
 			t.Fatalf("seed %d: %d messages produced %d msg edges, want exactly %d",
 				seed, n, len(flows), n)
 		}
-		byID := map[trace.SpanID]trace.Event{}
+		byID := map[dsmon.SpanID]dsmon.Event{}
 		for _, ev := range rec.Events() {
 			if ev.ID != 0 {
 				byID[ev.ID] = ev
 			}
 		}
-		sinks := map[trace.SpanID]bool{}
+		sinks := map[dsmon.SpanID]bool{}
 		for _, f := range flows {
 			if f.Kind != "msg" {
 				t.Fatalf("seed %d: unexpected edge kind %q", seed, f.Kind)

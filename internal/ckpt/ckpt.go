@@ -15,8 +15,10 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/collection"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dstream"
@@ -136,59 +138,48 @@ func Latest(node *machine.Node, base string, slots int) (Slot, bool, error) {
 	return best, found, nil
 }
 
-// validate checks one slot's marker on node 0 and broadcasts the verdict.
+// validate checks one slot's marker on node 0 and gives every node the
+// verdict: the committed epoch, or ok false for a slot no checkpoint
+// committed to.
 func validate(node *machine.Node, name string) (epoch uint64, ok bool, err error) {
-	var verdict []byte // 1 byte ok flag + 8 bytes epoch
-	if node.Rank() == 0 {
-		verdict = validateLocal(node, name)
-	}
-	verdict, err = node.Comm().Bcast(0, verdict)
+	verdict, frame, err := node.Comm().Rooted(0, func() ([]byte, error) { return validateLocal(node, name), nil })
 	if err != nil {
 		return 0, false, fmt.Errorf("ckpt: validate %s: %w", name, err)
 	}
-	if len(verdict) != 9 {
-		return 0, false, fmt.Errorf("ckpt: malformed verdict for %s", name)
+	defer bufpool.Put(frame)
+	switch len(verdict) {
+	case 0:
+		return 0, false, nil
+	case 8:
+		return enc.NewReader(verdict).Uint64(), true, nil
 	}
-	d := enc.NewReader(verdict[1:])
-	return d.Uint64(), verdict[0] == 1, nil
+	return 0, false, fmt.Errorf("ckpt: malformed verdict for %s", name)
 }
 
+// validateLocal returns the 8-byte epoch of the checkpoint committed to the
+// slot, or nil when its marker or its data file says there is none.
 func validateLocal(node *machine.Node, name string) []byte {
-	bad := make([]byte, 9)
 	f, err := node.Open(name+".commit", false)
 	if err != nil {
-		return bad
+		return nil
 	}
 	defer f.Close()
 	if f.Size() != commitLen {
-		return bad
+		return nil
 	}
 	buf := make([]byte, commitLen)
-	if err := f.ReadAt(buf, 0); err != nil {
-		return bad
+	if err := f.ReadAt(buf, 0); err != nil || !bytes.Equal(buf[:8], commitMagic[:]) {
+		return nil
 	}
-	for i, c := range commitMagic {
-		if buf[i] != c {
-			return bad
-		}
-	}
-	d := enc.NewReader(buf[8:])
-	epoch := d.Uint64()
-	dataLen := d.Uint64()
-
 	df, err := node.Open(name, false)
 	if err != nil {
-		return bad
+		return nil
 	}
 	defer df.Close()
-	if uint64(df.Size()) != dataLen {
-		return bad
+	if dataLen := enc.NewReader(buf[16:]).Uint64(); uint64(df.Size()) != dataLen {
+		return nil
 	}
-	out := make([]byte, 1, 9)
-	out[0] = 1
-	var e enc.Buffer
-	e.Uint64(epoch)
-	return append(out, e.Bytes()...)
+	return buf[8:16]
 }
 
 // Restore opens the newest valid checkpoint and hands an input d/stream to

@@ -392,3 +392,57 @@ func TestManagerAcrossMachineShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVerdictIsEveryRanks: node 0 alone inspects a slot; what it finds — the
+// committed epoch, or that nothing valid is there — is what every rank gets.
+func TestVerdictIsEveryRanks(t *testing.T) {
+	const nprocs = 3
+	fs := pfs.NewMemFS(vtime.Challenge())
+	type verdict struct {
+		epoch uint64
+		ok    bool
+	}
+	ask := func(want verdict) {
+		t.Helper()
+		got := make([]verdict, nprocs)
+		if err := runOn(t, fs, nprocs, func(n *machine.Node) (err error) {
+			v := &got[n.Rank()]
+			v.epoch, v.ok, err = validate(n, "v.1")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range got {
+			if v != want {
+				t.Fatalf("rank %d: verdict %+v, want %+v", r, v, want)
+			}
+		}
+	}
+	ask(verdict{}) // nothing there yet
+	if err := runOn(t, fs, nprocs, func(n *machine.Node) error {
+		d, _ := distr.New(6, nprocs, distr.Block, 0)
+		c, err := fillSeg(n, d, 1)
+		if err != nil {
+			return err
+		}
+		m, err := New(n, "v", 2)
+		if err != nil {
+			return err
+		}
+		return SaveCollection[scf.Segment](m, 7, c) // epoch 7 → slot 1
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ask(verdict{epoch: 7, ok: true})
+	if err := runOn(t, fs, 1, func(n *machine.Node) error {
+		f, err := n.Open("v.1.commit", false)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return f.WriteAt([]byte{'X'}, 0) // no longer the marker's magic
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ask(verdict{})
+}

@@ -27,7 +27,6 @@ import (
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -106,7 +105,7 @@ func (c *Comm) instrument(op string) func() {
 // instrumentSpan is instrument plus a pre-reserved span ID (0 when the
 // monitor does not trace) so the operation can publish causal edges that
 // reference its own span before the span's end time is known.
-func (c *Comm) instrumentSpan(op string) (func(), trace.SpanID) {
+func (c *Comm) instrumentSpan(op string) (func(), dsmon.SpanID) {
 	if c.mon == nil {
 		return func() {}, 0
 	}
@@ -127,11 +126,7 @@ func (c *Comm) instrumentSpan(op string) (func(), trace.SpanID) {
 	return func() {
 		end := c.ep.Clock().Now()
 		m.lat.Observe(end - start)
-		if rec != nil {
-			rec.AddSpanID(id, c.Rank(), "collective", op, start, end)
-		} else {
-			c.mon.Span(c.Rank(), "collective", op, start, end)
-		}
+		rec.AddSpanID(id, c.Rank(), "collective", op, start, end)
 	}, id
 }
 
@@ -223,7 +218,7 @@ func (c *Comm) Barrier() error {
 			if _, err := c.ep.Recv(r, tag(kindBarrier, seq, 0)); err != nil {
 				return fmt.Errorf("collective: barrier gather: %w", err)
 			}
-			rec.FlowIn(trace.FlowKey{Kind: "barrier-arrive", A: r, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
+			rec.FlowIn(dsmon.FlowKey{Kind: "barrier-arrive", A: r, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
 		}
 		rel := c.releaseTime(8)
 		payload := c.timeFrame(rel)
@@ -231,7 +226,7 @@ func (c *Comm) Barrier() error {
 			if err := c.ep.SendOnce(r, tag(kindBarrier, seq, 1), payload); err != nil {
 				return fmt.Errorf("collective: barrier release: %w", err)
 			}
-			rec.FlowOut(trace.FlowKey{Kind: "barrier-release", A: 0, B: r, Tag: tag(kindBarrier, seq, 1)}, sid)
+			rec.FlowOut(dsmon.FlowKey{Kind: "barrier-release", A: 0, B: r, Tag: tag(kindBarrier, seq, 1)}, sid)
 		}
 		c.ep.Clock().SyncTo(rel)
 		return nil
@@ -239,12 +234,12 @@ func (c *Comm) Barrier() error {
 	if err := c.ep.SendOnce(0, tag(kindBarrier, seq, 0), nil); err != nil {
 		return fmt.Errorf("collective: barrier arrive: %w", err)
 	}
-	rec.FlowOut(trace.FlowKey{Kind: "barrier-arrive", A: me, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
+	rec.FlowOut(dsmon.FlowKey{Kind: "barrier-arrive", A: me, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
 	d, err := c.ep.Recv(0, tag(kindBarrier, seq, 1))
 	if err != nil {
 		return fmt.Errorf("collective: barrier release: %w", err)
 	}
-	rec.FlowIn(trace.FlowKey{Kind: "barrier-release", A: 0, B: me, Tag: tag(kindBarrier, seq, 1)}, sid)
+	rec.FlowIn(dsmon.FlowKey{Kind: "barrier-release", A: 0, B: me, Tag: tag(kindBarrier, seq, 1)}, sid)
 	c.ep.Clock().SyncTo(decodeTime(d))
 	bufpool.Put(d)
 	return nil
@@ -312,6 +307,44 @@ func (c *Comm) bcastFrame(root int, data []byte) (payload, frame []byte, err err
 	}
 	c.ep.Clock().SyncTo(decodeTime(d[:8]))
 	return d[8:], d, nil
+}
+
+// RootError is root's own failure as Rooted reports it on every rank: the
+// same message everywhere, so the ranks fail (or carry on) together. Any
+// other error from Rooted is the transport's, which ranks may see differently.
+type RootError string
+
+func (e RootError) Error() string { return string(e) }
+
+// Rooted runs act on root alone and gives every rank its outcome: the
+// payload act returned, or act's error as a RootError. One broadcast carries
+// a status byte followed by the payload or the message. frame is the pooled
+// buffer payload lives in (nil on root and on failure); a caller that is
+// done with the payload gives it back with bufpool.Put.
+func (c *Comm) Rooted(root int, act func() ([]byte, error)) (payload, frame []byte, err error) {
+	var msg []byte
+	if c.Rank() == root {
+		p, err := act()
+		status := byte(1)
+		if err != nil {
+			status, p = 0, []byte(err.Error())
+		}
+		msg = append(append(make([]byte, 0, 1+len(p)), status), p...)
+	}
+	msg, frame, err = c.bcastFrame(root, msg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(msg) == 0 || msg[0] > 1 {
+		bufpool.Put(frame)
+		return nil, nil, fmt.Errorf("collective: rooted result from %d: malformed status frame (%d bytes)", root, len(msg))
+	}
+	if msg[0] == 0 {
+		err = RootError(msg[1:])
+		bufpool.Put(frame)
+		return nil, nil, err
+	}
+	return msg[1:], frame, nil
 }
 
 // Gather collects each rank's data at root. At root the result has Size()

@@ -22,7 +22,6 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -933,7 +932,7 @@ func (e *Endpoint) send(to int, tag, seq uint64, data []byte, owned bool) error 
 		// attempts it took: the edge is keyed by the sequence number, which
 		// retransmissions reuse, so the graph never doubles an edge.
 		id := rec.AddSpan(e.rank, "comm", "Send", start, e.clock.Now())
-		rec.FlowOut(trace.FlowKey{Kind: "msg", A: e.rank, B: to, Tag: tag, Seq: m.Seq}, id)
+		rec.FlowOut(dsmon.FlowKey{Kind: "msg", A: e.rank, B: to, Tag: tag, Seq: m.Seq}, id)
 	}
 	return nil
 }
@@ -1010,7 +1009,7 @@ func (e *Endpoint) Recv(from int, tag uint64) ([]byte, error) {
 		// duplicated or retransmitted message can never complete a second
 		// edge — the FlowKey below is consumed by exactly one FlowOut.
 		if m.Seq != 0 {
-			rec.FlowIn(trace.FlowKey{Kind: "msg", A: from, B: e.rank, Tag: tag, Seq: m.Seq}, id)
+			rec.FlowIn(dsmon.FlowKey{Kind: "msg", A: from, B: e.rank, Tag: tag, Seq: m.Seq}, id)
 		}
 	}
 	return m.Data, nil

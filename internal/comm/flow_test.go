@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -34,7 +33,7 @@ func TestSendRecvFlow(t *testing.T) {
 	if len(flows) != n {
 		t.Fatalf("got %d msg edges, want %d: %v", len(flows), n, flows)
 	}
-	byID := map[trace.SpanID]trace.Event{}
+	byID := map[dsmon.SpanID]dsmon.Event{}
 	for _, ev := range rec.Events() {
 		if ev.ID != 0 {
 			byID[ev.ID] = ev

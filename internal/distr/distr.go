@@ -127,6 +127,9 @@ func NewAligned(n, templateN, nprocs int, mode Mode, blockSize int, align Alignm
 	if mode == Explicit {
 		return nil, fmt.Errorf("%w: use NewExplicit for EXPLICIT distributions", ErrBadDistribution)
 	}
+	if mode > Explicit {
+		return nil, fmt.Errorf("%w: unknown mode %s", ErrBadDistribution, mode)
+	}
 	d := &Distribution{
 		NProcs:    nprocs,
 		N:         n,

@@ -83,7 +83,9 @@ type FileInfo struct {
 
 // Parse walks a complete d/stream file image. It fails on a bad file
 // header, a corrupt record header, truncation, a size table that
-// contradicts the record header, or trailing bytes.
+// contradicts the record header, or trailing bytes (too few to be a record
+// header, or not one): a record never runs past the image, so the walk ends
+// exactly at its end.
 func Parse(data []byte) (*FileInfo, error) {
 	if err := enc.CheckFileHeader(data); err != nil {
 		return nil, err
@@ -98,66 +100,36 @@ func Parse(data []byte) (*FileInfo, error) {
 		info.Records = append(info.Records, rec)
 		off = next
 	}
-	if off != int64(len(data)) {
-		return nil, fmt.Errorf("dsinfo: %d trailing bytes after last record", int64(len(data))-off)
-	}
 	return info, nil
 }
 
+// parseRecord lists the record at off. What makes its front matter valid is
+// enc's to say (ReadRecordHeader, Distribution, TableOffsets), as it is for
+// an input stream; this adds the per-element listing.
 func parseRecord(data []byte, off int64, index int) (Record, int64, error) {
-	var rec Record
+	fail := func(err error) (Record, int64, error) {
+		return Record{}, 0, fmt.Errorf("dsinfo: record %d at offset %d: %w", index, off, err)
+	}
 	if off+enc.RecordHeaderLen > int64(len(data)) {
-		return rec, 0, fmt.Errorf("dsinfo: record %d: truncated header at offset %d", index, off)
+		return fail(fmt.Errorf("truncated header"))
 	}
-	h, err := enc.DecodeRecordHeader(data[off : off+enc.RecordHeaderLen])
+	h, err := enc.ReadRecordHeader(data[off:off+enc.RecordHeaderLen], off, int64(len(data)))
 	if err != nil {
-		return rec, 0, fmt.Errorf("dsinfo: record %d at offset %d: %w", index, off, err)
+		return fail(err)
 	}
-	descOff := off + enc.RecordHeaderLen
-	descEnd := descOff + int64(h.DescBytes)
-	if descEnd > int64(len(data)) {
-		return rec, 0, fmt.Errorf("dsinfo: record %d: truncated distribution descriptor", index)
-	}
-	var d *distr.Distribution
-	if distr.Mode(h.Mode) == distr.Explicit {
-		owners, oerr := enc.DecodeOwnerTable(data[descOff:descEnd], int(h.NElems))
-		if oerr != nil {
-			return rec, 0, fmt.Errorf("dsinfo: record %d: %w", index, oerr)
-		}
-		d, err = distr.NewExplicit(owners, int(h.NProcs))
-	} else {
-		d, err = distr.NewAligned(int(h.NElems), int(h.TemplateN), int(h.NProcs),
-			distr.Mode(h.Mode), int(h.BlockSize),
-			distr.Alignment{Offset: int(h.AlignOffset), Stride: int(h.AlignStride)})
-	}
+	tblOff := off + enc.RecordHeaderLen + int64(h.DescBytes)
+	dataOff := tblOff + h.SizeTableBytes()
+	d, err := h.Distribution(data[off+enc.RecordHeaderLen : tblOff])
 	if err != nil {
-		return rec, 0, fmt.Errorf("dsinfo: record %d: invalid distribution: %w", index, err)
+		return fail(err)
 	}
-	tblOff := descEnd
-	tblEnd := tblOff + h.SizeTableBytes()
-	if tblEnd > int64(len(data)) {
-		return rec, 0, fmt.Errorf("dsinfo: record %d: truncated size table", index)
+	var total [1]int64
+	if err := h.TableOffsets(data[tblOff:dataOff], []int{int(h.NElems)}, total[:]); err != nil {
+		return fail(err)
 	}
-	sizes, err := enc.DecodeSizeTable(data[tblOff:tblEnd], int(h.NElems))
+	sizes, err := enc.DecodeSizeTable(data[tblOff:dataOff], int(h.NElems))
 	if err != nil {
-		return rec, 0, fmt.Errorf("dsinfo: record %d: %w", index, err)
+		return fail(err)
 	}
-	rec = Record{
-		Index:      index,
-		Offset:     off,
-		Header:     h,
-		Dist:       d,
-		Sizes:      sizes,
-		DataOffset: tblEnd,
-	}
-	if rec.TotalBytes() != h.DataBytes {
-		return rec, 0, fmt.Errorf("dsinfo: record %d: size table sums to %d but header claims %d data bytes",
-			index, rec.TotalBytes(), h.DataBytes)
-	}
-	next := off + h.TotalBytes()
-	if next > int64(len(data)) {
-		return rec, 0, fmt.Errorf("dsinfo: record %d: truncated data section (need %d bytes, have %d)",
-			index, next, len(data))
-	}
-	return rec, next, nil
+	return Record{Index: index, Offset: off, Header: h, Dist: d, Sizes: sizes, DataOffset: dataOff}, off + h.TotalBytes(), nil
 }

@@ -1,6 +1,7 @@
 package dsinfo
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -18,13 +19,20 @@ type elem struct{ V []float64 }
 func (e *elem) StreamInsert(enc *dstream.Encoder)  { enc.Float64Slice(e.V) }
 func (e *elem) StreamExtract(dec *dstream.Decoder) { e.V = dec.Float64Slice() }
 
-// writeSample produces a two-record d/stream file and returns its image.
-func writeSample(t *testing.T, nprocs, n int) []byte {
+// writeSample produces a two-record CYCLIC d/stream file and returns its image.
+func writeSample(t testing.TB, nprocs, n int) []byte {
+	t.Helper()
+	return writeSampleDist(t, nprocs, func() (*distr.Distribution, error) { return distr.New(n, nprocs, distr.Cyclic, 0) })
+}
+
+// writeSampleDist is writeSample under the distribution mk builds, through
+// whatever stream options are given.
+func writeSampleDist(t testing.TB, nprocs int, mk func() (*distr.Distribution, error), opts ...dstream.Option) []byte {
 	t.Helper()
 	fs := pfs.NewMemFS(vtime.Challenge())
 	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: vtime.Challenge(), FS: fs},
 		func(nd *machine.Node) error {
-			d, err := distr.New(n, nprocs, distr.Cyclic, 0)
+			d, err := mk()
 			if err != nil {
 				return err
 			}
@@ -33,7 +41,7 @@ func writeSample(t *testing.T, nprocs, n int) []byte {
 				return err
 			}
 			c.Apply(func(g int, e *elem) { e.V = make([]float64, g%5) })
-			s, err := dstream.Open(nd, d, "f")
+			s, err := dstream.Open(nd, d, "f", opts...)
 			if err != nil {
 				return err
 			}
@@ -61,6 +69,79 @@ func writeSample(t *testing.T, nprocs, n int) []byte {
 		t.Fatal(err)
 	}
 	return img
+}
+
+// explicitSample is writeSample under an EXPLICIT distribution (owner table
+// as the record's descriptor section).
+func explicitSample(t testing.TB, nprocs, n int) []byte {
+	return writeSampleDist(t, nprocs, func() (*distr.Distribution, error) {
+		owners := make([]int, n)
+		for i := range owners {
+			owners[i] = (i / 2) % nprocs
+		}
+		return distr.NewExplicit(owners, nprocs)
+	})
+}
+
+// streamWalk reads img the way an input d/stream does, on one rank: a first
+// pass peeks every record's element count and skips it (header only); then,
+// per distinct count, a stream of that many elements Reads the records that
+// match — front matter and data — and skips the others. nil means the stream
+// found nothing wrong anywhere in the file.
+func streamWalk(img []byte) error {
+	fs := pfs.NewMemFS(vtime.Challenge())
+	_, err := machine.Run(machine.Config{NProcs: 1, Profile: vtime.Challenge(), FS: fs}, func(nd *machine.Node) error {
+		f, err := nd.Open("f", true)
+		if err != nil {
+			return err
+		}
+		if err := f.WriteAt(img, 0); err != nil {
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		pass := func(n int, visit func(s *dstream.IStream, elems int) error) error {
+			d, err := distr.New(n, 1, distr.Block, 0)
+			if err != nil {
+				return err
+			}
+			s, err := dstream.OpenInput(nd, d, "f")
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			for s.More() {
+				elems, err := s.NextElems()
+				if err != nil {
+					return err
+				}
+				if err := visit(s, elems); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		counts := map[int]bool{}
+		if err := pass(0, func(s *dstream.IStream, elems int) error {
+			counts[elems] = true
+			return s.Skip()
+		}); err != nil {
+			return err
+		}
+		for n := range counts {
+			if err := pass(n, func(s *dstream.IStream, elems int) error {
+				if elems != n {
+					return s.Skip()
+				}
+				return s.Read()
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return err
 }
 
 func TestParseWellFormedFile(t *testing.T) {
@@ -125,29 +206,78 @@ func TestElementRange(t *testing.T) {
 	}
 }
 
+// Where the fields the corruption rows patch sit in a record header.
+const (
+	hdrNElemsOff    = 8
+	hdrNProcsOff    = 12
+	hdrModeOff      = 16
+	hdrDescBytesOff = 36
+	hdrDataBytesOff = 40
+)
+
+// TestParseRejectsCorruption: what Parse refuses an input stream refuses, and
+// — where the fault is in a record's front matter, which has one reader — in
+// the same words. The rows are the union of what either reader used to check.
 func TestParseRejectsCorruption(t *testing.T) {
-	img := writeSample(t, 2, 6)
+	cyclic := writeSample(t, 2, 6)
+	explicit := explicitSample(t, 2, 6)
+	rec := enc.FileHeaderLen // the first record's header
+	patch := func(off int, v uint32) func([]byte) []byte {
+		return func(b []byte) []byte { binary.LittleEndian.PutUint32(b[off:], v); return b }
+	}
 
 	cases := []struct {
 		name    string
+		img     []byte
 		mutate  func([]byte) []byte
-		wantSub string
+		wantSub string // of Parse's error
+		same    bool   // the stream must refuse it in the same words
 	}{
-		{"bad file magic", func(b []byte) []byte { b[0] = 'X'; return b }, "not a d/stream file"},
-		{"truncated header", func(b []byte) []byte { return b[:enc.FileHeaderLen+10] }, "truncated"},
-		{"bad record magic", func(b []byte) []byte { b[enc.FileHeaderLen] ^= 0xFF; return b }, "record"},
-		{"trailing bytes", func(b []byte) []byte { return append(b, 0xAB) }, "truncated header"},
-		{"truncated data", func(b []byte) []byte { return b[:len(b)-3] }, "truncated"},
+		{"bad file magic", cyclic, func(b []byte) []byte { b[0] = 'X'; return b }, "not a d/stream file", true},
+		{"truncated header", cyclic, func(b []byte) []byte { return b[:enc.FileHeaderLen+10] }, "truncated", false},
+		{"bad record magic", cyclic, func(b []byte) []byte { b[enc.FileHeaderLen] ^= 0xFF; return b }, "record", true},
+		{"trailing bytes", cyclic, func(b []byte) []byte { return append(b, 0xAB) }, "truncated header", false},
+		{"truncated data", cyclic, func(b []byte) []byte { return b[:len(b)-3] }, "truncated", true},
+		{"lying size table", cyclic, func(b []byte) []byte { b[rec+enc.RecordHeaderLen]++; return b }, "size table sums", true},
+		{"stray descriptor on a pattern distribution", cyclic, patch(rec+hdrDescBytesOff, 4), "has a 4-byte descriptor, its distribution takes 0", true},
+		{"2 GiB descriptor", cyclic, patch(rec+hdrDescBytesOff, 0x7ffffff0), "past the end of the file", true},
+		{"explicit descriptor one owner long", explicit, patch(rec+hdrDescBytesOff, 4*6+4), "descriptor", true},
+		{"explicit descriptor missing", explicit, patch(rec+hdrDescBytesOff, 0), "descriptor", true},
+		{"explicit owner out of range", explicit, patch(rec+enc.RecordHeaderLen, 2), "invalid distribution", true},
+		{"data section past the end", cyclic, patch(rec+hdrDataBytesOff, 1<<30), "past the end of the file", true},
+		{"mode past one byte", cyclic, patch(rec+hdrModeOff, 0x0100), "mode", true},
+		{"unknown mode", cyclic, patch(rec+hdrModeOff, 9), "unknown mode", true},
+		{"zero writer procs", cyclic, patch(rec+hdrNProcsOff, 0), "writer procs", true},
+		{"four billion writer procs", cyclic, patch(rec+hdrNProcsOff, 0xffffffff), "writer procs", true},
+		{"element count the file cannot hold", cyclic, patch(rec+hdrNElemsOff, 0x40000000), "past the end of the file", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cp := append([]byte{}, img...)
-			if _, err := Parse(c.mutate(cp)); err == nil {
-				t.Fatalf("corruption accepted")
-			} else if !strings.Contains(err.Error(), c.wantSub) {
-				t.Fatalf("err = %v, want substring %q", err, c.wantSub)
+			img := c.mutate(append([]byte{}, c.img...))
+			_, perr := Parse(img)
+			if perr == nil || !strings.Contains(perr.Error(), c.wantSub) {
+				t.Fatalf("Parse: err = %v, want substring %q", perr, c.wantSub)
+			}
+			serr := streamWalk(img)
+			if serr == nil {
+				t.Fatalf("an input stream accepted what Parse refuses (%v)", perr)
+			}
+			if !c.same {
+				return // a short file: the stream's read fails where Parse counts bytes
+			}
+			// The shared reader's message is the tail of both errors.
+			if msg := perr.Error()[strings.Index(perr.Error(), "enc: "):]; !strings.HasSuffix(serr.Error(), msg) {
+				t.Fatalf("the readers disagree:\n  Parse:  %v\n  stream: %v", perr, serr)
 			}
 		})
+	}
+	for name, img := range map[string][]byte{"cyclic": cyclic, "explicit": explicit} {
+		if _, err := Parse(img); err != nil {
+			t.Fatalf("%s sample: Parse: %v", name, err)
+		}
+		if err := streamWalk(img); err != nil {
+			t.Fatalf("%s sample: input stream: %v", name, err)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package critpath turns a causal span graph (trace.Recorder events plus
+// Package critpath turns a causal span graph (dsmon.Recorder events plus
 // flow edges) into an attribution of virtual time: where did each rank's
 // wall time go, and what chain of operations actually bounded the run.
 //
@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/trace"
 )
 
 // Category names. Report maps sum virtual seconds per category.
@@ -180,7 +179,7 @@ type Report struct {
 
 // Analyze builds the report from a recorder's span graph. A nil or empty
 // recorder yields an empty report.
-func Analyze(rec *trace.Recorder) *Report {
+func Analyze(rec *dsmon.Recorder) *Report {
 	rep := &Report{
 		Stalls:      map[string]float64{},
 		PathSeconds: map[string]float64{},
@@ -196,7 +195,7 @@ func Analyze(rec *trace.Recorder) *Report {
 		return rep
 	}
 
-	perRank := map[int][]trace.Event{}
+	perRank := map[int][]dsmon.Event{}
 	maxRank := 0
 	for _, e := range events {
 		if e.End > rep.Makespan {
@@ -228,7 +227,7 @@ func Analyze(rec *trace.Recorder) *Report {
 // decomposeRank partitions [0, horizon] on one rank's timeline: elementary
 // intervals between span boundaries are charged to the highest-priority
 // covering span's category, uncovered intervals to compute.
-func decomposeRank(rank int, evs []trace.Event, horizon float64) RankBreakdown {
+func decomposeRank(rank int, evs []dsmon.Event, horizon float64) RankBreakdown {
 	b := RankBreakdown{Rank: rank, Total: horizon, Seconds: map[string]float64{}}
 	type bound struct {
 		t     float64
@@ -278,16 +277,16 @@ func decomposeRank(rank int, evs []trace.Event, horizon float64) RankBreakdown {
 // latest end among the same-rank span preceding this one and the sources of
 // causal in-edges; the positive gap between the predecessor's end and the
 // span's start is compute.
-func (rep *Report) walkPath(events []trace.Event, flows []trace.Flow) {
-	byID := map[trace.SpanID]trace.Event{}
-	perRank := map[int][]trace.Event{}
+func (rep *Report) walkPath(events []dsmon.Event, flows []dsmon.Flow) {
+	byID := map[dsmon.SpanID]dsmon.Event{}
+	perRank := map[int][]dsmon.Event{}
 	for _, e := range events {
 		if e.ID != 0 {
 			byID[e.ID] = e
 		}
 		perRank[e.Node] = append(perRank[e.Node], e) // already (start, node) sorted
 	}
-	inEdges := map[trace.SpanID][]trace.SpanID{}
+	inEdges := map[dsmon.SpanID][]dsmon.SpanID{}
 	for _, f := range flows {
 		if f.From != f.To {
 			inEdges[f.To] = append(inEdges[f.To], f.From)
@@ -305,7 +304,7 @@ func (rep *Report) walkPath(events []trace.Event, flows []trace.Flow) {
 		}
 	}
 
-	visited := map[trace.SpanID]bool{}
+	visited := map[dsmon.SpanID]bool{}
 	var steps []PathStep
 	for range events { // bounded: each step visits a new span
 		c := classify(cur.Cat, cur.Name)
@@ -315,9 +314,9 @@ func (rep *Report) walkPath(events []trace.Event, flows []trace.Flow) {
 			visited[cur.ID] = true
 		}
 
-		var pred trace.Event
+		var pred dsmon.Event
 		found := false
-		better := func(e trace.Event) bool {
+		better := func(e dsmon.Event) bool {
 			if !found {
 				return true
 			}

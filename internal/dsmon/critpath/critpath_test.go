@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/trace"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -16,7 +15,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // stall accounts, and the backward walk following a causal edge across
 // ranks.
 func TestAnalyzeSynthetic(t *testing.T) {
-	rec := trace.New()
+	rec := dsmon.NewRecorder()
 	// Rank 0: a write span [1, 5] containing a comm send [2, 3]; idle before 1.
 	w := rec.AddSpan(0, "dstream", "ostream.Write f", 1, 5)
 	snd := rec.AddSpan(0, "comm", "Send", 2, 3)
@@ -53,7 +52,7 @@ func TestAnalyzeSynthetic(t *testing.T) {
 	// Backward walk: istream.Read ← Recv ← (msg edge) Send ← same-rank
 	// predecessor write? The write [1,5] overlaps the send's start, so the
 	// walk ends at the send after charging its start as compute.
-	wantPath := []trace.SpanID{snd, rcv, rd}
+	wantPath := []dsmon.SpanID{snd, rcv, rd}
 	if len(rep.Steps) != len(wantPath) {
 		t.Fatalf("path = %+v, want 3 steps", rep.Steps)
 	}
@@ -92,7 +91,7 @@ func TestQuantileHelpers(t *testing.T) {
 
 // TestAnalyzeEmpty: nil and empty recorders yield a well-formed empty report.
 func TestAnalyzeEmpty(t *testing.T) {
-	for _, rep := range []*Report{Analyze(nil), Analyze(trace.New())} {
+	for _, rep := range []*Report{Analyze(nil), Analyze(dsmon.NewRecorder())} {
 		if rep.Makespan != 0 || len(rep.Ranks) != 0 || len(rep.Steps) != 0 {
 			t.Fatalf("non-empty report from empty recorder: %+v", rep)
 		}
@@ -109,7 +108,7 @@ func TestAnalyzeEmpty(t *testing.T) {
 // TestPublish: the per-category gauges land in the registry under
 // critpath_seconds{category=…} and sum over ranks.
 func TestPublish(t *testing.T) {
-	rec := trace.New()
+	rec := dsmon.NewRecorder()
 	rec.AddSpan(0, "dstream", "istream.Read f", 0, 2)
 	rec.AddSpan(1, "dstream", "istream.Read f", 1, 2)
 	rep := Analyze(rec)

@@ -1,7 +1,7 @@
 // Package dsmon is the observability layer of the d/stream stack: one
 // per-run metrics registry (atomic counters, gauges, and fixed-bucket
-// histograms) plus a span API that feeds the trace package's virtual-time
-// timeline. The paper's whole argument is quantitative — its tables explain
+// histograms) plus the span Recorder that keeps the run's virtual-time
+// timeline and its causal edges. The paper's whole argument is quantitative — its tables explain
 // buffered vs. unbuffered I/O by counting operations and accounting where
 // virtual time goes — and dsmon makes the same accounting available for
 // every layer at run time: message sizes and receive waits in comm,
@@ -15,7 +15,7 @@
 // a nil check per operation.
 //
 // Three expositions are provided: Prometheus-style text (WritePrometheus),
-// a JSON snapshot (WriteJSON), and — through the attached trace.Recorder —
+// a JSON snapshot (WriteJSON), and — through the monitor's Recorder —
 // Chrome trace-viewer JSON whose events carry the io, comm, collective and
 // dstream categories.
 package dsmon

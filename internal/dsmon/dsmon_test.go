@@ -21,7 +21,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil handles not inert")
 	}
 	var m *Monitor
-	m.Span(0, "comm", "Send", 0, 1)
+	m.Recorder().Add(0, "comm", "Send", 0, 1)
 	if m.Registry() != nil || m.Recorder() != nil {
 		t.Fatal("nil monitor leaked state")
 	}
@@ -163,7 +163,7 @@ func TestConcurrentUpdates(t *testing.T) {
 
 func TestMonitorSpans(t *testing.T) {
 	m := NewTracing()
-	m.Span(1, "dstream", "ostream.Write", 0.5, 1.5)
+	m.Recorder().Add(1, "dstream", "ostream.Write", 0.5, 1.5)
 	evs := m.Recorder().Events()
 	if len(evs) != 1 || evs[0].Cat != "dstream" || evs[0].Node != 1 {
 		t.Fatalf("events = %+v", evs)
@@ -177,7 +177,7 @@ func TestMonitorSpans(t *testing.T) {
 	}
 	// A non-tracing monitor silently drops spans.
 	plain := New()
-	plain.Span(0, "comm", "Send", 0, 1)
+	plain.Recorder().Add(0, "comm", "Send", 0, 1)
 	if plain.Recorder() != nil {
 		t.Fatal("New() should not trace")
 	}

@@ -1,4 +1,4 @@
-package trace
+package dsmon
 
 import (
 	"strings"
@@ -9,7 +9,7 @@ import (
 // order completes the edge exactly once, distinct keys stay independent, and
 // unmatched halves never surface as flows.
 func TestFlowRendezvous(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	a := r.AddSpan(0, "comm", "Send", 0.0, 0.1)
 	b := r.AddSpan(1, "comm", "Recv", 0.05, 0.2)
 	c := r.AddSpan(1, "comm", "Send", 0.3, 0.4)
@@ -39,7 +39,7 @@ func TestFlowRendezvous(t *testing.T) {
 // same key's source half is published twice before the sink arrives (a
 // retransmitted message), the edge completes once — no doubled arrows.
 func TestFlowRendezvousRepublish(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	a := r.AddSpan(0, "comm", "Send", 0.0, 0.1)
 	a2 := r.AddSpan(0, "comm", "Send", 0.1, 0.2)
 	b := r.AddSpan(1, "comm", "Recv", 0.05, 0.3)
@@ -70,7 +70,7 @@ func TestFlowNilAndZero(t *testing.T) {
 		t.Fatalf("nil recorder has flows %v", got)
 	}
 
-	r := New()
+	r := NewRecorder()
 	id := r.AddSpan(0, "io", "x", 0, 1)
 	r.AddFlow(0, id, "k")
 	r.AddFlow(id, 0, "k")
@@ -85,7 +85,7 @@ func TestFlowNilAndZero(t *testing.T) {
 // edge, appended after all duration events, ids renumbered deterministically,
 // bp "e" on the finish half, and arrows anchored at the endpoint spans' ends.
 func TestChromeJSONFlows(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	a := r.AddSpan(0, "comm", "Send", 0.001, 0.002)
 	b := r.AddSpan(1, "comm", "Recv", 0.0015, 0.003)
 	r.AddFlow(a, b, "msg")

@@ -1,4 +1,4 @@
-package trace
+package dsmon
 
 import (
 	"encoding/json"
@@ -12,7 +12,7 @@ import (
 // a drift here silently breaks every saved trace, so the comparison is
 // byte-for-byte.
 func TestChromeJSONGolden(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	// Added out of order on purpose: output must sort by (start, node).
 	r.Add(1, "collective", "barrier", 0.002, 0.0025)
 	r.Add(0, "io", "ParallelAppend f", 0.001, 0.002)

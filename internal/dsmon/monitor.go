@@ -1,20 +1,17 @@
 package dsmon
 
-import (
-	"io"
+import "io"
 
-	"pcxxstreams/internal/trace"
-)
-
-// Monitor bundles the two halves of the observability layer: the metrics
-// Registry and an optional trace.Recorder for virtual-time spans. One
-// Monitor serves one machine run; hand it to machine.Config.Monitor and
-// every layer — comm, collective, pfs, dstream — lights up.
+// Monitor is a run's one observability handle: the metrics Registry and an
+// optional Recorder for virtual-time spans. One Monitor serves one machine
+// run; hand it to machine.Config.Monitor and every layer — comm,
+// collective, pfs, dstream — lights up. Layers that trace take the
+// recorder once (Recorder()) and call its nil-safe methods.
 //
-// A nil *Monitor is a valid no-op sink, mirroring trace.Recorder.
+// A nil *Monitor is a valid no-op sink, as a nil *Recorder is.
 type Monitor struct {
 	reg *Registry
-	rec *trace.Recorder
+	rec *Recorder
 }
 
 // New creates a monitor with a metrics registry but no span recorder —
@@ -22,8 +19,8 @@ type Monitor struct {
 func New() *Monitor { return &Monitor{reg: NewRegistry()} }
 
 // NewTracing creates a monitor that also records spans into a fresh
-// trace.Recorder, for Chrome-trace / Gantt output.
-func NewTracing() *Monitor { return &Monitor{reg: NewRegistry(), rec: trace.New()} }
+// Recorder, for Chrome-trace / Gantt output.
+func NewTracing() *Monitor { return &Monitor{reg: NewRegistry(), rec: NewRecorder()} }
 
 // Registry returns the metrics registry (nil on a nil monitor; the
 // registry's handle constructors are nil-safe in turn).
@@ -35,38 +32,11 @@ func (m *Monitor) Registry() *Registry {
 }
 
 // Recorder returns the span recorder, nil when the monitor does not trace.
-func (m *Monitor) Recorder() *trace.Recorder {
+func (m *Monitor) Recorder() *Recorder {
 	if m == nil {
 		return nil
 	}
 	return m.rec
-}
-
-// SetRecorder redirects spans into r — the machine runner uses it to unify
-// the monitor with an explicitly configured trace recorder, so one
-// timeline carries the io, comm, collective and dstream categories.
-func (m *Monitor) SetRecorder(r *trace.Recorder) {
-	if m == nil {
-		return
-	}
-	m.rec = r
-}
-
-// Span records one virtual-time interval on node's timeline under the
-// given category ("io", "comm", "collective", "dstream"). A no-op when the
-// monitor is nil or does not trace.
-func (m *Monitor) Span(node int, cat, name string, start, end float64) {
-	if m == nil {
-		return
-	}
-	m.rec.Add(node, cat, name, start, end)
-}
-
-// Tracing reports whether spans are being recorded. Instrumented hot paths
-// use it to skip span-ID allocation and causal-edge bookkeeping entirely
-// when tracing is off, keeping the disabled path allocation-free.
-func (m *Monitor) Tracing() bool {
-	return m != nil && m.rec != nil
 }
 
 // WritePrometheus renders the metrics in Prometheus text format.

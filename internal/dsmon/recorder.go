@@ -1,11 +1,4 @@
-// Package trace records virtual-time event timelines of a machine run —
-// which node spent which virtual interval in which file-system operation —
-// and renders them as an ASCII Gantt chart or Chrome trace-viewer JSON
-// (load via chrome://tracing or https://ui.perfetto.dev). The timeline
-// makes the cost model inspectable: the Paragon's serialized node-order
-// transfers, the unbuffered baseline's long runs of small calls, and the
-// async write-behind overlap are all directly visible.
-package trace
+package dsmon
 
 import (
 	"encoding/json"
@@ -57,8 +50,12 @@ type FlowKey struct {
 	Seq  uint64
 }
 
-// Recorder collects events; safe for concurrent use. A nil *Recorder is a
-// valid no-op sink, so instrumented code needs no conditionals.
+// Recorder collects the virtual-time event timeline of a machine run —
+// which node spent which virtual interval in which operation — and renders
+// it as an ASCII Gantt chart or Chrome trace-viewer JSON (load via
+// chrome://tracing or https://ui.perfetto.dev). It is safe for concurrent
+// use. A nil *Recorder is a valid no-op sink, so instrumented code needs no
+// conditionals.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
@@ -70,20 +67,13 @@ type Recorder struct {
 	pendingIn  map[FlowKey]SpanID
 }
 
-// New creates an empty recorder.
-func New() *Recorder { return &Recorder{} }
+// NewRecorder creates an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Add records one interval. No-op on a nil recorder.
+// Add records one interval that no causal edge will reference (span ID 0).
+// No-op on a nil recorder.
 func (r *Recorder) Add(node int, cat, name string, start, end float64) {
-	if r == nil {
-		return
-	}
-	if end < start {
-		start, end = end, start
-	}
-	r.mu.Lock()
-	r.events = append(r.events, Event{Node: node, Cat: cat, Name: name, Start: start, End: end})
-	r.mu.Unlock()
+	r.AddSpanID(0, node, cat, name, start, end)
 }
 
 // NewSpanID reserves a span ID without recording anything yet, for call
@@ -222,60 +212,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events)
-}
-
-// Summary aggregates a recorder's events: per-node and per-category busy
-// virtual seconds (overlapping events on one node are merged, so "busy"
-// never exceeds wall time).
-type Summary struct {
-	// BusyByNode[n] is node n's total time inside traced operations.
-	BusyByNode map[int]float64
-	// ByCategory sums event durations per category across nodes (without
-	// overlap merging — a per-category cost account).
-	ByCategory map[string]float64
-	// Span is the latest event end time.
-	Span float64
-}
-
-// Summarize computes the Summary.
-func (r *Recorder) Summarize() Summary {
-	s := Summary{BusyByNode: map[int]float64{}, ByCategory: map[string]float64{}}
-	perNode := map[int][]Event{}
-	for _, e := range r.Events() {
-		perNode[e.Node] = append(perNode[e.Node], e)
-		s.ByCategory[e.Cat] += e.End - e.Start
-		if e.End > s.Span {
-			s.Span = e.End
-		}
-	}
-	for n, evs := range perNode {
-		// Events arrive sorted by start; merge overlaps.
-		busy, curStart, curEnd := 0.0, 0.0, -1.0
-		for _, e := range evs {
-			if e.Start > curEnd {
-				if curEnd >= 0 {
-					busy += curEnd - curStart
-				}
-				curStart, curEnd = e.Start, e.End
-			} else if e.End > curEnd {
-				curEnd = e.End
-			}
-		}
-		if curEnd >= 0 {
-			busy += curEnd - curStart
-		}
-		s.BusyByNode[n] = busy
-	}
-	return s
-}
-
-// Utilization returns node's busy fraction of the full span (0 when the
-// recorder is empty).
-func (s Summary) Utilization(node int) float64 {
-	if s.Span == 0 {
-		return 0
-	}
-	return s.BusyByNode[node] / s.Span
 }
 
 // chromeEvent is one entry of the Chrome trace-viewer "traceEvents" array.

@@ -1,4 +1,4 @@
-package trace
+package dsmon
 
 import (
 	"encoding/json"
@@ -15,7 +15,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 }
 
 func TestAddAndSortedEvents(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	r.Add(1, "io", "b", 2.0, 3.0)
 	r.Add(0, "io", "a", 1.0, 1.5)
 	r.Add(0, "collective", "c", 2.0, 4.0)
@@ -36,7 +36,7 @@ func TestAddAndSortedEvents(t *testing.T) {
 }
 
 func TestAddNormalizesReversedInterval(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	r.Add(0, "io", "rev", 5, 2)
 	e := r.Events()[0]
 	if e.Start != 2 || e.End != 5 {
@@ -45,7 +45,7 @@ func TestAddNormalizesReversedInterval(t *testing.T) {
 }
 
 func TestChromeJSON(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	r.Add(0, "io", "WriteAt f", 0.001, 0.002)
 	r.Add(1, "collective", "ParallelAppend f", 0.002, 0.010)
 	var b strings.Builder
@@ -77,7 +77,7 @@ func TestChromeJSON(t *testing.T) {
 }
 
 func TestGantt(t *testing.T) {
-	r := New()
+	r := NewRecorder()
 	r.Add(0, "io", "w", 0, 0.5)
 	r.Add(1, "collective", "p", 0.5, 1.0)
 	var b strings.Builder
@@ -101,51 +101,10 @@ func TestGantt(t *testing.T) {
 
 func TestGanttEmpty(t *testing.T) {
 	var b strings.Builder
-	if err := New().WriteGantt(&b, 40); err != nil {
+	if err := NewRecorder().WriteGantt(&b, 40); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "no events") {
 		t.Fatalf("empty gantt output: %q", b.String())
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	r := New()
-	// Node 0: two overlapping io events [0,2] and [1,3] → busy 3.
-	r.Add(0, "io", "a", 0, 2)
-	r.Add(0, "io", "b", 1, 3)
-	// Node 0: disjoint collective [5,6] → +1.
-	r.Add(0, "collective", "c", 5, 6)
-	// Node 1: one event [2,4].
-	r.Add(1, "io", "d", 2, 4)
-	s := r.Summarize()
-	if s.Span != 6 {
-		t.Fatalf("Span = %v", s.Span)
-	}
-	if got := s.BusyByNode[0]; got != 4 {
-		t.Fatalf("node 0 busy = %v, want 4 (overlap merged)", got)
-	}
-	if got := s.BusyByNode[1]; got != 2 {
-		t.Fatalf("node 1 busy = %v", got)
-	}
-	// Category account counts overlaps separately: io = 2+2+2 = 6.
-	if got := s.ByCategory["io"]; got != 6 {
-		t.Fatalf("io category = %v", got)
-	}
-	if got := s.ByCategory["collective"]; got != 1 {
-		t.Fatalf("collective category = %v", got)
-	}
-	if u := s.Utilization(0); u < 0.66 || u > 0.67 {
-		t.Fatalf("node 0 utilization = %v, want ~2/3", u)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := New().Summarize()
-	if s.Span != 0 || len(s.BusyByNode) != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-	if s.Utilization(3) != 0 {
-		t.Fatal("utilization of empty recorder nonzero")
 	}
 }

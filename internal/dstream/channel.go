@@ -10,7 +10,6 @@ import (
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/trace"
 )
 
 // This file implements persistent stream-to-stream channels: the d/stream
@@ -304,7 +303,7 @@ func (s *OChannel) sendFrames(w flush) error {
 			return fmt.Errorf("channel credit from consumer %d: %w", d.cons, err)
 		}
 		if w.rec != nil {
-			w.rec.FlowOut(trace.FlowKey{Kind: "chan", A: s.node.Rank(), B: d.rank, Tag: s.tag, Seq: seq}, s.writeSpan)
+			w.rec.FlowOut(dsmon.FlowKey{Kind: "chan", A: s.node.Rank(), B: d.rank, Tag: s.tag, Seq: seq}, s.writeSpan)
 		}
 		if err := ep.SendOwned(d.rank, s.dataTag, d.frame); err != nil {
 			s.dropFrames() // a send that failed left its frame here too
@@ -537,7 +536,7 @@ func (r *IChannel) Read() error {
 	}
 	start := r.node.Clock().Now()
 	rec := r.met.mon.Recorder()
-	var readSpan trace.SpanID
+	var readSpan dsmon.SpanID
 	if rec != nil {
 		readSpan = rec.NewSpanID()
 	}
@@ -570,7 +569,7 @@ func (r *IChannel) Read() error {
 			continue
 		}
 		if rec != nil {
-			rec.FlowIn(trace.FlowKey{Kind: "chan", A: src.rank, B: r.node.Rank(), Tag: r.tag, Seq: seq}, readSpan)
+			rec.FlowIn(dsmon.FlowKey{Kind: "chan", A: src.rank, B: r.node.Rank(), Tag: r.tag, Seq: seq}, readSpan)
 		}
 		if cnt != src.count {
 			return r.fail(fmt.Errorf("%w: channel frame from producer %d carries %d elements, plan expects %d",

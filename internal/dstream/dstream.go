@@ -312,30 +312,14 @@ func headerFor(d *distr.Distribution, nArrays int, dataBytes uint64) (enc.Record
 	}, desc
 }
 
-// distFromHeader reconstructs the writer's distribution from a record
-// header and its descriptor section — the information that lets read()
-// route every element to its new owner.
-func distFromHeader(h enc.RecordHeader, desc []byte) (*distr.Distribution, error) {
-	if distr.Mode(h.Mode) == distr.Explicit {
-		owners, err := enc.DecodeOwnerTable(desc, int(h.NElems))
-		if err != nil {
-			return nil, fmt.Errorf("dstream: record owner table: %w", err)
-		}
-		d, err := distr.NewExplicit(owners, int(h.NProcs))
-		if err != nil {
-			return nil, fmt.Errorf("dstream: record carries invalid distribution: %w", err)
-		}
-		return d, nil
+// checkFileHeader reads the file header of f and validates it; node 0 does
+// it for the group when a stream opens an existing file.
+func checkFileHeader(f *pfs.File) error {
+	hdr := make([]byte, enc.FileHeaderLen)
+	if err := f.ReadAt(hdr, 0); err != nil {
+		return fmt.Errorf("read file header: %w", err)
 	}
-	d, err := distr.NewAligned(
-		int(h.NElems), int(h.TemplateN), int(h.NProcs),
-		distr.Mode(h.Mode), int(h.BlockSize),
-		distr.Alignment{Offset: int(h.AlignOffset), Stride: int(h.AlignStride)},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("dstream: record carries invalid distribution: %w", err)
-	}
-	return d, nil
+	return enc.CheckFileHeader(hdr)
 }
 
 // fileOrder returns, for each file position (writer node-block order), the

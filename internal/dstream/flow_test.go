@@ -9,7 +9,6 @@ import (
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -51,7 +50,7 @@ func TestShuffleWriteFlow(t *testing.T) {
 	}
 
 	rec := mon.Recorder()
-	byID := map[trace.SpanID]trace.Event{}
+	byID := map[dsmon.SpanID]dsmon.Event{}
 	for _, ev := range rec.Events() {
 		if ev.ID != 0 {
 			byID[ev.ID] = ev

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"pcxxstreams/internal/bufpool"
-	"pcxxstreams/internal/trace"
+	"pcxxstreams/internal/dsmon"
 )
 
 // arena is one insert: the payloads of every local element, in local order,
@@ -45,7 +45,7 @@ type assembler struct {
 	offFree [][]uint32 // offset tables between groups
 	sizes   []uint32   // the local size table, reused across flushes
 	bytes   int64      // payload bytes in inserts (this group's share of the fill gauge)
-	spans   []trace.SpanID
+	spans   []dsmon.SpanID
 
 	// maxBytes caps an arena and an element's interleaved payload: what the
 	// record format's u32 size-table entry can say. Tests lower it.
@@ -55,7 +55,7 @@ type assembler struct {
 	// writeSpan is the current record's flush span (zero when the run is not
 	// tracing), reserved when Write begins so that the encode edges and the
 	// sink's own edges can name it before its end time is known.
-	writeSpan trace.SpanID
+	writeSpan dsmon.SpanID
 }
 
 func newAssembler(st stream, kind string) assembler {
@@ -130,7 +130,7 @@ type flush struct {
 	arrays int      // inserts in the group
 	sizes  []uint32 // per local element, the group's inserts interleaved
 	bytes  int      // their sum
-	rec    *trace.Recorder
+	rec    *dsmon.Recorder
 }
 
 // beginWrite is Write's prologue on every output end: the open and order

@@ -6,12 +6,13 @@ import (
 	"fmt"
 
 	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/collective"
 	"pcxxstreams/internal/distr"
+	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/plan"
-	"pcxxstreams/internal/trace"
 )
 
 // IStream is an input d/stream. Records are consumed in the order they were
@@ -106,7 +107,7 @@ type prefetched struct {
 	// span is the background disk transfer's span ID (0 when not tracing):
 	// a prefetch hit links its read span to it, closing the issue→
 	// completion→consumption chain in the causal graph.
-	span trace.SpanID
+	span dsmon.SpanID
 }
 
 // commError tags an error whose occurrence may differ across ranks — a
@@ -148,24 +149,12 @@ func openInput(node *machine.Node, d *distr.Distribution, name string, opts Opti
 		recordView: recordView{stream: newStream(node, d, node.Rank(), f, name), strict: opts.Strict},
 		opts:       opts,
 	}
-	// Node 0 validates the file header and broadcasts the verdict.
-	verdict := []byte{1}
-	if node.Rank() == 0 {
-		hdr := make([]byte, enc.FileHeaderLen)
-		if err := f.ReadAt(hdr, 0); err != nil {
-			verdict = []byte(fmt.Sprintf("read file header: %v", err))
-		} else if err := enc.CheckFileHeader(hdr); err != nil {
-			verdict = []byte(err.Error())
-		}
-	}
-	verdict, err = node.Comm().Bcast(0, verdict)
+	// Node 0 validates the file header; a bad file fails every node together.
+	_, frame, err := node.Comm().Rooted(0, func() ([]byte, error) { return nil, checkFileHeader(f) })
+	bufpool.Put(frame)
 	if err != nil {
 		f.Close()
-		return nil, s.fail(fmt.Errorf("dstream: open sync: %w", err))
-	}
-	if len(verdict) != 1 || verdict[0] != 1 {
-		f.Close()
-		return nil, s.fail(fmt.Errorf("dstream: open input %q: %s", name, verdict))
+		return nil, s.fail(fmt.Errorf("dstream: open input %q: %w", name, err))
 	}
 	// The PFS open synchronization (gopen-style control call), as on the
 	// output side.
@@ -366,11 +355,7 @@ func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async bool) (chu
 // s.fail where that is warranted.
 func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
 	var m recordMeta
-	hdr, err := s.bcastBytes(cursor, enc.RecordHeaderLen)
-	if err != nil {
-		return m, fmt.Errorf("%w: read record header: %w", ErrIO, err)
-	}
-	h, err := s.decodeHeader(hdr, cursor)
+	h, err := s.readHeader(cursor)
 	if err != nil {
 		return m, err
 	}
@@ -381,21 +366,18 @@ func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
 	// Descriptor and size table — "which appear ahead of the actual data".
 	var desc []byte
 	if h.DescBytes > 0 {
-		desc, err = s.bcastBytes(cursor+enc.RecordHeaderLen, int(h.DescBytes))
+		desc, _, err = s.bcastBytes(cursor+enc.RecordHeaderLen, int(h.DescBytes))
 		if err != nil {
 			return m, fmt.Errorf("%w: read distribution descriptor: %w", ErrIO, err)
 		}
 	}
-	table, err := s.bcastBytes(cursor+enc.RecordHeaderLen+int64(h.DescBytes), int(h.SizeTableBytes()))
+	table, _, err := s.bcastBytes(cursor+enc.RecordHeaderLen+int64(h.DescBytes), int(h.SizeTableBytes()))
 	if err != nil {
 		return m, fmt.Errorf("%w: read size table: %w", ErrIO, err)
 	}
 	rankOff := make([]int64, s.dist.NProcs+1)
-	if err := enc.SizeTableOffsets(table, s.dist.N, s.rankStarts(), rankOff); err != nil {
+	if err := h.TableOffsets(table, s.rankStarts(), rankOff); err != nil {
 		return m, err
-	}
-	if total := rankOff[s.dist.NProcs]; uint64(total) != h.DataBytes {
-		return m, fmt.Errorf("dstream: size table sums to %d but record claims %d data bytes", total, h.DataBytes)
 	}
 	wdist, err := s.writerDist(h, desc)
 	if err != nil {
@@ -404,27 +386,18 @@ func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
 	return recordMeta{h: h, wdist: wdist, table: table, rankOff: rankOff}, nil
 }
 
-// decodeHeader parses the record header read at cursor and holds it to what
-// every rank can check before anything else is read or sized by it: the
-// record ends inside the file, and the descriptor section is as long as the
-// distribution mode says — an owner per element for EXPLICIT, nothing
-// otherwise.
-func (s *IStream) decodeHeader(hdr []byte, cursor int64) (enc.RecordHeader, error) {
-	h, err := enc.DecodeRecordHeader(hdr)
+// readHeader has node 0 read the record header at cursor and broadcast it,
+// and holds it to the file (enc.ReadRecordHeader) before anything else is
+// read or sized by it. The broadcast frame goes back to the pool: a decoded
+// header aliases nothing.
+func (s *IStream) readHeader(cursor int64) (enc.RecordHeader, error) {
+	hdr, frame, err := s.bcastBytes(cursor, enc.RecordHeaderLen)
 	if err != nil {
-		return h, err
+		return enc.RecordHeader{}, fmt.Errorf("%w: read record header: %w", ErrIO, err)
 	}
-	if end, size := cursor+h.TotalBytes(), s.f.Size(); end > size {
-		return h, fmt.Errorf("dstream: record at offset %d runs to %d, past the end of the file (%d bytes)", cursor, end, size)
-	}
-	want := int64(0)
-	if distr.Mode(h.Mode) == distr.Explicit {
-		want = 4 * int64(h.NElems)
-	}
-	if int64(h.DescBytes) != want {
-		return h, fmt.Errorf("dstream: record header has a %d-byte descriptor, its distribution takes %d", h.DescBytes, want)
-	}
-	return h, nil
+	h, err := enc.ReadRecordHeader(hdr, cursor, s.f.Size())
+	bufpool.Put(frame)
+	return h, err
 }
 
 // writerDist returns the distribution a record's header and descriptor
@@ -435,7 +408,7 @@ func (s *IStream) writerDist(h enc.RecordHeader, desc []byte) (*distr.Distributi
 	if s.wdist != nil && h == s.wdistHdr && bytes.Equal(desc, s.wdistRaw) {
 		return s.wdist, nil
 	}
-	d, err := distFromHeader(h, desc)
+	d, err := h.Distribution(desc)
 	if err != nil {
 		return nil, err
 	}
@@ -592,56 +565,29 @@ func (s *IStream) takeFreeBuf() []byte {
 
 // bcastBytes has node 0 read [off, off+n) and broadcast it. The broadcast
 // frame is per-call (the caller may hold the result across the next
-// bcastBytes, e.g. the descriptor across the size-table read), but node 0's
-// read scratch is reused across records.
-func (s *IStream) bcastBytes(off int64, n int) ([]byte, error) {
-	var buf []byte
-	var readErr string
-	if s.node.Rank() == 0 {
+// bcastBytes, e.g. the descriptor across the size-table read, and gives
+// frame back to the pool if it does not), but node 0's read scratch is
+// reused across records.
+func (s *IStream) bcastBytes(off int64, n int) (payload, frame []byte, err error) {
+	payload, frame, err = s.node.Comm().Rooted(0, func() ([]byte, error) {
 		if cap(s.hdrScratch) < n {
 			s.hdrScratch = make([]byte, n)
 		}
-		buf = s.hdrScratch[:n]
-		if n > 0 {
-			if err := s.f.ReadAt(buf, off); err != nil {
-				readErr = err.Error()
-				buf = nil
-			}
+		buf := s.hdrScratch[:n]
+		if n == 0 {
+			return buf, nil
 		}
+		return buf, s.f.ReadAt(buf, off)
+	})
+	if re, ok := err.(collective.RootError); ok {
+		return nil, nil, fmt.Errorf("node 0 read failed: %w", re)
 	}
-	// Broadcast a status byte plus the payload so all ranks agree on errors.
-	var frame []byte
-	if s.node.Rank() == 0 {
-		if readErr != "" {
-			frame = append([]byte{0}, readErr...)
-		} else {
-			frame = append([]byte{1}, buf...)
-		}
-	}
-	frame, err := s.node.Comm().Bcast(0, frame)
 	if err != nil {
 		// Transport failure: possibly rank-asymmetric, so the prefetch
 		// pipeline must not abandon on it silently (see commError).
-		return nil, &commError{err}
+		return nil, nil, &commError{err}
 	}
-	if len(frame) == 0 || frame[0] != 1 {
-		return nil, fmt.Errorf("node 0 read failed: %s", frame[1:])
-	}
-	return frame[1:], nil
-}
-
-// peekHeader has node 0 read the next record's header and broadcast it; op
-// names the caller in the error, which sticks the stream.
-func (s *IStream) peekHeader(op string) (enc.RecordHeader, error) {
-	hdr, err := s.bcastBytes(s.cursor, enc.RecordHeaderLen)
-	if err != nil {
-		return enc.RecordHeader{}, s.fail(fmt.Errorf("dstream: %s record header: %w", op, err))
-	}
-	h, err := s.decodeHeader(hdr, s.cursor)
-	if err != nil {
-		return enc.RecordHeader{}, s.fail(err)
-	}
-	return h, nil
+	return payload, frame, nil
 }
 
 // Skip advances past the next record without loading its data. It enables
@@ -674,9 +620,9 @@ func (s *IStream) Skip() error {
 		s.retireBuf(e.chunk)
 		s.cursor = e.next
 	} else {
-		h, err := s.peekHeader("skip")
+		h, err := s.readHeader(s.cursor)
 		if err != nil {
-			return err
+			return s.fail(err)
 		}
 		s.cursor += h.TotalBytes()
 	}
@@ -702,8 +648,11 @@ func (s *IStream) NextElems() (int, error) {
 		// collective-consistent).
 		return int(s.pre[0].meta.h.NElems), nil
 	}
-	h, err := s.peekHeader("peek")
-	return int(h.NElems), err
+	h, err := s.readHeader(s.cursor)
+	if err != nil {
+		return 0, s.fail(err)
+	}
+	return int(h.NElems), nil
 }
 
 // Close releases the stream (idempotent). In Strict mode, closing with a

@@ -6,10 +6,10 @@ import (
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/collective"
 	"pcxxstreams/internal/distr"
+	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/plan"
-	"pcxxstreams/internal/trace"
 )
 
 // OStream is an output d/stream: a per-node buffer bound to a file, into
@@ -32,7 +32,7 @@ type OStream struct {
 	// clock must reach it before the stream's data is durable. pendingSpans
 	// are the async disk spans the next Drain will wait on (tracing only).
 	pending      float64
-	pendingSpans []trace.SpanID
+	pendingSpans []dsmon.SpanID
 }
 
 // openOutput is the collective open every output constructor funnels into.
@@ -61,26 +61,14 @@ func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Opt
 	// control sync both orders that before any parallel append and models
 	// the PFS open synchronization.
 	if opts.Append {
-		// Node 0 validates the existing header and broadcasts the verdict,
-		// so a bad file fails every node together instead of leaving peers
-		// waiting at the open rendezvous.
-		verdict := []byte{1}
-		if node.Rank() == 0 {
-			hdr := make([]byte, enc.FileHeaderLen)
-			if err := f.ReadAt(hdr, 0); err != nil {
-				verdict = []byte(err.Error())
-			} else if err := enc.CheckFileHeader(hdr); err != nil {
-				verdict = []byte(err.Error())
-			}
-		}
-		verdict, err := node.Comm().Bcast(0, verdict)
+		// Node 0 validates the existing header, so a bad file fails every
+		// node together instead of leaving peers waiting at the open
+		// rendezvous.
+		_, frame, err := node.Comm().Rooted(0, func() ([]byte, error) { return nil, checkFileHeader(f) })
+		bufpool.Put(frame)
 		if err != nil {
 			f.Close()
-			return nil, s.fail(fmt.Errorf("dstream: append open sync: %w", err))
-		}
-		if len(verdict) != 1 || verdict[0] != 1 {
-			f.Close()
-			return nil, s.fail(fmt.Errorf("dstream: append to %q: %s", name, verdict))
+			return nil, s.fail(fmt.Errorf("dstream: append to %q: %w", name, err))
 		}
 	} else if node.Rank() == 0 {
 		if err := f.WriteAt(enc.EncodeFileHeader(), 0); err != nil {

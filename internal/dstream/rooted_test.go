@@ -1,0 +1,141 @@
+package dstream
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"pcxxstreams/internal/comm"
+	"pcxxstreams/internal/distr"
+	"pcxxstreams/internal/machine"
+	"pcxxstreams/internal/pfs"
+	"pcxxstreams/internal/vtime"
+)
+
+// TestRootFailureFailsEveryRank: where node 0 acts for the group — checking
+// the file header when an input or an appending output stream opens, reading
+// a record's front matter — its failure is every rank's, in its words
+// (collective.Rooted), so no rank is left waiting at the next rendezvous.
+func TestRootFailureFailsEveryRank(t *testing.T) {
+	const nprocs = 3
+	d := mustDist(t, 9, nprocs, distr.Block, 0)
+	notAStream := func(t *testing.T, fs *pfs.FileSystem) {
+		run(t, 1, fs, func(n *machine.Node) error {
+			f, err := n.Open("f", true)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return f.WriteAt([]byte("this is no d/stream file at all"), 0)
+		})
+	}
+	for _, c := range []struct {
+		name  string
+		setup func(*testing.T, *pfs.FileSystem)
+		op    func(*machine.Node) error
+		want  string
+	}{
+		{"open input", notAStream, func(n *machine.Node) error {
+			_, err := OpenInput(n, d, "f")
+			return err
+		}, "not a d/stream file"},
+		{"open output to append", notAStream, func(n *machine.Node) error {
+			_, err := Open(n, d, "f", WithAppend())
+			return err
+		}, "not a d/stream file"},
+		{"read front matter", func(t *testing.T, fs *pfs.FileSystem) {
+			run(t, nprocs, fs, func(n *machine.Node) error { return writeTable(n, d, "f") })
+			// One backend call more succeeds: the file header. The record
+			// header's read is node 0's to fail.
+			if err := fs.InjectFault("f", 1); err != nil {
+				t.Fatal(err)
+			}
+		}, func(n *machine.Node) error {
+			s, err := OpenInput(n, d, "f")
+			if err != nil {
+				return fmt.Errorf("open: %w", err)
+			}
+			defer s.Close()
+			err = s.Read()
+			if !errors.Is(err, ErrIO) || isCommErr(err) {
+				return fmt.Errorf("read failed with %v, want node 0's verdict as ErrIO", err)
+			}
+			return err
+		}, `node 0 read failed: pfs: read "f" at 16: ` + pfs.ErrInjected.Error()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := pfs.NewMemFS(vtime.Challenge())
+			c.setup(t, fs)
+			errs := make([]error, nprocs)
+			run(t, nprocs, fs, func(n *machine.Node) error {
+				errs[n.Rank()] = c.op(n)
+				return nil
+			})
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("rank %d: err = %v, want node 0's %q", r, err, c.want)
+				}
+				if err.Error() != errs[0].Error() {
+					t.Fatalf("rank %d failed with %q, rank 0 with %q", r, err, errs[0])
+				}
+			}
+		})
+	}
+}
+
+// cutTransport fails every Send and Recv once cut is set.
+type cutTransport struct {
+	comm.Transport
+	cut atomic.Bool
+}
+
+func (c *cutTransport) Send(m comm.Message) error {
+	if c.cut.Load() {
+		return errors.New("wire cut")
+	}
+	return c.Transport.Send(m)
+}
+
+func (c *cutTransport) Recv(to, from int, tag uint64) (comm.Message, error) {
+	if c.cut.Load() {
+		return comm.Message{}, errors.New("wire cut")
+	}
+	return c.Transport.Recv(to, from, tag)
+}
+
+// TestBcastBytesTransportFailureIsCommErr: a broadcast that fails in
+// transport — which ranks may see differently — carries the commError tag the
+// prefetch pipeline must not abandon on; node 0's own verdict
+// (TestRootFailureFailsEveryRank) does not.
+func TestBcastBytesTransportFailureIsCommErr(t *testing.T) {
+	fs := pfs.NewMemFS(vtime.Challenge())
+	d := mustDist(t, 8, 2, distr.Block, 0)
+	run(t, 2, fs, func(n *machine.Node) error { return writeTable(n, d, "f") })
+	cut := &cutTransport{}
+	var errs [2]error
+	_, err := machine.Run(machine.Config{NProcs: 2, Profile: vtime.Challenge(), FS: fs,
+		WrapTransport: func(tr comm.Transport) comm.Transport { cut.Transport = tr; return cut },
+	}, func(n *machine.Node) error {
+		s, err := OpenInput(n, d, "f")
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		if err := n.Comm().Barrier(); err != nil {
+			return err
+		}
+		cut.cut.Store(true)
+		_, _, errs[n.Rank()] = s.bcastBytes(s.cursor, 8)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "wire cut") || !isCommErr(err) {
+			t.Fatalf("rank %d: bcastBytes = %v (commError: %v), want the cut wire, tagged", r, err, isCommErr(err))
+		}
+	}
+}

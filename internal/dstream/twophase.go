@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/trace"
 )
 
 // Two-phase collective buffering: instead of every rank hitting the PFS
@@ -141,13 +141,13 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 		seq := uint64(s.wrote)
 		for j := 0; j < k; j++ {
 			if max(lo, cuts[j]) < min(hi, cuts[j+1]) {
-				rec.FlowOut(trace.FlowKey{Kind: "shuffle", A: me, B: j, Tag: s.tag, Seq: seq}, sid)
+				rec.FlowOut(dsmon.FlowKey{Kind: "shuffle", A: me, B: j, Tag: s.tag, Seq: seq}, sid)
 			}
 		}
 		if me < k {
 			for r := 0; r < nprocs; r++ {
 				if max(rankOff[r], cuts[me]) < min(rankOff[r+1], cuts[me+1]) {
-					rec.FlowIn(trace.FlowKey{Kind: "shuffle", A: r, B: me, Tag: s.tag, Seq: seq}, s.writeSpan)
+					rec.FlowIn(dsmon.FlowKey{Kind: "shuffle", A: r, B: me, Tag: s.tag, Seq: seq}, s.writeSpan)
 				}
 			}
 		}
@@ -258,13 +258,13 @@ func (s *IStream) refillTwoPhase(dataStart int64, rankOff []int64, dst []byte, a
 			for r := 0; r < nprocs; r++ {
 				// r == me would be a self-loop on sid; skip it.
 				if r != me && max(elo, rankOff[r]) < min(ehi, rankOff[r+1]) {
-					rec.FlowOut(trace.FlowKey{Kind: "scatter", A: me, B: r, Tag: s.tag, Seq: seq}, sid)
+					rec.FlowOut(dsmon.FlowKey{Kind: "scatter", A: me, B: r, Tag: s.tag, Seq: seq}, sid)
 				}
 			}
 		}
 		for j := 0; j < k; j++ {
 			if j != me && max(cuts[j], rankOff[me]) < min(cuts[j+1], rankOff[me+1]) {
-				rec.FlowIn(trace.FlowKey{Kind: "scatter", A: j, B: me, Tag: s.tag, Seq: seq}, sid)
+				rec.FlowIn(dsmon.FlowKey{Kind: "scatter", A: j, B: me, Tag: s.tag, Seq: seq}, sid)
 			}
 		}
 	}

@@ -156,8 +156,8 @@ func DecodeRecordHeader(b []byte) (RecordHeader, error) {
 	if err := d.Err(); err != nil {
 		return h, fmt.Errorf("enc: record header truncated: %w", err)
 	}
-	if h.NProcs == 0 {
-		return h, fmt.Errorf("enc: record header has zero writer procs")
+	if h.NProcs == 0 || h.NProcs > MaxWriterProcs {
+		return h, fmt.Errorf("enc: record header has %d writer procs, outside 1..%d", h.NProcs, MaxWriterProcs)
 	}
 	if mode > 0xff {
 		return h, fmt.Errorf("enc: record header has distribution mode %#x, past one byte", mode)

@@ -17,7 +17,6 @@ import (
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/telemetry"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -39,14 +38,11 @@ type Config struct {
 	// FS is the parallel file system the nodes mount. If nil, a fresh
 	// in-memory file system with the run's profile is created.
 	FS *pfs.FileSystem
-	// Trace, when non-nil, records the virtual-time interval of every file
-	// system operation of the run.
-	Trace *trace.Recorder
-	// Monitor, when non-nil, lights up the whole stack's observability:
-	// comm message counters and size/wait histograms, collective latency
+	// Monitor, when non-nil, is the run's one observability handle: comm
+	// message counters and size/wait histograms, collective latency
 	// histograms, pfs per-operation accounts, and dstream buffer/stall
-	// metrics — plus comm/collective/dstream spans on the monitor's
-	// recorder (or on Trace, when both are set).
+	// metrics — plus, on a tracing monitor (dsmon.NewTracing), one timeline
+	// of io, comm, collective and dstream spans.
 	Monitor *dsmon.Monitor
 	// WrapTransport, when non-nil, wraps the run's transport before any
 	// endpoint binds to it — the hook the chaos layer uses to inject
@@ -193,13 +189,6 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 	// A previous run on this file system may have been aborted (a node
 	// failed); re-arm it so this run's collectives work.
 	fs.ResetAbort()
-	if cfg.Trace != nil {
-		fs.SetRecorder(cfg.Trace)
-		// One timeline for everything: spans from comm, collective and
-		// dstream join the file system's io events on the explicit
-		// recorder.
-		cfg.Monitor.SetRecorder(cfg.Trace)
-	}
 	if cfg.Monitor != nil {
 		fs.SetMonitor(cfg.Monitor)
 		bindPoolMetrics(cfg.Monitor)
@@ -209,18 +198,15 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 		if ct, ok := base.(*comm.ChanTransport); ok {
 			ct.SetMonitor(cfg.Monitor)
 		}
-		if r := cfg.Monitor.Recorder(); r != nil && cfg.Trace == nil {
-			fs.SetRecorder(r)
-		}
-	}
-	if cfg.TelemetryAddr != "" && cfg.Monitor != nil {
-		srv, err := telemetry.Serve(cfg.TelemetryAddr, cfg.Monitor)
-		if err != nil {
-			return Result{}, fmt.Errorf("machine: %w", err)
-		}
-		defer srv.Close()
-		if cfg.OnTelemetry != nil {
-			cfg.OnTelemetry(srv.Addr())
+		if cfg.TelemetryAddr != "" {
+			srv, err := telemetry.Serve(cfg.TelemetryAddr, cfg.Monitor)
+			if err != nil {
+				return Result{}, fmt.Errorf("machine: %w", err)
+			}
+			defer srv.Close()
+			if cfg.OnTelemetry != nil {
+				cfg.OnTelemetry(srv.Addr())
+			}
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -233,11 +232,11 @@ func TestDeterministicAcrossRunsAndTransports(t *testing.T) {
 	}
 }
 
-// TestTraceCapturesOps: a traced run records one interval per file-system
-// operation, tagged with the acting node.
+// TestTraceCapturesOps: a traced run records one io interval per
+// file-system operation, tagged with the acting node.
 func TestTraceCapturesOps(t *testing.T) {
-	rec := trace.New()
-	_, err := Run(Config{NProcs: 3, Profile: vtime.Challenge(), Trace: rec}, func(n *Node) error {
+	mon := dsmon.NewTracing()
+	_, err := Run(Config{NProcs: 3, Profile: vtime.Challenge(), Monitor: mon}, func(n *Node) error {
 		f, err := n.Open("t", true)
 		if err != nil {
 			return err
@@ -254,13 +253,18 @@ func TestTraceCapturesOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 independent write + 3 participants of one parallel append.
-	if got := rec.Len(); got != 4 {
-		t.Fatalf("recorded %d events, want 4: %+v", got, rec.Events())
-	}
+	// 1 independent write ("io") + 3 participants of one parallel append
+	// (filed under "collective", like every rendezvous operation).
+	var ops []dsmon.Event
 	nodes := map[int]bool{}
-	for _, e := range rec.Events() {
-		nodes[e.Node] = true
+	for _, e := range mon.Recorder().Events() {
+		if e.Cat == "io" || strings.HasPrefix(e.Name, "ParallelAppend") {
+			ops = append(ops, e)
+			nodes[e.Node] = true
+		}
+	}
+	if len(ops) != 4 || ops[0].Cat != "io" {
+		t.Fatalf("recorded %d file-system events, want the write and 3 appends: %+v", len(ops), ops)
 	}
 	if len(nodes) != 3 {
 		t.Fatalf("events span %d nodes, want 3", len(nodes))
@@ -317,28 +321,6 @@ func TestMonitorLightsUpStack(t *testing.T) {
 		if !cats[want] {
 			t.Fatalf("no %q spans recorded; categories = %v", want, cats)
 		}
-	}
-}
-
-// TestMonitorAdoptsExplicitTrace: with both Trace and Monitor set, spans
-// land on the explicit recorder (one unified timeline).
-func TestMonitorAdoptsExplicitTrace(t *testing.T) {
-	rec := trace.New()
-	mon := dsmon.New()
-	_, err := Run(Config{NProcs: 2, Profile: vtime.Challenge(), Trace: rec, Monitor: mon}, func(n *Node) error {
-		return n.Comm().Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range rec.Events() {
-		if e.Cat == "collective" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("collective spans missing from explicit recorder: %+v", rec.Events())
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"pcxxstreams/internal/trace"
+	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -17,8 +17,9 @@ import (
 func TestAsyncIssueCompletionFlow(t *testing.T) {
 	prof := testProfile()
 	fs := NewMemFS(prof)
-	rec := trace.New()
-	fs.SetRecorder(rec)
+	mon := dsmon.NewTracing()
+	fs.SetMonitor(mon)
+	rec := mon.Recorder()
 
 	completions := make([]float64, 3)
 	spmdFS(t, fs, 3, func(rank int, clock *vtime.Clock) error {
@@ -38,7 +39,7 @@ func TestAsyncIssueCompletionFlow(t *testing.T) {
 		return nil
 	})
 
-	byID := map[trace.SpanID]trace.Event{}
+	byID := map[dsmon.SpanID]dsmon.Event{}
 	for _, ev := range rec.Events() {
 		if ev.ID != 0 {
 			byID[ev.ID] = ev

@@ -8,7 +8,6 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -25,7 +24,7 @@ type FileSystem struct {
 	abortErr error
 
 	counters ioCounters
-	rec      *trace.Recorder
+	rec      *dsmon.Recorder
 	met      pfsMetrics
 	mon      *dsmon.Monitor
 }
@@ -57,9 +56,9 @@ type pfsMetrics struct {
 }
 
 // SetMonitor attaches the observability layer: per-operation counters and
-// the size/duration histograms under the pfs_* families. If the monitor
-// traces and no explicit recorder was set, the monitor's recorder also
-// becomes the span sink. Call before the machine run starts.
+// the size/duration histograms under the pfs_* families, and the monitor's
+// recorder (nil unless it traces) as the sink for the virtual interval of
+// every I/O operation. Call before the machine run starts.
 func (fs *FileSystem) SetMonitor(m *dsmon.Monitor) {
 	reg := m.Registry()
 	mk := func(op string) pfsOpMetrics {
@@ -82,9 +81,7 @@ func (fs *FileSystem) SetMonitor(m *dsmon.Monitor) {
 		retries: reg.Counter("pfs_io_retries_total",
 			"backend operations re-issued after a transient storage fault or short transfer"),
 	}
-	if r := m.Recorder(); r != nil && fs.rec == nil {
-		fs.rec = r
-	}
+	fs.rec = m.Recorder()
 	// Backends with their own instruments (e.g. the striped backend's
 	// fan-out histogram) bind to the same registry, existing and future.
 	fs.mu.Lock()
@@ -163,11 +160,6 @@ func NewMemFS(prof vtime.Profile) *FileSystem {
 // Profile returns the cost profile of the file system.
 func (fs *FileSystem) Profile() vtime.Profile { return fs.prof }
 
-// SetRecorder attaches a trace recorder; every subsequent I/O operation
-// records its virtual interval. Set before a machine run starts; nil
-// disables tracing.
-func (fs *FileSystem) SetRecorder(r *trace.Recorder) { fs.rec = r }
-
 // file is the shared per-name state.
 type file struct {
 	mu   sync.Mutex
@@ -219,13 +211,13 @@ type File struct {
 	// most recent asynchronous collective (0 when not tracing). Consumers
 	// that later wait on the completion (dstream's Drain, a prefetch hit)
 	// read it to link their wait span to the I/O that satisfied it.
-	lastAsync trace.SpanID
+	lastAsync dsmon.SpanID
 }
 
 // LastAsyncSpan returns the span ID of the most recent asynchronous
 // collective's background-disk interval on this handle, 0 when the file
 // system is not tracing or no async collective has run yet.
-func (h *File) LastAsyncSpan() trace.SpanID { return h.lastAsync }
+func (h *File) LastAsyncSpan() dsmon.SpanID { return h.lastAsync }
 
 // Open returns rank's handle on the named file in a group of nprocs nodes,
 // charging the platform's open latency. If trunc is true the file image is
@@ -338,27 +330,6 @@ func (h *File) ReadAt(p []byte, off int64) error {
 	h.fs.counters.bytesRead.Add(int64(len(p)))
 	h.fs.met.readAt.record(int64(len(p)), start, h.clock.Now())
 	return nil
-}
-
-// ReadAtAsync is the read-ahead variant of ReadAt: the bytes are available
-// in p and the disk channel is busy until the returned completion time, but
-// the caller's clock does not advance — the transfer overlaps computation.
-// Callers must SyncTo the completion time before consuming p.
-func (h *File) ReadAtAsync(p []byte, off int64) (completion float64, err error) {
-	if h.closed {
-		return 0, fmt.Errorf("pfs: read on closed handle %q", h.f.name)
-	}
-	if _, err := io.ReadFull(io.NewSectionReader(h.f.b, off, int64(len(p))), p); err != nil {
-		return 0, fmt.Errorf("pfs: read %q at %d: %w", h.f.name, off, err)
-	}
-	slow := h.f.b.Size() >= h.fs.prof.SlowOffset
-	start := h.clock.Now()
-	completion = h.f.d.submit(h.rank, start, int64(len(p)), false, slow)
-	h.fs.rec.Add(h.rank, "io", "ReadAtAsync "+h.f.name, start, completion)
-	h.fs.counters.independentReads.Add(1)
-	h.fs.counters.bytesRead.Add(int64(len(p)))
-	h.fs.met.readAt.record(int64(len(p)), start, completion)
-	return completion, nil
 }
 
 // Close drops the handle. The underlying image persists in the file system

@@ -76,40 +76,6 @@ func TestParallelReadAsyncCompletion(t *testing.T) {
 	}
 }
 
-// TestReadAtAsync: the independent async read moves the bytes immediately
-// and returns a completion the caller settles later, matching the
-// synchronous ReadAt's final clock.
-func TestReadAtAsync(t *testing.T) {
-	prof := testProfile()
-	fs := NewMemFS(prof)
-	spmdFS(t, fs, 1, func(rank int, clock *vtime.Clock) error {
-		h, err := fs.Open("f", 1, rank, clock, true)
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		if _, err := h.ParallelAppend(bytes.Repeat([]byte{7}, 256)); err != nil {
-			return err
-		}
-		buf := make([]byte, 100)
-		completion, err := h.ReadAtAsync(buf, 50)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, bytes.Repeat([]byte{7}, 100)) {
-			return fmt.Errorf("async bytes not delivered immediately")
-		}
-		if completion <= clock.Now() {
-			return fmt.Errorf("completion %f not after issue time %f", completion, clock.Now())
-		}
-		// Reading past EOF is an error, same as ReadAt.
-		if _, err := h.ReadAtAsync(buf, 250); err == nil {
-			return fmt.Errorf("read past EOF succeeded")
-		}
-		return nil
-	})
-}
-
 // TestStripedFanoutConcurrent: many goroutines hammer one striped backend
 // with overlapping multi-cell reads and disjoint writes; under -race this
 // is the fan-out's data-race certificate, and the final image must match a

@@ -3,7 +3,6 @@ package pfs
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"pcxxstreams/internal/dsmon"
 )
@@ -26,55 +25,25 @@ func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 // instead of spinning.
 const ioMaxAttempts = 8
 
-// retryReadAt reads len(p) bytes at off, resuming after short reads and
-// retrying transient faults until ioMaxAttempts consecutive attempts make
-// no progress. onRetry (may be nil) is called once per extra attempt.
-// Non-transient errors — including a genuine io.EOF — propagate with the
-// partial count, preserving the io.ReaderAt contract.
-func retryReadAt(r io.ReaderAt, p []byte, off int64, onRetry func()) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	done, stalls := 0, 0
-	for {
-		n, err := r.ReadAt(p[done:], off+int64(done))
-		if n > 0 {
-			done += n
-			stalls = 0
-		} else {
-			stalls++
-		}
-		if done == len(p) {
-			return done, nil
-		}
-		if err != nil && !IsTransient(err) {
-			return done, err
-		}
-		if stalls >= ioMaxAttempts {
-			if err == nil {
-				err = ErrTransient
-			}
-			return done, fmt.Errorf("pfs: read at %d: retries exhausted after %d stalled attempts: %w",
-				off, stalls, err)
-		}
-		// Transient fault, or a short read with nil error: re-issue for the
-		// remainder. Progress already made is kept.
-		if onRetry != nil {
-			onRetry()
-		}
-	}
-}
-
-// retryWriteAt writes p at off, resuming after short writes and retrying
+// retryAt moves len(p) bytes between p and b at off — out of p when write is
+// set, into it otherwise — resuming after short transfers and retrying
 // transient faults until ioMaxAttempts consecutive attempts make no
-// progress. onRetry (may be nil) is called once per extra attempt.
-func retryWriteAt(w io.WriterAt, p []byte, off int64, onRetry func()) (int, error) {
+// progress. fs (may be nil) counts each extra attempt. Non-transient errors —
+// including a genuine io.EOF — propagate with the partial count, preserving
+// the io.ReaderAt contract.
+func retryAt(b Backend, write bool, p []byte, off int64, fs *FileSystem) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
 	done, stalls := 0, 0
 	for {
-		n, err := w.WriteAt(p[done:], off+int64(done))
+		var n int
+		var err error
+		if write {
+			n, err = b.WriteAt(p[done:], off+int64(done))
+		} else {
+			n, err = b.ReadAt(p[done:], off+int64(done))
+		}
 		if n > 0 {
 			done += n
 			stalls = 0
@@ -91,11 +60,17 @@ func retryWriteAt(w io.WriterAt, p []byte, off int64, onRetry func()) (int, erro
 			if err == nil {
 				err = ErrTransient
 			}
-			return done, fmt.Errorf("pfs: write at %d: retries exhausted after %d stalled attempts: %w",
-				off, stalls, err)
+			op := "read"
+			if write {
+				op = "write"
+			}
+			return done, fmt.Errorf("pfs: %s at %d: retries exhausted after %d stalled attempts: %w",
+				op, off, stalls, err)
 		}
-		if onRetry != nil {
-			onRetry()
+		// Transient fault, or a short transfer with nil error: re-issue for
+		// the remainder. Progress already made is kept.
+		if fs != nil {
+			fs.countIORetry()
 		}
 	}
 }
@@ -114,11 +89,11 @@ type resilientBackend struct {
 }
 
 func (rb *resilientBackend) ReadAt(p []byte, off int64) (int, error) {
-	return retryReadAt(rb.Backend, p, off, rb.fs.countIORetry)
+	return retryAt(rb.Backend, false, p, off, rb.fs)
 }
 
 func (rb *resilientBackend) WriteAt(p []byte, off int64) (int, error) {
-	return retryWriteAt(rb.Backend, p, off, rb.fs.countIORetry)
+	return retryAt(rb.Backend, true, p, off, rb.fs)
 }
 
 // SetMonitor forwards the observability hookup to the wrapped backend, so

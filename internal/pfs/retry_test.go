@@ -57,10 +57,10 @@ func (f *flakyBackend) WriteAt(p []byte, off int64) (int, error) {
 func TestRetryWriteResumesShortTransfers(t *testing.T) {
 	fb := &flakyBackend{MemBackend: NewMemBackend(), chunk: 7}
 	want := []byte("the quick brown fox jumps over the lazy dog")
-	retries := 0
-	n, err := retryWriteAt(fb, want, 3, func() { retries++ })
+	var fs FileSystem
+	n, err := retryAt(fb, true, want, 3, &fs)
 	if err != nil || n != len(want) {
-		t.Fatalf("retryWriteAt = %d, %v", n, err)
+		t.Fatalf("retryAt(write) = %d, %v", n, err)
 	}
 	got := make([]byte, len(want))
 	if _, err := fb.MemBackend.ReadAt(got, 3); err != nil {
@@ -69,7 +69,7 @@ func TestRetryWriteResumesShortTransfers(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed write produced %q, want %q", got, want)
 	}
-	if retries == 0 {
+	if fs.Stats().IORetries == 0 {
 		t.Error("no retries reported for a 7-byte-chunk backend")
 	}
 }
@@ -80,15 +80,15 @@ func TestRetryReadResumesShortTransfers(t *testing.T) {
 	mem.WriteAt(want, 0)
 	fb := &flakyBackend{MemBackend: mem, chunk: 5, failN: 2}
 	got := make([]byte, len(want))
-	retries := 0
-	n, err := retryReadAt(fb, got, 0, func() { retries++ })
+	var fs FileSystem
+	n, err := retryAt(fb, false, got, 0, &fs)
 	if err != nil || n != len(want) {
-		t.Fatalf("retryReadAt = %d, %v", n, err)
+		t.Fatalf("retryAt(read) = %d, %v", n, err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed read produced %q, want %q", got, want)
 	}
-	if retries < 2 {
+	if retries := fs.Stats().IORetries; retries < 2 {
 		t.Errorf("retries = %d, want at least the 2 scripted outright failures", retries)
 	}
 }
@@ -98,10 +98,10 @@ func TestRetryZeroLengthIsNoop(t *testing.T) {
 	// backend would fail it, and pfs issues zero-length ops for empty
 	// blocks).
 	fb := &flakyBackend{MemBackend: NewMemBackend(), failN: 1 << 30}
-	if n, err := retryReadAt(fb, nil, 0, nil); n != 0 || err != nil {
+	if n, err := retryAt(fb, false, nil, 0, nil); n != 0 || err != nil {
 		t.Fatalf("zero-length read = %d, %v", n, err)
 	}
-	if n, err := retryWriteAt(fb, nil, 0, nil); n != 0 || err != nil {
+	if n, err := retryAt(fb, true, nil, 0, nil); n != 0 || err != nil {
 		t.Fatalf("zero-length write = %d, %v", n, err)
 	}
 	if fb.calls != 0 {
@@ -111,7 +111,7 @@ func TestRetryZeroLengthIsNoop(t *testing.T) {
 
 func TestRetryExhaustionSurfacesCleanly(t *testing.T) {
 	fb := &flakyBackend{MemBackend: NewMemBackend(), failN: 1 << 30}
-	_, err := retryWriteAt(fb, []byte("doomed"), 0, nil)
+	_, err := retryAt(fb, true, []byte("doomed"), 0, nil)
 	if err == nil {
 		t.Fatal("write succeeded against an always-failing backend")
 	}
@@ -127,9 +127,13 @@ func TestRetryPropagatesEOF(t *testing.T) {
 	mem := NewMemBackend()
 	mem.WriteAt([]byte("short"), 0)
 	p := make([]byte, 64)
-	n, err := retryReadAt(mem, p, 0, func() { t.Error("genuine EOF retried") })
+	var fs FileSystem
+	n, err := retryAt(mem, false, p, 0, &fs)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("read past end = %v, want io.EOF", err)
+	}
+	if fs.Stats().IORetries != 0 {
+		t.Error("genuine EOF retried")
 	}
 	if n != 5 || string(p[:5]) != "short" {
 		t.Fatalf("partial read = %d %q", n, p[:n])
@@ -143,9 +147,13 @@ func TestRetryDoesNotRetryInjectedFaults(t *testing.T) {
 	// FaultyBackend models a dead disk: its errors are permanent, and the
 	// retry helpers must hand them straight up instead of burning attempts.
 	fb := NewFaultyBackend(NewMemBackend(), 0)
-	_, err := retryWriteAt(fb, []byte("x"), 0, func() { t.Error("injected fault retried") })
+	var fs FileSystem
+	_, err := retryAt(fb, true, []byte("x"), 0, &fs)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if fs.Stats().IORetries != 0 {
+		t.Error("injected fault retried")
 	}
 	if IsTransient(err) {
 		t.Fatal("injected fault classified as transient")

@@ -178,7 +178,7 @@ func (s *StripedBackend) fanout(p []byte, off int64, write bool) error {
 }
 
 // childWalk transfers every cell of [off, off+len(p)) that lives on child,
-// in ascending offset order. Child transfers go through the retry helpers
+// in ascending offset order. Child transfers go through the retry loop
 // so a transient fault on one stripe device (e.g. a chaos-wrapped child) is
 // resumed in place instead of failing the whole striped operation.
 func (s *StripedBackend) childWalk(p []byte, off int64, child int, write bool, stop *atomic.Bool) error {
@@ -201,11 +201,9 @@ func (s *StripedBackend) childWalk(p []byte, off int64, child int, write bool, s
 		}
 		childOff := (cell/k)*s.unit + (a - lo)
 		seg := p[a-off : b-off]
-		if write {
-			if _, err := retryWriteAt(s.children[child], seg, childOff, nil); err != nil {
-				return fmt.Errorf("pfs: stripe %d: %w", child, err)
-			}
-		} else if _, err := retryReadAt(s.children[child], seg, childOff, nil); err != nil && err != io.EOF {
+		// ReadAt has already clipped the read to the striped size, so a
+		// child's io.EOF is not this layer's to report.
+		if _, err := retryAt(s.children[child], write, seg, childOff, nil); err != nil && (write || err != io.EOF) {
 			return fmt.Errorf("pfs: stripe %d: %w", child, err)
 		}
 	}

@@ -11,6 +11,7 @@ package replicated
 import (
 	"fmt"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
 )
@@ -43,18 +44,10 @@ func Open(node *machine.Node, name string, trunc bool) (*File, error) {
 // Write appends p once (from node 0); all nodes advance their cursor and
 // synchronize.
 func (r *File) Write(p []byte) error {
-	status := []byte{1}
-	if r.node.Rank() == 0 {
-		if err := r.f.WriteAt(p, r.cursor); err != nil {
-			status = []byte(err.Error())
-		}
-	}
-	status, err := r.node.Comm().Bcast(0, status)
+	_, frame, err := r.node.Comm().Rooted(0, func() ([]byte, error) { return nil, r.f.WriteAt(p, r.cursor) })
+	bufpool.Put(frame)
 	if err != nil {
-		return fmt.Errorf("replicated: write sync: %w", err)
-	}
-	if len(status) != 1 || status[0] != 1 {
-		return fmt.Errorf("replicated: write: %s", status)
+		return fmt.Errorf("replicated: write: %w", err)
 	}
 	r.cursor += int64(len(p))
 	return nil
@@ -64,24 +57,15 @@ func (r *File) Write(p []byte) error {
 // node, as the pC++ compiler transformation does for input of replicated
 // data.
 func (r *File) Read(n int) ([]byte, error) {
-	var frame []byte
-	if r.node.Rank() == 0 {
+	buf, _, err := r.node.Comm().Rooted(0, func() ([]byte, error) {
 		buf := make([]byte, n)
-		if err := r.f.ReadAt(buf, r.cursor); err != nil {
-			frame = append([]byte{0}, err.Error()...)
-		} else {
-			frame = append([]byte{1}, buf...)
-		}
-	}
-	frame, err := r.node.Comm().Bcast(0, frame)
+		return buf, r.f.ReadAt(buf, r.cursor)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("replicated: read sync: %w", err)
-	}
-	if len(frame) == 0 || frame[0] != 1 {
-		return nil, fmt.Errorf("replicated: read: %s", frame[1:])
+		return nil, fmt.Errorf("replicated: read: %w", err)
 	}
 	r.cursor += int64(n)
-	return frame[1:], nil
+	return buf, nil
 }
 
 // SeekTo sets the cursor on every node.

@@ -3,6 +3,7 @@ package replicated
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pcxxstreams/internal/machine"
@@ -83,6 +84,41 @@ func TestReadBroadcastsSameBytes(t *testing.T) {
 	for r, b := range results {
 		if !bytes.Equal(b, []byte("23456")) {
 			t.Fatalf("rank %d read %q", r, b)
+		}
+	}
+}
+
+// TestRootFailureFailsEveryRank: node 0 alone touches storage; when its write
+// or read fails, every node fails with its message and no cursor moves.
+func TestRootFailureFailsEveryRank(t *testing.T) {
+	const nprocs = 3
+	fs := pfs.NewMemFS(vtime.Challenge())
+	if err := fs.InjectFault("doomed", 0); err != nil {
+		t.Fatal(err)
+	}
+	var werrs, rerrs [nprocs]error
+	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: vtime.Challenge(), FS: fs},
+		func(n *machine.Node) error {
+			f, err := Open(n, "doomed", false)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			werrs[n.Rank()] = f.Write([]byte("x"))
+			_, rerrs[n.Rank()] = f.Read(4)
+			if f.Offset() != 0 {
+				return fmt.Errorf("cursor moved to %d over failed operations", f.Offset())
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, errs := range [][nprocs]error{werrs, rerrs} {
+		for r, err := range errs {
+			if !strings.Contains(fmt.Sprint(err), pfs.ErrInjected.Error()) || fmt.Sprint(err) != fmt.Sprint(errs[0]) {
+				t.Fatalf("rank %d: err = %v, want node 0's injected fault (%v)", r, err, errs[0])
+			}
 		}
 	}
 }

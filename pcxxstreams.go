@@ -37,7 +37,6 @@ import (
 	"pcxxstreams/internal/server"
 	"pcxxstreams/internal/session"
 	"pcxxstreams/internal/telemetry"
-	"pcxxstreams/internal/trace"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -65,18 +64,16 @@ const (
 	TransportTCP = machine.TransportTCP
 )
 
-// TraceRecorder records per-operation virtual-time intervals of a run
-// (Config.Trace); render with WriteGantt or WriteChromeJSON.
-type TraceRecorder = trace.Recorder
-
-// NewTraceRecorder creates an empty trace recorder.
-var NewTraceRecorder = trace.New
+// TraceRecorder is the span timeline of a traced run: what a tracing
+// monitor's Recorder() returns and AnalyzeCritPath takes; render with
+// WriteGantt or WriteChromeJSON.
+type TraceRecorder = dsmon.Recorder
 
 // Monitor is the run-wide observability handle (Config.Monitor): a metric
 // registry covering comm, collective, pfs and dstream, plus — when created
-// with NewTracingMonitor — a trace recorder that adds comm/collective/
-// dstream spans to the io timeline. Expose with WritePrometheus, WriteJSON
-// or WriteChromeJSON.
+// with NewTracingMonitor — a trace recorder carrying one timeline of io,
+// comm, collective and dstream spans. Expose with WritePrometheus,
+// WriteJSON or WriteChromeJSON.
 type Monitor = dsmon.Monitor
 
 var (

@@ -204,8 +204,8 @@ func TestProfileByName(t *testing.T) {
 // the façade: 3-D grids, tracing, and — at 27 nodes, past the flat
 // exchange's 16 — the tree collectives.
 func TestFacadeGridAndTraceAndTree(t *testing.T) {
-	rec := NewTraceRecorder()
-	cfg := Config{NProcs: 27, Profile: Challenge(), Trace: rec}
+	mon := NewTracingMonitor()
+	cfg := Config{NProcs: 27, Profile: Challenge(), Monitor: mon}
 	res, err := Run(cfg, func(n *Node) error {
 		g3, err := NewGrid3D(6, 6, 6, 3, 3, 3, Block, Block, Block, 0, 0, 0)
 		if err != nil {
@@ -260,8 +260,16 @@ func TestFacadeGridAndTraceAndTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("trace recorded nothing")
+	// One handle, one timeline: every layer's spans are on the monitor's
+	// recorder.
+	cats := map[string]bool{}
+	for _, e := range mon.Recorder().Events() {
+		cats[e.Cat] = true
+	}
+	for _, want := range []string{"io", "comm", "collective", "dstream"} {
+		if !cats[want] {
+			t.Fatalf("no %q spans on the monitor's timeline; categories = %v", want, cats)
+		}
 	}
 	if res.Fanout == 0 {
 		t.Fatal("27 nodes ran the flat collectives")
