@@ -27,14 +27,16 @@ tables:
 bench:
 	$(GO) test -bench . -benchtime 1x ./internal/bench
 
-# One gated virtual-time sweep: `make bench-<name>` for <name> in twophase,
-# planner, readahead, critpath, pipeline (and alloc, below). Each prints its
-# grid, rewrites the committed BENCH_<name>.json — byte for byte when nothing
+# One gated virtual-time sweep: `make bench-<name>` for <name> in planner,
+# readahead, critpath, pipeline (and alloc, below). Each prints its grid,
+# rewrites the committed BENCH_<name>.json — byte for byte when nothing
 # changed, since virtual time is deterministic — and fails unless its gate
 # holds:
-#   twophase   two-phase beats both funnel and parallel outright on ≥1 cell
 #   planner    StrategyAuto within 10% of the best static choice on ≥90% of
-#              the cells, byte-identical data in every cell
+#              the cells, byte-identical data in every cell; and, over the
+#              write cells (BENCH_planner.json .write, which time every static
+#              strategy), two-phase beats both funnel and parallel outright
+#              on ≥1 cell
 #   readahead  prefetching lowers the refill stall on at least half the cells
 #              with byte-identical data
 #   critpath   every rank's wall time fully attributed, span-graph stall sums

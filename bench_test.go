@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"pcxxstreams/internal/bench"
-	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/vtime"
 )
@@ -70,113 +69,22 @@ func BenchmarkTable4(b *testing.B) { benchTable(b, 4) }
 
 // --- Ablations (see DESIGN.md §Ablations) ---
 
-// BenchmarkAblationSortedVsUnsorted quantifies §3's claim that unsortedRead
-// avoids the interprocessor communication of read.
-func BenchmarkAblationSortedVsUnsorted(b *testing.B) {
-	var sorted, unsorted float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		sorted, unsorted, err = bench.AblationSortedVsUnsorted(vtime.Paragon(), 4, 512)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(sorted, "vsec-sorted")
-	b.ReportMetric(unsorted, "vsec-unsorted")
-	b.ReportMetric(sorted/unsorted, "sorted/unsorted")
-}
-
-// BenchmarkAblationMetadataPath compares §4.1's two metadata strategies on
-// a small collection (funnel should win) and a large one (parallel should).
-func BenchmarkAblationMetadataPath(b *testing.B) {
-	for _, c := range []struct {
-		name     string
-		segments int
-	}{{"small-64segs", 64}, {"large-8192segs", 8192}} {
-		b.Run(c.name, func(b *testing.B) {
-			var funnel, parallel float64
+// BenchmarkAblation runs every row of bench.Ablations — the table
+// `dstream-bench -ablations` prints — at its committed cell, one
+// sub-benchmark per design decision, one vsec metric per side of it.
+func BenchmarkAblation(b *testing.B) {
+	for _, a := range bench.Ablations() {
+		b.Run(a.Name, func(b *testing.B) {
+			var v []float64
 			var err error
 			for i := 0; i < b.N; i++ {
-				funnel, parallel, err = bench.AblationMetadataPath(vtime.Paragon(), 8, c.segments)
-				if err != nil {
+				if v, err = a.Measure(a.Cell); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(funnel, "vsec-funnel")
-			b.ReportMetric(parallel, "vsec-parallel")
-		})
-	}
-}
-
-// BenchmarkAblationInterleave compares one interleaved record against one
-// record per field array.
-func BenchmarkAblationInterleave(b *testing.B) {
-	var inter, sep float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		inter, sep, err = bench.AblationInterleave(vtime.Paragon(), 4, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(inter, "vsec-interleaved")
-	b.ReportMetric(sep, "vsec-separate")
-}
-
-// BenchmarkAblationFlushGranularity sweeps the number of write() flushes
-// covering the same data (§4.3: buffering reduces total latency).
-func BenchmarkAblationFlushGranularity(b *testing.B) {
-	for _, records := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("flushes-%d", records), func(b *testing.B) {
-			var secs float64
-			var err error
-			for i := 0; i < b.N; i++ {
-				secs, err = bench.AblationFlushGranularity(vtime.Paragon(), 4, 512, records)
-				if err != nil {
-					b.Fatal(err)
-				}
+			for i, label := range a.Labels {
+				b.ReportMetric(v[i], "vsec-"+label)
 			}
-			b.ReportMetric(secs, "vsec")
-		})
-	}
-}
-
-// BenchmarkAblationRedistribute prices the two-phase sorted read's
-// redistribution against a same-layout restart.
-func BenchmarkAblationRedistribute(b *testing.B) {
-	var same, changed float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		same, changed, err = bench.AblationRedistribute(vtime.Paragon(), 512)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(same, "vsec-same-layout")
-	b.ReportMetric(changed, "vsec-redistributed")
-}
-
-// BenchmarkAblationTransport validates the goroutine/socket substitution:
-// virtual results are identical; wall-clock differs (that difference is the
-// thing this bench measures).
-func BenchmarkAblationTransport(b *testing.B) {
-	for _, tr := range []struct {
-		name string
-		kind machine.TransportKind
-	}{{"chan", machine.TransportChan}, {"tcp", machine.TransportTCP}} {
-		b.Run(tr.name, func(b *testing.B) {
-			var secs float64
-			var err error
-			for i := 0; i < b.N; i++ {
-				secs, err = bench.Seconds(bench.Run{
-					Profile: vtime.Challenge(), NProcs: 4, Segments: 128,
-					Variant: bench.Streams, Transport: tr.kind,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(secs, "vsec")
 		})
 	}
 }
@@ -218,7 +126,7 @@ func BenchmarkPlatformSweep(b *testing.B) {
 	var results []bench.PlatformResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		results, err = bench.RunPlatformSweep(4, 512)
+		results, err = bench.RunPlatformSweep(bench.Run{NProcs: 4, Segments: 512})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,19 +152,4 @@ func BenchmarkOpProfile(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(m.IO.TotalOps()), "io-ops-unbuffered")
-}
-
-// BenchmarkAblationAsyncOverlap quantifies the write-behind extension:
-// computation overlapping checkpoint I/O.
-func BenchmarkAblationAsyncOverlap(b *testing.B) {
-	var syncT, asyncT float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		syncT, asyncT, err = bench.AblationAsyncOverlap(vtime.Paragon(), 4, 512, 4, 0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(syncT, "vsec-sync")
-	b.ReportMetric(asyncT, "vsec-async")
 }

@@ -9,8 +9,9 @@
 //	dstream-bench -table 2        # one table
 //	dstream-bench -ablations     # the design-choice ablations
 //	dstream-bench -all -verify   # also verify data integrity per cell
-//	dstream-bench -sweep twophase   # one gated sweep: twophase|planner|readahead|critpath|pipeline|scale|alloc
-//	dstream-bench -sweep planner -json BENCH_planner.json   # ... and its grid as JSON
+//	dstream-bench -sweep readahead  # one gated sweep: planner|readahead|critpath|pipeline|scale|alloc
+//	dstream-bench -sweep planner -json BENCH_planner.json   # ... and its grid as JSON (its .write cells
+//	                                                        # are the two-phase strategy's evidence too)
 package main
 
 import (
@@ -154,90 +155,42 @@ func main() {
 	}
 
 	if *stats {
-		if err := bench.OpProfile(os.Stdout, pcxx.Paragon(), 4, 512); err != nil {
+		if err := bench.OpProfile(os.Stdout, bench.Run{Profile: pcxx.Paragon(), NProcs: 4, Segments: 512}); err != nil {
 			fatal(err)
 		}
 		fmt.Println()
 	}
 
 	if *platforms {
-		results, err := bench.RunPlatformSweep(4, 512)
+		cell := bench.Run{NProcs: 4, Segments: 512}
+		results, err := bench.RunPlatformSweep(cell)
 		if err != nil {
 			fatal(err)
 		}
-		bench.FormatPlatformSweep(os.Stdout, results)
+		bench.FormatPlatformSweep(os.Stdout, cell, results)
 	}
 
 	if *scaling {
-		prof := pcxx.Challenge()
-		procCounts := []int{1, 2, 4, 8, 16, 32, 64}
-		pts, err := bench.RunScalingSweep(prof, 2048, procCounts)
+		cell := bench.Run{Profile: pcxx.Challenge(), Segments: 2048}
+		pts, err := bench.RunScalingSweep(cell, []int{1, 2, 4, 8, 16, 32, 64})
 		if err != nil {
 			fatal(err)
 		}
-		bench.FormatScalingSweep(os.Stdout, prof, 2048, pts)
+		bench.FormatScalingSweep(os.Stdout, cell, pts)
 	}
 }
 
+// runAblations drives the ablation table: each row at its committed cell.
 func runAblations() {
-	paragon := pcxx.Paragon()
 	fmt.Println("Ablation experiments (virtual seconds, paragon profile unless noted)")
 	fmt.Println("---------------------------------------------------------------------")
-
-	sorted, unsorted, err := bench.AblationSortedVsUnsorted(paragon, 4, 512)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("read vs unsortedRead (512 segs, changed distribution):\n")
-	fmt.Printf("  sorted read  %8.3f s\n  unsortedRead %8.3f s   (%.1f%% of sorted — §3's communication saving)\n\n",
-		sorted, unsorted, 100*unsorted/sorted)
-
-	for _, segs := range []int{64, 8192} {
-		funnel, parallel, err := bench.AblationMetadataPath(paragon, 8, segs)
+	for _, a := range bench.Ablations() {
+		v, err := a.Measure(a.Cell)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("metadata path (%d segments, 8 procs): funnel %.3f s, parallel %.3f s → %s wins\n",
-			segs, funnel, parallel, map[bool]string{true: "funnel", false: "parallel"}[funnel <= parallel])
+		fmt.Print(a.Report(a.Cell, v))
 	}
-	fmt.Println()
-
-	inter, sep, err := bench.AblationInterleave(paragon, 4, 256)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("interleaving (5 field arrays, 256 segs): one record %.3f s, five records %.3f s\n\n", inter, sep)
-
-	fmt.Println("flush granularity (512 segs total):")
-	for _, records := range []int{1, 4, 16} {
-		secs, err := bench.AblationFlushGranularity(paragon, 4, 512, records)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  %2d flush(es): %8.3f s\n", records, secs)
-	}
-	fmt.Println()
-
-	same, changed, err := bench.AblationRedistribute(paragon, 512)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("restart (512 segs): same layout %.3f s, changed procs+distribution %.3f s (two-phase read cost)\n\n",
-		same, changed)
-
-	syncT, asyncT, err := bench.AblationAsyncOverlap(paragon, 4, 512, 4, 0.5)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("async write-behind (4 rounds of 0.5 s compute + checkpoint): sync %.3f s, async %.3f s (overlap saves %.3f s)\n\n",
-		syncT, asyncT, syncT-asyncT)
-
-	chanS, tcpS, err := bench.AblationTransport(pcxx.Challenge(), 4, 128)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("transport (challenge profile): chan %.6f vs tcp %.6f virtual s — identical=%v\n",
-		chanS, tcpS, chanS == tcpS)
 }
 
 // runSweep drives one row of the sweep table: run, print, write the grid

@@ -44,17 +44,14 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":7030", "listen address for client sessions")
-		tele      = flag.String("telemetry", "", "serve live telemetry (/metrics /healthz /debug/vars) on this address (':0' picks a free port)")
-		tenants   = flag.String("tenants", "", "comma-separated tenant specs: name[:quotaBytes[:maxSessions]]")
-		dir       = flag.String("dir", "", "back tenant storage with real files under this directory (default: in-memory stripe)")
-		stripeK   = flag.Int("stripe-factor", 4, "stripe factor of the default in-memory store")
-		stripeU   = flag.Int64("stripe-unit", 64<<10, "stripe unit bytes of the default in-memory store")
-		ioRanks   = flag.Int("io-ranks", 0, "dedicated I/O rank goroutines (0 = stripe factor)")
-		window    = flag.Int64("window", 4<<20, "per-session write window bytes granted at hello")
-		tenWindow = flag.Int64("tenant-window", 0, "per-tenant in-flight admission budget bytes (0 = 2×stripe)")
-		grace     = flag.Duration("grace", 30*time.Second, "how long a disconnected session stays resumable")
-		smoke     = flag.Bool("smoke", false, "run the self-test against an in-process daemon and exit")
+		addr    = flag.String("addr", ":7030", "listen address for client sessions")
+		tele    = flag.String("telemetry", "", "serve live telemetry (/metrics /healthz /debug/vars) on this address (':0' picks a free port)")
+		tenants = flag.String("tenants", "", "comma-separated tenant specs: name[:quotaBytes[:maxSessions]]")
+		dir     = flag.String("dir", "", "back tenant storage with real files under this directory (default: in-memory stripe)")
+		stripeK = flag.Int("stripe-factor", 4, "stripe factor of the default in-memory store")
+		stripeU = flag.Int64("stripe-unit", 64<<10, "stripe unit bytes of the default in-memory store")
+		grace   = flag.Duration("grace", 30*time.Second, "how long a disconnected session stays resumable")
+		smoke   = flag.Bool("smoke", false, "run the self-test against an in-process daemon and exit")
 	)
 	flag.Parse()
 
@@ -76,14 +73,11 @@ func main() {
 	}
 	mon := dsmon.New()
 	cfg := pcxx.DaemonConfig{
-		Tenants:           tens,
-		StripeFactor:      *stripeK,
-		StripeUnit:        *stripeU,
-		IORanks:           *ioRanks,
-		WindowBytes:       *window,
-		TenantWindowBytes: *tenWindow,
-		Grace:             *grace,
-		Monitor:           mon,
+		Tenants:      tens,
+		StripeFactor: *stripeK,
+		StripeUnit:   *stripeU,
+		Grace:        *grace,
+		Monitor:      mon,
 	}
 	if *dir != "" {
 		cfg.Factory = pcxx.OSFactory(*dir)

@@ -7,327 +7,265 @@ import (
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/vtime"
 )
 
-// This file implements the ablation experiments DESIGN.md derives from the
-// paper's design choices: each returns virtual seconds for the two (or
-// more) sides of one design decision, so the benches can report the margin
+// Ablation is one row of the table behind `dstream-bench -ablations` and the
+// root BenchmarkAblation: one design decision DESIGN.md derives from the
+// paper, the cell it is measured at, and a run that returns the virtual
+// seconds of each side of the decision, so the drivers can report the margin
 // the choice buys.
+type Ablation struct {
+	Name string
+	Cell Run
+	// Labels names what Measure returns, value for value.
+	Labels  []string
+	Measure func(Run) ([]float64, error)
+	// Report renders the values as the -ablations listing prints them.
+	Report func(r Run, v []float64) string
+}
 
-// AblationSortedVsUnsorted measures read vs unsortedRead on a file whose
-// distribution changed between write and read (§3: unsortedRead avoids the
-// interprocessor communication).
-func AblationSortedVsUnsorted(prof vtime.Profile, nprocs, segments int) (sorted, unsorted float64, err error) {
-	measure := func(v Variant) (float64, error) {
-		fs := pfs.NewMemFS(prof)
-		res, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs},
-			func(n *machine.Node) error {
-				wd, err := distr.New(segments, nprocs, distr.Cyclic, 0)
-				if err != nil {
-					return err
-				}
-				c, err := collection.New[scf.Segment](n, wd)
-				if err != nil {
-					return err
-				}
-				c.Apply(func(g int, s *scf.Segment) { s.Fill(g, scf.DefaultParticles) })
-				if err := streamsWrite(n, wd, c, "ab", dstream.Options{}); err != nil {
-					return err
-				}
-				// Read under a different distribution so sorting must route.
-				rd, err := distr.New(segments, nprocs, distr.Block, 0)
-				if err != nil {
-					return err
-				}
-				back, err := collection.New[scf.Segment](n, rd)
-				if err != nil {
-					return err
-				}
-				if err := n.Comm().Barrier(); err != nil {
-					return err
-				}
-				n.Clock().Reset()
-				return streamsRead(n, rd, back, "ab", v == StreamsSorted, dstream.Options{})
-			})
-		if err != nil {
-			return 0, err
+// flushCounts are the sides of the flush-granularity ablation.
+var flushCounts = []int{1, 4, 16}
+
+// Ablations is the table.
+func Ablations() []Ablation {
+	paragon := vtime.Paragon()
+	// §4.1 step 1: whether the metadata is funnelled through node 0 or
+	// written in parallel should depend on the element count — funnel wins
+	// the small collection, parallel the large one.
+	metadata := func(name string, segments int, tail string) Ablation {
+		return Ablation{
+			Name: name, Cell: Run{Profile: paragon, NProcs: 8, Segments: segments},
+			Labels: []string{"funnel", "parallel"}, Measure: metadataPath,
+			Report: func(r Run, v []float64) string {
+				return fmt.Sprintf("metadata path (%d segments, %d procs): funnel %.3f s, parallel %.3f s → %s wins\n"+tail,
+					r.Segments, r.NProcs, v[0], v[1], map[bool]string{true: "funnel", false: "parallel"}[v[0] <= v[1]])
+			},
 		}
-		return res.Elapsed, nil
 	}
-	if sorted, err = measure(StreamsSorted); err != nil {
-		return 0, 0, err
+	return []Ablation{
+		{
+			// §3: unsortedRead avoids the interprocessor communication of read.
+			Name: "sorted-vs-unsorted", Cell: Run{Profile: paragon, NProcs: 4, Segments: 512},
+			Labels: []string{"sorted", "unsorted"}, Measure: sortedVsUnsorted,
+			Report: func(r Run, v []float64) string {
+				return fmt.Sprintf("read vs unsortedRead (%d segs, changed distribution):\n  sorted read  %8.3f s\n  unsortedRead %8.3f s   (%.1f%% of sorted — §3's communication saving)\n\n",
+					r.Segments, v[0], v[1], 100*v[1]/v[0])
+			},
+		},
+		metadata("metadata-path-small", 64, ""),
+		metadata("metadata-path-large", 8192, "\n"),
+		{
+			// What the interleaving feature saves: k field arrays in one record
+			// (one parallel write) against k records.
+			Name: "interleave", Cell: Run{Profile: paragon, NProcs: 4, Segments: 256},
+			Labels: []string{"interleaved", "separate"}, Measure: interleave,
+			Report: func(r Run, v []float64) string {
+				return fmt.Sprintf("interleaving (5 field arrays, %d segs): one record %.3f s, five records %.3f s\n\n", r.Segments, v[0], v[1])
+			},
+		},
+		{
+			// §4.3 "buffering reduces total I/O latency time": the same data
+			// flushed in more and more write() calls.
+			Name: "flush-granularity", Cell: Run{Profile: paragon, NProcs: 4, Segments: 512},
+			Labels:  []string{"flushes-1", "flushes-4", "flushes-16"},
+			Measure: func(r Run) ([]float64, error) { return each(r, flushCounts, flushSeconds) },
+			Report: func(r Run, v []float64) string {
+				s := fmt.Sprintf("flush granularity (%d segs total):\n", r.Segments)
+				for i, n := range flushCounts {
+					s += fmt.Sprintf("  %2d flush(es): %8.3f s\n", n, v[i])
+				}
+				return s + "\n"
+			},
+		},
+		{
+			// The price of §4.1's two-phase read, paid only when needed: a
+			// restart in the writer's layout against one where both the
+			// processor count and the distribution changed.
+			Name: "redistribute", Cell: Run{Profile: paragon, NProcs: 4, Segments: 512},
+			Labels: []string{"same-layout", "redistributed"}, Measure: redistribute,
+			Report: func(r Run, v []float64) string {
+				return fmt.Sprintf("restart (%d segs): same layout %.3f s, changed procs+distribution %.3f s (two-phase read cost)\n\n", r.Segments, v[0], v[1])
+			},
+		},
+		{
+			// The write-behind extension: a program alternating computation with
+			// checkpoint writes, synchronous (they serialize) and with
+			// Options.Async (they overlap).
+			Name: "async-overlap", Cell: Run{Profile: paragon, NProcs: 4, Segments: 512, Records: 4, Compute: 0.5},
+			Labels: []string{"sync", "async"}, Measure: asyncOverlap,
+			Report: func(r Run, v []float64) string {
+				return fmt.Sprintf("async write-behind (%d rounds of %.1f s compute + checkpoint): sync %.3f s, async %.3f s (overlap saves %.3f s)\n\n",
+					r.Records, r.Compute, v[0], v[1], v[0]-v[1])
+			},
+		},
+		{
+			// The transport substitution (DESIGN.md): identical virtual times
+			// over in-process queues and over TCP sockets.
+			Name: "transport", Cell: Run{Profile: vtime.Challenge(), NProcs: 4, Segments: 128},
+			Labels: []string{"chan", "tcp"}, Measure: transports,
+			Report: func(r Run, v []float64) string {
+				return fmt.Sprintf("transport (%s profile): chan %.6f vs tcp %.6f virtual s — identical=%v\n", r.Profile.Name, v[0], v[1], v[0] == v[1])
+			},
+		},
 	}
-	if unsorted, err = measure(Streams); err != nil {
-		return 0, 0, err
-	}
-	return sorted, unsorted, nil
 }
 
-// AblationMetadataPath measures the funnel-through-node-0 metadata path
-// against the parallel metadata write for a given collection size (§4.1
-// step 1: the right choice depends on the element count).
-func AblationMetadataPath(prof vtime.Profile, nprocs, segments int) (funnel, parallel float64, err error) {
-	measure := func(strat dstream.Strategy) (float64, error) {
-		return Seconds(Run{
-			Profile: prof, NProcs: nprocs, Segments: segments,
-			Variant: Streams, StreamOpts: dstream.Options{Strategy: strat},
-		})
-	}
-	if funnel, err = measure(dstream.StrategyFunnel); err != nil {
-		return 0, 0, err
-	}
-	if parallel, err = measure(dstream.StrategyParallel); err != nil {
-		return 0, 0, err
-	}
-	return funnel, parallel, nil
-}
-
-// AblationInterleave measures inserting k field arrays into one record
-// (interleaved, one parallel write) against writing k separate records
-// (one per field), quantifying what the interleaving feature saves.
-func AblationInterleave(prof vtime.Profile, nprocs, segments int) (interleaved, separate float64, err error) {
-	measure := func(oneRecord bool) (float64, error) {
-		fs := pfs.NewMemFS(prof)
-		res, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs},
-			func(n *machine.Node) error {
-				d, err := distr.New(segments, nprocs, distr.Cyclic, 0)
-				if err != nil {
-					return err
-				}
-				c, err := collection.New[scf.Segment](n, d)
-				if err != nil {
-					return err
-				}
-				c.Apply(func(g int, s *scf.Segment) { s.Fill(g, scf.DefaultParticles) })
-				if err := n.Comm().Barrier(); err != nil {
-					return err
-				}
-				n.Clock().Reset()
-				s, err := dstream.Open(n, d, "il")
-				if err != nil {
-					return err
-				}
-				defer s.Close()
-				inserts := []func() error{
-					func() error {
-						return dstream.InsertField(s, c, func(e *scf.Segment) int64 { return e.NumberOfParticles })
-					},
-					func() error {
-						return dstream.InsertFloat64Slice(s, c, func(e *scf.Segment) []float64 { return e.X })
-					},
-					func() error {
-						return dstream.InsertFloat64Slice(s, c, func(e *scf.Segment) []float64 { return e.Y })
-					},
-					func() error {
-						return dstream.InsertFloat64Slice(s, c, func(e *scf.Segment) []float64 { return e.Z })
-					},
-					func() error {
-						return dstream.InsertFloat64Slice(s, c, func(e *scf.Segment) []float64 { return e.Mass })
-					},
-				}
-				for _, ins := range inserts {
-					if err := ins(); err != nil {
-						return err
-					}
-					if !oneRecord {
-						if err := s.Write(); err != nil {
-							return err
-						}
-					}
-				}
-				if oneRecord {
-					return s.Write()
-				}
-				return nil
-			})
-		if err != nil {
-			return 0, err
+// each measures the cell once per side of the decision.
+func each[T any](r Run, sides []T, seconds func(Run, T) (float64, error)) ([]float64, error) {
+	out := make([]float64, len(sides))
+	for i, side := range sides {
+		var err error
+		if out[i], err = seconds(r, side); err != nil {
+			return nil, err
 		}
-		return res.Elapsed, nil
 	}
-	if interleaved, err = measure(true); err != nil {
-		return 0, 0, err
-	}
-	if separate, err = measure(false); err != nil {
-		return 0, 0, err
-	}
-	return interleaved, separate, nil
+	return out, nil
 }
 
-// AblationFlushGranularity measures the cost of flushing the same data in
-// `records` separate write() calls — the buffering-reduces-latency claim of
-// §4.3 ("buffering reduces total I/O latency time").
-func AblationFlushGranularity(prof vtime.Profile, nprocs, segments int, records int) (float64, error) {
-	if records <= 0 || segments%records != 0 {
-		return 0, fmt.Errorf("bench: segments (%d) must divide into records (%d)", segments, records)
+// restartSeconds writes the cell's collection as a checkpoint and times, on
+// a second machine of procs nodes over the same store, reading it back into
+// a mode layout: with read, or with unsortedRead when the variant is Streams.
+func restartSeconds(r Run, procs int, mode distr.Mode) (float64, error) {
+	fs := r.fs()
+	if _, err := r.timed(fs, func(c *collection.Collection[scf.Segment]) error {
+		return streamsWrite(c, "ck", r.StreamOpts)
+	}); err != nil {
+		return 0, err
 	}
-	fs := pfs.NewMemFS(prof)
-	res, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs},
-		func(n *machine.Node) error {
-			// Each record covers segments/records segments: model a program
-			// that flushes its buffer `records` times.
-			per := segments / records
-			d, err := distr.New(per, nprocs, distr.Cyclic, 0)
-			if err != nil {
-				return err
-			}
-			c, err := collection.New[scf.Segment](n, d)
-			if err != nil {
-				return err
-			}
-			c.Apply(func(g int, s *scf.Segment) { s.Fill(g, scf.DefaultParticles) })
-			if err := n.Comm().Barrier(); err != nil {
-				return err
-			}
-			n.Clock().Reset()
-			s, err := dstream.Open(n, d, "fg")
+	r.NProcs = procs
+	res, err := r.on(fs, func(n *machine.Node) error {
+		d, err := distr.New(r.Segments, procs, mode, 0)
+		if err != nil {
+			return err
+		}
+		back, err := collection.New[scf.Segment](n, d)
+		if err != nil {
+			return err
+		}
+		return streamsRead(back, "ck", r.Variant == StreamsSorted, r.StreamOpts)
+	})
+	return res.Elapsed, err
+}
+
+// sortedVsUnsorted reads under a different distribution than the file was
+// written with, so sorting must route.
+func sortedVsUnsorted(r Run) ([]float64, error) {
+	return each(r, []Variant{StreamsSorted, Streams}, func(r Run, v Variant) (float64, error) {
+		r.Variant = v
+		return restartSeconds(r, r.NProcs, distr.Block)
+	})
+}
+
+func redistribute(r Run) ([]float64, error) {
+	r.Variant = StreamsSorted
+	type layout struct {
+		procs int
+		mode  distr.Mode
+	}
+	return each(r, []layout{{r.NProcs, distr.Cyclic}, {r.NProcs + 2, distr.Block}}, func(r Run, l layout) (float64, error) {
+		return restartSeconds(r, l.procs, l.mode)
+	})
+}
+
+func metadataPath(r Run) ([]float64, error) {
+	r.Variant = Streams
+	return each(r, []dstream.Strategy{dstream.StrategyFunnel, dstream.StrategyParallel}, func(r Run, s dstream.Strategy) (float64, error) {
+		r.StreamOpts.Strategy = s
+		return Seconds(r)
+	})
+}
+
+func transports(r Run) ([]float64, error) {
+	r.Variant = Streams
+	return each(r, []machine.TransportKind{machine.TransportChan, machine.TransportTCP}, func(r Run, t machine.TransportKind) (float64, error) {
+		r.Transport = t
+		return Seconds(r)
+	})
+}
+
+// interleave inserts the five field arrays of a segment into one record or
+// writes each as a record of its own.
+func interleave(r Run) ([]float64, error) {
+	return each(r, []bool{true, false}, func(r Run, oneRecord bool) (float64, error) {
+		res, err := r.timed(r.fs(), func(c *collection.Collection[scf.Segment]) error {
+			s, err := dstream.Open(c.Node(), c.Dist(), "il")
 			if err != nil {
 				return err
 			}
 			defer s.Close()
-			for rec := 0; rec < records; rec++ {
-				if err := dstream.Insert[scf.Segment](s, c); err != nil {
+			flush := s.Write
+			if oneRecord {
+				flush = func() error { return nil }
+			}
+			if err := dstream.InsertField(s, c, func(e *scf.Segment) int64 { return e.NumberOfParticles }); err != nil {
+				return err
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+			for _, field := range []func(*scf.Segment) []float64{
+				func(e *scf.Segment) []float64 { return e.X },
+				func(e *scf.Segment) []float64 { return e.Y },
+				func(e *scf.Segment) []float64 { return e.Z },
+				func(e *scf.Segment) []float64 { return e.Mass },
+			} {
+				if err := dstream.InsertFloat64Slice(s, c, field); err != nil {
 					return err
 				}
-				if err := s.Write(); err != nil {
+				if err := flush(); err != nil {
 					return err
 				}
 			}
+			if oneRecord {
+				return s.Write()
+			}
 			return nil
 		})
-	if err != nil {
-		return 0, err
-	}
-	return res.Elapsed, nil
+		return res.Elapsed, err
+	})
 }
 
-// AblationRedistribute measures a checkpoint/restart where the reader keeps
-// the writer's layout against one where both the processor count and the
-// distribution changed — the price of §4.1's two-phase read, paid only when
-// needed.
-func AblationRedistribute(prof vtime.Profile, segments int) (same, changed float64, err error) {
-	writeCk := func(fs *pfs.FileSystem) error {
-		_, err := machine.Run(machine.Config{NProcs: 4, Profile: prof, FS: fs},
-			func(n *machine.Node) error {
-				d, err := distr.New(segments, 4, distr.Cyclic, 0)
-				if err != nil {
-					return err
-				}
-				c, err := collection.New[scf.Segment](n, d)
-				if err != nil {
-					return err
-				}
-				c.Apply(func(g int, s *scf.Segment) { s.Fill(g, scf.DefaultParticles) })
-				return streamsWrite(n, d, c, "ck", dstream.Options{})
-			})
-		return err
-	}
-	restart := func(fs *pfs.FileSystem, nprocs int, mode distr.Mode) (float64, error) {
-		res, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs},
-			func(n *machine.Node) error {
-				d, err := distr.New(segments, nprocs, mode, 0)
-				if err != nil {
-					return err
-				}
-				back, err := collection.New[scf.Segment](n, d)
-				if err != nil {
-					return err
-				}
-				return streamsRead(n, d, back, "ck", true, dstream.Options{})
-			})
+// checkpointSeconds times a program that, Records times over, computes for
+// Compute seconds and writes the cell's collection as one record of one
+// open stream, the close included.
+func checkpointSeconds(r Run) (float64, error) {
+	res, err := r.timed(r.fs(), func(c *collection.Collection[scf.Segment]) error {
+		n := c.Node()
+		s, err := dstream.Open(n, c.Dist(), "ck", dstream.WithOptions(r.StreamOpts))
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return res.Elapsed, nil
-	}
-
-	fs1 := pfs.NewMemFS(prof)
-	if err = writeCk(fs1); err != nil {
-		return 0, 0, err
-	}
-	if same, err = restart(fs1, 4, distr.Cyclic); err != nil {
-		return 0, 0, err
-	}
-	fs2 := pfs.NewMemFS(prof)
-	if err = writeCk(fs2); err != nil {
-		return 0, 0, err
-	}
-	if changed, err = restart(fs2, 6, distr.Block); err != nil {
-		return 0, 0, err
-	}
-	return same, changed, nil
+		defer s.Close()
+		for rec := 0; rec < r.Records; rec++ {
+			n.Compute(r.Compute)
+			if err := dstream.Insert[scf.Segment](s, c); err != nil {
+				return err
+			}
+			if err := s.Write(); err != nil {
+				return err
+			}
+		}
+		return s.Close()
+	})
+	return res.Elapsed, err
 }
 
-// AblationAsyncOverlap measures the write-behind extension: a program that
-// alternates computation with checkpoint writes, once with synchronous
-// writes (compute and I/O serialize) and once with Options.Async (they
-// overlap). computeSecs is the per-round computation time.
-func AblationAsyncOverlap(prof vtime.Profile, nprocs, segments, rounds int, computeSecs float64) (sync, async float64, err error) {
-	measure := func(asyncMode bool) (float64, error) {
-		fs := pfs.NewMemFS(prof)
-		res, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs},
-			func(n *machine.Node) error {
-				d, err := distr.New(segments, nprocs, distr.Cyclic, 0)
-				if err != nil {
-					return err
-				}
-				c, err := collection.New[scf.Segment](n, d)
-				if err != nil {
-					return err
-				}
-				c.Apply(func(g int, s *scf.Segment) { s.Fill(g, scf.DefaultParticles) })
-				if err := n.Comm().Barrier(); err != nil {
-					return err
-				}
-				n.Clock().Reset()
-				s, err := dstream.Open(n, d, "ck", dstream.WithOptions(dstream.Options{Async: asyncMode}))
-				if err != nil {
-					return err
-				}
-				defer s.Close()
-				for r := 0; r < rounds; r++ {
-					n.Compute(computeSecs)
-					if err := dstream.Insert[scf.Segment](s, c); err != nil {
-						return err
-					}
-					if err := s.Write(); err != nil {
-						return err
-					}
-				}
-				return s.Close()
-			})
-		if err != nil {
-			return 0, err
-		}
-		return res.Elapsed, nil
+// flushSeconds models a program that flushes its buffer `flushes` times:
+// each record covers Segments/flushes of the cell's segments.
+func flushSeconds(r Run, flushes int) (float64, error) {
+	if flushes <= 0 || r.Segments%flushes != 0 {
+		return 0, fmt.Errorf("bench: segments (%d) must divide into records (%d)", r.Segments, flushes)
 	}
-	if sync, err = measure(false); err != nil {
-		return 0, 0, err
-	}
-	if async, err = measure(true); err != nil {
-		return 0, 0, err
-	}
-	return sync, async, nil
+	r.Segments, r.Records = r.Segments/flushes, flushes
+	return checkpointSeconds(r)
 }
 
-// AblationTransport runs the same streams measurement over the in-process
-// channel transport and the TCP socket transport; identical virtual times
-// validate the transport substitution (DESIGN.md).
-func AblationTransport(prof vtime.Profile, nprocs, segments int) (chanSecs, tcpSecs float64, err error) {
-	if chanSecs, err = Seconds(Run{
-		Profile: prof, NProcs: nprocs, Segments: segments,
-		Variant: Streams, Transport: machine.TransportChan,
-	}); err != nil {
-		return 0, 0, err
-	}
-	if tcpSecs, err = Seconds(Run{
-		Profile: prof, NProcs: nprocs, Segments: segments,
-		Variant: Streams, Transport: machine.TransportTCP,
-	}); err != nil {
-		return 0, 0, err
-	}
-	return chanSecs, tcpSecs, nil
+func asyncOverlap(r Run) ([]float64, error) {
+	return each(r, []bool{false, true}, func(r Run, async bool) (float64, error) {
+		r.StreamOpts.Async = async
+		return checkpointSeconds(r)
+	})
 }

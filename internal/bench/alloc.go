@@ -18,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"pcxxstreams/internal/bufpool"
@@ -26,7 +27,6 @@ import (
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/server"
 	"pcxxstreams/internal/vtime"
 )
@@ -43,8 +43,8 @@ func AllocTable() ([]AllocCell, error) {
 	cells := []AllocCell{
 		benchToCell("enc_roundtrip", benchEncRoundTrip),
 		benchToCell("comm_inproc_sendrecv", benchInprocSendRecv),
-		benchToCell("comm_ring_raw_sendrecv", benchRingRawSendRecv),
-		benchToCell("comm_ring_bulk_sendrecv", benchRingBulkSendRecv),
+		benchToCell("comm_ring_raw_sendrecv", benchRingSendRecv(256)),
+		benchToCell("comm_ring_bulk_sendrecv", benchRingSendRecv(8<<10)),
 	}
 	machineCells := []struct {
 		name    string
@@ -164,50 +164,33 @@ func benchInprocSendRecv(b *testing.B) {
 	}
 }
 
-// benchRingRawSendRecv is the raw transport round trip the lock-free
-// mailbox ring serves: one 256-byte eager-class message enqueued on the
-// ring fast path and drained by the receiver's poll, payload recycled
-// through the pool. No endpoint sequencing — this pins the allocation cost
-// of the ring itself (slot CAS, stage, match) at zero steady state beyond
-// the pooled payload copy.
-func benchRingRawSendRecv(b *testing.B) {
-	tr := comm.NewChanTransport(2)
-	defer tr.Close()
-	payload := make([]byte, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Send(comm.Message{From: 0, To: 1, Tag: 7, Data: payload}); err != nil {
-			b.Fatal(err)
+// benchRingSendRecv is the raw transport round trip the lock-free mailbox
+// ring serves: one message of the given size enqueued on the ring fast path
+// and drained by the receiver's poll, payload recycled through the pool. No
+// endpoint sequencing — this pins the allocation cost of the ring itself (slot
+// CAS, stage, match) at zero steady state beyond the pooled payload copy. The
+// table runs it in both size classes: 256 bytes is eager, and 8 KiB is
+// rendezvous, the band whose full-ring behavior is blocking backpressure
+// rather than an eager spill — drained every message, the ring never fills,
+// so that cell pins the bulk fast path (pool get/copy/put of a large class
+// plus the ring hand-off).
+func benchRingSendRecv(size int) func(b *testing.B) {
+	return func(b *testing.B) {
+		tr := comm.NewChanTransport(2)
+		defer tr.Close()
+		payload := make([]byte, size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := tr.Send(comm.Message{From: 0, To: 1, Tag: 7, Data: payload}); err != nil {
+				b.Fatal(err)
+			}
+			m, err := tr.Recv(1, 0, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bufpool.Put(m.Data)
 		}
-		m, err := tr.Recv(1, 0, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufpool.Put(m.Data)
-	}
-}
-
-// benchRingBulkSendRecv is the same round trip in the rendezvous class: an
-// 8 KiB payload, the size band whose full-ring behavior is blocking
-// backpressure rather than an eager spill. Drained every message, the ring
-// never fills, so this pins the bulk fast path — pool get/copy/put of a
-// large class plus the ring hand-off.
-func benchRingBulkSendRecv(b *testing.B) {
-	tr := comm.NewChanTransport(2)
-	defer tr.Close()
-	payload := make([]byte, 8<<10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Send(comm.Message{From: 0, To: 1, Tag: 8, Data: payload}); err != nil {
-			b.Fatal(err)
-		}
-		m, err := tr.Recv(1, 0, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufpool.Put(m.Data)
 	}
 }
 
@@ -224,6 +207,12 @@ const (
 	// with the measured cycle.
 	allocWindows = 3
 )
+
+// allocCell is the machine of the stream cycles: allocNProcs nodes on a store
+// striped as wide.
+func allocCell(prof vtime.Profile) Run {
+	return Run{Profile: prof, NProcs: allocNProcs, StripeFactor: allocNProcs, StripeUnit: 1 << 14}
+}
 
 // measureCycles is the measured part of every machine-level cell, run by all
 // ranks together: allocWarmup calls of cycle, then `windows` windows of
@@ -292,12 +281,8 @@ func keepLowest(w int, before, after *runtime.MemStats, allocs, bytes *float64) 
 // cycle with that pick hard-coded.
 func writeCycleAllocs(prof vtime.Profile, strat dstream.Strategy) (float64, float64, error) {
 	var allocs, bytes float64
-	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(allocNProcs, 1<<14))
-	_, err := machine.Run(machine.Config{
-		NProcs:  allocNProcs,
-		Profile: prof,
-		FS:      fs,
-	}, func(n *machine.Node) error {
+	cell := allocCell(prof)
+	_, err := cell.on(cell.fs(), func(n *machine.Node) error {
 		d, err := distr.New(allocElems, allocNProcs, distr.Cyclic, 0)
 		if err != nil {
 			return err
@@ -365,12 +350,8 @@ var smallElems = cycleElems{
 func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, el cycleElems) (float64, float64, error) {
 	const records = allocWarmup + allocCycles
 	var allocs, bytes float64
-	fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(allocNProcs, 1<<14))
-	_, err := machine.Run(machine.Config{
-		NProcs:  allocNProcs,
-		Profile: vtime.Paragon(),
-		FS:      fs,
-	}, func(n *machine.Node) error {
+	cell := allocCell(vtime.Paragon())
+	_, err := cell.on(cell.fs(), func(n *machine.Node) error {
 		d, err := distr.New(el.n, allocNProcs, distr.Cyclic, 0)
 		if err != nil {
 			return err
@@ -433,12 +414,8 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, el cyc
 func channelCycleAllocs(elemSize int, reopen, extract bool) (float64, float64, error) {
 	const producers, consumers = 2, 2
 	var allocs, bytes float64
-	prof := vtime.Paragon()
-	_, err := machine.Run(machine.Config{
-		NProcs:  producers + consumers,
-		Profile: prof,
-		FS:      pfs.NewMemFS(prof),
-	}, func(n *machine.Node) error {
+	cell := Run{Profile: vtime.Paragon(), NProcs: producers + consumers}
+	_, err := cell.on(cell.fs(), func(n *machine.Node) error {
 		dProd, err := distr.New(allocElems, producers, distr.Block, 0)
 		if err != nil {
 			return err
@@ -597,33 +574,15 @@ func CheckAllocRegression(fresh, baseline []AllocCell) error {
 		if !ok {
 			continue // a new benchmark has no baseline yet
 		}
-		if limit := maxF(b.AllocsPerOp*1.10, b.AllocsPerOp+1); c.AllocsPerOp > limit {
+		if limit := max(b.AllocsPerOp*1.10, b.AllocsPerOp+1); c.AllocsPerOp > limit {
 			bad = append(bad, fmt.Sprintf("%s: allocs/op %.1f exceeds baseline %.1f (+10%%)", c.Name, c.AllocsPerOp, b.AllocsPerOp))
 		}
-		if limit := maxF(b.BytesPerOp*1.10, b.BytesPerOp+64); c.BytesPerOp > limit {
+		if limit := max(b.BytesPerOp*1.10, b.BytesPerOp+64); c.BytesPerOp > limit {
 			bad = append(bad, fmt.Sprintf("%s: B/op %.1f exceeds baseline %.1f (+10%%)", c.Name, c.BytesPerOp, b.BytesPerOp))
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("bench: allocation regression:\n  %s", joinLines(bad))
+		return fmt.Errorf("bench: allocation regression:\n  %s", strings.Join(bad, "\n  "))
 	}
 	return nil
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func joinLines(s []string) string {
-	out := ""
-	for i, l := range s {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

@@ -53,12 +53,22 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", uint8(v))
 }
 
-// Run describes one measurement.
+// Run is one cell: the geometry of one measurement, and the one argument
+// every Measure… and cycle function of the package takes. A sweep is a loop
+// that builds Runs; what a cell's function varies on top of its Run (a
+// strategy, a depth, a reader's layout) is what the cell compares.
 type Run struct {
 	Profile   vtime.Profile
 	NProcs    int
 	Segments  int
 	Particles int // 0 means scf.DefaultParticles
+	// Records is how many records a multi-record cell writes and reads back,
+	// and Compute the virtual seconds of work a rank does per record (after
+	// each read of the SCF cycle, before each write of the write-behind
+	// ablation). The paper's tables are one record and no computation: both
+	// zero.
+	Records   int
+	Compute   float64
 	Variant   Variant
 	Transport machine.TransportKind
 	// StreamOpts tunes the Streams variants (strategy and metadata-policy
@@ -83,6 +93,63 @@ type Run struct {
 	Monitor *dsmon.Monitor
 }
 
+func (r Run) particles() int {
+	if r.Particles == 0 {
+		return scf.DefaultParticles
+	}
+	return r.Particles
+}
+
+// fs is the file system the cell runs on: the one given, else a striped
+// store of the cell's geometry, else a flat one.
+func (r Run) fs() *pfs.FileSystem {
+	switch {
+	case r.FS != nil:
+		return r.FS
+	case r.StripeFactor > 0:
+		unit := r.StripeUnit
+		if unit <= 0 {
+			unit = pfs.DefaultStripeUnit
+		}
+		return pfs.NewFileSystem(r.Profile, pfs.StripedMemFactory(r.StripeFactor, unit))
+	}
+	return pfs.NewMemFS(r.Profile)
+}
+
+// on runs body on every node of the cell's machine, mounted on fs.
+func (r Run) on(fs *pfs.FileSystem, body func(*machine.Node) error) (machine.Result, error) {
+	return machine.Run(machine.Config{
+		NProcs:    r.NProcs,
+		Profile:   r.Profile,
+		Transport: r.Transport,
+		FS:        fs,
+		Monitor:   r.Monitor,
+	}, body)
+}
+
+// timed is the segment fixture: body runs on the cell's machine with the
+// benchmark collection in place — Figure 3 declares it CYCLIC — every
+// segment filled, and every clock reset behind a barrier, so the run's
+// Elapsed is body's alone.
+func (r Run) timed(fs *pfs.FileSystem, body func(c *collection.Collection[scf.Segment]) error) (machine.Result, error) {
+	return r.on(fs, func(n *machine.Node) error {
+		d, err := distr.New(r.Segments, r.NProcs, distr.Cyclic, 0)
+		if err != nil {
+			return err
+		}
+		c, err := collection.New[scf.Segment](n, d)
+		if err != nil {
+			return err
+		}
+		c.Apply(func(g int, s *scf.Segment) { s.Fill(g, r.particles()) })
+		if err := n.Comm().Barrier(); err != nil {
+			return err
+		}
+		n.Clock().Reset()
+		return body(c)
+	})
+}
+
 // Measurement is one benchmark run's outcome: the paper's metric (virtual
 // seconds) plus the operation profile that explains it.
 type Measurement struct {
@@ -103,47 +170,13 @@ func Seconds(r Run) (float64, error) {
 
 // Measure executes the measurement and returns the full profile.
 func Measure(r Run) (Measurement, error) {
-	particles := r.Particles
-	if particles == 0 {
-		particles = scf.DefaultParticles
-	}
-	fs := r.FS
-	if fs == nil {
-		fs = pfs.NewMemFS(r.Profile)
-		if r.StripeFactor > 0 {
-			unit := r.StripeUnit
-			if unit <= 0 {
-				unit = pfs.DefaultStripeUnit
-			}
-			fs = pfs.NewFileSystem(r.Profile, pfs.StripedMemFactory(r.StripeFactor, unit))
-		}
-	}
-	mres, err := machine.Run(machine.Config{
-		NProcs:    r.NProcs,
-		Profile:   r.Profile,
-		Transport: r.Transport,
-		FS:        fs,
-		Monitor:   r.Monitor,
-	}, func(n *machine.Node) error {
-		// Figure 3 declares the benchmark collection CYCLIC.
-		d, err := distr.New(r.Segments, r.NProcs, distr.Cyclic, 0)
+	particles := r.particles()
+	mres, err := r.timed(r.fs(), func(c *collection.Collection[scf.Segment]) error {
+		n := c.Node()
+		back, err := collection.New[scf.Segment](n, c.Dist())
 		if err != nil {
 			return err
 		}
-		c, err := collection.New[scf.Segment](n, d)
-		if err != nil {
-			return err
-		}
-		c.Apply(func(g int, s *scf.Segment) { s.Fill(g, particles) })
-		back, err := collection.New[scf.Segment](n, d)
-		if err != nil {
-			return err
-		}
-		if err := n.Comm().Barrier(); err != nil {
-			return err
-		}
-		n.Clock().Reset()
-
 		const file = "scf-particles"
 		switch r.Variant {
 		case Unbuffered:
@@ -161,10 +194,10 @@ func Measure(r Run) (Measurement, error) {
 				return err
 			}
 		case Streams, StreamsSorted:
-			if err := streamsWrite(n, d, c, file, r.StreamOpts); err != nil {
+			if err := streamsWrite(c, file, r.StreamOpts); err != nil {
 				return err
 			}
-			if err := streamsRead(n, d, back, file, r.Variant == StreamsSorted, r.StreamOpts); err != nil {
+			if err := streamsRead(back, file, r.Variant == StreamsSorted, r.StreamOpts); err != nil {
 				return err
 			}
 		default:
@@ -172,17 +205,7 @@ func Measure(r Run) (Measurement, error) {
 		}
 
 		if r.Verify {
-			var bad error
-			back.Apply(func(g int, s *scf.Segment) {
-				var want scf.Segment
-				want.Fill(g, particles)
-				if !s.Equal(&want) {
-					bad = fmt.Errorf("bench: verification failed at global %d", g)
-				}
-			})
-			if bad != nil {
-				return bad
-			}
+			return scf.Records{Particles: particles}.Verify(back.Local(), back.Dist(), n.Rank(), 0)
 		}
 		return nil
 	})
@@ -198,8 +221,8 @@ func Measure(r Run) (Measurement, error) {
 	}, nil
 }
 
-func streamsWrite(n *machine.Node, d *distr.Distribution, c *collection.Collection[scf.Segment], file string, opts dstream.Options) error {
-	s, err := dstream.Open(n, d, file, dstream.WithOptions(opts))
+func streamsWrite(c *collection.Collection[scf.Segment], file string, opts dstream.Options) error {
+	s, err := dstream.Open(c.Node(), c.Dist(), file, dstream.WithOptions(opts))
 	if err != nil {
 		return err
 	}
@@ -212,8 +235,8 @@ func streamsWrite(n *machine.Node, d *distr.Distribution, c *collection.Collecti
 	return s.Close()
 }
 
-func streamsRead(n *machine.Node, d *distr.Distribution, c *collection.Collection[scf.Segment], file string, sorted bool, opts dstream.Options) error {
-	s, err := dstream.OpenInput(n, d, file, dstream.WithOptions(opts))
+func streamsRead(c *collection.Collection[scf.Segment], file string, sorted bool, opts dstream.Options) error {
+	s, err := dstream.OpenInput(c.Node(), c.Dist(), file, dstream.WithOptions(opts))
 	if err != nil {
 		return err
 	}

@@ -85,71 +85,96 @@ func TestVariantStrings(t *testing.T) {
 	}
 }
 
+// TestAblationTable runs every row of the table the two drivers iterate, once,
+// at its committed cell: unique names, a label for every value, a listing.
+func TestAblationTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, a := range Ablations() {
+		if a.Name == "" || seen[a.Name] {
+			t.Errorf("ablation name %q is empty or appears twice", a.Name)
+		}
+		seen[a.Name] = true
+		v, err := a.Measure(a.Cell)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		if len(v) != len(a.Labels) || len(v) < 2 {
+			t.Fatalf("%s: %d values for labels %v", a.Name, len(v), a.Labels)
+		}
+		for i, sec := range v {
+			if sec <= 0 {
+				t.Errorf("%s: %s = %v virtual seconds", a.Name, a.Labels[i], sec)
+			}
+		}
+		if !strings.HasSuffix(a.Report(a.Cell, v), "\n") {
+			t.Errorf("%s: report does not end its line", a.Name)
+		}
+	}
+}
+
 func TestAblationSortedVsUnsorted(t *testing.T) {
-	sorted, unsorted, err := AblationSortedVsUnsorted(vtime.Paragon(), 4, 512)
+	v, err := sortedVsUnsorted(Run{Profile: vtime.Paragon(), NProcs: 4, Segments: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unsorted >= sorted {
+	if sorted, unsorted := v[0], v[1]; unsorted >= sorted {
 		t.Fatalf("unsortedRead (%v) not faster than read (%v)", unsorted, sorted)
 	}
 }
 
 func TestAblationMetadataPath(t *testing.T) {
 	// Small collection: funnel should win (that's why the paper funnels).
-	funnelS, parallelS, err := AblationMetadataPath(vtime.Paragon(), 8, 64)
+	v, err := metadataPath(Run{Profile: vtime.Paragon(), NProcs: 8, Segments: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if funnelS > parallelS {
-		t.Errorf("small collection: funnel (%v) slower than parallel (%v)", funnelS, parallelS)
+	if funnel, parallel := v[0], v[1]; funnel > parallel {
+		t.Errorf("small collection: funnel (%v) slower than parallel (%v)", funnel, parallel)
 	}
 }
 
 func TestAblationInterleave(t *testing.T) {
-	inter, sep, err := AblationInterleave(vtime.Paragon(), 4, 256)
+	v, err := interleave(Run{Profile: vtime.Paragon(), NProcs: 4, Segments: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inter >= sep {
+	if inter, sep := v[0], v[1]; inter >= sep {
 		t.Fatalf("interleaved single record (%v) not cheaper than %v separate records (%v)",
 			inter, 5, sep)
 	}
 }
 
 func TestAblationFlushGranularity(t *testing.T) {
-	one, err := AblationFlushGranularity(vtime.Paragon(), 4, 512, 1)
+	cell := Run{Profile: vtime.Paragon(), NProcs: 4, Segments: 512}
+	v, err := each(cell, []int{1, 8}, flushSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := AblationFlushGranularity(vtime.Paragon(), 4, 512, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one >= many {
+	if one, many := v[0], v[1]; one >= many {
 		t.Fatalf("1 flush (%v) not cheaper than 8 flushes (%v)", one, many)
 	}
-	if _, err := AblationFlushGranularity(vtime.Paragon(), 4, 10, 3); err == nil {
+	cell.Segments = 10
+	if _, err := flushSeconds(cell, 3); err == nil {
 		t.Fatal("non-divisible flush count accepted")
 	}
 }
 
 func TestAblationRedistribute(t *testing.T) {
-	same, changed, err := AblationRedistribute(vtime.Paragon(), 256)
+	v, err := redistribute(Run{Profile: vtime.Paragon(), NProcs: 4, Segments: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same >= changed {
+	if same, changed := v[0], v[1]; same >= changed {
 		t.Fatalf("same-layout restart (%v) not cheaper than redistributing restart (%v)", same, changed)
 	}
 }
 
 func TestAblationTransportVirtualTimesEqual(t *testing.T) {
-	chanS, tcpS, err := AblationTransport(vtime.Challenge(), 4, 64)
+	v, err := transports(Run{Profile: vtime.Challenge(), NProcs: 4, Segments: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chanS != tcpS {
+	if chanS, tcpS := v[0], v[1]; chanS != tcpS {
 		t.Fatalf("virtual time differs by transport: chan %v, tcp %v", chanS, tcpS)
 	}
 }
@@ -244,7 +269,7 @@ func TestOpProfileStory(t *testing.T) {
 // TestPlatformSweepOrdering: on every platform, at benchmark scale,
 // buffered beats unbuffered and manual is the floor.
 func TestPlatformSweepOrdering(t *testing.T) {
-	results, err := RunPlatformSweep(4, 512)
+	results, err := RunPlatformSweep(Run{NProcs: 4, Segments: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +295,7 @@ func TestPlatformSweepOrdering(t *testing.T) {
 
 func TestOpProfileFormats(t *testing.T) {
 	var b strings.Builder
-	if err := OpProfile(&b, vtime.Challenge(), 2, 16); err != nil {
+	if err := OpProfile(&b, Run{Profile: vtime.Challenge(), NProcs: 2, Segments: 16}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -287,10 +312,11 @@ func TestOpProfileFormats(t *testing.T) {
 // bounded below by both the total compute and the total I/O.
 func TestAblationAsyncOverlap(t *testing.T) {
 	const rounds, compute = 4, 0.5
-	syncT, asyncT, err := AblationAsyncOverlap(vtime.Paragon(), 4, 512, rounds, compute)
+	v, err := asyncOverlap(Run{Profile: vtime.Paragon(), NProcs: 4, Segments: 512, Records: rounds, Compute: compute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	syncT, asyncT := v[0], v[1]
 	if asyncT >= syncT {
 		t.Fatalf("async (%v) not faster than sync (%v)", asyncT, syncT)
 	}
@@ -308,7 +334,7 @@ func TestAblationAsyncOverlap(t *testing.T) {
 // nodes, the tree at 32 — which, on this I/O-bound workload, must not cost a
 // meaningful margin over the flat 16-node point beside it.
 func TestScalingSweep(t *testing.T) {
-	pts, err := RunScalingSweep(vtime.Challenge(), 1024, []int{1, 4, 16, 32})
+	pts, err := RunScalingSweep(Run{Profile: vtime.Challenge(), Segments: 1024}, []int{1, 4, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +374,7 @@ func TestTreeCollectivesFullPipeline(t *testing.T) {
 // challenge's multiple channels keeps per-node time near-flat up to the
 // channel count).
 func TestWeakScalingSweep(t *testing.T) {
-	pts, err := RunWeakScalingSweep(vtime.Challenge(), 256, []int{1, 4})
+	pts, err := RunWeakScalingSweep(Run{Profile: vtime.Challenge(), Segments: 256}, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,6 @@ import (
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dsmon/critpath"
 	"pcxxstreams/internal/dstream"
-	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -51,51 +48,25 @@ const (
 	CritPathAgreement = 0.05
 )
 
-// agrees reports |a-b| ≤ CritPathAgreement of max(|a|,|b|) (both-zero
-// agrees).
+// agrees reports |a-b| ≤ CritPathAgreement of max(|a|,|b|).
 func agrees(a, b float64) bool {
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m == 0 {
-		return true
-	}
-	return math.Abs(a-b) <= CritPathAgreement*m
+	return math.Abs(a-b) <= CritPathAgreement*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// Pass applies the cell's acceptance gates.
-func (pt CritPathPoint) Pass() bool {
-	if pt.NamedFractionMin < CritPathMinNamed {
-		return false
-	}
-	if !agrees(pt.RefillSpan, pt.RefillMetric) {
-		return false
-	}
-	return agrees(pt.ShuffleSpan, pt.ShuffleMetric)
-}
-
-// MeasureCritPath runs one traced write+read pipeline cell and analyzes its
-// span graph. The whole pipeline runs inside a single machine run so the
-// write-side shuffle stalls and the read-side refill stalls land on one
-// causal timeline.
-func MeasureCritPath(prof vtime.Profile, nprocs, segments, particles, records int,
-	strat dstream.Strategy, depth int, compute float64, stripeFactor int, unit int64) (CritPathPoint, *critpath.Report, error) {
+// MeasureCritPath runs one traced write+read pipeline cell — the whole cycle
+// inside a single machine run — and analyzes its span graph.
+func MeasureCritPath(r Run, strat dstream.Strategy, depth int) (CritPathPoint, error) {
 	pt := CritPathPoint{
-		Platform: prof.Name,
+		Platform: r.Profile.Name,
 		Strategy: strat.String(),
 		Depth:    depth,
-		NProcs:   nprocs,
-		Records:  records,
+		NProcs:   r.NProcs,
+		Records:  r.Records,
 	}
-	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(stripeFactor, unit))
 	mon := dsmon.NewTracing()
-	recs := scf.Records{N: records, Particles: particles}
-	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs, Monitor: mon}, func(n *machine.Node) error {
-		if err := writeSCF(n, segments, recs, strat); err != nil {
-			return err
-		}
-		return readSCF(n, segments, recs, compute, dstream.WithStrategy(strat), dstream.WithReadAhead(depth))
-	})
-	if err != nil {
-		return pt, nil, fmt.Errorf("bench: critpath cell: %w", err)
+	r.Monitor = mon
+	if _, err := scfCycle(r, strat, dstream.Options{Strategy: strat, ReadAhead: depth}, true); err != nil {
+		return pt, fmt.Errorf("bench: critpath cell: %w", err)
 	}
 
 	rep := critpath.Analyze(mon.Recorder())
@@ -118,7 +89,7 @@ func MeasureCritPath(prof vtime.Profile, nprocs, segments, particles, records in
 	reg := mon.Registry()
 	pt.RefillMetric = reg.Histogram("dstream_refill_stall_seconds", "", dsmon.LatencyBuckets).Sum()
 	pt.ShuffleMetric = reg.Histogram("dstream_twophase_shuffle_stall_seconds", "", dsmon.LatencyBuckets).Sum()
-	return pt, rep, nil
+	return pt, nil
 }
 
 // CritPathSweep runs the attribution sweep over the read-ahead grid's
@@ -129,7 +100,7 @@ func CritPathSweep() ([]CritPathPoint, error) {
 	for _, prof := range []vtime.Profile{vtime.Paragon(), vtime.CM5()} {
 		for _, strat := range []dstream.Strategy{dstream.StrategyParallel, dstream.StrategyTwoPhase} {
 			for _, depth := range []int{0, 2} {
-				pt, _, err := MeasureCritPath(prof, 4, 16, 64, 6, strat, depth, 0.02, 4, 16<<10)
+				pt, err := MeasureCritPath(scfCell(prof), strat, depth)
 				if err != nil {
 					return nil, err
 				}
@@ -149,7 +120,7 @@ func CheckCritPath(pts []CritPathPoint) (string, error) {
 			return "", fmt.Errorf("bench: critpath cell %s/%s depth %d attributes only %.1f%% of a rank's wall time",
 				p.Platform, p.Strategy, p.Depth, 100*p.NamedFractionMin)
 		}
-		if !p.Pass() {
+		if !agrees(p.RefillSpan, p.RefillMetric) || !agrees(p.ShuffleSpan, p.ShuffleMetric) {
 			return "", fmt.Errorf("bench: critpath cell %s/%s depth %d: span stalls (refill %.4f, shuffle %.4f) disagree with metric sums (refill %.4f, shuffle %.4f) by >%.0f%%",
 				p.Platform, p.Strategy, p.Depth, p.RefillSpan, p.ShuffleSpan, p.RefillMetric, p.ShuffleMetric, 100*CritPathAgreement)
 		}

@@ -12,13 +12,14 @@ import (
 // mechanism behind the paper's results — "buffering reduces total I/O
 // latency time" because it replaces thousands of small calls with a few
 // parallel ones.
-func OpProfile(w io.Writer, prof vtime.Profile, nprocs, segments int) error {
+func OpProfile(w io.Writer, r Run) error {
 	fmt.Fprintf(w, "I/O operation profile — %s, %d procs, %d segments (output+input):\n",
-		prof.Name, nprocs, segments)
+		r.Profile.Name, r.NProcs, r.Segments)
 	fmt.Fprintf(w, "%-20s %10s %10s %10s %10s %10s %12s %12s\n",
 		"variant", "opens", "smallW", "smallR", "parW", "parR", "bytesW", "bytesR")
 	for _, v := range []Variant{Unbuffered, ManualBuf, Streams} {
-		m, err := Measure(Run{Profile: prof, NProcs: nprocs, Segments: segments, Variant: v})
+		r.Variant = v
+		m, err := Measure(r)
 		if err != nil {
 			return err
 		}
@@ -36,26 +37,23 @@ func OpProfile(w io.Writer, prof vtime.Profile, nprocs, segments int) error {
 // The virtual-time machinery has no such limitation, so the sweep supplies
 // the CM-5 column the paper could not.
 type PlatformResult struct {
-	Profile  string
-	NProcs   int
-	Segments int
-	Variant  Variant
-	Seconds  float64
+	Profile string
+	Variant Variant
+	Seconds float64
 }
 
-// RunPlatformSweep measures every variant on every platform at one size.
-func RunPlatformSweep(nprocs, segments int) ([]PlatformResult, error) {
+// RunPlatformSweep measures every variant on every platform at the size of r.
+func RunPlatformSweep(r Run) ([]PlatformResult, error) {
 	var out []PlatformResult
 	for _, name := range []string{"paragon", "cm5", "challenge"} {
-		prof, _ := vtime.ByName(name)
+		r.Profile, _ = vtime.ByName(name)
 		for _, v := range []Variant{Unbuffered, ManualBuf, Streams} {
-			secs, err := Seconds(Run{Profile: prof, NProcs: nprocs, Segments: segments, Variant: v})
+			r.Variant = v
+			secs, err := Seconds(r)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s/%v: %w", name, v, err)
 			}
-			out = append(out, PlatformResult{
-				Profile: name, NProcs: nprocs, Segments: segments, Variant: v, Seconds: secs,
-			})
+			out = append(out, PlatformResult{Profile: name, Variant: v, Seconds: secs})
 		}
 	}
 	return out, nil
@@ -68,24 +66,26 @@ type ScalingPoint struct {
 	Fanout  int // the collectives' shape at this size (Measurement.Fanout)
 }
 
-// RunScalingSweep measures the streams variant at fixed problem size over a
-// range of node counts — the extension "figure" beyond the paper's
+// RunScalingSweep measures the streams variant of r at fixed problem size
+// over a range of node counts — the extension "figure" beyond the paper's
 // 8-processor ceiling. The benchmark is strong-scaling: total data stays
 // constant.
-func RunScalingSweep(prof vtime.Profile, segments int, procCounts []int) ([]ScalingPoint, error) {
-	return runScaling(prof, procCounts, func(int) int { return segments })
+func RunScalingSweep(r Run, procCounts []int) ([]ScalingPoint, error) {
+	return runScaling(r, procCounts, func(int) int { return r.Segments })
 }
 
-// RunWeakScalingSweep grows the problem with the machine: segmentsPerProc
+// RunWeakScalingSweep grows the problem with the machine: r.Segments
 // segments per node, so perfect weak scaling is a flat line.
-func RunWeakScalingSweep(prof vtime.Profile, segmentsPerProc int, procCounts []int) ([]ScalingPoint, error) {
-	return runScaling(prof, procCounts, func(p int) int { return segmentsPerProc * p })
+func RunWeakScalingSweep(r Run, procCounts []int) ([]ScalingPoint, error) {
+	return runScaling(r, procCounts, func(p int) int { return r.Segments * p })
 }
 
-func runScaling(prof vtime.Profile, procCounts []int, segsFor func(p int) int) ([]ScalingPoint, error) {
+func runScaling(r Run, procCounts []int, segsFor func(p int) int) ([]ScalingPoint, error) {
+	r.Variant = Streams
 	var out []ScalingPoint
 	for _, p := range procCounts {
-		m, err := Measure(Run{Profile: prof, NProcs: p, Segments: segsFor(p), Variant: Streams})
+		r.NProcs, r.Segments = p, segsFor(p)
+		m, err := Measure(r)
 		if err != nil {
 			return nil, fmt.Errorf("bench: scaling p=%d: %w", p, err)
 		}
@@ -95,22 +95,19 @@ func runScaling(prof vtime.Profile, procCounts []int, segsFor func(p int) int) (
 }
 
 // FormatScalingSweep renders the sweep.
-func FormatScalingSweep(w io.Writer, prof vtime.Profile, segments int, pts []ScalingPoint) {
+func FormatScalingSweep(w io.Writer, r Run, pts []ScalingPoint) {
 	fmt.Fprintf(w, "Strong scaling (extension) — %s, %d segments, streams variant (virtual seconds; fan-out 0 = flat collectives):\n",
-		prof.Name, segments)
+		r.Profile.Name, r.Segments)
 	fmt.Fprintf(w, "%8s %14s %8s\n", "procs", "seconds", "fan-out")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%8d %14.3f %8d\n", p.NProcs, p.Seconds, p.Fanout)
 	}
 }
 
-// FormatPlatformSweep renders the sweep as a table.
-func FormatPlatformSweep(w io.Writer, results []PlatformResult) {
-	if len(results) == 0 {
-		return
-	}
+// FormatPlatformSweep renders the sweep of r as a table.
+func FormatPlatformSweep(w io.Writer, r Run, results []PlatformResult) {
 	fmt.Fprintf(w, "Platform sweep — %d procs, %d segments (output+input, virtual seconds):\n",
-		results[0].NProcs, results[0].Segments)
+		r.NProcs, r.Segments)
 	fmt.Fprintf(w, "%-20s %12s %12s %12s\n", "variant", "paragon", "cm5", "challenge")
 	byKey := map[string]float64{}
 	for _, r := range results {

@@ -9,7 +9,6 @@ import (
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -86,28 +85,42 @@ func verifyBlobs(rec int, d *distr.Distribution, rank int, local []blob) error {
 	return nil
 }
 
-// pipelineSeconds runs the channel path on an (m+n)-rank machine: producers
-// write `records` records into a channel, consumers read, verify, and spend
-// `compute` virtual seconds per record. Returns the makespan and fills
-// hashes[slot] with each consumer's digest.
-func pipelineSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
-	compute float64, hashes []uint64) (float64, error) {
-	p := m + n
-	mres, err := machine.Run(machine.Config{NProcs: p, Profile: prof, FS: pfs.NewMemFS(prof)},
-		func(node *machine.Node) error {
-			dProd, err := distr.New(elems, m, distr.Block, 0)
-			if err != nil {
-				return err
-			}
-			dCons, err := distr.New(elems, n, distr.Cyclic, 0)
-			if err != nil {
-				return err
-			}
-			if err := node.Comm().Barrier(); err != nil {
-				return err
-			}
-			node.Clock().Reset()
+// on runs body on the cell's machine, one rank per producer and consumer,
+// behind a barrier and a clock reset, and returns the makespan. dProd and
+// dCons are the layouts of the two ends over their own rank counts.
+func (pt PipelinePoint) on(body func(node *machine.Node, dProd, dCons *distr.Distribution) error) (float64, error) {
+	prof, ok := vtime.ByName(pt.Platform)
+	if !ok {
+		return 0, fmt.Errorf("bench: unknown platform %q", pt.Platform)
+	}
+	dProd, err := distr.New(pt.Elems, pt.Producers, distr.Block, 0)
+	if err != nil {
+		return 0, err
+	}
+	dCons, err := distr.New(pt.Elems, pt.Consumers, distr.Cyclic, 0)
+	if err != nil {
+		return 0, err
+	}
+	r := Run{Profile: prof, NProcs: pt.Producers + pt.Consumers}
+	res, err := r.on(r.fs(), func(node *machine.Node) error {
+		if err := node.Comm().Barrier(); err != nil {
+			return err
+		}
+		node.Clock().Reset()
+		return body(node, dProd, dCons)
+	})
+	return res.Elapsed, err
+}
 
+// pipelineSeconds runs the channel path of the cell: producers write its
+// records into a channel, consumers read, verify, and spend its compute
+// seconds per record. Returns the makespan and fills hashes[slot] with each
+// consumer's digest.
+func pipelineSeconds(pt PipelinePoint, hashes []uint64) (float64, error) {
+	m, n, records := pt.Producers, pt.Consumers, pt.Records
+	p := m + n
+	secs, err := pt.on(
+		func(node *machine.Node, dProd, dCons *distr.Distribution) error {
 			rank := node.Rank()
 			if rank < m {
 				s, err := dstream.OpenChannel(node, dProd, dCons, "pipe")
@@ -117,7 +130,7 @@ func pipelineSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
 				local := make([]blob, s.LocalLen())
 				for rec := 0; rec < records; rec++ {
 					for l := range local {
-						fillBlob(&local[l], dProd.GlobalIndex(rank, l), rec, elemBytes)
+						fillBlob(&local[l], dProd.GlobalIndex(rank, l), rec, pt.ElemBytes)
 					}
 					if err := dstream.InsertElems[blob](s, local); err != nil {
 						return err
@@ -146,7 +159,7 @@ func pipelineSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
 					return err
 				}
 				h.fold(rec, dCons, slot, local)
-				node.Compute(compute)
+				node.Compute(pt.ComputePerRecord)
 			}
 			hashes[slot] = h.sum
 			return r.Close()
@@ -154,7 +167,7 @@ func pipelineSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
 	if err != nil {
 		return 0, fmt.Errorf("bench: pipeline path (%dx%d): %w", m, n, err)
 	}
-	return mres.Elapsed, nil
+	return secs, nil
 }
 
 // fileSeconds runs the write-then-read path on the same machine shape: the
@@ -162,37 +175,25 @@ func pipelineSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
 // distribution placing all elements on producer ranks), then the consumers
 // read them back under a distribution placing all elements on consumer
 // ranks, with the same verification, hashing, and per-record compute.
-func fileSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
-	compute float64, hashes []uint64) (float64, error) {
+func fileSeconds(pt PipelinePoint, hashes []uint64) (float64, error) {
+	m, n, records := pt.Producers, pt.Consumers, pt.Records
 	p := m + n
-	dProd, err := distr.New(elems, m, distr.Block, 0)
-	if err != nil {
-		return 0, err
-	}
-	dCons, err := distr.New(elems, n, distr.Cyclic, 0)
-	if err != nil {
-		return 0, err
-	}
-	wOwners := make([]int, elems)
-	rOwners := make([]int, elems)
-	for g := 0; g < elems; g++ {
-		wOwners[g] = dProd.Owner(g)
-		rOwners[g] = p - n + dCons.Owner(g)
-	}
-	dW, err := distr.NewExplicit(wOwners, p)
-	if err != nil {
-		return 0, err
-	}
-	dR, err := distr.NewExplicit(rOwners, p)
-	if err != nil {
-		return 0, err
-	}
-	mres, err := machine.Run(machine.Config{NProcs: p, Profile: prof, FS: pfs.NewMemFS(prof)},
-		func(node *machine.Node) error {
-			if err := node.Comm().Barrier(); err != nil {
+	secs, err := pt.on(
+		func(node *machine.Node, dProd, dCons *distr.Distribution) error {
+			wOwners := make([]int, pt.Elems)
+			rOwners := make([]int, pt.Elems)
+			for g := range wOwners {
+				wOwners[g] = dProd.Owner(g)
+				rOwners[g] = p - n + dCons.Owner(g)
+			}
+			dW, err := distr.NewExplicit(wOwners, p)
+			if err != nil {
 				return err
 			}
-			node.Clock().Reset()
+			dR, err := distr.NewExplicit(rOwners, p)
+			if err != nil {
+				return err
+			}
 
 			s, err := dstream.Open(node, dW, "spool")
 			if err != nil {
@@ -203,8 +204,7 @@ func fileSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
 				return err
 			}
 			for rec := 0; rec < records; rec++ {
-				rec := rec
-				c.Apply(func(g int, b *blob) { fillBlob(b, g, rec, elemBytes) })
+				c.Apply(func(g int, b *blob) { fillBlob(b, g, rec, pt.ElemBytes) })
 				if err := dstream.Insert[blob](s, c); err != nil {
 					return err
 				}
@@ -239,7 +239,7 @@ func fileSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
 						return err
 					}
 					h.fold(rec, dCons, slot, back.Local())
-					node.Compute(compute)
+					node.Compute(pt.ComputePerRecord)
 				}
 			}
 			if rank >= p-n {
@@ -250,29 +250,21 @@ func fileSeconds(prof vtime.Profile, m, n, elems, elemBytes, records int,
 	if err != nil {
 		return 0, fmt.Errorf("bench: file path (%dx%d): %w", m, n, err)
 	}
-	return mres.Elapsed, nil
+	return secs, nil
 }
 
-// MeasurePipeline times one grid cell both ways. The file path's consumer
-// distribution has the same per-consumer layout as the channel's, so the two
-// digests are comparable slot by slot.
-func MeasurePipeline(prof vtime.Profile, m, n, elems, elemBytes, records int, compute float64) (PipelinePoint, error) {
-	pt := PipelinePoint{
-		Platform:         prof.Name,
-		Producers:        m,
-		Consumers:        n,
-		Elems:            elems,
-		ElemBytes:        elemBytes,
-		Records:          records,
-		ComputePerRecord: compute,
-	}
-	pipeHash := make([]uint64, n)
-	fileHash := make([]uint64, n)
+// MeasurePipeline times the cell pt describes both ways and returns it with
+// the measurements filled in. The file path's consumer distribution has the
+// same per-consumer layout as the channel's, so the two digests are
+// comparable slot by slot.
+func MeasurePipeline(pt PipelinePoint) (PipelinePoint, error) {
+	pipeHash := make([]uint64, pt.Consumers)
+	fileHash := make([]uint64, pt.Consumers)
 	var err error
-	if pt.PipelineSeconds, err = pipelineSeconds(prof, m, n, elems, elemBytes, records, compute, pipeHash); err != nil {
+	if pt.PipelineSeconds, err = pipelineSeconds(pt, pipeHash); err != nil {
 		return pt, err
 	}
-	if pt.FileSeconds, err = fileSeconds(prof, m, n, elems, elemBytes, records, compute, fileHash); err != nil {
+	if pt.FileSeconds, err = fileSeconds(pt, fileHash); err != nil {
 		return pt, err
 	}
 	pt.BytesMatch = true
@@ -296,7 +288,10 @@ func PipelineSweep() ([]PipelinePoint, error) {
 	for _, sh := range shapes {
 		for _, elemBytes := range []int{64, 4096} {
 			for _, compute := range []float64{0, 0.005} {
-				pt, err := MeasurePipeline(vtime.Paragon(), sh[0], sh[1], 128, elemBytes, 4, compute)
+				pt, err := MeasurePipeline(PipelinePoint{
+					Platform: "paragon", Producers: sh[0], Consumers: sh[1],
+					Elems: 128, ElemBytes: elemBytes, Records: 4, ComputePerRecord: compute,
+				})
 				if err != nil {
 					return nil, err
 				}

@@ -7,14 +7,11 @@ import (
 
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dstream"
-	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/vtime"
 )
 
-// The planner-vs-oracle grid: every cell of the two-phase write ablation
-// and a read-side workload grid is replayed once per static choice and
+// The planner-vs-oracle grid: every cell of a write-side strategy grid and
+// of a read-side workload grid is replayed once per static choice and
 // once under full-auto (the cost-model planner), and the planner's cycle
 // time is compared against the best static choice the oracle found. The
 // gate — planner within PlannerTolerance of the oracle on at least
@@ -112,169 +109,139 @@ func planScrape(mon *dsmon.Monitor) (pick string, est, obs float64) {
 	return pick, est, obs
 }
 
-// cycleWithImage runs one SCF cycle and returns its virtual seconds plus
-// the file image it wrote.
-func cycleWithImage(prof vtime.Profile, nprocs, segments, particles, stripe int, unit int64,
-	opts dstream.Options, mon *dsmon.Monitor) (float64, []byte, error) {
-	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(stripe, unit))
-	sec, err := Seconds(Run{
-		Profile:    prof,
-		NProcs:     nprocs,
-		Segments:   segments,
-		Particles:  particles,
-		Variant:    Streams,
-		StreamOpts: opts,
-		FS:         fs,
-		Verify:     true,
-		Monitor:    mon,
-	})
+// cycleWithImage runs one verified streams cycle of the cell and returns its
+// virtual seconds plus the file image it wrote.
+func cycleWithImage(r Run) (float64, []byte, error) {
+	r.Variant, r.Verify, r.FS = Streams, true, r.fs()
+	sec, err := Seconds(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	img, err := fs.Image("scf-particles")
+	img, err := r.FS.Image("scf-particles")
 	if err != nil {
 		return 0, nil, fmt.Errorf("bench: snapshot image: %w", err)
 	}
 	return sec, img, nil
 }
 
+// candidate is one static choice of a cell: the stream options that pin it,
+// and where in the cell's point its seconds go.
+type candidate struct {
+	name string
+	opts dstream.Options
+	sec  *float64
+}
+
+// oracle times the cell's cycle under every static candidate and returns the
+// index of the cheapest, the earlier one on a tie.
+func oracle(platform string, cands []candidate, cycle func(i int, opts dstream.Options) (float64, error)) (best int, err error) {
+	for i, c := range cands {
+		if *c.sec, err = cycle(i, c.opts); err != nil {
+			return 0, fmt.Errorf("bench: planner cell %s/%s: %w", platform, c.name, err)
+		}
+		if *c.sec < *cands[best].sec {
+			best = i
+		}
+	}
+	return best, nil
+}
+
 // MeasurePlannerWrite times one write-grid cell: three static strategies
 // plus full auto, byte identity enforced against the best static image.
-func MeasurePlannerWrite(prof vtime.Profile, nprocs, segments, particles, stripe int, unit int64) (PlannerWritePoint, error) {
+// Verify stays on: a strategy that wins by writing wrong bytes is not a
+// winner.
+func MeasurePlannerWrite(r Run) (PlannerWritePoint, error) {
 	pt := PlannerWritePoint{
-		Platform:     prof.Name,
-		NProcs:       nprocs,
-		Segments:     segments,
-		Particles:    particles,
-		StripeFactor: stripe,
-		StripeUnit:   unit,
+		Platform:     r.Profile.Name,
+		NProcs:       r.NProcs,
+		Segments:     r.Segments,
+		Particles:    r.Particles,
+		StripeFactor: r.StripeFactor,
+		StripeUnit:   r.StripeUnit,
 	}
-	type cand struct {
-		strat dstream.Strategy
-		sec   *float64
-	}
-	cands := []cand{
-		{dstream.StrategyFunnel, &pt.Funnel},
-		{dstream.StrategyParallel, &pt.Parallel},
-		{dstream.StrategyTwoPhase, &pt.TwoPhase},
+	cands := []candidate{
+		{"funnel", dstream.Options{Strategy: dstream.StrategyFunnel}, &pt.Funnel},
+		{"parallel", dstream.Options{Strategy: dstream.StrategyParallel}, &pt.Parallel},
+		{"twophase", dstream.Options{Strategy: dstream.StrategyTwoPhase}, &pt.TwoPhase},
 	}
 	images := make([][]byte, len(cands))
-	for i, c := range cands {
-		sec, img, err := cycleWithImage(prof, nprocs, segments, particles, stripe, unit,
-			dstream.Options{Strategy: c.strat}, nil)
-		if err != nil {
-			return pt, fmt.Errorf("bench: planner cell %s/%v: %w", prof.Name, c.strat, err)
-		}
-		*c.sec, images[i] = sec, img
-	}
-	mon := dsmon.New()
-	autoSec, autoImg, err := cycleWithImage(prof, nprocs, segments, particles, stripe, unit,
-		dstream.Options{}, mon)
+	best, err := oracle(pt.Platform, cands, func(i int, opts dstream.Options) (sec float64, err error) {
+		r.StreamOpts = opts
+		sec, images[i], err = cycleWithImage(r)
+		return sec, err
+	})
 	if err != nil {
-		return pt, fmt.Errorf("bench: planner cell %s/auto: %w", prof.Name, err)
+		return pt, err
+	}
+	pt.Best, pt.BestStrategy = *cands[best].sec, cands[best].name
+	r.StreamOpts, r.Monitor = dstream.Options{}, dsmon.New()
+	autoSec, autoImg, err := cycleWithImage(r)
+	if err != nil {
+		return pt, fmt.Errorf("bench: planner cell %s/auto: %w", pt.Platform, err)
 	}
 	pt.Auto = autoSec
-	pt.AutoPick, pt.ModelEstimate, pt.ModelObserved = planScrape(mon)
-
-	pt.Best, pt.BestStrategy = pt.Funnel, cands[0].strat.String()
-	bestImg := images[0]
-	for i, c := range cands[1:] {
-		if *c.sec < pt.Best {
-			pt.Best, pt.BestStrategy, bestImg = *c.sec, c.strat.String(), images[i+1]
-		}
-	}
+	pt.AutoPick, pt.ModelEstimate, pt.ModelObserved = planScrape(r.Monitor)
 	pt.AutoOverBest = pt.Auto / pt.Best
 	pt.Matched = pt.Auto <= pt.Best*(1+PlannerTolerance)
-	pt.Identical = bytes.Equal(autoImg, bestImg)
+	pt.Identical = bytes.Equal(autoImg, images[best])
 	return pt, nil
 }
 
-// plannerReadCycle runs writeSCF with the explicit parallel strategy (the
-// write side is held constant so only the read plan varies), then times
-// readSCF on a second machine over the same store. No opts is the planner.
-func plannerReadCycle(prof vtime.Profile, nprocs, segments, particles, records int,
-	compute float64, stripe int, unit int64, mon *dsmon.Monitor, opts ...dstream.Option) (float64, error) {
-	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(stripe, unit))
-	recs := scf.Records{N: records, Particles: particles}
-	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs}, func(n *machine.Node) error {
-		return writeSCF(n, segments, recs, dstream.StrategyParallel)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("bench: planner read grid write phase: %w", err)
-	}
-	mres, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs, Monitor: mon}, func(n *machine.Node) error {
-		return readSCF(n, segments, recs, compute, opts...)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("bench: planner read grid input phase: %w", err)
-	}
-	return mres.Elapsed, nil
-}
-
 // MeasurePlannerRead times one read-grid cell: four static (strategy ×
-// depth) pairs plus full auto.
-func MeasurePlannerRead(prof vtime.Profile, nprocs, segments, particles, records int,
-	compute float64, stripe int, unit int64) (PlannerReadPoint, error) {
+// depth) pairs plus full auto. The write side is held at the explicit
+// parallel strategy, so only the read plan varies.
+func MeasurePlannerRead(r Run) (PlannerReadPoint, error) {
 	pt := PlannerReadPoint{
-		Platform:         prof.Name,
-		NProcs:           nprocs,
-		Segments:         segments,
-		Particles:        particles,
-		Records:          records,
-		StripeFactor:     stripe,
-		ComputePerRecord: compute,
+		Platform:         r.Profile.Name,
+		NProcs:           r.NProcs,
+		Segments:         r.Segments,
+		Particles:        r.Particles,
+		Records:          r.Records,
+		StripeFactor:     r.StripeFactor,
+		ComputePerRecord: r.Compute,
 	}
-	type cand struct {
-		name  string
-		strat dstream.Strategy
-		depth int
-		sec   *float64
+	cands := []candidate{
+		{"parallel/sync", dstream.Options{Strategy: dstream.StrategyParallel}, &pt.ParallelSync},
+		{"parallel/ahead2", dstream.Options{Strategy: dstream.StrategyParallel, ReadAhead: 2}, &pt.ParallelAhead},
+		{"twophase/sync", dstream.Options{Strategy: dstream.StrategyTwoPhase}, &pt.TwoPhaseSync},
+		{"twophase/ahead2", dstream.Options{Strategy: dstream.StrategyTwoPhase, ReadAhead: 2}, &pt.TwoPhaseAhead},
 	}
-	cands := []cand{
-		{"parallel/sync", dstream.StrategyParallel, 0, &pt.ParallelSync},
-		{"parallel/ahead2", dstream.StrategyParallel, 2, &pt.ParallelAhead},
-		{"twophase/sync", dstream.StrategyTwoPhase, 0, &pt.TwoPhaseSync},
-		{"twophase/ahead2", dstream.StrategyTwoPhase, 2, &pt.TwoPhaseAhead},
-	}
-	for _, c := range cands {
-		sec, err := plannerReadCycle(prof, nprocs, segments, particles, records,
-			compute, stripe, unit, nil, dstream.WithStrategy(c.strat), dstream.WithReadAhead(c.depth))
-		if err != nil {
-			return pt, fmt.Errorf("bench: planner read cell %s/%s: %w", prof.Name, c.name, err)
-		}
-		*c.sec = sec
-	}
-	mon := dsmon.New()
-	autoSec, err := plannerReadCycle(prof, nprocs, segments, particles, records,
-		compute, stripe, unit, mon)
+	best, err := oracle(pt.Platform, cands, func(_ int, opts dstream.Options) (float64, error) {
+		return scfCycle(r, dstream.StrategyParallel, opts, false)
+	})
 	if err != nil {
-		return pt, fmt.Errorf("bench: planner read cell %s/auto: %w", prof.Name, err)
+		return pt, err
 	}
-	pt.Auto = autoSec
-	_, pt.ModelEstimate, pt.ModelObserved = planScrape(mon)
-
-	pt.Best, pt.BestChoice = *cands[0].sec, cands[0].name
-	for _, c := range cands[1:] {
-		if *c.sec < pt.Best {
-			pt.Best, pt.BestChoice = *c.sec, c.name
-		}
+	pt.Best, pt.BestChoice = *cands[best].sec, cands[best].name
+	r.Monitor = dsmon.New()
+	if pt.Auto, err = scfCycle(r, dstream.StrategyParallel, dstream.Options{}, false); err != nil {
+		return pt, fmt.Errorf("bench: planner read cell %s/auto: %w", pt.Platform, err)
 	}
+	_, pt.ModelEstimate, pt.ModelObserved = planScrape(r.Monitor)
 	pt.AutoOverBest = pt.Auto / pt.Best
 	pt.Matched = pt.Auto <= pt.Best*(1+PlannerTolerance)
 	pt.Identical = true // the read loop verified every segment in every run
 	return pt, nil
 }
 
-// PlannerSweep replays the full grid: the 16 write cells of the two-phase
-// ablation plus 8 read workload cells (platform × element size × compute
-// gap), each scored against its static oracle.
+// PlannerSweep replays the full grid: 16 write cells (platform × node count
+// × element size × stripe factor) plus 8 read workload cells (platform ×
+// element size × compute gap), each scored against its static oracle. The
+// write grid is chosen so the answer is not one-sided — small collections on
+// one I/O channel favor the funnel, many small blocks from many nodes favor
+// aggregation, and large elements amortize the per-operation latency that
+// two-phase exists to dodge — and doubles as the two-phase strategy's
+// evidence (CheckTwoPhase).
 func PlannerSweep() (PlannerGrid, error) {
 	var g PlannerGrid
 	for _, prof := range []vtime.Profile{vtime.Paragon(), vtime.CM5()} {
 		for _, nprocs := range []int{4, 16} {
 			for _, particles := range []int{8, 128} {
 				for _, stripe := range []int{1, 4} {
-					pt, err := MeasurePlannerWrite(prof, nprocs, 16*nprocs, particles, stripe, 64<<10)
+					pt, err := MeasurePlannerWrite(Run{
+						Profile: prof, NProcs: nprocs, Segments: 16 * nprocs, Particles: particles,
+						StripeFactor: stripe, StripeUnit: 64 << 10,
+					})
 					if err != nil {
 						return g, err
 					}
@@ -284,7 +251,9 @@ func PlannerSweep() (PlannerGrid, error) {
 		}
 		for _, particles := range []int{8, 64} {
 			for _, compute := range []float64{0, 0.02} {
-				pt, err := MeasurePlannerRead(prof, 4, 16, particles, 6, compute, 4, 16<<10)
+				cell := scfCell(prof)
+				cell.Particles, cell.Compute = particles, compute
+				pt, err := MeasurePlannerRead(cell)
 				if err != nil {
 					return g, err
 				}
@@ -328,6 +297,26 @@ func CheckPlanner(g PlannerGrid, tol, min float64) (string, error) {
 			matched, cells, 100*frac, 100*min)
 	}
 	return fmt.Sprintf("planner matched the static oracle on %d of %d grid cells, all byte-identical", matched, cells), nil
+}
+
+// TwoPhaseMinWins is the acceptance bar for the two-phase strategy: at least
+// this many write cells where aggregation beats both classic paths outright.
+const TwoPhaseMinWins = 1
+
+// CheckTwoPhase is the regression gate for the strategy over the planner
+// grid's write cells, which time each static strategy on its own.
+func CheckTwoPhase(pts []PlannerWritePoint) (string, error) {
+	wins := 0
+	for _, p := range pts {
+		if p.TwoPhase < p.Funnel && p.TwoPhase < p.Parallel {
+			wins++
+		}
+	}
+	if wins < TwoPhaseMinWins {
+		return "", fmt.Errorf("bench: two-phase beat both funnel and parallel on %d of %d grid cells, need ≥%d — aggregation is not paying for its shuffle",
+			wins, len(pts), TwoPhaseMinWins)
+	}
+	return fmt.Sprintf("two-phase wins %d of %d grid cells outright", wins, len(pts)), nil
 }
 
 func formatPlanner(w io.Writer, g PlannerGrid) {

@@ -6,8 +6,8 @@ import (
 	"pcxxstreams/internal/vtime"
 )
 
-// TestPlannerGrid is the planner-vs-oracle acceptance test: the full write
-// grid (the two-phase ablation's 16 cells) and the 8-cell read workload
+// TestPlannerGrid is the planner-vs-oracle acceptance test: the full 16-cell
+// write grid (the two-phase strategy's evidence too) and the 8-cell read workload
 // grid, each cell replayed under every static choice and under full-auto.
 // StrategyAuto must land within PlannerTolerance of the best static choice
 // on at least PlannerMinFraction of the cells, and its file image (write
@@ -49,7 +49,9 @@ func TestPlannerGrid(t *testing.T) {
 // with must both be positive and finite — the model-vs-measured columns of
 // the committed artifact are real measurements, not zero-filled fields.
 func TestPlannerModelTracksObserved(t *testing.T) {
-	pt, err := MeasurePlannerWrite(vtime.Paragon(), 4, 64, 8, 4, 64<<10)
+	pt, err := MeasurePlannerWrite(Run{
+		Profile: vtime.Paragon(), NProcs: 4, Segments: 64, Particles: 8, StripeFactor: 4, StripeUnit: 64 << 10,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

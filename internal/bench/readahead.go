@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"pcxxstreams/internal/collection"
-	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dstream"
-	"pcxxstreams/internal/machine"
-	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -38,104 +33,37 @@ type ReadAheadPoint struct {
 	Identical        bool    `json:"identical"`
 }
 
-// scfFile is the file the multi-record SCF grids write and read back.
-const scfFile = "scf"
-
-// writeSCF is the output half of the multi-record SCF grids: a cyclic
-// collection written as recs.N records with the given strategy.
-func writeSCF(n *machine.Node, segments int, recs scf.Records, strat dstream.Strategy) error {
-	d, err := distr.New(segments, n.Size(), distr.Cyclic, 0)
-	if err != nil {
-		return err
-	}
-	s, err := dstream.Open(n, d, scfFile, dstream.WithStrategy(strat))
-	if err != nil {
-		return err
-	}
-	c, err := collection.New[scf.Segment](n, d)
-	if err != nil {
-		return err
-	}
-	if err := recs.Write(s, c); err != nil {
-		return err
-	}
-	return s.Close()
-}
-
-// readSCF is the input half: the records read back under a block layout
-// (forcing the sorted-read redistribution) with `compute` virtual seconds
-// of work after each record, every segment verified against the generator.
-// No opts is a full-auto stream.
-func readSCF(n *machine.Node, segments int, recs scf.Records, compute float64, opts ...dstream.Option) error {
-	d, err := distr.New(segments, n.Size(), distr.Block, 0)
-	if err != nil {
-		return err
-	}
-	s, err := dstream.OpenInput(n, d, scfFile, opts...)
-	if err != nil {
-		return err
-	}
-	c, err := collection.New[scf.Segment](n, d)
-	if err != nil {
-		return err
-	}
-	if err := recs.Read(s, c, func(int) error { n.Compute(compute); return nil }); err != nil {
-		return err
-	}
-	return s.Close()
-}
-
-// readAheadStall runs writeSCF and then, on a second machine over the same
-// store, readSCF at the given depth. It returns the input side's summed
-// refill stall and prefetch hit count.
-func readAheadStall(prof vtime.Profile, nprocs, segments, particles, records int,
-	strat dstream.Strategy, depth int, compute float64, stripeFactor int, unit int64) (float64, int64, error) {
-	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(stripeFactor, unit))
-	recs := scf.Records{N: records, Particles: particles}
-	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs}, func(n *machine.Node) error {
-		return writeSCF(n, segments, recs, strat)
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("bench: read-ahead write phase: %w", err)
-	}
-
-	mon := dsmon.New()
-	_, err = machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs, Monitor: mon}, func(n *machine.Node) error {
-		return readSCF(n, segments, recs, compute, dstream.WithStrategy(strat), dstream.WithReadAhead(depth))
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("bench: read-ahead input phase (depth %d): %w", depth, err)
-	}
-	reg := mon.Registry()
-	stall := reg.Histogram("dstream_refill_stall_seconds", "", dsmon.LatencyBuckets).Sum()
-	hits := reg.Counter("dstream_prefetch_hits_total", "").Value()
-	return stall, hits, nil
-}
-
 // MeasureReadAhead times one grid cell with prefetching off and at the
-// given depth. Verification stays on in both runs: a depth that wins by
-// delivering wrong bytes is not a win, and Identical records that both
-// runs passed it.
-func MeasureReadAhead(prof vtime.Profile, nprocs, segments, particles, records int,
-	strat dstream.Strategy, depth int, compute float64, stripeFactor int, unit int64) (ReadAheadPoint, error) {
+// given depth, and returns each input side's summed refill stall (and the
+// prefetching side's hit count). Verification stays on in both runs: a depth
+// that wins by delivering wrong bytes is not a win, and Identical records
+// that both runs passed it.
+func MeasureReadAhead(r Run, strat dstream.Strategy, depth int) (ReadAheadPoint, error) {
 	pt := ReadAheadPoint{
-		Platform:         prof.Name,
+		Platform:         r.Profile.Name,
 		Strategy:         strat.String(),
 		Depth:            depth,
-		NProcs:           nprocs,
-		Segments:         segments,
-		Particles:        particles,
-		Records:          records,
-		StripeFactor:     stripeFactor,
-		ComputePerRecord: compute,
+		NProcs:           r.NProcs,
+		Segments:         r.Segments,
+		Particles:        r.Particles,
+		Records:          r.Records,
+		StripeFactor:     r.StripeFactor,
+		ComputePerRecord: r.Compute,
+	}
+	stall := func(depth int) (float64, int64, error) {
+		r.Monitor = dsmon.New()
+		if _, err := scfCycle(r, strat, dstream.Options{Strategy: strat, ReadAhead: depth}, false); err != nil {
+			return 0, 0, fmt.Errorf("bench: read-ahead cell (depth %d): %w", depth, err)
+		}
+		reg := r.Monitor.Registry()
+		return reg.Histogram("dstream_refill_stall_seconds", "", dsmon.LatencyBuckets).Sum(),
+			reg.Counter("dstream_prefetch_hits_total", "").Value(), nil
 	}
 	var err error
-	if pt.StallSync, _, err = readAheadStall(prof, nprocs, segments, particles, records,
-		strat, 0, compute, stripeFactor, unit); err != nil {
+	if pt.StallSync, _, err = stall(0); err != nil {
 		return pt, err
 	}
-	if pt.StallAhead, pt.PrefetchHits, err = readAheadStall(prof, nprocs, segments, particles, records,
-		strat, depth, compute, stripeFactor, unit); err != nil {
+	if pt.StallAhead, pt.PrefetchHits, err = stall(depth); err != nil {
 		return pt, err
 	}
 	pt.Identical = true // both phases verified every segment against the generator
@@ -143,15 +71,14 @@ func MeasureReadAhead(prof vtime.Profile, nprocs, segments, particles, records i
 }
 
 // ReadAheadSweep runs the default read-ahead ablation grid: platform ×
-// strategy × prefetch depth, on a striped store with computation between
-// records for the prefetched transfers to hide under. Every cell measures
-// the synchronous baseline alongside, so the JSON is self-contained.
+// strategy × prefetch depth over scfCell. Every cell measures the
+// synchronous baseline alongside, so the JSON is self-contained.
 func ReadAheadSweep() ([]ReadAheadPoint, error) {
 	var out []ReadAheadPoint
 	for _, prof := range []vtime.Profile{vtime.Paragon(), vtime.CM5()} {
 		for _, strat := range []dstream.Strategy{dstream.StrategyParallel, dstream.StrategyTwoPhase} {
 			for _, depth := range []int{1, 2} {
-				pt, err := MeasureReadAhead(prof, 4, 16, 64, 6, strat, depth, 0.02, 4, 16<<10)
+				pt, err := MeasureReadAhead(scfCell(prof), strat, depth)
 				if err != nil {
 					return nil, err
 				}

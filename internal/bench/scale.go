@@ -52,45 +52,50 @@ type ScalePoint struct {
 // zero, so it can never collide with the collective kinds.
 const scaleTag uint64 = 0x5CA1E
 
-// scaleWorkload is the fixed per-rank body: rounds × (p2p messages to the
-// right neighbor interleaved with receives from the left, then one
+// The fixed per-rank workload of every cell, and how many times a cell runs.
+const (
+	scaleP2P    = 64
+	scaleRounds = 4
+	scaleReps   = 3
+)
+
+// scaleWorkload is the fixed per-rank body: scaleRounds × (scaleP2P messages
+// to the right neighbor interleaved with receives from the left, then one
 // Allreduce and one Barrier).
-func scaleWorkload(p2p, rounds int) func(n *machine.Node) error {
-	return func(n *machine.Node) error {
-		me, size := n.Rank(), n.Size()
-		right := (me + 1) % size
-		left := (me - 1 + size) % size
-		payload := make([]byte, 256)
-		ep := n.Comm().Endpoint()
-		for r := 0; r < rounds; r++ {
-			for i := 0; i < p2p; i++ {
-				if err := ep.Send(right, scaleTag, payload); err != nil {
-					return err
-				}
-				d, err := ep.Recv(left, scaleTag)
-				if err != nil {
-					return err
-				}
-				bufpool.Put(d)
-			}
-			if _, err := n.Comm().Allreduce(float64(me), collective.OpMax); err != nil {
+func scaleWorkload(n *machine.Node) error {
+	me, size := n.Rank(), n.Size()
+	right := (me + 1) % size
+	left := (me - 1 + size) % size
+	payload := make([]byte, 256)
+	ep := n.Comm().Endpoint()
+	for r := 0; r < scaleRounds; r++ {
+		for i := 0; i < scaleP2P; i++ {
+			if err := ep.Send(right, scaleTag, payload); err != nil {
 				return err
 			}
-			if err := n.Comm().Barrier(); err != nil {
+			d, err := ep.Recv(left, scaleTag)
+			if err != nil {
 				return err
 			}
+			bufpool.Put(d)
 		}
-		return nil
+		if _, err := n.Comm().Allreduce(float64(me), collective.OpMax); err != nil {
+			return err
+		}
+		if err := n.Comm().Barrier(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // MeasureScale times the fixed workload at one rank count, keeping the
 // best (minimum) wall time across reps — the rep least disturbed by the
 // host's scheduler, which is the machine-dependent noise the curve must
 // reject.
-func MeasureScale(nprocs, p2p, rounds, reps int) (ScalePoint, error) {
-	pt := ScalePoint{NProcs: nprocs, P2PPerRank: p2p, Rounds: rounds}
-	for rep := 0; rep < reps; rep++ {
+func MeasureScale(nprocs int) (ScalePoint, error) {
+	pt := ScalePoint{NProcs: nprocs, P2PPerRank: scaleP2P, Rounds: scaleRounds}
+	for rep := 0; rep < scaleReps; rep++ {
 		var tr *comm.ChanTransport
 		cfg := machine.Config{
 			NProcs:  nprocs,
@@ -101,7 +106,7 @@ func MeasureScale(nprocs, p2p, rounds, reps int) (ScalePoint, error) {
 			},
 		}
 		start := time.Now()
-		res, err := machine.Run(cfg, scaleWorkload(p2p, rounds))
+		res, err := machine.Run(cfg, scaleWorkload)
 		wall := time.Since(start).Seconds()
 		if err != nil {
 			return pt, fmt.Errorf("bench: scale cell %d ranks: %w", nprocs, err)
@@ -124,14 +129,9 @@ func MeasureScale(nprocs, p2p, rounds, reps int) (ScalePoint, error) {
 // ScaleSweep runs the scale curve over doubling rank counts from 4 up to
 // maxProcs (1024 for the committed curve; CI smokes a 128 cap).
 func ScaleSweep(maxProcs int) ([]ScalePoint, error) {
-	const (
-		p2p    = 64
-		rounds = 4
-		reps   = 3
-	)
 	var out []ScalePoint
 	for n := 4; n <= maxProcs; n *= 2 {
-		pt, err := MeasureScale(n, p2p, rounds, reps)
+		pt, err := MeasureScale(n)
 		if err != nil {
 			return nil, err
 		}

@@ -40,14 +40,20 @@ func row[T any](name, about string, run func() (T, error), format func(io.Writer
 // just measures).
 func Sweeps(scaleMax int, allocBaseline string) []Sweep {
 	return []Sweep{
-		row("twophase", "two-phase vs funnel vs parallel strategy ablation",
-			TwoPhaseSweep, formatTwoPhase, CheckTwoPhase),
 		// The acceptance bar for the cost model: byte identity in every
 		// cell, and Auto within 10% of the best static choice on ≥90% of the
-		// grid — a planner may mis-rank near-ties, never lose big.
-		row("planner", "StrategyAuto's planner against the best static choice per cell",
+		// grid — a planner may mis-rank near-ties, never lose big. The write
+		// cells time every static strategy too, so the row also carries the
+		// two-phase strategy's bar: it beats funnel and parallel outright
+		// somewhere.
+		row("planner", "StrategyAuto's planner against the best static choice per cell, and two-phase against funnel and parallel",
 			PlannerSweep, formatPlanner, func(g PlannerGrid) (string, error) {
-				return CheckPlanner(g, PlannerTolerance, PlannerMinFraction)
+				planner, err := CheckPlanner(g, PlannerTolerance, PlannerMinFraction)
+				if err != nil {
+					return "", err
+				}
+				twoPhase, err := CheckTwoPhase(g.Write)
+				return planner + "; " + twoPhase, err
 			}),
 		row("readahead", "read-ahead prefetch ablation",
 			ReadAheadSweep, formatReadAhead, CheckReadAhead),

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,8 +29,13 @@ func TestSweepTable(t *testing.T) {
 			t.Errorf("SweepByName(%q) = %q, %v", sw.Name, got.Name, err)
 		}
 	}
-	if _, err := SweepByName(sweeps, "nosuch"); err == nil || !strings.Contains(err.Error(), "twophase|planner|") {
-		t.Errorf("unknown name: err = %v, want the valid names listed", err)
+	if len(sweeps) != 6 {
+		t.Errorf("%d rows, want 6", len(sweeps))
+	}
+	// The twophase row was a projection of the planner row's write cells and
+	// is gone; its name is refused like any other, with the valid ones.
+	if _, err := SweepByName(sweeps, "twophase"); err == nil || !strings.Contains(err.Error(), "planner|readahead|critpath|pipeline|scale|alloc") {
+		t.Errorf("-sweep twophase: err = %v, want a refusal listing the valid names", err)
 	}
 
 	artifacts, err := filepath.Glob("../../BENCH_*.json")
@@ -47,20 +54,33 @@ func TestSweepTable(t *testing.T) {
 }
 
 // TestCheckTwoPhaseGate: aggregation must win at least TwoPhaseMinWins cells
-// outright — beating one classic path is not a win.
+// outright — beating one classic path is not a win — and the committed
+// planner grid's write cells, the strategy's evidence, clear the bar.
 func TestCheckTwoPhaseGate(t *testing.T) {
-	win := StrategyPoint{Funnel: 3, Parallel: 2, TwoPhase: 1}
-	half := StrategyPoint{Funnel: 3, Parallel: 1, TwoPhase: 2}
-	tie := StrategyPoint{Funnel: 1, Parallel: 1, TwoPhase: 1}
+	win := PlannerWritePoint{Funnel: 3, Parallel: 2, TwoPhase: 1}
+	half := PlannerWritePoint{Funnel: 3, Parallel: 1, TwoPhase: 2}
+	tie := PlannerWritePoint{Funnel: 1, Parallel: 1, TwoPhase: 1}
 
-	if sum, err := CheckTwoPhase([]StrategyPoint{half, win, tie}); err != nil || !strings.Contains(sum, "1 of 3") {
+	if sum, err := CheckTwoPhase([]PlannerWritePoint{half, win, tie}); err != nil || !strings.Contains(sum, "1 of 3") {
 		t.Errorf("grid with one outright win: %q, %v", sum, err)
 	}
-	if _, err := CheckTwoPhase([]StrategyPoint{half, tie}); err == nil {
+	if _, err := CheckTwoPhase([]PlannerWritePoint{half, tie}); err == nil {
 		t.Errorf("grid with %d outright wins passed the gate", TwoPhaseMinWins-1)
 	}
 	if _, err := CheckTwoPhase(nil); err == nil {
 		t.Error("empty grid passed the gate")
+	}
+
+	raw, err := os.ReadFile("../../BENCH_planner.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g PlannerGrid
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := CheckTwoPhase(g.Write); err != nil || len(g.Write) != 16 {
+		t.Errorf("committed BENCH_planner.json write grid (%d cells): %q, %v", len(g.Write), sum, err)
 	}
 }
 

@@ -99,7 +99,7 @@ type Options struct {
 	// without waiting for the disk, so computation between writes overlaps
 	// the transfer. Close (or Drain) waits for everything to land. An
 	// extension beyond the paper's synchronous write primitive; the
-	// BenchmarkAblationAsyncOverlap bench quantifies it.
+	// BenchmarkAblation/async-overlap bench quantifies it.
 	Async bool
 	// ReadAhead is the input-stream prefetch depth: while the consumer
 	// drains the current record, up to ReadAhead upcoming records are

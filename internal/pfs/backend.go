@@ -84,9 +84,14 @@ func (m *MemBackend) WriteAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	end := off + int64(len(p))
-	if end > int64(len(m.data)) {
+	if old := int64(len(m.data)); end > old {
 		if end <= int64(cap(m.data)) {
 			m.data = m.data[:end]
+			// Capacity left by a shrink still holds what was there: a write
+			// past the old end must leave zeros in the hole, as a file does.
+			if off > old {
+				clear(m.data[old:off])
+			}
 		} else {
 			// Grow geometrically: many small sequential writes (the
 			// unbuffered baseline does hundreds of thousands) must not

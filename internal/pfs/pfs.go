@@ -3,6 +3,7 @@ package pfs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -470,7 +471,7 @@ func (h *File) parallelAppend(block []byte, syncClock bool) (int64, float64, err
 			}
 			h.fs.counters.parallelAppends.Add(1)
 			h.fs.counters.bytesWritten.Add(total)
-			h.fs.met.pappend.record(total, minOf(r.arrivals), r.completion)
+			h.fs.met.pappend.record(total, slices.Min(r.arrivals), r.completion)
 		},
 	)
 	if err != nil {
@@ -547,7 +548,7 @@ func (h *File) parallelReadInto(rg Range, dst []byte, syncClock bool) ([]byte, f
 			}
 			h.fs.counters.parallelReads.Add(1)
 			h.fs.counters.bytesRead.Add(total)
-			h.fs.met.pread.record(total, minOf(r.arrivals), r.completion)
+			h.fs.met.pread.record(total, slices.Min(r.arrivals), r.completion)
 		},
 	)
 	if err != nil {
@@ -565,22 +566,10 @@ func (h *File) ControlSync() error {
 		func(r *rendezvous) {
 			r.completion = h.f.d.control(r.arrivals)
 			h.fs.counters.controlSyncs.Add(1)
-			h.fs.met.csync.record(0, minOf(r.arrivals), r.completion)
+			h.fs.met.csync.record(0, slices.Min(r.arrivals), r.completion)
 		},
 	)
 	return err
-}
-
-// minOf returns the earliest of a non-empty slice of arrival times — the
-// start of a collective operation's span for the duration histograms.
-func minOf(ts []float64) float64 {
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t < m {
-			m = t
-		}
-	}
-	return m
 }
 
 // Image returns a copy of the full current file image (tools/tests).

@@ -177,6 +177,46 @@ func TestBackendsEquivalent(t *testing.T) {
 	}
 }
 
+// TestWriteAfterShrinkLeavesZeros: on every backend, a write past the end of
+// a file that was shrunk leaves zeros in the hole, not what the file held
+// before the shrink — a store that keeps its capacity must clear it.
+func TestWriteAfterShrinkLeavesZeros(t *testing.T) {
+	osb, err := NewOSBackend(filepath.Join(t.TempDir(), "f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	striped, err := NewStripedMemBackend(3, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		b    Backend
+	}{{"mem", NewMemBackend()}, {"os", osb}, {"striped-mem", striped}} {
+		t.Run(c.name, func(t *testing.T) {
+			defer c.b.Close()
+			if _, err := c.b.WriteAt(bytes.Repeat([]byte{0xFF}, 100), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.b.Truncate(10); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.b.WriteAt([]byte{1}, 50); err != nil {
+				t.Fatal(err)
+			}
+			want := append(bytes.Repeat([]byte{0xFF}, 10), make([]byte, 41)...)
+			want[50] = 1
+			got := make([]byte, 51)
+			if n, err := c.b.ReadAt(got, 0); n != len(got) || (err != nil && err != io.EOF) {
+				t.Fatalf("ReadAt = %d, %v", n, err)
+			}
+			if c.b.Size() != 51 || !bytes.Equal(got, want) {
+				t.Fatalf("size %d, image %v\nwant %v", c.b.Size(), got, want)
+			}
+		})
+	}
+}
+
 func TestFaultyBackend(t *testing.T) {
 	fb := NewFaultyBackend(NewMemBackend(), 2)
 	if _, err := fb.WriteAt([]byte("a"), 0); err != nil {

@@ -154,7 +154,7 @@ func (p *Planner) PlanWrite(g Geometry, kOverride int) Decision {
 	if k <= 0 {
 		k = p.m.BestWriteAggregators(g)
 	}
-	k = clampK(k, maxInt(g.NProcs, 1))
+	k = clampK(k, max(g.NProcs, 1))
 	cost := func(s Strategy) float64 { return p.m.WriteCost(g, s, k) }
 	s, c, switched := p.choose(cost, writeCandidates[:])
 	p.records++
@@ -170,7 +170,7 @@ func (p *Planner) PlanRead(g Geometry, kOverride, depthOverride int) Decision {
 	if k <= 0 {
 		k = p.m.BestReadAggregators(g)
 	}
-	k = clampK(k, maxInt(g.NProcs, 1))
+	k = clampK(k, max(g.NProcs, 1))
 	cost := func(s Strategy) float64 { return p.m.ReadCost(g, s, k) }
 	s, c, switched := p.choose(cost, readCandidates[:])
 	depth := depthOverride
@@ -252,10 +252,3 @@ func (p *Planner) Switches() int64 { return p.switches }
 // agree on it; a mismatch means a plan switch broke collective
 // consistency.
 func (p *Planner) Signature() uint64 { return p.sig }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -56,27 +56,16 @@ type Config struct {
 	Factory pfs.BackendFactory
 	// StripeFactor and StripeUnit shape the default striped store (and the
 	// geometry reported to clients for backends that expose none). Defaults:
-	// 4 devices × 64 KiB.
+	// 4 devices × 64 KiB. The daemon's own concurrency follows from them:
+	// StripeFactor dedicated I/O goroutines own the storage — requests are
+	// routed by (file, stripe cell), so one file's cell is always served by
+	// the same rank while distinct cells and files proceed in parallel — and
+	// tenantWindow bounds what one tenant may queue on them.
 	StripeFactor int
 	StripeUnit   int64
 	// Tenants is the namespace table. A client presenting any other name is
 	// rejected at hello.
 	Tenants []Tenant
-	// IORanks is the number of dedicated I/O goroutines that own the
-	// storage; requests are routed by (file, stripe cell), so one file's
-	// cell is always served by the same rank while distinct cells and files
-	// proceed in parallel. Default: StripeFactor.
-	IORanks int
-	// WindowBytes is the per-session write window granted at hello: the
-	// client keeps at most this many bulk payload bytes in flight on one
-	// connection. Default 4 MiB.
-	WindowBytes int64
-	// TenantWindowBytes is the per-tenant admission budget: across all of a
-	// tenant's sessions, at most this many bulk bytes are queued on the I/O
-	// ranks at once; excess requests wait (backpressure, not failure).
-	// Default: 2 × StripeFactor × StripeUnit — roughly the store's natural
-	// concurrency, so one tenant cannot bury the stripe under a backlog.
-	TenantWindowBytes int64
 	// Grace is how long a disconnected session stays resumable (and keeps
 	// counting against MaxSessions). Default 30 s.
 	Grace time.Duration
@@ -91,6 +80,17 @@ type Config struct {
 // reserve window credits first. The hello reply carries it to the client.
 const eagerBytes = 4 << 10
 
+// sessionWindow is the per-session write window granted at hello: the client
+// keeps at most this many bulk payload bytes in flight on one connection.
+const sessionWindow = 4 << 20
+
+// tenantWindow is the per-tenant admission budget: across all of a tenant's
+// sessions, at most this many bulk bytes are queued on the I/O ranks at once;
+// excess requests wait (backpressure, not failure). Twice a full stripe is
+// roughly the store's natural concurrency, so one tenant cannot bury the
+// stripe under a backlog. Valid after withDefaults.
+func (c Config) tenantWindow() int64 { return 2 * int64(c.StripeFactor) * c.StripeUnit }
+
 func (c Config) withDefaults() Config {
 	if c.StripeFactor <= 0 {
 		c.StripeFactor = 4
@@ -100,15 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Factory == nil {
 		c.Factory = pfs.StripedMemFactory(c.StripeFactor, c.StripeUnit)
-	}
-	if c.IORanks <= 0 {
-		c.IORanks = c.StripeFactor
-	}
-	if c.WindowBytes <= 0 {
-		c.WindowBytes = 4 << 20
-	}
-	if c.TenantWindowBytes <= 0 {
-		c.TenantWindowBytes = 2 * int64(c.StripeFactor) * c.StripeUnit
 	}
 	if c.Grace <= 0 {
 		c.Grace = 30 * time.Second
@@ -265,7 +256,7 @@ func Start(addr string, cfg Config) (*Server, error) {
 		tenants:  make(map[string]*tenantState),
 		sessions: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
-		ranks:    make([]chan func(), cfg.IORanks),
+		ranks:    make([]chan func(), cfg.StripeFactor),
 	}
 	// dsmon handles are nil-safe, so an unmonitored daemon needs no guards.
 	s.mConns = cfg.Monitor.Registry().Gauge("dstreamd_connections_active",
@@ -281,7 +272,7 @@ func Start(addr string, cfg Config) (*Server, error) {
 		}
 		ts := &tenantState{
 			cfg:    t,
-			window: newByteSem(cfg.TenantWindowBytes),
+			window: newByteSem(cfg.tenantWindow()),
 			files:  make(map[string]*srvFile),
 		}
 		ts.met = newTenantMetrics(cfg.Monitor, t.Name)
@@ -686,7 +677,7 @@ func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
 	used, quota := ten.usage, ten.cfg.QuotaBytes
 	ten.mu.Unlock()
 	out := putStr(newFrame(id, statusOK), sess.token)
-	out = putI64(out, s.cfg.WindowBytes)
+	out = putI64(out, sessionWindow)
 	out = putI64(out, quota)
 	out = putI64(out, used)
 	if resumed {
@@ -834,10 +825,7 @@ func (s *Server) admit(t *tenantState, n int) (func(), error) {
 	if n <= eagerBytes {
 		return func() {}, nil
 	}
-	grab := int64(n)
-	if grab > s.cfg.TenantWindowBytes {
-		grab = s.cfg.TenantWindowBytes
-	}
+	grab := min(int64(n), s.cfg.tenantWindow())
 	start := time.Now()
 	if err := t.window.acquire(grab); err != nil {
 		return nil, err
