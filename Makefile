@@ -119,7 +119,8 @@ api-golden:
 #                              every fault kind, and every campaign below but
 #                              the daemon's
 #   TestChaosOracleTCP         ... over real loopback sockets
-#   TestChaosOracleTwoPhase    ... with two-phase on both stream ends
+#   TestChaosOracleTwoPhase    ... with two-phase on both stream ends, over a flat
+#                              store and over three fault-injected stripes
 #   TestChaosOracleParallel    ... with the all-ranks parallel path
 #   TestChaosOracleReadAhead   ... with read-ahead over a striped faulty store
 #   TestChaosOraclePlanner     ... full-auto: faults skew the planner's

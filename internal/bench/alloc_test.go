@@ -15,7 +15,7 @@ import (
 // The allocation pins: exact committed budgets for the four hot paths,
 // enforced on every test run (not just when the bench-alloc gate diffs
 // BENCH_alloc_baseline.json). The budgets are the measured steady state
-// (funnel 23.8, two-phase 86.0, read 48.6 allocs per whole-machine cycle)
+// (funnel 14.3, two-phase 69.3, read 27.2 allocs per whole-machine cycle)
 // plus about a tenth of scheduler headroom; before pooling they sat at 4
 // (enc), 3 (sendrecv), ~139 (funnel cycle) and ~210 (two-phase cycle). The
 // gate is a ratchet: a budget goes down when a path gets cheaper and up
@@ -26,9 +26,9 @@ const (
 	inprocSendRecvBudget  = 1  // allocs/op, 1 KiB payload, receiver Puts
 	ringRawSendRecvBudget = 1  // allocs/op, raw ring path, 256 B eager payload
 	tracedSendRecvBudget  = 4  // same path with spans+flow edges recorded
-	funnelCycleBudget     = 27 // whole-machine allocs per insert+write cycle, 4 ranks
-	twoPhaseCycleBudget   = 95 // same, with the aggregation shuffle
-	readCycleBudget       = 50 // whole-machine allocs per read+extract cycle, 4 ranks
+	funnelCycleBudget     = 16 // whole-machine allocs per insert+write cycle, 4 ranks
+	twoPhaseCycleBudget   = 77 // same, with the aggregation shuffle
+	readCycleBudget       = 30 // whole-machine allocs per read+extract cycle, 4 ranks
 	// redistExchangeBudget is what a sorted read into another layout may add
 	// to that cycle, whatever the element count: one alltoallv, 4 ranks.
 	redistExchangeBudget  = 24

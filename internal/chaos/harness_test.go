@@ -79,12 +79,31 @@ func TestChaosOracle(t *testing.T) {
 
 // TestChaosOracleTwoPhase reruns the full campaign with the two-phase
 // collective strategy on both stream directions, so the aggregation
-// shuffle, extent assembly, and scatter traffic face the same fault
-// schedules as the classic paths — with the same trichotomy verdict.
+// shuffle, the extents and the scatter traffic face the same fault
+// schedules as the classic paths — with the same trichotomy verdict. The
+// striped row puts three aggregators over three fault-injected stripe
+// devices with cells a fraction of an extent: an aggregator's extent reaches
+// the store as several pieces (the frames the shuffle delivered, its own
+// overlap), each fanned out over the stripes, so a short write lands inside
+// one piece of an extent and must be resumed there — the campaign must have
+// injected some.
 func TestChaosOracleTwoPhase(t *testing.T) {
-	rep := campaign(t, Config{Pipeline: Pipeline{Strategy: dstream.StrategyTwoPhase}}.Scenario(), *chaosN)
-	if rep.OK == 0 {
-		t.Error("no two-phase seed completed successfully — default rates should mostly be survivable")
+	for _, row := range []struct {
+		name     string
+		pipeline Pipeline
+	}{
+		{"flat", Pipeline{Strategy: dstream.StrategyTwoPhase}},
+		{"striped", Pipeline{Strategy: dstream.StrategyTwoPhase, Records: 3, StripeFactor: 3, StripeUnit: 512}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rep := campaign(t, Config{Pipeline: row.pipeline}.Scenario(), *chaosN)
+			if rep.OK == 0 {
+				t.Error("no two-phase seed completed successfully — default rates should mostly be survivable")
+			}
+			if row.pipeline.StripeFactor > 0 {
+				requireInjected(t, rep, pfsPlane)
+			}
+		})
 	}
 }
 

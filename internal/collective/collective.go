@@ -382,12 +382,15 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 }
 
 // Allgather collects every rank's data on every rank: a gather at rank 0 and
-// a broadcast of the concatenation, which synchronizes everyone.
-func (c *Comm) Allgather(data []byte) ([][]byte, error) {
+// a broadcast of the concatenation, which synchronizes everyone. The parts
+// alias frame, the pooled buffer the broadcast arrived in (nil on rank 0,
+// whose parts alias the concatenation it made); a caller that is done with
+// them gives it back with bufpool.Put.
+func (c *Comm) Allgather(data []byte) (parts [][]byte, frame []byte, err error) {
 	defer c.instrument("allgather")()
-	parts, err := c.Gather(0, data)
+	parts, err = c.Gather(0, data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var flat []byte
 	if c.Rank() == 0 {
@@ -398,11 +401,15 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 			}
 		}
 	}
-	flat, err = c.Bcast(0, flat)
+	flat, frame, err = c.bcastFrame(0, flat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return unflatten(flat)
+	if parts, err = unflatten(flat); err != nil {
+		bufpool.Put(frame)
+		return nil, nil, err
+	}
+	return parts, frame, nil
 }
 
 // Scatterv delivers parts[j] from root to rank j and returns the caller's

@@ -104,7 +104,7 @@ func TestBarrierEqualizesClocks(t *testing.T) {
 			return err
 		}},
 		{"allgather", true, anyRank, func(c *Comm) error {
-			_, err := c.Allgather([]byte{byte(c.Rank())})
+			_, _, err := c.Allgather([]byte{byte(c.Rank())})
 			return err
 		}},
 		{"gather+scatterv", true, nil, func(c *Comm) error {
@@ -252,7 +252,7 @@ func TestGather(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	spmd(t, 4, func(c *Comm) error {
 		mine := bytes.Repeat([]byte{byte(c.Rank() + 1)}, c.Rank()+1) // varied sizes
-		parts, err := c.Allgather(mine)
+		parts, _, err := c.Allgather(mine)
 		if err != nil {
 			return err
 		}
@@ -271,7 +271,7 @@ func TestAllgather(t *testing.T) {
 
 func TestAllgatherEmptyContributions(t *testing.T) {
 	spmd(t, 3, func(c *Comm) error {
-		parts, err := c.Allgather(nil)
+		parts, _, err := c.Allgather(nil)
 		if err != nil {
 			return err
 		}
@@ -421,7 +421,7 @@ func TestDeterministicVirtualTime(t *testing.T) {
 	run := func() []float64 {
 		return spmd(t, 4, func(c *Comm) error {
 			for i := 0; i < 5; i++ {
-				if _, err := c.Allgather(make([]byte, 100*(c.Rank()+1))); err != nil {
+				if _, _, err := c.Allgather(make([]byte, 100*(c.Rank()+1))); err != nil {
 					return err
 				}
 				bufs := make([][]byte, 4)
@@ -557,7 +557,7 @@ func TestCollectivesOverTCP(t *testing.T) {
 		if string(got) != "tcp" {
 			return fmt.Errorf("bcast got %q", got)
 		}
-		parts, err := c.Allgather([]byte{byte(c.Rank())})
+		parts, _, err := c.Allgather([]byte{byte(c.Rank())})
 		if err != nil {
 			return err
 		}

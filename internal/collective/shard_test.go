@@ -142,7 +142,7 @@ func TestShardedAllgatherAlltoallv(t *testing.T) {
 		t.Run(fmt.Sprintf("n%d_k%d", tc.n, tc.k), func(t *testing.T) {
 			spmdShape(t, tc.n, tc.k, func(c *Comm) error {
 				me, n := c.Rank(), c.Size()
-				all, err := c.Allgather([]byte{byte(me), byte(me + 1)})
+				all, _, err := c.Allgather([]byte{byte(me), byte(me + 1)})
 				if err != nil {
 					return err
 				}

@@ -211,7 +211,7 @@ func TestRecursiveDoublingAllgather(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			spmdShape(t, n, 2, func(c *Comm) error {
 				mine := bytes.Repeat([]byte{byte('A' + c.Rank())}, c.Rank()+1)
-				parts, err := c.Allgather(mine)
+				parts, _, err := c.Allgather(mine)
 				if err != nil {
 					return err
 				}
@@ -236,7 +236,7 @@ func TestAllgatherBufferIsolation(t *testing.T) {
 	for _, n := range []int{4, 20} {
 		spmd(t, n, func(c *Comm) error {
 			mine := []byte{byte(c.Rank()), 99}
-			parts, err := c.Allgather(mine)
+			parts, _, err := c.Allgather(mine)
 			if err != nil {
 				return err
 			}
@@ -254,7 +254,7 @@ func TestAllgatherBufferIsolation(t *testing.T) {
 func TestTreeAllgatherFasterAtScale(t *testing.T) {
 	elapsed := func(fanout int) float64 {
 		times := spmdShape(t, 128, fanout, func(c *Comm) error {
-			_, err := c.Allgather(make([]byte, 32))
+			_, _, err := c.Allgather(make([]byte, 32))
 			return err
 		})
 		return vtime.MaxOf(times)

@@ -206,8 +206,8 @@ type streamMetrics struct {
 	// exchanged over the interconnect during the aggregation shuffle;
 	// extentBytes observes the stripe-aligned extent each aggregator moved
 	// to or from the file; shuffleStall observes the virtual seconds the
-	// shuffle phase (alltoallv + extent assembly) kept the node from
-	// computing.
+	// shuffle phase (alltoallv + the aggregator's copy charge) kept the node
+	// from computing.
 	shuffleBytes *dsmon.Histogram
 	extentBytes  *dsmon.Histogram
 	shuffleStall *dsmon.Histogram

@@ -33,6 +33,11 @@ type OStream struct {
 	// are the async disk spans the next Drain will wait on (tracing only).
 	pending      float64
 	pendingSpans []dsmon.SpanID
+	// Per-record scratch: pieces is the block node 0 appends, the front
+	// matter and the data pieces behind it; sendBufs is what the two-phase
+	// shuffle sends each rank.
+	pieces   [][]byte
+	sendBufs [][]byte
 }
 
 // openOutput is the collective open every output constructor funnels into.
@@ -169,8 +174,10 @@ func (s *OStream) planRecord(localBytes int) (Strategy, error) {
 // header and the whole table at the head of its per-node block; one
 // parallel append moves everything (§4.1: "collected into node zero and
 // placed at the head of the per-node buffer on that node so that it can be
-// written with the actual data").
-func (s *OStream) writeFunnel(nArrays int, localSizes []uint32, data []byte) error {
+// written with the actual data"). data is this node's part of the data
+// section as the pieces it is in, in file order; the head is one more piece
+// in front of them, not a block they are copied behind.
+func (s *OStream) writeFunnel(nArrays int, localSizes []uint32, data ...[]byte) error {
 	comm := s.node.Comm()
 	st := enc.AppendSizeTable(bufpool.GetCap(4*len(localSizes)), localSizes)
 	parts, err := comm.Gather(0, st)
@@ -180,63 +187,61 @@ func (s *OStream) writeFunnel(nArrays int, localSizes []uint32, data []byte) err
 	}
 	if s.node.Rank() != 0 {
 		// The transport copied st on send; the non-root block is just data,
-		// which Write releases.
+		// which its owner releases.
 		bufpool.Put(st)
-		return s.appendRecordBlock(data, "funnel append")
+		return s.appendBlock("funnel append", data...)
 	}
-	allSizes := bufpool.GetCap(4 * s.dist.N)
-	for _, p := range parts {
-		allSizes = append(allSizes, p...)
-	}
+	// The front matter in one buffer: the table is gathered straight in
+	// behind the header, which is rewritten once the table's sum is known.
+	h, desc := headerFor(s.dist, nArrays, 0)
+	front := append(h.AppendTo(bufpool.GetCap(int(s.metaLen))), desc...)
 	// parts[0] aliases st (Gather returns the root's own contribution
 	// as-is); the rest arrived from the wire and are ours to release.
 	for r, p := range parts {
+		front = append(front, p...)
 		if r != 0 {
 			bufpool.Put(p)
 		}
 	}
 	bufpool.Put(st)
-	total, derr := enc.SumSizeTable(allSizes, s.dist.N)
-	if derr != nil {
-		bufpool.Put(allSizes)
-		return fmt.Errorf("dstream: reassemble size table: %w", derr)
+	h.DataBytes, err = enc.SumSizeTable(front[enc.RecordHeaderLen+len(desc):], s.dist.N)
+	if err != nil {
+		bufpool.Put(front)
+		return fmt.Errorf("dstream: reassemble size table: %w", err)
 	}
-	h, desc := headerFor(s.dist, nArrays, total)
-	block := bufpool.GetCap(enc.RecordHeaderLen + len(desc) + len(allSizes) + len(data))
-	block = h.AppendTo(block)
-	block = append(block, desc...)
-	block = append(block, allSizes...)
-	block = append(block, data...)
-	bufpool.Put(allSizes)
-	err = s.appendRecordBlock(block, "funnel append")
-	bufpool.Put(block)
+	h.AppendTo(front[:0])
+	s.pieces = append(append(s.pieces[:0], front), data...)
+	err = s.appendBlock("funnel append", s.pieces...)
+	clear(s.pieces)
+	bufpool.Put(front)
 	return err
 }
 
-// appendRecordBlock moves one per-node block to the file, synchronously or
-// write-behind per Options.Async.
-func (s *OStream) appendRecordBlock(block []byte, what string) error {
-	if s.opts.Async {
-		_, completion, err := s.f.ParallelAppendAsync(block)
-		if err != nil {
+// appendBlock moves one per-node block, handed over as its pieces, to the
+// file, synchronously or write-behind per Options.Async. The pieces are the
+// caller's again when it returns, whatever it returns.
+func (s *OStream) appendBlock(what string, pieces ...[]byte) error {
+	if !s.opts.Async {
+		if _, err := s.f.ParallelAppend(pieces...); err != nil {
 			return fmt.Errorf("dstream: %s: %w", what, err)
-		}
-		if completion > s.pending {
-			s.pending = completion
-		}
-		// The disk keeps transferring past this point while the node
-		// computes: the write-behind overlap the paper's synchronous
-		// primitive cannot have.
-		if overlap := completion - s.node.Clock().Now(); overlap > 0 {
-			s.met.asyncOverlap.Observe(overlap)
-		}
-		if id := s.f.LastAsyncSpan(); id != 0 {
-			s.pendingSpans = append(s.pendingSpans, id)
 		}
 		return nil
 	}
-	if _, err := s.f.ParallelAppend(block); err != nil {
+	_, completion, err := s.f.ParallelAppendAsync(pieces...)
+	if err != nil {
 		return fmt.Errorf("dstream: %s: %w", what, err)
+	}
+	if completion > s.pending {
+		s.pending = completion
+	}
+	// The disk keeps transferring past this point while the node
+	// computes: the write-behind overlap the paper's synchronous
+	// primitive cannot have.
+	if overlap := completion - s.node.Clock().Now(); overlap > 0 {
+		s.met.asyncOverlap.Observe(overlap)
+	}
+	if id := s.f.LastAsyncSpan(); id != 0 {
+		s.pendingSpans = append(s.pendingSpans, id)
 	}
 	return nil
 }
@@ -290,7 +295,7 @@ func (s *OStream) writeParallel(nArrays int, localSizes []uint32, data []byte) e
 	if err != nil {
 		return fmt.Errorf("dstream: meta append: %w", err)
 	}
-	return s.appendRecordBlock(data, "data append")
+	return s.appendBlock("data append", data)
 }
 
 // Close releases the stream. As in pC++/streams, where close lives in the

@@ -116,14 +116,10 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, h
 		return chunk[offs[from-lo]:offs[to+1-lo]]
 	}
 
-	if len(s.sendBufs) != nprocs {
-		s.sendBufs = make([][]byte, nprocs)
-	}
-	bufs := s.sendBufs
+	bufs := sendBufs(&s.sendBufs, nprocs)
 	packed := s.packed[:0]
 	var sendBytes int64
 	for d := range bufs {
-		bufs[d] = nil
 		pos := pl.send[pl.sendStart[d]:pl.sendStart[d+1]]
 		if d == me || len(pos) == 0 {
 			continue

@@ -46,6 +46,16 @@ func stripeCuts(base, total int64, k int, unit int64) []int64 {
 	return cuts
 }
 
+// sendBufs returns *scratch as one exchange's send list: n entries, none
+// set. A stream keeps the list from record to record.
+func sendBufs(scratch *[][]byte, n int) [][]byte {
+	if len(*scratch) != n {
+		*scratch = make([][]byte, n)
+	}
+	clear(*scratch)
+	return *scratch
+}
+
 // writeTwoPhase is the two-phase record flush: a shuffle in front of the
 // funnel. The record's bytes are identical to writeFunnel's — metadata
 // funnels through node 0 and rides the same single parallel append as the
@@ -53,7 +63,9 @@ func stripeCuts(base, total int64, k int, unit int64) []int64 {
 // from "every rank appends its own elements" to "K aggregators append
 // stripe-aligned extents". So this function owns the shuffle and nothing
 // else: it trades each rank's data for that rank's extent (empty off the
-// aggregators) and hands the extent to writeFunnel.
+// aggregators) — as the frames the shuffle delivered, and its own overlap
+// where it lies in the arena, never as one assembled buffer — and hands
+// those pieces to writeFunnel.
 func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) error {
 	comm := s.node.Comm()
 	me := s.node.Rank()
@@ -64,17 +76,19 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 	// plan is computed locally — and identically — everywhere.
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(data)))
-	lenParts, err := comm.Allgather(lenBuf[:])
+	lenParts, lenFrame, err := comm.Allgather(lenBuf[:])
 	if err != nil {
 		return fmt.Errorf("dstream: allgather data sizes: %w", err)
 	}
 	rankOff := make([]int64, nprocs+1)
 	for r, p := range lenParts {
 		if len(p) != 8 {
+			bufpool.Put(lenFrame)
 			return fmt.Errorf("dstream: bad size contribution from rank %d", r)
 		}
 		rankOff[r+1] = rankOff[r] + int64(binary.LittleEndian.Uint64(p))
 	}
+	bufpool.Put(lenFrame)
 
 	// Aggregation plan: the data section will start metaLen bytes past the
 	// current end of file; cut it into K extents at stripe boundaries.
@@ -83,10 +97,13 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 	cuts := stripeCuts(s.f.Size()+s.metaLen, rankOff[nprocs], k, layout.StripeUnit)
 
 	// Shuffle: each rank slices its contiguous payload [lo, hi) of the data
-	// section by the extent cuts and sends each aggregator its overlap.
-	// Within an extent, ascending sender rank is ascending file offset, so
-	// concatenating the received pieces rebuilds the extent contiguously.
-	bufs := make([][]byte, nprocs)
+	// section by the extent cuts and sends each aggregator its overlap; an
+	// aggregator's overlap with its own extent stays where it is. Within an
+	// extent, ascending sender rank is ascending file offset, so the received
+	// frames in rank order, the own overlap at this rank's place among them,
+	// are the extent.
+	bufs := sendBufs(&s.sendBufs, nprocs)
+	var own []byte
 	var sent int64
 	lo, hi := rankOff[me], rankOff[me+1]
 	for j := 0; j < k; j++ {
@@ -94,33 +111,38 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 		if a >= b {
 			continue
 		}
-		bufs[j] = data[a-lo : b-lo]
-		if j != me {
-			sent += b - a
+		if j == me {
+			own = data[a-lo : b-lo]
+			continue
 		}
+		bufs[j] = data[a-lo : b-lo]
+		sent += b - a
 	}
-	recv, err := comm.Alltoallv(bufs)
+	pieces, err := comm.Alltoallv(bufs)
 	if err != nil {
 		return fmt.Errorf("dstream: two-phase shuffle: %w", err)
 	}
-
-	// Aggregators assemble their extent; every other rank receives nothing
-	// and contributes an empty block to the closing append. The received
-	// pieces (all owned by this rank per the Alltoallv contract) are
-	// released as they are packed, the extent when the funnel is done with it.
-	var ext []byte
-	var want int64
+	// Every frame is this rank's per the Alltoallv contract, and is held
+	// until the append that reads it has returned; the own overlap is the
+	// arena's, which Write releases. A rank off the aggregators received
+	// nothing and contributes an empty block to the closing append.
+	bufpool.Put(pieces[me])
+	pieces[me] = own
+	defer func() {
+		pieces[me] = nil
+		for _, p := range pieces {
+			bufpool.Put(p)
+		}
+	}()
+	var got, want int64
+	for _, p := range pieces {
+		got += int64(len(p))
+	}
 	if me < k {
 		want = cuts[me+1] - cuts[me]
-		ext = bufpool.GetCap(int(want))
 	}
-	for _, p := range recv {
-		ext = append(ext, p...)
-		bufpool.Put(p)
-	}
-	defer bufpool.Put(ext)
-	if int64(len(ext)) != want {
-		return fmt.Errorf("dstream: extent %d assembled %d of %d bytes", me, len(ext), want)
+	if got != want {
+		return fmt.Errorf("dstream: extent %d holds %d of %d bytes", me, got, want)
 	}
 	if me < k {
 		s.node.CopyCost(want)
@@ -152,7 +174,7 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 			}
 		}
 	}
-	return s.writeFunnel(nArrays, localSizes, ext)
+	return s.writeFunnel(nArrays, localSizes, pieces...)
 }
 
 // refillTwoPhase is the read-side mirror: K aggregators refill
@@ -207,7 +229,8 @@ func (s *IStream) refillTwoPhase(dataStart int64, rankOff []int64, dst []byte, a
 	// Phase two: scatter. Aggregator j sends rank r the overlap of its
 	// extent with r's byte range; r reassembles its share by concatenating
 	// in aggregator order (ascending file offset).
-	bufs := make([][]byte, nprocs)
+	bufs := sendBufs(&s.sendBufs, nprocs)
+	var own []byte
 	var sent int64
 	if me < k {
 		elo, ehi := cuts[me], cuts[me+1]
@@ -216,18 +239,19 @@ func (s *IStream) refillTwoPhase(dataStart int64, rankOff []int64, dst []byte, a
 			if a >= b {
 				continue
 			}
-			bufs[r] = ext[a-elo : b-elo]
-			if r != me {
-				sent += b - a
+			if r == me {
+				own = ext[a-elo : b-elo]
+				continue
 			}
+			bufs[r] = ext[a-elo : b-elo]
+			sent += b - a
 		}
 	}
 	recv, err := comm.Alltoallv(bufs)
 	if err != nil {
+		bufpool.Put(ext)
 		return dst, 0, &commError{fmt.Errorf("dstream: two-phase scatter: %w", err)}
 	}
-	// The extent's bytes have been copied onto the wire; release it.
-	bufpool.Put(ext)
 	// Assemble this node's share into dst; when dst is the stream's refill
 	// scratch, the previous record's decoders are invalid from here on,
 	// per the Read contract.
@@ -237,10 +261,17 @@ func (s *IStream) refillTwoPhase(dataStart int64, rankOff []int64, dst []byte, a
 		bufpool.Put(dst)
 		chunk = bufpool.GetCap(int(want))
 	}
-	for _, p := range recv {
-		chunk = append(chunk, p...)
-		bufpool.Put(p)
+	for j, frame := range recv {
+		if j == me {
+			chunk = append(chunk, own...) // straight from the extent, which it never left
+		} else {
+			chunk = append(chunk, frame...)
+		}
+		bufpool.Put(frame)
 	}
+	// What the others needed of the extent is on the wire and this rank's
+	// own part of it in chunk; release it.
+	bufpool.Put(ext)
 	if int64(len(chunk)) != want {
 		return chunk, 0, fmt.Errorf("dstream: two-phase refill assembled %d of %d bytes", len(chunk), want)
 	}

@@ -206,7 +206,7 @@ func TestDeterministicAcrossRunsAndTransports(t *testing.T) {
 			if _, err := f.ParallelAppend(make([]byte, 1000*(n.Rank()+1))); err != nil {
 				return err
 			}
-			if _, err := n.Comm().Allgather(make([]byte, 64)); err != nil {
+			if _, _, err := n.Comm().Allgather(make([]byte, 64)); err != nil {
 				return err
 			}
 		}

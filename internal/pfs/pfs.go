@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
@@ -177,18 +178,21 @@ type file struct {
 
 // rendezvous synchronizes one collective operation across the group. The
 // last arrival executes the operation; everyone leaves with the same
-// completion time.
+// completion time. Beyond the arrivals it holds only what its operation
+// uses, made by the first rank to arrive: an append the ranks' piece lists
+// and nums (the offsets the blocks land at, then their sizes), a read the
+// ranges, bufs (each rank's destination on the way in, its data on the way
+// out) and nums (the sizes), a control sync nothing.
 type rendezvous struct {
 	arrived    int
 	arrivals   []float64
-	blocks     [][]byte
-	ranges     []Range
 	done       chan struct{}
 	completion float64
-	offsets    []int64
-	data       [][]byte
-	dsts       [][]byte
 	err        error
+	pieces     [][][]byte
+	ranges     []Range
+	bufs       [][]byte
+	nums       []int64
 }
 
 // Range is one node's contribution to a ParallelRead: read Len bytes at Off.
@@ -213,6 +217,10 @@ type File struct {
 	// that later wait on the completion (dstream's Drain, a prefetch hit)
 	// read it to link their wait span to the I/O that satisfied it.
 	lastAsync dsmon.SpanID
+	// pieces is the list this rank's latest append left at the rendezvous: the
+	// caller's own list stays the caller's (on its stack, for the usual one
+	// piece), and the steady state allocates no list at all.
+	pieces [][]byte
 }
 
 // LastAsyncSpan returns the span ID of the most recent asynchronous
@@ -350,17 +358,15 @@ func (h *File) Close() error {
 	return nil
 }
 
-// collect runs one rendezvous step: the last arrival executes exec (with
-// the file lock released) and publishes the result. When syncClock is
-// false the caller's virtual clock is NOT advanced to the operation's
-// completion time — the asynchronous (write-behind) mode, where the disk
-// works in the background while the node computes; the disk's channel
-// horizon still moves, so later operations queue behind this one.
-func (h *File) collect(syncClock bool, fill func(r *rendezvous), exec func(r *rendezvous)) (*rendezvous, error) {
-	return h.collectNamed("collective "+h.f.name, syncClock, fill, exec)
-}
-
-func (h *File) collectNamed(name string, syncClock bool, fill func(r *rendezvous), exec func(r *rendezvous)) (*rendezvous, error) {
+// collect runs one rendezvous step of the operation op (the name its spans
+// carry, with the file's): every arrival runs fill under the file lock — the
+// first finds r's operation fields nil and makes the ones it uses — and the
+// last executes exec (with the file lock released) and publishes the result.
+// When syncClock is false the caller's virtual clock is NOT advanced to the
+// operation's completion time — the asynchronous (write-behind) mode, where
+// the disk works in the background while the node computes; the disk's
+// channel horizon still moves, so later operations queue behind this one.
+func (h *File) collect(op string, syncClock bool, fill func(r *rendezvous), exec func(r *rendezvous)) (*rendezvous, error) {
 	if h.closed {
 		return nil, fmt.Errorf("pfs: collective op on closed handle %q", h.f.name)
 	}
@@ -370,18 +376,10 @@ func (h *File) collectNamed(name string, syncClock bool, fill func(r *rendezvous
 	f.mu.Lock()
 	r, ok := f.rdvs[h.seq]
 	if !ok {
-		r = &rendezvous{
-			arrivals: make([]float64, h.nprocs),
-			blocks:   make([][]byte, h.nprocs),
-			ranges:   make([]Range, h.nprocs),
-			offsets:  make([]int64, h.nprocs),
-			data:     make([][]byte, h.nprocs),
-			dsts:     make([][]byte, h.nprocs),
-			done:     make(chan struct{}),
-		}
+		r = &rendezvous{arrivals: make([]float64, h.nprocs), done: make(chan struct{})}
 		f.rdvs[h.seq] = r
 	}
-	r.arrivals[h.rank] = h.clock.Now()
+	r.arrivals[h.rank] = arrival
 	fill(r)
 	r.arrived++
 	last := r.arrived == h.nprocs
@@ -397,23 +395,30 @@ func (h *File) collectNamed(name string, syncClock bool, fill func(r *rendezvous
 		select {
 		case <-r.done:
 		case <-h.fs.abort:
+			// Whoever executes this rendezvous after all may still read the
+			// list this rank left in it.
+			h.pieces = nil
 			return nil, fmt.Errorf("pfs: collective on %q aborted: %w", f.name, h.fs.abortErr)
 		}
 	}
+	rec := h.fs.rec
 	if syncClock {
 		h.clock.SyncTo(r.completion)
-		h.fs.rec.Add(h.rank, "collective", name, arrival, r.completion)
+		if rec != nil {
+			rec.Add(h.rank, "collective", op+" "+f.name, arrival, r.completion)
+		}
 	} else {
 		// Still a rendezvous: nobody leaves before the last arrival (the
 		// group must agree on the file layout), but the transfer itself
 		// proceeds in the background.
 		h.clock.SyncTo(vtime.MaxOf(r.arrivals))
-		if rec := h.fs.rec; rec != nil {
+		if rec != nil {
 			// Async mode splits the event into the foreground issue
 			// (rendezvous) interval and the background disk interval, with
 			// an issue→completion edge between them; the disk span ID is
 			// kept on the handle so whoever later waits on the completion
 			// can link their stall to this I/O.
+			name := op + " " + f.name
 			leave := h.clock.Now()
 			issue := rec.AddSpan(h.rank, "collective", name, arrival, leave)
 			disk := rec.AddSpan(h.rank, "io", name+" (async)", leave, r.completion)
@@ -424,13 +429,32 @@ func (h *File) collectNamed(name string, syncClock bool, fill func(r *rendezvous
 	return r, r.err
 }
 
+// settle closes the accounts of a collective transfer of which landed bytes
+// reached their destination: the whole of it, unless the backend failed part
+// way, and then the operation is counted with what it did move and has no
+// transfer size or duration to add to the histograms.
+func (h *File) settle(r *rendezvous, om pfsOpMetrics, ops, bytes *atomic.Int64, landed int64) {
+	ops.Add(1)
+	bytes.Add(landed)
+	if r.err != nil {
+		om.ops.Inc()
+		om.bytes.Add(landed)
+		return
+	}
+	om.record(landed, slices.Min(r.arrivals), r.completion)
+}
+
 // ParallelAppend is the synchronized node-order append of the Paragon PFS:
 // every node contributes a block (possibly empty); the blocks are written
-// contiguously in rank order at the end of the file. It returns the file
-// offset at which the caller's block landed. All nodes leave at the same
-// virtual time.
-func (h *File) ParallelAppend(block []byte) (int64, error) {
-	off, _, err := h.parallelAppend(block, true)
+// contiguously in rank order at the end of the file. A node hands over its
+// block as the pieces it already has it in, in order — one buffer, or a
+// header and the frames behind it; empty pieces are skipped. The pieces are
+// the caller's again when the call returns on its rank: they are read only
+// inside the rendezvous, and nothing keeps a reference to them. It returns
+// the file offset at which the caller's block landed. All nodes leave at the
+// same virtual time.
+func (h *File) ParallelAppend(pieces ...[]byte) (int64, error) {
+	off, _, err := h.parallelAppend(pieces, true)
 	return off, err
 }
 
@@ -439,45 +463,58 @@ func (h *File) ParallelAppend(block []byte) (int64, error) {
 // completion time, but the caller's clock only advances to the rendezvous
 // point — computation overlaps the transfer. Callers must eventually
 // SyncTo the completion time (an output stream does this at Close).
-func (h *File) ParallelAppendAsync(block []byte) (off int64, completion float64, err error) {
-	return h.parallelAppend(block, false)
+func (h *File) ParallelAppendAsync(pieces ...[]byte) (off int64, completion float64, err error) {
+	return h.parallelAppend(pieces, false)
 }
 
-func (h *File) parallelAppend(block []byte, syncClock bool) (int64, float64, error) {
-	r, err := h.collectNamed("ParallelAppend "+h.f.name, syncClock,
-		func(r *rendezvous) { r.blocks[h.rank] = block },
+func (h *File) parallelAppend(pieces [][]byte, syncClock bool) (int64, float64, error) {
+	n := h.nprocs
+	h.pieces = append(h.pieces[:0], pieces...)
+	r, err := h.collect("ParallelAppend", syncClock,
 		func(r *rendezvous) {
-			sizes := make([]int64, h.nprocs)
-			base := h.f.b.Size()
-			off := base
-			for i, b := range r.blocks {
-				sizes[i] = int64(len(b))
-				r.offsets[i] = off
-				off += int64(len(b))
+			if r.pieces == nil {
+				r.pieces = make([][][]byte, n)
+				r.nums = make([]int64, 2*n)
 			}
-			for i, b := range r.blocks {
-				if len(b) == 0 {
-					continue
+			r.pieces[h.rank] = h.pieces
+		},
+		func(r *rendezvous) {
+			offsets, sizes := r.nums[:n], r.nums[n:]
+			off := h.f.b.Size()
+			for i, block := range r.pieces {
+				offsets[i] = off
+				for _, p := range block {
+					off += int64(len(p))
 				}
-				if _, werr := h.f.b.WriteAt(b, r.offsets[i]); werr != nil {
-					r.err = fmt.Errorf("pfs: parallel append %q: %w", h.f.name, werr)
-					break
+				sizes[i] = off - offsets[i]
+			}
+			// One backend write per piece, at a running offset; landed stops
+			// at the first piece that failed.
+			landed := int64(0)
+		write:
+			for i, block := range r.pieces {
+				at := offsets[i]
+				for _, p := range block {
+					if len(p) == 0 {
+						continue
+					}
+					if _, werr := h.f.b.WriteAt(p, at); werr != nil {
+						r.err = fmt.Errorf("pfs: parallel append %q: %w", h.f.name, werr)
+						break write
+					}
+					at += int64(len(p))
+					landed += int64(len(p))
 				}
 			}
 			r.completion = h.f.d.parallel(r.arrivals, sizes, true)
-			var total int64
-			for _, sz := range sizes {
-				total += sz
-			}
-			h.fs.counters.parallelAppends.Add(1)
-			h.fs.counters.bytesWritten.Add(total)
-			h.fs.met.pappend.record(total, slices.Min(r.arrivals), r.completion)
+			h.settle(r, h.fs.met.pappend, &h.fs.counters.parallelAppends, &h.fs.counters.bytesWritten, landed)
 		},
 	)
+	clear(h.pieces)
 	if err != nil {
 		return 0, 0, err
 	}
-	return r.offsets[h.rank], r.completion, nil
+	return r.nums[h.rank], r.completion, nil
 }
 
 // ParallelRead is the synchronized parallel read: every node supplies the
@@ -515,21 +552,29 @@ func (h *File) ParallelReadIntoAsync(rg Range, dst []byte) (data []byte, complet
 }
 
 func (h *File) parallelReadInto(rg Range, dst []byte, syncClock bool) ([]byte, float64, error) {
-	r, err := h.collectNamed("ParallelRead "+h.f.name, syncClock,
+	n := h.nprocs
+	r, err := h.collect("ParallelRead", syncClock,
 		func(r *rendezvous) {
+			if r.ranges == nil {
+				r.ranges = make([]Range, n)
+				r.bufs = make([][]byte, n)
+				r.nums = make([]int64, n)
+			}
 			r.ranges[h.rank] = rg
-			r.dsts[h.rank] = dst
+			r.bufs[h.rank] = dst
 		},
 		func(r *rendezvous) {
-			sizes := make([]int64, h.nprocs)
+			sizes := r.nums
 			for i, g := range r.ranges {
 				sizes[i] = int64(g.Len)
 			}
+			landed := int64(0)
 			for i, g := range r.ranges {
 				if g.Len == 0 {
+					r.bufs[i] = nil // no data, whatever the destination
 					continue
 				}
-				buf := r.dsts[i]
+				buf := r.bufs[i]
 				if cap(buf) >= g.Len {
 					buf = buf[:g.Len]
 				} else {
@@ -539,29 +584,24 @@ func (h *File) parallelReadInto(rg Range, dst []byte, syncClock bool) ([]byte, f
 					r.err = fmt.Errorf("pfs: parallel read %q [%d,+%d): %w", h.f.name, g.Off, g.Len, rerr)
 					break
 				}
-				r.data[i] = buf
+				r.bufs[i] = buf
+				landed += int64(g.Len)
 			}
 			r.completion = h.f.d.parallel(r.arrivals, sizes, false)
-			var total int64
-			for _, sz := range sizes {
-				total += sz
-			}
-			h.fs.counters.parallelReads.Add(1)
-			h.fs.counters.bytesRead.Add(total)
-			h.fs.met.pread.record(total, slices.Min(r.arrivals), r.completion)
+			h.settle(r, h.fs.met.pread, &h.fs.counters.parallelReads, &h.fs.counters.bytesRead, landed)
 		},
 	)
 	if err != nil {
 		return nil, 0, err
 	}
-	return r.data[h.rank], r.completion, nil
+	return r.bufs[h.rank], r.completion, nil
 }
 
 // ControlSync is a synchronizing metadata operation (the gopen/eseek-style
 // control calls of the Paragon PFS): all nodes rendezvous and leave at
 // max(arrival) + ControlOpLatency.
 func (h *File) ControlSync() error {
-	_, err := h.collectNamed("ControlSync "+h.f.name, true,
+	_, err := h.collect("ControlSync", true,
 		func(*rendezvous) {},
 		func(r *rendezvous) {
 			r.completion = h.f.d.control(r.arrivals)

@@ -1,0 +1,379 @@
+package pfs
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"pcxxstreams/internal/dsmon"
+	"pcxxstreams/internal/vtime"
+)
+
+// pieceBytes is piece i of rank r, n bytes that depend on both.
+func pieceBytes(r, i, n int) []byte {
+	p := make([]byte, n)
+	for j := range p {
+		p[j] = byte(r*71 + i*13 + j)
+	}
+	return p
+}
+
+// appendOutcome is everything a group can observe of one append: where each
+// rank's block landed, when the group left, when the disk was done, what the
+// file holds and what the counters say moved.
+type appendOutcome struct {
+	offsets     []int64
+	clocks      []float64
+	completions []float64
+	image       []byte
+	stats       IOStats
+}
+
+// appendOnce opens a fresh file on fs, appends a 5-byte preamble from rank 0
+// so that offsets do not start at zero, and then makes the one collective
+// append under test: blocks[r] is rank r's piece list.
+func appendOnce(t *testing.T, fs *FileSystem, blocks [][][]byte, async bool) appendOutcome {
+	t.Helper()
+	n := len(blocks)
+	out := appendOutcome{offsets: make([]int64, n), completions: make([]float64, n)}
+	out.clocks = spmdFS(t, fs, n, func(rank int, clock *vtime.Clock) error {
+		h, err := fs.Open("f", n, rank, clock, true)
+		if err != nil {
+			return err
+		}
+		defer h.Close()
+		var pre []byte
+		if rank == 0 {
+			pre = []byte("magic")
+		}
+		if _, err := h.ParallelAppend(pre); err != nil {
+			return err
+		}
+		clock.Advance(float64(rank) * 1e-3) // staggered arrivals
+		if async {
+			out.offsets[rank], out.completions[rank], err = h.ParallelAppendAsync(blocks[rank]...)
+		} else {
+			out.offsets[rank], err = h.ParallelAppend(blocks[rank]...)
+		}
+		return err
+	})
+	var err error
+	if out.image, err = fs.Image("f"); err != nil {
+		t.Fatal(err)
+	}
+	out.stats = fs.Stats()
+	return out
+}
+
+// TestParallelAppendPieces: a block handed over as pieces lands exactly as
+// the same bytes handed over as one buffer — the image, every rank's offset
+// (the node-order running sum), the instant the group leaves and the disk's
+// completion, sync and async, and the byte counters — whatever the shape of
+// the lists, on a flat store and on a striped one whose cells are far
+// smaller than the pieces.
+func TestParallelAppendPieces(t *testing.T) {
+	sized := func(r int, lens ...int) [][]byte {
+		var ps [][]byte
+		for i, n := range lens {
+			ps = append(ps, pieceBytes(r, i, n))
+		}
+		return ps
+	}
+	many := func(r, count int) [][]byte {
+		lens := make([]int, count)
+		for i := range lens {
+			lens[i] = 1 + (i*7+r)%40
+		}
+		return sized(r, lens...)
+	}
+	shapes := []struct {
+		name   string
+		blocks [][][]byte
+	}{
+		{"no pieces", [][][]byte{nil, nil, nil}},
+		{"only empty pieces", [][][]byte{{nil, {}}, {{}}, sized(2, 0, 0, 0)}},
+		{"empty pieces between full ones", [][][]byte{sized(0, 0, 90, 0, 0, 33, 0), sized(1, 17, 0, 210), sized(2, 0, 1)}},
+		{"one piece a rank", [][][]byte{sized(0, 100), sized(1, 1), sized(2, 257)}},
+		{"three pieces a rank", [][][]byte{sized(0, 64, 64, 64), sized(1, 5, 300, 11), sized(2, 129, 1, 63)}},
+		{"64 pieces a rank", [][][]byte{many(0, 64), many(1, 64), many(2, 64), many(3, 64)}},
+		{"ranks with different counts", [][][]byte{nil, many(1, 9), sized(2, 500), many(3, 2), {{}}}},
+	}
+	stores := []struct {
+		name    string
+		factory func() BackendFactory
+	}{
+		{"mem", MemFactory},
+		{"striped", func() BackendFactory { return StripedMemFactory(3, 16) }},
+	}
+	for _, st := range stores {
+		for _, sh := range shapes {
+			for _, async := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/async=%v", st.name, sh.name, async), func(t *testing.T) {
+					joined := make([][][]byte, len(sh.blocks))
+					for r, ps := range sh.blocks {
+						joined[r] = [][]byte{bytes.Join(ps, nil)}
+					}
+					got := appendOnce(t, NewFileSystem(testProfile(), st.factory()), sh.blocks, async)
+					want := appendOnce(t, NewFileSystem(testProfile(), st.factory()), joined, async)
+					if !bytes.Equal(got.image, want.image) {
+						t.Fatalf("image of the piece lists differs from the one-block image (%d vs %d bytes)", len(got.image), len(want.image))
+					}
+					sum := int64(len("magic"))
+					for r, ps := range sh.blocks {
+						if got.offsets[r] != sum {
+							t.Errorf("rank %d landed at %d, the running sum is %d", r, got.offsets[r], sum)
+						}
+						sum += int64(len(bytes.Join(ps, nil)))
+					}
+					if sum != int64(len(got.image)) {
+						t.Errorf("file is %d bytes, the blocks end at %d", len(got.image), sum)
+					}
+					for r := range sh.blocks {
+						if got.clocks[r] != want.clocks[r] || got.completions[r] != want.completions[r] {
+							t.Errorf("rank %d left at %v (completion %v), the one-block call at %v (%v)",
+								r, got.clocks[r], got.completions[r], want.clocks[r], want.completions[r])
+						}
+					}
+					if got.stats.BytesWritten != want.stats.BytesWritten || got.stats.ParallelAppends != want.stats.ParallelAppends {
+						t.Errorf("counters %+v, the one-block call's %+v", got.stats, want.stats)
+					}
+				})
+			}
+		}
+	}
+}
+
+// shortAt serves every write whole but the at-th, of which it takes the first
+// half and reports a transient fault for the rest.
+type shortAt struct {
+	Backend
+	mu    sync.Mutex
+	at    int
+	calls int
+	cut   int // bytes of the cut write that were taken
+}
+
+func (s *shortAt) WriteAt(p []byte, off int64) (int, error) {
+	s.mu.Lock()
+	s.calls++
+	hit := s.calls == s.at
+	s.mu.Unlock()
+	if !hit || len(p) < 2 {
+		return s.Backend.WriteAt(p, off)
+	}
+	s.cut = len(p) / 2
+	n, err := s.Backend.WriteAt(p[:s.cut], off)
+	if err != nil {
+		return n, err
+	}
+	return n, fmt.Errorf("%w: short write", ErrTransient)
+}
+
+// TestParallelAppendPiecesShortWrite: a short write lands inside one piece of
+// several, and the retry layer resumes inside that piece — the pieces before
+// it are not written again, the ones after it start where they should.
+func TestParallelAppendPiecesShortWrite(t *testing.T) {
+	blocks := [][][]byte{
+		{pieceBytes(0, 0, 40), pieceBytes(0, 1, 90), pieceBytes(0, 2, 7)},
+		{pieceBytes(1, 0, 64), pieceBytes(1, 1, 64)},
+	}
+	var want []byte
+	for _, ps := range blocks {
+		want = append(want, bytes.Join(ps, nil)...)
+	}
+	// Write 1 is the preamble; 2..6 are the five pieces.
+	for at := 2; at <= 6; at++ {
+		t.Run(fmt.Sprintf("piece %d", at-1), func(t *testing.T) {
+			var sb *shortAt
+			fs := NewFileSystem(testProfile(), func(string) (Backend, error) {
+				sb = &shortAt{Backend: NewMemBackend(), at: at}
+				return sb, nil
+			})
+			got := appendOnce(t, fs, blocks, false)
+			if !bytes.Equal(got.image[len("magic"):], want) {
+				t.Fatal("image differs after a short write inside a piece")
+			}
+			if sb.cut == 0 {
+				t.Fatal("no write was cut short")
+			}
+			// One extra backend call for the remainder of the cut piece, and
+			// no other: 1 preamble + 5 pieces + 1.
+			if sb.calls != 7 || got.stats.IORetries != 1 {
+				t.Errorf("%d backend writes and %d retries, want 7 and 1", sb.calls, got.stats.IORetries)
+			}
+		})
+	}
+}
+
+// TestParallelAppendPiecesHardFailure: the backend fails for good on piece k
+// of a collective append. Every rank gets the same error, nobody hangs, and
+// the counters hold what landed before the failure — not the whole group's
+// total — with nothing added to the size and duration histograms. The read
+// mirror: a parallel read whose k-th range fails counts the ranges before it.
+func TestParallelAppendPiecesHardFailure(t *testing.T) {
+	const nprocs, pieceLen = 3, 100
+	blocks := make([][][]byte, nprocs)
+	for r := range blocks {
+		blocks[r] = [][]byte{pieceBytes(r, 0, pieceLen), nil, pieceBytes(r, 1, pieceLen)}
+	}
+	sizeCount := func(mon *dsmon.Monitor, op string) int64 {
+		return mon.Registry().Histogram("pfs_io_size_bytes", "", dsmon.SizeBuckets, "op", op).Count()
+	}
+	for k := 0; k <= 2*nprocs; k++ { // k pieces land, the next one fails; 2*nprocs is no failure
+		t.Run(fmt.Sprintf("append/%d pieces land", k), func(t *testing.T) {
+			mon := dsmon.New()
+			fs := NewMemFS(testProfile())
+			fs.SetMonitor(mon)
+			errs := make([]error, nprocs)
+			spmdFS(t, fs, nprocs, func(rank int, clock *vtime.Clock) error {
+				h, err := fs.Open("f", nprocs, rank, clock, true)
+				if err != nil {
+					return err
+				}
+				defer h.Close()
+				if err := h.ControlSync(); err != nil { // everyone has opened before the fault goes in
+					return err
+				}
+				if rank == 0 {
+					if err := fs.InjectFault("f", k); err != nil {
+						return err
+					}
+				}
+				if err := h.ControlSync(); err != nil {
+					return err
+				}
+				_, errs[rank] = h.ParallelAppend(blocks[rank]...)
+				return nil
+			})
+			failed := k < 2*nprocs
+			for r, err := range errs {
+				if failed != errors.Is(err, ErrInjected) {
+					t.Fatalf("rank %d: %v, want injected failure: %v", r, err, failed)
+				}
+				if failed && err.Error() != errs[0].Error() {
+					t.Errorf("rank %d failed with %q, rank 0 with %q", r, err, errs[0])
+				}
+			}
+			st := fs.Stats()
+			if st.BytesWritten != int64(k*pieceLen) || st.ParallelAppends != 1 {
+				t.Errorf("counted %d bytes in %d appends, want the %d that landed in 1", st.BytesWritten, st.ParallelAppends, k*pieceLen)
+			}
+			if got, want := sizeCount(mon, "parallel_append"), int64(1); failed == (got == want) {
+				t.Errorf("%d appends in the size histogram after failure=%v", got, failed)
+			}
+		})
+	}
+	for k := 0; k <= nprocs; k++ { // k ranges land; nprocs is no failure
+		t.Run(fmt.Sprintf("read/%d ranges land", k), func(t *testing.T) {
+			mon := dsmon.New()
+			fs := NewMemFS(testProfile())
+			fs.SetMonitor(mon)
+			errs := make([]error, nprocs)
+			spmdFS(t, fs, nprocs, func(rank int, clock *vtime.Clock) error {
+				h, err := fs.Open("f", nprocs, rank, clock, true)
+				if err != nil {
+					return err
+				}
+				defer h.Close()
+				if _, err := h.ParallelAppend(blocks[rank]...); err != nil {
+					return err
+				}
+				fs.ResetStats()
+				if err := h.ControlSync(); err != nil {
+					return err
+				}
+				if rank == 0 {
+					if err := fs.InjectFault("f", k); err != nil {
+						return err
+					}
+				}
+				if err := h.ControlSync(); err != nil {
+					return err
+				}
+				_, errs[rank] = h.ParallelRead(Range{Off: int64(rank * 2 * pieceLen), Len: pieceLen})
+				return nil
+			})
+			failed := k < nprocs
+			for r, err := range errs {
+				if failed != errors.Is(err, ErrInjected) {
+					t.Fatalf("rank %d: %v, want injected failure: %v", r, err, failed)
+				}
+			}
+			st := fs.Stats()
+			if st.BytesRead != int64(k*pieceLen) || st.ParallelReads != 1 {
+				t.Errorf("counted %d bytes in %d reads, want the %d that landed in 1", st.BytesRead, st.ParallelReads, k*pieceLen)
+			}
+			if got, want := sizeCount(mon, "parallel_read"), int64(1); failed == (got == want) {
+				t.Errorf("%d reads in the size histogram after failure=%v", got, failed)
+			}
+		})
+	}
+}
+
+// nullBackend takes writes and keeps only the size, so that a steady-state
+// allocation count is the file system's own and not a growing image's.
+type nullBackend struct{ size int64 }
+
+func (b *nullBackend) WriteAt(p []byte, off int64) (int, error) {
+	b.size = max(b.size, off+int64(len(p)))
+	return len(p), nil
+}
+func (b *nullBackend) ReadAt(p []byte, off int64) (int, error) { return len(p), nil }
+func (b *nullBackend) Size() int64                             { return b.size }
+func (b *nullBackend) Truncate(size int64) error               { b.size = size; return nil }
+func (b *nullBackend) Close() error                            { return nil }
+
+// TestAppendAndFanoutAllocPins: what the handle's piece scratch and the
+// operation-sized rendezvous buy — a one-piece append costs the rendezvous
+// and its four parts (arrivals, done, piece lists, offsets and sizes) and the
+// disk model's channel loads, and no list, name or closure of its own — and
+// what the fan-out's one state value buys: a striped write over w children is
+// that value and one goroutine start per child beyond the caller's.
+func TestAppendAndFanoutAllocPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins stand down under -race")
+	}
+	fs := NewFileSystem(testProfile(), func(string) (Backend, error) { return &nullBackend{}, nil })
+	var clock vtime.Clock
+	h, err := fs.Open("f", 1, 0, &clock, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := make([]byte, 4096)
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := h.ParallelAppend(block); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 6 {
+		t.Errorf("one-piece ParallelAppend: %.1f allocs, want at most 6", avg)
+	}
+	head, tail := block[:100], block[100:]
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := h.ParallelAppend(head, nil, tail); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 6 {
+		t.Errorf("three-piece ParallelAppend: %.1f allocs, want at most 6: a list escaped", avg)
+	}
+
+	for _, children := range []int{2, 4, 12} {
+		s, err := NewStripedMemBackend(children, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]byte, 64*children*3)
+		if _, err := s.WriteAt(p, 0); err != nil { // grow the children once
+			t.Fatal(err)
+		}
+		helpers := min(children, maxStripeFanout) - 1
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := s.WriteAt(p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > float64(helpers+1) {
+			t.Errorf("striped WriteAt over %d children: %.1f allocs, want at most %d", children, avg, helpers+1)
+		}
+	}
+}

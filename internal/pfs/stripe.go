@@ -130,11 +130,12 @@ func (s *StripedBackend) ReadAt(p []byte, off int64) (int, error) {
 
 // fanout moves [off, off+len(p)) between p and the child backends. An
 // operation confined to a single child runs inline; a multi-child operation
-// runs one worker per involved child (at most maxStripeFanout at a time),
-// each walking only the cells that live on its child. The workers write to
-// pairwise-disjoint sub-slices of p and share no other mutable state, so
-// the fan-out is race-free by construction; the first error wins and stops
-// the remaining workers at their next cell boundary.
+// has one walk per involved child, each over only the cells that live on its
+// child, taken in turn by the caller's goroutine and up to
+// maxStripeFanout-1 helpers. The walks write to pairwise-disjoint sub-slices
+// of p and share nothing mutable but the fan-out's one state value, so the
+// fan-out is race-free by construction; the first error wins and stops the
+// remaining walks at their next cell boundary.
 func (s *StripedBackend) fanout(p []byte, off int64, write bool) error {
 	k := len(s.children)
 	n := int64(len(p))
@@ -149,32 +150,52 @@ func (s *StripedBackend) fanout(p []byte, off int64, write bool) error {
 	if h := s.fanoutHist.Load(); h != nil {
 		h.Observe(float64(width))
 	}
-	var (
-		wg    sync.WaitGroup
-		stop  atomic.Bool
-		errMu sync.Mutex
-		first error
-	)
-	sem := make(chan struct{}, maxStripeFanout)
-	for w := 0; w < width; w++ {
-		child := int((firstCell + int64(w)) % int64(k))
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := s.childWalk(p, off, child, write, &stop); err != nil {
-				stop.Store(true)
-				errMu.Lock()
-				if first == nil {
-					first = err
-				}
-				errMu.Unlock()
-			}
-		}()
+	st := &stripeFanout{s: s, p: p, off: off, write: write, width: int32(width)}
+	helpers := min(width, maxStripeFanout) - 1
+	st.wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go st.help()
 	}
-	wg.Wait()
-	return first
+	st.walk()
+	st.wg.Wait()
+	return st.first
+}
+
+// stripeFanout is the state of one multi-child operation: what it moves, the
+// next child nobody has taken yet, and the first error.
+type stripeFanout struct {
+	s     *StripedBackend
+	p     []byte
+	off   int64
+	write bool
+	width int32
+	next  atomic.Int32
+	stop  atomic.Bool
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	first error
+}
+
+// walk takes involved children, one at a time, until none is left.
+func (st *stripeFanout) walk() {
+	s := st.s
+	firstCell := st.off / s.unit
+	for w := st.next.Add(1) - 1; w < st.width; w = st.next.Add(1) - 1 {
+		child := int((firstCell + int64(w)) % int64(len(s.children)))
+		if err := s.childWalk(st.p, st.off, child, st.write, &st.stop); err != nil {
+			st.stop.Store(true)
+			st.mu.Lock()
+			if st.first == nil {
+				st.first = err
+			}
+			st.mu.Unlock()
+		}
+	}
+}
+
+func (st *stripeFanout) help() {
+	defer st.wg.Done()
+	st.walk()
 }
 
 // childWalk transfers every cell of [off, off+len(p)) that lives on child,
