@@ -140,9 +140,9 @@ chaos:
 	$(GO) test ./internal/chaos/ -v -run '$(CHAOS_RUN)' -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
 
 # Short fuzz pass over the wire codec, the schema decoder, the planner, the
-# daemon's two frame decoders and the two readers of a d/stream file against
-# each other (the committed corpora under testdata/fuzz replay in every plain
-# `go test` run).
+# daemon's two frame decoders, the two readers of a d/stream file against
+# each other and the striped backend against a flat one (the committed corpora
+# under testdata/fuzz replay in every plain `go test` run).
 fuzz:
 	$(GO) test ./internal/enc/ -fuzz FuzzRoundTrip -fuzztime 30s
 	$(GO) test ./internal/enc/ -fuzz FuzzReaderNeverPanics -fuzztime 30s
@@ -155,3 +155,4 @@ fuzz:
 	$(GO) test ./internal/server/ -fuzz FuzzServerConn -fuzztime 30s
 	$(GO) test ./internal/server/ -fuzz FuzzClientReply -fuzztime 30s
 	$(GO) test ./internal/dsinfo/ -fuzz FuzzFileReaders -fuzztime 30s
+	$(GO) test ./internal/pfs/ -fuzz FuzzStripedVsFlat -fuzztime 30s

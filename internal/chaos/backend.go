@@ -140,7 +140,8 @@ func (b *Backend) WriteAt(p []byte, off int64) (int, error) {
 func (b *Backend) Size() int64 { return b.inner.Size() }
 
 // Truncate implements pfs.Backend (no faults: truncate is metadata, and the
-// stack's truncate paths have no retry story to exercise).
+// stack's truncate paths have no retry story to exercise — under a stripe
+// too, whose truncate is this call on each child and no write).
 func (b *Backend) Truncate(size int64) error { return b.inner.Truncate(size) }
 
 // Close implements pfs.Backend.

@@ -173,6 +173,31 @@ func TestResilientFSAbsorbsChaos(t *testing.T) {
 	}
 }
 
+// TestStripedTruncateDrawsNoFaults: "truncate is metadata" holds under the
+// stripe as well — a striped store whose every child write would fault still
+// truncates, up and down, without drawing from any child's schedule (it once
+// wrote the range out in zeros through the children).
+func TestStripedTruncateDrawsNoFaults(t *testing.T) {
+	mon := dsmon.New()
+	b, err := StripedChaosFactory(3, 16, 7, Rates{WriteErr: 1}, mon)("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int64{1 << 16, 100, 0} {
+		if err := b.Truncate(size); err != nil {
+			t.Fatalf("Truncate(%d): %v", size, err)
+		}
+		if b.Size() != size {
+			t.Fatalf("Size = %d after Truncate(%d)", b.Size(), size)
+		}
+	}
+	for kind, n := range injectCounts(mon) {
+		if n != 0 {
+			t.Errorf("truncates drew %d %s faults", n, kind)
+		}
+	}
+}
+
 // TestBackendDeterministicPerName: the factory derives each file's PRNG
 // stream from the name, so open order cannot change a file's schedule.
 func TestBackendDeterministicPerName(t *testing.T) {

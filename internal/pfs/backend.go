@@ -123,9 +123,15 @@ func (m *MemBackend) Truncate(size int64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if size <= int64(len(m.data)) {
+	switch old := len(m.data); {
+	case size <= int64(old):
 		m.data = m.data[:size]
-	} else {
+	case size <= int64(cap(m.data)):
+		// Capacity left by a shrink still holds what was there: the regrown
+		// tail must read zero, as a file's does.
+		m.data = m.data[:size]
+		clear(m.data[old:])
+	default:
 		grown := make([]byte, size)
 		copy(grown, m.data)
 		m.data = grown

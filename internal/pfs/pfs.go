@@ -51,10 +51,10 @@ func (om pfsOpMetrics) record(bytes int64, start, end float64) {
 }
 
 // pfsMetrics holds one handle set per PFS operation kind, plus the
-// transient-fault retry counter.
+// transient-fault retry counter and what truncate-on-open dropped.
 type pfsMetrics struct {
 	open, writeAt, readAt, pappend, pread, csync pfsOpMetrics
-	retries                                      *dsmon.Counter
+	retries, truncates, truncatedBytes           *dsmon.Counter
 }
 
 // SetMonitor attaches the observability layer: per-operation counters and
@@ -82,6 +82,8 @@ func (fs *FileSystem) SetMonitor(m *dsmon.Monitor) {
 		csync:   mk("control_sync"),
 		retries: reg.Counter("pfs_io_retries_total",
 			"backend operations re-issued after a transient storage fault or short transfer"),
+		truncates:      reg.Counter("pfs_truncates_total", "file images cleared by a truncating open"),
+		truncatedBytes: reg.Counter("pfs_truncated_bytes_total", "bytes of old image truncating opens dropped"),
 	}
 	fs.rec = m.Recorder()
 	// Backends with their own instruments (e.g. the striped backend's
@@ -251,18 +253,24 @@ func (fs *FileSystem) Open(name string, nprocs, rank int, clock *vtime.Clock, tr
 	}
 	fs.mu.Unlock()
 
+	start := clock.Now()
 	f.mu.Lock()
 	if trunc && f.mayTrunc {
+		var dropped int64
+		if fs.met.truncatedBytes != nil { // Size can be a system call: only when someone reads it
+			dropped = f.b.Size()
+		}
 		if err := f.b.Truncate(0); err != nil {
 			f.mu.Unlock()
 			return nil, fmt.Errorf("pfs: truncate %q: %w", name, err)
 		}
+		fs.met.truncates.Inc()
+		fs.met.truncatedBytes.Add(dropped)
 	}
 	f.mayTrunc = false
 	f.refs++
 	f.mu.Unlock()
 
-	start := clock.Now()
 	clock.Advance(fs.prof.OpenLatency)
 	fs.counters.opens.Add(1)
 	fs.met.open.record(0, start, clock.Now())

@@ -217,6 +217,40 @@ func TestWriteAfterShrinkLeavesZeros(t *testing.T) {
 	}
 }
 
+// TestMemTruncateRegrowsInPlace: a shrink keeps the capacity, and growing
+// back inside it is a reslice and a clear of the tail — no second image, and
+// zeros where the old bytes were. The striped store's per-child truncate
+// leans on this path every time a file is re-opened for overwrite.
+func TestMemTruncateRegrowsInPlace(t *testing.T) {
+	const size = 1 << 20
+	m := NewMemBackend()
+	if _, err := m.WriteAt(bytes.Repeat([]byte{0xFF}, size), 0); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if err := m.Truncate(100); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Truncate(size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raceEnabled {
+		cycle()
+	} else if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Errorf("shrink and regrow inside capacity: %.1f allocs, want 0", avg)
+	}
+	got := make([]byte, size)
+	if n, err := m.ReadAt(got, 0); n != size || err != nil {
+		t.Fatalf("ReadAt = %d, %v", n, err)
+	}
+	want := make([]byte, size)
+	copy(want, bytes.Repeat([]byte{0xFF}, 100))
+	if !bytes.Equal(got, want) {
+		t.Fatal("regrown tail does not read zero")
+	}
+}
+
 func TestFaultyBackend(t *testing.T) {
 	fb := NewFaultyBackend(NewMemBackend(), 2)
 	if _, err := fb.WriteAt([]byte("a"), 0); err != nil {

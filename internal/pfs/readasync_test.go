@@ -77,9 +77,11 @@ func TestParallelReadAsyncCompletion(t *testing.T) {
 }
 
 // TestStripedFanoutConcurrent: many goroutines hammer one striped backend
-// with overlapping multi-cell reads and disjoint writes; under -race this
-// is the fan-out's data-race certificate, and the final image must match a
-// flat reference.
+// with overlapping multi-cell reads and disjoint writes, while one more
+// truncates it to its final size (so the image is the same whoever wins)
+// between looks at Size and reads across what the children have not grown
+// over yet; under -race this is the fan-out's data-race certificate, and the
+// final image must match a flat reference.
 func TestStripedFanoutConcurrent(t *testing.T) {
 	const workers, span = 8, 1 << 15
 	flat := NewMemBackend()
@@ -114,6 +116,21 @@ func TestStripedFanoutConcurrent(t *testing.T) {
 				b.ReadAt(buf, off/2)
 			}()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, span/4)
+			for i := 0; i < 16; i++ {
+				if err := b.Truncate(span); err != nil {
+					t.Error(err)
+					return
+				}
+				if sz := b.Size(); sz != span {
+					t.Errorf("Size %d after Truncate(%d)", sz, span)
+				}
+				b.ReadAt(buf, int64(i)*span/16)
+			}
+		}()
 		wg.Wait()
 	}
 	a := make([]byte, span)
@@ -188,6 +205,38 @@ func TestStripedFanoutMetric(t *testing.T) {
 	}
 	if sum, c := hist.Sum(), hist.Count(); sum/float64(c) < 2 {
 		t.Errorf("mean fanout %.1f < 2 over %d observations", sum/float64(c), c)
+	}
+}
+
+// TestOpenTruncateCounted: a truncating open is counted, with the bytes of old
+// image it dropped, once per open generation; a non-truncating open is not.
+func TestOpenTruncateCounted(t *testing.T) {
+	mon := dsmon.New()
+	fs := NewFileSystem(testProfile(), StripedMemFactory(4, 16))
+	fs.SetMonitor(mon)
+	var clock vtime.Clock
+	cycle := func(trunc bool, n int) {
+		t.Helper()
+		h, err := fs.Open("f", 1, 0, &clock, trunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.ParallelAppend(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(true, 1000) // drops the empty image
+	cycle(false, 24)  // appends, drops nothing
+	cycle(true, 7)    // drops 1024
+	reg := mon.Registry()
+	if got := reg.Counter("pfs_truncates_total", "").Value(); got != 2 {
+		t.Errorf("pfs_truncates_total = %d, want 2", got)
+	}
+	if got := reg.Counter("pfs_truncated_bytes_total", "").Value(); got != 1024 {
+		t.Errorf("pfs_truncated_bytes_total = %d, want 1024", got)
 	}
 }
 

@@ -66,18 +66,6 @@ func NewStripedMemBackend(k int, unit int64) (*StripedBackend, error) {
 	return NewStripedBackend(children, unit)
 }
 
-// locate maps a global offset to (child, childOffset).
-func (s *StripedBackend) locate(off int64) (child int, childOff int64) {
-	k := int64(len(s.children))
-	cell := off / s.unit
-	return int(cell % k), (cell/k)*s.unit + off%s.unit
-}
-
-// cellEnd returns the global offset of the end of off's stripe cell.
-func (s *StripedBackend) cellEnd(off int64) int64 {
-	return (off/s.unit + 1) * s.unit
-}
-
 // WriteAt implements io.WriterAt across the stripes. Multi-child writes
 // transfer to the involved children concurrently; on error, zero progress
 // is reported (a concurrent fan-out has no contiguous prefix to resume
@@ -139,6 +127,9 @@ func (s *StripedBackend) ReadAt(p []byte, off int64) (int, error) {
 func (s *StripedBackend) fanout(p []byte, off int64, write bool) error {
 	k := len(s.children)
 	n := int64(len(p))
+	if n == 0 { // no cell to visit, and the width below counts from the last byte
+		return nil
+	}
 	firstCell := off / s.unit
 	width := int((off+n-1)/s.unit - firstCell + 1)
 	if width > k {
@@ -222,9 +213,14 @@ func (s *StripedBackend) childWalk(p []byte, off int64, child int, write bool, s
 		}
 		childOff := (cell/k)*s.unit + (a - lo)
 		seg := p[a-off : b-off]
-		// ReadAt has already clipped the read to the striped size, so a
-		// child's io.EOF is not this layer's to report.
-		if _, err := retryAt(s.children[child], write, seg, childOff, nil); err != nil && (write || err != io.EOF) {
+		n, err := retryAt(s.children[child], write, seg, childOff, nil)
+		if !write && err == io.EOF {
+			// ReadAt has already clipped the read to the striped size, so what
+			// a short child lacks is a hole: zeros, not this layer's EOF.
+			clear(seg[n:])
+			err = nil
+		}
+		if err != nil {
 			return fmt.Errorf("pfs: stripe %d: %w", child, err)
 		}
 	}
@@ -243,46 +239,33 @@ func (s *StripedBackend) Size() int64 {
 	return s.size
 }
 
-// Truncate implements Backend, matching the flat backends' semantics:
-// after shrinking to S and regrowing, bytes in [S, newSize) read as zero.
+// Truncate implements Backend as the per-child operation it is: each child
+// is truncated to its share of the first size bytes, and no data passes
+// through here. After a shrink to S and a regrow, bytes in [S, newSize) read
+// as zero, as on the flat backends: no child keeps a byte past its share, and
+// what a child later grows over — by its own Truncate or by a WriteAt past its
+// end — it zero-fills itself; what it never grows over, ReadAt reads as a hole.
 func (s *StripedBackend) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("pfs: negative truncate %d", size)
 	}
+	k := int64(len(s.children))
+	full, rem := size/s.unit, size%s.unit
+	for c := int64(0); c < k; c++ {
+		share := full / k * s.unit
+		switch {
+		case c < full%k:
+			share += s.unit
+		case c == full%k:
+			share += rem
+		}
+		if err := s.children[c].Truncate(share); err != nil {
+			return fmt.Errorf("pfs: stripe %d: %w", c, err)
+		}
+	}
 	s.mu.Lock()
-	old := s.size
 	s.size = size
 	s.mu.Unlock()
-	if size >= old {
-		// Grow: zero-fill the new region.
-		return s.zeroRange(old, size)
-	}
-	// Shrink: zero the abandoned tail now so a later regrow reads zeros.
-	s.mu.Lock()
-	s.size = old // temporarily restore so WriteAt bookkeeping is sane
-	s.mu.Unlock()
-	if err := s.zeroRange(size, old); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.size = size
-	s.mu.Unlock()
-	return nil
-}
-
-// zeroRange writes zeros over [lo, hi).
-func (s *StripedBackend) zeroRange(lo, hi int64) error {
-	var zero [4096]byte
-	for off := lo; off < hi; {
-		n := hi - off
-		if n > int64(len(zero)) {
-			n = int64(len(zero))
-		}
-		if _, err := s.WriteAt(zero[:n], off); err != nil {
-			return err
-		}
-		off += n
-	}
 	return nil
 }
 

@@ -5,36 +5,44 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 )
 
-// stripeEdgeBackends builds a striped backend for each child-backend kind,
-// so every edge case runs against both the in-memory model and real files.
-func stripeEdgeBackends(t *testing.T, k int, unit int64) map[string]*StripedBackend {
-	t.Helper()
-	out := make(map[string]*StripedBackend)
+// stripeKinds builds a striped backend over each kind of child, so a case can
+// run against both the in-memory model and real files.
+var stripeKinds = map[string]func(t *testing.T, k int, unit int64) *StripedBackend{
+	"mem": stripedOverMem,
+	"os":  stripedOverOS,
+}
 
-	mem, err := NewStripedMemBackend(k, unit)
+func stripedOverMem(t *testing.T, k int, unit int64) *StripedBackend {
+	t.Helper()
+	s, err := NewStripedMemBackend(k, unit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["mem"] = mem
+	return s
+}
 
+// stripedOverOS stripes over k real files under the test's temporary directory.
+func stripedOverOS(t *testing.T, k int, unit int64) *StripedBackend {
+	t.Helper()
 	dir := t.TempDir()
 	children := make([]Backend, k)
 	for i := range children {
-		b, err := NewOSBackend(fmt.Sprintf("%s/stripe.%d", dir, i))
+		b, err := NewOSBackend(filepath.Join(dir, fmt.Sprintf("stripe.%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		children[i] = b
 	}
-	osb, err := NewStripedBackend(children, unit)
+	s, err := NewStripedBackend(children, unit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["os"] = osb
-	return out
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 // TestStripedEdgeCases drives the stripe math through its corners: requests
@@ -87,8 +95,9 @@ func TestStripedEdgeCases(t *testing.T) {
 		{"read far past EOF", fileLen + 100, 4, 0, true},
 	}
 
-	for kind, sb := range stripeEdgeBackends(t, k, unit) {
+	for kind, mk := range stripeKinds {
 		t.Run(kind, func(t *testing.T) {
+			sb := mk(t, k, unit)
 			for _, w := range writes {
 				var src []byte
 				if w.n > 0 {
@@ -120,8 +129,10 @@ func TestStripedEdgeCases(t *testing.T) {
 			}
 			// Zero-length reads: inside the file they are a clean no-op; the
 			// at/past-EOF cases follow the flat backends (EOF).
-			if n, err := sb.ReadAt(nil, 0); n != 0 || err != nil {
-				t.Errorf("zero-length read inside file: n=%d err=%v", n, err)
+			for _, off := range []int64{0, 3, unit, 2*unit + 1} { // on a cell boundary the fan-out once took it for a read of no children
+				if n, err := sb.ReadAt(nil, off); n != 0 || err != nil {
+					t.Errorf("zero-length read inside file at %d: n=%d err=%v", off, n, err)
+				}
 			}
 			if _, err := sb.ReadAt(nil, int64(fileLen)); !errors.Is(err, io.EOF) {
 				t.Errorf("zero-length read at EOF: err=%v want io.EOF", err)
@@ -146,21 +157,40 @@ func TestStripedNegativeOffsets(t *testing.T) {
 }
 
 // TestStripedSparseWriteReadsZeros: writing past the current end leaves a
-// hole that reads back as zeros, on every backend kind.
+// hole that reads back as zeros, on every backend kind — into a buffer that
+// held something else, since a hole nobody fills in reads as whatever the
+// caller's buffer had (children the write never reached are short or empty).
 func TestStripedSparseWriteReadsZeros(t *testing.T) {
-	for kind, sb := range stripeEdgeBackends(t, 2, 4) {
+	cases := []struct {
+		k     int
+		unit  int64
+		data  string
+		off   int64
+		readN int
+	}{
+		{2, 4, "end", 21, 24},
+		{4, 16, "hello", 200, 64}, // stops short of the data: three of four children hold nothing at all
+		{4, 16, "hello", 200, 205},
+	}
+	for kind, mk := range stripeKinds {
 		t.Run(kind, func(t *testing.T) {
-			if _, err := sb.WriteAt([]byte("end"), 21); err != nil {
-				t.Fatal(err)
-			}
-			p := make([]byte, 24)
-			n, err := sb.ReadAt(p, 0)
-			if err != nil || n != 24 {
-				t.Fatalf("read over hole: n=%d err=%v", n, err)
-			}
-			want := append(bytes.Repeat([]byte{0}, 21), 'e', 'n', 'd')
-			if !bytes.Equal(p, want) {
-				t.Fatalf("hole read = %q", p)
+			for _, c := range cases {
+				sb := mk(t, c.k, c.unit)
+				if _, err := sb.WriteAt([]byte(c.data), c.off); err != nil {
+					t.Fatal(err)
+				}
+				p := bytes.Repeat([]byte{0xFF}, c.readN)
+				n, err := sb.ReadAt(p, 0)
+				if err != nil || n != c.readN {
+					t.Fatalf("%+v: read over hole: n=%d err=%v", c, n, err)
+				}
+				want := make([]byte, c.readN)
+				if int(c.off) < c.readN {
+					copy(want[c.off:], c.data)
+				}
+				if !bytes.Equal(p, want) {
+					t.Fatalf("%+v: hole read = %q", c, p)
+				}
 			}
 		})
 	}

@@ -2,7 +2,10 @@ package pfs
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -112,43 +115,120 @@ func TestStripedTruncate(t *testing.T) {
 	}
 }
 
-// TestStripedMatchesFlatModel: representative write scripts produce the
-// same image on a striped backend as on a flat one.
-func TestStripedMatchesFlatModel(t *testing.T) {
-	type op struct {
-		data []byte
-		off  int64
+// countingChild counts what a striped backend asks of one child, and fails
+// Truncate when told to.
+type countingChild struct {
+	Backend
+	truncates, writes atomic.Int64
+	failTruncate      bool
+}
+
+func (c *countingChild) WriteAt(p []byte, off int64) (int, error) {
+	c.writes.Add(1)
+	return c.Backend.WriteAt(p, off)
+}
+
+func (c *countingChild) Truncate(size int64) error {
+	c.truncates.Add(1)
+	if c.failTruncate {
+		return ErrInjected
 	}
-	scripts := [][]op{
-		{{[]byte("hello"), 0}, {[]byte("world"), 3}},
-		{{[]byte("a"), 100}, {[]byte("bb"), 0}, {[]byte("c"), 50}},
-		{{bytes.Repeat([]byte{7}, 1000), 13}},
-		{{[]byte("x"), 0}, {[]byte("y"), 4095}, {[]byte("z"), 4096}},
+	return c.Backend.Truncate(size)
+}
+
+// TestStripedTruncateIsPerChild: truncating a striped file is one Truncate on
+// each child and no write on any — to zero (what every re-open for overwrite
+// costs) and growing alike — each child ends at exactly its share, and a
+// child's refusal is reported under its stripe with the size left alone.
+func TestStripedTruncateIsPerChild(t *testing.T) {
+	const (
+		k     = 4
+		unit  = int64(64 << 10)
+		image = 8 << 20
+	)
+	kids := make([]*countingChild, k)
+	children := make([]Backend, k)
+	for i := range kids {
+		kids[i] = &countingChild{Backend: NewMemBackend()}
+		children[i] = kids[i]
 	}
-	for si, script := range scripts {
-		flat := NewMemBackend()
-		striped, err := NewStripedMemBackend(4, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range script {
-			if _, err := flat.WriteAt(o.data, o.off); err != nil {
-				t.Fatal(err)
+	s, err := NewStripedBackend(children, unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteAt(bytes.Repeat([]byte{0xEE}, image), 0); err != nil {
+		t.Fatal(err)
+	}
+	expect := func(what string, shares ...int64) {
+		t.Helper()
+		for i, c := range kids {
+			if tr, wr := c.truncates.Swap(0), c.writes.Swap(0); tr != 1 || wr != 0 {
+				t.Errorf("%s: child %d saw %d truncates and %d writes, want 1 and 0", what, i, tr, wr)
 			}
-			if _, err := striped.WriteAt(o.data, o.off); err != nil {
-				t.Fatal(err)
+			if got := c.Size(); got != shares[i] {
+				t.Errorf("%s: child %d holds %d bytes, its share is %d", what, i, got, shares[i])
 			}
 		}
-		if flat.Size() != striped.Size() {
-			t.Fatalf("script %d: sizes %d vs %d", si, flat.Size(), striped.Size())
-		}
-		a := make([]byte, flat.Size())
-		b := make([]byte, striped.Size())
-		flat.ReadAt(a, 0)
-		striped.ReadAt(b, 0)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("script %d: images differ", si)
-		}
+	}
+	for _, c := range kids {
+		c.writes.Store(0)
+	}
+	if err := s.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	expect("Truncate(0)", 0, 0, 0, 0)
+
+	// 129 full cells and 5 bytes: 32 rounds, then child 0 one cell more and
+	// child 1 the ragged end.
+	grown := 129*unit + 5
+	if err := s.Truncate(grown); err != nil {
+		t.Fatal(err)
+	}
+	expect("Truncate(grow)", 33*unit, 32*unit+5, 32*unit, 32*unit)
+	if s.Size() != grown {
+		t.Fatalf("Size = %d after Truncate(%d)", s.Size(), grown)
+	}
+	tail := bytes.Repeat([]byte{0xFF}, 64)
+	if n, err := s.ReadAt(tail, grown-64); n != 64 || err != nil || !bytes.Equal(tail, make([]byte, 64)) {
+		t.Fatalf("regrown tail = (%d, %v) %x, want zeros", n, err, tail)
+	}
+
+	kids[2].failTruncate = true
+	err = s.Truncate(0)
+	if err == nil || !errors.Is(err, ErrInjected) || !strings.HasPrefix(err.Error(), "pfs: stripe 2: ") {
+		t.Fatalf("Truncate with child 2 refusing = %v, want pfs: stripe 2: … wrapping ErrInjected", err)
+	}
+	if s.Size() != grown {
+		t.Fatalf("Size = %d after a failed Truncate, want %d unchanged", s.Size(), grown)
+	}
+}
+
+// BenchmarkStripedReopen: the checkpoint's cycle at this layer — open for
+// overwrite, append 8 MiB, close — on the striped store and the flat one.
+func BenchmarkStripedReopen(b *testing.B) {
+	const image = 8 << 20
+	block := bytes.Repeat([]byte{0xEE}, image)
+	for _, c := range []struct {
+		name    string
+		factory BackendFactory
+	}{{"striped", StripedMemFactory(4, 64<<10)}, {"flat", MemFactory()}} {
+		b.Run(c.name, func(b *testing.B) {
+			fs := NewFileSystem(testProfile(), c.factory)
+			var clock vtime.Clock
+			b.SetBytes(image)
+			for i := 0; i < b.N; i++ {
+				h, err := fs.Open("f", 1, 0, &clock, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := h.ParallelAppend(block); err != nil {
+					b.Fatal(err)
+				}
+				if err := h.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
