@@ -203,8 +203,11 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 		{name: "success", nprocs: 3, failOp: -1, budget: -1, frames: 2},
 		{name: "success on two ranks", nprocs: 2, failOp: -1, budget: -1, frames: 1},
 		{name: "async", nprocs: 3, opts: []Option{WithAsync()}, failOp: -1, budget: -1, frames: 2},
-		// The file header is operation one, the front matter two, aggregator
-		// 0's own overlap three; its frame fails.
+		// The file header is operation one. The aggregators then write their
+		// pieces concurrently — aggregator 0 its front matter first — so
+		// failOp 1 fails the front matter wherever it falls, and failOp 3 lets
+		// two pieces through, whichever ranks' they are, and fails the rest:
+		// every rank fails with them.
 		{name: "append fails on a frame", nprocs: 3, failOp: 3, budget: -1, wantErr: true},
 		{name: "append fails on the front matter", nprocs: 3, failOp: 1, budget: -1, wantErr: true},
 		// The Allgather goes through and the first send of the exchange

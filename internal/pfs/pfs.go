@@ -141,7 +141,8 @@ func (fs *FileSystem) ResetAbort() {
 
 // Abort wakes every node blocked in a collective file operation with err.
 // The machine runner calls it when a node fails, so surviving nodes cannot
-// deadlock waiting for a peer that will never arrive at the rendezvous.
+// deadlock waiting for a peer that will never arrive at the rendezvous, nor
+// for one whose move never finishes.
 func (fs *FileSystem) Abort(err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -153,6 +154,11 @@ func (fs *FileSystem) Abort(err error) {
 		}
 		fs.abortErr = err
 		close(fs.abort)
+		for _, f := range fs.files {
+			f.mu.Lock()
+			f.cond.Broadcast()
+			f.mu.Unlock()
+		}
 	}
 }
 
@@ -176,25 +182,36 @@ type file struct {
 	// node opening late cannot wipe data an early opener already wrote.
 	mayTrunc bool
 	rdvs     map[uint64]*rendezvous
+	// cond (on mu) is what a rank waits on inside a rendezvous, for either
+	// step; Abort broadcasts it too.
+	cond sync.Cond
 }
 
-// rendezvous synchronizes one collective operation across the group. The
-// last arrival executes the operation; everyone leaves with the same
-// completion time. Beyond the arrivals it holds only what its operation
-// uses, made by the first rank to arrive: an append the ranks' piece lists
-// and nums (the offsets the blocks land at, then their sizes), a read the
-// ranges, bufs (each rank's destination on the way in, its data on the way
-// out) and nums (the sizes), a control sync nothing.
+func newFile(fs *FileSystem, name string, b Backend) *file {
+	f := &file{name: name, b: &resilientBackend{Backend: b, fs: fs}, d: newDisk(fs.prof), mayTrunc: true, rdvs: make(map[uint64]*rendezvous)}
+	f.cond.L = &f.mu
+	if fs.mon != nil {
+		attachBackendMonitor(f.b, fs.mon)
+	}
+	return f
+}
+
+// rendezvous synchronizes one collective operation across the group, in two
+// steps. Agree: the last arrival fixes what is a function of the arrivals and
+// sizes alone — where the blocks land, when the group leaves. Move: every rank
+// moves its own block or range, concurrently with its peers, and the last to
+// finish folds their outcomes — the bytes landed, the first error by rank — into
+// the one result everyone leaves with. Beyond that it holds only nums, made by
+// the first rank to arrive: an append's offsets then sizes, a read's sizes.
 type rendezvous struct {
-	arrived    int
-	arrivals   []float64
-	done       chan struct{}
-	completion float64
-	err        error
-	pieces     [][][]byte
-	ranges     []Range
-	bufs       [][]byte
-	nums       []int64
+	arrived, moved  int
+	agreed, settled bool
+	arrivals        []float64
+	completion      float64
+	nums            []int64
+	landed          int64
+	err             error
+	errRank         int
 }
 
 // Range is one node's contribution to a ParallelRead: read Len bytes at Off.
@@ -219,10 +236,6 @@ type File struct {
 	// that later wait on the completion (dstream's Drain, a prefetch hit)
 	// read it to link their wait span to the I/O that satisfied it.
 	lastAsync dsmon.SpanID
-	// pieces is the list this rank's latest append left at the rendezvous: the
-	// caller's own list stays the caller's (on its stack, for the usual one
-	// piece), and the steady state allocates no list at all.
-	pieces [][]byte
 }
 
 // LastAsyncSpan returns the span ID of the most recent asynchronous
@@ -245,10 +258,7 @@ func (fs *FileSystem) Open(name string, nprocs, rank int, clock *vtime.Clock, tr
 			fs.mu.Unlock()
 			return nil, fmt.Errorf("pfs: open %q: %w", name, err)
 		}
-		f = &file{name: name, b: &resilientBackend{Backend: b, fs: fs}, d: newDisk(fs.prof), mayTrunc: true, rdvs: make(map[uint64]*rendezvous)}
-		if fs.mon != nil {
-			attachBackendMonitor(f.b, fs.mon)
-		}
+		f = newFile(fs, name, b)
 		fs.files[name] = f
 	}
 	fs.mu.Unlock()
@@ -288,10 +298,7 @@ func (fs *FileSystem) InjectFault(name string, failAfter int) error {
 		if err != nil {
 			return err
 		}
-		f = &file{name: name, b: &resilientBackend{Backend: b, fs: fs}, d: newDisk(fs.prof), mayTrunc: true, rdvs: make(map[uint64]*rendezvous)}
-		if fs.mon != nil {
-			attachBackendMonitor(f.b, fs.mon)
-		}
+		f = newFile(fs, name, b)
 		fs.files[name] = f
 	}
 	f.mu.Lock()
@@ -366,15 +373,21 @@ func (h *File) Close() error {
 	return nil
 }
 
-// collect runs one rendezvous step of the operation op (the name its spans
-// carry, with the file's): every arrival runs fill under the file lock — the
-// first finds r's operation fields nil and makes the ones it uses — and the
-// last executes exec (with the file lock released) and publishes the result.
+// collect runs the collective operation op (the name its spans carry, with
+// the file's) as the rendezvous' two steps. Every arrival runs fill under the
+// file lock — the first finds r.nums nil and makes it — and the last runs
+// agree with the lock released, then releases the group. Then every rank runs
+// move on its own goroutine, unlocked and concurrently with its peers: move
+// reports the bytes this rank landed and its error, and the last rank to
+// finish folds them into r and runs settle (under the file lock) before it
+// releases the group again. An operation with nothing to move (move nil) ends
+// at the agreement. Both waits are on the file's cond and end early when the
+// file system is aborted.
 // When syncClock is false the caller's virtual clock is NOT advanced to the
 // operation's completion time — the asynchronous (write-behind) mode, where
 // the disk works in the background while the node computes; the disk's
 // channel horizon still moves, so later operations queue behind this one.
-func (h *File) collect(op string, syncClock bool, fill func(r *rendezvous), exec func(r *rendezvous)) (*rendezvous, error) {
+func (h *File) collect(op string, syncClock bool, fill, agree func(r *rendezvous), move func(r *rendezvous) (int64, error), settle func(r *rendezvous)) (*rendezvous, error) {
 	if h.closed {
 		return nil, fmt.Errorf("pfs: collective op on closed handle %q", h.f.name)
 	}
@@ -384,31 +397,43 @@ func (h *File) collect(op string, syncClock bool, fill func(r *rendezvous), exec
 	f.mu.Lock()
 	r, ok := f.rdvs[h.seq]
 	if !ok {
-		r = &rendezvous{arrivals: make([]float64, h.nprocs), done: make(chan struct{})}
+		r = &rendezvous{arrivals: make([]float64, h.nprocs)}
 		f.rdvs[h.seq] = r
 	}
 	r.arrivals[h.rank] = arrival
-	fill(r)
+	if fill != nil {
+		fill(r)
+	}
 	r.arrived++
-	last := r.arrived == h.nprocs
-	if last {
+	if r.arrived == h.nprocs {
 		delete(f.rdvs, h.seq)
+		f.mu.Unlock()
+		agree(r)
+		f.mu.Lock()
+		r.agreed = true
+		f.cond.Broadcast()
+	} else if err := h.await(&r.agreed); err != nil {
+		return nil, err
+	}
+	if move != nil {
+		f.mu.Unlock()
+		landed, err := move(r)
+		f.mu.Lock()
+		r.landed += landed
+		if err != nil && (r.err == nil || h.rank < r.errRank) {
+			r.err, r.errRank = err, h.rank
+		}
+		r.moved++
+		if r.moved == h.nprocs {
+			settle(r)
+			r.settled = true
+			f.cond.Broadcast()
+		} else if err := h.await(&r.settled); err != nil {
+			return nil, err
+		}
 	}
 	f.mu.Unlock()
 
-	if last {
-		exec(r)
-		close(r.done)
-	} else {
-		select {
-		case <-r.done:
-		case <-h.fs.abort:
-			// Whoever executes this rendezvous after all may still read the
-			// list this rank left in it.
-			h.pieces = nil
-			return nil, fmt.Errorf("pfs: collective on %q aborted: %w", f.name, h.fs.abortErr)
-		}
-	}
 	rec := h.fs.rec
 	if syncClock {
 		h.clock.SyncTo(r.completion)
@@ -437,30 +462,47 @@ func (h *File) collect(op string, syncClock bool, fill func(r *rendezvous), exec
 	return r, r.err
 }
 
-// settle closes the accounts of a collective transfer of which landed bytes
+// await parks the rank on the file's cond until *done holds. It is called
+// with the file lock held and returns nil with it still held, or — when the
+// file system is aborted first — the abort's error with it released.
+func (h *File) await(done *bool) error {
+	for !*done {
+		select {
+		case <-h.fs.abort:
+			h.f.mu.Unlock()
+			return fmt.Errorf("pfs: collective on %q aborted: %w", h.f.name, h.fs.abortErr)
+		default:
+		}
+		h.f.cond.Wait()
+	}
+	return nil
+}
+
+// settle closes the accounts of a collective transfer of which r.landed bytes
 // reached their destination: the whole of it, unless the backend failed part
 // way, and then the operation is counted with what it did move and has no
 // transfer size or duration to add to the histograms.
-func (h *File) settle(r *rendezvous, om pfsOpMetrics, ops, bytes *atomic.Int64, landed int64) {
+func (h *File) settle(r *rendezvous, om pfsOpMetrics, ops, bytes *atomic.Int64) {
 	ops.Add(1)
-	bytes.Add(landed)
+	bytes.Add(r.landed)
 	if r.err != nil {
 		om.ops.Inc()
-		om.bytes.Add(landed)
+		om.bytes.Add(r.landed)
 		return
 	}
-	om.record(landed, slices.Min(r.arrivals), r.completion)
+	om.record(r.landed, slices.Min(r.arrivals), r.completion)
 }
 
 // ParallelAppend is the synchronized node-order append of the Paragon PFS:
 // every node contributes a block (possibly empty); the blocks are written
 // contiguously in rank order at the end of the file. A node hands over its
 // block as the pieces it already has it in, in order — one buffer, or a
-// header and the frames behind it; empty pieces are skipped. The pieces are
-// the caller's again when the call returns on its rank: they are read only
-// inside the rendezvous, and nothing keeps a reference to them. It returns
-// the file offset at which the caller's block landed. All nodes leave at the
-// same virtual time.
+// header and the frames behind it; empty pieces are skipped. Each node writes
+// its own pieces, concurrently with the others, once the group has agreed
+// where every block lands; the pieces are the caller's again when the call
+// returns on its rank, and nothing keeps a reference to them. It returns the
+// file offset at which the caller's block landed. All nodes leave at the same
+// virtual time, with the same error.
 func (h *File) ParallelAppend(pieces ...[]byte) (int64, error) {
 	off, _, err := h.parallelAppend(pieces, true)
 	return off, err
@@ -477,48 +519,46 @@ func (h *File) ParallelAppendAsync(pieces ...[]byte) (off int64, completion floa
 
 func (h *File) parallelAppend(pieces [][]byte, syncClock bool) (int64, float64, error) {
 	n := h.nprocs
-	h.pieces = append(h.pieces[:0], pieces...)
+	var size int64
+	for _, p := range pieces {
+		size += int64(len(p))
+	}
 	r, err := h.collect("ParallelAppend", syncClock,
 		func(r *rendezvous) {
-			if r.pieces == nil {
-				r.pieces = make([][][]byte, n)
+			if r.nums == nil {
 				r.nums = make([]int64, 2*n)
 			}
-			r.pieces[h.rank] = h.pieces
+			r.nums[n+h.rank] = size
 		},
 		func(r *rendezvous) {
 			offsets, sizes := r.nums[:n], r.nums[n:]
 			off := h.f.b.Size()
-			for i, block := range r.pieces {
+			for i, sz := range sizes {
 				offsets[i] = off
-				for _, p := range block {
-					off += int64(len(p))
-				}
-				sizes[i] = off - offsets[i]
-			}
-			// One backend write per piece, at a running offset; landed stops
-			// at the first piece that failed.
-			landed := int64(0)
-		write:
-			for i, block := range r.pieces {
-				at := offsets[i]
-				for _, p := range block {
-					if len(p) == 0 {
-						continue
-					}
-					if _, werr := h.f.b.WriteAt(p, at); werr != nil {
-						r.err = fmt.Errorf("pfs: parallel append %q: %w", h.f.name, werr)
-						break write
-					}
-					at += int64(len(p))
-					landed += int64(len(p))
-				}
+				off += sz
 			}
 			r.completion = h.f.d.parallel(r.arrivals, sizes, true)
-			h.settle(r, h.fs.met.pappend, &h.fs.counters.parallelAppends, &h.fs.counters.bytesWritten, landed)
+		},
+		// One backend write per piece, at a running offset; landed stops at
+		// the first piece that failed.
+		func(r *rendezvous) (int64, error) {
+			at, landed := r.nums[h.rank], int64(0)
+			for _, p := range pieces {
+				if len(p) == 0 {
+					continue
+				}
+				if _, err := h.f.b.WriteAt(p, at); err != nil {
+					return landed, fmt.Errorf("pfs: parallel append %q: %w", h.f.name, err)
+				}
+				at += int64(len(p))
+				landed += int64(len(p))
+			}
+			return landed, nil
+		},
+		func(r *rendezvous) {
+			h.settle(r, h.fs.met.pappend, &h.fs.counters.parallelAppends, &h.fs.counters.bytesWritten)
 		},
 	)
-	clear(h.pieces)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -526,8 +566,9 @@ func (h *File) parallelAppend(pieces [][]byte, syncClock bool) (int64, float64, 
 }
 
 // ParallelRead is the synchronized parallel read: every node supplies the
-// byte range it needs (possibly empty) and receives that range. All nodes
-// leave at the same virtual time. The returned buffer is pool-backed and
+// byte range it needs (possibly empty) and receives that range, read by its
+// own goroutine concurrently with the others. All nodes leave at the same
+// virtual time, with the same error. The returned buffer is pool-backed and
 // owned by the caller (bufpool.Put when done is optional).
 func (h *File) ParallelRead(rg Range) ([]byte, error) {
 	b, _, err := h.parallelReadInto(rg, nil, true)
@@ -561,61 +602,58 @@ func (h *File) ParallelReadIntoAsync(rg Range, dst []byte) (data []byte, complet
 
 func (h *File) parallelReadInto(rg Range, dst []byte, syncClock bool) ([]byte, float64, error) {
 	n := h.nprocs
+	var buf []byte // no data for an empty range, whatever the destination
+	pooled := false
 	r, err := h.collect("ParallelRead", syncClock,
 		func(r *rendezvous) {
-			if r.ranges == nil {
-				r.ranges = make([]Range, n)
-				r.bufs = make([][]byte, n)
+			if r.nums == nil {
 				r.nums = make([]int64, n)
 			}
-			r.ranges[h.rank] = rg
-			r.bufs[h.rank] = dst
+			r.nums[h.rank] = int64(rg.Len)
 		},
 		func(r *rendezvous) {
-			sizes := r.nums
-			for i, g := range r.ranges {
-				sizes[i] = int64(g.Len)
+			r.completion = h.f.d.parallel(r.arrivals, r.nums, false)
+		},
+		func(*rendezvous) (int64, error) {
+			if rg.Len == 0 {
+				return 0, nil
 			}
-			landed := int64(0)
-			for i, g := range r.ranges {
-				if g.Len == 0 {
-					r.bufs[i] = nil // no data, whatever the destination
-					continue
-				}
-				buf := r.bufs[i]
-				if cap(buf) >= g.Len {
-					buf = buf[:g.Len]
-				} else {
-					buf = bufpool.Get(g.Len)
-				}
-				if _, rerr := io.ReadFull(io.NewSectionReader(h.f.b, g.Off, int64(g.Len)), buf); rerr != nil {
-					r.err = fmt.Errorf("pfs: parallel read %q [%d,+%d): %w", h.f.name, g.Off, g.Len, rerr)
-					break
-				}
-				r.bufs[i] = buf
-				landed += int64(g.Len)
+			if cap(dst) >= rg.Len {
+				buf = dst[:rg.Len]
+			} else {
+				buf, pooled = bufpool.Get(rg.Len), true
 			}
-			r.completion = h.f.d.parallel(r.arrivals, sizes, false)
-			h.settle(r, h.fs.met.pread, &h.fs.counters.parallelReads, &h.fs.counters.bytesRead, landed)
+			if _, err := io.ReadFull(io.NewSectionReader(h.f.b, rg.Off, int64(rg.Len)), buf); err != nil {
+				return 0, fmt.Errorf("pfs: parallel read %q [%d,+%d): %w", h.f.name, rg.Off, rg.Len, err)
+			}
+			return int64(rg.Len), nil
+		},
+		func(r *rendezvous) {
+			h.settle(r, h.fs.met.pread, &h.fs.counters.parallelReads, &h.fs.counters.bytesRead)
 		},
 	)
 	if err != nil {
+		// The group failed, on this rank's range or a peer's: what this rank
+		// drew from the pool goes back.
+		if pooled {
+			bufpool.Put(buf)
+		}
 		return nil, 0, err
 	}
-	return r.bufs[h.rank], r.completion, nil
+	return buf, r.completion, nil
 }
 
 // ControlSync is a synchronizing metadata operation (the gopen/eseek-style
 // control calls of the Paragon PFS): all nodes rendezvous and leave at
-// max(arrival) + ControlOpLatency.
+// max(arrival) + ControlOpLatency. It is the rendezvous with nothing to move.
 func (h *File) ControlSync() error {
-	_, err := h.collect("ControlSync", true,
-		func(*rendezvous) {},
+	_, err := h.collect("ControlSync", true, nil,
 		func(r *rendezvous) {
 			r.completion = h.f.d.control(r.arrivals)
 			h.fs.counters.controlSyncs.Add(1)
 			h.fs.met.csync.record(0, slices.Min(r.arrivals), r.completion)
 		},
+		nil, nil,
 	)
 	return err
 }

@@ -183,7 +183,9 @@ func TestParallelAppendPiecesShortWrite(t *testing.T) {
 	for _, ps := range blocks {
 		want = append(want, bytes.Join(ps, nil)...)
 	}
-	// Write 1 is the preamble; 2..6 are the five pieces.
+	// Write 1 is the preamble; 2..6 are the five pieces, in whatever order
+	// the two ranks, writing concurrently, issue them: "piece k" cuts the
+	// k-th of those writes.
 	for at := 2; at <= 6; at++ {
 		t.Run(fmt.Sprintf("piece %d", at-1), func(t *testing.T) {
 			var sb *shortAt
@@ -207,11 +209,13 @@ func TestParallelAppendPiecesShortWrite(t *testing.T) {
 	}
 }
 
-// TestParallelAppendPiecesHardFailure: the backend fails for good on piece k
-// of a collective append. Every rank gets the same error, nobody hangs, and
-// the counters hold what landed before the failure — not the whole group's
-// total — with nothing added to the size and duration histograms. The read
-// mirror: a parallel read whose k-th range fails counts the ranges before it.
+// TestParallelAppendPiecesHardFailure: the backend lets k writes of a
+// collective append through and fails every one after — whichever ranks'
+// pieces they are, since the ranks write concurrently. Every rank gets the
+// same error, nobody hangs, and the counters hold the k pieces that landed —
+// not the whole group's total — with nothing added to the size and duration
+// histograms. The read mirror: a parallel read of which k ranges get through
+// counts those.
 func TestParallelAppendPiecesHardFailure(t *testing.T) {
 	const nprocs, pieceLen = 3, 100
 	blocks := make([][][]byte, nprocs)
@@ -221,7 +225,7 @@ func TestParallelAppendPiecesHardFailure(t *testing.T) {
 	sizeCount := func(mon *dsmon.Monitor, op string) int64 {
 		return mon.Registry().Histogram("pfs_io_size_bytes", "", dsmon.SizeBuckets, "op", op).Count()
 	}
-	for k := 0; k <= 2*nprocs; k++ { // k pieces land, the next one fails; 2*nprocs is no failure
+	for k := 0; k <= 2*nprocs; k++ { // k pieces land, every later one fails; 2*nprocs is no failure
 		t.Run(fmt.Sprintf("append/%d pieces land", k), func(t *testing.T) {
 			mon := dsmon.New()
 			fs := NewMemFS(testProfile())
@@ -325,12 +329,14 @@ func (b *nullBackend) Size() int64                             { return b.size }
 func (b *nullBackend) Truncate(size int64) error               { b.size = size; return nil }
 func (b *nullBackend) Close() error                            { return nil }
 
-// TestAppendAndFanoutAllocPins: what the handle's piece scratch and the
-// operation-sized rendezvous buy — a one-piece append costs the rendezvous
-// and its four parts (arrivals, done, piece lists, offsets and sizes) and the
-// disk model's channel loads, and no list, name or closure of its own — and
-// what the fan-out's one state value buys: a striped write over w children is
-// that value and one goroutine start per child beyond the caller's.
+// TestAppendAndFanoutAllocPins: what a rendezvous in which every rank moves
+// its own block costs — the rendezvous, its arrivals and its one []int64
+// (offsets then sizes, or sizes), the disk model's channel loads, for a read
+// the section reader, and nothing else: no piece list, signal, per-rank error
+// or landed-count slice, name or closure (a one-piece append 4, a three-piece
+// one 4, a read into the caller's buffer 5, a ControlSync 2) — and what the
+// fan-out's one state value buys: a striped write over w children is that
+// value and one goroutine start per child beyond the caller's.
 func TestAppendAndFanoutAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins stand down under -race")
@@ -342,20 +348,24 @@ func TestAppendAndFanoutAllocPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := make([]byte, 4096)
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := h.ParallelAppend(block); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 6 {
-		t.Errorf("one-piece ParallelAppend: %.1f allocs, want at most 6", avg)
-	}
 	head, tail := block[:100], block[100:]
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := h.ParallelAppend(head, nil, tail); err != nil {
-			t.Fatal(err)
+	for _, pin := range []struct {
+		name string
+		max  float64
+		op   func() error
+	}{
+		{"one-piece ParallelAppend", 4, func() error { _, err := h.ParallelAppend(block); return err }},
+		{"three-piece ParallelAppend", 4, func() error { _, err := h.ParallelAppend(head, nil, tail); return err }},
+		{"ParallelReadInto", 5, func() error { _, err := h.ParallelReadInto(Range{Len: len(block)}, block); return err }},
+		{"ControlSync", 2, h.ControlSync},
+	} {
+		if avg := testing.AllocsPerRun(200, func() {
+			if err := pin.op(); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > pin.max {
+			t.Errorf("%s: %.1f allocs, want at most %.0f", pin.name, avg, pin.max)
 		}
-	}); avg > 6 {
-		t.Errorf("three-piece ParallelAppend: %.1f allocs, want at most 6: a list escaped", avg)
 	}
 
 	for _, children := range []int{2, 4, 12} {
