@@ -1,10 +1,10 @@
 # Build/verify entry points. `make check` is the full tier-1 verify:
-# vet + the whole suite under the race detector (the machine runs one
+# gofmt + vet + the whole suite under the race detector (the machine runs one
 # goroutine per simulated node, so -race is load-bearing, not optional).
 
 GO ?= go
 
-.PHONY: build test vet race check bench tables chaos fuzz api-golden alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full bench-wall count
+.PHONY: build test fmt-check vet race check bench tables chaos fuzz api-golden alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full bench-wall count
 
 build:
 	$(GO) build ./...
@@ -12,13 +12,17 @@ build:
 test:
 	$(GO) test ./...
 
+# Fails, naming them, while any file is not as gofmt would write it.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
 
-check: build vet race
+check: build fmt-check vet race
 
 # Regenerate the paper's tables (shape-checked against the published data).
 tables:
@@ -93,7 +97,8 @@ alloc-check:
 # a retained alias written after Put panics at the next Get instead of
 # corrupting a record silently. The daemon moves every chunk through a pooled
 # buffer an I/O rank releases, so its package and the session layer over it
-# are on the list.
+# are on the list. The whole dstream package runs, TestFrontMatterFramesReturn
+# among it: a cache keyed on a released front-matter frame reads the poison.
 race-pooldebug:
 	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/ ./internal/server/ ./internal/session/
 

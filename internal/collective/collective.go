@@ -319,32 +319,33 @@ func (e RootError) Error() string { return string(e) }
 // Rooted runs act on root alone and gives every rank its outcome: the
 // payload act returned, or act's error as a RootError. One broadcast carries
 // a status byte followed by the payload or the message. frame is the pooled
-// buffer payload lives in (nil on root and on failure); a caller that is
-// done with the payload gives it back with bufpool.Put.
+// buffer payload lives in on every rank, root included (nil on failure); a
+// caller that is done with the payload gives it back with bufpool.Put.
 func (c *Comm) Rooted(root int, act func() ([]byte, error)) (payload, frame []byte, err error) {
-	var msg []byte
+	var own []byte // root's message
 	if c.Rank() == root {
 		p, err := act()
 		status := byte(1)
 		if err != nil {
 			status, p = 0, []byte(err.Error())
 		}
-		msg = append(append(make([]byte, 0, 1+len(p)), status), p...)
+		own = append(append(bufpool.GetCap(1+len(p)), status), p...)
 	}
-	msg, frame, err = c.bcastFrame(root, msg)
-	if err != nil {
-		return nil, nil, err
+	msg, frame, err := c.bcastFrame(root, own)
+	if own != nil {
+		frame = own
 	}
-	if len(msg) == 0 || msg[0] > 1 {
-		bufpool.Put(frame)
-		return nil, nil, fmt.Errorf("collective: rooted result from %d: malformed status frame (%d bytes)", root, len(msg))
-	}
-	if msg[0] == 0 {
+	switch {
+	case err != nil:
+	case len(msg) == 0 || msg[0] > 1:
+		err = fmt.Errorf("collective: rooted result from %d: malformed status frame (%d bytes)", root, len(msg))
+	case msg[0] == 0:
 		err = RootError(msg[1:])
-		bufpool.Put(frame)
-		return nil, nil, err
+	default:
+		return msg[1:], frame, nil
 	}
-	return msg[1:], frame, nil
+	bufpool.Put(frame)
+	return nil, nil, err
 }
 
 // Gather collects each rank's data at root. At root the result has Size()

@@ -9,13 +9,21 @@ import (
 	"pcxxstreams/internal/bufpool"
 )
 
-// TestRooted: the root alone acts; every rank gets its payload, or fails with
-// its message as a RootError — at every size, on both shapes, from any root.
+// TestRooted: the root alone acts; every rank gets its payload in a pooled
+// frame, the root included, or fails with its message as a RootError — at
+// every size, on both shapes, from any root. Every rank's frames go back: the
+// pool's outstanding count ends where it started.
 func TestRooted(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 17} {
 		for _, fanout := range []int{0, treeFanout} {
 			for _, root := range []int{0, n - 1}[:min(n, 2)] {
 				t.Run(fmt.Sprintf("n=%d/fanout=%d/root=%d", n, fanout, root), func(t *testing.T) {
+					before := bufpool.Stats().Outstanding
+					defer func() {
+						if got := bufpool.Stats().Outstanding - before; got != 0 {
+							t.Errorf("%d pooled buffers still out after every rank gave its frames back", got)
+						}
+					}()
 					spmdShape(t, n, fanout, func(c *Comm) error {
 						acted := false
 						act := func(p []byte, err error) func() ([]byte, error) {
@@ -31,8 +39,8 @@ func TestRooted(t *testing.T) {
 							if acted != (c.Rank() == root) {
 								return fmt.Errorf("rank %d: acted = %v with root %d", c.Rank(), acted, root)
 							}
-							if (frame == nil) != (c.Rank() == root) {
-								return fmt.Errorf("rank %d: frame nil = %v", c.Rank(), frame == nil)
+							if frame == nil {
+								return fmt.Errorf("rank %d: no frame", c.Rank())
 							}
 							bufpool.Put(frame)
 						}

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/collection"
 	"pcxxstreams/internal/distr"
+	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
@@ -192,6 +194,182 @@ func TestCorruptHeaderBounded(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFrontMatterFramesReturn: every record's front matter arrives in one
+// pooled frame on every rank, and every frame goes back — the current
+// record's at the next Read, Skip or Close, a queued prefetch's when it is
+// consumed or dropped, a header-only Skip's or NextElems' at once. A file of
+// EXPLICIT and BLOCK records whose layouts alternate is read, skipped and
+// peeked at read-ahead depths 0 and 2; the pool's outstanding count ends
+// where it started. On two EXPLICIT records in a row the writer-distribution
+// cache hits, so the descriptor it keys on cannot alias a released frame
+// (under pooldebug a released frame is poisoned).
+func TestFrontMatterFramesReturn(t *testing.T) {
+	const nElems, nprocs = 20, 3
+	explicit := make([]int, nElems)
+	for g := range explicit {
+		explicit[g] = (g * 7 / 3) % nprocs
+	}
+	layouts := []string{"EXPLICIT", "EXPLICIT", "BLOCK", "EXPLICIT", "EXPLICIT", "BLOCK"}
+	elem := func(rec, g int) plist { return mkPlist(g + 7*rec) }
+	fs := pfs.NewMemFS(vtime.Challenge())
+	run(t, nprocs, fs, func(n *machine.Node) error {
+		ed, err := distr.NewExplicit(explicit, nprocs)
+		if err != nil {
+			return err
+		}
+		outs := map[string]*OStream{}
+		cols := map[string]*collection.Collection[plist]{}
+		for name, d := range map[string]*distr.Distribution{"EXPLICIT": ed, "BLOCK": mustDist(t, nElems, nprocs, distr.Block, 0)} {
+			if outs[name], err = Open(n, d, "f"); err != nil {
+				return err
+			}
+			if cols[name], err = collection.New[plist](n, d); err != nil {
+				return err
+			}
+		}
+		for rec, name := range layouts {
+			cols[name].Apply(func(g int, e *plist) { *e = elem(rec, g) })
+			if err := Insert[plist](outs[name], cols[name]); err != nil {
+				return err
+			}
+			if err := outs[name].Write(); err != nil {
+				return err
+			}
+		}
+		for _, s := range outs {
+			if err := s.Close(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// R reads a record sorted, U unsorted, S skips it, P peeks at it.
+	for _, script := range []string{"RRRRRR", "PRUPSPRSR"} {
+		for _, depth := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/readahead=%d", script, depth), func(t *testing.T) {
+				base := bufpool.Stats().Outstanding
+				run(t, nprocs, fs, func(n *machine.Node) error {
+					rd := mustDist(t, nElems, nprocs, distr.Block, 0)
+					s, err := OpenInput(n, rd, "f", WithStrategy(StrategyParallel), WithReadAhead(depth))
+					if err != nil {
+						return err
+					}
+					defer s.Close()
+					c, err := collection.New[plist](n, rd)
+					if err != nil {
+						return err
+					}
+					rec, lastRead := 0, -1
+					for _, op := range script {
+						prev := s.wdist
+						switch op {
+						case 'P':
+							if got, err := s.NextElems(); err != nil || got != nElems {
+								return fmt.Errorf("record %d: NextElems = %d, %v", rec, got, err)
+							}
+							continue
+						case 'S':
+							err = s.Skip()
+						case 'R':
+							err = s.Read()
+						case 'U':
+							err = s.UnsortedRead()
+						}
+						if err == nil && op != 'S' {
+							err = Extract[plist](s, c)
+						}
+						if err != nil {
+							return fmt.Errorf("record %d (%c): %w", rec, op, err)
+						}
+						var bad error
+						c.Apply(func(g int, e *plist) {
+							if op == 'R' && bad == nil && !plistEqual(*e, elem(rec, g)) {
+								bad = fmt.Errorf("rank %d record %d: element %d is %+v", n.Rank(), rec, g, *e)
+							}
+						})
+						if bad != nil {
+							return bad
+						}
+						if op != 'S' {
+							if depth == 0 && rec > 0 && lastRead == rec-1 && layouts[rec] == "EXPLICIT" && layouts[rec-1] == "EXPLICIT" && s.wdist != prev {
+								return fmt.Errorf("rank %d record %d: the writer distribution was rebuilt for the layout of the record before", n.Rank(), rec)
+							}
+							lastRead = rec
+						}
+						rec++
+					}
+					return s.Close()
+				})
+				if got := bufpool.Stats().Outstanding - base; got != 0 {
+					t.Errorf("%d pooled buffers still out after Close", got)
+				}
+			})
+		}
+	}
+}
+
+// TestOneFrontMatterBroadcastPerRecord: a synchronous Read, UnsortedRead,
+// Skip or NextElems takes the record's front matter in exactly one broadcast;
+// a Read, UnsortedRead or Skip the prefetch queue serves, and a NextElems that
+// peeks it, take none.
+func TestOneFrontMatterBroadcastPerRecord(t *testing.T) {
+	const nprocs, nElems, records = 3, 17, 4
+	fs := pfs.NewMemFS(vtime.Challenge())
+	writeRecordSeq(t, fs, nprocs, nElems, records, "f")
+	// Over the records: peek, read, read unsorted, peek, skip, read.
+	const script = "PRUPSR"
+	// At depth 0 every op reads synchronously; at depth `records` the open
+	// queued every record.
+	for _, c := range []struct{ depth, want int }{{0, 1}, {records, 0}} {
+		depth, want := c.depth, int64(c.want)
+		t.Run(fmt.Sprintf("readahead=%d", depth), func(t *testing.T) {
+			mon := dsmon.New()
+			bcasts := mon.Registry().Counter("collective_ops_total", "", "op", "bcast")
+			_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: vtime.Challenge(), FS: fs, Monitor: mon}, func(n *machine.Node) error {
+				d := mustDist(t, nElems, nprocs, distr.Block, 0)
+				s, err := OpenInput(n, d, "f", WithStrategy(StrategyParallel), WithReadAhead(depth))
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				for i, op := range script {
+					// Rank 0 reads the counter with every rank outside the op.
+					if err := n.Comm().Barrier(); err != nil {
+						return err
+					}
+					before := bcasts.Value()
+					if err := n.Comm().Barrier(); err != nil {
+						return err
+					}
+					switch op {
+					case 'P':
+						_, err = s.NextElems()
+					case 'R':
+						err = s.Read()
+					case 'U':
+						err = s.UnsortedRead()
+					case 'S':
+						err = s.Skip()
+					}
+					if err != nil {
+						return fmt.Errorf("op %d (%c): %w", i, op, err)
+					}
+					if err := n.Comm().Barrier(); err != nil {
+						return err
+					}
+					if got := bcasts.Value() - before; n.Rank() == 0 && got != want*nprocs {
+						return fmt.Errorf("op %d (%c) broadcast %d times on %d ranks, want %d a rank", i, op, got, nprocs, want)
+					}
+				}
+				return s.Close()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

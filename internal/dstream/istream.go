@@ -2,8 +2,10 @@ package dstream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/collective"
@@ -40,9 +42,11 @@ type IStream struct {
 	// Steady-state scratch, reused across records: refill holds the node's
 	// share of the current record's data section (element decoders alias it,
 	// so bytes extracted with Raw are invalidated by the next Read, Skip, or
-	// Close); hdrScratch is node 0's metadata read buffer.
-	refill     []byte
-	hdrScratch []byte
+	// Close).
+	refill []byte
+	// metaFrame is the pooled frame the current record's front matter
+	// arrived in, held with refill's lifetime.
+	metaFrame []byte
 
 	// Read-ahead state (Options.ReadAhead > 0): pre is the queue of
 	// prefetched records, oldest first and file-contiguous from cursor;
@@ -81,15 +85,19 @@ type IStream struct {
 
 // recordMeta is the front matter of one record as a reader needs it: the
 // header, the writer's distribution it describes, the size table as it was
-// broadcast — raw, one u32 per file position, read in place — and the byte
-// offsets within the data section at which the ranks' shares begin under the
-// reader's split (rankOff[r] is where position rankStarts()[r] starts, len
-// NProcs+1, the last the data section's length).
+// broadcast — raw, one u32 per file position, read in place in frame, the
+// pooled buffer it arrived in — and the byte offsets within the data section
+// at which the ranks' shares begin under the reader's split (rankOff[r] is
+// where position rankStarts()[r] starts, len NProcs+1, the last the data
+// section's length). origin is node 0's clock when it had read the front
+// matter: the same instant on every rank, whenever each arrived.
 type recordMeta struct {
 	h       enc.RecordHeader
 	wdist   *distr.Distribution
 	table   []byte
+	frame   []byte
 	rankOff []int64
+	origin  float64
 }
 
 // prefetched is one read-ahead record: decoded metadata plus this rank's
@@ -198,7 +206,7 @@ func (s *IStream) planRead(m recordMeta) bool {
 		DataBytes: int64(m.h.DataBytes),
 		MetaBytes: enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes(),
 	}, s.opts.Aggregators, s.opts.ReadAhead)
-	s.decided(&s.stream, d)
+	s.decided(&s.stream, d, m.origin)
 	s.planDepth = d.ReadAhead
 	s.planMet.depth.Set(float64(d.ReadAhead))
 	return d.Strategy == plan.TwoPhase
@@ -247,6 +255,7 @@ func (s *IStream) read(sorted bool) error {
 	// broadcasts it; fetch plans the record and moves the share).
 	e, hit := s.takePrefetched()
 	m := e.meta
+	s.metaFrame = m.frame
 	var chunk []byte
 	if hit {
 		// The data transfer was issued in the background; stall only for
@@ -262,9 +271,10 @@ func (s *IStream) read(sorted bool) error {
 		chunk = e.chunk
 	} else {
 		var err error
-		if m, err = s.loadMeta(s.cursor); err != nil {
+		if m, err = s.frontMatter(s.cursor, false); err != nil {
 			return s.fail(err)
 		}
+		s.metaFrame = m.frame
 		chunk, _, err = s.fetch(s.cursor, m, s.refill, false)
 		s.refill = chunk
 		if err != nil {
@@ -346,63 +356,70 @@ func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async bool) (chu
 	return chunk, completion, nil
 }
 
-// loadMeta reads and validates the front matter of the record at cursor —
-// header, distribution descriptor, and size table, each read by node 0 and
-// broadcast. Of the table a rank keeps the bytes and one pass over them: the
+// frontMatter reads the front matter of the record at cursor in one act of
+// node 0's, broadcast once (collective.Rooted): node 0 reads the header,
+// holds it to the file (enc.ReadRecordHeader) and to the reader's element
+// count, and then reads descriptor and size table — "which appear ahead of
+// the actual data", contiguously — with one ReadAt. Every rank receives
+// [node 0's instant | header | descriptor | table], or node 0's verdict in its
+// words. Of the table a rank keeps the bytes and one pass over them: the
 // length, the sum against the header's DataBytes, and the offsets of the
 // ranks' shares; an element's own offset is worked out by the rank that
-// decodes it, when it does. Collective; the caller surfaces the error through
-// s.fail where that is warranted.
-func (s *IStream) loadMeta(cursor int64) (recordMeta, error) {
-	var m recordMeta
-	h, err := s.readHeader(cursor)
+// decodes it, when it does. The returned meta holds the frame they live in
+// until its record is done with. headerOnly (Skip, NextElems) reads just the
+// header, of a record of any element count, and holds no frame. Collective;
+// the caller surfaces the error through s.fail where that is warranted.
+func (s *IStream) frontMatter(cursor int64, headerOnly bool) (recordMeta, error) {
+	const at = 8 + enc.RecordHeaderLen // where the descriptor starts in a payload
+	var buf []byte                     // node 0's read buffer
+	payload, frame, err := s.node.Comm().Rooted(0, func() ([]byte, error) {
+		buf = bufpool.Get(at)
+		if err := s.f.ReadAt(buf[8:], cursor); err != nil {
+			return nil, err
+		}
+		h, err := enc.ReadRecordHeader(buf[8:], cursor, s.f.Size())
+		if err == nil && !headerOnly {
+			if int(h.NElems) != s.dist.N {
+				return nil, fmt.Errorf("dstream: record has %d elements, reader expects %d", h.NElems, s.dist.N)
+			}
+			n := at + int(h.DescBytes) + int(h.SizeTableBytes())
+			full := append(bufpool.GetCap(n), buf...)[:n]
+			bufpool.Put(buf)
+			buf = full
+			err = s.f.ReadAt(buf[at:], cursor+enc.RecordHeaderLen)
+		}
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(s.node.Clock().Now()))
+		return buf, err
+	})
+	bufpool.Put(buf)
+	if re, ok := err.(collective.RootError); ok {
+		return recordMeta{}, fmt.Errorf("%w: read front matter: node 0 read failed: %w", ErrIO, re)
+	}
 	if err != nil {
-		return m, err
+		// Transport failure: possibly rank-asymmetric, so the prefetch
+		// pipeline must not abandon on it silently (see commError).
+		return recordMeta{}, &commError{err}
 	}
-	if int(h.NElems) != s.dist.N {
-		return m, fmt.Errorf("dstream: record has %d elements, reader expects %d", h.NElems, s.dist.N)
-	}
-
-	// Descriptor and size table — "which appear ahead of the actual data".
-	var desc []byte
-	if h.DescBytes > 0 {
-		desc, _, err = s.bcastBytes(cursor+enc.RecordHeaderLen, int(h.DescBytes))
-		if err != nil {
-			return m, fmt.Errorf("%w: read distribution descriptor: %w", ErrIO, err)
+	m := recordMeta{origin: math.Float64frombits(binary.LittleEndian.Uint64(payload)), frame: frame}
+	m.h, err = enc.DecodeRecordHeader(payload[8:])
+	if err == nil && !headerOnly {
+		desc := payload[at:][:m.h.DescBytes]
+		m.table, m.rankOff = payload[at+len(desc):], make([]int64, s.dist.NProcs+1)
+		if err = m.h.TableOffsets(m.table, s.rankStarts(), m.rankOff); err == nil {
+			m.wdist, err = s.writerDist(m.h, desc)
 		}
 	}
-	table, _, err := s.bcastBytes(cursor+enc.RecordHeaderLen+int64(h.DescBytes), int(h.SizeTableBytes()))
-	if err != nil {
-		return m, fmt.Errorf("%w: read size table: %w", ErrIO, err)
+	if err != nil || headerOnly {
+		bufpool.Put(frame)
+		m.frame = nil
 	}
-	rankOff := make([]int64, s.dist.NProcs+1)
-	if err := h.TableOffsets(table, s.rankStarts(), rankOff); err != nil {
-		return m, err
-	}
-	wdist, err := s.writerDist(h, desc)
-	if err != nil {
-		return m, err
-	}
-	return recordMeta{h: h, wdist: wdist, table: table, rankOff: rankOff}, nil
-}
-
-// readHeader has node 0 read the record header at cursor and broadcast it,
-// and holds it to the file (enc.ReadRecordHeader) before anything else is
-// read or sized by it. The broadcast frame goes back to the pool: a decoded
-// header aliases nothing.
-func (s *IStream) readHeader(cursor int64) (enc.RecordHeader, error) {
-	hdr, frame, err := s.bcastBytes(cursor, enc.RecordHeaderLen)
-	if err != nil {
-		return enc.RecordHeader{}, fmt.Errorf("%w: read record header: %w", ErrIO, err)
-	}
-	h, err := enc.ReadRecordHeader(hdr, cursor, s.f.Size())
-	bufpool.Put(frame)
-	return h, err
+	return m, err
 }
 
 // writerDist returns the distribution a record's header and descriptor
 // describe: the previous record's when they describe the same one, a newly
-// built one otherwise.
+// built one otherwise. desc lives in a pooled frame, so the cache keeps a
+// copy.
 func (s *IStream) writerDist(h enc.RecordHeader, desc []byte) (*distr.Distribution, error) {
 	h.NArrays, h.DataBytes = 0, 0 // a distribution depends on neither
 	if s.wdist != nil && h == s.wdistHdr && bytes.Equal(desc, s.wdistRaw) {
@@ -412,7 +429,7 @@ func (s *IStream) writerDist(h enc.RecordHeader, desc []byte) (*distr.Distributi
 	if err != nil {
 		return nil, err
 	}
-	s.wdist, s.wdistHdr, s.wdistRaw, s.wOrder, s.wPlan = d, h, desc, nil, nil
+	s.wdist, s.wdistHdr, s.wdistRaw, s.wOrder, s.wPlan = d, h, bytes.Clone(desc), nil, nil
 	return d, nil
 }
 
@@ -472,7 +489,7 @@ func (s *IStream) topUpPrefetch() {
 // only when the record is consumed. ok=false abandons the prefetch.
 func (s *IStream) prefetchOne(cursor int64) (prefetched, bool) {
 	e := prefetched{cursor: cursor, issued: s.node.Clock().Now()}
-	m, err := s.loadMeta(cursor)
+	m, err := s.frontMatter(cursor, false)
 	if err != nil {
 		if isCommErr(err) {
 			s.fail(err)
@@ -484,6 +501,7 @@ func (s *IStream) prefetchOne(cursor int64) (prefetched, bool) {
 		// PFS errors reach every rank through the rendezvous, so abandoning
 		// on one is collective — benign. A transport failure is not.
 		s.retireBuf(chunk)
+		bufpool.Put(m.frame)
 		if isCommErr(err) {
 			s.fail(fmt.Errorf("%w: parallel read: %w", ErrIO, err))
 		}
@@ -530,6 +548,7 @@ func (s *IStream) dropPrefetched() {
 	for i := range s.pre {
 		s.met.prefetchWasted.Add(int64(len(s.pre[i].chunk)))
 		s.retireBuf(s.pre[i].chunk)
+		bufpool.Put(s.pre[i].meta.frame)
 		s.pre[i] = prefetched{}
 	}
 	s.pre = s.pre[:0]
@@ -563,33 +582,6 @@ func (s *IStream) takeFreeBuf() []byte {
 	return b[:0]
 }
 
-// bcastBytes has node 0 read [off, off+n) and broadcast it. The broadcast
-// frame is per-call (the caller may hold the result across the next
-// bcastBytes, e.g. the descriptor across the size-table read, and gives
-// frame back to the pool if it does not), but node 0's read scratch is
-// reused across records.
-func (s *IStream) bcastBytes(off int64, n int) (payload, frame []byte, err error) {
-	payload, frame, err = s.node.Comm().Rooted(0, func() ([]byte, error) {
-		if cap(s.hdrScratch) < n {
-			s.hdrScratch = make([]byte, n)
-		}
-		buf := s.hdrScratch[:n]
-		if n == 0 {
-			return buf, nil
-		}
-		return buf, s.f.ReadAt(buf, off)
-	})
-	if re, ok := err.(collective.RootError); ok {
-		return nil, nil, fmt.Errorf("node 0 read failed: %w", re)
-	}
-	if err != nil {
-		// Transport failure: possibly rank-asymmetric, so the prefetch
-		// pipeline must not abandon on it silently (see commError).
-		return nil, nil, &commError{err}
-	}
-	return payload, frame, nil
-}
-
 // Skip advances past the next record without loading its data. It enables
 // the paper's multiple-streams-per-file pattern ("Multiple d/streams may be
 // set up and connected to the same file if collections with differing
@@ -618,13 +610,14 @@ func (s *IStream) Skip() error {
 			s.planner.ObserveWasted(int64(e.meta.h.DataBytes))
 		}
 		s.retireBuf(e.chunk)
+		bufpool.Put(e.meta.frame)
 		s.cursor = e.next
 	} else {
-		h, err := s.readHeader(s.cursor)
+		m, err := s.frontMatter(s.cursor, true)
 		if err != nil {
 			return s.fail(err)
 		}
-		s.cursor += h.TotalBytes()
+		s.cursor += m.h.TotalBytes()
 	}
 	s.haveRec = false
 	s.met.skips.Inc()
@@ -648,11 +641,11 @@ func (s *IStream) NextElems() (int, error) {
 		// collective-consistent).
 		return int(s.pre[0].meta.h.NElems), nil
 	}
-	h, err := s.readHeader(s.cursor)
+	m, err := s.frontMatter(s.cursor, true)
 	if err != nil {
 		return 0, s.fail(err)
 	}
-	return int(h.NElems), nil
+	return int(m.h.NElems), nil
 }
 
 // Close releases the stream (idempotent). In Strict mode, closing with a

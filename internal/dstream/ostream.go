@@ -166,7 +166,7 @@ func (s *OStream) planRecord(localBytes int) (Strategy, error) {
 		DataBytes: s.planTotal,
 		MetaBytes: s.metaLen,
 	}, s.opts.Aggregators)
-	s.decided(&s.stream, d)
+	s.decided(&s.stream, d, s.node.Clock().Now())
 	return fromPlanStrategy(d.Strategy), nil
 }
 

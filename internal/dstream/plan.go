@@ -17,11 +17,13 @@ import (
 //
 // Collective-consistency contract: every planner input is rank-identical —
 // the record geometry comes from an Allreduce (writes) or node 0's
-// metadata broadcast (reads), and the observed costs are virtual-clock
-// deltas between points where a synchronizing collective has equalized the
-// group's clocks. Every rank therefore computes the identical plan chain
-// with no extra agreement round; PlanSignature exposes the chain's hash so
-// harnesses can verify no switch ever split the group.
+// front-matter broadcast (reads), and the observed costs are virtual-clock
+// deltas between rank-identical instants: from the Allreduce's release
+// (writes) or the node-0 instant that broadcast carries (reads), to the
+// closing rendezvous or the asynchronous transfer's completion. Every rank
+// therefore computes the identical plan chain with no extra agreement round,
+// in whatever order the ranks arrive; PlanSignature exposes the chain's hash
+// so harnesses can verify no switch ever split the group.
 
 // plannerEnabled reports whether the cost-model planner owns the strategy
 // choice: it does under StrategyAuto, and an explicit Strategy is used as
@@ -189,17 +191,18 @@ func (s *stream) newPlanState() planState {
 }
 
 // decided books one decision. The caller has just come out of the
-// collective that supplied the planner's rank-identical inputs. Every rank
-// that was waiting in it when its root released the group — all of them after
-// an Allreduce, all but a rank the root's broadcast finds still busy after a
-// Bcast — left at the release instant the root sent along (collective's
-// releaseTime, on either shape), so their clocks are equal to the bit and
-// planStart is a common origin for the observation that follows the data
-// movement. A switch leaves a zero-length marker span, so critical-path
-// attribution sees the re-planning event.
-func (p *planState) decided(s *stream, d plan.Decision) {
+// collective that supplied the planner's rank-identical inputs, and start,
+// the origin for the observation that follows the data movement, is the same
+// instant on every rank. A writer passes its clock: every rank left the
+// Allreduce at the release instant its root sent along (collective's
+// releaseTime, on either shape), so the clocks are equal to the bit. A reader
+// passes node 0's instant carried in the front matter: a broadcast leaves a
+// rank that arrived late on its own clock, so it cannot pass that. A switch
+// leaves a zero-length marker span, so critical-path attribution sees the
+// re-planning event.
+func (p *planState) decided(s *stream, d plan.Decision, start float64) {
 	p.planK, p.planStrat, p.planEst = d.Aggregators, d.Strategy, d.RawEstimate
-	p.planStart = s.node.Clock().Now()
+	p.planStart = start
 	p.planMet.records[d.Strategy].Inc()
 	p.planMet.estimate.Observe(d.Estimate)
 	p.planMet.sig.Set(float64(uint32(p.planner.Signature())))

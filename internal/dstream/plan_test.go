@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
+	"pcxxstreams/internal/collective"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
@@ -18,8 +20,12 @@ import (
 // bytes, spread evenly over nElems BLOCK-distributed elements, element 0
 // taking the remainder — on nprocs StrategyAuto ranks, reads them back sorted
 // into a CYCLIC layout, and returns the file image with every rank's plan
-// signature for both directions.
-func planChainRun(t *testing.T, prof vtime.Profile, nprocs, nElems int, records []int) (img []byte, wsig, rsig []uint64) {
+// signature for both directions. With late set, a rank first computes for
+// late(rank) virtual seconds before each read, and after it the ranks check
+// that they planned from one origin, bit for bit, before reading on: plans
+// made from different origins may pick different strategies for the next
+// record, and a group split that way hangs in it.
+func planChainRun(t *testing.T, prof vtime.Profile, nprocs, nElems int, records []int, late func(rank int) float64) (img []byte, wsig, rsig []uint64) {
 	t.Helper()
 	// Payloads are windows of one pattern, a different one for every element
 	// of a record: the largest records are tens of megabytes.
@@ -33,7 +39,11 @@ func planChainRun(t *testing.T, prof vtime.Profile, nprocs, nElems int, records 
 	}
 	fs := pfs.NewFileSystem(prof, pfs.StripedMemFactory(4, 64<<10))
 	wsig, rsig = make([]uint64, nprocs), make([]uint64, nprocs)
-	_, err := machine.Run(machine.Config{NProcs: nprocs, Profile: prof, FS: fs}, func(n *machine.Node) error {
+	cfg := machine.Config{NProcs: nprocs, Profile: prof, FS: fs}
+	if late != nil {
+		cfg.RecvDeadline = 5 * time.Second // a split group fails instead of hanging
+	}
+	_, err := machine.Run(cfg, func(n *machine.Node) error {
 		wd, err := distr.New(nElems, nprocs, distr.Block, 0)
 		if err != nil {
 			return err
@@ -66,8 +76,24 @@ func planChainRun(t *testing.T, prof vtime.Profile, nprocs, nElems int, records 
 		}
 		defer in.Close()
 		for rec := range records {
+			if late != nil {
+				n.Compute(late(n.Rank()))
+			}
 			if err := in.Read(); err != nil {
 				return err
+			}
+			if late != nil {
+				lo, err := n.Comm().Allreduce(in.planStart, collective.OpMin)
+				if err != nil {
+					return err
+				}
+				hi, err := n.Comm().Allreduce(in.planStart, collective.OpMax)
+				if err != nil {
+					return err
+				}
+				if lo != hi {
+					return fmt.Errorf("record %d: the ranks plan from origins %v to %v", rec, lo, hi)
+				}
 			}
 			var bad error
 			err := in.ExtractFunc(func(l int, d *Decoder) {
@@ -129,15 +155,35 @@ func TestPlanChainsRankIdenticalOnTheTree(t *testing.T) {
 		prof    vtime.Profile
 		records []int
 	}{{vtime.Paragon(), ramp(512)}, {vtime.CM5(), ramp(512)}, {vtime.Challenge(), ramp(128)}} {
-		ref, _, _ := planChainRun(t, c.prof, 16, nElems, c.records)
-		img, wsig, rsig := planChainRun(t, c.prof, 64, nElems, c.records)
+		ref, _, _ := planChainRun(t, c.prof, 16, nElems, c.records, nil)
+		img, wsig, rsig := planChainRun(t, c.prof, 64, nElems, c.records, nil)
 		agree(c.prof.Name, wsig, rsig)
 		if !bytes.Equal(maskWriterProcs(t, img), maskWriterProcs(t, ref)) {
 			t.Errorf("%s: 64-rank file differs from the 16-rank flat reference beyond the node count", c.prof.Name)
 		}
 	}
-	_, wsig, rsig := planChainRun(t, vtime.CM5(), 64, nElems, []int{8 << 10, 34223713})
+	_, wsig, rsig := planChainRun(t, vtime.CM5(), 64, nElems, []int{8 << 10, 34223713}, nil)
 	agree("witness", wsig, rsig)
+}
+
+// TestReadPlanOriginWhenRankZeroArrivesFirst: a reader's plan origin is the
+// node-0 instant its front matter carries, so it is one instant on every rank
+// in whatever order the ranks reach the broadcast. Here every rank but 0
+// arrives late at every read, each by its own amount and by more than node
+// 0's reads take, so rank 0 is first in and the others leave the broadcast on
+// their own clocks — on the flat shape (4 ranks) and on the tree (64). After
+// every record the origin is bit-equal on every rank (planChainRun checks),
+// and so are the plan chains.
+func TestReadPlanOriginWhenRankZeroArrivesFirst(t *testing.T) {
+	records := []int{1 << 9, 1 << 13, 1 << 17, 1 << 20, 1 << 13, 1 << 9, 1 << 9, 1 << 17}
+	for _, nprocs := range []int{4, 64} {
+		_, wsig, rsig := planChainRun(t, vtime.CM5(), nprocs, 256, records, func(r int) float64 { return float64(r) * 10e-3 })
+		for r := range wsig {
+			if wsig[r] != wsig[0] || rsig[r] != rsig[0] {
+				t.Errorf("%d ranks: rank %d plan chains %#x/%#x, rank 0 %#x/%#x", nprocs, r, wsig[r], rsig[r], wsig[0], rsig[0])
+			}
+		}
+	}
 }
 
 // maskWriterProcs returns img with the writer node count of every record

@@ -205,12 +205,15 @@ func shareOffsets(scratch []int, table []byte, lo, hi int) []int {
 }
 
 // releaseFrames returns the frames the current record's redistributed
-// elements alias. Called wherever the refill buffer's contents die: the next
-// Read, UnsortedRead or Skip, and Close.
+// elements alias, and the one its front matter arrived in. Called wherever
+// the refill buffer's contents die: the next Read, UnsortedRead or Skip, and
+// Close.
 func (s *IStream) releaseFrames() {
 	for i, b := range s.frames {
 		bufpool.Put(b)
 		s.frames[i] = nil
 	}
 	s.frames = nil
+	bufpool.Put(s.metaFrame)
+	s.metaFrame = nil
 }

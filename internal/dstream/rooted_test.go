@@ -31,6 +31,26 @@ func TestRootFailureFailsEveryRank(t *testing.T) {
 			return f.WriteAt([]byte("this is no d/stream file at all"), 0)
 		})
 	}
+	faultAfter := func(k int) func(*testing.T, *pfs.FileSystem) {
+		return func(t *testing.T, fs *pfs.FileSystem) {
+			run(t, nprocs, fs, func(n *machine.Node) error { return writeTable(n, d, "f") })
+			if err := fs.InjectFault("f", k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readFrontMatter := func(n *machine.Node) error {
+		s, err := OpenInput(n, d, "f")
+		if err != nil {
+			return fmt.Errorf("open: %w", err)
+		}
+		defer s.Close()
+		err = s.Read()
+		if !errors.Is(err, ErrIO) || isCommErr(err) {
+			return fmt.Errorf("read failed with %v, want node 0's verdict as ErrIO", err)
+		}
+		return err
+	}
 	for _, c := range []struct {
 		name  string
 		setup func(*testing.T, *pfs.FileSystem)
@@ -45,25 +65,14 @@ func TestRootFailureFailsEveryRank(t *testing.T) {
 			_, err := Open(n, d, "f", WithAppend())
 			return err
 		}, "not a d/stream file"},
-		{"read front matter", func(t *testing.T, fs *pfs.FileSystem) {
-			run(t, nprocs, fs, func(n *machine.Node) error { return writeTable(n, d, "f") })
-			// One backend call more succeeds: the file header. The record
-			// header's read is node 0's to fail.
-			if err := fs.InjectFault("f", 1); err != nil {
-				t.Fatal(err)
-			}
-		}, func(n *machine.Node) error {
-			s, err := OpenInput(n, d, "f")
-			if err != nil {
-				return fmt.Errorf("open: %w", err)
-			}
-			defer s.Close()
-			err = s.Read()
-			if !errors.Is(err, ErrIO) || isCommErr(err) {
-				return fmt.Errorf("read failed with %v, want node 0's verdict as ErrIO", err)
-			}
-			return err
-		}, `node 0 read failed: pfs: read "f" at 16: ` + pfs.ErrInjected.Error()},
+		// One backend call more succeeds: the file header. The record
+		// header's read is node 0's to fail.
+		{"read front matter", faultAfter(1), readFrontMatter,
+			`node 0 read failed: pfs: read "f" at 16: ` + pfs.ErrInjected.Error()},
+		// Two succeed: the file header and the record header. The one read
+		// of descriptor and size table, right behind it, fails.
+		{"read descriptor and size table", faultAfter(2), readFrontMatter,
+			`node 0 read failed: pfs: read "f" at 72: ` + pfs.ErrInjected.Error()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fs := pfs.NewMemFS(vtime.Challenge())
@@ -105,11 +114,11 @@ func (c *cutTransport) Recv(to, from int, tag uint64) (comm.Message, error) {
 	return c.Transport.Recv(to, from, tag)
 }
 
-// TestBcastBytesTransportFailureIsCommErr: a broadcast that fails in
-// transport — which ranks may see differently — carries the commError tag the
-// prefetch pipeline must not abandon on; node 0's own verdict
-// (TestRootFailureFailsEveryRank) does not.
-func TestBcastBytesTransportFailureIsCommErr(t *testing.T) {
+// TestFrontMatterTransportFailureIsCommErr: a front-matter broadcast that
+// fails in transport — which ranks may see differently — carries the
+// commError tag the prefetch pipeline must not abandon on; node 0's own
+// verdict (TestRootFailureFailsEveryRank) does not.
+func TestFrontMatterTransportFailureIsCommErr(t *testing.T) {
 	fs := pfs.NewMemFS(vtime.Challenge())
 	d := mustDist(t, 8, 2, distr.Block, 0)
 	run(t, 2, fs, func(n *machine.Node) error { return writeTable(n, d, "f") })
@@ -127,7 +136,7 @@ func TestBcastBytesTransportFailureIsCommErr(t *testing.T) {
 			return err
 		}
 		cut.cut.Store(true)
-		_, _, errs[n.Rank()] = s.bcastBytes(s.cursor, 8)
+		_, errs[n.Rank()] = s.frontMatter(s.cursor, false)
 		return nil
 	})
 	if err != nil {
@@ -135,7 +144,7 @@ func TestBcastBytesTransportFailureIsCommErr(t *testing.T) {
 	}
 	for r, err := range errs {
 		if err == nil || !strings.Contains(err.Error(), "wire cut") || !isCommErr(err) {
-			t.Fatalf("rank %d: bcastBytes = %v (commError: %v), want the cut wire, tagged", r, err, isCommErr(err))
+			t.Fatalf("rank %d: frontMatter = %v (commError: %v), want the cut wire, tagged", r, err, isCommErr(err))
 		}
 	}
 }

@@ -19,7 +19,7 @@ func FuzzCostModel(f *testing.F) {
 		0.0, 0.0, 0.0, 0.0, 0.0, int64(0), 0)
 	f.Add(-5, -1, int64(-1<<40), int64(-7), int64(-3), -2, -9, uint8(2),
 		-1.0, math.Inf(1), math.NaN(), -0.5, math.Inf(-1), int64(-1), -3)
-	f.Add(1 << 20, 1 << 30, int64(math.MaxInt64), int64(math.MaxInt64), int64(1), 1 << 20, 1 << 20, uint8(7),
+	f.Add(1<<20, 1<<30, int64(math.MaxInt64), int64(math.MaxInt64), int64(1), 1<<20, 1<<20, uint8(7),
 		1e300, 1e-300, 5e5, 90e-6, 20e-6, int64(math.MaxInt64), 1<<20)
 
 	f.Fuzz(func(t *testing.T, nprocs, nelems int, dataBytes, metaBytes, stripeUnit int64,

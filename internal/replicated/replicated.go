@@ -55,15 +55,15 @@ func (r *File) Write(p []byte) error {
 
 // Read reads the next n bytes once (on node 0) and broadcasts them to every
 // node, as the pC++ compiler transformation does for input of replicated
-// data.
+// data. The bytes returned are the caller's.
 func (r *File) Read(n int) ([]byte, error) {
-	buf, _, err := r.node.Comm().Rooted(0, func() ([]byte, error) {
-		buf := make([]byte, n)
-		return buf, r.f.ReadAt(buf, r.cursor)
-	})
+	buf := make([]byte, n)
+	payload, frame, err := r.node.Comm().Rooted(0, func() ([]byte, error) { return buf, r.f.ReadAt(buf, r.cursor) })
 	if err != nil {
 		return nil, fmt.Errorf("replicated: read: %w", err)
 	}
+	copy(buf, payload)
+	bufpool.Put(frame)
 	r.cursor += int64(n)
 	return buf, nil
 }

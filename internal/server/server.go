@@ -811,9 +811,9 @@ func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, 
 // ViPIOS "data is mapped across I/O server processes" scheme.
 func (s *Server) rankFor(tenant, name string, off int64) chan func() {
 	h := fnv.New64a()
-	io.WriteString(h, tenant)     //nolint:errcheck
-	io.WriteString(h, "/")        //nolint:errcheck
-	io.WriteString(h, name)       //nolint:errcheck
+	io.WriteString(h, tenant) //nolint:errcheck
+	io.WriteString(h, "/")    //nolint:errcheck
+	io.WriteString(h, name)   //nolint:errcheck
 	cell := off / s.cfg.StripeUnit
 	return s.ranks[(h.Sum64()^uint64(cell))%uint64(len(s.ranks))]
 }
