@@ -73,6 +73,13 @@ func AllocTable() ([]AllocCell, error) {
 		{"dstream_redist_read", func() (float64, float64, error) {
 			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Block, rawElems(allocElems))
 		}},
+		// The restart's shape: the same CYCLIC → BLOCK read two-phase, two
+		// records ahead — aggregators read their extents into shares and into
+		// the slivers the scatter hands over, then every record is
+		// redistributed.
+		{"dstream_twophase_read", func() (float64, float64, error) {
+			return readCycleAllocs(dstream.StrategyTwoPhase, 2, distr.Block, rawElems(allocElems))
+		}},
 		// Many tiny elements, each with a short []int64, read back in the
 		// writer's layout: what a record costs per element — the front matter
 		// every rank works through and the slices an extractor keeps — with

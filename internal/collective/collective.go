@@ -453,8 +453,25 @@ func (c *Comm) Scatterv(root int, parts [][]byte) ([]byte, error) {
 // Alltoallv delivers bufs[j] from each rank to rank j; the result holds, in
 // rank order, what every rank sent to the caller. len(bufs) must equal
 // Size(). All ranks leave synchronized (a barrier closes the exchange, as
-// with a synchronized NX exchange).
+// with a synchronized NX exchange). Every entry of the result is the
+// caller's, to bufpool.Put once consumed; on failure what had arrived goes
+// back to the pool.
 func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
+	return c.alltoallv(bufs, false)
+}
+
+// AlltoallvOwned is Alltoallv for buffers the caller filled only to send them:
+// every non-nil bufs[j] is a bufpool buffer the caller gives up, as
+// comm.Endpoint.SendOwned takes one, so that rank j receives the very slice
+// on the in-process transport — no copy — and the caller's own entry becomes
+// its own result's. Each entry is set to nil as its buffer is handed over;
+// what is left in bufs when the call returns, on success or failure, is still
+// the caller's to bufpool.Put.
+func (c *Comm) AlltoallvOwned(bufs [][]byte) ([][]byte, error) {
+	return c.alltoallv(bufs, true)
+}
+
+func (c *Comm) alltoallv(bufs [][]byte, owned bool) ([][]byte, error) {
 	defer c.instrument("alltoallv")()
 	n := c.Size()
 	if len(bufs) != n {
@@ -466,28 +483,44 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 		if r == me {
 			continue
 		}
-		if err := c.ep.SendOnce(r, tag(kindAlltoall, seq, 0), bufs[r]); err != nil {
+		var err error
+		if owned && bufs[r] != nil {
+			if err = c.ep.SendOnceOwned(r, tag(kindAlltoall, seq, 0), bufs[r]); err == nil {
+				bufs[r] = nil
+			}
+		} else {
+			err = c.ep.SendOnce(r, tag(kindAlltoall, seq, 0), bufs[r])
+		}
+		if err != nil {
 			return nil, fmt.Errorf("collective: alltoallv send to %d: %w", r, err)
 		}
 	}
 	out := make([][]byte, n)
-	// Receive own contribution by copy, matching wire semantics. Every out
-	// entry is owned by the caller, which may bufpool.Put it once consumed.
-	own := bufpool.Get(len(bufs[me]))
-	copy(own, bufs[me])
-	out[me] = own
+	fail := func(err error) ([][]byte, error) {
+		for _, d := range out {
+			bufpool.Put(d)
+		}
+		return nil, err
+	}
+	if owned {
+		out[me], bufs[me] = bufs[me], nil
+	} else {
+		// Receive own contribution by copy, matching wire semantics.
+		out[me] = bufpool.Get(len(bufs[me]))
+		copy(out[me], bufs[me])
+	}
 	for r := 0; r < n; r++ {
 		if r == me {
 			continue
 		}
 		d, err := c.ep.Recv(r, tag(kindAlltoall, seq, 0))
 		if err != nil {
-			return nil, fmt.Errorf("collective: alltoallv recv from %d: %w", r, err)
+			return fail(fmt.Errorf("collective: alltoallv recv from %d: %w", r, err))
 		}
 		out[r] = d
 	}
 	if err := c.Barrier(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	return out, nil
 }

@@ -328,6 +328,119 @@ func TestAlltoallvSelfCopyIsolation(t *testing.T) {
 	})
 }
 
+// refuseAfter lets the first `left` sends through and refuses every later
+// one, without closing anything, so what did get through can still be
+// received.
+type refuseAfter struct {
+	comm.Transport
+	mu   sync.Mutex
+	left int
+}
+
+func (r *refuseAfter) Send(m comm.Message) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.left == 0 {
+		return fmt.Errorf("refused")
+	}
+	r.left--
+	return r.Transport.Send(m)
+}
+
+// TestAlltoallvOwned: the owned exchange hands the buffers over. On the
+// in-process transport every rank receives the very slices its peers filled —
+// the same first byte, not a copy — and its own entry as itself; bufs is all
+// nil afterwards, and once the receivers have released what they got the
+// pool's count is back where it started. A send that fails leaves the buffers
+// not yet sent with the caller, every byte in place, and the one sent before
+// it with its receiver.
+func TestAlltoallvOwned(t *testing.T) {
+	const n = 4
+	want := func(from, to int) []byte {
+		b := make([]byte, 100+50*to+from)
+		for i := range b {
+			b[i] = byte(16*from + to + i)
+		}
+		return b
+	}
+	fill := func(from, to int) []byte { // want's bytes in a pooled buffer
+		w := want(from, to)
+		return append(bufpool.GetCap(len(w)), w...)
+	}
+	base := bufpool.Stats().Outstanding
+	var mu sync.Mutex
+	sent := map[[2]int]*byte{}
+	spmd(t, n, func(c *Comm) error {
+		me := c.Rank()
+		bufs := make([][]byte, n)
+		for j := range bufs {
+			if (me+j)%3 == 2 {
+				continue // these pairs exchange nothing
+			}
+			bufs[j] = fill(me, j)
+			mu.Lock()
+			sent[[2]int{me, j}] = &bufs[j][0]
+			mu.Unlock()
+		}
+		got, err := c.AlltoallvOwned(bufs)
+		if err != nil {
+			return err
+		}
+		for j, b := range bufs {
+			if b != nil {
+				return fmt.Errorf("entry %d is still set after the exchange", j)
+			}
+		}
+		for r, p := range got {
+			mu.Lock()
+			first, ok := sent[[2]int{r, me}]
+			mu.Unlock()
+			switch {
+			case !ok && len(p) != 0:
+				return fmt.Errorf("%d bytes from %d, which sent nothing", len(p), r)
+			case ok && (!bytes.Equal(p, want(r, me)) || &p[0] != first):
+				return fmt.Errorf("what came from %d is not the buffer it filled", r)
+			}
+			bufpool.Put(p)
+		}
+		return nil
+	})
+	if got := bufpool.Stats().Outstanding - base; got != 0 {
+		t.Errorf("%d pooled buffers out after the exchange", got)
+	}
+
+	tr := &refuseAfter{Transport: comm.NewChanTransport(3), left: 1}
+	defer tr.Close()
+	var clocks [2]vtime.Clock
+	c := New(comm.NewEndpoint(0, 3, tr, &clocks[0], vtime.Paragon()))
+	base = bufpool.Stats().Outstanding
+	bufs := [][]byte{fill(0, 0), fill(0, 1), fill(0, 2)}
+	first := &bufs[1][0]
+	if _, err := c.AlltoallvOwned(bufs); err == nil {
+		t.Fatal("AlltoallvOwned with its second send refused succeeded")
+	}
+	if bufs[1] != nil {
+		t.Error("the buffer sent to rank 1 is still in bufs")
+	}
+	for _, j := range []int{0, 2} {
+		if !bytes.Equal(bufs[j], want(0, j)) {
+			t.Errorf("the unsent buffer for rank %d is not the caller's as it was", j)
+		}
+		bufpool.Put(bufs[j])
+	}
+	d, err := comm.NewEndpoint(1, 3, tr, &clocks[1], vtime.Paragon()).Recv(0, tag(kindAlltoall, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d[0] != first {
+		t.Error("rank 1 was delivered a copy")
+	}
+	bufpool.Put(d)
+	if got := bufpool.Stats().Outstanding - base; got != 0 {
+		t.Errorf("%d pooled buffers out after the failed exchange", got)
+	}
+}
+
 func TestAlltoallvWrongLen(t *testing.T) {
 	spmd(t, 2, func(c *Comm) error {
 		if _, err := c.Alltoallv(make([][]byte, 3)); err == nil {

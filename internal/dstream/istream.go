@@ -72,11 +72,13 @@ type IStream struct {
 	// Sorted-read redistribution state: frames holds what the other ranks
 	// sent for the current record (element decoders alias them, with
 	// refill's lifetime); sendBufs, packed and offs (where each position of
-	// this rank's share starts in it) are per-record scratch.
+	// this rank's share starts in it) are per-record scratch, and so is
+	// extent, the pieces a two-phase aggregator reads its extent into.
 	frames   [][]byte
 	sendBufs [][]byte
 	packed   [][]byte
 	offs     []int
+	extent   [][]byte
 
 	// planDepth is a planned stream's effective read-ahead depth — the
 	// planner's choice, or Options.ReadAhead when that is set explicitly.

@@ -136,9 +136,10 @@ func poolHeld(t *testing.T, cfg machine.Config, body func(n *machine.Node) error
 // is the pool's count of buffers out, against a run of the same shape that
 // funnels (plus what the shuffle's one Allgather keeps, measured on its own);
 // under pooldebug the poison says whether a frame went back while the append
-// was still writing. The refill mirrors it: the extent goes back once the
-// share is assembled or the scatter has failed, and a two-phase read holds no
-// more than a direct one.
+// was still writing. The refill mirrors it: each sliver of the extent goes
+// back once, by the rank it was sent to or, when the scatter failed before
+// sending it, by the aggregator, and a two-phase read holds no more than a
+// direct one.
 func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 	// Element sizes by owner make the shares uneven, so that overlaps cross
 	// ranks: on three ranks aggregator 0 gets its own share and the head of
@@ -330,7 +331,7 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ft := &frameTap{budget: tc.budget}
 			if held := poolHeld(t, config(ft, 2), read(ft, tc.wantErr, StrategyTwoPhase)); held != direct {
-				t.Errorf("%d pooled buffers out after a two-phase read, %d after a direct one: the extent was not released, or twice", held, direct)
+				t.Errorf("%d pooled buffers out after a two-phase read, %d after a direct one: a sliver was not released, or twice", held, direct)
 			}
 		})
 	}

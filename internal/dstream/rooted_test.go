@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -124,6 +125,10 @@ func TestFrontMatterTransportFailureIsCommErr(t *testing.T) {
 	run(t, 2, fs, func(n *machine.Node) error { return writeTable(n, d, "f") })
 	cut := &cutTransport{}
 	var errs [2]error
+	// The wire is cut once both ranks are out of the barrier: a rank that
+	// leaves it first must not cut the release its peer is still receiving.
+	var past sync.WaitGroup
+	past.Add(2)
 	_, err := machine.Run(machine.Config{NProcs: 2, Profile: vtime.Challenge(), FS: fs,
 		WrapTransport: func(tr comm.Transport) comm.Transport { cut.Transport = tr; return cut },
 	}, func(n *machine.Node) error {
@@ -135,6 +140,8 @@ func TestFrontMatterTransportFailureIsCommErr(t *testing.T) {
 		if err := n.Comm().Barrier(); err != nil {
 			return err
 		}
+		past.Done()
+		past.Wait()
 		cut.cut.Store(true)
 		_, errs[n.Rank()] = s.frontMatter(s.cursor, false)
 		return nil

@@ -6,7 +6,6 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
-	"pcxxstreams/internal/pfs"
 )
 
 // Two-phase collective buffering: instead of every rank hitting the PFS
@@ -54,6 +53,14 @@ func sendBufs(scratch *[][]byte, n int) [][]byte {
 	}
 	clear(*scratch)
 	return *scratch
+}
+
+// putAll gives every buffer in bufs back to the pool and clears its entry.
+func putAll(bufs [][]byte) {
+	for i, b := range bufs {
+		bufpool.Put(b)
+		bufs[i] = nil
+	}
 }
 
 // writeTwoPhase is the two-phase record flush: a shuffle in front of the
@@ -130,9 +137,7 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 	pieces[me] = own
 	defer func() {
 		pieces[me] = nil
-		for _, p := range pieces {
-			bufpool.Put(p)
-		}
+		putAll(pieces)
 	}()
 	var got, want int64
 	for _, p := range pieces {
@@ -178,11 +183,20 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 }
 
 // refillTwoPhase is the read-side mirror: K aggregators refill
-// stripe-aligned extents of the record's data section with one large
-// parallel read each, then scatter to every rank the overlap with its
-// contiguous share [rankOff[me], rankOff[me+1]) of the data section. The share is
-// assembled into dst (grown through the pool when the record outgrows it)
-// and is byte-identical to what the direct ParallelRead path yields.
+// stripe-aligned extents of the record's data section with one parallel read
+// each, then scatter to every rank the overlap with its contiguous share
+// [rankOff[me], rankOff[me+1]) of the data section. Each byte is read straight
+// to where it is decoded or sent from: dst (grown through the pool when the
+// record outgrows it) is sized to the share first, and an aggregator reads its
+// extent as pieces — its own overlap into its share, every other rank's into a
+// pooled sliver that the scatter hands over as it is, so that the only copy
+// left is the receiver's, of each sliver to its place in the share. The share
+// is byte-identical to what the direct ParallelRead path yields.
+//
+// A sliver is the aggregator's from bufpool.Get until the scatter has sent it,
+// and then its receiver's, which copies it into its share and Puts it; a
+// sliver the read or the scatter failed before sending goes back to the pool
+// on the aggregator.
 //
 // In async mode (the read-ahead pipeline) the extent read is issued
 // write-behind-style: its bytes are valid immediately in real time, the
@@ -203,77 +217,84 @@ func (s *IStream) refillTwoPhase(dataStart int64, rankOff []int64, dst []byte, a
 	k := s.aggregators(s.opts.Aggregators, layout, nprocs)
 	cuts := stripeCuts(dataStart, total, k, layout.StripeUnit)
 
-	// Phase one: aggregators read their extent; other ranks contribute an
-	// empty range to the rendezvous.
-	var rg pfs.Range
-	if me < k {
-		rg = pfs.Range{Off: dataStart + cuts[me], Len: int(cuts[me+1] - cuts[me])}
+	// This node's share, sized before anything lands in it; when dst is the
+	// stream's refill scratch, the previous record's decoders are invalid from
+	// here on, per the Read contract.
+	myLo, myHi := rankOff[me], rankOff[me+1]
+	chunk := dst[:0]
+	if int64(cap(chunk)) < myHi-myLo {
+		bufpool.Put(dst)
+		chunk = bufpool.GetCap(int(myHi - myLo))
 	}
-	var (
-		ext        []byte
-		completion float64
-		err        error
-	)
-	if async {
-		ext, completion, err = s.f.ParallelReadAsync(rg)
-	} else {
-		ext, err = s.f.ParallelRead(rg)
-	}
-	if err != nil {
-		return dst, 0, fmt.Errorf("dstream: two-phase refill: %w", err)
-	}
-	if me < k {
-		s.met.extentBytes.Observe(float64(len(ext)))
-	}
+	chunk = chunk[:myHi-myLo]
 
-	// Phase two: scatter. Aggregator j sends rank r the overlap of its
-	// extent with r's byte range; r reassembles its share by concatenating
-	// in aggregator order (ascending file offset).
+	// Phase one: an aggregator reads its extent [elo, ehi) as one piece per
+	// rank whose share it overlaps, in rank order, which is file order; other
+	// ranks contribute no pieces to the rendezvous.
 	bufs := sendBufs(&s.sendBufs, nprocs)
-	var own []byte
+	pieces := s.extent[:0]
+	off := dataStart
 	var sent int64
 	if me < k {
 		elo, ehi := cuts[me], cuts[me+1]
+		off += elo
 		for r := 0; r < nprocs; r++ {
 			a, b := max(elo, rankOff[r]), min(ehi, rankOff[r+1])
 			if a >= b {
 				continue
 			}
 			if r == me {
-				own = ext[a-elo : b-elo]
+				pieces = append(pieces, chunk[a-myLo:b-myLo])
 				continue
 			}
-			bufs[r] = ext[a-elo : b-elo]
+			bufs[r] = bufpool.Get(int(b - a))
+			pieces = append(pieces, bufs[r])
 			sent += b - a
 		}
 	}
-	recv, err := comm.Alltoallv(bufs)
-	if err != nil {
-		bufpool.Put(ext)
-		return dst, 0, &commError{fmt.Errorf("dstream: two-phase scatter: %w", err)}
+	var (
+		completion float64
+		err        error
+	)
+	if async {
+		completion, err = s.f.ParallelReadPiecesAsync(off, pieces...)
+	} else {
+		err = s.f.ParallelReadPieces(off, pieces...)
 	}
-	// Assemble this node's share into dst; when dst is the stream's refill
-	// scratch, the previous record's decoders are invalid from here on,
-	// per the Read contract.
-	want := rankOff[me+1] - rankOff[me]
-	chunk := dst[:0]
-	if int64(cap(chunk)) < want {
-		bufpool.Put(dst)
-		chunk = bufpool.GetCap(int(want))
+	clear(pieces)
+	s.extent = pieces[:0]
+	if err != nil {
+		putAll(bufs)
+		return chunk, 0, fmt.Errorf("dstream: two-phase refill: %w", err)
+	}
+	if me < k {
+		s.met.extentBytes.Observe(float64(cuts[me+1] - cuts[me]))
+	}
+
+	// Phase two: the scatter, every sliver handed over without a copy.
+	// Aggregator j's overlap with this rank's share lands at its place in it.
+	recv, err := comm.AlltoallvOwned(bufs)
+	putAll(bufs) // the slivers a failed scatter did not send
+	if err != nil {
+		return chunk, 0, &commError{fmt.Errorf("dstream: two-phase scatter: %w", err)}
 	}
 	for j, frame := range recv {
-		if j == me {
-			chunk = append(chunk, own...) // straight from the extent, which it never left
-		} else {
-			chunk = append(chunk, frame...)
+		var at, want int64 // nothing from a rank off the aggregators, nor from this one
+		if j != me && j < k {
+			at = max(cuts[j], myLo)
+			want = max(min(cuts[j+1], myHi)-at, 0)
+		}
+		if int64(len(frame)) != want {
+			if err == nil {
+				err = fmt.Errorf("dstream: two-phase refill: rank %d sent %d bytes of this share, the plan says %d", j, len(frame), want)
+			}
+		} else if want > 0 {
+			copy(chunk[at-myLo:], frame)
 		}
 		bufpool.Put(frame)
 	}
-	// What the others needed of the extent is on the wire and this rank's
-	// own part of it in chunk; release it.
-	bufpool.Put(ext)
-	if int64(len(chunk)) != want {
-		return chunk, 0, fmt.Errorf("dstream: two-phase refill assembled %d of %d bytes", len(chunk), want)
+	if err != nil {
+		return chunk, 0, err
 	}
 	shuffleEnd := s.node.Clock().Now()
 	s.met.shuffleBytes.Observe(float64(sent))

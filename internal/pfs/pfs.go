@@ -341,7 +341,7 @@ func (h *File) ReadAt(p []byte, off int64) error {
 	if h.closed {
 		return fmt.Errorf("pfs: read on closed handle %q", h.f.name)
 	}
-	if _, err := io.ReadFull(io.NewSectionReader(h.f.b, off, int64(len(p))), p); err != nil {
+	if err := readFull(h.f.b, p, off); err != nil {
 		return fmt.Errorf("pfs: read %q at %d: %w", h.f.name, off, err)
 	}
 	// A small read of a file larger than the OS cache seeks no matter where
@@ -349,7 +349,9 @@ func (h *File) ReadAt(p []byte, off int64) error {
 	slow := h.f.b.Size() >= h.fs.prof.SlowOffset
 	start := h.clock.Now()
 	h.clock.SyncTo(h.f.d.submit(h.rank, start, int64(len(p)), false, slow))
-	h.fs.rec.Add(h.rank, "io", "ReadAt "+h.f.name, start, h.clock.Now())
+	if rec := h.fs.rec; rec != nil { // the span's name is the read's one allocation
+		rec.Add(h.rank, "io", "ReadAt "+h.f.name, start, h.clock.Now())
+	}
 	h.fs.counters.independentReads.Add(1)
 	h.fs.counters.bytesRead.Add(int64(len(p)))
 	h.fs.met.readAt.record(int64(len(p)), start, h.clock.Now())
@@ -565,13 +567,106 @@ func (h *File) parallelAppend(pieces [][]byte, syncClock bool) (int64, float64, 
 	return r.nums[h.rank], r.completion, nil
 }
 
+// readFull fills p from b at off as io.ReadFull over an io.SectionReader
+// would, without allocating the reader: a ReadAt, and another for whatever a
+// short one without an error left. A read that meets the end of the store is
+// io.EOF when it filled nothing and io.ErrUnexpectedEOF when it filled some.
+func readFull(b io.ReaderAt, p []byte, off int64) error {
+	n := 0
+	var err error
+	for n < len(p) && err == nil {
+		var m int
+		m, err = b.ReadAt(p[n:], off+int64(n))
+		n += m
+	}
+	switch {
+	case n == len(p):
+		return nil
+	case err == io.EOF && n > 0:
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// ParallelReadPieces is the read mirror of ParallelAppend: every node
+// supplies the pieces its byte range of the file lands in, in order, from off
+// on — one buffer, or the parts of it that different owners will hold; empty
+// pieces are skipped, and no pieces is an empty range. Each node fills its own
+// pieces, one backend read a piece, concurrently with the others, and the disk
+// is charged for the pieces' summed length as for one range. The pieces are
+// the caller's again when the call returns on its rank, and nothing keeps a
+// reference to them. All nodes leave at the same virtual time, with the same
+// error.
+func (h *File) ParallelReadPieces(off int64, pieces ...[]byte) error {
+	_, err := h.parallelRead(off, pieces, 0, true)
+	return err
+}
+
+// ParallelReadPiecesAsync is the read-ahead variant of ParallelReadPieces, as
+// ParallelReadAsync is of ParallelRead: the pieces are filled when it returns
+// and the disk is busy until the returned completion time, to which the
+// caller must SyncTo before it consumes them.
+func (h *File) ParallelReadPiecesAsync(off int64, pieces ...[]byte) (completion float64, err error) {
+	return h.parallelRead(off, pieces, 0, false)
+}
+
+// parallelRead is the one read body. With draw > 0 the caller has no
+// destination: pieces is one nil entry, which this rank sets to a pooled
+// buffer of draw bytes in the move step. Drawn there, once every rank has
+// arrived, the buffer can be one a peer gave back on its way to the read (the
+// last stream's arena, say); drawn on arrival, the reads of a checkpoint cycle
+// on real files missed the pool about four times as often.
+func (h *File) parallelRead(off int64, pieces [][]byte, draw int, syncClock bool) (float64, error) {
+	n := h.nprocs
+	size := int64(draw)
+	for _, p := range pieces {
+		size += int64(len(p))
+	}
+	r, err := h.collect("ParallelRead", syncClock,
+		func(r *rendezvous) {
+			if r.nums == nil {
+				r.nums = make([]int64, n)
+			}
+			r.nums[h.rank] = size
+		},
+		func(r *rendezvous) {
+			r.completion = h.f.d.parallel(r.arrivals, r.nums, false)
+		},
+		// One backend read per piece, at a running offset; landed stops at the
+		// first piece that failed.
+		func(*rendezvous) (int64, error) {
+			if draw > 0 {
+				pieces[0] = bufpool.Get(draw)
+			}
+			at := off
+			for _, p := range pieces {
+				if len(p) == 0 {
+					continue
+				}
+				if err := readFull(h.f.b, p, at); err != nil {
+					return at - off, fmt.Errorf("pfs: parallel read %q [%d,+%d): %w", h.f.name, at, len(p), err)
+				}
+				at += int64(len(p))
+			}
+			return at - off, nil
+		},
+		func(r *rendezvous) {
+			h.settle(r, h.fs.met.pread, &h.fs.counters.parallelReads, &h.fs.counters.bytesRead)
+		},
+	)
+	if err != nil {
+		return 0, err
+	}
+	return r.completion, nil
+}
+
 // ParallelRead is the synchronized parallel read: every node supplies the
 // byte range it needs (possibly empty) and receives that range, read by its
 // own goroutine concurrently with the others. All nodes leave at the same
 // virtual time, with the same error. The returned buffer is pool-backed and
 // owned by the caller (bufpool.Put when done is optional).
 func (h *File) ParallelRead(rg Range) ([]byte, error) {
-	b, _, err := h.parallelReadInto(rg, nil, true)
+	b, _, err := h.readRange(rg, nil, true)
 	return b, err
 }
 
@@ -580,7 +675,7 @@ func (h *File) ParallelRead(rg Range) ([]byte, error) {
 // steady state allocates nothing; otherwise (including dst == nil) a
 // pool-backed buffer is returned. Each rank's dst serves only its own range.
 func (h *File) ParallelReadInto(rg Range, dst []byte) ([]byte, error) {
-	b, _, err := h.parallelReadInto(rg, dst, true)
+	b, _, err := h.readRange(rg, dst, true)
 	return b, err
 }
 
@@ -591,56 +686,37 @@ func (h *File) ParallelReadInto(rg Range, dst []byte) ([]byte, error) {
 // must SyncTo the completion time before consuming the bytes (an input
 // stream does this when the prefetched record is read).
 func (h *File) ParallelReadAsync(rg Range) (data []byte, completion float64, err error) {
-	return h.parallelReadInto(rg, nil, false)
+	return h.readRange(rg, nil, false)
 }
 
 // ParallelReadIntoAsync is ParallelReadAsync reading into the caller's
 // buffer, with ParallelReadInto's reuse contract.
 func (h *File) ParallelReadIntoAsync(rg Range, dst []byte) (data []byte, completion float64, err error) {
-	return h.parallelReadInto(rg, dst, false)
+	return h.readRange(rg, dst, false)
 }
 
-func (h *File) parallelReadInto(rg Range, dst []byte, syncClock bool) ([]byte, float64, error) {
-	n := h.nprocs
-	var buf []byte // no data for an empty range, whatever the destination
-	pooled := false
-	r, err := h.collect("ParallelRead", syncClock,
-		func(r *rendezvous) {
-			if r.nums == nil {
-				r.nums = make([]int64, n)
-			}
-			r.nums[h.rank] = int64(rg.Len)
-		},
-		func(r *rendezvous) {
-			r.completion = h.f.d.parallel(r.arrivals, r.nums, false)
-		},
-		func(*rendezvous) (int64, error) {
-			if rg.Len == 0 {
-				return 0, nil
-			}
-			if cap(dst) >= rg.Len {
-				buf = dst[:rg.Len]
-			} else {
-				buf, pooled = bufpool.Get(rg.Len), true
-			}
-			if _, err := io.ReadFull(io.NewSectionReader(h.f.b, rg.Off, int64(rg.Len)), buf); err != nil {
-				return 0, fmt.Errorf("pfs: parallel read %q [%d,+%d): %w", h.f.name, rg.Off, rg.Len, err)
-			}
-			return int64(rg.Len), nil
-		},
-		func(r *rendezvous) {
-			h.settle(r, h.fs.met.pread, &h.fs.counters.parallelReads, &h.fs.counters.bytesRead)
-		},
-	)
+// readRange is the piece-list read of one range: the one piece is dst when it
+// is large enough and a buffer drawn from the pool otherwise, and an empty
+// range has none, whatever the destination.
+func (h *File) readRange(rg Range, dst []byte, syncClock bool) ([]byte, float64, error) {
+	pieces := [][]byte{nil}
+	draw := 0
+	switch {
+	case rg.Len > 0 && cap(dst) >= rg.Len:
+		pieces[0] = dst[:rg.Len]
+	case rg.Len > 0:
+		draw = rg.Len
+	}
+	completion, err := h.parallelRead(rg.Off, pieces, draw, syncClock)
 	if err != nil {
 		// The group failed, on this rank's range or a peer's: what this rank
 		// drew from the pool goes back.
-		if pooled {
-			bufpool.Put(buf)
+		if draw > 0 {
+			bufpool.Put(pieces[0])
 		}
 		return nil, 0, err
 	}
-	return buf, r.completion, nil
+	return pieces[0], completion, nil
 }
 
 // ControlSync is a synchronizing metadata operation (the gopen/eseek-style

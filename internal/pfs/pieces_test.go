@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -140,6 +141,158 @@ func TestParallelAppendPieces(t *testing.T) {
 						t.Errorf("counters %+v, the one-block call's %+v", got.stats, want.stats)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestParallelReadPieces: a range read into pieces fills them with exactly the
+// bytes one buffer over the same range gets, and the group leaves at the same
+// instant with the same disk completion, sync and async, with the same
+// counters — for piece lists shaped like TestParallelAppendPieces', on a flat
+// store and a striped one.
+func TestParallelReadPieces(t *testing.T) {
+	lens := [][][]int{
+		{nil, nil, nil},
+		{{0, 0}, {0}, {0, 0, 0}},
+		{{0, 90, 0, 0, 33, 0}, {17, 0, 210}, {0, 1}},
+		{{100}, {1}, {257}},
+		{{64, 64, 64}, {5, 300, 11}, {129, 1, 63}},
+		{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, {40, 1, 40}, {7}, {}},
+	}
+	stores := []func() BackendFactory{MemFactory, func() BackendFactory { return StripedMemFactory(3, 16) }}
+	for si, factory := range stores {
+		for li, shape := range lens {
+			for _, async := range []bool{false, true} {
+				t.Run(fmt.Sprintf("store %d/shape %d/async=%v", si, li, async), func(t *testing.T) {
+					n := len(shape)
+					// read writes 700 bytes a rank and then makes the collective
+					// read under test: rank r reads the bytes shape[r] sums to
+					// from 3r bytes into its own block, as those pieces or, whole,
+					// as one buffer.
+					read := func(whole bool) ([][]byte, []float64, []float64, IOStats) {
+						fs := NewFileSystem(testProfile(), factory())
+						got, completions := make([][]byte, n), make([]float64, n)
+						clocks := spmdFS(t, fs, n, func(rank int, clock *vtime.Clock) error {
+							h, err := fs.Open("f", n, rank, clock, true)
+							if err != nil {
+								return err
+							}
+							defer h.Close()
+							if _, err := h.ParallelAppend(pieceBytes(rank, 0, 700)); err != nil {
+								return err
+							}
+							fs.ResetStats()
+							var pieces [][]byte
+							size := 0
+							for _, l := range shape[rank] {
+								pieces = append(pieces, bytes.Repeat([]byte{0xEE}, l))
+								size += l
+							}
+							if whole {
+								pieces = [][]byte{make([]byte, size)}
+							}
+							off := int64(rank*700 + rank*3)
+							clock.Advance(float64(rank) * 1e-3)
+							if async {
+								completions[rank], err = h.ParallelReadPiecesAsync(off, pieces...)
+							} else {
+								err = h.ParallelReadPieces(off, pieces...)
+							}
+							got[rank] = bytes.Join(pieces, nil)
+							return err
+						})
+						return got, clocks, completions, fs.Stats()
+					}
+					got, clocks, completions, stats := read(false)
+					want, wantClocks, wantCompletions, wantStats := read(true)
+					for r := range shape {
+						if !bytes.Equal(got[r], want[r]) {
+							t.Errorf("rank %d: the pieces hold other bytes than one buffer over the range", r)
+						}
+						if clocks[r] != wantClocks[r] || completions[r] != wantCompletions[r] {
+							t.Errorf("rank %d left at %v (completion %v), the one-buffer read at %v (%v)",
+								r, clocks[r], completions[r], wantClocks[r], wantCompletions[r])
+						}
+					}
+					if stats != wantStats {
+						t.Errorf("counters %+v, the one-buffer read's %+v", stats, wantStats)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestParallelReadPiecesLandedStopsAtTheFailure: a read whose rank fails on
+// its second piece counts the first, which landed, and nothing after it — a
+// piece after the failed one is not read at all.
+func TestParallelReadPiecesLandedStopsAtTheFailure(t *testing.T) {
+	mem := NewMemBackend()
+	if _, err := mem.WriteAt(pieceBytes(0, 0, 300), 0); err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFileSystem(testProfile(), func(string) (Backend, error) {
+		return &failAt{Backend: mem, bad: []int64{150}}, nil
+	})
+	third := bytes.Repeat([]byte{0xEE}, 100)
+	var err error
+	spmdFS(t, fs, 1, func(rank int, clock *vtime.Clock) error {
+		h, oerr := fs.Open("f", 1, rank, clock, false)
+		if oerr != nil {
+			return oerr
+		}
+		defer h.Close()
+		err = h.ParallelReadPieces(0, make([]byte, 100), make([]byte, 100), third)
+		return nil
+	})
+	if !errors.Is(err, errBad) {
+		t.Fatalf("read over a bad second piece: %v", err)
+	}
+	if st := fs.Stats(); st.BytesRead != 100 || st.ParallelReads != 1 {
+		t.Errorf("counted %d bytes in %d reads, want the first piece's 100 in 1", st.BytesRead, st.ParallelReads)
+	}
+	if !bytes.Equal(third, bytes.Repeat([]byte{0xEE}, 100)) {
+		t.Error("the piece after the failed one was read")
+	}
+}
+
+// stingyReader serves at most max bytes a call, with no error for a short
+// call that is not at the end: what io.ReaderAt allows a reader to do only
+// with an error, and what io.ReadFull over a section reader resumes anyway.
+type stingyReader struct {
+	data []byte
+	max  int
+}
+
+func (s stingyReader) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(s.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), s.max)], s.data[off:])
+	if n < len(p) && off+int64(n) == int64(len(s.data)) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// TestReadFullMatchesSectionReader: readFull, which the reads of the file
+// system make without a section reader, fills the same bytes and reports the
+// same error as io.ReadFull over io.NewSectionReader — whole reads, resumed
+// short ones, reads that run off the end part way (io.ErrUnexpectedEOF) and
+// reads that start past it (io.EOF).
+func TestReadFullMatchesSectionReader(t *testing.T) {
+	data := pieceBytes(1, 2, 100)
+	for _, max := range []int{1, 7, 100, 1000} {
+		for _, off := range []int64{0, 3, 60, 99, 100, 130} {
+			for _, n := range []int{0, 1, 40, 100} {
+				r := stingyReader{data: data, max: max}
+				got, want := make([]byte, n), make([]byte, n)
+				err := readFull(r, got, off)
+				_, wantErr := io.ReadFull(io.NewSectionReader(r, off, int64(n)), want)
+				if err != wantErr || !bytes.Equal(got, want) {
+					t.Errorf("max %d, %d bytes at %d: (%v, %v), the section reader (%v, %v)", max, n, off, got, err, want, wantErr)
+				}
 			}
 		}
 	}
@@ -331,12 +484,13 @@ func (b *nullBackend) Close() error                            { return nil }
 
 // TestAppendAndFanoutAllocPins: what a rendezvous in which every rank moves
 // its own block costs — the rendezvous, its arrivals and its one []int64
-// (offsets then sizes, or sizes), the disk model's channel loads, for a read
-// the section reader, and nothing else: no piece list, signal, per-rank error
-// or landed-count slice, name or closure (a one-piece append 4, a three-piece
-// one 4, a read into the caller's buffer 5, a ControlSync 2) — and what the
-// fan-out's one state value buys: a striped write over w children is that
-// value and one goroutine start per child beyond the caller's.
+// (offsets then sizes, or sizes), the disk model's channel loads, and nothing
+// else: no piece list, reader, signal, per-rank error or landed-count slice,
+// name or closure (a one-piece append 4, a three-piece one 4, a read into the
+// caller's buffer 4, a three-piece read 4, a ControlSync 2; an independent
+// read, untraced, nothing) — and what the fan-out's one state value buys: a
+// striped write over w children is that value and one goroutine start per
+// child beyond the caller's.
 func TestAppendAndFanoutAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins stand down under -race")
@@ -356,7 +510,9 @@ func TestAppendAndFanoutAllocPins(t *testing.T) {
 	}{
 		{"one-piece ParallelAppend", 4, func() error { _, err := h.ParallelAppend(block); return err }},
 		{"three-piece ParallelAppend", 4, func() error { _, err := h.ParallelAppend(head, nil, tail); return err }},
-		{"ParallelReadInto", 5, func() error { _, err := h.ParallelReadInto(Range{Len: len(block)}, block); return err }},
+		{"ParallelReadInto", 4, func() error { _, err := h.ParallelReadInto(Range{Len: len(block)}, block); return err }},
+		{"three-piece ParallelReadPieces", 4, func() error { return h.ParallelReadPieces(0, head, nil, tail) }},
+		{"ReadAt", 0, func() error { return h.ReadAt(block, 0) }},
 		{"ControlSync", 2, h.ControlSync},
 	} {
 		if avg := testing.AllocsPerRun(200, func() {

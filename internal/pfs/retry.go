@@ -78,7 +78,7 @@ func retryAt(b Backend, write bool, p []byte, off int64, fs *FileSystem) (int, e
 // resilientBackend is the retry layer the file system slips between itself
 // and whatever the factory produced. Transient faults (chaos injection,
 // short transfers) are absorbed here, so every caller above — independent
-// reads/writes, parallel appends, section readers — sees either a complete
+// reads/writes, parallel appends and reads — sees either a complete
 // transfer or a clean non-transient error. Note the wrap order with the
 // fault injectors: InjectFault's FaultyBackend wraps *outside* this layer,
 // so its permanent faults are deliberately not retried, while a chaos
