@@ -23,7 +23,9 @@ import (
 // (the per-element-buffer interleave group of PR 12's HEAD). The channel
 // frames are taken where they are the contract — on the wire, by a transport
 // tap — so the entries pin what a consumer is sent, not a field of the
-// producer. The images must never be regenerated to make a failing change
+// producer. The entries of the uneven 3→2 channels came later, from the
+// commit before a channel's first insert was encoded straight into its
+// frames. The images must never be regenerated to make a failing change
 // pass:
 //
 //	go test ./internal/dstream -run 'TestGolden' -update-golden
@@ -109,35 +111,74 @@ func goldenImage(t *testing.T, kind string, shape int, strat Strategy) []byte {
 	return img
 }
 
-// goldenFrames pushes the same records through a 2→2 channel (BLOCK to
-// CYCLIC, so every frame is a redistribution) and returns every data frame
-// the producers put on the wire — a copy taken as it is handed to the
-// transport, whatever the producer does with its buffers before or after —
+// goldenChannel is a channel the golden frames are taken on: prods producers
+// in layout wd feeding cons consumers in layout rd, on a machine of
+// prods+cons ranks, so that no rank is both.
+type goldenChannel struct {
+	key         string // the first field of its entries' keys
+	prods, cons int
+	shapes      []int
+	wd, rd      func() (*distr.Distribution, error)
+}
+
+// goldenOwners is an explicit layout of the golden collection over nprocs
+// ranks: owners(g) owns element g.
+func goldenOwners(nprocs int, owners func(g int) int) func() (*distr.Distribution, error) {
+	return func() (*distr.Distribution, error) {
+		tbl := make([]int, goldenElems)
+		for g := range tbl {
+			tbl[g] = owners(g)
+		}
+		return distr.NewExplicit(tbl, nprocs)
+	}
+}
+
+// goldenChannels: a 2→2 channel from BLOCK to CYCLIC, so every frame is a
+// redistribution; and two uneven 3→2 channels whose producers own elements
+// by an explicit table under which producer 0 owns none. Under the first,
+// both consumers own elements, so producer 0 sends nothing at all; under the
+// second, consumer 0 owns none, so producer 0 sends it the empty pacing
+// frame every record while the other two send all their data to consumer 1.
+var goldenChannels = []goldenChannel{
+	{key: "chan", prods: 2, cons: 2, shapes: goldenShapes,
+		wd: func() (*distr.Distribution, error) { return goldenDist("block", 2) },
+		rd: func() (*distr.Distribution, error) { return goldenDist("cyclic", 2) }},
+	{key: "chan3x2/explicit", prods: 3, cons: 2, shapes: []int{1, 2},
+		wd: func() (*distr.Distribution, error) { return goldenDist("explicit", 3) },
+		rd: goldenOwners(2, func(g int) int { return g / 2 % 2 })},
+	{key: "chan3x2/idle", prods: 3, cons: 2, shapes: []int{1, 2},
+		wd: func() (*distr.Distribution, error) { return goldenDist("explicit", 3) },
+		rd: goldenOwners(2, func(int) int { return 1 })},
+}
+
+// goldenFrames pushes the same records through channel ch and returns every
+// data frame the producers put on the wire — a copy taken as it is handed to
+// the transport, whatever the producer does with its buffers before or after —
 // keyed by producer, record and destination.
-func goldenFrames(t *testing.T, shape int) map[string][]byte {
+func goldenFrames(t *testing.T, ch goldenChannel, shape int) map[string][]byte {
 	t.Helper()
-	const prods = 2
+	prods, cons := ch.prods, ch.cons
 	recs := map[[2]int]int{} // (from, to) → data frames seen
 	frames := map[string][]byte{}
 	tap := &sendTap{each: func(m comm.Message) error {
 		if m.From < prods && m.To >= prods && isDataFrame(m) {
 			pair := [2]int{m.From, m.To}
-			key := fmt.Sprintf("chan/%d/p%d/r%d/c%d", shape, m.From, recs[pair], m.To-prods)
+			key := fmt.Sprintf("%s/%d/p%d/r%d/c%d", ch.key, shape, m.From, recs[pair], m.To-prods)
 			recs[pair]++
 			frames[key] = append([]byte(nil), m.Data...)
 		}
 		return nil
 	}}
-	tappedRun(t, 4, tap, func(n *machine.Node) error {
-		wd, err := goldenDist("block", 2)
+	tappedRun(t, prods+cons, tap, func(n *machine.Node) error {
+		wd, err := ch.wd()
 		if err != nil {
 			return err
 		}
-		rd, err := goldenDist("cyclic", 2)
+		rd, err := ch.rd()
 		if err != nil {
 			return err
 		}
-		if n.Rank() >= 2 {
+		if n.Rank() >= prods {
 			r, err := OpenChannelInput(n, rd, wd, "g")
 			if err != nil {
 				return err
@@ -215,9 +256,11 @@ func TestGoldenInsertGroupBytes(t *testing.T) {
 			}
 		}
 	}
-	for _, shape := range goldenShapes {
-		for k, v := range goldenFrames(t, shape) {
-			got[k] = v
+	for _, ch := range goldenChannels {
+		for _, shape := range ch.shapes {
+			for k, v := range goldenFrames(t, ch, shape) {
+				got[k] = v
+			}
 		}
 	}
 	if *updateGolden {
