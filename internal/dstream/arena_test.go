@@ -228,103 +228,159 @@ func TestArenaReleasedOnFailedWriteAndClose(t *testing.T) {
 }
 
 // TestChannelArenaReleased is the same account for the producer end of a
-// channel: Write returns the arenas, and so does Close with inserts pending.
+// channel, whose group's first insert is encoded straight into one frame per
+// consumer: the group holds those frames and an arena per later insert; Write
+// sends the frames and returns the arenas; Close with inserts pending returns
+// them all.
 func TestChannelArenaReleased(t *testing.T) {
-	chanRun(t, 1, nil, func(n *machine.Node) error {
-		d, err := distr.New(16, 1, distr.Block, 0)
-		if err != nil {
-			return err
-		}
-		r, err := OpenChannelInput(n, d, d, "acct")
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		s, err := OpenChannel(n, d, d, "acct")
-		if err != nil {
-			return err
-		}
-		base := bufpool.Stats().Outstanding
-		insert := func() error {
-			return s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, 50)) })
-		}
-		if err := insert(); err != nil {
-			return err
-		}
-		if err := insert(); err != nil {
-			return err
-		}
-		if err := s.Write(); err != nil {
-			return err
-		}
-		// What is out now is the frame in the loopback consumer's mailbox.
-		if got := bufpool.Stats().Outstanding; got != base+1 {
-			return fmt.Errorf("%d pooled buffers held after Write, want the one frame in flight", got-base)
-		}
-		if err := insert(); err != nil {
-			return err
-		}
-		if err := s.Close(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("Close with pending inserts: %v, want ErrOrder", err)
-		}
-		// The data frame and the EOF frame are the consumer's to release.
-		if got := bufpool.Stats().Outstanding; got != base+2 {
-			return fmt.Errorf("%d pooled buffers held after Close, want the two frames in flight", got-base)
-		}
-		return nil
-	})
+	const consumers = 2
+	for _, shape := range []int{1, 2} {
+		t.Run(fmt.Sprintf("inserts=%d", shape), func(t *testing.T) {
+			chanRun(t, 1+consumers, nil, func(n *machine.Node) error {
+				if n.Rank() != 0 {
+					return nil // what reaches a mailbox stays there until the machine stops
+				}
+				wd, _ := distr.New(16, 1, distr.Block, 0)
+				rd, _ := distr.New(16, consumers, distr.Cyclic, 0)
+				s, err := OpenChannel(n, wd, rd, "acct")
+				if err != nil {
+					return err
+				}
+				base := bufpool.Stats().Outstanding
+				group := func() error {
+					for i := 0; i < shape; i++ {
+						if err := s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, 50)) }); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				held := int64(consumers + shape - 1)
+				if err := group(); err != nil {
+					return err
+				}
+				if got := bufpool.Stats().Outstanding - base; got != held {
+					return fmt.Errorf("%d pooled buffers held by a group of %d inserts, want %d frames and %d arenas",
+						got, shape, consumers, shape-1)
+				}
+				if err := s.Write(); err != nil {
+					return err
+				}
+				// What is out now is the frames in the consumers' mailboxes.
+				if got := bufpool.Stats().Outstanding - base; got != consumers {
+					return fmt.Errorf("%d pooled buffers held after Write, want the %d frames in flight", got, consumers)
+				}
+				if err := group(); err != nil {
+					return err
+				}
+				if got := bufpool.Stats().Outstanding - base; got != consumers+held {
+					return fmt.Errorf("%d pooled buffers held with a group pending, want %d", got, consumers+held)
+				}
+				if err := s.Close(); !errors.Is(err, ErrOrder) {
+					return fmt.Errorf("Close with pending inserts: %v, want ErrOrder", err)
+				}
+				// The data frames and the EOF frames are the consumers' to release.
+				if got := bufpool.Stats().Outstanding - base; got != 2*consumers {
+					return fmt.Errorf("%d pooled buffers held after Close, want the %d frames in flight", got, 2*consumers)
+				}
+				return nil
+			})
+		})
+	}
 }
 
 // TestSizeOverflowIsAnError: an insert whose arena, or a group whose
 // interleaved element, would not fit the size table's u32 fails cleanly
-// instead of storing a wrapped size. The format's limit is 4 GiB; the test
-// lowers the group's copy of it.
+// instead of storing a wrapped size, on a file stream and on a channel, whose
+// first insert is encoded into its frames. The format's limit is 4 GiB; the
+// test lowers the group's copy of it.
 func TestSizeOverflowIsAnError(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d, err := distr.New(4, 1, distr.Block, 0)
-		if err != nil {
-			return err
-		}
-		base := bufpool.Stats().Outstanding
-		insert := func(s *OStream, size int) error {
-			return s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, size)) })
-		}
-
-		// One insert past the limit: 4 × 300 bytes against 1000.
-		s, err := Open(n, d, "arena")
-		if err != nil {
-			return err
-		}
-		s.maxBytes = 1000
-		if err := insert(s, 300); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("oversize insert: %v, want ErrOrder", err)
-		}
-		if err := s.Write(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("the failure is not sticky: Write returned %v", err)
-		}
-		s.Close()
-
-		// Each insert fits, one element across the group does not.
-		s, err = Open(n, d, "elem")
-		if err != nil {
-			return err
-		}
-		s.maxBytes = 1000
-		for i := 0; i < 5; i++ {
-			if err := insert(s, 240); err != nil { // 960 B an insert, 1200 B an element
-				return err
+	type end interface {
+		InsertFunc(fill func(local int, e *Encoder)) error
+		Write() error
+		Close() error
+	}
+	ends := []struct {
+		name  string
+		ranks int
+		open  func(n *machine.Node, name string) (end, *assembler, error)
+	}{
+		{"file", 1, func(n *machine.Node, name string) (end, *assembler, error) {
+			d, err := distr.New(4, 1, distr.Block, 0)
+			if err != nil {
+				return nil, nil, err
 			}
-		}
-		if err := s.Write(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("oversize element group: Write returned %v, want ErrOrder", err)
-		}
-		s.Close()
-		if got := bufpool.Stats().Outstanding; got != base {
-			return fmt.Errorf("%d pooled buffers still held after the rejected groups", got-base)
-		}
-		return nil
-	})
+			s, err := Open(n, d, name)
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, &s.assembler, nil
+		}},
+		// One producer, two consumers that never read: two frames a group.
+		{"channel", 3, func(n *machine.Node, name string) (end, *assembler, error) {
+			wd, _ := distr.New(4, 1, distr.Block, 0)
+			rd, _ := distr.New(4, 2, distr.Cyclic, 0)
+			s, err := OpenChannel(n, wd, rd, name)
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, &s.assembler, nil
+		}},
+	}
+	for _, e := range ends {
+		t.Run(e.name, func(t *testing.T) {
+			fs := pfs.NewMemFS(vtime.Challenge())
+			run(t, e.ranks, fs, func(n *machine.Node) error {
+				if n.Rank() != 0 {
+					return nil
+				}
+				base := bufpool.Stats().Outstanding
+				insert := func(s end, size int) error {
+					return s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, size)) })
+				}
+
+				// One insert past the limit: 4 × 300 bytes against 1000.
+				s, a, err := e.open(n, "arena")
+				if err != nil {
+					return err
+				}
+				a.maxBytes = 1000
+				if err := insert(s, 300); !errors.Is(err, ErrOrder) {
+					return fmt.Errorf("oversize insert: %v, want ErrOrder", err)
+				}
+				if got := bufpool.Stats().Outstanding; got != base {
+					return fmt.Errorf("%d pooled buffers still held after the rejected insert", got-base)
+				}
+				if err := s.Write(); !errors.Is(err, ErrOrder) {
+					return fmt.Errorf("the failure is not sticky: Write returned %v", err)
+				}
+				s.Close()
+
+				// Each insert fits, one element across the group does not.
+				s, a, err = e.open(n, "elem")
+				if err != nil {
+					return err
+				}
+				a.maxBytes = 1000
+				for i := 0; i < 5; i++ {
+					if err := insert(s, 240); err != nil { // 960 B an insert, 1200 B an element
+						return err
+					}
+				}
+				if err := s.Write(); !errors.Is(err, ErrOrder) {
+					return fmt.Errorf("oversize element group: Write returned %v, want ErrOrder", err)
+				}
+				if got := bufpool.Stats().Outstanding; got != base {
+					return fmt.Errorf("%d pooled buffers still held after the rejected group", got-base)
+				}
+				s.Close()
+				if got := bufpool.Stats().Outstanding; got != base {
+					return fmt.Errorf("%d pooled buffers still held after the rejected groups", got-base)
+				}
+				return nil
+			})
+		})
+	}
 }
 
 // TestChannelDeliversWhatTheFileStores: for each group shape, what a 2→2

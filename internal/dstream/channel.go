@@ -36,13 +36,17 @@ import (
 //
 // # Redistribution
 //
-// Each Write turns the interleave group into one frame per consumer that
-// owns at least one of this rank's elements, packed exactly like the
-// two-phase shuffle: (u32 global, u32 len, payload)* with the group's
-// arrays interleaved element-major inside the payload. When M ≠ N or the
-// layouts differ, the frames ARE the redistribution — every element flows
-// straight from its producer to the rank that owns it under the consumer
-// distribution, and Read places it by local index.
+// A record leaves as one frame per consumer that owns at least one of this
+// rank's elements, packed exactly like the two-phase shuffle: (u32 global,
+// u32 len, payload)* with the group's arrays interleaved element-major
+// inside the payload. Every element's destination is fixed at open, so the
+// frames are built as the group is inserted: the first insert encodes each
+// element straight into the frame of the consumer that owns it, behind its
+// prefix, and a group of several inserts is interleaved into fresh frames at
+// Write. When M ≠ N or the layouts differ, the frames ARE the
+// redistribution — every element flows straight from its producer to the
+// rank that owns it under the consumer distribution, and Read places it by
+// local index.
 //
 // # Flow control
 //
@@ -147,14 +151,73 @@ type chanDest struct {
 	cons  int // consumer group rank
 	rank  int // machine rank
 	count int // elements routed there per record (0 = pacing-marker destination)
-	// frame is this consumer's frame of the record Write is sending: a pooled
-	// buffer of exactly the frame's length, filled up to at. It is nil between
-	// writes — a frame that was sent is the consumer's.
+	// frame is this consumer's frame of the record being assembled: a pooled
+	// buffer, its header reserved, that the group's first insert is encoded
+	// into. It is held from that insert until Write sends it, and nil
+	// otherwise — a frame that was sent is the consumer's.
 	frame []byte
-	at    int
+	// hint is the length of this consumer's frame of the previous record;
+	// zero before the first.
+	hint int
+	// at is interleave's read cursor in frame.
+	at int
 	// outstanding is the frame bytes sent and not yet credited back — the
 	// producer side of the credit window.
 	outstanding int64
+}
+
+// chanFrames is a producer's frame plan — the destinations, and which one
+// each local element belongs to — and the frames of the record being
+// assembled. The assembler encodes the group's first insert through it.
+type chanFrames struct {
+	dests    []chanDest
+	elemDest []int // local element → index into dests
+	start    int   // where the element being encoded starts in its frame
+	total    int   // payload bytes of the insert so far
+}
+
+// beginFrames takes one pooled frame per destination, as long as its frame
+// of the previous record, with the header reserved; Write stamps it.
+func (f *chanFrames) beginFrames() {
+	for i := range f.dests {
+		d := &f.dests[i]
+		d.frame = bufpool.GetCap(max(d.hint, chanFrameHeaderLen))[:chanFrameHeaderLen]
+	}
+	f.total = 0
+}
+
+// enter points e at the frame element l goes to, behind the element's
+// prefix: its global index g, and a length land fills in.
+func (f *chanFrames) enter(e *Encoder, l, g int) {
+	e.Adopt(f.dests[f.elemDest[l]].frame)
+	e.Uint32(uint32(g))
+	e.Uint32(0)
+	f.start = e.Mark()
+}
+
+// land closes element l, which ends at end in its frame: its length goes
+// into its prefix, and the frame, wherever e moved it to, back to its
+// destination. A destination with no previous record to go by takes the rest
+// of its elements to be like its first, as an arena does. It returns where
+// the element would end were the insert one arena.
+func (f *chanFrames) land(e *Encoder, l, end int) int {
+	sz := end - f.start
+	d := &f.dests[f.elemDest[l]]
+	if d.hint == 0 && f.start == chanFrameHeaderLen+8 {
+		e.Reserve(min(chanFrameHeaderLen+d.count*(8+sz), bufpool.MaxClass) - end)
+	}
+	d.frame = e.Detach()
+	binary.LittleEndian.PutUint32(d.frame[f.start-4:], uint32(sz))
+	f.total += sz
+	return f.total
+}
+
+// dropFrames releases the frames still held: begun, and not sent.
+func (f *chanFrames) dropFrames() {
+	for i := range f.dests {
+		bufpool.Put(f.dests[i].frame)
+		f.dests[i].frame = nil
+	}
 }
 
 // chanSrc is one producer a consumer receives frames from.
@@ -167,17 +230,17 @@ type chanSrc struct {
 // OChannel is the producer end of a stream-to-stream channel: an OStream
 // whose records leave over the interconnect instead of landing in a file. In
 // the record pipeline (DESIGN.md) it is the assembler — Insert fills the
-// interleave group exactly as on a file stream — plus the frame sink: Write
-// routes the group to the consumers as one frame per destination.
+// interleave group exactly as on a file stream, its first insert straight
+// into the frames — plus the frame sink: Write sends the group to the
+// consumers as one frame per destination.
 type OChannel struct {
 	assembler
+	chanFrames
 	peer    *distr.Distribution // consumer layout
 	window  int64
 	dataTag uint64
 	credTag uint64
-
-	dests    []chanDest
-	elemDest []int // local element → index into dests
+	built   [][]byte // interleave's new frames, parallel to dests
 
 	cmet *chanMetrics
 }
@@ -211,6 +274,7 @@ func OpenChannel(node *machine.Node, d, peer *distr.Distribution, name string, o
 	}
 	s.dataTag, s.credTag = chanTags(node, "out", name)
 	s.buildRouting()
+	s.frames = &s.chanFrames
 	return s, nil
 }
 
@@ -247,11 +311,11 @@ func (s *OChannel) buildRouting() {
 	}
 }
 
-// Write flushes the current interleave group as one record: the group's
-// arrays are interleaved element-major (as on disk, so extractors see the
-// same layout), each element is routed to the consumer that owns it, and
-// one frame per destination goes out over the mailbox rings, gated by the
-// credit window.
+// Write flushes the current interleave group as one record: one frame per
+// destination, each element in the frame of the consumer that owns it with
+// the group's arrays interleaved element-major (as on disk, so extractors
+// see the same layout), goes out over the mailbox rings, gated by the credit
+// window.
 func (s *OChannel) Write() error {
 	w, err := s.beginWrite()
 	if err != nil {
@@ -260,37 +324,25 @@ func (s *OChannel) Write() error {
 	return s.endWrite(w, s.sendFrames(w))
 }
 
-// sendFrames is the frame sink: every frame sized from the size table, the
-// group routed element by element into one exactly-sized pooled buffer per
-// destination, then each buffer given to the transport (an owned send: the
-// consumer releases it) once its consumer's window has room for it. A frame a
-// failed Write did not send goes back to the pool here.
+// sendFrames is the frame sink. The frames are the ones the group's first
+// insert was encoded into — interleaved into fresh ones first when the group
+// has more inserts — so what is left is to stamp each header and give each
+// frame to the transport (an owned send: the consumer releases it) once its
+// consumer's window has room for it. A frame a failed Write did not send goes
+// back to the pool here.
 func (s *OChannel) sendFrames(w flush) error {
-	// at adds up each frame's length first, and is its write cursor after.
-	for i := range s.dests {
-		s.dests[i].at = chanFrameHeaderLen
+	if w.arrays > 1 {
+		s.interleave(w)
 	}
-	for l, sz := range w.sizes {
-		s.dests[s.elemDest[l]].at += 8 + int(sz)
-	}
+	s.inserts[0].framed = false // the frames are the sink's now
+	s.release()
 	for i := range s.dests {
 		d := &s.dests[i]
-		d.frame = bufpool.Get(d.at)
+		d.hint = len(d.frame)
 		binary.LittleEndian.PutUint32(d.frame[0:], 0)
 		binary.LittleEndian.PutUint32(d.frame[4:], uint32(w.arrays))
 		binary.LittleEndian.PutUint32(d.frame[8:], uint32(d.count))
-		d.at = chanFrameHeaderLen
 	}
-	for l, sz := range w.sizes {
-		d := &s.dests[s.elemDest[l]]
-		binary.LittleEndian.PutUint32(d.frame[d.at:], uint32(s.dist.GlobalIndex(s.rank, l)))
-		binary.LittleEndian.PutUint32(d.frame[d.at+4:], sz)
-		d.at += 8
-		for i := range s.inserts {
-			d.at += copy(d.frame[d.at:], s.inserts[i].elem(l))
-		}
-	}
-	s.release()
 	s.node.CopyCost(int64(w.bytes) + int64(8*len(w.sizes)))
 
 	ep := s.node.Comm().Endpoint()
@@ -321,11 +373,46 @@ func (s *OChannel) sendFrames(w flush) error {
 	return nil
 }
 
-// dropFrames releases the frames still held: built, and not sent.
-func (s *OChannel) dropFrames() {
+// interleave rebuilds the frames of a group of several inserts element-major,
+// each into one exactly-sized pooled buffer: an element's bytes of the first
+// insert, read out of the frame they were encoded into, then its bytes of
+// every later insert, out of their arenas. The old frames go back to the
+// pool.
+func (s *OChannel) interleave(w flush) {
+	if cap(s.built) < len(s.dests) {
+		s.built = make([][]byte, len(s.dests))
+	}
+	built := s.built[:len(s.dests)]
+	// at adds up each new frame's length first, and is the read cursor in
+	// the old one after.
 	for i := range s.dests {
-		bufpool.Put(s.dests[i].frame)
-		s.dests[i].frame = nil
+		s.dests[i].at = chanFrameHeaderLen
+	}
+	for l, sz := range w.sizes {
+		s.dests[s.elemDest[l]].at += 8 + int(sz)
+	}
+	for i := range s.dests {
+		d := &s.dests[i]
+		built[i] = bufpool.GetCap(d.at)[:chanFrameHeaderLen]
+		d.at = chanFrameHeaderLen
+	}
+	first := s.inserts[0].offs
+	for l, sz := range w.sizes {
+		i := s.elemDest[l]
+		d := &s.dests[i]
+		next := d.at + 8 + int(first[l+1]-first[l])
+		f := append(built[i], d.frame[d.at:d.at+4]...) // the global index
+		f = binary.LittleEndian.AppendUint32(f, sz)
+		f = append(f, d.frame[d.at+8:next]...)
+		for _, in := range s.inserts[1:] {
+			f = append(f, in.elem(l)...)
+		}
+		built[i], d.at = f, next
+	}
+	for i := range s.dests {
+		d := &s.dests[i]
+		bufpool.Put(d.frame)
+		d.frame, built[i] = built[i], nil
 	}
 }
 
