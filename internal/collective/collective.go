@@ -15,8 +15,8 @@
 // bit for bit — the deterministic completion time of the slowest participant
 // plus the operation's communication cost. (Bcast alone is one-way: a rank
 // that enters it after that instant leaves when it entered.) A communicator
-// has one shape, fixed by New from the group size (see flatMax); both shapes
-// keep this contract.
+// has one shape, the fan-out of the tree its rooted operations run on, fixed
+// by New from the group size (see flatMax).
 package collective
 
 import (
@@ -47,9 +47,9 @@ func tag(kind, seq uint64, sub int) uint64 {
 type Comm struct {
 	ep  *comm.Endpoint
 	seq uint64
-	// fanout is the communicator's shape: zero is the flat exchange, k >= 2
-	// the k-ary tree of shard.go. New sets it once from the group size, which
-	// every rank sees alike.
+	// fanout is the communicator's shape: zero is the flat exchange (the
+	// tree of shard.go one level deep), k >= 2 the k-ary tree. New sets it
+	// once from the group size, which every rank sees alike.
 	fanout int
 
 	// Observability. mon is inherited from the endpoint; ops caches the
@@ -162,151 +162,28 @@ func decodeTime(b []byte) float64 {
 
 // releaseTime computes the equalized exit timestamp for a root about to
 // release the group with a message of size bytes: the latest arrival time
-// any receiver will compute, the root's direct peers on the flat shape,
-// every node of the tree its children forward the release down otherwise.
+// any node of the tree will compute as the release is forwarded down.
 func (c *Comm) releaseTime(size int) float64 {
-	k := c.fanout
-	if k == 0 {
-		k = c.Size() - 1 // the flat exchange is the tree one level deep
-	}
 	p := c.ep.Profile()
-	return lastArrival(&p, 0, k, c.Size(), c.ep.Clock().Now(), vtime.TransferTime(int64(size), p.MsgBW))
+	return lastArrival(&p, 0, c.k(), c.Size(), c.ep.Clock().Now(), vtime.TransferTime(int64(size), p.MsgBW))
 }
 
 // lastArrival returns the latest instant at which a message that virtual
 // rank v of the k-ary tree over n ranks holds at instant t, and forwards to
-// its children at once, has reached all of v's subtree. The loop replicates, operation
-// for operation, the floating-point arithmetic performed by Endpoint.Send
+// its children at once, has reached all of v's subtree. The loop replicates,
+// operation for operation, the floating-point arithmetic performed by Endpoint.Send
 // (repeated Advance) and Endpoint.Recv (arrival = sendTime + latency +
 // transfer), so that the timestamp carried in the release payload is exactly
 // the maximum of the receivers' locally computed arrival times — bit-equal
 // clock equalization, not merely approximate.
 func lastArrival(p *vtime.Profile, v, k, n int, t, transfer float64) float64 {
 	last := t
-	for i := 0; i < k; i++ {
-		ch := kchild(v, i, k, n)
-		if ch < 0 {
-			break
-		}
+	first, end := children(v, k, n)
+	for ch := first; ch < end; ch++ {
 		t += p.SendOverhead
 		last = max(last, lastArrival(p, ch, k, n, t+p.MsgLatency+transfer, transfer))
 	}
 	return last
-}
-
-// Barrier blocks until all ranks arrive. Every rank leaves at the same
-// virtual time.
-func (c *Comm) Barrier() error {
-	done, sid := c.instrumentSpan("barrier")
-	defer done()
-	seq := c.next()
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	if c.sharded() {
-		return c.barrierKary(seq)
-	}
-	me := c.Rank()
-	// Span-level fan-in/fan-out: each rank's barrier span is linked to the
-	// root's — arrivals point at the root, releases point back out — so the
-	// causal graph shows the synchronization funnel directly, on top of the
-	// per-message edges the endpoint records underneath.
-	rec := c.mon.Recorder()
-	if me == 0 {
-		for r := 1; r < n; r++ {
-			if _, err := c.ep.Recv(r, tag(kindBarrier, seq, 0)); err != nil {
-				return fmt.Errorf("collective: barrier gather: %w", err)
-			}
-			rec.FlowIn(dsmon.FlowKey{Kind: "barrier-arrive", A: r, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
-		}
-		rel := c.releaseTime(8)
-		payload := c.timeFrame(rel)
-		for r := 1; r < n; r++ {
-			if err := c.ep.SendOnce(r, tag(kindBarrier, seq, 1), payload); err != nil {
-				return fmt.Errorf("collective: barrier release: %w", err)
-			}
-			rec.FlowOut(dsmon.FlowKey{Kind: "barrier-release", A: 0, B: r, Tag: tag(kindBarrier, seq, 1)}, sid)
-		}
-		c.ep.Clock().SyncTo(rel)
-		return nil
-	}
-	if err := c.ep.SendOnce(0, tag(kindBarrier, seq, 0), nil); err != nil {
-		return fmt.Errorf("collective: barrier arrive: %w", err)
-	}
-	rec.FlowOut(dsmon.FlowKey{Kind: "barrier-arrive", A: me, B: 0, Tag: tag(kindBarrier, seq, 0)}, sid)
-	d, err := c.ep.Recv(0, tag(kindBarrier, seq, 1))
-	if err != nil {
-		return fmt.Errorf("collective: barrier release: %w", err)
-	}
-	rec.FlowIn(dsmon.FlowKey{Kind: "barrier-release", A: 0, B: me, Tag: tag(kindBarrier, seq, 1)}, sid)
-	c.ep.Clock().SyncTo(decodeTime(d))
-	bufpool.Put(d)
-	return nil
-}
-
-// Bcast distributes root's data to every rank and returns it (the root
-// returns its own slice). All ranks that were waiting for it leave at the
-// same virtual time.
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	d, _, err := c.bcastFrame(root, data)
-	return d, err
-}
-
-// bcastFrame is Bcast, returning beside the payload the pooled frame it lives
-// in (nil where the payload is the caller's own data), so that a caller which
-// copies the payload out can give the frame back.
-func (c *Comm) bcastFrame(root int, data []byte) (payload, frame []byte, err error) {
-	defer c.instrument("bcast")()
-	seq := c.next()
-	n := c.Size()
-	if root < 0 || root >= n {
-		return nil, nil, fmt.Errorf("collective: bcast root %d out of range", root)
-	}
-	if n == 1 {
-		return data, nil, nil
-	}
-	if c.sharded() {
-		return c.bcastKary(seq, root, data)
-	}
-	if c.Rank() == root {
-		// 8-byte equalization prefix + payload, assembled in a pooled frame
-		// every peer but the last is sent a copy of; the last is given the
-		// frame itself.
-		rel := c.releaseTime(8 + len(data))
-		payload := append(appendTime(bufpool.GetCap(8+len(data)), rel), data...)
-		last := n - 1
-		if last == root {
-			last--
-		}
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			var err error
-			if r == last {
-				err = c.ep.SendOnceOwned(r, tag(kindBcast, seq, 0), payload)
-			} else {
-				err = c.ep.SendOnce(r, tag(kindBcast, seq, 0), payload)
-			}
-			if err != nil {
-				bufpool.Put(payload)
-				return nil, nil, fmt.Errorf("collective: bcast send: %w", err)
-			}
-		}
-		c.ep.Clock().SyncTo(rel)
-		return data, nil, nil
-	}
-	d, err := c.ep.Recv(root, tag(kindBcast, seq, 0))
-	if err != nil {
-		return nil, nil, fmt.Errorf("collective: bcast recv: %w", err)
-	}
-	if len(d) < 8 {
-		bufpool.Put(d)
-		return nil, nil, fmt.Errorf("collective: bcast short frame (%d bytes)", len(d))
-	}
-	c.ep.Clock().SyncTo(decodeTime(d[:8]))
-	return d[8:], d, nil
 }
 
 // RootError is root's own failure as Rooted reports it on every rank: the
@@ -348,40 +225,6 @@ func (c *Comm) Rooted(root int, act func() ([]byte, error)) (payload, frame []by
 	return nil, nil, err
 }
 
-// Gather collects each rank's data at root. At root the result has Size()
-// entries in rank order (root's own entry aliases data); other ranks get
-// nil. Gather does not synchronize the senders.
-func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	defer c.instrument("gather")()
-	seq := c.next()
-	n := c.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: gather root %d out of range", root)
-	}
-	if c.sharded() {
-		return c.gatherKary(seq, root, data)
-	}
-	if c.Rank() != root {
-		if err := c.ep.SendOnce(root, tag(kindGather, seq, 0), data); err != nil {
-			return nil, fmt.Errorf("collective: gather send: %w", err)
-		}
-		return nil, nil
-	}
-	out := make([][]byte, n)
-	out[root] = data
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		d, err := c.ep.Recv(r, tag(kindGather, seq, 0))
-		if err != nil {
-			return nil, fmt.Errorf("collective: gather recv from %d: %w", r, err)
-		}
-		out[r] = d
-	}
-	return out, nil
-}
-
 // Allgather collects every rank's data on every rank: a gather at rank 0 and
 // a broadcast of the concatenation, which synchronizes everyone. The parts
 // alias frame, the pooled buffer the broadcast arrived in (nil on rank 0,
@@ -411,43 +254,6 @@ func (c *Comm) Allgather(data []byte) (parts [][]byte, frame []byte, err error) 
 		return nil, nil, err
 	}
 	return parts, frame, nil
-}
-
-// Scatterv delivers parts[j] from root to rank j and returns the caller's
-// part. Only root supplies parts; other ranks pass nil. Receivers
-// synchronize with root; ranks do not synchronize with each other (matching
-// NX csend/crecv semantics).
-func (c *Comm) Scatterv(root int, parts [][]byte) ([]byte, error) {
-	defer c.instrument("scatterv")()
-	seq := c.next()
-	n := c.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: scatterv root %d out of range", root)
-	}
-	if c.sharded() {
-		return c.scattervKary(seq, root, parts)
-	}
-	if c.Rank() == root {
-		if len(parts) != n {
-			return nil, fmt.Errorf("collective: scatterv got %d parts for %d ranks", len(parts), n)
-		}
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.ep.SendOnce(r, tag(kindGather, seq, 1), parts[r]); err != nil {
-				return nil, fmt.Errorf("collective: scatterv send to %d: %w", r, err)
-			}
-		}
-		own := bufpool.Get(len(parts[root]))
-		copy(own, parts[root])
-		return own, nil
-	}
-	d, err := c.ep.Recv(root, tag(kindGather, seq, 1))
-	if err != nil {
-		return nil, fmt.Errorf("collective: scatterv recv: %w", err)
-	}
-	return d, nil
 }
 
 // Alltoallv delivers bufs[j] from each rank to rank j; the result holds, in
@@ -547,39 +353,6 @@ func (op ReduceOp) apply(a, b float64) float64 {
 		return math.Min(a, b)
 	}
 	panic(fmt.Sprintf("collective: unknown reduce op %d", op))
-}
-
-// Reduce combines every rank's value at root. Non-root ranks receive the
-// zero value and do not synchronize.
-func (c *Comm) Reduce(root int, v float64, op ReduceOp) (float64, error) {
-	defer c.instrument("reduce")()
-	seq := c.next()
-	n := c.Size()
-	if root < 0 || root >= n {
-		return 0, fmt.Errorf("collective: reduce root %d out of range", root)
-	}
-	if c.sharded() {
-		return c.reduceKary(seq, root, v, op)
-	}
-	if c.Rank() != root {
-		if err := c.ep.SendOnce(root, tag(kindReduce, seq, 0), c.timeFrame(v)); err != nil {
-			return 0, fmt.Errorf("collective: reduce send: %w", err)
-		}
-		return 0, nil
-	}
-	acc := v
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		d, err := c.ep.Recv(r, tag(kindReduce, seq, 0))
-		if err != nil {
-			return 0, fmt.Errorf("collective: reduce recv from %d: %w", r, err)
-		}
-		acc = op.apply(acc, decodeTime(d))
-		bufpool.Put(d)
-	}
-	return acc, nil
 }
 
 // Allreduce combines every rank's value and returns the result everywhere.

@@ -48,28 +48,49 @@ func spmdOver(t testing.TB, n int, tr comm.Transport, body func(c *Comm) error) 
 	return out
 }
 
-// peerLog is a transport that notes, for every rank, which ranks it sent to
-// or received from.
-type peerLog struct {
+// msgLog is a transport that logs, per rank and in order, every message the
+// rank sends and receives. A send is logged before it is handed on: after a
+// nil return an owned buffer is the receiver's.
+type msgLog struct {
 	comm.Transport
-	mu    sync.Mutex
-	peers []map[int]bool
+	mu   sync.Mutex
+	logs [][]msgEvent
 }
 
-func (p *peerLog) note(rank, peer int) {
-	p.mu.Lock()
-	p.peers[rank][peer] = true
-	p.mu.Unlock()
+// msgEvent is one logged message: which way, the peer, the tag and the size.
+type msgEvent struct {
+	dir        string
+	peer, size int
+	tag        uint64
 }
 
-func (p *peerLog) Send(m comm.Message) error {
-	p.note(m.From, m.To)
-	return p.Transport.Send(m)
+func (e msgEvent) String() string {
+	kinds := map[uint64]string{kindBarrier: "barrier", kindBcast: "bcast", kindGather: "gather",
+		kindAlltoall: "alltoall", kindReduce: "reduce"}
+	return fmt.Sprintf("%s %d %s/%d %dB", e.dir, e.peer, kinds[e.tag>>56], e.tag&0xFFFF, e.size)
 }
 
-func (p *peerLog) Recv(to, from int, tag uint64) (comm.Message, error) {
-	p.note(to, from)
-	return p.Transport.Recv(to, from, tag)
+func newMsgLog(n int) *msgLog {
+	return &msgLog{Transport: comm.NewChanTransport(n), logs: make([][]msgEvent, n)}
+}
+
+func (l *msgLog) note(rank int, e msgEvent) {
+	l.mu.Lock()
+	l.logs[rank] = append(l.logs[rank], e)
+	l.mu.Unlock()
+}
+
+func (l *msgLog) Send(m comm.Message) error {
+	l.note(m.From, msgEvent{"send", m.To, len(m.Data), m.Tag})
+	return l.Transport.Send(m)
+}
+
+func (l *msgLog) Recv(to, from int, tag uint64) (comm.Message, error) {
+	m, err := l.Transport.Recv(to, from, tag)
+	if err == nil {
+		l.note(to, msgEvent{"recv", from, len(m.Data), tag})
+	}
+	return m, err
 }
 
 // TestBarrierEqualizesClocks is the shape table: New picks the flat exchange
@@ -107,12 +128,8 @@ func TestBarrierEqualizesClocks(t *testing.T) {
 			_, _, err := c.Allgather([]byte{byte(c.Rank())})
 			return err
 		}},
-		{"gather+scatterv", true, nil, func(c *Comm) error {
-			parts, err := c.Gather(0, []byte{byte(c.Rank())})
-			if err != nil {
-				return err
-			}
-			_, err = c.Scatterv(0, parts)
+		{"gather", true, nil, func(c *Comm) error {
+			_, err := c.Gather(0, []byte{byte(c.Rank())})
 			return err
 		}},
 	}
@@ -122,10 +139,7 @@ func TestBarrierEqualizesClocks(t *testing.T) {
 			wantFanout = treeFanout
 		}
 		for _, op := range ops {
-			log := &peerLog{Transport: comm.NewChanTransport(n), peers: make([]map[int]bool, n)}
-			for r := range log.peers {
-				log.peers[r] = map[int]bool{}
-			}
+			log := newMsgLog(n)
 			var slowest float64
 			for r := 0; r < n; r++ {
 				if op.late != nil && op.late(r) {
@@ -142,8 +156,12 @@ func TestBarrierEqualizesClocks(t *testing.T) {
 				return op.run(c)
 			})
 			most := 0
-			for _, p := range log.peers {
-				most = max(most, len(p))
+			for _, events := range log.logs {
+				peers := map[int]bool{}
+				for _, e := range events {
+					peers[e.peer] = true
+				}
+				most = max(most, len(peers))
 			}
 			if wantFanout == 0 && most != n-1 {
 				t.Errorf("n=%d %s: busiest rank has %d peers, the flat exchange gives its root %d", n, op.name, most, n-1)
@@ -197,9 +215,8 @@ func TestBcastInvalidRoot(t *testing.T) {
 			for _, root := range []int{-1, n} {
 				_, bcast := c.Bcast(root, nil)
 				_, gather := c.Gather(root, nil)
-				_, scatterv := c.Scatterv(root, nil)
 				_, reduce := c.Reduce(root, 1, OpSum)
-				for op, err := range map[string]error{"bcast": bcast, "gather": gather, "scatterv": scatterv, "reduce": reduce} {
+				for op, err := range map[string]error{"bcast": bcast, "gather": gather, "reduce": reduce} {
 					if err == nil {
 						return fmt.Errorf("n=%d: %s accepted root %d", n, op, root)
 					}
@@ -213,7 +230,7 @@ func TestBcastInvalidRoot(t *testing.T) {
 	}
 }
 
-// TestBcastShortFrame: a flat broadcast frame too short to hold the release
+// TestBcastShortFrame: a broadcast frame too short to hold the release
 // instant is refused, not sliced.
 func TestBcastShortFrame(t *testing.T) {
 	spmd(t, 2, func(c *Comm) error {
@@ -592,61 +609,6 @@ func TestUnflattenRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestScatterv(t *testing.T) {
-	spmd(t, 4, func(c *Comm) error {
-		var parts [][]byte
-		if c.Rank() == 1 {
-			parts = [][]byte{[]byte("aa"), []byte("b"), []byte("cccc"), nil}
-		}
-		got, err := c.Scatterv(1, parts)
-		if err != nil {
-			return err
-		}
-		want := []string{"aa", "b", "cccc", ""}[c.Rank()]
-		if string(got) != want {
-			return fmt.Errorf("rank %d got %q, want %q", c.Rank(), got, want)
-		}
-		return nil
-	})
-}
-
-func TestScattervSelfCopyIsolation(t *testing.T) {
-	spmd(t, 2, func(c *Comm) error {
-		var parts [][]byte
-		if c.Rank() == 0 {
-			parts = [][]byte{[]byte("mine"), []byte("yours")}
-		}
-		got, err := c.Scatterv(0, parts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			parts[0][0] = 'X'
-			if got[0] == 'X' {
-				return fmt.Errorf("scatterv self part aliases input")
-			}
-		}
-		return nil
-	})
-}
-
-func TestScattervValidation(t *testing.T) {
-	spmd(t, 2, func(c *Comm) error {
-		if _, err := c.Scatterv(9, nil); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		if c.Rank() == 0 {
-			if _, err := c.Scatterv(0, make([][]byte, 5)); err == nil {
-				return fmt.Errorf("wrong part count accepted")
-			}
-		} else {
-			// keep sequence numbers aligned with rank 0's failed call
-			c.next()
-		}
-		return nil
-	})
-}
-
 // spmdTCP mirrors spmd over real loopback sockets.
 func spmdTCP(t *testing.T, n int, body func(c *Comm) error) {
 	t.Helper()
@@ -699,21 +661,11 @@ func TestCollectivesOverTCP(t *testing.T) {
 		if sum != 10 {
 			return fmt.Errorf("allreduce = %v", sum)
 		}
-		part, err := c.Scatterv(0, map[bool][][]byte{
-			true:  {[]byte("r0"), []byte("r1"), []byte("r2"), []byte("r3")},
-			false: nil,
-		}[c.Rank() == 0])
-		if err != nil {
-			return err
-		}
-		if string(part) != fmt.Sprintf("r%d", c.Rank()) {
-			return fmt.Errorf("scatterv = %q", part)
-		}
 		return nil
 	})
 }
 
-// TestOwnedFramesAccount: the flat broadcast root builds a pooled frame only
+// TestOwnedFramesAccount: the broadcast root builds a pooled frame only
 // to send it, and gives its last copy to the transport. The pool's account
 // says nobody lost one and nobody released one twice: once every rank has
 // released what Alltoallv returned, as many buffers are out as before; an

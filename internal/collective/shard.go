@@ -6,27 +6,34 @@ import (
 	"fmt"
 
 	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/dsmon"
 )
 
-// The tree shape. The flat exchange funnels every collective through the
-// root — P-1 sends or receives on one goroutine — which is what flattens the
-// scale curve past a few dozen ranks. On a communicator with a fan-out k the
-// funnel operations (Barrier, Bcast, Gather, Scatterv, Reduce, and everything
-// composed from them) run on a k-ary tree over virtual ranks: no node
-// touches more than k+1 messages per operation, and the depth is log_k P.
-// Gather and Scatterv shard the payloads too — each tree edge carries one
-// packed frame of (u32 rank, u32 len, bytes)* entries for the whole subtree
-// below it, so the root handles k frames instead of P-1 messages.
+// The rooted operations — Barrier, Bcast, Gather, Reduce, and everything
+// composed from them — have one body each, on a k-ary tree over virtual ranks
+// (the root is virtual rank 0, heap layout). The flat exchange is that tree
+// one level deep: with k = n − 1 the root is every rank's parent, and at root
+// 0 each body sends and receives the flat exchange's messages in its order.
+// Past flatMax ranks k is treeFanout: no node touches more than k+1 messages
+// per operation, and the depth is log_k P. Gather shards the payloads too: an
+// inner node sends its parent one packed frame of (u32 rank, u32 len, bytes)*
+// entries for its whole subtree, while a leaf sends its contribution as it is.
 //
-// The tree releases the group as the flat exchange does, at one bit-equal
-// virtual instant: the root works out when the last copy of the release will
-// have arrived (releaseTime) and sends that instant down with it.
+// The tree releases the group at one bit-equal virtual instant: the root works
+// out when the last copy of the release will have arrived (releaseTime) and
+// sends that instant down with it.
 
-// Fanout reports the tree's fan-out (0 = the flat exchange).
+// Fanout reports the communicator's fan-out (0 = the flat exchange).
 func (c *Comm) Fanout() int { return c.fanout }
 
-// sharded reports whether the communicator has the tree shape.
-func (c *Comm) sharded() bool { return c.fanout != 0 }
+// k is the tree's fan-out; the flat exchange's root is the parent of every
+// other rank.
+func (c *Comm) k() int {
+	if c.fanout == 0 {
+		return c.Size() - 1
+	}
+	return c.fanout
+}
 
 // vrank remaps ranks so the root is virtual rank 0.
 func vrank(rank, root, n int) int { return (rank - root + n) % n }
@@ -37,132 +44,226 @@ func prank(v, root, n int) int { return (v + root) % n }
 // kparent returns the virtual rank of v's parent in the k-ary heap layout.
 func kparent(v, k int) int { return (v - 1) / k }
 
-// kchild returns v's i-th child (i in [0, k)) in the k-ary heap layout,
-// or -1 when it falls outside the group.
-func kchild(v, i, k, n int) int {
-	ch := v*k + 1 + i
-	if ch >= n {
-		return -1
-	}
-	return ch
+// children returns v's children in the k-ary heap layout of n ranks: the
+// virtual ranks first … end−1, none when first >= end.
+func children(v, k, n int) (first, end int) {
+	return v*k + 1, min(v*k+k+1, n)
 }
 
-// kroute returns which direct child subtree of v holds virtual rank u
-// (u must be a strict descendant of v): it climbs u's ancestor chain until
-// the next step up would reach v.
-func kroute(v, u, k int) int {
-	for kparent(u, k) != v {
-		u = kparent(u, k)
-	}
-	return u
-}
+// leaf reports whether v has no children in the k-ary heap layout of n ranks.
+func leaf(v, k, n int) bool { return v*k+1 >= n }
 
-// barrierKary runs the barrier over the k-ary tree: arrivals fan in to the
-// root, the release — the instant its last copy will arrive, which everyone
-// leaves at — fans back out, and no rank handles more than fanout+1
-// messages.
-func (c *Comm) barrierKary(seq uint64) error {
-	n, k := c.Size(), c.fanout
-	v := vrank(c.Rank(), 0, n)
-	for i := 0; i < k; i++ {
-		ch := kchild(v, i, k, n)
-		if ch < 0 {
-			break
-		}
-		if _, err := c.ep.Recv(prank(ch, 0, n), tag(kindBarrier, seq, 0)); err != nil {
-			return fmt.Errorf("collective: sharded barrier gather: %w", err)
-		}
+// Barrier blocks until all ranks arrive. Every rank leaves at the same
+// virtual time: arrivals fan in to the root, and the release — the instant
+// its last copy will arrive — fans back out.
+func (c *Comm) Barrier() error {
+	done, sid := c.instrumentSpan("barrier")
+	defer done()
+	seq := c.next()
+	n, k, me := c.Size(), c.k(), c.Rank()
+	if n == 1 {
+		return nil
 	}
-	var release []byte
-	if v == 0 {
-		release = c.timeFrame(c.releaseTime(8))
+	// Span-level fan-in/fan-out: each rank's barrier span is linked to its
+	// parent's — arrivals point up the tree, releases point back down — so the
+	// causal graph shows the synchronization funnel directly, on top of the
+	// per-message edges the endpoint records underneath.
+	rec := c.mon.Recorder()
+	arrive, release := tag(kindBarrier, seq, 0), tag(kindBarrier, seq, 1)
+	first, end := children(me, k, n)
+	for ch := first; ch < end; ch++ {
+		if _, err := c.ep.Recv(ch, arrive); err != nil {
+			return fmt.Errorf("collective: barrier gather: %w", err)
+		}
+		rec.FlowIn(dsmon.FlowKey{Kind: "barrier-arrive", A: ch, B: me, Tag: arrive}, sid)
+	}
+	var rel []byte
+	if me == 0 {
+		rel = c.timeFrame(c.releaseTime(8))
 	} else {
-		parent := prank(kparent(v, k), 0, n)
-		if err := c.ep.SendOnce(parent, tag(kindBarrier, seq, 0), nil); err != nil {
-			return fmt.Errorf("collective: sharded barrier arrive: %w", err)
+		parent := kparent(me, k)
+		if err := c.ep.SendOnce(parent, arrive, nil); err != nil {
+			return fmt.Errorf("collective: barrier arrive: %w", err)
 		}
+		rec.FlowOut(dsmon.FlowKey{Kind: "barrier-arrive", A: me, B: parent, Tag: arrive}, sid)
 		var err error
-		if release, err = c.ep.Recv(parent, tag(kindBarrier, seq, 1)); err != nil {
-			return fmt.Errorf("collective: sharded barrier release: %w", err)
+		if rel, err = c.ep.Recv(parent, release); err != nil {
+			return fmt.Errorf("collective: barrier release: %w", err)
 		}
-		defer bufpool.Put(release)
+		rec.FlowIn(dsmon.FlowKey{Kind: "barrier-release", A: parent, B: me, Tag: release}, sid)
+		defer bufpool.Put(rel)
 	}
-	for i := 0; i < k; i++ {
-		ch := kchild(v, i, k, n)
-		if ch < 0 {
-			break
+	for ch := first; ch < end; ch++ {
+		if err := c.ep.SendOnce(ch, release, rel); err != nil {
+			return fmt.Errorf("collective: barrier release: %w", err)
 		}
-		if err := c.ep.SendOnce(prank(ch, 0, n), tag(kindBarrier, seq, 1), release); err != nil {
-			return fmt.Errorf("collective: sharded barrier release: %w", err)
-		}
+		rec.FlowOut(dsmon.FlowKey{Kind: "barrier-release", A: me, B: ch, Tag: release}, sid)
 	}
-	c.ep.Clock().SyncTo(decodeTime(release))
+	c.ep.Clock().SyncTo(decodeTime(rel))
 	return nil
 }
 
-// bcastKary forwards root's payload down the k-ary tree behind the 8-byte
-// release instant, as the flat broadcast frames it; a non-root caller gets
-// the payload and the pooled frame it is a part of.
-func (c *Comm) bcastKary(seq uint64, root int, data []byte) (payload, frame []byte, err error) {
-	n, k := c.Size(), c.fanout
+// Bcast distributes root's data to every rank and returns it (the root
+// returns its own slice). All ranks that were waiting for it leave at the
+// same virtual time.
+func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
+	d, _, err := c.bcastFrame(root, data)
+	return d, err
+}
+
+// bcastFrame is Bcast, returning beside the payload the pooled frame it lives
+// in (nil where the payload is the caller's own data), so that a caller which
+// copies the payload out can give the frame back. The frame is the 8-byte
+// release instant and the payload; every node forwards a copy of it to each
+// child, except that the root gives its last child the frame itself.
+func (c *Comm) bcastFrame(root int, data []byte) (payload, frame []byte, err error) {
+	defer c.instrument("bcast")()
+	seq := c.next()
+	n, k := c.Size(), c.k()
+	if root < 0 || root >= n {
+		return nil, nil, fmt.Errorf("collective: bcast root %d out of range", root)
+	}
+	if n == 1 {
+		return data, nil, nil
+	}
 	v := vrank(c.Rank(), root, n)
+	t := tag(kindBcast, seq, 0)
+	var rel float64 // read before the root's frame is given away
 	if v == 0 {
-		rel := c.releaseTime(8 + len(data))
+		rel = c.releaseTime(8 + len(data))
 		frame = append(appendTime(bufpool.GetCap(8+len(data)), rel), data...)
-		defer bufpool.Put(frame) // the root keeps data; every child is sent a copy
 	} else {
-		frame, err = c.ep.Recv(prank(kparent(v, k), root, n), tag(kindBcast, seq, 0))
-		if err != nil {
-			return nil, nil, fmt.Errorf("collective: sharded bcast recv: %w", err)
+		if frame, err = c.ep.Recv(prank(kparent(v, k), root, n), t); err != nil {
+			return nil, nil, fmt.Errorf("collective: bcast recv: %w", err)
 		}
 		if len(frame) < 8 {
 			bufpool.Put(frame)
 			return nil, nil, fmt.Errorf("collective: bcast short frame (%d bytes)", len(frame))
 		}
+		rel = decodeTime(frame)
 	}
-	for i := 0; i < k; i++ {
-		ch := kchild(v, i, k, n)
-		if ch < 0 {
-			break
+	first, end := children(v, k, n)
+	for ch := first; ch < end; ch++ {
+		if v == 0 && ch == end-1 {
+			err = c.ep.SendOnceOwned(prank(ch, root, n), t, frame)
+		} else {
+			err = c.ep.SendOnce(prank(ch, root, n), t, frame)
 		}
-		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindBcast, seq, 0), frame); err != nil {
-			return nil, nil, fmt.Errorf("collective: sharded bcast send: %w", err)
+		if err != nil {
+			bufpool.Put(frame)
+			return nil, nil, fmt.Errorf("collective: bcast send: %w", err)
 		}
 	}
-	c.ep.Clock().SyncTo(decodeTime(frame))
+	c.ep.Clock().SyncTo(rel)
 	if v == 0 {
 		return data, nil, nil
 	}
 	return frame[8:], frame, nil
 }
 
-// reduceKary folds values up the k-ary tree onto the root. Children are
-// consumed in child order, so the floating-point fold order is a
-// deterministic function of (size, fanout, root).
-func (c *Comm) reduceKary(seq uint64, root int, val float64, op ReduceOp) (float64, error) {
-	n, k := c.Size(), c.fanout
+// Gather collects each rank's data at root. At root the result has Size()
+// entries in rank order (root's own entry aliases data; the others are the
+// caller's, to bufpool.Put); other ranks get nil. Gather does not synchronize
+// the senders. A leaf sends its data as it is; an inner node packs its own
+// entry and its children's into one frame for its parent, and the root
+// unpacks each such frame into pooled copies. On failure everything the
+// root had taken goes back to the pool.
+func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
+	defer c.instrument("gather")()
+	seq := c.next()
+	n, k := c.Size(), c.k()
+	if root < 0 || root >= n {
+		return nil, fmt.Errorf("collective: gather root %d out of range", root)
+	}
 	v := vrank(c.Rank(), root, n)
-	acc := val
-	for i := 0; i < k; i++ {
-		ch := kchild(v, i, k, n)
-		if ch < 0 {
-			break
+	t := tag(kindGather, seq, 0)
+	first, end := children(v, k, n)
+	var out [][]byte // the root's result
+	var pack []byte  // an inner node's frame for its parent
+	got := 1         // contributions in hand, the caller's own included
+	if v == 0 {
+		out = make([][]byte, n)
+		out[root] = data
+	} else if !leaf(v, k, n) {
+		pack = appendEntry(nil, c.Rank(), data)
+	}
+	fail := func(err error) ([][]byte, error) {
+		for r, p := range out {
+			if r != root {
+				bufpool.Put(p)
+			}
 		}
-		d, err := c.ep.Recv(prank(ch, root, n), tag(kindReduce, seq, 0))
+		return nil, err
+	}
+	for ch := first; ch < end; ch++ {
+		from := prank(ch, root, n)
+		d, err := c.ep.Recv(from, t)
 		if err != nil {
-			return 0, fmt.Errorf("collective: sharded reduce recv: %w", err)
+			return fail(fmt.Errorf("collective: gather recv from %d: %w", from, err))
+		}
+		switch {
+		case leaf(ch, k, n) && v == 0:
+			out[from], got = d, got+1
+			continue
+		case leaf(ch, k, n):
+			pack = appendEntry(pack, from, d)
+		case v == 0:
+			err = walkEntries(d, n, func(r int, p []byte) {
+				out[r], got = append(bufpool.GetCap(len(p)), p...), got+1
+			})
+		default:
+			pack = append(pack, d...)
+		}
+		bufpool.Put(d)
+		if err != nil {
+			return fail(fmt.Errorf("collective: gather: %w", err))
+		}
+	}
+	if v != 0 {
+		if leaf(v, k, n) {
+			pack = data
+		}
+		if err := c.ep.SendOnce(prank(kparent(v, k), root, n), t, pack); err != nil {
+			return nil, fmt.Errorf("collective: gather send: %w", err)
+		}
+		return nil, nil
+	}
+	if got != n {
+		return fail(fmt.Errorf("collective: gather missing %d of %d contributions", n-got, n))
+	}
+	return out, nil
+}
+
+// Reduce combines every rank's value at root, folding values up the tree.
+// Children are consumed in child order, so the floating-point fold order is
+// a deterministic function of (size, fan-out, root). Non-root ranks receive
+// the zero value and do not synchronize.
+func (c *Comm) Reduce(root int, val float64, op ReduceOp) (float64, error) {
+	defer c.instrument("reduce")()
+	seq := c.next()
+	n, k := c.Size(), c.k()
+	if root < 0 || root >= n {
+		return 0, fmt.Errorf("collective: reduce root %d out of range", root)
+	}
+	v := vrank(c.Rank(), root, n)
+	t := tag(kindReduce, seq, 0)
+	acc := val
+	first, end := children(v, k, n)
+	for ch := first; ch < end; ch++ {
+		d, err := c.ep.Recv(prank(ch, root, n), t)
+		if err != nil {
+			return 0, fmt.Errorf("collective: reduce recv from %d: %w", prank(ch, root, n), err)
 		}
 		acc = op.apply(acc, decodeTime(d))
 		bufpool.Put(d)
 	}
-	if v != 0 {
-		parent := prank(kparent(v, k), root, n)
-		if err := c.ep.SendOnce(parent, tag(kindReduce, seq, 0), c.timeFrame(acc)); err != nil {
-			return 0, fmt.Errorf("collective: sharded reduce send: %w", err)
-		}
-		return 0, nil
+	if v == 0 {
+		return acc, nil
 	}
-	return acc, nil
+	if err := c.ep.SendOnce(prank(kparent(v, k), root, n), t, c.timeFrame(acc)); err != nil {
+		return 0, fmt.Errorf("collective: reduce send: %w", err)
+	}
+	return 0, nil
 }
 
 // appendEntry appends one (u32 rank, u32 len, bytes) entry to a packed frame.
@@ -190,114 +291,4 @@ func walkEntries(d []byte, n int, visit func(rank int, p []byte)) error {
 		d = d[l:]
 	}
 	return nil
-}
-
-// gatherKary funnels contributions up the k-ary tree. Each internal node
-// packs its own entry plus its children's (already packed) subtree frames
-// into one frame for its parent; the root unpacks k frames into the
-// rank-indexed result, each payload copied into a pooled buffer the caller
-// owns.
-func (c *Comm) gatherKary(seq uint64, root int, data []byte) ([][]byte, error) {
-	n, k := c.Size(), c.fanout
-	v := vrank(c.Rank(), root, n)
-
-	var out [][]byte
-	var pack []byte
-	if v == 0 {
-		out = make([][]byte, n)
-		out[root] = data
-	} else {
-		pack = appendEntry(nil, c.Rank(), data)
-	}
-	for i := 0; i < k; i++ {
-		ch := kchild(v, i, k, n)
-		if ch < 0 {
-			break
-		}
-		d, err := c.ep.Recv(prank(ch, root, n), tag(kindGather, seq, 0))
-		if err != nil {
-			return nil, fmt.Errorf("collective: sharded gather recv: %w", err)
-		}
-		if v == 0 {
-			err = walkEntries(d, n, func(r int, p []byte) {
-				out[r] = append(bufpool.GetCap(len(p)), p...)
-			})
-		} else {
-			pack = append(pack, d...)
-		}
-		bufpool.Put(d)
-		if err != nil {
-			return nil, fmt.Errorf("collective: sharded gather: %w", err)
-		}
-	}
-	if v != 0 {
-		parent := prank(kparent(v, k), root, n)
-		if err := c.ep.SendOnce(parent, tag(kindGather, seq, 0), pack); err != nil {
-			return nil, fmt.Errorf("collective: sharded gather send: %w", err)
-		}
-		return nil, nil
-	}
-	for r, b := range out {
-		if b == nil && r != root {
-			return nil, fmt.Errorf("collective: sharded gather missing rank %d", r)
-		}
-	}
-	return out, nil
-}
-
-// scattervKary distributes parts down the k-ary tree: the root packs one
-// frame per child holding every entry destined for that child's subtree;
-// each child extracts its own part and repacks the remainder for the next
-// level. The root's per-operation work drops from P-1 sends to fanout
-// frame assemblies.
-func (c *Comm) scattervKary(seq uint64, root int, parts [][]byte) ([]byte, error) {
-	n, k := c.Size(), c.fanout
-	v := vrank(c.Rank(), root, n)
-
-	var own []byte
-	packs := make([][]byte, k)
-	// route files rank r's part under the child of v whose subtree holds r
-	// (v's children occupy virtual ranks v*k+1 … v*k+k), or keeps it when r
-	// is the caller.
-	route := func(r int, p []byte) {
-		if r == c.Rank() {
-			own = append(bufpool.GetCap(len(p)), p...)
-			return
-		}
-		i := kroute(v, vrank(r, root, n), k) - 1 - v*k
-		packs[i] = appendEntry(packs[i], r, p)
-	}
-	if v == 0 {
-		if len(parts) != n {
-			return nil, fmt.Errorf("collective: scatterv got %d parts for %d ranks", len(parts), n)
-		}
-		for r, p := range parts {
-			route(r, p)
-		}
-	} else {
-		d, err := c.ep.Recv(prank(kparent(v, k), root, n), tag(kindGather, seq, 1))
-		if err != nil {
-			return nil, fmt.Errorf("collective: sharded scatterv recv: %w", err)
-		}
-		err = walkEntries(d, n, route)
-		bufpool.Put(d)
-		if err == nil && own == nil {
-			err = errors.New("frame missing own part")
-		}
-		if err != nil {
-			bufpool.Put(own)
-			return nil, fmt.Errorf("collective: sharded scatterv: %w", err)
-		}
-	}
-	for i := 0; i < k; i++ {
-		ch := kchild(v, i, k, n)
-		if ch < 0 {
-			break
-		}
-		if err := c.ep.SendOnce(prank(ch, root, n), tag(kindGather, seq, 1), packs[i]); err != nil {
-			bufpool.Put(own)
-			return nil, fmt.Errorf("collective: sharded scatterv send: %w", err)
-		}
-	}
-	return own, nil
 }

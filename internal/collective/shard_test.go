@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+
+	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/comm"
+	"pcxxstreams/internal/dsmon"
 )
 
 // shardCases sweeps the fan-outs and group sizes the sharded paths must
@@ -65,6 +70,9 @@ func TestShardedBcast(t *testing.T) {
 	}
 }
 
+// The gather on every tree of shardCases, from root 0 and from a root in the
+// middle: the root gets each rank's contribution in rank order — leaves' as
+// sent, inner subtrees' unpacked — and nobody else gets anything.
 func TestShardedGatherScatterv(t *testing.T) {
 	for _, tc := range shardCases {
 		for _, root := range []int{0, tc.n / 2} {
@@ -89,18 +97,6 @@ func TestShardedGatherScatterv(t *testing.T) {
 								return fmt.Errorf("gather root: rank %d part %v, want %v", r, p, want)
 							}
 						}
-					}
-					// Scatterv the same shape back out.
-					var out [][]byte
-					if me == root {
-						out = parts
-					}
-					got, err := c.Scatterv(root, out)
-					if err != nil {
-						return err
-					}
-					if !bytes.Equal(got, mine) {
-						return fmt.Errorf("rank %d scatterv got %v, want %v", me, got, mine)
 					}
 					return nil
 				})
@@ -170,62 +166,186 @@ func TestShardedAllgatherAlltoallv(t *testing.T) {
 	}
 }
 
-// TestShardedFrameRejection: a packed subtree frame that ends inside an
-// entry, overruns its length, names a rank outside the group, or lacks an
-// entry the receiver must find is an error at the rank that unpacks it — the
-// root of a gather, a child of a scatterv — not a short or shifted result.
-// Rank 1 of a 3-rank binary tree plays the faulty peer by hand.
+// TestShardedFrameRejection: an inner node's packed subtree frame that ends
+// inside an entry, overruns its length, names a rank outside the group, or
+// lacks an entry of its subtree is an error at the gather root — not a short
+// or shifted result — and the root gives back what it had taken. On 4 ranks
+// with fan-out 2, rank 1 is the inner node (rank 3 is its child) and plays the
+// faulty peer by hand.
 func TestShardedFrameRejection(t *testing.T) {
 	entry := appendEntry(nil, 1, []byte("abc"))
 	for _, tc := range []struct {
-		name    string
-		frame   []byte
-		gather  string // what the gather root reports
-		scatter string // what the scatterv child reports
+		name  string
+		frame []byte
+		want  string // what the gather root reports
 	}{
-		{"truncated", entry[:6], "frame truncated", "frame truncated"},
-		{"length overruns", entry[:len(entry)-1], "frame corrupt", "frame corrupt"},
-		{"rank out of group", appendEntry(nil, 3, nil), "frame corrupt", "frame corrupt"},
-		{"entry missing", nil, "missing rank 1", "missing own part"},
+		{"truncated", entry[:6], "frame truncated"},
+		{"length overruns", entry[:len(entry)-1], "frame corrupt"},
+		{"rank out of group", appendEntry(nil, 4, nil), "frame corrupt"},
+		{"entry missing", entry, "missing 1 of 4"},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			spmdShape(t, 3, 2, func(c *Comm) error {
-				want := func(err error, msg string) error {
-					if err == nil || !strings.Contains(err.Error(), msg) {
-						return fmt.Errorf("rank %d: got %v, want an error saying %q", c.Rank(), err, msg)
-					}
-					return nil
-				}
-				// Gather at root 0: ranks 1 and 2 are its children.
-				var err error
+			base := bufpool.Stats().Outstanding
+			spmdShape(t, 4, 2, func(c *Comm) error {
 				switch c.Rank() {
 				case 0:
-					_, err = c.Gather(0, nil)
-					err = want(err, tc.gather)
-				case 1:
-					err = c.ep.SendOnce(0, tag(kindGather, c.next(), 0), tc.frame)
-				case 2:
-					_, err = c.Gather(0, []byte("ok"))
-				}
-				if err != nil {
-					return err
-				}
-				// Scatterv from root 1: its children are ranks 2 and 0.
-				switch c.Rank() {
-				case 1:
-					seq := c.next()
-					for _, to := range []int{2, 0} {
-						if err := c.ep.SendOnce(to, tag(kindGather, seq, 1), tc.frame); err != nil {
-							return err
-						}
+					if _, err := c.Gather(0, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+						return fmt.Errorf("got %v, want an error saying %q", err, tc.want)
 					}
 					return nil
-				default:
-					_, err = c.Scatterv(1, nil)
-					return want(err, tc.scatter)
+				case 1:
+					gather := tag(kindGather, c.next(), 0)
+					d, err := c.ep.Recv(3, gather)
+					if err != nil {
+						return err
+					}
+					bufpool.Put(d)
+					return c.ep.SendOnce(0, gather, tc.frame)
 				}
+				_, err := c.Gather(0, []byte("ok"))
+				return err
 			})
+			if got := bufpool.Stats().Outstanding - base; got != 0 {
+				t.Errorf("%d pooled buffers out after the refused gather", got)
+			}
 		})
 	}
+}
+
+// TestTreeBarrierFlows: a traced barrier on the 8-ary tree links every
+// rank's barrier span to its tree parent's — one arrival edge up and one
+// release edge down per tree edge, as the flat exchange links every rank to
+// the root.
+func TestTreeBarrierFlows(t *testing.T) {
+	const n = 20
+	mon := dsmon.NewTracing()
+	spmd(t, n, func(c *Comm) error {
+		c.mon = mon
+		return c.Barrier()
+	})
+	rec := mon.Recorder()
+	node := map[dsmon.SpanID]int{}
+	for _, e := range rec.Events() {
+		if e.Name == "barrier" {
+			node[e.ID] = e.Node
+		}
+	}
+	edges := map[string]map[int]bool{"barrier-arrive": {}, "barrier-release": {}}
+	for _, f := range rec.Flows() {
+		seen, ok := edges[f.Kind]
+		if !ok {
+			continue
+		}
+		child, parent := node[f.From], node[f.To]
+		if f.Kind == "barrier-release" {
+			child, parent = parent, child
+		}
+		if child == 0 || kparent(child, treeFanout) != parent || seen[child] {
+			t.Errorf("%s edge from rank %d to rank %d is not one rank's only edge to its tree parent", f.Kind, node[f.From], node[f.To])
+		}
+		seen[child] = true
+	}
+	for kind, seen := range edges {
+		if len(seen) != n-1 {
+			t.Errorf("%d %s edges, want %d", len(seen), kind, n-1)
+		}
+	}
+}
+
+// waitTap is a transport that closes all once every (receiver, sender) pair
+// in want has begun a receive.
+type waitTap struct {
+	comm.Transport
+	mu   sync.Mutex
+	want map[[2]int]bool
+	all  chan struct{}
+}
+
+func (w *waitTap) Recv(to, from int, tag uint64) (comm.Message, error) {
+	w.mu.Lock()
+	if w.want[[2]int{to, from}] {
+		delete(w.want, [2]int{to, from})
+		if len(w.want) == 0 {
+			close(w.all)
+		}
+	}
+	w.mu.Unlock()
+	return w.Transport.Recv(to, from, tag)
+}
+
+// refuseFrom is a transport on which rank from cannot send.
+type refuseFrom struct {
+	comm.Transport
+	from int
+}
+
+func (r refuseFrom) Send(m comm.Message) error {
+	if m.From == r.from {
+		return fmt.Errorf("refused")
+	}
+	return r.Transport.Send(m)
+}
+
+// TestFailedCollectiveGivesBack: a collective that fails part-way gives back
+// every pooled buffer it had taken. A gather whose last sender never arrives
+// fails at the root once the transport closes under it — on 4 ranks after the
+// root took two contributions, on 20 after it unpacked child 1's subtree —
+// and a broadcast whose inner node cannot forward fails there; either way the
+// pool's outstanding count ends where it started.
+func TestFailedCollectiveGivesBack(t *testing.T) {
+	for _, n := range []int{4, 17, 20} {
+		t.Run(fmt.Sprintf("gather/n=%d", n), func(t *testing.T) {
+			last := n - 1
+			k := n - 1 // the shape New gives n ranks
+			if n > flatMax {
+				k = treeFanout
+			}
+			top := last // root's child whose subtree holds the last rank
+			for kparent(top, k) != 0 {
+				top = kparent(top, k)
+			}
+			tap := &waitTap{Transport: comm.NewChanTransport(n), all: make(chan struct{}),
+				want: map[[2]int]bool{{kparent(last, k), last}: true, {0, top}: true}}
+			base := bufpool.Stats().Outstanding
+			errs := make([]error, n)
+			spmdOver(t, n, tap, func(c *Comm) error {
+				if c.Rank() == last {
+					<-tap.all
+					return tap.Close()
+				}
+				_, errs[c.Rank()] = c.Gather(0, bytes.Repeat([]byte{byte(c.Rank())}, 100))
+				return nil
+			})
+			if errs[0] == nil {
+				t.Fatal("the gather root succeeded without the last rank")
+			}
+			if got := bufpool.Stats().Outstanding - base; got != 0 {
+				t.Errorf("%d pooled buffers out after the failed gather", got)
+			}
+		})
+	}
+	t.Run("bcast/n=20", func(t *testing.T) {
+		const n = 20
+		base := bufpool.Stats().Outstanding
+		errs := make([]error, n)
+		spmdOver(t, n, refuseFrom{comm.NewChanTransport(n), 1}, func(c *Comm) error {
+			if kparent(c.Rank(), treeFanout) == 1 {
+				return nil // rank 1's children: it never forwards to them
+			}
+			var data []byte
+			if c.Rank() == 0 {
+				data = bytes.Repeat([]byte{9}, 100)
+			}
+			var frame []byte
+			_, frame, errs[c.Rank()] = c.bcastFrame(0, data)
+			bufpool.Put(frame)
+			return nil
+		})
+		if errs[1] == nil {
+			t.Fatal("rank 1 forwarded over a transport that refuses its sends")
+		}
+		if got := bufpool.Stats().Outstanding - base; got != 0 {
+			t.Errorf("%d pooled buffers out after the failed broadcast", got)
+		}
+	})
 }

@@ -181,27 +181,6 @@ func TestAlgorithmsAgreeOnResults(t *testing.T) {
 	}
 }
 
-// TestGatherScattervInverse: Scatterv undoes Gather, on both shapes.
-func TestGatherScattervInverse(t *testing.T) {
-	for _, n := range []int{5, 20} {
-		spmd(t, n, func(c *Comm) error {
-			mine := []byte(fmt.Sprintf("rank-%d-data", c.Rank()))
-			parts, err := c.Gather(0, mine)
-			if err != nil {
-				return err
-			}
-			got, err := c.Scatterv(0, parts)
-			if err != nil {
-				return err
-			}
-			if string(got) != string(mine) {
-				return fmt.Errorf("n=%d rank %d: scatter(gather(x)) = %q, want %q", n, c.Rank(), got, mine)
-			}
-			return nil
-		})
-	}
-}
-
 // TestRecursiveDoublingAllgather is the allgather contents check at the
 // sizes the recursive-doubling exchange split into power-of-two and fallback
 // cases; they are one path now, run here on the tree.
