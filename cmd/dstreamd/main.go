@@ -1,7 +1,9 @@
 // Command dstreamd runs the d/stream I/O daemon: a ViPIOS-style server in
 // which dedicated I/O ranks own the parallel file system while many
 // independent client programs open, append, and read streams over TCP
-// through tenant-scoped sessions (see pcxxstreams.Connect).
+// through tenant-scoped sessions (see pcxxstreams.Connect). Bound to a
+// loopback address, it also serves same-host clients on an abstract unix
+// socket, which they pick on their own; it prints the socket's name.
 //
 // Usage:
 //
@@ -27,9 +29,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,6 +91,10 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("dstreamd: serving %d tenant(s) on %s\n", len(tens), srv.Addr())
+	if host, _, _ := net.SplitHostPort(srv.Addr()); runtime.GOOS == "linux" && net.ParseIP(host).IsLoopback() {
+		// The name internal/server gives the socket (sameHostSocket).
+		fmt.Printf("dstreamd: same-host clients on unix @dstreamd/%s\n", srv.Addr())
+	}
 	var ts *telemetry.Server
 	if *tele != "" {
 		ts, err = telemetry.Serve(*tele, mon)

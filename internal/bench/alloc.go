@@ -27,6 +27,7 @@ import (
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
+	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/server"
 	"pcxxstreams/internal/vtime"
 )
@@ -289,7 +290,23 @@ func keepLowest(w int, before, after *runtime.MemStats, allocs, bytes *float64) 
 func writeCycleAllocs(prof vtime.Profile, strat dstream.Strategy) (float64, float64, error) {
 	var allocs, bytes float64
 	cell := allocCell(prof)
-	_, err := cell.on(cell.fs(), func(n *machine.Node) error {
+	// The stripes grow geometrically as the cycles append, and a regrowth
+	// would land inside the measured window or outside it by the order in
+	// which the ranks reach the store. So each image is grown past what all
+	// the cycles write and truncated back before the first: the stores keep
+	// the capacity, and no append inside the window regrows one.
+	grown := int64(4 * (allocWarmup + allocCycles) * allocElems * allocElemSize)
+	store := pfs.StripedMemFactory(cell.StripeFactor, cell.StripeUnit)
+	_, err := cell.on(pfs.NewFileSystem(prof, func(name string) (pfs.Backend, error) {
+		b, err := store(name)
+		if err == nil {
+			err = b.Truncate(grown)
+		}
+		if err == nil {
+			err = b.Truncate(0)
+		}
+		return b, err
+	}), func(n *machine.Node) error {
 		d, err := distr.New(allocElems, allocNProcs, distr.Cyclic, 0)
 		if err != nil {
 			return err

@@ -71,7 +71,7 @@ type reply struct {
 }
 
 // Client is one tenant session with a dstreamd daemon: it multiplexes
-// concurrent requests onto a single TCP connection, enforces the granted
+// concurrent requests onto a single connection, enforces the granted
 // write window client-side, and transparently reconnects — resuming the
 // same server-side session by token and resending every in-flight request
 // (requests are idempotent by construction, see the package doc).
@@ -127,7 +127,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 // dialOnce dials and performs the hello handshake on a fresh connection.
 // It updates the session grants (token, window, eager split) on success.
 func (c *Client) dialOnce() (net.Conn, error) {
-	conn, err := net.Dial("tcp", c.addr)
+	conn, err := dialDaemon(c.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -176,6 +176,17 @@ func (c *Client) dialOnce() (net.Conn, error) {
 	}
 	c.mu.Unlock()
 	return conn, nil
+}
+
+// dialDaemon connects to the daemon at addr: over its same-host unix socket
+// when addr is a loopback literal and the socket answers, over TCP otherwise.
+func dialDaemon(addr string) (net.Conn, error) {
+	if path := sameHostSocket(addr); path != "" {
+		if conn, err := net.Dial("unix", path); err == nil {
+			return conn, nil
+		}
+	}
+	return net.Dial("tcp", addr)
 }
 
 // eagerLimit reads the hello-granted eager threshold.

@@ -45,6 +45,13 @@ func (g *gate) enter() error {
 	}
 }
 
+// entered counts the calls that have reached the gate so far.
+func (g *gate) entered() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.calls
+}
+
 func (g *gate) WriteAt(p []byte, off int64) (int, error) {
 	if err := g.enter(); err != nil {
 		return 0, err

@@ -211,11 +211,23 @@ func readRawFrame(r io.Reader) (id uint64, tag byte, body []byte, err error) {
 	return binary.LittleEndian.Uint64(buf), buf[8], buf[9:], nil
 }
 
-// rawHello dials the daemon and completes a hello for tenant by hand,
-// returning the raw connection.
+// rawHello dials the daemon's TCP address and completes a hello for tenant
+// by hand, returning the raw connection.
 func rawHello(t testing.TB, addr, tenant string) net.Conn {
 	t.Helper()
-	c, err := net.Dial("tcp", addr)
+	return rawHelloOn(t, "tcp", addr, tenant)
+}
+
+// sameHostHello is rawHello over the unix socket a daemon bound to the
+// loopback literal addr also serves: "@dstreamd/" and the address.
+func sameHostHello(t testing.TB, addr, tenant string) net.Conn {
+	t.Helper()
+	return rawHelloOn(t, "unix", "@dstreamd/"+addr, tenant)
+}
+
+func rawHelloOn(t testing.TB, network, addr, tenant string) net.Conn {
+	t.Helper()
+	c, err := net.Dial(network, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pcxxstreams/internal/bufpool"
@@ -84,12 +85,22 @@ const eagerBytes = 4 << 10
 // keeps at most this many bulk payload bytes in flight on one connection.
 const sessionWindow = 4 << 20
 
+// replyQueue bounds the replies one connection may owe at once. Its reader
+// takes a slot before it serves a request; its writer gives the slot back
+// once the reply is on the wire. A session keeps P ops and a few control
+// calls in flight, far below 64, so the bound only bites on a client that
+// stops reading — and then it parks that connection's reader, never an I/O
+// rank.
+const replyQueue = 64
+
 // tenantWindow is the per-tenant admission budget: across all of a tenant's
-// sessions, at most this many bulk bytes are queued on the I/O ranks at once;
-// excess requests wait (backpressure, not failure). Twice a full stripe is
-// roughly the store's natural concurrency, so one tenant cannot bury the
-// stripe under a backlog. Valid after withDefaults.
-func (c Config) tenantWindow() int64 { return 2 * int64(c.StripeFactor) * c.StripeUnit }
+// sessions, at most this many bulk bytes are held by the daemon at once, from
+// admission until the reply is on the wire; excess requests wait
+// (backpressure, not failure). One chunk per I/O rank lets the P ops a
+// session keeps in flight reach P ranks at once, and a tenant no further: it
+// cannot bury the stripe under a backlog, and a tenant that stops reading
+// holds its own window, nobody else's. Valid after withDefaults.
+func (c Config) tenantWindow() int64 { return int64(c.StripeFactor) * chunkBytes }
 
 func (c Config) withDefaults() Config {
 	if c.StripeFactor <= 0 {
@@ -227,7 +238,7 @@ type session struct {
 // Server is a running dstreamd instance.
 type Server struct {
 	cfg Config
-	ln  net.Listener
+	lns []net.Listener // TCP, then the same-host unix socket if there is one
 
 	mu       sync.Mutex
 	tenants  map[string]*tenantState
@@ -243,16 +254,13 @@ type Server struct {
 }
 
 // Start builds a daemon from cfg and serves it on addr (":0" picks a free
-// port). It returns once the listener is bound.
+// port). Bound to a loopback literal, it also serves same-host clients on the
+// abstract unix socket named after the bound address (sameHostSocket), which
+// Dial prefers for such an address. It returns once the listeners are bound.
 func Start(addr string, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dstreamd: listen %s: %w", addr, err)
-	}
 	s := &Server{
 		cfg:      cfg,
-		ln:       ln,
 		tenants:  make(map[string]*tenantState),
 		sessions: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
@@ -263,11 +271,9 @@ func Start(addr string, cfg Config) (*Server, error) {
 		"client connections currently attached")
 	for _, t := range cfg.Tenants {
 		if t.Name == "" {
-			ln.Close()
 			return nil, fmt.Errorf("dstreamd: tenant with empty name")
 		}
 		if _, dup := s.tenants[t.Name]; dup {
-			ln.Close()
 			return nil, fmt.Errorf("dstreamd: duplicate tenant %q", t.Name)
 		}
 		ts := &tenantState{
@@ -277,6 +283,20 @@ func Start(addr string, cfg Config) (*Server, error) {
 		}
 		ts.met = newTenantMetrics(cfg.Monitor, t.Name)
 		s.tenants[t.Name] = ts
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("dstreamd: listen %s: %w", addr, err)
+	}
+	s.lns = []net.Listener{ln}
+	if path := sameHostSocket(ln.Addr().String()); path != "" {
+		uln, err := net.Listen("unix", path)
+		if err != nil {
+			// Whoever holds the name would get this daemon's same-host clients.
+			ln.Close()
+			return nil, fmt.Errorf("dstreamd: listen %s: %w", path, err)
+		}
+		s.lns = append(s.lns, uln)
 	}
 	for i := range s.ranks {
 		ch := make(chan func(), 64)
@@ -289,13 +309,15 @@ func Start(addr string, cfg Config) (*Server, error) {
 			}
 		}()
 	}
-	s.wg.Add(1)
-	go s.accept()
+	for _, ln := range s.lns {
+		s.wg.Add(1)
+		go s.accept(ln)
+	}
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+// Addr returns the bound TCP listen address.
+func (s *Server) Addr() string { return s.lns[0].Addr().String() }
 
 // Monitor returns the daemon's monitor (nil when unmonitored).
 func (s *Server) Monitor() *dsmon.Monitor { return s.cfg.Monitor }
@@ -321,7 +343,9 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 
-	s.ln.Close()
+	for _, ln := range s.lns {
+		ln.Close()
+	}
 	for _, t := range tenants {
 		t.window.close()
 	}
@@ -390,10 +414,10 @@ func (s *Server) Usage(tenant string) (used, quota int64, err error) {
 	return t.usage, t.cfg.QuotaBytes, nil
 }
 
-func (s *Server) accept() {
+func (s *Server) accept(ln net.Listener) {
 	defer s.wg.Done()
 	for {
-		c, err := s.ln.Accept()
+		c, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
@@ -428,25 +452,62 @@ func newToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// connWriter serializes response frames onto one connection.
-type connWriter struct {
-	mu sync.Mutex
-	c  net.Conn
+// conn is one attached client connection: the reader (handleConn) decodes
+// requests, the writer (writeLoop) is the only goroutine that writes to the
+// socket, and between them is the reply queue, which the I/O ranks fill.
+type conn struct {
+	c   net.Conn
+	ten *tenantState
+	// slots holds one token per reply owed: the reader puts one in before it
+	// serves a request, the writer takes it out once the reply is gone. It
+	// bounds out, so queueing a reply never blocks — least of all a rank.
+	slots chan struct{}
+	out   chan outFrame
+	// dead is set by the writer when a write fails. The reader stops there,
+	// rather than serve the requests it still has buffered for a connection
+	// that can take no reply.
+	dead atomic.Bool
 }
 
-// reply writes one response frame: head from newFrame, and behind it the
-// data a read returns (nil for every other reply).
-func (w *connWriter) reply(head, data []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	// A dead connection just drops the response; the client will resend the
-	// request on its next connection.
-	writeFrame(w.c, head, data) //nolint:errcheck
+// outFrame is one reply on its way to the writer, with what its request holds
+// until the reply is on the wire.
+type outFrame struct {
+	head []byte // from newFrame
+	// data is a read's reply data, cut from a pooled buffer that the writer
+	// puts back; nil for every other reply.
+	data []byte
+	// share is the tenant-window bytes the request was admitted with, which
+	// the writer releases; zero for an eager request.
+	share int64
 }
+
+// reply queues one control reply: a reply that holds nothing.
+func (cn *conn) reply(head []byte) { cn.out <- outFrame{head: head} }
 
 // fail replies with a non-OK status and its message.
-func (w *connWriter) fail(id uint64, status uint8, msg string) {
-	w.reply(putStr(newFrame(id, status), msg), nil)
+func (cn *conn) fail(id uint64, status uint8, msg string) {
+	cn.reply(putStr(newFrame(id, status), msg))
+}
+
+// writeLoop writes the queued replies until out is closed. What a reply held
+// goes back only after its write, so a client that stops reading keeps its
+// own buffers and window share, and nobody else's. After a failed write the
+// connection is closed, which stops the reader too, and the rest is dropped:
+// the client resends those requests on its next connection.
+func (cn *conn) writeLoop() {
+	for f := range cn.out {
+		if !cn.dead.Load() && writeFrame(cn.c, f.head, f.data) != nil {
+			cn.dead.Store(true)
+			cn.c.Close()
+		}
+		if f.data != nil {
+			bufpool.Put(f.data)
+		}
+		if f.share > 0 {
+			cn.ten.window.release(f.share)
+		}
+		<-cn.slots
+	}
 }
 
 // handleConn owns one client connection: hello, then the request loop — the
@@ -462,10 +523,9 @@ func (w *connWriter) fail(id uint64, status uint8, msg string) {
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(c)
-	w := &connWriter{c: c}
 	br := bufio.NewReaderSize(c, maxHead)
 
-	sess, err := s.hello(br, w)
+	sess, err := s.hello(br, c)
 	if err != nil {
 		return
 	}
@@ -479,27 +539,55 @@ func (s *Server) handleConn(c net.Conn) {
 		time.AfterFunc(s.cfg.Grace, func() { s.expire(sess) })
 	}()
 
+	cn := &conn{c: c, ten: sess.ten, slots: make(chan struct{}, replyQueue), out: make(chan outFrame, replyQueue)}
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		cn.writeLoop()
+	}()
+	bye := false
+	defer func() {
+		if !bye {
+			// Nothing more will be read, so nothing more need be written:
+			// the writer drops what is still owed.
+			c.Close()
+		}
+		// Every slot back in hand means every request in flight has had
+		// its reply through the writer, so no rank can queue one after out
+		// is closed.
+		for range replyQueue {
+			cn.slots <- struct{}{}
+		}
+		close(cn.out)
+		<-written
+	}()
+
 	for {
 		id, op, rest, err := readFrameHead(br)
-		if err != nil {
+		if err != nil || cn.dead.Load() {
 			return
 		}
 		sess.ten.met.requests.Inc()
-		bye := false
+		cn.slots <- struct{}{}
 		switch {
 		case op == opWrite:
-			err = s.recvWrite(sess.ten, br, w, id, rest)
+			err = s.recvWrite(sess.ten, br, cn, id, rest)
 		case rest > maxHead:
-			err = skipAndFail(br, w, id, rest, fmt.Sprintf("dstreamd: %s request of %d bytes exceeds the %d limit",
+			err = skipAndFail(br, cn, id, rest, fmt.Sprintf("dstreamd: %s request of %d bytes exceeds the %d limit",
 				opName(op), rest, maxHead))
 		default:
 			var body []byte
 			if body, err = br.Peek(rest); err == nil {
-				bye = s.serve(sess, w, id, op, &reader{b: body})
+				bye = s.serve(sess, cn, id, op, &reader{b: body})
 				_, err = br.Discard(rest)
 			}
 		}
-		if err != nil || bye {
+		if err != nil {
+			// A request cut short by the socket was answered by nobody.
+			<-cn.slots
+			return
+		}
+		if bye {
 			return
 		}
 	}
@@ -508,22 +596,22 @@ func (s *Server) handleConn(c net.Conn) {
 // skipAndFail refuses a request whose frame has left bytes unread: it skips
 // them, so the connection stays in frame, and replies statusErr. The error is
 // the socket's: hang up.
-func skipAndFail(br *bufio.Reader, w *connWriter, id uint64, left int, msg string) error {
+func skipAndFail(br *bufio.Reader, cn *conn, id uint64, left int, msg string) error {
 	if _, err := br.Discard(left); err != nil {
 		return err
 	}
-	w.fail(id, statusErr, msg)
+	cn.fail(id, statusErr, msg)
 	return nil
 }
 
 // serve answers one request other than a write, decoding its body from r —
 // which aliases the connection's read buffer, so nothing of it outlives the
 // call. It reports whether the request was the session's goodbye.
-func (s *Server) serve(sess *session, w *connWriter, id uint64, op uint8, r *reader) (bye bool) {
+func (s *Server) serve(sess *session, cn *conn, id uint64, op uint8, r *reader) (bye bool) {
 	ten := sess.ten
 	switch op {
 	case opBye:
-		w.reply(newFrame(id, statusOK), nil)
+		cn.reply(newFrame(id, statusOK))
 		// An explicit goodbye ends the session immediately: no grace, the
 		// admission slot frees now.
 		sess.mu.Lock()
@@ -534,7 +622,7 @@ func (s *Server) serve(sess *session, w *connWriter, id uint64, op uint8, r *rea
 		return true
 	case opOpen:
 		if name := r.str(); r.err == nil {
-			s.doOpen(ten, w, id, name)
+			s.doOpen(ten, cn, id, name)
 		}
 	case opSize:
 		name := r.str()
@@ -542,31 +630,31 @@ func (s *Server) serve(sess *session, w *connWriter, id uint64, op uint8, r *rea
 			break
 		}
 		if f, err := s.lookup(ten, name); err != nil {
-			w.fail(id, statusErr, err.Error())
+			cn.fail(id, statusErr, err.Error())
 		} else {
-			w.reply(putI64(newFrame(id, statusOK), f.b.Size()), nil)
+			cn.reply(putI64(newFrame(id, statusOK), f.b.Size()))
 		}
 	case opTrunc:
 		name := r.str()
 		if size := r.i64(); r.err == nil {
-			s.doTrunc(ten, w, id, name, size)
+			s.doTrunc(ten, cn, id, name, size)
 		}
 	case opUsage:
 		ten.mu.Lock()
 		used, quota := ten.usage, ten.cfg.QuotaBytes
 		ten.mu.Unlock()
-		w.reply(putI64(putI64(newFrame(id, statusOK), used), quota), nil)
+		cn.reply(putI64(putI64(newFrame(id, statusOK), used), quota))
 	case opRead:
 		name := r.str()
 		off := r.i64()
 		if n := r.u32(); r.err == nil {
-			s.submitRead(ten, w, id, name, off, n)
+			s.submitRead(ten, cn, id, name, off, n)
 		}
 	default:
-		w.fail(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op)))
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op)))
 	}
 	if r.err != nil {
-		w.fail(id, statusErr, fmt.Sprintf("dstreamd: malformed %s request: %v", opName(op), r.err))
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: malformed %s request: %v", opName(op), r.err))
 	}
 	return false
 }
@@ -576,8 +664,8 @@ func (s *Server) serve(sess *session, w *connWriter, id uint64, op uint8, r *rea
 // from the socket into one pooled buffer sized for it alone, which
 // submitWrite then owns. A request refused here is skipped, never buffered.
 // The error is the socket's: hang up.
-func (s *Server) recvWrite(t *tenantState, br *bufio.Reader, w *connWriter, id uint64, rest int) error {
-	refuse := func(left int, msg string) error { return skipAndFail(br, w, id, left, msg) }
+func (s *Server) recvWrite(t *tenantState, br *bufio.Reader, cn *conn, id uint64, rest int) error {
+	refuse := func(left int, msg string) error { return skipAndFail(br, cn, id, left, msg) }
 	// name(u32 length, bytes) off(i64), then the data's own u32 length.
 	head := int64(4 + 8 + 4)
 	if int64(rest) >= head {
@@ -611,13 +699,16 @@ func (s *Server) recvWrite(t *tenantState, br *bufio.Reader, w *connWriter, id u
 		bufpool.Put(data)
 		return err
 	}
-	s.submitWrite(t, w, id, name, off, data)
+	s.submitWrite(t, cn, id, name, off, data)
 	return nil
 }
 
 // hello performs the handshake: authenticate the tenant, admit or resume
-// the session, grant the write window.
-func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
+// the session, grant the write window. It writes its reply itself: the
+// connection has no writer yet. A failed write is not its error to report —
+// the session is admitted, and the next read finds the dead socket and
+// detaches it.
+func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
 	id, op, rest, err := readFrameHead(br)
 	if err != nil {
 		return nil, err
@@ -626,11 +717,14 @@ func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
+	fail := func(status uint8, msg string) {
+		writeFrame(c, putStr(newFrame(id, status), msg), nil) //nolint:errcheck // a refusal; the connection ends here
+	}
 	r := reader{b: body}
 	tenant := r.str()
 	token := r.str()
 	if rest > maxHead || r.err != nil || op != opHello {
-		w.fail(id, statusErr, "dstreamd: expected hello")
+		fail(statusErr, "dstreamd: expected hello")
 		return nil, fmt.Errorf("bad hello")
 	}
 	br.Discard(rest) //nolint:errcheck // peeked above: it is all buffered
@@ -638,7 +732,7 @@ func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
 	ten := s.tenants[tenant]
 	if ten == nil {
 		s.mu.Unlock()
-		w.fail(id, statusAuth, fmt.Sprintf("%v: %q", ErrUnknownTenant, tenant))
+		fail(statusAuth, fmt.Sprintf("%v: %q", ErrUnknownTenant, tenant))
 		return nil, ErrUnknownTenant
 	}
 	resumed := false
@@ -654,7 +748,7 @@ func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
 		if ten.cfg.MaxSessions > 0 && ten.sessions >= ten.cfg.MaxSessions {
 			ten.mu.Unlock()
 			s.mu.Unlock()
-			w.fail(id, statusBusy,
+			fail(statusBusy,
 				fmt.Sprintf("%v: %d active", ErrBusy, ten.cfg.MaxSessions))
 			return nil, ErrBusy
 		}
@@ -686,7 +780,7 @@ func (s *Server) hello(br *bufio.Reader, w *connWriter) (*session, error) {
 		out = putU8(out, 0)
 	}
 	out = putU32(out, eagerBytes)
-	w.reply(out, nil)
+	writeFrame(c, out, nil) //nolint:errcheck
 	return sess, nil
 }
 
@@ -735,14 +829,14 @@ func (s *Server) lookup(t *tenantState, name string) (*srvFile, error) {
 }
 
 // doOpen gets or creates the tenant file and reports size and geometry.
-func (s *Server) doOpen(t *tenantState, w *connWriter, id uint64, name string) {
+func (s *Server) doOpen(t *tenantState, cn *conn, id uint64, name string) {
 	t.mu.Lock()
 	f, ok := t.files[name]
 	if !ok {
 		b, err := s.cfg.Factory(t.cfg.Name + "/" + name)
 		if err != nil {
 			t.mu.Unlock()
-			w.fail(id, statusErr, fmt.Sprintf("dstreamd: open %q: %v", name, err))
+			cn.fail(id, statusErr, fmt.Sprintf("dstreamd: open %q: %v", name, err))
 			return
 		}
 		f = &srvFile{b: b, resEnd: b.Size()}
@@ -764,18 +858,18 @@ func (s *Server) doOpen(t *tenantState, w *connWriter, id uint64, name string) {
 	out := putI64(newFrame(id, statusOK), size)
 	out = putI64(out, layout.StripeUnit)
 	out = putU32(out, uint32(layout.StripeFactor))
-	w.reply(out, nil)
+	cn.reply(out)
 }
 
 // doTrunc resizes a tenant file, adjusting the quota reservation.
-func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, size int64) {
+func (s *Server) doTrunc(t *tenantState, cn *conn, id uint64, name string, size int64) {
 	if size < 0 {
-		w.fail(id, statusErr, fmt.Sprintf("dstreamd: negative truncate %d", size))
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: negative truncate %d", size))
 		return
 	}
 	f, err := s.lookup(t, name)
 	if err != nil {
-		w.fail(id, statusErr, err.Error())
+		cn.fail(id, statusErr, err.Error())
 		return
 	}
 	t.mu.Lock()
@@ -788,7 +882,7 @@ func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, 
 		if t.cfg.QuotaBytes > 0 && t.usage+delta > t.cfg.QuotaBytes {
 			t.mu.Unlock()
 			t.met.quotaRejects.Inc()
-			w.fail(id, statusQuota, fmt.Sprintf("%v: truncate to %d needs %d over %d",
+			cn.fail(id, statusQuota, fmt.Sprintf("%v: truncate to %d needs %d over %d",
 				ErrQuota, size, delta, t.cfg.QuotaBytes))
 			return
 		}
@@ -799,10 +893,10 @@ func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, 
 	t.mu.Unlock()
 	t.met.quotaUsed.Set(float64(usage))
 	if err := f.b.Truncate(size); err != nil {
-		w.fail(id, statusErr, err.Error())
+		cn.fail(id, statusErr, err.Error())
 		return
 	}
-	w.reply(newFrame(id, statusOK), nil)
+	cn.reply(newFrame(id, statusOK))
 }
 
 // rankFor routes one request to its dedicated I/O rank: the same (tenant,
@@ -818,64 +912,65 @@ func (s *Server) rankFor(tenant, name string, off int64) chan func() {
 	return s.ranks[(h.Sum64()^uint64(cell))%uint64(len(s.ranks))]
 }
 
-// admit reserves n bulk bytes from the tenant window (eager-sized requests
-// pass straight through, like eager sends in the comm layer). The returned
-// release func is nil-safe to call once.
-func (s *Server) admit(t *tenantState, n int) (func(), error) {
+// admit reserves n bulk bytes from the tenant window and returns the share
+// it holds, which travels with the request's reply until the writer releases
+// it. Eager-sized requests pass straight through, like eager sends in the
+// comm layer, and hold none.
+func (s *Server) admit(t *tenantState, n int) (int64, error) {
 	if n <= eagerBytes {
-		return func() {}, nil
+		return 0, nil
 	}
-	grab := min(int64(n), s.cfg.tenantWindow())
+	share := min(int64(n), s.cfg.tenantWindow())
 	start := time.Now()
-	if err := t.window.acquire(grab); err != nil {
-		return nil, err
+	if err := t.window.acquire(share); err != nil {
+		return 0, err
 	}
 	t.met.admissionWait.Observe(time.Since(start).Seconds())
-	var once sync.Once
-	return func() { once.Do(func() { t.window.release(grab) }) }, nil
+	return share, nil
 }
 
 // submitRead admits and enqueues one read on its I/O rank. The rank reads
-// into a pooled buffer and replies with it as the frame's second iovec.
-func (s *Server) submitRead(t *tenantState, w *connWriter, id uint64, name string, off int64, n uint32) {
+// into a pooled buffer and queues the reply with it as the frame's second
+// iovec; the writer puts the buffer back once the reply is written.
+func (s *Server) submitRead(t *tenantState, cn *conn, id uint64, name string, off int64, n uint32) {
 	if n > chunkBytes {
-		w.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes exceeds the %d chunk limit", n, chunkBytes))
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes exceeds the %d chunk limit", n, chunkBytes))
 		return
 	}
 	f, err := s.lookup(t, name)
 	if err != nil {
-		w.fail(id, statusErr, err.Error())
+		cn.fail(id, statusErr, err.Error())
 		return
 	}
 	if off < 0 || off > math.MaxInt64-int64(n) {
-		w.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes at offset %d is out of range", n, off))
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes at offset %d is out of range", n, off))
 		return
 	}
-	release, err := s.admit(t, int(n))
+	share, err := s.admit(t, int(n))
 	if err != nil {
-		w.fail(id, statusErr, err.Error())
+		cn.fail(id, statusErr, err.Error())
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
-		defer release()
 		buf := bufpool.Get(int(n))
-		defer bufpool.Put(buf)
 		got, err := f.b.ReadAt(buf, off)
 		if got < 0 {
 			got = 0
 		}
 		t.met.bytesOut.Add(int64(got))
+		var head []byte
 		switch {
 		case err == nil:
-			w.reply(putU32(newFrame(id, statusOK), uint32(got)), buf[:got])
+			head = putU32(newFrame(id, statusOK), uint32(got))
 		case errors.Is(err, io.EOF):
-			w.reply(putU32(newFrame(id, statusEOF), uint32(got)), buf[:got])
+			head = putU32(newFrame(id, statusEOF), uint32(got))
 		case pfs.IsTransient(err):
 			t.met.transients.Inc()
-			w.reply(putU32(putStr(newFrame(id, statusTransient), err.Error()), uint32(got)), buf[:got])
+			head = putU32(putStr(newFrame(id, statusTransient), err.Error()), uint32(got))
 		default:
-			w.fail(id, statusErr, err.Error())
+			head, got = putStr(newFrame(id, statusErr), err.Error()), 0
 		}
+		cn.out <- outFrame{head: head, data: buf[:got], share: share}
 	}
 }
 
@@ -883,10 +978,10 @@ func (s *Server) submitRead(t *tenantState, w *connWriter, id uint64, name strin
 // data, a pooled buffer, and releases it on every path: at a refusal, or on
 // the I/O rank once the store has returned from WriteAt (a striped store
 // hands slices of it to several children at once, so not before).
-func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name string, off int64, data []byte) {
+func (s *Server) submitWrite(t *tenantState, cn *conn, id uint64, name string, off int64, data []byte) {
 	refuse := func(status uint8, msg string) {
 		bufpool.Put(data)
-		w.fail(id, status, msg)
+		cn.fail(id, status, msg)
 	}
 	f, err := s.lookup(t, name)
 	if err != nil {
@@ -928,26 +1023,27 @@ func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name stri
 	t.met.quotaUsed.Set(float64(usage))
 	t.met.bytesIn.Add(int64(len(data)))
 
-	release, err := s.admit(t, len(data))
+	share, err := s.admit(t, len(data))
 	if err != nil {
 		refuse(statusErr, err.Error())
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
-		defer release()
 		n, err := f.b.WriteAt(data, off)
 		bufpool.Put(data)
 		if n < 0 {
 			n = 0
 		}
+		var head []byte
 		switch {
 		case err == nil:
-			w.reply(putU32(newFrame(id, statusOK), uint32(n)), nil)
+			head = putU32(newFrame(id, statusOK), uint32(n))
 		case pfs.IsTransient(err):
 			t.met.transients.Inc()
-			w.reply(putU32(putStr(newFrame(id, statusTransient), err.Error()), uint32(n)), nil)
+			head = putU32(putStr(newFrame(id, statusTransient), err.Error()), uint32(n))
 		default:
-			w.fail(id, statusErr, err.Error())
+			head = putStr(newFrame(id, statusErr), err.Error())
 		}
+		cn.out <- outFrame{head: head, share: share}
 	}
 }

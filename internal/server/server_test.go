@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -216,7 +217,8 @@ func TestAdmission(t *testing.T) {
 // TestReconnectResume kills every connection mid-stream and asserts the
 // client transparently resumes the same server-side session: no new
 // admission slot, data written across the cut reads back byte-identical,
-// and the reconnect is visible in the daemon's metrics.
+// and the reconnect is visible in the daemon's metrics. The connection cut,
+// and the one resumed on, are the daemon's same-host unix socket.
 func TestReconnectResume(t *testing.T) {
 	mon := dsmon.New()
 	srv := startDaemon(t, server.Config{
@@ -236,6 +238,9 @@ func TestReconnectResume(t *testing.T) {
 	if _, err := b.WriteAt(part, 0); err != nil {
 		t.Fatal(err)
 	}
+	if n := cli.Network(); n != "unix" {
+		t.Fatalf("connected over %s, want the same-host unix socket", n)
+	}
 	if n := srv.KillConnections(); n != 1 {
 		t.Fatalf("KillConnections = %d, want 1", n)
 	}
@@ -246,6 +251,9 @@ func TestReconnectResume(t *testing.T) {
 	}
 	if got := srv.SessionCount("a"); got != 1 {
 		t.Fatalf("SessionCount = %d, want 1 (resumed, not re-admitted)", got)
+	}
+	if n := cli.Network(); n != "unix" {
+		t.Fatalf("resumed over %s, want the same-host unix socket", n)
 	}
 	back := make([]byte, 2*len(part))
 	if _, err := b.ReadAt(back, 0); err != nil {
@@ -258,6 +266,44 @@ func TestReconnectResume(t *testing.T) {
 		"sessions resumed after a disconnect", "tenant", "a")
 	if reconnects.Value() == 0 {
 		t.Fatal("reconnect not counted in dstreamd_reconnects_total")
+	}
+}
+
+// TestSameHostSocket pins which socket a client picks. Dialing the loopback
+// literal its daemon is bound to, it gets the daemon's same-host unix socket;
+// dialing a TCP proxy's address, or a daemon bound to every interface, which
+// serves no unix socket, it falls back to TCP.
+func TestSameHostSocket(t *testing.T) {
+	cfg := server.Config{Tenants: []server.Tenant{{Name: "a"}}}
+	srv := startDaemon(t, cfg)
+	if n := dial(t, srv, "a").Network(); n != "unix" {
+		t.Errorf("dialing the daemon's loopback address: %s, want unix", n)
+	}
+	proxied, err := server.Dial(startRelay(t, srv.Addr()).addr(), server.ClientConfig{Tenant: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxied.Close()
+	if n := proxied.Network(); n != "tcp" {
+		t.Errorf("dialing a proxy: %s, want tcp", n)
+	}
+
+	every, err := server.Start(":0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer every.Close()
+	_, port, err := net.SplitHostPort(every.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := server.Dial(net.JoinHostPort("127.0.0.1", port), server.ClientConfig{Tenant: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if n := cli.Network(); n != "tcp" {
+		t.Errorf("dialing a daemon bound to every interface: %s, want tcp", n)
 	}
 }
 

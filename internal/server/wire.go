@@ -1,7 +1,8 @@
 // Package server implements dstreamd, a ViPIOS-style multi-tenant I/O
 // daemon for d/streams: a long-running process in which dedicated I/O ranks
 // own the parallel file system while many independent client sessions open,
-// append, and read streams over TCP.
+// append, and read streams over TCP — or, on the daemon's own host, over a
+// unix socket that carries the same frames.
 //
 // The split mirrors ViPIOS's architecture (client compute processes talking
 // to dedicated I/O server processes) mapped onto this repository's stack:
@@ -16,9 +17,11 @@
 //
 // # Wire protocol
 //
-// One TCP connection per session, carrying length-prefixed frames both
-// ways. Requests are tagged with a client-chosen id and may complete out of
-// order (the client multiplexes concurrent rank goroutines onto the one
+// One connection per session, carrying length-prefixed frames both ways: TCP,
+// or the abstract unix socket a daemon bound to a loopback literal also
+// serves (sameHostSocket), which a client dialing that literal tries first.
+// Requests are tagged with a client-chosen id and may complete out of order
+// (the client multiplexes concurrent rank goroutines onto the one
 // connection); every request produces exactly one response with the same
 // id. All integers are little-endian; strings and byte blobs are u32
 // length-prefixed.
@@ -77,9 +80,19 @@
 //     (unopened file, offset out of range, quota, admission closed by
 //     shutdown) or on the I/O rank after the store's WriteAt has returned,
 //     not before: a striped store hands slices of it to several children at
-//     once. A read's buffer is taken and put back by the I/O rank, around
-//     the ReadAt and the reply. The daemon refuses data above chunkBytes, so
-//     it never asks the pool for more than that class.
+//     once. A read's buffer is taken by the I/O rank, which reads into it
+//     and queues the reply with it; the connection's writer puts it back
+//     once the reply is written, or dropped because the connection died.
+//     The daemon refuses data above chunkBytes, so it never asks the pool
+//     for more than that class.
+//   - The daemon's reply queue. Every reply of a connection leaves through
+//     its one writer, never from an I/O rank, so no rank waits on a
+//     client's socket. The connection's reader takes a queue slot before it
+//     serves a request, so queueing the reply never blocks; a full queue
+//     parks that reader, and so only the client that stopped reading. A
+//     request's share of the tenant window is released by the writer too,
+//     after its reply: a client that stops reading holds its own tenant's
+//     window, and nobody else's.
 //
 // Replies other than a read's data — control replies, and every transient
 // reply, which carries a message and then its partial data or count — are
@@ -92,6 +105,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 )
 
 // Protocol limits.
@@ -155,6 +169,25 @@ func opName(op uint8) string {
 		return "bye"
 	}
 	return fmt.Sprintf("op(%d)", op)
+}
+
+// sameHostSocket names the abstract unix socket that a daemon whose TCP
+// address is the loopback literal addr also listens on, and that a client
+// dialing addr tries first; "" for any other address. A same-host client
+// then skips the loopback TCP stack, and nothing else changes: the socket
+// carries the same frames.
+func sameHostSocket(addr string) string {
+	if runtime.GOOS != "linux" {
+		return "" // abstract socket names are Linux's
+	}
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return ""
+	}
+	if ip := net.ParseIP(host); ip != nil && ip.IsLoopback() {
+		return "@dstreamd/" + net.JoinHostPort(ip.String(), port)
+	}
+	return ""
 }
 
 // newFrame starts a frame: four bytes reserved for the length prefix, then
