@@ -78,14 +78,17 @@ func main() {
 		}
 	}
 
-	cfg := pcxx.Config{
-		NProcs: *procs, Profile: prof, FS: fs, Monitor: mon,
-		TelemetryAddr: *serve,
-		OnTelemetry: func(addr string) {
-			// Parsed by `make telemetry-smoke` — keep the format stable.
-			fmt.Printf("telemetry: http://%s\n", addr)
-		},
+	if *serve != "" {
+		srv, err := pcxx.ServeTelemetry(*serve, mon)
+		if err != nil {
+			fatal(err)
+		}
+		defer srv.Close()
+		// Parsed by `make telemetry-smoke` — keep the format stable.
+		fmt.Printf("telemetry: http://%s\n", srv.Addr())
 	}
+
+	cfg := pcxx.Config{NProcs: *procs, Profile: prof, FS: fs, Monitor: mon}
 	res, err := pcxx.Run(cfg, func(n *pcxx.Node) error {
 		d, err := pcxx.NewDistribution(*segments, *procs, mode, 0)
 		if err != nil {

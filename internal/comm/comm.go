@@ -406,46 +406,53 @@ func (mb *mailbox) drainRingLocked(from int) int {
 // drainOvfLocked moves the overflow list into the pending stage. Callers
 // hold mb.mu (the overflow's own lock is taken only for the swap).
 //
-// Every ring is drained first: a message spills only when its sender's
-// ring is full or that sender already has spilled messages pending, so at
-// any instant a sender's in-ring messages are older than its in-overflow
-// ones. Staging the overflow without draining the rings would let one
-// consumer's poll stage another sender's newer spilled messages ahead of
-// that sender's older in-ring ones and break per-stream FIFO.
+// A message spills only when its sender's ring is full or that sender
+// already has spilled messages pending, so a sender's in-ring messages are
+// older than its in-overflow ones. The list is swapped out first, every ring
+// is drained after it, and the per-sender spill counts come down only once
+// both are staged: until then a sender with a message in the swapped-out
+// list keeps spilling, so its ring holds nothing newer than the list. Rings
+// drained before the swap would let a sender refill its ring and spill past
+// it in between, and that newer spilled message would be staged ahead of the
+// ring.
 func (mb *mailbox) drainOvfLocked() int {
 	mb.ovf.Lock()
-	empty := len(mb.ovf.q) == 0
+	q := mb.ovf.q
+	mb.ovf.q = nil
 	mb.ovf.Unlock()
-	if empty {
+	if len(q) == 0 {
 		return 0
 	}
 	n := 0
 	for from := range mb.rings {
 		n += mb.drainRingLocked(from)
 	}
-	q := mb.takeOvf()
 	for _, m := range q {
 		mb.stageLocked(m)
 	}
+	mb.unspill(q)
 	return n + len(q)
 }
 
-// takeOvf swaps out the overflow list, clearing the per-sender stickiness
-// counts under the same lock. A producer that then observes a zero count
-// may return to the ring immediately: its spilled messages are staged (or
-// reaped) under mb.mu before any later ring drain can stage the new one,
-// so per-stream order is preserved.
+// takeOvf swaps out the overflow list for a sweep that releases it.
 func (mb *mailbox) takeOvf() []Message {
 	mb.ovf.Lock()
 	q := mb.ovf.q
 	mb.ovf.q = nil
+	mb.ovf.Unlock()
+	mb.unspill(q)
+	return q
+}
+
+// unspill lowers the per-sender spill counts by the messages of q, which
+// have left the overflow list. A sender whose count reaches zero may use its
+// ring again.
+func (mb *mailbox) unspill(q []Message) {
 	for i := range q {
 		if f := q[i].From; f >= 0 && f < mb.size {
 			mb.ovfBySender[f].Add(-1)
 		}
 	}
-	mb.ovf.Unlock()
-	return q
 }
 
 func (mb *mailbox) drainAllLocked() int {

@@ -83,7 +83,10 @@ func TestMailboxTortureRawFIFO(t *testing.T) {
 	// consumers hold off until then — so every eager burst provably
 	// overruns its 128-slot ring into the overflow, under any scheduler
 	// (including the slowed-down -race and pooldebug builds). The all-bulk
-	// sender gets no such gate: it must block on its full ring instead.
+	// sender gets no such gate: it must block on its full ring instead. The
+	// mixed sender sends bulk only past the overrun, once its consumer runs:
+	// a bulk send before it could block on the full ring its consumer is
+	// not yet draining, and both would wait for ever.
 	const overrun = 3 * defaultRingCap
 	ahead := make([]chan struct{}, senders+1)
 	for s := 1; s < senders; s++ {
@@ -97,7 +100,7 @@ func TestMailboxTortureRawFIFO(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(s)))
 			<-start
 			for i := 0; i < burst; i++ {
-				bulk := s == senders || (s%2 == 0 && i%13 == 0)
+				bulk := s == senders || (s%2 == 0 && i%13 == 0 && i > overrun)
 				if err := tr.Send(Message{From: s, To: 0, Tag: 0x70, Data: torturePayload(s, i, bulk)}); err != nil {
 					errs <- fmt.Errorf("sender %d message %d: %v", s, i, err)
 					return

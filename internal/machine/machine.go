@@ -16,7 +16,6 @@ import (
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
-	"pcxxstreams/internal/telemetry"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -57,14 +56,6 @@ type Config struct {
 	// Retry, when non-nil, replaces every endpoint's transient-fault retry
 	// policy for the run.
 	Retry *comm.RetryPolicy
-	// TelemetryAddr, when non-empty and Monitor is set, serves the run's
-	// live telemetry over HTTP on this address for the duration of the run
-	// (":0" picks a free port): /metrics, /trace, /critpath, /healthz,
-	// /debug/vars. The server is closed when Run returns.
-	TelemetryAddr string
-	// OnTelemetry, when non-nil, is called with the bound telemetry address
-	// once the server is listening (before any node starts).
-	OnTelemetry func(addr string)
 }
 
 // Node is one rank's execution context, passed to the SPMD body.
@@ -197,16 +188,6 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 		}
 		if ct, ok := base.(*comm.ChanTransport); ok {
 			ct.SetMonitor(cfg.Monitor)
-		}
-		if cfg.TelemetryAddr != "" {
-			srv, err := telemetry.Serve(cfg.TelemetryAddr, cfg.Monitor)
-			if err != nil {
-				return Result{}, fmt.Errorf("machine: %w", err)
-			}
-			defer srv.Close()
-			if cfg.OnTelemetry != nil {
-				cfg.OnTelemetry(srv.Addr())
-			}
 		}
 	}
 

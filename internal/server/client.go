@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/pfs"
 )
 
@@ -65,16 +66,17 @@ type call struct {
 
 type reply struct {
 	status uint8
-	n      int     // read, statusOK or statusEOF: bytes readLoop put in call.into
-	rd     *reader // every other reply: the body after the status
-	err    error   // client-side failure (session broken); status invalid
+	n      int         // read, statusOK or statusEOF: bytes readLoop put in call.into
+	rd     *enc.Reader // every other reply: the body after the status
+	err    error       // client-side failure (session broken); status invalid
 }
 
 // Client is one tenant session with a dstreamd daemon: it multiplexes
-// concurrent requests onto a single connection, enforces the granted
-// write window client-side, and transparently reconnects — resuming the
-// same server-side session by token and resending every in-flight request
-// (requests are idempotent by construction, see the package doc).
+// concurrent requests onto a single connection and transparently reconnects
+// — resuming the same server-side session by token and resending every
+// in-flight request (requests are idempotent by construction, see the
+// package doc). It meters nothing: how many bytes a tenant has in flight is
+// the daemon's decision alone (Config.StripeFactor).
 //
 // Clients are safe for concurrent use; a session's streams on many machine
 // ranks share one Client.
@@ -82,15 +84,10 @@ type Client struct {
 	addr string
 	cfg  ClientConfig
 
-	window *byteSem // granted write window (client-side credit accounting)
-	eager  int      // eager/rendezvous split granted at hello
-
 	mu      sync.Mutex
 	conn    net.Conn
 	gen     int // bumps on every successful reconnect
 	token   string
-	quota   int64
-	used    int64
 	nextID  uint64
 	pending map[uint64]*call
 	broken  error // non-nil once the session is permanently dead
@@ -125,7 +122,8 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 // dialOnce dials and performs the hello handshake on a fresh connection.
-// It updates the session grants (token, window, eager split) on success.
+// It keeps the granted resume token; the reply's other fields are reserved
+// (see opHello).
 func (c *Client) dialOnce() (net.Conn, error) {
 	conn, err := dialDaemon(c.addr)
 	if err != nil {
@@ -142,7 +140,7 @@ func (c *Client) dialOnce() (net.Conn, error) {
 	// Straight off the socket, not a buffered reader that could swallow the
 	// start of the next frame: readLoop brings its own.
 	_, status, rest, err := readFrameHead(conn)
-	var r *reader
+	var r *enc.Reader
 	if err == nil {
 		r, err = readBody(conn, rest)
 	}
@@ -151,29 +149,17 @@ func (c *Client) dialOnce() (net.Conn, error) {
 		return nil, err
 	}
 	if status != statusOK {
-		msg := r.str()
+		msg := r.String()
 		conn.Close()
 		return nil, &statusError{status: status, msg: msg}
 	}
-	token := r.str()
-	window := r.i64()
-	quota := r.i64()
-	used := r.i64()
-	r.u8() // resumed flag (informational)
-	eager := r.u32()
-	if r.err != nil {
+	token := r.String()
+	if err := r.Err(); err != nil {
 		conn.Close()
-		return nil, r.err
+		return nil, err
 	}
 	c.mu.Lock()
 	c.token = token
-	c.quota, c.used = quota, used
-	c.eager = int(eager)
-	if c.window == nil {
-		// Granted once at the first hello; reconnects keep the outstanding
-		// credit state (in-flight resends still hold their reservations).
-		c.window = newByteSem(window)
-	}
 	c.mu.Unlock()
 	return conn, nil
 }
@@ -187,13 +173,6 @@ func dialDaemon(addr string) (net.Conn, error) {
 		}
 	}
 	return net.Dial("tcp", addr)
-}
-
-// eagerLimit reads the hello-granted eager threshold.
-func (c *Client) eagerLimit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.eager
 }
 
 // Token returns the session resume token granted at hello.
@@ -230,9 +209,6 @@ func (c *Client) Close() error {
 	for _, cl := range calls {
 		cl.done <- reply{err: ErrClientClosed}
 	}
-	if c.window != nil {
-		c.window.close()
-	}
 	return nil
 }
 
@@ -249,12 +225,12 @@ func (c *Client) takeCallsLocked() []*call {
 // readBody reads the rest bytes that finish a frame whose head has been read
 // and returns a cursor over them. Control replies only: a few fields, or a
 // message (a transient reply carries its partial progress behind the message).
-func readBody(r io.Reader, rest int) (*reader, error) {
+func readBody(r io.Reader, rest int) (*enc.Reader, error) {
 	body := make([]byte, rest)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	return &reader{b: body}, nil
+	return enc.NewReader(body), nil
 }
 
 // readLoop delivers responses for one connection generation; on connection
@@ -408,9 +384,6 @@ func (c *Client) fail(err error) {
 	for _, cl := range calls {
 		cl.done <- reply{err: err}
 	}
-	if c.window != nil {
-		c.window.close()
-	}
 }
 
 // roundTrip sends one control request and waits for its response; body
@@ -479,11 +452,11 @@ func (c *Client) Usage() (used, quota int64, err error) {
 		return 0, 0, err
 	}
 	if rep.status != statusOK {
-		return 0, 0, decodeErr(rep.status, rep.rd.str())
+		return 0, 0, decodeErr(rep.status, rep.rd.String())
 	}
-	used = rep.rd.i64()
-	quota = rep.rd.i64()
-	return used, quota, rep.rd.err
+	used = rep.rd.Int64()
+	quota = rep.rd.Int64()
+	return used, quota, rep.rd.Err()
 }
 
 // OpenBackend opens (or creates) the named file in the session's tenant
@@ -497,13 +470,13 @@ func (c *Client) OpenBackend(name string) (pfs.Backend, error) {
 		return nil, err
 	}
 	if rep.status != statusOK {
-		return nil, decodeErr(rep.status, rep.rd.str())
+		return nil, decodeErr(rep.status, rep.rd.String())
 	}
-	rep.rd.i64() // current size (informational; Size() re-queries)
-	unit := rep.rd.i64()
-	factor := rep.rd.u32()
-	if rep.rd.err != nil {
-		return nil, rep.rd.err
+	rep.rd.Int64() // current size (informational; Size() re-queries)
+	unit := rep.rd.Int64()
+	factor := rep.rd.Uint32()
+	if err := rep.rd.Err(); err != nil {
+		return nil, err
 	}
 	return &remoteFile{
 		c:      c,
@@ -520,8 +493,8 @@ func (c *Client) Factory() pfs.BackendFactory {
 }
 
 // remoteFile is one daemon-resident file exposed as a pfs.Backend. Large
-// transfers are chunked so credit accounting stays fine-grained and no
-// single frame monopolizes the connection.
+// transfers are chunked so the daemon's tenant window meters them a chunk at
+// a time and no single frame monopolizes the connection.
 type remoteFile struct {
 	c      *Client
 	name   string
@@ -545,7 +518,7 @@ func (f *remoteFile) Size() int64 {
 	if err != nil || rep.status != statusOK {
 		return 0
 	}
-	return rep.rd.i64()
+	return rep.rd.Int64()
 }
 
 // Truncate resizes the file (and the tenant's quota reservation).
@@ -557,7 +530,7 @@ func (f *remoteFile) Truncate(size int64) error {
 		return err
 	}
 	if rep.status != statusOK {
-		return decodeErr(rep.status, rep.rd.str())
+		return decodeErr(rep.status, rep.rd.String())
 	}
 	return nil
 }
@@ -595,17 +568,16 @@ func (f *remoteFile) readChunk(p []byte, off int64) (int, error) {
 	case statusEOF:
 		return rep.n, io.EOF
 	case statusTransient:
-		msg := rep.rd.str()
-		return copy(p, rep.rd.bytes()), fmt.Errorf("%w: %s", pfs.ErrTransient, msg)
+		msg := rep.rd.String()
+		return copy(p, rep.rd.Raw(int(rep.rd.Uint32()))), fmt.Errorf("%w: %s", pfs.ErrTransient, msg)
 	default:
-		return 0, decodeErr(rep.status, rep.rd.str())
+		return 0, decodeErr(rep.status, rep.rd.String())
 	}
 }
 
-// WriteAt implements io.WriterAt against the daemon. Bulk chunks acquire
-// window credits first (the eager/rendezvous split from the comm layer:
-// small control-sized writes sail through, large data reserves bandwidth),
-// so one session cannot flood the daemon beyond its granted window.
+// WriteAt implements io.WriterAt against the daemon, chunk by chunk. The
+// chunks go out at once, as reads do: the daemon's tenant window is what
+// holds a session to its share of the I/O ranks.
 func (f *remoteFile) WriteAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
@@ -626,19 +598,6 @@ func (f *remoteFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (f *remoteFile) writeChunk(p []byte, off int64) (int, error) {
-	if len(p) > f.c.eagerLimit() && f.c.window != nil {
-		if err := f.c.window.acquire(int64(len(p))); err != nil {
-			// The window only closes when the session breaks; report the
-			// session's real error, not the semaphore's.
-			f.c.mu.Lock()
-			if f.c.broken != nil {
-				err = f.c.broken
-			}
-			f.c.mu.Unlock()
-			return 0, err
-		}
-		defer f.c.window.release(int64(len(p)))
-	}
 	rep, err := f.c.transfer(opWrite, func(b []byte) []byte {
 		return putU32(putI64(putStr(b, f.name), off), uint32(len(p)))
 	}, p, nil)
@@ -647,11 +606,11 @@ func (f *remoteFile) writeChunk(p []byte, off int64) (int, error) {
 	}
 	switch rep.status {
 	case statusOK:
-		return int(rep.rd.u32()), rep.rd.err
+		return int(rep.rd.Uint32()), rep.rd.Err()
 	case statusTransient:
-		msg := rep.rd.str()
-		return int(rep.rd.u32()), fmt.Errorf("%w: %s", pfs.ErrTransient, msg)
+		msg := rep.rd.String()
+		return int(rep.rd.Uint32()), fmt.Errorf("%w: %s", pfs.ErrTransient, msg)
 	default:
-		return 0, decodeErr(rep.status, rep.rd.str())
+		return 0, decodeErr(rep.status, rep.rd.String())
 	}
 }

@@ -72,11 +72,11 @@ func acrossRanks(t *testing.T, b pfs.Backend, want []byte) {
 	}
 }
 
-// gatedStore is the daemon's default store, with the file named gated (tenant
-// prefix included) behind a gate of p; the gate is sent on the returned
-// channel when the file is opened.
+// gatedStore is the daemon's default store at a stripe factor of p, with the
+// file named gated (tenant prefix included) behind a gate of p; the gate is
+// sent on the returned channel when the file is opened.
 func gatedStore(gated string, p int) (pfs.BackendFactory, <-chan *gate) {
-	store := pfs.StripedMemFactory(4, 64<<10)
+	store := pfs.StripedMemFactory(p, 64<<10)
 	gates := make(chan *gate, 1)
 	return func(name string) (pfs.Backend, error) {
 		b, err := store(name)
@@ -252,11 +252,42 @@ func TestTenantWindowIsOneChunkPerRank(t *testing.T) {
 	for i := range 4096 {
 		small = append(small, frame(uint64(3+i), wireRead, str("small"), i64(0), u32(4<<10))...)
 	}
-	go flood.Write(small) //nolint:errcheck // the daemon stops reading it; closing the connection ends the write
 	// At least a reply queue's worth of the flood is served before b starts.
+	// The count is taken before the flood goes out: the daemon serves only
+	// about that much more before the flood parks its reader.
 	served := bytesOut(mon, "a")
-	waitCount(t, served, served.Value()+64*4<<10, "bytes read from the store for the flood")
+	floodStart := served.Value()
+	go flood.Write(small) //nolint:errcheck // the daemon stops reading it; closing the connection ends the write
+	waitCount(t, served, floodStart+64*4<<10, "bytes read from the store for the flood")
 	within(t, 5*time.Second, "tenant b's reads beside a flood of eager reads", func() { acrossRanks(t, fb, want) })
 	flood.Close()
 	waitOutstanding(t, base, "the flooding connection cut")
+}
+
+// TestSessionKeepsOneChunkPerRankInFlight: on a daemon with eight I/O ranks,
+// one session's eight concurrent chunk writes, one per rank, are all in the
+// store at once (a gate opens only then). The daemon's tenant window is the
+// only meter, so a client that held its own writes to a smaller window would
+// leave the gate short and fail them.
+func TestSessionKeepsOneChunkPerRankInFlight(t *testing.T) {
+	store, gates := gatedStore("a/f", 8)
+	srv := startDaemon(t, server.Config{Factory: store, StripeFactor: 8, Tenants: []server.Tenant{{Name: "a"}}})
+	f, err := dial(t, srv, "a").OpenBackend("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gates
+	data := pattern(mib, 6)
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Cells 0..7 of one file land on eight distinct ranks.
+			if _, err := f.WriteAt(data, int64(i)*64<<10); err != nil {
+				t.Errorf("chunk write %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
 }

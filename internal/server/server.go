@@ -17,6 +17,7 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
+	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/pfs"
 )
 
@@ -78,12 +79,8 @@ type Config struct {
 // eagerBytes is the eager/rendezvous split reused from the comm layer:
 // requests whose payload is at most this many bytes bypass the admission
 // window (control traffic must not deadlock behind bulk data), larger ones
-// reserve window credits first. The hello reply carries it to the client.
+// reserve window credits first.
 const eagerBytes = 4 << 10
-
-// sessionWindow is the per-session write window granted at hello: the client
-// keeps at most this many bulk payload bytes in flight on one connection.
-const sessionWindow = 4 << 20
 
 // replyQueue bounds the replies one connection may owe at once. Its reader
 // takes a slot before it serves a request; its writer gives the slot back
@@ -578,7 +575,7 @@ func (s *Server) handleConn(c net.Conn) {
 		default:
 			var body []byte
 			if body, err = br.Peek(rest); err == nil {
-				bye = s.serve(sess, cn, id, op, &reader{b: body})
+				bye = s.serve(sess, cn, id, op, enc.NewReader(body))
 				_, err = br.Discard(rest)
 			}
 		}
@@ -607,7 +604,7 @@ func skipAndFail(br *bufio.Reader, cn *conn, id uint64, left int, msg string) er
 // serve answers one request other than a write, decoding its body from r —
 // which aliases the connection's read buffer, so nothing of it outlives the
 // call. It reports whether the request was the session's goodbye.
-func (s *Server) serve(sess *session, cn *conn, id uint64, op uint8, r *reader) (bye bool) {
+func (s *Server) serve(sess *session, cn *conn, id uint64, op uint8, r *enc.Reader) (bye bool) {
 	ten := sess.ten
 	switch op {
 	case opBye:
@@ -621,12 +618,12 @@ func (s *Server) serve(sess *session, cn *conn, id uint64, op uint8, r *reader) 
 		s.remove(sess)
 		return true
 	case opOpen:
-		if name := r.str(); r.err == nil {
+		if name := r.String(); r.Err() == nil {
 			s.doOpen(ten, cn, id, name)
 		}
 	case opSize:
-		name := r.str()
-		if r.err != nil {
+		name := r.String()
+		if r.Err() != nil {
 			break
 		}
 		if f, err := s.lookup(ten, name); err != nil {
@@ -635,8 +632,8 @@ func (s *Server) serve(sess *session, cn *conn, id uint64, op uint8, r *reader) 
 			cn.reply(putI64(newFrame(id, statusOK), f.b.Size()))
 		}
 	case opTrunc:
-		name := r.str()
-		if size := r.i64(); r.err == nil {
+		name := r.String()
+		if size := r.Int64(); r.Err() == nil {
 			s.doTrunc(ten, cn, id, name, size)
 		}
 	case opUsage:
@@ -645,16 +642,16 @@ func (s *Server) serve(sess *session, cn *conn, id uint64, op uint8, r *reader) 
 		ten.mu.Unlock()
 		cn.reply(putI64(putI64(newFrame(id, statusOK), used), quota))
 	case opRead:
-		name := r.str()
-		off := r.i64()
-		if n := r.u32(); r.err == nil {
+		name := r.String()
+		off := r.Int64()
+		if n := r.Uint32(); r.Err() == nil {
 			s.submitRead(ten, cn, id, name, off, n)
 		}
 	default:
 		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op)))
 	}
-	if r.err != nil {
-		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: malformed %s request: %v", opName(op), r.err))
+	if err := r.Err(); err != nil {
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: malformed %s request: %v", opName(op), err))
 	}
 	return false
 }
@@ -685,8 +682,8 @@ func (s *Server) recvWrite(t *tenantState, br *bufio.Reader, cn *conn, id uint64
 	if err != nil {
 		return err
 	}
-	r := reader{b: b}
-	name, off, n := r.str(), r.i64(), int64(r.u32())
+	r := enc.NewReader(b)
+	name, off, n := r.String(), r.Int64(), int64(r.Uint32())
 	br.Discard(int(head)) //nolint:errcheck // peeked above: it is all buffered
 	switch left := int64(rest) - head; {
 	case n != left:
@@ -704,7 +701,7 @@ func (s *Server) recvWrite(t *tenantState, br *bufio.Reader, cn *conn, id uint64
 }
 
 // hello performs the handshake: authenticate the tenant, admit or resume
-// the session, grant the write window. It writes its reply itself: the
+// the session, grant its resume token. It writes its reply itself: the
 // connection has no writer yet. A failed write is not its error to report —
 // the session is admitted, and the next read finds the dead socket and
 // detaches it.
@@ -720,10 +717,10 @@ func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
 	fail := func(status uint8, msg string) {
 		writeFrame(c, putStr(newFrame(id, status), msg), nil) //nolint:errcheck // a refusal; the connection ends here
 	}
-	r := reader{b: body}
-	tenant := r.str()
-	token := r.str()
-	if rest > maxHead || r.err != nil || op != opHello {
+	r := enc.NewReader(body)
+	tenant := r.String()
+	token := r.String()
+	if rest > maxHead || r.Err() != nil || op != opHello {
 		fail(statusErr, "dstreamd: expected hello")
 		return nil, fmt.Errorf("bad hello")
 	}
@@ -767,13 +764,13 @@ func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
 		ten.met.reconnects.Inc()
 	}
 
+	// Behind the token, the reserved fields (opHello): a 4 MiB window, the
+	// quota, the usage, the resumed flag and eagerBytes.
 	ten.mu.Lock()
 	used, quota := ten.usage, ten.cfg.QuotaBytes
 	ten.mu.Unlock()
-	out := putStr(newFrame(id, statusOK), sess.token)
-	out = putI64(out, sessionWindow)
-	out = putI64(out, quota)
-	out = putI64(out, used)
+	out := putI64(putStr(newFrame(id, statusOK), sess.token), 4<<20)
+	out = putI64(putI64(out, quota), used)
 	if resumed {
 		out = putU8(out, 1)
 	} else {

@@ -126,9 +126,12 @@ const (
 	maxHead = 8 << 10
 )
 
-// Request opcodes.
+// Request opcodes. The hello reply's five fields behind the token are
+// reserved: the daemon still sends them, so that a peer from before the
+// client stopped metering reads the frame it expects, and nothing reads them.
+// The daemon alone meters a tenant's bytes (Config.StripeFactor).
 const (
-	opHello uint8 = iota + 1 // tenant, token → token, window, quota, used, resumed
+	opHello uint8 = iota + 1 // tenant, token → token, then reserved: window, quota, used, resumed, eager
 	opOpen                   // name → size, stripe unit, stripe factor
 	opRead                   // name, off, n → eof, data
 	opWrite                  // name, off, data → n
@@ -241,60 +244,3 @@ func putU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32
 func putU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func putI64(b []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
 func putStr(b []byte, s string) []byte { return append(putU32(b, uint32(len(s))), s...) }
-
-// reader is a cursor over one frame payload; decoding errors are sticky.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("dstreamd: truncated frame")
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-func (r *reader) bytes() []byte {
-	n := r.u32()
-	if r.err != nil || uint32(len(r.b)) < n {
-		r.fail()
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) str() string { return string(r.bytes()) }

@@ -1,15 +1,17 @@
 // Package telemetry serves a machine run's live observability surface over
 // HTTP. Endpoints:
 //
-//	/healthz     liveness probe ("ok")
-//	/metrics     Prometheus text exposition of the monitor's registry
-//	/trace       Chrome trace-event JSON (load in chrome://tracing or Perfetto)
-//	/critpath    critical-path attribution report (text; ?format=json)
-//	/debug/vars  JSON snapshot of runtime stats plus all metrics
+//	/healthz       liveness probe ("ok")
+//	/metrics       Prometheus text exposition of the monitor's registry
+//	/trace         Chrome trace-event JSON (load in chrome://tracing or Perfetto)
+//	/critpath      critical-path attribution report (text; ?format=json)
+//	/debug/vars    JSON snapshot of runtime stats plus all metrics
+//	/debug/pprof/  the process's pprof profiles (net/http/pprof's handlers)
 //
 // All endpoints are safe to hit mid-run: expositions take consistent deep
 // snapshots under the registry and recorder locks, so a scrape races with
-// rank goroutines without torn reads.
+// rank goroutines without torn reads. A program serves a run by calling Serve
+// with the run's monitor before machine.Run and Close after it.
 package telemetry
 
 import (
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"runtime"
 	"sync"
 
@@ -100,6 +103,12 @@ func Serve(addr string, mon *dsmon.Monitor) (*Server, error) {
 	mux.HandleFunc("/trace", s.trace)
 	mux.HandleFunc("/critpath", s.critpath)
 	mux.HandleFunc("/debug/vars", s.vars)
+	// On this mux, not http.DefaultServeMux, which nothing here serves.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
 	return s, nil

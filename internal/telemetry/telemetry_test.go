@@ -41,20 +41,23 @@ func jsonKeys(body string, keys ...string) error {
 	return nil
 }
 
-// TestServeMidRun wires a telemetry server through machine.Config and
-// scrapes every endpoint while the run is still in flight: rank 0 parks
-// after the write phase until the scraper goroutine has seen all five
-// endpoints, so each GET races against live metric and span mutation —
-// which is exactly what -race is checking here.
+// TestServeMidRun serves a run's monitor around machine.Run and scrapes
+// every endpoint while the run is still in flight: rank 0 parks after the
+// write phase until the scraper goroutine has seen all five endpoints, so
+// each GET races against live metric and span mutation — which is exactly
+// what -race is checking here.
 func TestServeMidRun(t *testing.T) {
 	mon := dsmon.NewTracing()
-	addrCh := make(chan string, 1)
+	srv, err := telemetry.Serve("127.0.0.1:0", mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
 	midRun := make(chan struct{})
 	scraped := make(chan struct{})
 
 	go func() {
 		defer close(scraped)
-		addr := <-addrCh
 		<-midRun
 
 		if code, body, err := get(addr, "/healthz"); err != nil || code != 200 || body != "ok\n" {
@@ -97,11 +100,7 @@ func TestServeMidRun(t *testing.T) {
 		}
 	}()
 
-	_, err := machine.Run(machine.Config{
-		NProcs: 2, Profile: vtime.CM5(), Monitor: mon,
-		TelemetryAddr: "127.0.0.1:0",
-		OnTelemetry:   func(addr string) { addrCh <- addr },
-	}, func(n *machine.Node) error {
+	_, err = machine.Run(machine.Config{NProcs: 2, Profile: vtime.CM5(), Monitor: mon}, func(n *machine.Node) error {
 		d, err := distr.New(8, 2, distr.Cyclic, 0)
 		if err != nil {
 			return err
@@ -132,16 +131,26 @@ func TestServeMidRun(t *testing.T) {
 		}
 		return nil
 	})
+	srv.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := get(addr, "/healthz"); err == nil {
+		t.Fatal("server still serving after Close")
+	}
+}
 
-	// Run returned, so machine.Run's deferred Close fired: the address must
-	// no longer accept connections.
-	select {
-	case addr := <-addrCh:
-		t.Fatalf("OnTelemetry called twice with %q", addr)
-	default:
+// TestServePprof: the pprof handlers are on the server's own mux.
+func TestServePprof(t *testing.T) {
+	srv, err := telemetry.Serve("127.0.0.1:0", dsmon.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		if code, body, err := get(srv.Addr(), path); err != nil || code != 200 || !strings.Contains(body, "goroutine") {
+			t.Errorf("%s = %d (%v):\n%.200s", path, code, err, body)
+		}
 	}
 }
 

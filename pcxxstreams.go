@@ -94,9 +94,10 @@ type (
 	// CritPathReport attributes a traced run's virtual time per rank and
 	// category and extracts the critical path (see AnalyzeCritPath).
 	CritPathReport = critpath.Report
-	// TelemetryServer serves a monitor's live metrics/trace/critpath over
-	// HTTP (see ServeTelemetry; Config.TelemetryAddr serves for a run's
-	// duration automatically).
+	// TelemetryServer serves a monitor's live metrics/trace/critpath and
+	// the process's pprof profiles over HTTP (see ServeTelemetry; to serve
+	// a run live, start it before Run with the run's Monitor and Close it
+	// after).
 	TelemetryServer = telemetry.Server
 )
 
@@ -105,7 +106,8 @@ var (
 	// tracing monitor's recorder.
 	AnalyzeCritPath = critpath.Analyze
 	// ServeTelemetry starts the live telemetry HTTP server (/metrics,
-	// /trace, /critpath, /healthz, /debug/vars) for a monitor.
+	// /trace, /critpath, /healthz, /debug/vars, /debug/pprof/) for a
+	// monitor.
 	ServeTelemetry = telemetry.Serve
 )
 
