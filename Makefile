@@ -146,7 +146,8 @@ chaos:
 
 # Short fuzz pass over the wire codec, the schema decoder, the planner, the
 # daemon's two frame decoders, the two readers of a d/stream file against
-# each other and the striped backend against a flat one (the committed corpora
+# each other, Segment's extractor into fresh and into filled elements, and the
+# striped backend against a flat one (the committed corpora
 # under testdata/fuzz replay in every plain `go test` run).
 fuzz:
 	$(GO) test ./internal/enc/ -fuzz FuzzRoundTrip -fuzztime 30s
@@ -160,4 +161,5 @@ fuzz:
 	$(GO) test ./internal/server/ -fuzz FuzzServerConn -fuzztime 30s
 	$(GO) test ./internal/server/ -fuzz FuzzClientReply -fuzztime 30s
 	$(GO) test ./internal/dsinfo/ -fuzz FuzzFileReaders -fuzztime 30s
+	$(GO) test ./internal/scf/ -fuzz FuzzSegmentExtract -fuzztime 30s
 	$(GO) test ./internal/pfs/ -fuzz FuzzStripedVsFlat -fuzztime 30s

@@ -45,7 +45,7 @@ func (c *cell) StreamInsert(e *pcxx.Encoder) {
 func (c *cell) StreamExtract(d *pcxx.Decoder) {
 	c.Row = d.Int32()
 	c.Col = d.Int32()
-	c.Masses = d.Float64Slice()
+	c.Masses = d.AppendFloat64Slice(c.Masses[:0])
 }
 
 // density returns the particle count of cell (i, j): a sharp hot spot

@@ -55,7 +55,7 @@ func (p *ParticleList) StreamInsert(e *pcxx.Encoder) {
 // StreamExtract implements pcxx.Extractor.
 func (p *ParticleList) StreamExtract(d *pcxx.Decoder) {
 	p.NumberOfParticles = d.Int64()
-	p.Mass = d.Float64Slice()
+	p.Mass = d.AppendFloat64Slice(p.Mass[:0])
 	n := int(d.Uint32())
 	p.Position = make([]Position, n)
 	for i := range p.Position {

@@ -29,7 +29,7 @@ func (r *Reading) StreamInsert(e *pcxx.Encoder) {
 // StreamExtract implements pcxx.Extractor.
 func (r *Reading) StreamExtract(d *pcxx.Decoder) {
 	r.Station = d.Int64()
-	r.Samples = d.Float64Slice()
+	r.Samples = d.AppendFloat64Slice(r.Samples[:0])
 }
 
 func main() {

@@ -28,6 +28,7 @@ import (
 	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
+	"pcxxstreams/internal/scf"
 	"pcxxstreams/internal/server"
 	"pcxxstreams/internal/vtime"
 )
@@ -87,6 +88,12 @@ func AllocTable() ([]AllocCell, error) {
 		// hardly a byte to move.
 		{"dstream_small_read", func() (float64, float64, error) {
 			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic, smallElems)
+		}},
+		// Segments read back into the same elements every cycle: the
+		// extractor refills their slices, so a cycle costs what
+		// dstream_parallel_read's does, not a record's payload.
+		{"dstream_segment_reread", func() (float64, float64, error) {
+			return readCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic, segmentElems(allocElems))
 		}},
 		{"dstream_chan_send", func() (float64, float64, error) { return channelCycleAllocs(allocElemSize, false, false) }},
 		{"dstream_chan_recv", func() (float64, float64, error) { return channelCycleAllocs(allocElemSize, false, true) }},
@@ -329,11 +336,13 @@ func writeCycleAllocs(prof vtime.Profile, strat dstream.Strategy) (float64, floa
 }
 
 // cycleElems is what a read cell's records are made of: how many elements,
-// and how one is inserted and extracted.
+// and how one is inserted and extracted. extractor is called once by each
+// reading rank, before its first record, for the extract of every record it
+// reads: what it returns may keep that rank's elements.
 type cycleElems struct {
-	n       int
-	insert  func(l int, e *dstream.Encoder)
-	extract func(l int, d *dstream.Decoder)
+	n         int
+	insert    func(l int, e *dstream.Encoder)
+	extractor func(local int) func(l int, d *dstream.Decoder)
 }
 
 // rawElems are the machine-level cells' elements: n opaque payloads of
@@ -341,9 +350,28 @@ type cycleElems struct {
 func rawElems(n int) cycleElems {
 	payload := make([]byte, allocElemSize)
 	return cycleElems{
-		n:       n,
-		insert:  func(l int, e *dstream.Encoder) { e.Raw(payload) },
-		extract: func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) },
+		n:      n,
+		insert: func(l int, e *dstream.Encoder) { e.Raw(payload) },
+		extractor: func(int) func(l int, d *dstream.Decoder) {
+			return func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) }
+		},
+	}
+}
+
+// segmentElems are n Segments of scf.DefaultParticles particles, each rank
+// extracting every record into the same local elements with the generated
+// extractor, which refills their slices in place: after the first record a
+// cycle decodes 5.6 KB a segment and keeps none of it on the heap.
+func segmentElems(n int) cycleElems {
+	var seg scf.Segment
+	seg.Fill(1, scf.DefaultParticles)
+	return cycleElems{
+		n:      n,
+		insert: func(l int, e *dstream.Encoder) { seg.StreamInsert(e) },
+		extractor: func(local int) func(l int, d *dstream.Decoder) {
+			segs := make([]scf.Segment, local)
+			return func(l int, d *dstream.Decoder) { segs[l].StreamExtract(d) }
+		},
 	}
 }
 
@@ -356,9 +384,11 @@ var smallElems = cycleElems{
 		e.Int64(int64(l))
 		e.Int64Slice([]int64{1, 2, 3, 4}[:1+l%4])
 	},
-	extract: func(l int, d *dstream.Decoder) {
-		d.Int64()
-		d.Int64Slice()
+	extractor: func(int) func(l int, d *dstream.Decoder) {
+		return func(l int, d *dstream.Decoder) {
+			d.Int64()
+			d.Int64Slice()
+		}
 	},
 }
 
@@ -409,11 +439,12 @@ func readCycleAllocs(strat dstream.Strategy, depth int, rmode distr.Mode, el cyc
 			return err
 		}
 		defer in.Close()
+		extract := el.extractor(in.LocalLen())
 		cycle := func() error {
 			if err := in.Read(); err != nil {
 				return err
 			}
-			return in.ExtractFunc(el.extract)
+			return in.ExtractFunc(extract)
 		}
 		return measureCycles(n, 1, cycle, &allocs, &bytes)
 	})

@@ -28,7 +28,9 @@ import (
 // Skip or Close, wherever the element came from; copy them out to keep them.
 // Everything else a Decoder returns — scalars, strings, Bytes32, and the
 // slices of Int64Slice and Float64Slice, carved from the record view's word
-// slab — is the program's to keep for as long as it likes.
+// slab — is the program's to keep for as long as it likes. The append forms,
+// AppendInt64Slice and AppendFloat64Slice, refill the slice they are handed
+// when it has room, so the next extract into the same element overwrites it.
 //
 // In the record pipeline (DESIGN.md) it is the file source — prefetch queue,
 // two-phase refill or direct read, then same-layout placement or the planned

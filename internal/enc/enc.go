@@ -375,35 +375,26 @@ func (d *Reader) String() string {
 // decoded slice. On a reader a record view handed out it is carved from the
 // view's word slab (see Slab for what keeping one pins); otherwise it is
 // allocated.
-func (d *Reader) Float64Slice() []float64 {
-	p := d.takeWords()
-	if p == nil {
-		return nil
-	}
-	out := wordSlice[float64](d.slab, len(p)/8)
-	if hostLittleEndian {
-		copy(wordBytes(out), p)
-	} else {
-		getFloat64s(out, p)
-	}
-	return out
-}
+func (d *Reader) Float64Slice() []float64 { return d.AppendFloat64Slice(nil) }
 
 // Int64Slice decodes a u32-length-prefixed []int64, owned like Float64Slice's
 // result.
-func (d *Reader) Int64Slice() []int64 {
-	p := d.takeWords()
-	if p == nil {
-		return nil
-	}
-	out := wordSlice[int64](d.slab, len(p)/8)
-	if hostLittleEndian {
-		copy(wordBytes(out), p)
-	} else {
-		getInt64s(out, p)
-	}
-	return out
+func (d *Reader) Int64Slice() []int64 { return d.AppendInt64Slice(nil) }
+
+// AppendFloat64Slice decodes a u32-length-prefixed []float64 and appends it
+// to dst — the paper's `s >> array(p.mass, p.n)`, which fills the element's
+// own array: `p.Mass = d.AppendFloat64Slice(p.Mass[:0])`. When dst's spare
+// capacity holds the values they are written there, so whoever else holds
+// dst's memory sees them; otherwise the result is a fresh len == cap slice,
+// carved or allocated as Float64Slice's, holding dst's prefix and the values.
+// On error dst comes back unchanged, its spare capacity untouched.
+func (d *Reader) AppendFloat64Slice(dst []float64) []float64 {
+	return appendWords(d, dst, getFloat64s)
 }
+
+// AppendInt64Slice decodes a u32-length-prefixed []int64 and appends it to
+// dst, in place or not as AppendFloat64Slice.
+func (d *Reader) AppendInt64Slice(dst []int64) []int64 { return appendWords(d, dst, getInt64s) }
 
 // takeWords reads a u32 count and takes that many 8-byte words in one step,
 // so a count the buffer cannot back is ErrShort before the caller allocates

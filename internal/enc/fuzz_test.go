@@ -2,9 +2,11 @@ package enc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // FuzzRoundTrip: whatever a Buffer encodes, a Reader decodes back exactly —
@@ -32,7 +34,8 @@ func FuzzRoundTrip(f *testing.F) {
 
 		// Encoded as the host would and portably: the same bytes. Each image
 		// is then decoded on both paths, once bare and once carving from a
-		// slab: the same values every way.
+		// slab, its word slices with the plain methods and with the append
+		// form into every shape of dst: the same values every way.
 		var img [][]byte
 		eitherPath(func(string) {
 			var e Buffer
@@ -53,14 +56,16 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("the memmove path encoded %x, the portable loop %x", img[0], img[1])
 		}
 		eitherPath(func(string) {
-			for _, d := range []*Reader{NewReader(img[0]), slabReader(img[0])} {
-				checkRoundTrip(t, d, b, u32, u64, f64, s, raw, fslice, islice)
+			for _, shape := range dstShapes {
+				for _, d := range []*Reader{NewReader(img[0]), slabReader(img[0])} {
+					checkRoundTrip(t, d, shape, b, u32, u64, f64, s, raw, fslice, islice)
+				}
 			}
 		})
 	})
 }
 
-func checkRoundTrip(t *testing.T, d *Reader, b bool, u32 uint32, u64 uint64, f64 float64, s string, raw []byte, fslice []float64, islice []int64) {
+func checkRoundTrip(t *testing.T, d *Reader, shape string, b bool, u32 uint32, u64 uint64, f64 float64, s string, raw []byte, fslice []float64, islice []int64) {
 	t.Helper()
 	if got := d.Bool(); got != b {
 		t.Fatalf("Bool = %v, want %v", got, b)
@@ -89,7 +94,10 @@ func checkRoundTrip(t *testing.T, d *Reader, b bool, u32 uint32, u64 uint64, f64
 	if got := d.Bytes32(); !bytes.Equal(got, raw) {
 		t.Fatalf("Bytes32 = %q, want %q", got, raw)
 	}
-	gf := d.Float64Slice()
+	gf, broken := decodeWords(d, shape, (*Reader).AppendFloat64Slice)
+	if broken != "" {
+		t.Fatalf("Float64Slice into %s: %s", shape, broken)
+	}
 	if len(gf) != len(fslice) {
 		t.Fatalf("Float64Slice len = %d, want %d", len(gf), len(fslice))
 	}
@@ -98,7 +106,10 @@ func checkRoundTrip(t *testing.T, d *Reader, b bool, u32 uint32, u64 uint64, f64
 			t.Fatalf("Float64Slice[%d] = %v, want %v", i, gf[i], fslice[i])
 		}
 	}
-	gi := d.Int64Slice()
+	gi, broken := decodeWords(d, shape, (*Reader).AppendInt64Slice)
+	if broken != "" {
+		t.Fatalf("Int64Slice into %s: %s", shape, broken)
+	}
 	if len(gi) != len(islice) {
 		t.Fatalf("Int64Slice len = %d, want %d", len(gi), len(islice))
 	}
@@ -113,6 +124,62 @@ func checkRoundTrip(t *testing.T, d *Reader, b bool, u32 uint32, u64 uint64, f64
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left over after round trip", d.Remaining())
 	}
+}
+
+// dstShapes are how the fuzz targets decode a word slice: with the plain
+// method, and with the append form into nothing, into exactly the room the
+// count needs, and into one word less.
+var dstShapes = []string{"plain", "nil", "room", "short"}
+
+// decodeWords decodes the word slice at d's position as shape says and
+// returns what the plain method would: the words, or nil on a failure. It
+// checks the append form's promises about dst on the way, and reports the
+// first one broken instead: dst's memory refilled when the count fits and
+// left alone when it does not, dst itself back on a failure.
+func decodeWords[T int64 | float64](d *Reader, shape string, appendTo func(*Reader, []T) []T) ([]T, string) {
+	if shape == "plain" {
+		return appendTo(d, nil), ""
+	}
+	n := 0
+	if d.end >= 0 && d.Remaining() >= 4 {
+		// Capped at what the bytes left could hold, plus one: a count past
+		// that fails anyway, and the dst stays small.
+		n = int(min(binary.LittleEndian.Uint32(d.b[d.off:]), uint32(d.Remaining()/8+1)))
+	}
+	var dst []T
+	switch shape {
+	case "room":
+		dst = make([]T, n)
+	case "short":
+		dst = make([]T, max(n-1, 0))
+	}
+	const sentinel = -0x1p40
+	for i := range dst {
+		dst[i] = sentinel
+	}
+	dst = dst[:0]
+	untouched := func() bool {
+		for _, w := range dst[:cap(dst)] {
+			if w != sentinel {
+				return false
+			}
+		}
+		return true
+	}
+	v := appendTo(d, dst)
+	same := unsafe.SliceData(v) == unsafe.SliceData(dst)
+	switch {
+	case d.Err() != nil:
+		if v == nil && dst == nil || same && len(v) == len(dst) && untouched() {
+			return nil, ""
+		}
+		return nil, "a failed decode did not hand dst back untouched"
+	case len(v) <= cap(dst) && dst != nil && !same:
+		return nil, "a count that fits was not decoded into dst's memory"
+	case len(v) > cap(dst) && (same || !untouched() || cap(v) != len(v)):
+		return nil, "a count that does not fit was not decoded into a fresh len == cap slice"
+	}
+	return v, ""
 }
 
 // slabReader decodes from b with a slab attached that b's words fit.
@@ -141,28 +208,37 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add(append([]byte{1}, words...), []byte{0, 9, 10})
 	f.Add(words[:len(words)-1], []byte{9, 10, 10})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
-		// Four readers in step — bare and carving from a slab, on the host's
-		// path and on the portable one: what they return, what they report and
-		// where they stand must never differ.
+		// Readers in step — bare and carving from a slab, on the host's path
+		// and on the portable one, and decoding word slices with the append
+		// form into three shapes of dst: what they return, what they report
+		// and where they stand must never differ.
 		d := NewReader(data)
-		others := []struct {
+		type other struct {
 			name     string
 			d        *Reader
 			portable bool
-		}{
-			{"from a slab", slabReader(data), false},
-			{"portably", NewReader(data), true},
-			{"portably from a slab", slabReader(data), true},
+			shape    string
+		}
+		others := []other{
+			{"from a slab", slabReader(data), false, "plain"},
+			{"portably", NewReader(data), true, "plain"},
+			{"portably from a slab", slabReader(data), true, "plain"},
+		}
+		for _, shape := range dstShapes[1:] {
+			others = append(others,
+				other{"appending into " + shape, NewReader(data), false, shape},
+				other{"appending into " + shape + " from a slab", slabReader(data), false, shape},
+				other{"appending into " + shape + " portably", NewReader(data), true, shape})
 		}
 		for _, op := range script {
 			hadErr := d.Err() != nil
-			got := fuzzStep(d, op)
+			got := fuzzStep(d, op, "plain")
 			for _, o := range others {
 				var gotO any
 				if o.portable {
-					portable(func() { gotO = fuzzStep(o.d, op) })
+					portable(func() { gotO = fuzzStep(o.d, op, o.shape) })
 				} else {
-					gotO = fuzzStep(o.d, op)
+					gotO = fuzzStep(o.d, op, o.shape)
 				}
 				if !reflect.DeepEqual(got, gotO) {
 					t.Fatalf("op %d decoded %v bare and %v %s", op%11, got, gotO, o.name)
@@ -187,10 +263,11 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	})
 }
 
-// fuzzStep runs one scripted decode and returns what it yielded in a form
-// DeepEqual can compare: floats as their bits (NaN payloads included), a nil
-// slice apart from an empty one.
-func fuzzStep(d *Reader, op byte) any {
+// fuzzStep runs one scripted decode, word slices decoded as shape says, and
+// returns what it yielded in a form DeepEqual can compare: floats as their
+// bits (NaN payloads included), a nil slice apart from an empty one, and a
+// broken append-form promise as its description.
+func fuzzStep(d *Reader, op byte, shape string) any {
 	switch op % 11 {
 	case 0:
 		return d.Bool()
@@ -211,7 +288,10 @@ func fuzzStep(d *Reader, op byte) any {
 	case 8:
 		return d.Bytes32()
 	case 9:
-		v := d.Float64Slice()
+		v, broken := decodeWords(d, shape, (*Reader).AppendFloat64Slice)
+		if broken != "" {
+			return broken
+		}
 		if v == nil {
 			return nil
 		}
@@ -221,7 +301,11 @@ func fuzzStep(d *Reader, op byte) any {
 		}
 		return bits
 	default:
-		return d.Int64Slice()
+		v, broken := decodeWords(d, shape, (*Reader).AppendInt64Slice)
+		if broken != "" {
+			return broken
+		}
+		return v
 	}
 }
 

@@ -46,13 +46,13 @@ func (s *Segment) StreamInsert(e *dstream.Encoder) {
 // StreamExtract implements dstream.Extractor.
 func (s *Segment) StreamExtract(d *dstream.Decoder) {
 	s.NumberOfParticles = d.Int64()
-	s.X = d.Float64Slice()
-	s.Y = d.Float64Slice()
-	s.Z = d.Float64Slice()
-	s.VX = d.Float64Slice()
-	s.VY = d.Float64Slice()
-	s.VZ = d.Float64Slice()
-	s.Mass = d.Float64Slice()
+	s.X = d.AppendFloat64Slice(s.X[:0])
+	s.Y = d.AppendFloat64Slice(s.Y[:0])
+	s.Z = d.AppendFloat64Slice(s.Z[:0])
+	s.VX = d.AppendFloat64Slice(s.VX[:0])
+	s.VY = d.AppendFloat64Slice(s.VY[:0])
+	s.VZ = d.AppendFloat64Slice(s.VZ[:0])
+	s.Mass = d.AppendFloat64Slice(s.Mass[:0])
 }
 
 // EncodedBytes returns the segment's d/stream payload size: an int64 count

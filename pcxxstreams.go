@@ -385,7 +385,9 @@ func InsertFloat64Slice[T any](s *OStream, c *Collection[T], get func(*T) []floa
 	return dstream.InsertFloat64Slice(s, c, get)
 }
 
-// ExtractFloat64Slice extracts a variable-sized []float64 field.
+// ExtractFloat64Slice extracts a variable-sized []float64 field — the
+// paper's s >> array(p.mass, p.numberOfParticles) — into the field's own
+// array when it has room.
 func ExtractFloat64Slice[T any](s *IStream, c *Collection[T], ptr func(*T) *[]float64) error {
 	return dstream.ExtractFloat64Slice(s, c, ptr)
 }
@@ -395,7 +397,8 @@ func InsertInt64Slice[T any](s *OStream, c *Collection[T], get func(*T) []int64)
 	return dstream.InsertInt64Slice(s, c, get)
 }
 
-// ExtractInt64Slice extracts a variable-sized []int64 field.
+// ExtractInt64Slice extracts a variable-sized []int64 field, into the
+// field's own array when it has room.
 func ExtractInt64Slice[T any](s *IStream, c *Collection[T], ptr func(*T) *[]int64) error {
 	return dstream.ExtractInt64Slice(s, c, ptr)
 }
