@@ -58,7 +58,8 @@ telemetry-smoke:
 
 # The dstreamd self-test: an in-process daemon, concurrent tenant sessions
 # through full stream round trips, a quota breach failing cleanly, and a
-# per-tenant telemetry scrape.
+# per-tenant telemetry scrape; once over the same-host socket (shared
+# chunks), once over TCP (frames).
 dstreamd-smoke:
 	$(GO) run ./cmd/dstreamd -smoke
 
@@ -95,9 +96,9 @@ alloc-check:
 
 # The race suite again with pooldebug poisoning on the pool-heavy packages:
 # a retained alias written after Put panics at the next Get instead of
-# corrupting a record silently. The daemon moves every chunk through a pooled
-# buffer an I/O rank releases, so its package and the session layer over it
-# are on the list. The whole dstream package runs, TestFrontMatterFramesReturn
+# corrupting a record silently. The daemon moves a framed chunk through a
+# pooled buffer an I/O rank releases, and poisons a shared chunk it hands
+# back, so its package and the session layer over it are on the list. The whole dstream package runs, TestFrontMatterFramesReturn
 # among it: a cache keyed on a released front-matter frame reads the poison.
 race-pooldebug:
 	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/ ./internal/server/ ./internal/session/

@@ -21,8 +21,10 @@
 // -smoke runs the daemon's self-test: an in-process instance with two
 // tenants, concurrent client sessions writing and reading streams
 // byte-identically, a quota tenant whose breach must fail cleanly, and a
-// telemetry scrape — exiting zero only if all of it holds. CI runs it via
-// `make dstreamd-smoke`.
+// telemetry scrape — exiting zero only if all of it holds. It runs twice:
+// over the same-host unix socket, where the payload must cross in shared
+// chunks, and over TCP, where it must cross in the frames; it prints which
+// each used. CI runs it via `make dstreamd-smoke`.
 package main
 
 import (
@@ -148,12 +150,31 @@ func parseTenants(spec string) ([]pcxx.DaemonTenant, error) {
 	return out, nil
 }
 
-// runSmoke is the CI self-test: daemon + telemetry up, two tenants through
-// full stream round-trips concurrently, quota breach fails cleanly, metrics
-// and health scrape correctly, everything shuts down.
+// runSmoke is the CI self-test, once over each path: a daemon bound to a
+// loopback address serves its same-host socket, which the sessions take; one
+// bound to every interface serves none, so they take TCP.
 func runSmoke() error {
+	for _, path := range []struct {
+		name, listen string
+		chunks       bool
+	}{
+		{"unix socket", "127.0.0.1:0", true},
+		{"tcp", ":0", false},
+	} {
+		if err := smokeOver(path.name, path.listen, path.chunks); err != nil {
+			return fmt.Errorf("over %s: %w", path.name, err)
+		}
+	}
+	return nil
+}
+
+// smokeOver is one pass of the self-test: daemon + telemetry up, two tenants
+// through full stream round-trips concurrently, quota breach fails cleanly,
+// metrics and health scrape correctly, the payload crossed in shared chunks
+// or in the frames as chunks says, everything shuts down.
+func smokeOver(path, listen string, chunks bool) error {
 	mon := dsmon.New()
-	srv, err := pcxx.StartDaemon("127.0.0.1:0", pcxx.DaemonConfig{
+	srv, err := pcxx.StartDaemon(listen, pcxx.DaemonConfig{
 		Tenants: []pcxx.DaemonTenant{
 			{Name: "smoke-a"},
 			{Name: "smoke-b"},
@@ -165,6 +186,11 @@ func runSmoke() error {
 		return err
 	}
 	defer srv.Close()
+	_, port, err := net.SplitHostPort(srv.Addr())
+	if err != nil {
+		return err
+	}
+	addr := net.JoinHostPort("127.0.0.1", port)
 	ts, err := telemetry.Serve("127.0.0.1:0", mon)
 	if err != nil {
 		return err
@@ -180,7 +206,7 @@ func runSmoke() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := smokeRun(srv.Addr(), tenant, 1000*(i+1)); err != nil {
+			if err := smokeRun(addr, tenant, 1000*(i+1)); err != nil {
 				errs <- fmt.Errorf("tenant %s: %w", tenant, err)
 			}
 		}()
@@ -193,7 +219,7 @@ func runSmoke() error {
 
 	// The quota tenant must fail cleanly, and promptly.
 	quotaDone := make(chan error, 1)
-	go func() { quotaDone <- smokeRun(srv.Addr(), "smoke-tiny", 7) }()
+	go func() { quotaDone <- smokeRun(addr, "smoke-tiny", 7) }()
 	select {
 	case err := <-quotaDone:
 		if err == nil {
@@ -215,10 +241,23 @@ func runSmoke() error {
 		`dstreamd_requests_total{tenant="smoke-a"}`,
 		`dstreamd_requests_total{tenant="smoke-b"}`,
 		`dstreamd_quota_rejects_total{tenant="smoke-tiny"}`,
+		`dstreamd_chunk_transfers_total`,
+		`dstreamd_inline_transfers_total{reason="no_mapping"}`,
 	} {
 		if !strings.Contains(body, want) {
 			return fmt.Errorf("/metrics missing %s", want)
 		}
+	}
+
+	// Which way the payload crossed.
+	reg := mon.Registry()
+	chunked := reg.Counter("dstreamd_chunk_transfers_total", "").Value()
+	noChunk := reg.Counter("dstreamd_inline_transfers_total", "", "reason", "no_chunk").Value()
+	noMapping := reg.Counter("dstreamd_inline_transfers_total", "", "reason", "no_mapping").Value()
+	fmt.Printf("dstreamd smoke: over %s: %d transfers in shared chunks, %d framed (%d with no chunk free, %d with no chunks)\n",
+		path, chunked, noChunk+noMapping, noChunk, noMapping)
+	if chunks != (chunked > 0) || chunks != (noMapping == 0) {
+		return fmt.Errorf("the payload took the wrong path: %d transfers in shared chunks, %d framed without any", chunked, noMapping)
 	}
 
 	if err := ts.Close(); err != nil {

@@ -28,7 +28,7 @@ type Backend struct {
 
 // pfsInjects caches the per-kind injection counters.
 type pfsInjects struct {
-	readErr, writeErr, shortRead, shortWrite *dsmon.Counter
+	readErr, writeErr, shortRead, shortWrite, flipRead *dsmon.Counter
 }
 
 func newPFSInjects(mon *dsmon.Monitor) pfsInjects {
@@ -36,6 +36,7 @@ func newPFSInjects(mon *dsmon.Monitor) pfsInjects {
 	return pfsInjects{
 		readErr: k("read_err"), writeErr: k("write_err"),
 		shortRead: k("short_read"), shortWrite: k("short_write"),
+		flipRead: silentPlane.counter(mon, "flip_read"),
 	}
 }
 
@@ -85,24 +86,31 @@ func StripedChaosFactory(k int, unit int64, seed int64, rates Rates, mon *dsmon.
 	}
 }
 
-// fault draws one uniform sample and maps it to (errFault, shortFault) for
-// an operation on n bytes; cut is the prefix length of a short transfer.
-func (b *Backend) fault(errRate, shortRate float64, n int) (errFault bool, cut int) {
+// fault draws one uniform sample and maps it to (errFault, shortFault,
+// flip) for an operation on n bytes; cut is the prefix length of a short
+// transfer, and flip, when positive, is one more than the bit of the n bytes
+// a silent flip inverts. With flipRate zero the draws are the ones before
+// the silent kind existed, so every other campaign's schedule is unchanged.
+func (b *Backend) fault(errRate, shortRate, flipRate float64, n int) (errFault bool, cut, flip int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r := b.rng.Float64()
 	if r < errRate {
-		return true, 0
+		return true, 0, 0
 	}
 	if r < errRate+shortRate && n > 1 {
-		return false, 1 + b.rng.IntN(n-1)
+		return false, 1 + b.rng.IntN(n-1), 0
 	}
-	return false, 0
+	if r < errRate+shortRate+flipRate && n > 0 {
+		return false, 0, 1 + b.rng.IntN(8*n)
+	}
+	return false, 0, 0
 }
 
-// ReadAt implements io.ReaderAt with injected transient faults.
+// ReadAt implements io.ReaderAt with injected transient faults, and the
+// silent bit flip.
 func (b *Backend) ReadAt(p []byte, off int64) (int, error) {
-	errFault, cut := b.fault(b.rates.ReadErr, b.rates.ShortRead, len(p))
+	errFault, cut, flip := b.fault(b.rates.ReadErr, b.rates.ShortRead, b.rates.FlipRead, len(p))
 	if errFault {
 		b.inj.readErr.Inc()
 		return 0, fmt.Errorf("%w: chaos read error at %d", pfs.ErrTransient, off)
@@ -115,12 +123,17 @@ func (b *Backend) ReadAt(p []byte, off int64) (int, error) {
 		b.inj.shortRead.Inc()
 		return n, fmt.Errorf("%w: chaos short read %d of %d at %d", pfs.ErrTransient, n, len(p), off)
 	}
-	return b.inner.ReadAt(p, off)
+	n, err := b.inner.ReadAt(p, off)
+	if flip--; flip >= 0 && flip < 8*n {
+		p[flip/8] ^= 1 << (flip % 8)
+		b.inj.flipRead.Inc()
+	}
+	return n, err
 }
 
 // WriteAt implements io.WriterAt with injected transient faults.
 func (b *Backend) WriteAt(p []byte, off int64) (int, error) {
-	errFault, cut := b.fault(b.rates.WriteErr, b.rates.ShortWrite, len(p))
+	errFault, cut, _ := b.fault(b.rates.WriteErr, b.rates.ShortWrite, 0, len(p))
 	if errFault {
 		b.inj.writeErr.Inc()
 		return 0, fmt.Errorf("%w: chaos write error at %d", pfs.ErrTransient, off)

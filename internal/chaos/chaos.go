@@ -56,6 +56,10 @@ type Rates struct {
 	// report pfs.ErrTransient, forcing the retry helpers to resume.
 	ShortRead  float64
 	ShortWrite float64
+	// FlipRead flips one bit of a read that succeeded and reports success:
+	// a silent fault, which no retry sees. DefaultRates leaves it at zero; a
+	// campaign that sets it counts the seeds the stack silently accepted.
+	FlipRead float64
 
 	// MaxDelay bounds the real-time delivery delay of a Delay fault.
 	MaxDelay time.Duration

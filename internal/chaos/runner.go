@@ -42,6 +42,12 @@ const (
 	// (nobody hung) and no corruption was observed. Permitted: retry and
 	// reconnect budgets are finite.
 	OutcomeCleanError
+	// OutcomeSilent: the part completed with wrong bytes in a seed that
+	// injected a silent fault (silentPlane) — the stack accepted corrupted
+	// data without noticing. Counted, not forbidden: no format in the tree
+	// can see a flipped bit yet, and a campaign with silent faults reports
+	// how many seeds got through.
+	OutcomeSilent
 	// OutcomeCorrupt: the part "succeeded" but produced wrong bytes — the
 	// failure mode the d/stream transparency guarantee forbids.
 	OutcomeCorrupt
@@ -56,6 +62,8 @@ func (o Outcome) String() string {
 		return "ok"
 	case OutcomeCleanError:
 		return "clean-error"
+	case OutcomeSilent:
+		return "silently-accepted"
 	case OutcomeCorrupt:
 		return "CORRUPT"
 	case OutcomeHang:
@@ -77,11 +85,13 @@ type SeedResult struct {
 	// Outcomes and Errs are per part (Errs[i] is nil for OutcomeOK).
 	Outcomes []Outcome
 	Errs     []error
-	// Worst is the most severe per-part outcome (OK < CleanError < Corrupt
-	// < Hang).
+	// Worst is the most severe per-part outcome (OK < CleanError < Silent
+	// < Corrupt < Hang).
 	Worst Outcome
 	// Injects maps "comm:<kind>", "pfs:<kind>" and "conn:<kind>" to the
-	// number of faults the schedule actually injected.
+	// number of faults the schedule actually injected, and
+	// "dstreamd:chunk_transfers" to the transfers a daemon in the run moved
+	// in shared chunks.
 	Injects map[string]int64
 }
 
@@ -97,8 +107,15 @@ var (
 		[]string{"drop", "send_err", "duplicate", "delay", "reorder", "recv_err"}}
 	pfsPlane = faultPlane{"pfs", "storage faults injected by the chaos layer",
 		[]string{"read_err", "write_err", "short_read", "short_write"}}
+	// silentPlane is the storage faults that report success: the stack
+	// cannot retry them, only notice them or not. Kept apart from pfsPlane,
+	// whose every kind each storage campaign must inject.
+	silentPlane = faultPlane{"pfs", pfsPlane.help, []string{"flip_read"}}
+	// A cut_held is a cut at a moment the daemon held a shared chunk: a
+	// connection severed mid-transfer, whose chunks the daemon may unmap
+	// only once its I/O ranks are done with them.
 	connPlane = faultPlane{"conn", "client connections severed by the chaos layer",
-		[]string{"cut"}}
+		[]string{"cut", "cut_held"}}
 )
 
 // counter is the plane's chaos_<plane>_inject_total{kind} counter in a
@@ -111,12 +128,25 @@ func (p faultPlane) counter(mon *dsmon.Monitor, kind string) *dsmon.Counter {
 // registry.
 func injectCounts(mon *dsmon.Monitor) map[string]int64 {
 	out := make(map[string]int64)
-	for _, p := range []faultPlane{commPlane, pfsPlane, connPlane} {
+	for _, p := range []faultPlane{commPlane, pfsPlane, silentPlane, connPlane} {
 		for _, k := range p.kinds {
 			out[p.name+":"+k] = p.counter(mon, k).Value()
 		}
 	}
+	// A daemon monitored on the run's registry (the tenant campaign's): the
+	// transfers that crossed in shared chunks. The help is the daemon's; the
+	// registry keys on the name alone.
+	out["dstreamd:chunk_transfers"] = mon.Registry().Counter("dstreamd_chunk_transfers_total", "").Value()
 	return out
+}
+
+// silentInjects is how many silent faults a seed injected.
+func silentInjects(injects map[string]int64) int64 {
+	var n int64
+	for _, k := range silentPlane.kinds {
+		n += injects[silentPlane.name+":"+k]
+	}
+	return n
 }
 
 // RunSeed executes sc under one seeded fault schedule and classifies every
@@ -148,6 +178,9 @@ func RunSeed(sc Scenario, seed int64) SeedResult {
 			res.Outcomes[i] = OutcomeOK
 		case errors.Is(err, errCorrupt), errors.Is(err, scf.ErrMismatch):
 			res.Outcomes[i] = OutcomeCorrupt
+			if silentInjects(res.Injects) > 0 {
+				res.Outcomes[i] = OutcomeSilent
+			}
 		default:
 			res.Outcomes[i] = OutcomeCleanError
 		}
@@ -160,7 +193,7 @@ func RunSeed(sc Scenario, seed int64) SeedResult {
 type Report struct {
 	Results []SeedResult
 	// Per-part tallies over every seed.
-	OK, CleanErrors, Corruptions, Hangs int
+	OK, CleanErrors, Silent, Corruptions, Hangs int
 	// SeedsAllOK counts the seeds whose every part ended OK.
 	SeedsAllOK int
 	// Injects sums each fault kind's injections over the whole campaign.
@@ -176,6 +209,8 @@ func (r *Report) Add(sr SeedResult) {
 			r.OK++
 		case OutcomeCleanError:
 			r.CleanErrors++
+		case OutcomeSilent:
+			r.Silent++
 		case OutcomeCorrupt:
 			r.Corruptions++
 		case OutcomeHang:

@@ -16,6 +16,7 @@ import (
 // are exercised directly.
 type fakeScenario struct {
 	errs     []error
+	flips    int64         // silent faults each run injects
 	block    chan struct{} // when non-nil, Run blocks on it (a hang)
 	watchdog time.Duration
 	refErr   error
@@ -30,6 +31,7 @@ func (f *fakeScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	f.runs.Add(1)
 	commPlane.counter(mon, "drop").Add(2)
 	connPlane.counter(mon, "cut").Inc()
+	silentPlane.counter(mon, "flip_read").Add(f.flips)
 	if f.block != nil {
 		<-f.block
 	}
@@ -51,7 +53,7 @@ func TestRunnerVerdicts(t *testing.T) {
 		wantRuns int
 		worst    Outcome
 		// per-part tallies and all-OK seeds over the whole campaign
-		ok, cleanErrs, corruptions, hangs, allOK int
+		ok, cleanErrs, silent, corruptions, hangs, allOK int
 	}{
 		{name: "all nil is OK", sc: &fakeScenario{errs: []error{nil}},
 			seeds: 3, wantRuns: 3, worst: OutcomeOK, ok: 3, allOK: 3},
@@ -64,6 +66,9 @@ func TestRunnerVerdicts(t *testing.T) {
 			seeds: 1, wantRuns: 1, worst: OutcomeCorrupt, corruptions: 1},
 		{name: "three parts tally separately, worst wins", sc: &fakeScenario{errs: []error{nil, clean, corrupt}},
 			seeds: 1, wantRuns: 1, worst: OutcomeCorrupt, ok: 1, cleanErrs: 1, corruptions: 1},
+		{name: "wrong bytes in a seed with a silent fault were silently accepted",
+			sc:    &fakeScenario{errs: []error{corrupt, nil, clean}, flips: 1},
+			seeds: 2, wantRuns: 2, worst: OutcomeSilent, ok: 2, cleanErrs: 2, silent: 2},
 		{name: "outliving the watchdog hangs every part and stops the campaign",
 			sc:    &fakeScenario{errs: []error{nil, nil}, block: block, watchdog: 50 * time.Millisecond},
 			seeds: 5, wantRuns: 1, worst: OutcomeHang, hangs: 2},
@@ -87,11 +92,11 @@ func TestRunnerVerdicts(t *testing.T) {
 			if last.Seed != 7+int64(tc.wantRuns)-1 {
 				t.Errorf("last seed = %d, want %d", last.Seed, 7+tc.wantRuns-1)
 			}
-			if rep.OK != tc.ok || rep.CleanErrors != tc.cleanErrs || rep.Corruptions != tc.corruptions ||
-				rep.Hangs != tc.hangs || rep.SeedsAllOK != tc.allOK {
-				t.Errorf("tallies ok/clean/corrupt/hang/allOK = %d/%d/%d/%d/%d, want %d/%d/%d/%d/%d",
-					rep.OK, rep.CleanErrors, rep.Corruptions, rep.Hangs, rep.SeedsAllOK,
-					tc.ok, tc.cleanErrs, tc.corruptions, tc.hangs, tc.allOK)
+			if rep.OK != tc.ok || rep.CleanErrors != tc.cleanErrs || rep.Silent != tc.silent ||
+				rep.Corruptions != tc.corruptions || rep.Hangs != tc.hangs || rep.SeedsAllOK != tc.allOK {
+				t.Errorf("tallies ok/clean/silent/corrupt/hang/allOK = %d/%d/%d/%d/%d/%d, want %d/%d/%d/%d/%d/%d",
+					rep.OK, rep.CleanErrors, rep.Silent, rep.Corruptions, rep.Hangs, rep.SeedsAllOK,
+					tc.ok, tc.cleanErrs, tc.silent, tc.corruptions, tc.hangs, tc.allOK)
 			}
 			for i, o := range last.Outcomes {
 				if (o == OutcomeOK) != (last.Errs[i] == nil) {

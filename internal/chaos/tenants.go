@@ -10,6 +10,7 @@ import (
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/machine"
+	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/server"
 	"pcxxstreams/internal/session"
 	"pcxxstreams/internal/vtime"
@@ -118,8 +119,13 @@ func (s *tenantsScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	for i := range tenants {
 		tenants[i] = server.Tenant{Name: tenantName(i)}
 	}
+	gate := &cutGate{entered: make(chan struct{}), cut: make(chan struct{})}
+	factory := StripedChaosFactory(cfg.StripeFactor, cfg.StripeUnit, seed, cfg.Rates, mon)
+	if cfg.Disconnects > 0 {
+		factory = gate.wrap(factory)
+	}
 	srv, err := server.Start("127.0.0.1:0", server.Config{
-		Factory: StripedChaosFactory(cfg.StripeFactor, cfg.StripeUnit, seed, cfg.Rates, mon),
+		Factory: factory,
 		Tenants: tenants,
 		// Short grace: expired sessions must free slots fast enough for a
 		// campaign of hundreds of seeds not to accumulate daemon state.
@@ -134,25 +140,49 @@ func (s *tenantsScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	}
 	defer srv.Close()
 
-	// The chopper: at seeded moments, sever every client connection. The
-	// sessions must resume (within grace and budget) or fail cleanly.
+	// The chopper: sever every client connection — first while the run's
+	// first store write, whose data is in a shared chunk the daemon holds,
+	// waits at the gate, so that every seed cuts a transfer in flight; then
+	// at seeded moments, each held until the daemon holds a chunk (a few
+	// milliseconds at most). The sessions must resume (within grace and
+	// budget) or fail cleanly; the daemon must drain a severed connection's
+	// transfers before it unmaps its chunks.
 	stop := make(chan struct{})
-	cuts := connPlane.counter(mon, "cut")
+	cuts, cutsHeld := connPlane.counter(mon, "cut"), connPlane.counter(mon, "cut_held")
+	held := mon.Registry().Gauge("dstreamd_chunks_held", "")
 	var chopWG sync.WaitGroup
 	chopWG.Add(1)
 	go func() {
 		defer chopWG.Done()
+		defer gate.open()
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for i := 0; i < cfg.Disconnects; i++ {
 			// Sub-millisecond-to-few-millisecond delays: the pipelines are
 			// short, and a cut only exercises the resume path if it lands
 			// while requests are in flight.
 			delay := time.Duration(200+rng.Intn(4000)) * time.Microsecond
-			select {
-			case <-stop:
-				return
-			case <-time.After(delay):
-				cuts.Add(int64(srv.KillConnections()))
+			if i == 0 {
+				select {
+				case <-stop:
+					return
+				case <-gate.entered:
+				}
+			} else {
+				select {
+				case <-stop:
+					return
+				case <-time.After(delay):
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Millisecond); held.Value() == 0 && time.Now().Before(deadline); {
+				time.Sleep(20 * time.Microsecond)
+			}
+			mid := held.Value() > 0
+			n := int64(srv.KillConnections())
+			gate.open()
+			cuts.Add(n)
+			if mid {
+				cutsHeld.Add(n)
 			}
 		}
 	}()
@@ -169,6 +199,46 @@ func (s *tenantsScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	close(stop)
 	chopWG.Wait()
 	return errs
+}
+
+// cutGate holds the first write to reach the daemon's store until the
+// chopper has cut every connection (open); writes after it pass.
+type cutGate struct {
+	entered, cut chan struct{}
+	enter, once  sync.Once
+}
+
+func (g *cutGate) open() { g.once.Do(func() { close(g.cut) }) }
+
+// wrap gates the writes of every backend f makes that reports its stripe
+// geometry — which the daemon passes on to its clients, so the wrapper keeps
+// it.
+func (g *cutGate) wrap(f pfs.BackendFactory) pfs.BackendFactory {
+	return func(name string) (pfs.Backend, error) {
+		b, err := f(name)
+		if s, ok := b.(stripedStore); ok && err == nil {
+			return gatedWrites{s, g}, nil
+		}
+		return b, err
+	}
+}
+
+type stripedStore interface {
+	pfs.Backend
+	pfs.LayoutProvider
+}
+
+type gatedWrites struct {
+	stripedStore
+	g *cutGate
+}
+
+func (w gatedWrites) WriteAt(p []byte, off int64) (int, error) {
+	w.g.enter.Do(func() {
+		close(w.g.entered)
+		<-w.g.cut
+	})
+	return w.stripedStore.WriteAt(p, off)
 }
 
 // runOneTenant connects one tenant session, runs its pipeline under a

@@ -29,6 +29,7 @@ func TestTenantChaosOracle(t *testing.T) {
 	if rep.SeedsAllOK == 0 {
 		t.Error("no seed completed with every tenant OK — default rates should mostly be survivable")
 	}
+	requireChunks(t, rep)
 	// The chopper must have landed at least one connection cut — the
 	// reconnect path is what this campaign is for.
 	requireInjected(t, rep, connPlane)
@@ -57,6 +58,22 @@ func TestTenantChaosDisconnectStorm(t *testing.T) {
 		ReconnectBudget: 2 * time.Second,
 	}.Scenario(), 25)
 	requireInjected(t, rep, connPlane)
+	requireChunks(t, rep)
+}
+
+// requireChunks asserts that every seed of a tenant campaign moved data in
+// shared chunks — the tenants speak over the daemon's same-host socket — and
+// severed connections while the daemon held some.
+func requireChunks(t *testing.T, rep Report) {
+	t.Helper()
+	for _, sr := range rep.Results {
+		if sr.Injects["dstreamd:chunk_transfers"] == 0 || sr.Injects["conn:cut_held"] == 0 {
+			t.Errorf("seed %d: %d chunk transfers, %d connections cut while the daemon held a chunk; want both above 0",
+				sr.Seed, sr.Injects["dstreamd:chunk_transfers"], sr.Injects["conn:cut_held"])
+		}
+	}
+	t.Logf("chunk transfers %d; connections cut %d, %d of them while the daemon held a chunk",
+		rep.Injects["dstreamd:chunk_transfers"], rep.Injects["conn:cut"], rep.Injects["conn:cut_held"])
 }
 
 // TestTenantsReferenceDistinct: the per-tenant fault-free references are

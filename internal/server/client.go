@@ -55,13 +55,85 @@ func (e *statusError) Is(target error) bool {
 
 // call is one in-flight request: its frame, kept for an idempotent resend
 // after reconnect, and the reply channel. The frame is head and, for a write,
-// the caller's own buffer behind it; a read's reply lands in the caller's
-// buffer too. Both are borrowed — see Ownership in the package doc.
+// the caller's own buffer behind it — or, when the call holds a shared chunk,
+// head naming the chunk the caller's buffer was copied into; a read's reply
+// lands in the caller's buffer too, or in the chunk it is copied out of. The
+// caller's buffer is borrowed — see Ownership in the package doc.
 type call struct {
+	id      uint64
+	op      uint8  // opRead, opWrite or a control op: the framed form's
 	head    []byte // prefix, id, op and every field but a write's data
 	payload []byte // write: the caller's p, sent behind head; nil otherwise
 	into    []byte // read: the caller's p, filled by readLoop; nil otherwise
-	done    chan reply
+	// k is the shared chunk the data crosses in, one of m, the chunks of the
+	// connection the call was last given to; -1 when it crosses in the frame.
+	// Set under mu (and wmu, on a resend), before the frame naming it goes out.
+	k    int
+	m    *chunkMap
+	done chan reply
+}
+
+// isData reports whether the call moves data: a read or a write.
+func (cl *call) isData() bool { return cl.payload != nil || cl.into != nil }
+
+// takeChunk gives the call a free chunk of m, the chunks of the connection it
+// is about to go out on, or the framed path when m is nil or has none free.
+// The caller holds mu.
+func (cl *call) takeChunk(m *chunkMap) {
+	cl.m, cl.k = m, -1
+	if m != nil && len(m.free) > 0 {
+		cl.k = m.free[len(m.free)-1]
+		m.free = m.free[:len(m.free)-1]
+	}
+}
+
+// writeCall sends cl on conn: framed, the payload behind the head, or naming
+// its chunk — the head's fields, op swapped, the chunk index behind them,
+// written into the head's spare capacity. The caller holds wmu, which guards
+// the head bytes this rewrites.
+func writeCall(conn net.Conn, cl *call) error {
+	if cl.k < 0 {
+		cl.head[opOffset] = cl.op
+		return writeFrame(conn, cl.head, cl.payload)
+	}
+	h := putU32(cl.head, uint32(cl.k))
+	h[opOffset] = opWriteChunk
+	if cl.op == opRead {
+		h[opOffset] = opReadChunk
+	}
+	return writeFrame(conn, h, nil)
+}
+
+// chunkMap is the client's side of one connection's shared chunks: the
+// mapping, the chunks no request holds (guarded by Client.mu), and the
+// goroutines copying into it. The connection's readLoop unmaps it when it
+// exits, once users is zero.
+type chunkMap struct {
+	mem   []byte
+	free  []int
+	users sync.WaitGroup
+}
+
+// acceptChunks maps the shared chunks a v2 hello reply grants (r is at the
+// fields behind the token) from fd, the file that came with the reply. Nil
+// means frames: a v1 reply, no chunks granted, or a file it will not map.
+func acceptChunks(r *enc.Reader, fd int) *chunkMap {
+	if fd < 0 || r.Remaining() != 16 || r.Uint32() != wireVersion {
+		return nil
+	}
+	features, n, size := r.Uint32(), r.Uint32(), r.Uint32()
+	if features&featSharedChunks == 0 || n == 0 || n > maxChunks || size != chunkBytes {
+		return nil
+	}
+	mem, err := mapChunkFile(fd, int(n))
+	if err != nil {
+		return nil
+	}
+	m := &chunkMap{mem: mem, free: make([]int, n)}
+	for i := range m.free {
+		m.free[i] = int(n) - 1 - i // chunk 0 first
+	}
+	return m
 }
 
 type reply struct {
@@ -86,7 +158,8 @@ type Client struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	gen     int // bumps on every successful reconnect
+	shm     *chunkMap // conn's shared chunks; nil when it has none
+	gen     int       // bumps on every successful reconnect
 	token   string
 	nextID  uint64
 	pending map[uint64]*call
@@ -112,56 +185,65 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		token:   cfg.Token,
 		pending: make(map[uint64]*call),
 	}
-	conn, err := c.dialOnce()
+	conn, m, err := c.dialOnce()
 	if err != nil {
 		return nil, err
 	}
-	c.conn = conn
-	go c.readLoop(conn, c.gen)
+	c.conn, c.shm = conn, m
+	go c.readLoop(conn, c.gen, m)
 	return c, nil
 }
 
-// dialOnce dials and performs the hello handshake on a fresh connection.
-// It keeps the granted resume token; the reply's other fields are reserved
-// (see opHello).
-func (c *Client) dialOnce() (net.Conn, error) {
+// dialOnce dials and performs the hello handshake on a fresh connection. It
+// keeps the granted resume token, and returns the connection's shared chunks
+// if it has any: over the same-host socket the hello is v2 and asks for them
+// (see the package doc); over TCP it is v1, whose other reply fields are
+// reserved.
+func (c *Client) dialOnce() (net.Conn, *chunkMap, error) {
 	conn, err := dialDaemon(c.addr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.mu.Lock()
 	tok := c.token
 	c.mu.Unlock()
 	req := putStr(putStr(newFrame(0, opHello), c.cfg.Tenant), tok)
+	if _, unix := conn.(*net.UnixConn); unix {
+		req = putU32(putU32(req, wireVersion), featSharedChunks)
+	}
 	if err := writeFrame(conn, req, nil); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	// Straight off the socket, not a buffered reader that could swallow the
 	// start of the next frame: readLoop brings its own.
-	_, status, rest, err := readFrameHead(conn)
+	status, rest, fd, err := readHelloHead(conn)
+	if fd >= 0 {
+		defer closeFile(fd) // a mapping outlives its file
+	}
 	var r *enc.Reader
 	if err == nil {
 		r, err = readBody(conn, rest)
 	}
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	if status != statusOK {
 		msg := r.String()
 		conn.Close()
-		return nil, &statusError{status: status, msg: msg}
+		return nil, nil, &statusError{status: status, msg: msg}
 	}
 	token := r.String()
 	if err := r.Err(); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
+	m := acceptChunks(r, fd)
 	c.mu.Lock()
 	c.token = token
 	c.mu.Unlock()
-	return conn, nil
+	return conn, m, nil
 }
 
 // dialDaemon connects to the daemon at addr: over its same-host unix socket
@@ -233,11 +315,14 @@ func readBody(r io.Reader, rest int) (*enc.Reader, error) {
 	return enc.NewReader(body), nil
 }
 
-// readLoop delivers responses for one connection generation; on connection
-// failure it hands off to reconnect. It is the one reply decoder: a read's
-// data goes from the socket into the buffer its caller passed to ReadAt,
-// every other body into a cursor the caller decodes.
-func (c *Client) readLoop(conn net.Conn, gen int) {
+// readLoop delivers responses for one connection generation, whose shared
+// chunks are m; on connection failure it hands off to reconnect, and then
+// unmaps m. It is the one reply decoder: a read's data goes from the socket,
+// or out of its chunk, into the buffer its caller passed to ReadAt, every
+// other body into a cursor the caller decodes. A reply hands a call's chunk
+// back to m's free list.
+func (c *Client) readLoop(conn net.Conn, gen int, m *chunkMap) {
+	defer c.retire(m)
 	br := bufio.NewReader(conn)
 	for {
 		id, status, rest, err := readFrameHead(br)
@@ -260,9 +345,16 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 			continue
 		}
 		rep := reply{status: status}
-		if cl.into != nil && (status == statusOK || status == statusEOF) {
-			rep.n, err = readData(br, rest, cl.into)
-		} else {
+		switch {
+		case cl.k >= 0 && cl.m != m:
+			err = fmt.Errorf("dstreamd: reply %d to a request whose chunk this connection never carried", id)
+		case cl.into != nil && (status == statusOK || status == statusEOF):
+			if cl.k >= 0 {
+				rep.n, err = readChunkData(br, rest, m.mem, cl.k, cl.into)
+			} else {
+				rep.n, err = readData(br, rest, cl.into)
+			}
+		default:
 			rep.rd, err = readBody(br, rest)
 		}
 		if err != nil {
@@ -281,8 +373,50 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 			c.reconnect(conn, gen)
 			return
 		}
+		if cl.k >= 0 {
+			poisonChunk(chunkAt(m.mem, cl.k))
+			c.mu.Lock()
+			m.free = append(m.free, cl.k)
+			c.mu.Unlock()
+		}
 		cl.done <- rep
 	}
+}
+
+// retire unmaps m, the chunks of a connection whose readLoop is exiting, once
+// nothing is copying into them; if they are still the client's current ones
+// (the session broke), transfers go framed from now on.
+func (c *Client) retire(m *chunkMap) {
+	if m == nil {
+		return
+	}
+	c.mu.Lock()
+	if c.shm == m {
+		c.shm = nil
+	}
+	c.mu.Unlock()
+	m.users.Wait()
+	unmapChunks(m.mem)
+}
+
+// readChunkData reads the body of a successful read reply in chunk form —
+// chunk(u32) n(u32), rest bytes in all — and copies the n bytes out of chunk
+// k of mem into p. A reply naming another chunk than the one its request
+// handed over, or more data than was asked for, is a corrupt stream.
+func readChunkData(r io.Reader, rest int, mem []byte, k int, p []byte) (int, error) {
+	var b [8]byte
+	if rest != len(b) {
+		return 0, fmt.Errorf("dstreamd: chunk read reply with %d bytes of body", rest)
+	}
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return 0, err
+	}
+	got, n := binary.LittleEndian.Uint32(b[:]), binary.LittleEndian.Uint32(b[4:])
+	if int64(got) != int64(k) || int64(n) > int64(len(p)) {
+		return 0, fmt.Errorf("dstreamd: read reply names chunk %d with %d bytes; chunk %d went out for %d",
+			got, n, k, len(p))
+	}
+	return copy(p, chunkAt(mem, k)[:n]), nil
 }
 
 // readData reads the body of a successful read reply — data(u32 length,
@@ -319,42 +453,66 @@ func (c *Client) reconnect(dead net.Conn, gen int) {
 
 	deadline := time.Now().Add(c.cfg.ReconnectBudget)
 	for {
-		conn, err := c.dialOnce()
+		conn, m, err := c.dialOnce()
 		if err == nil {
 			c.mu.Lock()
 			if c.broken != nil {
 				// Close raced the redial; don't resurrect the session.
 				c.mu.Unlock()
 				conn.Close()
+				if m != nil {
+					unmapChunks(m.mem)
+				}
 				return
 			}
-			c.conn = conn
+			c.conn, c.shm = conn, m
 			c.gen++
 			newGen := c.gen
 			resend := make([]*call, 0, len(c.pending))
 			for _, cl := range c.pending {
 				resend = append(resend, cl)
 			}
+			if m != nil {
+				m.users.Add(1) // the resends' copies into it, below
+			}
 			c.mu.Unlock()
-			go c.readLoop(conn, newGen)
+			go c.readLoop(conn, newGen, m)
 			// Resend in-flight requests; they are idempotent (same bytes,
 			// same offsets, same names), so a request the server already
-			// executed just executes again to the same effect. A payload is
-			// its caller's buffer, valid only while the caller is parked:
-			// Close and fail set broken before they release anyone, and a
-			// released caller waits for wmu before it returns, so checking
-			// broken under wmu before each frame keeps this loop off a
-			// buffer that has gone back to its owner.
+			// executed just executes again to the same effect. Each takes a
+			// chunk of the new connection's, if one is free, and a write's
+			// payload is copied into it again. A payload is its caller's
+			// buffer, valid only while the caller is parked: Close and fail
+			// set broken before they release anyone, and a released caller
+			// waits for wmu before it returns, so checking broken under wmu
+			// before each frame keeps this loop off a buffer that has gone
+			// back to its owner.
 			c.wmu.Lock()
 			for _, cl := range resend {
 				c.mu.Lock()
 				broken := c.broken
+				owed := c.pending[cl.id] == cl
+				if broken == nil && owed && cl.isData() {
+					cl.takeChunk(m)
+				}
 				c.mu.Unlock()
-				if broken != nil || writeFrame(conn, cl.head, cl.payload) != nil {
+				if broken != nil {
+					break
+				}
+				if !owed {
+					continue // answered, or released, since the list was taken
+				}
+				if cl.k >= 0 && cl.payload != nil {
+					copy(chunkAt(m.mem, cl.k), cl.payload)
+				}
+				if writeCall(conn, cl) != nil {
 					break // next readLoop generation will reconnect again
 				}
 			}
 			c.wmu.Unlock()
+			if m != nil {
+				m.users.Done()
+			}
 			return
 		}
 		var se *statusError
@@ -368,6 +526,12 @@ func (c *Client) reconnect(dead net.Conn, gen int) {
 			return
 		}
 		time.Sleep(c.cfg.ReconnectPause)
+		c.mu.Lock()
+		closed := c.broken != nil
+		c.mu.Unlock()
+		if closed {
+			return // Close, during the pause: stop redialing, let go of the chunks
+		}
 	}
 }
 
@@ -394,8 +558,9 @@ func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) 
 
 // transfer is roundTrip for the two data ops: a write's payload is sent
 // behind the head body builds (whose last field must be the payload's
-// length), a read's data is delivered into into. Neither is copied, and both
-// are the caller's again when transfer returns.
+// length), a read's data is delivered into into — or, when a shared chunk is
+// free, each is copied once, into the chunk or out of it. Both are the
+// caller's again when transfer returns.
 func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []byte) (reply, error) {
 	c.mu.Lock()
 	if c.broken != nil {
@@ -405,13 +570,27 @@ func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []
 	}
 	id := c.nextID
 	c.nextID++
-	cl := &call{head: body(newFrame(id, op)), payload: payload, into: into, done: make(chan reply, 1)}
+	cl := &call{id: id, op: op, head: body(newFrame(id, op)), payload: payload, into: into, k: -1, done: make(chan reply, 1)}
+	if cl.isData() {
+		cl.takeChunk(c.shm)
+	}
+	m, k := cl.m, cl.k
+	if k >= 0 && payload != nil {
+		m.users.Add(1)
+	}
 	c.pending[id] = cl
 	conn := c.conn
 	c.mu.Unlock()
 
+	if k >= 0 && payload != nil {
+		// Into the chunk before the frame that hands it over. Should a
+		// reconnect resend the call meanwhile, it copies into a chunk of the
+		// new connection; this mapping stays until users is back to zero.
+		copy(chunkAt(m.mem, k), payload)
+		m.users.Done()
+	}
 	c.wmu.Lock()
-	err := writeFrame(conn, cl.head, payload)
+	err := writeCall(conn, cl)
 	c.wmu.Unlock()
 	if err != nil {
 		// Kick the readLoop into reconnecting; the request stays pending and

@@ -7,3 +7,7 @@ func (c *Client) Network() string {
 	defer c.mu.Unlock()
 	return c.conn.RemoteAddr().Network()
 }
+
+// NewChunkFile makes a sealed chunk file of n chunks, as the daemon does at a
+// v2 hello: its fd and a mapping of it.
+func NewChunkFile(n int) (int, []byte, error) { return newChunkFile(n) }

@@ -247,8 +247,17 @@ type Server struct {
 	wg    sync.WaitGroup // conn handlers + janitor
 	iowg  sync.WaitGroup // I/O rank workers
 
-	mConns *dsmon.Gauge
+	mConns      *dsmon.Gauge
+	mChunked    *dsmon.Counter // transfers whose data crossed in a shared chunk
+	mNoChunk    *dsmon.Counter // framed on a connection with shared chunks: none was free
+	mNoMapping  *dsmon.Counter // framed on a connection without shared chunks
+	mChunksHeld *dsmon.Gauge   // shared chunks the daemon holds now
 }
+
+// sharedChunks is N, the number of chunks a same-host connection shares: two
+// per I/O rank, so that a session keeping one transfer in flight per rank
+// (what the tenant window admits) always finds one free; at most maxChunks.
+func (c Config) sharedChunks() int { return min(2*c.StripeFactor, maxChunks) }
 
 // Start builds a daemon from cfg and serves it on addr (":0" picks a free
 // port). Bound to a loopback literal, it also serves same-host clients on the
@@ -264,8 +273,15 @@ func Start(addr string, cfg Config) (*Server, error) {
 		ranks:    make([]chan func(), cfg.StripeFactor),
 	}
 	// dsmon handles are nil-safe, so an unmonitored daemon needs no guards.
-	s.mConns = cfg.Monitor.Registry().Gauge("dstreamd_connections_active",
-		"client connections currently attached")
+	reg := cfg.Monitor.Registry()
+	s.mConns = reg.Gauge("dstreamd_connections_active", "client connections currently attached")
+	s.mChunked = reg.Counter("dstreamd_chunk_transfers_total",
+		"reads and writes whose data crossed in a shared chunk")
+	const inline = "reads and writes whose data crossed in the frame, by why no shared chunk carried it"
+	s.mNoChunk = reg.Counter("dstreamd_inline_transfers_total", inline, "reason", "no_chunk")
+	s.mNoMapping = reg.Counter("dstreamd_inline_transfers_total", inline, "reason", "no_mapping")
+	s.mChunksHeld = reg.Gauge("dstreamd_chunks_held",
+		"shared chunks the daemon holds now: handed over by a request, not yet handed back")
 	for _, t := range cfg.Tenants {
 		if t.Name == "" {
 			return nil, fmt.Errorf("dstreamd: tenant with empty name")
@@ -464,6 +480,28 @@ type conn struct {
 	// rather than serve the requests it still has buffered for a connection
 	// that can take no reply.
 	dead atomic.Bool
+	// mem is the connection's shared chunks (nil when it has none), and
+	// held[k] is set while the daemon holds chunk k: from the request that
+	// hands it over until just before its reply is queued.
+	mem   []byte
+	held  []atomic.Bool
+	mHeld *dsmon.Gauge // the daemon's dstreamd_chunks_held
+}
+
+// giveBack lets go of a transfer's data once the daemon is done with it: a
+// pooled buffer (k < 0) goes back to the pool, shared chunk k back to the
+// client — poisoned first when it carries nothing the client needs — whose
+// next request may name it as soon as the reply is out.
+func (cn *conn) giveBack(data []byte, k int, poison bool) {
+	if k < 0 {
+		bufpool.Put(data)
+		return
+	}
+	if poison {
+		poisonChunk(data)
+	}
+	cn.mHeld.Add(-1)
+	cn.held[k].Store(false)
 }
 
 // outFrame is one reply on its way to the writer, with what its request holds
@@ -522,7 +560,7 @@ func (s *Server) handleConn(c net.Conn) {
 	defer s.dropConn(c)
 	br := bufio.NewReaderSize(c, maxHead)
 
-	sess, err := s.hello(br, c)
+	sess, mem, err := s.hello(br, c)
 	if err != nil {
 		return
 	}
@@ -537,6 +575,9 @@ func (s *Server) handleConn(c net.Conn) {
 	}()
 
 	cn := &conn{c: c, ten: sess.ten, slots: make(chan struct{}, replyQueue), out: make(chan outFrame, replyQueue)}
+	if mem != nil {
+		cn.mem, cn.held, cn.mHeld = mem, make([]atomic.Bool, len(mem)/chunkBytes), s.mChunksHeld
+	}
 	written := make(chan struct{})
 	go func() {
 		defer close(written)
@@ -551,12 +592,15 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		// Every slot back in hand means every request in flight has had
 		// its reply through the writer, so no rank can queue one after out
-		// is closed.
+		// is closed — and none holds a chunk, so the mapping can go.
 		for range replyQueue {
 			cn.slots <- struct{}{}
 		}
 		close(cn.out)
 		<-written
+		if cn.mem != nil {
+			unmapChunks(cn.mem)
+		}
 	}()
 
 	for {
@@ -568,6 +612,7 @@ func (s *Server) handleConn(c net.Conn) {
 		cn.slots <- struct{}{}
 		switch {
 		case op == opWrite:
+			s.countInline(cn)
 			err = s.recvWrite(sess.ten, br, cn, id, rest)
 		case rest > maxHead:
 			err = skipAndFail(br, cn, id, rest, fmt.Sprintf("dstreamd: %s request of %d bytes exceeds the %d limit",
@@ -586,6 +631,39 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		if bye {
 			return
+		}
+	}
+}
+
+// countInline counts a transfer whose data crosses in its frame.
+func (s *Server) countInline(cn *conn) {
+	if cn.mem != nil {
+		s.mNoChunk.Inc()
+	} else {
+		s.mNoMapping.Inc()
+	}
+}
+
+// serveChunk takes over chunk k for one read or write of n bytes, or refuses
+// the request: no shared chunks on this connection, k past them, n above a
+// chunk, or k already held by another request.
+func (s *Server) serveChunk(t *tenantState, cn *conn, id uint64, op uint8, name string, off int64, n, k uint32) {
+	switch {
+	case cn.mem == nil:
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: %s on a connection without shared chunks", opName(op)))
+	case int64(k) >= int64(len(cn.held)):
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: %s names chunk %d of %d", opName(op), k, len(cn.held)))
+	case n > chunkBytes:
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: %s of %d bytes exceeds the %d chunk limit", opName(op), n, chunkBytes))
+	case !cn.held[k].CompareAndSwap(false, true):
+		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: %s names chunk %d, which another request holds", opName(op), k))
+	default:
+		s.mChunked.Inc()
+		s.mChunksHeld.Add(1)
+		if op == opWriteChunk {
+			s.submitWrite(t, cn, id, name, off, chunkAt(cn.mem, int(k))[:n], int(k))
+		} else {
+			s.submitRead(t, cn, id, name, off, n, int(k))
 		}
 	}
 }
@@ -645,7 +723,15 @@ func (s *Server) serve(sess *session, cn *conn, id uint64, op uint8, r *enc.Read
 		name := r.String()
 		off := r.Int64()
 		if n := r.Uint32(); r.Err() == nil {
-			s.submitRead(ten, cn, id, name, off, n)
+			s.countInline(cn)
+			s.submitRead(ten, cn, id, name, off, n, -1)
+		}
+	case opReadChunk, opWriteChunk:
+		name := r.String()
+		off := r.Int64()
+		n := r.Uint32()
+		if k := r.Uint32(); r.Err() == nil {
+			s.serveChunk(ten, cn, id, op, name, off, n, k)
 		}
 	default:
 		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op)))
@@ -696,23 +782,24 @@ func (s *Server) recvWrite(t *tenantState, br *bufio.Reader, cn *conn, id uint64
 		bufpool.Put(data)
 		return err
 	}
-	s.submitWrite(t, cn, id, name, off, data)
+	s.submitWrite(t, cn, id, name, off, data, -1)
 	return nil
 }
 
 // hello performs the handshake: authenticate the tenant, admit or resume
-// the session, grant its resume token. It writes its reply itself: the
-// connection has no writer yet. A failed write is not its error to report —
-// the session is admitted, and the next read finds the dead socket and
-// detaches it.
-func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
+// the session, grant its resume token — and, to a v2 hello on the same-host
+// socket that asks for them, the connection's shared chunks, whose mapping it
+// returns. It writes its reply itself: the connection has no writer yet. A
+// failed write is not its error to report — the session is admitted, and the
+// next read finds the dead socket and detaches it.
+func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, []byte, error) {
 	id, op, rest, err := readFrameHead(br)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	body, err := br.Peek(min(rest, maxHead))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fail := func(status uint8, msg string) {
 		writeFrame(c, putStr(newFrame(id, status), msg), nil) //nolint:errcheck // a refusal; the connection ends here
@@ -720,9 +807,14 @@ func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
 	r := enc.NewReader(body)
 	tenant := r.String()
 	token := r.String()
+	// A v1 hello ends at the token.
+	version, features := uint32(1), uint32(0)
+	if r.Remaining() >= 8 {
+		version, features = r.Uint32(), r.Uint32()
+	}
 	if rest > maxHead || r.Err() != nil || op != opHello {
 		fail(statusErr, "dstreamd: expected hello")
-		return nil, fmt.Errorf("bad hello")
+		return nil, nil, fmt.Errorf("bad hello")
 	}
 	br.Discard(rest) //nolint:errcheck // peeked above: it is all buffered
 	s.mu.Lock()
@@ -730,7 +822,7 @@ func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
 	if ten == nil {
 		s.mu.Unlock()
 		fail(statusAuth, fmt.Sprintf("%v: %q", ErrUnknownTenant, tenant))
-		return nil, ErrUnknownTenant
+		return nil, nil, ErrUnknownTenant
 	}
 	resumed := false
 	var sess *session
@@ -747,7 +839,7 @@ func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
 			s.mu.Unlock()
 			fail(statusBusy,
 				fmt.Sprintf("%v: %d active", ErrBusy, ten.cfg.MaxSessions))
-			return nil, ErrBusy
+			return nil, nil, ErrBusy
 		}
 		ten.sessions++
 		ten.mu.Unlock()
@@ -764,21 +856,45 @@ func (s *Server) hello(br *bufio.Reader, c net.Conn) (*session, error) {
 		ten.met.reconnects.Inc()
 	}
 
-	// Behind the token, the reserved fields (opHello): a 4 MiB window, the
-	// quota, the usage, the resumed flag and eagerBytes.
-	ten.mu.Lock()
-	used, quota := ten.usage, ten.cfg.QuotaBytes
-	ten.mu.Unlock()
-	out := putI64(putStr(newFrame(id, statusOK), sess.token), 4<<20)
-	out = putI64(putI64(out, quota), used)
-	if resumed {
-		out = putU8(out, 1)
-	} else {
-		out = putU8(out, 0)
+	out := putStr(newFrame(id, statusOK), sess.token)
+	if version < wireVersion {
+		// Behind the token, the reserved fields (opHello): a 4 MiB window,
+		// the quota, the usage, the resumed flag and eagerBytes.
+		ten.mu.Lock()
+		used, quota := ten.usage, ten.cfg.QuotaBytes
+		ten.mu.Unlock()
+		out = putI64(putI64(putI64(out, 4<<20), quota), used)
+		if resumed {
+			out = putU8(out, 1)
+		} else {
+			out = putU8(out, 0)
+		}
+		writeFrame(c, putU32(out, eagerBytes), nil) //nolint:errcheck
+		return sess, nil, nil
 	}
-	out = putU32(out, eagerBytes)
-	writeFrame(c, out, nil) //nolint:errcheck
-	return sess, nil
+	fd, mem := -1, []byte(nil)
+	if _, unix := c.(*net.UnixConn); unix && features&featSharedChunks != 0 {
+		if fd, mem, err = newChunkFile(s.cfg.sharedChunks()); err != nil {
+			fd, mem = -1, nil // answered with frames
+		}
+	}
+	granted, n := uint32(0), 0
+	if mem != nil {
+		granted, n = featSharedChunks, len(mem)/chunkBytes
+	}
+	out = putU32(putU32(putU32(putU32(out, wireVersion), granted), uint32(n)), chunkBytes)
+	if mem == nil {
+		writeFrame(c, out, nil) //nolint:errcheck
+		return sess, nil, nil
+	}
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	err = writeWithFile(c, out, fd)
+	closeFile(fd)
+	if err != nil {
+		unmapChunks(mem)
+		mem = nil
+	}
+	return sess, mem, nil
 }
 
 func sessionGauge(t *tenantState) int {
@@ -926,58 +1042,94 @@ func (s *Server) admit(t *tenantState, n int) (int64, error) {
 	return share, nil
 }
 
-// submitRead admits and enqueues one read on its I/O rank. The rank reads
-// into a pooled buffer and queues the reply with it as the frame's second
-// iovec; the writer puts the buffer back once the reply is written.
-func (s *Server) submitRead(t *tenantState, cn *conn, id uint64, name string, off int64, n uint32) {
+// submitRead admits and enqueues one read on its I/O rank. Framed (k < 0),
+// the rank reads into a pooled buffer and queues the reply with it as the
+// frame's second iovec; the writer puts the buffer back once the reply is
+// written. Into shared chunk k, which the daemon holds, the reply only names
+// the chunk, and the rank hands the chunk back as it queues it; a transient
+// reply carries its partial data in the frame all the same.
+func (s *Server) submitRead(t *tenantState, cn *conn, id uint64, name string, off int64, n uint32, k int) {
+	refuse := func(msg string) {
+		if k >= 0 {
+			cn.giveBack(chunkAt(cn.mem, k), k, true)
+		}
+		cn.fail(id, statusErr, msg)
+	}
 	if n > chunkBytes {
-		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes exceeds the %d chunk limit", n, chunkBytes))
+		refuse(fmt.Sprintf("dstreamd: read of %d bytes exceeds the %d chunk limit", n, chunkBytes))
 		return
 	}
 	f, err := s.lookup(t, name)
 	if err != nil {
-		cn.fail(id, statusErr, err.Error())
+		refuse(err.Error())
 		return
 	}
 	if off < 0 || off > math.MaxInt64-int64(n) {
-		cn.fail(id, statusErr, fmt.Sprintf("dstreamd: read of %d bytes at offset %d is out of range", n, off))
+		refuse(fmt.Sprintf("dstreamd: read of %d bytes at offset %d is out of range", n, off))
 		return
 	}
 	share, err := s.admit(t, int(n))
 	if err != nil {
-		cn.fail(id, statusErr, err.Error())
+		refuse(err.Error())
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
-		buf := bufpool.Get(int(n))
+		var buf []byte
+		if k < 0 {
+			buf = bufpool.Get(int(n))
+		} else {
+			buf = chunkAt(cn.mem, k)[:n]
+		}
 		got, err := f.b.ReadAt(buf, off)
 		if got < 0 {
 			got = 0
 		}
 		t.met.bytesOut.Add(int64(got))
-		var head []byte
+		status := statusOK
 		switch {
 		case err == nil:
-			head = putU32(newFrame(id, statusOK), uint32(got))
 		case errors.Is(err, io.EOF):
-			head = putU32(newFrame(id, statusEOF), uint32(got))
+			status = statusEOF
 		case pfs.IsTransient(err):
 			t.met.transients.Inc()
-			head = putU32(putStr(newFrame(id, statusTransient), err.Error()), uint32(got))
+			status = statusTransient
 		default:
-			head, got = putStr(newFrame(id, statusErr), err.Error()), 0
+			status, got = statusErr, 0
 		}
-		cn.out <- outFrame{head: head, data: buf[:got], share: share}
+		head := newFrame(id, status)
+		if status == statusTransient || status == statusErr {
+			head = putStr(head, err.Error())
+		}
+		data := buf[:got]
+		if k >= 0 {
+			switch {
+			case status == statusOK || status == statusEOF:
+				// The data stays in the chunk, which the reply names.
+				head, data = putU32(head, uint32(k)), nil
+				cn.giveBack(buf, k, false)
+			case got > 0:
+				data = append(bufpool.GetCap(got), buf[:got]...)
+				cn.giveBack(buf, k, true)
+			default:
+				data = nil
+				cn.giveBack(buf, k, true)
+			}
+		}
+		if status != statusErr {
+			head = putU32(head, uint32(got))
+		}
+		cn.out <- outFrame{head: head, data: data, share: share}
 	}
 }
 
 // submitWrite checks the quota, admits, and enqueues one write. It owns
-// data, a pooled buffer, and releases it on every path: at a refusal, or on
-// the I/O rank once the store has returned from WriteAt (a striped store
-// hands slices of it to several children at once, so not before).
-func (s *Server) submitWrite(t *tenantState, cn *conn, id uint64, name string, off int64, data []byte) {
+// data — a pooled buffer, or shared chunk k when k ≥ 0 — and gives it back on
+// every path: at a refusal, or on the I/O rank once the store has returned
+// from WriteAt (a striped store hands slices of it to several children at
+// once, so not before).
+func (s *Server) submitWrite(t *tenantState, cn *conn, id uint64, name string, off int64, data []byte, k int) {
 	refuse := func(status uint8, msg string) {
-		bufpool.Put(data)
+		cn.giveBack(data, k, true)
 		cn.fail(id, status, msg)
 	}
 	f, err := s.lookup(t, name)
@@ -1027,7 +1179,7 @@ func (s *Server) submitWrite(t *tenantState, cn *conn, id uint64, name string, o
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
 		n, err := f.b.WriteAt(data, off)
-		bufpool.Put(data)
+		cn.giveBack(data, k, true)
 		if n < 0 {
 			n = 0
 		}

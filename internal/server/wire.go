@@ -2,7 +2,7 @@
 // daemon for d/streams: a long-running process in which dedicated I/O ranks
 // own the parallel file system while many independent client sessions open,
 // append, and read streams over TCP — or, on the daemon's own host, over a
-// unix socket that carries the same frames.
+// unix socket whose frames hand the payload over in shared memory.
 //
 // The split mirrors ViPIOS's architecture (client compute processes talking
 // to dedicated I/O server processes) mapped onto this repository's stack:
@@ -30,6 +30,32 @@
 //	request  := id(u64) op(u8) body
 //	response := id(u64) status(u8) body
 //
+// The hello is the one versioned frame. A v1 hello is tenant and token; its
+// reply is the resume token and five reserved fields (window, quota, used,
+// resumed, eager) that nothing reads. A v2 hello appends version(u32) = 2 and
+// a features word; its reply is the token, version, the features granted,
+// the number of shared chunks N and the chunk size. A daemon that predates v2
+// ignores the trailing bytes and answers v1, so a v2 client falls back to
+// frames; a v1 hello still gets the v1 reply, byte for byte. The client sends
+// v2 only over the same-host socket, so TCP frames are v1's.
+//
+//	hello v1 := tenant token                     → token window quota used resumed eager
+//	hello v2 := tenant token version features    → token version features N chunk
+//
+// The one feature bit so far is featSharedChunks. Granted, the hello reply
+// carries a memfd as SCM_RIGHTS: N = 2 × Config.StripeFactor chunks of
+// chunkBytes, sealed against shrinking and growing, which both sides map.
+// Then a read or write whose data fits a free chunk names the chunk instead of
+// carrying the data — the same fields as its framed form, the chunk behind
+// them:
+//
+//	readChunk  := name off n chunk → chunk n  (OK, EOF: the data is in the chunk)
+//	writeChunk := name off n chunk → n        (the data was in the chunk)
+//
+// A transient reply to either is its framed form (a read's partial data rides
+// in the frame), as is every refusal. A transfer that finds no chunk free, and
+// every transfer over TCP, goes framed.
+//
 // Requests are stateless with respect to file handles — reads and writes
 // name the file, and the server resolves names against the session's tenant
 // namespace — which is what makes a resend after reconnect idempotent: the
@@ -52,7 +78,9 @@
 //
 // A chunk crosses the daemon without being copied between buffers: out of
 // the caller's slice into the socket, off the socket into one pooled buffer,
-// into the store; and back the same way. Nothing owns a payload by holding a
+// into the store; and back the same way. Over shared chunks it crosses with
+// one copy: the caller's slice into a chunk the store reads, or a chunk the
+// store filled into the caller's slice. Nothing owns a payload by holding a
 // copy of it, so who may touch which bytes, and when, is a rule:
 //
 //   - The caller's p. WriteAt's p is the frame's second iovec and ReadAt's p
@@ -85,6 +113,20 @@
 //     once the reply is written, or dropped because the connection died.
 //     The daemon refuses data above chunkBytes, so it never asks the pool
 //     for more than that class.
+//   - A shared chunk. It belongs to one side at a time, and the socket
+//     carries the hand-over: no counter is shared. Only the client allocates
+//     chunks, from its free list for the connection. A request hands chunk k
+//     to the daemon — a write's data already copied in — and its reply hands
+//     it back: the daemon lets go of it (held[k]) just before it queues the
+//     reply, after the store has returned; the client puts it back on its
+//     free list once a read's data is copied out. The daemon refuses a
+//     request naming a chunk it already holds, or one past N. A resend after
+//     reconnect takes a chunk of the new connection's mapping and copies the
+//     caller's p into it again. Each side unmaps a connection's chunks only
+//     once nothing can touch them: the daemon after handleConn has drained
+//     every reply owed, the client when that connection's readLoop exits and
+//     the last copy into the mapping is done. Under -tags pooldebug the side
+//     that lets go of a chunk without data for the other poisons it first.
 //   - The daemon's reply queue. Every reply of a connection leaves through
 //     its one writer, never from an I/O rank, so no rank waits on a
 //     client's socket. The connection's reader takes a queue slot before it
@@ -106,6 +148,8 @@ import (
 	"io"
 	"net"
 	"runtime"
+
+	"pcxxstreams/internal/bufpool"
 )
 
 // Protocol limits.
@@ -126,19 +170,30 @@ const (
 	maxHead = 8 << 10
 )
 
-// Request opcodes. The hello reply's five fields behind the token are
-// reserved: the daemon still sends them, so that a peer from before the
-// client stopped metering reads the frame it expects, and nothing reads them.
-// The daemon alone meters a tenant's bytes (Config.StripeFactor).
+// Request opcodes. The v1 hello reply's five fields behind the token are
+// reserved: the daemon still sends them, so that a v1 peer reads the frame it
+// expects, and nothing reads them. The daemon alone meters a tenant's bytes
+// (Config.StripeFactor).
 const (
-	opHello uint8 = iota + 1 // tenant, token → token, then reserved: window, quota, used, resumed, eager
-	opOpen                   // name → size, stripe unit, stripe factor
-	opRead                   // name, off, n → eof, data
-	opWrite                  // name, off, data → n
-	opTrunc                  // name, size → –
-	opSize                   // name → size
-	opUsage                  // – → used, quota
-	opBye                    // – → –
+	opHello      uint8 = iota + 1 // tenant, token[, version, features] → see the package doc
+	opOpen                        // name → size, stripe unit, stripe factor
+	opRead                        // name, off, n → eof, data
+	opWrite                       // name, off, data → n
+	opTrunc                       // name, size → –
+	opSize                        // name → size
+	opUsage                       // – → used, quota
+	opBye                         // – → –
+	opReadChunk                   // name, off, n, chunk → chunk, n
+	opWriteChunk                  // name, off, n, chunk → n
+)
+
+// The v2 hello.
+const (
+	wireVersion = 2
+	// featSharedChunks asks for shared chunks, and in the reply grants them.
+	featSharedChunks uint32 = 1 << 0
+	// maxChunks bounds N: a daemon offers no more, a client maps no more.
+	maxChunks = 1 << 10
 )
 
 // Response statuses.
@@ -170,6 +225,10 @@ func opName(op uint8) string {
 		return "usage"
 	case opBye:
 		return "bye"
+	case opReadChunk:
+		return "read-chunk"
+	case opWriteChunk:
+		return "write-chunk"
 	}
 	return fmt.Sprintf("op(%d)", op)
 }
@@ -177,8 +236,8 @@ func opName(op uint8) string {
 // sameHostSocket names the abstract unix socket that a daemon whose TCP
 // address is the loopback literal addr also listens on, and that a client
 // dialing addr tries first; "" for any other address. A same-host client
-// then skips the loopback TCP stack, and nothing else changes: the socket
-// carries the same frames.
+// then skips the loopback TCP stack, and its v2 hello can ask for shared
+// chunks, which only a unix socket can pass.
 func sameHostSocket(addr string) string {
 	if runtime.GOOS != "linux" {
 		return "" // abstract socket names are Linux's
@@ -216,10 +275,11 @@ func writeFrame(w io.Writer, head, tail []byte) error {
 }
 
 // Every frame opens with its prefix, id and op or status; minFrame is the
-// least a prefix can declare.
+// least a prefix can declare, and opOffset is where the op or status sits.
 const (
 	minFrame       = 8 + 1
 	frameHeadBytes = 4 + minFrame
+	opOffset       = 4 + 8
 )
 
 // readFrameHead reads a frame's prefix, id and op or status; rest is how many
@@ -230,11 +290,34 @@ func readFrameHead(r io.Reader) (id uint64, tag uint8, rest int, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, 0, err
 	}
+	return parseFrameHead(&hdr)
+}
+
+// parseFrameHead decodes the head readFrameHead reads.
+func parseFrameHead(hdr *[frameHeadBytes]byte) (id uint64, tag uint8, rest int, err error) {
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n < minFrame || n > maxFrame {
 		return 0, 0, 0, fmt.Errorf("dstreamd: frame of %d bytes is outside %d..%d", n, minFrame, maxFrame)
 	}
 	return binary.LittleEndian.Uint64(hdr[4:]), hdr[12], int(n) - minFrame, nil
+}
+
+// chunkAt is chunk k of a connection's shared mapping.
+func chunkAt(mem []byte, k int) []byte {
+	return mem[k*chunkBytes : (k+1)*chunkBytes : (k+1)*chunkBytes]
+}
+
+// poisonChunk fills a chunk its holder lets go of with bufpool's poison, under
+// -tags pooldebug, so that a side reading a chunk it no longer owns fails byte
+// identity. The race detector cannot see a mapping; this is its check.
+func poisonChunk(b []byte) {
+	if !bufpool.Debug || len(b) == 0 {
+		return
+	}
+	b[0] = 0xDB
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // --- append-style encoders ---
