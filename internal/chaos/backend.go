@@ -36,7 +36,7 @@ func newPFSInjects(mon *dsmon.Monitor) pfsInjects {
 	return pfsInjects{
 		readErr: k("read_err"), writeErr: k("write_err"),
 		shortRead: k("short_read"), shortWrite: k("short_write"),
-		flipRead: silentPlane.counter(mon, "flip_read"),
+		flipRead: silentRead.counter(mon, "flip_read"),
 	}
 }
 
@@ -98,8 +98,11 @@ func (b *Backend) fault(errRate, shortRate, flipRate float64, n int) (errFault b
 	if r < errRate {
 		return true, 0, 0
 	}
-	if r < errRate+shortRate && n > 1 {
-		return false, 1 + b.rng.IntN(n-1), 0
+	if r < errRate+shortRate {
+		if n > 1 {
+			return false, 1 + b.rng.IntN(n-1), 0
+		}
+		return false, 0, 0 // one byte has no shorter prefix; it is not a flip either
 	}
 	if r < errRate+shortRate+flipRate && n > 0 {
 		return false, 0, 1 + b.rng.IntN(8*n)

@@ -46,6 +46,11 @@ type Rates struct {
 	// RecvErr fails a receive attempt with a transient error before it
 	// looks at the mailbox.
 	RecvErr float64
+	// FlipSend delivers a copy of a non-empty message with one bit
+	// inverted and reports success: a silent fault in flight, which no
+	// retry sees. It is the last slice of the send draw, so DefaultRates,
+	// which leaves it at zero, draws every other kind as before it existed.
+	FlipSend float64
 
 	// Storage faults, evaluated per backend ReadAt/WriteAt:
 	//

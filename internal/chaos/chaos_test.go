@@ -139,6 +139,27 @@ func TestBackendFaultsAreTransient(t *testing.T) {
 	}
 }
 
+// TestOneByteReadIsNeverFlippedAtRateZero: a one-byte read whose draw lands in
+// the short-read slice has no shorter prefix to return; with FlipRead zero it
+// must come back whole and unflipped, not fall through to the flip.
+func TestOneByteReadIsNeverFlippedAtRateZero(t *testing.T) {
+	mon := dsmon.New()
+	inner := pfs.NewMemBackend()
+	if _, err := inner.WriteAt([]byte{0x5a}, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBackend(inner, 3, Rates{ShortRead: 1}, mon)
+	for i := 0; i < 100; i++ {
+		p := []byte{0}
+		if n, err := b.ReadAt(p, 0); n != 1 || err != nil || p[0] != 0x5a {
+			t.Fatalf("one-byte read: n=%d err=%v byte %#x, want 1, nil, 0x5a", n, err, p[0])
+		}
+	}
+	if n := silentRead.counter(mon, "flip_read").Value(); n != 0 {
+		t.Errorf("%d flips injected at FlipRead = 0", n)
+	}
+}
+
 // TestResilientFSAbsorbsChaos: a FileSystem whose factory is chaos-wrapped
 // still round-trips bytes exactly, and accounts the retries it spent.
 func TestResilientFSAbsorbsChaos(t *testing.T) {

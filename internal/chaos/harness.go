@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"pcxxstreams/internal/collection"
@@ -133,8 +135,9 @@ const harnessFile = "chaos-scf"
 // SCF collection (cyclic layout, generator offset base) to file through
 // sess, read them back on a block layout (forcing redistribution), and
 // verify every extracted segment against the generator. sigs, when non-nil,
-// receives each rank's plan-decision-chain signatures.
-func (p Pipeline) body(sess *session.Session, file string, base, readAhead int, sigs *planSignatures) func(*machine.Node) error {
+// receives each rank's plan-decision-chain signatures; wrote, when non-nil,
+// is set for each rank whose output stream closed without an error.
+func (p Pipeline) body(sess *session.Session, file string, base, readAhead int, sigs *planSignatures, wrote []bool) func(*machine.Node) error {
 	recs := scf.Records{N: p.Records, Particles: p.Particles, Base: base}
 	return func(n *machine.Node) error {
 		dw, err := distr.New(p.Segments, p.NProcs, distr.Cyclic, 0)
@@ -157,6 +160,9 @@ func (p Pipeline) body(sess *session.Session, file string, base, readAhead int, 
 		}
 		if err := out.Close(); err != nil {
 			return err
+		}
+		if wrote != nil {
+			wrote[n.Rank()] = true
 		}
 
 		dr, err := distr.New(p.Segments, p.NProcs, distr.Block, 0)
@@ -211,7 +217,7 @@ func checkImage(fs *pfs.FileSystem, file string, ref []byte) error {
 func Reference(cfg Config) ([]byte, error) {
 	cfg = cfg.withDefaults()
 	return referenceImage(machine.Config{NProcs: cfg.NProcs, Transport: cfg.Transport},
-		cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, nil), harnessFile)
+		cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, nil, nil), harnessFile)
 }
 
 // flatScenario is Config as a Scenario: one part.
@@ -242,6 +248,8 @@ func (s *flatScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	if cfg.CheckPlans {
 		sigs = newPlanSignatures(cfg.NProcs)
 	}
+	errs, wrote := make([]error, cfg.NProcs), make([]bool, cfg.NProcs)
+	body := cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, sigs, wrote)
 	_, err := machine.Run(machine.Config{
 		NProcs:    cfg.NProcs,
 		Profile:   vtime.Paragon(),
@@ -252,9 +260,29 @@ func (s *flatScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 			return NewTransport(tr, cfg.NProcs, seed, cfg.Rates, mon)
 		},
 		RecvDeadline: cfg.RecvDeadline,
-	}, cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, sigs))
-	if err == nil {
-		err = checkImage(fs, harnessFile, s.ref)
+	}, func(n *machine.Node) error {
+		errs[n.Rank()] = body(n)
+		return errs[n.Rank()]
+	})
+	// Wrong bytes decide the verdict, whichever rank failed first in time: a
+	// silent fault can leave one rank with wrong bytes and make another fail
+	// cleanly, in either order. So a rank that read back wrong bytes, or a
+	// write that every rank finished and whose image is wrong, outranks the
+	// first error. Only a bit flipped in flight can have made such a write
+	// wrong (a flipped read leaves the store as written, and reading the
+	// image back through a store that flips reads would count the oracle's
+	// own reads), so a failed run's image is checked only when one was.
+	for _, e := range errs {
+		if errors.Is(e, scf.ErrMismatch) {
+			err = e
+			break
+		}
+	}
+	flipped := silentSend.counter(mon, "flip_send").Value() > 0
+	if err == nil || (flipped && !errors.Is(err, scf.ErrMismatch) && !slices.Contains(wrote, false)) {
+		if ierr := checkImage(fs, harnessFile, s.ref); ierr != nil || err == nil {
+			err = ierr
+		}
 	}
 	// Only completed runs have every rank's chain; a clean error
 	// legitimately leaves ranks at different records.

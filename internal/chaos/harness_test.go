@@ -95,11 +95,35 @@ func TestChaosSilentFlipRead(t *testing.T) {
 	rates := DefaultRates()
 	rates.FlipRead = 0.02
 	rep := campaign(t, Config{Budget: Budget{Rates: rates}}.Scenario(), *chaosN)
-	requireInjected(t, rep, silentPlane)
+	requireInjected(t, rep, silentRead)
 	t.Logf("DSTRM1: %d of %d seeds silently accepted a flipped read (%d flips injected)",
 		rep.Silent, len(rep.Results), rep.Injects["pfs:flip_read"])
 	if *chaosSeed == 1 && *chaosN == 200 && rep.Silent != silentFlipsAccepted {
 		t.Errorf("%d seeds silently accepted, %d committed: what the stack notices changed", rep.Silent, silentFlipsAccepted)
+	}
+}
+
+// silentSendsAccepted is what TestChaosSilentFlipSend's campaign counts at
+// seed 1 × 200 on DSTRM1: seeds whose read-back was wrong after a bit flipped
+// in flight and that the stack accepted without an error. EXPERIMENTS.md has
+// the campaign; checksummed frames and records are what bring it to 0.
+const silentSendsAccepted = 64
+
+// TestChaosSilentFlipSend is the reporting campaign of the second silent
+// fault kind: the flat SCF pipeline under the default schedule plus a bit
+// flip on one delivered message in fifty (chaos.Rates.FlipSend). Its verdict
+// is TestChaosSilentFlipRead's, and it must inject every transport fault kind
+// as well as the flip.
+func TestChaosSilentFlipSend(t *testing.T) {
+	rates := DefaultRates()
+	rates.FlipSend = 0.02
+	rep := campaign(t, Config{Budget: Budget{Rates: rates}}.Scenario(), *chaosN)
+	requireInjected(t, rep, commPlane)
+	requireInjected(t, rep, silentSend)
+	t.Logf("DSTRM1: %d of %d seeds silently accepted a message flipped in flight (%d flips injected)",
+		rep.Silent, len(rep.Results), rep.Injects["comm:flip_send"])
+	if *chaosSeed == 1 && *chaosN == 200 && rep.Silent != silentSendsAccepted {
+		t.Errorf("%d seeds silently accepted, %d committed: what the stack notices changed", rep.Silent, silentSendsAccepted)
 	}
 }
 

@@ -43,7 +43,7 @@ const (
 	// reconnect budgets are finite.
 	OutcomeCleanError
 	// OutcomeSilent: the part completed with wrong bytes in a seed that
-	// injected a silent fault (silentPlane) — the stack accepted corrupted
+	// injected a silent fault (silentPlanes) — the stack accepted corrupted
 	// data without noticing. Counted, not forbidden: no format in the tree
 	// can see a flipped bit yet, and a campaign with silent faults reports
 	// how many seeds got through.
@@ -107,10 +107,13 @@ var (
 		[]string{"drop", "send_err", "duplicate", "delay", "reorder", "recv_err"}}
 	pfsPlane = faultPlane{"pfs", "storage faults injected by the chaos layer",
 		[]string{"read_err", "write_err", "short_read", "short_write"}}
-	// silentPlane is the storage faults that report success: the stack
-	// cannot retry them, only notice them or not. Kept apart from pfsPlane,
-	// whose every kind each storage campaign must inject.
-	silentPlane = faultPlane{"pfs", pfsPlane.help, []string{"flip_read"}}
+	// The silent planes are the faults that report success — a bit flipped
+	// on a storage read, or on a message in flight: the stack cannot retry
+	// them, only notice them or not. Each is kept apart from its layer's
+	// plane, whose every kind each campaign at that layer must inject.
+	silentRead   = faultPlane{"pfs", pfsPlane.help, []string{"flip_read"}}
+	silentSend   = faultPlane{"comm", commPlane.help, []string{"flip_send"}}
+	silentPlanes = []faultPlane{silentRead, silentSend}
 	// A cut_held is a cut at a moment the daemon held a shared chunk: a
 	// connection severed mid-transfer, whose chunks the daemon may unmap
 	// only once its I/O ranks are done with them.
@@ -128,7 +131,7 @@ func (p faultPlane) counter(mon *dsmon.Monitor, kind string) *dsmon.Counter {
 // registry.
 func injectCounts(mon *dsmon.Monitor) map[string]int64 {
 	out := make(map[string]int64)
-	for _, p := range []faultPlane{commPlane, pfsPlane, silentPlane, connPlane} {
+	for _, p := range append([]faultPlane{commPlane, pfsPlane, connPlane}, silentPlanes...) {
 		for _, k := range p.kinds {
 			out[p.name+":"+k] = p.counter(mon, k).Value()
 		}
@@ -143,8 +146,10 @@ func injectCounts(mon *dsmon.Monitor) map[string]int64 {
 // silentInjects is how many silent faults a seed injected.
 func silentInjects(injects map[string]int64) int64 {
 	var n int64
-	for _, k := range silentPlane.kinds {
-		n += injects[silentPlane.name+":"+k]
+	for _, p := range silentPlanes {
+		for _, k := range p.kinds {
+			n += injects[p.name+":"+k]
+		}
 	}
 	return n
 }

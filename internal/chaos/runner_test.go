@@ -31,7 +31,7 @@ func (f *fakeScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	f.runs.Add(1)
 	commPlane.counter(mon, "drop").Add(2)
 	connPlane.counter(mon, "cut").Inc()
-	silentPlane.counter(mon, "flip_read").Add(f.flips)
+	silentRead.counter(mon, "flip_read").Add(f.flips)
 	if f.block != nil {
 		<-f.block
 	}

@@ -82,7 +82,7 @@ func TenantsReference(cfg TenantsConfig) ([][]byte, error) {
 	for i := range refs {
 		var err error
 		refs[i], err = referenceImage(machine.Config{NProcs: cfg.NProcs},
-			cfg.body(session.Local(), tenantFile, tenantSeedBase(i), 0, nil), tenantFile)
+			cfg.body(session.Local(), tenantFile, tenantSeedBase(i), 0, nil, nil), tenantFile)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +280,7 @@ func runOneTenant(cfg TenantsConfig, addr string, i int, seed int64, ref []byte,
 			return NewTransport(tr, cfg.NProcs, tseed, cfg.Rates, mon)
 		},
 		RecvDeadline: cfg.RecvDeadline,
-	}, cfg.body(sess, tenantFile, tenantSeedBase(i), 0, nil))
+	}, cfg.body(sess, tenantFile, tenantSeedBase(i), 0, nil, nil))
 	if err != nil {
 		return err
 	}

@@ -16,9 +16,10 @@ import (
 // injected send/receive errors. Each sending and receiving rank draws from
 // its own deterministic PRNG stream derived from the schedule seed, so a
 // seed fully determines which operations fault (though not the goroutine
-// interleaving around them). All faults are transient — the endpoints'
-// sequence numbers and retry budgets are expected to absorb them — and
-// every injection is counted under chaos_comm_inject_total{kind=…}.
+// interleaving around them). All faults but one are transient — the
+// endpoints' sequence numbers and retry budgets are expected to absorb them;
+// the one, a bit flipped in flight (Rates.FlipSend), is silent — and every
+// injection is counted under chaos_comm_inject_total{kind=…}.
 type Transport struct {
 	inner comm.Transport
 	rates Rates
@@ -40,7 +41,7 @@ type lane struct {
 
 // commInjects caches the per-kind injection counters.
 type commInjects struct {
-	drop, sendErr, dup, delay, reorder, recvErr *dsmon.Counter
+	drop, sendErr, dup, delay, reorder, recvErr, flipSend *dsmon.Counter
 }
 
 func newCommInjects(mon *dsmon.Monitor) commInjects {
@@ -48,6 +49,7 @@ func newCommInjects(mon *dsmon.Monitor) commInjects {
 	return commInjects{
 		drop: k("drop"), sendErr: k("send_err"), dup: k("duplicate"),
 		delay: k("delay"), reorder: k("reorder"), recvErr: k("recv_err"),
+		flipSend: silentSend.counter(mon, "flip_send"),
 	}
 }
 
@@ -81,18 +83,19 @@ func copyMsg(m comm.Message) comm.Message {
 
 // Send implements comm.Transport, injecting at most one fault per message.
 //
-// An owned message (comm.Message.Owned) is sent as a borrowed one and
-// released here once Send has succeeded. The faults are why: a delayed or
-// reordered delivery outlives the call, a duplicate is two deliveries, and a
-// send error delivers the message and tells the sender to send it again — a
-// buffer handed to the receiver on any of those paths would have two owners.
-// Every path below copies what it delivers, so the caller's buffer is still
-// whole on an error return and nobody's on a nil one.
+// An owned or lent message (comm.Message.Mode) is sent as a borrowed one,
+// and an owned one is released here once Send has succeeded. The faults are
+// why: a delayed or reordered delivery outlives the call, a duplicate is two
+// deliveries, and a send error delivers the message and tells the sender to
+// send it again — a buffer handed to the receiver on any of those paths would
+// have two owners, or a reader past its lender's fence. Every path below
+// copies what it delivers, so the caller's buffer is still whole on an error
+// return and, on a nil one, nobody's if it was owned and its lender's if lent.
 func (t *Transport) Send(m comm.Message) error {
-	owned := m.Owned
-	m.Owned = false
+	mode := m.Mode
+	m.Mode = comm.Borrowed
 	err := t.send(m)
-	if err == nil && owned {
+	if err == nil && mode == comm.Owned {
 		bufpool.Put(m.Data)
 	}
 	return err
@@ -169,6 +172,23 @@ func (t *Transport) send(m comm.Message) error {
 		ln.mu.Unlock()
 		t.flush(prev)
 		t.inj.reorder.Inc()
+		return nil
+
+	case r < rt.Drop+rt.SendErr+rt.Duplicate+rt.Delay+rt.Reorder+rt.FlipSend && len(m.Data) > 0:
+		// Deliver a copy with one bit inverted and report success. The copy
+		// is given to the inner transport, which delivers it as it is.
+		bit := ln.rng.IntN(8 * len(m.Data))
+		held := ln.takeHeld()
+		ln.mu.Unlock()
+		m.Data, m.Mode = append(bufpool.GetCap(len(m.Data)), m.Data...), comm.Owned
+		m.Data[bit/8] ^= 1 << (bit % 8)
+		if err := t.inner.Send(m); err != nil {
+			bufpool.Put(m.Data)
+			t.flush(held)
+			return err
+		}
+		t.flush(held)
+		t.inj.flipSend.Inc()
 		return nil
 
 	default:

@@ -263,7 +263,18 @@ func (c *Comm) Allgather(data []byte) (parts [][]byte, frame []byte, err error) 
 // caller's, to bufpool.Put once consumed; on failure what had arrived goes
 // back to the pool.
 func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
-	return c.alltoallv(bufs, false)
+	recv := make([][]byte, c.Size())
+	if err := c.alltoallv(comm.Borrowed, bufs, recv, nil); err != nil {
+		return nil, err
+	}
+	return recv, nil
+}
+
+// AlltoallvInto is Alltoallv delivering into recv, the caller's scratch of
+// Size() entries, so that the exchange allocates nothing: on success recv[j]
+// is what rank j sent, on failure every entry is nil.
+func (c *Comm) AlltoallvInto(bufs, recv [][]byte) error {
+	return c.alltoallv(comm.Borrowed, bufs, recv, nil)
 }
 
 // AlltoallvOwned is Alltoallv for buffers the caller filled only to send them:
@@ -274,61 +285,100 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 // what is left in bufs when the call returns, on success or failure, is still
 // the caller's to bufpool.Put.
 func (c *Comm) AlltoallvOwned(bufs [][]byte) ([][]byte, error) {
-	return c.alltoallv(bufs, true)
+	recv := make([][]byte, c.Size())
+	if err := c.alltoallv(comm.Owned, bufs, recv, nil); err != nil {
+		return nil, err
+	}
+	return recv, nil
 }
 
-func (c *Comm) alltoallv(bufs [][]byte, owned bool) ([][]byte, error) {
+// AlltoallvLent is AlltoallvInto lending every non-empty bufs[j] instead of
+// having it copied (comm.Endpoint.SendOnceLent): on the in-process transport
+// rank j receives the very slice, and the caller's own entry is its own
+// result's. lent, of Size() entries like recv, reports per peer whether
+// recv[j] is lent — another rank's memory (or the caller's own), to read and
+// never to write or bufpool.Put — or, as a wire transport delivers it, a copy
+// the caller owns. The exchange's closing barrier is no fence: a lender keeps
+// every bufs[j] intact until its protocol has one past which no receiver
+// reads them, and after a failed exchange it cannot know whether any receiver
+// still holds one, so it leaves them to the garbage collector. On failure
+// every entry of recv is nil.
+func (c *Comm) AlltoallvLent(bufs, recv [][]byte, lent []bool) error {
+	if len(lent) != c.Size() {
+		return fmt.Errorf("collective: alltoallv got a lent mask of %d for %d ranks", len(lent), c.Size())
+	}
+	return c.alltoallv(comm.Lent, bufs, recv, lent)
+}
+
+// alltoallv is the one exchange body, for every hand-over mode; lent is nil
+// unless mode is comm.Lent.
+func (c *Comm) alltoallv(mode comm.Mode, bufs, recv [][]byte, lent []bool) error {
 	defer c.instrument("alltoallv")()
 	n := c.Size()
-	if len(bufs) != n {
-		return nil, fmt.Errorf("collective: alltoallv got %d buffers for %d ranks", len(bufs), n)
+	if len(bufs) != n || len(recv) != n {
+		return fmt.Errorf("collective: alltoallv got %d buffers and %d results for %d ranks", len(bufs), len(recv), n)
 	}
 	seq := c.next()
 	me := c.Rank()
+	t := tag(kindAlltoall, seq, 0)
 	for r := 0; r < n; r++ {
 		if r == me {
 			continue
 		}
 		var err error
-		if owned && bufs[r] != nil {
-			if err = c.ep.SendOnceOwned(r, tag(kindAlltoall, seq, 0), bufs[r]); err == nil {
+		switch {
+		case mode == comm.Owned && bufs[r] != nil:
+			if err = c.ep.SendOnceOwned(r, t, bufs[r]); err == nil {
 				bufs[r] = nil
 			}
-		} else {
-			err = c.ep.SendOnce(r, tag(kindAlltoall, seq, 0), bufs[r])
+		case mode == comm.Lent && len(bufs[r]) > 0:
+			err = c.ep.SendOnceLent(r, t, bufs[r])
+		default:
+			err = c.ep.SendOnce(r, t, bufs[r])
 		}
 		if err != nil {
-			return nil, fmt.Errorf("collective: alltoallv send to %d: %w", r, err)
+			return fmt.Errorf("collective: alltoallv send to %d: %w", r, err)
 		}
 	}
-	out := make([][]byte, n)
-	fail := func(err error) ([][]byte, error) {
-		for _, d := range out {
-			bufpool.Put(d)
+	fail := func(err error) error {
+		for r, d := range recv {
+			if lent == nil || !lent[r] {
+				bufpool.Put(d)
+			}
+			recv[r] = nil
 		}
-		return nil, err
+		return err
 	}
-	if owned {
-		out[me], bufs[me] = bufs[me], nil
-	} else {
+	clear(recv)
+	switch mode {
+	case comm.Owned:
+		recv[me], bufs[me] = bufs[me], nil
+	case comm.Lent:
+		clear(lent)
+		recv[me], lent[me] = bufs[me], true
+	default:
 		// Receive own contribution by copy, matching wire semantics.
-		out[me] = bufpool.Get(len(bufs[me]))
-		copy(out[me], bufs[me])
+		recv[me] = bufpool.Get(len(bufs[me]))
+		copy(recv[me], bufs[me])
 	}
 	for r := 0; r < n; r++ {
 		if r == me {
 			continue
 		}
-		d, err := c.ep.Recv(r, tag(kindAlltoall, seq, 0))
+		var err error
+		if lent != nil {
+			recv[r], lent[r], err = c.ep.RecvLent(r, t)
+		} else {
+			recv[r], err = c.ep.Recv(r, t)
+		}
 		if err != nil {
 			return fail(fmt.Errorf("collective: alltoallv recv from %d: %w", r, err))
 		}
-		out[r] = d
 	}
 	if err := c.Barrier(); err != nil {
 		return fail(err)
 	}
-	return out, nil
+	return nil
 }
 
 // ReduceOp selects the reduction operator for the float64 reductions.
@@ -400,6 +450,9 @@ func unflatten(flat []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("collective: unflatten short header")
 	}
 	n := int(binary.LittleEndian.Uint32(flat))
+	if n > (len(flat)-4)/4 {
+		return nil, fmt.Errorf("collective: unflatten count %d overruns %d bytes", n, len(flat))
+	}
 	off := 4
 	lens := make([]int, n)
 	for i := 0; i < n; i++ {

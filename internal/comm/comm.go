@@ -35,21 +35,43 @@ import (
 // never face duplication need no sequencing. SeqOnce marks the only message
 // its stream will ever carry (see Endpoint.SendOnce).
 //
-// Owned marks Data as a bufpool buffer the sender gives up with the message
-// (see Endpoint.SendOwned): a Send that returns nil has taken it — delivered
-// it as it is, or copied it and released it — and a Send that returns an
-// error has left it with the caller, untouched. A wrapper that passes the
-// Message on by value carries the flag with it; one that may deliver late,
-// twice, or deliver and still report failure cannot honour it through those
-// paths and follows the rule in DESIGN.md "Ownership on the wire".
+// Mode says how Data changes hands (see Mode). A wrapper that passes the
+// Message on by value carries the mode with it; one that may deliver late,
+// twice, or deliver and still report failure cannot honour Owned or Lent
+// through those paths and follows the rule in DESIGN.md "Ownership on the
+// wire".
 type Message struct {
 	From, To int
 	Tag      uint64
 	Seq      uint64
 	Time     float64
 	Data     []byte
-	Owned    bool
+	Mode     Mode
 }
+
+// Mode is how a message's payload changes hands: one field with three values,
+// so that a payload cannot be both given up and lent.
+type Mode uint8
+
+const (
+	// Borrowed: the transport reads Data only during Send and delivers its
+	// own copy, which the receiver owns. A received message that is not Lent
+	// reads Borrowed.
+	Borrowed Mode = iota
+	// Owned: Data is a bufpool buffer the sender gives up (see
+	// Endpoint.SendOwned). A Send that returns nil has taken it — delivered
+	// it as it is, or copied it and released it — and a Send that returns an
+	// error has left it with the caller, untouched. The mode is the sender's
+	// word to the transport: what the receiver is delivered reads Borrowed.
+	Owned
+	// Lent: Data stays the sender's (see Endpoint.SendOnceLent). The
+	// in-process transport delivers the very slice, still marked Lent, and
+	// the receiver reads it, never writes or Puts it, and stops reading at a
+	// fence the two sides' protocol provides; the sender keeps it intact
+	// until then. A transport or wrapper that copies delivers its copy as
+	// Borrowed.
+	Lent
+)
 
 // SeqOnce is the sequence number of a one-shot message: the single message
 // of a (from, to, tag) stream whose tag is never used again. It is
@@ -473,17 +495,17 @@ func (mb *mailbox) stageLocked(m Message) {
 	switch {
 	case m.Seq == SeqOnce:
 		if _, done := mb.once[k]; done || staged {
-			bufpool.Put(m.Data) // duplicate of the stream's one message
+			release(m) // duplicate of the stream's one message
 			return
 		}
 	case m.Seq != 0:
 		if m.Seq < mb.nextSeqLocked(k) {
-			bufpool.Put(m.Data) // duplicate of an already-delivered message
+			release(m) // duplicate of an already-delivered message
 			return
 		}
 		for _, q := range list {
 			if q.Seq == m.Seq {
-				bufpool.Put(m.Data) // duplicate of an already-staged message
+				release(m) // duplicate of an already-staged message
 				return
 			}
 		}
@@ -643,20 +665,28 @@ func (mb *mailbox) reap() {
 			if !ok {
 				break
 			}
-			bufpool.Put(m.Data)
+			release(m)
 		}
 	}
 	for _, m := range mb.takeOvf() {
-		bufpool.Put(m.Data)
+		release(m)
 	}
 	mb.mu.Lock()
 	for k, list := range mb.pending {
 		for _, m := range list {
-			bufpool.Put(m.Data)
+			release(m)
 		}
 		delete(mb.pending, k)
 	}
 	mb.mu.Unlock()
+}
+
+// release gives an undelivered payload back to the pool, unless it is lent:
+// a lent payload is its sender's, who releases it past the fence.
+func release(m Message) {
+	if m.Mode != Lent {
+		bufpool.Put(m.Data)
+	}
 }
 
 func (mb *mailbox) close() {
@@ -691,17 +721,20 @@ func NewChanTransport(n int) *ChanTransport {
 //
 // The payload is copied into a pooled buffer, so the sender may reuse its own
 // the moment Send returns, exactly as with a real wire transport, and the
-// receiver owns (and may bufpool.Put) the delivered copy. An owned message
-// (m.Owned) is the exception the copy exists to avoid: its Data is enqueued
-// as it is and the receiver is handed the very slice — on a nil return; a
-// failed Send leaves it with the caller.
+// receiver owns (and may bufpool.Put) the delivered copy. An owned or a lent
+// message is the exception the copy exists to avoid: its Data is enqueued as
+// it is and the receiver is handed the very slice — on a nil return; a failed
+// Send leaves it with the caller. An owned slice arrives as Borrowed, the
+// receiver's; a lent one arrives as Lent.
 func (t *ChanTransport) Send(m Message) error {
 	if m.To < 0 || m.To >= len(t.boxes) {
 		return fmt.Errorf("comm: send to invalid rank %d (size %d)", m.To, len(t.boxes))
 	}
-	owned := m.Owned
-	m.Owned = false // the flag is the sender's word to the transport, not the receiver's
-	if m.Data != nil && !owned {
+	copied := m.Mode == Borrowed
+	if m.Mode == Owned {
+		m.Mode = Borrowed // the receiver's now, as a copy would be
+	}
+	if m.Data != nil && copied {
 		d := bufpool.Get(len(m.Data))
 		copy(d, m.Data)
 		m.Data = d
@@ -711,7 +744,7 @@ func (t *ChanTransport) Send(m Message) error {
 		own = t.boxes[m.From]
 	}
 	if err := t.boxes[m.To].putBlocking(m, own); err != nil {
-		if !owned {
+		if copied {
 			bufpool.Put(m.Data)
 		}
 		return err
@@ -866,7 +899,7 @@ func (e *Endpoint) Profile() vtime.Profile { return e.prof }
 // the receiver. Fatal errors, and transient ones that outlast the retry
 // budget, are returned to the caller.
 func (e *Endpoint) Send(to int, tag uint64, data []byte) error {
-	return e.send(to, tag, e.nextSeq(to, tag), data, false)
+	return e.send(to, tag, e.nextSeq(to, tag), data, Borrowed)
 }
 
 // SendOwned is Send for a buffer the caller built only to send: buf came from
@@ -877,7 +910,7 @@ func (e *Endpoint) Send(to int, tag uint64, data []byte) error {
 // or to send again; that is also what lets the retry loop resend it after a
 // transient fault.
 func (e *Endpoint) SendOwned(to int, tag uint64, buf []byte) error {
-	return e.send(to, tag, e.nextSeq(to, tag), buf, true)
+	return e.send(to, tag, e.nextSeq(to, tag), buf, Owned)
 }
 
 func (e *Endpoint) nextSeq(to int, tag uint64) uint64 {
@@ -892,18 +925,30 @@ func (e *Endpoint) nextSeq(to int, tag uint64) uint64 {
 // that neither end keeps per-stream state once the message is delivered
 // (see SeqOnce). The receiver uses Recv as for any other message.
 func (e *Endpoint) SendOnce(to int, tag uint64, data []byte) error {
-	return e.send(to, tag, SeqOnce, data, false)
+	return e.send(to, tag, SeqOnce, data, Borrowed)
 }
 
 // SendOnceOwned is SendOnce giving up buf as SendOwned does.
 func (e *Endpoint) SendOnceOwned(to int, tag uint64, buf []byte) error {
-	return e.send(to, tag, SeqOnce, buf, true)
+	return e.send(to, tag, SeqOnce, buf, Owned)
 }
 
-func (e *Endpoint) send(to int, tag, seq uint64, data []byte, owned bool) error {
+// SendOnceLent is SendOnce lending data instead of having it copied: on the
+// in-process transport the receiver is handed the very slice, which RecvLent
+// reports as lent; a wire transport copies it as Send does. The caller keeps
+// data intact, and releases it only once its protocol has a fence past which
+// the receiver no longer reads it. Until that fence the caller cannot tell
+// whether the receiver still holds the slice — a send or an exchange that
+// fails after a lent send has returned nil leaves data to the garbage
+// collector, never to bufpool.Put.
+func (e *Endpoint) SendOnceLent(to int, tag uint64, data []byte) error {
+	return e.send(to, tag, SeqOnce, data, Lent)
+}
+
+func (e *Endpoint) send(to int, tag, seq uint64, data []byte, mode Mode) error {
 	start := e.clock.Now()
 	e.clock.Advance(e.prof.SendOverhead)
-	m := Message{From: e.rank, To: to, Tag: tag, Seq: seq, Data: data, Owned: owned}
+	m := Message{From: e.rank, To: to, Tag: tag, Seq: seq, Data: data, Mode: mode}
 	backoff := e.retry.Backoff
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -973,11 +1018,24 @@ func (e *Endpoint) recvOnce(from int, tag uint64) (Message, error) {
 // exponential virtual-time backoff before a clean error is surfaced.
 //
 // The returned payload is owned by the caller: it aliases nothing the sender
-// still holds (it is the transport's copy of a Send, or the buffer a
-// SendOwned gave up), may be retained indefinitely, and may be released with
-// bufpool.Put once fully consumed (releasing is optional — the GC reclaims
-// it either way).
+// still holds (it is the transport's copy of a Send, the buffer a SendOwned
+// gave up, or a copy of a lent payload, which only RecvLent hands over as it
+// is), may be retained indefinitely, and may be released with bufpool.Put
+// once fully consumed (releasing is optional — the GC reclaims it either
+// way).
 func (e *Endpoint) Recv(from int, tag uint64) ([]byte, error) {
+	data, lent, err := e.RecvLent(from, tag)
+	if lent {
+		data = append(bufpool.GetCap(len(data)), data...)
+	}
+	return data, err
+}
+
+// RecvLent is Recv reporting whether the payload is lent (see SendOnceLent):
+// the sender's own memory, which the caller reads only up to the fence its
+// protocol provides and never writes or hands to bufpool.Put. A payload that
+// is not lent is the caller's, as Recv's is.
+func (e *Endpoint) RecvLent(from int, tag uint64) ([]byte, bool, error) {
 	start := e.clock.Now()
 	var m Message
 	var err error
@@ -990,7 +1048,7 @@ func (e *Endpoint) Recv(from int, tag uint64) ([]byte, error) {
 		e.mTransient.Inc()
 		if attempt >= e.retry.MaxAttempts {
 			e.mExhausted.Inc()
-			return nil, fmt.Errorf("comm: recv from %d tag %#x: retries exhausted after %d attempts: %w",
+			return nil, false, fmt.Errorf("comm: recv from %d tag %#x: retries exhausted after %d attempts: %w",
 				from, tag, attempt, err)
 		}
 		e.mRecvRetry.Inc()
@@ -998,7 +1056,7 @@ func (e *Endpoint) Recv(from int, tag uint64) ([]byte, error) {
 		backoff *= 2
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	arrival := m.Time + e.prof.MsgLatency + vtime.TransferTime(int64(len(m.Data)), e.prof.MsgBW)
 	e.clock.SyncTo(arrival)
@@ -1019,7 +1077,7 @@ func (e *Endpoint) Recv(from int, tag uint64) ([]byte, error) {
 			rec.FlowIn(dsmon.FlowKey{Kind: "msg", A: from, B: e.rank, Tag: tag, Seq: m.Seq}, id)
 		}
 	}
-	return m.Data, nil
+	return m.Data, m.Mode == Lent, nil
 }
 
 // Stats is one endpoint's traffic account.

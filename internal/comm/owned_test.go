@@ -175,14 +175,14 @@ func TestSendOwnedRetryResendsTheBuffer(t *testing.T) {
 func TestOwnedFlagStopsAtTheTransport(t *testing.T) {
 	eachTransport(t, 2, func(t *testing.T, tr Transport) {
 		buf := ownedBuf(256, 1)
-		if err := tr.Send(Message{From: 0, To: 1, Tag: 2, Data: buf, Owned: true}); err != nil {
+		if err := tr.Send(Message{From: 0, To: 1, Tag: 2, Data: buf, Mode: Owned}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := tr.Recv(1, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Owned {
+		if m.Mode != Borrowed {
 			t.Error("a delivered message still says Owned")
 		}
 		bufpool.Put(m.Data)

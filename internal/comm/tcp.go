@@ -187,8 +187,10 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 // it on the sender's connection for the writer to coalesce. The payload is
 // fully copied before Send returns, so callers may reuse their buffers
 // immediately, exactly as with the old synchronous write path; an owned
-// payload (m.Owned) is copied the same way and then released to bufpool, once
-// the frame is queued — a Send that fails leaves it with the caller. A write
+// payload (Mode Owned) is copied the same way and then released to bufpool,
+// once the frame is queued — a Send that fails leaves it with the caller. A
+// lent payload is copied and left with its sender, so the receiver is
+// delivered a copy of its own, not marked lent. A write
 // failure surfaces on the next Send from that rank (fast and fatal — a
 // partial frame may be on the wire, so the stream cannot be trusted).
 func (t *TCPTransport) Send(m Message) error {
@@ -226,7 +228,7 @@ func (t *TCPTransport) Send(m Message) error {
 	tc.queued += len(frame)
 	tc.mu.Unlock()
 	tc.cond.Broadcast()
-	if m.Owned {
+	if m.Mode == Owned {
 		bufpool.Put(m.Data)
 	}
 	return nil

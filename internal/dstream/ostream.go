@@ -35,9 +35,12 @@ type OStream struct {
 	pendingSpans []dsmon.SpanID
 	// Per-record scratch: pieces is the block node 0 appends, the front
 	// matter and the data pieces behind it; sendBufs is what the two-phase
-	// shuffle sends each rank.
+	// shuffle lends each rank, recvBufs what each rank lent this one and
+	// lent which of those are lent rather than copied.
 	pieces   [][]byte
 	sendBufs [][]byte
+	recvBufs [][]byte
+	lent     []bool
 }
 
 // openOutput is the collective open every output constructor funnels into.
@@ -129,14 +132,21 @@ func (s *OStream) appendRecord(w flush) error {
 		case StrategyFunnel:
 			err = s.writeFunnel(w.arrays, w.sizes, data)
 		case StrategyTwoPhase:
-			err = s.writeTwoPhase(w.arrays, w.sizes, data)
+			var lent bool
+			if lent, err = s.writeTwoPhase(w.arrays, w.sizes, data); lent && err != nil {
+				// A peer may still be reading its overlap: the arena goes to
+				// the garbage collector, not back to the pool.
+				data = nil
+			}
 		default:
 			err = s.writeParallel(w.arrays, w.sizes, data)
 		}
 	}
-	// Every strategy's bytes are on the wire or in the file by the time it
-	// returns (parallel appends complete inside the rendezvous, transports
-	// copy on send), so the packed buffer can be released even on failure.
+	// Every strategy's bytes are in the file by the time it returns
+	// (parallel appends complete inside the rendezvous, and no rank leaves
+	// that before every rank's move is done), or on the wire (transports
+	// copy a borrowed send), so the packed buffer can be released even on
+	// failure — unless the shuffle lent it out and failed.
 	bufpool.Put(data)
 	if err == nil {
 		// The strategy's closing rendezvous left every rank's clock at the

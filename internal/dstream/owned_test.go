@@ -61,7 +61,7 @@ func TestChannelFrameIsHandedOver(t *testing.T) {
 	sent := map[[2]int][]*byte{} // (from, to) → first byte of each data frame, in order
 	tap := &sendTap{each: func(m comm.Message) error {
 		if isDataFrame(m) {
-			if !m.Owned {
+			if m.Mode != comm.Owned {
 				return fmt.Errorf("data frame %d→%d sent borrowed", m.From, m.To)
 			}
 			k := [2]int{m.From, m.To}

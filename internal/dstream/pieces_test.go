@@ -128,15 +128,17 @@ func poolHeld(t *testing.T, cfg machine.Config, body func(n *machine.Node) error
 
 // TestTwoPhaseFramesHeldUntilAppendReturns: an aggregator's extent reaches the
 // store as the frames the shuffle delivered and the part of its own arena
-// that lies in it — the very buffers, not a copy of them — so the frames are
-// the stream's until the append that reads them has returned and are given
-// back exactly once after it, and the own overlap, which is the arena's, is
-// never given back on its own account: not when the record lands, not when
-// the append fails, not when the shuffle does, not write-behind. The account
-// is the pool's count of buffers out, against a run of the same shape that
-// funnels (plus what the shuffle's one Allgather keeps, measured on its own);
-// under pooldebug the poison says whether a frame went back while the append
-// was still writing. The refill mirrors it: each sliver of the extent goes
+// that lies in it — the very buffers, not a copy of them; in process a frame
+// is the part of its sender's arena the sender lent — so a frame is read
+// until the append that reads it has returned and is given back exactly once
+// after it, by the rank whose arena it is, and the own overlap is never given
+// back on its own account: not when the record lands, not when the append
+// fails, not when the shuffle does, not write-behind. A failed append leaves
+// each lender's arena to the garbage collector. The account is the pool's
+// count of buffers out, against a run of the same shape that funnels (plus
+// what the shuffle's one Allgather keeps, measured on its own); under
+// pooldebug the poison says whether a frame went back while the append was
+// still writing. The refill mirrors it: each sliver of the extent goes
 // back once, by the rank it was sent to or, when the scatter failed before
 // sending it, by the aggregator, and a two-phase read holds no more than a
 // direct one.
@@ -200,6 +202,7 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 		budget  int // sends let through once the record is inserted, -1 for all
 		wantErr bool
 		frames  int // shuffle frames that must reach the store as they are
+		dropped int // arenas a failed Write lent out and left to the garbage collector
 	}{
 		{name: "success", nprocs: 3, failOp: -1, budget: -1, frames: 2},
 		{name: "success on two ranks", nprocs: 2, failOp: -1, budget: -1, frames: 1},
@@ -208,9 +211,10 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 		// pieces concurrently — aggregator 0 its front matter first — so
 		// failOp 1 fails the front matter wherever it falls, and failOp 3 lets
 		// two pieces through, whichever ranks' they are, and fails the rest:
-		// every rank fails with them.
-		{name: "append fails on a frame", nprocs: 3, failOp: 3, budget: -1, wantErr: true},
-		{name: "append fails on the front matter", nprocs: 3, failOp: 1, budget: -1, wantErr: true},
+		// every rank fails with them. Ranks 1 and 2 lent part of their arenas
+		// to the aggregators, and leave them to the garbage collector.
+		{name: "append fails on a frame", nprocs: 3, failOp: 3, budget: -1, wantErr: true, dropped: 2},
+		{name: "append fails on the front matter", nprocs: 3, failOp: 1, budget: -1, wantErr: true, dropped: 2},
 		// The Allgather goes through and the first send of the exchange
 		// kills the link: no frame is ever delivered.
 		{name: "shuffle fails", nprocs: 2, failOp: -1, budget: count.before, wantErr: true},
@@ -240,8 +244,8 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 			if early != nil {
 				t.Error(early)
 			}
-			if held != 0 {
-				t.Errorf("%d pooled buffers out after the run: a frame or the own overlap was released twice, or not at all", held)
+			if held != int64(tc.dropped) {
+				t.Errorf("%d pooled buffers out after the run, %d lent arenas: a frame or the own overlap was released twice, or not at all", held, tc.dropped)
 			}
 			if tc.wantErr {
 				return

@@ -150,7 +150,10 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, h
 	}
 	s.node.CopyCost(sendBytes)
 
-	recv, err := s.node.Comm().Alltoallv(bufs)
+	// The stream keeps the frames list from record to record; every received
+	// frame is the stream's, error or not, until releaseFrames.
+	recv := sendBufs(&s.frames, nprocs)
+	err := s.node.Comm().AlltoallvInto(bufs, recv)
 	for i, b := range packed {
 		bufpool.Put(b)
 		packed[i] = nil
@@ -159,8 +162,6 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, h
 	if err != nil {
 		return fmt.Errorf("dstream: redistribute: %w", err)
 	}
-	// From here every received frame is the stream's, error or not.
-	s.frames = recv
 	if pl.err != nil {
 		return pl.err
 	}
@@ -213,7 +214,6 @@ func (s *IStream) releaseFrames() {
 		bufpool.Put(b)
 		s.frames[i] = nil
 	}
-	s.frames = nil
 	bufpool.Put(s.metaFrame)
 	s.metaFrame = nil
 }

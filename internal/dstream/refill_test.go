@@ -132,7 +132,7 @@ func TestTwoPhaseRefillMatchesDirectRead(t *testing.T) {
 					t.Run(fmt.Sprintf("P=%d/%s/K=%d/depth=%d", nprocs, mode, k, depth), func(t *testing.T) {
 						var scattered int
 						tap := &sendTap{each: func(m comm.Message) error {
-							if m.Tag>>56 == alltoallKind && m.Owned && len(m.Data) > 0 {
+							if m.Tag>>56 == alltoallKind && m.Mode == comm.Owned && len(m.Data) > 0 {
 								scattered++
 							}
 							return nil
@@ -177,7 +177,7 @@ func TestTwoPhaseScatterHandsSliversOver(t *testing.T) {
 						return nil
 					}
 					scattered++
-					if !m.Owned && borrowed == nil {
+					if m.Mode != comm.Owned && borrowed == nil {
 						borrowed = fmt.Errorf("a %d-byte sliver %d→%d was sent borrowed: the transport copied it", len(m.Data), m.From, m.To)
 					}
 					return nil

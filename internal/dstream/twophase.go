@@ -45,8 +45,8 @@ func stripeCuts(base, total int64, k int, unit int64) []int64 {
 	return cuts
 }
 
-// sendBufs returns *scratch as one exchange's send list: n entries, none
-// set. A stream keeps the list from record to record.
+// sendBufs returns *scratch as one exchange's send or receive list: n
+// entries, none set. A stream keeps the list from record to record.
 func sendBufs(scratch *[][]byte, n int) [][]byte {
 	if len(*scratch) != n {
 		*scratch = make([][]byte, n)
@@ -70,10 +70,18 @@ func putAll(bufs [][]byte) {
 // from "every rank appends its own elements" to "K aggregators append
 // stripe-aligned extents". So this function owns the shuffle and nothing
 // else: it trades each rank's data for that rank's extent (empty off the
-// aggregators) — as the frames the shuffle delivered, and its own overlap
-// where it lies in the arena, never as one assembled buffer — and hands
-// those pieces to writeFunnel.
-func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) error {
+// aggregators) — as the pieces the shuffle delivered, never as one assembled
+// buffer — and hands those pieces to writeFunnel.
+//
+// The shuffle lends: an aggregator's pieces are, on the in-process
+// transport, sub-slices of the contributors' arenas, which its move step of
+// the closing append reads straight into the store. That append is the
+// fence: no rank leaves it with a nil error before every rank's move has
+// settled, so data is the caller's to release again when writeTwoPhase
+// returns nil. lent reports that some of data went out lent; on an error a
+// peer may then still be reading it, and the caller must leave data to the
+// garbage collector rather than give it back to the pool.
+func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) (lent bool, err error) {
 	comm := s.node.Comm()
 	me := s.node.Rank()
 	nprocs := s.node.Size()
@@ -85,13 +93,13 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(data)))
 	lenParts, lenFrame, err := comm.Allgather(lenBuf[:])
 	if err != nil {
-		return fmt.Errorf("dstream: allgather data sizes: %w", err)
+		return false, fmt.Errorf("dstream: allgather data sizes: %w", err)
 	}
 	rankOff := make([]int64, nprocs+1)
 	for r, p := range lenParts {
 		if len(p) != 8 {
 			bufpool.Put(lenFrame)
-			return fmt.Errorf("dstream: bad size contribution from rank %d", r)
+			return false, fmt.Errorf("dstream: bad size contribution from rank %d", r)
 		}
 		rankOff[r+1] = rankOff[r] + int64(binary.LittleEndian.Uint64(p))
 	}
@@ -104,13 +112,10 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 	cuts := stripeCuts(s.f.Size()+s.metaLen, rankOff[nprocs], k, layout.StripeUnit)
 
 	// Shuffle: each rank slices its contiguous payload [lo, hi) of the data
-	// section by the extent cuts and sends each aggregator its overlap; an
-	// aggregator's overlap with its own extent stays where it is. Within an
-	// extent, ascending sender rank is ascending file offset, so the received
-	// frames in rank order, the own overlap at this rank's place among them,
-	// are the extent.
+	// section by the extent cuts and lends each aggregator its overlap,
+	// itself included. Within an extent, ascending sender rank is ascending
+	// file offset, so the received pieces in rank order are the extent.
 	bufs := sendBufs(&s.sendBufs, nprocs)
-	var own []byte
 	var sent int64
 	lo, hi := rankOff[me], rankOff[me+1]
 	for j := 0; j < k; j++ {
@@ -118,26 +123,32 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 		if a >= b {
 			continue
 		}
-		if j == me {
-			own = data[a-lo : b-lo]
-			continue
-		}
 		bufs[j] = data[a-lo : b-lo]
-		sent += b - a
+		if j != me {
+			sent += b - a
+		}
 	}
-	pieces, err := comm.Alltoallv(bufs)
+	pieces := sendBufs(&s.recvBufs, nprocs)
+	if len(s.lent) != nprocs {
+		s.lent = make([]bool, nprocs)
+	}
+	err = comm.AlltoallvLent(bufs, pieces, s.lent)
+	clear(bufs)
+	lent = sent > 0
 	if err != nil {
-		return fmt.Errorf("dstream: two-phase shuffle: %w", err)
+		return lent, fmt.Errorf("dstream: two-phase shuffle: %w", err)
 	}
-	// Every frame is this rank's per the Alltoallv contract, and is held
-	// until the append that reads it has returned; the own overlap is the
-	// arena's, which Write releases. A rank off the aggregators received
-	// nothing and contributes an empty block to the closing append.
-	bufpool.Put(pieces[me])
-	pieces[me] = own
+	// A lent piece is its lender's, read here until the closing append
+	// returns; a copied one (a wire transport's) is this rank's, held as
+	// long. A rank off the aggregators received nothing and contributes an
+	// empty block to the closing append.
 	defer func() {
-		pieces[me] = nil
-		putAll(pieces)
+		for j, p := range pieces {
+			if !s.lent[j] {
+				bufpool.Put(p)
+			}
+			pieces[j] = nil
+		}
 	}()
 	var got, want int64
 	for _, p := range pieces {
@@ -147,7 +158,7 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 		want = cuts[me+1] - cuts[me]
 	}
 	if got != want {
-		return fmt.Errorf("dstream: extent %d holds %d of %d bytes", me, got, want)
+		return lent, fmt.Errorf("dstream: extent %d holds %d of %d bytes", me, got, want)
 	}
 	if me < k {
 		s.node.CopyCost(want)
@@ -179,7 +190,7 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) e
 			}
 		}
 	}
-	return s.writeFunnel(nArrays, localSizes, pieces...)
+	return lent, s.writeFunnel(nArrays, localSizes, pieces...)
 }
 
 // refillTwoPhase is the read-side mirror: K aggregators refill

@@ -65,8 +65,24 @@ func TestParseStrategy(t *testing.T) {
 // options onto a striped store and returns the resulting file image.
 func strategyImage(t *testing.T, nprocs, nElems int, mode distr.Mode, bsize int, opts ...Option) []byte {
 	t.Helper()
-	fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(3, 256))
-	run(t, nprocs, fs, func(n *machine.Node) error {
+	fs := strategyStore()
+	run(t, nprocs, fs, strategyRecords(nElems, mode, bsize, opts...))
+	img, err := fs.Image("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// strategyStore is the striped store strategyImage writes on.
+func strategyStore() *pfs.FileSystem {
+	return pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(3, 256))
+}
+
+// strategyRecords is the body that writes strategyImage's two records.
+func strategyRecords(nElems int, mode distr.Mode, bsize int, opts ...Option) func(n *machine.Node) error {
+	return func(n *machine.Node) error {
+		nprocs := n.Size()
 		d, err := distr.New(nElems, nprocs, mode, bsize)
 		if err != nil {
 			return err
@@ -102,12 +118,7 @@ func strategyImage(t *testing.T, nprocs, nElems int, mode distr.Mode, bsize int,
 			return err
 		}
 		return s.Write()
-	})
-	img, err := fs.Image("f")
-	if err != nil {
-		t.Fatal(err)
 	}
-	return img
 }
 
 // TestCrossStrategyByteIdentity: funnel × parallel × two-phase × async must
