@@ -94,14 +94,16 @@ bench-wall:
 alloc-check:
 	$(GO) run ./cmd/dstream-bench -sweep alloc -alloc-check BENCH_alloc_baseline.json
 
-# The race suite again with pooldebug poisoning on the pool-heavy packages:
+# The race suite again with pooldebug on the pool-heavy packages, twice:
 # a retained alias written after Put panics at the next Get instead of
-# corrupting a record silently. The daemon moves a framed chunk through a
-# pooled buffer an I/O rank releases, and poisons a shared chunk it hands
-# back, so its package and the session layer over it are on the list. The whole dstream package runs, TestFrontMatterFramesReturn
-# among it: a cache keyed on a released front-matter frame reads the poison.
+# corrupting a record silently, and each package's test binary ends with
+# every pooled buffer back and every goroutine gone (internal/leakcheck,
+# called from the package's TestMain), naming a leak by the stack that took
+# the buffer. The daemon moves a framed chunk through a pooled buffer an I/O
+# rank releases and poisons a shared chunk it hands back, so its package and
+# the layers over it are on the list.
 race-pooldebug:
-	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/ ./internal/server/ ./internal/session/
+	$(GO) test -race -tags pooldebug -count 2 ./internal/bufpool/ ./internal/enc/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/ ./internal/server/ ./internal/session/ ./internal/replicated/ ./internal/ckpt/
 
 # Counted non-test lines, per package and in all: lines of non-test .go files
 # that are neither blank nor only a // comment. The figure a simplicity PR

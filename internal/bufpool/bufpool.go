@@ -12,13 +12,14 @@
 // A buffer obtained from Get/GetCap is owned by the caller until the caller
 // passes it across an API that documents a transfer (e.g. a comm.Transport
 // delivers the *pool's copy* of a payload to the receiver, which then owns
-// it). Exactly one owner may call Put, after which the buffer must not be
-// touched — not read, not written, not Put again. Put is always optional:
-// an owner that wants to retain a buffer forever simply never returns it,
-// and the garbage collector reclaims it as before. Put accepts only buffers
-// whose capacity exactly matches a size class (anything else — a re-sliced
-// buffer, a foreign allocation — is quietly dropped), so handing Put a
-// buffer you merely suspect came from the pool is safe.
+// it). Exactly one owner ends the buffer's life with Put or Drop, after
+// which the buffer must not be touched — not read, not written, not released
+// again. Put hands it back to the pool; Drop hands it to the garbage
+// collector on purpose, for an owner that cannot know when the last reader
+// of a buffer it lent out is done. Put accepts only buffers whose capacity
+// exactly matches a size class (anything else — a re-sliced buffer, a
+// foreign allocation — is quietly dropped), so handing Put a buffer you
+// merely suspect came from the pool is safe.
 //
 // Get returns buffers with arbitrary contents (a recycled buffer still
 // holds its previous bytes, or the pooldebug poison pattern); callers must
@@ -29,8 +30,13 @@
 // Built with `-tags pooldebug`, every released buffer is poisoned and
 // verified still-poisoned when recycled: a retained alias written after Put
 // makes the next Get of that buffer panic, turning a silent
-// use-after-release data race into a crash at the pool boundary. The chaos
-// and race CI jobs run with this tag.
+// use-after-release data race into a crash at the pool boundary. The same
+// build keeps a ledger: Get records the stack that took each buffer, Put and
+// Drop forget it, and Ledger groups what is left by stack. A buffer that
+// nobody releases is a leak there, even when the garbage collector has long
+// reclaimed it; the test binaries of the pool-heavy packages end with that
+// ledger empty (internal/leakcheck). The chaos and race CI jobs run with
+// this tag.
 package bufpool
 
 import (
@@ -115,13 +121,16 @@ func GetCap(n int) []byte {
 		box.b = nil
 		spare.Put(box)
 		checkPoison(b)
+		track(b)
 		hits.Add(1)
 		outstanding.Add(1)
 		return b[:0]
 	}
 	misses.Add(1)
 	outstanding.Add(1)
-	return make([]byte, 0, classSize(c))
+	b := make([]byte, 0, classSize(c))
+	track(b)
+	return b
 }
 
 // Put releases b to its size class. Only buffers whose capacity exactly
@@ -137,6 +146,7 @@ func Put(b []byte) {
 		return
 	}
 	poison(b)
+	untrack(b)
 	puts.Add(1)
 	outstanding.Add(-1)
 	box, _ := spare.Get().(*entry)
@@ -147,18 +157,42 @@ func Put(b []byte) {
 	classes[c].Put(box)
 }
 
+// Drop ends the caller's ownership of b without returning it to the pool:
+// the garbage collector reclaims it once nobody reads it any more. It is the
+// release for a buffer lent to readers the owner cannot wait for. Drop
+// counts into Discards and, for a pooled buffer, out of Outstanding.
+func Drop(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	discards.Add(1)
+	if exactClass(cap(b)) >= 0 {
+		untrack(b)
+		outstanding.Add(-1)
+	}
+}
+
+// Site is one stack's share of the ledger (see Ledger): the program
+// counters that took the buffers, innermost first, as runtime.Callers gives
+// them, and how many of those buffers are still owed.
+type Site struct {
+	Stack   []uintptr
+	Buffers int
+}
+
 // PoolStats is a snapshot of the pool's global counters.
 type PoolStats struct {
 	// Hits and Misses split Get/GetCap calls that were servable by a class:
 	// a hit reused a pooled buffer, a miss allocated a fresh one.
 	Hits, Misses int64
 	// Puts counts buffers accepted back; Discards counts Put calls dropped
-	// because the capacity matched no class (re-sliced or foreign buffers).
+	// because the capacity matched no class (re-sliced or foreign buffers),
+	// and Drop calls.
 	Puts, Discards int64
 	// Oversize counts requests beyond MaxClass, served by the allocator.
 	Oversize int64
 	// Outstanding is pooled buffers currently held by callers (Get minus
-	// Put). Buffers legitimately retained forever keep it positive.
+	// Put and Drop).
 	Outstanding int64
 }
 

@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -59,13 +60,53 @@ func TestGetLengthAndCapacity(t *testing.T) {
 
 func TestPutRejectsForeignBuffers(t *testing.T) {
 	before := Stats().Discards
+	b := Get(256)
 	Put(make([]byte, 100)) // non-class capacity
-	Put(Get(256)[10:])     // re-sliced: offset alias
+	Put(b[10:])            // re-sliced: offset alias
 	Put(make([]byte, 3, 200))
 	if got := Stats().Discards - before; got != 3 {
 		t.Errorf("discards = %d, want 3", got)
 	}
 	Put(nil) // must be a silent no-op
+	Put(b)
+}
+
+// TestDropHandsToTheCollector: Drop ends ownership without pooling — out of
+// Outstanding and the ledger, into Discards — and the ledger names the stack
+// of every buffer taken and not yet released.
+func TestDropHandsToTheCollector(t *testing.T) {
+	base := Stats()
+	b := Get(512)
+	if Debug && !held(t.Name()) {
+		t.Error("the ledger does not name the test that holds a buffer")
+	}
+	Drop(b)
+	got := Stats()
+	if got.Outstanding != base.Outstanding || got.Discards != base.Discards+1 || got.Puts != base.Puts {
+		t.Errorf("after Drop: outstanding %+d, discards %+d, puts %+d; want 0, +1, 0",
+			got.Outstanding-base.Outstanding, got.Discards-base.Discards, got.Puts-base.Puts)
+	}
+	if held(t.Name()) {
+		t.Error("the ledger still names a dropped buffer")
+	}
+}
+
+// held reports whether a buffer taken by the named test's own frame is on
+// the ledger.
+func held(test string) bool {
+	for _, s := range Ledger() {
+		frames := runtime.CallersFrames(s.Stack)
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, "."+test) {
+				return true
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return false
 }
 
 func TestOversizeFallsThrough(t *testing.T) {

@@ -2,9 +2,17 @@
 
 package bufpool
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"unsafe"
+)
 
-// Debug reports whether the pooldebug poisoning checks are compiled in.
+// Debug reports whether the pooldebug poisoning checks and the ledger are
+// compiled in.
 const Debug = true
 
 // poisonByte fills every released buffer. 0xDB is unlikely as real payload
@@ -27,4 +35,81 @@ func checkPoison(b []byte) {
 			panic(fmt.Sprintf("bufpool: use after Put: byte %d of a released %d-byte buffer was overwritten (0x%02x != 0x%02x); some caller retained an alias past Put", i, cap(b), v, poisonByte))
 		}
 	}
+}
+
+// stack is the call stack a buffer was taken at, innermost caller first,
+// zero-padded; deep stacks are cut at its length.
+type stack [32]uintptr
+
+// site is a stack that took a buffer, and how many of its buffers the
+// garbage collector reclaimed without a Put or a Drop.
+type site struct {
+	pc   stack
+	lost int
+}
+
+// ledger maps each outstanding buffer's backing array, by address, to the
+// site that took it. The address is a uintptr so that the ledger does not
+// keep a buffer its owner let go of alive: when the allocator hands the same
+// address out again, the buffer that was there has been collected, and its
+// site counts it lost. Sites are interned, so that a Get from a stack seen
+// before allocates nothing.
+var ledger struct {
+	sync.Mutex
+	sites map[stack]*site
+	held  map[uintptr]*site
+}
+
+func key(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+
+func track(b []byte) {
+	var pc stack
+	runtime.Callers(3, pc[:]) // above runtime.Callers, track and GetCap
+	ledger.Lock()
+	defer ledger.Unlock()
+	if ledger.sites == nil {
+		ledger.sites, ledger.held = map[stack]*site{}, map[uintptr]*site{}
+	}
+	s := ledger.sites[pc]
+	if s == nil {
+		s = &site{pc: pc}
+		ledger.sites[pc] = s
+	}
+	if old := ledger.held[key(b)]; old != nil {
+		old.lost++
+	}
+	ledger.held[key(b)] = s
+}
+
+func untrack(b []byte) {
+	ledger.Lock()
+	delete(ledger.held, key(b))
+	ledger.Unlock()
+}
+
+// Ledger groups the buffers taken with Get or GetCap and neither Put nor
+// Dropped since — those still held and those the garbage collector reclaimed
+// — by the stack that took them, largest group first.
+func Ledger() []Site {
+	ledger.Lock()
+	n := map[*site]int{}
+	for _, s := range ledger.sites {
+		if s.lost > 0 {
+			n[s] = s.lost
+		}
+	}
+	for _, s := range ledger.held {
+		n[s]++
+	}
+	ledger.Unlock()
+	out := make([]Site, 0, len(n))
+	for s, c := range n {
+		pc := s.pc[:]
+		if i := slices.Index(pc, 0); i >= 0 {
+			pc = pc[:i]
+		}
+		out = append(out, Site{Stack: slices.Clone(pc), Buffers: c})
+	}
+	slices.SortFunc(out, func(a, b Site) int { return cmp.Compare(b.Buffers, a.Buffers) })
+	return out
 }

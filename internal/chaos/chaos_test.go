@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
@@ -94,6 +95,7 @@ func TestEndpointSurvivesChaos(t *testing.T) {
 			if want := fmt.Sprintf("m%04d", i); string(got) != want {
 				t.Fatalf("seed %d: message %d = %q, want %q (reorder/dup leaked through)", seed, i, got, want)
 			}
+			bufpool.Put(got)
 		}
 		if err := <-errc; err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

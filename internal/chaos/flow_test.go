@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/vtime"
@@ -51,6 +52,7 @@ func TestSendRecvFlowUnderFaults(t *testing.T) {
 			if data[0] != byte(i) {
 				t.Fatalf("seed %d: message %d out of order: got %d", seed, i, data[0])
 			}
+			bufpool.Put(data)
 		}
 		if err := <-errc; err != nil {
 			t.Fatalf("seed %d: Send: %v", seed, err)

@@ -177,6 +177,9 @@ func (p Pipeline) body(sess *session.Session, file string, base, readAhead int, 
 		if err != nil {
 			return err
 		}
+		// A read that failed leaves its refill share and frames with the
+		// stream until Close.
+		defer in.Close()
 		if err := recs.Read(in, back, nil); err != nil {
 			return err
 		}

@@ -1,0 +1,9 @@
+package ckpt
+
+import (
+	"testing"
+
+	"pcxxstreams/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -38,11 +38,7 @@ var scheduleOps = []struct {
 	{"bcast", false, func(c *Comm) error { return scheduleBcast(c, 0) }},
 	{"gather", false, func(c *Comm) error {
 		parts, err := c.Gather(0, schedulePart(c.Rank()))
-		for r, p := range parts {
-			if r != 0 {
-				bufpool.Put(p)
-			}
-		}
+		putGathered(parts, 0)
 		return err
 	}},
 	{"allgather", false, func(c *Comm) error {
@@ -69,9 +65,7 @@ var scheduleOps = []struct {
 			bufs[j] = bytes.Repeat([]byte{byte(j)}, (c.Rank()+2*j)%5*3)
 		}
 		got, err := c.Alltoallv(bufs)
-		for _, p := range got {
-			bufpool.Put(p)
-		}
+		putAll(got)
 		return err
 	}},
 	{"bcast-last-root", true, func(c *Comm) error { return scheduleBcast(c, c.Size()-1) }},

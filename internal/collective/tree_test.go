@@ -190,10 +190,11 @@ func TestRecursiveDoublingAllgather(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			spmdShape(t, n, 2, func(c *Comm) error {
 				mine := bytes.Repeat([]byte{byte('A' + c.Rank())}, c.Rank()+1)
-				parts, _, err := c.Allgather(mine)
+				parts, frame, err := c.Allgather(mine)
 				if err != nil {
 					return err
 				}
+				defer bufpool.Put(frame)
 				if len(parts) != n {
 					return fmt.Errorf("got %d parts", len(parts))
 				}
@@ -215,10 +216,11 @@ func TestAllgatherBufferIsolation(t *testing.T) {
 	for _, n := range []int{4, 20} {
 		spmd(t, n, func(c *Comm) error {
 			mine := []byte{byte(c.Rank()), 99}
-			parts, _, err := c.Allgather(mine)
+			parts, frame, err := c.Allgather(mine)
 			if err != nil {
 				return err
 			}
+			defer bufpool.Put(frame)
 			mine[1] = 0
 			if parts[c.Rank()][1] != 99 {
 				return fmt.Errorf("n=%d: allgather aliased input buffer", n)
@@ -233,7 +235,8 @@ func TestAllgatherBufferIsolation(t *testing.T) {
 func TestTreeAllgatherFasterAtScale(t *testing.T) {
 	elapsed := func(fanout int) float64 {
 		times := spmdShape(t, 128, fanout, func(c *Comm) error {
-			_, _, err := c.Allgather(make([]byte, 32))
+			_, frame, err := c.Allgather(make([]byte, 32))
+			bufpool.Put(frame)
 			return err
 		})
 		return vtime.MaxOf(times)

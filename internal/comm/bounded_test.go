@@ -112,6 +112,7 @@ func TestOneShotDuplicateSuppressed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer bufpool.Put(m.Data)
 		return string(m.Data)
 	}
 	send(once(7, "a"))

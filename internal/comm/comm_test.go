@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/vtime"
 )
@@ -41,6 +42,7 @@ func TestPointToPoint(t *testing.T) {
 		if !bytes.Equal(m.Data, want) || m.From != 0 || m.Tag != 7 || m.Time != 1.5 {
 			t.Fatalf("got %+v, want data=%q from=0 tag=7 time=1.5", m, want)
 		}
+		bufpool.Put(m.Data)
 	})
 }
 
@@ -71,6 +73,7 @@ func TestSelfSend(t *testing.T) {
 		if string(m.Data) != "me" {
 			t.Fatalf("got %q", m.Data)
 		}
+		bufpool.Put(m.Data)
 	})
 }
 
@@ -91,6 +94,7 @@ func TestTagMatching(t *testing.T) {
 		if string(m2.Data) != "second" {
 			t.Fatalf("tag 2 recv got %q", m2.Data)
 		}
+		bufpool.Put(m2.Data)
 		m1, err := tr.Recv(1, 0, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -98,6 +102,7 @@ func TestTagMatching(t *testing.T) {
 		if string(m1.Data) != "first" {
 			t.Fatalf("tag 1 recv got %q", m1.Data)
 		}
+		bufpool.Put(m1.Data)
 	})
 }
 
@@ -118,6 +123,7 @@ func TestSenderFIFO(t *testing.T) {
 			if m.Data[0] != byte(i) {
 				t.Fatalf("message %d out of order: got %d", i, m.Data[0])
 			}
+			bufpool.Put(m.Data)
 		}
 	})
 }
@@ -138,6 +144,7 @@ func TestSendBufferReuse(t *testing.T) {
 		if string(m.Data) != "original" {
 			t.Fatalf("payload aliased sender buffer: got %q", m.Data)
 		}
+		bufpool.Put(m.Data)
 	})
 }
 
@@ -168,6 +175,7 @@ func TestManyToOneConcurrent(t *testing.T) {
 				if m.Data[0] != byte(r) || m.Data[1] != byte(i) {
 					t.Fatalf("from %d msg %d: got %v", r, i, m.Data)
 				}
+				bufpool.Put(m.Data)
 			}
 		}
 		wg.Wait()
@@ -217,7 +225,7 @@ func TestEndpointTiming(t *testing.T) {
 	if got := c0.Now(); got != 0.001 {
 		t.Fatalf("sender clock = %v, want 0.001", got)
 	}
-	if _, err := e1.Recv(0, 1); err != nil {
+	if err := put(e1.Recv(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	want := 0.001 + 0.010 + 0.5
@@ -240,7 +248,7 @@ func TestEndpointTimingLateReceiver(t *testing.T) {
 	if err := e0.Send(1, 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Recv(0, 1); err != nil {
+	if err := put(e1.Recv(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c1.Now(); got != 100 {
@@ -273,7 +281,7 @@ func TestTransportsTimeEquivalent(t *testing.T) {
 						t.Errorf("send: %v", err)
 						return
 					}
-					if _, err := eps[r].Recv((r+n-1)%n, uint64(round)); err != nil {
+					if err := put(eps[r].Recv((r+n-1)%n, uint64(round))); err != nil {
 						t.Errorf("recv: %v", err)
 						return
 					}
@@ -316,7 +324,7 @@ func TestEndpointStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := e1.Recv(0, 1); err != nil {
+		if err := put(e1.Recv(0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +359,7 @@ func TestEndpointMonitorMetricsAndSpans(t *testing.T) {
 	if err := e0.Send(1, 7, make([]byte, 128)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Recv(0, 7); err != nil {
+	if err := put(e1.Recv(0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	reg := mon.Registry()
@@ -399,6 +407,7 @@ func TestTCPFrameRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer bufpool.Put(m.Data)
 		return bytes.Equal(m.Data, data) && m.Time == tm && m.From == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -434,6 +443,7 @@ func benchTransport(b *testing.B, tr Transport) {
 				b.Error(err)
 				return
 			}
+			bufpool.Put(m.Data)
 		}
 	}()
 	b.SetBytes(int64(len(payload)) * 2)
@@ -442,11 +452,20 @@ func benchTransport(b *testing.B, tr Transport) {
 		if err := tr.Send(Message{From: 0, To: 1, Tag: 1, Data: payload}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tr.Recv(0, 1, 2); err != nil {
+		m, err := tr.Recv(0, 1, 2)
+		if err != nil {
 			b.Fatal(err)
 		}
+		bufpool.Put(m.Data)
 	}
 	<-done
+}
+
+// put gives back the payload an Endpoint receive returned and passes its error
+// on.
+func put(data []byte, err error) error {
+	bufpool.Put(data)
+	return err
 }
 
 // The FaultyTransport tests live in faulty_test.go.

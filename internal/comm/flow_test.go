@@ -23,7 +23,7 @@ func TestSendRecvFlow(t *testing.T) {
 		if err := e0.Send(1, 7, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e1.Recv(0, 7); err != nil {
+		if err := put(e1.Recv(0, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}

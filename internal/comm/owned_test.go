@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/leakcheck"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -18,19 +19,6 @@ func ownedBuf(n int, salt byte) []byte {
 		b[i] = byte(i)*7 + salt
 	}
 	return b
-}
-
-// settle waits for the pool's Outstanding count to reach want: a TCP writer
-// releases a frame after the socket took it, not before Send returns.
-func settle(t *testing.T, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for bufpool.Stats().Outstanding != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("bufpool Outstanding = %d, want %d", bufpool.Stats().Outstanding, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func ownedEndpoints(tr Transport) (snd, rcv *Endpoint) {
@@ -77,7 +65,9 @@ func TestSendOwnedHandsOver(t *testing.T) {
 				bufpool.Put(got)
 			}
 		}
-		settle(t, start)
+		// A TCP writer releases a frame after the socket took it, not
+		// before Send returns.
+		leakcheck.WaitOutstanding(t, start, "owned sends received")
 		if st := snd.Stats(); st.Sent != 8 || st.BytesSent != 2*(64+2*eagerMaxBytes+1+1<<20) {
 			t.Errorf("sender accounted %d messages, %d bytes", st.Sent, st.BytesSent)
 		}
@@ -135,7 +125,6 @@ func TestSendOwnedFailureLeavesBuffer(t *testing.T) {
 					t.Fatalf("Outstanding moved by %d across the failed send, want 1 (the caller's buffer)", got-start)
 				}
 				bufpool.Put(buf)
-				settle(t, start)
 			})
 		}
 	}
@@ -148,7 +137,6 @@ func TestSendOwnedRetryResendsTheBuffer(t *testing.T) {
 	st := &scriptedTransport{Transport: NewChanTransport(2), failFirst: 2}
 	defer st.Close()
 	snd, rcv := ownedEndpoints(st)
-	start := bufpool.Stats().Outstanding
 	buf := ownedBuf(8192, 9)
 	want, first := bytes.Clone(buf), &buf[0]
 	if err := snd.SendOwned(1, 11, buf); err != nil {
@@ -165,7 +153,6 @@ func TestSendOwnedRetryResendsTheBuffer(t *testing.T) {
 		t.Fatal("the retried send did not deliver the caller's buffer intact")
 	}
 	bufpool.Put(got)
-	settle(t, start)
 }
 
 // TestOwnedFlagStopsAtTheTransport: the flag is the sender's word to the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/vtime"
 )
@@ -168,6 +169,8 @@ func TestEndpointRetriesTransientSend(t *testing.T) {
 	}
 	if got, err := rcv.Recv(0, 7); err != nil || string(got) != "payload" {
 		t.Fatalf("recv = %q, %v", got, err)
+	} else {
+		bufpool.Put(got)
 	}
 	reg := mon.Registry()
 	if n := reg.Counter("comm_send_retries_total", "").Value(); n != 3 {
@@ -196,6 +199,7 @@ func TestEndpointRetryDeliversExactlyOnce(t *testing.T) {
 		if want := string([]byte{byte('a' + i)}); string(got) != want {
 			t.Fatalf("delivery %d = %q, want %q (duplicate or reorder leaked)", i, got, want)
 		}
+		bufpool.Put(got)
 	}
 }
 
@@ -254,6 +258,8 @@ func TestEndpointRecvDeadline(t *testing.T) {
 	rcv.SetRecvDeadline(5 * time.Second)
 	if got, err := rcv.Recv(0, 43); err != nil || string(got) != "late but fine" {
 		t.Fatalf("recv under generous deadline = %q, %v", got, err)
+	} else {
+		bufpool.Put(got)
 	}
 }
 
@@ -308,6 +314,7 @@ func TestTCPAllToAllStress(t *testing.T) {
 						errc <- fmt.Errorf("rank %d: from %d message %d = %q, want %q", rank, from, i, got, want)
 						return
 					}
+					bufpool.Put(got)
 				}
 			}
 		}(rank)

@@ -217,16 +217,16 @@ func TestArenaReleasedOnFailedWriteAndClose(t *testing.T) {
 			// with the pieces before it in the file.
 			// Under two-phase, ranks 1 and 2 lend the aggregators the parts
 			// of their arenas that lie in another rank's extent; a Write that
-			// fails once they have leaves those two arenas to the garbage
-			// collector, out of the pool for good.
-			okOps, lenders := []int{1}, int64(0)
+			// fails once they have drops those two arenas to the garbage
+			// collector.
+			okOps := []int{1}
 			if strat == StrategyTwoPhase {
-				okOps, lenders = []int{1, 2, 3, 4}, 2
+				okOps = []int{1, 2, 3, 4}
 			}
 			for _, n := range okOps {
 				failed := held(pfs.NewFileSystem(vtime.Challenge(), failingFactory(n)), true)
-				if failed != ok+lenders {
-					t.Fatalf("%d pooled buffers out after a Write on 3 ranks that failed on backend operation %d, %d after one that succeeds (and %d lent arenas)", failed, n+1, ok, lenders)
+				if failed != ok {
+					t.Fatalf("%d pooled buffers out after a Write on 3 ranks that failed on backend operation %d, %d after one that succeeds", failed, n+1, ok)
 				}
 			}
 		})
@@ -380,9 +380,6 @@ func TestSizeOverflowIsAnError(t *testing.T) {
 					return fmt.Errorf("%d pooled buffers still held after the rejected group", got-base)
 				}
 				s.Close()
-				if got := bufpool.Stats().Outstanding; got != base {
-					return fmt.Errorf("%d pooled buffers still held after the rejected groups", got-base)
-				}
 				return nil
 			})
 		})

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/collection"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
@@ -202,8 +201,8 @@ func TestCorruptHeaderBounded(t *testing.T) {
 // record's at the next Read, Skip or Close, a queued prefetch's when it is
 // consumed or dropped, a header-only Skip's or NextElems' at once. A file of
 // EXPLICIT and BLOCK records whose layouts alternate is read, skipped and
-// peeked at read-ahead depths 0 and 2; the pool's outstanding count ends
-// where it started. On two EXPLICIT records in a row the writer-distribution
+// peeked at read-ahead depths 0 and 2; the test binary's leak check holds
+// every frame to coming back. On two EXPLICIT records in a row the writer-distribution
 // cache hits, so the descriptor it keys on cannot alias a released frame
 // (under pooldebug a released frame is poisoned).
 func TestFrontMatterFramesReturn(t *testing.T) {
@@ -250,7 +249,6 @@ func TestFrontMatterFramesReturn(t *testing.T) {
 	for _, script := range []string{"RRRRRR", "PRUPSPRSR"} {
 		for _, depth := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%s/readahead=%d", script, depth), func(t *testing.T) {
-				base := bufpool.Stats().Outstanding
 				run(t, nprocs, fs, func(n *machine.Node) error {
 					rd := mustDist(t, nElems, nprocs, distr.Block, 0)
 					s, err := OpenInput(n, rd, "f", WithStrategy(StrategyParallel), WithReadAhead(depth))
@@ -303,9 +301,6 @@ func TestFrontMatterFramesReturn(t *testing.T) {
 					}
 					return s.Close()
 				})
-				if got := bufpool.Stats().Outstanding - base; got != 0 {
-					t.Errorf("%d pooled buffers still out after Close", got)
-				}
 			})
 		}
 	}

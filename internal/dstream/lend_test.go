@@ -158,7 +158,7 @@ func TestLentArenasOutliveAFailedAppend(t *testing.T) {
 				}}, err
 			})
 			errs := make([]error, nprocs)
-			base := bufpool.Stats().Outstanding
+			base := bufpool.Stats()
 			if _, err := machine.Run(machine.Config{NProcs: nprocs, Profile: vtime.Challenge(), FS: fs},
 				write(errs, WithStrategy(StrategyTwoPhase), WithFileSystem(fs))); err == nil {
 				t.Fatal("the write succeeded")
@@ -174,8 +174,9 @@ func TestLentArenasOutliveAFailedAppend(t *testing.T) {
 			if moved != 2 {
 				t.Errorf("the movers read %d pieces, the layout gives aggregator 1 two", moved)
 			}
-			if held := bufpool.Stats().Outstanding - base; held != 2 {
-				t.Errorf("%d pooled buffers out after the failed write, want the 2 lent arenas", held)
+			if after := bufpool.Stats(); after.Outstanding != base.Outstanding || after.Discards-base.Discards != 2 {
+				t.Errorf("%d pooled buffers out and %d dropped after the failed write, want 0 and the 2 lent arenas",
+					after.Outstanding-base.Outstanding, after.Discards-base.Discards)
 			}
 		})
 	}

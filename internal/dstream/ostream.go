@@ -136,6 +136,7 @@ func (s *OStream) appendRecord(w flush) error {
 			if lent, err = s.writeTwoPhase(w.arrays, w.sizes, data); lent && err != nil {
 				// A peer may still be reading its overlap: the arena goes to
 				// the garbage collector, not back to the pool.
+				bufpool.Drop(data)
 				data = nil
 			}
 		default:
@@ -146,7 +147,8 @@ func (s *OStream) appendRecord(w flush) error {
 	// (parallel appends complete inside the rendezvous, and no rank leaves
 	// that before every rank's move is done), or on the wire (transports
 	// copy a borrowed send), so the packed buffer can be released even on
-	// failure — unless the shuffle lent it out and failed.
+	// failure — unless the shuffle lent it out and failed, and it was
+	// dropped above.
 	bufpool.Put(data)
 	if err == nil {
 		// The strategy's closing rendezvous left every rank's clock at the

@@ -55,7 +55,7 @@ func isDataFrame(m comm.Message) bool {
 // rank sends a frame to its peer and one to itself) the buffer a producer
 // built a frame in is the buffer the consumer's record view decodes from —
 // nobody copied it — and when both ends have closed every frame is back in
-// the pool.
+// the pool (the test binary's leak check holds it to that).
 func TestChannelFrameIsHandedOver(t *testing.T) {
 	const p, nElems, records = 2, 12, 3
 	sent := map[[2]int][]*byte{} // (from, to) → first byte of each data frame, in order
@@ -69,7 +69,6 @@ func TestChannelFrameIsHandedOver(t *testing.T) {
 		}
 		return nil
 	}}
-	base := bufpool.Stats().Outstanding
 	tappedRun(t, p, tap, func(node *machine.Node) error {
 		wd, _ := distr.New(nElems, p, distr.Block, 0)
 		rd, _ := distr.New(nElems, p, distr.Cyclic, 0)
@@ -124,9 +123,6 @@ func TestChannelFrameIsHandedOver(t *testing.T) {
 		}
 		return r.Close()
 	})
-	if got := bufpool.Stats().Outstanding; got != base {
-		t.Errorf("%d pooled buffers out after the pipeline closed", got-base)
-	}
 }
 
 // TestChannelFailedWriteReturnsFrames: a Write holds one frame per

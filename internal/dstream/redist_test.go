@@ -400,31 +400,16 @@ func TestRedistBadFrame(t *testing.T) {
 }
 
 // TestRedistReleasesFrames: the frames a sorted read holds for its decoders
-// go back to the pool at the next Read, at Skip and at Close. The measure is
-// a reader of the same records in the writer's own layout, which receives no
-// frames at all: a redistributing reader may leave no more outstanding.
+// go back to the pool at the next Read, at Skip and at Close, on every refill
+// path. The test binary's leak check is what holds them to that.
 func TestRedistReleasesFrames(t *testing.T) {
 	const nprocs, nElems, records = 4, 29, 3
 	fs := pfs.NewMemFS(vtime.Paragon())
-	wd := mustDist(t, nElems, nprocs, distr.Cyclic, 0)
-	run(t, nprocs, fs, func(n *machine.Node) error { return writeTable(n, wd, "f") })
-	delta := func(rd *distr.Distribution, opts []Option, body func(s *IStream) error) int64 {
-		before := bufpool.Stats().Outstanding
-		run(t, nprocs, fs, func(n *machine.Node) error {
-			s, err := OpenInput(n, rd, "f", opts...)
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			if err := body(s); err != nil {
-				return err
-			}
-			return s.Close()
-		})
-		return bufpool.Stats().Outstanding - before
-	}
-	bodies := map[string]func(s *IStream) error{
-		"read all": func(s *IStream) error {
+	run(t, nprocs, fs, func(n *machine.Node) error {
+		return writeTable(n, mustDist(t, nElems, nprocs, distr.Cyclic, 0), "f")
+	})
+	bodies := []func(s *IStream) error{
+		func(s *IStream) error { // read all
 			for rec := 0; rec < records; rec++ {
 				if err := s.Read(); err != nil {
 					return err
@@ -432,8 +417,8 @@ func TestRedistReleasesFrames(t *testing.T) {
 			}
 			return nil
 		},
-		"read, close": func(s *IStream) error { return s.Read() },
-		"read, skip, unsorted read": func(s *IStream) error {
+		func(s *IStream) error { return s.Read() }, // read, close
+		func(s *IStream) error { // read, skip, unsorted read
 			if err := s.Read(); err != nil {
 				return err
 			}
@@ -443,13 +428,20 @@ func TestRedistReleasesFrames(t *testing.T) {
 			return s.UnsortedRead()
 		},
 	}
+	rd := mustDist(t, nElems, nprocs, distr.Block, 0)
 	for _, rf := range redistRefills {
-		for name, body := range bodies {
-			same := delta(wd, rf.opts, body)
-			redist := delta(mustDist(t, nElems, nprocs, distr.Block, 0), rf.opts, body)
-			if redist != same {
-				t.Errorf("%s, %s: redistributing reader leaves %d buffers outstanding, same-layout reader %d", rf.name, name, redist, same)
-			}
+		for _, body := range bodies {
+			run(t, nprocs, fs, func(n *machine.Node) error {
+				s, err := OpenInput(n, rd, "f", rf.opts...)
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				if err := body(s); err != nil {
+					return err
+				}
+				return s.Close()
+			})
 		}
 	}
 }

@@ -79,8 +79,8 @@ func putAll(bufs [][]byte) {
 // fence: no rank leaves it with a nil error before every rank's move has
 // settled, so data is the caller's to release again when writeTwoPhase
 // returns nil. lent reports that some of data went out lent; on an error a
-// peer may then still be reading it, and the caller must leave data to the
-// garbage collector rather than give it back to the pool.
+// peer may then still be reading it, and the caller must hand data to the
+// garbage collector with bufpool.Drop rather than give it back to the pool.
 func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) (lent bool, err error) {
 	comm := s.node.Comm()
 	me := s.node.Rank()
@@ -104,6 +104,11 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) (
 		rankOff[r+1] = rankOff[r] + int64(binary.LittleEndian.Uint64(p))
 	}
 	bufpool.Put(lenFrame)
+	if got := rankOff[me+1] - rankOff[me]; got > int64(cap(data)) {
+		// A size damaged on the way past this rank's buffer: the plan below
+		// would slice beyond it.
+		return false, fmt.Errorf("dstream: allgather data sizes: this rank's %d bytes came back as %d", len(data), got)
+	}
 
 	// Aggregation plan: the data section will start metaLen bytes past the
 	// current end of file; cut it into K extents at stripe boundaries.

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"pcxxstreams/internal/bufpool"
 )
 
 // portable runs f with the memmove kernels off, so the four slice methods
@@ -115,7 +117,7 @@ func TestWordKernelsMatchPortable(t *testing.T) {
 				for _, adopted := range []bool{false, true} {
 					var e Buffer
 					if adopted {
-						e.Adopt(make([]byte, 0, 64)) // outgrown by the long cases
+						e.Adopt(bufpool.GetCap(64)) // outgrown by the long cases
 					}
 					e.Raw(pad)
 					e.Float64Slice(fs)
@@ -127,7 +129,7 @@ func TestWordKernelsMatchPortable(t *testing.T) {
 						t.Fatalf("%s n=%d off=%d adopted=%v: encoded bytes differ from the format", path, n, off, adopted)
 					}
 					if adopted {
-						e.Detach()
+						bufpool.Put(e.Detach())
 					}
 				}
 				// Decode from inside a larger buffer, so the words start at

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -480,6 +481,7 @@ func TestParallelRead(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		defer bufpool.Put(got)
 		if rank == 2 {
 			if len(got) != 0 {
 				return fmt.Errorf("rank 2 got %q, want empty", got)

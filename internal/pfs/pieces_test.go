@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/vtime"
 )
@@ -449,7 +450,9 @@ func TestParallelAppendPiecesHardFailure(t *testing.T) {
 				if err := h.ControlSync(); err != nil {
 					return err
 				}
-				_, errs[rank] = h.ParallelRead(Range{Off: int64(rank * 2 * pieceLen), Len: pieceLen})
+				var got []byte
+				got, errs[rank] = h.ParallelRead(Range{Off: int64(rank * 2 * pieceLen), Len: pieceLen})
+				bufpool.Put(got)
 				return nil
 			})
 			failed := k < nprocs

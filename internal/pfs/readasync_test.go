@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/vtime"
 )
@@ -73,6 +74,8 @@ func TestParallelReadAsyncCompletion(t *testing.T) {
 			t.Errorf("rank %d: sync-then-SyncTo clock %f != synchronous read clock %f",
 				r, asyncTimes[r], syncTimes[r])
 		}
+		bufpool.Put(syncData[r])
+		bufpool.Put(asyncData[r])
 	}
 }
 

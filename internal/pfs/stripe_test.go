@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/vtime"
 )
 
@@ -285,6 +286,7 @@ func TestStripedUnderFullPipeline(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			defer bufpool.Put(got)
 			if !bytes.Equal(got, bytes.Repeat([]byte{'a'}, 700)) {
 				return io.ErrUnexpectedEOF
 			}

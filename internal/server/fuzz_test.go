@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/leakcheck"
 	"pcxxstreams/internal/server"
 )
 
@@ -86,7 +87,7 @@ func FuzzServerConn(f *testing.F) {
 			c.CloseWrite() //nolint:errcheck
 			<-drained
 			c.Close()
-			waitOutstanding(t, base, "after the fuzzed "+c.RemoteAddr().Network()+" connection")
+			leakcheck.WaitOutstanding(t, base, "after the fuzzed "+c.RemoteAddr().Network()+" connection")
 		}
 
 		if _, err := b.WriteAt(want, 0); err != nil {
@@ -95,7 +96,7 @@ func FuzzServerConn(f *testing.F) {
 		if _, err := b.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("well-behaved read after the fuzzed connection: %v, equal %v", err, bytes.Equal(got, want))
 		}
-		waitOutstanding(t, base, "after the well-behaved round trip")
+		leakcheck.WaitOutstanding(t, base, "after the well-behaved round trip")
 	})
 }
 

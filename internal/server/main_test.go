@@ -1,0 +1,9 @@
+package server_test
+
+import (
+	"testing"
+
+	"pcxxstreams/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

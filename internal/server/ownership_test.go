@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/leakcheck"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/server"
 )
@@ -55,19 +56,6 @@ func guarded(t *testing.T, n int, fill byte) (p []byte, check func()) {
 				t.Fatalf("byte written outside the caller's buffer (guard offset %d)", i)
 			}
 		}
-	}
-}
-
-// waitOutstanding waits for the pool's outstanding count to return to base:
-// the I/O rank releases a read's buffer just after the reply is on the wire.
-func waitOutstanding(t testing.TB, base int64, what string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for bufpool.Stats().Outstanding != base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d pooled buffers outstanding, %d before", what, bufpool.Stats().Outstanding, base)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -260,19 +248,19 @@ func TestPoolBalance(t *testing.T) {
 	if _, err := b.ReadAt(make([]byte, mib), 0); err != nil {
 		t.Fatal(err)
 	}
-	waitOutstanding(t, base, "write and read")
+	leakcheck.WaitOutstanding(t, base, "write and read")
 
 	if _, err := b.WriteAt(chunk, 4*mib); !errors.Is(err, server.ErrQuota) {
 		t.Fatalf("over-quota write = %v", err)
 	}
-	waitOutstanding(t, base, "quota reject")
+	leakcheck.WaitOutstanding(t, base, "quota reject")
 
 	for _, off := range []int64{-1, math.MaxInt64 - 1} {
 		if _, err := b.WriteAt(chunk, off); err == nil {
 			t.Fatalf("write at offset %d succeeded", off)
 		}
 	}
-	waitOutstanding(t, base, "negative and overflowing offsets")
+	leakcheck.WaitOutstanding(t, base, "negative and overflowing offsets")
 
 	raw := rawHello(t, srv.Addr(), "a")
 	defer raw.Close()
@@ -288,12 +276,13 @@ func TestPoolBalance(t *testing.T) {
 		}
 	}
 	exchange("write to an unopened file", frame(1, wireWrite, str("nobody-opened-this"), i64(0), blob(chunk)))
-	waitOutstanding(t, base, "write to an unopened file")
+	leakcheck.WaitOutstanding(t, base, "write to an unopened file")
 	exchange("oversize write", frame(2, wireWrite, str("f"), i64(0), blob(make([]byte, mib+1))))
-	waitOutstanding(t, base, "oversize write")
+	leakcheck.WaitOutstanding(t, base, "oversize write")
 
 	// Writes queued on the I/O ranks when the daemon shuts down: the ranks
-	// drain before Close returns, and each job releases its buffer.
+	// drain before Close returns, and each job releases its buffer (the
+	// test binary's leak check holds it to that).
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -309,7 +298,6 @@ func TestPoolBalance(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	srv.Close()
 	wg.Wait()
-	waitOutstanding(t, base, "Close with writes queued")
 }
 
 // TestWriteOffsetOverflow: off+len wrapped negative, sailed under the quota

@@ -11,6 +11,7 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
+	"pcxxstreams/internal/leakcheck"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/server"
 )
@@ -144,7 +145,7 @@ func TestStalledTenantStallsOnlyItself(t *testing.T) {
 			t.Fatalf("%v connections still attached after the cut, want 2", conns.Value())
 		}
 	}
-	waitOutstanding(t, base, "the stalled connection cut")
+	leakcheck.WaitOutstanding(t, base, "the stalled connection cut")
 	fw, err := dial(t, srv, "a").OpenBackend("whole")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,6 @@ func TestTenantWindowIsOneChunkPerRank(t *testing.T) {
 		Tenants: []server.Tenant{{Name: "a"}, {Name: "b"}},
 		Monitor: mon,
 	})
-	base := bufpool.Stats().Outstanding
 
 	// Over the same-host socket, whose buffer holds less than a chunk: a reply
 	// nobody reads cannot be written whole.
@@ -261,7 +261,6 @@ func TestTenantWindowIsOneChunkPerRank(t *testing.T) {
 	waitCount(t, served, floodStart+64*4<<10, "bytes read from the store for the flood")
 	within(t, 5*time.Second, "tenant b's reads beside a flood of eager reads", func() { acrossRanks(t, fb, want) })
 	flood.Close()
-	waitOutstanding(t, base, "the flooding connection cut")
 }
 
 // TestSessionKeepsOneChunkPerRankInFlight: on a daemon with eight I/O ranks,
