@@ -15,11 +15,10 @@
 // it). Exactly one owner ends the buffer's life with Put or Drop, after
 // which the buffer must not be touched — not read, not written, not released
 // again. Put hands it back to the pool; Drop hands it to the garbage
-// collector on purpose, for an owner that cannot know when the last reader
-// of a buffer it lent out is done. Put accepts only buffers whose capacity
-// exactly matches a size class (anything else — a re-sliced buffer, a
-// foreign allocation — is quietly dropped), so handing Put a buffer you
-// merely suspect came from the pool is safe.
+// collector on purpose, for an owner that cannot give it back. Put accepts
+// only buffers whose capacity exactly matches a size class (anything else —
+// a re-sliced buffer, a foreign allocation — is quietly dropped), so handing
+// Put a buffer you merely suspect came from the pool is safe.
 //
 // Get returns buffers with arbitrary contents (a recycled buffer still
 // holds its previous bytes, or the pooldebug poison pattern); callers must
@@ -32,10 +31,8 @@
 // makes the next Get of that buffer panic, turning a silent
 // use-after-release data race into a crash at the pool boundary. The same
 // build keeps a ledger: Get records the stack that took each buffer, Put and
-// Drop forget it, and Ledger groups what is left by stack. A buffer that
-// nobody releases is a leak there, even when the garbage collector has long
-// reclaimed it; the test binaries of the pool-heavy packages end with that
-// ledger empty (internal/leakcheck). The chaos and race CI jobs run with
+// Drop forget it, and Ledger groups what is left by stack; the test binaries
+// of the pool-heavy packages end with that ledger empty (internal/leakcheck). The chaos and race CI jobs run with
 // this tag.
 package bufpool
 
@@ -159,7 +156,9 @@ func Put(b []byte) {
 
 // Drop ends the caller's ownership of b without returning it to the pool:
 // the garbage collector reclaims it once nobody reads it any more. It is the
-// release for a buffer lent to readers the owner cannot wait for. Drop
+// release for a buffer the owner cannot give back: one lent to readers it
+// cannot wait for, or one handed on as a sub-slice the pool would not take.
+// Drop
 // counts into Discards and, for a pooled buffer, out of Outstanding.
 func Drop(b []byte) {
 	if cap(b) == 0 {

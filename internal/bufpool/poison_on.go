@@ -41,70 +41,51 @@ func checkPoison(b []byte) {
 // zero-padded; deep stacks are cut at its length.
 type stack [32]uintptr
 
-// site is a stack that took a buffer, and how many of its buffers the
-// garbage collector reclaimed without a Put or a Drop.
-type site struct {
-	pc   stack
-	lost int
-}
-
-// ledger maps each outstanding buffer's backing array, by address, to the
-// site that took it. The address is a uintptr so that the ledger does not
-// keep a buffer its owner let go of alive: when the allocator hands the same
-// address out again, the buffer that was there has been collected, and its
-// site counts it lost. Sites are interned, so that a Get from a stack seen
-// before allocates nothing.
+// ledger maps each outstanding buffer's backing array to the stack that took
+// it. Stacks are interned, so that a Get from a stack seen before allocates
+// nothing. The map keeps a buffer nobody released alive; that costs a test
+// binary nothing, which must end with the ledger empty.
 var ledger struct {
 	sync.Mutex
-	sites map[stack]*site
-	held  map[uintptr]*site
+	stacks map[stack]*stack
+	held   map[*byte]*stack
 }
-
-func key(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
 
 func track(b []byte) {
 	var pc stack
 	runtime.Callers(3, pc[:]) // above runtime.Callers, track and GetCap
 	ledger.Lock()
 	defer ledger.Unlock()
-	if ledger.sites == nil {
-		ledger.sites, ledger.held = map[stack]*site{}, map[uintptr]*site{}
+	if ledger.stacks == nil {
+		ledger.stacks, ledger.held = map[stack]*stack{}, map[*byte]*stack{}
 	}
-	s := ledger.sites[pc]
+	s := ledger.stacks[pc]
 	if s == nil {
-		s = &site{pc: pc}
-		ledger.sites[pc] = s
+		interned := pc
+		s = &interned
+		ledger.stacks[pc] = s
 	}
-	if old := ledger.held[key(b)]; old != nil {
-		old.lost++
-	}
-	ledger.held[key(b)] = s
+	ledger.held[unsafe.SliceData(b)] = s
 }
 
 func untrack(b []byte) {
 	ledger.Lock()
-	delete(ledger.held, key(b))
+	delete(ledger.held, unsafe.SliceData(b))
 	ledger.Unlock()
 }
 
 // Ledger groups the buffers taken with Get or GetCap and neither Put nor
-// Dropped since — those still held and those the garbage collector reclaimed
-// — by the stack that took them, largest group first.
+// Dropped since by the stack that took them, largest group first.
 func Ledger() []Site {
 	ledger.Lock()
-	n := map[*site]int{}
-	for _, s := range ledger.sites {
-		if s.lost > 0 {
-			n[s] = s.lost
-		}
-	}
+	n := map[*stack]int{}
 	for _, s := range ledger.held {
 		n[s]++
 	}
 	ledger.Unlock()
 	out := make([]Site, 0, len(n))
 	for s, c := range n {
-		pc := s.pc[:]
+		pc := s[:]
 		if i := slices.Index(pc, 0); i >= 0 {
 			pc = pc[:i]
 		}

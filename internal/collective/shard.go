@@ -105,9 +105,12 @@ func (c *Comm) Barrier() error {
 
 // Bcast distributes root's data to every rank and returns it (the root
 // returns its own slice). All ranks that were waiting for it leave at the
-// same virtual time.
+// same virtual time. A receiver's result is a sub-slice of a pooled frame,
+// which the pool cannot take back: Bcast drops the frame to the garbage
+// collector, and the caller's Put of the result is a no-op.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	d, _, err := c.bcastFrame(root, data)
+	d, frame, err := c.bcastFrame(root, data)
+	bufpool.Drop(frame)
 	return d, err
 }
 

@@ -25,21 +25,29 @@ const shuffleFrameMin = 512
 // counting the sends that precede the first shuffle frame (an exchange's empty
 // messages, which race with it, aside), or, given that count as a budget,
 // becomes a comm.FaultyTransport over the same transport: the exchange's
-// first send kills the link for good.
+// first send kills the link for good. It also notes the ranks that sent a
+// lent piece, delivered or not.
 type frameTap struct {
 	comm.Transport
-	budget int // -1: count
-	mu     sync.Mutex
-	frames [][]byte
-	before int // sends since arm and before the first shuffle frame
-	armed  bool
-	seen   bool
-	faulty *comm.FaultyTransport
+	budget  int // -1: count
+	mu      sync.Mutex
+	frames  [][]byte
+	lenders map[int]bool
+	before  int // sends since arm and before the first shuffle frame
+	armed   bool
+	seen    bool
+	faulty  *comm.FaultyTransport
 }
 
 func (ft *frameTap) Send(m comm.Message) error {
 	ft.mu.Lock()
 	f := ft.faulty
+	if m.Mode == comm.Lent {
+		if ft.lenders == nil {
+			ft.lenders = map[int]bool{}
+		}
+		ft.lenders[m.From] = true
+	}
 	if len(m.Data) >= shuffleFrameMin {
 		ft.seen = true
 	} else if ft.armed && !ft.seen && len(m.Data) > 0 {
@@ -203,8 +211,7 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 		wantErr bool
 		frames  int // shuffle frames that must reach the store as they are
 		// dropped is the arenas a failed Write lent out and dropped to the
-		// garbage collector, -1 where it depends on which rank's send the
-		// dying link refuses first.
+		// garbage collector, -1 for one per rank that sent a lent piece.
 		dropped int
 	}{
 		{name: "success", nprocs: 3, failOp: -1, budget: -1, frames: 2},
@@ -220,8 +227,8 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 		{name: "append fails on the front matter", nprocs: 3, failOp: 1, budget: -1, wantErr: true, dropped: 2},
 		// The Allgather goes through and the first send of the exchange
 		// kills the link: no frame is ever delivered. The budget counts the
-		// ranks' sends together, so whether a rank lent before the link died
-		// is a race.
+		// ranks' sends together, so whether a rank got as far as lending
+		// before the link died is a race; each one that did drops its arena.
 		{name: "shuffle fails", nprocs: 2, failOp: -1, budget: count.before, wantErr: true, dropped: -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,8 +257,12 @@ func TestTwoPhaseFramesHeldUntilAppendReturns(t *testing.T) {
 			if early != nil {
 				t.Error(early)
 			}
-			if dropped := bufpool.Stats().Discards - discards; held != 0 || tc.dropped >= 0 && dropped != int64(tc.dropped) {
-				t.Errorf("%d pooled buffers out after the run and %d dropped, want 0 and the %d lent arenas: a frame or the own overlap was released twice, or not at all", held, dropped, tc.dropped)
+			lenders := tc.dropped
+			if lenders < 0 {
+				lenders = len(ft.lenders)
+			}
+			if dropped := bufpool.Stats().Discards - discards; held != 0 || dropped != int64(lenders) {
+				t.Errorf("%d pooled buffers out after the run and %d dropped, want 0 and the %d lent arenas: a frame or the own overlap was released twice, or not at all", held, dropped, lenders)
 			}
 			if tc.wantErr {
 				return

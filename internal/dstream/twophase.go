@@ -106,7 +106,8 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) (
 	bufpool.Put(lenFrame)
 	if got := rankOff[me+1] - rankOff[me]; got > int64(cap(data)) {
 		// A size damaged on the way past this rank's buffer: the plan below
-		// would slice beyond it.
+		// would slice beyond it. The check bounds the slice only; a damaged
+		// size within cap(data) passes, and is ROADMAP item 1a's to catch.
 		return false, fmt.Errorf("dstream: allgather data sizes: this rank's %d bytes came back as %d", len(data), got)
 	}
 

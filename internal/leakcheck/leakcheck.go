@@ -4,10 +4,9 @@
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 //
 // and after the last test, Main waits for the goroutine count to fall back
-// to where it started and, in a pooldebug build, for bufpool's
-// ledger to hold nothing but what the allowlist names. A failure prints the
-// buffers still owed grouped by the stack that took them, or the goroutines
-// still running, and fails the binary. The package imports testing; only
+// to where it started and, in a pooldebug build, for bufpool's ledger to be
+// empty. A failure prints the buffers still owed grouped by the stack that
+// took them, or the goroutines still running, and fails the binary. The package imports testing; only
 // test files import it.
 package leakcheck
 
@@ -29,14 +28,6 @@ import (
 // buffers to come back: a TCP writer releases its frame after the socket
 // took it, an I/O rank its buffer after the reply is on the wire.
 const deadline = 10 * time.Second
-
-// allowed are the leaks a test binary may end with, each a defect that has
-// a ROADMAP item: a buffer whose stack passes through fn (in a non-test
-// file) is not counted against the binary. An entry never names a test
-// function or the encoder's arena stack, which every arena shares.
-var allowed = []struct{ fn, item string }{
-	{"pcxxstreams/internal/collective.(*Comm).Bcast", "ROADMAP item 6: Bcast returns frame[8:], whose capacity is no size class, so its receiver's Put cannot return the frame"},
-}
 
 // Main runs the tests and then the two checks, also after a failed test,
 // whose leaks may say why it failed; it does not return. A fuzzing run
@@ -62,15 +53,15 @@ func fuzzing() bool {
 }
 
 // clean waits up to wait for the goroutine count to be back at goroutines
-// and, under pooldebug, for every buffer to be back but the allowed ones,
-// and reports to w what is still out if they do not.
+// and, under pooldebug, for every buffer to be back, and reports to w what
+// is still out if they do not.
 func clean(w io.Writer, goroutines int, outstanding int64, wait time.Duration) bool {
 	end := time.Now().Add(wait)
 	for {
-		owed, excused := owed()
+		owed := bufpool.Ledger()
 		var extra int64 // buffers out that the ledger does not account for
 		if bufpool.Debug {
-			extra = bufpool.Stats().Outstanding - outstanding - int64(excused)
+			extra = bufpool.Stats().Outstanding - outstanding
 		}
 		g := runtime.NumGoroutine()
 		if g <= goroutines && len(owed) == 0 && extra == 0 {
@@ -94,41 +85,9 @@ func clean(w io.Writer, goroutines int, outstanding int64, wait time.Duration) b
 				fmt.Fprintf(w, "%d buffers at\n%s", s.Buffers, trace(s.Stack))
 			}
 		} else if extra != 0 {
-			fmt.Fprintf(w, "leakcheck: bufpool Outstanding is %+d from its start, %d of them allowed, and the ledger names none: a Put of a buffer Get never gave out?\n", extra+int64(excused), excused)
+			fmt.Fprintf(w, "leakcheck: bufpool Outstanding is %+d from its start and the ledger names no buffer: a Put of a buffer Get never gave out?\n", extra)
 		}
 		return false
-	}
-}
-
-// owed returns the ledger's sites that no allowlist entry excuses, and the
-// number of buffers the excused ones hold.
-func owed() (owed []bufpool.Site, excused int) {
-	for _, s := range bufpool.Ledger() {
-		if allows(s.Stack) {
-			excused += s.Buffers
-		} else {
-			owed = append(owed, s)
-		}
-	}
-	return owed, excused
-}
-
-// allows reports whether an allowlist entry's function is on stack outside
-// a test file.
-func allows(stack []uintptr) bool {
-	frames := runtime.CallersFrames(stack)
-	for {
-		f, more := frames.Next()
-		if !strings.HasSuffix(f.File, "_test.go") {
-			for _, a := range allowed {
-				if f.Function == a.fn {
-					return true
-				}
-			}
-		}
-		if !more {
-			return false
-		}
 	}
 }
 

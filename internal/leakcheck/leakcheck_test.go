@@ -10,27 +10,6 @@ import (
 	"pcxxstreams/internal/bufpool"
 )
 
-// TestAllowlistNamesItsDefects: every allowlist entry names the ROADMAP item
-// that owns its defect, and none names a test or a frame of the stack every
-// encoder arena is taken at, which would excuse every arena's leak.
-func TestAllowlistNamesItsDefects(t *testing.T) {
-	arena := []string{"bufpool.Get", "bufpool.GetCap", "enc.(*Buffer).grow", "enc.(*Buffer).Reserve",
-		"dstream.(*assembler).InsertFunc"}
-	for _, a := range allowed {
-		if !strings.HasPrefix(a.item, "ROADMAP item ") {
-			t.Errorf("%s: %q names no ROADMAP item", a.fn, a.item)
-		}
-		if name := a.fn[strings.LastIndex(a.fn, ".")+1:]; strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Fuzz") {
-			t.Errorf("%s names a test", a.fn)
-		}
-		for _, f := range arena {
-			if strings.HasSuffix(a.fn, "/"+f) {
-				t.Errorf("%s is on every arena's stack", a.fn)
-			}
-		}
-	}
-}
-
 // TestCleanNamesTheLeak: a buffer held past the end is reported with the
 // stack that took it, and once it is back the check passes.
 func TestCleanNamesTheLeak(t *testing.T) {
