@@ -149,9 +149,10 @@ chaos:
 
 # Short fuzz pass over the wire codec, the schema decoder, the planner, the
 # daemon's two frame decoders, the two readers of a d/stream file against
-# each other, Segment's extractor into fresh and into filled elements, and the
-# striped backend against a flat one (the committed corpora
-# under testdata/fuzz replay in every plain `go test` run).
+# each other, Segment's extractor into fresh and into filled elements, the
+# striped backend against a flat one, and whole stream scripts against the
+# reference d/stream (FuzzStreamVsModel; its f.Add seeds and the committed
+# corpora under testdata/fuzz replay in every plain `go test` run).
 fuzz:
 	$(GO) test ./internal/enc/ -fuzz FuzzRoundTrip -fuzztime 30s
 	$(GO) test ./internal/enc/ -fuzz FuzzReaderNeverPanics -fuzztime 30s
@@ -166,3 +167,4 @@ fuzz:
 	$(GO) test ./internal/dsinfo/ -fuzz FuzzFileReaders -fuzztime 30s
 	$(GO) test ./internal/scf/ -fuzz FuzzSegmentExtract -fuzztime 30s
 	$(GO) test ./internal/pfs/ -fuzz FuzzStripedVsFlat -fuzztime 30s
+	$(GO) test ./internal/dstream/ -fuzz FuzzStreamVsModel -fuzztime 30s

@@ -12,62 +12,6 @@ import (
 	"pcxxstreams/internal/vtime"
 )
 
-// TestExplicitDistributionRoundTrip: the owner table travels in the record
-// descriptor, so readers can restore an explicitly distributed collection
-// under any layout.
-func TestExplicitDistributionRoundTrip(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	owners := []int{2, 2, 0, 1, 0, 1, 2, 0, 1, 0, 0, 2}
-	run(t, 3, fs, func(n *machine.Node) error {
-		wd, err := distr.NewExplicit(owners, 3)
-		if err != nil {
-			return err
-		}
-		if err := writePlists(n, wd, "exp", Options{}); err != nil {
-			return err
-		}
-		// Sorted read under BLOCK.
-		rd := mustLocal(t, len(owners), 3, distr.Block, 0)
-		c, err := readPlists(n, rd, "exp", true)
-		if err != nil {
-			return err
-		}
-		var bad error
-		c.Apply(func(g int, e *plist) {
-			if !plistEqual(*e, mkPlist(g)) {
-				bad = fmt.Errorf("global %d mismatch from explicit writer", g)
-			}
-		})
-		return bad
-	})
-}
-
-// TestExplicitReaderRoundTrip: the reader side may be explicit too.
-func TestExplicitReaderRoundTrip(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 2, fs, func(n *machine.Node) error {
-		wd := mustLocal(t, 9, 2, distr.Cyclic, 0)
-		if err := writePlists(n, wd, "exp2", Options{}); err != nil {
-			return err
-		}
-		rd, err := distr.NewExplicit([]int{1, 1, 1, 0, 0, 0, 1, 0, 1}, 2)
-		if err != nil {
-			return err
-		}
-		c, err := readPlists(n, rd, "exp2", true)
-		if err != nil {
-			return err
-		}
-		var bad error
-		c.Apply(func(g int, e *plist) {
-			if !plistEqual(*e, mkPlist(g)) {
-				bad = fmt.Errorf("global %d mismatch on explicit reader", g)
-			}
-		})
-		return bad
-	})
-}
-
 // TestGrid2DRoundTrip writes a (BLOCK, CYCLIC)-distributed 2-D grid and
 // reads it back on a 1-D BLOCK layout — distributed grids flowing through
 // the same format.
@@ -102,7 +46,7 @@ func TestGrid2DRoundTrip(t *testing.T) {
 			return err
 		}
 
-		rd := mustLocal(t, rows*cols, 4, distr.Block, 0)
+		rd := mustDist(t, rows*cols, 4, distr.Block, 0)
 		back, err := collection.New[cell](n, rd)
 		if err != nil {
 			return err
@@ -127,78 +71,4 @@ func TestGrid2DRoundTrip(t *testing.T) {
 		})
 		return bad
 	})
-}
-
-// TestBalancedDistributionRoundTrip: load-balanced variable-density data —
-// elements are weighted by their payload size, so nodes carry near-equal
-// bytes even though element counts differ.
-func TestBalancedDistributionRoundTrip(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	const n = 24
-	// Element g holds g%5+1 particles → weight proportional to size.
-	weights := make([]float64, n)
-	for g := range weights {
-		weights[g] = float64(g%5 + 1)
-	}
-	run(t, 3, fs, func(nd *machine.Node) error {
-		wd, err := distr.NewBalanced(weights, 3)
-		if err != nil {
-			return err
-		}
-		if err := writePlists(nd, wd, "bal", Options{}); err != nil {
-			return err
-		}
-		rd := mustLocal(t, n, 3, distr.Cyclic, 0)
-		c, err := readPlists(nd, rd, "bal", true)
-		if err != nil {
-			return err
-		}
-		var bad error
-		c.Apply(func(g int, e *plist) {
-			if !plistEqual(*e, mkPlist(g)) {
-				bad = fmt.Errorf("global %d mismatch from balanced writer", g)
-			}
-		})
-		return bad
-	})
-}
-
-// TestExplicitDescriptorInFile: the record really carries the owner table
-// (the file is bigger by 4·N bytes and dsdump-parseable) — checked at the
-// byte level via the header fields.
-func TestExplicitDescriptorInFile(t *testing.T) {
-	fsPat := pfs.NewMemFS(vtime.Challenge())
-	fsExp := pfs.NewMemFS(vtime.Challenge())
-	const n = 10
-	write := func(fs *pfs.FileSystem, explicit bool) {
-		run(t, 2, fs, func(nd *machine.Node) error {
-			var wd *distr.Distribution
-			var err error
-			if explicit {
-				owners := make([]int, n)
-				for i := range owners {
-					owners[i] = i % 2
-				}
-				wd, err = distr.NewExplicit(owners, 2)
-			} else {
-				wd, err = distr.New(n, 2, distr.Cyclic, 0)
-			}
-			if err != nil {
-				return err
-			}
-			return writePlists(nd, wd, "f", Options{})
-		})
-	}
-	write(fsPat, false)
-	write(fsExp, true)
-	imgPat, _ := fsPat.Image("f")
-	imgExp, _ := fsExp.Image("f")
-	if len(imgExp) != len(imgPat)+4*n {
-		t.Fatalf("explicit file %d bytes, pattern %d — want exactly +%d for the owner table",
-			len(imgExp), len(imgPat), 4*n)
-	}
-	// Same data section bytes: {i%2} over 2 procs is the CYCLIC layout.
-	if string(imgExp[len(imgExp)-64:]) != string(imgPat[len(imgPat)-64:]) {
-		t.Fatal("data sections differ between equivalent layouts")
-	}
 }

@@ -24,8 +24,8 @@ func TestMultipleStreamsOneFile(t *testing.T) {
 	type big struct{ W float64 }
 
 	run(t, 3, fs, func(n *machine.Node) error {
-		dSmall := mustLocal(t, 7, 3, distr.Cyclic, 0)
-		dBig := mustLocal(t, 20, 3, distr.Block, 0)
+		dSmall := mustDist(t, 7, 3, distr.Cyclic, 0)
+		dBig := mustDist(t, 20, 3, distr.Block, 0)
 
 		cs, err := collection.New[small](n, dSmall)
 		if err != nil {
@@ -72,8 +72,8 @@ func TestMultipleStreamsOneFile(t *testing.T) {
 	})
 
 	run(t, 3, fs, func(n *machine.Node) error {
-		dSmall := mustLocal(t, 7, 3, distr.Cyclic, 0)
-		dBig := mustLocal(t, 20, 3, distr.Block, 0)
+		dSmall := mustDist(t, 7, 3, distr.Cyclic, 0)
+		dBig := mustDist(t, 20, 3, distr.Block, 0)
 		cs, err := collection.New[small](n, dSmall)
 		if err != nil {
 			return err
@@ -160,133 +160,6 @@ func TestMultipleStreamsOneFile(t *testing.T) {
 	})
 }
 
-func TestSkipPastEndRejected(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		if err := writePlists(n, d, "f", Options{}); err != nil {
-			return err
-		}
-		s, err := OpenInput(n, d, "f")
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.Skip(); err != nil {
-			return err
-		}
-		if err := s.Skip(); err == nil {
-			return fmt.Errorf("skip past end accepted")
-		}
-		return nil
-	})
-}
-
-func TestSkipInvalidatesPendingExtracts(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 1, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 4, 1, distr.Block, 0)
-		// Two records.
-		if err := func() error {
-			s, err := Open(n, d, "f")
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			for i := 0; i < 2; i++ {
-				if err := s.InsertFunc(func(l int, e *Encoder) { e.Int64(int64(i)) }); err != nil {
-					return err
-				}
-				if err := s.Write(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}(); err != nil {
-			return err
-		}
-		s, err := OpenInput(n, d, "f")
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.Read(); err != nil {
-			return err
-		}
-		if err := s.Skip(); err != nil { // abandons record 2... wait, record 1's data
-			return err
-		}
-		// After Skip, extracting is illegal until the next Read.
-		if err := s.ExtractFunc(func(int, *Decoder) {}); err == nil {
-			return fmt.Errorf("extract after skip accepted")
-		}
-		return nil
-	})
-}
-
-// TestAlignedCollectionRoundTrip drives a non-identity alignment through
-// the whole pipeline: the alignment is stored in the record header and
-// honoured on the read side.
-func TestAlignedCollectionRoundTrip(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	const n, templateN = 10, 40
-	run(t, 3, fs, func(nd *machine.Node) error {
-		// Elements map to template cells 3 + 2i.
-		al := distr.Alignment{Offset: 3, Stride: 2}
-		wd, err := distr.NewAligned(n, templateN, 3, distr.Cyclic, 0, al)
-		if err != nil {
-			return err
-		}
-		c, err := collection.New[plist](nd, wd)
-		if err != nil {
-			return err
-		}
-		c.Apply(func(g int, e *plist) { *e = mkPlist(g) })
-		s, err := Open(nd, wd, "aligned")
-		if err != nil {
-			return err
-		}
-		if err := Insert[plist](s, c); err != nil {
-			return err
-		}
-		if err := s.Write(); err != nil {
-			return err
-		}
-		if err := s.Close(); err != nil {
-			return err
-		}
-
-		// Read with an identity-aligned BLOCK distribution: both the
-		// alignment and the mode differ, so the sorted read must route.
-		rd, err := distr.New(n, 3, distr.Block, 0)
-		if err != nil {
-			return err
-		}
-		back, err := collection.New[plist](nd, rd)
-		if err != nil {
-			return err
-		}
-		in, err := OpenInput(nd, rd, "aligned")
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		if err := in.Read(); err != nil {
-			return err
-		}
-		if err := Extract[plist](in, back); err != nil {
-			return err
-		}
-		var bad error
-		back.Apply(func(g int, e *plist) {
-			if !plistEqual(*e, mkPlist(g)) {
-				bad = fmt.Errorf("global %d mismatch under alignment", g)
-			}
-		})
-		return bad
-	})
-}
-
 // TestFullPipelineOverTCP runs the complete write/redistribute/read cycle
 // over real loopback sockets.
 func TestFullPipelineOverTCP(t *testing.T) {
@@ -294,11 +167,11 @@ func TestFullPipelineOverTCP(t *testing.T) {
 	_, err := machine.Run(machine.Config{
 		NProcs: 4, Profile: vtime.Paragon(), FS: fs, Transport: machine.TransportTCP,
 	}, func(n *machine.Node) error {
-		wd := mustLocal(t, 30, 4, distr.Cyclic, 0)
+		wd := mustDist(t, 30, 4, distr.Cyclic, 0)
 		if err := writePlists(n, wd, "tcp", Options{}); err != nil {
 			return err
 		}
-		rd := mustLocal(t, 30, 4, distr.Block, 0)
+		rd := mustDist(t, 30, 4, distr.Block, 0)
 		c, err := readPlists(n, rd, "tcp", true)
 		if err != nil {
 			return err
@@ -316,164 +189,45 @@ func TestFullPipelineOverTCP(t *testing.T) {
 	}
 }
 
-// TestAsyncWriteCorrectness: write-behind streams produce byte-identical
-// files and fully readable data; only the virtual timing differs.
+// TestAsyncWriteCorrectness: write-behind writes return before the disk has
+// the data, and Close pays the drain. (That an async file is the synchronous
+// one, byte for byte, and reads back is the interpreter's: every write's image
+// is the model's, whatever the strategy or write-behind.)
 func TestAsyncWriteCorrectness(t *testing.T) {
-	images := map[bool][]byte{}
-	for _, async := range []bool{false, true} {
-		fs := pfs.NewMemFS(vtime.Paragon())
-		var closedAt, writtenAt float64
-		run(t, 3, fs, func(n *machine.Node) error {
-			d := mustLocal(t, 20, 3, distr.Cyclic, 0)
-			c, err := collection.New[plist](n, d)
-			if err != nil {
-				return err
-			}
-			c.Apply(func(g int, e *plist) { *e = mkPlist(g) })
-			s, err := Open(n, d, "async", WithOptions(Options{Async: async}))
-			if err != nil {
-				return err
-			}
-			for rec := 0; rec < 3; rec++ {
-				if err := Insert[plist](s, c); err != nil {
-					return err
-				}
-				if err := s.Write(); err != nil {
-					return err
-				}
-			}
-			if n.Rank() == 0 {
-				writtenAt = n.Clock().Now()
-			}
-			if err := s.Close(); err != nil {
-				return err
-			}
-			if n.Rank() == 0 {
-				closedAt = n.Clock().Now()
-			}
-			// Read everything back.
-			c2, err := readPlists(n, d, "async", true)
-			if err != nil {
-				return err
-			}
-			var bad error
-			c2.Apply(func(g int, e *plist) {
-				if !plistEqual(*e, mkPlist(g)) {
-					bad = fmt.Errorf("async=%v: global %d mismatch", async, g)
-				}
-			})
-			return bad
-		})
-		img, err := fs.Image("async")
-		if err != nil {
-			t.Fatal(err)
-		}
-		images[async] = img
-		if async {
-			// In async mode the writes return early; Close pays the I/O.
-			if closedAt <= writtenAt {
-				t.Fatalf("async close paid no drain time (%v → %v)", writtenAt, closedAt)
-			}
-		}
-	}
-	if string(images[false]) != string(images[true]) {
-		t.Fatal("async and sync modes produced different file images")
-	}
-}
-
-// TestEmptyCollectionRoundTrip: a collection with zero elements writes a
-// header-only record that reads back cleanly.
-func TestEmptyCollectionRoundTrip(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	run(t, 3, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 0, 3, distr.Block, 0)
-		s, err := Open(n, d, "empty")
+	var closedAt, writtenAt float64
+	run(t, 3, pfs.NewMemFS(vtime.Paragon()), func(n *machine.Node) error {
+		d := mustDist(t, 20, 3, distr.Cyclic, 0)
+		c, err := collection.New[plist](n, d)
 		if err != nil {
 			return err
 		}
-		if err := s.InsertFunc(func(int, *Encoder) {}); err != nil {
+		c.Apply(func(g int, e *plist) { *e = mkPlist(g) })
+		s, err := Open(n, d, "async", WithAsync())
+		if err != nil {
 			return err
 		}
-		if err := s.Write(); err != nil {
-			return err
+		for rec := 0; rec < 3; rec++ {
+			if err := Insert[plist](s, c); err != nil {
+				return err
+			}
+			if err := s.Write(); err != nil {
+				return err
+			}
+		}
+		if n.Rank() == 0 {
+			writtenAt = n.Clock().Now()
 		}
 		if err := s.Close(); err != nil {
 			return err
 		}
-		in, err := OpenInput(n, d, "empty")
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		if err := in.Read(); err != nil {
-			return err
-		}
-		if in.Arrays() != 1 || in.LocalLen() != 0 {
-			return fmt.Errorf("Arrays=%d LocalLen=%d", in.Arrays(), in.LocalLen())
-		}
-		if err := in.ExtractFunc(func(int, *Decoder) {}); err != nil {
-			return err
-		}
-		if in.More() {
-			return fmt.Errorf("trailing records in empty stream")
+		if n.Rank() == 0 {
+			closedAt = n.Clock().Now()
 		}
 		return nil
 	})
-}
-
-// TestAppendMode accumulates records across separate "runs" in one file —
-// the §2 save-between-runs pattern — and reads them all back in order.
-func TestAppendMode(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge())
-	writeRun := func(runIdx int, opts Options) {
-		run(t, 2, fs, func(n *machine.Node) error {
-			d := mustLocal(t, 6, 2, distr.Cyclic, 0)
-			s, err := Open(n, d, "history", WithOptions(opts))
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			if err := s.InsertFunc(func(l int, e *Encoder) {
-				e.Int64(int64(runIdx*100 + d.GlobalIndex(n.Rank(), l)))
-			}); err != nil {
-				return err
-			}
-			return s.Write()
-		})
+	if closedAt <= writtenAt {
+		t.Fatalf("async close paid no drain time (%v → %v)", writtenAt, closedAt)
 	}
-	writeRun(0, Options{})
-	writeRun(1, Options{Append: true})
-	writeRun(2, Options{Append: true})
-
-	run(t, 2, fs, func(n *machine.Node) error {
-		d := mustLocal(t, 6, 2, distr.Cyclic, 0)
-		in, err := OpenInput(n, d, "history")
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		for runIdx := 0; runIdx < 3; runIdx++ {
-			if err := in.Read(); err != nil {
-				return err
-			}
-			var bad error
-			if err := in.ExtractFunc(func(l int, dec *Decoder) {
-				want := int64(runIdx*100 + d.GlobalIndex(n.Rank(), l))
-				if got := dec.Int64(); got != want && bad == nil {
-					bad = fmt.Errorf("run %d: got %d want %d", runIdx, got, want)
-				}
-			}); err != nil {
-				return err
-			}
-			if bad != nil {
-				return bad
-			}
-		}
-		if in.More() {
-			return fmt.Errorf("extra records")
-		}
-		return nil
-	})
 }
 
 // TestAppendToNonStreamRejected: append mode validates the file header.
@@ -488,7 +242,7 @@ func TestAppendToNonStreamRejected(t *testing.T) {
 			return err
 		}
 		f.Close()
-		d := mustLocal(t, 4, 2, distr.Block, 0)
+		d := mustDist(t, 4, 2, distr.Block, 0)
 		_, err = Open(n, d, "junk2", WithAppend())
 		if err == nil {
 			return fmt.Errorf("append to non-stream accepted")

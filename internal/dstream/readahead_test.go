@@ -1,7 +1,6 @@
 package dstream
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -86,32 +85,6 @@ func readRecordSeq(n *machine.Node, d *distr.Distribution, name string, records 
 	return s.Close()
 }
 
-// TestReadAheadByteIdentity: every strategy × reader layout × depth ×
-// sorted/unsorted combination must deliver exactly the bytes the
-// synchronous (depth 0) path delivers — the prefetch pipeline is a pure
-// performance feature.
-func TestReadAheadByteIdentity(t *testing.T) {
-	const nprocs, nElems, records = 4, 23, 5
-	for _, strat := range []Strategy{StrategyParallel, StrategyTwoPhase} {
-		for _, mode := range []distr.Mode{distr.Block, distr.Cyclic} {
-			for _, sorted := range []bool{true, false} {
-				for _, depth := range []int{1, 2, 4, 8} {
-					strat, mode, sorted, depth := strat, mode, sorted, depth
-					t.Run(fmt.Sprintf("%s-%s-sorted=%v-depth=%d", strat, mode, sorted, depth), func(t *testing.T) {
-						fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(3, 256))
-						writeRecordSeq(t, fs, nprocs, nElems, records, "f")
-						run(t, nprocs, fs, func(n *machine.Node) error {
-							d := mustDist(t, nElems, nprocs, mode, 0)
-							return readRecordSeq(n, d, "f", records, sorted,
-								WithStrategy(strat), WithReadAhead(depth))
-						})
-					})
-				}
-			}
-		}
-	}
-}
-
 // TestReadAheadHitMetrics: with the pipeline primed at open, every read of
 // a steady-state consumer is a hit, and the overlap histogram records one
 // observation per hit.
@@ -194,61 +167,6 @@ func TestReadAheadSkipAndPeek(t *testing.T) {
 	}
 	if wasted := mon.Registry().Counter("dstream_prefetch_wasted_bytes_total", "").Value(); wasted == 0 {
 		t.Error("skipping prefetched records counted no wasted bytes")
-	}
-}
-
-// TestReadAheadStrict: the Figure 2 contract survives the pipeline — a
-// prefetched Skip over a partially extracted record is still refused.
-func TestReadAheadStrict(t *testing.T) {
-	const nprocs, nElems = 4, 23
-	fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(3, 256))
-	writeRecordSeq(t, fs, nprocs, nElems, 3, "f")
-	run(t, nprocs, fs, func(n *machine.Node) error {
-		d := mustDist(t, nElems, nprocs, distr.Block, 0)
-		s, err := OpenInput(n, d, "f", WithReadAhead(2), WithStrict())
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.Read(); err != nil {
-			return err
-		}
-		if err := s.Skip(); !errors.Is(err, ErrOrder) {
-			return fmt.Errorf("strict skip over unextracted record: err = %v, want ErrOrder", err)
-		}
-		return nil
-	})
-}
-
-// TestReadAheadBufferRelease: a read-ahead pipeline returns every pooled
-// buffer on Close — after a full drain, and with prefetches still queued by
-// an early close. The test binary's leak check is what holds it to that.
-func TestReadAheadBufferRelease(t *testing.T) {
-	const nprocs, nElems, records, depth = 4, 23, 4, 2
-	for _, reads := range []int{records, 1} {
-		fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(3, 256))
-		writeRecordSeq(t, fs, nprocs, nElems, records, "f")
-		run(t, nprocs, fs, func(n *machine.Node) error {
-			d := mustDist(t, nElems, nprocs, distr.Block, 0)
-			s, err := OpenInput(n, d, "f", WithReadAhead(depth))
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			c, err := collection.New[plist](n, d)
-			if err != nil {
-				return err
-			}
-			for r := 0; r < reads; r++ {
-				if err := s.Read(); err != nil {
-					return err
-				}
-				if err := Extract[plist](s, c); err != nil {
-					return err
-				}
-			}
-			return s.Close()
-		})
 	}
 }
 

@@ -83,76 +83,6 @@ func writeTable(n *machine.Node, d *distr.Distribution, name string) error {
 	return s.Close()
 }
 
-// readTable reads writeTable's file back sorted and compares every element.
-func readTable(n *machine.Node, d *distr.Distribution, name string, opts ...Option) error {
-	s, err := OpenInput(n, d, name, opts...)
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	c, err := collection.New[plist](n, d)
-	if err != nil {
-		return err
-	}
-	for rec := 0; rec < tableRecords; rec++ {
-		if err := s.Read(); err != nil {
-			return fmt.Errorf("record %d: %w", rec, err)
-		}
-		for arr := 0; arr < tableArrays; arr++ {
-			if err := Extract[plist](s, c); err != nil {
-				return fmt.Errorf("record %d array %d: %w", rec, arr, err)
-			}
-			var bad error
-			c.Apply(func(g int, e *plist) {
-				if bad == nil && !plistEqual(*e, tableElem(rec, arr, g)) {
-					bad = fmt.Errorf("rank %d record %d array %d: element %d is %+v", n.Rank(), rec, arr, g, *e)
-				}
-			})
-			if bad != nil {
-				return bad
-			}
-		}
-	}
-	return s.Close()
-}
-
-// TestSortedReadTable: writer layout × reader layout × writer P × reader P ×
-// refill kind, for a collection larger than either machine and one smaller
-// than both (empty shares, empty frames). Every element of every record
-// must come back where the reader's distribution puts it, and the pool must
-// get back everything the readers drew.
-func TestSortedReadTable(t *testing.T) {
-	for _, nElems := range []int{29, 3} {
-		for _, wk := range redistDists {
-			for _, wp := range []int{1, 3, 4} {
-				t.Run(fmt.Sprintf("N=%d/%s/P=%d", nElems, wk.name, wp), func(t *testing.T) {
-					fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(3, 256))
-					wd, err := wk.mk(nElems, wp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					run(t, wp, fs, func(n *machine.Node) error { return writeTable(n, wd, "f") })
-					for _, rk := range redistDists {
-						for _, rp := range []int{1, 4, 5} {
-							rd, err := rk.mk(nElems, rp)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for _, rf := range redistRefills {
-								_, err := machine.Run(machine.Config{NProcs: rp, Profile: vtime.Paragon(), FS: fs},
-									func(n *machine.Node) error { return readTable(n, rd, "f", rf.opts...) })
-								if err != nil {
-									t.Errorf("read %s/P=%d %s: %v", rk.name, rp, rf.name, err)
-								}
-							}
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestRedistPlanBothEndsAgree builds every rank's plan for each layout pair
 // and checks what the wire format now rests on: what rank r plans to send
 // rank d is, position for position, what d plans to receive from r; every
@@ -394,53 +324,6 @@ func TestRedistBadFrame(t *testing.T) {
 						t.Errorf("rank %d: %v", r, err)
 					}
 				}
-			})
-		}
-	}
-}
-
-// TestRedistReleasesFrames: the frames a sorted read holds for its decoders
-// go back to the pool at the next Read, at Skip and at Close, on every refill
-// path. The test binary's leak check is what holds them to that.
-func TestRedistReleasesFrames(t *testing.T) {
-	const nprocs, nElems, records = 4, 29, 3
-	fs := pfs.NewMemFS(vtime.Paragon())
-	run(t, nprocs, fs, func(n *machine.Node) error {
-		return writeTable(n, mustDist(t, nElems, nprocs, distr.Cyclic, 0), "f")
-	})
-	bodies := []func(s *IStream) error{
-		func(s *IStream) error { // read all
-			for rec := 0; rec < records; rec++ {
-				if err := s.Read(); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func(s *IStream) error { return s.Read() }, // read, close
-		func(s *IStream) error { // read, skip, unsorted read
-			if err := s.Read(); err != nil {
-				return err
-			}
-			if err := s.Skip(); err != nil {
-				return err
-			}
-			return s.UnsortedRead()
-		},
-	}
-	rd := mustDist(t, nElems, nprocs, distr.Block, 0)
-	for _, rf := range redistRefills {
-		for _, body := range bodies {
-			run(t, nprocs, fs, func(n *machine.Node) error {
-				s, err := OpenInput(n, rd, "f", rf.opts...)
-				if err != nil {
-					return err
-				}
-				defer s.Close()
-				if err := body(s); err != nil {
-					return err
-				}
-				return s.Close()
 			})
 		}
 	}

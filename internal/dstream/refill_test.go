@@ -100,62 +100,6 @@ func refillGot(nprocs int) [][][]byte {
 	return got
 }
 
-// refillMachine runs read on a P-node machine over fs, its transport wrapped
-// by tap when there is one, and returns what read put in got.
-func refillMachine(t *testing.T, fs *pfs.FileSystem, nprocs int, tap *sendTap, read func(n *machine.Node, got [][][]byte) error) [][][]byte {
-	t.Helper()
-	got := refillGot(nprocs)
-	cfg := machine.Config{NProcs: nprocs, Profile: vtime.Challenge(), FS: fs}
-	if tap != nil {
-		cfg.WrapTransport = func(tr comm.Transport) comm.Transport { tap.Transport = tr; return tap }
-	}
-	if _, err := machine.Run(cfg, func(n *machine.Node) error { return read(n, got) }); err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// TestTwoPhaseRefillMatchesDirectRead: a two-phase read, in which every
-// aggregator reads its extent into its own share and into the slivers the
-// scatter hands over, gives every element the bytes the direct read gives it
-// — writer CYCLIC, reader BLOCK (so the refill feeds the redistribution) and
-// CYCLIC, K = 1, 2 and P aggregators on 3, 4 and 5 ranks, read-ahead off and
-// two records deep — and the scatter carried data in every cell.
-func TestTwoPhaseRefillMatchesDirectRead(t *testing.T) {
-	for _, nprocs := range []int{3, 4, 5} {
-		fs := refillStore()
-		writeRefillFile(t, fs, nprocs)
-		for _, mode := range []distr.Mode{distr.Block, distr.Cyclic} {
-			for _, depth := range []int{0, 2} {
-				direct := refillMachine(t, fs, nprocs, nil, readRefillFile(nprocs, mode, WithStrategy(StrategyParallel), WithReadAhead(depth)))
-				for _, k := range []int{1, 2, nprocs} {
-					t.Run(fmt.Sprintf("P=%d/%s/K=%d/depth=%d", nprocs, mode, k, depth), func(t *testing.T) {
-						var scattered int
-						tap := &sendTap{each: func(m comm.Message) error {
-							if m.Tag>>56 == alltoallKind && m.Mode == comm.Owned && len(m.Data) > 0 {
-								scattered++
-							}
-							return nil
-						}}
-						got := refillMachine(t, fs, nprocs, tap, readRefillFile(nprocs, mode,
-							WithStrategy(StrategyTwoPhase), WithAggregators(k), WithReadAhead(depth)))
-						for rec := range got {
-							for g := range got[rec] {
-								if !bytes.Equal(got[rec][g], direct[rec][g]) {
-									t.Fatalf("record %d element %d: the two-phase read differs from the direct one", rec, g)
-								}
-							}
-						}
-						if scattered == 0 {
-							t.Error("no sliver crossed ranks: the cell does not exercise the scatter")
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
 // TestTwoPhaseScatterHandsSliversOver: every non-empty message of the
 // two-phase scatter is sent owned — the sliver the aggregator read into goes
 // to its rank as it is, with no copy in the transport — and when the reading

@@ -60,7 +60,7 @@ func TestEveryScalarFieldRoundTrip(t *testing.T) {
 		want[i] = randomScalars(rng)
 	}
 	run(t, 3, fs, func(nd *machine.Node) error {
-		d := mustLocal(t, n, 3, distr.Cyclic, 0)
+		d := mustDist(t, n, 3, distr.Cyclic, 0)
 		c, err := collection.New[everyScalar](nd, d)
 		if err != nil {
 			return err
@@ -147,7 +147,7 @@ func TestInt64SliceFieldRoundTrip(t *testing.T) {
 	fs := pfs.NewMemFS(vtime.Challenge())
 	type rec struct{ V []int64 }
 	run(t, 2, fs, func(nd *machine.Node) error {
-		d := mustLocal(t, 7, 2, distr.Block, 0)
+		d := mustDist(t, 7, 2, distr.Block, 0)
 		c, err := collection.New[rec](nd, d)
 		if err != nil {
 			return err

@@ -104,10 +104,9 @@ func (s *OStream) writeTwoPhase(nArrays int, localSizes []uint32, data []byte) (
 		rankOff[r+1] = rankOff[r] + int64(binary.LittleEndian.Uint64(p))
 	}
 	bufpool.Put(lenFrame)
-	if got := rankOff[me+1] - rankOff[me]; got > int64(cap(data)) {
-		// A size damaged on the way past this rank's buffer: the plan below
-		// would slice beyond it. The check bounds the slice only; a damaged
-		// size within cap(data) passes, and is ROADMAP item 1a's to catch.
+	if got := rankOff[me+1] - rankOff[me]; got != int64(len(data)) {
+		// This rank's own size, damaged on the way: the plan below would
+		// slice this rank's data by it, past its end or short of it.
 		return false, fmt.Errorf("dstream: allgather data sizes: this rank's %d bytes came back as %d", len(data), got)
 	}
 

@@ -2,7 +2,6 @@ package dstream
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"pcxxstreams/internal/collection"
@@ -119,133 +118,6 @@ func strategyRecords(nElems int, mode distr.Mode, bsize int, opts ...Option) fun
 		}
 		return s.Write()
 	}
-}
-
-// TestCrossStrategyByteIdentity: funnel × parallel × two-phase × async must
-// produce identical file images for every distribution mode, uneven element
-// counts, and zero-length elements. The strategies may move bytes through
-// different ranks, but the record format is one.
-func TestCrossStrategyByteIdentity(t *testing.T) {
-	configs := []struct {
-		nprocs, nElems int
-		mode           distr.Mode
-		bsize          int
-	}{
-		{4, 23, distr.Block, 0},       // uneven block split
-		{4, 23, distr.Cyclic, 0},      // cyclic: file order ≠ global order
-		{4, 23, distr.BlockCyclic, 3}, // block-cyclic with remainder
-		{3, 7, distr.Block, 0},        // fewer elements than some stripes
-	}
-	strategies := []struct {
-		name string
-		opts []Option
-	}{
-		{"funnel", []Option{WithStrategy(StrategyFunnel)}},
-		{"parallel", []Option{WithStrategy(StrategyParallel)}},
-		{"twophase", []Option{WithStrategy(StrategyTwoPhase)}},
-		{"twophase-async", []Option{WithStrategy(StrategyTwoPhase), WithAsync()}},
-		{"twophase-k2", []Option{WithStrategy(StrategyTwoPhase), WithAggregators(2)}},
-		{"funnel-async", []Option{WithStrategy(StrategyFunnel), WithAsync()}},
-	}
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(fmt.Sprintf("%s-n%d-p%d", cfg.mode, cfg.nElems, cfg.nprocs), func(t *testing.T) {
-			ref := strategyImage(t, cfg.nprocs, cfg.nElems, cfg.mode, cfg.bsize, strategies[0].opts...)
-			if len(ref) == 0 {
-				t.Fatal("reference image empty")
-			}
-			for _, s := range strategies[1:] {
-				img := strategyImage(t, cfg.nprocs, cfg.nElems, cfg.mode, cfg.bsize, s.opts...)
-				if !bytes.Equal(img, ref) {
-					t.Errorf("%s image differs from funnel reference (%d vs %d bytes)", s.name, len(img), len(ref))
-				}
-			}
-		})
-	}
-}
-
-// TestTwoPhaseRoundTrip: a record written two-phase reads back exactly —
-// through the two-phase refill path and the direct path, sorted and
-// unsorted, including a reader with a different distribution (so phase two
-// composes with the element redistribution).
-func TestTwoPhaseRoundTrip(t *testing.T) {
-	fs := pfs.NewFileSystem(vtime.Paragon(), pfs.StripedMemFactory(4, 512))
-	const nElems = 23
-	run(t, 4, fs, func(n *machine.Node) error {
-		d := mustDist(t, nElems, 4, distr.Block, 0)
-		return writePlists(n, d, "f", Options{Strategy: StrategyTwoPhase})
-	})
-	for _, rd := range []struct {
-		name   string
-		mode   distr.Mode
-		opts   []Option
-		sorted bool
-	}{
-		{"same-layout-twophase", distr.Block, []Option{WithStrategy(StrategyTwoPhase)}, true},
-		{"cyclic-reader-twophase", distr.Cyclic, []Option{WithStrategy(StrategyTwoPhase)}, true},
-		{"cyclic-reader-direct", distr.Cyclic, nil, true},
-		{"unsorted-twophase", distr.Block, []Option{WithStrategy(StrategyTwoPhase)}, false},
-	} {
-		rd := rd
-		t.Run(rd.name, func(t *testing.T) {
-			run(t, 4, fs, func(n *machine.Node) error {
-				d := mustDist(t, nElems, 4, rd.mode, 0)
-				s, err := OpenInput(n, d, "f", rd.opts...)
-				if err != nil {
-					return err
-				}
-				defer s.Close()
-				if rd.sorted {
-					err = s.Read()
-				} else {
-					err = s.UnsortedRead()
-				}
-				if err != nil {
-					return err
-				}
-				c, err := collection.New[plist](n, d)
-				if err != nil {
-					return err
-				}
-				if err := Extract[plist](s, c); err != nil {
-					return err
-				}
-				if !rd.sorted {
-					return nil // counts checked by Extract; order unspecified
-				}
-				var bad error
-				c.Apply(func(g int, e *plist) {
-					if want := mkPlist(g); bad == nil && !plistEqual(*e, want) {
-						bad = fmt.Errorf("element %d mismatch after round trip", g)
-					}
-				})
-				return bad
-			})
-		})
-	}
-}
-
-// TestTwoPhaseFlatBackend: without stripe geometry the strategy degrades to
-// K = profile I/O channels and still round-trips.
-func TestTwoPhaseFlatBackend(t *testing.T) {
-	fs := pfs.NewMemFS(vtime.Challenge()) // 4 I/O channels → K = 4
-	run(t, 6, fs, func(n *machine.Node) error {
-		d := mustDist(t, 17, 6, distr.Block, 0)
-		if err := writePlists(n, d, "f", Options{Strategy: StrategyTwoPhase}); err != nil {
-			return err
-		}
-		c, err := readPlists(n, d, "f", true)
-		if err != nil {
-			return err
-		}
-		var bad error
-		c.Apply(func(g int, e *plist) {
-			if want := mkPlist(g); bad == nil && !plistEqual(*e, want) {
-				bad = fmt.Errorf("element %d mismatch", g)
-			}
-		})
-		return bad
-	})
 }
 
 // TestOpenMatchesLegacyConstructors: a pre-built Options value applied with
