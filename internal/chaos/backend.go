@@ -28,7 +28,7 @@ type Backend struct {
 
 // pfsInjects caches the per-kind injection counters.
 type pfsInjects struct {
-	readErr, writeErr, shortRead, shortWrite, flipRead *dsmon.Counter
+	readErr, writeErr, shortRead, shortWrite, flipRead, tornWrite *dsmon.Counter
 }
 
 func newPFSInjects(mon *dsmon.Monitor) pfsInjects {
@@ -36,7 +36,8 @@ func newPFSInjects(mon *dsmon.Monitor) pfsInjects {
 	return pfsInjects{
 		readErr: k("read_err"), writeErr: k("write_err"),
 		shortRead: k("short_read"), shortWrite: k("short_write"),
-		flipRead: silentRead.counter(mon, "flip_read"),
+		flipRead:  silentRead.counter(mon, "flip_read"),
+		tornWrite: silentWrite.counter(mon, "torn_write"),
 	}
 }
 
@@ -87,11 +88,13 @@ func StripedChaosFactory(k int, unit int64, seed int64, rates Rates, mon *dsmon.
 }
 
 // fault draws one uniform sample and maps it to (errFault, shortFault,
-// flip) for an operation on n bytes; cut is the prefix length of a short
-// transfer, and flip, when positive, is one more than the bit of the n bytes
-// a silent flip inverts. With flipRate zero the draws are the ones before
-// the silent kind existed, so every other campaign's schedule is unchanged.
-func (b *Backend) fault(errRate, shortRate, flipRate float64, n int) (errFault bool, cut, flip int) {
+// silent) for an operation on n bytes; cut is the prefix length of a short
+// transfer, and silent, when positive, is one more than a draw in [0, span)
+// for the silent kind — the bit of the n bytes a flip inverts, or the bytes
+// of a torn write that persist. With silentRate zero the draws are the ones
+// before the silent kinds existed, so every other campaign's schedule is
+// unchanged.
+func (b *Backend) fault(errRate, shortRate, silentRate float64, n, span int) (errFault bool, cut, silent int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r := b.rng.Float64()
@@ -104,8 +107,8 @@ func (b *Backend) fault(errRate, shortRate, flipRate float64, n int) (errFault b
 		}
 		return false, 0, 0 // one byte has no shorter prefix; it is not a flip either
 	}
-	if r < errRate+shortRate+flipRate && n > 0 {
-		return false, 0, 1 + b.rng.IntN(8*n)
+	if r < errRate+shortRate+silentRate && n > 0 {
+		return false, 0, 1 + b.rng.IntN(span)
 	}
 	return false, 0, 0
 }
@@ -113,7 +116,7 @@ func (b *Backend) fault(errRate, shortRate, flipRate float64, n int) (errFault b
 // ReadAt implements io.ReaderAt with injected transient faults, and the
 // silent bit flip.
 func (b *Backend) ReadAt(p []byte, off int64) (int, error) {
-	errFault, cut, flip := b.fault(b.rates.ReadErr, b.rates.ShortRead, b.rates.FlipRead, len(p))
+	errFault, cut, flip := b.fault(b.rates.ReadErr, b.rates.ShortRead, b.rates.FlipRead, len(p), 8*len(p))
 	if errFault {
 		b.inj.readErr.Inc()
 		return 0, fmt.Errorf("%w: chaos read error at %d", pfs.ErrTransient, off)
@@ -134,9 +137,11 @@ func (b *Backend) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// WriteAt implements io.WriterAt with injected transient faults.
+// WriteAt implements io.WriterAt with injected transient faults, and the
+// silent torn write: a prefix of p persists, shorter than p, and the call
+// reports all of it written.
 func (b *Backend) WriteAt(p []byte, off int64) (int, error) {
-	errFault, cut, _ := b.fault(b.rates.WriteErr, b.rates.ShortWrite, 0, len(p))
+	errFault, cut, torn := b.fault(b.rates.WriteErr, b.rates.ShortWrite, b.rates.TornWrite, len(p), len(p))
 	if errFault {
 		b.inj.writeErr.Inc()
 		return 0, fmt.Errorf("%w: chaos write error at %d", pfs.ErrTransient, off)
@@ -148,6 +153,13 @@ func (b *Backend) WriteAt(p []byte, off int64) (int, error) {
 		}
 		b.inj.shortWrite.Inc()
 		return n, fmt.Errorf("%w: chaos short write %d of %d at %d", pfs.ErrTransient, n, len(p), off)
+	}
+	if torn > 0 {
+		if _, err := b.inner.WriteAt(p[:torn-1], off); err != nil {
+			return 0, err
+		}
+		b.inj.tornWrite.Inc()
+		return len(p), nil
 	}
 	return b.inner.WriteAt(p, off)
 }

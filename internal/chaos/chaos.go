@@ -65,6 +65,11 @@ type Rates struct {
 	// a silent fault, which no retry sees. DefaultRates leaves it at zero; a
 	// campaign that sets it counts the seeds the stack silently accepted.
 	FlipRead float64
+	// TornWrite persists a prefix of a write, shorter than the write, and
+	// reports all of it written: the other silent storage fault. It is the
+	// last slice of the write draw, so DefaultRates, which leaves it at
+	// zero, draws every other kind as before it existed.
+	TornWrite float64
 
 	// MaxDelay bounds the real-time delivery delay of a Delay fault.
 	MaxDelay time.Duration
@@ -84,6 +89,11 @@ func DefaultRates() Rates {
 		MaxDelay:    2 * time.Millisecond,
 		ReorderFuse: 2 * time.Millisecond,
 	}
+}
+
+// onTransport reports whether r injects any transport fault.
+func (r Rates) onTransport() bool {
+	return r.Drop+r.SendErr+r.Duplicate+r.Delay+r.Reorder+r.RecvErr+r.FlipSend > 0
 }
 
 // Budget is what every campaign configuration shares: the fault schedule

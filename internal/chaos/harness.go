@@ -190,6 +190,37 @@ func (p Pipeline) body(sess *session.Session, file string, base, readAhead int, 
 	}
 }
 
+// readBack reads img, a stored image of file, back fault-free on one rank and
+// verifies every record as body does, stopping at the first error. One rank
+// has no peer whose failure can tear a read down before it has verified what
+// it read, so how it ends depends on the image alone: scf.ErrMismatch when a
+// record reads back without an error but wrong.
+func (p Pipeline) readBack(img []byte, file string) error {
+	fs := pfs.NewFileSystem(vtime.Paragon(), func(string) (pfs.Backend, error) {
+		b := pfs.NewMemBackend()
+		_, err := b.WriteAt(img, 0)
+		return b, err
+	})
+	recs := scf.Records{N: p.Records, Particles: p.Particles}
+	_, err := machine.Run(machine.Config{NProcs: 1, Profile: vtime.Paragon(), FS: fs}, func(n *machine.Node) error {
+		d, err := distr.New(p.Segments, 1, distr.Block, 0)
+		if err != nil {
+			return err
+		}
+		c, err := collection.New[scf.Segment](n, d)
+		if err != nil {
+			return err
+		}
+		in, err := session.Local().OpenInput(n, d, file)
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		return recs.Read(in, c, nil)
+	})
+	return err
+}
+
 // referenceImage runs body fault-free on mc over an in-memory store and
 // returns the image of file — the byte-identity baseline of a campaign.
 func referenceImage(mc machine.Config, body func(*machine.Node) error, file string) ([]byte, error) {
@@ -253,16 +284,23 @@ func (s *flatScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	}
 	errs, wrote := make([]error, cfg.NProcs), make([]bool, cfg.NProcs)
 	body := cfg.body(session.Local(), harnessFile, 0, cfg.ReadAhead, sigs, wrote)
-	_, err := machine.Run(machine.Config{
-		NProcs:    cfg.NProcs,
-		Profile:   vtime.Paragon(),
-		Transport: cfg.Transport,
-		FS:        fs,
-		Monitor:   mon,
-		WrapTransport: func(tr comm.Transport) comm.Transport {
+	// A schedule of storage faults alone runs on the bare transport: the
+	// chaos wrapper copies every payload, so only without it do the write
+	// shuffle and the sorted read's redistribution lend under faults.
+	var wrap func(comm.Transport) comm.Transport
+	if cfg.Rates.onTransport() {
+		wrap = func(tr comm.Transport) comm.Transport {
 			return NewTransport(tr, cfg.NProcs, seed, cfg.Rates, mon)
-		},
-		RecvDeadline: cfg.RecvDeadline,
+		}
+	}
+	_, err := machine.Run(machine.Config{
+		NProcs:        cfg.NProcs,
+		Profile:       vtime.Paragon(),
+		Transport:     cfg.Transport,
+		FS:            fs,
+		Monitor:       mon,
+		WrapTransport: wrap,
+		RecvDeadline:  cfg.RecvDeadline,
 	}, func(n *machine.Node) error {
 		errs[n.Rank()] = body(n)
 		return errs[n.Rank()]
@@ -285,6 +323,18 @@ func (s *flatScenario) Run(seed int64, mon *dsmon.Monitor) []error {
 	if err == nil || (flipped && !errors.Is(err, scf.ErrMismatch) && !slices.Contains(wrote, false)) {
 		if ierr := checkImage(fs, harnessFile, s.ref); ierr != nil || err == nil {
 			err = ierr
+		}
+	}
+	// A torn write leaves wrong bytes in the store, and which rank gets to
+	// read them before another rank's failure tears the machine down is a
+	// race: when a failed run saw none, the stored image, read back, is the
+	// verdict.
+	torn := silentWrite.counter(mon, "torn_write").Value() > 0
+	if err != nil && torn && !errors.Is(err, scf.ErrMismatch) && !slices.Contains(wrote, false) {
+		if img, ierr := fs.Image(harnessFile); ierr == nil {
+			if rerr := cfg.readBack(img, harnessFile); errors.Is(rerr, scf.ErrMismatch) {
+				err = rerr
+			}
 		}
 	}
 	// Only completed runs have every rank's chain; a clean error

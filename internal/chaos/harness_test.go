@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/machine"
 )
@@ -125,6 +126,58 @@ func TestChaosSilentFlipSend(t *testing.T) {
 	if *chaosSeed == 1 && *chaosN == 200 && rep.Silent != silentSendsAccepted {
 		t.Errorf("%d seeds silently accepted, %d committed: what the stack notices changed", rep.Silent, silentSendsAccepted)
 	}
+}
+
+// silentTornAccepted is what TestChaosSilentTornWrite's campaign counts at
+// seed 1 × 200 on DSTRM1: seeds whose read-back was wrong after a write was
+// torn short and reported whole, and that the stack accepted without an
+// error. EXPERIMENTS.md has the campaign; a per-block checksum is what brings
+// it to 0.
+const silentTornAccepted = 20
+
+// TestChaosSilentTornWrite is the reporting campaign of the third silent
+// fault kind: the flat SCF pipeline under the default schedule plus a torn
+// write on one storage write in fifty (chaos.Rates.TornWrite). Its verdict is
+// TestChaosSilentFlipRead's.
+func TestChaosSilentTornWrite(t *testing.T) {
+	rates := DefaultRates()
+	rates.TornWrite = 0.02
+	rep := campaign(t, Config{Budget: Budget{Rates: rates}}.Scenario(), *chaosN)
+	requireInjected(t, rep, pfsPlane)
+	requireInjected(t, rep, silentWrite)
+	t.Logf("DSTRM1: %d of %d seeds silently accepted a torn write (%d torn)",
+		rep.Silent, len(rep.Results), rep.Injects["pfs:torn_write"])
+	if *chaosSeed == 1 && *chaosN == 200 && rep.Silent != silentTornAccepted {
+		t.Errorf("%d seeds silently accepted, %d committed: what the stack notices changed", rep.Silent, silentTornAccepted)
+	}
+}
+
+// TestChaosStorageFaultsLend runs the storage plane alone, torn writes
+// included, on the bare in-process transport. With no transport fault to
+// inject the flat scenario leaves chaos.Transport out — it copies every
+// payload — so the two-phase write shuffle and the sorted read's
+// redistribution lend under faults as they do in a fault-free run: the
+// campaign must receive lent messages. Beyond the shared verdict (no hang,
+// no corruption), every buffer the pool gave out comes back, a share
+// abandoned by a failed exchange included (bufpool.Drop counts it out).
+func TestChaosStorageFaultsLend(t *testing.T) {
+	d := DefaultRates()
+	rates := Rates{ReadErr: d.ReadErr, WriteErr: d.WriteErr, ShortRead: d.ShortRead, ShortWrite: d.ShortWrite, TornWrite: 0.02}
+	out := bufpool.Stats().Outstanding
+	rep := campaign(t, Config{Pipeline: Pipeline{Strategy: dstream.StrategyTwoPhase}, Budget: Budget{Rates: rates}}.Scenario(), *chaosN)
+	requireInjected(t, rep, pfsPlane)
+	requireInjected(t, rep, silentWrite)
+	if rep.Injects["comm:lent"] == 0 {
+		t.Error("no message was received lent: the campaign did not run the lending paths")
+	}
+	if n := rep.Injects["comm:"+commPlane.kinds[0]]; n != 0 {
+		t.Errorf("%d transport faults injected in a storage-only campaign", n)
+	}
+	if held := bufpool.Stats().Outstanding - out; held != 0 {
+		t.Errorf("%d pooled buffers out after the campaign", held)
+	}
+	t.Logf("%d messages received lent; %d of %d seeds silently accepted a torn write (%d torn)",
+		rep.Injects["comm:lent"], rep.Silent, len(rep.Results), rep.Injects["pfs:torn_write"])
 }
 
 // TestChaosOracleTwoPhase reruns the full campaign with the two-phase

@@ -89,9 +89,9 @@ type SeedResult struct {
 	// < Corrupt < Hang).
 	Worst Outcome
 	// Injects maps "comm:<kind>", "pfs:<kind>" and "conn:<kind>" to the
-	// number of faults the schedule actually injected, and
+	// number of faults the schedule actually injected,
 	// "dstreamd:chunk_transfers" to the transfers a daemon in the run moved
-	// in shared chunks.
+	// in shared chunks, and "comm:lent" to the messages received lent.
 	Injects map[string]int64
 }
 
@@ -108,12 +108,14 @@ var (
 	pfsPlane = faultPlane{"pfs", "storage faults injected by the chaos layer",
 		[]string{"read_err", "write_err", "short_read", "short_write"}}
 	// The silent planes are the faults that report success — a bit flipped
-	// on a storage read, or on a message in flight: the stack cannot retry
-	// them, only notice them or not. Each is kept apart from its layer's
-	// plane, whose every kind each campaign at that layer must inject.
+	// on a storage read or on a message in flight, a write torn short: the
+	// stack cannot retry them, only notice them or not. Each is kept apart
+	// from its layer's plane, whose every kind each campaign at that layer
+	// must inject.
 	silentRead   = faultPlane{"pfs", pfsPlane.help, []string{"flip_read"}}
+	silentWrite  = faultPlane{"pfs", pfsPlane.help, []string{"torn_write"}}
 	silentSend   = faultPlane{"comm", commPlane.help, []string{"flip_send"}}
-	silentPlanes = []faultPlane{silentRead, silentSend}
+	silentPlanes = []faultPlane{silentRead, silentWrite, silentSend}
 	// A cut_held is a cut at a moment the daemon held a shared chunk: a
 	// connection severed mid-transfer, whose chunks the daemon may unmap
 	// only once its I/O ranks are done with them.
@@ -137,9 +139,11 @@ func injectCounts(mon *dsmon.Monitor) map[string]int64 {
 		}
 	}
 	// A daemon monitored on the run's registry (the tenant campaign's): the
-	// transfers that crossed in shared chunks. The help is the daemon's; the
-	// registry keys on the name alone.
+	// transfers that crossed in shared chunks; and the messages the run's
+	// endpoints received lent, not copied. The helps are the daemon's and
+	// comm's; the registry keys on the name alone.
 	out["dstreamd:chunk_transfers"] = mon.Registry().Counter("dstreamd_chunk_transfers_total", "").Value()
+	out["comm:lent"] = mon.Registry().Counter("comm_messages_lent_total", "").Value()
 	return out
 }
 

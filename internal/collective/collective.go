@@ -264,7 +264,7 @@ func (c *Comm) Allgather(data []byte) (parts [][]byte, frame []byte, err error) 
 // back to the pool.
 func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	recv := make([][]byte, c.Size())
-	if err := c.alltoallv(comm.Borrowed, bufs, recv, nil); err != nil {
+	if err := c.alltoallv(comm.Borrowed, bufs, recv, nil, nil); err != nil {
 		return nil, err
 	}
 	return recv, nil
@@ -274,7 +274,7 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 // Size() entries, so that the exchange allocates nothing: on success recv[j]
 // is what rank j sent, on failure every entry is nil.
 func (c *Comm) AlltoallvInto(bufs, recv [][]byte) error {
-	return c.alltoallv(comm.Borrowed, bufs, recv, nil)
+	return c.alltoallv(comm.Borrowed, bufs, recv, nil, nil)
 }
 
 // AlltoallvOwned is Alltoallv for buffers the caller filled only to send them:
@@ -286,7 +286,7 @@ func (c *Comm) AlltoallvInto(bufs, recv [][]byte) error {
 // the caller's to bufpool.Put.
 func (c *Comm) AlltoallvOwned(bufs [][]byte) ([][]byte, error) {
 	recv := make([][]byte, c.Size())
-	if err := c.alltoallv(comm.Owned, bufs, recv, nil); err != nil {
+	if err := c.alltoallv(comm.Owned, bufs, recv, nil, nil); err != nil {
 		return nil, err
 	}
 	return recv, nil
@@ -307,12 +307,32 @@ func (c *Comm) AlltoallvLent(bufs, recv [][]byte, lent []bool) error {
 	if len(lent) != c.Size() {
 		return fmt.Errorf("collective: alltoallv got a lent mask of %d for %d ranks", len(lent), c.Size())
 	}
-	return c.alltoallv(comm.Lent, bufs, recv, lent)
+	return c.alltoallv(comm.Lent, bufs, recv, lent, nil)
 }
 
-// alltoallv is the one exchange body, for every hand-over mode; lent is nil
-// unless mode is comm.Lent.
-func (c *Comm) alltoallv(mode comm.Mode, bufs, recv [][]byte, lent []bool) error {
+// AlltoallvLeased is AlltoallvLent for buffers the caller lends under an
+// armed comm.Lease over the buffers they lie in: on the in-process transport
+// rank j reads the very slice, and the lease is the fence — it counts the
+// receivers, so the buffers go back to the pool when the last reader, the
+// caller's own hold included, releases it. held, of Size() entries like recv,
+// reports per peer what recv[j] is read under: the lease it was lent under,
+// with a hold taken for the caller, which releases it once it stops reading
+// and never writes or bufpool.Puts recv[j]; or nil, as for a wire
+// transport's copy, which is the caller's to Put. recv[me] is bufs[me] and
+// held[me] nil: the caller's own hold is its business. On failure every entry
+// of recv and held is nil, the holds the exchange took are released, and the
+// caller, which cannot know whether a receiver still reads what it lent,
+// abandons its lease (comm.Lease.Abandon).
+func (c *Comm) AlltoallvLeased(bufs, recv [][]byte, held []*comm.Lease) error {
+	if len(held) != c.Size() {
+		return fmt.Errorf("collective: alltoallv got a lease list of %d for %d ranks", len(held), c.Size())
+	}
+	return c.alltoallv(comm.Lent, bufs, recv, nil, held)
+}
+
+// alltoallv is the one exchange body, for every hand-over mode; lent and
+// held are nil unless mode is comm.Lent, and lent is nil when held is not.
+func (c *Comm) alltoallv(mode comm.Mode, bufs, recv [][]byte, lent []bool, held []*comm.Lease) error {
 	defer c.instrument("alltoallv")()
 	n := c.Size()
 	if len(bufs) != n || len(recv) != n {
@@ -342,7 +362,13 @@ func (c *Comm) alltoallv(mode comm.Mode, bufs, recv [][]byte, lent []bool) error
 	}
 	fail := func(err error) error {
 		for r, d := range recv {
-			if lent == nil || !lent[r] {
+			switch {
+			case held != nil && held[r] != nil:
+				held[r].Release()
+				held[r] = nil
+			case mode == comm.Lent && (r == me || lent != nil && lent[r]):
+				// The caller's own, or a lender's without a lease.
+			default:
 				bufpool.Put(d)
 			}
 			recv[r] = nil
@@ -355,7 +381,11 @@ func (c *Comm) alltoallv(mode comm.Mode, bufs, recv [][]byte, lent []bool) error
 		recv[me], bufs[me] = bufs[me], nil
 	case comm.Lent:
 		clear(lent)
-		recv[me], lent[me] = bufs[me], true
+		clear(held)
+		recv[me] = bufs[me]
+		if lent != nil {
+			lent[me] = true
+		}
 	default:
 		// Receive own contribution by copy, matching wire semantics.
 		recv[me] = bufpool.Get(len(bufs[me]))
@@ -366,9 +396,12 @@ func (c *Comm) alltoallv(mode comm.Mode, bufs, recv [][]byte, lent []bool) error
 			continue
 		}
 		var err error
-		if lent != nil {
-			recv[r], lent[r], err = c.ep.RecvLent(r, t)
-		} else {
+		switch {
+		case lent != nil:
+			recv[r], lent[r], _, err = c.ep.RecvLent(r, t)
+		case held != nil:
+			recv[r], _, held[r], err = c.ep.RecvLent(r, t)
+		default:
 			recv[r], err = c.ep.Recv(r, t)
 		}
 		if err != nil {

@@ -99,6 +99,100 @@ func TestAlltoallvLent(t *testing.T) {
 	}
 }
 
+// TestAlltoallvLeased: the leased exchange lends every non-empty buffer under
+// its sender's lease. In process each rank reads the very slices its peers
+// lent, each under the lease its lender armed, with a hold taken for it; the
+// lender's buffer goes back to the pool only when the last of its readers —
+// the lender included — has released, whichever order they release in. Over
+// TCP and through chaos.Transport the receiver gets a copy of its own and no
+// lease, and the lender's release alone gives its buffer back.
+func TestAlltoallvLeased(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		name  string
+		tr    func(t *testing.T) comm.Transport
+		lends bool
+	}{
+		{"chan", func(*testing.T) comm.Transport { return comm.NewChanTransport(n) }, true},
+		{"tcp", func(t *testing.T) comm.Transport {
+			tr, err := comm.NewTCPTransport(n)
+			if err != nil {
+				t.Skipf("no loopback sockets: %v", err)
+			}
+			return tr
+		}, false},
+		{"chaos", func(*testing.T) comm.Transport {
+			return chaos.NewTransport(comm.NewChanTransport(n), n, 1, chaos.Rates{}, nil)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := bufpool.Stats().Outstanding
+			leases := make([]comm.Lease, n)
+			bufs := make([][]byte, n)
+			var released sync.WaitGroup
+			released.Add(n)
+			lendAll(t, n, tc.tr(t), func(c *collective.Comm) error {
+				me := c.Rank()
+				// Rank me lends rank j bytes [40j, 40j+40) of one buffer.
+				buf := bufpool.Get(40 * n)
+				for i := range buf {
+					buf[i] = byte(16*me + i)
+				}
+				bufs[me] = buf
+				leases[me].Arm(buf, nil)
+				send := make([][]byte, n)
+				for j := range send {
+					if j != me {
+						send[j] = buf[40*j : 40*j+40]
+					}
+				}
+				recv, held := make([][]byte, n), make([]*comm.Lease, n)
+				if err := c.AlltoallvLeased(send, recv, held); err != nil {
+					return err
+				}
+				for r, p := range recv {
+					if r == me {
+						continue
+					}
+					want := bufs[r][40*me : 40*me+40]
+					switch {
+					case !bytes.Equal(p, want):
+						return fmt.Errorf("what came from %d is not what it lent", r)
+					case tc.lends && (held[r] != &leases[r] || &p[0] != &want[0]):
+						return fmt.Errorf("from %d: not the lender's slice under its lease", r)
+					case !tc.lends && held[r] != nil:
+						return fmt.Errorf("from %d: a copy came with a lease", r)
+					}
+				}
+				if leases[me].Idle() {
+					return fmt.Errorf("the lease went idle with its lender's hold still on")
+				}
+				// Release in rank order, the lender's own hold last.
+				for r := range held {
+					if held[r] == nil {
+						bufpool.Put(recv[r])
+					}
+				}
+				for r := range held {
+					held[r].Release()
+				}
+				released.Done()
+				released.Wait()
+				leases[me].Release()
+				return nil
+			})
+			for r := range leases {
+				if !leases[r].Idle() {
+					t.Errorf("rank %d's lease is still held", r)
+				}
+			}
+			if held := bufpool.Stats().Outstanding - base; held != 0 {
+				t.Errorf("%d pooled buffers out after every reader released", held)
+			}
+		})
+	}
+}
+
 // TestLentMessageIsNeverReleased: a lent payload stays its sender's whatever
 // becomes of the message — a duplicate the mailbox discards, or a message
 // nobody received when the transport closes — so the transport never gives it

@@ -96,8 +96,8 @@ type Transport interface {
 
 // DeadlineRecver is implemented by transports whose receives can be bounded
 // in real time. A receive that outlasts the deadline fails with
-// ErrRecvTimeout (a transient fault) instead of blocking forever — the
-// last-resort conversion of a hang into a clean error.
+// ErrRecvTimeout instead of blocking forever — the last-resort conversion of
+// a hang into a clean error.
 type DeadlineRecver interface {
 	RecvWithin(to, from int, tag uint64, timeout time.Duration) (Message, error)
 }
@@ -111,10 +111,13 @@ var ErrClosed = errors.New("comm: transport closed")
 // propagate immediately.
 var ErrTransient = errors.New("comm: transient fault")
 
-// ErrRecvTimeout reports a receive that outlasted its real-time deadline.
-// It wraps ErrTransient: the receiver may retry (the message may merely be
-// delayed), and gives up cleanly when its retry budget is spent.
-var ErrRecvTimeout = fmt.Errorf("%w: receive deadline exceeded", ErrTransient)
+// ErrRecvTimeout reports a receive that outlasted its real-time deadline. On
+// the in-process transport it is final: nothing there holds a message for
+// long, so a wait past the deadline is a peer that diverged or died, and
+// waiting again only multiplies the wait. A wire transport's also wraps
+// ErrTransient: a peer across a socket may merely be slow, and the receiver
+// retries until its budget is spent.
+var ErrRecvTimeout = errors.New("comm: receive deadline exceeded")
 
 // IsTransient reports whether err is worth retrying: anything wrapping
 // ErrTransient, plus net.Error timeouts from a real-socket transport.
@@ -774,7 +777,7 @@ func (t *ChanTransport) Recv(to, from int, tag uint64) (Message, error) {
 	return t.boxes[to].get(from, tag)
 }
 
-// RecvWithin implements DeadlineRecver.
+// RecvWithin implements DeadlineRecver; a timeout is final (ErrRecvTimeout).
 func (t *ChanTransport) RecvWithin(to, from int, tag uint64, timeout time.Duration) (Message, error) {
 	if to < 0 || to >= len(t.boxes) {
 		return Message{}, fmt.Errorf("comm: recv on invalid rank %d (size %d)", to, len(t.boxes))
@@ -815,6 +818,7 @@ type Endpoint struct {
 	mon        *dsmon.Monitor
 	mSent      *dsmon.Counter
 	mRecv      *dsmon.Counter
+	mLent      *dsmon.Counter
 	mBytesOut  *dsmon.Counter
 	mBytesIn   *dsmon.Counter
 	mTransient *dsmon.Counter
@@ -863,6 +867,7 @@ func (e *Endpoint) SetMonitor(m *dsmon.Monitor) *Endpoint {
 	reg := m.Registry()
 	e.mSent = reg.Counter("comm_messages_sent_total", "point-to-point messages sent")
 	e.mRecv = reg.Counter("comm_messages_received_total", "point-to-point messages received")
+	e.mLent = reg.Counter("comm_messages_lent_total", "messages received as their sender's own memory, not a copy")
 	e.mBytesOut = reg.Counter("comm_bytes_sent_total", "payload bytes sent")
 	e.mBytesIn = reg.Counter("comm_bytes_received_total", "payload bytes received")
 	e.mTransient = reg.Counter("comm_transient_errors_total", "transient transport faults observed (send and recv)")
@@ -937,10 +942,11 @@ func (e *Endpoint) SendOnceOwned(to int, tag uint64, buf []byte) error {
 // in-process transport the receiver is handed the very slice, which RecvLent
 // reports as lent; a wire transport copies it as Send does. The caller keeps
 // data intact, and releases it only once its protocol has a fence past which
-// the receiver no longer reads it. Until that fence the caller cannot tell
-// whether the receiver still holds the slice — a send or an exchange that
-// fails after a lent send has returned nil leaves data to the garbage
-// collector, never to bufpool.Put.
+// the receiver no longer reads it; when data lies in the buffers of an armed
+// Lease, the lease is that fence and the receiver takes a hold on it. Until
+// the fence the caller cannot tell whether the receiver still holds the
+// slice — a send or an exchange that fails after a lent send has returned nil
+// leaves data to the garbage collector, never to bufpool.Put.
 func (e *Endpoint) SendOnceLent(to int, tag uint64, data []byte) error {
 	return e.send(to, tag, SeqOnce, data, Lent)
 }
@@ -1024,21 +1030,23 @@ func (e *Endpoint) recvOnce(from int, tag uint64) (Message, error) {
 // once fully consumed (releasing is optional — the GC reclaims it either
 // way).
 func (e *Endpoint) Recv(from int, tag uint64) ([]byte, error) {
-	data, lent, err := e.RecvLent(from, tag)
+	data, lent, lease, err := e.RecvLent(from, tag)
 	if lent {
 		data = append(bufpool.GetCap(len(data)), data...)
+		lease.Release()
 	}
 	return data, err
 }
 
 // RecvLent is Recv reporting whether the payload is lent (see SendOnceLent):
 // the sender's own memory, which the caller reads only up to the fence its
-// protocol provides and never writes or hands to bufpool.Put. A payload that
-// is not lent is the caller's, as Recv's is.
-func (e *Endpoint) RecvLent(from int, tag uint64) ([]byte, bool, error) {
+// protocol provides and never writes or hands to bufpool.Put. When it lies
+// under an armed Lease, that lease is returned with a hold taken for the
+// caller, who releases it once it stops reading. A payload that is not lent
+// is the caller's, as Recv's is, and comes with no lease.
+func (e *Endpoint) RecvLent(from int, tag uint64) (data []byte, lent bool, lease *Lease, err error) {
 	start := e.clock.Now()
 	var m Message
-	var err error
 	backoff := e.retry.Backoff
 	for attempt := 1; ; attempt++ {
 		m, err = e.recvOnce(from, tag)
@@ -1048,7 +1056,7 @@ func (e *Endpoint) RecvLent(from int, tag uint64) ([]byte, bool, error) {
 		e.mTransient.Inc()
 		if attempt >= e.retry.MaxAttempts {
 			e.mExhausted.Inc()
-			return nil, false, fmt.Errorf("comm: recv from %d tag %#x: retries exhausted after %d attempts: %w",
+			return nil, false, nil, fmt.Errorf("comm: recv from %d tag %#x: retries exhausted after %d attempts: %w",
 				from, tag, attempt, err)
 		}
 		e.mRecvRetry.Inc()
@@ -1056,7 +1064,15 @@ func (e *Endpoint) RecvLent(from int, tag uint64) ([]byte, bool, error) {
 		backoff *= 2
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, false, nil, err
+	}
+	if m.Mode == Lent {
+		e.mLent.Inc()
+		if lease = leaseOf(m.Data); lease != nil {
+			// Before the exchange that carried m can close, so before the
+			// lender's own release.
+			lease.hold()
+		}
 	}
 	arrival := m.Time + e.prof.MsgLatency + vtime.TransferTime(int64(len(m.Data)), e.prof.MsgBW)
 	e.clock.SyncTo(arrival)
@@ -1077,7 +1093,7 @@ func (e *Endpoint) RecvLent(from int, tag uint64) ([]byte, bool, error) {
 			rec.FlowIn(dsmon.FlowKey{Kind: "msg", A: from, B: e.rank, Tag: tag, Seq: m.Seq}, id)
 		}
 	}
-	return m.Data, m.Mode == Lent, nil
+	return m.Data, m.Mode == Lent, lease, nil
 }
 
 // Stats is one endpoint's traffic account.

@@ -114,8 +114,8 @@ func TestMailboxGetWithinTimesOut(t *testing.T) {
 	if err == nil {
 		t.Fatal("empty-mailbox wait returned a message")
 	}
-	if !errors.Is(err, ErrRecvTimeout) || !IsTransient(err) {
-		t.Fatalf("timeout error = %v; want ErrRecvTimeout (transient)", err)
+	if !errors.Is(err, ErrRecvTimeout) || IsTransient(err) {
+		t.Fatalf("timeout error = %v; want ErrRecvTimeout, final (the transport decides whether to retry)", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timed-out wait took %v", elapsed)
@@ -234,22 +234,37 @@ func TestEndpointDoesNotRetryFatalErrors(t *testing.T) {
 	}
 }
 
+// TestEndpointRecvDeadline: a receive that outlasts its deadline fails with
+// ErrRecvTimeout. In process that is final — the endpoint does not wait again
+// — while over TCP it is transient and spends the retry budget.
 func TestEndpointRecvDeadline(t *testing.T) {
-	tr := NewChanTransport(2)
-	_, rcv, mon := testEndpoints(tr)
-	rcv.SetRecvDeadline(15 * time.Millisecond).
-		SetRetryPolicy(RetryPolicy{MaxAttempts: 2, Backoff: 1e-6})
-	_, err := rcv.Recv(0, 42)
-	if err == nil {
-		t.Fatal("receive with no sender returned")
+	tcp, err := NewTCPTransport(2)
+	if err != nil {
+		t.Skipf("no loopback sockets: %v", err)
 	}
-	if !IsTransient(err) {
-		t.Fatalf("deadline error not transient: %v", err)
-	}
-	if n := mon.Registry().Counter("comm_recv_retries_total", "").Value(); n != 1 {
-		t.Errorf("recv retries counted = %d, want 1", n)
+	defer tcp.Close()
+	for _, tc := range []struct {
+		name    string
+		tr      Transport
+		retries int64
+	}{{"chan", NewChanTransport(2), 0}, {"tcp", tcp, 1}} {
+		_, rcv, mon := testEndpoints(tc.tr)
+		rcv.SetRecvDeadline(15 * time.Millisecond).
+			SetRetryPolicy(RetryPolicy{MaxAttempts: 2, Backoff: 1e-6})
+		_, err := rcv.Recv(0, 42)
+		if err == nil {
+			t.Fatalf("%s: receive with no sender returned", tc.name)
+		}
+		if !errors.Is(err, ErrRecvTimeout) || IsTransient(err) != (tc.retries > 0) {
+			t.Errorf("%s: deadline error %v, want ErrRecvTimeout, transient: %v", tc.name, err, tc.retries > 0)
+		}
+		if n := mon.Registry().Counter("comm_recv_retries_total", "").Value(); n != tc.retries {
+			t.Errorf("%s: recv retries counted = %d, want %d", tc.name, n, tc.retries)
+		}
 	}
 	// A sender that shows up within the deadline is unaffected.
+	tr := NewChanTransport(2)
+	_, rcv, _ := testEndpoints(tr)
 	snd := NewEndpoint(0, 2, tr, new(vtime.Clock), vtime.Paragon())
 	go func() {
 		time.Sleep(5 * time.Millisecond)

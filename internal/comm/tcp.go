@@ -3,6 +3,7 @@ package comm
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -305,12 +306,17 @@ func (t *TCPTransport) Recv(to, from int, tag uint64) (Message, error) {
 	return t.boxes[to].get(from, tag)
 }
 
-// RecvWithin implements DeadlineRecver.
+// RecvWithin implements DeadlineRecver. A timeout is transient: the peer
+// across the socket may merely be slow.
 func (t *TCPTransport) RecvWithin(to, from int, tag uint64, timeout time.Duration) (Message, error) {
 	if to < 0 || to >= len(t.boxes) {
 		return Message{}, fmt.Errorf("comm: tcp recv on invalid rank %d", to)
 	}
-	return t.boxes[to].getWithin(from, tag, timeout)
+	m, err := t.boxes[to].getWithin(from, tag, timeout)
+	if errors.Is(err, ErrRecvTimeout) {
+		err = fmt.Errorf("%w: %w", ErrTransient, err)
+	}
+	return m, err
 }
 
 // Close shuts down the writers, the listener, all connections, and all

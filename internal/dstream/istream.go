@@ -9,6 +9,7 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/collective"
+	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/enc"
@@ -23,7 +24,7 @@ import (
 //
 // Element decoders alias pooled buffers the stream recycles: the refill
 // buffer holding this node's share of the record and, after a sorted Read
-// across layouts, the frames the other nodes sent. Bytes obtained with
+// across layouts, what the other nodes lent of theirs. Bytes obtained with
 // Decoder.Raw are therefore valid only until the next Read, UnsortedRead,
 // Skip or Close, wherever the element came from; copy them out to keep them.
 // Everything else a Decoder returns — scalars, strings, Bytes32, and the
@@ -44,7 +45,8 @@ type IStream struct {
 	// Steady-state scratch, reused across records: refill holds the node's
 	// share of the current record's data section (element decoders alias it,
 	// so bytes extracted with Raw are invalidated by the next Read, Skip, or
-	// Close).
+	// Close) — unless the redistribution lent part of it, when it is the
+	// lease's and refill is nil.
 	refill []byte
 	// metaFrame is the pooled frame the current record's front matter
 	// arrived in, held with refill's lifetime.
@@ -73,12 +75,17 @@ type IStream struct {
 
 	// Sorted-read redistribution state: frames holds what the other ranks
 	// sent for the current record (element decoders alias them, with
-	// refill's lifetime); sendBufs, packed and offs (where each position of
-	// this rank's share starts in it) are per-record scratch, and so is
-	// extent, the pieces a two-phase aggregator reads its extent into.
+	// refill's lifetime) and leases[r] the lease frames[r] is read under —
+	// nil for a copy the stream owns — with leases[rank] the stream's own
+	// hold on the lease its share went out under. lends are those leases,
+	// two because one is still held while the next record lends (see
+	// idleLease). sendBufs and offs (where each position of this rank's
+	// share starts in it) are per-record scratch, and so is extent, the
+	// pieces a two-phase aggregator reads its extent into.
 	frames   [][]byte
+	leases   []*comm.Lease
+	lends    [2]comm.Lease
 	sendBufs [][]byte
-	packed   [][]byte
 	offs     []int
 	extent   [][]byte
 
@@ -669,8 +676,8 @@ func (s *IStream) Close() error {
 	s.preFree = nil
 	err := s.f.Close()
 	s.f = nil
+	s.releaseFrames()
 	bufpool.Put(s.refill)
 	s.refill = nil
-	s.releaseFrames()
 	return s.closeView(err)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pcxxstreams/internal/bufpool"
+	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/enc"
 )
@@ -103,9 +104,19 @@ func (s *IStream) planFor(wdist *distr.Distribution) *redistPlan {
 // redistribute is phase two of the sorted read: every element of chunk — this
 // rank's share, file positions [lo, hi), sized by the record's raw size table
 // — is routed to the rank that owns it under the reader's distribution, and
-// s.decs[l] is pointed at local slot l's payload. Payloads from this rank
-// stay in chunk; the others alias the received frames, which the stream holds
-// until releaseFrames.
+// s.decs[l] is pointed at local slot l's payload.
+//
+// Nothing is copied to cross ranks but what must be gathered: a destination
+// whose positions are one run of the share is lent that run as it stands, and
+// the strided destinations are packed, each into its part of one pooled
+// buffer, which is lent too. Both go out under one of the stream's leases
+// (comm.Lease): on the in-process transport the receivers' decoders read them
+// where they are, and the share and the pack go back to the pool when the
+// last reader — this rank included — releases the lease in releaseFrames.
+// chunk is the stream's refill share, so once any of it is lent it is the
+// lease's and s.refill lets go of it; payloads this rank keeps stay in it.
+// The other ranks' payloads alias what they lent, or the copies a copying
+// transport delivered, which the stream holds until releaseFrames.
 func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, hi int) error {
 	me := s.node.Rank()
 	nprocs := s.dist.NProcs
@@ -117,8 +128,9 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, h
 	}
 
 	bufs := sendBufs(&s.sendBufs, nprocs)
-	packed := s.packed[:0]
-	var sendBytes int64
+	var pack []byte
+	var sendBytes int
+	lendShare := false
 	for d := range bufs {
 		pos := pl.send[pl.sendStart[d]:pl.sendStart[d+1]]
 		if d == me || len(pos) == 0 {
@@ -126,42 +138,54 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, h
 		}
 		first, last := pos[0], pos[len(pos)-1]
 		if last-first == len(pos)-1 {
-			// One contiguous run: the wire's copy is the only copy.
 			bufs[d] = payload(first, last)
-			sendBytes += int64(len(bufs[d]))
+			sendBytes += len(bufs[d])
+			lendShare = lendShare || len(bufs[d]) > 0
 			continue
 		}
-		n := 0
-		for _, p := range pos {
-			n += offs[p+1-lo] - offs[p-lo]
+		if pack == nil {
+			pack = bufpool.GetCap(len(chunk)) // what is packed is part of the share
 		}
-		b := bufpool.GetCap(n)
+		at := len(pack)
 		for i := 0; i < len(pos); {
 			j := i + 1
 			for j < len(pos) && pos[j] == pos[j-1]+1 {
 				j++
 			}
-			b = append(b, payload(pos[i], pos[j-1])...)
+			pack = append(pack, payload(pos[i], pos[j-1])...)
 			i = j
 		}
-		bufs[d] = b
-		packed = append(packed, b)
-		sendBytes += int64(n)
+		bufs[d] = pack[at:] // to pack's end, where its lease finds it
+		sendBytes += len(pack) - at
 	}
-	s.node.CopyCost(sendBytes)
+	s.node.CopyCost(int64(sendBytes))
 
-	// The stream keeps the frames list from record to record; every received
-	// frame is the stream's, error or not, until releaseFrames.
-	recv := sendBufs(&s.frames, nprocs)
-	err := s.node.Comm().AlltoallvInto(bufs, recv)
-	for i, b := range packed {
-		bufpool.Put(b)
-		packed[i] = nil
+	var lease *comm.Lease
+	if lendShare || pack != nil {
+		var share []byte
+		if lendShare {
+			share, s.refill = chunk, nil // the lease's now
+		}
+		lease = s.idleLease()
+		lease.Arm(share, pack)
 	}
-	s.packed = packed[:0]
+	// The stream keeps the frames and lease lists from record to record;
+	// every received frame is the stream's to release, error or not, until
+	// releaseFrames.
+	recv := sendBufs(&s.frames, nprocs)
+	if len(s.leases) != nprocs {
+		s.leases = make([]*comm.Lease, nprocs)
+	}
+	err := s.node.Comm().AlltoallvLeased(bufs, recv, s.leases)
+	clear(bufs)
 	if err != nil {
+		// A peer may still be reading what it was lent.
+		if lease != nil {
+			lease.Abandon()
+		}
 		return fmt.Errorf("dstream: redistribute: %w", err)
 	}
+	s.leases[me] = lease
 	if pl.err != nil {
 		return pl.err
 	}
@@ -192,6 +216,21 @@ func (s *IStream) redistribute(pl *redistPlan, chunk []byte, table []byte, lo, h
 	return nil
 }
 
+// idleLease returns a lease for this record's share to go out under: one of
+// the stream's two, or a new one when neither is idle. The lease lent for
+// record k is idle by record k+2 whenever record k+1 was redistributed too,
+// because that exchange cannot close before every rank has entered its Read
+// and released its hold on record k; a record between them that was skipped
+// or read without an exchange can leave both held.
+func (s *IStream) idleLease() *comm.Lease {
+	for i := range s.lends {
+		if s.lends[i].Idle() {
+			return &s.lends[i]
+		}
+	}
+	return new(comm.Lease)
+}
+
 // shareOffsets is the prefix sum of one rank's part of a raw size table and no
 // more: offs[i] is where file position lo+i starts in the share [lo, hi),
 // offs[hi-lo] the share's length. The result reuses scratch when it is large
@@ -205,14 +244,21 @@ func shareOffsets(scratch []int, table []byte, lo, hi int) []int {
 	return offs
 }
 
-// releaseFrames returns the frames the current record's redistributed
-// elements alias, and the one its front matter arrived in. Called wherever
-// the refill buffer's contents die: the next Read, UnsortedRead or Skip, and
-// Close.
+// releaseFrames ends the current record's hold on the frames its
+// redistributed elements alias — releasing each lease a frame was lent
+// under, this rank's own share's included, and returning each frame that is
+// the stream's own copy — and returns the frame its front matter arrived in.
+// Called wherever the refill buffer's contents die: the next Read,
+// UnsortedRead or Skip, and Close.
 func (s *IStream) releaseFrames() {
-	for i, b := range s.frames {
-		bufpool.Put(b)
-		s.frames[i] = nil
+	for r, b := range s.frames {
+		if l := s.leases[r]; l != nil {
+			l.Release()
+			s.leases[r] = nil
+		} else {
+			bufpool.Put(b)
+		}
+		s.frames[r] = nil
 	}
 	bufpool.Put(s.metaFrame)
 	s.metaFrame = nil

@@ -330,11 +330,12 @@ func TestRedistBadFrame(t *testing.T) {
 }
 
 // TestRedistRawAliasDiesWithNextRead: bytes taken with Raw from an element
-// that crossed ranks alias a pooled frame, so the next Read ends their life
-// exactly as it does for bytes aliasing the refill buffer. With released
-// buffers poisoned that is observable: the kept slice no longer holds a
-// byte of the element. (Before the plan-driven exchange every received
-// element was a private copy and the kept slice stayed intact.)
+// that crossed ranks alias the share its sender lent, so the next Read ends
+// their life exactly as it does for bytes aliasing the refill buffer: by the
+// time it returns every rank has released the lease. With released buffers
+// poisoned that is observable: the kept slice no longer holds a byte of the
+// element. (Before the plan-driven exchange every received element was a
+// private copy and the kept slice stayed intact.)
 func TestRedistRawAliasDiesWithNextRead(t *testing.T) {
 	if !bufpool.Debug {
 		t.Skip("needs -tags pooldebug: released buffers are not poisoned")

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,9 +52,10 @@ func TestWrapTransportSeesTraffic(t *testing.T) {
 }
 
 // TestRecvDeadlineConvertsHangToError: a rank waiting for a message nobody
-// sends is the canonical distributed hang; with a receive deadline and a
-// small retry budget configured at the machine level, Run returns a clean
-// transient-rooted error instead of blocking forever.
+// sends is the canonical distributed hang; with a receive deadline configured
+// at the machine level, Run returns a clean error instead of blocking forever.
+// In process the deadline is final: the first expiry is the verdict, with
+// the retry budget left unspent.
 func TestRecvDeadlineConvertsHangToError(t *testing.T) {
 	c := cfg(2)
 	c.RecvDeadline = 20 * time.Millisecond
@@ -74,8 +76,8 @@ func TestRecvDeadlineConvertsHangToError(t *testing.T) {
 		if err == nil {
 			t.Fatal("orphaned receive completed")
 		}
-		if !strings.Contains(err.Error(), "retries exhausted") {
-			t.Fatalf("error does not name the exhausted retry budget: %v", err)
+		if !errors.Is(err, comm.ErrRecvTimeout) || comm.IsTransient(err) || strings.Contains(err.Error(), "retries exhausted") {
+			t.Fatalf("error is not a final receive deadline, reached without a retry: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("machine run hung despite receive deadline")
