@@ -150,9 +150,10 @@ chaos:
 # Short fuzz pass over the wire codec, the schema decoder, the planner, the
 # daemon's two frame decoders, the two readers of a d/stream file against
 # each other, Segment's extractor into fresh and into filled elements, the
-# striped backend against a flat one, and whole stream scripts against the
-# reference d/stream (FuzzStreamVsModel; its f.Add seeds and the committed
-# corpora under testdata/fuzz replay in every plain `go test` run).
+# striped backend against a flat one, and whole stream scripts and channel
+# scripts against the reference d/stream (FuzzStreamVsModel,
+# FuzzChannelVsModel; their f.Add seeds and the committed corpora under
+# testdata/fuzz replay in every plain `go test` run).
 fuzz:
 	$(GO) test ./internal/enc/ -fuzz FuzzRoundTrip -fuzztime 30s
 	$(GO) test ./internal/enc/ -fuzz FuzzReaderNeverPanics -fuzztime 30s
@@ -168,3 +169,4 @@ fuzz:
 	$(GO) test ./internal/scf/ -fuzz FuzzSegmentExtract -fuzztime 30s
 	$(GO) test ./internal/pfs/ -fuzz FuzzStripedVsFlat -fuzztime 30s
 	$(GO) test ./internal/dstream/ -fuzz FuzzStreamVsModel -fuzztime 30s
+	$(GO) test ./internal/dstream/ -fuzz FuzzChannelVsModel -fuzztime 30s

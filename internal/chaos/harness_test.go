@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/machine"
 )
@@ -158,12 +157,12 @@ func TestChaosSilentTornWrite(t *testing.T) {
 // payload — so the two-phase write shuffle and the sorted read's
 // redistribution lend under faults as they do in a fault-free run: the
 // campaign must receive lent messages. Beyond the shared verdict (no hang,
-// no corruption), every buffer the pool gave out comes back, a share
-// abandoned by a failed exchange included (bufpool.Drop counts it out).
+// no corruption), the test binary's leak check holds every buffer the pool
+// gave out to coming back, a share abandoned by a failed exchange included
+// (bufpool.Drop counts it out).
 func TestChaosStorageFaultsLend(t *testing.T) {
 	d := DefaultRates()
 	rates := Rates{ReadErr: d.ReadErr, WriteErr: d.WriteErr, ShortRead: d.ShortRead, ShortWrite: d.ShortWrite, TornWrite: 0.02}
-	out := bufpool.Stats().Outstanding
 	rep := campaign(t, Config{Pipeline: Pipeline{Strategy: dstream.StrategyTwoPhase}, Budget: Budget{Rates: rates}}.Scenario(), *chaosN)
 	requireInjected(t, rep, pfsPlane)
 	requireInjected(t, rep, silentWrite)
@@ -172,9 +171,6 @@ func TestChaosStorageFaultsLend(t *testing.T) {
 	}
 	if n := rep.Injects["comm:"+commPlane.kinds[0]]; n != 0 {
 		t.Errorf("%d transport faults injected in a storage-only campaign", n)
-	}
-	if held := bufpool.Stats().Outstanding - out; held != 0 {
-		t.Errorf("%d pooled buffers out after the campaign", held)
 	}
 	t.Logf("%d messages received lent; %d of %d seeds silently accepted a torn write (%d torn)",
 		rep.Injects["comm:lent"], rep.Silent, len(rep.Results), rep.Injects["pfs:torn_write"])

@@ -392,8 +392,7 @@ func (r *refuseAfter) Send(m comm.Message) error {
 // TestAlltoallvOwned: the owned exchange hands the buffers over. On the
 // in-process transport every rank receives the very slices its peers filled —
 // the same first byte, not a copy — and its own entry as itself; bufs is all
-// nil afterwards, and once the receivers have released what they got the
-// pool's count is back where it started. A send that fails leaves the buffers
+// nil afterwards. A send that fails leaves the buffers
 // not yet sent with the caller, every byte in place, and the one sent before
 // it with its receiver.
 func TestAlltoallvOwned(t *testing.T) {
@@ -409,7 +408,6 @@ func TestAlltoallvOwned(t *testing.T) {
 		w := want(from, to)
 		return append(bufpool.GetCap(len(w)), w...)
 	}
-	base := bufpool.Stats().Outstanding
 	var mu sync.Mutex
 	sent := map[[2]int]*byte{}
 	spmd(t, n, func(c *Comm) error {
@@ -447,9 +445,6 @@ func TestAlltoallvOwned(t *testing.T) {
 		}
 		return nil
 	})
-	if got := bufpool.Stats().Outstanding - base; got != 0 {
-		t.Errorf("%d pooled buffers out after the exchange", got)
-	}
 
 	tr := &refuseAfter{Transport: comm.NewChanTransport(3), left: 1}
 	defer tr.Close()
@@ -695,18 +690,12 @@ func TestCollectivesOverTCP(t *testing.T) {
 	})
 }
 
-// TestOwnedFramesAccount: the broadcast root builds a pooled frame only
-// to send it, and gives its last copy to the transport. The pool's account
-// says nobody lost one and nobody released one twice: once every rank has
-// released what Alltoallv returned, as many buffers are out as before; an
-// Allreduce, which copies its eight bytes out of the broadcast frame, leaves
-// none out; a Bcast leaves none out either, its receivers' frames dropped to
-// the garbage collector (they return a sub-slice, which the pool will not
-// take); and a send that fails leaves the frame with the sender, who releases
-// it, which the test binary's ledger checks.
+// TestOwnedFramesAccount: Alltoallv, Allreduce and Bcast rounds whose
+// receivers release what they got, and a Bcast whose send fails, which leaves
+// the frame with the sender to release. That no frame is lost or released
+// twice is the test binary's ledger's to check.
 func TestOwnedFramesAccount(t *testing.T) {
 	const n, rounds = 4, 3
-	base := bufpool.Stats().Outstanding
 	spmd(t, n, func(c *Comm) error {
 		me := c.Rank()
 		for round := 0; round < rounds; round++ {
@@ -739,9 +728,6 @@ func TestOwnedFramesAccount(t *testing.T) {
 		}
 		return nil
 	})
-	if got := bufpool.Stats().Outstanding - base; got != 0 {
-		t.Errorf("%d pooled buffers out after %d rounds, want 0", got, rounds)
-	}
 
 	tr := comm.NewChanTransport(2)
 	tr.Close()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"pcxxstreams/internal/bufpool"
@@ -242,7 +241,7 @@ func TestChannelArenaReleased(t *testing.T) {
 	const consumers = 2
 	for _, shape := range []int{1, 2} {
 		t.Run(fmt.Sprintf("inserts=%d", shape), func(t *testing.T) {
-			chanRun(t, 1+consumers, nil, func(n *machine.Node) error {
+			run(t, 1+consumers, nil, func(n *machine.Node) error {
 				if n.Rank() != 0 {
 					return nil // what reaches a mailbox stays there until the machine stops
 				}
@@ -383,101 +382,6 @@ func TestSizeOverflowIsAnError(t *testing.T) {
 				return nil
 			})
 		})
-	}
-}
-
-// TestChannelDeliversWhatTheFileStores: for each group shape, what a 2→2
-// channel's consumers extract, element by element, is what readers of the
-// same layout get from the file the same inserts wrote.
-func TestChannelDeliversWhatTheFileStores(t *testing.T) {
-	for _, shape := range goldenShapes {
-		var mu sync.Mutex
-		viaChan, viaFile := map[string][]byte{}, map[string][]byte{}
-		keep := func(into map[string][]byte, rd *distr.Distribution, rank, rec int) func(int, *Decoder) {
-			return func(l int, d *Decoder) {
-				mu.Lock()
-				defer mu.Unlock()
-				key := fmt.Sprintf("r%d/g%d", rec, rd.GlobalIndex(rank, l))
-				into[key] = append([]byte(nil), d.Raw(d.Remaining())...)
-			}
-		}
-		insertAll := func(insert func(func(int, *Encoder)) error, write func() error, wd *distr.Distribution, rank int) error {
-			for rec := 0; rec < goldenRecs; rec++ {
-				for i := 0; i < shape; i++ {
-					err := insert(func(l int, e *Encoder) { e.Raw(goldenPayload(rec, i, wd.GlobalIndex(rank, l))) })
-					if err != nil {
-						return err
-					}
-				}
-				if err := write(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		chanRun(t, 4, nil, func(n *machine.Node) error {
-			wd, _ := goldenDist("block", 2)
-			rd, _ := goldenDist("cyclic", 2)
-			if n.Rank() < 2 {
-				s, err := OpenChannel(n, wd, rd, "cmp")
-				if err != nil {
-					return err
-				}
-				defer s.Close()
-				return insertAll(s.InsertFunc, s.Write, wd, n.Rank())
-			}
-			r, err := OpenChannelInput(n, rd, wd, "cmp")
-			if err != nil {
-				return err
-			}
-			defer r.Close()
-			for rec := 0; rec < goldenRecs; rec++ {
-				if err := r.Read(); err != nil {
-					return err
-				}
-				if err := r.ExtractFunc(keep(viaChan, rd, n.Rank()-2, rec)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		run(t, 2, pfs.NewMemFS(vtime.Challenge()), func(n *machine.Node) error {
-			wd, _ := goldenDist("block", 2)
-			rd, _ := goldenDist("cyclic", 2)
-			s, err := Open(n, wd, "cmp")
-			if err != nil {
-				return err
-			}
-			if err := insertAll(s.InsertFunc, s.Write, wd, n.Rank()); err != nil {
-				return err
-			}
-			if err := s.Close(); err != nil {
-				return err
-			}
-			in, err := OpenInput(n, rd, "cmp")
-			if err != nil {
-				return err
-			}
-			defer in.Close()
-			for rec := 0; rec < goldenRecs; rec++ {
-				if err := in.Read(); err != nil {
-					return err
-				}
-				if err := in.ExtractFunc(keep(viaFile, rd, n.Rank(), rec)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if len(viaChan) != goldenRecs*goldenElems || len(viaFile) != len(viaChan) {
-			t.Fatalf("%d inserts: %d elements via the channel, %d via the file, want %d",
-				shape, len(viaChan), len(viaFile), goldenRecs*goldenElems)
-		}
-		for k, f := range viaFile {
-			if !bytes.Equal(viaChan[k], f) {
-				t.Errorf("%d inserts, %s: channel delivered %x, file stores %x", shape, k, viaChan[k], f)
-			}
-		}
 	}
 }
 

@@ -511,8 +511,7 @@ type IChannel struct {
 
 	eos bool
 
-	srcs   []chanSrc
-	srcEOF []bool
+	srcs []chanSrc
 	// frames holds the current record's frame buffers (parallel to srcs);
 	// the element decoders alias them, so they are retired — credited back
 	// to their producers and returned to the pool — only when the next
@@ -570,7 +569,6 @@ func (r *IChannel) buildRouting() {
 	if len(r.srcs) == 0 {
 		r.srcs = append(r.srcs, chanSrc{prod: 0, rank: 0})
 	}
-	r.srcEOF = make([]bool, len(r.srcs))
 	r.frames = make([][]byte, len(r.srcs))
 	r.out = make([][]byte, nLocal)
 }
@@ -736,15 +734,10 @@ func (r *IChannel) drain() error {
 	}
 	ep := r.node.Comm().Endpoint()
 	var drained int64
-	done := 0
-	for i := range r.srcs {
-		if r.srcEOF[i] {
-			done++
-		}
-	}
-	for done < len(r.srcs) {
+	eof := make([]bool, len(r.srcs)) // sources whose EOF marker arrived
+	for done := 0; done < len(r.srcs); {
 		for i := range r.srcs {
-			if r.srcEOF[i] {
+			if eof[i] {
 				continue
 			}
 			src := &r.srcs[i]
@@ -760,7 +753,7 @@ func (r *IChannel) drain() error {
 				return r.fail(fmt.Errorf("%w: channel frame from producer %d: truncated header", ErrIO, src.prod))
 			}
 			if flags&chanFlagEOF != 0 {
-				r.srcEOF[i] = true
+				eof[i] = true
 				done++
 				bufpool.Put(b)
 				continue

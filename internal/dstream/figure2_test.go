@@ -70,7 +70,7 @@ var figure2Ends = []struct {
 		})
 	}},
 	{"channel", ErrEOS, func(t *testing.T, out func(figure2Out) error, in func(figure2In) error, inOpts ...Option) {
-		chanRun(t, 2, nil, func(n *machine.Node) error {
+		run(t, 2, nil, func(n *machine.Node) error {
 			d, err := distr.New(figure2Elems, 1, distr.Block, 0)
 			if err != nil {
 				return err
@@ -330,7 +330,7 @@ func TestFigure2Table(t *testing.T) {
 func TestFigure2TableDecodersOneAllocation(t *testing.T) {
 	const runs = 20
 	firstRead := func(nElems int) (avg float64) {
-		chanRun(t, 1, nil, func(n *machine.Node) error {
+		run(t, 1, nil, func(n *machine.Node) error {
 			d, err := distr.New(nElems, 1, distr.Block, 0)
 			if err != nil {
 				return err

@@ -15,11 +15,20 @@ import (
 	"pcxxstreams/internal/vtime"
 )
 
-// refilled is tagged with the paper's extractor, `s >> array(p.tags, n)`:
+// refilled is an element with short slices of both word types, empty ones
+// among them, extracted with the paper's extractor, `s >> array(p.tags, n)`:
 // its slices are refilled in the element's own memory.
-type refilled tagged
+type refilled struct {
+	ID   int64
+	Tags []int64
+	W    []float64
+}
 
-func (e *refilled) StreamInsert(b *Encoder) { (*tagged)(e).StreamInsert(b) }
+func (e *refilled) StreamInsert(b *Encoder) {
+	b.Int64(e.ID)
+	b.Int64Slice(e.Tags)
+	b.Float64Slice(e.W)
+}
 
 func (e *refilled) StreamExtract(d *Decoder) {
 	e.ID = d.Int64()
@@ -201,7 +210,7 @@ func TestExtractRefillsElementSlices(t *testing.T) {
 	}
 	t.Run("channel", func(t *testing.T) {
 		const m, c = 2, 2
-		chanRun(t, m+c, nil, func(n *machine.Node) error {
+		run(t, m+c, nil, func(n *machine.Node) error {
 			wd, rd := mustDist(t, nElems, m, distr.Block, 0), mustDist(t, nElems, c, distr.Cyclic, 0)
 			if n.Rank() < m {
 				s, err := OpenChannel(n, wd, rd, "refill")

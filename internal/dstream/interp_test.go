@@ -102,11 +102,12 @@ const (
 	xExtract
 	xClose
 	xFlip
+	xCloseOut // a channel's producer end; xClose is its consumer end
 )
 
 func (o xop) String() string {
 	return [...]string{"open-out", "open-in", "insert", "write", "skew", "read", "unsorted-read", "skip",
-		"next-elems", "extract", "close", "flip"}[o]
+		"next-elems", "extract", "close", "flip", "producer-close"}[o]
 }
 
 // Extract modes.
@@ -272,6 +273,9 @@ type xstep struct {
 	arrays int         // xRead, xUnsorted: Arrays after the step
 	elems  [][]elemExp // xRead, xUnsorted: [rank][local]
 	array  int         // xExtract: the array it takes
+
+	pending int  // a channel's producer step: Pending after it
+	eof     bool // a channel's consumer step: EOF after it
 }
 
 // xrun is one machine run: an output or input stream's life, or a flip.
@@ -528,13 +532,7 @@ func (x *interp) outStep(op xop, a byte) {
 		st.class, x.out = refOrder, refOrder
 	default:
 		at := int64(len(x.img))
-		enc := make([][][]byte, len(x.pending))
-		for k, ins := range x.pending {
-			for _, items := range ins {
-				enc[k] = append(enc[k], itemBytes(items))
-			}
-		}
-		x.img = refAppend(x.img, x.wd, enc)
+		x.img = refAppend(x.img, x.wd, encodeInserts(x.pending))
 		x.logs[at] = &recLog{order: refFileOrder(x.wd), ins: x.pending}
 		x.pending = nil
 		x.seq++
@@ -545,6 +543,18 @@ func (x *interp) outStep(op xop, a byte) {
 		st.n = x.wrote
 	}
 	x.cur().steps = append(x.cur().steps, st)
+}
+
+// encodeInserts is a group of inserts as refAppend takes it: by insert and
+// global element, the element's bytes.
+func encodeInserts(pending [][][]item) [][][]byte {
+	enc := make([][][]byte, len(pending))
+	for k, ins := range pending {
+		for _, items := range ins {
+			enc[k] = append(enc[k], itemBytes(items))
+		}
+	}
+	return enc
 }
 
 func (x *interp) inStep(op xop, a, b byte) {
@@ -576,9 +586,11 @@ func (x *interp) inStep(op xop, a, b byte) {
 
 // placed is what every reader element of the model's current record must
 // yield: the inserts of the element the script wrote at its file position.
-func (x *interp) placed() [][]elemExp {
-	m := x.in
-	log := x.logs[m.at]
+func (x *interp) placed() [][]elemExp { return placedOf(x.in, x.logs[x.in.at]) }
+
+// placedOf is what every reader element of m's current record must yield,
+// the record log says was written.
+func placedOf(m *refInput, log *recLog) [][]elemExp {
 	out := make([][]elemExp, len(m.place))
 	for r, ps := range m.place {
 		for _, p := range ps {
@@ -729,6 +741,8 @@ func classOf(err error) refClass {
 		return refNil
 	case errors.Is(err, ErrOrder):
 		return refOrder
+	case errors.Is(err, ErrEOS):
+		return refEOS
 	}
 	return refRefused
 }
@@ -871,10 +885,7 @@ func (x *interp) inBody(n *machine.Node, r *xrun, sigs []planSeen, bad *mismatch
 		bad.add(rank, -1, "LocalLen = %d, the layout's %d", in.LocalLen(), x.rd.LocalCount(rank))
 	}
 	var cur []elemExp
-	kept := make([]struct {
-		fs []float64
-		is []int64
-	}, x.rd.LocalCount(rank))
+	held := newKept(x.rd.LocalCount(rank))
 	for i, st := range r.steps {
 		var k int
 		switch st.op {
@@ -890,32 +901,7 @@ func (x *interp) inBody(n *machine.Node, r *xrun, sigs []planSeen, bad *mismatch
 				bad.add(rank, i, "NextElems = %d, the model's %d", k, st.n)
 			}
 		case xExtract:
-			err = in.ExtractFunc(func(l int, d *Decoder) {
-				if l >= len(cur) {
-					bad.add(rank, i, "extract of local %d: no element %d in the model's record", l, l)
-					return
-				}
-				want, raw := cur[l].array(st.array)
-				if left := cur[l].left(st.array); d.Remaining() != left {
-					bad.add(rank, i, "local %d array %d: %d bytes left before the extract, the model's %d", l, st.array, d.Remaining(), left)
-					return
-				}
-				if st.arg == extractRaw {
-					if got := d.Raw(len(raw)); !bytes.Equal(got, raw) {
-						bad.add(rank, i, "local %d array %d: raw bytes % x, the model's % x", l, st.array, got, raw)
-					}
-				} else {
-					for j, it := range want {
-						if msg := takeItem(d, it, st.arg == extractRefill, &kept[l].fs, &kept[l].is); msg != "" {
-							bad.add(rank, i, "local %d array %d item %d: %s", l, st.array, j, msg)
-							return
-						}
-					}
-				}
-				if left := cur[l].left(st.array) - len(raw); d.Remaining() != left {
-					bad.add(rank, i, "local %d array %d: %d bytes left after the extract, the model's %d", l, st.array, d.Remaining(), left)
-				}
-			})
+			err = in.ExtractFunc(held.check(bad, rank, i, st, cur))
 		case xSkew:
 			n.Compute(skewOf(rank, n.Size(), st.arg))
 			err = nil
@@ -933,12 +919,70 @@ func (x *interp) inBody(n *machine.Node, r *xrun, sigs []planSeen, bad *mismatch
 		}
 		sigs[i].set(rank, &in.planState)
 	}
+	held.recheck(bad, rank)
 	return nil
 }
 
-// takeItem decodes one item through the real decoder and compares it with
-// it, bit for bit; refill decodes slices into the element's kept ones.
-func takeItem(d *Decoder, it item, refill bool, fs *[]float64, is *[]int64) string {
+// kept is what one rank holds of the elements it extracted: by local element
+// the slices it refills, and a re-check of every slice it decoded fresh. A
+// fresh slice is the program's: it must still hold its values after later
+// reads and the stream's Close have released every buffer it came through.
+type kept struct {
+	fs    [][]float64
+	is    [][]int64
+	fresh []func() string
+}
+
+func newKept(n int) *kept { return &kept{fs: make([][]float64, n), is: make([][]int64, n)} }
+
+// check is the ExtractFunc callback of extract step st, step i of rank: every
+// local element's next array, as bytes or typed, against cur, the model's
+// record on this rank.
+func (k *kept) check(bad *mismatches, rank, i int, st xstep, cur []elemExp) func(int, *Decoder) {
+	return func(l int, d *Decoder) {
+		if l >= len(cur) {
+			bad.add(rank, i, "extract of local %d: no element %d in the model's record", l, l)
+			return
+		}
+		want, raw := cur[l].array(st.array)
+		if left := cur[l].left(st.array); d.Remaining() != left {
+			bad.add(rank, i, "local %d array %d: %d bytes left before the extract, the model's %d", l, st.array, d.Remaining(), left)
+			return
+		}
+		if st.arg == extractRaw {
+			if got := d.Raw(len(raw)); !bytes.Equal(got, raw) {
+				bad.add(rank, i, "local %d array %d: raw bytes % x, the model's % x", l, st.array, got, raw)
+			}
+		} else {
+			for j, it := range want {
+				if msg := k.take(d, it, st.arg == extractRefill, l); msg != "" {
+					bad.add(rank, i, "local %d array %d item %d: %s", l, st.array, j, msg)
+					return
+				}
+			}
+		}
+		if left := cur[l].left(st.array) - len(raw); d.Remaining() != left {
+			bad.add(rank, i, "local %d array %d: %d bytes left after the extract, the model's %d", l, st.array, d.Remaining(), left)
+		}
+	}
+}
+
+// recheck runs every fresh slice's re-check again, at the end of the run.
+func (k *kept) recheck(bad *mismatches, rank int) {
+	for _, f := range k.fresh {
+		if msg := f(); msg != "" {
+			bad.add(rank, -1, "a fresh slice at the end of the run: %s", msg)
+			return
+		}
+	}
+}
+
+// take decodes one item of local element l through the real decoder and
+// compares it with it, bit for bit; refill decodes slices into the element's
+// kept ones. A slice decoded fresh must be non-nil, empty or not, and exactly
+// as long as its capacity, so that an append reallocates instead of writing
+// over a neighbour; it is kept for the end-of-run re-check.
+func (k *kept) take(d *Decoder, it item, refill bool, l int) string {
 	switch it.kind {
 	case itemInt:
 		if v := d.Int64(); v != it.i {
@@ -955,29 +999,54 @@ func takeItem(d *Decoder, it item, refill bool, fs *[]float64, is *[]int64) stri
 	case itemFloats:
 		var v []float64
 		if refill {
-			v = d.AppendFloat64Slice((*fs)[:0])
-			*fs = v
+			v = d.AppendFloat64Slice(k.fs[l][:0])
+			k.fs[l] = v
 		} else {
 			v = d.Float64Slice()
 		}
-		if !slices.EqualFunc(v, it.fs, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			return fmt.Sprintf("Float64Slice %v, want %v", v, it.fs)
+		same := func() string {
+			if !slices.EqualFunc(v, it.fs, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				return fmt.Sprintf("Float64Slice %v, want %v", v, it.fs)
+			}
+			return ""
+		}
+		if msg := k.keep(v == nil, len(v), cap(v), refill, same); msg != "" {
+			return msg
 		}
 	case itemInts:
 		var v []int64
 		if refill {
-			v = d.AppendInt64Slice((*is)[:0])
-			*is = v
+			v = d.AppendInt64Slice(k.is[l][:0])
+			k.is[l] = v
 		} else {
 			v = d.Int64Slice()
 		}
-		if !slices.Equal(v, it.is) {
-			return fmt.Sprintf("Int64Slice of %d, want %d", len(v), len(it.is))
+		same := func() string {
+			if !slices.Equal(v, it.is) {
+				return fmt.Sprintf("Int64Slice of %d, want %d", len(v), len(it.is))
+			}
+			return ""
+		}
+		if msg := k.keep(v == nil, len(v), cap(v), refill, same); msg != "" {
+			return msg
 		}
 	}
 	if err := d.Err(); err != nil {
 		return err.Error()
 	}
+	return ""
+}
+
+// keep checks a decoded slice with same, and one decoded fresh for being
+// non-nil with no spare capacity, keeping same for the re-check.
+func (k *kept) keep(isNil bool, n, c int, refill bool, same func() string) string {
+	if msg := same(); msg != "" || refill {
+		return msg
+	}
+	if isNil || n != c {
+		return fmt.Sprintf("a fresh slice of length %d has capacity %d (nil %v)", n, c, isNil)
+	}
+	k.fresh = append(k.fresh, same)
 	return ""
 }
 
@@ -990,15 +1059,9 @@ func TestStreamVsModel(t *testing.T) {
 }
 
 // FuzzStreamVsModel runs the interpreter over mutated scripts, seeded with
-// the first shape of every name in scriptShapes: one per table the
+// the first stream shape of every name in scriptShapes: one per table the
 // interpreter subsumed, and the seeds filed for the fuzzer alone.
 func FuzzStreamVsModel(f *testing.F) {
-	seen := map[string]bool{}
-	for _, s := range scriptShapes {
-		if name, _, _ := strings.Cut(s.name, "/"); !seen[name] {
-			seen[name] = true
-			f.Add(s.script)
-		}
-	}
+	addShapeSeeds(f, false)
 	f.Fuzz(runScript)
 }

@@ -186,17 +186,19 @@ func refRecordAt(img []byte, at int64, n int) (refRecord, error) {
 	return rec, nil
 }
 
-// refClass is what a primitive's error comes to: nil, an ErrOrder, or a clean
-// refusal of what the file holds.
+// refClass is what a primitive's error comes to: nil, an ErrOrder, a clean
+// refusal of what the file holds, or — on a channel, whose consumer cannot ask
+// More — ErrEOS, a read after every producer closed.
 type refClass int
 
 const (
 	refNil refClass = iota
 	refOrder
 	refRefused
+	refEOS
 )
 
-func (c refClass) String() string { return [...]string{"nil", "ErrOrder", "refusal"}[c] }
+func (c refClass) String() string { return [...]string{"nil", "ErrOrder", "refusal", "ErrEOS"}[c] }
 
 // refInput is the model of one input stream over an image: the primitives'
 // state machine (Figure 2, Strict, the sticky error) and the placement of the

@@ -3,6 +3,7 @@ package dstream
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,32 +15,49 @@ import (
 var scriptShapes = buildShapes()
 
 type shape struct {
-	name   string
-	script []byte
+	name    string
+	script  []byte
+	channel bool // a channel script (chaninterp_test.go)
+}
+
+// addShapeSeeds adds the first shape of every name in scriptShapes, of
+// channels or of streams, to f's seeds.
+func addShapeSeeds(f *testing.F, channel bool) {
+	seen := map[string]bool{}
+	for _, s := range scriptShapes {
+		if name, _, _ := strings.Cut(s.name, "/"); s.channel == channel && !seen[name] {
+			seen[name] = true
+			f.Add(s.script)
+		}
+	}
 }
 
 // runShapes runs every shape filed under the calling test's name, the shapes
 // with a subtest name as that subtest, in the order they were filed.
 func runShapes(t *testing.T) {
 	var subs []string
-	scripts := map[string][][]byte{}
+	shapes := map[string][]shape{}
 	for _, s := range scriptShapes {
 		name, sub, _ := strings.Cut(s.name, "/")
 		if name != t.Name() {
 			continue
 		}
-		if scripts[sub] == nil {
+		if shapes[sub] == nil {
 			subs = append(subs, sub)
 		}
-		scripts[sub] = append(scripts[sub], s.script)
+		shapes[sub] = append(shapes[sub], s)
 	}
 	if len(subs) == 0 {
 		t.Fatal("no script shape filed under", t.Name())
 	}
 	for _, sub := range subs {
 		run := func(t *testing.T) {
-			for _, s := range scripts[sub] {
-				runScript(t, s)
+			for _, s := range shapes[sub] {
+				if s.channel {
+					runChanScript(t, s.script)
+				} else {
+					runScript(t, s.script)
+				}
 			}
 		}
 		if sub == "" {
@@ -84,6 +102,19 @@ func TestSkipInvalidatesPendingExtracts(t *testing.T)      { runShapes(t) }
 func TestAlignedCollectionRoundTrip(t *testing.T)          { runShapes(t) }
 func TestReadAheadStrict(t *testing.T)                     { runShapes(t) }
 func TestSortedReadTable(t *testing.T)                     { runShapes(t) }
+func TestExtractedSlicesOutliveTheRecord(t *testing.T)     { runShapes(t) }
+
+// Tests that were hand-written channel tables: each is now its channel
+// shapes.
+func TestChannelGrid(t *testing.T)                            { runShapes(t) }
+func TestChannelSameLayout(t *testing.T)                      { runShapes(t) }
+func TestChannelSmallWindow(t *testing.T)                     { runShapes(t) }
+func TestChannelEarlyConsumerClose(t *testing.T)              { runShapes(t) }
+func TestChannelConsumerWithoutElements(t *testing.T)         { runShapes(t) }
+func TestChannelLoopback(t *testing.T)                        { runShapes(t) }
+func TestChannelNameReuse(t *testing.T)                       { runShapes(t) }
+func TestChannelDeliversWhatTheFileStores(t *testing.T)       { runShapes(t) }
+func TestChannelExtractedSlicesOutliveTheRecord(t *testing.T) { runShapes(t) }
 
 // Shape spelling: layout kinds (scriptLayout), strategies, and one helper per
 // step code.
@@ -153,6 +184,37 @@ var (
 	dflt     = input(0, 0, 0, false)
 )
 
+// chanSeed spells a channel script out: producers, consumers, element count,
+// the producers' and the consumers' layout kind and argument, the machine
+// size, the small window or the default, then the steps.
+func chanSeed(m, c, n int, pl, pa, cl, ca byte, p int, small bool, steps ...[4]byte) []byte {
+	s7 := byte(p - max(m, c))
+	if small {
+		s7 |= 8
+	}
+	return seed(m, c, n, pl, pa, cl, ca, s7, steps...)
+}
+
+func chIns(shape byte) [4]byte { return [4]byte{chInsert, shape} }
+func chRd(mode byte) [4]byte   { return [4]byte{chRead, 1, mode} } // read, extract every array
+
+var (
+	chWr      = [4]byte{chWrite}
+	chEnd     = [4]byte{chClose}    // the consumer end
+	chEndOut  = [4]byte{chCloseOut} // the producer end
+	chReopen  = [4]byte{chOpen}
+	chPastEnd = [4]byte{chRead} // a read the model answers ErrEOS
+)
+
+// repeat spells steps k times over.
+func repeat(k int, steps ...[4]byte) [][4]byte {
+	var all [][4]byte
+	for range k {
+		all = append(all, steps...)
+	}
+	return all
+}
+
 // randomScript is a full-length script drawn from seed.
 func randomScript(seed int64) []byte {
 	b := make([]byte, scriptSetupBytes+scriptMaxSteps*scriptStepBytes)
@@ -162,7 +224,8 @@ func randomScript(seed int64) []byte {
 
 func buildShapes() []shape {
 	var all []shape
-	add := func(name string, script []byte) { all = append(all, shape{name, script}) }
+	add := func(name string, script []byte) { all = append(all, shape{name, script, false}) }
+	addChan := func(name string, script []byte) { all = append(all, shape{name, script, true}) }
 	modes := []struct {
 		name string
 		kind byte
@@ -312,6 +375,63 @@ func buildShapes() []shape {
 			}
 		}
 	}
+
+	// Slices decoded fresh outlive their record, a skip and Close, on a
+	// same-layout and a redistributing read, on every refill path.
+	for _, rk := range []struct {
+		name string
+		p    int
+		kind byte
+	}{{"same layout", 3, lCyclic}, {"redistributed", 4, lBlock}} {
+		for _, rf := range []struct {
+			name string
+			open [4]byte
+		}{{"sync", input(0, direct, 0, false)}, {"twophase", input(0, twoPhase, 0, false)}, {"readahead", input(2, direct, 0, false)},
+			{"readahead-twophase", input(1, twoPhase, 0, false)}, {"auto", dflt}} {
+			add("TestExtractedSlicesOutliveTheRecord/"+rk.name+"/"+rf.name, seed(3, rk.p, 37, lCyclic, 0, rk.kind, 0, storeStriped,
+				ins(0), wr, ins(1), wr, ins(0), wr, ins(1), wr, rf.open, rd(extractFresh), rd(extractFresh), skipStep, readOnly))
+		}
+	}
+
+	// Channels. An M→N grid redistributing between layouts, each record a
+	// group of two inserts; the same layout on both ends.
+	for _, c := range []struct{ m, n int }{{1, 1}, {2, 2}, {4, 2}, {2, 4}, {1, 3}, {3, 1}} {
+		addChan(fmt.Sprintf("TestChannelGrid/%dto%d", c.m, c.n), chanSeed(c.m, c.n, 23, lBlock, 0, lCyclic, 0, c.m+c.n, false,
+			slices.Concat(repeat(3, chIns(0), chIns(1), chWr), [][4]byte{chEndOut}, repeat(3, chRd(extractFresh)), [][4]byte{chPastEnd})...))
+	}
+	addChan("TestChannelSameLayout", chanSeed(2, 2, 16, lBlock, 0, lBlock, 0, 4, false, slices.Concat(repeat(3, chIns(0), chIns(1), chWr), repeat(3, chRd(extractRaw)))...))
+	// A window below a frame: every write after the first waits for credit.
+	addChan("TestChannelSmallWindow", chanSeed(2, 2, 23, lBlock, 0, lCyclic, 0, 4, true,
+		slices.Concat(repeat(4, chIns(0), chIns(1), chWr), repeat(4, chRd(extractRefill)), [][4]byte{chEndOut, chPastEnd})...))
+	// A consumer that closes after one record drains the rest, crediting the
+	// producers the window holds back.
+	addChan("TestChannelEarlyConsumerClose", chanSeed(2, 2, 23, lBlock, 0, lBlock, 0, 4, true,
+		append([][4]byte{chIns(0), chWr, chRd(extractFresh), chEnd}, append(repeat(5, chIns(0), chWr), chEndOut)...)...))
+	// One element on two consumers: the one that owns none paces on empty
+	// frames from producer 0, and sees the end of the stream.
+	addChan("TestChannelConsumerWithoutElements", chanSeed(2, 2, 1, lBlock, 0, lBlock, 0, 4, false,
+		slices.Concat(repeat(3, chIns(0), chWr), [][4]byte{chEndOut}, repeat(3, chRd(extractFresh)), [][4]byte{chPastEnd})...))
+	// Overlapping groups, each rank producing and consuming, writes then
+	// reads record by record.
+	addChan("TestChannelLoopback", chanSeed(2, 2, 12, lBlock, 0, lCyclic, 0, 2, false,
+		append(repeat(3, chIns(0), chWr, chRd(extractFresh)), chEndOut, chPastEnd, chEnd)...))
+	// One name carries four channels in a row, each leaving its last credit
+	// in the producer's mailbox, under a window that makes every write after
+	// the first wait for one.
+	var reuse [][4]byte
+	for k := range 4 {
+		reuse = append(append(reuse, repeat(3, chIns(byte(k)), chWr, chRd(extractRaw))...), chEndOut, chPastEnd, chReopen)
+	}
+	addChan("TestChannelNameReuse", chanSeed(1, 1, 8, lBlock, 0, lBlock, 0, 2, true, reuse[:len(reuse)-1]...))
+	// Groups of one, two and five inserts, empty elements and one element
+	// across pool classes among them: what a 2→2 channel's consumers
+	// extract is the model's read of the file the inserts write.
+	for _, group := range [][][4]byte{{chIns(3)}, {chIns(2), chIns(3)}, {chIns(0), chIns(2), chIns(3), chIns(1), chIns(7)}} {
+		addChan("TestChannelDeliversWhatTheFileStores", chanSeed(2, 2, 11, lBlock, 0, lCyclic, 0, 4, false,
+			slices.Concat(repeat(2, append(group, chWr)...), repeat(2, chRd(extractRaw)))...))
+	}
+	addChan("TestChannelExtractedSlicesOutliveTheRecord", chanSeed(2, 2, 37, lBlock, 0, lCyclic, 0, 4, false,
+		slices.Concat(repeat(3, chIns(0), chWr), [][4]byte{chEndOut}, repeat(3, chRd(extractFresh)), [][4]byte{chPastEnd})...))
 
 	// Seeds of FuzzStreamVsModel alone. A dstreamd client; an element that
 	// crosses pool classes; an aligned writer.

@@ -4,10 +4,11 @@
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 //
 // and after the last test, Main waits for the goroutine count to fall back
-// to where it started and, in a pooldebug build, for bufpool's ledger to be
-// empty. A failure prints the buffers still owed grouped by the stack that
-// took them, or the goroutines still running, and fails the binary. The package imports testing; only
-// test files import it.
+// to where it started and for bufpool's Outstanding count to be back at its
+// start, in every build. A failure prints the goroutines still running, or
+// the buffers still owed: in a pooldebug build grouped by the stack that
+// took them, in a plain build by their count alone. Either fails the
+// binary. The package imports testing; only test files import it.
 package leakcheck
 
 import (
@@ -53,16 +54,13 @@ func fuzzing() bool {
 }
 
 // clean waits up to wait for the goroutine count to be back at goroutines
-// and, under pooldebug, for every buffer to be back, and reports to w what
-// is still out if they do not.
+// and for every buffer to be back, and reports to w what is still out if
+// they do not.
 func clean(w io.Writer, goroutines int, outstanding int64, wait time.Duration) bool {
 	end := time.Now().Add(wait)
 	for {
-		owed := bufpool.Ledger()
-		var extra int64 // buffers out that the ledger does not account for
-		if bufpool.Debug {
-			extra = bufpool.Stats().Outstanding - outstanding
-		}
+		owed := bufpool.Ledger() // always empty outside pooldebug
+		extra := bufpool.Stats().Outstanding - outstanding
 		g := runtime.NumGoroutine()
 		if g <= goroutines && len(owed) == 0 && extra == 0 {
 			return true
@@ -84,8 +82,10 @@ func clean(w io.Writer, goroutines int, outstanding int64, wait time.Duration) b
 			for _, s := range owed {
 				fmt.Fprintf(w, "%d buffers at\n%s", s.Buffers, trace(s.Stack))
 			}
-		} else if extra != 0 {
+		} else if extra != 0 && bufpool.Debug {
 			fmt.Fprintf(w, "leakcheck: bufpool Outstanding is %+d from its start and the ledger names no buffer: a Put of a buffer Get never gave out?\n", extra)
+		} else if extra != 0 {
+			fmt.Fprintf(w, "leakcheck: bufpool Outstanding is %+d from its start; rerun with -tags pooldebug to name the stacks\n", extra)
 		}
 		return false
 	}
