@@ -147,26 +147,18 @@ CHAOS_N    ?= 200
 chaos:
 	$(GO) test ./internal/chaos/ -v -run '$(CHAOS_RUN)' -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
 
-# Short fuzz pass over the wire codec, the schema decoder, the planner, the
-# daemon's two frame decoders, the two readers of a d/stream file against
-# each other, Segment's extractor into fresh and into filled elements, the
-# striped backend against a flat one, and whole stream scripts and channel
-# scripts against the reference d/stream (FuzzStreamVsModel,
-# FuzzChannelVsModel; their f.Add seeds and the committed corpora under
-# testdata/fuzz replay in every plain `go test` run).
+# Short fuzz pass: every Fuzz target in the tree, as `go test -list` finds
+# them, 30 s each, its name printed as it starts — the wire codec, the
+# schema decoder, the planner, the daemon's two frame decoders, the two
+# readers of a d/stream file against each other, Segment's extractor into
+# fresh and into filled elements, the striped backend against a flat one,
+# and whole stream scripts and channel scripts against the reference
+# d/stream (their f.Add seeds and the committed corpora under testdata/fuzz
+# replay in every plain `go test` run).
 fuzz:
-	$(GO) test ./internal/enc/ -fuzz FuzzRoundTrip -fuzztime 30s
-	$(GO) test ./internal/enc/ -fuzz FuzzReaderNeverPanics -fuzztime 30s
-	$(GO) test ./internal/enc/ -fuzz FuzzRecordHeader -fuzztime 30s
-	$(GO) test ./internal/dschema/ -fuzz FuzzParse -fuzztime 30s
-	$(GO) test ./internal/dschema/ -fuzz FuzzDecodeElement -fuzztime 30s
-	$(GO) test ./internal/dschema/ -fuzz FuzzSchemaRoundTrip -fuzztime 30s
-	$(GO) test ./internal/plan/ -fuzz FuzzCostModel -fuzztime 30s
-	$(GO) test ./internal/plan/ -fuzz FuzzPlannerChain -fuzztime 30s
-	$(GO) test ./internal/server/ -fuzz FuzzServerConn -fuzztime 30s
-	$(GO) test ./internal/server/ -fuzz FuzzClientReply -fuzztime 30s
-	$(GO) test ./internal/dsinfo/ -fuzz FuzzFileReaders -fuzztime 30s
-	$(GO) test ./internal/scf/ -fuzz FuzzSegmentExtract -fuzztime 30s
-	$(GO) test ./internal/pfs/ -fuzz FuzzStripedVsFlat -fuzztime 30s
-	$(GO) test ./internal/dstream/ -fuzz FuzzStreamVsModel -fuzztime 30s
-	$(GO) test ./internal/dstream/ -fuzz FuzzChannelVsModel -fuzztime 30s
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+	while read pkg name; do \
+		echo "fuzz: $$name ($$pkg)"; \
+		$(GO) test $$pkg -fuzz "^$$name\$$" -fuzztime 30s || exit 1; \
+	done

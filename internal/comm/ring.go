@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"pcxxstreams/internal/dsmon"
@@ -196,25 +195,14 @@ func (c *ringCounters) reset() {
 	c.parks.Store(0)
 }
 
-// ringBound maps a registry to the indirection cell its comm_ring_*
-// collector reads. Gauges and the collector are registered once per
-// registry; successive transports on the same monitor (monitors outlive
-// machine runs) just swap the cell, so a stale transport can never
-// overwrite a live one's numbers.
-var ringBound sync.Map // *dsmon.Registry -> *atomic.Pointer[ringCounters]
-
 // bindRingMetrics exports ctr as comm_ring_* gauges on the monitor's
-// registry, refreshed by a registry collector at each gather — the same
-// glue shape the machine uses for bufpool's process-global stats.
+// registry, refreshed by a registry collector at each gather. Monitors
+// outlive machine runs: each transport sets the one "comm_ring" collector,
+// so a stale transport can never overwrite a live one's numbers and the
+// registry keeps no transport but the last.
 func bindRingMetrics(m *dsmon.Monitor, ctr *ringCounters) {
 	reg := m.Registry()
 	if reg == nil {
-		return
-	}
-	cell, bound := ringBound.LoadOrStore(reg, new(atomic.Pointer[ringCounters]))
-	p := cell.(*atomic.Pointer[ringCounters])
-	p.Store(ctr)
-	if bound {
 		return
 	}
 	puts := reg.Gauge("comm_ring_puts_total", "messages enqueued on the lock-free mailbox ring fast path")
@@ -223,12 +211,8 @@ func bindRingMetrics(m *dsmon.Monitor, ctr *ringCounters) {
 	stalls := reg.Gauge("comm_ring_full_stalls_total", "producer blocks on a full mailbox ring (backpressure events)")
 	assists := reg.Gauge("comm_ring_assists_total", "messages blocked producers drained from their own inboxes")
 	parks := reg.Gauge("comm_ring_consumer_parks_total", "receiver sleeps on an empty mailbox")
-	reg.AddCollector(func() {
-		c := p.Load()
-		if c == nil {
-			return
-		}
-		st := c.snapshot()
+	reg.SetCollector("comm_ring", func() {
+		st := ctr.snapshot()
 		puts.Set(float64(st.RingPuts))
 		spills.Set(float64(st.Spills))
 		takes.Set(float64(st.Takes))

@@ -179,21 +179,35 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
-	collectors []func()
+	collectors []collector
 }
 
-// AddCollector registers a hook that runs at the start of every gather —
-// before WritePrometheus, WriteJSON, or Snapshot reads the metrics. It is
-// the place to refresh gauges whose source of truth lives elsewhere (e.g.
-// the buffer-pool statistics, which are process-global atomics rather than
-// per-event instrument calls). Collectors run outside the registry lock and
+type collector struct {
+	name string
+	f    func()
+}
+
+// SetCollector registers f under name as a hook that runs at the start of
+// every gather — before WritePrometheus, WriteJSON, or Snapshot reads the
+// metrics. It is the place to refresh gauges whose source of truth lives
+// elsewhere (e.g. the buffer-pool statistics, which are process-global
+// atomics rather than per-event instrument calls). f replaces the collector
+// set under the same name before, so a source that is replaced — a machine
+// run's transport, on a monitor that outlives the run — leaves the registry
+// holding only the live one. Collectors run outside the registry lock and
 // may therefore create or set metrics.
-func (r *Registry) AddCollector(f func()) {
+func (r *Registry) SetCollector(name string, f func()) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.collectors = append(r.collectors, f)
+	cols := make([]collector, 0, len(r.collectors)+1)
+	for _, c := range r.collectors {
+		if c.name != name {
+			cols = append(cols, c)
+		}
+	}
+	r.collectors = append(cols, collector{name, f})
 	r.mu.Unlock()
 }
 

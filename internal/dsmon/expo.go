@@ -27,8 +27,8 @@ func (r *Registry) gather() []sample {
 	r.mu.Lock()
 	cols := r.collectors
 	r.mu.Unlock()
-	for _, f := range cols {
-		f()
+	for _, c := range cols {
+		c.f()
 	}
 	r.mu.Lock()
 	out := make([]sample, 0, len(r.counters)+len(r.gauges)+len(r.hists))

@@ -1,6 +1,10 @@
 package dsmon
 
-import "io"
+import (
+	"io"
+
+	"pcxxstreams/internal/bufpool"
+)
 
 // Monitor is a run's one observability handle: the metrics Registry and an
 // optional Recorder for virtual-time spans. One Monitor serves one machine
@@ -16,11 +20,35 @@ type Monitor struct {
 
 // New creates a monitor with a metrics registry but no span recorder —
 // counters, gauges and histograms only.
-func New() *Monitor { return &Monitor{reg: NewRegistry()} }
+func New() *Monitor { return &Monitor{reg: poolRegistry()} }
 
 // NewTracing creates a monitor that also records spans into a fresh
 // Recorder, for Chrome-trace / Gantt output.
-func NewTracing() *Monitor { return &Monitor{reg: NewRegistry(), rec: NewRecorder()} }
+func NewTracing() *Monitor { return &Monitor{reg: poolRegistry(), rec: NewRecorder()} }
+
+// poolRegistry is a monitor's registry: a fresh one that exports the buffer
+// pool's statistics, process-global atomics, as bufpool_* gauges refreshed
+// at every gather. The registry alone holds its collector, so a monitor that
+// is dropped takes both with it.
+func poolRegistry() *Registry {
+	reg := NewRegistry()
+	hits := reg.Gauge("bufpool_hits_total", "Buffer pool Gets served from the pool.")
+	misses := reg.Gauge("bufpool_misses_total", "Buffer pool Gets that allocated a fresh buffer.")
+	puts := reg.Gauge("bufpool_puts_total", "Buffers returned to the pool.")
+	discards := reg.Gauge("bufpool_discards_total", "Put buffers rejected (non-class capacity) and left to the GC.")
+	oversize := reg.Gauge("bufpool_oversize_total", "Gets above the largest size class, served by plain allocation.")
+	outstanding := reg.Gauge("bufpool_outstanding", "Pool-backed buffers currently held by callers.")
+	reg.SetCollector("bufpool", func() {
+		st := bufpool.Stats()
+		hits.Set(float64(st.Hits))
+		misses.Set(float64(st.Misses))
+		puts.Set(float64(st.Puts))
+		discards.Set(float64(st.Discards))
+		oversize.Set(float64(st.Oversize))
+		outstanding.Set(float64(st.Outstanding))
+	})
+	return reg
+}
 
 // Registry returns the metrics registry (nil on a nil monitor; the
 // registry's handle constructors are nil-safe in turn).

@@ -449,18 +449,12 @@ func (g *gate) wait(last func()) bool {
 	}
 }
 
-// chanMon is the monitor of every channel script's run, one for the test
-// binary: a machine binds the pool's metrics into a monitor's registry for
-// good, so a monitor per run would keep every run's registry. A run's
-// metrics are what it added.
-var chanMon = dsmon.New()
-
 var chanMetricNames = [...]string{"dstream_chan_credits", "dstream_chan_bytes_total", "dstream_chan_redistribute_bytes_total",
 	"dstream_chan_drained_bytes_total", `dstream_chan_stall_seconds{phase="credit"} count`}
 
-// chanCounts reads chanMon's channel metrics, in chanMetricNames' order.
-func chanCounts() [len(chanMetricNames)]int64 {
-	reg := chanMon.Registry()
+// chanCounts reads a run's channel metrics, in chanMetricNames' order.
+func chanCounts(mon *dsmon.Monitor) [len(chanMetricNames)]int64 {
+	reg := mon.Registry()
 	c := func(name string) int64 { return reg.Counter(name, "").Value() }
 	return [...]int64{int64(reg.Gauge(chanMetricNames[0], "").Value()), c(chanMetricNames[1]), c(chanMetricNames[2]), c(chanMetricNames[3]),
 		reg.Histogram("dstream_chan_stall_seconds", "", dsmon.LatencyBuckets, "phase", "credit").Count()}
@@ -472,8 +466,8 @@ func (x *chanInterp) exec() []string {
 	var bad mismatches
 	g := &gate{n: x.p, open: make(chan struct{})}
 	var base int64
-	before := chanCounts()
-	_, err := machine.Run(machine.Config{NProcs: x.p, Profile: vtime.Paragon(), Monitor: chanMon, RecvDeadline: 5 * time.Second}, func(n *machine.Node) error {
+	mon := dsmon.New()
+	_, err := machine.Run(machine.Config{NProcs: x.p, Profile: vtime.Paragon(), Monitor: mon, RecvDeadline: 5 * time.Second}, func(n *machine.Node) error {
 		held := newKept(x.cd.LocalCount(max(0, n.Rank()-(x.p-x.nc))))
 		for i := 0; i <= len(x.cycles); i++ {
 			ok := g.wait(func() {
@@ -501,9 +495,9 @@ func (x *chanInterp) exec() []string {
 		bad.add(-1, -1, "run failed: %v", err)
 	}
 	want := [len(chanMetricNames)]int64{0, x.bytes, x.redist, x.drained, int64(x.stalls)}
-	for i, v := range chanCounts() {
-		if v-before[i] != want[i] {
-			bad.add(-1, -1, "%s moved by %d in the run, the model's %d", chanMetricNames[i], v-before[i], want[i])
+	for i, v := range chanCounts(mon) {
+		if v != want[i] {
+			bad.add(-1, -1, "%s is %d after the run, the model's %d", chanMetricNames[i], v, want[i])
 		}
 	}
 	return bad.bad

@@ -182,7 +182,6 @@ func Run(cfg Config, body func(*Node) error) (Result, error) {
 	fs.ResetAbort()
 	if cfg.Monitor != nil {
 		fs.SetMonitor(cfg.Monitor)
-		bindPoolMetrics(cfg.Monitor)
 		if tt, ok := base.(*comm.TCPTransport); ok {
 			tt.SetMonitor(cfg.Monitor)
 		}

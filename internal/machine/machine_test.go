@@ -3,8 +3,10 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
@@ -322,6 +324,41 @@ func TestMonitorLightsUpStack(t *testing.T) {
 			t.Fatalf("no %q spans recorded; categories = %v", want, cats)
 		}
 	}
+}
+
+// TestRunKeepsNoMonitor: a monitored run leaves nothing behind that holds
+// its monitor's registry, so a process that makes a monitor per run keeps
+// none of them; the run's exposition still carries the pool's gauges.
+func TestRunKeepsNoMonitor(t *testing.T) {
+	regs := make([]weak.Pointer[dsmon.Registry], 50)
+	for i := range regs {
+		regs[i] = monitoredRun(t, i == 0)
+	}
+	runtime.GC()
+	for i, r := range regs {
+		if r.Value() != nil {
+			t.Errorf("run %d's registry is still reachable after the run and a GC", i)
+		}
+	}
+}
+
+// monitoredRun runs a barrier under a fresh monitor and returns a weak
+// pointer to its registry, having checked the exposition when asked.
+func monitoredRun(t *testing.T, expo bool) weak.Pointer[dsmon.Registry] {
+	mon := dsmon.New()
+	if _, err := Run(Config{NProcs: 2, Profile: vtime.Challenge(), Monitor: mon}, func(n *Node) error { return n.Comm().Barrier() }); err != nil {
+		t.Fatal(err)
+	}
+	if expo {
+		var b strings.Builder
+		if err := mon.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "bufpool_outstanding") {
+			t.Fatalf("no bufpool_outstanding in a monitored run's exposition:\n%s", b.String())
+		}
+	}
+	return weak.Make(mon.Registry())
 }
 
 // TestSequentialRunsOnSharedFS: several runs over one file system see each
