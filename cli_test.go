@@ -20,7 +20,8 @@ var (
 	buildErr  error
 )
 
-// buildTools compiles every cmd/ binary once per test process.
+// buildTools compiles every cmd/ and examples/ binary into one directory
+// (no names clash) once per test process.
 func buildTools(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -28,7 +29,7 @@ func buildTools(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		cmd := exec.Command("go", "build", "-o", buildDir+string(os.PathSeparator), "./cmd/...")
+		cmd := exec.Command("go", "build", "-o", buildDir+string(os.PathSeparator), "./cmd/...", "./examples/...")
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			buildErr = err
@@ -167,6 +168,30 @@ func TestCLIStreamgenGenerate(t *testing.T) {
 	for _, want := range []string{"func (v *Point) StreamInsert", "e.Float64Slice(v.Xs)"} {
 		if !strings.Contains(string(gen), want) {
 			t.Fatalf("generated code missing %q:\n%s", want, gen)
+		}
+	}
+}
+
+// TestExamplesRun runs every example program; each checks its own round
+// trip and exits non-zero when its data does not read back, so this runs the
+// examples' generated codecs.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, dir := buildTools(t), t.TempDir()
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		cmd := exec.Command(filepath.Join(bin, e.Name()))
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("examples/%s: %v\n%s", e.Name(), err, out)
 		}
 	}
 }

@@ -8,10 +8,13 @@
 //
 // Usage:
 //
-//	streamgen [-types T1,T2] [-o out.go] [-dstream importpath] file.go
+//	streamgen [-types T1,T2] [-dstream importpath] file.go
+//	streamgen -schema T file.go
 //
-// With no -o, the generated file is written next to the input as
-// <file>_streams.go. Use "-o -" for stdout.
+// The generated file is written next to the input as <file>_streams.go.
+// A package runs it through a directive beside the declarations:
+//
+//	//go:generate go run pcxxstreams/cmd/streamgen -types T file.go
 package main
 
 import (
@@ -26,56 +29,18 @@ import (
 func main() {
 	var (
 		types   = flag.String("types", "", "comma-separated struct types to generate for (default: all)")
-		out     = flag.String("o", "", `output path ("-" for stdout; default <file>_streams.go)`)
 		dstream = flag.String("dstream", "", "import path of the d/stream package (default pcxxstreams/internal/dstream)")
-		list    = flag.Bool("list", false, "list the struct types the file defines and exit")
 		schema  = flag.String("schema", "", "print the cmd/ds2json schema for this struct type and exit")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: streamgen [-types T1,T2] [-o out.go] [-dstream path] file.go|dir")
+		fmt.Fprintln(os.Stderr, "usage: streamgen [-types T1,T2] [-dstream path] [-schema T] file.go")
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
-
-	if fi, err := os.Stat(in); err == nil && fi.IsDir() {
-		// Directory mode: one companion file per source file.
-		opts := streamgen.Options{DStreamImport: *dstream}
-		if *types != "" {
-			for _, t := range strings.Split(*types, ",") {
-				if t = strings.TrimSpace(t); t != "" {
-					opts.Types = append(opts.Types, t)
-				}
-			}
-		}
-		if *list || *out != "" {
-			fmt.Fprintln(os.Stderr, "streamgen: -list and -o do not apply in directory mode")
-			os.Exit(2)
-		}
-		written, err := streamgen.GenerateDir(in, opts)
-		if err != nil {
-			fatal(err)
-		}
-		for _, w := range written {
-			fmt.Fprintf(os.Stderr, "streamgen: wrote %s\n", w)
-		}
-		return
-	}
-
 	src, err := os.ReadFile(in)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *list {
-		names, err := streamgen.TypeNames(src, in)
-		if err != nil {
-			fatal(err)
-		}
-		for _, n := range names {
-			fmt.Println(n)
-		}
-		return
 	}
 
 	if *schema != "" {
@@ -88,26 +53,16 @@ func main() {
 	}
 
 	opts := streamgen.Options{DStreamImport: *dstream}
-	if *types != "" {
-		for _, t := range strings.Split(*types, ",") {
-			if t = strings.TrimSpace(t); t != "" {
-				opts.Types = append(opts.Types, t)
-			}
+	for _, t := range strings.Split(*types, ",") {
+		if t = strings.TrimSpace(t); t != "" {
+			opts.Types = append(opts.Types, t)
 		}
 	}
 	gen, err := streamgen.Generate(src, in, opts)
 	if err != nil {
 		fatal(err)
 	}
-
-	dest := *out
-	if dest == "" {
-		dest = strings.TrimSuffix(in, ".go") + "_streams.go"
-	}
-	if dest == "-" {
-		os.Stdout.Write(gen)
-		return
-	}
+	dest := strings.TrimSuffix(in, ".go") + "_streams.go"
 	if err := os.WriteFile(dest, gen, 0o644); err != nil {
 		fatal(err)
 	}

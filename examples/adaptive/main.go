@@ -28,24 +28,13 @@ const (
 	nprocs     = meshR * meshC
 )
 
-// cell is a variable-density grid cell: a list of particle masses.
+//go:generate go run pcxxstreams/cmd/streamgen -types cell -dstream pcxxstreams main.go
+
+// cell is a variable-density grid cell: a list of particle masses. Its
+// codec is generated into main_streams.go.
 type cell struct {
 	Row, Col int32
 	Masses   []float64
-}
-
-// StreamInsert implements pcxx.Inserter.
-func (c *cell) StreamInsert(e *pcxx.Encoder) {
-	e.Int32(c.Row)
-	e.Int32(c.Col)
-	e.Float64Slice(c.Masses)
-}
-
-// StreamExtract implements pcxx.Extractor.
-func (c *cell) StreamExtract(d *pcxx.Decoder) {
-	c.Row = d.Int32()
-	c.Col = d.Int32()
-	c.Masses = d.AppendFloat64Slice(c.Masses[:0])
 }
 
 // density returns the particle count of cell (i, j): a sharp hot spot

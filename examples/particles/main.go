@@ -15,52 +15,20 @@ import (
 	pcxx "pcxxstreams"
 )
 
+//go:generate go run pcxxstreams/cmd/streamgen -types Position,ParticleList -dstream pcxxstreams main.go
+
 // Position matches Figure 3's declarations.
 type Position struct{ X, Y, Z float64 }
 
-// StreamInsert implements pcxx.Inserter.
-func (p *Position) StreamInsert(e *pcxx.Encoder) {
-	e.Float64(p.X)
-	e.Float64(p.Y)
-	e.Float64(p.Z)
-}
-
-// StreamExtract implements pcxx.Extractor.
-func (p *Position) StreamExtract(d *pcxx.Decoder) {
-	p.X = d.Float64()
-	p.Y = d.Float64()
-	p.Z = d.Float64()
-}
-
 // ParticleList is Figure 3's element class: a count plus variable-sized
-// mass and position arrays. Its insertion function decomposes the insertion
-// in terms of simpler insertions of its fields, exactly like the paper's
-// declareStreamInserter(ParticleList &p).
+// mass and position arrays. Its insertion function, generated into
+// main_streams.go, decomposes the insertion in terms of simpler insertions
+// of its fields, exactly like the paper's declareStreamInserter(ParticleList
+// &p): the mass array goes in as s << array(p.mass, p.numberOfParticles).
 type ParticleList struct {
 	NumberOfParticles int64
 	Mass              []float64
 	Position          []Position
-}
-
-// StreamInsert implements pcxx.Inserter (the paper's insertion function).
-func (p *ParticleList) StreamInsert(e *pcxx.Encoder) {
-	e.Int64(p.NumberOfParticles)
-	e.Float64Slice(p.Mass) // s << array(p.mass, p.numberOfParticles)
-	e.Uint32(uint32(len(p.Position)))
-	for i := range p.Position {
-		p.Position[i].StreamInsert(e)
-	}
-}
-
-// StreamExtract implements pcxx.Extractor.
-func (p *ParticleList) StreamExtract(d *pcxx.Decoder) {
-	p.NumberOfParticles = d.Int64()
-	p.Mass = d.AppendFloat64Slice(p.Mass[:0])
-	n := int(d.Uint32())
-	p.Position = make([]Position, n)
-	for i := range p.Position {
-		p.Position[i].StreamExtract(d)
-	}
 }
 
 // cell is the element of the aligned companion collection g2 of §4.1's

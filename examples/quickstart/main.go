@@ -12,24 +12,14 @@ import (
 	pcxx "pcxxstreams"
 )
 
-// Reading is an element type with a variable-sized field. Implementing
-// StreamInsert/StreamExtract (by hand here; cmd/streamgen generates them)
-// makes it insertable and extractable.
+//go:generate go run pcxxstreams/cmd/streamgen -types Reading -dstream pcxxstreams main.go
+
+// Reading is an element type with a variable-sized field. Its
+// StreamInsert/StreamExtract pair, which makes it insertable and
+// extractable, is generated into main_streams.go by the directive above.
 type Reading struct {
 	Station int64
 	Samples []float64
-}
-
-// StreamInsert implements pcxx.Inserter.
-func (r *Reading) StreamInsert(e *pcxx.Encoder) {
-	e.Int64(r.Station)
-	e.Float64Slice(r.Samples)
-}
-
-// StreamExtract implements pcxx.Extractor.
-func (r *Reading) StreamExtract(d *pcxx.Decoder) {
-	r.Station = d.Int64()
-	r.Samples = d.AppendFloat64Slice(r.Samples[:0])
 }
 
 func main() {

@@ -32,13 +32,13 @@ type PipelinePoint struct {
 	BytesMatch       bool    `json:"bytes_match"`
 }
 
+//go:generate go run pcxxstreams/cmd/streamgen -types blob pipeline.go
+
 // blob is the grid's element: an opaque payload whose bytes are a pure
 // function of (global index, record, size), so both paths can be verified
-// against the generator and hashed for cross-path identity.
+// against the generator and hashed for cross-path identity. Its codec is
+// generated into pipeline_streams.go.
 type blob struct{ data []byte }
-
-func (b *blob) StreamInsert(e *dstream.Encoder)  { e.Bytes32(b.data) }
-func (b *blob) StreamExtract(d *dstream.Decoder) { b.data = d.Bytes32() }
 
 func fillBlob(b *blob, g, rec, size int) {
 	if cap(b.data) < size {

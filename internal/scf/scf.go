@@ -11,48 +11,21 @@
 // 20000 ≈ 112 MB — exactly the columns of Tables 1–4.
 package scf
 
-import (
-	"math"
-
-	"pcxxstreams/internal/dstream"
-)
+import "math"
 
 // DefaultParticles is the particles-per-segment count that reproduces the
 // paper's bytes-per-segment (≈5.6 KB).
 const DefaultParticles = 100
 
-// Segment is the element type of the SCF particle collection.
+//go:generate go run pcxxstreams/cmd/streamgen -types Segment scf.go
+
+// Segment is the element type of the SCF particle collection. Its
+// StreamInsert/StreamExtract pair is generated into scf_streams.go.
 type Segment struct {
 	NumberOfParticles int64
 	X, Y, Z           []float64
 	VX, VY, VZ        []float64
 	Mass              []float64
-}
-
-// StreamInsert implements dstream.Inserter. (This method pair is what
-// cmd/streamgen generates for Segment; see internal/streamgen's golden
-// test, which regenerates it and diffs.)
-func (s *Segment) StreamInsert(e *dstream.Encoder) {
-	e.Int64(s.NumberOfParticles)
-	e.Float64Slice(s.X)
-	e.Float64Slice(s.Y)
-	e.Float64Slice(s.Z)
-	e.Float64Slice(s.VX)
-	e.Float64Slice(s.VY)
-	e.Float64Slice(s.VZ)
-	e.Float64Slice(s.Mass)
-}
-
-// StreamExtract implements dstream.Extractor.
-func (s *Segment) StreamExtract(d *dstream.Decoder) {
-	s.NumberOfParticles = d.Int64()
-	s.X = d.AppendFloat64Slice(s.X[:0])
-	s.Y = d.AppendFloat64Slice(s.Y[:0])
-	s.Z = d.AppendFloat64Slice(s.Z[:0])
-	s.VX = d.AppendFloat64Slice(s.VX[:0])
-	s.VY = d.AppendFloat64Slice(s.VY[:0])
-	s.VZ = d.AppendFloat64Slice(s.VZ[:0])
-	s.Mass = d.AppendFloat64Slice(s.Mass[:0])
 }
 
 // EncodedBytes returns the segment's d/stream payload size: an int64 count

@@ -19,9 +19,7 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -31,7 +29,8 @@ type Options struct {
 	// every struct type in the file.
 	Types []string
 	// DStreamImport is the import path of the d/stream package providing
-	// Encoder/Decoder. Defaults to "pcxxstreams/internal/dstream".
+	// Encoder/Decoder, imported under the name dstream. Defaults to
+	// "pcxxstreams/internal/dstream".
 	DStreamImport string
 }
 
@@ -74,18 +73,22 @@ func Generate(src []byte, filename string, opts Options) ([]byte, error) {
 		known[s.name] = true
 	}
 
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "// Code generated by streamgen from %s; DO NOT EDIT.\n", filename)
-	fmt.Fprintf(&b, "// (Resolve any TODO(streamgen) comments by hand, as §4.2 of the paper\n")
-	fmt.Fprintf(&b, "// prescribes for pointer-bearing types, then remove this header's\n")
-	fmt.Fprintf(&b, "// DO NOT EDIT marker.)\n\n")
-	fmt.Fprintf(&b, "package %s\n\n", f.Name.Name)
-	fmt.Fprintf(&b, "import (\n\t%q\n)\n\n", opts.dstreamImport())
-
+	var body bytes.Buffer
 	for _, s := range structs {
-		emitInserter(&b, s, known)
-		emitExtractor(&b, s, known)
+		emitInserter(&body, s, known)
+		emitExtractor(&body, s, known)
 	}
+
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "// Code generated by streamgen from %s; DO NOT EDIT.\n\n", filepath.Base(filename))
+	if bytes.Contains(body.Bytes(), []byte("TODO(streamgen)")) {
+		fmt.Fprintf(&b, "// Resolve the TODO(streamgen) comments by hand, as §4.2 of the paper\n")
+		fmt.Fprintf(&b, "// prescribes for pointer-bearing types, then remove this header's\n")
+		fmt.Fprintf(&b, "// DO NOT EDIT marker.\n\n")
+	}
+	fmt.Fprintf(&b, "package %s\n\n", f.Name.Name)
+	fmt.Fprintf(&b, "import dstream %q\n\n", opts.dstreamImport())
+	b.Write(body.Bytes())
 
 	out, err := format.Source(b.Bytes())
 	if err != nil {
@@ -94,55 +97,11 @@ func Generate(src []byte, filename string, opts Options) ([]byte, error) {
 	return out, nil
 }
 
-// GeneratedSuffix names the companion files GenerateDir writes.
-const GeneratedSuffix = "_streams.go"
-
-// GenerateDir processes every non-test, non-generated .go file of dir that
-// contains matching struct types, writing a companion <file>_streams.go
-// next to each. It returns the paths written. Files without matching
-// structs are skipped silently (a directory mixes type declarations with
-// plain code).
-func GenerateDir(dir string, opts Options) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("streamgen: %w", err)
-	}
-	var written []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasSuffix(name, GeneratedSuffix) {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return written, fmt.Errorf("streamgen: %w", err)
-		}
-		out, err := Generate(src, name, opts)
-		if err != nil {
-			if strings.Contains(err.Error(), "no matching struct types") {
-				continue
-			}
-			return written, fmt.Errorf("streamgen: %s: %w", name, err)
-		}
-		dest := strings.TrimSuffix(path, ".go") + GeneratedSuffix
-		if err := os.WriteFile(dest, out, 0o644); err != nil {
-			return written, fmt.Errorf("streamgen: %w", err)
-		}
-		written = append(written, dest)
-	}
-	if len(written) == 0 {
-		return nil, fmt.Errorf("streamgen: no files in %s contained matching struct types", dir)
-	}
-	return written, nil
-}
-
 // SchemaFor derives the cmd/ds2json schema string for one struct type of
 // src: the dschema transliteration of the StreamInsert body Generate would
 // emit. Only fields with direct dschema equivalents are supported (the
-// fundamental scalars, strings, []float64, []int64); any other field shape
-// returns an error, since a partial schema would misread payloads.
+// fundamental scalars, strings, []byte, []float64, []int64); any other field
+// shape returns an error, since a partial schema would misread payloads.
 func SchemaFor(src []byte, filename, typeName string) (string, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, filename, src, 0)
@@ -182,7 +141,7 @@ func schemaType(t ast.Expr) (string, error) {
 			return "i64", nil
 		case "int8", "int16", "int32":
 			return "i32", nil
-		case "uint8", "uint16", "uint32":
+		case "byte", "uint8", "uint16", "uint32":
 			return "u32", nil
 		case "uint64":
 			return "u64", nil
@@ -197,6 +156,8 @@ func schemaType(t ast.Expr) (string, error) {
 		if tt.Len == nil {
 			if id, ok := tt.Elt.(*ast.Ident); ok {
 				switch id.Name {
+				case "byte", "uint8":
+					return "bytes", nil
 				case "float64":
 					return "f64[]", nil
 				case "int64":
@@ -240,21 +201,6 @@ func collectStructs(f *ast.File, opts Options) []structInfo {
 		}
 	}
 	return out
-}
-
-// TypeNames lists the struct type names Generate would process, sorted.
-func TypeNames(src []byte, filename string) ([]string, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, 0)
-	if err != nil {
-		return nil, fmt.Errorf("streamgen: parse %s: %w", filename, err)
-	}
-	var names []string
-	for _, s := range collectStructs(f, Options{}) {
-		names = append(names, s.name)
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 func emitInserter(b *bytes.Buffer, s structInfo, known map[string]bool) {
@@ -301,6 +247,7 @@ var scalarOps = map[string][2]string{
 	"int16":   {"Int32", "int32"},
 	"int32":   {"Int32", ""},
 	"int64":   {"Int64", ""},
+	"byte":    {"Uint32", "uint32"},
 	"uint8":   {"Uint32", "uint32"},
 	"uint16":  {"Uint32", "uint32"},
 	"uint32":  {"Uint32", ""},
@@ -347,6 +294,8 @@ func insertStmt(expr, name string, t ast.Expr, known map[string]bool, depth int)
 			// the length is stored with the data.
 			if id, ok := tt.Elt.(*ast.Ident); ok {
 				switch id.Name {
+				case "byte", "uint8":
+					return fmt.Sprintf("\te.Bytes32(%s)\n", expr)
 				case "float64":
 					return fmt.Sprintf("\te.Float64Slice(%s)\n", expr)
 				case "int64":
@@ -399,6 +348,8 @@ func extractStmt(expr, name string, t ast.Expr, known map[string]bool, depth int
 		if tt.Len == nil {
 			if id, ok := tt.Elt.(*ast.Ident); ok {
 				switch id.Name {
+				case "byte", "uint8":
+					return fmt.Sprintf("\t%s = d.Bytes32()\n", expr)
 				case "float64":
 					return fmt.Sprintf("\t%s = d.AppendFloat64Slice(%s[:0])\n", expr, expr)
 				case "int64":
@@ -406,13 +357,12 @@ func extractStmt(expr, name string, t ast.Expr, known map[string]bool, depth int
 				}
 			}
 			it := loopVar("i", depth)
-			n := loopVar("n", depth)
 			body := extractStmt(expr+"["+it+"]", name, tt.Elt, known, depth+1)
 			if strings.Contains(body, "TODO(streamgen)") {
 				return todo(name, t, "element type is not mechanically extractable")
 			}
-			return fmt.Sprintf("\t%s := int(d.Uint32())\n\t%s = make(%s, %s)\n\tfor %s := range %s {\n\t%s\t}\n",
-				n, expr, typeString(t), n, it, expr, body)
+			return fmt.Sprintf("\t%s = make(%s, int(d.Uint32()))\n\tfor %s := range %s {\n\t%s\t}\n",
+				expr, typeString(t), it, expr, body)
 		}
 		it := loopVar("i", depth)
 		body := extractStmt(expr+"["+it+"]", name, tt.Elt, known, depth+1)
