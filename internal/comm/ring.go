@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"pcxxstreams/internal/dsmon"
@@ -100,48 +101,84 @@ func (r *ring) tryTake() (Message, bool) {
 }
 
 // gate is a broadcast wakeup point. A waiter registers (enter), re-checks
-// its condition, and parks on the returned channel; wake closes the
-// current generation's channel, releasing every parked waiter at once.
-// When nobody waits, wake is a single atomic load — the cost the hot send
-// path pays per message.
+// its condition, parks on the returned channel, and leaves; wake drops one
+// token into the channel of every registered waiter, releasing them all at
+// once. Each channel holds one token and is the gate's: leave takes it back,
+// emptied, and the next enter hands it out again, so a park allocates
+// nothing once the gate has seen as many waiters at once as it will. When
+// nobody waits, wake is a single atomic load — the cost the hot send path
+// pays per message.
 //
-// The missed-wakeup argument: a waiter increments waiters before its
-// re-check, and a producer publishes its message before wake loads
-// waiters. Both operations are sequentially consistent atomics, so either
-// the producer observes the waiter (and closes the channel it parks on),
-// or the waiter's re-check observes the message. There is no interleaving
-// in which the message is published, the waiter parks, and nobody wakes it.
+// The missed-wakeup argument: a waiter registers its channel and then
+// increments waiters, both before its re-check, and a producer publishes its
+// message before wake loads waiters. The increment and the load are
+// sequentially consistent atomics, so either the load observes the waiter —
+// whose channel was registered first, under mu, where wake looks for it —
+// and the token lands in the channel it parks on, or the waiter's re-check
+// observes the message. There is no interleaving in which the message is
+// published, the waiter parks, and nobody wakes it. A token that lands after
+// the waiter stopped waiting is drained by leave, under mu, after which no
+// wake can reach the channel.
 type gate struct {
 	waiters atomic.Int32
-	ch      atomic.Pointer[chan struct{}]
+	mu      sync.Mutex
+	parked  []chan struct{} // the registered waiters' channels
+	spare   []chan struct{} // channels of waiters that left, empty
 }
 
 // enter registers the caller as a waiter and returns the channel to park
 // on. The caller must re-check its wakeup condition between enter and
-// parking, and must call leave exactly once afterward.
-func (g *gate) enter() <-chan struct{} {
-	g.waiters.Add(1)
-	for {
-		if p := g.ch.Load(); p != nil {
-			return *p
-		}
-		ch := make(chan struct{})
-		if g.ch.CompareAndSwap(nil, &ch) {
-			return ch
-		}
+// parking, and must call leave with the channel exactly once afterward.
+func (g *gate) enter() chan struct{} {
+	g.mu.Lock()
+	var ch chan struct{}
+	if n := len(g.spare); n > 0 {
+		ch = g.spare[n-1]
+		g.spare[n-1] = nil
+		g.spare = g.spare[:n-1]
+	} else {
+		ch = make(chan struct{}, 1)
 	}
+	g.parked = append(g.parked, ch)
+	g.mu.Unlock()
+	g.waiters.Add(1)
+	return ch
 }
 
-func (g *gate) leave() { g.waiters.Add(-1) }
+// leave unregisters the waiter that enter gave ch, and keeps ch, emptied, for
+// the next enter.
+func (g *gate) leave(ch chan struct{}) {
+	g.waiters.Add(-1)
+	g.mu.Lock()
+	for i, c := range g.parked {
+		if c == ch {
+			last := len(g.parked) - 1
+			g.parked[i], g.parked[last] = g.parked[last], nil
+			g.parked = g.parked[:last]
+			break
+		}
+	}
+	select {
+	case <-ch:
+	default:
+	}
+	g.spare = append(g.spare, ch)
+	g.mu.Unlock()
+}
 
 // wake releases every currently registered waiter.
 func (g *gate) wake() {
 	if g.waiters.Load() == 0 {
 		return
 	}
-	if p := g.ch.Swap(nil); p != nil {
-		close(*p)
+	g.mu.Lock()
+	for _, ch := range g.parked {
+		select {
+		case ch <- struct{}{}:
+		default: // already holds its token
+		}
 	}
+	g.mu.Unlock()
 }
 
 // ringCounters aggregates mailbox-path events across a transport. All

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,4 +249,41 @@ func TestRingStatsRaceFree(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestParkedReceiveAllocatesNothing: a receive that finds nothing parks on
+// its mailbox's arrival gate, and the send that wakes it, and the receive's
+// leaving, allocate nothing once the gate has a channel: the next park is
+// handed the channel the last one left.
+func TestParkedReceiveAllocatesNothing(t *testing.T) {
+	ctr := new(ringCounters)
+	mb := newMailbox(2, ctr)
+	var got atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, err := mb.get(1, 7); err != nil {
+				return
+			}
+			got.Add(1)
+		}
+	}()
+	defer func() { mb.close(); <-done }()
+	roundTrip := func() {
+		for mb.arrival.waiters.Load() == 0 { // the receiver is on the gate
+			runtime.Gosched()
+		}
+		n := got.Load()
+		if err := mb.put(Message{From: 1, To: 0, Tag: 7}); err != nil {
+			t.Fatal(err)
+		}
+		for got.Load() == n {
+			runtime.Gosched()
+		}
+	}
+	roundTrip() // the gate's first channel, the stream's first pending list
+	if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
+		t.Fatalf("a park and its wake allocate %.2f objects, want 0", avg)
+	}
 }

@@ -22,8 +22,9 @@ import (
 // written; each Read (or UnsortedRead) loads one record into the per-node
 // buffers, after which Extract calls drain it array by array.
 //
-// Element decoders alias pooled buffers the stream recycles: the refill
-// buffer holding this node's share of the record and, after a sorted Read
+// Element decoders alias buffers the stream recycles: the refill buffer
+// holding this node's share of the record — pooled, or memory the file's
+// backend supplied (dstreamd's same-host chunks) — and, after a sorted Read
 // across layouts, what the other nodes lent of theirs. Bytes obtained with
 // Decoder.Raw are therefore valid only until the next Read, UnsortedRead,
 // Skip or Close, wherever the element came from; copy them out to keep them.
@@ -46,8 +47,11 @@ type IStream struct {
 	// share of the current record's data section (element decoders alias it,
 	// so bytes extracted with Raw are invalidated by the next Read, Skip, or
 	// Close) — unless the redistribution lent part of it, when it is the
-	// lease's and refill is nil.
-	refill []byte
+	// lease's and refill is nil. sourced reports that refill is memory the
+	// file's backend supplied (pfs.BufferSource), which goes back through the
+	// file, never to the pool or a lease.
+	refill  []byte
+	sourced bool
 	// metaFrame is the pooled frame the current record's front matter
 	// arrived in, held with refill's lifetime.
 	metaFrame []byte
@@ -276,6 +280,7 @@ func (s *IStream) read(sorted bool) error {
 		s.met.prefetchHits.Inc()
 		s.met.prefetchOverlap.Observe(overlap)
 		if e.chunk != nil {
+			s.releaseSourced()
 			s.retireBuf(s.refill)
 			s.refill = e.chunk
 		}
@@ -286,7 +291,8 @@ func (s *IStream) read(sorted bool) error {
 			return s.fail(err)
 		}
 		s.metaFrame = m.frame
-		chunk, _, err = s.fetch(s.cursor, m, s.refill, false)
+		inPlace := !sorted || s.dist.SameLayout(m.wdist)
+		chunk, _, err = s.fetch(s.cursor, m, s.refill, false, inPlace)
 		s.refill = chunk
 		if err != nil {
 			return s.fail(fmt.Errorf("%w: parallel read: %w", ErrIO, err))
@@ -343,28 +349,55 @@ func (s *IStream) read(sorted bool) error {
 // slices to the consumers (two-phase), or every node reads its own share with
 // one direct parallel read, conforming to the layout on disk. async issues
 // the transfer in the background and returns the virtual instant it lands.
-// Whatever happens, the returned buffer is the one the caller owns afterwards
-// in place of dst — dst itself on a failed or empty direct read.
-func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async bool) (chunk []byte, completion float64, err error) {
+// A synchronous fetch is into the refill buffer (dst is s.refill), and a
+// direct one of a share decoded where it lands (inPlace: not redistributed)
+// may land in memory the file's backend supplies, so that the store reads
+// straight into what the decoders read; s.sourced then says so. Whatever
+// happens, the returned buffer is the one the caller owns afterwards in place
+// of dst — dst itself on a failed or empty direct read.
+func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async, inPlace bool) (chunk []byte, completion float64, err error) {
 	dataStart := cursor + enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes()
-	if s.planRead(m) {
+	twoPhase := s.planRead(m)
+	lo, hi := m.rankOff[s.rank], m.rankOff[s.rank+1]
+	source := !async && inPlace && !twoPhase
+	if !async && s.sourced && (!source || int64(cap(dst)) < hi-lo) {
+		// The backend's buffer serves a direct read in place that fits it and
+		// nothing else: it goes back before anything is drawn, so that the
+		// backend can hand the same memory out again.
+		s.releaseSourced()
+		dst = nil
+	}
+	if twoPhase {
 		return s.refillTwoPhase(dataStart, m.rankOff, dst, async)
 	}
-	lo, hi := m.rankOff[s.rank], m.rankOff[s.rank+1]
 	rg := pfs.Range{Off: dataStart + lo, Len: int(hi - lo)}
-	if async {
+	sourced := false
+	switch {
+	case async:
 		chunk, completion, err = s.f.ParallelReadIntoAsync(rg, dst[:0])
-	} else {
+	case source:
+		chunk, sourced, err = s.f.ParallelReadSourced(rg, dst[:0])
+	default:
 		chunk, err = s.f.ParallelReadInto(rg, dst[:0])
 	}
 	if err != nil || rg.Len == 0 {
 		return dst[:0], completion, err
 	}
 	if cap(dst) < rg.Len {
-		// Outgrown: the read came back in a fresh pooled buffer.
+		// Outgrown: the read came back in a fresh buffer, and dst was pooled.
 		bufpool.Put(dst)
 	}
+	s.sourced = s.sourced || sourced
 	return chunk, completion, nil
+}
+
+// releaseSourced gives the refill buffer back to the file when the file's
+// backend supplied it; a pooled one stays the refill buffer.
+func (s *IStream) releaseSourced() {
+	if s.sourced {
+		s.f.Release(s.refill)
+		s.refill, s.sourced = nil, false
+	}
 }
 
 // frontMatter reads the front matter of the record at cursor in one act of
@@ -507,7 +540,7 @@ func (s *IStream) prefetchOne(cursor int64) (prefetched, bool) {
 		}
 		return e, false
 	}
-	chunk, completion, err := s.fetch(cursor, m, s.takeFreeBuf(), true)
+	chunk, completion, err := s.fetch(cursor, m, s.takeFreeBuf(), true, false)
 	if err != nil {
 		// PFS errors reach every rank through the rendezvous, so abandoning
 		// on one is collective — benign. A transport failure is not.
@@ -674,6 +707,7 @@ func (s *IStream) Close() error {
 		s.preFree[i] = nil
 	}
 	s.preFree = nil
+	s.releaseSourced()
 	err := s.f.Close()
 	s.f = nil
 	s.releaseFrames()

@@ -61,3 +61,29 @@ func (rb *resilientBackend) Layout() Layout {
 	}
 	return Layout{}
 }
+
+// BufferSource is implemented by backends that can supply a read's
+// destination: memory their ReadAt fills in place, where a buffer of the
+// caller's would take a copy out of it (dstreamd's same-host client hands
+// out runs of the shared chunks its daemon reads the store into). Buffer
+// returns at least n bytes, or nil when it has none to give; Release takes
+// back a buffer Buffer returned. Such a buffer is never the pool's.
+type BufferSource interface {
+	Buffer(n int) []byte
+	Release(b []byte)
+}
+
+// Buffer forwards to the wrapped backend, so the retry layer is transparent
+// to a backend that supplies read buffers; any other backend has none.
+func (rb *resilientBackend) Buffer(n int) []byte {
+	if bs, ok := rb.Backend.(BufferSource); ok {
+		return bs.Buffer(n)
+	}
+	return nil
+}
+
+// Release forwards to the wrapped backend, the only one Buffer hands out
+// for.
+func (rb *resilientBackend) Release(b []byte) {
+	rb.Backend.(BufferSource).Release(b)
+}

@@ -175,6 +175,9 @@ type file struct {
 	mu   sync.Mutex
 	name string
 	b    Backend
+	// src supplies read buffers: the retry layer over the factory's backend,
+	// which InjectFault may wrap in b but never here.
+	src  BufferSource
 	d    *disk
 	refs int
 	// mayTrunc guards truncate-on-open: a fresh open generation (no opens
@@ -188,7 +191,8 @@ type file struct {
 }
 
 func newFile(fs *FileSystem, name string, b Backend) *file {
-	f := &file{name: name, b: &resilientBackend{Backend: b, fs: fs}, d: newDisk(fs.prof), mayTrunc: true, rdvs: make(map[uint64]*rendezvous)}
+	rb := &resilientBackend{Backend: b, fs: fs}
+	f := &file{name: name, b: rb, src: rb, d: newDisk(fs.prof), mayTrunc: true, rdvs: make(map[uint64]*rendezvous)}
 	f.cond.L = &f.mu
 	if fs.mon != nil {
 		attachBackendMonitor(f.b, fs.mon)
@@ -236,6 +240,10 @@ type File struct {
 	// that later wait on the completion (dstream's Drain, a prefetch hit)
 	// read it to link their wait span to the I/O that satisfied it.
 	lastAsync dsmon.SpanID
+	// sourced reports that this rank's last drawn read buffer came from the
+	// backend (BufferSource), not the pool. Set in the move step, which runs
+	// on the rank's own goroutine.
+	sourced bool
 }
 
 // LastAsyncSpan returns the span ID of the most recent asynchronous
@@ -598,7 +606,7 @@ func readFull(b io.ReaderAt, p []byte, off int64) error {
 // reference to them. All nodes leave at the same virtual time, with the same
 // error.
 func (h *File) ParallelReadPieces(off int64, pieces ...[]byte) error {
-	_, err := h.parallelRead(off, pieces, 0, true)
+	_, err := h.parallelRead(off, pieces, 0, false, true)
 	return err
 }
 
@@ -607,16 +615,18 @@ func (h *File) ParallelReadPieces(off int64, pieces ...[]byte) error {
 // and the disk is busy until the returned completion time, to which the
 // caller must SyncTo before it consumes them.
 func (h *File) ParallelReadPiecesAsync(off int64, pieces ...[]byte) (completion float64, err error) {
-	return h.parallelRead(off, pieces, 0, false)
+	return h.parallelRead(off, pieces, 0, false, false)
 }
 
 // parallelRead is the one read body. With draw > 0 the caller has no
-// destination: pieces is one nil entry, which this rank sets to a pooled
-// buffer of draw bytes in the move step. Drawn there, once every rank has
-// arrived, the buffer can be one a peer gave back on its way to the read (the
-// last stream's arena, say); drawn on arrival, the reads of a checkpoint cycle
-// on real files missed the pool about four times as often.
-func (h *File) parallelRead(off int64, pieces [][]byte, draw int, syncClock bool) (float64, error) {
+// destination: pieces is one nil entry, which this rank sets to a buffer of
+// draw bytes in the move step — the backend's own when source is set and the
+// backend has one to give (BufferSource; h.sourced reports it), a pooled one
+// otherwise. Drawn there, once every rank has arrived, the buffer can be one
+// a peer gave back on its way to the read (the last stream's arena, say);
+// drawn on arrival, the reads of a checkpoint cycle on real files missed the
+// pool about four times as often.
+func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncClock bool) (float64, error) {
 	n := h.nprocs
 	size := int64(draw)
 	for _, p := range pieces {
@@ -636,7 +646,13 @@ func (h *File) parallelRead(off int64, pieces [][]byte, draw int, syncClock bool
 		// first piece that failed.
 		func(*rendezvous) (int64, error) {
 			if draw > 0 {
-				pieces[0] = bufpool.Get(draw)
+				if source {
+					pieces[0] = h.f.src.Buffer(draw)
+					h.sourced = pieces[0] != nil
+				}
+				if !h.sourced {
+					pieces[0] = bufpool.Get(draw)
+				}
 			}
 			at := off
 			for _, p := range pieces {
@@ -666,7 +682,7 @@ func (h *File) parallelRead(off int64, pieces [][]byte, draw int, syncClock bool
 // virtual time, with the same error. The returned buffer is pool-backed and
 // owned by the caller (bufpool.Put when done is optional).
 func (h *File) ParallelRead(rg Range) ([]byte, error) {
-	b, _, err := h.readRange(rg, nil, true)
+	b, _, err := h.readRange(rg, nil, false, true)
 	return b, err
 }
 
@@ -675,9 +691,23 @@ func (h *File) ParallelRead(rg Range) ([]byte, error) {
 // steady state allocates nothing; otherwise (including dst == nil) a
 // pool-backed buffer is returned. Each rank's dst serves only its own range.
 func (h *File) ParallelReadInto(rg Range, dst []byte) ([]byte, error) {
-	b, _, err := h.readRange(rg, dst, true)
+	b, _, err := h.readRange(rg, dst, false, true)
 	return b, err
 }
+
+// ParallelReadSourced is ParallelReadInto for a caller that gives back what
+// it is handed: when dst is short, the buffer drawn is the backend's own
+// memory if the backend supplies one (BufferSource), so the read lands where
+// the backend would otherwise copy it from, and a pooled one otherwise.
+// sourced reports the former; such a buffer goes back through Release,
+// never to bufpool.
+func (h *File) ParallelReadSourced(rg Range, dst []byte) (data []byte, sourced bool, err error) {
+	data, _, err = h.readRange(rg, dst, true, true)
+	return data, err == nil && h.sourced, err
+}
+
+// Release gives back a buffer ParallelReadSourced reported sourced.
+func (h *File) Release(b []byte) { h.f.src.Release(b) }
 
 // ParallelReadAsync is the read-ahead variant of ParallelRead: the data is
 // available in the returned buffer and the disk is busy until the returned
@@ -686,32 +716,37 @@ func (h *File) ParallelReadInto(rg Range, dst []byte) ([]byte, error) {
 // must SyncTo the completion time before consuming the bytes (an input
 // stream does this when the prefetched record is read).
 func (h *File) ParallelReadAsync(rg Range) (data []byte, completion float64, err error) {
-	return h.readRange(rg, nil, false)
+	return h.readRange(rg, nil, false, false)
 }
 
 // ParallelReadIntoAsync is ParallelReadAsync reading into the caller's
 // buffer, with ParallelReadInto's reuse contract.
 func (h *File) ParallelReadIntoAsync(rg Range, dst []byte) (data []byte, completion float64, err error) {
-	return h.readRange(rg, dst, false)
+	return h.readRange(rg, dst, false, false)
 }
 
 // readRange is the piece-list read of one range: the one piece is dst when it
-// is large enough and a buffer drawn from the pool otherwise, and an empty
-// range has none, whatever the destination.
-func (h *File) readRange(rg Range, dst []byte, syncClock bool) ([]byte, float64, error) {
+// is large enough and a drawn buffer otherwise (the backend's, with source
+// set, when it has one), and an empty range has none, whatever the
+// destination.
+func (h *File) readRange(rg Range, dst []byte, source, syncClock bool) ([]byte, float64, error) {
 	pieces := [][]byte{nil}
 	draw := 0
+	h.sourced = false
 	switch {
 	case rg.Len > 0 && cap(dst) >= rg.Len:
 		pieces[0] = dst[:rg.Len]
 	case rg.Len > 0:
 		draw = rg.Len
 	}
-	completion, err := h.parallelRead(rg.Off, pieces, draw, syncClock)
+	completion, err := h.parallelRead(rg.Off, pieces, draw, source, syncClock)
 	if err != nil {
 		// The group failed, on this rank's range or a peer's: what this rank
-		// drew from the pool goes back.
-		if draw > 0 {
+		// drew goes back where it came from.
+		switch {
+		case h.sourced:
+			h.Release(pieces[0])
+		case draw > 0:
 			bufpool.Put(pieces[0])
 		}
 		return nil, 0, err

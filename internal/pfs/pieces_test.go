@@ -546,3 +546,84 @@ func TestAppendAndFanoutAllocPins(t *testing.T) {
 		}
 	}
 }
+
+// sourceBackend is a store that hands out read buffers of its own (odd
+// capacities, so no pool class fits one) and counts those not given back.
+type sourceBackend struct {
+	Backend
+	give bool
+	mu   sync.Mutex
+	out  map[*byte]bool
+}
+
+func (s *sourceBackend) Buffer(n int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.give {
+		return nil
+	}
+	b := make([]byte, n, n+1)
+	s.out[&b[:1][0]] = true
+	return b
+}
+
+func (s *sourceBackend) Release(b []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.out[&b[:1][0]] {
+		panic("release of a buffer the store never handed out")
+	}
+	delete(s.out, &b[:1][0])
+}
+
+// TestParallelReadSourced: a read with no destination of its own lands in the
+// store's buffer when the store has one to give, through the retry layer, and
+// a backend with none to give draws from the pool. A read that fails — under
+// InjectFault's wrapper, which stands between the file and the retry layer —
+// gives the store's buffer back to the store, not to the pool.
+func TestParallelReadSourced(t *testing.T) {
+	const n, size = 3, 100
+	for _, c := range []struct{ give, fail bool }{{true, false}, {false, false}, {true, true}} {
+		t.Run(fmt.Sprintf("give=%v/fail=%v", c.give, c.fail), func(t *testing.T) {
+			src := &sourceBackend{Backend: NewMemBackend(), give: c.give, out: map[*byte]bool{}}
+			for r := range n {
+				src.Backend.WriteAt(pieceBytes(r, 0, size), int64(r*size)) //nolint:errcheck
+			}
+			fs := NewFileSystem(testProfile(), func(string) (Backend, error) { return src, nil })
+			if c.fail {
+				if err := fs.InjectFault("f", 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			errs := make([]error, n)
+			spmdFS(t, fs, n, func(rank int, clock *vtime.Clock) error {
+				h, err := fs.Open("f", n, rank, clock, false)
+				if err != nil {
+					return err
+				}
+				defer h.Close()
+				got, sourced, err := h.ParallelReadSourced(Range{Off: int64(rank * size), Len: size}, nil)
+				if errs[rank] = err; err != nil {
+					return nil
+				}
+				if sourced != c.give || !bytes.Equal(got, pieceBytes(rank, 0, size)) {
+					return fmt.Errorf("rank %d: sourced %v, bytes equal %v", rank, sourced, bytes.Equal(got, pieceBytes(rank, 0, size)))
+				}
+				if sourced {
+					h.Release(got)
+				} else {
+					bufpool.Put(got)
+				}
+				return nil
+			})
+			for r, err := range errs {
+				if (err != nil) != c.fail {
+					t.Errorf("rank %d: err %v, want a failure %v", r, err, c.fail)
+				}
+			}
+			if len(src.out) != 0 {
+				t.Errorf("%d of the store's buffers not given back", len(src.out))
+			}
+		})
+	}
+}

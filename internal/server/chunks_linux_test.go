@@ -221,8 +221,8 @@ func TestChunkOpsRefused(t *testing.T) {
 		Tenants: []server.Tenant{{Name: "a"}},
 	})
 	cc := chunkHello(t, srv.Addr(), "a")
-	if cc.n != 8 {
-		t.Fatalf("N = %d on a daemon of 4 I/O ranks, want 8", cc.n)
+	if cc.n != 16 {
+		t.Fatalf("N = %d on a daemon of 4 I/O ranks, want 16", cc.n)
 	}
 	for id, name := range []string{"f", "held"} {
 		if _, status, _ := exchange(t, cc, frame(uint64(id+1), wireOpen, str(name))); status != wireOK {
@@ -283,10 +283,10 @@ func TestChunkFileSealed(t *testing.T) {
 	srv := startDaemon(t, server.Config{Tenants: []server.Tenant{{Name: "a"}}, StripeFactor: 3})
 	cc := chunkHello(t, srv.Addr(), "a")
 	var st syscall.Stat_t
-	if err := syscall.Fstat(cc.fd, &st); err != nil || st.Size != 6*mib || cc.n != 6 {
-		t.Fatalf("chunk file: %d chunks, %d bytes (%v); want 6 of a MiB", cc.n, st.Size, err)
+	if err := syscall.Fstat(cc.fd, &st); err != nil || st.Size != 12*mib || cc.n != 12 {
+		t.Fatalf("chunk file: %d chunks, %d bytes (%v); want 12 of a MiB", cc.n, st.Size, err)
 	}
-	for _, size := range []int64{0, mib, 7 * mib} {
+	for _, size := range []int64{0, mib, 13 * mib} {
 		if err := syscall.Ftruncate(cc.fd, size); !errors.Is(err, syscall.EPERM) {
 			t.Errorf("ftruncate to %d = %v, want EPERM", size, err)
 		}

@@ -57,10 +57,14 @@ func (e *statusError) Is(target error) bool {
 // after reconnect, and the reply channel. The frame is head and, for a write,
 // the caller's own buffer behind it — or, when the call holds a shared chunk,
 // head naming the chunk the caller's buffer was copied into; a read's reply
-// lands in the caller's buffer too, or in the chunk it is copied out of. The
-// caller's buffer is borrowed — see Ownership in the package doc.
+// lands in the caller's buffer too, or in the chunk it is copied out of, or —
+// when the caller's buffer is itself a chunk of a run it holds — in place.
+// The caller's buffer is borrowed — see Ownership in the package doc.
 type call struct {
-	id      uint64
+	id uint64
+	// held: chunk k is into itself, a chunk of a run the caller holds
+	// (Client.buffer), which the reply neither copies out of nor frees.
+	held    bool
 	op      uint8  // opRead, opWrite or a control op: the framed form's
 	head    []byte // prefix, id, op and every field but a write's data
 	payload []byte // write: the caller's p, sent behind head; nil otherwise
@@ -80,10 +84,9 @@ func (cl *call) isData() bool { return cl.payload != nil || cl.into != nil }
 // is about to go out on, or the framed path when m is nil or has none free.
 // The caller holds mu.
 func (cl *call) takeChunk(m *chunkMap) {
-	cl.m, cl.k = m, -1
-	if m != nil && len(m.free) > 0 {
-		cl.k = m.free[len(m.free)-1]
-		m.free = m.free[:len(m.free)-1]
+	cl.m, cl.k, cl.held = m, -1, false
+	if m != nil {
+		cl.k = m.take(1)
 	}
 }
 
@@ -105,13 +108,42 @@ func writeCall(conn net.Conn, cl *call) error {
 }
 
 // chunkMap is the client's side of one connection's shared chunks: the
-// mapping, the chunks no request holds (guarded by Client.mu), and the
-// goroutines copying into it. The connection's readLoop unmaps it when it
-// exits, once users is zero.
+// mapping, which chunks a request or a run holds (guarded by Client.mu), and
+// its users — the goroutines copying into it and the runs handed out of it.
+// The connection's readLoop unmaps it when it exits, once users is zero.
 type chunkMap struct {
 	mem   []byte
-	free  []int
+	busy  []bool
 	users sync.WaitGroup
+}
+
+// take holds the first run of n adjacent free chunks, lowest index first, and
+// returns its first chunk; -1 when there is none. Taking the lowest keeps the
+// pages a connection has touched to the high-water mark of what it held at
+// once. The caller holds Client.mu.
+func (m *chunkMap) take(n int) int {
+	run := 0
+	for k, busy := range m.busy {
+		if busy {
+			run = 0
+			continue
+		}
+		if run++; run == n {
+			at := k + 1 - n
+			for j := at; j <= k; j++ {
+				m.busy[j] = true
+			}
+			return at
+		}
+	}
+	return -1
+}
+
+// chunkRun is n adjacent chunks of m from chunk k on, handed out as one read
+// buffer (Client.buffer).
+type chunkRun struct {
+	m    *chunkMap
+	k, n int
 }
 
 // acceptChunks maps the shared chunks a v2 hello reply grants (r is at the
@@ -129,11 +161,7 @@ func acceptChunks(r *enc.Reader, fd int) *chunkMap {
 	if err != nil {
 		return nil
 	}
-	m := &chunkMap{mem: mem, free: make([]int, n)}
-	for i := range m.free {
-		m.free[i] = int(n) - 1 - i // chunk 0 first
-	}
-	return m
+	return &chunkMap{mem: mem, busy: make([]bool, n)}
 }
 
 type reply struct {
@@ -163,7 +191,13 @@ type Client struct {
 	token   string
 	nextID  uint64
 	pending map[uint64]*call
-	broken  error // non-nil once the session is permanently dead
+	broken  error      // non-nil once the session is permanently dead
+	runs    []chunkRun // read buffers handed out and not yet released, any mapping's
+	// copiedOut counts the bytes read replies copied out of shared chunks, and
+	// pooled the buffers asked for on a connection with shared chunks that
+	// found no run free.
+	copiedOut int64
+	pooled    int
 
 	wmu sync.Mutex // serializes frame writes to the current conn
 }
@@ -318,9 +352,10 @@ func readBody(r io.Reader, rest int) (*enc.Reader, error) {
 // readLoop delivers responses for one connection generation, whose shared
 // chunks are m; on connection failure it hands off to reconnect, and then
 // unmaps m. It is the one reply decoder: a read's data goes from the socket,
-// or out of its chunk, into the buffer its caller passed to ReadAt, every
-// other body into a cursor the caller decodes. A reply hands a call's chunk
-// back to m's free list.
+// or out of its chunk, into the buffer its caller passed to ReadAt — unless
+// that buffer is the chunk, of a run its caller holds — every other body into
+// a cursor the caller decodes. A reply hands a call's chunk back to m, a held
+// one excepted: that is its run's until the run is released.
 func (c *Client) readLoop(conn net.Conn, gen int, m *chunkMap) {
 	defer c.retire(m)
 	br := bufio.NewReader(conn)
@@ -350,7 +385,9 @@ func (c *Client) readLoop(conn net.Conn, gen int, m *chunkMap) {
 			err = fmt.Errorf("dstreamd: reply %d to a request whose chunk this connection never carried", id)
 		case cl.into != nil && (status == statusOK || status == statusEOF):
 			if cl.k >= 0 {
-				rep.n, err = readChunkData(br, rest, m.mem, cl.k, cl.into)
+				if rep.n, err = readChunkData(br, rest, cl.k, len(cl.into)); err == nil && !cl.held {
+					copy(cl.into, chunkAt(m.mem, cl.k)[:rep.n])
+				}
 			} else {
 				rep.n, err = readData(br, rest, cl.into)
 			}
@@ -373,10 +410,13 @@ func (c *Client) readLoop(conn net.Conn, gen int, m *chunkMap) {
 			c.reconnect(conn, gen)
 			return
 		}
-		if cl.k >= 0 {
+		if cl.k >= 0 && !cl.held {
 			poisonChunk(chunkAt(m.mem, cl.k))
 			c.mu.Lock()
-			m.free = append(m.free, cl.k)
+			m.busy[cl.k] = false
+			if cl.into != nil {
+				c.copiedOut += int64(rep.n)
+			}
 			c.mu.Unlock()
 		}
 		cl.done <- rep
@@ -384,8 +424,9 @@ func (c *Client) readLoop(conn net.Conn, gen int, m *chunkMap) {
 }
 
 // retire unmaps m, the chunks of a connection whose readLoop is exiting, once
-// nothing is copying into them; if they are still the client's current ones
-// (the session broke), transfers go framed from now on.
+// nothing is copying into them and every run handed out of them is released;
+// if they are still the client's current ones (the session broke), transfers
+// go framed from now on.
 func (c *Client) retire(m *chunkMap) {
 	if m == nil {
 		return
@@ -400,10 +441,11 @@ func (c *Client) retire(m *chunkMap) {
 }
 
 // readChunkData reads the body of a successful read reply in chunk form —
-// chunk(u32) n(u32), rest bytes in all — and copies the n bytes out of chunk
-// k of mem into p. A reply naming another chunk than the one its request
-// handed over, or more data than was asked for, is a corrupt stream.
-func readChunkData(r io.Reader, rest int, mem []byte, k int, p []byte) (int, error) {
+// chunk(u32) n(u32), rest bytes in all — and returns n, the bytes the reply
+// left at the start of chunk k. A reply naming another chunk than the one its
+// request handed over, or more data than the want asked for, is a corrupt
+// stream.
+func readChunkData(r io.Reader, rest int, k, want int) (int, error) {
 	var b [8]byte
 	if rest != len(b) {
 		return 0, fmt.Errorf("dstreamd: chunk read reply with %d bytes of body", rest)
@@ -412,11 +454,78 @@ func readChunkData(r io.Reader, rest int, mem []byte, k int, p []byte) (int, err
 		return 0, err
 	}
 	got, n := binary.LittleEndian.Uint32(b[:]), binary.LittleEndian.Uint32(b[4:])
-	if int64(got) != int64(k) || int64(n) > int64(len(p)) {
+	if int64(got) != int64(k) || int64(n) > int64(want) {
 		return 0, fmt.Errorf("dstreamd: read reply names chunk %d with %d bytes; chunk %d went out for %d",
-			got, n, k, len(p))
+			got, n, k, want)
 	}
-	return copy(p, chunkAt(mem, k)[:n]), nil
+	return int(n), nil
+}
+
+// buffer hands out a run of adjacent free chunks of the current connection's
+// mapping, at least n bytes of it, as a read destination: ReadAt into it
+// names its chunks, so the daemon's store reads straight into memory the
+// caller then reads in place. Its capacity is the whole run, so no pool class
+// can mistake it for one of its own. Nil when the connection has no mapping
+// or no run that long is free. The mapping stays until release gives the run
+// back, whatever becomes of the connection meanwhile.
+func (c *Client) buffer(n int) []byte {
+	chunks := (n + chunkBytes - 1) / chunkBytes
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.shm
+	if m == nil || n <= 0 || c.broken != nil {
+		return nil
+	}
+	k := m.take(chunks)
+	if k < 0 {
+		c.pooled++
+		return nil
+	}
+	m.users.Add(1)
+	c.runs = append(c.runs, chunkRun{m: m, k: k, n: chunks})
+	lo := k * chunkBytes
+	return m.mem[lo : lo+n : lo+chunks*chunkBytes]
+}
+
+// release takes back a run buffer handed out, poisoned under -tags pooldebug
+// so that a reader past its release fails byte identity.
+func (c *Client) release(b []byte) {
+	at := &b[:1][0]
+	c.mu.Lock()
+	for i, r := range c.runs {
+		if at != &r.m.mem[r.k*chunkBytes] {
+			continue
+		}
+		c.runs = append(c.runs[:i], c.runs[i+1:]...)
+		for k := r.k; k < r.k+r.n; k++ {
+			poisonChunk(chunkAt(r.m.mem, k))
+			r.m.busy[k] = false
+		}
+		c.mu.Unlock()
+		r.m.users.Done()
+		return
+	}
+	c.mu.Unlock()
+	panic("dstreamd: release of a buffer the client never handed out")
+}
+
+// runChunk is the chunk of the current mapping that p starts at when p lies
+// in a run handed out as a read buffer, or -1. The caller holds mu.
+func (c *Client) runChunk(p []byte) int {
+	if len(p) == 0 {
+		return -1
+	}
+	for _, r := range c.runs {
+		if r.m != c.shm {
+			continue
+		}
+		for k := r.k; k < r.k+r.n; k++ {
+			if &p[0] == &r.m.mem[k*chunkBytes] {
+				return k
+			}
+		}
+	}
+	return -1
 }
 
 // readData reads the body of a successful read reply — data(u32 length,
@@ -559,8 +668,9 @@ func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) 
 // transfer is roundTrip for the two data ops: a write's payload is sent
 // behind the head body builds (whose last field must be the payload's
 // length), a read's data is delivered into into — or, when a shared chunk is
-// free, each is copied once, into the chunk or out of it. Both are the
-// caller's again when transfer returns.
+// free, each is copied once, into the chunk or out of it. A read into a chunk
+// of a run the caller holds names that chunk and is not copied at all. Both
+// are the caller's again when transfer returns.
 func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []byte) (reply, error) {
 	c.mu.Lock()
 	if c.broken != nil {
@@ -571,7 +681,9 @@ func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []
 	id := c.nextID
 	c.nextID++
 	cl := &call{id: id, op: op, head: body(newFrame(id, op)), payload: payload, into: into, k: -1, done: make(chan reply, 1)}
-	if cl.isData() {
+	if k := c.runChunk(into); k >= 0 {
+		cl.m, cl.k, cl.held = c.shm, k, true
+	} else if cl.isData() {
 		cl.takeChunk(c.shm)
 	}
 	m, k := cl.m, cl.k
@@ -680,7 +792,10 @@ type remoteFile struct {
 	layout pfs.Layout
 }
 
-var _ pfs.LayoutProvider = (*remoteFile)(nil)
+var (
+	_ pfs.LayoutProvider = (*remoteFile)(nil)
+	_ pfs.BufferSource   = (*remoteFile)(nil)
+)
 
 // Layout reports the server-side stripe geometry.
 func (f *remoteFile) Layout() pfs.Layout { return f.layout }
@@ -714,7 +829,16 @@ func (f *remoteFile) Truncate(size int64) error {
 	return nil
 }
 
-// ReadAt implements io.ReaderAt against the daemon, chunk by chunk.
+// Buffer hands out a run of the session's shared chunks as a read
+// destination (pfs.BufferSource): see Client.buffer.
+func (f *remoteFile) Buffer(n int) []byte { return f.c.buffer(n) }
+
+// Release gives back a buffer Buffer handed out.
+func (f *remoteFile) Release(b []byte) { f.c.release(b) }
+
+// ReadAt implements io.ReaderAt against the daemon, chunk by chunk, each
+// chunk's request waiting for its reply before the next goes out. Into a
+// buffer Buffer handed out, each request names the chunk it reads into.
 func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
@@ -754,9 +878,11 @@ func (f *remoteFile) readChunk(p []byte, off int64) (int, error) {
 	}
 }
 
-// WriteAt implements io.WriterAt against the daemon, chunk by chunk. The
-// chunks go out at once, as reads do: the daemon's tenant window is what
-// holds a session to its share of the I/O ranks.
+// WriteAt implements io.WriterAt against the daemon, chunk by chunk: each
+// chunk's request waits for its reply before the next goes out, as a read's
+// do. A session keeps several chunks in flight by its ranks' concurrent
+// calls, and the daemon's tenant window is what holds it to its share of the
+// I/O ranks.
 func (f *remoteFile) WriteAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {

@@ -11,3 +11,34 @@ func (c *Client) Network() string {
 // NewChunkFile makes a sealed chunk file of n chunks, as the daemon does at a
 // v2 hello: its fd and a mapping of it.
 func NewChunkFile(n int) (int, []byte, error) { return newChunkFile(n) }
+
+// ChunkCounts reports the bytes read replies copied out of shared chunks, the
+// read buffers asked for on a connection with shared chunks that found no run
+// free, the runs held now, and the connection's shared chunks (0 without).
+func (c *Client) ChunkCounts() (copiedOut int64, pooled, held, granted int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shm != nil {
+		granted = len(c.shm.busy)
+	}
+	return c.copiedOut, c.pooled, len(c.runs), granted
+}
+
+// Buffer asks for a read buffer as a pfs.BufferSource does.
+func (c *Client) Buffer(n int) []byte { return c.buffer(n) }
+
+// Mapped reports whether b starts at a chunk of the current connection's
+// shared chunks.
+func (c *Client) Mapped(b []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shm == nil || cap(b) == 0 {
+		return false
+	}
+	for k := range c.shm.busy {
+		if &b[:1][0] == &c.shm.mem[k*chunkBytes] {
+			return true
+		}
+	}
+	return false
+}

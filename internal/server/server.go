@@ -254,10 +254,15 @@ type Server struct {
 	mChunksHeld *dsmon.Gauge   // shared chunks the daemon holds now
 }
 
-// sharedChunks is N, the number of chunks a same-host connection shares: two
-// per I/O rank, so that a session keeping one transfer in flight per rank
-// (what the tenant window admits) always finds one free; at most maxChunks.
-func (c Config) sharedChunks() int { return min(2*c.StripeFactor, maxChunks) }
+// sharedChunks is N, the number of chunks a same-host connection shares: four
+// per I/O rank, at most maxChunks. A client holds runs of them as its input
+// streams' refill buffers (a four-rank read of a 2048-Segment checkpoint
+// holds twelve), and a session keeping one transfer in flight per rank (what
+// the tenant window admits) still finds one free beside them. So a
+// connection pins up to N MiB of shared memory, 16 MiB at the default four
+// I/O ranks; a page counts only once touched, and the client takes the
+// lowest chunks free, so what is resident is the most it held at once.
+func (c Config) sharedChunks() int { return min(4*c.StripeFactor, maxChunks) }
 
 // Start builds a daemon from cfg and serves it on addr (":0" picks a free
 // port). Bound to a loopback literal, it also serves same-host clients on the

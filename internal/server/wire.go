@@ -43,7 +43,7 @@
 //	hello v2 := tenant token version features    → token version features N chunk
 //
 // The one feature bit so far is featSharedChunks. Granted, the hello reply
-// carries a memfd as SCM_RIGHTS: N = 2 × Config.StripeFactor chunks of
+// carries a memfd as SCM_RIGHTS: N = 4 × Config.StripeFactor chunks of
 // chunkBytes, sealed against shrinking and growing, which both sides map.
 // Then a read or write whose data fits a free chunk names the chunk instead of
 // carrying the data — the same fields as its framed form, the chunk behind
@@ -80,8 +80,10 @@
 // the caller's slice into the socket, off the socket into one pooled buffer,
 // into the store; and back the same way. Over shared chunks it crosses with
 // one copy: the caller's slice into a chunk the store reads, or a chunk the
-// store filled into the caller's slice. Nothing owns a payload by holding a
-// copy of it, so who may touch which bytes, and when, is a rule:
+// store filled into the caller's slice. A read into a held run crosses with
+// none: the caller's slice is the chunks the store fills. Nothing owns a
+// payload by holding a copy of it, so who may touch which bytes, and when, is
+// a rule:
 //
 //   - The caller's p. WriteAt's p is the frame's second iovec and ReadAt's p
 //     is where readLoop puts the reply's data; the call borrows it from the
@@ -124,9 +126,21 @@
 //     reconnect takes a chunk of the new connection's mapping and copies the
 //     caller's p into it again. Each side unmaps a connection's chunks only
 //     once nothing can touch them: the daemon after handleConn has drained
-//     every reply owed, the client when that connection's readLoop exits and
-//     the last copy into the mapping is done. Under -tags pooldebug the side
-//     that lets go of a chunk without data for the other poisons it first.
+//     every reply owed, the client when that connection's readLoop exits,
+//     the last copy into the mapping is done and every run handed out of it
+//     is released. Under -tags pooldebug the side that lets go of a chunk
+//     without data for the other poisons it first.
+//   - A held run. The client also hands out runs of adjacent free chunks,
+//     lowest first, as read buffers (Client.buffer, a pfs.BufferSource): an
+//     input stream's refill buffer. The run is its holder's until released;
+//     while held its chunks are on no free list. A ReadAt whose p starts at
+//     one of the current mapping's held chunks names that chunk, and the
+//     reply hands it back already filled: readLoop neither copies out of it
+//     nor poisons nor frees it. A resend after reconnect takes a chunk of the
+//     new mapping and copies into p, as for any caller's slice, and the old
+//     mapping stays mapped until the run is released. The holder releases a
+//     run to the client, never to the pool — a one-chunk run's capacity is a
+//     pool class — and never lends it under a comm.Lease.
 //   - The daemon's reply queue. Every reply of a connection leaves through
 //     its one writer, never from an I/O rank, so no rank waits on a
 //     client's socket. The connection's reader takes a queue slot before it

@@ -250,7 +250,8 @@ func TestWireGolden(t *testing.T) {
 // the trailing bytes of the hello as a daemon from before v2 does. The
 // client's v2 hello is the committed v1 hello with the version and features
 // behind it; granted no chunks, it falls back to frames, and every other
-// request it sends is the committed one.
+// request it sends is the committed one. It never holds a run of chunks as
+// a read buffer.
 func TestClientAgainstV1Daemon(t *testing.T) {
 	up, down := loadGolden(t, "wire_frames.golden")
 	tcp, err := net.Listen("tcp", "127.0.0.1:0") // holds the port the socket is named after
@@ -287,6 +288,9 @@ func TestClientAgainstV1Daemon(t *testing.T) {
 	}
 	if n := cli.Network(); n != "unix" {
 		t.Fatalf("client on %s, want the same-host socket", n)
+	}
+	if cli.Buffer(mib) != nil {
+		t.Fatal("a session granted no chunks handed out a read buffer")
 	}
 	goldenCalls(t, cli)
 	sent := <-got
