@@ -174,13 +174,10 @@ type streamID struct {
 // presents exactly-once, in-order streams.
 //
 // The stage holds state only for streams with something staged or a cursor
-// to keep: a list that empties leaves the pending map. A sequenced stream
-// keeps its emptied backing array beside its cursor and stages its next
-// backlog into it, so a long-lived stream's list grows to its own high-water
-// mark once and no other stream draws it down; every other list goes to a
-// small free list. One-shot streams (SeqOnce) never enter next — the last
-// onceWindow of them delivered are remembered instead, which is what
-// suppressing a duplicate takes. A duplicate that arrives later
+// to keep: a list that empties leaves the pending map (its backing array
+// goes to a small free list), and one-shot streams (SeqOnce) never enter
+// next — the last onceWindow of them delivered are remembered instead, which
+// is what suppressing a duplicate takes. A duplicate that arrives later
 // than that is staged and never matched (nobody receives on a one-shot tag
 // twice) until close reaps it.
 type mailbox struct {
@@ -211,7 +208,7 @@ type mailbox struct {
 	// its own inbox (see putBlocking) is the other drainer.
 	mu       sync.Mutex
 	pending  map[streamID][]Message // staged messages per stream, arrival order; no empty lists
-	next     map[streamID]*cursor   // sequenced streams that have delivered
+	next     map[streamID]uint64    // next seq to deliver; absent means 1
 	listFree [][]Message            // emptied pending lists, at most maxListFree
 	once     map[streamID]struct{}  // one-shot streams delivered, the latest onceWindow
 	onceRing []streamID             // the same, oldest at onceHead once full
@@ -237,7 +234,7 @@ func newMailbox(size int, ctr *ringCounters) *mailbox {
 		ovfBySender: make([]atomic.Int32, size),
 		ctr:         ctr,
 		pending:     make(map[streamID][]Message),
-		next:        make(map[streamID]*cursor),
+		next:        make(map[streamID]uint64),
 		once:        make(map[streamID]struct{}),
 	}
 }
@@ -259,19 +256,11 @@ func (mb *mailbox) ringFor(from int) *ring {
 	return mb.rings[from].Load()
 }
 
-// cursor is a sequenced stream's delivery state: the next sequence number to
-// deliver, and the stream's pending list as it last emptied (length 0), kept
-// for its next backlog.
-type cursor struct {
-	seq   uint64
-	spare []Message
-}
-
 // nextSeqLocked returns the next deliverable sequence number for a stream
 // (1 when the stream has never delivered). Callers hold mb.mu.
 func (mb *mailbox) nextSeqLocked(k streamID) uint64 {
-	if c := mb.next[k]; c != nil {
-		return c.seq
+	if n := mb.next[k]; n != 0 {
+		return n
 	}
 	return 1
 }
@@ -524,13 +513,9 @@ func (mb *mailbox) stageLocked(m Message) {
 			}
 		}
 	}
-	if !staged {
-		if c := mb.next[k]; c != nil && c.spare != nil {
-			list, c.spare = c.spare, nil
-		} else if f := len(mb.listFree); f > 0 {
-			list = mb.listFree[f-1]
-			mb.listFree = mb.listFree[:f-1]
-		}
+	if f := len(mb.listFree); !staged && f > 0 {
+		list = mb.listFree[f-1]
+		mb.listFree = mb.listFree[:f-1]
 	}
 	mb.pending[k] = append(list, m)
 }
@@ -539,40 +524,27 @@ func (mb *mailbox) stageLocked(m Message) {
 // any Seq 0 or one-shot message, or the sequenced message the stream's
 // cursor is waiting for (a gap holds later sequence numbers back). Callers
 // hold mb.mu. The vacated slot is zeroed — the list must not keep the
-// delivered payload alive — and a list that empties is kept beside a
-// sequenced stream's cursor, or recycled through listFree, so steady-state
-// delivery allocates nothing and the map holds only streams with something
-// staged.
+// delivered payload alive — and a list that empties is recycled through
+// listFree, so steady-state delivery allocates nothing and the map holds
+// only streams with something staged.
 func (mb *mailbox) matchLocked(k streamID) (Message, bool) {
 	list := mb.pending[k]
-	var c *cursor
 	for i, m := range list {
 		switch {
 		case m.Seq == SeqOnce:
 			mb.markOnceLocked(k)
 		case m.Seq != 0:
-			if c == nil {
-				c = mb.next[k]
-			}
 			if m.Seq != mb.nextSeqLocked(k) {
 				continue // a gap precedes this one; wait for the in-flight message
 			}
-			if c == nil {
-				c = new(cursor)
-				mb.next[k] = c
-			}
-			c.seq = m.Seq + 1
+			mb.next[k] = m.Seq + 1
 		}
 		last := len(list) - 1
 		copy(list[i:], list[i+1:])
 		list[last] = Message{}
-		switch list = list[:last]; {
-		case last > 0:
+		if list = list[:last]; last > 0 {
 			mb.pending[k] = list
-		case c != nil:
-			delete(mb.pending, k)
-			c.spare = list
-		default:
+		} else {
 			delete(mb.pending, k)
 			if len(mb.listFree) < maxListFree {
 				mb.listFree = append(mb.listFree, list)

@@ -352,31 +352,28 @@ func (s *IStream) read(sorted bool) error {
 // A synchronous fetch is into the refill buffer (dst is s.refill), and a
 // direct one of a share decoded where it lands (inPlace: not redistributed)
 // may land in memory the file's backend supplies, so that the store reads
-// straight into what the decoders read; s.sourced then says so. Whatever
-// happens, the returned buffer is the one the caller owns afterwards in place
-// of dst — dst itself on a failed or empty direct read.
+// straight into what the decoders read; s.sourced then says so. Such a
+// buffer serves one record: it goes back before the next synchronous fetch,
+// which draws again, so each record lands in what the backend hands out now
+// (a dstreamd reconnect retires the chunks of the connection before).
+// Whatever happens, the returned buffer is the one the caller owns afterwards
+// in place of dst — dst itself on a failed or empty direct read.
 func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async, inPlace bool) (chunk []byte, completion float64, err error) {
 	dataStart := cursor + enc.RecordHeaderLen + int64(m.h.DescBytes) + m.h.SizeTableBytes()
-	twoPhase := s.planRead(m)
-	lo, hi := m.rankOff[s.rank], m.rankOff[s.rank+1]
-	source := !async && inPlace && !twoPhase
-	if !async && s.sourced && (!source || int64(cap(dst)) < hi-lo) {
-		// The backend's buffer serves a direct read in place that fits it and
-		// nothing else: it goes back before anything is drawn, so that the
-		// backend can hand the same memory out again.
+	if !async && s.sourced {
 		s.releaseSourced()
 		dst = nil
 	}
-	if twoPhase {
+	if s.planRead(m) {
 		return s.refillTwoPhase(dataStart, m.rankOff, dst, async)
 	}
+	lo, hi := m.rankOff[s.rank], m.rankOff[s.rank+1]
 	rg := pfs.Range{Off: dataStart + lo, Len: int(hi - lo)}
-	sourced := false
 	switch {
 	case async:
 		chunk, completion, err = s.f.ParallelReadIntoAsync(rg, dst[:0])
-	case source:
-		chunk, sourced, err = s.f.ParallelReadSourced(rg, dst[:0])
+	case inPlace:
+		chunk, s.sourced, err = s.f.ParallelReadSourced(rg, dst[:0])
 	default:
 		chunk, err = s.f.ParallelReadInto(rg, dst[:0])
 	}
@@ -387,7 +384,6 @@ func (s *IStream) fetch(cursor int64, m recordMeta, dst []byte, async, inPlace b
 		// Outgrown: the read came back in a fresh buffer, and dst was pooled.
 		bufpool.Put(dst)
 	}
-	s.sourced = s.sourced || sourced
 	return chunk, completion, nil
 }
 

@@ -1,5 +1,7 @@
 package pfs
 
+import "errors"
+
 // DefaultStripeUnit is the stripe cell size assumed for backends that do not
 // expose their geometry — the 64 KB default stripe unit of the Paragon PFS.
 const DefaultStripeUnit int64 = 64 << 10
@@ -68,10 +70,21 @@ func (rb *resilientBackend) Layout() Layout {
 // out runs of the shared chunks its daemon reads the store into). Buffer
 // returns at least n bytes, or nil when it has none to give; Release takes
 // back a buffer Buffer returned. Such a buffer is never the pool's.
+//
+// A backend may withdraw such a buffer: its ReadAt into one then fails with
+// ErrWithdrawn, and the reader releases it and reads into one of its own.
+// dstreamd's client does so when the connection whose chunks the buffer is
+// was cut with the read in flight, since a request of the dead connection may
+// still land in those chunks.
 type BufferSource interface {
 	Buffer(n int) []byte
 	Release(b []byte)
 }
+
+// ErrWithdrawn is the error of a ReadAt into a BufferSource's buffer that its
+// backend can no longer fill in place (see BufferSource). It is not
+// transient: the retry layer hands it straight up.
+var ErrWithdrawn = errors.New("pfs: read buffer withdrawn")
 
 // Buffer forwards to the wrapped backend, so the retry layer is transparent
 // to a backend that supplies read buffers; any other backend has none.

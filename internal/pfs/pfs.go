@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -240,10 +241,6 @@ type File struct {
 	// that later wait on the completion (dstream's Drain, a prefetch hit)
 	// read it to link their wait span to the I/O that satisfied it.
 	lastAsync dsmon.SpanID
-	// sourced reports that this rank's last drawn read buffer came from the
-	// backend (BufferSource), not the pool. Set in the move step, which runs
-	// on the rank's own goroutine.
-	sourced bool
 }
 
 // LastAsyncSpan returns the span ID of the most recent asynchronous
@@ -606,7 +603,7 @@ func readFull(b io.ReaderAt, p []byte, off int64) error {
 // reference to them. All nodes leave at the same virtual time, with the same
 // error.
 func (h *File) ParallelReadPieces(off int64, pieces ...[]byte) error {
-	_, err := h.parallelRead(off, pieces, 0, false, true)
+	_, _, err := h.parallelRead(off, pieces, 0, false, true)
 	return err
 }
 
@@ -615,18 +612,21 @@ func (h *File) ParallelReadPieces(off int64, pieces ...[]byte) error {
 // and the disk is busy until the returned completion time, to which the
 // caller must SyncTo before it consumes them.
 func (h *File) ParallelReadPiecesAsync(off int64, pieces ...[]byte) (completion float64, err error) {
-	return h.parallelRead(off, pieces, 0, false, false)
+	completion, _, err = h.parallelRead(off, pieces, 0, false, false)
+	return completion, err
 }
 
 // parallelRead is the one read body. With draw > 0 the caller has no
 // destination: pieces is one nil entry, which this rank sets to a buffer of
 // draw bytes in the move step — the backend's own when source is set and the
-// backend has one to give (BufferSource; h.sourced reports it), a pooled one
+// backend has one to give (BufferSource; sourced reports it), a pooled one
 // otherwise. Drawn there, once every rank has arrived, the buffer can be one
 // a peer gave back on its way to the read (the last stream's arena, say);
 // drawn on arrival, the reads of a checkpoint cycle on real files missed the
-// pool about four times as often.
-func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncClock bool) (float64, error) {
+// pool about four times as often. A backend that withdraws its buffer
+// mid-read (ErrWithdrawn) gets it back, and the piece is read again into a
+// pooled one.
+func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncClock bool) (completion float64, sourced bool, err error) {
 	n := h.nprocs
 	size := int64(draw)
 	for _, p := range pieces {
@@ -648,9 +648,8 @@ func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncCl
 			if draw > 0 {
 				if source {
 					pieces[0] = h.f.src.Buffer(draw)
-					h.sourced = pieces[0] != nil
 				}
-				if !h.sourced {
+				if sourced = pieces[0] != nil; !sourced {
 					pieces[0] = bufpool.Get(draw)
 				}
 			}
@@ -659,7 +658,14 @@ func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncCl
 				if len(p) == 0 {
 					continue
 				}
-				if err := readFull(h.f.b, p, at); err != nil {
+				err := readFull(h.f.b, p, at)
+				if sourced && errors.Is(err, ErrWithdrawn) {
+					h.f.src.Release(p)
+					p, sourced = bufpool.Get(draw), false
+					pieces[0] = p
+					err = readFull(h.f.b, p, at)
+				}
+				if err != nil {
 					return at - off, fmt.Errorf("pfs: parallel read %q [%d,+%d): %w", h.f.name, at, len(p), err)
 				}
 				at += int64(len(p))
@@ -671,9 +677,9 @@ func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncCl
 		},
 	)
 	if err != nil {
-		return 0, err
+		return 0, sourced, err
 	}
-	return r.completion, nil
+	return r.completion, sourced, nil
 }
 
 // ParallelRead is the synchronized parallel read: every node supplies the
@@ -682,7 +688,7 @@ func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncCl
 // virtual time, with the same error. The returned buffer is pool-backed and
 // owned by the caller (bufpool.Put when done is optional).
 func (h *File) ParallelRead(rg Range) ([]byte, error) {
-	b, _, err := h.readRange(rg, nil, false, true)
+	b, _, _, err := h.readRange(rg, nil, false, true)
 	return b, err
 }
 
@@ -691,7 +697,7 @@ func (h *File) ParallelRead(rg Range) ([]byte, error) {
 // steady state allocates nothing; otherwise (including dst == nil) a
 // pool-backed buffer is returned. Each rank's dst serves only its own range.
 func (h *File) ParallelReadInto(rg Range, dst []byte) ([]byte, error) {
-	b, _, err := h.readRange(rg, dst, false, true)
+	b, _, _, err := h.readRange(rg, dst, false, true)
 	return b, err
 }
 
@@ -702,8 +708,8 @@ func (h *File) ParallelReadInto(rg Range, dst []byte) ([]byte, error) {
 // sourced reports the former; such a buffer goes back through Release,
 // never to bufpool.
 func (h *File) ParallelReadSourced(rg Range, dst []byte) (data []byte, sourced bool, err error) {
-	data, _, err = h.readRange(rg, dst, true, true)
-	return data, err == nil && h.sourced, err
+	data, sourced, _, err = h.readRange(rg, dst, true, true)
+	return data, sourced, err
 }
 
 // Release gives back a buffer ParallelReadSourced reported sourced.
@@ -716,42 +722,43 @@ func (h *File) Release(b []byte) { h.f.src.Release(b) }
 // must SyncTo the completion time before consuming the bytes (an input
 // stream does this when the prefetched record is read).
 func (h *File) ParallelReadAsync(rg Range) (data []byte, completion float64, err error) {
-	return h.readRange(rg, nil, false, false)
+	data, _, completion, err = h.readRange(rg, nil, false, false)
+	return data, completion, err
 }
 
 // ParallelReadIntoAsync is ParallelReadAsync reading into the caller's
 // buffer, with ParallelReadInto's reuse contract.
 func (h *File) ParallelReadIntoAsync(rg Range, dst []byte) (data []byte, completion float64, err error) {
-	return h.readRange(rg, dst, false, false)
+	data, _, completion, err = h.readRange(rg, dst, false, false)
+	return data, completion, err
 }
 
 // readRange is the piece-list read of one range: the one piece is dst when it
 // is large enough and a drawn buffer otherwise (the backend's, with source
-// set, when it has one), and an empty range has none, whatever the
-// destination.
-func (h *File) readRange(rg Range, dst []byte, source, syncClock bool) ([]byte, float64, error) {
+// set, when it has one: sourced), and an empty range has none, whatever the
+// destination. A failed read returns no buffer and sourced false.
+func (h *File) readRange(rg Range, dst []byte, source, syncClock bool) (data []byte, sourced bool, completion float64, err error) {
 	pieces := [][]byte{nil}
 	draw := 0
-	h.sourced = false
 	switch {
 	case rg.Len > 0 && cap(dst) >= rg.Len:
 		pieces[0] = dst[:rg.Len]
 	case rg.Len > 0:
 		draw = rg.Len
 	}
-	completion, err := h.parallelRead(rg.Off, pieces, draw, source, syncClock)
+	completion, sourced, err = h.parallelRead(rg.Off, pieces, draw, source, syncClock)
 	if err != nil {
 		// The group failed, on this rank's range or a peer's: what this rank
 		// drew goes back where it came from.
 		switch {
-		case h.sourced:
+		case sourced:
 			h.Release(pieces[0])
 		case draw > 0:
 			bufpool.Put(pieces[0])
 		}
-		return nil, 0, err
+		return nil, false, 0, err
 	}
-	return pieces[0], completion, nil
+	return pieces[0], sourced, completion, nil
 }
 
 // ControlSync is a synchronizing metadata operation (the gopen/eseek-style

@@ -548,12 +548,23 @@ func TestAppendAndFanoutAllocPins(t *testing.T) {
 }
 
 // sourceBackend is a store that hands out read buffers of its own (odd
-// capacities, so no pool class fits one) and counts those not given back.
+// capacities, so no pool class fits one) and counts those not given back;
+// with withdraw set, a read into one of them fails with ErrWithdrawn.
 type sourceBackend struct {
 	Backend
-	give bool
-	mu   sync.Mutex
-	out  map[*byte]bool
+	give, withdraw bool
+	mu             sync.Mutex
+	out            map[*byte]bool
+}
+
+func (s *sourceBackend) ReadAt(p []byte, off int64) (int, error) {
+	s.mu.Lock()
+	mine := len(p) > 0 && s.out[&p[0]]
+	s.mu.Unlock()
+	if mine && s.withdraw {
+		return 0, fmt.Errorf("%w: by the store", ErrWithdrawn)
+	}
+	return s.Backend.ReadAt(p, off)
 }
 
 func (s *sourceBackend) Buffer(n int) []byte {
@@ -580,12 +591,13 @@ func (s *sourceBackend) Release(b []byte) {
 // store's buffer when the store has one to give, through the retry layer, and
 // a backend with none to give draws from the pool. A read that fails — under
 // InjectFault's wrapper, which stands between the file and the retry layer —
-// gives the store's buffer back to the store, not to the pool.
+// gives the store's buffer back to the store, not to the pool, and so does a
+// read the store withdraws its buffer from, which lands in a pooled one.
 func TestParallelReadSourced(t *testing.T) {
 	const n, size = 3, 100
-	for _, c := range []struct{ give, fail bool }{{true, false}, {false, false}, {true, true}} {
-		t.Run(fmt.Sprintf("give=%v/fail=%v", c.give, c.fail), func(t *testing.T) {
-			src := &sourceBackend{Backend: NewMemBackend(), give: c.give, out: map[*byte]bool{}}
+	for _, c := range []struct{ give, withdraw, fail bool }{{true, false, false}, {false, false, false}, {true, false, true}, {true, true, false}} {
+		t.Run(fmt.Sprintf("give=%v/withdraw=%v/fail=%v", c.give, c.withdraw, c.fail), func(t *testing.T) {
+			src := &sourceBackend{Backend: NewMemBackend(), give: c.give, withdraw: c.withdraw, out: map[*byte]bool{}}
 			for r := range n {
 				src.Backend.WriteAt(pieceBytes(r, 0, size), int64(r*size)) //nolint:errcheck
 			}
@@ -606,7 +618,7 @@ func TestParallelReadSourced(t *testing.T) {
 				if errs[rank] = err; err != nil {
 					return nil
 				}
-				if sourced != c.give || !bytes.Equal(got, pieceBytes(rank, 0, size)) {
+				if sourced != (c.give && !c.withdraw) || !bytes.Equal(got, pieceBytes(rank, 0, size)) {
 					return fmt.Errorf("rank %d: sourced %v, bytes equal %v", rank, sourced, bytes.Equal(got, pieceBytes(rank, 0, size)))
 				}
 				if sourced {

@@ -63,7 +63,8 @@ func (e *statusError) Is(target error) bool {
 type call struct {
 	id uint64
 	// held: chunk k is into itself, a chunk of a run the caller holds
-	// (Client.buffer), which the reply neither copies out of nor frees.
+	// (Client.buffer), which the reply neither copies out of nor frees; a
+	// reconnect withdraws such a call rather than resend it.
 	held    bool
 	op      uint8  // opRead, opWrite or a control op: the framed form's
 	head    []byte // prefix, id, op and every field but a write's data
@@ -578,13 +579,25 @@ func (c *Client) reconnect(dead net.Conn, gen int) {
 			c.gen++
 			newGen := c.gen
 			resend := make([]*call, 0, len(c.pending))
-			for _, cl := range c.pending {
+			var withdrawn []*call
+			for id, cl := range c.pending {
+				if cl.held {
+					// Its chunk is the old mapping's, where the dead
+					// connection's request may still land at any time:
+					// the caller reads no reply out of it.
+					delete(c.pending, id)
+					withdrawn = append(withdrawn, cl)
+					continue
+				}
 				resend = append(resend, cl)
 			}
 			if m != nil {
 				m.users.Add(1) // the resends' copies into it, below
 			}
 			c.mu.Unlock()
+			for _, cl := range withdrawn {
+				cl.done <- reply{err: errWithdrawn}
+			}
 			go c.readLoop(conn, newGen, m)
 			// Resend in-flight requests; they are idempotent (same bytes,
 			// same offsets, same names), so a request the server already
@@ -669,8 +682,9 @@ func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) 
 // behind the head body builds (whose last field must be the payload's
 // length), a read's data is delivered into into — or, when a shared chunk is
 // free, each is copied once, into the chunk or out of it. A read into a chunk
-// of a run the caller holds names that chunk and is not copied at all. Both
-// are the caller's again when transfer returns.
+// of a run the caller holds names that chunk and is not copied at all; cut in
+// flight, it fails with errWithdrawn. Both are the caller's again when
+// transfer returns.
 func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []byte) (reply, error) {
 	c.mu.Lock()
 	if c.broken != nil {
@@ -721,6 +735,11 @@ func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []
 	}
 	return rep, nil
 }
+
+// errWithdrawn answers a read into a held run that was in flight when its
+// connection was cut: the run's holder releases it and reads again into a
+// buffer of its own (pfs.BufferSource).
+var errWithdrawn = fmt.Errorf("%w: dstreamd: the connection was cut with a read into its shared chunk in flight", pfs.ErrWithdrawn)
 
 // decodeErr maps a non-OK status to the error the pfs layer expects:
 // transient faults re-wrap pfs.ErrTransient so the client file system's
@@ -838,7 +857,8 @@ func (f *remoteFile) Release(b []byte) { f.c.release(b) }
 
 // ReadAt implements io.ReaderAt against the daemon, chunk by chunk, each
 // chunk's request waiting for its reply before the next goes out. Into a
-// buffer Buffer handed out, each request names the chunk it reads into.
+// buffer Buffer handed out, each request names the chunk it reads into, and a
+// connection cut with one in flight fails the read with pfs.ErrWithdrawn.
 func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {

@@ -42,3 +42,18 @@ func (c *Client) Mapped(b []byte) bool {
 	}
 	return false
 }
+
+// HeldInFlight returns the chunks that reads into held runs, pending now, are
+// to fill, and keeps the current connection's mapping mapped until done.
+func (c *Client) HeldInFlight() (chunks [][]byte, done func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.shm
+	for _, cl := range c.pending {
+		if cl.held && cl.m == m {
+			chunks = append(chunks, chunkAt(m.mem, cl.k))
+		}
+	}
+	m.users.Add(1)
+	return chunks, m.users.Done
+}

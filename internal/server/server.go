@@ -258,7 +258,10 @@ type Server struct {
 // per I/O rank, at most maxChunks. A client holds runs of them as its input
 // streams' refill buffers (a four-rank read of a 2048-Segment checkpoint
 // holds twelve), and a session keeping one transfer in flight per rank (what
-// the tenant window admits) still finds one free beside them. So a
+// the tenant window admits) still finds one free beside them. A client with
+// more ranks, larger shares or several input streams open holds more, and
+// the runs can then crowd out the transfer chunks: its writes and small
+// reads cross framed, which is correct but copies through the socket. So a
 // connection pins up to N MiB of shared memory, 16 MiB at the default four
 // I/O ranks; a page counts only once touched, and the client takes the
 // lowest chunks free, so what is resident is the most it held at once.

@@ -136,11 +136,17 @@
 //     while held its chunks are on no free list. A ReadAt whose p starts at
 //     one of the current mapping's held chunks names that chunk, and the
 //     reply hands it back already filled: readLoop neither copies out of it
-//     nor poisons nor frees it. A resend after reconnect takes a chunk of the
-//     new mapping and copies into p, as for any caller's slice, and the old
-//     mapping stays mapped until the run is released. The holder releases a
-//     run to the client, never to the pool — a one-chunk run's capacity is a
-//     pool class — and never lends it under a comm.Lease.
+//     nor poisons nor frees it. Such a read in flight when its connection is
+//     cut is not resent: the dead connection's request may still fill the
+//     chunk, poisoned or not, after any resend's reply, so the read fails
+//     with pfs.ErrWithdrawn and its holder reads the share again into a
+//     buffer of its own. A run of a mapping no longer current is only a
+//     caller's slice: a read into it takes a chunk of the new mapping and is
+//     copied, and the old mapping stays mapped until the run is released.
+//     The holder releases a run to the client, never to the pool — a
+//     one-chunk run's capacity is a pool class — and never lends it under a
+//     comm.Lease. An input stream releases its run at the next record's read,
+//     so each record draws from the current mapping.
 //   - The daemon's reply queue. Every reply of a connection leaves through
 //     its one writer, never from an I/O rank, so no rank waits on a
 //     client's socket. The connection's reader takes a queue slot before it
