@@ -71,20 +71,10 @@ type ScalingPoint struct {
 // 8-processor ceiling. The benchmark is strong-scaling: total data stays
 // constant.
 func RunScalingSweep(r Run, procCounts []int) ([]ScalingPoint, error) {
-	return runScaling(r, procCounts, func(int) int { return r.Segments })
-}
-
-// RunWeakScalingSweep grows the problem with the machine: r.Segments
-// segments per node, so perfect weak scaling is a flat line.
-func RunWeakScalingSweep(r Run, procCounts []int) ([]ScalingPoint, error) {
-	return runScaling(r, procCounts, func(p int) int { return r.Segments * p })
-}
-
-func runScaling(r Run, procCounts []int, segsFor func(p int) int) ([]ScalingPoint, error) {
 	r.Variant = Streams
 	var out []ScalingPoint
 	for _, p := range procCounts {
-		r.NProcs, r.Segments = p, segsFor(p)
+		r.NProcs = p
 		m, err := Measure(r)
 		if err != nil {
 			return nil, fmt.Errorf("bench: scaling p=%d: %w", p, err)

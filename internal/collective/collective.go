@@ -270,13 +270,6 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	return recv, nil
 }
 
-// AlltoallvInto is Alltoallv delivering into recv, the caller's scratch of
-// Size() entries, so that the exchange allocates nothing: on success recv[j]
-// is what rank j sent, on failure every entry is nil.
-func (c *Comm) AlltoallvInto(bufs, recv [][]byte) error {
-	return c.alltoallv(comm.Borrowed, bufs, recv, nil, nil)
-}
-
 // AlltoallvOwned is Alltoallv for buffers the caller filled only to send them:
 // every non-nil bufs[j] is a bufpool buffer the caller gives up, as
 // comm.Endpoint.SendOwned takes one, so that rank j receives the very slice
@@ -292,8 +285,9 @@ func (c *Comm) AlltoallvOwned(bufs [][]byte) ([][]byte, error) {
 	return recv, nil
 }
 
-// AlltoallvLent is AlltoallvInto lending every non-empty bufs[j] instead of
-// having it copied (comm.Endpoint.SendOnceLent): on the in-process transport
+// AlltoallvLent is Alltoallv delivering into recv, the caller's scratch of
+// Size() entries, and lending every non-empty bufs[j] instead of having it
+// copied (comm.Endpoint.SendOnceLent): on the in-process transport
 // rank j receives the very slice, and the caller's own entry is its own
 // result's. lent, of Size() entries like recv, reports per peer whether
 // recv[j] is lent — another rank's memory (or the caller's own), to read and

@@ -759,10 +759,6 @@ func (t *ChanTransport) Send(m Message) error {
 // any goroutine, including mid-run.
 func (t *ChanTransport) RingStats() RingStats { return t.ctr.snapshot() }
 
-// ResetRingStats zeroes the mailbox-path counters (between benchmark
-// phases, for example). Safe from any goroutine.
-func (t *ChanTransport) ResetRingStats() { t.ctr.reset() }
-
 // SetMonitor exports the transport's ring counters as comm_ring_* gauges
 // on the monitor's registry. Safe to call for successive transports on a
 // long-lived monitor: the gauges always reflect the most recently bound

@@ -223,15 +223,6 @@ func (c *ringCounters) snapshot() RingStats {
 	}
 }
 
-func (c *ringCounters) reset() {
-	c.ringPuts.Store(0)
-	c.spills.Store(0)
-	c.takes.Store(0)
-	c.fullStall.Store(0)
-	c.assists.Store(0)
-	c.parks.Store(0)
-}
-
 // bindRingMetrics exports ctr as comm_ring_* gauges on the monitor's
 // registry, refreshed by a registry collector at each gather. Monitors
 // outlive machine runs: each transport sets the one "comm_ring" collector,

@@ -36,10 +36,6 @@ type TCPTransport struct {
 	wg    sync.WaitGroup
 	done  chan struct{}
 
-	// ioTimeout, when positive, bounds each socket write in real time.
-	// Set before the machine run starts; read by writer goroutines.
-	ioTimeout time.Duration
-
 	// Wire-level counters (nil handles are no-ops). Unlike the Endpoint's
 	// payload accounting these measure the real socket traffic: frame
 	// headers included.
@@ -63,9 +59,6 @@ func (t *TCPTransport) SetMonitor(m *dsmon.Monitor) {
 // RingStats snapshots the transport's mailbox-path counters. Safe from
 // any goroutine, including mid-run.
 func (t *TCPTransport) RingStats() RingStats { return t.ctr.snapshot() }
-
-// ResetRingStats zeroes the mailbox-path counters. Safe from any goroutine.
-func (t *TCPTransport) ResetRingStats() { t.ctr.reset() }
 
 // maxOutboxBytes bounds the frames queued on one connection awaiting the
 // writer; a sender that outruns the socket parks here instead of growing
@@ -269,13 +262,7 @@ func (t *TCPTransport) writeLoop(tc *tcpConn) {
 		for _, f := range frames {
 			bytes += int64(len(f))
 		}
-		if t.ioTimeout > 0 {
-			tc.c.SetWriteDeadline(time.Now().Add(t.ioTimeout))
-		}
 		_, err := scratch.WriteTo(tc.c)
-		if t.ioTimeout > 0 {
-			tc.c.SetWriteDeadline(time.Time{})
-		}
 		for _, f := range frames {
 			bufpool.Put(f)
 		}
@@ -291,12 +278,6 @@ func (t *TCPTransport) writeLoop(tc *tcpConn) {
 		t.mBatches.Inc()
 	}
 }
-
-// SetIOTimeout bounds each vectored socket write in real time (0, the
-// default, disables deadlines). A write that times out marks its
-// connection broken — the failure is fatal, not transient, because a
-// partial frame may already be on the wire.
-func (t *TCPTransport) SetIOTimeout(d time.Duration) { t.ioTimeout = d }
 
 // Recv implements Transport.
 func (t *TCPTransport) Recv(to, from int, tag uint64) (Message, error) {

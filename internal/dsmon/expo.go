@@ -53,54 +53,6 @@ func (r *Registry) gather() []sample {
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// withExtraLabels returns a copy of d whose label set includes the extra
-// rendered pairs, re-sorted into canonical order. Used by the multi-registry
-// exposition to stamp every sample of one registry with an identifying label
-// (e.g. registry="tenant-a") without touching the live metric descriptors.
-func withExtraLabels(d desc, rendered string) desc {
-	if rendered == "" {
-		return d
-	}
-	pairs := strings.Split(rendered, ",")
-	if d.labels != "" {
-		pairs = append(pairs, strings.Split(d.labels, ",")...)
-	}
-	sort.Strings(pairs)
-	d.labels = strings.Join(pairs, ",")
-	return d
-}
-
-// LabeledRegistry pairs a registry with extra label key/value pairs injected
-// into every sample at exposition time.
-type LabeledRegistry struct {
-	Reg    *Registry
-	Labels []string // key, value, key, value…
-}
-
-// WritePrometheusMerged renders several registries as one Prometheus text
-// exposition: samples from all registries are merged and sorted by family,
-// so each # HELP / # TYPE pair appears exactly once even when families
-// collide across registries, and every sample carries its registry's extra
-// labels. This is what lets one daemon /metrics page cover many tenants (or
-// many embedded machine runs) without a port per registry.
-func WritePrometheusMerged(w io.Writer, regs ...LabeledRegistry) error {
-	var all []sample
-	for _, lr := range regs {
-		rendered := renderLabels(lr.Labels)
-		for _, s := range lr.Reg.gather() {
-			s.d = withExtraLabels(s.d, rendered)
-			all = append(all, s)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d.name != all[j].d.name {
-			return all[i].d.name < all[j].d.name
-		}
-		return all[i].d.labels < all[j].d.labels
-	})
-	return writeProm(w, all)
-}
-
 // promName renders `name{labels}` (or bare name when unlabeled), with
 // extra label pairs appended (the histogram `le`).
 func promName(d desc, extra ...string) string {
@@ -347,8 +299,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // Delta returns s - prev element-wise, matching rows by (name, labels);
-// rows absent from prev pass through unchanged. Watchers use it to turn
-// successive cumulative snapshots into per-interval rates.
+// rows absent from prev pass through unchanged: successive cumulative
+// snapshots become per-interval rates.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	ckey := func(c CounterSnap) string { return c.Name + "\x00" + renderLabelMap(c.Labels) }
 	hkey := func(h HistSnap) string { return h.Name + "\x00" + renderLabelMap(h.Labels) }

@@ -15,53 +15,6 @@ import (
 	"pcxxstreams/internal/vtime"
 )
 
-// TestWatcherDeliversAndStops: a watcher delivers consistent periodic
-// snapshots while the registry mutates, counters never go backward between
-// successive snapshots, and Stop delivers one final snapshot before closing
-// the channel.
-func TestWatcherDeliversAndStops(t *testing.T) {
-	reg := dsmon.NewRegistry()
-	ctr := reg.Counter("events_total", "")
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				ctr.Inc()
-			}
-		}
-	}()
-
-	w := reg.Watch(time.Millisecond)
-	var last int64 = -1
-	for i := 0; i < 5; i++ {
-		snap, ok := <-w.C()
-		if !ok {
-			t.Fatal("watcher channel closed early")
-		}
-		if len(snap.Counters) != 1 || snap.Counters[0].Name != "events_total" {
-			t.Fatalf("snapshot %d = %+v", i, snap)
-		}
-		if snap.Counters[0].Value < last {
-			t.Fatalf("counter went backward: %d after %d", snap.Counters[0].Value, last)
-		}
-		last = snap.Counters[0].Value
-	}
-	close(stop)
-	w.Stop()
-	// Stop sends one final snapshot (unless the buffer already held one),
-	// then closes; drain to the close and verify monotonicity held.
-	for snap := range w.C() {
-		if len(snap.Counters) == 1 && snap.Counters[0].Value < last {
-			t.Fatalf("final snapshot went backward: %d after %d", snap.Counters[0].Value, last)
-		}
-	}
-	// A second Stop is a harmless no-op.
-	w.Stop()
-}
-
 // TestSnapshotDelta: counters and histogram buckets subtract element-wise,
 // gauges pass through as levels, and rows new since prev pass unchanged.
 func TestSnapshotDelta(t *testing.T) {
@@ -99,7 +52,7 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
-// TestExpositionRaceHammer runs a real machine workload while a watcher
+// TestExpositionRaceHammer runs a real machine workload while a snapshot
 // goroutine and two scraper goroutines hammer Snapshot, WritePrometheus and
 // WriteChromeJSON mid-run. Under -race this is the torn-read detector; the
 // assertions check snapshot self-consistency (Count equals the +Inf bucket)
@@ -131,12 +84,17 @@ func TestExpositionRaceHammer(t *testing.T) {
 	go scrape()
 	go scrape()
 
-	w := reg.Watch(time.Millisecond)
-	watcherErr := make(chan error, 1)
+	snapped := make(chan struct{})
 	go func() {
-		defer close(watcherErr)
+		defer close(snapped)
 		lastCount := map[string]int64{}
-		for snap := range w.C() {
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			snap := reg.Snapshot()
 			for _, h := range snap.Histograms {
 				inf := h.Buckets[len(h.Buckets)-1]
 				if h.Count != inf {
@@ -195,6 +153,5 @@ func TestExpositionRaceHammer(t *testing.T) {
 	}
 
 	close(done)
-	w.Stop()
-	<-watcherErr
+	<-snapped
 }

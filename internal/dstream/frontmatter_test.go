@@ -48,7 +48,7 @@ func TestRawTableArithmetic(t *testing.T) {
 				sizes[i] = uint32(rng.Intn(300))
 			}
 		}
-		table := enc.EncodeSizeTable(sizes)
+		table := enc.AppendSizeTable(nil, sizes)
 		// The reference: decode all N, prefix-sum all N+1.
 		decoded, err := enc.DecodeSizeTable(table, n)
 		if err != nil {

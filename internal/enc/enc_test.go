@@ -193,7 +193,7 @@ func TestRecordHeaderRoundTrip(t *testing.T) {
 		TemplateN:   6000,
 		DataBytes:   11_200_000,
 	}
-	b := h.Encode()
+	b := h.AppendTo(nil)
 	if len(b) != RecordHeaderLen {
 		t.Fatalf("encoded %d bytes, want %d", len(b), RecordHeaderLen)
 	}
@@ -214,7 +214,7 @@ func TestRecordHeaderRoundTrip(t *testing.T) {
 
 func TestRecordHeaderRejects(t *testing.T) {
 	valid := RecordHeader{NElems: 1, NProcs: 1, Mode: 1}
-	if _, err := DecodeRecordHeader(valid.Encode()); err != nil {
+	if _, err := DecodeRecordHeader(valid.AppendTo(nil)); err != nil {
 		t.Fatalf("the header the rows below break: %v", err)
 	}
 	for _, row := range []struct {
@@ -230,7 +230,7 @@ func TestRecordHeaderRejects(t *testing.T) {
 		{"mode high bytes only", func(b []byte) []byte { b[19] = 0x80; return b }},
 		{"2^57 data bytes", func(b []byte) []byte { b[47] = 2; return b }},
 	} {
-		if h, err := DecodeRecordHeader(row.bytes(valid.Encode())); err == nil {
+		if h, err := DecodeRecordHeader(row.bytes(valid.AppendTo(nil))); err == nil {
 			t.Errorf("%s: accepted as %+v", row.name, h)
 		}
 	}
@@ -238,7 +238,7 @@ func TestRecordHeaderRejects(t *testing.T) {
 
 func TestSizeTableRoundTrip(t *testing.T) {
 	sizes := []uint32{0, 1, 5604, math.MaxUint32}
-	b := EncodeSizeTable(sizes)
+	b := AppendSizeTable(nil, sizes)
 	got, err := DecodeSizeTable(b, len(sizes))
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestRecordHeaderQuick(t *testing.T) {
 			AlignOffset: ao, AlignStride: as, TemplateN: tn,
 			DataBytes: db % (1 << 56), // decoder rejects declared sizes past this bound
 		}
-		got, err := DecodeRecordHeader(h.Encode())
+		got, err := DecodeRecordHeader(h.AppendTo(nil))
 		return err == nil && got == h
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -315,24 +315,24 @@ func FuzzRecordHeader(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(EncodeFileHeader())
 	h := RecordHeader{NArrays: 2, NElems: 9, NProcs: 4, Mode: 1, DataBytes: 1 << 20}
-	f.Add(h.Encode())
-	f.Add(h.Encode()[:RecordHeaderLen-1])
+	f.Add(h.AppendTo(nil))
+	f.Add(h.AppendTo(nil)[:RecordHeaderLen-1])
 	// A mode past its byte (0x0101 is not mode 1), and descriptor lengths no
 	// distribution takes: the decoder refuses the first; a stream refuses the
 	// others against the file it is reading (dstream.TestCorruptHeaderBounded).
-	wide := h.Encode()
+	wide := h.AppendTo(nil)
 	wide[17] = 1
 	f.Add(wide)
 	h.DescBytes = 0x7ffffff0
-	f.Add(h.Encode())
+	f.Add(h.AppendTo(nil))
 	h.Mode, h.DescBytes = 3, 4*h.NElems+4
-	f.Add(h.Encode())
+	f.Add(h.AppendTo(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := DecodeRecordHeader(data)
 		if err != nil {
 			return
 		}
-		again, err := DecodeRecordHeader(h.Encode())
+		again, err := DecodeRecordHeader(h.AppendTo(nil))
 		if err != nil {
 			t.Fatalf("re-decoding an accepted header failed: %v", err)
 		}

@@ -102,11 +102,6 @@ func DecodeOwnerTable(b []byte, n int) ([]int, error) {
 	return out, d.Err()
 }
 
-// Encode renders the fixed-size header.
-func (h *RecordHeader) Encode() []byte {
-	return h.AppendTo(nil)
-}
-
 // AppendTo appends the fixed-size header encoding to dst — the
 // allocation-free form for callers assembling a record block in a reused or
 // pooled buffer.
@@ -169,11 +164,6 @@ func DecodeRecordHeader(b []byte) (RecordHeader, error) {
 		return h, fmt.Errorf("enc: record header declares unreasonable data section (%d bytes)", h.DataBytes)
 	}
 	return h, nil
-}
-
-// EncodeSizeTable renders per-element sizes as u32s.
-func EncodeSizeTable(sizes []uint32) []byte {
-	return AppendSizeTable(nil, sizes)
 }
 
 // AppendSizeTable appends the size-table encoding of sizes to dst.

@@ -243,7 +243,7 @@ func TestSizeTableOffsets(t *testing.T) {
 		}
 		cuts = append(cuts, n)
 		offs := make([]int64, len(cuts))
-		table := EncodeSizeTable(sizes)
+		table := AppendSizeTable(nil, sizes)
 		if err := SizeTableOffsets(table, n, cuts, offs); err != nil {
 			t.Fatal(err)
 		}

@@ -98,14 +98,6 @@ func (g *Grid2D) Owner(row, col int) int {
 	return g.dist.Owner(g.Index(row, col))
 }
 
-// MeshCoords returns a rank's position in the processor mesh.
-func (g *Grid2D) MeshCoords(rank int) (procRow, procCol int) {
-	if rank < 0 || rank >= g.ProcRows*g.ProcCols {
-		panic(fmt.Sprintf("grid: rank %d outside %dx%d mesh", rank, g.ProcRows, g.ProcCols))
-	}
-	return rank / g.ProcCols, rank % g.ProcCols
-}
-
 func (g *Grid2D) String() string {
 	return fmt.Sprintf("GRID(%dx%d over %dx%d mesh)", g.Rows, g.Cols, g.ProcRows, g.ProcCols)
 }

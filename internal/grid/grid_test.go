@@ -77,19 +77,6 @@ func TestIndexCoordsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMeshCoords(t *testing.T) {
-	g, err := New2D(4, 4, 2, 3, distr.Block, distr.Block, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 6; r++ {
-		pr, pc := g.MeshCoords(r)
-		if pr*3+pc != r {
-			t.Fatalf("MeshCoords(%d) = (%d,%d)", r, pr, pc)
-		}
-	}
-}
-
 func TestValidation(t *testing.T) {
 	if _, err := New2D(0, 4, 1, 1, distr.Block, distr.Block, 0, 0); err == nil {
 		t.Error("zero rows accepted")
@@ -108,7 +95,6 @@ func TestPanicsOnOutOfRange(t *testing.T) {
 		func() { g.Index(3, 0) },
 		func() { g.Index(0, -1) },
 		func() { g.Coords(9) },
-		func() { g.MeshCoords(1) },
 	} {
 		func() {
 			defer func() {

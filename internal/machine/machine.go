@@ -99,9 +99,6 @@ func (n *Node) Clock() *vtime.Clock { return &n.clock }
 // via Comm().Endpoint()).
 func (n *Node) Comm() *collective.Comm { return n.coll }
 
-// FS returns the machine's parallel file system.
-func (n *Node) FS() *pfs.FileSystem { return n.fs }
-
 // Profile returns the platform cost profile.
 func (n *Node) Profile() vtime.Profile { return n.prof }
 

@@ -142,15 +142,6 @@ func (m *MemBackend) Truncate(size int64) error {
 // Close implements Backend.
 func (m *MemBackend) Close() error { return nil }
 
-// Bytes returns a copy of the full file image (for tests and tools).
-func (m *MemBackend) Bytes() []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
-	return out
-}
-
 // OSBackend stores the file image in a real file on the host file system.
 type OSBackend struct {
 	f *os.File

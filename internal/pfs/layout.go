@@ -20,14 +20,6 @@ type Layout struct {
 	StripeFactor int
 }
 
-// AlignUp returns the smallest stripe-cell boundary at or above off.
-func (l Layout) AlignUp(off int64) int64 {
-	if l.StripeUnit <= 0 {
-		return off
-	}
-	return (off + l.StripeUnit - 1) / l.StripeUnit * l.StripeUnit
-}
-
 // LayoutProvider is implemented by backends that know their stripe
 // geometry (notably StripedBackend). Backends that don't are reported with
 // the file system's default geometry.

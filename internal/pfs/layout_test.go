@@ -62,19 +62,3 @@ func TestLayoutSurvivesInjectedFault(t *testing.T) {
 		t.Fatalf("Layout() degraded to nonsense: %+v", got)
 	}
 }
-
-// TestLayoutAlignUp covers the boundary arithmetic aggregation plans use.
-func TestLayoutAlignUp(t *testing.T) {
-	l := Layout{StripeUnit: 64, StripeFactor: 2}
-	cases := []struct{ in, want int64 }{
-		{0, 0}, {1, 64}, {63, 64}, {64, 64}, {65, 128}, {1000, 1024},
-	}
-	for _, c := range cases {
-		if got := l.AlignUp(c.in); got != c.want {
-			t.Errorf("AlignUp(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	if got := (Layout{}).AlignUp(77); got != 77 {
-		t.Errorf("zero-unit AlignUp(77) = %d, want identity", got)
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -168,9 +167,6 @@ func NewMemFS(prof vtime.Profile) *FileSystem {
 	return NewFileSystem(prof, MemFactory())
 }
 
-// Profile returns the cost profile of the file system.
-func (fs *FileSystem) Profile() vtime.Profile { return fs.prof }
-
 // file is the shared per-name state.
 type file struct {
 	mu   sync.Mutex
@@ -311,12 +307,6 @@ func (fs *FileSystem) InjectFault(name string, failAfter int) error {
 	f.mu.Unlock()
 	return nil
 }
-
-// Rank returns the handle's rank.
-func (h *File) Rank() int { return h.rank }
-
-// Name returns the file's name.
-func (h *File) Name() string { return h.f.name }
 
 // Size returns the current file image size in bytes (no time charged; the
 // library uses it only for bookkeeping it would otherwise carry in memory).
@@ -608,7 +598,7 @@ func (h *File) ParallelReadPieces(off int64, pieces ...[]byte) error {
 }
 
 // ParallelReadPiecesAsync is the read-ahead variant of ParallelReadPieces, as
-// ParallelReadAsync is of ParallelRead: the pieces are filled when it returns
+// ParallelReadIntoAsync is of ParallelReadInto: the pieces are filled when it returns
 // and the disk is busy until the returned completion time, to which the
 // caller must SyncTo before it consumes them.
 func (h *File) ParallelReadPiecesAsync(off int64, pieces ...[]byte) (completion float64, err error) {
@@ -715,19 +705,13 @@ func (h *File) ParallelReadSourced(rg Range, dst []byte) (data []byte, sourced b
 // Release gives back a buffer ParallelReadSourced reported sourced.
 func (h *File) Release(b []byte) { h.f.src.Release(b) }
 
-// ParallelReadAsync is the read-ahead variant of ParallelRead: the data is
-// available in the returned buffer and the disk is busy until the returned
-// completion time, but the caller's clock only advances to the rendezvous
-// point — the transfer overlaps whatever the node computes next. Callers
-// must SyncTo the completion time before consuming the bytes (an input
-// stream does this when the prefetched record is read).
-func (h *File) ParallelReadAsync(rg Range) (data []byte, completion float64, err error) {
-	data, _, completion, err = h.readRange(rg, nil, false, false)
-	return data, completion, err
-}
-
-// ParallelReadIntoAsync is ParallelReadAsync reading into the caller's
-// buffer, with ParallelReadInto's reuse contract.
+// ParallelReadIntoAsync is the read-ahead variant of ParallelReadInto, with
+// its reuse contract: the data is available in the returned buffer and the
+// disk is busy until the returned completion time, but the caller's clock
+// only advances to the rendezvous point — the transfer overlaps whatever the
+// node computes next. Callers must SyncTo the completion time before
+// consuming the bytes (an input stream does this when the prefetched record
+// is read).
 func (h *File) ParallelReadIntoAsync(rg Range, dst []byte) (data []byte, completion float64, err error) {
 	data, _, completion, err = h.readRange(rg, dst, false, false)
 	return data, completion, err
@@ -793,18 +777,6 @@ func (fs *FileSystem) Image(name string) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// Names lists the files present, sorted (tools/tests).
-func (fs *FileSystem) Names() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close closes every backend.

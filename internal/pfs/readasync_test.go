@@ -44,7 +44,7 @@ func TestParallelReadAsyncCompletion(t *testing.T) {
 			defer h.Close()
 			rg := Range{Off: int64(rank) * 512, Len: 512}
 			if async {
-				got, completion, err := h.ParallelReadAsync(rg)
+				got, completion, err := h.ParallelReadIntoAsync(rg, nil)
 				if err != nil {
 					return err
 				}

@@ -66,9 +66,3 @@ func (fs *FileSystem) ResetStats() {
 	c.bytesRead.Store(0)
 	c.ioRetries.Store(0)
 }
-
-// TotalOps returns the total number of I/O calls of any kind.
-func (s IOStats) TotalOps() int64 {
-	return s.Opens + s.IndependentWrites + s.IndependentReads +
-		s.ParallelAppends + s.ParallelReads + s.ControlSyncs
-}

@@ -52,8 +52,8 @@ func TestStripedActuallyStripes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Child 0 gets cells 0 and 2 (AAAA, CCCC); child 1 gets BBBB, DDDD.
-	c0 := children[0].(*MemBackend).Bytes()
-	c1 := children[1].(*MemBackend).Bytes()
+	c0 := children[0].(*MemBackend).data
+	c1 := children[1].(*MemBackend).data
 	if string(c0) != "AAAACCCC" {
 		t.Fatalf("child 0 = %q", c0)
 	}

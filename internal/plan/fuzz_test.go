@@ -100,7 +100,7 @@ func FuzzPlannerChain(f *testing.F) {
 					p.ObserveWasted(int64(b[3]) - 64)
 				}
 			}
-			return p.Signature(), p.Records(), p.Switches()
+			return p.Signature(), p.records, p.Switches()
 		}
 		sigA, recA, swA := drive()
 		sigB, recB, swB := drive()

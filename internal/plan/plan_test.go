@@ -218,16 +218,16 @@ func TestObserveIgnoresGarbage(t *testing.T) {
 		{0, 1}, {-1, 1}, {1, -1},
 	} {
 		p.Observe(Funnel, bad[0], bad[1])
-		if c := p.Calibration(Funnel); c != 1 {
+		if c := p.factor(Funnel); c != 1 {
 			t.Fatalf("Observe(%g, %g) moved calibration to %g", bad[0], bad[1], c)
 		}
 	}
 	p.Observe(Funnel, 1, 1e9)
-	if c := p.Calibration(Funnel); c > ratioMax {
+	if c := p.factor(Funnel); c > ratioMax {
 		t.Fatalf("calibration %g exceeds the %g clamp", c, ratioMax)
 	}
 	p.Observe(Parallel, 1e9, 1e-9)
-	if c := p.Calibration(Parallel); c < ratioMin {
+	if c := p.factor(Parallel); c < ratioMin {
 		t.Fatalf("calibration %g undercuts the %g clamp", c, ratioMin)
 	}
 	p.Observe(numStrategies, 1, 1) // out-of-range strategy: must not panic

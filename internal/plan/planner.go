@@ -78,9 +78,6 @@ func New(m Model) *Planner {
 	return &Planner{m: m, sig: fnvOffset}
 }
 
-// Model returns the planner's cost model.
-func (p *Planner) Model() Model { return p.m }
-
 // FNV-1a, folded by hand so signing a decision allocates nothing.
 const (
 	fnvOffset = 14695981039346656037
@@ -236,13 +233,6 @@ func (p *Planner) account(acc *float64, bytes int64) {
 	}
 	*acc = (1-ewmaAlpha)**acc + ewmaAlpha*float64(bytes)
 }
-
-// Calibration returns the current observed/estimate EWMA for a strategy
-// (1 before any observation).
-func (p *Planner) Calibration(s Strategy) float64 { return p.factor(s) }
-
-// Records returns how many records have been planned.
-func (p *Planner) Records() int64 { return p.records }
 
 // Switches returns how many plans changed strategy mid-stream.
 func (p *Planner) Switches() int64 { return p.switches }

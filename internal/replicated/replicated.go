@@ -68,11 +68,5 @@ func (r *File) Read(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// SeekTo sets the cursor on every node.
-func (r *File) SeekTo(off int64) { r.cursor = off }
-
-// Offset returns the current cursor.
-func (r *File) Offset() int64 { return r.cursor }
-
 // Close releases the handle on every node.
 func (r *File) Close() error { return r.f.Close() }

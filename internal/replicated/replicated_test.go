@@ -28,7 +28,7 @@ func TestWriteOnceReadBroadcast(t *testing.T) {
 				return err
 			}
 			// Read it back from the top on all nodes.
-			f.SeekTo(0)
+			f.cursor = 0
 			got, err := f.Read(16)
 			if err != nil {
 				return err
@@ -67,14 +67,14 @@ func TestReadBroadcastsSameBytes(t *testing.T) {
 			if err := f.Write([]byte("0123456789")); err != nil {
 				return err
 			}
-			f.SeekTo(2)
+			f.cursor = 2
 			got, err := f.Read(5)
 			if err != nil {
 				return err
 			}
 			results[n.Rank()] = got
-			if f.Offset() != 7 {
-				return fmt.Errorf("offset %d, want 7", f.Offset())
+			if f.cursor != 7 {
+				return fmt.Errorf("offset %d, want 7", f.cursor)
 			}
 			return nil
 		})
@@ -106,8 +106,8 @@ func TestRootFailureFailsEveryRank(t *testing.T) {
 			defer f.Close()
 			werrs[n.Rank()] = f.Write([]byte("x"))
 			_, rerrs[n.Rank()] = f.Read(4)
-			if f.Offset() != 0 {
-				return fmt.Errorf("cursor moved to %d over failed operations", f.Offset())
+			if f.cursor != 0 {
+				return fmt.Errorf("cursor moved to %d over failed operations", f.cursor)
 			}
 			return nil
 		})

@@ -317,7 +317,7 @@ func TestWriteOffsetOverflow(t *testing.T) {
 	if n, err := b.WriteAt([]byte("lost"), math.MaxInt64-1); err == nil || n != 0 {
 		t.Fatalf("WriteAt(4 bytes, MaxInt64-1) = %d, %v; want 0 and an error", n, err)
 	}
-	if used, _, err := srv.Usage("a"); err != nil || used != 4 {
+	if used, _, err := cli.Usage(); err != nil || used != 4 {
 		t.Fatalf("Usage after the refused write = %d, %v; want 4", used, err)
 	}
 	if size := b.Size(); size != 4 {

@@ -340,9 +340,6 @@ func Start(addr string, cfg Config) (*Server, error) {
 // Addr returns the bound TCP listen address.
 func (s *Server) Addr() string { return s.lns[0].Addr().String() }
 
-// Monitor returns the daemon's monitor (nil when unmonitored).
-func (s *Server) Monitor() *dsmon.Monitor { return s.cfg.Monitor }
-
 // Close shuts the daemon down: stops accepting, closes every client
 // connection, drains the I/O ranks, and closes the storage backends.
 // Idempotent; blocks until every goroutine has exited.
@@ -405,34 +402,6 @@ func (s *Server) KillConnections() int {
 		c.Close()
 	}
 	return len(conns)
-}
-
-// SessionCount reports sessions currently admitted for the tenant
-// (attached or within the grace window); -1 for an unknown tenant.
-func (s *Server) SessionCount(tenant string) int {
-	s.mu.Lock()
-	t := s.tenants[tenant]
-	s.mu.Unlock()
-	if t == nil {
-		return -1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sessions
-}
-
-// Usage reports a tenant's reserved bytes and quota; an error for unknown
-// tenants.
-func (s *Server) Usage(tenant string) (used, quota int64, err error) {
-	s.mu.Lock()
-	t := s.tenants[tenant]
-	s.mu.Unlock()
-	if t == nil {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.usage, t.cfg.QuotaBytes, nil
 }
 
 func (s *Server) accept(ln net.Listener) {

@@ -249,8 +249,8 @@ func TestReconnectResume(t *testing.T) {
 	if _, err := b.WriteAt(part, int64(len(part))); err != nil {
 		t.Fatalf("write after cut = %v", err)
 	}
-	if got := srv.SessionCount("a"); got != 1 {
-		t.Fatalf("SessionCount = %d, want 1 (resumed, not re-admitted)", got)
+	if got := mon.Registry().Counter("dstreamd_sessions_total", "", "tenant", "a").Value(); got != 1 {
+		t.Fatalf("sessions admitted = %d, want 1 (resumed, not re-admitted)", got)
 	}
 	if n := cli.Network(); n != "unix" {
 		t.Fatalf("resumed over %s, want the same-host unix socket", n)

@@ -164,8 +164,10 @@ func TestQuotaCleanError(t *testing.T) {
 // TestReconnectMidRun cuts every daemon connection in the middle of a
 // stream run; the session resumes and the run completes byte-identically.
 func TestReconnectMidRun(t *testing.T) {
+	mon := dsmon.New()
 	srv, err := server.Start("127.0.0.1:0", server.Config{
 		Tenants: []server.Tenant{{Name: "a", MaxSessions: 1}},
+		Monitor: mon,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +194,8 @@ func TestReconnectMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run under connection chopping failed: %v", err)
 	}
-	if got := srv.SessionCount("a"); got > 1 {
-		t.Fatalf("SessionCount = %d after reconnects, want ≤1 (resume, not re-admit)", got)
+	if got := mon.Registry().Counter("dstreamd_sessions_total", "", "tenant", "a").Value(); got > 1 {
+		t.Fatalf("%d sessions admitted across the reconnects, want ≤1 (resume, not re-admit)", got)
 	}
 }
 

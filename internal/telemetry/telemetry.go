@@ -27,65 +27,14 @@ import (
 	"pcxxstreams/internal/dsmon/critpath"
 )
 
-// Server is a live telemetry endpoint bound to one primary monitor, plus
-// any number of attached registries (see Attach): one /metrics page covers
-// them all, each attached registry's samples stamped with a registry label.
+// Server is a live telemetry endpoint bound to one monitor.
 type Server struct {
 	mon *dsmon.Monitor
 	ln  net.Listener
 	srv *http.Server
 
-	mu       sync.Mutex
-	closed   bool
-	attached []attachment
-}
-
-// attachment is one extra registry exposed under a registry="<name>" label.
-type attachment struct {
-	name string
-	mon  *dsmon.Monitor
-}
-
-// Attach adds another monitor's registry to the /metrics and /debug/vars
-// expositions. Its samples are stamped with a registry="<name>" label, so a
-// multi-tenant daemon serves every tenant's metrics from one port instead of
-// one server per registry. Attaching the same name again replaces the
-// earlier registry; safe to call while the server is serving.
-func (s *Server) Attach(name string, mon *dsmon.Monitor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, a := range s.attached {
-		if a.name == name {
-			s.attached[i].mon = mon
-			return
-		}
-	}
-	s.attached = append(s.attached, attachment{name: name, mon: mon})
-}
-
-// Detach removes a previously attached registry. Unknown names are no-ops.
-func (s *Server) Detach(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, a := range s.attached {
-		if a.name == name {
-			s.attached = append(s.attached[:i], s.attached[i+1:]...)
-			return
-		}
-	}
-}
-
-// registries snapshots the exposition set: the primary registry unlabeled,
-// attached registries under their registry label.
-func (s *Server) registries() []dsmon.LabeledRegistry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]dsmon.LabeledRegistry, 0, 1+len(s.attached))
-	out = append(out, dsmon.LabeledRegistry{Reg: s.mon.Registry()})
-	for _, a := range s.attached {
-		out = append(out, dsmon.LabeledRegistry{Reg: a.mon.Registry(), Labels: []string{"registry", a.name}})
-	}
-	return out
+	mu     sync.Mutex
+	closed bool
 }
 
 // Serve starts an HTTP server on addr (":0" picks a free port) exposing
@@ -135,12 +84,7 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	regs := s.registries()
-	if len(regs) == 1 {
-		s.mon.WritePrometheus(w) //nolint:errcheck // client went away
-		return
-	}
-	dsmon.WritePrometheusMerged(w, regs...) //nolint:errcheck // client went away
+	s.mon.WritePrometheus(w) //nolint:errcheck // client went away
 }
 
 func (s *Server) trace(w http.ResponseWriter, _ *http.Request) {
@@ -169,16 +113,6 @@ func (s *Server) vars(w http.ResponseWriter, _ *http.Request) {
 		"num_gc":      ms.NumGC,
 		"metrics":     s.mon.Registry().Snapshot(),
 		"trace_spans": 0,
-	}
-	s.mu.Lock()
-	attached := append([]attachment(nil), s.attached...)
-	s.mu.Unlock()
-	if len(attached) > 0 {
-		reg := make(map[string]dsmon.Snapshot, len(attached))
-		for _, a := range attached {
-			reg[a.name] = a.mon.Registry().Snapshot()
-		}
-		out["attached"] = reg
 	}
 	if rec := s.mon.Recorder(); rec != nil {
 		out["trace_spans"] = rec.Len()

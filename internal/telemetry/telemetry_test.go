@@ -176,69 +176,6 @@ func TestServeAddrAndClose(t *testing.T) {
 	}
 }
 
-// TestAttachMultiRegistry pins the multi-registry exposition: one /metrics
-// page covers the primary registry plus every attached one, attached samples
-// stamped with registry="<name>", colliding family names emitting exactly
-// one # TYPE header, and Detach removing a tenant's rows again.
-func TestAttachMultiRegistry(t *testing.T) {
-	primary := dsmon.New()
-	primary.Registry().Counter("daemon_up", "daemon liveness").Inc()
-
-	srv, err := telemetry.Serve("127.0.0.1:0", primary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	monA, monB := dsmon.New(), dsmon.New()
-	// The same family in both registries — and in the primary — must merge
-	// under a single # TYPE header.
-	primary.Registry().Counter("shared_ops_total", "ops").Add(1)
-	monA.Registry().Counter("shared_ops_total", "ops").Add(2)
-	monB.Registry().Counter("shared_ops_total", "ops", "op", "read").Add(3)
-	srv.Attach("tenant-a", monA)
-	srv.Attach("tenant-b", monB)
-
-	code, body, err := get(srv.Addr(), "/metrics")
-	if err != nil || code != 200 {
-		t.Fatalf("/metrics = %d (%v)", code, err)
-	}
-	for _, want := range []string{
-		"daemon_up 1",
-		"shared_ops_total 1",
-		`shared_ops_total{registry="tenant-a"} 2`,
-		`shared_ops_total{op="read",registry="tenant-b"} 3`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-	if n := strings.Count(body, "# TYPE shared_ops_total"); n != 1 {
-		t.Errorf("family header for shared_ops_total appears %d times, want 1:\n%s", n, body)
-	}
-
-	// /debug/vars carries the attached snapshots too.
-	code, body, err = get(srv.Addr(), "/debug/vars")
-	if err != nil || code != 200 {
-		t.Fatalf("/debug/vars = %d (%v)", code, err)
-	}
-	if err := jsonKeys(body, "attached"); err != nil {
-		t.Errorf("/debug/vars body: %v", err)
-	}
-
-	srv.Detach("tenant-b")
-	_, body, err = get(srv.Addr(), "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(body, "tenant-b") {
-		t.Errorf("detached registry still exposed:\n%s", body)
-	}
-	if !strings.Contains(body, "tenant-a") {
-		t.Errorf("remaining attachment lost on Detach of a sibling:\n%s", body)
-	}
-}
-
 // TestServeBadAddr: an unbindable address surfaces as an error, not a panic.
 func TestServeBadAddr(t *testing.T) {
 	if _, err := telemetry.Serve("256.256.256.256:1", dsmon.NewTracing()); err == nil {

@@ -85,12 +85,8 @@ var (
 
 type (
 	// MetricsSnapshot is a consistent point-in-time copy of a monitor's
-	// metric registry (see Registry.Snapshot and Watcher).
+	// metric registry (see Registry.Snapshot).
 	MetricsSnapshot = dsmon.Snapshot
-	// MetricsWatcher delivers periodic registry snapshots on a channel
-	// mid-run (see Registry.Watch); snapshots are deep copies owned by the
-	// receiver.
-	MetricsWatcher = dsmon.Watcher
 	// CritPathReport attributes a traced run's virtual time per rank and
 	// category and extracts the critical path (see AnalyzeCritPath).
 	CritPathReport = critpath.Report

@@ -172,11 +172,16 @@ func TestFacadeReplicated(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := f.Write([]byte("hdr")); err != nil {
 			return err
 		}
-		f.SeekTo(0)
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if f, err = OpenReplicated(n, "rep", false); err != nil {
+			return err
+		}
+		defer f.Close()
 		got, err := f.Read(3)
 		if err != nil {
 			return err
