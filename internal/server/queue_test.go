@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -289,4 +290,120 @@ func TestSessionKeepsOneChunkPerRankInFlight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// cutStore is a daemon's store that counts its reads and writes and, once
+// gated is set, holds each at the gate until open is closed; reached is
+// closed when the first one arrives.
+type cutStore struct {
+	pfs.Backend
+	gated         atomic.Bool
+	once          sync.Once
+	reached, open chan struct{}
+	reads, writes atomic.Int64
+}
+
+func (c *cutStore) wait() {
+	if c.gated.Load() {
+		c.once.Do(func() { close(c.reached) })
+		<-c.open
+	}
+}
+
+func (c *cutStore) ReadAt(p []byte, off int64) (int, error) {
+	c.reads.Add(1)
+	c.wait()
+	return c.Backend.ReadAt(p, off)
+}
+
+func (c *cutStore) WriteAt(p []byte, off int64) (int, error) {
+	c.writes.Add(1)
+	c.wait()
+	return c.Backend.WriteAt(p, off)
+}
+
+// TestCutSkipsQueuedRequests: on a daemon with one I/O rank, a session's
+// reads (or writes) queue behind one held at the store when its connection
+// is cut, and the client's resends queue behind those. None of the cut
+// connection's queued requests reaches the store once the gate opens: the
+// store sees the one in flight at the cut and the resends, and every resend
+// lands byte-identical.
+func TestCutSkipsQueuedRequests(t *testing.T) {
+	for _, op := range []string{"read", "write"} {
+		t.Run(op, func(t *testing.T) { cutQueued(t, op == "write") })
+	}
+}
+
+func cutQueued(t *testing.T, write bool) {
+	const n, size = 6, 64 << 10
+	mon := dsmon.New()
+	store := &cutStore{Backend: pfs.NewMemBackend(), reached: make(chan struct{}), open: make(chan struct{})}
+	srv := startDaemon(t, server.Config{
+		StripeFactor: 1,
+		Factory:      func(string) (pfs.Backend, error) { return store, nil },
+		Tenants:      []server.Tenant{{Name: "a"}},
+		Monitor:      mon,
+	})
+	cli, err := server.Dial(srv.Addr(), server.ClientConfig{Tenant: "a", ReconnectPause: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	b, err := cli.OpenBackend("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(n*size, 7)
+	if !write {
+		if _, err := b.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	requests := mon.Registry().Counter("dstreamd_requests_total", "", "tenant", "a")
+	base := requests.Value()
+	store.reads.Store(0)
+	store.writes.Store(0)
+	store.gated.Store(true)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			off := int64(i * size)
+			if write {
+				if _, err := b.WriteAt(want[off:off+size], off); err != nil {
+					t.Errorf("write at %d: %v", off, err)
+				}
+				return
+			}
+			p := make([]byte, size)
+			if _, err := b.ReadAt(p, off); err != nil || !bytes.Equal(p, want[off:off+size]) {
+				t.Errorf("read at %d: %v, bytes equal %v", off, err, bytes.Equal(p, want[off:off+size]))
+			}
+		}()
+	}
+	<-store.reached
+	waitCount(t, requests, base+n, "requests served before the cut")
+	srv.KillConnections()
+	// The resends come in on the next connection and queue on the same rank.
+	waitCount(t, requests, base+2*n, "requests served after the cut")
+	close(store.open)
+	wg.Wait()
+
+	what, got := "read", store.reads.Load()
+	if write {
+		what, got = "write", store.writes.Load()
+	}
+	if got != n+1 {
+		t.Fatalf("%d %ss reached the store, want %d: the one held at the cut and %d resends, none of the cut connection's queued ones",
+			got, what, n+1, n)
+	}
+	if write {
+		store.gated.Store(false)
+		back := make([]byte, n*size)
+		if _, err := b.ReadAt(back, 0); err != nil || !bytes.Equal(back, want) {
+			t.Fatalf("file after the resent writes: %v, bytes equal %v", err, bytes.Equal(back, want))
+		}
+	}
 }

@@ -453,9 +453,10 @@ type conn struct {
 	// bounds out, so queueing a reply never blocks — least of all a rank.
 	slots chan struct{}
 	out   chan outFrame
-	// dead is set by the writer when a write fails. The reader stops there,
-	// rather than serve the requests it still has buffered for a connection
-	// that can take no reply.
+	// dead is set by the writer when a write fails, and by the reader when
+	// it stops reading. The reader stops at it, rather than serve the
+	// requests it still has buffered for a connection that can take no
+	// reply, and so do the I/O ranks (dropped).
 	dead atomic.Bool
 	// mem is the connection's shared chunks (nil when it has none), and
 	// held[k] is set while the daemon holds chunk k: from the request that
@@ -495,6 +496,20 @@ type outFrame struct {
 
 // reply queues one control reply: a reply that holds nothing.
 func (cn *conn) reply(head []byte) { cn.out <- outFrame{head: head} }
+
+// dropped is what an I/O rank does first with a queued request: when the
+// connection has died, the client resends the request on its next one, so
+// the rank gives back the request's data — a pooled buffer (nil for a read),
+// or shared chunk k when k ≥ 0 — and queues an empty reply that only
+// returns its window share and slot, without touching the store.
+func (cn *conn) dropped(id uint64, data []byte, k int, share int64) bool {
+	if !cn.dead.Load() {
+		return false
+	}
+	cn.giveBack(data, k, true)
+	cn.out <- outFrame{head: newFrame(id, statusErr), share: share}
+	return true
+}
 
 // fail replies with a non-OK status and its message.
 func (cn *conn) fail(id uint64, status uint8, msg string) {
@@ -564,7 +579,9 @@ func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		if !bye {
 			// Nothing more will be read, so nothing more need be written:
-			// the writer drops what is still owed.
+			// the writer drops what is still owed, and the I/O ranks skip
+			// the requests still queued.
+			cn.dead.Store(true)
 			c.Close()
 		}
 		// Every slot back in hand means every request in flight has had
@@ -1051,12 +1068,17 @@ func (s *Server) submitRead(t *tenantState, cn *conn, id uint64, name string, of
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
-		var buf []byte
+		var buf []byte // shared chunk k, or nil when framed
+		if k >= 0 {
+			buf = chunkAt(cn.mem, k)
+		}
+		if cn.dropped(id, buf, k, share) {
+			return
+		}
 		if k < 0 {
 			buf = bufpool.Get(int(n))
-		} else {
-			buf = chunkAt(cn.mem, k)[:n]
 		}
+		buf = buf[:n]
 		got, err := f.b.ReadAt(buf, off)
 		if got < 0 {
 			got = 0
@@ -1155,6 +1177,9 @@ func (s *Server) submitWrite(t *tenantState, cn *conn, id uint64, name string, o
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
+		if cn.dropped(id, data, k, share) {
+			return
+		}
 		n, err := f.b.WriteAt(data, off)
 		cn.giveBack(data, k, true)
 		if n < 0 {
