@@ -115,7 +115,9 @@ count:
 	done | awk '{ printf "%6d %s\n", $$1, $$2; n += $$1 } END { printf "%6d total\n", n }'
 
 # Regenerate the public API surface golden after an intentional API change.
-# `make check` diffs the façade against testdata/api_surface.golden.
+# `make check` diffs the public surface against testdata/api_surface.golden:
+# the façade's declarations, and the exported methods and fields of every
+# type of this module the façade reaches (go/types, from source).
 api-golden:
 	$(GO) test . -run TestAPISurface -update
 
