@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 	"testing"
 
 	"pcxxstreams/internal/bufpool"
@@ -470,5 +472,109 @@ func TestWriterDistributionReuse(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// sourceStore is a store that hands out buffers of its own
+// (pfs.BufferSource), each with a capacity that is a pool class, and keeps
+// the account of what it handed out and got back.
+type sourceStore struct {
+	pfs.Backend
+	mu              sync.Mutex
+	out             map[*byte]bool // handed out and not yet released
+	drawn, released int
+}
+
+func (s *sourceStore) Buffer(n int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := make([]byte, n, max(bufpool.MinClass, 1<<bits.Len(uint(n-1))))
+	s.out[&b[0]] = true
+	s.drawn++
+	return b
+}
+
+func (s *sourceStore) Release(b []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.out[&b[:1][0]] {
+		panic("release of a buffer the store never handed out, or handed out and got back")
+	}
+	delete(s.out, &b[:1][0])
+	s.released++
+}
+
+// TestSourcedArenasGoBackToTheFile: on a file whose backend supplies buffers,
+// a stream fixed to funnel or parallel encodes each insert into one of them —
+// the first group's once its first element is measured, a later group's at
+// once — and every arena goes back to the store, never to the pool: after a
+// Write, after a Write the store fails, and at a Close with inserts pending.
+// An Auto or two-phase stream, which may lend its arenas, draws none.
+func TestSourcedArenasGoBackToTheFile(t *testing.T) {
+	for _, strat := range []Strategy{StrategyAuto, StrategyFunnel, StrategyParallel, StrategyTwoPhase} {
+		for _, shape := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v/inserts=%d", strat, shape), func(t *testing.T) {
+				sourced := strat == StrategyFunnel || strat == StrategyParallel
+				// okOps 0 is a store that never fails; 3 fails the second
+				// record's append (the file header and the first record's
+				// two pieces are the first three operations).
+				for _, okOps := range []int{0, 3} {
+					store := &sourceStore{out: make(map[*byte]bool)}
+					fs := pfs.NewFileSystem(vtime.Challenge(), func(string) (pfs.Backend, error) {
+						store.Backend = pfs.NewMemBackend()
+						if okOps > 0 {
+							store.Backend = pfs.NewFaultyBackend(store.Backend, okOps)
+						}
+						return store, nil
+					})
+					run(t, 1, fs, func(n *machine.Node) error {
+						d, err := distr.New(16, 1, distr.Block, 0)
+						if err != nil {
+							return err
+						}
+						base := bufpool.Stats().Outstanding
+						s, err := Open(n, d, "src", WithStrategy(strat))
+						if err != nil {
+							return err
+						}
+						for rec := range 3 {
+							for range shape {
+								if err := s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, 100)) }); err != nil {
+									return err
+								}
+							}
+							if rec == 2 {
+								break // left pending at Close
+							}
+							err := s.Write()
+							if failed := okOps > 0 && rec == 1; failed != errors.Is(err, ErrIO) {
+								return fmt.Errorf("record %d: Write = %v", rec, err)
+							}
+							if err != nil {
+								break
+							}
+						}
+						if err := s.Close(); okOps == 0 && !errors.Is(err, ErrOrder) {
+							return fmt.Errorf("Close with pending inserts: %v, want ErrOrder", err)
+						}
+						want := 0
+						if sourced {
+							want = 2 * shape
+							if okOps == 0 {
+								want = 3 * shape
+							}
+						}
+						if store.drawn != want || store.released != store.drawn || len(store.out) != 0 {
+							return fmt.Errorf("%d arenas drawn from the store and %d given back, %d still out; want %d drawn, all back",
+								store.drawn, store.released, len(store.out), want)
+						}
+						if got := bufpool.Stats().Outstanding; got != base {
+							return fmt.Errorf("%d pooled buffers out after Close", got-base)
+						}
+						return nil
+					})
+				}
+			})
+		}
 	}
 }

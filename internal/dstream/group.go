@@ -6,17 +6,20 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
+	"pcxxstreams/internal/pfs"
 )
 
 // arena is one insert: the payloads of every local element, in local order,
-// encoded back to back into one pooled buffer. Element l is
-// buf[offs[l]:offs[l+1]]. A channel's first insert has no buffer of its own:
-// framed, its elements are in the channel's frames, and offs only measures
-// them.
+// encoded back to back into one pooled buffer — or, sourced, into memory the
+// file's backend handed out (pfs.BufferSource), which goes back through the
+// file. Element l is buf[offs[l]:offs[l+1]]. A channel's first insert has no
+// buffer of its own: framed, its elements are in the channel's frames, and
+// offs only measures them.
 type arena struct {
-	buf    []byte
-	offs   []uint32 // LocalLen+1 entries
-	framed bool
+	buf     []byte
+	offs    []uint32 // LocalLen+1 entries
+	framed  bool
+	sourced bool
 }
 
 func (a *arena) elem(l int) []byte { return a.buf[a.offs[l]:a.offs[l+1]] }
@@ -40,7 +43,10 @@ func (a *arena) elem(l int) []byte { return a.buf[a.offs[l]:a.offs[l+1]] }
 // previous group's insert at the same position took, or, on a stream's first
 // group, from LocalLen × the first element once that is encoded. An
 // underestimate moves the arena up one pool class at a time. Frames are sized
-// the same way, each for its own destination.
+// the same way, each for its own destination. On a file whose backend
+// supplies buffers (src), the arena is drawn there instead, at the same
+// moment and size, so that the backend writes it from where it was encoded;
+// one outgrown moves to the pool, and the backend gets its buffer back.
 type assembler struct {
 	stream
 	// kind prefixes the end's spans: "ostream" or "ochannel".
@@ -65,10 +71,15 @@ type assembler struct {
 	writeSpan dsmon.SpanID
 
 	// frames, on a channel, is where the group's first insert is encoded.
-	// It is last because a field ahead of enc moves the encoder: 8 bytes
-	// further on, an insert of 16 384 small elements ran ~7 % slower on a
-	// 2-vCPU Xeon.
+	// It and src are last because a field ahead of enc moves the encoder: 8
+	// bytes further on, an insert of 16 384 small elements ran ~7 % slower
+	// on a 2-vCPU Xeon.
 	frames *chanFrames
+	// src, on an output stream that never lends its arenas (its strategy
+	// fixed to funnel or parallel), is the file arenas are drawn from when
+	// its backend has buffers to give; nil otherwise. A lent arena that
+	// fails is dropped, which a backend's buffer cannot be.
+	src *pfs.File
 }
 
 func newAssembler(st stream, kind string) assembler {
@@ -111,6 +122,8 @@ func (a *assembler) InsertFunc(fill func(local int, e *Encoder)) error {
 	e := &a.enc
 	if fr != nil {
 		fr.beginFrames()
+	} else if run := a.draw(hint); run != nil {
+		e.AdoptFrom(run, a.src)
 	} else {
 		e.Adopt(bufpool.GetCap(hint))
 	}
@@ -125,17 +138,25 @@ func (a *assembler) InsertFunc(fill func(local int, e *Encoder)) error {
 		} else if l == 0 && hint == 0 {
 			// Nothing to go by but this element: take the rest to be like
 			// it, without leaving the pool on an estimate.
-			e.Reserve(min(end*n, bufpool.MaxClass) - end)
+			est := min(end*n, bufpool.MaxClass)
+			if run := a.draw(est); run != nil {
+				first := e.Detach()
+				e.AdoptFrom(append(run, first...), a.src)
+				bufpool.Put(first)
+			} else {
+				e.Reserve(est - end)
+			}
 		}
 		offs[l+1] = uint32(end) // checked as a whole below: ends only grow
 	}
+	sourced := e.Sourced()
 	buf := e.Detach() // nil when the insert went to the frames: land took each back
 	total := len(buf)
 	if fr != nil {
 		total = fr.total
 	}
 	if uint64(total) > a.maxBytes {
-		bufpool.Put(buf)
+		a.putArena(buf, sourced)
 		if fr != nil {
 			fr.dropFrames()
 		}
@@ -144,7 +165,7 @@ func (a *assembler) InsertFunc(fill func(local int, e *Encoder)) error {
 			ErrOrder, total, a.maxBytes))
 	}
 	a.hints[pos] = total
-	a.inserts = append(a.inserts, arena{buf: buf, offs: offs, framed: fr != nil})
+	a.inserts = append(a.inserts, arena{buf: buf, offs: offs, framed: fr != nil, sourced: sourced})
 	a.bytes += int64(total)
 	a.met.inserts.Inc()
 	a.met.fill.Add(float64(total))
@@ -250,12 +271,14 @@ func (a *assembler) sizeTable() ([]uint32, int, error) {
 
 // pack empties the group into the per-node data buffer: element-major, the
 // inserts interleaved (Figure 4's pointer-list traversal). One insert's
-// arena is that buffer as it stands. The caller owns the result and
-// releases it to bufpool.
-func (a *assembler) pack() []byte {
-	var data []byte
+// arena is that buffer as it stands, sourced or not; a longer group is
+// packed into a pooled one. The caller owns the result and releases it with
+// putArena, sourced as reported.
+func (a *assembler) pack() (data []byte, sourced bool) {
 	if len(a.inserts) == 1 {
-		data, a.inserts[0].buf = a.inserts[0].buf, nil
+		in := &a.inserts[0]
+		data, sourced = in.buf, in.sourced
+		in.buf, in.sourced = nil, false
 	} else {
 		data = bufpool.GetCap(int(a.bytes))
 		for l, n := 0, len(a.inserts[0].offs)-1; l < n; l++ {
@@ -265,18 +288,40 @@ func (a *assembler) pack() []byte {
 		}
 	}
 	a.release()
-	return data
+	return data, sourced
 }
 
-// release empties the group, returning its arenas to the pool, and the
-// frames too while its first insert is still in them.
+// draw hands out a buffer of the file's backend with room for n bytes, empty,
+// or nil when the end draws none or the backend has none to give.
+func (a *assembler) draw(n int) []byte {
+	if a.src == nil || n <= 0 {
+		return nil
+	}
+	if b := a.src.Buffer(n); b != nil {
+		return b[:0]
+	}
+	return nil
+}
+
+// putArena gives an arena, or a packed buffer, back where it came from: a
+// sourced one to the file's backend, any other to the pool.
+func (a *assembler) putArena(b []byte, sourced bool) {
+	if sourced {
+		a.src.Release(b)
+	} else {
+		bufpool.Put(b)
+	}
+}
+
+// release empties the group, returning each arena where it came from, and
+// the frames too while its first insert is still in them.
 func (a *assembler) release() {
 	for i := range a.inserts {
 		in := &a.inserts[i]
 		if in.framed {
 			a.frames.dropFrames()
 		}
-		bufpool.Put(in.buf)
+		a.putArena(in.buf, in.sourced)
 		a.offFree = append(a.offFree, in.offs)
 		*in = arena{}
 	}

@@ -60,6 +60,9 @@ func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Opt
 		assembler: newAssembler(newStream(node, d, node.Rank(), f, name), "ostream"),
 		opts:      opts,
 	}
+	if opts.Strategy == StrategyFunnel || opts.Strategy == StrategyParallel {
+		s.src = f
+	}
 	_, desc := headerFor(d, 1, 0)
 	s.metaLen = enc.RecordHeaderLen + int64(len(desc)) + int64(4*d.N)
 	if opts.plannerEnabled() {
@@ -119,7 +122,7 @@ func (s *OStream) Write() error {
 // buffer — one insert hands over its arena, a longer group is packed
 // element-major — and moved to the file by the record's strategy.
 func (s *OStream) appendRecord(w flush) error {
-	data := s.pack()
+	data, sourced := s.pack()
 	s.node.CopyCost(int64(w.bytes) + int64(4*len(w.sizes)))
 
 	strat := s.opts.Strategy
@@ -135,7 +138,9 @@ func (s *OStream) appendRecord(w flush) error {
 			var lent bool
 			if lent, err = s.writeTwoPhase(w.arrays, w.sizes, data); lent && err != nil {
 				// A peer may still be reading its overlap: the arena goes to
-				// the garbage collector, not back to the pool.
+				// the garbage collector, not back to the pool. It is never
+				// sourced: a stream that may write two-phase draws from
+				// the pool alone.
 				bufpool.Drop(data)
 				data = nil
 			}
@@ -148,8 +153,8 @@ func (s *OStream) appendRecord(w flush) error {
 	// that before every rank's move is done), or on the wire (transports
 	// copy a borrowed send), so the packed buffer can be released even on
 	// failure — unless the shuffle lent it out and failed, and it was
-	// dropped above.
-	bufpool.Put(data)
+	// dropped above. A sourced buffer goes back to the file's backend.
+	s.putArena(data, sourced)
 	if err == nil {
 		// The strategy's closing rendezvous left every rank's clock at the
 		// same instant: a rank-identical observation, fed back for free.

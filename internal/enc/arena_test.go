@@ -87,3 +87,63 @@ func TestArenaReserveAndOutgrowPool(t *testing.T) {
 	}
 	bufpool.Put(p)
 }
+
+// runSource hands out one run at a time, as a backend that supplies buffers
+// does, and records what it is given back.
+type runSource struct {
+	run      []byte
+	released [][]byte
+}
+
+func (s *runSource) Release(b []byte) { s.released = append(s.released, b) }
+
+// TestSourcedArenaGoesBackToItsSource: an arena AdoptFrom gave is encoded
+// into in place while it has room, and Sourced says so at Detach. Once it
+// is outgrown, grow carries what is in it to a pooled buffer and hands the
+// run to its Releaser, once, and never to the pool — although the run's
+// capacity is a pool class: no pool draw of that class hands it out.
+func TestSourcedArenaGoesBackToItsSource(t *testing.T) {
+	base := bufpool.Stats()
+	src := &runSource{run: make([]byte, 0, 1024)}
+	var e Buffer
+	e.AdoptFrom(append(src.run, "front"...), src)
+	e.Uint64(1)
+	e.Mark()
+	e.Raw(bytes.Repeat([]byte{2}, 100))
+	if !e.Sourced() || &e.b[0] != &src.run[:1][0] || bufpool.Stats().Outstanding != base.Outstanding {
+		t.Fatal("an arena within its run left it")
+	}
+	e.Mark()
+	e.Raw(bytes.Repeat([]byte{3}, 2000)) // outgrows the run
+	if e.Sourced() || len(src.released) != 1 || &src.released[0][:1][0] != &src.run[:1][0] {
+		t.Fatalf("outgrown: Sourced %v, %d runs given back", e.Sourced(), len(src.released))
+	}
+	p := e.Detach()
+	want := append(append(append([]byte("front"), 1, 0, 0, 0, 0, 0, 0, 0), bytes.Repeat([]byte{2}, 100)...),
+		bytes.Repeat([]byte{3}, 2000)...)
+	if !bytes.Equal(p, want) {
+		t.Fatalf("the outgrown arena holds %d bytes, want %d", len(p), len(want))
+	}
+	bufpool.Put(p)
+	var drawn [][]byte
+	for range 16 {
+		b := bufpool.GetCap(1024)
+		drawn = append(drawn, b)
+		if &b[:1][0] == &src.run[:1][0] {
+			t.Fatal("the pool handed out the run")
+		}
+	}
+	for _, b := range drawn {
+		bufpool.Put(b)
+	}
+	if got := bufpool.Stats(); got.Outstanding != base.Outstanding {
+		t.Fatalf("%d pooled buffers outstanding after the arena went back", got.Outstanding-base.Outstanding)
+	}
+	// Adopt after AdoptFrom forgets the Releaser.
+	e.AdoptFrom(src.run, src)
+	e.Adopt(bufpool.GetCap(64))
+	if e.Sourced() {
+		t.Fatal("Adopt kept the previous arena's Releaser")
+	}
+	bufpool.Put(e.Detach())
+}

@@ -26,7 +26,8 @@ import (
 // an arena is adopted, Bytes, Len and Reset see only the element being
 // encoded, and an append that outgrows the arena moves it up one pool class
 // (copying what is there, releasing the old buffer) instead of leaving the
-// pool for the allocator.
+// pool for the allocator. AdoptFrom adopts an arena that is not the pool's,
+// which goes back to where it came from.
 type Buffer struct {
 	b []byte
 	// base is where the current element starts; zero outside Adopt…Detach.
@@ -37,8 +38,18 @@ type Buffer struct {
 	// asked (its appends grow it themselves). One comparison against a field
 	// is what keeps those appenders within the compiler's inlining budget.
 	lim int
-	// pooled marks b as a bufpool buffer this Buffer owns.
+	// pooled marks b as an adopted arena this Buffer owns: a bufpool buffer,
+	// or from's when from is set.
 	pooled bool
+	// from is where b came from when that is not the pool (AdoptFrom), and
+	// where grow gives it back; nil once grow has moved b to the pool.
+	from Releaser
+}
+
+// A Releaser takes back a buffer it handed out (pfs.BufferSource's Release):
+// memory that is not the pool's, and must never reach bufpool.Put.
+type Releaser interface {
+	Release(b []byte)
 }
 
 // fixedMax is the most bytes a fixed-size appender appends.
@@ -50,6 +61,19 @@ const fixedMax = 8
 func (e *Buffer) Adopt(p []byte) {
 	*e = Buffer{b: p, base: len(p), lim: cap(p) - fixedMax, pooled: true}
 }
+
+// AdoptFrom is Adopt for p, a buffer r handed out rather than the pool (a
+// run of a backend's own memory, say). The Buffer encodes into p in place;
+// an append that outgrows it moves what is there to a pooled buffer and
+// gives p back to r, never to the pool. Sourced reports which the arena is
+// when the caller comes to Detach it.
+func (e *Buffer) AdoptFrom(p []byte, r Releaser) {
+	*e = Buffer{b: p, base: len(p), lim: cap(p) - fixedMax, pooled: true, from: r}
+}
+
+// Sourced reports whether the adopted arena is still the buffer AdoptFrom
+// gave it, which goes back to its Releaser, not the pool.
+func (e *Buffer) Sourced() bool { return e.from != nil }
 
 // Mark closes the current element and returns the offset, from the start of
 // the backing store, at which the next one begins.
@@ -102,14 +126,20 @@ func (e *Buffer) makeRoom(n int) {
 // grow moves an adopted arena to a pool class with room for n more bytes:
 // at least the next class up, so a run of appends costs amortized one copy
 // per byte. Past bufpool.MaxClass the pool falls through to the allocator
-// and this is ordinary doubling.
+// and this is ordinary doubling. An arena AdoptFrom gave goes back to its
+// Releaser, and the Buffer's is the pool's from then on.
 func (e *Buffer) grow(n int) {
 	need := len(e.b) + n
 	if next := 2 * cap(e.b); need < next {
 		need = next
 	}
 	nb := append(bufpool.GetCap(need), e.b...)
-	bufpool.Put(e.b)
+	if e.from != nil {
+		e.from.Release(e.b)
+		e.from = nil
+	} else {
+		bufpool.Put(e.b)
+	}
 	e.b, e.lim = nb, cap(nb)-fixedMax
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // File and record framing of the d/stream on-disk format:
@@ -166,13 +167,17 @@ func DecodeRecordHeader(b []byte) (RecordHeader, error) {
 	return h, nil
 }
 
-// AppendSizeTable appends the size-table encoding of sizes to dst.
+// AppendSizeTable appends the size-table encoding of sizes to dst: on a
+// little-endian host one copy of their memory, as Buffer.Float64Slice does.
 func AppendSizeTable(dst []byte, sizes []uint32) []byte {
-	e := Buffer{b: dst}
-	for _, s := range sizes {
-		e.Uint32(s)
+	at := len(dst)
+	dst = slices.Grow(dst, 4*len(sizes))[:at+4*len(sizes)]
+	if hostLittleEndian {
+		copy(dst[at:], sizeBytes(sizes))
+	} else {
+		putUint32s(dst[at:], sizes)
 	}
-	return e.Bytes()
+	return dst
 }
 
 // SumSizeTable validates that b is a size table of exactly n entries and

@@ -249,3 +249,34 @@ func TestShortWordsAllocateNothing(t *testing.T) {
 		}
 	})
 }
+
+// TestSizeTableKernelMatchesPortable: a size table appended with one copy of
+// its memory is byte for byte the per-entry loop's, behind any prefix and
+// whether dst has room or must grow, and both are the format's bytes.
+func TestSizeTableKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 1000} {
+		sizes := make([]uint32, n)
+		for i := range sizes {
+			sizes[i] = rng.Uint32()
+		}
+		if n > 2 {
+			sizes[0], sizes[1] = 0, math.MaxUint32
+		}
+		for off := 0; off < 8; off++ {
+			pad := bytes.Repeat([]byte{0xA5}, off)
+			want := append([]byte(nil), pad...)
+			for _, s := range sizes {
+				want = append(want, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+			}
+			eitherPath(func(path string) {
+				for _, room := range []int{0, 4 * n} {
+					dst := append(make([]byte, 0, off+room), pad...)
+					if got := AppendSizeTable(dst, sizes); !bytes.Equal(got, want) {
+						t.Fatalf("%s n=%d off=%d room=%d: the table's bytes differ from the format", path, n, off, room)
+					}
+				}
+			})
+		}
+	}
+}

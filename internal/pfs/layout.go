@@ -57,11 +57,13 @@ func (rb *resilientBackend) Layout() Layout {
 }
 
 // BufferSource is implemented by backends that can supply a read's
-// destination: memory their ReadAt fills in place, where a buffer of the
-// caller's would take a copy out of it (dstreamd's same-host client hands
-// out runs of the shared chunks its daemon reads the store into). Buffer
-// returns at least n bytes, or nil when it has none to give; Release takes
-// back a buffer Buffer returned. Such a buffer is never the pool's.
+// destination or a write's source: memory their ReadAt fills in place, or
+// their WriteAt stores from in place, where a buffer of the caller's would
+// take a copy out of it or into it (dstreamd's same-host client hands out
+// runs of the shared chunks its daemon reads the store into and writes it
+// from). Buffer returns at least n bytes, or nil when it has none to give;
+// Release takes back a buffer Buffer returned. Such a buffer is never the
+// pool's.
 //
 // A backend may withdraw such a buffer: its ReadAt into one then fails with
 // ErrWithdrawn, and the reader releases it and reads into one of its own.
@@ -79,7 +81,7 @@ type BufferSource interface {
 var ErrWithdrawn = errors.New("pfs: read buffer withdrawn")
 
 // Buffer forwards to the wrapped backend, so the retry layer is transparent
-// to a backend that supplies read buffers; any other backend has none.
+// to a backend that supplies buffers; any other backend has none.
 func (rb *resilientBackend) Buffer(n int) []byte {
 	if bs, ok := rb.Backend.(BufferSource); ok {
 		return bs.Buffer(n)

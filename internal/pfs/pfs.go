@@ -172,8 +172,8 @@ type file struct {
 	mu   sync.Mutex
 	name string
 	b    Backend
-	// src supplies read buffers: the retry layer over the factory's backend,
-	// which InjectFault may wrap in b but never here.
+	// src supplies read and write buffers: the retry layer over the
+	// factory's backend, which InjectFault may wrap in b but never here.
 	src  BufferSource
 	d    *disk
 	refs int
@@ -702,7 +702,14 @@ func (h *File) ParallelReadSourced(rg Range, dst []byte) (data []byte, sourced b
 	return data, sourced, err
 }
 
-// Release gives back a buffer ParallelReadSourced reported sourced.
+// Buffer hands out at least n bytes of the backend's own memory
+// (BufferSource) for the caller to fill and write from — its WriteAt then
+// stores from it in place — or nil when the backend has none to give. It
+// goes back through Release, never to bufpool.
+func (h *File) Buffer(n int) []byte { return h.f.src.Buffer(n) }
+
+// Release gives back a buffer Buffer handed out, or one ParallelReadSourced
+// reported sourced.
 func (h *File) Release(b []byte) { h.f.src.Release(b) }
 
 // ParallelReadIntoAsync is the read-ahead variant of ParallelReadInto, with

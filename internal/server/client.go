@@ -56,15 +56,18 @@ func (e *statusError) Is(target error) bool {
 // call is one in-flight request: its frame, kept for an idempotent resend
 // after reconnect, and the reply channel. The frame is head and, for a write,
 // the caller's own buffer behind it — or, when the call holds a shared chunk,
-// head naming the chunk the caller's buffer was copied into; a read's reply
-// lands in the caller's buffer too, or in the chunk it is copied out of, or —
-// when the caller's buffer is itself a chunk of a run it holds — in place.
-// The caller's buffer is borrowed — see Ownership in the package doc.
+// head naming the chunk the caller's buffer was copied into, or — when the
+// caller's buffer is itself a chunk of a run it holds — naming that chunk,
+// with no copy. A read's reply lands in the caller's buffer too, or in the
+// chunk it is copied out of, or in place in the held chunk. The caller's
+// buffer is borrowed — see Ownership in the package doc.
 type call struct {
 	id uint64
-	// held: chunk k is into itself, a chunk of a run the caller holds
-	// (Client.buffer), which the reply neither copies out of nor frees; a
-	// reconnect withdraws such a call rather than resend it.
+	// held: chunk k is the caller's buffer itself, a chunk of a run the
+	// caller holds (Client.buffer): a read's into or a write's payload, which
+	// the reply neither copies nor frees. A reconnect withdraws a held read
+	// rather than resend it, and resends a held write as any other: its
+	// payload copied into a chunk of the new connection.
 	held    bool
 	op      uint8  // opRead, opWrite or a control op: the framed form's
 	head    []byte // prefix, id, op and every field but a write's data
@@ -87,7 +90,7 @@ func (cl *call) isData() bool { return cl.payload != nil || cl.into != nil }
 func (cl *call) takeChunk(m *chunkMap) {
 	cl.m, cl.k, cl.held = m, -1, false
 	if m != nil {
-		cl.k = m.take(1)
+		cl.k = m.takeOne()
 	}
 }
 
@@ -140,7 +143,21 @@ func (m *chunkMap) take(n int) int {
 	return -1
 }
 
-// chunkRun is n adjacent chunks of m from chunk k on, handed out as one read
+// takeOne holds the free chunk of the highest index, for one transfer, and
+// returns it; -1 when there is none. Runs are taken from the low end, so a
+// transfer's chunk, taken from the other, splits the free chunks no more than
+// it must.
+func (m *chunkMap) takeOne() int {
+	for k := len(m.busy) - 1; k >= 0; k-- {
+		if !m.busy[k] {
+			m.busy[k] = true
+			return k
+		}
+	}
+	return -1
+}
+
+// chunkRun is n adjacent chunks of m from chunk k on, handed out as one
 // buffer (Client.buffer).
 type chunkRun struct {
 	m    *chunkMap
@@ -193,12 +210,12 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]*call
 	broken  error      // non-nil once the session is permanently dead
-	runs    []chunkRun // read buffers handed out and not yet released, any mapping's
-	// copiedOut counts the bytes read replies copied out of shared chunks, and
-	// pooled the buffers asked for on a connection with shared chunks that
-	// found no run free.
-	copiedOut int64
-	pooled    int
+	runs    []chunkRun // buffers handed out and not yet released, any mapping's
+	// copiedOut counts the bytes read replies copied out of shared chunks,
+	// copiedIn the bytes writes copied into them, and pooled the buffers asked
+	// for on a connection with shared chunks that found no run free.
+	copiedOut, copiedIn int64
+	pooled              int
 
 	wmu sync.Mutex // serializes frame writes to the current conn
 }
@@ -463,12 +480,14 @@ func readChunkData(r io.Reader, rest int, k, want int) (int, error) {
 }
 
 // buffer hands out a run of adjacent free chunks of the current connection's
-// mapping, at least n bytes of it, as a read destination: ReadAt into it
-// names its chunks, so the daemon's store reads straight into memory the
-// caller then reads in place. Its capacity is the whole run, so no pool class
-// can mistake it for one of its own. Nil when the connection has no mapping
-// or no run that long is free. The mapping stays until release gives the run
-// back, whatever becomes of the connection meanwhile.
+// mapping, at least n bytes of it, as a read destination or a write source:
+// a ReadAt into it or a WriteAt from it names its chunks, so the daemon's
+// store reads straight into memory the caller then reads in place, or writes
+// from memory the caller encoded into. Its capacity is the whole run — a pool
+// class for a run of 1, 2 or 4 chunks, so it must never reach bufpool. Nil
+// when the connection has no mapping or no run that long is free. The
+// mapping stays until release gives the run back, whatever becomes of the
+// connection meanwhile.
 func (c *Client) buffer(n int) []byte {
 	chunks := (n + chunkBytes - 1) / chunkBytes
 	c.mu.Lock()
@@ -489,7 +508,9 @@ func (c *Client) buffer(n int) []byte {
 }
 
 // release takes back a run buffer handed out, poisoned under -tags pooldebug
-// so that a reader past its release fails byte identity.
+// so that a reader past its release fails byte identity — unless its mapping
+// is retired: a write of the dead connection, parked on the daemon, may still
+// store from the run, and no run is handed out of that mapping again.
 func (c *Client) release(b []byte) {
 	at := &b[:1][0]
 	c.mu.Lock()
@@ -499,7 +520,9 @@ func (c *Client) release(b []byte) {
 		}
 		c.runs = append(c.runs[:i], c.runs[i+1:]...)
 		for k := r.k; k < r.k+r.n; k++ {
-			poisonChunk(chunkAt(r.m.mem, k))
+			if r.m == c.shm {
+				poisonChunk(chunkAt(r.m.mem, k))
+			}
 			r.m.busy[k] = false
 		}
 		c.mu.Unlock()
@@ -511,7 +534,7 @@ func (c *Client) release(b []byte) {
 }
 
 // runChunk is the chunk of the current mapping that p starts at when p lies
-// in a run handed out as a read buffer, or -1. The caller holds mu.
+// in a run handed out by buffer, or -1. The caller holds mu.
 func (c *Client) runChunk(p []byte) int {
 	if len(p) == 0 {
 		return -1
@@ -581,10 +604,12 @@ func (c *Client) reconnect(dead net.Conn, gen int) {
 			resend := make([]*call, 0, len(c.pending))
 			var withdrawn []*call
 			for id, cl := range c.pending {
-				if cl.held {
+				if cl.held && cl.into != nil {
 					// Its chunk is the old mapping's, where the dead
 					// connection's request may still land at any time:
-					// the caller reads no reply out of it.
+					// the caller reads no reply out of it. A held write
+					// is resent: its run stays its caller's, who is
+					// parked, and the copy below takes it from there.
 					delete(c.pending, id)
 					withdrawn = append(withdrawn, cl)
 					continue
@@ -616,6 +641,9 @@ func (c *Client) reconnect(dead net.Conn, gen int) {
 				owed := c.pending[cl.id] == cl
 				if broken == nil && owed && cl.isData() {
 					cl.takeChunk(m)
+					if cl.k >= 0 && cl.payload != nil {
+						c.copiedIn += int64(len(cl.payload))
+					}
 				}
 				c.mu.Unlock()
 				if broken != nil {
@@ -681,10 +709,11 @@ func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) 
 // transfer is roundTrip for the two data ops: a write's payload is sent
 // behind the head body builds (whose last field must be the payload's
 // length), a read's data is delivered into into — or, when a shared chunk is
-// free, each is copied once, into the chunk or out of it. A read into a chunk
-// of a run the caller holds names that chunk and is not copied at all; cut in
-// flight, it fails with errWithdrawn. Both are the caller's again when
-// transfer returns.
+// free, each is copied once, into the chunk or out of it. A read into, or a
+// write from, a chunk of a run the caller holds names that chunk and is not
+// copied at all; cut in flight, such a read fails with errWithdrawn, and such
+// a write is resent with a copy, as any other. Both are the caller's again
+// when transfer returns.
 func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []byte) (reply, error) {
 	c.mu.Lock()
 	if c.broken != nil {
@@ -695,20 +724,26 @@ func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []
 	id := c.nextID
 	c.nextID++
 	cl := &call{id: id, op: op, head: body(newFrame(id, op)), payload: payload, into: into, k: -1, done: make(chan reply, 1)}
-	if k := c.runChunk(into); k >= 0 {
+	data := into
+	if payload != nil {
+		data = payload
+	}
+	if k := c.runChunk(data); k >= 0 {
 		cl.m, cl.k, cl.held = c.shm, k, true
 	} else if cl.isData() {
 		cl.takeChunk(c.shm)
 	}
 	m, k := cl.m, cl.k
-	if k >= 0 && payload != nil {
+	copyIn := k >= 0 && payload != nil && !cl.held
+	if copyIn {
 		m.users.Add(1)
+		c.copiedIn += int64(len(payload))
 	}
 	c.pending[id] = cl
 	conn := c.conn
 	c.mu.Unlock()
 
-	if k >= 0 && payload != nil {
+	if copyIn {
 		// Into the chunk before the frame that hands it over. Should a
 		// reconnect resend the call meanwhile, it copies into a chunk of the
 		// new connection; this mapping stays until users is back to zero.
@@ -849,7 +884,7 @@ func (f *remoteFile) Truncate(size int64) error {
 }
 
 // Buffer hands out a run of the session's shared chunks as a read
-// destination (pfs.BufferSource): see Client.buffer.
+// destination or a write source (pfs.BufferSource): see Client.buffer.
 func (f *remoteFile) Buffer(n int) []byte { return f.c.buffer(n) }
 
 // Release gives back a buffer Buffer handed out.
@@ -902,7 +937,10 @@ func (f *remoteFile) readChunk(p []byte, off int64) (int, error) {
 // chunk's request waits for its reply before the next goes out, as a read's
 // do. A session keeps several chunks in flight by its ranks' concurrent
 // calls, and the daemon's tenant window is what holds it to its share of the
-// I/O ranks.
+// I/O ranks. From a buffer Buffer handed out, each request names the chunk
+// its piece already is, and the daemon stores from it: the client copies
+// nothing. From any other buffer, each piece is copied into a free chunk, or
+// sent in the frame when none is free.
 func (f *remoteFile) WriteAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {

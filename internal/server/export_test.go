@@ -1,5 +1,7 @@
 package server
 
+import "pcxxstreams/internal/enc"
+
 // Network reports the network of the client's current connection: "unix"
 // when it reached the daemon over the same-host socket, "tcp" otherwise.
 func (c *Client) Network() string {
@@ -12,16 +14,17 @@ func (c *Client) Network() string {
 // v2 hello: its fd and a mapping of it.
 func NewChunkFile(n int) (int, []byte, error) { return newChunkFile(n) }
 
-// ChunkCounts reports the bytes read replies copied out of shared chunks, the
-// read buffers asked for on a connection with shared chunks that found no run
-// free, the runs held now, and the connection's shared chunks (0 without).
-func (c *Client) ChunkCounts() (copiedOut int64, pooled, held, granted int) {
+// ChunkCounts reports the bytes read replies copied out of shared chunks and
+// writes copied into them, the buffers asked for on a connection with shared
+// chunks that found no run free, the runs held now, and the connection's
+// shared chunks (0 without).
+func (c *Client) ChunkCounts() (copiedOut, copiedIn int64, pooled, held, granted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.shm != nil {
 		granted = len(c.shm.busy)
 	}
-	return c.copiedOut, c.pooled, len(c.runs), granted
+	return c.copiedOut, c.copiedIn, c.pooled, len(c.runs), granted
 }
 
 // Buffer asks for a read buffer as a pfs.BufferSource does.
@@ -50,10 +53,29 @@ func (c *Client) HeldInFlight() (chunks [][]byte, done func()) {
 	defer c.mu.Unlock()
 	m := c.shm
 	for _, cl := range c.pending {
-		if cl.held && cl.m == m {
+		if cl.held && cl.into != nil && cl.m == m {
 			chunks = append(chunks, chunkAt(m.mem, cl.k))
 		}
 	}
 	m.users.Add(1)
 	return chunks, m.users.Done
+}
+
+// HeldWritesInFlight returns the data of the writes from held runs pending
+// now — each the chunk its request names, as the daemon stores it — and the
+// offsets they are stored at, and keeps the current connection's mapping
+// mapped until done.
+func (c *Client) HeldWritesInFlight() (data [][]byte, offs []int64, done func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.shm
+	for _, cl := range c.pending {
+		if cl.held && cl.payload != nil && cl.m == m {
+			r := enc.NewReader(cl.head[opOffset+1:])
+			r.Raw(int(r.Uint32())) // the file's name
+			data, offs = append(data, cl.payload), append(offs, r.Int64())
+		}
+	}
+	m.users.Add(1)
+	return data, offs, m.users.Done
 }

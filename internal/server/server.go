@@ -469,7 +469,10 @@ type conn struct {
 // giveBack lets go of a transfer's data once the daemon is done with it: a
 // pooled buffer (k < 0) goes back to the pool, shared chunk k back to the
 // client — poisoned first when it carries nothing the client needs — whose
-// next request may name it as soon as the reply is out.
+// next request may name it as soon as the reply is out. A write's chunk is
+// never poisoned here: it may be a chunk of a run the client holds, whose
+// bytes a retry or a resend still reads (the client poisons the chunks it
+// copied into itself, at the reply).
 func (cn *conn) giveBack(data []byte, k int, poison bool) {
 	if k < 0 {
 		bufpool.Put(data)
@@ -500,13 +503,14 @@ func (cn *conn) reply(head []byte) { cn.out <- outFrame{head: head} }
 // dropped is what an I/O rank does first with a queued request: when the
 // connection has died, the client resends the request on its next one, so
 // the rank gives back the request's data — a pooled buffer (nil for a read),
-// or shared chunk k when k ≥ 0 — and queues an empty reply that only
-// returns its window share and slot, without touching the store.
-func (cn *conn) dropped(id uint64, data []byte, k int, share int64) bool {
+// or shared chunk k when k ≥ 0, poisoned as giveBack has it — and queues an
+// empty reply that only returns its window share and slot, without touching
+// the store.
+func (cn *conn) dropped(id uint64, data []byte, k int, share int64, poison bool) bool {
 	if !cn.dead.Load() {
 		return false
 	}
-	cn.giveBack(data, k, true)
+	cn.giveBack(data, k, poison)
 	cn.out <- outFrame{head: newFrame(id, statusErr), share: share}
 	return true
 }
@@ -1072,7 +1076,7 @@ func (s *Server) submitRead(t *tenantState, cn *conn, id uint64, name string, of
 		if k >= 0 {
 			buf = chunkAt(cn.mem, k)
 		}
-		if cn.dropped(id, buf, k, share) {
+		if cn.dropped(id, buf, k, share, true) {
 			return
 		}
 		if k < 0 {
@@ -1128,7 +1132,7 @@ func (s *Server) submitRead(t *tenantState, cn *conn, id uint64, name string, of
 // once, so not before).
 func (s *Server) submitWrite(t *tenantState, cn *conn, id uint64, name string, off int64, data []byte, k int) {
 	refuse := func(status uint8, msg string) {
-		cn.giveBack(data, k, true)
+		cn.giveBack(data, k, false)
 		cn.fail(id, status, msg)
 	}
 	f, err := s.lookup(t, name)
@@ -1177,11 +1181,11 @@ func (s *Server) submitWrite(t *tenantState, cn *conn, id uint64, name string, o
 		return
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
-		if cn.dropped(id, data, k, share) {
+		if cn.dropped(id, data, k, share, false) {
 			return
 		}
 		n, err := f.b.WriteAt(data, off)
-		cn.giveBack(data, k, true)
+		cn.giveBack(data, k, false)
 		if n < 0 {
 			n = 0
 		}

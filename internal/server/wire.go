@@ -80,8 +80,9 @@
 // the caller's slice into the socket, off the socket into one pooled buffer,
 // into the store; and back the same way. Over shared chunks it crosses with
 // one copy: the caller's slice into a chunk the store reads, or a chunk the
-// store filled into the caller's slice. A read into a held run crosses with
-// none: the caller's slice is the chunks the store fills. Nothing owns a
+// store filled into the caller's slice. A read into, or a write from, a held
+// run crosses with none: the caller's slice is the chunks the store fills or
+// stores from. Nothing owns a
 // payload by holding a copy of it, so who may touch which bytes, and when, is
 // a rule:
 //
@@ -129,20 +130,27 @@
 //     every reply owed, the client when that connection's readLoop exits,
 //     the last copy into the mapping is done and every run handed out of it
 //     is released. Under -tags pooldebug the side that lets go of a chunk
-//     without data for the other poisons it first.
+//     without data for the other poisons it first — the daemon never a
+//     write's: it may be a held run, which a retry or a resend still reads.
 //   - A held run. The client also hands out runs of adjacent free chunks,
-//     lowest first, as read buffers (Client.buffer, a pfs.BufferSource): an
-//     input stream's refill buffer. The run is its holder's until released;
-//     while held its chunks are on no free list. A ReadAt whose p starts at
-//     one of the current mapping's held chunks names that chunk, and the
-//     reply hands it back already filled: readLoop neither copies out of it
-//     nor poisons nor frees it. Such a read in flight when its connection is
-//     cut is not resent: the dead connection's request may still fill the
-//     chunk, poisoned or not, after any resend's reply, so the read fails
-//     with pfs.ErrWithdrawn and its holder reads the share again into a
-//     buffer of its own. A run of a mapping no longer current is only a
-//     caller's slice: a read into it takes a chunk of the new mapping and is
-//     copied, and the old mapping stays mapped until the run is released.
+//     lowest first, as buffers (Client.buffer, a pfs.BufferSource): an input
+//     stream's refill buffer, an output stream's insert arena. The run is its
+//     holder's until released; while held its chunks are on no free list. A
+//     ReadAt or WriteAt whose p starts at one of the current mapping's held
+//     chunks names that chunk, and the reply hands it back — filled, for a
+//     read: readLoop neither copies nor poisons nor frees it. Such a read in
+//     flight when its connection is cut is not resent: the dead connection's
+//     request may still fill the chunk, poisoned or not, after any resend's
+//     reply, so the read fails with pfs.ErrWithdrawn and its holder reads the
+//     share again into a buffer of its own. Such a write is resent, its p
+//     copied into a chunk of the new mapping, since its caller is parked and
+//     still holds the run; the dead connection's request may still store from
+//     the run after the resend's reply, so a run of a mapping no longer
+//     current is not poisoned at release — it is never handed out again, and
+//     keeps the bytes that request stores. A run of such a mapping is only a
+//     caller's slice: a transfer from or into it takes a chunk of the new
+//     mapping and is copied, and the old mapping stays mapped until the run
+//     is released.
 //     The holder releases a run to the client, never to the pool — a
 //     one-chunk run's capacity is a pool class — and never lends it under a
 //     comm.Lease. An input stream releases its run at the next record's read,
