@@ -9,6 +9,7 @@ import (
 
 	"pcxxstreams/internal/comm"
 	"pcxxstreams/internal/dsmon"
+	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/server"
@@ -25,7 +26,8 @@ type TenantsConfig struct {
 	Tenants int
 	// Pipeline shapes each tenant's program (defaults: 2 ranks, 2·NProcs+1
 	// segments of 8 particles, 2 records) and the daemon's chaotic striped
-	// store (default 2 × 4096).
+	// store (default 2 × 4096). A Strategy left to Auto goes by tenant, in
+	// turn from tenantStrategies.
 	Pipeline
 	// Budget's Rates apply both to the daemon's storage backends and to
 	// every tenant machine's transport; its Watchdog bounds the whole seed.
@@ -58,6 +60,22 @@ func (c TenantsConfig) withDefaults() TenantsConfig {
 	return c
 }
 
+// tenantStrategies are the strategies tenants take in turn when the config
+// fixes none: the default, and the two fixed ones whose output streams encode
+// into runs of the daemon's shared chunks, which a cut resends from — Auto
+// never draws its arenas there.
+var tenantStrategies = [...]dstream.Strategy{dstream.StrategyAuto, dstream.StrategyParallel, dstream.StrategyFunnel}
+
+// pipeline is tenant i's program: the config's, with the strategy its turn
+// gives unless the config fixes one.
+func (c TenantsConfig) pipeline(i int) Pipeline {
+	p := c.Pipeline
+	if p.Strategy == dstream.StrategyAuto {
+		p.Strategy = tenantStrategies[i%len(tenantStrategies)]
+	}
+	return p
+}
+
 // tenantName names tenant i of a run.
 func tenantName(i int) string { return fmt.Sprintf("tenant-%d", i) }
 
@@ -82,7 +100,7 @@ func TenantsReference(cfg TenantsConfig) ([][]byte, error) {
 	for i := range refs {
 		var err error
 		refs[i], err = referenceImage(machine.Config{NProcs: cfg.NProcs},
-			cfg.body(session.Local(), tenantFile, tenantSeedBase(i), 0, nil, nil), tenantFile)
+			cfg.pipeline(i).body(session.Local(), tenantFile, tenantSeedBase(i), 0, nil, nil), tenantFile)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +298,7 @@ func runOneTenant(cfg TenantsConfig, addr string, i int, seed int64, ref []byte,
 			return NewTransport(tr, cfg.NProcs, tseed, cfg.Rates, mon)
 		},
 		RecvDeadline: cfg.RecvDeadline,
-	}, cfg.body(sess, tenantFile, tenantSeedBase(i), 0, nil, nil))
+	}, cfg.pipeline(i).body(sess, tenantFile, tenantSeedBase(i), 0, nil, nil))
 	if err != nil {
 		return err
 	}

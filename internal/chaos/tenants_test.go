@@ -13,7 +13,9 @@ import (
 // every byte a tenant reads must reproduce its own seeded fill, which
 // another tenant's bytes cannot. Each tenant ends byte-identical to its
 // fault-free reference or with a clean error; a hang or a cross-tenant leak
-// fails the suite.
+// fails the suite. The tenants run Auto, parallel and funnel in turn, so
+// that writes from runs of the shared chunks, resent on a cut, face the
+// cuts and the faults too.
 func TestTenantChaosOracle(t *testing.T) {
 	// Multi-tenant seeds pay for a real TCP daemon plus three machines, so
 	// the campaign runs half the flat oracle's seed count — but never below

@@ -505,76 +505,84 @@ func (s *sourceStore) Release(b []byte) {
 }
 
 // TestSourcedArenasGoBackToTheFile: on a file whose backend supplies buffers,
-// a stream fixed to funnel or parallel encodes each insert into one of them —
-// the first group's once its first element is measured, a later group's at
-// once — and every arena goes back to the store, never to the pool: after a
-// Write, after a Write the store fails, and at a Close with inserts pending.
-// An Auto or two-phase stream, which may lend its arenas, draws none.
+// a stream fixed to funnel or parallel encodes each insert into one of them,
+// once its first element is measured, and every arena goes back to the
+// store, never to the pool: after a Write, after a Write the store fails, and
+// at a Close with inserts pending. An Auto or two-phase stream, which may
+// lend its arenas, draws none. A first element past bufpool.MaxClass, beyond
+// any estimate, still gets a buffer of the store that holds it.
 func TestSourcedArenasGoBackToTheFile(t *testing.T) {
 	for _, strat := range []Strategy{StrategyAuto, StrategyFunnel, StrategyParallel, StrategyTwoPhase} {
 		for _, shape := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%v/inserts=%d", strat, shape), func(t *testing.T) {
-				sourced := strat == StrategyFunnel || strat == StrategyParallel
-				// okOps 0 is a store that never fails; 3 fails the second
-				// record's append (the file header and the first record's
-				// two pieces are the first three operations).
-				for _, okOps := range []int{0, 3} {
-					store := &sourceStore{out: make(map[*byte]bool)}
-					fs := pfs.NewFileSystem(vtime.Challenge(), func(string) (pfs.Backend, error) {
-						store.Backend = pfs.NewMemBackend()
-						if okOps > 0 {
-							store.Backend = pfs.NewFaultyBackend(store.Backend, okOps)
-						}
-						return store, nil
-					})
-					run(t, 1, fs, func(n *machine.Node) error {
-						d, err := distr.New(16, 1, distr.Block, 0)
-						if err != nil {
-							return err
-						}
-						base := bufpool.Stats().Outstanding
-						s, err := Open(n, d, "src", WithStrategy(strat))
-						if err != nil {
-							return err
-						}
-						for rec := range 3 {
-							for range shape {
-								if err := s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, 100)) }); err != nil {
-									return err
-								}
-							}
-							if rec == 2 {
-								break // left pending at Close
-							}
-							err := s.Write()
-							if failed := okOps > 0 && rec == 1; failed != errors.Is(err, ErrIO) {
-								return fmt.Errorf("record %d: Write = %v", rec, err)
-							}
-							if err != nil {
-								break
-							}
-						}
-						if err := s.Close(); okOps == 0 && !errors.Is(err, ErrOrder) {
-							return fmt.Errorf("Close with pending inserts: %v, want ErrOrder", err)
-						}
-						want := 0
-						if sourced {
-							want = 2 * shape
-							if okOps == 0 {
-								want = 3 * shape
-							}
-						}
-						if store.drawn != want || store.released != store.drawn || len(store.out) != 0 {
-							return fmt.Errorf("%d arenas drawn from the store and %d given back, %d still out; want %d drawn, all back",
-								store.drawn, store.released, len(store.out), want)
-						}
-						if got := bufpool.Stats().Outstanding; got != base {
-							return fmt.Errorf("%d pooled buffers out after Close", got-base)
-						}
-						return nil
-					})
-				}
-			})
+			for _, el := range []struct{ n, size int }{{16, 100}, {2, bufpool.MaxClass + 1}} {
+				t.Run(fmt.Sprintf("%v/inserts=%d/elem=%d", strat, shape, el.size), func(t *testing.T) {
+					testSourcedArenas(t, strat, shape, el.n, el.size)
+				})
+			}
 		}
+	}
+}
+
+func testSourcedArenas(t *testing.T, strat Strategy, shape, elems, size int) {
+	t.Helper()
+	sourced := strat == StrategyFunnel || strat == StrategyParallel
+	// okOps 0 is a store that never fails; 3 fails the second record's
+	// append (the file header and the first record's two pieces are the
+	// first three operations).
+	for _, okOps := range []int{0, 3} {
+		store := &sourceStore{out: make(map[*byte]bool)}
+		fs := pfs.NewFileSystem(vtime.Challenge(), func(string) (pfs.Backend, error) {
+			store.Backend = pfs.NewMemBackend()
+			if okOps > 0 {
+				store.Backend = pfs.NewFaultyBackend(store.Backend, okOps)
+			}
+			return store, nil
+		})
+		run(t, 1, fs, func(n *machine.Node) error {
+			d, err := distr.New(elems, 1, distr.Block, 0)
+			if err != nil {
+				return err
+			}
+			base := bufpool.Stats().Outstanding
+			s, err := Open(n, d, "src", WithStrategy(strat))
+			if err != nil {
+				return err
+			}
+			for rec := range 3 {
+				for range shape {
+					if err := s.InsertFunc(func(l int, e *Encoder) { e.Raw(fillBytes(l, size)) }); err != nil {
+						return err
+					}
+				}
+				if rec == 2 {
+					break // left pending at Close
+				}
+				err := s.Write()
+				if failed := okOps > 0 && rec == 1; failed != errors.Is(err, ErrIO) {
+					return fmt.Errorf("record %d: Write = %v", rec, err)
+				}
+				if err != nil {
+					break
+				}
+			}
+			if err := s.Close(); okOps == 0 && !errors.Is(err, ErrOrder) {
+				return fmt.Errorf("Close with pending inserts: %v, want ErrOrder", err)
+			}
+			want := 0
+			if sourced {
+				want = 2 * shape
+				if okOps == 0 {
+					want = 3 * shape
+				}
+			}
+			if store.drawn != want || store.released != store.drawn || len(store.out) != 0 {
+				return fmt.Errorf("%d arenas drawn from the store and %d given back, %d still out; want %d drawn, all back",
+					store.drawn, store.released, len(store.out), want)
+			}
+			if got := bufpool.Stats().Outstanding; got != base {
+				return fmt.Errorf("%d pooled buffers out after Close", got-base)
+			}
+			return nil
+		})
 	}
 }

@@ -44,9 +44,10 @@ func (a *arena) elem(l int) []byte { return a.buf[a.offs[l]:a.offs[l+1]] }
 // group, from LocalLen × the first element once that is encoded. An
 // underestimate moves the arena up one pool class at a time. Frames are sized
 // the same way, each for its own destination. On a file whose backend
-// supplies buffers (src), the arena is drawn there instead, at the same
-// moment and size, so that the backend writes it from where it was encoded;
-// one outgrown moves to the pool, and the backend gets its buffer back.
+// supplies buffers (src), the arena moves there once its first element is
+// encoded, sized the same way (and never smaller than that element), so that
+// the backend writes the rest from where it was encoded; one outgrown moves
+// to the pool, and the backend gets its buffer back.
 type assembler struct {
 	stream
 	// kind prefixes the end's spans: "ostream" or "ochannel".
@@ -122,8 +123,6 @@ func (a *assembler) InsertFunc(fill func(local int, e *Encoder)) error {
 	e := &a.enc
 	if fr != nil {
 		fr.beginFrames()
-	} else if run := a.draw(hint); run != nil {
-		e.AdoptFrom(run, a.src)
 	} else {
 		e.Adopt(bufpool.GetCap(hint))
 	}
@@ -135,15 +134,16 @@ func (a *assembler) InsertFunc(fill func(local int, e *Encoder)) error {
 		end := e.Mark()
 		if fr != nil {
 			end = fr.land(e, l, end)
-		} else if l == 0 && hint == 0 {
-			// Nothing to go by but this element: take the rest to be like
-			// it, without leaving the pool on an estimate.
-			est := min(end*n, bufpool.MaxClass)
-			if run := a.draw(est); run != nil {
-				first := e.Detach()
-				e.AdoptFrom(append(run, first...), a.src)
-				bufpool.Put(first)
-			} else {
+		} else if l == 0 {
+			// The previous group's insert at this position gives the size;
+			// on a stream's first group nothing does but this element: take
+			// the rest to be like it, without leaving the pool on an
+			// estimate.
+			est := hint
+			if est == 0 {
+				est = min(end*n, bufpool.MaxClass)
+			}
+			if !a.source(e, max(est, end)) {
 				e.Reserve(est - end)
 			}
 		}
@@ -291,16 +291,22 @@ func (a *assembler) pack() (data []byte, sourced bool) {
 	return data, sourced
 }
 
-// draw hands out a buffer of the file's backend with room for n bytes, empty,
-// or nil when the end draws none or the backend has none to give.
-func (a *assembler) draw(n int) []byte {
-	if a.src == nil || n <= 0 {
-		return nil
+// source moves the arena e holds, the insert's first element, into a buffer
+// of the file's backend with room for n bytes (no fewer than that element's),
+// and reports whether it did: not on an end that draws none, nor when the
+// backend has none to give.
+func (a *assembler) source(e *Encoder, n int) bool {
+	if a.src == nil {
+		return false
 	}
-	if b := a.src.Buffer(n); b != nil {
-		return b[:0]
+	run := a.src.Buffer(n)
+	if run == nil {
+		return false
 	}
-	return nil
+	first := e.Detach()
+	e.AdoptFrom(append(run[:0], first...), a.src)
+	bufpool.Put(first)
+	return true
 }
 
 // putArena gives an arena, or a packed buffer, back where it came from: a

@@ -90,7 +90,7 @@ func (cl *call) isData() bool { return cl.payload != nil || cl.into != nil }
 func (cl *call) takeChunk(m *chunkMap) {
 	cl.m, cl.k, cl.held = m, -1, false
 	if m != nil {
-		cl.k = m.takeOne()
+		cl.k = m.take(1)
 	}
 }
 
@@ -143,25 +143,12 @@ func (m *chunkMap) take(n int) int {
 	return -1
 }
 
-// takeOne holds the free chunk of the highest index, for one transfer, and
-// returns it; -1 when there is none. Runs are taken from the low end, so a
-// transfer's chunk, taken from the other, splits the free chunks no more than
-// it must.
-func (m *chunkMap) takeOne() int {
-	for k := len(m.busy) - 1; k >= 0; k-- {
-		if !m.busy[k] {
-			m.busy[k] = true
-			return k
-		}
-	}
-	return -1
-}
-
 // chunkRun is n adjacent chunks of m from chunk k on, handed out as one
-// buffer (Client.buffer).
+// buffer (Client.buffer). wrote marks a run a write has named a chunk of.
 type chunkRun struct {
-	m    *chunkMap
-	k, n int
+	m     *chunkMap
+	k, n  int
+	wrote bool
 }
 
 // acceptChunks maps the shared chunks a v2 hello reply grants (r is at the
@@ -508,9 +495,10 @@ func (c *Client) buffer(n int) []byte {
 }
 
 // release takes back a run buffer handed out, poisoned under -tags pooldebug
-// so that a reader past its release fails byte identity — unless its mapping
-// is retired: a write of the dead connection, parked on the daemon, may still
-// store from the run, and no run is handed out of that mapping again.
+// so that a reader past its release fails byte identity — unless a write
+// named it and its mapping is retired: that write of the dead connection,
+// parked on the daemon, may still store from the run, and no run is handed
+// out of that mapping again.
 func (c *Client) release(b []byte) {
 	at := &b[:1][0]
 	c.mu.Lock()
@@ -520,7 +508,7 @@ func (c *Client) release(b []byte) {
 		}
 		c.runs = append(c.runs[:i], c.runs[i+1:]...)
 		for k := r.k; k < r.k+r.n; k++ {
-			if r.m == c.shm {
+			if r.m == c.shm || !r.wrote {
 				poisonChunk(chunkAt(r.m.mem, k))
 			}
 			r.m.busy[k] = false
@@ -534,17 +522,19 @@ func (c *Client) release(b []byte) {
 }
 
 // runChunk is the chunk of the current mapping that p starts at when p lies
-// in a run handed out by buffer, or -1. The caller holds mu.
-func (c *Client) runChunk(p []byte) int {
+// in a run handed out by buffer, or -1; a write's p marks its run. The caller
+// holds mu.
+func (c *Client) runChunk(p []byte, write bool) int {
 	if len(p) == 0 {
 		return -1
 	}
-	for _, r := range c.runs {
+	for i, r := range c.runs {
 		if r.m != c.shm {
 			continue
 		}
 		for k := r.k; k < r.k+r.n; k++ {
 			if &p[0] == &r.m.mem[k*chunkBytes] {
+				c.runs[i].wrote = c.runs[i].wrote || write
 				return k
 			}
 		}
@@ -728,7 +718,7 @@ func (c *Client) transfer(op uint8, body func(b []byte) []byte, payload, into []
 	if payload != nil {
 		data = payload
 	}
-	if k := c.runChunk(data); k >= 0 {
+	if k := c.runChunk(data, payload != nil); k >= 0 {
 		cl.m, cl.k, cl.held = c.shm, k, true
 	} else if cl.isData() {
 		cl.takeChunk(c.shm)

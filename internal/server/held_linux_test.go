@@ -4,6 +4,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -468,6 +469,53 @@ func TestCutWithHeldWriteInFlight(t *testing.T) {
 	}
 }
 
+// TestRetiredRunPoison: a run of a connection since cut is poisoned at its
+// release under pooldebug when only reads named it, so that a reader past
+// the release fails byte identity, and is left as it is when a write named
+// it, since the dead connection's request may still store from it.
+func TestRetiredRunPoison(t *testing.T) {
+	srv := startDaemon(t, server.Config{Tenants: []server.Tenant{{Name: "a"}}})
+	cli, err := server.Dial(srv.Addr(), server.ClientConfig{Tenant: "a", ReconnectPause: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if cli.Network() != "unix" {
+		t.Skip("no same-host socket")
+	}
+	f, err := cli.Factory()("poison")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := f.(pfs.BufferSource)
+	// last keeps the retired mapping mapped while the other two are looked
+	// at after their release.
+	read, wrote, last := src.Buffer(mib), src.Buffer(mib), src.Buffer(mib)
+	for i := range wrote {
+		wrote[i] = byte(i % 251)
+	}
+	want := bytes.Clone(wrote)
+	if _, err := f.WriteAt(wrote, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(read, 0); err != nil || !bytes.Equal(read, want) {
+		t.Fatalf("read back into a run: %v", err)
+	}
+	srv.KillConnections()
+	if _, _, err := cli.Usage(); err != nil { // over the new connection
+		t.Fatal(err)
+	}
+	src.Release(read)
+	src.Release(wrote)
+	if poisoned := bytes.Count(read, []byte{0xDB}) == len(read); poisoned != bufpool.Debug {
+		t.Errorf("a retired read run poisoned at release: %v, want %v", poisoned, bufpool.Debug)
+	}
+	if !bytes.Equal(wrote, want) {
+		t.Errorf("a retired run a write named changed at its release")
+	}
+	src.Release(last)
+}
+
 // TestSameHostWriteCopiesNothing is the daemon benchmark's write at the
 // daemon's default geometry — four ranks, 2048 Segments of 100 particles, the
 // parallel strategy — over the same-host socket: each rank's 2.9 MB arena is
@@ -513,9 +561,10 @@ func TestSameHostWriteCopiesNothing(t *testing.T) {
 // one chunk, whose capacity — a MiB — is a pool class. Released at Close, it
 // goes back to the client, not the pool: no later pool draw of that class
 // hands out a chunk. The write half: arenas of runs of exactly 1, 2 and 4
-// chunks, all pool classes, written; one that outgrows its run; and one left
-// unwritten at Close. Each run goes back to the client, and no pool draw of
-// the three classes hands out a chunk.
+// chunks, all pool classes, written; one that outgrows its run; one left
+// unwritten at Close; and one whose first element outgrows every pool class.
+// Each run goes back to the client, and no pool draw of the three classes
+// hands out a chunk.
 func TestOneChunkRunNeverPooled(t *testing.T) {
 	srv := startDaemon(t, server.Config{Tenants: []server.Tenant{{Name: "a"}}})
 	cli := dial(t, srv, "a")
@@ -589,6 +638,48 @@ func TestOneChunkRunNeverPooled(t *testing.T) {
 		t.Fatalf("%d bytes copied into chunks by the outgrown arenas' writes, %d arenas found no run, %d runs still held "+
 			"after the streams closed; want over 4 MiB, 0 and 0", after-before, pooled, held)
 	}
+	// One element a rank, each past the pool's largest class and so beyond
+	// any estimate: an arena draws a run that holds it (five chunks) or,
+	// with none that long free, stays pooled, and every element reads back.
+	bigElem := func(g int) []byte { return bytes.Repeat([]byte{byte(g + 1)}, bufpool.MaxClass+1) }
+	if err := ckptRun(cli, 4, 4, 1, func(n *machine.Node, d *distr.Distribution, _ *collection.Collection[scf.Segment], _ func(int)) error {
+		out, err := dstream.Open(n, d, "big", dstream.WithStrategy(dstream.StrategyParallel))
+		if err != nil {
+			return err
+		}
+		if err := out.InsertFunc(func(l int, e *dstream.Encoder) { e.Raw(bigElem(d.GlobalIndex(n.Rank(), l))) }); err != nil {
+			return err
+		}
+		if err := out.Write(); err != nil {
+			return err
+		}
+		if err := out.Close(); err != nil {
+			return err
+		}
+		in, err := dstream.OpenInput(n, d, "big", dstream.WithStrategy(dstream.StrategyParallel))
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		if err := in.UnsortedRead(); err != nil {
+			return err
+		}
+		same := true
+		if err := in.ExtractFunc(func(l int, dec *dstream.Decoder) {
+			same = same && bytes.Equal(dec.Raw(bufpool.MaxClass+1), bigElem(d.GlobalIndex(n.Rank(), l)))
+		}); err != nil {
+			return err
+		}
+		if !same {
+			return fmt.Errorf("rank %d read back other bytes", n.Rank())
+		}
+		return in.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, held, _ := cli.ChunkCounts(); held != 0 {
+		t.Fatalf("%d runs still held after the streams of one large element closed", held)
+	}
 	var got [][]byte
 	defer func() {
 		for _, b := range got {
@@ -626,10 +717,10 @@ func TestNoFreeRunReadsThroughThePool(t *testing.T) {
 	// The first record's first two draws take the four chunks and the other
 	// two ranks read into pooled buffers, which they keep. The second
 	// record's two draws race those ranks' transfers, which may take a chunk
-	// the runs gave back, so they find a run or not (3 pooled reads in 17 of
-	// 20 runs under -race). Each record's arenas are drawn before any rank's
-	// first transfer of it, which waits for every rank at the size agreement:
-	// two runs, two pooled arenas.
+	// the runs gave back, so they find a run or not (3 pooled reads in 16
+	// to 18 of 20 runs under -race). Each record's arenas are drawn before
+	// any rank's first transfer of it, which waits for every rank at the
+	// size agreement: two runs, two pooled arenas.
 	_, _, pooled, held, granted := cli.ChunkCounts()
 	t.Logf("%d arenas and %d reads drew a pooled buffer", wrote, pooled-wrote)
 	if read := pooled - wrote; granted != 4 || wrote != 4 || read < 2 || read > 4 || held != 0 {
