@@ -12,6 +12,13 @@
 // checkpoint torn by a mid-write crash is never restored — recovery falls
 // back to the newest slot whose marker validates. Restart may use a
 // different processor count and distribution, as d/streams allow.
+//
+// A save writes over its slot's old image in place (dstream.OpenOver) and
+// the stream's close cuts the image to the new length; the slot is never
+// cleared first. That is safe here and nowhere else: a save that dies before
+// its commit leaves the old image's tail behind its data, but the marker it
+// invalidated stays invalid, and a marker only validates when the data file
+// is exactly the length it records.
 package ckpt
 
 import (
@@ -66,8 +73,9 @@ func (m *Manager) Save(epoch uint64, d *distr.Distribution, write func(*dstream.
 		return fmt.Errorf("ckpt: invalidate slot %d: %w", slot, err)
 	}
 
-	// 2. Write the checkpoint data through a d/stream.
-	s, err := dstream.Open(m.node, d, m.slotFile(slot))
+	// 2. Write the checkpoint data through a d/stream, over the slot's old
+	// image; closing it cuts the image to the new data's end.
+	s, err := dstream.OpenOver(m.node, d, m.slotFile(slot))
 	if err != nil {
 		return fmt.Errorf("ckpt: open slot %d: %w", slot, err)
 	}

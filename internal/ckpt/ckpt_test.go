@@ -1,12 +1,15 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"pcxxstreams/internal/collection"
 	"pcxxstreams/internal/distr"
+	"pcxxstreams/internal/dstream"
+	"pcxxstreams/internal/enc"
 	"pcxxstreams/internal/machine"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/scf"
@@ -445,4 +448,173 @@ func TestVerdictIsEveryRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	ask(verdict{})
+}
+
+// saveSegs saves epoch under base on an nprocs machine: elems Segments of
+// particles each, filled from salt.
+func saveSegs(t *testing.T, fs *pfs.FileSystem, base string, epoch uint64, nprocs, elems, particles, salt int) error {
+	t.Helper()
+	return runOn(t, fs, nprocs, func(n *machine.Node) error {
+		d, _ := distr.New(elems, nprocs, distr.Cyclic, 0)
+		c, err := collection.New[scf.Segment](n, d)
+		if err != nil {
+			return err
+		}
+		c.Apply(func(g int, s *scf.Segment) { s.Fill(g+salt*1000, particles) })
+		m, err := New(n, base, 2)
+		if err != nil {
+			return err
+		}
+		return SaveCollection[scf.Segment](m, epoch, c)
+	})
+}
+
+// restoreSegs restores the newest checkpoint under base on an nprocs machine
+// and checks it is epoch, holding what saveSegs saved from salt.
+func restoreSegs(t *testing.T, fs *pfs.FileSystem, base string, epoch uint64, nprocs, elems, particles, salt int) {
+	t.Helper()
+	if err := runOn(t, fs, nprocs, func(n *machine.Node) error {
+		d, _ := distr.New(elems, nprocs, distr.Block, 0)
+		c, err := collection.New[scf.Segment](n, d)
+		if err != nil {
+			return err
+		}
+		got, err := RestoreCollection[scf.Segment](n, base, 2, c)
+		if err != nil {
+			return err
+		}
+		if got != epoch {
+			return fmt.Errorf("restored epoch %d, want %d", got, epoch)
+		}
+		var bad error
+		c.Apply(func(g int, s *scf.Segment) {
+			var want scf.Segment
+			want.Fill(g+salt*1000, particles)
+			if !s.Equal(&want) {
+				bad = fmt.Errorf("global %d holds wrong data", g)
+			}
+		})
+		return bad
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// committedLen is the data length slot's marker records, or -1 when the
+// marker is not a commit.
+func committedLen(t *testing.T, fs *pfs.FileSystem, slot string) int64 {
+	t.Helper()
+	m, err := fs.Image(slot + ".commit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != commitLen {
+		return -1
+	}
+	return int64(enc.NewReader(m[16:]).Uint64())
+}
+
+// TestSmallerCheckpointOverLarger: a save writes over its slot's larger old
+// image in place; the slot's file ends at the new data, which restores
+// byte-identical.
+func TestSmallerCheckpointOverLarger(t *testing.T) {
+	fs := pfs.NewMemFS(vtime.Challenge())
+	for _, s := range []struct {
+		epoch                      uint64
+		nprocs, elems, parts, salt int
+	}{
+		{0, 3, 24, 40, 1}, // slot 0, large
+		{1, 3, 24, 40, 2}, // slot 1
+		{2, 2, 9, 3, 3},   // slot 0 again, much smaller, on another machine shape
+	} {
+		if err := saveSegs(t, fs, "shrink", s.epoch, s.nprocs, s.elems, s.parts, s.salt); err != nil {
+			t.Fatal(err)
+		}
+		img, err := fs.Image(fmt.Sprintf("shrink.%d", s.epoch%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := committedLen(t, fs, fmt.Sprintf("shrink.%d", s.epoch%2)); int64(len(img)) != want {
+			t.Fatalf("epoch %d: slot file is %d bytes, its marker records %d", s.epoch, len(img), want)
+		}
+	}
+	restoreSegs(t, fs, "shrink", 2, 4, 9, 3, 3)
+}
+
+// TestTornOverwriteFallsBack: a save that tears while writing over a slot
+// holding a committed, larger checkpoint — its data file failing mid-write,
+// or its machine dying before the stream closes, so the old image's tail
+// stays behind the torn data — restores the other slot, and the torn slot
+// never validates.
+func TestTornOverwriteFallsBack(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tear func(t *testing.T, fs *pfs.FileSystem) error
+	}{
+		{"write-fails", func(t *testing.T, fs *pfs.FileSystem) error {
+			if err := fs.InjectFault("torn.0", 2); err != nil {
+				t.Fatal(err)
+			}
+			return saveSegs(t, fs, "torn", 2, 2, 8, 5, 3)
+		}},
+		{"crash-before-close", func(t *testing.T, fs *pfs.FileSystem) error {
+			return runOn(t, fs, 2, func(n *machine.Node) error {
+				d, _ := distr.New(8, 2, distr.Cyclic, 0)
+				c, err := fillSeg(n, d, 3)
+				if err != nil {
+					return err
+				}
+				m, err := New(n, "torn", 2)
+				if err != nil {
+					return err
+				}
+				return m.Save(2, d, func(s *dstream.OStream) error {
+					if err := dstream.Insert[scf.Segment](s, c); err != nil {
+						return err
+					}
+					if err := s.Write(); err != nil {
+						return err
+					}
+					if n.Rank() == 1 {
+						panic("crash after the write, before the close")
+					}
+					return nil
+				})
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := pfs.NewMemFS(vtime.Challenge())
+			if err := saveSegs(t, fs, "torn", 0, 2, 8, 60, 1); err != nil { // slot 0, large
+				t.Fatal(err)
+			}
+			if err := saveSegs(t, fs, "torn", 1, 2, 8, 5, 2); err != nil { // slot 1
+				t.Fatal(err)
+			}
+			old, err := fs.Image("torn.0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.tear(t, fs); err == nil {
+				t.Fatal("torn save succeeded")
+			}
+			restoreSegs(t, fs, "torn", 1, 2, 8, 5, 2)
+			if err := runOn(t, fs, 2, func(n *machine.Node) error {
+				if _, ok, err := validate(n, "torn.0"); err != nil || ok {
+					return fmt.Errorf("torn slot validated (%v)", err)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "crash-before-close" {
+				// Nothing cut the image: the old checkpoint's tail is still
+				// there, behind the torn save's smaller record.
+				img, err := fs.Image("torn.0")
+				if err != nil || len(img) != len(old) || bytes.Equal(img, old) {
+					t.Fatalf("torn slot: %d bytes (err %v), want the old image's %d with the new record over its head", len(img), err, len(old))
+				}
+			}
+		})
+	}
 }

@@ -23,7 +23,7 @@ import (
 // The differential interpreter. A byte script decodes into a setup — writer
 // and reader machine sizes, the element count, the writer's and the reader's
 // layout, a store — and a list of steps of four bytes each: open an output
-// (strategy, aggregators, write-behind, append) and insert, write, or skew
+// (strategy, aggregators, write-behind, append or over the old image) and insert, write, or skew
 // the ranks' clocks; open an input (read-ahead, two-phase refill or direct,
 // Strict) and read, read unsorted, skip, peek, extract raw or typed into
 // fresh or refilled elements, close early; or flip one bit in a record's
@@ -68,7 +68,7 @@ const (
 	cExtract  = 9  // input; a: extract mode
 	cSkew     = 11 // a: skew pattern
 	cOpenIn   = 12 // a: read-ahead (bits 0-2), refill (3-4), aggregators (5-6); b: Strict when b&3 == 3
-	cOpenOut  = 13 // a: strategy; b: aggregators, write-behind, append unless b&0x18 == 0
+	cOpenOut  = 13 // a: strategy; b: aggregators, write-behind, append unless b&0x18 == 0, else over the old image when b&0x20 != 0
 	cFlip     = 15 // a: record; b: header field, or when odd a descriptor or size-table byte; c: bit, applied when c&0x70 == 0
 )
 
@@ -287,6 +287,7 @@ type xrun struct {
 	flipAt int64
 	flipB  byte
 	img    []byte // the image after the run
+	over   bool   // an output opened over the old image (OpenOver)
 }
 
 // recLog is what the script wrote in one record: the global element at each
@@ -474,6 +475,10 @@ func (x *interp) openOut(a, b byte, appendTo bool) {
 		r.opts = append(r.opts, WithAppend())
 		r.what += " append"
 	} else {
+		// Over the old image or truncating it, the model starts a new file.
+		if r.over = b&0x20 != 0 && x.img != nil; r.over {
+			r.what += " over"
+		}
 		x.img, x.logs = refFile(), map[int64]*recLog{}
 	}
 	x.out, x.pending, x.wrote = refNil, nil, 0
@@ -838,7 +843,11 @@ func (p planSeen) set(rank int, s *planState) {
 
 func (x *interp) outBody(n *machine.Node, fs *pfs.FileSystem, r *xrun, sigs []planSeen, bad *mismatches) error {
 	rank := n.Rank()
-	out, err := Open(n, x.wd, scriptFile, r.opts...)
+	open := Open
+	if r.over {
+		open = OpenOver
+	}
+	out, err := open(n, x.wd, scriptFile, r.opts...)
 	if err != nil {
 		bad.add(rank, -1, "open: %v", err)
 		return nil

@@ -164,7 +164,7 @@ func openInput(node *machine.Node, d *distr.Distribution, name string, opts Opti
 	if err := opts.validateFor(dirInput); err != nil {
 		return nil, err
 	}
-	f, err := openFile(node, opts, name, false)
+	f, err := openFile(node, opts, name, false, false)
 	if err != nil {
 		return nil, fmt.Errorf("dstream: open input %q: %w", name, err)
 	}

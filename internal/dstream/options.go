@@ -132,9 +132,15 @@ func WithFileSystem(fs *pfs.FileSystem) Option {
 }
 
 // openFile resolves the stream's file: the injected file system when one is
-// set, the machine's otherwise.
-func openFile(node *machine.Node, opts Options, name string, trunc bool) (*pfs.File, error) {
-	if opts.FS != nil {
+// set, the machine's otherwise. over opens it over its image (trunc is then
+// beside the point).
+func openFile(node *machine.Node, opts Options, name string, trunc, over bool) (*pfs.File, error) {
+	switch {
+	case over && opts.FS != nil:
+		return opts.FS.OpenOver(name, node.Size(), node.Rank(), node.Clock())
+	case over:
+		return node.OpenOver(name)
+	case opts.FS != nil:
 		return opts.FS.Open(name, node.Size(), node.Rank(), node.Clock(), trunc)
 	}
 	return node.Open(name, trunc)
@@ -159,7 +165,19 @@ func buildOptions(opts []Option) Options {
 // Every node of the machine must make the matching call (open is
 // collective). The zero-option call gives the paper's defaults.
 func Open(node *machine.Node, d *distr.Distribution, name string, opts ...Option) (*OStream, error) {
-	return openOutput(node, d, name, buildOptions(opts))
+	return openOutput(node, d, name, buildOptions(opts), false)
+}
+
+// OpenOver is Open for a writer that replaces the file without truncating it
+// first: the stream writes over the old image's blocks in place and cuts the
+// image to the stream's end when the last rank closes it (pfs.FileSystem.
+// OpenOver), where Close reports a failed cut. A stream that dies before
+// that leaves the old image's tail behind its records, which a reader would
+// take for more of them, so the caller must record the stream's length
+// somewhere that only a finished write updates: internal/ckpt's commit
+// marker does. WithAppend does not combine with it.
+func OpenOver(node *machine.Node, d *distr.Distribution, name string, opts ...Option) (*OStream, error) {
+	return openOutput(node, d, name, buildOptions(opts), true)
 }
 
 // OpenInput opens an input d/stream for collections distributed by d,

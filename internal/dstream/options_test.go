@@ -98,6 +98,19 @@ func TestOptionValidation(t *testing.T) {
 				return out.Close()
 			})
 
+			// OpenOver takes Open's options, all but WithAppend.
+			wantOver := tc.wantOut
+			if hasAppend(tc.opts) {
+				wantOver = inapplicable
+			}
+			ov, err := OpenOver(n, d, "opt-over-"+tc.name, tc.opts...)
+			check(t, n.Rank(), "OpenOver", tc.name, err, wantOver, func() error {
+				if ov == nil {
+					return nil
+				}
+				return ov.Close()
+			})
+
 			in, err := OpenInput(n, d, "opt-valid", tc.opts...)
 			check(t, n.Rank(), "OpenInput", tc.name, err, tc.wantIn, func() error {
 				if in == nil {

@@ -43,16 +43,20 @@ type OStream struct {
 	lent     []bool
 }
 
-// openOutput is the collective open every output constructor funnels into.
-// Every node of the machine must make the matching call.
-func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Options) (*OStream, error) {
+// openOutput is the collective open every output constructor funnels into,
+// over the file's image when over is set (OpenOver). Every node of the
+// machine must make the matching call.
+func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Options, over bool) (*OStream, error) {
 	if d.NProcs != node.Size() {
 		return nil, fmt.Errorf("dstream: distribution over %d procs on a %d-node machine", d.NProcs, node.Size())
 	}
 	if err := opts.validateFor(dirOutput); err != nil {
 		return nil, err
 	}
-	f, err := openFile(node, opts, name, !opts.Append)
+	if over && opts.Append {
+		return nil, fmt.Errorf("dstream: option WithAppend does not apply to an output opened over its image")
+	}
+	f, err := openFile(node, opts, name, !opts.Append, over)
 	if err != nil {
 		return nil, fmt.Errorf("dstream: open output %q: %w", name, err)
 	}

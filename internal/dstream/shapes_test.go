@@ -155,6 +155,14 @@ func output(strat, k byte, async, app bool) [4]byte {
 	return [4]byte{cOpenOut, strat, b}
 }
 
+// over opens an output stream over the old image: strategy, aggregators,
+// write-behind.
+func over(strat, k byte, async bool) [4]byte {
+	o := output(strat, k, async, false)
+	o[2] |= 0x20
+	return o
+}
+
 // input opens an input stream: read-ahead (index into 0, 1, 2, 4, 8), refill,
 // aggregators (index into default, 1, 2, P), Strict.
 func input(depth, refill, k byte, strict bool) [4]byte {
@@ -453,6 +461,16 @@ func buildShapes() []shape {
 	// planner prefetches nothing and each read plans after its skew.
 	add("skew", seed(4, 4, 0, lCyclic, 0, lBlock, 0, storeMem, ins(0), wr, ins(0), wr, ins(0), wr, ins(0), wr, dflt,
 		skew(0x03), rd(extractFresh), skew(0x01), rd(extractFresh), skew(0x02), rd(extractFresh), skew(0x03), rd(extractFresh)))
+	// Outputs opened over a larger image, one of each write shape, each
+	// replacing it with one record, on memory and OS files and on a dstreamd.
+	big := [][4]byte{ins(0), ins(1), wr, ins(0), wr, ins(3), wr}
+	var overs [][4]byte
+	for _, o := range [][4]byte{over(funnel, 0, false), over(parallel, 0, false), over(twoPhase, 0, false),
+		over(twoPhase, 0, true), over(twoPhase, 1, false), over(funnel, 0, true), over(parallel, 2, true)} {
+		overs = append(overs, o, ins(2), wr, dflt, rd(extractFresh))
+	}
+	add("over", seed(3, 2, 13, lCyclic, 0, lBlock, 0, storeMemAndOS, slices.Concat(big, overs)...))
+	add("over-daemon", seed(3, 2, 13, lBlock, 0, lCyclic, 0, storeDaemon, slices.Concat(big, overs[:15])...))
 	// A bit flipped in the mode (an unknown mode), in the element count, in
 	// NArrays, and in an EXPLICIT owner table.
 	add("flip-mode", seed(2, 2, 7, lBlock, 0, lBlock, 0, storeMem, ins(0), wr, ins(0), wr, flipField(1, 4, 2), dflt, rd(extractFresh), dflt, skipStep, rd(extractFresh)))

@@ -112,6 +112,12 @@ func (n *Node) Open(name string, trunc bool) (*pfs.File, error) {
 	return n.fs.Open(name, n.size, n.rank, &n.clock, trunc)
 }
 
+// OpenOver opens a parallel file on this node over its image, as
+// pfs.FileSystem.OpenOver does.
+func (n *Node) OpenOver(name string) (*pfs.File, error) {
+	return n.fs.OpenOver(name, n.size, n.rank, &n.clock)
+}
+
 // Compute charges d virtual seconds of local computation.
 func (n *Node) Compute(d float64) { n.clock.Advance(d) }
 

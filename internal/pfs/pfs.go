@@ -51,7 +51,8 @@ func (om pfsOpMetrics) record(bytes int64, start, end float64) {
 }
 
 // pfsMetrics holds one handle set per PFS operation kind, plus the
-// transient-fault retry counter and what truncate-on-open dropped.
+// transient-fault retry counter and what the file system's cuts dropped: a
+// truncating open's, and an overwriting generation's at its last close.
 type pfsMetrics struct {
 	open, writeAt, readAt, pappend, pread, csync pfsOpMetrics
 	retries, truncates, truncatedBytes           *dsmon.Counter
@@ -82,8 +83,9 @@ func (fs *FileSystem) SetMonitor(m *dsmon.Monitor) {
 		csync:   mk("control_sync"),
 		retries: reg.Counter("pfs_io_retries_total",
 			"backend operations re-issued after a transient storage fault or short transfer"),
-		truncates:      reg.Counter("pfs_truncates_total", "file images cleared by a truncating open"),
-		truncatedBytes: reg.Counter("pfs_truncated_bytes_total", "bytes of old image truncating opens dropped"),
+		truncates: reg.Counter("pfs_truncates_total",
+			"file images cut: cleared by a truncating open, or cut to its logical end by an overwriting generation's last close"),
+		truncatedBytes: reg.Counter("pfs_truncated_bytes_total", "bytes of old image the cuts dropped"),
 	}
 	fs.rec = m.Recorder()
 	// Backends with their own instruments (e.g. the striped backend's
@@ -133,6 +135,9 @@ func (fs *FileSystem) ResetAbort() {
 			f.rdvs = make(map[uint64]*rendezvous)
 			f.refs = 0
 			f.mayTrunc = true
+			// A generation cut short never closed: as after a real crash,
+			// the backend's size is the file's again, old tail and all.
+			f.end.Store(-1)
 			f.mu.Unlock()
 		}
 	default:
@@ -179,9 +184,17 @@ type file struct {
 	refs int
 	// mayTrunc guards truncate-on-open: a fresh open generation (no opens
 	// since the refcount last reached zero) may truncate exactly once, so a
-	// node opening late cannot wipe data an early opener already wrote.
+	// node opening late cannot wipe data an early opener already wrote. The
+	// same first opener is the one that may open the generation over the
+	// image instead.
 	mayTrunc bool
-	rdvs     map[uint64]*rendezvous
+	// end is the logical end of a generation opened over its image
+	// (OpenOver): the file's size for its sizes, appends and reads, while the
+	// backend still holds the old image past it. The generation's last Close
+	// cuts the backend to it. It is -1 in any other generation, where the
+	// backend's size is the file's.
+	end  atomic.Int64
+	rdvs map[uint64]*rendezvous
 	// cond (on mu) is what a rank waits on inside a rendezvous, for either
 	// step; Abort broadcasts it too.
 	cond sync.Cond
@@ -191,10 +204,79 @@ func newFile(fs *FileSystem, name string, b Backend) *file {
 	rb := &resilientBackend{Backend: b, fs: fs}
 	f := &file{name: name, b: rb, src: rb, d: newDisk(fs.prof), mayTrunc: true, rdvs: make(map[uint64]*rendezvous)}
 	f.cond.L = &f.mu
+	f.end.Store(-1)
 	if fs.mon != nil {
 		attachBackendMonitor(f.b, fs.mon)
 	}
 	return f
+}
+
+// size is the file's length: its logical end in a generation opened over its
+// image, the backend's size otherwise.
+func (f *file) size() int64 {
+	if e := f.end.Load(); e >= 0 {
+		return e
+	}
+	return f.b.Size()
+}
+
+// claim reserves n bytes at the file's end and returns where they start: the
+// logical end, which it moves past them, in a generation opened over its
+// image, and the backend's size otherwise.
+func (f *file) claim(n int64) int64 {
+	for {
+		e := f.end.Load()
+		if e < 0 {
+			return f.b.Size()
+		}
+		if f.end.CompareAndSwap(e, e+n) {
+			return e
+		}
+	}
+}
+
+// extend moves a logical end to at least to; in a generation with none it
+// does nothing.
+func (f *file) extend(to int64) {
+	for {
+		e := f.end.Load()
+		if e < 0 || e >= to || f.end.CompareAndSwap(e, to) {
+			return
+		}
+	}
+}
+
+// readFull is readFull over the file's backend, with the file ending at its
+// logical end: the old image's bytes past it read as missing.
+func (f *file) readFull(p []byte, off int64) error {
+	if e := f.end.Load(); e >= 0 && off+int64(len(p)) > e {
+		if off >= e {
+			if len(p) == 0 {
+				return nil
+			}
+			return io.EOF
+		}
+		if err := readFull(f.b, p[:e-off], off); err != nil {
+			return err
+		}
+		return io.ErrUnexpectedEOF
+	}
+	return readFull(f.b, p, off)
+}
+
+// cut truncates f's backend to size, counting the cut and what it dropped.
+// The caller holds f.mu.
+func (fs *FileSystem) cut(f *file, size int64) error {
+	var dropped int64
+	if fs.met.truncatedBytes != nil { // Size can be a system call: only when someone reads it
+		dropped = max(f.b.Size()-size, 0)
+	}
+	if err := f.b.Truncate(size); err != nil {
+		return fmt.Errorf("pfs: truncate %q to %d: %w", f.name, size, err)
+	}
+	fs.met.truncates.Inc()
+	fs.met.truncatedBytes.Add(dropped)
+	return nil
 }
 
 // rendezvous synchronizes one collective operation across the group, in two
@@ -248,6 +330,36 @@ func (h *File) LastAsyncSpan() dsmon.SpanID { return h.lastAsync }
 // charging the platform's open latency. If trunc is true the file image is
 // cleared by the first opener of the current open generation.
 func (fs *FileSystem) Open(name string, nprocs, rank int, clock *vtime.Clock, trunc bool) (*File, error) {
+	mode := openKeep
+	if trunc {
+		mode = openTrunc
+	}
+	return fs.open(name, nprocs, rank, clock, mode)
+}
+
+// OpenOver is Open for a writer that replaces the file's contents without
+// clearing its image first: the first opener of the generation sets the file's
+// logical end to 0, so the generation sees an empty file, as after a
+// truncating open, and writes over the old image's blocks in place. The
+// generation's last Close cuts the image to the logical end and fails if
+// that cut does. A generation that dies before its last Close leaves the old
+// image's tail behind its data, so this is for a writer that can tell a
+// finished file from such a one by other means (a commit marker recording
+// the length, as internal/ckpt keeps).
+func (fs *FileSystem) OpenOver(name string, nprocs, rank int, clock *vtime.Clock) (*File, error) {
+	return fs.open(name, nprocs, rank, clock, openOver)
+}
+
+// openMode is what the first opener of an open generation does to the image.
+type openMode uint8
+
+const (
+	openKeep  openMode = iota // leaves it
+	openTrunc                 // clears it
+	openOver                  // writes over it from a logical end of 0
+)
+
+func (fs *FileSystem) open(name string, nprocs, rank int, clock *vtime.Clock, mode openMode) (*File, error) {
 	if nprocs <= 0 || rank < 0 || rank >= nprocs {
 		return nil, fmt.Errorf("pfs: open %q: bad rank %d of %d", name, rank, nprocs)
 	}
@@ -266,17 +378,16 @@ func (fs *FileSystem) Open(name string, nprocs, rank int, clock *vtime.Clock, tr
 
 	start := clock.Now()
 	f.mu.Lock()
-	if trunc && f.mayTrunc {
-		var dropped int64
-		if fs.met.truncatedBytes != nil { // Size can be a system call: only when someone reads it
-			dropped = f.b.Size()
+	if f.mayTrunc {
+		switch mode {
+		case openTrunc:
+			if err := fs.cut(f, 0); err != nil {
+				f.mu.Unlock()
+				return nil, err
+			}
+		case openOver:
+			f.end.Store(0)
 		}
-		if err := f.b.Truncate(0); err != nil {
-			f.mu.Unlock()
-			return nil, fmt.Errorf("pfs: truncate %q: %w", name, err)
-		}
-		fs.met.truncates.Inc()
-		fs.met.truncatedBytes.Add(dropped)
 	}
 	f.mayTrunc = false
 	f.refs++
@@ -308,9 +419,10 @@ func (fs *FileSystem) InjectFault(name string, failAfter int) error {
 	return nil
 }
 
-// Size returns the current file image size in bytes (no time charged; the
-// library uses it only for bookkeeping it would otherwise carry in memory).
-func (h *File) Size() int64 { return h.f.b.Size() }
+// Size returns the current file size in bytes — the logical end in a
+// generation opened over its image (no time charged; the library uses it
+// only for bookkeeping it would otherwise carry in memory).
+func (h *File) Size() int64 { return h.f.size() }
 
 // WriteAt is an independent (non-collective) write of p at off, the
 // operating-system primitive of the paper's unbuffered baseline.
@@ -321,6 +433,7 @@ func (h *File) WriteAt(p []byte, off int64) error {
 	if _, err := h.f.b.WriteAt(p, off); err != nil {
 		return fmt.Errorf("pfs: write %q at %d: %w", h.f.name, off, err)
 	}
+	h.f.extend(off + int64(len(p)))
 	slow := off >= h.fs.prof.SlowOffset
 	start := h.clock.Now()
 	h.clock.SyncTo(h.f.d.submit(h.rank, start, int64(len(p)), true, slow))
@@ -336,12 +449,12 @@ func (h *File) ReadAt(p []byte, off int64) error {
 	if h.closed {
 		return fmt.Errorf("pfs: read on closed handle %q", h.f.name)
 	}
-	if err := readFull(h.f.b, p, off); err != nil {
+	if err := h.f.readFull(p, off); err != nil {
 		return fmt.Errorf("pfs: read %q at %d: %w", h.f.name, off, err)
 	}
 	// A small read of a file larger than the OS cache seeks no matter where
 	// it lands — after writing such a file, none of it is still cached.
-	slow := h.f.b.Size() >= h.fs.prof.SlowOffset
+	slow := h.f.size() >= h.fs.prof.SlowOffset
 	start := h.clock.Now()
 	h.clock.SyncTo(h.f.d.submit(h.rank, start, int64(len(p)), false, slow))
 	if rec := h.fs.rec; rec != nil { // the span's name is the read's one allocation
@@ -355,18 +468,24 @@ func (h *File) ReadAt(p []byte, off int64) error {
 
 // Close drops the handle. The underlying image persists in the file system
 // so it can be reopened (e.g. written by an oStream, read back by an
-// iStream).
+// iStream). The last Close of a generation opened over its image cuts the
+// image to the logical end, and returns the cut's error.
 func (h *File) Close() error {
 	if h.closed {
 		return nil
 	}
 	h.closed = true
-	h.f.mu.Lock()
-	h.f.refs--
-	if h.f.refs == 0 {
-		h.f.mayTrunc = true // next open generation may truncate again
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.refs--
+	if f.refs != 0 {
+		return nil
 	}
-	h.f.mu.Unlock()
+	f.mayTrunc = true // next open generation may truncate again
+	if end := f.end.Swap(-1); end >= 0 {
+		return h.fs.cut(f, end)
+	}
 	return nil
 }
 
@@ -529,7 +648,11 @@ func (h *File) parallelAppend(pieces [][]byte, syncClock bool) (int64, float64, 
 		},
 		func(r *rendezvous) {
 			offsets, sizes := r.nums[:n], r.nums[n:]
-			off := h.f.b.Size()
+			var total int64
+			for _, sz := range sizes {
+				total += sz
+			}
+			off := h.f.claim(total)
 			for i, sz := range sizes {
 				offsets[i] = off
 				off += sz
@@ -648,12 +771,12 @@ func (h *File) parallelRead(off int64, pieces [][]byte, draw int, source, syncCl
 				if len(p) == 0 {
 					continue
 				}
-				err := readFull(h.f.b, p, at)
+				err := h.f.readFull(p, at)
 				if sourced && errors.Is(err, ErrWithdrawn) {
 					h.f.src.Release(p)
 					p, sourced = bufpool.Get(draw), false
 					pieces[0] = p
-					err = readFull(h.f.b, p, at)
+					err = h.f.readFull(p, at)
 				}
 				if err != nil {
 					return at - off, fmt.Errorf("pfs: parallel read %q [%d,+%d): %w", h.f.name, at, len(p), err)
@@ -775,7 +898,7 @@ func (fs *FileSystem) Image(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("pfs: no such file %q", name)
 	}
-	sz := f.b.Size()
+	sz := f.size()
 	buf := make([]byte, sz)
 	if sz == 0 {
 		return buf, nil

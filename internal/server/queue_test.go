@@ -407,3 +407,95 @@ func cutQueued(t *testing.T, write bool) {
 		}
 	}
 }
+
+// ask sends one request over c and fails t unless its reply is OK.
+func ask(t *testing.T, c net.Conn, req []byte) []byte {
+	t.Helper()
+	if _, err := c.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	_, status, body, err := readRawFrame(c)
+	if err != nil || status != wireOK {
+		t.Fatalf("reply: status %d, err %v, body %q", status, err, body)
+	}
+	return body
+}
+
+// TestLateStoreAfterResume: a write of a cut connection, parked in the tenant
+// window's admission, is dropped when it is admitted after its session
+// resumed over another connection; stored, it would land over the resend and
+// over what the client has written there since. On a daemon with one I/O
+// rank, a read on a second connection that does not read its reply holds the
+// whole window (its writer releases the share only once the reply is out);
+// an 8 KiB write on the first connection then parks in admission. The client
+// leaves that connection (the daemon sees no hang-up), resumes, resends that
+// write and writes newer bytes over the same range, both in eager pieces the
+// window does not meter, every one answered. Then the stalled reply is
+// drained, the window frees, and the parked write is admitted: the store
+// sees the four eager pieces and nothing else, the first connection's
+// handler returns, and the range reads back as the newest bytes.
+func TestLateStoreAfterResume(t *testing.T) {
+	const at, size, half = 2 * mib, 8 << 10, 4 << 10
+	mon := dsmon.New()
+	store := &cutStore{Backend: pfs.NewMemBackend()}
+	srv := startDaemon(t, server.Config{
+		StripeFactor: 1,
+		Factory:      func(string) (pfs.Backend, error) { return store, nil },
+		Tenants:      []server.Tenant{{Name: "a"}},
+		Monitor:      mon,
+	})
+	c1, token := resumeOn(t, "tcp", srv.Addr(), "a", "")
+	defer c1.Close()
+	ask(t, c1, frame(1, wireOpen, str("f")))
+	ask(t, c1, frame(2, wireWrite, str("f"), i64(0), blob(pattern(mib, 1))))
+	store.writes.Store(0)
+
+	// A reply of a whole chunk that nobody reads holds the whole window.
+	stall := sameHostHello(t, srv.Addr(), "a")
+	defer stall.Close()
+	ask(t, stall, frame(1, wireOpen, str("f")))
+	if _, err := stall.Write(frame(2, wireRead, str("f"), i64(0), u32(mib))); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, bytesOut(mon, "a"), mib, "bytes read from the store for the stalled reply")
+
+	requests := mon.Registry().Counter("dstreamd_requests_total", "", "tenant", "a")
+	stale, resent, newer := pattern(size, 2), pattern(size, 2), pattern(size, 3)
+	base := requests.Value()
+	if _, err := c1.Write(frame(3, wireWrite, str("f"), i64(at), blob(stale))); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, requests, base+1, "the write to park served")
+	// The cut: the client gives up on the first connection, which the daemon
+	// does not see go — a cut on the client's leg alone, as a relay's can be.
+	// So nothing on the daemon's side of it stops its reader or its writer.
+
+	c2, _ := resumeOn(t, "tcp", srv.Addr(), "a", token)
+	defer c2.Close()
+	for i, p := range [][]byte{resent, newer} {
+		for h := 0; h < size; h += half {
+			ask(t, c2, frame(uint64(10+2*i+h/half), wireWrite, str("f"), i64(at+int64(h)), blob(p[h:h+half])))
+		}
+	}
+
+	if _, _, body, err := readRawFrame(stall); err != nil || len(body) < mib {
+		t.Fatalf("stalled reply: %d bytes, %v", len(body), err)
+	}
+	// The window frees and the parked write is admitted. The first
+	// connection's handler returns only once that request has had its reply
+	// through the writer — the rank has dropped it or stored it — and the
+	// resume has already closed its socket.
+	conns := mon.Registry().Gauge("dstreamd_connections_active", "client connections currently attached")
+	for deadline := time.Now().Add(10 * time.Second); conns.Value() != 2 && store.writes.Load() == 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v connections attached after the drain, want 2: the first outlived its resume", conns.Value())
+		}
+	}
+	body := ask(t, c2, frame(20, wireRead, str("f"), i64(at), u32(size)))
+	if n := store.writes.Load(); n != 4 {
+		t.Fatalf("%d writes reached the store after the stall, want the 4 eager pieces: the left connection's parked write was stored", n)
+	}
+	if len(body) < size || !bytes.Equal(body[len(body)-size:], newer) {
+		t.Fatalf("range after the late admission: %d bytes, the newest write's %v", len(body), len(body) >= size && bytes.Equal(body[len(body)-size:], newer))
+	}
+}

@@ -227,15 +227,25 @@ func sameHostHello(t testing.TB, addr, tenant string) net.Conn {
 
 func rawHelloOn(t testing.TB, network, addr, tenant string) net.Conn {
 	t.Helper()
+	c, _ := resumeOn(t, network, addr, tenant, "")
+	return c
+}
+
+// resumeOn is rawHelloOn resuming the session of token when it is not
+// empty; it returns the session's token too.
+func resumeOn(t testing.TB, network, addr, tenant, token string) (net.Conn, string) {
+	t.Helper()
 	c, err := net.Dial(network, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(frame(0, wireHello, str(tenant), str(""))); err != nil {
+	if _, err := c.Write(frame(0, wireHello, str(tenant), str(token))); err != nil {
 		t.Fatal(err)
 	}
-	if _, status, body, err := readRawFrame(c); err != nil || status != wireOK {
+	_, status, body, err := readRawFrame(c)
+	if err != nil || status != wireOK || len(body) < 4 {
 		t.Fatalf("raw hello: status %d, err %v, body %q", status, err, body)
 	}
-	return c
+	n := min(int(binary.LittleEndian.Uint32(body)), len(body)-4)
+	return c, string(body[4 : 4+n])
 }

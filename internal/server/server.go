@@ -230,6 +230,40 @@ type session struct {
 	mu       sync.Mutex
 	attached bool
 	detached time.Time
+	// cur is the connection the session is attached over (nil between
+	// connections): the one a resume makes dead.
+	cur *conn
+}
+
+// attach makes cn the session's connection, before cn serves any request.
+// The connection it replaces is dead from now on, whatever its reader and
+// writer have noticed of the cut: a request of it still parked in the tenant
+// window's admission, or queued on an I/O rank, is dropped where it would
+// have reached the store (conn.dropped). The client resends it over cn, and
+// stored late it would land over the resend and whatever the client has
+// written there since.
+func (sess *session) attach(cn *conn) {
+	sess.mu.Lock()
+	prev := sess.cur
+	sess.cur, sess.attached = cn, true
+	sess.mu.Unlock()
+	if prev != nil {
+		prev.dead.Store(true)
+		prev.c.Close()
+	}
+}
+
+// detach leaves the session resumable for the grace window, then a timer
+// releases its admission slot — unless it has been resumed over another
+// connection since cn was its own.
+func (s *Server) detach(sess *session, cn *conn) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.cur != cn {
+		return
+	}
+	sess.cur, sess.attached, sess.detached = nil, false, time.Now()
+	time.AfterFunc(s.cfg.Grace, func() { s.expire(sess) })
 }
 
 // Server is a running dstreamd instance.
@@ -560,20 +594,12 @@ func (s *Server) handleConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	defer func() {
-		// Detach: the session stays resumable for the grace window, then a
-		// timer releases its admission slot.
-		sess.mu.Lock()
-		sess.attached = false
-		sess.detached = time.Now()
-		sess.mu.Unlock()
-		time.AfterFunc(s.cfg.Grace, func() { s.expire(sess) })
-	}()
-
 	cn := &conn{c: c, ten: sess.ten, slots: make(chan struct{}, replyQueue), out: make(chan outFrame, replyQueue)}
 	if mem != nil {
 		cn.mem, cn.held, cn.mHeld = mem, make([]atomic.Bool, len(mem)/chunkBytes), s.mChunksHeld
 	}
+	sess.attach(cn)
+	defer s.detach(sess, cn)
 	written := make(chan struct{})
 	go func() {
 		defer close(written)
